@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: build test test-race bench bench-diff ci verify e2e
+.PHONY: build test perf-test test-race bench bench-diff ci verify e2e
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# perf/ (the BENCHMARK.json benchmark) is a nested module, so
+# `go test ./...` from the root never compiles it. It imports
+# internal/client, internal/server and internal/splitsim directly; this
+# target is what catches a refactor there that breaks the benchmark.
+perf-test:
+	cd perf && $(GO) vet ./... && $(GO) test ./...
 
 # Race-checks the packages with real lock/atomic contention: the
 # tensor worker pool and scratch arena, the model plane that hammers
@@ -55,8 +62,8 @@ vet:
 
 # ci mirrors .github/workflows/ci.yml: the verify job's commands in the
 # same order, then the race job. Keep the two in sync.
-ci: build vet fmt-check test test-race
+ci: build vet fmt-check test perf-test test-race
 
 .PHONY: fmt-check vet
 
-verify: build test test-race
+verify: build test perf-test test-race

@@ -114,7 +114,8 @@ type Config struct {
 	// client follows it transparently mid-run — redial, resume the
 	// session from the control plane's snapshot, replay the displaced
 	// forward. The iteration in flight is not lost and the caller only
-	// observes a longer round-trip.
+	// observes a longer round-trip. It costs nothing else: StepPipelined
+	// keeps overlapping and follows a redirect from inside a group.
 	Migrate bool
 	// OnMigrate, when set, is called after each completed migration
 	// with the new server's address (telemetry/test hook).
@@ -171,10 +172,11 @@ type Client struct {
 	traceOK bool
 	// migrateOK reports that the server acked FeatureMigration.
 	migrateOK bool
-	// compressOK reports that the server acked
+	// payload packs outgoing and unpacks incoming activation/gradient
+	// payloads. Its Negotiated bit reports that the server acked
 	// FeatureActivationCompression: outgoing payloads may be quantized
 	// with cfg.WireCodec and incoming payloads may arrive packed.
-	compressOK bool
+	payload split.PayloadCodec
 	// resumeToken rides the next handshake's Hello (nonzero only
 	// during a migration redial).
 	resumeToken uint64
@@ -198,13 +200,10 @@ type clientMetrics struct {
 	commBy       *obs.Histogram
 	compBy       *obs.Histogram
 
-	// Wire transport plane (docs/WIRE.md): bytes of compressed payloads
-	// sent vs the fp32 bytes they replaced, codec time, and per-
-	// microbatch round-trip time hidden behind compute by pipelining.
-	wireCompressed *obs.Counter
-	wireRaw        *obs.Counter
-	codecSeconds   *obs.Histogram
-	overlapHidden  *obs.Histogram
+	// overlapHidden is the per-microbatch round-trip time hidden behind
+	// compute by pipelining (docs/WIRE.md). The rest of the wire
+	// transport plane's handles live on Client.payload.
+	overlapHidden *obs.Histogram
 }
 
 // New builds the client's model sections and performs the handshake
@@ -248,6 +247,7 @@ func New(conn net.Conn, cfg Config) (*Client, error) {
 		output:  output,
 		adapter: ad,
 		params:  ad.Params(),
+		payload: split.PayloadCodec{Codec: cfg.WireCodec},
 	}
 	switch cfg.Optimizer {
 	case "adam":
@@ -267,11 +267,11 @@ func New(conn net.Conn, cfg Config) (*Client, error) {
 			commBy:       cfg.Metrics.HistogramVec(obs.MetricClientCommSeconds, "client", obs.DurationBuckets()).With(cfg.ClientID),
 			compBy:       cfg.Metrics.HistogramVec(obs.MetricClientCompSeconds, "client", obs.DurationBuckets()).With(cfg.ClientID),
 
-			wireCompressed: cfg.Metrics.Counter(obs.MetricWireCompressedBytes, "on-wire bytes of compressed activation/gradient payloads sent"),
-			wireRaw:        cfg.Metrics.Counter(obs.MetricWireRawBytes, "fp32 bytes the compressed payloads replaced"),
-			codecSeconds:   cfg.Metrics.Histogram(obs.MetricWireCodecSeconds, obs.DurationBuckets(), "time quantizing/dequantizing wire payloads"),
-			overlapHidden:  cfg.Metrics.Histogram(obs.MetricOverlapHiddenSeconds, obs.DurationBuckets(), "round-trip time hidden behind compute by pipelined stepping"),
+			overlapHidden: cfg.Metrics.Histogram(obs.MetricOverlapHiddenSeconds, obs.DurationBuckets(), "round-trip time hidden behind compute by pipelined stepping"),
 		}
+		c.payload.Compressed = cfg.Metrics.Counter(obs.MetricWireCompressedBytes, "on-wire bytes of compressed activation/gradient payloads sent")
+		c.payload.Raw = cfg.Metrics.Counter(obs.MetricWireRawBytes, "fp32 bytes the compressed payloads replaced")
+		c.payload.Seconds = cfg.Metrics.Histogram(obs.MetricWireCodecSeconds, obs.DurationBuckets(), "time quantizing/dequantizing wire payloads")
 	}
 
 	if err := c.handshake(); err != nil {
@@ -364,50 +364,13 @@ func (c *Client) handshake() error {
 	c.demands = *ack
 	c.traceOK = ack.Features&split.FeatureTraceContext != 0
 	c.migrateOK = ack.Features&split.FeatureMigration != 0
-	c.compressOK = ack.Features&split.FeatureActivationCompression != 0
+	c.payload.Negotiated = ack.Features&split.FeatureActivationCompression != 0
 	return nil
 }
 
 // CompressionNegotiated reports whether the server accepted compressed
 // activation payloads at handshake.
-func (c *Client) CompressionNegotiated() bool { return c.compressOK }
-
-// packWire quantizes an outgoing payload with the configured codec.
-// When compression is off (or not negotiated) it returns the tensor
-// unchanged, so the frame stays byte-identical to a legacy client's.
-func (c *Client) packWire(x *tensor.Tensor) (*tensor.Tensor, *quant.Packed, error) {
-	if !c.compressOK || c.cfg.WireCodec == quant.CodecFP32 {
-		return x, nil, nil
-	}
-	t0 := time.Now()
-	p, err := quant.Pack(x, c.cfg.WireCodec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("client: pack payload: %w", err)
-	}
-	c.m.codecSeconds.Observe(time.Since(t0).Seconds())
-	c.m.wireCompressed.Add(int64(p.WireBytes()))
-	c.m.wireRaw.Add(int64(4 * len(x.Data())))
-	return nil, p, nil
-}
-
-// unpackWire resolves an incoming payload that may be plain or packed.
-// A packed payload from a server that never negotiated compression is a
-// protocol violation, not something to decode on faith.
-func (c *Client) unpackWire(plain *tensor.Tensor, packed *quant.Packed) (*tensor.Tensor, error) {
-	if packed != nil && !c.compressOK {
-		return nil, errors.New("client: compressed payload without negotiation")
-	}
-	if packed == nil {
-		return plain, nil
-	}
-	t0 := time.Now()
-	x, err := split.Payload(plain, packed)
-	if err != nil {
-		return nil, fmt.Errorf("client: unpack payload: %w", err)
-	}
-	c.m.codecSeconds.Observe(time.Since(t0).Seconds())
-	return x, nil
-}
+func (c *Client) CompressionNegotiated() bool { return c.payload.Negotiated }
 
 // TraceNegotiated reports whether the server accepted trace-context
 // propagation at handshake.
@@ -423,7 +386,7 @@ func (c *Client) Demands() (forward, backward int64) {
 // (ids, targets), each of length Batch×Seq: forward, backward, and an
 // optimizer step on both adapter halves.
 func (c *Client) Step(ids, targets []int) (StepResult, error) {
-	return c.step(ids, targets, true)
+	return c.MicroStep(ids, targets, true)
 }
 
 // MicroStep runs one forward/backward and accumulates gradients on
@@ -433,120 +396,11 @@ func (c *Client) Step(ids, targets []int) (StepResult, error) {
 // with apply=true emulate a k× larger batch within the memory budget
 // of one micro-batch.
 func (c *Client) MicroStep(ids, targets []int, apply bool) (StepResult, error) {
-	return c.step(ids, targets, apply)
-}
-
-func (c *Client) step(ids, targets []int, apply bool) (StepResult, error) {
-	if len(ids) != c.cfg.Batch*c.cfg.Seq || len(targets) != len(ids) {
-		return StepResult{}, fmt.Errorf("client: batch is %d ids / %d targets, want %d",
-			len(ids), len(targets), c.cfg.Batch*c.cfg.Seq)
-	}
-	var comm, comp time.Duration
-	iter := c.iter
-	c.iter++
-
-	// Every iteration gets a deterministic trace ID; when the server
-	// negotiated trace context it rides the wire, so both processes'
-	// span buffers share it and a merged Chrome trace lines up.
-	var tid uint64
-	if c.cfg.Tracer != nil {
-		tid = obs.IterTraceID(c.cfg.ClientID, iter)
-	}
-	iterSpan := c.cfg.Tracer.BeginT(c.cfg.ClientID, "iteration", "iter", tid)
-
-	// Step 1 (client): input section forward.
-	sp := c.cfg.Tracer.BeginT(c.cfg.ClientID, "input-forward", "compute", tid)
-	t0 := time.Now()
-	xc, inCache, err := c.input.Forward(ids, c.cfg.Batch, c.cfg.Seq, true)
-	if err != nil {
-		return StepResult{}, fmt.Errorf("client: input forward: %w", err)
-	}
-	comp += time.Since(t0)
-	sp.End()
-
-	// Steps 1-2 (server): send x_c, receive x_s.
-	plain, packed, err := c.packWire(xc)
+	results, err := c.run([]MicroBatch{{IDs: ids, Targets: targets}}, apply)
 	if err != nil {
 		return StepResult{}, err
 	}
-	sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "forward-rtt", "comm", tid)
-	t0 = time.Now()
-	xs, err := c.forwardRoundTrip(&split.ForwardReq{
-		Iter: iter, Batch: c.cfg.Batch, Seq: c.cfg.Seq, Activations: plain,
-		Packed: packed, TraceID: c.wireTrace(tid),
-	})
-	if err != nil {
-		return StepResult{}, err
-	}
-	comm += time.Since(t0)
-	sp.End()
-
-	// Client: output section forward, loss, output backward.
-	sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "output-loss", "compute", tid)
-	t0 = time.Now()
-	logits, outCache, err := c.output.Forward(xs, true)
-	if err != nil {
-		return StepResult{}, fmt.Errorf("client: output forward: %w", err)
-	}
-	loss, dlogits, err := nn.CrossEntropy(logits, targets)
-	if err != nil {
-		return StepResult{}, fmt.Errorf("client: loss: %w", err)
-	}
-	gc, err := c.output.Backward(outCache, dlogits)
-	if err != nil {
-		return StepResult{}, fmt.Errorf("client: output backward: %w", err)
-	}
-	comp += time.Since(t0)
-	sp.End()
-
-	// Steps 3-4 (server): send g_c, receive g_s.
-	plain, packed, err = c.packWire(gc)
-	if err != nil {
-		return StepResult{}, err
-	}
-	sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "backward-rtt", "comm", tid)
-	t0 = time.Now()
-	if err := split.WriteMessage(c.conn, &split.BackwardReq{
-		Iter: iter, Apply: apply, Gradients: plain, Packed: packed, TraceID: c.wireTrace(tid),
-	}); err != nil {
-		return StepResult{}, fmt.Errorf("client: send backward: %w", err)
-	}
-	gs, err := c.expectBackwardResp(iter)
-	if err != nil {
-		return StepResult{}, err
-	}
-	comm += time.Since(t0)
-	sp.End()
-
-	// Client: input section backward and adapter optimization.
-	sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "input-backward", "compute", tid)
-	t0 = time.Now()
-	if err := c.input.Backward(inCache, gs); err != nil {
-		return StepResult{}, fmt.Errorf("client: input backward: %w", err)
-	}
-	if apply {
-		if err := c.optimizer.Step(c.params); err != nil {
-			return StepResult{}, fmt.Errorf("client: optimizer: %w", err)
-		}
-		nn.ZeroGrads(c.params)
-	}
-	comp += time.Since(t0)
-	sp.End()
-
-	iterSpan.End()
-	c.breakdown.Add(comm, comp, 0)
-	c.m.iterations.Inc()
-	c.m.comm.ObserveExemplar(comm.Seconds(), tid)
-	c.m.comp.ObserveExemplar(comp.Seconds(), tid)
-	c.m.iterationsBy.Inc()
-	c.m.commBy.Observe(comm.Seconds())
-	c.m.compBy.Observe(comp.Seconds())
-	return StepResult{
-		Loss:       loss,
-		Perplexity: nn.Perplexity(loss),
-		CommTime:   comm,
-		CompTime:   comp,
-	}, nil
+	return results[0], nil
 }
 
 // wireTrace gates a trace ID for the wire: zero (and therefore absent
@@ -588,39 +442,44 @@ type pendingMicro struct {
 // forward. Only then is i's backward response collected. The server
 // processes a connection's requests strictly in order, so the compute
 // graph is untouched: at fp32 the results are bit-identical to the
-// sequential loop, just faster on a slow link.
+// MicroStep loop, just faster on a slow link. Step and MicroStep are
+// this same loop over a single microbatch.
 //
 // Reordering note: microbatch i+1's input forward runs before
 // microbatch i's input backward. Forward touches no gradient state and
 // the adapter parameters only change at the final apply, so the
 // numbers cannot differ — backward order itself stays i, i+1, ....
 //
-// When the server negotiated live migration the client falls back to
-// the sequential loop: a mid-pipeline redirect would displace requests
-// this schedule cannot replay.
+// A live-migration redirect (Config.Migrate) is followed mid-group:
+// the server only redirects at a ForwardReq boundary, and the loop
+// reads that forward's response only after the previous microbatch's
+// backward has been drained, so nothing but the displaced forward is
+// in flight and replaying it on the target loses no work.
 func (c *Client) StepPipelined(batches []MicroBatch) ([]StepResult, error) {
 	if len(batches) == 0 {
 		return nil, errors.New("client: pipelined step needs at least one microbatch")
 	}
-	if c.migrateOK {
-		results := make([]StepResult, 0, len(batches))
-		for i, mb := range batches {
-			res, err := c.step(mb.IDs, mb.Targets, i == len(batches)-1)
-			if err != nil {
-				return results, err
-			}
-			results = append(results, res)
+	return c.run(batches, true)
+}
+
+// run is the client's one iteration engine (Algorithm 1's client half):
+// the microbatches form a gradient-accumulation group whose last member
+// carries apply. With more than one microbatch the schedule is the
+// depth-2 pipeline documented on StepPipelined; with exactly one there
+// is nothing to overlap and it degenerates to the plain four-step loop.
+func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
+	for i, mb := range batches {
+		if len(mb.IDs) != c.cfg.Batch*c.cfg.Seq || len(mb.Targets) != len(mb.IDs) {
+			return nil, fmt.Errorf("client: microbatch %d is %d ids / %d targets, want %d",
+				i, len(mb.IDs), len(mb.Targets), c.cfg.Batch*c.cfg.Seq)
 		}
-		return results, nil
 	}
-
 	results := make([]StepResult, 0, len(batches))
-	var pending *pendingMicro
 
-	// finish drains a deferred microbatch: read its backward response,
-	// run the input-section backward, and account the iteration.
-	finish := func(p *pendingMicro) error {
-		c.m.overlapHidden.Observe(time.Since(p.sent).Seconds())
+	// finish drains a microbatch whose backward is on the wire: read the
+	// response, run the input-section backward (and, for the applying
+	// microbatch, the optimizer step), and account the iteration.
+	finish := func(p *pendingMicro, optimize bool) error {
 		sp := c.cfg.Tracer.BeginT(c.cfg.ClientID, "backward-rtt", "comm", p.tid)
 		t0 := time.Now()
 		gs, err := c.expectBackwardResp(p.iter)
@@ -634,6 +493,12 @@ func (c *Client) StepPipelined(batches []MicroBatch) ([]StepResult, error) {
 		t0 = time.Now()
 		if err := c.input.Backward(p.inCache, gs); err != nil {
 			return fmt.Errorf("client: input backward: %w", err)
+		}
+		if optimize {
+			if err := c.optimizer.Step(c.params); err != nil {
+				return fmt.Errorf("client: optimizer: %w", err)
+			}
+			nn.ZeroGrads(c.params)
 		}
 		p.res.CompTime += time.Since(t0)
 		sp.End()
@@ -650,13 +515,13 @@ func (c *Client) StepPipelined(batches []MicroBatch) ([]StepResult, error) {
 		return nil
 	}
 
+	var pending *pendingMicro
 	for i, mb := range batches {
-		if len(mb.IDs) != c.cfg.Batch*c.cfg.Seq || len(mb.Targets) != len(mb.IDs) {
-			return results, fmt.Errorf("client: microbatch %d is %d ids / %d targets, want %d",
-				i, len(mb.IDs), len(mb.Targets), c.cfg.Batch*c.cfg.Seq)
-		}
 		iter := c.iter
 		c.iter++
+		// Every iteration gets a deterministic trace ID; when the server
+		// negotiated trace context it rides the wire, so both processes'
+		// span buffers share it and a merged Chrome trace lines up.
 		var tid uint64
 		if c.cfg.Tracer != nil {
 			tid = obs.IterTraceID(c.cfg.ClientID, iter)
@@ -664,8 +529,9 @@ func (c *Client) StepPipelined(batches []MicroBatch) ([]StepResult, error) {
 		iterSpan := c.cfg.Tracer.BeginT(c.cfg.ClientID, "iteration", "iter", tid)
 		var res StepResult
 
-		// Input forward for this microbatch; the previous microbatch's
-		// backward is in flight on the server while this runs.
+		// Step 1 (client): input section forward. The previous
+		// microbatch's backward, if any, is in flight on the server
+		// while this runs.
 		sp := c.cfg.Tracer.BeginT(c.cfg.ClientID, "input-forward", "compute", tid)
 		t0 := time.Now()
 		xc, inCache, err := c.input.Forward(mb.IDs, c.cfg.Batch, c.cfg.Seq, true)
@@ -675,43 +541,46 @@ func (c *Client) StepPipelined(batches []MicroBatch) ([]StepResult, error) {
 		res.CompTime += time.Since(t0)
 		sp.End()
 
-		plain, packed, err := c.packWire(xc)
+		// Steps 1-2 (server): send x_c, receive x_s.
+		plain, packed, err := c.payload.Pack(xc)
 		if err != nil {
-			return results, err
+			return results, fmt.Errorf("client: %w", err)
 		}
-		t0 = time.Now()
-		if err := split.WriteMessage(c.conn, &split.ForwardReq{
+		req := &split.ForwardReq{
 			Iter: iter, Batch: c.cfg.Batch, Seq: c.cfg.Seq,
 			Activations: plain, Packed: packed, TraceID: c.wireTrace(tid),
-		}); err != nil {
+		}
+		t0 = time.Now()
+		if err := split.WriteMessage(c.conn, req); err != nil {
 			return results, fmt.Errorf("client: send forward: %w", err)
 		}
 		res.CommTime += time.Since(t0)
-		fwdSent := time.Now()
 
-		// Drain the previous microbatch while our forward request is
-		// on the wire (and queued behind its backward on the server).
+		// Drain the previous microbatch while our forward request is on
+		// the wire (and queued behind its backward on the server). Hidden
+		// time is observed only here, where another microbatch really
+		// was in flight: its backward round trip overlapped our input
+		// forward, and our forward round trip overlaps its drain.
 		if pending != nil {
-			if err := finish(pending); err != nil {
+			fwdSent := time.Now()
+			c.m.overlapHidden.Observe(fwdSent.Sub(pending.sent).Seconds())
+			if err := finish(pending, false); err != nil {
 				return results, err
 			}
 			pending = nil
+			c.m.overlapHidden.Observe(time.Since(fwdSent).Seconds())
 		}
 
-		c.m.overlapHidden.Observe(time.Since(fwdSent).Seconds())
 		sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "forward-rtt", "comm", tid)
 		t0 = time.Now()
-		xs, redirect, err := c.expectForwardResp(iter)
+		xs, err := c.awaitForward(req)
 		if err != nil {
 			return results, err
-		}
-		if redirect != nil {
-			return results, errors.New("client: migration redirect during pipelined step")
 		}
 		res.CommTime += time.Since(t0)
 		sp.End()
 
-		// Output forward, loss, output backward.
+		// Client: output section forward, loss, output backward.
 		sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "output-loss", "compute", tid)
 		t0 = time.Now()
 		logits, outCache, err := c.output.Forward(xs, true)
@@ -731,15 +600,15 @@ func (c *Client) StepPipelined(batches []MicroBatch) ([]StepResult, error) {
 		res.Loss = loss
 		res.Perplexity = nn.Perplexity(loss)
 
-		// Ship the backward; its response is collected only after the
-		// next microbatch's forward has been computed and sent.
-		plain, packed, err = c.packWire(gc)
+		// Steps 3-4 (server): send g_c; g_s is collected by finish, after
+		// the next microbatch's forward has been computed and sent.
+		plain, packed, err = c.payload.Pack(gc)
 		if err != nil {
-			return results, err
+			return results, fmt.Errorf("client: %w", err)
 		}
 		t0 = time.Now()
 		if err := split.WriteMessage(c.conn, &split.BackwardReq{
-			Iter: iter, Apply: i == len(batches)-1,
+			Iter: iter, Apply: apply && i == len(batches)-1,
 			Gradients: plain, Packed: packed, TraceID: c.wireTrace(tid),
 		}); err != nil {
 			return results, fmt.Errorf("client: send backward: %w", err)
@@ -750,19 +619,8 @@ func (c *Client) StepPipelined(batches []MicroBatch) ([]StepResult, error) {
 			res: res, sent: time.Now(),
 		}
 	}
-	if err := finish(pending); err != nil {
-		return results, err
-	}
-
-	// Optimizer step for the whole accumulation group, attributed to
-	// the final microbatch like MicroStep(apply=true) would.
-	t0 := time.Now()
-	if err := c.optimizer.Step(c.params); err != nil {
-		return results, fmt.Errorf("client: optimizer: %w", err)
-	}
-	nn.ZeroGrads(c.params)
-	results[len(results)-1].CompTime += time.Since(t0)
-	return results, nil
+	// The group's optimizer step rides the final microbatch's drain.
+	return results, finish(pending, apply)
 }
 
 // Evaluate computes the loss over a batch without updating anything.
@@ -791,30 +649,35 @@ func (c *Client) Evaluate(ids, targets []int) (float64, error) {
 	return loss, err
 }
 
-// forwardRoundTrip sends a ForwardReq and waits for its response,
-// following at most one migration redirect: the redirect displaces
-// the forward, so after redialing the target (which restores the
-// session from the staged snapshot) the same request is replayed
-// there and the iteration completes as if nothing moved.
+// forwardRoundTrip sends a ForwardReq and waits for its response.
 func (c *Client) forwardRoundTrip(req *split.ForwardReq) (*tensor.Tensor, error) {
-	for attempt := 0; ; attempt++ {
-		if err := split.WriteMessage(c.conn, req); err != nil {
-			return nil, fmt.Errorf("client: send forward: %w", err)
-		}
-		xs, redirect, err := c.expectForwardResp(req.Iter)
-		if err != nil {
-			return nil, err
-		}
-		if redirect == nil {
-			return xs, nil
-		}
-		if attempt > 0 {
-			return nil, fmt.Errorf("client: second migration redirect in one iteration (to %s)", redirect.Target)
-		}
-		if err := c.followMigration(redirect); err != nil {
-			return nil, err
-		}
+	if err := split.WriteMessage(c.conn, req); err != nil {
+		return nil, fmt.Errorf("client: send forward: %w", err)
 	}
+	return c.awaitForward(req)
+}
+
+// awaitForward reads the response to a ForwardReq already on the wire,
+// following at most one migration redirect: the redirect displaces the
+// forward, so after redialing the target (which restores the session
+// from the staged snapshot) the same request is replayed there and the
+// iteration completes as if nothing moved.
+func (c *Client) awaitForward(req *split.ForwardReq) (*tensor.Tensor, error) {
+	xs, redirect, err := c.expectForwardResp(req.Iter)
+	if err != nil || redirect == nil {
+		return xs, err
+	}
+	if err := c.followMigration(redirect); err != nil {
+		return nil, err
+	}
+	if err := split.WriteMessage(c.conn, req); err != nil {
+		return nil, fmt.Errorf("client: replay forward: %w", err)
+	}
+	xs, redirect, err = c.expectForwardResp(req.Iter)
+	if err == nil && redirect != nil {
+		return nil, fmt.Errorf("client: second migration redirect in one iteration (to %s)", redirect.Target)
+	}
+	return xs, err
 }
 
 // followMigration redials the redirect's target and resumes the
@@ -870,9 +733,9 @@ func (c *Client) expectForwardResp(iter int) (*tensor.Tensor, *split.MigrateMsg,
 		if m.Iter != iter || (m.Activations == nil && m.Packed == nil) {
 			return nil, nil, fmt.Errorf("client: bad forward response (iter %d)", m.Iter)
 		}
-		xs, err := c.unpackWire(m.Activations, m.Packed)
+		xs, err := c.payload.Unpack(m.Activations, m.Packed)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("client: %w", err)
 		}
 		return xs, nil, nil
 	case *split.ErrorMsg:
@@ -898,7 +761,11 @@ func (c *Client) expectBackwardResp(iter int) (*tensor.Tensor, error) {
 		if m.Iter != iter || (m.Gradients == nil && m.Packed == nil) {
 			return nil, fmt.Errorf("client: bad backward response (iter %d)", m.Iter)
 		}
-		return c.unpackWire(m.Gradients, m.Packed)
+		gs, err := c.payload.Unpack(m.Gradients, m.Packed)
+		if err != nil {
+			return nil, fmt.Errorf("client: %w", err)
+		}
+		return gs, nil
 	case *split.ErrorMsg:
 		if m.Retryable {
 			return nil, &RetryableError{

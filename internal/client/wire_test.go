@@ -177,11 +177,41 @@ func TestWireByteSavings(t *testing.T) {
 	}
 }
 
+// recordingConn keeps every byte the client writes to the connection.
+type recordingConn struct {
+	net.Conn
+	tx bytes.Buffer
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	c.tx.Write(p)
+	return c.Conn.Write(p)
+}
+
+// dialRecorded is client.Dial over a recordingConn.
+func dialRecorded(t *testing.T, addr string, cfg client.Config) (*client.Client, *recordingConn) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingConn{Conn: conn}
+	c, err := client.New(rec, cfg)
+	if err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	return c, rec
+}
+
 // TestStepPipelinedMatchesSequential: the double-buffered schedule is a
 // pure latency optimization — at fp32 every per-microbatch loss and the
 // final adapter state are bit-identical to the sequential MicroStep
 // loop, because the server processes a connection's requests in order
 // and the client only moves gradient-free work across the overlap.
+// Step, MicroStep and StepPipelined are one engine, so the two clients
+// also put the very same bytes on the wire, and a plain Step is exactly
+// a one-microbatch StepPipelined.
 func TestStepPipelinedMatchesSequential(t *testing.T) {
 	const groups, micros = 3, 4
 	mbs := func(group int) []client.MicroBatch {
@@ -192,13 +222,17 @@ func TestStepPipelinedMatchesSequential(t *testing.T) {
 		}
 		return out
 	}
+	// The run ends with one single-microbatch group: Step on one side,
+	// StepPipelined of one on the other.
+	lastIDs, lastTargets := batch(16, 1999)
 
-	// Sequential reference.
+	// Sequential reference. Both clients share an ID (on separate
+	// servers) so their handshakes are the same bytes too.
 	addrA, _ := startWireServer(t, quant.CodecFP32)
-	seq, err := client.Dial(addrA, validCfg("seq"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sreg := obs.NewRegistry()
+	cfg := validCfg("pipe")
+	cfg.Metrics = sreg
+	seq, seqConn := dialRecorded(t, addrA, cfg)
 	defer seq.Close()
 	var seqLosses []float64
 	seqStart := time.Now()
@@ -212,6 +246,11 @@ func TestStepPipelinedMatchesSequential(t *testing.T) {
 		}
 	}
 	seqElapsed := time.Since(seqStart)
+	res, err := seq.Step(lastIDs, lastTargets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqLosses = append(seqLosses, res.Loss)
 	var seqAdapter bytes.Buffer
 	if err := seq.SaveAdapter(&seqAdapter); err != nil {
 		t.Fatal(err)
@@ -220,12 +259,8 @@ func TestStepPipelinedMatchesSequential(t *testing.T) {
 	// Pipelined run against a fresh server with identical state.
 	addrB, _ := startWireServer(t, quant.CodecFP32)
 	creg := obs.NewRegistry()
-	cfg := validCfg("pipe")
 	cfg.Metrics = creg
-	pipe, err := client.Dial(addrB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pipe, pipeConn := dialRecorded(t, addrB, cfg)
 	defer pipe.Close()
 	var pipeLosses []float64
 	pipeStart := time.Now()
@@ -239,6 +274,11 @@ func TestStepPipelinedMatchesSequential(t *testing.T) {
 		}
 	}
 	pipeElapsed := time.Since(pipeStart)
+	results, err := pipe.StepPipelined([]client.MicroBatch{{IDs: lastIDs, Targets: lastTargets}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipeLosses = append(pipeLosses, results[0].Loss)
 	var pipeAdapter bytes.Buffer
 	if err := pipe.SaveAdapter(&pipeAdapter); err != nil {
 		t.Fatal(err)
@@ -255,8 +295,20 @@ func TestStepPipelinedMatchesSequential(t *testing.T) {
 	if !bytes.Equal(seqAdapter.Bytes(), pipeAdapter.Bytes()) {
 		t.Fatal("adapter state diverged between sequential and pipelined stepping")
 	}
+	if !bytes.Equal(seqConn.tx.Bytes(), pipeConn.tx.Bytes()) {
+		t.Fatalf("sequential and pipelined clients wrote different byte streams (%d vs %d bytes)",
+			seqConn.tx.Len(), pipeConn.tx.Len())
+	}
+	// Hidden time is observed only where another microbatch really was
+	// in flight: twice per microbatch boundary inside a group, never by
+	// Step/MicroStep or a one-microbatch group.
 	if h := creg.Histogram(obs.MetricOverlapHiddenSeconds, nil); h.Count() == 0 {
 		t.Fatal("pipelined run observed no hidden overlap time")
+	} else if want := int64(groups * 2 * (micros - 1)); h.Count() != want {
+		t.Fatalf("pipelined run observed %d hidden-time samples, want %d", h.Count(), want)
+	}
+	if n := sreg.Histogram(obs.MetricOverlapHiddenSeconds, nil).Count(); n != 0 {
+		t.Fatalf("Step/MicroStep published %d overlap samples, want none", n)
 	}
 	// Loopback has almost nothing to hide, so only a gross regression
 	// is flagged: the pipeline must not be meaningfully slower than the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -61,11 +62,59 @@ func runMigSteps(t *testing.T, c *client.Client, data *tensor.RNG, start, steps 
 	return losses
 }
 
+// runMigGroups drives the same schedule as runMigSteps through the
+// pipelined engine: each accumulate-then-apply pair is one
+// StepPipelined group of two microbatches.
+func runMigGroups(t *testing.T, c *client.Client, data *tensor.RNG, groups int) []uint64 {
+	t.Helper()
+	losses := make([]uint64, 0, 2*groups)
+	for g := 0; g < groups; g++ {
+		mbs := make([]client.MicroBatch, 2)
+		for i := range mbs {
+			mbs[i].IDs, mbs[i].Targets = migBatch(data, 8)
+		}
+		results, err := c.StepPipelined(mbs)
+		if err != nil {
+			t.Fatalf("group %d: %v", g, err)
+		}
+		for _, res := range results {
+			losses = append(losses, math.Float64bits(res.Loss))
+		}
+	}
+	return losses
+}
+
+// hookConn calls before(n) ahead of the client's n-th frame (the wire
+// layer issues exactly one Write per frame), which lets a test act at
+// an exact point inside a pipelined group.
+type hookConn struct {
+	net.Conn
+	writes int
+	before func(n int)
+}
+
+func (c *hookConn) Write(p []byte) (int, error) {
+	c.writes++
+	if c.before != nil {
+		c.before(c.writes)
+	}
+	return c.Conn.Write(p)
+}
+
 // TestLiveMigrationDeterminism is the correctness pin for the whole
 // migration plane: a client moved from server A to server B mid-run
 // (mid gradient accumulation, even) must produce bitwise-identical
 // losses to a client that never moved, and no iteration may be lost.
+// The pipelined variant orders the migration from inside a
+// StepPipelined group — after the group's first backward is written,
+// so the redirect displaces the group's second forward — and
+// additionally pins that a Migrate client still overlaps.
 func TestLiveMigrationDeterminism(t *testing.T) {
+	t.Run("microstep", func(t *testing.T) { testLiveMigration(t, false) })
+	t.Run("pipelined", func(t *testing.T) { testLiveMigration(t, true) })
+}
+
+func testLiveMigration(t *testing.T, pipelined bool) {
 	depA, err := NewDeployment(DeploymentConfig{Model: model.OPTTiny(), WeightSeed: 5, ServerID: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -90,10 +139,18 @@ func TestLiveMigrationDeterminism(t *testing.T) {
 	defer adminB.Close()
 
 	var moves []string
+	reg := obs.NewRegistry()
 	cfg := migClientConfig("mig")
+	cfg.Metrics = reg
 	cfg.OnMigrate = func(target string) { moves = append(moves, target) }
-	c, err := client.Dial(addrA, cfg)
+	raw, err := net.Dial("tcp", addrA)
 	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &hookConn{Conn: raw}
+	c, err := client.New(conn, cfg)
+	if err != nil {
+		raw.Close()
 		t.Fatal(err)
 	}
 	defer c.Close()
@@ -101,29 +158,45 @@ func TestLiveMigrationDeterminism(t *testing.T) {
 		t.Fatal("migration feature not negotiated")
 	}
 
-	const pre, post = 3, 5
-	data := tensor.NewRNG(11)
-	losses := runMigSteps(t, c, data, 0, pre)
-
 	// Order the migration: A snapshots at the next forward boundary
 	// (we are mid-accumulation after 3 micro-steps), stages at B, and
 	// redirects the client.
-	order, _ := json.Marshal(fleet.MigrateOrder{
-		ClientID:    "mig",
-		TargetAddr:  addrB,
-		TargetAdmin: adminB.URL,
-		Token:       42,
-	})
-	resp, err := http.Post(adminA.URL+"/admin/migrate", "application/json", bytes.NewReader(order))
-	if err != nil {
-		t.Fatal(err)
+	const pre, post = 3, 5
+	orderMigration := func() {
+		order, _ := json.Marshal(fleet.MigrateOrder{
+			ClientID:    "mig",
+			TargetAddr:  addrB,
+			TargetAdmin: adminB.URL,
+			Token:       42,
+		})
+		resp, err := http.Post(adminA.URL+"/admin/migrate", "application/json", bytes.NewReader(order))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("migrate order: %s", resp.Status)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("migrate order: %s", resp.Status)
+	data := tensor.NewRNG(11)
+	var losses []uint64
+	if pipelined {
+		// Frame 1 is the Hello and every iteration writes a forward then
+		// a backward, so frame 2·pre+1 is iteration pre-1's backward: the
+		// order is registered before it leaves, and the next ForwardReq
+		// the server reads — iteration pre, second of its group — is the
+		// one it redirects.
+		conn.before = func(n int) {
+			if n == 2*pre+1 {
+				orderMigration()
+			}
+		}
+		losses = runMigGroups(t, c, data, (pre+post)/2)
+	} else {
+		losses = runMigSteps(t, c, data, 0, pre)
+		orderMigration()
+		losses = append(losses, runMigSteps(t, c, data, pre, post)...)
 	}
-
-	losses = append(losses, runMigSteps(t, c, data, pre, post)...)
 	if c.Migrations() != 1 {
 		t.Fatalf("migrations = %d, want 1", c.Migrations())
 	}
@@ -141,6 +214,14 @@ func TestLiveMigrationDeterminism(t *testing.T) {
 	if itersB == 0 {
 		t.Fatal("no iterations served by the target server")
 	}
+	if pipelined {
+		if itersA != pre {
+			t.Fatalf("source served %d iterations, want %d (redirect must land mid-group)", itersA, pre)
+		}
+		if n := reg.Histogram(obs.MetricOverlapHiddenSeconds, nil).Count(); n == 0 {
+			t.Fatal("pipelined Migrate client recorded no overlap samples")
+		}
+	}
 
 	// Control: the same schedule against a single server, bit-compared.
 	depC, err := NewDeployment(DeploymentConfig{Model: model.OPTTiny(), WeightSeed: 5, ServerID: 3})
@@ -157,7 +238,12 @@ func TestLiveMigrationDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.Close()
-	want := runMigSteps(t, ctrl, tensor.NewRNG(11), 0, pre+post)
+	var want []uint64
+	if pipelined {
+		want = runMigGroups(t, ctrl, tensor.NewRNG(11), (pre+post)/2)
+	} else {
+		want = runMigSteps(t, ctrl, tensor.NewRNG(11), 0, pre+post)
+	}
 	for i := range want {
 		if losses[i] != want[i] {
 			t.Fatalf("loss %d diverged after migration: %x vs control %x", i, losses[i], want[i])

@@ -12,34 +12,16 @@ package server
 import (
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"time"
 
 	"menos/internal/adapter"
 	"menos/internal/batch"
 	"menos/internal/model"
-	"menos/internal/nn"
 	"menos/internal/obs"
 	"menos/internal/sched"
-	"menos/internal/split"
 	"menos/internal/tensor"
 )
-
-// batchWork is the Payload of one member's batch.Item: the serving
-// goroutine fills the request half before Join, the executor fills the
-// outcome half before the item is released.
-type batchWork struct {
-	sess    *session
-	x       *tensor.Tensor // this member's input (activations or dy)
-	batch   int
-	seq     int
-	traceID uint64
-
-	out  *tensor.Tensor // this member's slice of the batched output
-	wait time.Duration
-	comp time.Duration
-}
 
 // batchable reports whether a session's requests may join batches:
 // batching re-injects the session's adapter layers per-row, which is
@@ -66,60 +48,6 @@ func batchKey(sess *session, la *adapter.LoRAAdapter, kind sched.RequestKind, se
 	return batch.Key{Cut: sess.inst.Cut, Seq: seq, Kind: kind, Sig: strings.Join(parts, ",")}
 }
 
-// serveForwardBatched joins the forward to its compatibility group and
-// blocks until the batched invocation ran; everything after Join is
-// this session's private state, touched only by its own goroutine.
-func (s *Server) serveForwardBatched(conn net.Conn, sess *session, req *split.ForwardReq, key batch.Key) error {
-	w := &batchWork{sess: sess, x: req.Activations, batch: req.Batch, seq: req.Seq, traceID: req.TraceID}
-	it := &batch.Item{Client: sess.id, Rows: req.Batch * req.Seq, Bytes: sess.demands.ForwardBytes, Payload: w}
-	if err := s.engine.Join(key, it); err != nil {
-		return err
-	}
-	if it.Err != nil {
-		return it.Err
-	}
-	sess.cachedInput = req.Activations
-	sess.cachedIter = req.Iter
-	sess.cachedBatch = req.Batch
-	sess.cachedSeq = req.Seq
-	s.recordIterationHalf(sess, w.wait, w.comp, req.TraceID)
-	plain, packed, err := s.encodeWire(sess, w.out)
-	if err != nil {
-		return fmt.Errorf("batched forward: %w", err)
-	}
-	return split.WriteMessage(conn, &split.ForwardResp{Iter: req.Iter, Activations: plain, Packed: packed, TraceID: sess.echoTrace(req.TraceID)})
-}
-
-// serveBackwardBatched mirrors serveForwardBatched for the re-forward +
-// backward phase. The optimizer step runs here, after Join returns, so
-// each member's parameters are only ever touched by its own goroutine.
-func (s *Server) serveBackwardBatched(conn net.Conn, sess *session, req *split.BackwardReq, key batch.Key) error {
-	w := &batchWork{sess: sess, x: req.Gradients, batch: sess.cachedBatch, seq: sess.cachedSeq, traceID: req.TraceID}
-	it := &batch.Item{Client: sess.id, Rows: sess.cachedBatch * sess.cachedSeq, Bytes: sess.demands.BackwardBytes, Payload: w}
-	if err := s.engine.Join(key, it); err != nil {
-		return err
-	}
-	if it.Err != nil {
-		return it.Err
-	}
-	sess.cachedInput = nil
-	if req.Apply {
-		if err := sess.optimizer.Step(sess.params); err != nil {
-			return err
-		}
-		nn.ZeroGrads(sess.params)
-	}
-	s.recordIterationHalf(sess, w.wait, w.comp, req.TraceID)
-	s.stats.iterations.Add(1)
-	s.m.iterations.Inc()
-	s.ledger.AddIteration(sess.id)
-	plain, packed, err := s.encodeWire(sess, w.out)
-	if err != nil {
-		return fmt.Errorf("batched backward: %w", err)
-	}
-	return split.WriteMessage(conn, &split.BackwardResp{Iter: req.Iter, Gradients: plain, Packed: packed, TraceID: sess.echoTrace(req.TraceID)})
-}
-
 // execBatch runs one formed batch: acquire the aggregate grant, build
 // a multi-adapter body over a pristine clone of the shared blocks,
 // stack the members' rows, run one invocation, slice results back out.
@@ -133,10 +61,10 @@ func (s *Server) execBatch(key batch.Key, items []*batch.Item) {
 		}
 	}
 	members := make([]sched.BatchMember, len(items))
-	works := make([]*batchWork, len(items))
+	works := make([]*phaseWork, len(items))
 	for i, it := range items {
 		members[i] = sched.BatchMember{ClientID: it.Client, Bytes: it.Bytes}
-		works[i] = it.Payload.(*batchWork)
+		works[i] = it.Payload.(*phaseWork)
 	}
 	waitSpans := make([]*obs.SpanHandle, len(items))
 	for i, w := range works {
@@ -198,7 +126,7 @@ func (s *Server) execBatch(key batch.Key, items []*batch.Item) {
 }
 
 // runBatched executes the stacked model pass for one granted batch.
-func (s *Server) runBatched(key batch.Key, works []*batchWork) error {
+func (s *Server) runBatched(key batch.Key, works []*phaseWork) error {
 	memberLayers := make([][]*adapter.LoRALinear, len(works))
 	rows := make([]int, len(works))
 	inputs := make([]*tensor.Tensor, len(works))
@@ -270,7 +198,7 @@ func (s *Server) runBatched(key batch.Key, works []*batchWork) error {
 
 // sliceResults hands each member its consecutive row span of the
 // stacked result (views share storage; the protocol writer copies).
-func sliceResults(works []*batchWork, rows []int, out *tensor.Tensor) error {
+func sliceResults(works []*phaseWork, rows []int, out *tensor.Tensor) error {
 	lo := 0
 	for i, w := range works {
 		hi := lo + rows[i]

@@ -118,6 +118,11 @@ type Server struct {
 	// disabled); batchSeq names them for the scheduler.
 	engine   *batch.Engine
 	batchSeq atomic.Int64
+	// payload is the template every session's payload codec is copied
+	// from: the configured codec plus the wire transport plane's metric
+	// handles (docs/WIRE.md) — bytes of compressed payloads this server
+	// sent vs the fp32 bytes they replaced, and codec time.
+	payload split.PayloadCodec
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -160,12 +165,6 @@ type serverMetrics struct {
 	migrationsOut     *obs.Counter
 	migrationsIn      *obs.Counter
 	migrationsAborted *obs.Counter
-
-	// Wire transport plane (docs/WIRE.md): bytes of compressed payloads
-	// this server sent vs the fp32 bytes they replaced, plus codec time.
-	wireCompressed *obs.Counter
-	wireRaw        *obs.Counter
-	codecSeconds   *obs.Histogram
 }
 
 // New creates a server over the shared store. The store's base
@@ -198,6 +197,7 @@ func New(cfg Config) (*Server, error) {
 		sessions:   make(map[string]*session),
 		pendingMig: make(map[string]fleet.MigrateOrder),
 		staged:     make(map[uint64]*stagedSession),
+		payload:    split.PayloadCodec{Codec: cfg.WireCodec},
 	}
 	if cfg.Metrics != nil {
 		s.scheduler.Instrument(cfg.Metrics, s.clock)
@@ -251,11 +251,10 @@ func New(cfg Config) (*Server, error) {
 			migrationsOut:     cfg.Metrics.Counter(obs.MetricServerMigrationsOut, "sessions snapshotted and redirected to another server"),
 			migrationsIn:      cfg.Metrics.Counter(obs.MetricServerMigrationsIn, "sessions resumed here from a staged snapshot"),
 			migrationsAborted: cfg.Metrics.Counter(obs.MetricServerMigrationsAborted, "migration orders that failed mid-flight"),
-
-			wireCompressed: cfg.Metrics.Counter(obs.MetricWireCompressedBytes, "on-wire bytes of compressed activation/gradient payloads sent"),
-			wireRaw:        cfg.Metrics.Counter(obs.MetricWireRawBytes, "fp32 bytes the compressed payloads replaced"),
-			codecSeconds:   cfg.Metrics.Histogram(obs.MetricWireCodecSeconds, obs.DurationBuckets(), "time quantizing/dequantizing wire payloads"),
 		}
+		s.payload.Compressed = cfg.Metrics.Counter(obs.MetricWireCompressedBytes, "on-wire bytes of compressed activation/gradient payloads sent")
+		s.payload.Raw = cfg.Metrics.Counter(obs.MetricWireRawBytes, "fp32 bytes the compressed payloads replaced")
+		s.payload.Seconds = cfg.Metrics.Histogram(obs.MetricWireCodecSeconds, obs.DurationBuckets(), "time quantizing/dequantizing wire payloads")
 		cfg.Metrics.Gauge(obs.MetricTensorPoolWorkers, "tensor worker-pool parallelism").Set(int64(tensor.Parallelism()))
 	}
 	return s, nil
@@ -372,6 +371,9 @@ type session struct {
 	// features is the negotiated extension set (the intersection of
 	// the client's Hello offer and what this server accepts).
 	features uint64
+	// payload unpacks request payloads and packs response payloads with
+	// the server's codec, gated on the negotiated compression bit.
+	payload split.PayloadCodec
 
 	// cachedInput retains x_c between the first forward and the
 	// backward re-forward ("we just need to cache the forward
@@ -598,7 +600,9 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 		batch:    hello.Batch,
 		seq:      hello.Seq,
 		features: features,
+		payload:  s.payload,
 	}
+	sess.payload.Negotiated = features&split.FeatureActivationCompression != 0
 	switch hello.Optimizer.Kind {
 	case "", "adam":
 		lr := hello.Optimizer.LR
@@ -721,54 +725,52 @@ func (s *Server) acquire(sess *session, kind sched.RequestKind, bytes int64, tra
 	return wait, nil
 }
 
-// decodeWire resolves a request payload that may be plain or packed.
-// A packed payload on a session that never negotiated compression is a
-// protocol violation rather than something to decode on faith.
-func (s *Server) decodeWire(sess *session, plain *tensor.Tensor, packed *quant.Packed) (*tensor.Tensor, error) {
-	if packed != nil && sess.features&split.FeatureActivationCompression == 0 {
-		return nil, errors.New("compressed payload without negotiation")
-	}
-	if packed == nil {
-		return plain, nil
-	}
-	t0 := time.Now()
-	x, err := split.Payload(plain, packed)
-	if err != nil {
-		return nil, fmt.Errorf("unpack payload: %w", err)
-	}
-	s.m.codecSeconds.Observe(time.Since(t0).Seconds())
-	return x, nil
+// phaseWork is one forward or backward request on its way through an
+// executor: the request envelope (serveForward/serveBackward) fills the
+// input half, the executor — the session's own body, or the batched
+// invocation the request joined — fills the outcome half.
+type phaseWork struct {
+	sess    *session
+	x       *tensor.Tensor // x_c on forward, g_c on backward
+	batch   int
+	seq     int
+	traceID uint64
+
+	out  *tensor.Tensor // x_s on forward, g_s on backward
+	wait time.Duration
+	comp time.Duration
 }
 
-// encodeWire quantizes a response payload with the server's configured
-// codec when the session negotiated compression; otherwise the tensor
-// passes through and the frame stays byte-identical to a legacy
-// server's.
-func (s *Server) encodeWire(sess *session, x *tensor.Tensor) (*tensor.Tensor, *quant.Packed, error) {
-	if sess.features&split.FeatureActivationCompression == 0 || s.cfg.WireCodec == quant.CodecFP32 {
-		return x, nil, nil
+// run executes one phase of w's session: as a member of a batched
+// invocation when the session is batchable, on its own body otherwise.
+// Both executors acquire and release the phase's grant themselves and
+// leave the session's bookkeeping to the envelope.
+func (s *Server) run(kind sched.RequestKind, w *phaseWork) error {
+	if la, ok := s.batchable(w.sess); ok {
+		bytes := w.sess.demands.ForwardBytes
+		if kind == sched.KindBackward {
+			bytes = w.sess.demands.BackwardBytes
+		}
+		it := &batch.Item{Client: w.sess.id, Rows: w.batch * w.seq, Bytes: bytes, Payload: w}
+		if err := s.engine.Join(batchKey(w.sess, la, kind, w.seq), it); err != nil {
+			return err
+		}
+		return it.Err
 	}
-	t0 := time.Now()
-	p, err := quant.Pack(x, s.cfg.WireCodec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pack payload: %w", err)
+	if kind == sched.KindBackward {
+		return s.runBackward(w)
 	}
-	s.m.codecSeconds.Observe(time.Since(t0).Seconds())
-	s.m.wireCompressed.Add(int64(p.WireBytes()))
-	s.m.wireRaw.Add(int64(4 * len(x.Data())))
-	return nil, p, nil
+	return s.runForward(w)
 }
 
-// serveForward is Algorithm 1, lines 4-8.
+// serveForward is Algorithm 1, lines 4-8: decode, validate, run, cache
+// x_c for the re-forward, record, encode, write.
 func (s *Server) serveForward(conn net.Conn, sess *session, req *split.ForwardReq) error {
-	// Decode a possibly-compressed x_c up front; everything downstream
-	// (the batched path included) sees a plain tensor.
-	x, err := s.decodeWire(sess, req.Activations, req.Packed)
+	x, err := sess.payload.Unpack(req.Activations, req.Packed)
 	if err != nil {
 		return fmt.Errorf("forward: %w", err)
 	}
-	req.Activations, req.Packed = x, nil
-	if req.Activations == nil {
+	if x == nil {
 		return errors.New("forward request without activations")
 	}
 	// Geometry at or below the profiled one is memory-safe (demands
@@ -778,138 +780,145 @@ func (s *Server) serveForward(conn net.Conn, sess *session, req *split.ForwardRe
 		return fmt.Errorf("geometry (%d,%d) exceeds profiled (%d,%d)",
 			req.Batch, req.Seq, sess.batch, sess.seq)
 	}
-	if la, ok := s.batchable(sess); ok {
-		return s.serveForwardBatched(conn, sess, req, batchKey(sess, la, sched.KindForward, req.Seq))
-	}
-	wait, err := s.acquire(sess, sched.KindForward, sess.demands.ForwardBytes, req.TraceID)
-	if err != nil {
+	w := &phaseWork{sess: sess, x: x, batch: req.Batch, seq: req.Seq, traceID: req.TraceID}
+	if err := s.run(sched.KindForward, w); err != nil {
 		return err
 	}
-	compSpan := s.cfg.Tracer.BeginT(sess.id, "forward", "compute", req.TraceID)
-	compStart := time.Now()
-
-	var resp *tensor.Tensor
-	if s.cfg.OnDemand {
-		// Fig. 3(d): no-grad forward; only x_c is cached for the
-		// re-forward.
-		xs, _, err := sess.body.Forward(req.Activations, req.Batch, req.Seq, false)
-		if err != nil {
-			s.scheduler.Complete(sess.id)
-			return err
-		}
-		sess.cachedInput = req.Activations
-		sess.cachedIter = req.Iter
-		sess.cachedBatch = req.Batch
-		sess.cachedSeq = req.Seq
-		resp = xs
-	} else {
-		// Fig. 3(b): grad-enabled forward, activations preserved
-		// until the backward arrives.
-		xs, cache, err := sess.body.Forward(req.Activations, req.Batch, req.Seq, true)
-		if err != nil {
-			s.scheduler.Complete(sess.id)
-			return err
-		}
-		sess.preserved = cache
-		sess.cachedIter = req.Iter
-		resp = xs
-	}
-
-	comp := time.Since(compStart)
-	compSpan.End()
-	if s.cfg.OnDemand {
-		// Release GPU memory before waiting for gradients.
-		rel := s.cfg.Tracer.BeginT(sess.id, "release", "release", req.TraceID)
-		s.scheduler.Complete(sess.id)
-		rel.End()
-	}
-	s.recordIterationHalf(sess, wait, comp, req.TraceID)
-	plain, packed, err := s.encodeWire(sess, resp)
+	sess.cachedInput = x
+	sess.cachedIter = req.Iter
+	sess.cachedBatch = req.Batch
+	sess.cachedSeq = req.Seq
+	s.recordIterationHalf(sess, w.wait, w.comp, req.TraceID)
+	plain, packed, err := sess.payload.Pack(w.out)
 	if err != nil {
 		return fmt.Errorf("forward: %w", err)
 	}
 	return split.WriteMessage(conn, &split.ForwardResp{Iter: req.Iter, Activations: plain, Packed: packed, TraceID: sess.echoTrace(req.TraceID)})
 }
 
-// serveBackward is Algorithm 1, lines 9-14.
-func (s *Server) serveBackward(conn net.Conn, sess *session, req *split.BackwardReq) error {
-	g, err := s.decodeWire(sess, req.Gradients, req.Packed)
-	if err != nil {
-		return fmt.Errorf("backward: %w", err)
-	}
-	req.Gradients, req.Packed = g, nil
-	if req.Gradients == nil {
-		return errors.New("backward request without gradients")
-	}
-	if req.Iter != sess.cachedIter {
-		return fmt.Errorf("backward for iteration %d, but forward was %d", req.Iter, sess.cachedIter)
-	}
-	if la, ok := s.batchable(sess); ok {
-		return s.serveBackwardBatched(conn, sess, req, batchKey(sess, la, sched.KindBackward, sess.cachedSeq))
-	}
-
-	var wait time.Duration
-	var cache *model.BodyCache
-	var compSpan *obs.SpanHandle
-	compStart := time.Now()
-	if s.cfg.OnDemand {
-		if sess.cachedInput == nil {
-			return errors.New("backward before forward")
-		}
-		wait, err = s.acquire(sess, sched.KindBackward, sess.demands.BackwardBytes, req.TraceID)
-		if err != nil {
-			return err
-		}
-		compSpan = s.cfg.Tracer.BeginT(sess.id, "backward", "compute", req.TraceID)
-		compStart = time.Now()
-		// Re-forward with gradient preparation.
-		_, cache, err = sess.body.Forward(sess.cachedInput, sess.cachedBatch, sess.cachedSeq, true)
-		if err != nil {
-			s.scheduler.Complete(sess.id)
-			return err
-		}
-		sess.cachedInput = nil
-	} else {
-		compSpan = s.cfg.Tracer.BeginT(sess.id, "backward", "compute", req.TraceID)
-		if sess.preserved == nil {
-			return errors.New("backward before forward")
-		}
-		cache = sess.preserved
+// runForward is the serial forward executor: the session's own body
+// under its own grant.
+func (s *Server) runForward(w *phaseWork) error {
+	sess := w.sess
+	if sess.preserved != nil {
+		// Fig. 3(b) holds the forward grant through the gradient wait. A
+		// forward that no backward followed (client.Evaluate, an
+		// abandoned iteration) still holds it: give the grant and the
+		// stale activations back, or this Submit fails ErrOutstanding.
 		sess.preserved = nil
+		s.scheduler.Complete(sess.id)
 	}
-
-	gs, err := sess.body.Backward(cache, req.Gradients)
+	wait, err := s.acquire(sess, sched.KindForward, sess.demands.ForwardBytes, w.traceID)
+	if err != nil {
+		return err
+	}
+	compSpan := s.cfg.Tracer.BeginT(sess.id, "forward", "compute", w.traceID)
+	compStart := time.Now()
+	// Fig. 3(d): no-grad forward; only x_c is kept for the re-forward.
+	// Fig. 3(b): grad-enabled forward, activations preserved until the
+	// backward arrives.
+	xs, cache, err := sess.body.Forward(w.x, w.batch, w.seq, !s.cfg.OnDemand)
 	if err != nil {
 		s.scheduler.Complete(sess.id)
 		return err
 	}
-	// Optimize the server-side adapter φ_s (Algorithm 1, line 12).
-	// Under gradient accumulation (Apply=false) the gradients keep
-	// accumulating across micro-batches and the step is deferred.
+	w.out, w.wait, w.comp = xs, wait, time.Since(compStart)
+	compSpan.End()
+	if s.cfg.OnDemand {
+		// Release GPU memory before waiting for gradients.
+		rel := s.cfg.Tracer.BeginT(sess.id, "release", "release", w.traceID)
+		s.scheduler.Complete(sess.id)
+		rel.End()
+	} else {
+		sess.preserved = cache
+	}
+	return nil
+}
+
+// serveBackward is Algorithm 1, lines 9-14: decode, validate, run,
+// optimize φ_s, record, encode, write.
+func (s *Server) serveBackward(conn net.Conn, sess *session, req *split.BackwardReq) error {
+	g, err := sess.payload.Unpack(req.Gradients, req.Packed)
+	if err != nil {
+		return fmt.Errorf("backward: %w", err)
+	}
+	if g == nil {
+		return errors.New("backward request without gradients")
+	}
+	if sess.cachedInput == nil {
+		return errors.New("backward before forward")
+	}
+	if req.Iter != sess.cachedIter {
+		return fmt.Errorf("backward for iteration %d, but forward was %d", req.Iter, sess.cachedIter)
+	}
+	w := &phaseWork{sess: sess, x: g, batch: sess.cachedBatch, seq: sess.cachedSeq, traceID: req.TraceID}
+	if err := s.run(sched.KindBackward, w); err != nil {
+		return err
+	}
+	sess.cachedInput = nil
+	// Optimize the server-side adapter φ_s (Algorithm 1, line 12), here
+	// rather than in the executor so a session's parameters are only
+	// ever stepped by its own goroutine. Under gradient accumulation
+	// (Apply=false) the gradients keep accumulating across micro-batches
+	// and the step is deferred.
 	if req.Apply {
+		sp := s.cfg.Tracer.BeginT(sess.id, "optimizer", "compute", req.TraceID)
+		t0 := time.Now()
 		if err := sess.optimizer.Step(sess.params); err != nil {
-			s.scheduler.Complete(sess.id)
 			return err
 		}
 		nn.ZeroGrads(sess.params)
+		w.comp += time.Since(t0)
+		sp.End()
 	}
-	comp := time.Since(compStart)
-	compSpan.End()
-
-	// Release GPU memory (both policies release after backward).
-	rel := s.cfg.Tracer.BeginT(sess.id, "release", "release", req.TraceID)
-	s.scheduler.Complete(sess.id)
-	rel.End()
-	s.recordIterationHalf(sess, wait, comp, req.TraceID)
-
+	s.recordIterationHalf(sess, w.wait, w.comp, req.TraceID)
 	s.stats.iterations.Add(1)
 	s.m.iterations.Inc()
 	s.ledger.AddIteration(sess.id)
-	plain, packed, err := s.encodeWire(sess, gs)
+	plain, packed, err := sess.payload.Pack(w.out)
 	if err != nil {
 		return fmt.Errorf("backward: %w", err)
 	}
 	return split.WriteMessage(conn, &split.BackwardResp{Iter: req.Iter, Gradients: plain, Packed: packed, TraceID: sess.echoTrace(req.TraceID)})
+}
+
+// runBackward is the serial backward executor: re-forward (Fig. 3(d))
+// or the preserved activations (Fig. 3(b)), then the body backward.
+// Both policies release the grant afterwards.
+func (s *Server) runBackward(w *phaseWork) error {
+	sess := w.sess
+	var cache *model.BodyCache
+	var compSpan *obs.SpanHandle
+	compStart := time.Now()
+	if s.cfg.OnDemand {
+		wait, err := s.acquire(sess, sched.KindBackward, sess.demands.BackwardBytes, w.traceID)
+		if err != nil {
+			return err
+		}
+		w.wait = wait
+		compSpan = s.cfg.Tracer.BeginT(sess.id, "backward", "compute", w.traceID)
+		compStart = time.Now()
+		// Re-forward with gradient preparation.
+		_, cache, err = sess.body.Forward(sess.cachedInput, w.batch, w.seq, true)
+		if err != nil {
+			s.scheduler.Complete(sess.id)
+			return err
+		}
+	} else {
+		compSpan = s.cfg.Tracer.BeginT(sess.id, "backward", "compute", w.traceID)
+		cache, sess.preserved = sess.preserved, nil
+	}
+	gs, err := sess.body.Backward(cache, w.x)
+	if err != nil {
+		s.scheduler.Complete(sess.id)
+		return err
+	}
+	w.out, w.comp = gs, time.Since(compStart)
+	compSpan.End()
+	rel := s.cfg.Tracer.BeginT(sess.id, "release", "release", w.traceID)
+	s.scheduler.Complete(sess.id)
+	rel.End()
+	return nil
 }
 
 // echoTrace returns the trace ID to stamp on a response: the request's

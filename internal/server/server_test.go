@@ -357,30 +357,51 @@ func TestServerRejectsOversizedGeometry(t *testing.T) {
 	_ = c
 }
 
-// TestEvaluate runs a no-grad evaluation round-trip.
+// TestEvaluate runs no-grad evaluation round-trips under both memory
+// policies. Evaluate is a forward no backward ever follows: under
+// Fig. 3(b) it leaves the forward grant held and the activations
+// preserved, which the next forward must give back instead of failing
+// ErrOutstanding — so consecutive evaluations, and training after them,
+// keep working.
 func TestEvaluate(t *testing.T) {
-	_, addr := newTestServer(t, true)
-	cfg := clientCfg("eval")
-	ids, targets := batchFor(cfg, 10)
-	c, err := client.Dial(addr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	loss, err := c.Evaluate(ids, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss <= 0 || math.IsNaN(loss) {
-		t.Fatalf("loss = %v", loss)
-	}
-	// Evaluation must not move parameters: next evaluation identical.
-	loss2, err := c.Evaluate(ids, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss != loss2 {
-		t.Fatalf("evaluate mutated state: %v != %v", loss, loss2)
+	for _, onDemand := range []bool{true, false} {
+		t.Run(fmt.Sprintf("onDemand=%v", onDemand), func(t *testing.T) {
+			srv, addr := newTestServer(t, onDemand)
+			cfg := clientCfg("eval")
+			ids, targets := batchFor(cfg, 10)
+			c, err := client.Dial(addr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			loss, err := c.Evaluate(ids, targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loss <= 0 || math.IsNaN(loss) {
+				t.Fatalf("loss = %v", loss)
+			}
+			// Evaluation must not move parameters: next evaluation identical.
+			loss2, err := c.Evaluate(ids, targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loss != loss2 {
+				t.Fatalf("evaluate mutated state: %v != %v", loss, loss2)
+			}
+			// A full iteration after the abandoned forwards: its loss is
+			// the evaluated one, and its backward returns every grant.
+			res, err := c.Step(ids, targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Loss != loss {
+				t.Fatalf("step after evaluate: loss %v, evaluated %v", res.Loss, loss)
+			}
+			if sched := srv.Scheduler(); sched.Available() != sched.Schedulable() {
+				t.Fatalf("grant leaked: %d of %d schedulable bytes free", sched.Available(), sched.Schedulable())
+			}
+		})
 	}
 }
 

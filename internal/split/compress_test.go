@@ -95,6 +95,41 @@ func TestPayloadHelper(t *testing.T) {
 	}
 }
 
+// TestPayloadCodecNegotiationGate: a peer quantizes what it sends, and
+// accepts a packed payload, only on a session that negotiated
+// compression; an un-negotiated session passes plain tensors through
+// and treats a packed one as a protocol violation.
+func TestPayloadCodecNegotiationGate(t *testing.T) {
+	x := tensor.NewNormal(tensor.NewRNG(5), 1, 4, 6)
+	p := mustPack(t, x, quant.CodecInt8)
+
+	off := PayloadCodec{Codec: quant.CodecInt8}
+	if plain, packed, err := off.Pack(x); err != nil || plain != x || packed != nil {
+		t.Fatalf("un-negotiated pack: %v, %v, %v", plain, packed, err)
+	}
+	if got, err := off.Unpack(x, nil); err != nil || got != x {
+		t.Fatalf("un-negotiated plain unpack: %v, %v", got, err)
+	}
+	if _, err := off.Unpack(nil, p); err == nil {
+		t.Fatal("packed payload accepted without negotiation")
+	}
+
+	on := PayloadCodec{Codec: quant.CodecInt8, Negotiated: true}
+	plain, packed, err := on.Pack(x)
+	if err != nil || plain != nil || packed == nil || packed.Codec != quant.CodecInt8 {
+		t.Fatalf("negotiated pack: %v, %v, %v", plain, packed, err)
+	}
+	if y, err := on.Unpack(nil, packed); err != nil || !y.SameShape(x) {
+		t.Fatalf("negotiated unpack: %v, %v", y, err)
+	}
+	// A peer configured fp32 sends plain even when the bit is set (the
+	// other side may still compress what it sends).
+	fp32 := PayloadCodec{Negotiated: true}
+	if plain, packed, err := fp32.Pack(x); err != nil || plain != x || packed != nil {
+		t.Fatalf("fp32 pack on a negotiated session: %v, %v, %v", plain, packed, err)
+	}
+}
+
 // TestCompressedFrameShrinksOnWire pins the reason this feature
 // exists: the whole int8 frame (header, ints, scales, everything) is
 // at most 40% of its fp32 form, and fp16 at most 60%.

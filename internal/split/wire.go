@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
+	"menos/internal/obs"
 	"menos/internal/quant"
 	"menos/internal/tensor"
 )
@@ -150,29 +152,29 @@ type extMessage interface {
 	decodeExt(d *decoder)
 }
 
-// WriteMessage frames and writes m.
+// WriteMessage frames and writes m. The header is reserved at the front
+// of the encode buffer and filled in once the payload length is known,
+// so the frame leaves in a single Write: one syscall, and one segment
+// rather than two on a TCP_NODELAY socket.
 func WriteMessage(w io.Writer, m Message) error {
-	var enc encoder
+	enc := encoder{buf: make([]byte, headerSize)}
 	m.encode(&enc)
 	version := Version
 	if xm, ok := m.(extMessage); ok && xm.extPresent() {
 		xm.encodeExt(&enc)
 		version = VersionExt
 	}
-	payload := enc.buf
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+	frame := enc.buf
+	length := len(frame) - headerSize
+	if length > MaxFrameBytes {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, length)
 	}
-	header := make([]byte, headerSize)
-	binary.LittleEndian.PutUint16(header[0:], Magic)
-	header[2] = version
-	header[3] = byte(m.MsgType())
-	binary.LittleEndian.PutUint32(header[4:], uint32(len(payload)))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("split: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("split: write payload: %w", err)
+	binary.LittleEndian.PutUint16(frame[0:], Magic)
+	frame[2] = version
+	frame[3] = byte(m.MsgType())
+	binary.LittleEndian.PutUint32(frame[4:], uint32(length))
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("split: write frame: %w", err)
 	}
 	return nil
 }
@@ -257,13 +259,20 @@ func newMessage(t MsgType) (Message, error) {
 	}
 }
 
-// encoder builds a payload buffer.
+// encoder appends a frame's payload to buf (WriteMessage seeds buf
+// with the header's bytes).
 type encoder struct {
 	buf []byte
 }
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) bool(v bool)  { e.u8(map[bool]uint8{false: 0, true: 1}[v]) }
+func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
+func (e *encoder) bool(v bool) {
+	if v {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+}
 func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
@@ -435,4 +444,56 @@ func Payload(plain *tensor.Tensor, packed *quant.Packed) (*tensor.Tensor, error)
 		return packed.Unpack()
 	}
 	return plain, nil
+}
+
+// PayloadCodec is one peer's side of the compressed-payload transport
+// for one session: the codec it sends with, whether the handshake
+// negotiated FeatureActivationCompression, and the wire-plane metric
+// handles (docs/WIRE.md; nil handles are valid and free). Client and
+// server both pack what they send and unpack what they receive through
+// it, so the negotiation gate exists once.
+type PayloadCodec struct {
+	Codec      quant.Codec
+	Negotiated bool
+
+	Compressed *obs.Counter   // on-wire bytes of packed payloads sent
+	Raw        *obs.Counter   // fp32 bytes those payloads replaced
+	Seconds    *obs.Histogram // time spent packing and unpacking
+}
+
+// Pack prepares an outgoing payload: quantized with the configured
+// codec when compression was negotiated, otherwise the tensor unchanged
+// so the frame stays byte-identical to a legacy peer's.
+func (pc PayloadCodec) Pack(x *tensor.Tensor) (*tensor.Tensor, *quant.Packed, error) {
+	if !pc.Negotiated || pc.Codec == quant.CodecFP32 {
+		return x, nil, nil
+	}
+	t0 := time.Now()
+	p, err := quant.Pack(x, pc.Codec)
+	if err != nil {
+		return nil, nil, fmt.Errorf("pack payload: %w", err)
+	}
+	pc.Seconds.Observe(time.Since(t0).Seconds())
+	pc.Compressed.Add(int64(p.WireBytes()))
+	pc.Raw.Add(int64(4 * len(x.Data())))
+	return nil, p, nil
+}
+
+// Unpack resolves an incoming payload that may be plain or packed. A
+// packed payload on a session that never negotiated compression is a
+// protocol violation, not something to decode on faith.
+func (pc PayloadCodec) Unpack(plain *tensor.Tensor, packed *quant.Packed) (*tensor.Tensor, error) {
+	if packed == nil {
+		return plain, nil
+	}
+	if !pc.Negotiated {
+		return nil, errors.New("compressed payload without negotiation")
+	}
+	t0 := time.Now()
+	x, err := Payload(plain, packed)
+	if err != nil {
+		return nil, fmt.Errorf("unpack payload: %w", err)
+	}
+	pc.Seconds.Observe(time.Since(t0).Seconds())
+	return x, nil
 }

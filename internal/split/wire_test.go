@@ -2,6 +2,7 @@ package split
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -251,5 +252,49 @@ func TestBackwardReqApplyFlag(t *testing.T) {
 	without := roundTrip(t, &BackwardReq{Iter: 3, Apply: false, Gradients: g}).(*BackwardReq)
 	if without.Apply {
 		t.Fatal("Apply=false lost")
+	}
+}
+
+// writeRecorder keeps every Write it sees as a separate chunk.
+type writeRecorder struct{ writes [][]byte }
+
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestOneWritePerFrame: a frame reaches the writer in exactly one Write
+// — one syscall, and one segment on a TCP_NODELAY socket — and its
+// bytes are the 8-byte header followed by the separately encoded
+// payload, for a plain version-1 frame and for one with an extension
+// tail.
+func TestOneWritePerFrame(t *testing.T) {
+	x := tensor.NewNormal(tensor.NewRNG(3), 1, 4, 6)
+	for _, m := range []Message{
+		&BackwardReq{Iter: 7, Apply: true, Gradients: x},
+		&ForwardReq{Iter: 7, Batch: 2, Seq: 2, Activations: x, TraceID: 0xfeed},
+	} {
+		var payload encoder
+		m.encode(&payload)
+		version := Version
+		if xm := m.(extMessage); xm.extPresent() {
+			xm.encodeExt(&payload)
+			version = VersionExt
+		}
+		want := binary.LittleEndian.AppendUint16(nil, Magic)
+		want = append(want, version, byte(m.MsgType()))
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(payload.buf)))
+		want = append(want, payload.buf...)
+
+		var rec writeRecorder
+		if err := WriteMessage(&rec, m); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.writes) != 1 {
+			t.Fatalf("%v: frame took %d writes, want 1", m.MsgType(), len(rec.writes))
+		}
+		if !bytes.Equal(rec.writes[0], want) {
+			t.Fatalf("%v: frame bytes differ from header‖payload", m.MsgType())
+		}
 	}
 }

@@ -420,9 +420,9 @@ func runMenos(cfg Config) (*Result, error) {
 			// correlate by identical IDs.
 			var tid uint64
 			var comm, comp, schedT time.Duration
-			sleepComp := func(name string, d time.Duration) {
-				start := p.Now()
-				p.Sleep(d)
+			compOn := func(q *sim.Proc, name string, d time.Duration) {
+				start := q.Now()
+				q.Sleep(d)
 				comp += d
 				cfg.Tracer.RecordT(cl.ID, name, "compute", tid, start, d)
 				// Server-side phases bill the tenant's compute-seconds;
@@ -432,6 +432,16 @@ func runMenos(cfg Config) (*Result, error) {
 					ledger.AddCompute(cl.ID, d.Seconds())
 				}
 			}
+			sleepComp := func(name string, d time.Duration) { compOn(p, name, d) }
+			// clientSeg is a client-local compute segment in its inline
+			// position; overlapped, the iteration's side process runs it
+			// instead (see the iteration loop).
+			clientSeg := func(name string, d time.Duration) {
+				if !cfg.Overlap {
+					sleepComp(name, d)
+				}
+			}
+			computeDone, joined := false, kernel.NewSignal() // side-process join state
 			xfer := func(name string) {
 				start := p.Now()
 				d := link.Transfer(p, transfer)
@@ -626,52 +636,22 @@ func runMenos(cfg Config) (*Result, error) {
 				// totals (comm, comp, sched are resource costs, not wall
 				// time); the savings show up in SimulatedTime and the
 				// hidden-time histogram. Only the validated envelope
-				// (on-demand policy, serial serving, static fleet)
-				// reaches this branch.
+				// (on-demand policy, serial serving, static fleet) sets
+				// Overlap; the clientSeg calls below are then no-ops.
+				iterStart := p.Now()
 				if cfg.Overlap {
-					iterStart := p.Now()
-					computeDone := false
-					joined := kernel.NewSignal()
+					computeDone = false
 					kernel.Spawn(fmt.Sprintf("client:%s:compute:%d", cl.ID, iter), func(q *sim.Proc) {
-						local := func(name string, d time.Duration) {
-							start := q.Now()
-							q.Sleep(d)
-							comp += d
-							cfg.Tracer.RecordT(cl.ID, name, "compute", tid, start, d)
-						}
-						local("client-pre", pre)
-						local("client-mid", mid)
-						local("client-post", post)
+						compOn(q, "client-pre", pre)
+						compOn(q, "client-mid", mid)
+						compOn(q, "client-post", post)
 						computeDone = true
 						joined.Fire()
 					})
-					xfer("upload:x_c")
-					grant(sched.KindForward, demand.fwd)
-					sleepComp("forward", cost.NoGradForwardTime(cl.Workload))
-					release()
-					xfer("download:x_s")
-					xfer("upload:g_c")
-					grant(sched.KindBackward, demand.bwd)
-					sleepComp("re-forward+backward",
-						cost.ForwardTime(cl.Workload)+cost.BackwardTime(cl.Workload))
-					release()
-					sleepComp("release", releaseCost)
-					sleepComp("optimizer", costmodel.OptimizerStepTime)
-					xfer("download:g_s")
-					for !computeDone {
-						joined.Wait(p, "overlap join "+cl.ID)
-					}
-					if hidden := comm + comp + schedT - (p.Now() - iterStart); hidden > 0 {
-						hiddenTotal += hidden
-						hiddenHist.Observe(hidden.Seconds())
-					}
-					bd.Add(comm, comp, schedT)
-					ledger.AddIteration(cl.ID)
-					continue
 				}
 
 				// Client computes the input section and uploads x_c.
-				sleepComp("client-pre", pre)
+				clientSeg("client-pre", pre)
 				xfer("upload:x_c")
 
 				// ---- Server: forward request ----
@@ -708,7 +688,7 @@ func runMenos(cfg Config) (*Result, error) {
 				// Server returns x_s; client runs the output section,
 				// computes the loss, and uploads g_c.
 				xfer("download:x_s")
-				sleepComp("client-mid", mid)
+				clientSeg("client-mid", mid)
 				xfer("upload:g_c")
 
 				// ---- Server: backward request ----
@@ -750,7 +730,16 @@ func runMenos(cfg Config) (*Result, error) {
 				// Server returns g_s; client finishes its backward and
 				// optimizer step.
 				xfer("download:g_s")
-				sleepComp("client-post", post)
+				clientSeg("client-post", post)
+				if cfg.Overlap {
+					for !computeDone {
+						joined.Wait(p, "overlap join "+cl.ID)
+					}
+					if hidden := comm + comp + schedT - (p.Now() - iterStart); hidden > 0 {
+						hiddenTotal += hidden
+						hiddenHist.Observe(hidden.Seconds())
+					}
+				}
 
 				bd.Add(comm, comp, schedT)
 				ledger.AddIteration(cl.ID)
