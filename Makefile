@@ -1,12 +1,23 @@
 GO ?= go
 
-.PHONY: build test perf-test test-race bench bench-diff ci verify e2e
+.PHONY: build test test-purego cross-build perf-test test-race bench bench-diff ci verify e2e
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The matmul micro-kernel has an AVX2 assembly tile (amd64) and a
+# portable Go tile (everything else). The purego tag forces the
+# portable one, so an amd64 machine tests the code every other GOARCH
+# runs; cross-build keeps the non-amd64 build from rotting.
+test-purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/model ./internal/adapter
+
+cross-build:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
 
 # perf/ (the BENCHMARK.json benchmark) is a nested module, so
 # `go test ./...` from the root never compiles it. It imports
@@ -62,8 +73,8 @@ vet:
 
 # ci mirrors .github/workflows/ci.yml: the verify job's commands in the
 # same order, then the race job. Keep the two in sync.
-ci: build vet fmt-check test perf-test test-race
+ci: build vet fmt-check test test-purego cross-build perf-test test-race
 
 .PHONY: fmt-check vet
 
-verify: build test perf-test test-race
+verify: build test test-purego perf-test test-race

@@ -29,9 +29,11 @@ import (
 )
 
 // steps is the fine-tuning run length. Long enough that the drain
-// lands while the client is still training, short enough to keep the
-// job inside the CI timeout.
-const steps = 40
+// lands while the client is still training (fleetd needs two or three
+// 150 ms polls to see the client and act; a step is a few
+// milliseconds on the AVX2 tile), short enough to keep the job inside
+// the CI timeout on the portable one.
+const steps = 200
 
 func TestLiveMigrationAcrossProcesses(t *testing.T) {
 	artifacts := os.Getenv("MENOS_E2E_ARTIFACTS")

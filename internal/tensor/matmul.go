@@ -1,15 +1,35 @@
 package tensor
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"unsafe"
+)
 
-// Blocking parameters for the tiled kernels. All four variants
-// partition work by output row, so any parallel split produces the
-// same per-element accumulation order as the serial kernel and the
-// results are bit-identical at every parallelism setting.
+// ErrAlias is returned (wrapped) by the matmul entry points when dst
+// shares backing memory with an operand: the kernels store finished
+// tiles of dst while later tiles still read a and b.
+var ErrAlias = errors.New("tensor: dst aliases an operand")
+
+// All four matmul variants are thin drivers over one micro-kernel,
+// tile, which updates a tileRows x tileCols block of dst with one
+// accumulator per output element summed in ascending p — the add
+// sequence of the naive loop, so the bits match it exactly. Work is
+// partitioned by output row, so any parallel split is bit-identical to
+// the serial kernel too.
+const (
+	tileRows = 4
+	tileCols = 16
+	// packK is how many reduction steps of bᵀ MatMulT packs at a time:
+	// a packK x tileCols panel is 8 KiB of stack and stays in L1.
+	packK = 128
+)
+
 // matmulParallelFlops is the approximate multiply-add count below
 // which fanning a kernel out costs more than it saves; it sets the
-// ParallelFor grain so tiny matmuls stay on the calling goroutine.
-const matmulParallelFlops = 1 << 16
+// ParallelFor grain so small matmuls stay on the calling goroutine.
+// Measured in docs/PERFORMANCE.md ("Fan-out threshold").
+const matmulParallelFlops = 1 << 22
 
 // matmulGrain converts a per-row cost into a ParallelFor grain: the
 // number of output rows that amount to matmulParallelFlops of work.
@@ -25,384 +45,253 @@ func matmulGrain(flopsPerRow int) int {
 }
 
 // MatMul computes dst = a @ b for rank-2 tensors: a is (m,k), b is
-// (k,n), dst is (m,n). dst must not alias a or b.
-//
-// The inner loop is written in the ikj order so the innermost traversal
-// is over contiguous rows of b and dst, which is dramatically faster
-// than the naive ijk order on row-major data.
+// (k,n), dst is (m,n). dst must not alias a or b (ErrAlias); its
+// previous contents are ignored.
 func MatMul(dst, a, b *Tensor) error {
-	if len(a.shape) != 2 || len(b.shape) != 2 || len(dst.shape) != 2 {
-		return fmt.Errorf("%w: matmul requires rank-2 operands, got %v @ %v -> %v",
-			ErrShape, a.shape, b.shape, dst.shape)
+	m, k, n, err := matmulArgs("matmul", dst, a, b, false, false)
+	if err != nil {
+		return err
 	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: matmul %v @ %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
-	}
-	dst.Zero()
-	matmulAccum(dst.data, a.data, b.data, m, k, n)
+	matmul(dst.data, a.data, b.data, m, k, n, k, 1, false, true)
 	return nil
 }
 
 // MatMulAccum computes dst += a @ b with the same shape rules as
-// MatMul. It does not zero dst first.
+// MatMul.
 func MatMulAccum(dst, a, b *Tensor) error {
-	if len(a.shape) != 2 || len(b.shape) != 2 || len(dst.shape) != 2 {
-		return fmt.Errorf("%w: matmul requires rank-2 operands, got %v @ %v -> %v",
-			ErrShape, a.shape, b.shape, dst.shape)
+	m, k, n, err := matmulArgs("matmulAccum", dst, a, b, false, false)
+	if err != nil {
+		return err
 	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: matmul %v @ %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
-	}
-	matmulAccum(dst.data, a.data, b.data, m, k, n)
+	matmul(dst.data, a.data, b.data, m, k, n, k, 1, false, false)
 	return nil
 }
 
-func matmulAccum(dst, a, b []float32, m, k, n int) {
-	g := matmulGrain(k * n)
-	if serialFor(m, g) {
-		matmulAccumRange(dst, a, b, 0, m, k, n)
-		return
+// MatMulTAccum computes dst += aᵀ @ b: a is (k,m), b is (k,n), dst is
+// (m,n). This is the weight-gradient kernel of a linear layer
+// (dW += xᵀ @ dy) without materializing xᵀ: the tile just walks a with
+// the row and reduction strides swapped.
+func MatMulTAccum(dst, a, b *Tensor) error {
+	m, k, n, err := matmulArgs("matmulTAccum", dst, a, b, true, false)
+	if err != nil {
+		return err
 	}
-	ParallelFor(m, g, func(lo, hi int) {
-		matmulAccumRange(dst, a, b, lo, hi, k, n)
-	})
-}
-
-// matmulAccumRange accumulates output rows [rowLo, rowHi) in the ikj
-// order, register-tiled four output rows at a time and blocked four
-// wide over the reduction index: each pass streams four rows of b
-// against four rows of dst, so every dst element is loaded and stored
-// once per four multiply-adds instead of once per one — the dominant
-// memory traffic at SIMD-width granularity.
-//
-// Bit-identity discipline: per (i, j) the reduction must run in
-// strictly ascending p order with a single accumulator, and each
-// accumulation must stay its own `v += a*b` statement — a combined
-// `v += a0*b0 + a1*b1` expression re-associates the float adds and
-// changes the bits. The k-block below only reorders *memory* access,
-// never the per-element add sequence, so results remain bit-identical
-// to the unblocked loop at every parallelism setting.
-func matmulAccumRange(dst, a, b []float32, rowLo, rowHi, k, n int) {
-	i := rowLo
-	for ; i+4 <= rowHi; i += 4 {
-		a0 := a[(i+0)*k:][:k]
-		a1 := a[(i+1)*k:][:k]
-		a2 := a[(i+2)*k:][:k]
-		a3 := a[(i+3)*k:][:k]
-		d0 := dst[(i+0)*n:][:n]
-		d1 := dst[(i+1)*n:][:n]
-		d2 := dst[(i+2)*n:][:n]
-		d3 := dst[(i+3)*n:][:n]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			av00, av01, av02, av03 := a0[p], a0[p+1], a0[p+2], a0[p+3]
-			av10, av11, av12, av13 := a1[p], a1[p+1], a1[p+2], a1[p+3]
-			av20, av21, av22, av23 := a2[p], a2[p+1], a2[p+2], a2[p+3]
-			av30, av31, av32, av33 := a3[p], a3[p+1], a3[p+2], a3[p+3]
-			b0 := b[(p+0)*n:][:n]
-			b1 := b[(p+1)*n:][:n]
-			b2 := b[(p+2)*n:][:n]
-			b3 := b[(p+3)*n:][:n]
-			for j, bv0 := range b0 {
-				bv1 := b1[j]
-				bv2 := b2[j]
-				bv3 := b3[j]
-				v0 := d0[j]
-				v0 += av00 * bv0
-				v0 += av01 * bv1
-				v0 += av02 * bv2
-				v0 += av03 * bv3
-				d0[j] = v0
-				v1 := d1[j]
-				v1 += av10 * bv0
-				v1 += av11 * bv1
-				v1 += av12 * bv2
-				v1 += av13 * bv3
-				d1[j] = v1
-				v2 := d2[j]
-				v2 += av20 * bv0
-				v2 += av21 * bv1
-				v2 += av22 * bv2
-				v2 += av23 * bv3
-				d2[j] = v2
-				v3 := d3[j]
-				v3 += av30 * bv0
-				v3 += av31 * bv1
-				v3 += av32 * bv2
-				v3 += av33 * bv3
-				d3[j] = v3
-			}
-		}
-		for ; p < k; p++ {
-			av0 := a0[p]
-			av1 := a1[p]
-			av2 := a2[p]
-			av3 := a3[p]
-			bp := b[p*n:][:n]
-			for j, bv := range bp {
-				d0[j] += av0 * bv
-				d1[j] += av1 * bv
-				d2[j] += av2 * bv
-				d3[j] += av3 * bv
-			}
-		}
-	}
-	for ; i < rowHi; i++ {
-		ai := a[i*k:][:k]
-		di := dst[i*n:][:n]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			av0, av1, av2, av3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-			b0 := b[(p+0)*n:][:n]
-			b1 := b[(p+1)*n:][:n]
-			b2 := b[(p+2)*n:][:n]
-			b3 := b[(p+3)*n:][:n]
-			for j, bv0 := range b0 {
-				v := di[j]
-				v += av0 * bv0
-				v += av1 * b1[j]
-				v += av2 * b2[j]
-				v += av3 * b3[j]
-				di[j] = v
-			}
-		}
-		for ; p < k; p++ {
-			av := ai[p]
-			bp := b[p*n:][:n]
-			for j, bv := range bp {
-				di[j] += av * bv
-			}
-		}
-	}
+	matmul(dst.data, a.data, b.data, m, k, n, 1, m, false, false)
+	return nil
 }
 
 // MatMulT computes dst = a @ bᵀ: a is (m,k), b is (n,k), dst is (m,n).
 // This avoids materializing the transpose, which the backward pass of a
 // linear layer would otherwise do on every step.
 func MatMulT(dst, a, b *Tensor) error {
-	if len(a.shape) != 2 || len(b.shape) != 2 || len(dst.shape) != 2 {
-		return fmt.Errorf("%w: matmulT requires rank-2 operands", ErrShape)
+	m, k, n, err := matmulArgs("matmulT", dst, a, b, false, true)
+	if err != nil {
+		return err
 	}
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
+	matmul(dst.data, a.data, b.data, m, k, n, k, 1, true, true)
+	return nil
+}
+
+// matmulArgs validates dst(m,n) = op(a) @ op(b), where aT / bT say
+// which operand is stored transposed, and returns the dimensions.
+func matmulArgs(op string, dst, a, b *Tensor, aT, bT bool) (m, k, n int, err error) {
+	if len(a.shape) != 2 || len(b.shape) != 2 || len(dst.shape) != 2 {
+		return 0, 0, 0, fmt.Errorf("%w: %s requires rank-2 operands, got %v, %v -> %v",
+			ErrShape, op, a.shape, b.shape, dst.shape)
+	}
+	m, k = a.shape[0], a.shape[1]
+	if aT {
+		m, k = k, m
+	}
+	k2, n := b.shape[0], b.shape[1]
+	if bT {
+		k2, n = n, k2
+	}
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: matmulT %v @ %vᵀ -> %v", ErrShape, a.shape, b.shape, dst.shape)
+		return 0, 0, 0, fmt.Errorf("%w: %s %v, %v -> %v", ErrShape, op, a.shape, b.shape, dst.shape)
+	}
+	if overlaps(dst.data, a.data) || overlaps(dst.data, b.data) {
+		return 0, 0, 0, fmt.Errorf("%w: %s", ErrAlias, op)
+	}
+	return m, k, n, nil
+}
+
+// overlaps reports whether x and y share any backing memory.
+func overlaps(x, y []float32) bool {
+	if len(x) == 0 || len(y) == 0 {
+		return false
+	}
+	x0, y0 := uintptr(unsafe.Pointer(&x[0])), uintptr(unsafe.Pointer(&y[0]))
+	return x0 < y0+4*uintptr(len(y)) && y0 < x0+4*uintptr(len(x))
+}
+
+// matmul fans matmulRange out over the output rows.
+func matmul(dst, a, b []float32, m, k, n, ars, aps int, bT, zero bool) {
+	if k == 0 {
+		if zero {
+			clear(dst)
+		}
+		return
 	}
 	g := matmulGrain(k * n)
 	if serialFor(m, g) {
-		matmulTRange(dst.data, a.data, b.data, 0, m, k, n)
-		return nil
+		matmulRange(dst, a, b, 0, m, k, n, ars, aps, bT, zero)
+		return
 	}
 	ParallelFor(m, g, func(lo, hi int) {
-		matmulTRange(dst.data, a.data, b.data, lo, hi, k, n)
+		matmulRange(dst, a, b, lo, hi, k, n, ars, aps, bT, zero)
 	})
-	return nil
+}
+
+// matmulRange computes output rows [rowLo, rowHi) of dst (+)= A @ B
+// with A[i][p] = a[i*ars+p*aps]: strides (k,1) read a row-major,
+// (1,m) read it transposed. B is b, or bᵀ when bT is set. Column panels
+// are the outer loop so the sixteen-wide strip of b a panel reads stays
+// cached across its row tiles.
+func matmulRange(dst, a, b []float32, rowLo, rowHi, k, n, ars, aps int, bT, zero bool) {
+	if bT {
+		matmulTRange(dst, a, b, rowLo, rowHi, k, n)
+		return
+	}
+	for j := 0; j < n; j += tileCols {
+		cols := min(tileCols, n-j)
+		for i := rowLo; i < rowHi; i += tileRows {
+			tile(dst[i*n+j:], n, a[i*ars:], ars, aps, b[j:], n, k, min(tileRows, rowHi-i), cols, zero)
+		}
+	}
 }
 
 // matmulTRange computes output rows [rowLo, rowHi) of dst = a @ bᵀ.
-// Rows are register-tiled four at a time so each row of b is loaded
-// once per quad instead of once per output element, and the dot
-// products are blocked four wide over k to amortize loop overhead and
-// keep four loads in flight per accumulator. Each dot product still
-// accumulates through a single variable in ascending p order — one
-// `s += a*b` statement per step, never a combined expression — so the
-// bits match the one-row, one-step loop exactly.
+// The vector lanes of a tile are sixteen consecutive j, which in b are
+// k floats apart, so each column panel of bᵀ is first packed into a
+// contiguous packK x tileCols buffer and every row tile then runs
+// against the packed copy. k is cut into packK blocks; between blocks
+// the partial sums round-trip through dst, and a float32 store/load is
+// lossless, so each element is still one accumulator in ascending p.
 func matmulTRange(dst, a, b []float32, rowLo, rowHi, k, n int) {
-	i := rowLo
-	for ; i+4 <= rowHi; i += 4 {
-		a0 := a[(i+0)*k:][:k]
-		a1 := a[(i+1)*k:][:k]
-		a2 := a[(i+2)*k:][:k]
-		a3 := a[(i+3)*k:][:k]
-		d0 := dst[(i+0)*n:][:n]
-		d1 := dst[(i+1)*n:][:n]
-		d2 := dst[(i+2)*n:][:n]
-		d3 := dst[(i+3)*n:][:n]
-		for j := 0; j < n; j++ {
-			bj := b[j*k:][:k]
-			var s0, s1, s2, s3 float32
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				bv0, bv1, bv2, bv3 := bj[p], bj[p+1], bj[p+2], bj[p+3]
-				s0 += a0[p] * bv0
-				s0 += a0[p+1] * bv1
-				s0 += a0[p+2] * bv2
-				s0 += a0[p+3] * bv3
-				s1 += a1[p] * bv0
-				s1 += a1[p+1] * bv1
-				s1 += a1[p+2] * bv2
-				s1 += a1[p+3] * bv3
-				s2 += a2[p] * bv0
-				s2 += a2[p+1] * bv1
-				s2 += a2[p+2] * bv2
-				s2 += a2[p+3] * bv3
-				s3 += a3[p] * bv0
-				s3 += a3[p+1] * bv1
-				s3 += a3[p+2] * bv2
-				s3 += a3[p+3] * bv3
+	var panel [packK * tileCols]float32
+	for j := 0; j < n; j += tileCols {
+		cols := min(tileCols, n-j)
+		for p := 0; p < k; p += packK {
+			kb := min(packK, k-p)
+			packT(&panel, b[j*k+p:], k, kb, cols)
+			for i := rowLo; i < rowHi; i += tileRows {
+				tile(dst[i*n+j:], n, a[i*k+p:], k, 1, panel[:], tileCols, kb, min(tileRows, rowHi-i), cols, p == 0)
 			}
-			for ; p < k; p++ {
-				bv := bj[p]
-				s0 += a0[p] * bv
-				s1 += a1[p] * bv
-				s2 += a2[p] * bv
-				s3 += a3[p] * bv
-			}
-			d0[j] = s0
-			d1[j] = s1
-			d2[j] = s2
-			d3[j] = s3
-		}
-	}
-	for ; i < rowHi; i++ {
-		ai := a[i*k:][:k]
-		di := dst[i*n:][:n]
-		for j := 0; j < n; j++ {
-			bj := b[j*k:][:k]
-			var s float32
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				s += ai[p] * bj[p]
-				s += ai[p+1] * bj[p+1]
-				s += ai[p+2] * bj[p+2]
-				s += ai[p+3] * bj[p+3]
-			}
-			for ; p < k; p++ {
-				s += ai[p] * bj[p]
-			}
-			di[j] = s
 		}
 	}
 }
 
-// MatMulTAccum computes dst += aᵀ @ b: a is (k,m), b is (k,n), dst is
-// (m,n). This is the weight-gradient kernel of a linear layer
-// (dW += xᵀ @ dy) without materializing xᵀ.
-func MatMulTAccum(dst, a, b *Tensor) error {
-	if len(a.shape) != 2 || len(b.shape) != 2 || len(dst.shape) != 2 {
-		return fmt.Errorf("%w: matmulTAccum requires rank-2 operands", ErrShape)
+// packT fills the first kb rows of panel with the transpose of a
+// cols x kb block of b (row stride k): panel[p][c] = b[c*k+p]. A
+// function of its own so the copy loop gets registers to itself.
+//
+//go:noinline
+func packT(panel *[packK * tileCols]float32, b []float32, k, kb, cols int) {
+	for p := 0; p < kb; p++ {
+		row := panel[p*tileCols:][:cols]
+		for c := range row {
+			row[c] = b[c*k+p]
+		}
 	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: matmulTAccum %vᵀ @ %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
-	}
-	g := matmulGrain(k * n)
-	if serialFor(m, g) {
-		matmulTAccumRange(dst.data, a.data, b.data, 0, m, k, m, n)
-		return nil
-	}
-	ParallelFor(m, g, func(lo, hi int) {
-		matmulTAccumRange(dst.data, a.data, b.data, lo, hi, k, m, n)
-	})
-	return nil
 }
 
-// matmulTAccumRange accumulates output rows [rowLo, rowHi) of
-// dst += aᵀ @ b. The seed kernel iterated p outermost and touched all
-// m output rows per step; here the loop is inverted so each worker
-// owns a row range (required for a race-free parallel split),
-// register-tiled four output rows at a time, and blocked four wide
-// over the reduction so each dst element is read and written once per
-// four multiply-adds. As everywhere in this file, every accumulation
-// is its own single-add statement in ascending p order, so the bits
-// match the seed kernel exactly.
-func matmulTAccumRange(dst, a, b []float32, rowLo, rowHi, k, m, n int) {
-	i := rowLo
-	for ; i+4 <= rowHi; i += 4 {
-		d0 := dst[(i+0)*n:][:n]
-		d1 := dst[(i+1)*n:][:n]
-		d2 := dst[(i+2)*n:][:n]
-		d3 := dst[(i+3)*n:][:n]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			ap0 := a[(p+0)*m:][:m]
-			ap1 := a[(p+1)*m:][:m]
-			ap2 := a[(p+2)*m:][:m]
-			ap3 := a[(p+3)*m:][:m]
-			av00, av01, av02, av03 := ap0[i], ap1[i], ap2[i], ap3[i]
-			av10, av11, av12, av13 := ap0[i+1], ap1[i+1], ap2[i+1], ap3[i+1]
-			av20, av21, av22, av23 := ap0[i+2], ap1[i+2], ap2[i+2], ap3[i+2]
-			av30, av31, av32, av33 := ap0[i+3], ap1[i+3], ap2[i+3], ap3[i+3]
-			b0 := b[(p+0)*n:][:n]
-			b1 := b[(p+1)*n:][:n]
-			b2 := b[(p+2)*n:][:n]
-			b3 := b[(p+3)*n:][:n]
+// tile updates the rows x cols block at d (row stride ldd):
+//
+//	d[r][c] (+)= sum over p in [0,k) of a[r*ars+p*aps] * b[p*ldb+c]
+//
+// zero starts each sum at +0 instead of d's previous value. Full
+// blocks go to the AVX2 tile when the CPU has it; edge blocks and
+// other CPUs run tileGo. Both produce the same bits. k must be >= 1.
+func tile(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k, rows, cols int, zero bool) {
+	if haveAVX2 && rows == tileRows {
+		// The bounds checks the assembly cannot make.
+		_ = d[(tileRows-1)*ldd+cols-1]
+		_ = a[(tileRows-1)*ars+(k-1)*aps]
+		_ = b[(k-1)*ldb+cols-1]
+		tileAVX2(&d[0], ldd, &a[0], ars, aps, &b[0], ldb, k, cols, zero)
+		return
+	}
+	tileGo(d, ldd, a, ars, aps, b, ldb, k, rows, cols, zero)
+}
+
+// tileGo is the portable tile. Bit-identity discipline: per element
+// the reduction runs in strictly ascending p through a single
+// accumulator, every accumulation is its own `v += a*b` statement (a
+// combined `v += a0*b0 + a1*b1` re-associates the adds), and the
+// float32 conversion rounds the product before the add, so a compiler
+// that fuses multiply-adds (arm64 does) cannot: the assembly tile
+// rounds twice, and which tile ran must not show in the bits. The
+// four-wide p block and the four-row body only save loads and stores.
+func tileGo(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k, rows, cols int, zero bool) {
+	if zero {
+		for r := 0; r < rows; r++ {
+			clear(d[r*ldd:][:cols])
+		}
+	}
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		b0 := b[(p+0)*ldb:][:cols]
+		b1 := b[(p+1)*ldb:][:cols]
+		b2 := b[(p+2)*ldb:][:cols]
+		b3 := b[(p+3)*ldb:][:cols]
+		r := 0
+		if rows == tileRows { // four rows share each load of b
+			r = tileRows
+			d0, d1, d2, d3 := d[:cols], d[ldd:][:cols], d[2*ldd:][:cols], d[3*ldd:][:cols]
+			a0, a1, a2, a3 := a[p*aps:], a[ars+p*aps:], a[2*ars+p*aps:], a[3*ars+p*aps:]
+			a00, a01, a02, a03 := a0[0], a0[aps], a0[2*aps], a0[3*aps]
+			a10, a11, a12, a13 := a1[0], a1[aps], a1[2*aps], a1[3*aps]
+			a20, a21, a22, a23 := a2[0], a2[aps], a2[2*aps], a2[3*aps]
+			a30, a31, a32, a33 := a3[0], a3[aps], a3[2*aps], a3[3*aps]
 			for j, bv0 := range b0 {
-				bv1 := b1[j]
-				bv2 := b2[j]
-				bv3 := b3[j]
+				bv1, bv2, bv3 := b1[j], b2[j], b3[j]
 				v0 := d0[j]
-				v0 += av00 * bv0
-				v0 += av01 * bv1
-				v0 += av02 * bv2
-				v0 += av03 * bv3
+				v0 += float32(a00 * bv0)
+				v0 += float32(a01 * bv1)
+				v0 += float32(a02 * bv2)
+				v0 += float32(a03 * bv3)
 				d0[j] = v0
 				v1 := d1[j]
-				v1 += av10 * bv0
-				v1 += av11 * bv1
-				v1 += av12 * bv2
-				v1 += av13 * bv3
+				v1 += float32(a10 * bv0)
+				v1 += float32(a11 * bv1)
+				v1 += float32(a12 * bv2)
+				v1 += float32(a13 * bv3)
 				d1[j] = v1
 				v2 := d2[j]
-				v2 += av20 * bv0
-				v2 += av21 * bv1
-				v2 += av22 * bv2
-				v2 += av23 * bv3
+				v2 += float32(a20 * bv0)
+				v2 += float32(a21 * bv1)
+				v2 += float32(a22 * bv2)
+				v2 += float32(a23 * bv3)
 				d2[j] = v2
 				v3 := d3[j]
-				v3 += av30 * bv0
-				v3 += av31 * bv1
-				v3 += av32 * bv2
-				v3 += av33 * bv3
+				v3 += float32(a30 * bv0)
+				v3 += float32(a31 * bv1)
+				v3 += float32(a32 * bv2)
+				v3 += float32(a33 * bv3)
 				d3[j] = v3
 			}
 		}
-		for ; p < k; p++ {
-			ap := a[p*m:][:m]
-			av0 := ap[i]
-			av1 := ap[i+1]
-			av2 := ap[i+2]
-			av3 := ap[i+3]
-			bp := b[p*n:][:n]
-			for j, bv := range bp {
-				d0[j] += av0 * bv
-				d1[j] += av1 * bv
-				d2[j] += av2 * bv
-				d3[j] += av3 * bv
+		for ; r < rows; r++ {
+			dr := d[r*ldd:][:cols]
+			ar := a[r*ars+p*aps:]
+			a0, a1, a2, a3 := ar[0], ar[aps], ar[2*aps], ar[3*aps]
+			for j, v := range dr {
+				v += float32(a0 * b0[j])
+				v += float32(a1 * b1[j])
+				v += float32(a2 * b2[j])
+				v += float32(a3 * b3[j])
+				dr[j] = v
 			}
 		}
 	}
-	for ; i < rowHi; i++ {
-		di := dst[i*n:][:n]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			av0 := a[(p+0)*m+i]
-			av1 := a[(p+1)*m+i]
-			av2 := a[(p+2)*m+i]
-			av3 := a[(p+3)*m+i]
-			b0 := b[(p+0)*n:][:n]
-			b1 := b[(p+1)*n:][:n]
-			b2 := b[(p+2)*n:][:n]
-			b3 := b[(p+3)*n:][:n]
-			for j, bv0 := range b0 {
-				v := di[j]
-				v += av0 * bv0
-				v += av1 * b1[j]
-				v += av2 * b2[j]
-				v += av3 * b3[j]
-				di[j] = v
-			}
-		}
-		for ; p < k; p++ {
-			av := a[p*m+i]
-			bp := b[p*n:][:n]
+	for ; p < k; p++ {
+		bp := b[p*ldb:][:cols]
+		for r := 0; r < rows; r++ {
+			dr := d[r*ldd:][:cols]
+			av := a[r*ars+p*aps]
 			for j, bv := range bp {
-				di[j] += av * bv
+				dr[j] += float32(av * bv)
 			}
 		}
 	}

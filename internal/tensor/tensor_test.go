@@ -298,7 +298,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	defer SetParallelism(Parallelism())
 	SetParallelism(4)
 	rng := NewRNG(4)
-	m, k, n := 69, 67, 33
+	m, k, n := 139, 301, 129 // > matmulParallelFlops multiply-adds
 	a := NewNormal(rng, 1, m, k)
 	b := NewNormal(rng, 1, k, n)
 	got := New(m, n)
@@ -306,7 +306,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := New(m, n)
-	matmulAccumRange(want.Data(), a.Data(), b.Data(), 0, m, k, n)
+	matmulRange(want.Data(), a.Data(), b.Data(), 0, m, k, n, k, 1, false, true)
 	assertClose(t, got, want, 1e-5)
 }
 
