@@ -34,9 +34,13 @@ perf-test:
 # manager (concurrent scrape ingestion), the federated time-series
 # store, the alert engine, the activation wire codec (pool-parallel
 # pack/unpack), the TCP serving loop and the simulator that drives
-# them.
+# them — and the integration packages that drive those paths together:
+# core (live migration between two in-process servers, admin-plane
+# goroutines), client (the pipelined loop against a live server) and
+# adapter (multi-adapter dispatch over the shared, mutex-guarded scratch
+# arena).
 test-race:
-	$(GO) test -race ./internal/tensor ./internal/model ./internal/obs ./internal/split ./internal/quant ./internal/sched ./internal/batch ./internal/fleet ./internal/tsdb ./internal/alert ./internal/server ./internal/splitsim
+	$(GO) test -race ./internal/tensor ./internal/model ./internal/obs ./internal/split ./internal/quant ./internal/sched ./internal/batch ./internal/fleet ./internal/tsdb ./internal/alert ./internal/server ./internal/splitsim ./internal/core ./internal/client ./internal/adapter
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -139,22 +139,39 @@ func (l *LoRALinear) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor, any
 	if err != nil {
 		return nil, nil, fmt.Errorf("lora base: %w", err)
 	}
-	rows := x.Dim(0)
-	xa := tensor.New(rows, l.A.Value.Dim(1))
-	if err := tensor.MatMul(xa, x, l.A.Value); err != nil {
-		return nil, nil, fmt.Errorf("lora xA: %w", err)
-	}
-	delta := tensor.New(rows, l.out)
-	if err := tensor.MatMul(delta, xa, l.B.Value); err != nil {
-		return nil, nil, fmt.Errorf("lora xAB: %w", err)
-	}
-	if err := tensor.AXPY(l.Scale, delta, y); err != nil {
-		return nil, nil, fmt.Errorf("lora residual: %w", err)
+	xa, err := l.residual(x, y)
+	if err != nil {
+		return nil, nil, err
 	}
 	if !withGrad {
 		return y, nil, nil
 	}
 	return y, &loraCache{baseC: baseC, x: x, xa: xa}, nil
+}
+
+// residual is the LoRA forward: it adds the low-rank term to y, the
+// base output for x, in place,
+//
+//	xa = x A        y += (α/r) · xa B
+//
+// and returns xa for the backward. It is written once: LoRALinear runs
+// it over every row, MultiLoRALinear over each client's row segment (x
+// and y are then views) with that client's layer — which is what makes
+// the two bit-identical.
+func (l *LoRALinear) residual(x, y *tensor.Tensor) (*tensor.Tensor, error) {
+	rows := x.Dim(0)
+	xa := tensor.New(rows, l.A.Value.Dim(1))
+	if err := tensor.MatMul(xa, x, l.A.Value); err != nil {
+		return nil, fmt.Errorf("lora xA: %w", err)
+	}
+	delta := tensor.New(rows, l.out)
+	if err := tensor.MatMul(delta, xa, l.B.Value); err != nil {
+		return nil, fmt.Errorf("lora xAB: %w", err)
+	}
+	if err := tensor.AXPY(l.Scale, delta, y); err != nil {
+		return nil, fmt.Errorf("lora residual: %w", err)
+	}
+	return xa, nil
 }
 
 // Grad implements nn.Op.
@@ -167,34 +184,43 @@ func (l *LoRALinear) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, error) 
 	if err != nil {
 		return nil, fmt.Errorf("lora base backward: %w", err)
 	}
-	rows := c.x.Dim(0)
-	rank := l.A.Value.Dim(1)
+	if err := l.residualGrad(c.x, c.xa, dy, dx); err != nil {
+		return nil, err
+	}
+	return dx, nil
+}
 
+// residualGrad is residual's backward over the same rows: xa is what
+// residual returned, dy the output gradient, dx the base's input
+// gradient. It accumulates into this layer's own A and B gradients and
+// adds the low-rank path's input gradient to dx in place.
+func (l *LoRALinear) residualGrad(x, xa, dy, dx *tensor.Tensor) error {
+	rows := x.Dim(0)
 	// delta = scale * (x A) B
 	// dB += scale * (xA)ᵀ dy
 	scaled := dy.Clone()
 	scaled.Scale(l.Scale)
-	if err := tensor.MatMulTAccum(l.B.Grad, c.xa, scaled); err != nil {
-		return nil, fmt.Errorf("lora dB: %w", err)
+	if err := tensor.MatMulTAccum(l.B.Grad, xa, scaled); err != nil {
+		return fmt.Errorf("lora dB: %w", err)
 	}
 	// dXA = scale * dy Bᵀ
-	dxa := tensor.New(rows, rank)
+	dxa := tensor.New(rows, l.A.Value.Dim(1))
 	if err := tensor.MatMulT(dxa, scaled, l.B.Value); err != nil {
-		return nil, fmt.Errorf("lora dXA: %w", err)
+		return fmt.Errorf("lora dXA: %w", err)
 	}
 	// dA += xᵀ dXA
-	if err := tensor.MatMulTAccum(l.A.Grad, c.x, dxa); err != nil {
-		return nil, fmt.Errorf("lora dA: %w", err)
+	if err := tensor.MatMulTAccum(l.A.Grad, x, dxa); err != nil {
+		return fmt.Errorf("lora dA: %w", err)
 	}
 	// dx += dXA Aᵀ
 	dxLora := tensor.New(rows, l.in)
 	if err := tensor.MatMulT(dxLora, dxa, l.A.Value); err != nil {
-		return nil, fmt.Errorf("lora dx: %w", err)
+		return fmt.Errorf("lora dx: %w", err)
 	}
 	if err := tensor.Add(dx, dx, dxLora); err != nil {
-		return nil, fmt.Errorf("lora dx sum: %w", err)
+		return fmt.Errorf("lora dx sum: %w", err)
 	}
-	return dx, nil
+	return nil
 }
 
 // Params returns the adapter parameters A and B (the base's trainable

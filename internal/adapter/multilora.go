@@ -99,7 +99,7 @@ func (l *MultiLoRALinear) totalRows() int {
 }
 
 // Apply implements nn.Op: one frozen-base pass over the full stack,
-// then each segment's residual in ascending row order.
+// then each segment's own LoRALinear residual in ascending row order.
 func (l *MultiLoRALinear) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor, any, error) {
 	if want := l.totalRows(); x.Dim(0) != want {
 		return nil, nil, fmt.Errorf("%w: stacked input has %d rows, segments partition %d",
@@ -109,10 +109,7 @@ func (l *MultiLoRALinear) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor
 	if err != nil {
 		return nil, nil, fmt.Errorf("multi-lora base: %w", err)
 	}
-	var xas []*tensor.Tensor
-	if withGrad {
-		xas = make([]*tensor.Tensor, len(l.Segments))
-	}
+	xas := make([]*tensor.Tensor, len(l.Segments))
 	lo := 0
 	for i, s := range l.Segments {
 		hi := lo + s.Rows
@@ -124,21 +121,8 @@ func (l *MultiLoRALinear) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor
 		if err != nil {
 			return nil, nil, fmt.Errorf("multi-lora segment %d output: %w", i, err)
 		}
-		// Identical arithmetic to LoRALinear.Apply over this client's
-		// rows alone: xa = x_seg A, y_seg += scale · xa B.
-		xa := tensor.New(s.Rows, s.Layer.A.Value.Dim(1))
-		if err := tensor.MatMul(xa, xs, s.Layer.A.Value); err != nil {
-			return nil, nil, fmt.Errorf("multi-lora segment %d xA: %w", i, err)
-		}
-		delta := tensor.New(s.Rows, l.out)
-		if err := tensor.MatMul(delta, xa, s.Layer.B.Value); err != nil {
-			return nil, nil, fmt.Errorf("multi-lora segment %d xAB: %w", i, err)
-		}
-		if err := tensor.AXPY(s.Layer.Scale, delta, ys); err != nil {
-			return nil, nil, fmt.Errorf("multi-lora segment %d residual: %w", i, err)
-		}
-		if withGrad {
-			xas[i] = xa
+		if xas[i], err = s.Layer.residual(xs, ys); err != nil {
+			return nil, nil, fmt.Errorf("multi-lora segment %d: %w", i, err)
 		}
 		lo = hi
 	}
@@ -150,8 +134,8 @@ func (l *MultiLoRALinear) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor
 
 // Grad implements nn.Op: the frozen base backward runs once over the
 // full stacked dy (accumulating no base weight gradients), then each
-// segment mirrors LoRALinear.Grad over its own rows, accumulating into
-// that client's private A/B gradient buffers.
+// segment's LoRALinear residual backward runs over its own rows,
+// accumulating into that client's private A/B gradient buffers.
 func (l *MultiLoRALinear) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, error) {
 	c, ok := cache.(*multiCache)
 	if !ok {
@@ -176,25 +160,8 @@ func (l *MultiLoRALinear) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, er
 		if err != nil {
 			return nil, fmt.Errorf("multi-lora segment %d dx: %w", i, err)
 		}
-		rank := s.Layer.A.Value.Dim(1)
-		scaled := dys.Clone()
-		scaled.Scale(s.Layer.Scale)
-		if err := tensor.MatMulTAccum(s.Layer.B.Grad, c.xas[i], scaled); err != nil {
-			return nil, fmt.Errorf("multi-lora segment %d dB: %w", i, err)
-		}
-		dxa := tensor.New(s.Rows, rank)
-		if err := tensor.MatMulT(dxa, scaled, s.Layer.B.Value); err != nil {
-			return nil, fmt.Errorf("multi-lora segment %d dXA: %w", i, err)
-		}
-		if err := tensor.MatMulTAccum(s.Layer.A.Grad, xs, dxa); err != nil {
-			return nil, fmt.Errorf("multi-lora segment %d dA: %w", i, err)
-		}
-		dxLora := tensor.New(s.Rows, l.in)
-		if err := tensor.MatMulT(dxLora, dxa, s.Layer.A.Value); err != nil {
-			return nil, fmt.Errorf("multi-lora segment %d dx: %w", i, err)
-		}
-		if err := tensor.Add(dxs, dxs, dxLora); err != nil {
-			return nil, fmt.Errorf("multi-lora segment %d dx sum: %w", i, err)
+		if err := s.Layer.residualGrad(xs, c.xas[i], dys, dxs); err != nil {
+			return nil, fmt.Errorf("multi-lora segment %d: %w", i, err)
 		}
 		lo = hi
 	}

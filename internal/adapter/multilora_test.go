@@ -12,7 +12,7 @@ import (
 // multiFixture is K clients' serial bodies plus the shared master.
 type multiFixture struct {
 	master  *model.Transformer
-	cfg     LoRAConfig
+	targets []Target
 	adapter []*LoRAAdapter
 	body    []*model.BodySection
 	batch   []int
@@ -20,21 +20,41 @@ type multiFixture struct {
 	dim     int
 }
 
-func newMultiFixture(t *testing.T, batches []int) *multiFixture {
+// mixedLoRA gives member k its own rank and α/r scale, so one stack
+// carries residuals of different shapes.
+func mixedLoRA(k int) (rank int, alpha float64) {
+	return []int{2, 5, 3}[k%3], []float64{4, 3, 16}[k%3]
+}
+
+// newMultiFixture builds K clients with the same rank-2 adapter shape,
+// or (mixed) with per-member ranks and scales and trained-looking B
+// factors: a fresh adapter's B is zero, which zeroes dA and the
+// low-rank dx and would leave the backward's A path unexercised.
+func newMultiFixture(t *testing.T, batches []int, mixed bool) *multiFixture {
 	t.Helper()
 	f := &multiFixture{
-		master: tinyModel(t, model.FamilyOPT),
-		cfg:    LoRAConfig{Rank: 2, Alpha: 4, Targets: []Target{TargetQ, TargetV}},
-		batch:  batches,
-		seq:    4,
+		master:  tinyModel(t, model.FamilyOPT),
+		targets: []Target{TargetQ, TargetV},
+		batch:   batches,
+		seq:     4,
 	}
 	f.dim = f.master.Cfg.Dim
 	f.master.SetFrozenBase(true)
 	for k := range batches {
+		cfg := LoRAConfig{Rank: 2, Alpha: 4, Targets: f.targets}
+		if mixed {
+			cfg.Rank, cfg.Alpha = mixedLoRA(k)
+		}
 		blocks := model.ShallowCloneBlocks(f.master.Blocks)
-		ad, err := InjectLoRA(tensor.NewRNG(uint64(100+k)), blocks, f.cfg)
+		ad, err := InjectLoRA(tensor.NewRNG(uint64(100+k)), blocks, cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if mixed {
+			rng := tensor.NewRNG(uint64(400 + k))
+			for _, l := range ad.Layers() {
+				copy(l.B.Value.Data(), tensor.NewNormal(rng, 0.05, l.B.Value.Dim(0), l.B.Value.Dim(1)).Data())
+			}
 		}
 		f.adapter = append(f.adapter, ad)
 		f.body = append(f.body, model.Body(blocks))
@@ -93,13 +113,17 @@ func bitEqual(a, b *tensor.Tensor) bool {
 // body output and the client-held head, so output bit-equality is
 // loss bit-equality.
 func TestMultiLoRABitIdenticalToSerial(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", workers), func(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		mixed   bool
+	}{{1, false}, {4, false}, {1, true}, {4, true}} {
+		workers, mixed := tc.workers, tc.mixed
+		t.Run(fmt.Sprintf("parallelism=%d/mixed=%v", workers, mixed), func(t *testing.T) {
 			prev := tensor.Parallelism()
 			tensor.SetParallelism(workers)
 			defer tensor.SetParallelism(prev)
 
-			f := newMultiFixture(t, []int{1, 2, 1})
+			f := newMultiFixture(t, []int{1, 2, 1}, mixed)
 			xs, dys := f.inputs()
 
 			// Serial reference: each client alone through its own body.
@@ -135,7 +159,7 @@ func TestMultiLoRABitIdenticalToSerial(t *testing.T) {
 
 			// Rewind: fresh fixture with identical seeds, then one
 			// batched pass over the stacked rows.
-			f = newMultiFixture(t, []int{1, 2, 1})
+			f = newMultiFixture(t, []int{1, 2, 1}, mixed)
 			xs, dys = f.inputs()
 			rows := make([]int, len(f.batch))
 			totalBatch := 0
@@ -144,7 +168,7 @@ func TestMultiLoRABitIdenticalToSerial(t *testing.T) {
 				totalBatch += b
 			}
 			blocks := model.ShallowCloneBlocks(f.master.Blocks)
-			mad, err := InjectMultiLoRA(blocks, f.cfg.Targets, f.layersOf(), rows)
+			mad, err := InjectMultiLoRA(blocks, f.targets, f.layersOf(), rows)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,48 +222,81 @@ func TestMultiLoRABitIdenticalToSerial(t *testing.T) {
 }
 
 // TestMultiLoRASingleSegmentMatchesLoRALinear: with one segment the
-// batched op degenerates to the serial LoRALinear, bit for bit.
+// batched op degenerates to the serial LoRALinear, bit for bit; and
+// with several segments of different ranks and scales in one stack,
+// every segment's dA, dB and dx rows equal what that segment's
+// LoRALinear computes alone. B is non-zero throughout, so dA and the
+// low-rank dx are not trivially zero.
 func TestMultiLoRASingleSegmentMatchesLoRALinear(t *testing.T) {
-	rng := tensor.NewRNG(11)
-	base := nn.NewLinear(rng, 6, 5, true)
+	base := nn.NewLinear(tensor.NewRNG(11), 6, 5, true)
 	base.Frozen = true
-	serial := NewLoRALinear(tensor.NewRNG(12), base, 6, 5, 3, 6)
-	x := tensor.NewNormal(tensor.NewRNG(13), 1, 7, 6)
-	dy := tensor.NewNormal(tensor.NewRNG(14), 1, 7, 5)
+	for _, rows := range [][]int{{7}, {3, 1, 4}} {
+		t.Run(fmt.Sprintf("segments=%d", len(rows)), func(t *testing.T) {
+			var segs []Segment
+			var xs, dys, ySerial, dxSerial, gradA, gradB []*tensor.Tensor
+			for k, n := range rows {
+				rank, alpha := 3, 6.0
+				if len(rows) > 1 {
+					rank, alpha = mixedLoRA(k)
+				}
+				serial := NewLoRALinear(tensor.NewRNG(uint64(12+k)), base, 6, 5, rank, alpha)
+				copy(serial.B.Value.Data(), tensor.NewNormal(tensor.NewRNG(uint64(20+k)), 0.05, rank, 5).Data())
+				x := tensor.NewNormal(tensor.NewRNG(uint64(13+10*k)), 1, n, 6)
+				dy := tensor.NewNormal(tensor.NewRNG(uint64(14+10*k)), 1, n, 5)
 
-	ySerial, cSerial, err := serial.Apply(x, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dxSerial, err := serial.Grad(cSerial, dy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gradA, gradB := serial.A.Grad.Clone(), serial.B.Grad.Clone()
-	serial.A.Grad.Zero()
-	serial.B.Grad.Zero()
+				y, cache, err := serial.Apply(x, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dx, err := serial.Grad(cache, dy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				xs, dys = append(xs, x), append(dys, dy)
+				ySerial, dxSerial = append(ySerial, y), append(dxSerial, dx)
+				gradA, gradB = append(gradA, serial.A.Grad.Clone()), append(gradB, serial.B.Grad.Clone())
+				serial.A.Grad.Zero()
+				serial.B.Grad.Zero()
+				segs = append(segs, Segment{Rows: n, Layer: serial})
+			}
 
-	ml, err := NewMultiLoRALinear(base, 6, 5, []Segment{{Rows: 7, Layer: serial}})
-	if err != nil {
-		t.Fatal(err)
+			ml, err := NewMultiLoRALinear(base, 6, 5, segs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			yBatch, cBatch, err := ml.Apply(stackRows(t, xs), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dxBatch, err := ml.Grad(cBatch, stackRows(t, dys))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitEqual(yBatch, stackRows(t, ySerial)) {
+				t.Error("output differs")
+			}
+			if !bitEqual(dxBatch, stackRows(t, dxSerial)) {
+				t.Error("input gradient differs")
+			}
+			for k, seg := range segs {
+				if !bitEqual(seg.Layer.A.Grad, gradA[k]) || !bitEqual(seg.Layer.B.Grad, gradB[k]) {
+					t.Errorf("segment %d: adapter gradients differ", k)
+				}
+				if allZero(gradA[k]) || allZero(gradB[k]) {
+					t.Errorf("segment %d: a zero gradient pins nothing", k)
+				}
+			}
+		})
 	}
-	yBatch, cBatch, err := ml.Apply(x, true)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func allZero(t *tensor.Tensor) bool {
+	for _, v := range t.Data() {
+		if v != 0 {
+			return false
+		}
 	}
-	dxBatch, err := ml.Grad(cBatch, dy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitEqual(yBatch, ySerial) {
-		t.Error("single-segment output differs")
-	}
-	if !bitEqual(dxBatch, dxSerial) {
-		t.Error("single-segment input gradient differs")
-	}
-	if !bitEqual(serial.A.Grad, gradA) || !bitEqual(serial.B.Grad, gradB) {
-		t.Error("single-segment adapter gradients differ")
-	}
+	return true
 }
 
 // TestInjectMultiLoRAValidation covers the structural error paths.

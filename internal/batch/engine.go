@@ -4,20 +4,23 @@
 // into one batched kernel invocation over the shared frozen base, with
 // per-row adapter dispatch (adapter.MultiLoRALinear).
 //
-// The engine only decides WHO runs together; the caller's executor
+// The package only decides WHO runs together; the caller's executor
 // decides what running means (the TCP server stacks activations and
-// drives one model pass; tests count items). Dispatch fires when a
-// group reaches the policy's max size, when admitting one more member
-// would blow the byte budget, or when the hold timer expires on a
-// partial group — the batch-size-vs-latency knob the multilora sweep
-// measures. The simulator does not use this engine (goroutine timing
-// would break determinism); it forms batches in virtual time with the
-// same policy and the same metrics publisher.
+// drives one model pass; tests count items). A group dispatches when it
+// reaches the policy's max size, when admitting one more member would
+// blow the byte budget, or when its hold expires while still partial —
+// the batch-size-vs-latency knob the multilora sweep measures. Those
+// decisions are Former's (former.go), which has no clock and starts no
+// goroutine; Engine drives it on the wall clock for the TCP server, and
+// the simulator (internal/splitsim) drives the same Former in virtual
+// time, where goroutine timing would break determinism. Both publish
+// through the same Metrics.
 package batch
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -74,24 +77,23 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// group is one forming batch.
-type group struct {
-	key    Key
-	items  []*Item
-	bytes  int64
+// held is what the engine keeps per forming group: when it opened (for
+// the hold-time metric) and the wall-clock timer bounding its hold.
+type held struct {
 	opened time.Time
 	timer  *time.Timer
-	sealed bool
 }
 
-// Engine forms batches from concurrent Join calls.
+type group = Group[*Item, held]
+
+// Engine forms batches from concurrent Join calls: the Former decides,
+// the engine supplies the wall clock and the dispatch goroutines.
 type Engine struct {
 	cfg Config
 
 	mu     sync.Mutex
-	groups map[Key]*group
+	former *Former[*Item, held]
 	closed bool
-	seq    int64
 }
 
 // New builds an engine. The policy must be enabled and valid.
@@ -106,7 +108,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, errors.New("batch: no executor")
 	}
 	cfg.Policy = cfg.Policy.WithDefaults()
-	return &Engine{cfg: cfg, groups: make(map[Key]*group)}, nil
+	return &Engine{cfg: cfg, former: NewFormer[*Item, held](cfg.Policy.MaxSize)}, nil
 }
 
 // Join adds it to the forming group for key and blocks until the
@@ -126,76 +128,47 @@ func (e *Engine) Join(key Key, it *Item) error {
 		e.mu.Unlock()
 		return ErrClosed
 	}
-	g := e.groups[key]
-	// Byte budget: admitting this member would overflow one grant, so
-	// the current group dispatches early and a fresh one forms.
-	if g != nil && e.cfg.MaxBytes != nil && g.bytes+it.Bytes > e.cfg.MaxBytes() {
-		e.sealLocked(g)
-		go e.dispatch(g)
-		g = nil
+	budget := int64(math.MaxInt64)
+	if e.cfg.MaxBytes != nil {
+		budget = e.cfg.MaxBytes()
 	}
-	if g == nil {
-		g = &group{key: key, opened: time.Now()}
-		e.groups[key] = g
-		hold := e.cfg.Policy.MaxHold
-		gg := g
-		g.timer = time.AfterFunc(hold, func() { e.flushExpired(gg) })
-	}
-	g.items = append(g.items, it)
-	g.bytes += it.Bytes
-	var full *group
-	if len(g.items) >= e.cfg.Policy.MaxSize {
-		e.sealLocked(g)
-		full = g
+	g, opened, sealed := e.former.Add(key, it, it.Bytes, budget)
+	if opened {
+		g.State.opened = time.Now()
+		g.State.timer = time.AfterFunc(e.cfg.Policy.MaxHold, func() { e.flushExpired(g) })
 	}
 	e.mu.Unlock()
 
-	if full != nil {
-		go e.dispatch(full)
+	if sealed != nil {
+		go e.dispatch(sealed)
 	}
 	<-it.done
 	return it.Err
 }
 
-// sealLocked removes g from the forming set so no further member can
-// join it. Caller holds e.mu.
-func (e *Engine) sealLocked(g *group) {
-	if g.sealed {
-		return
-	}
-	g.sealed = true
-	if e.groups[g.key] == g {
-		delete(e.groups, g.key)
-	}
-	if g.timer != nil {
-		g.timer.Stop()
-	}
-}
-
 // flushExpired dispatches g when its hold timer fires before the group
-// filled.
+// sealed any other way.
 func (e *Engine) flushExpired(g *group) {
 	e.mu.Lock()
-	if g.sealed {
-		e.mu.Unlock()
-		return
-	}
-	e.sealLocked(g)
+	expired := e.former.Seal(g)
 	e.mu.Unlock()
-	e.dispatch(g)
+	if expired {
+		e.dispatch(g)
+	}
 }
 
 // dispatch runs one sealed group through the executor and releases its
 // members. Never called with e.mu held.
 func (e *Engine) dispatch(g *group) {
-	hold := time.Since(g.opened)
-	e.cfg.Exec(g.key, g.items)
-	members := make([]MemberRows, len(g.items))
-	for i, it := range g.items {
+	g.State.timer.Stop()
+	hold := time.Since(g.State.opened)
+	e.cfg.Exec(g.Key, g.Members)
+	members := make([]MemberRows, len(g.Members))
+	for i, it := range g.Members {
 		members[i] = MemberRows{Client: it.Client, Rows: int64(it.Rows)}
 	}
 	e.cfg.Metrics.Record(members, hold.Seconds())
-	for _, it := range g.items {
+	for _, it := range g.Members {
 		close(it.done)
 	}
 }
@@ -208,11 +181,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	var pending []*group
-	for _, g := range e.groups {
-		e.sealLocked(g)
-		pending = append(pending, g)
-	}
+	pending := e.former.Drain()
 	e.mu.Unlock()
 	for _, g := range pending {
 		e.dispatch(g)

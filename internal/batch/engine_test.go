@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -119,33 +120,8 @@ func TestKeysDoNotMix(t *testing.T) {
 	}
 }
 
-// TestByteBudgetSplitsGroups: a join that would exceed the byte budget
-// dispatches the forming group early and starts a fresh one.
-func TestByteBudgetSplitsGroups(t *testing.T) {
-	rec := &recorder{}
-	e := newEngine(t, rec, sched.BatchPolicy{MaxSize: 8, MaxHold: 5 * time.Millisecond},
-		func() int64 { return 100 })
-	key := Key{Cut: 1, Seq: 8, Kind: sched.KindBackward}
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); join(t, e, key, "a", 8, 60) }()
-	time.Sleep(2 * time.Millisecond) // a forms first
-	go func() { defer wg.Done(); join(t, e, key, "b", 8, 60) }()
-	wg.Wait()
-
-	batches := rec.snapshot()
-	if len(batches) != 2 {
-		t.Fatalf("batches = %d, want 2 (byte budget split)", len(batches))
-	}
-	for _, b := range batches {
-		if len(b) != 1 {
-			t.Fatalf("split batch has %d members", len(b))
-		}
-	}
-}
-
-// TestJoinAfterCloseFails and pending groups flush on Close.
+// TestCloseFlushesAndRejects: Close executes the groups still forming
+// and later joins fail.
 func TestCloseFlushesAndRejects(t *testing.T) {
 	rec := &recorder{}
 	e, err := New(Config{Policy: sched.BatchPolicy{MaxSize: 8, MaxHold: time.Minute}, Exec: rec.exec})
@@ -159,7 +135,13 @@ func TestCloseFlushesAndRejects(t *testing.T) {
 		e.Join(key, it)
 		done <- it
 	}()
-	time.Sleep(2 * time.Millisecond)
+	// Wait for the event itself — the joiner's group is forming — not
+	// for a sleep that usually outlasts it.
+	for forming := 0; forming == 0; runtime.Gosched() {
+		e.mu.Lock()
+		forming = len(e.former.open)
+		e.mu.Unlock()
+	}
 	e.Close()
 	it := <-done
 	if it.Result != "pending" {

@@ -1,13 +1,13 @@
-// Batch-aware grants: a batch former (internal/batch for the TCP
-// server, splitsim's virtual-time batcher for the simulator) coalesces
-// several clients' compatible forward/backward requests and submits
-// them as ONE aggregate scheduling request, so the whole batch is
-// granted — and its kernel launched — atomically. The scheduler stays
-// the single source of per-tenant accounting truth: every member is
-// billed its own byte share and grant wait through the ledger, and the
-// unlabeled wait histogram sees one observation per member so the
-// labeled families still sum back to the aggregate (the conservation
-// contract from docs/OBSERVABILITY.md).
+// Batch-aware grants: a batch former (batch.Former, driven by
+// batch.Engine for the TCP server and by splitsim's batcher in virtual
+// time) coalesces several clients' compatible forward/backward requests
+// and submits them as ONE aggregate scheduling request, so the whole
+// batch is granted — and its kernel launched — atomically. SubmitBatch
+// only validates the member list: queueing, granting and billing are
+// the scheduler's one path (scheduler.go), where every request carries
+// members and a plain Submit is the one-member case, so every member is
+// billed its own byte share and grant wait and the labeled families
+// still sum back to the aggregate (docs/OBSERVABILITY.md).
 package sched
 
 import (
@@ -67,11 +67,11 @@ type BatchMember struct {
 // when the whole batch is scheduled. Each member is billed its own
 // Bytes and its own grant wait in the ledger, and each member counts
 // as one observation in the unlabeled wait histogram, so per-client
-// series still sum to the aggregate. Members must not hold transient
-// allocations or queued requests of their own ("persist:"-prefixed
-// reservations are separate identities and fine). Admission control
-// treats the batch as one submission; a shed is billed to every
-// member.
+// series still sum to the aggregate. Until Complete(batchID), members
+// may not hold or queue a request of their own nor ride another batch
+// ("persist:"-prefixed reservations are separate identities and fine).
+// Admission control treats the batch as one submission; a shed is
+// billed to every member.
 func (s *Scheduler) SubmitBatch(batchID string, kind RequestKind, members []BatchMember, grant func()) error {
 	if len(members) == 0 {
 		return fmt.Errorf("sched: batch %q has no members", batchID)
@@ -85,79 +85,9 @@ func (s *Scheduler) SubmitBatch(batchID string, kind RequestKind, members []Batc
 		seen[m.ClientID] = struct{}{}
 		total += m.Bytes
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.rejectedInc()
-		return ErrClosed
-	}
-	if total > s.total-s.reserved {
-		s.mu.Unlock()
-		s.rejectedInc()
-		return fmt.Errorf("%w: batch needs %d, schedulable %d (total %d, %d reserved) (batch %q, %d members)",
-			ErrNeverFits, total, s.total-s.reserved, s.total, s.reserved, batchID, len(members))
-	}
-	if err := s.outstandingLocked(batchID); err != nil {
-		s.mu.Unlock()
-		s.rejectedInc()
-		return err
-	}
-	for _, m := range members {
-		if err := s.outstandingLocked(m.ClientID); err != nil {
-			s.mu.Unlock()
-			s.rejectedInc()
-			return fmt.Errorf("batch %q member: %w", batchID, err)
-		}
-	}
-	if s.adm != nil {
-		now, _ := s.clockNow()
-		s.adm.evaluate(now, s.headAgeLocked(now))
-		if err := s.adm.admit(batchID); err != nil {
-			for _, m := range members {
-				s.ledger.Shed(m.ClientID)
-			}
-			s.mu.Unlock()
-			s.rejectedInc()
-			return err
-		}
-	}
 	req := &request{clientID: batchID, kind: kind, bytes: total, grant: grant, members: members}
-	if now, ok := s.clockNow(); ok {
-		req.at = now
+	if _, member := seen[batchID]; !member {
+		req.alias = []string{batchID}
 	}
-	if s.m != nil {
-		s.m.submitted.Inc()
-	}
-	s.waiting = append(s.waiting, req)
-	s.stats.Submitted++
-	if len(s.waiting) > s.stats.MaxQueueDepth {
-		s.stats.MaxQueueDepth = len(s.waiting)
-	}
-	s.observeQueueDepth()
-	grants := s.schedule()
-	s.mu.Unlock()
-	for _, g := range grants {
-		g()
-	}
-	return nil
-}
-
-// outstandingLocked reports ErrOutstanding when id holds an allocation,
-// is queued on its own, or is a member of a queued batch. Caller holds
-// s.mu.
-func (s *Scheduler) outstandingLocked(id string) error {
-	if _, ok := s.alloc[id]; ok {
-		return fmt.Errorf("%w: %q holds an allocation", ErrOutstanding, id)
-	}
-	for _, r := range s.waiting {
-		if r.clientID == id {
-			return fmt.Errorf("%w: %q is queued", ErrOutstanding, id)
-		}
-		for _, m := range r.members {
-			if m.ClientID == id {
-				return fmt.Errorf("%w: %q is queued in batch %q", ErrOutstanding, id, r.clientID)
-			}
-		}
-	}
-	return nil
+	return s.submit(req)
 }

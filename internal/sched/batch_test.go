@@ -1,8 +1,13 @@
 package sched
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -125,6 +130,160 @@ func TestSubmitBatchRejections(t *testing.T) {
 	err = s.SubmitBatch("b5", KindForward, []BatchMember{{"x", 5}}, c.grant("b5"))
 	if !errors.Is(err, ErrOutstanding) {
 		t.Errorf("member queued in another batch: err = %v, want ErrOutstanding", err)
+	}
+
+	// The rule holds across both entry points and for the whole life of
+	// the batch: x may not submit on its own, nor ride a second batch,
+	// while b4 is queued, nor after b4 is granted, until Complete(b4).
+	outstanding := func(when string) {
+		t.Helper()
+		if err := s.Submit("x", KindForward, 5, c.grant("x")); !errors.Is(err, ErrOutstanding) {
+			t.Errorf("Submit(x) while b4 is %s: err = %v, want ErrOutstanding", when, err)
+		}
+		err := s.SubmitBatch("b6", KindForward, []BatchMember{{"y", 5}, {"x", 5}}, c.grant("b6"))
+		if !errors.Is(err, ErrOutstanding) {
+			t.Errorf("SubmitBatch(b6,{y,x}) while b4 is %s: err = %v, want ErrOutstanding", when, err)
+		}
+		if err := s.SubmitBatch("b4", KindForward, []BatchMember{{"z", 5}}, c.grant("b4")); !errors.Is(err, ErrOutstanding) {
+			t.Errorf("second batch named b4 while b4 is %s: err = %v, want ErrOutstanding", when, err)
+		}
+	}
+	outstanding("queued")
+	s.Complete("hog")
+	if s.Allocated("b4") != 20 {
+		t.Fatalf("b4 not granted after hog completed (allocated %d)", s.Allocated("b4"))
+	}
+	outstanding("granted")
+	// A member's ID names no allocation of its own: completing it must
+	// not release the batch it rides.
+	if got := s.Complete("x"); got != 0 || s.Allocated("b4") != 20 {
+		t.Errorf("Complete(x) reclaimed %d and left b4 with %d, want 0 and 20", got, s.Allocated("b4"))
+	}
+	s.Complete("b4")
+	mustSubmit(t, s, "x", KindForward, 5, c.grant("x"))
+	s.Complete("x")
+	if err := s.SubmitBatch("b6", KindForward, []BatchMember{{"y", 5}, {"x", 5}}, c.grant("b6")); err != nil {
+		t.Errorf("x rejected after its batch and its own request completed: %v", err)
+	}
+}
+
+// TestPlainCycleAllocs pins the heap cost of the uncontended serial
+// Submit→grant→Complete cycle — the request and the grant list — so
+// carrying a member share on every request stays free. sim_fleet runs
+// hundreds of thousands of these per window.
+func TestPlainCycleAllocs(t *testing.T) {
+	s := New(100, PolicyFCFSBackfill)
+	if err := s.Reserve("persist:a", 10); err != nil {
+		t.Fatal(err)
+	}
+	grant := func() {}
+	got := testing.AllocsPerRun(1000, func() {
+		if err := s.Submit("a", KindForward, 40, grant); err != nil {
+			t.Fatal(err)
+		}
+		s.Complete("a")
+	})
+	if got > 2 {
+		t.Errorf("plain Submit→Complete cycle allocates %v objects, want at most 2", got)
+	}
+}
+
+// TestSerialRequestIsBatchOfOne drives one seeded random interleaving of
+// submits, completes, oversized and duplicate requests twice — once
+// through Submit(id, …), once through SubmitBatch(id, {id}) — under
+// every policy with and without admission control, and requires the two
+// runs to be indistinguishable: verdicts, grant order, Stats, ledger
+// rows and every menos_sched_* sample.
+func TestSerialRequestIsBatchOfOne(t *testing.T) {
+	type outcome struct {
+		verdicts []string
+		grants   []string
+		stats    Stats
+		ledger   []obs.ClientUsage
+		metrics  string
+	}
+	run := func(seed int64, policy Policy, slo SLO, batched bool) outcome {
+		reg := obs.NewRegistry()
+		clk := &fakeClock{}
+		s := New(100, policy)
+		s.Instrument(reg, clk)
+		if err := s.EnableAdmission(slo, clk); err != nil {
+			t.Fatal(err)
+		}
+		led := obs.NewLedger(obs.LedgerConfig{Clock: clk})
+		led.Instrument(reg)
+		s.SetLedger(led)
+		if err := s.Reserve("persist:c0", 10); err != nil {
+			t.Fatal(err)
+		}
+
+		var out outcome
+		var c collector
+		rng := rand.New(rand.NewSource(seed))
+		for op := 0; op < 400; op++ {
+			clk.now += time.Duration(rng.Intn(300)) * time.Millisecond
+			id := fmt.Sprintf("c%d", rng.Intn(12))
+			if rng.Intn(3) == 0 {
+				out.verdicts = append(out.verdicts, fmt.Sprintf("complete %s: %d", id, s.Complete(id)))
+				continue
+			}
+			kind := KindForward
+			if rng.Intn(2) == 0 {
+				kind = KindBackward
+			}
+			bytes := int64(rng.Intn(95)) + 1 // above 90 never fits beside the reservation
+			var err error
+			if batched {
+				err = s.SubmitBatch(id, kind, []BatchMember{{id, bytes}}, c.grant(id))
+			} else {
+				err = s.Submit(id, kind, bytes, c.grant(id))
+			}
+			out.verdicts = append(out.verdicts, fmt.Sprintf("submit %s %v %d: %v", id, kind, bytes, err))
+		}
+		out.grants = c.got()
+		out.stats = s.Stats()
+		out.stats.DecisionTime = 0 // wall time
+		out.ledger = led.Snapshot()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(line, "menos_sched_") {
+				out.metrics += line + "\n"
+			}
+		}
+		return out
+	}
+
+	slos := map[string]SLO{
+		"open":      {},
+		"admission": {TargetP99: 2 * time.Second, Window: 10 * time.Second, Dwell: time.Second, RetryAfter: time.Second, MinSamples: 4},
+	}
+	for name, slo := range slos {
+		for _, policy := range []Policy{PolicyFCFSBackfill, PolicyFCFS, PolicySmallestFirst} {
+			for seed := int64(1); seed <= 8; seed++ {
+				plain, batched := run(seed, policy, slo, false), run(seed, policy, slo, true)
+				if plain.stats.Granted == 0 || plain.stats.Completed == 0 {
+					t.Fatalf("%s/%v/seed %d: degenerate interleaving %+v", name, policy, seed, plain.stats)
+				}
+				for _, f := range []struct {
+					what           string
+					plain, batched any
+				}{
+					{"verdicts", plain.verdicts, batched.verdicts},
+					{"grant order", plain.grants, batched.grants},
+					{"Stats", plain.stats, batched.stats},
+					{"ledger rows", plain.ledger, batched.ledger},
+					{"menos_sched_* samples", plain.metrics, batched.metrics},
+				} {
+					if !reflect.DeepEqual(f.plain, f.batched) {
+						t.Errorf("%s/%v/seed %d: %s diverge\nSubmit:      %v\nSubmitBatch: %v",
+							name, policy, seed, f.what, f.plain, f.batched)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -78,16 +78,34 @@ func (p Policy) String() string {
 	}
 }
 
-// request is a queued scheduling request. A batch request (SubmitBatch)
-// carries the member shares that sum to bytes; clientID is then the
-// batch ID and each member is billed individually at grant time.
+// request is a scheduling request. It carries the member shares that
+// sum to bytes and are billed individually at grant time: SubmitBatch's
+// members under the batch ID, or — a serial request is a batch of one —
+// the submitting client's own share under its own ID.
 type request struct {
 	clientID string
 	kind     RequestKind
 	bytes    int64
 	grant    func()
 	at       time.Duration // submit time on the telemetry clock
-	members  []BatchMember // nil for plain Submit requests
+	members  []BatchMember
+	// alias holds the request's own ID when no member carries it (a
+	// batch ID): with the members' IDs, every identity the request
+	// occupies under the one-outstanding rule, once each.
+	alias    []string
+	granted  bool // bytes are allocated (grantAt or Reserve)
+	reserved bool // a Reserve holding: counts against Schedulable
+	// self backs members for a one-member request, so the plain
+	// Submit→grant→Complete cycle costs no allocation beyond the request.
+	self [1]BatchMember
+}
+
+// newRequest builds the one-member request of Submit and Reserve.
+func newRequest(clientID string, kind RequestKind, bytes int64, grant func()) *request {
+	r := &request{clientID: clientID, kind: kind, bytes: bytes, grant: grant}
+	r.self[0] = BatchMember{ClientID: clientID, Bytes: bytes}
+	r.members = r.self[:]
+	return r
 }
 
 // schedMetrics holds the scheduler's resolved telemetry handles. All
@@ -125,10 +143,13 @@ type Scheduler struct {
 	policy  Policy
 	avail   int64
 	total   int64
-	alloc   map[string]int64
 	waiting []*request
-	closed  bool
-	stats   Stats
+	// held maps every identity with something outstanding — a request's
+	// own ID and each member's — to that request, from Submit, SubmitBatch
+	// or Reserve until Complete: the one-outstanding rule for all three.
+	held   map[string]*request
+	closed bool
+	stats  Stats
 
 	m *schedMetrics
 	// holSince marks when the queue head last became blocked (the
@@ -145,13 +166,7 @@ type Scheduler struct {
 	resident map[string]struct{}
 	// reserved sums the bytes held by Reserve (long-lived holdings):
 	// the floor below total that queued requests can never use.
-	reserved    int64
-	reservedIDs map[string]struct{}
-
-	// batchMembers remembers the member shares of live batch
-	// allocations so Complete(batchID) can release each member's bytes
-	// in the ledger.
-	batchMembers map[string][]BatchMember
+	reserved int64
 
 	// ledger, when non-nil, receives per-tenant accounting events:
 	// grants and reservations as byte holdings (persistent vs transient
@@ -164,13 +179,11 @@ type Scheduler struct {
 // memory.
 func New(totalMem int64, policy Policy) *Scheduler {
 	return &Scheduler{
-		policy:       policy,
-		avail:        totalMem,
-		total:        totalMem,
-		alloc:        make(map[string]int64),
-		resident:     make(map[string]struct{}),
-		reservedIDs:  make(map[string]struct{}),
-		batchMembers: make(map[string][]BatchMember),
+		policy:   policy,
+		avail:    totalMem,
+		total:    totalMem,
+		held:     make(map[string]*request),
+		resident: make(map[string]struct{}),
 	}
 }
 
@@ -285,12 +298,35 @@ func (s *Scheduler) headAgeLocked(now time.Duration) time.Duration {
 // Submit registers a request for bytes of GPU memory on behalf of
 // clientID; grant is invoked (possibly synchronously, under no lock)
 // when the request is scheduled. A client may have at most one
-// outstanding request or live allocation.
+// outstanding request or live allocation, its own or as a member of a
+// batch.
 func (s *Scheduler) Submit(clientID string, kind RequestKind, bytes int64, grant func()) error {
+	return s.submit(newRequest(clientID, kind, bytes, grant))
+}
+
+// submit is the one submission path behind Submit and SubmitBatch:
+// admit req to the queue and run a scheduling cycle.
+func (s *Scheduler) submit(req *request) error {
 	s.mu.Lock()
-	if s.closed {
+	if err := s.enqueueLocked(req); err != nil {
 		s.mu.Unlock()
 		s.rejectedInc()
+		return err
+	}
+	grants := s.schedule()
+	s.mu.Unlock()
+	for _, g := range grants {
+		g()
+	}
+	return nil
+}
+
+// enqueueLocked appends req to the wait queue unless the scheduler is
+// closed, req can never fit, one of its identities already has a
+// request or allocation outstanding, or admission control sheds it.
+// Caller holds s.mu.
+func (s *Scheduler) enqueueLocked(req *request) error {
+	if s.closed {
 		return ErrClosed
 	}
 	// Fail fast on requests that could never be granted: larger than
@@ -298,51 +334,72 @@ func (s *Scheduler) Submit(clientID string, kind RequestKind, bytes int64, grant
 	// holdings (persistent client state, KV caches) leave schedulable.
 	// Without this check such a request would sit at the queue head
 	// forever, head-of-line-blocking every client behind it.
-	if bytes > s.total-s.reserved {
-		s.mu.Unlock()
-		s.rejectedInc()
-		return fmt.Errorf("%w: need %d, schedulable %d (total %d, %d reserved) (client %q)",
-			ErrNeverFits, bytes, s.total-s.reserved, s.total, s.reserved, clientID)
+	if req.bytes > s.total-s.reserved {
+		return fmt.Errorf("%w: need %d, schedulable %d (total %d, %d reserved) (request %q, %d members)",
+			ErrNeverFits, req.bytes, s.total-s.reserved, s.total, s.reserved, req.clientID, len(req.members))
 	}
-	if _, ok := s.alloc[clientID]; ok {
-		s.mu.Unlock()
-		s.rejectedInc()
-		return fmt.Errorf("%w: %q holds an allocation", ErrOutstanding, clientID)
+	for _, m := range req.members {
+		if err := s.outstandingLocked(m.ClientID); err != nil {
+			return err
+		}
 	}
-	for _, r := range s.waiting {
-		if r.clientID == clientID {
-			s.mu.Unlock()
-			s.rejectedInc()
-			return fmt.Errorf("%w: %q is queued", ErrOutstanding, clientID)
+	for _, id := range req.alias {
+		if err := s.outstandingLocked(id); err != nil {
+			return err
 		}
 	}
 	if s.adm != nil {
 		now, _ := s.clockNow()
 		s.adm.evaluate(now, s.headAgeLocked(now))
-		if err := s.adm.admit(clientID); err != nil {
-			s.ledger.Shed(clientID)
-			s.mu.Unlock()
-			s.rejectedInc()
+		if err := s.adm.admit(req.clientID); err != nil {
+			for _, m := range req.members {
+				s.ledger.Shed(m.ClientID)
+			}
 			return err
 		}
 	}
-	req := &request{clientID: clientID, kind: kind, bytes: bytes, grant: grant}
 	if now, ok := s.clockNow(); ok {
 		req.at = now
 	}
 	if s.m != nil {
 		s.m.submitted.Inc()
 	}
+	s.holdLocked(req)
 	s.waiting = append(s.waiting, req)
 	s.stats.Submitted++
 	if len(s.waiting) > s.stats.MaxQueueDepth {
 		s.stats.MaxQueueDepth = len(s.waiting)
 	}
 	s.observeQueueDepth()
-	grants := s.schedule()
-	s.mu.Unlock()
-	for _, g := range grants {
-		g()
+	return nil
+}
+
+// outstandingLocked reports ErrOutstanding when id holds an allocation
+// or reservation, is queued, or rides a queued or granted batch. Caller
+// holds s.mu.
+func (s *Scheduler) outstandingLocked(id string) error {
+	if r := s.held[id]; r != nil {
+		return fmt.Errorf("%w: %q (request %q, granted: %v)", ErrOutstanding, id, r.clientID, r.granted)
+	}
+	return nil
+}
+
+// holdLocked registers r under each of its identities. Caller holds
+// s.mu and has checked outstandingLocked for each.
+func (s *Scheduler) holdLocked(r *request) {
+	for _, m := range r.members {
+		s.held[m.ClientID] = r
+	}
+	for _, id := range r.alias {
+		s.held[id] = r
+	}
+}
+
+// allocLocked returns the granted request or reservation that id names
+// (not one it merely rides as a member), or nil. Caller holds s.mu.
+func (s *Scheduler) allocLocked(id string) *request {
+	if r := s.held[id]; r != nil && r.granted && r.clientID == id {
+		return r
 	}
 	return nil
 }
@@ -352,25 +409,23 @@ func (s *Scheduler) Submit(clientID string, kind RequestKind, bytes int64, grant
 // byte count (0 if the client held nothing).
 func (s *Scheduler) Complete(clientID string) int64 {
 	s.mu.Lock()
-	reclaimed := s.alloc[clientID]
-	if reclaimed > 0 {
+	var reclaimed int64
+	if r := s.allocLocked(clientID); r != nil {
+		reclaimed = r.bytes
 		s.avail += reclaimed
-		delete(s.alloc, clientID)
-		if _, ok := s.reservedIDs[clientID]; ok {
+		if r.reserved {
 			s.reserved -= reclaimed
-			delete(s.reservedIDs, clientID)
 		}
 		s.stats.Completed++
 		if s.m != nil {
 			s.m.completed.Inc()
 		}
-		if members, ok := s.batchMembers[clientID]; ok {
-			for _, m := range members {
-				s.ledger.Release(m.ClientID, m.Bytes)
-			}
-			delete(s.batchMembers, clientID)
-		} else {
-			s.ledger.Release(clientID, reclaimed)
+		for _, m := range r.members {
+			delete(s.held, m.ClientID)
+			s.ledger.Release(m.ClientID, m.Bytes)
+		}
+		for _, id := range r.alias {
+			delete(s.held, id)
 		}
 	}
 	grants := s.schedule()
@@ -423,7 +478,7 @@ func (s *Scheduler) schedule() []func() {
 		// jump the head (admission.go).
 		for i := 1; i < len(s.waiting); {
 			if r := s.waiting[i]; r.bytes <= s.avail {
-				if s.adm != nil && !s.adm.backfillAllowed(r, s.isResident(r.clientID)) {
+				if s.adm != nil && !s.adm.backfillAllowed(r, s.isResident(r)) {
 					i++
 					continue
 				}
@@ -441,11 +496,15 @@ func (s *Scheduler) schedule() []func() {
 	return grants
 }
 
-// isResident reports whether clientID has ever been granted memory.
-// Caller holds s.mu.
-func (s *Scheduler) isResident(clientID string) bool {
-	_, ok := s.resident[clientID]
-	return ok
+// isResident reports whether every member of r has been granted memory
+// before. Caller holds s.mu.
+func (s *Scheduler) isResident(r *request) bool {
+	for _, m := range r.members {
+		if _, ok := s.resident[m.ClientID]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // observeHeadOfLine tracks contiguous intervals during which the queue
@@ -492,23 +551,16 @@ func (s *Scheduler) grantAt(i int, backfilled bool) func() {
 	r := s.waiting[i]
 	s.waiting = append(s.waiting[:i], s.waiting[i+1:]...)
 	s.avail -= r.bytes
-	s.alloc[r.clientID] = r.bytes
+	r.granted = true
 	s.stats.Granted++
 	if backfilled {
 		s.stats.Backfilled++
 	}
-	s.resident[r.clientID] = struct{}{}
-	if len(r.members) == 0 {
-		s.ledger.Acquire(r.clientID, r.bytes)
-	} else {
-		// Batch grant: each member is billed its own byte share, and
-		// the member list is kept so Complete(batchID) can release the
-		// same shares.
-		for _, m := range r.members {
-			s.resident[m.ClientID] = struct{}{}
-			s.ledger.Acquire(m.ClientID, m.Bytes)
-		}
-		s.batchMembers[r.clientID] = r.members
+	// Each member is billed its own byte share; Complete releases the
+	// same shares.
+	for _, m := range r.members {
+		s.resident[m.ClientID] = struct{}{}
+		s.ledger.Acquire(m.ClientID, m.Bytes)
 	}
 	if now, ok := s.clockNow(); ok {
 		wait := now - r.at
@@ -517,10 +569,10 @@ func (s *Scheduler) grantAt(i int, backfilled bool) func() {
 			if backfilled {
 				s.m.backfilled.Inc()
 			}
-			// One wait observation per member (a plain request counts
-			// as one member), so the unlabeled histogram matches the
-			// per-member observations the ledger records below.
-			for range max(len(r.members), 1) {
+			// One wait observation per member, so the unlabeled
+			// histogram matches the per-member observations the ledger
+			// records below.
+			for range r.members {
 				s.m.wait.Observe(wait.Seconds())
 			}
 			s.observeQueueDepth()
@@ -531,12 +583,8 @@ func (s *Scheduler) grantAt(i int, backfilled bool) func() {
 		// The ledger's labeled wait family shares the unlabeled
 		// histogram's name and sees the exact same value, so the
 		// per-client series sum back to the aggregate.
-		if len(r.members) == 0 {
-			s.ledger.AddGrantWait(r.clientID, wait.Seconds())
-		} else {
-			for _, m := range r.members {
-				s.ledger.AddGrantWait(m.ClientID, wait.Seconds())
-			}
+		for _, m := range r.members {
+			s.ledger.AddGrantWait(m.ClientID, wait.Seconds())
 		}
 	}
 	return r.grant
@@ -553,18 +601,19 @@ func (s *Scheduler) Reserve(id string, bytes int64) error {
 		s.rejectedInc()
 		return ErrClosed
 	}
-	if _, ok := s.alloc[id]; ok {
+	if err := s.outstandingLocked(id); err != nil {
 		s.rejectedInc()
-		return fmt.Errorf("%w: %q holds an allocation", ErrOutstanding, id)
+		return err
 	}
 	if bytes > s.avail {
 		s.rejectedInc()
 		return fmt.Errorf("%w: reserve %d, available %d", ErrNeverFits, bytes, s.avail)
 	}
 	s.avail -= bytes
-	s.alloc[id] = bytes
+	r := newRequest(id, 0, bytes, nil)
+	r.granted, r.reserved = true, true
+	s.holdLocked(r)
 	s.reserved += bytes
-	s.reservedIDs[id] = struct{}{}
 	s.resident[id] = struct{}{}
 	s.ledger.Acquire(id, bytes)
 	return nil
@@ -632,7 +681,10 @@ func (s *Scheduler) QueueDepth() int {
 func (s *Scheduler) Allocated(clientID string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.alloc[clientID]
+	if r := s.allocLocked(clientID); r != nil {
+		return r.bytes
+	}
+	return 0
 }
 
 // Stats returns a snapshot of scheduler statistics.

@@ -10,7 +10,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -18,7 +17,6 @@ import (
 	"menos/internal/adapter"
 	"menos/internal/batch"
 	"menos/internal/model"
-	"menos/internal/obs"
 	"menos/internal/sched"
 	"menos/internal/tensor"
 )
@@ -60,35 +58,14 @@ func (s *Server) execBatch(key batch.Key, items []*batch.Item) {
 			it.Err = err
 		}
 	}
-	members := make([]sched.BatchMember, len(items))
 	works := make([]*phaseWork, len(items))
 	for i, it := range items {
-		members[i] = sched.BatchMember{ClientID: it.Client, Bytes: it.Bytes}
 		works[i] = it.Payload.(*phaseWork)
 	}
-	waitSpans := make([]*obs.SpanHandle, len(items))
-	for i, w := range works {
-		waitSpans[i] = s.cfg.Tracer.BeginT(w.sess.id, "wait:"+key.Kind.String(), "sched", w.traceID)
-	}
 	batchID := fmt.Sprintf("batch-%d", s.batchSeq.Add(1))
-	granted := make(chan struct{}, 1)
-	start := time.Now()
-	if err := s.scheduler.SubmitBatch(batchID, key.Kind, members, func() { granted <- struct{}{} }); err != nil {
-		if errors.Is(err, sched.ErrNeverFits) {
-			s.cfg.Flight.TriggerAsync(obs.FlightReasonOOM)
-		}
-		for _, sp := range waitSpans {
-			sp.End()
-		}
+	if err := s.acquire(key.Kind, batchID, works...); err != nil {
 		fail(err)
 		return
-	}
-	<-granted
-	wait := time.Since(start)
-	for i, w := range works {
-		waitSpans[i].End()
-		w.wait = wait
-		s.m.schedWait.ObserveExemplar(wait.Seconds(), w.traceID)
 	}
 	defer s.scheduler.Complete(batchID)
 

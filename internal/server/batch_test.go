@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"menos/internal/obs"
 	"menos/internal/sched"
 	"menos/internal/share"
+	"menos/internal/split"
 	"menos/internal/tensor"
 )
 
@@ -242,6 +244,118 @@ func TestBatchedServerBaseIntegrity(t *testing.T) {
 	if err := store.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rawSession handshakes as a well-formed client and hands back the
+// connection for hand-written frames.
+func rawSession(t *testing.T, addr, id string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if _, err := client.New(conn, clientCfg(id)); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// wantShapeError reads the reply to a malformed request: a fatal
+// ErrorMsg naming the offending tensor, then the end of the session.
+func wantShapeError(t *testing.T, conn net.Conn, what string) {
+	t.Helper()
+	msg, err := split.ReadMessage(conn)
+	if err != nil {
+		t.Fatalf("reading the rejection: %v", err)
+	}
+	em, ok := msg.(*split.ErrorMsg)
+	if !ok || em.Retryable || !strings.Contains(em.Reason, what+" have shape") {
+		t.Fatalf("reply to malformed %s = %#v, want a fatal ErrorMsg about their shape", what, msg)
+	}
+	if _, err := split.ReadMessage(conn); err == nil {
+		t.Error("offender's session stayed open after a fatal error")
+	}
+}
+
+// TestMalformedMemberFailsAlone: a tenant whose tensor does not match
+// its header is rejected in the request envelope, before it can join a
+// batch — so a co-batched tenant's step, and its following steps, run
+// on with losses bit-identical to an unbatched control. (Before the
+// envelope check, the wrong-width member failed tensor.StackRows for the
+// whole group and the server ended both sessions.) The serial executor
+// rejects the same frames with the same message.
+func TestMalformedMemberFailsAlone(t *testing.T) {
+	const steps = 3
+	dim := testModelCfg().Dim
+	good := clientCfg("good")
+	ids, targets := batchFor(good, 7)
+	run := func(c *client.Client) []float64 {
+		t.Helper()
+		var losses []float64
+		for i := 0; i < steps; i++ {
+			res, err := c.Step(ids, targets)
+			if err != nil {
+				t.Fatalf("well-behaved client, step %d: %v", i, err)
+			}
+			losses = append(losses, res.Loss)
+		}
+		return losses
+	}
+
+	_, serialAddr := newTestServer(t, true)
+	c, err := client.Dial(serialAddr, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	control := run(c)
+	_ = c.Close()
+
+	// The offender's frame goes out first and the well-behaved step
+	// follows at once, well inside the 200ms hold window: without the
+	// envelope check the two form one group of MaxSize 2.
+	addr := newBatchedServer(t, 2, nil)
+	c, err = client.Dial(addr, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bad := rawSession(t, addr, "bad")
+	wide := &split.ForwardReq{Iter: 0, Batch: good.Batch, Seq: good.Seq, Activations: tensor.New(good.Batch*good.Seq, dim+1)}
+	if err := split.WriteMessage(bad, wide); err != nil {
+		t.Fatal(err)
+	}
+	batched := run(c)
+	wantShapeError(t, bad, "activations")
+	for i := range control {
+		if batched[i] != control[i] {
+			t.Errorf("step %d: loss %v beside a malformed tenant, %v alone", i, batched[i], control[i])
+		}
+	}
+
+	// Serial executor, forward and backward: same verdict, same message
+	// (it used to surface from deep inside the body, "body block 0: …").
+	bad = rawSession(t, serialAddr, "bad-serial-fwd")
+	if err := split.WriteMessage(bad, wide); err != nil {
+		t.Fatal(err)
+	}
+	wantShapeError(t, bad, "activations")
+
+	bad = rawSession(t, serialAddr, "bad-serial-bwd")
+	ok := &split.ForwardReq{Iter: 0, Batch: good.Batch, Seq: good.Seq, Activations: tensor.New(good.Batch*good.Seq, dim)}
+	if err := split.WriteMessage(bad, ok); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := split.ReadMessage(bad); err != nil {
+		t.Fatal(err)
+	} else if _, isResp := msg.(*split.ForwardResp); !isResp {
+		t.Fatalf("well-formed forward answered with %v", msg.MsgType())
+	}
+	short := &split.BackwardReq{Iter: 0, Apply: true, Gradients: tensor.New(good.Batch*good.Seq-1, dim)}
+	if err := split.WriteMessage(bad, short); err != nil {
+		t.Fatal(err)
+	}
+	wantShapeError(t, bad, "gradients")
 }
 
 // TestBatchRequiresOnDemand: the batched executor runs the on-demand

@@ -704,25 +704,53 @@ func (s *Server) teardown(sess *session) {
 	}
 }
 
-// acquire blocks until the scheduler grants bytes to the session.
-// traceID (0 = untraced) stamps the wait span and the grant-wait
-// exemplar, tying a tail-latency observation back to the client
-// iteration that suffered it.
-func (s *Server) acquire(sess *session, kind sched.RequestKind, bytes int64, traceID uint64) (time.Duration, error) {
-	sp := s.cfg.Tracer.BeginT(sess.id, "wait:"+kind.String(), "sched", traceID)
-	start := time.Now()
-	granted := make(chan struct{}, 1) // may fire synchronously inside Submit
-	if err := s.scheduler.Submit(sess.id, kind, bytes, func() { granted <- struct{}{} }); err != nil {
-		if errors.Is(err, sched.ErrNeverFits) {
-			s.cfg.Flight.TriggerAsync(obs.FlightReasonOOM)
-		}
-		return 0, err
+// acquire blocks until the scheduler grants kind's memory to works:
+// one session's own request under its ID (batchID ""), or a formed
+// batch's members as one aggregate request under batchID. Each member
+// gets its own wait span and grant-wait exemplar, stamped with its
+// trace ID (0 = untraced) to tie a tail-latency observation back to the
+// client iteration that suffered it.
+func (s *Server) acquire(kind sched.RequestKind, batchID string, works ...*phaseWork) error {
+	spans := make([]*obs.SpanHandle, len(works))
+	for i, w := range works {
+		spans[i] = s.cfg.Tracer.BeginT(w.sess.id, "wait:"+kind.String(), "sched", w.traceID)
 	}
-	<-granted
-	sp.End()
+	granted := make(chan struct{}, 1) // may fire synchronously inside Submit
+	grant := func() { granted <- struct{}{} }
+	start := time.Now()
+	var err error
+	if batchID == "" {
+		sess := works[0].sess
+		err = s.scheduler.Submit(sess.id, kind, sess.demand(kind), grant)
+	} else {
+		members := make([]sched.BatchMember, len(works))
+		for i, w := range works {
+			members[i] = sched.BatchMember{ClientID: w.sess.id, Bytes: w.sess.demand(kind)}
+		}
+		err = s.scheduler.SubmitBatch(batchID, kind, members, grant)
+	}
+	if err == nil {
+		<-granted
+	} else if errors.Is(err, sched.ErrNeverFits) {
+		s.cfg.Flight.TriggerAsync(obs.FlightReasonOOM)
+	}
 	wait := time.Since(start)
-	s.m.schedWait.ObserveExemplar(wait.Seconds(), traceID)
-	return wait, nil
+	for i, w := range works {
+		spans[i].End()
+		if err == nil {
+			w.wait = wait
+			s.m.schedWait.ObserveExemplar(wait.Seconds(), w.traceID)
+		}
+	}
+	return err
+}
+
+// demand is the profiled scheduler footprint of one phase.
+func (sess *session) demand(kind sched.RequestKind) int64 {
+	if kind == sched.KindBackward {
+		return sess.demands.BackwardBytes
+	}
+	return sess.demands.ForwardBytes
 }
 
 // phaseWork is one forward or backward request on its way through an
@@ -741,21 +769,26 @@ type phaseWork struct {
 	comp time.Duration
 }
 
+// checkShape rejects a decoded request tensor that is not the
+// (batch·seq, model dim) matrix its header promised — in the envelope,
+// because past run it may be stacked with other tenants' rows, where a
+// malformed member would fail the whole batch and end every session.
+func (s *Server) checkShape(what string, t *tensor.Tensor, rows int) error {
+	dim := s.store.Config().Dim
+	if t.Rank() != 2 || t.Dim(0) != rows || t.Dim(1) != dim {
+		return fmt.Errorf("%s have shape %v, want [%d %d] (batch·seq rows, model width)", what, t.Shape(), rows, dim)
+	}
+	return nil
+}
+
 // run executes one phase of w's session: as a member of a batched
 // invocation when the session is batchable, on its own body otherwise.
 // Both executors acquire and release the phase's grant themselves and
 // leave the session's bookkeeping to the envelope.
 func (s *Server) run(kind sched.RequestKind, w *phaseWork) error {
 	if la, ok := s.batchable(w.sess); ok {
-		bytes := w.sess.demands.ForwardBytes
-		if kind == sched.KindBackward {
-			bytes = w.sess.demands.BackwardBytes
-		}
-		it := &batch.Item{Client: w.sess.id, Rows: w.batch * w.seq, Bytes: bytes, Payload: w}
-		if err := s.engine.Join(batchKey(w.sess, la, kind, w.seq), it); err != nil {
-			return err
-		}
-		return it.Err
+		it := &batch.Item{Client: w.sess.id, Rows: w.batch * w.seq, Bytes: w.sess.demand(kind), Payload: w}
+		return s.engine.Join(batchKey(w.sess, la, kind, w.seq), it) // the member's own verdict
 	}
 	if kind == sched.KindBackward {
 		return s.runBackward(w)
@@ -779,6 +812,9 @@ func (s *Server) serveForward(conn net.Conn, sess *session, req *split.ForwardRe
 	if req.Batch <= 0 || req.Seq <= 0 || req.Batch > sess.batch || req.Seq > sess.seq {
 		return fmt.Errorf("geometry (%d,%d) exceeds profiled (%d,%d)",
 			req.Batch, req.Seq, sess.batch, sess.seq)
+	}
+	if err := s.checkShape("activations", x, req.Batch*req.Seq); err != nil {
+		return err
 	}
 	w := &phaseWork{sess: sess, x: x, batch: req.Batch, seq: req.Seq, traceID: req.TraceID}
 	if err := s.run(sched.KindForward, w); err != nil {
@@ -808,8 +844,7 @@ func (s *Server) runForward(w *phaseWork) error {
 		sess.preserved = nil
 		s.scheduler.Complete(sess.id)
 	}
-	wait, err := s.acquire(sess, sched.KindForward, sess.demands.ForwardBytes, w.traceID)
-	if err != nil {
+	if err := s.acquire(sched.KindForward, "", w); err != nil {
 		return err
 	}
 	compSpan := s.cfg.Tracer.BeginT(sess.id, "forward", "compute", w.traceID)
@@ -822,7 +857,7 @@ func (s *Server) runForward(w *phaseWork) error {
 		s.scheduler.Complete(sess.id)
 		return err
 	}
-	w.out, w.wait, w.comp = xs, wait, time.Since(compStart)
+	w.out, w.comp = xs, time.Since(compStart)
 	compSpan.End()
 	if s.cfg.OnDemand {
 		// Release GPU memory before waiting for gradients.
@@ -850,6 +885,9 @@ func (s *Server) serveBackward(conn net.Conn, sess *session, req *split.Backward
 	}
 	if req.Iter != sess.cachedIter {
 		return fmt.Errorf("backward for iteration %d, but forward was %d", req.Iter, sess.cachedIter)
+	}
+	if err := s.checkShape("gradients", g, sess.cachedBatch*sess.cachedSeq); err != nil {
+		return err
 	}
 	w := &phaseWork{sess: sess, x: g, batch: sess.cachedBatch, seq: sess.cachedSeq, traceID: req.TraceID}
 	if err := s.run(sched.KindBackward, w); err != nil {
@@ -891,11 +929,10 @@ func (s *Server) runBackward(w *phaseWork) error {
 	var compSpan *obs.SpanHandle
 	compStart := time.Now()
 	if s.cfg.OnDemand {
-		wait, err := s.acquire(sess, sched.KindBackward, sess.demands.BackwardBytes, w.traceID)
+		err := s.acquire(sched.KindBackward, "", w)
 		if err != nil {
 			return err
 		}
-		w.wait = wait
 		compSpan = s.cfg.Tracer.BeginT(sess.id, "backward", "compute", w.traceID)
 		compStart = time.Now()
 		// Re-forward with gradient preparation.

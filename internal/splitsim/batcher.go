@@ -1,7 +1,6 @@
 package splitsim
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -11,12 +10,14 @@ import (
 	"menos/internal/sim"
 )
 
-// simBatcher forms batched kernel invocations in virtual time, the
-// simulation counterpart of internal/batch.Engine (which forms them on
-// the wall clock and therefore cannot run under the deterministic
-// kernel). The policy, the compatibility key, and the published
-// menos_batch_* metrics are shared with the real engine; only the
-// clockwork differs.
+// simBatcher runs batched kernel invocations in virtual time. Who
+// shares a batch and when a group closes is decided by the same
+// batch.Former that drives internal/batch.Engine (one per serverSim,
+// under the same batch.Key and policy, publishing the same menos_batch_*
+// metrics); this file is only the virtual clockwork around it —
+// kernel.After for the hold timer, a leader process per sealed group —
+// because Engine's wall-clock timers and goroutines cannot run under
+// the deterministic kernel.
 //
 // Batched mode also changes the compute model: where the serial
 // simulation time-shares GPU compute freely (each client sleeps its own
@@ -30,26 +31,23 @@ type simBatcher struct {
 	kernel  *sim.Kernel
 	pol     sched.BatchPolicy
 	metrics *batch.Metrics
-	// onShed mirrors the serial path's shed bookkeeping (rejected
-	// counter, ledger retries, flight snapshot) for a whole group.
-	onShed func(members []*simMember)
+	// onShed is the serial path's shed bookkeeping (rejected counter,
+	// ledger retries, flight snapshot), applied to a whole group.
+	onShed func(ids ...string)
 	// onMem samples the transient-memory timeline after grants and
 	// completes, like the serial grant()/release() closures do.
 	onMem func(at time.Duration)
 
-	seq    int
-	groups map[simBatchKey]*simGroup
-	gpus   map[*serverSim]*sim.Resource
+	seq int // batch IDs and shed-retry jitter count across the fleet
 }
 
-// simBatchKey is the compatibility class of a forming group: one
-// server, one phase, one stacked-tensor shape (batch.Key's Sig is
-// irrelevant here — the analytic model has no adapter structure).
-type simBatchKey struct {
-	srv  *serverSim
-	kind sched.RequestKind
-	cut  int
-	seq  int
+// simGroup is what the batcher keeps per group of parked client
+// processes: what its leader needs.
+type simGroup struct {
+	srv    *serverSim
+	id     string
+	jitter int
+	opened time.Duration
 }
 
 // simMember is one client's share of a forming group. The joining
@@ -76,104 +74,62 @@ type simMember struct {
 	stall   time.Duration
 }
 
-// simGroup is one forming batch.
-type simGroup struct {
-	key     simBatchKey
-	id      string
-	jitter  int
-	members []*simMember
-	bytes   int64
-	opened  time.Duration
-	sealed  bool
-}
-
 func newSimBatcher(kernel *sim.Kernel, pol sched.BatchPolicy, metrics *batch.Metrics,
-	onShed func([]*simMember), onMem func(time.Duration)) *simBatcher {
+	onShed func(...string), onMem func(time.Duration)) *simBatcher {
 	return &simBatcher{
 		kernel:  kernel,
 		pol:     pol.WithDefaults(),
 		metrics: metrics,
 		onShed:  onShed,
 		onMem:   onMem,
-		groups:  make(map[simBatchKey]*simGroup),
-		gpus:    make(map[*serverSim]*sim.Resource),
 	}
 }
 
-// gpu returns srv's kernel-invocation slot: one batched invocation
-// owns the device at a time.
-func (b *simBatcher) gpu(srv *serverSim) *sim.Resource {
-	r := b.gpus[srv]
-	if r == nil {
-		r = b.kernel.NewResource(fmt.Sprintf("gpu:%d", srv.id), 1)
-		b.gpus[srv] = r
-	}
-	return r
-}
-
-// run joins m to the forming group for key and parks p until the
+// run joins m to srv's forming group for key and parks p until the
 // group's batch has executed. It returns m.err (nil unless the batch
 // could never be scheduled). On return m's wait/compute/stall fields
 // hold the member's share of the batch for the caller to bill.
-func (b *simBatcher) run(p *sim.Proc, key simBatchKey, m *simMember) error {
+func (b *simBatcher) run(p *sim.Proc, srv *serverSim, key batch.Key, m *simMember) error {
 	m.joined = p.Now()
 	m.sig = b.kernel.NewSignal()
-	g := b.groups[key]
-	// Byte budget: one batch becomes one scheduler grant, so a member
-	// that would push the group past what the scheduler could ever
-	// grant seals the group early and opens a fresh one.
-	if g != nil && g.bytes+m.bytes > key.srv.scheduler.Schedulable() {
-		b.seal(g)
-		g = nil
-	}
-	if g == nil {
+	// One batch becomes one scheduler grant, so the byte budget is what
+	// the scheduler could ever grant.
+	g, opened, sealed := srv.former.Add(key, m, m.bytes, srv.scheduler.Schedulable())
+	if opened {
 		b.seq++
-		g = &simGroup{
-			key:    key,
-			id:     fmt.Sprintf("batch-%d", b.seq),
-			jitter: b.seq % 8,
-			opened: p.Now(),
-		}
-		b.groups[key] = g
-		gg := g
-		// The hold timer runs outside process context; sealing spawns
-		// the leader, which is a process, so the callback never sleeps.
-		b.kernel.After(b.pol.MaxHold, func() { b.seal(gg) })
+		g.State = simGroup{srv: srv, id: fmt.Sprintf("batch-%d", b.seq), jitter: b.seq % 8, opened: p.Now()}
+		// The hold timer runs outside process context; leading a group
+		// is a process, so the callback never sleeps.
+		b.kernel.After(b.pol.MaxHold, func() {
+			if srv.former.Seal(g) {
+				b.spawnLeader(g)
+			}
+		})
 	}
-	g.members = append(g.members, m)
-	g.bytes += m.bytes
-	if len(g.members) >= b.pol.MaxSize {
-		b.seal(g)
+	if sealed != nil {
+		b.spawnLeader(sealed)
 	}
 	for !m.done {
-		m.sig.Wait(p, "batch "+g.id)
+		m.sig.Wait(p, "batch "+g.State.id)
 	}
 	return m.err
 }
 
-// seal closes g to new members and spawns its leader process. Safe to
-// call from member process context and from After callbacks; idempotent
-// so a size-full seal and a later hold-timer expiry cannot double-fire.
-func (b *simBatcher) seal(g *simGroup) {
-	if g.sealed {
-		return
-	}
-	g.sealed = true
-	if b.groups[g.key] == g {
-		delete(b.groups, g.key)
-	}
-	b.kernel.Spawn(g.id, func(p *sim.Proc) { b.lead(p, g) })
+// spawnLeader starts the process that executes sealed group g. Safe
+// from member process context and from After callbacks alike.
+func (b *simBatcher) spawnLeader(g *batch.Group[*simMember, simGroup]) {
+	b.kernel.Spawn(g.State.id, func(p *sim.Proc) { b.lead(p, g) })
 }
 
 // lead drives one sealed group: submit the batched grant, serialize on
 // the device, sleep the batched kernel duration, release, bill each
 // member its row share, and wake everyone.
-func (b *simBatcher) lead(p *sim.Proc, g *simGroup) {
+func (b *simBatcher) lead(p *sim.Proc, group *batch.Group[*simMember, simGroup]) {
+	g, srv := group.State, group.State.srv
 	hold := p.Now() - g.opened
-	srv := g.key.srv
-	members := make([]sched.BatchMember, len(g.members))
+	members := make([]sched.BatchMember, len(group.Members))
 	var maxDur, maxRel, totalDur time.Duration
-	for i, m := range g.members {
+	for i, m := range group.Members {
 		members[i] = sched.BatchMember{ClientID: m.id, Bytes: m.bytes}
 		if m.dur > maxDur {
 			maxDur = m.dur
@@ -184,46 +140,37 @@ func (b *simBatcher) lead(p *sim.Proc, g *simGroup) {
 		totalDur += m.dur
 	}
 
-	// Submit with the serial path's shed semantics: back off for the
-	// controller's hint (jittered deterministically per group) and
-	// resubmit; members stay parked, so their recorded wait spans all
-	// attempts. Errors other than overload can never be granted — fail
-	// the members rather than deadlocking the kernel.
-	granted := false
-	sig := b.kernel.NewSignal()
-	for {
-		err := srv.scheduler.SubmitBatch(g.id, g.key.kind, members, func() {
-			granted = true
-			sig.Fire()
-		})
-		if err == nil {
-			break
+	// Members stay parked through sheds, so their recorded wait spans
+	// all attempts. Errors other than overload can never be granted —
+	// fail the members rather than deadlocking the kernel.
+	onShed := func() {
+		ids := make([]string, len(members))
+		for i, m := range members {
+			ids[i] = m.ClientID
 		}
-		var ov *sched.OverloadError
-		if !errors.As(err, &ov) {
-			for _, m := range g.members {
-				m.err = fmt.Errorf("batch %s: %w", g.id, err)
-				m.done = true
-				m.sig.Fire()
-			}
-			return
-		}
-		b.onShed(g.members)
-		p.Sleep(ov.RetryAfter + ov.RetryAfter*time.Duration(g.jitter)/8)
+		b.onShed(ids...)
 	}
-	for !granted {
-		sig.Wait(p, "batch grant "+g.id)
+	err := awaitGrant(p, "batch grant "+g.id, g.jitter, onShed,
+		func(grant func()) error {
+			return srv.scheduler.SubmitBatch(g.id, group.Key.Kind, members, grant)
+		})
+	if err != nil {
+		for _, m := range group.Members {
+			m.err = fmt.Errorf("batch %s: %w", g.id, err)
+			m.done = true
+			m.sig.Fire()
+		}
+		return
 	}
 	grantAt := p.Now()
 	b.onMem(grantAt)
 
 	// One batched kernel invocation owns the device; the grant is held
 	// across the sleep exactly like a serial client's.
-	dev := b.gpu(srv)
-	dev.Acquire(p)
-	busy := costmodel.BatchedTime(maxDur, len(g.members))
+	srv.gpu.Acquire(p)
+	busy := costmodel.BatchedTime(maxDur, len(group.Members))
 	p.Sleep(busy)
-	dev.Release()
+	srv.gpu.Release()
 	srv.scheduler.Complete(g.id)
 	b.onMem(p.Now())
 	// One release/re-collection cycle per batch — the batched path's
@@ -239,13 +186,13 @@ func (b *simBatcher) lead(p *sim.Proc, g *simGroup) {
 	// remainders go to the last member, keeping Σ shares exact.
 	total := doneAt - grantAt
 	var billed time.Duration
-	rows := make([]batch.MemberRows, len(g.members))
-	for i, m := range g.members {
+	rows := make([]batch.MemberRows, len(group.Members))
+	for i, m := range group.Members {
 		share := total
 		if totalDur > 0 {
 			share = time.Duration(float64(total) * (float64(m.dur) / float64(totalDur)))
 		}
-		if i == len(g.members)-1 {
+		if i == len(group.Members)-1 {
 			share = total - billed
 		}
 		billed += share
@@ -255,7 +202,7 @@ func (b *simBatcher) lead(p *sim.Proc, g *simGroup) {
 		rows[i] = batch.MemberRows{Client: m.id, Rows: m.rows}
 	}
 	b.metrics.Record(rows, hold.Seconds())
-	for _, m := range g.members {
+	for _, m := range group.Members {
 		m.done = true
 		m.sig.Fire()
 	}

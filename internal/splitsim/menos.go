@@ -68,6 +68,11 @@ type serverSim struct {
 	id        int
 	devices   *gpu.DeviceSet
 	scheduler *sched.Scheduler
+	// Batched serving only: former forms this server's batches, and gpu
+	// is its kernel-invocation slot — one batched invocation owns the
+	// device at a time.
+	former *batch.Former[*simMember, simGroup]
+	gpu    *sim.Resource
 	// maxDemand is the largest transient peak among clients ever
 	// admitted here; arrivals that would squeeze Schedulable below it
 	// are refused (they would deadlock a resident client).
@@ -127,6 +132,10 @@ func runMenos(cfg Config) (*Result, error) {
 		srv.scheduler = sched.New(devices.Available(), cfg.SchedPol)
 		srv.scheduler.Instrument(cfg.Metrics, obs.ClockFunc(kernel.Now))
 		srv.scheduler.SetLedger(ledger)
+		if cfg.Batch != nil && cfg.Batch.Enabled() {
+			srv.former = batch.NewFormer[*simMember, simGroup](cfg.Batch.MaxSize)
+			srv.gpu = kernel.NewResource(fmt.Sprintf("gpu:%d", id), 1)
+		}
 		if cfg.SLO.Enabled() {
 			if err := srv.scheduler.EnableAdmission(cfg.SLO, obs.ClockFunc(kernel.Now)); err != nil {
 				return nil, fmt.Errorf("admission control: %w", err)
@@ -293,6 +302,18 @@ func runMenos(cfg Config) (*Result, error) {
 		}
 	}
 
+	// shed books one admission shed against every client it turned
+	// away: the one submitting, or each member of a shed batch.
+	shed := func(ids ...string) {
+		rejected += int64(len(ids))
+		for _, id := range ids {
+			ledger.Retry(id)
+		}
+		if cfg.Flight != nil {
+			cfg.Flight.Trigger(obs.FlightReasonShed)
+		}
+	}
+
 	// Batched server phases (docs/BATCHING.md): compatible forward and
 	// backward requests coalesce into one kernel invocation, formed in
 	// virtual time under the same policy and metrics the wall-clock
@@ -302,17 +323,7 @@ func runMenos(cfg Config) (*Result, error) {
 	if cfg.Batch != nil && cfg.Batch.Enabled() {
 		pol := cfg.Batch.WithDefaults()
 		bm := batch.NewMetrics(cfg.Metrics, ledger, pol.MaxSize)
-		batcher = newSimBatcher(kernel, pol, bm,
-			func(members []*simMember) {
-				rejected += int64(len(members))
-				for _, m := range members {
-					ledger.Retry(m.id)
-				}
-				if cfg.Flight != nil {
-					cfg.Flight.Trigger(obs.FlightReasonShed)
-				}
-			},
-			sampleMem)
+		batcher = newSimBatcher(kernel, pol, bm, shed, sampleMem)
 	}
 
 	// Fleet dynamics state (autoscaled runs only). The kernel is
@@ -461,32 +472,22 @@ func runMenos(cfg Config) (*Result, error) {
 			}
 			grant := func(kind sched.RequestKind, bytes int64) {
 				start := p.Now()
-				d, err := waitGrant(p, scheduler, cl.ID, kind, bytes)
-				for err != nil {
-					// Admission shed: back off for the server's hint
-					// and resubmit, exactly like a real client. The
-					// recorded wait spans all attempts and backoffs.
-					// The backoff is jittered per client (deterministic,
-					// keyed by client index) so shed clients do not
-					// resubmit in a synchronized herd.
-					rejected++
-					ledger.Retry(cl.ID)
-					if cfg.Flight != nil {
-						cfg.Flight.Trigger(obs.FlightReasonShed)
-					}
-					var ov *sched.OverloadError
-					errors.As(err, &ov)
-					p.Sleep(ov.RetryAfter + ov.RetryAfter*time.Duration(i%8)/8)
-					if d, err = waitGrant(p, scheduler, cl.ID, kind, bytes); err == nil {
-						d = p.Now() - start + costmodel.SchedulerDecisionTime
-					}
+				err := awaitGrant(p, "memory grant "+cl.ID, i%8, func() { shed(cl.ID) },
+					func(grant func()) error { return scheduler.Submit(cl.ID, kind, bytes, grant) })
+				if err != nil {
+					// Requests that can never fit stall the client
+					// forever; the deadlock detector will surface it with
+					// this reason.
+					kernel.NewSignal().Wait(p, fmt.Sprintf("unschedulable: %v", err))
 				}
+				// The recorded wait spans all attempts and backoffs, plus
+				// the fixed scheduler decision cost, which does not
+				// advance virtual time; the span is kept equal to what
+				// the Breakdown records.
+				d := p.Now() - start + costmodel.SchedulerDecisionTime
 				recordWait(kind, d)
 				sampleMem(p.Now())
 				schedT += d
-				// d includes the fixed scheduler decision cost, which
-				// does not advance virtual time; keep the span equal to
-				// what the Breakdown records.
 				cfg.Tracer.RecordT(cl.ID, "wait:"+kind.String(), "sched", tid, start, d)
 			}
 			release := func() {
@@ -509,8 +510,8 @@ func runMenos(cfg Config) (*Result, error) {
 					dur:     dur,
 					release: rel,
 				}
-				key := simBatchKey{srv: srv, kind: kind, cut: cl.Workload.Cut, seq: cl.Workload.Seq}
-				if err := batcher.run(p, key, m); err != nil {
+				key := batch.Key{Cut: cl.Workload.Cut, Seq: cl.Workload.Seq, Kind: kind}
+				if err := batcher.run(p, srv, key, m); err != nil {
 					failFleet(fmt.Errorf("client %q: %v", cl.ID, err))
 					return false
 				}
@@ -829,30 +830,34 @@ func runMenos(cfg Config) (*Result, error) {
 	}, nil
 }
 
-// waitGrant submits a request to the Menos scheduler and parks the
-// process until granted, returning the wait (plus the fixed scheduler
-// decision cost). An admission shed is returned as a *sched.
-// OverloadError for the caller to back off and resubmit.
-func waitGrant(p *sim.Proc, s *sched.Scheduler, id string, kind sched.RequestKind, bytes int64) (time.Duration, error) {
-	start := p.Now()
+// awaitGrant submits one scheduling request — submit wraps Submit or
+// SubmitBatch — and parks p until it is granted. An admission shed runs
+// onShed, backs off for the controller's hint and resubmits, exactly
+// like a real client; the backoff is jittered deterministically
+// (jitter in [0,8)) so shed clients do not resubmit in a synchronized
+// herd. Any other error can never be granted and is returned.
+func awaitGrant(p *sim.Proc, reason string, jitter int, onShed func(), submit func(grant func()) error) error {
 	granted := false
 	sig := p.Kernel().NewSignal()
-	err := s.Submit(id, kind, bytes, func() {
-		granted = true
-		sig.Fire()
-	})
-	if err != nil {
-		if errors.Is(err, sched.ErrOverloaded) {
-			return costmodel.SchedulerDecisionTime, err
+	for {
+		err := submit(func() {
+			granted = true
+			sig.Fire()
+		})
+		if err == nil {
+			break
 		}
-		// Requests that can never fit stall the client forever; the
-		// deadlock detector will surface it with this reason.
-		sig.Wait(p, fmt.Sprintf("unschedulable: %v", err))
+		var ov *sched.OverloadError
+		if !errors.As(err, &ov) {
+			return err
+		}
+		onShed()
+		p.Sleep(ov.RetryAfter + ov.RetryAfter*time.Duration(jitter)/8)
 	}
 	for !granted {
-		sig.Wait(p, "memory grant "+id)
+		sig.Wait(p, reason)
 	}
-	return p.Now() - start + costmodel.SchedulerDecisionTime, nil
+	return nil
 }
 
 // peakTransient estimates the transient memory above the persistent
