@@ -455,3 +455,74 @@ func TestHeterogeneousAdapters(t *testing.T) {
 		}
 	}
 }
+
+// TestLoRATemporariesRoundTripTheArena pins the arena contract of the
+// low-rank path: every temporary of a forward+backward comes from the
+// attached Scratch and is back on it afterwards, the results are the
+// bits an arena-less layer computes, and Grad consumes the cache only
+// when there is an arena to have taken xa back.
+func TestLoRATemporariesRoundTripTheArena(t *testing.T) {
+	build := func(sc *tensor.Scratch) *LoRALinear {
+		rng := tensor.NewRNG(6)
+		base := nn.NewLinear(rng, 6, 5, true)
+		base.Frozen = true
+		l := NewLoRALinear(rng, base, 6, 5, 2, 8)
+		l.B.Value.FillNormal(rng, 0.3)
+		l.SetScratch(sc)
+		return l
+	}
+	x := tensor.NewNormal(tensor.NewRNG(7), 1, 4, 6)
+	dy := tensor.NewNormal(tensor.NewRNG(8), 1, 4, 5)
+	step := func(l *LoRALinear) (y, dx *tensor.Tensor, cache any) {
+		t.Helper()
+		y, cache, err := l.Apply(x, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dx, err = l.Grad(cache, dy); err != nil {
+			t.Fatal(err)
+		}
+		return y, dx, cache
+	}
+
+	sc := tensor.NewScratch()
+	pooled, plain := build(sc), build(nil)
+	step(pooled)
+	gets0, hits0 := sc.Stats()
+	retained := sc.RetainedBytes()
+	if gets0 != 5 || retained == 0 {
+		t.Fatalf("first step: %d arena gets (want xa, delta, scaled, dxa, dxLora = 5), %d bytes retained", gets0, retained)
+	}
+	y, dx, cache := step(pooled)
+	gets, hits := sc.Stats()
+	if gets-gets0 != 5 || hits-hits0 != 5 {
+		t.Fatalf("second step: %d gets, %d hits; want every one of 5 temporaries reused", gets-gets0, hits-hits0)
+	}
+	if got := sc.RetainedBytes(); got != retained {
+		t.Fatalf("arena retains %d bytes after the second step, %d after the first: a temporary leaked", got, retained)
+	}
+	if _, _, err := pooled.Apply(x, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.RetainedBytes(); got != retained {
+		t.Fatalf("no-grad forward left the arena at %d bytes, want %d", got, retained)
+	}
+
+	step(plain)
+	wantY, wantDx, plainCache := step(plain)
+	if !bitEqual(y, wantY) || !bitEqual(dx, wantDx) ||
+		!bitEqual(pooled.A.Grad, plain.A.Grad) || !bitEqual(pooled.B.Grad, plain.B.Grad) {
+		t.Fatal("arena-backed LoRA differs from the arena-less layer")
+	}
+
+	if _, err := pooled.Grad(cache, dy); err == nil {
+		t.Fatal("second Grad over a consumed cache succeeded; its xa is back on the arena")
+	}
+	again, err := plain.Grad(plainCache, dy)
+	if err != nil {
+		t.Fatalf("second Grad without an arena: %v", err)
+	}
+	if !bitEqual(again, wantDx) {
+		t.Fatal("second Grad without an arena returned a different dx")
+	}
+}

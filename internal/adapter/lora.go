@@ -94,9 +94,17 @@ type LoRALinear struct {
 	Scale float32
 
 	in, out int
+
+	// scratch, when set, supplies the low-rank temporaries of both
+	// passes from a shared buffer arena (InjectLoRA hands over the
+	// block's); Grad returns the retained xa to it.
+	scratch *tensor.Scratch
 }
 
 var _ nn.Op = (*LoRALinear)(nil)
+
+// SetScratch attaches a buffer arena to the layer.
+func (l *LoRALinear) SetScratch(sc *tensor.Scratch) { l.scratch = sc }
 
 // loraCache retains the LoRA forward intermediates.
 type loraCache struct {
@@ -139,7 +147,7 @@ func (l *LoRALinear) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor, any
 	if err != nil {
 		return nil, nil, fmt.Errorf("lora base: %w", err)
 	}
-	xa, err := l.residual(x, y)
+	xa, err := l.residual(x, y, withGrad)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -154,27 +162,36 @@ func (l *LoRALinear) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor, any
 //
 //	xa = x A        y += (α/r) · xa B
 //
-// and returns xa for the backward. It is written once: LoRALinear runs
-// it over every row, MultiLoRALinear over each client's row segment (x
-// and y are then views) with that client's layer — which is what makes
-// the two bit-identical.
-func (l *LoRALinear) residual(x, y *tensor.Tensor) (*tensor.Tensor, error) {
-	rows := x.Dim(0)
-	xa := tensor.New(rows, l.A.Value.Dim(1))
+// and, when keep is set, returns xa for the backward (residualGrad
+// gives it back to the arena). It is written once: LoRALinear runs it
+// over every row, MultiLoRALinear over each client's row segment (x and
+// y are then views) with that client's layer — which is what makes the
+// two bit-identical.
+func (l *LoRALinear) residual(x, y *tensor.Tensor, keep bool) (*tensor.Tensor, error) {
+	rows, sc := x.Dim(0), l.scratch
+	xa := sc.Get(rows, l.A.Value.Dim(1))
 	if err := tensor.MatMul(xa, x, l.A.Value); err != nil {
 		return nil, fmt.Errorf("lora xA: %w", err)
 	}
-	delta := tensor.New(rows, l.out)
+	delta := sc.Get(rows, l.out)
 	if err := tensor.MatMul(delta, xa, l.B.Value); err != nil {
 		return nil, fmt.Errorf("lora xAB: %w", err)
 	}
 	if err := tensor.AXPY(l.Scale, delta, y); err != nil {
 		return nil, fmt.Errorf("lora residual: %w", err)
 	}
+	sc.Put(delta)
+	if !keep {
+		sc.Put(xa)
+		return nil, nil
+	}
 	return xa, nil
 }
 
-// Grad implements nn.Op.
+// Grad implements nn.Op. With an arena attached it consumes the cache:
+// the retained xa goes back to the arena, so Grad can run once per
+// Apply. Without one the cache keeps its seed semantics (a second Grad
+// over the same cache still works), as LayerNorm's does.
 func (l *LoRALinear) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, error) {
 	c, ok := cache.(*loraCache)
 	if !ok {
@@ -187,24 +204,33 @@ func (l *LoRALinear) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, error) 
 	if err := l.residualGrad(c.x, c.xa, dy, dx); err != nil {
 		return nil, err
 	}
+	if l.scratch != nil {
+		c.xa = nil
+	}
 	return dx, nil
 }
 
 // residualGrad is residual's backward over the same rows: xa is what
 // residual returned, dy the output gradient, dx the base's input
 // gradient. It accumulates into this layer's own A and B gradients and
-// adds the low-rank path's input gradient to dx in place.
+// adds the low-rank path's input gradient to dx in place. xa goes back
+// to the arena: a caller whose layer has one must drop its reference,
+// and a nil xa is a cache some earlier Grad already consumed.
 func (l *LoRALinear) residualGrad(x, xa, dy, dx *tensor.Tensor) error {
-	rows := x.Dim(0)
+	if xa == nil {
+		return fmt.Errorf("lora backward: cache already consumed")
+	}
+	rows, sc := x.Dim(0), l.scratch
 	// delta = scale * (x A) B
 	// dB += scale * (xA)ᵀ dy
-	scaled := dy.Clone()
+	scaled := sc.Get(dy.Shape()...)
+	copy(scaled.Data(), dy.Data())
 	scaled.Scale(l.Scale)
 	if err := tensor.MatMulTAccum(l.B.Grad, xa, scaled); err != nil {
 		return fmt.Errorf("lora dB: %w", err)
 	}
 	// dXA = scale * dy Bᵀ
-	dxa := tensor.New(rows, l.A.Value.Dim(1))
+	dxa := sc.Get(rows, l.A.Value.Dim(1))
 	if err := tensor.MatMulT(dxa, scaled, l.B.Value); err != nil {
 		return fmt.Errorf("lora dXA: %w", err)
 	}
@@ -213,13 +239,14 @@ func (l *LoRALinear) residualGrad(x, xa, dy, dx *tensor.Tensor) error {
 		return fmt.Errorf("lora dA: %w", err)
 	}
 	// dx += dXA Aᵀ
-	dxLora := tensor.New(rows, l.in)
+	dxLora := sc.Get(rows, l.in)
 	if err := tensor.MatMulT(dxLora, dxa, l.A.Value); err != nil {
 		return fmt.Errorf("lora dx: %w", err)
 	}
 	if err := tensor.Add(dx, dx, dxLora); err != nil {
 		return fmt.Errorf("lora dx sum: %w", err)
 	}
+	sc.Put(xa, scaled, dxa, dxLora)
 	return nil
 }
 
@@ -277,6 +304,7 @@ func InjectLoRA(rng *tensor.RNG, blocks []*model.Block, cfg LoRAConfig) (*LoRAAd
 					ErrAdapter, target, base)
 			}
 			wrapped := NewLoRALinear(rng.Split(), base, lin.In(), lin.Out(), cfg.Rank, cfg.Alpha)
+			wrapped.SetScratch(b.Scratch())
 			*slot = wrapped
 			ad.layers = append(ad.layers, wrapped)
 			slotCopy := slot

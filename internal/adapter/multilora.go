@@ -121,7 +121,7 @@ func (l *MultiLoRALinear) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor
 		if err != nil {
 			return nil, nil, fmt.Errorf("multi-lora segment %d output: %w", i, err)
 		}
-		if xas[i], err = s.Layer.residual(xs, ys); err != nil {
+		if xas[i], err = s.Layer.residual(xs, ys, withGrad); err != nil {
 			return nil, nil, fmt.Errorf("multi-lora segment %d: %w", i, err)
 		}
 		lo = hi
@@ -135,7 +135,9 @@ func (l *MultiLoRALinear) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor
 // Grad implements nn.Op: the frozen base backward runs once over the
 // full stacked dy (accumulating no base weight gradients), then each
 // segment's LoRALinear residual backward runs over its own rows,
-// accumulating into that client's private A/B gradient buffers.
+// accumulating into that client's private A/B gradient buffers. Like
+// LoRALinear.Grad it consumes the cache of every segment whose layer
+// has an arena.
 func (l *MultiLoRALinear) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, error) {
 	c, ok := cache.(*multiCache)
 	if !ok {
@@ -162,6 +164,9 @@ func (l *MultiLoRALinear) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, er
 		}
 		if err := s.Layer.residualGrad(xs, c.xas[i], dys, dxs); err != nil {
 			return nil, fmt.Errorf("multi-lora segment %d: %w", i, err)
+		}
+		if s.Layer.scratch != nil {
+			c.xas[i] = nil
 		}
 		lo = hi
 	}

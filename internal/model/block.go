@@ -20,6 +20,10 @@ type Block struct {
 	scratch *tensor.Scratch // step-scoped buffer arena; nil degrades to allocation
 }
 
+// Scratch exposes the block's buffer arena, so that an adapter wrapping
+// one of its projections can draw its temporaries from the same place.
+func (b *Block) Scratch() *tensor.Scratch { return b.scratch }
+
 // BlockCache retains one block's intermediate results. Its Bytes()
 // value is the block's contribution to the 𝕀 term.
 type BlockCache struct {

@@ -82,6 +82,55 @@ func TestTrainingBitIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
+// kernelParityTolerance is the one versioned tolerance in the
+// repository (docs/NUMERICS.md): how far a change that deliberately
+// alters kernel bits may move any of the recorded losses below.
+const kernelParityTolerance = 1e-3
+
+// TestKernelConvergenceParity is the versioned pin. Every other
+// equality test compares two runs of one binary and survives a kernel
+// whose bits differ from the previous commit's; this one compares
+// against the previous kernels themselves: twelve OPTTiny training
+// steps whose losses were recorded, as float64 literals, at the last
+// commit that changed kernel bits on purpose. A change that does so
+// again re-records the literals from its parent commit and must land
+// within kernelParityTolerance of them at every step; it is the only
+// test such a change may touch.
+//
+// Recorded at d5d089e (float64 math.Tanh/math.Exp under GELU and
+// softmax), with trainSteps(t, New(NewRNG(42), OPTTiny()), 12). The
+// float32 exp kernels that replaced them land within 1e-5.
+func TestKernelConvergenceParity(t *testing.T) {
+	recorded := []float64{
+		4.8760586014708256,
+		3.800809936260932,
+		3.1531411465488643,
+		2.7018436873667828,
+		2.2627024048419639,
+		1.8565163908366744,
+		1.5278909324096832,
+		1.2511961036301704,
+		1.0267323275005418,
+		0.84508460631365989,
+		0.71039058957054768,
+		0.60218168592905563,
+	}
+	m, err := New(tensor.NewRNG(42), OPTTiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst := 0.0
+	for i, got := range trainSteps(t, m, len(recorded)) {
+		d := math.Abs(got - recorded[i])
+		worst = math.Max(worst, d)
+		if d > kernelParityTolerance || math.IsNaN(got) {
+			t.Errorf("step %d: loss %.17g, recorded %.17g (off by %.3g, tolerance %g)",
+				i, got, recorded[i], d, kernelParityTolerance)
+		}
+	}
+	t.Logf("largest deviation from the recorded losses: %.3g", worst)
+}
+
 // TestConcurrentTrainingStepsShareThePool hammers the shared worker
 // pool from several goroutines, each training its own model. Run under
 // -race (make test-race) this is the concurrency pin for the pool and

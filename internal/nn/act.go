@@ -2,15 +2,9 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"menos/internal/tensor"
 )
-
-// actGrain is the ParallelFor grain for activation kernels: tanh/exp
-// make them compute-bound, so they fan out earlier than memory-bound
-// elementwise ops.
-const actGrain = 1 << 13
 
 // ActCache retains the input of an elementwise activation.
 type ActCache struct {
@@ -34,23 +28,7 @@ func GELU(x *tensor.Tensor, cache *ActCache) *tensor.Tensor {
 // GELUScratch is GELU drawing its output from the given buffer arena
 // (nil degrades to allocation).
 func GELUScratch(sc *tensor.Scratch, x *tensor.Tensor, cache *ActCache) *tensor.Tensor {
-	out := sc.Get(x.Shape()...)
-	xd, od := x.Data(), out.Data()
-	if tensor.Parallelism() <= 1 || len(xd) <= actGrain {
-		for i, v := range xd {
-			od[i] = geluScalar(v)
-		}
-	} else {
-		tensor.ParallelFor(len(xd), actGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				od[i] = geluScalar(xd[i])
-			}
-		})
-	}
-	if cache != nil {
-		cache.X = x
-	}
-	return out
+	return activate(sc, x, cache, tensor.GELU)
 }
 
 // GELUBackward computes dx = dy * gelu'(x).
@@ -61,45 +39,7 @@ func GELUBackward(cache *ActCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
 // GELUBackwardScratch is GELUBackward drawing dx from the given buffer
 // arena (nil degrades to allocation).
 func GELUBackwardScratch(sc *tensor.Scratch, cache *ActCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
-	if cache == nil || cache.X == nil {
-		return nil, fmt.Errorf("gelu backward: no cached activations")
-	}
-	if cache.X.Len() != dy.Len() {
-		return nil, fmt.Errorf("gelu backward: dy %v for x %v: %w",
-			dy.Shape(), cache.X.Shape(), tensor.ErrShape)
-	}
-	dx := sc.Get(cache.X.Shape()...)
-	xd, dyd, dxd := cache.X.Data(), dy.Data(), dx.Data()
-	if tensor.Parallelism() <= 1 || len(xd) <= actGrain {
-		for i, v := range xd {
-			dxd[i] = dyd[i] * geluGradScalar(v)
-		}
-	} else {
-		tensor.ParallelFor(len(xd), actGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dxd[i] = dyd[i] * geluGradScalar(xd[i])
-			}
-		})
-	}
-	return dx, nil
-}
-
-const (
-	geluC0 = 0.7978845608028654 // sqrt(2/pi)
-	geluC1 = 0.044715
-)
-
-func geluScalar(v float32) float32 {
-	x := float64(v)
-	return float32(0.5 * x * (1 + math.Tanh(geluC0*(x+geluC1*x*x*x))))
-}
-
-func geluGradScalar(v float32) float32 {
-	x := float64(v)
-	inner := geluC0 * (x + geluC1*x*x*x)
-	t := math.Tanh(inner)
-	dInner := geluC0 * (1 + 3*geluC1*x*x)
-	return float32(0.5*(1+t) + 0.5*x*(1-t*t)*dInner)
+	return activateGrad("gelu", sc, cache, dy, tensor.GELUBackward)
 }
 
 // SiLU applies x * sigmoid(x), the activation used by Llama's SwiGLU
@@ -111,23 +51,7 @@ func SiLU(x *tensor.Tensor, cache *ActCache) *tensor.Tensor {
 // SiLUScratch is SiLU drawing its output from the given buffer arena
 // (nil degrades to allocation).
 func SiLUScratch(sc *tensor.Scratch, x *tensor.Tensor, cache *ActCache) *tensor.Tensor {
-	out := sc.Get(x.Shape()...)
-	xd, od := x.Data(), out.Data()
-	if tensor.Parallelism() <= 1 || len(xd) <= actGrain {
-		for i, v := range xd {
-			od[i] = siluScalar(v)
-		}
-	} else {
-		tensor.ParallelFor(len(xd), actGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				od[i] = siluScalar(xd[i])
-			}
-		})
-	}
-	if cache != nil {
-		cache.X = x
-	}
-	return out
+	return activate(sc, x, cache, tensor.SiLU)
 }
 
 // SiLUBackward computes dx = dy * silu'(x).
@@ -138,40 +62,31 @@ func SiLUBackward(cache *ActCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
 // SiLUBackwardScratch is SiLUBackward drawing dx from the given buffer
 // arena (nil degrades to allocation).
 func SiLUBackwardScratch(sc *tensor.Scratch, cache *ActCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
-	if cache == nil || cache.X == nil {
-		return nil, fmt.Errorf("silu backward: no cached activations")
+	return activateGrad("silu", sc, cache, dy, tensor.SiLUBackward)
+}
+
+// activate runs one of the tensor package's activation kernels into a
+// fresh output of x's shape and retains x for the backward pass. The
+// backward recomputes σ from x, so nothing else is cached.
+func activate(sc *tensor.Scratch, x *tensor.Tensor, cache *ActCache, kernel func(dst, a *tensor.Tensor) error) *tensor.Tensor {
+	out := sc.Get(x.Shape()...)
+	if err := kernel(out, x); err != nil {
+		panic(err) // out was made with x's shape
 	}
-	if cache.X.Len() != dy.Len() {
-		return nil, fmt.Errorf("silu backward: dy %v for x %v: %w",
-			dy.Shape(), cache.X.Shape(), tensor.ErrShape)
+	if cache != nil {
+		cache.X = x
+	}
+	return out
+}
+
+func activateGrad(name string, sc *tensor.Scratch, cache *ActCache, dy *tensor.Tensor, kernel func(dx, x, dy *tensor.Tensor) error) (*tensor.Tensor, error) {
+	if cache == nil || cache.X == nil {
+		return nil, fmt.Errorf("%s backward: no cached activations", name)
 	}
 	dx := sc.Get(cache.X.Shape()...)
-	xd, dyd, dxd := cache.X.Data(), dy.Data(), dx.Data()
-	if tensor.Parallelism() <= 1 || len(xd) <= actGrain {
-		for i, v := range xd {
-			dxd[i] = dyd[i] * siluGradScalar(v)
-		}
-	} else {
-		tensor.ParallelFor(len(xd), actGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dxd[i] = dyd[i] * siluGradScalar(xd[i])
-			}
-		})
+	if err := kernel(dx, cache.X, dy); err != nil { // dy's length differs
+		sc.Put(dx)
+		return nil, err
 	}
 	return dx, nil
-}
-
-func sigmoid(x float64) float64 {
-	return 1 / (1 + math.Exp(-x))
-}
-
-func siluScalar(v float32) float32 {
-	x := float64(v)
-	return float32(x * sigmoid(x))
-}
-
-func siluGradScalar(v float32) float32 {
-	x := float64(v)
-	s := sigmoid(x)
-	return float32(s * (1 + x*(1-s)))
 }

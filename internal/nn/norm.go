@@ -19,7 +19,8 @@ type LayerNorm struct {
 	Frozen bool
 
 	// scratch, when set, supplies output and cache tensors from a
-	// shared buffer arena; Backward returns the retained xhat to it.
+	// shared buffer arena; Backward returns the retained xhat and
+	// per-row statistics to it.
 	scratch *tensor.Scratch
 }
 
@@ -29,7 +30,7 @@ func (l *LayerNorm) SetScratch(sc *tensor.Scratch) { l.scratch = sc }
 // LayerNormCache retains the normalized input and per-row statistics.
 type LayerNormCache struct {
 	XHat   *tensor.Tensor // normalized input, same shape as x
-	InvStd []float32      // 1/sqrt(var+eps) per row
+	InvStd *tensor.Tensor // 1/sqrt(var+eps) per row, shape (rows)
 }
 
 // Bytes reports retained activation size.
@@ -41,7 +42,9 @@ func (c *LayerNormCache) Bytes() int64 {
 	if c.XHat != nil {
 		b += c.XHat.Bytes()
 	}
-	b += int64(len(c.InvStd)) * 4
+	if c.InvStd != nil {
+		b += c.InvStd.Bytes()
+	}
 	return b
 }
 
@@ -70,7 +73,8 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, cache *LayerNormCache) (*tensor.Te
 		// xhat is only needed by the backward pass; a no-grad forward
 		// skips it entirely.
 		xhat = l.scratch.Get(rows, cols)
-		invStd = make([]float32, rows)
+		cache.XHat, cache.InvStd = xhat, l.scratch.Get(rows)
+		invStd = cache.InvStd.Data()
 	}
 	gamma, beta := l.Gamma.Value.Data(), l.Beta.Value.Data()
 	for r := 0; r < rows; r++ {
@@ -102,10 +106,6 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, cache *LayerNormCache) (*tensor.Te
 			}
 		}
 	}
-	if cache != nil {
-		cache.XHat = xhat
-		cache.InvStd = invStd
-	}
 	return out, nil
 }
 
@@ -119,12 +119,12 @@ func (l *LayerNorm) Backward(cache *LayerNormCache, dy *tensor.Tensor) (*tensor.
 		return nil, fmt.Errorf("layernorm backward: dy %v for cached %v: %w",
 			dy.Shape(), cache.XHat.Shape(), tensor.ErrShape)
 	}
-	gamma := l.Gamma.Value.Data()
+	gamma, invStd := l.Gamma.Value.Data(), cache.InvStd.Data()
 	dx := l.scratch.Get(rows, cols)
 	for r := 0; r < rows; r++ {
 		dyr := dy.Data()[r*cols : (r+1)*cols]
 		xh := cache.XHat.Data()[r*cols : (r+1)*cols]
-		inv := cache.InvStd[r]
+		inv := invStd[r]
 		// dxhat = dy * gamma
 		// dx = inv/cols * (cols*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat))
 		var sumDxh, sumDxhXh float64
@@ -152,11 +152,12 @@ func (l *LayerNorm) Backward(cache *LayerNormCache, dy *tensor.Tensor) (*tensor.
 		}
 	}
 	if l.scratch != nil {
-		// The layer owns xhat; with the backward pass done it is dead.
-		// Without an arena the cache keeps its seed semantics (a second
-		// Backward over the same cache still works).
-		l.scratch.Put(cache.XHat)
-		cache.XHat = nil
+		// The layer owns xhat and the statistics; with the backward
+		// pass done they are dead. Without an arena the cache keeps its
+		// seed semantics (a second Backward over the same cache still
+		// works).
+		l.scratch.Put(cache.XHat, cache.InvStd)
+		cache.XHat, cache.InvStd = nil, nil
 	}
 	return dx, nil
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"menos/internal/obs"
@@ -157,7 +158,7 @@ type extMessage interface {
 // so the frame leaves in a single Write: one syscall, and one segment
 // rather than two on a TCP_NODELAY socket.
 func WriteMessage(w io.Writer, m Message) error {
-	enc := encoder{buf: make([]byte, headerSize)}
+	enc := encoder{buf: make([]byte, headerSize, scalarFieldsCap)}
 	m.encode(&enc)
 	version := Version
 	if xm, ok := m.(extMessage); ok && xm.extPresent() {
@@ -265,6 +266,12 @@ type encoder struct {
 	buf []byte
 }
 
+// scalarFieldsCap is the capacity a frame's buffer starts with: room
+// for the header and the scalar fields every message puts ahead of its
+// tensor, so the only growth a tensor frame sees is the one reservation
+// for the tensor itself.
+const scalarFieldsCap = 64
+
 func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
 func (e *encoder) bool(v bool) {
 	if v {
@@ -290,6 +297,9 @@ func (e *encoder) ints(vs []int) {
 	}
 }
 func (e *encoder) floats(vs []float32) {
+	// One reservation for the whole tensor: append-doubling from the
+	// header's 8 bytes would copy a 32 KiB payload a dozen times.
+	e.buf = slices.Grow(e.buf, 4+4*len(vs))
 	e.u32(uint32(len(vs)))
 	for _, v := range vs {
 		e.u32(math.Float32bits(v))
@@ -305,6 +315,7 @@ func (e *encoder) tensor(t *tensor.Tensor) {
 	e.floats(t.Data())
 }
 func (e *encoder) bytes(b []byte) {
+	e.buf = slices.Grow(e.buf, 4+len(b))
 	e.u32(uint32(len(b)))
 	e.buf = append(e.buf, b...)
 }
@@ -313,6 +324,7 @@ func (e *encoder) bytes(b []byte) {
 // scales, packed data. Only ever emitted on sessions that negotiated
 // FeatureActivationCompression.
 func (e *encoder) packed(p *quant.Packed) {
+	e.buf = slices.Grow(e.buf, 1+4+8*len(p.Shape)+4+4*len(p.Scales)+4+len(p.Data))
 	e.u8(uint8(p.Codec))
 	e.ints(p.Shape)
 	e.floats(p.Scales)

@@ -65,15 +65,61 @@ func BenchmarkMatMulAccum(b *testing.B)  { benchMatMul(b, MatMulAccum, false, fa
 func BenchmarkMatMulT(b *testing.B)      { benchMatMul(b, MatMulT, false, true) }
 func BenchmarkMatMulTAccum(b *testing.B) { benchMatMul(b, MatMulTAccum, true, false) }
 
-func BenchmarkSoftmaxRows(b *testing.B) {
-	rng := NewRNG(2)
-	x := NewNormal(rng, 1, benchDim, benchDim)
-	dst := New(benchDim, benchDim)
-	b.SetBytes(2 * benchDim * benchDim * 4)
+// The elementwise kernels at the shapes a large_plain step runs them
+// at: the 64x512 FFN hidden activation for GELU, one 32x32 attention
+// head for softmax, and the 16-column panels of a 512x128 weight for
+// MatMulT's pack. Each reports ns per element next to ns/op;
+// docs/PERFORMANCE.md ("Vector kernels") has the table.
+
+func benchPerElement(b *testing.B, elems int, op func()) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := SoftmaxRows(dst, x); err != nil {
+		op()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
+}
+
+func BenchmarkGELUForward(b *testing.B) {
+	x, dst := NewNormal(NewRNG(2), 1, 64, 512), New(64, 512)
+	benchPerElement(b, x.Len(), func() {
+		if err := GELU(dst, x); err != nil {
 			b.Fatal(err)
 		}
+	})
+}
+
+func BenchmarkGELUBackward(b *testing.B) {
+	rng := NewRNG(2)
+	x, dy, dx := NewNormal(rng, 1, 64, 512), NewNormal(rng, 1, 64, 512), New(64, 512)
+	benchPerElement(b, x.Len(), func() {
+		if err := GELUBackward(dx, x, dy); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+func BenchmarkSoftmaxRows(b *testing.B) {
+	for _, s := range []struct{ rows, cols int }{{32, 32}, {benchDim, benchDim}} {
+		x, dst := NewNormal(NewRNG(2), 1, s.rows, s.cols), New(s.rows, s.cols)
+		b.Run(fmt.Sprintf("%dx%d", s.rows, s.cols), func(b *testing.B) {
+			benchPerElement(b, x.Len(), func() {
+				if err := SoftmaxRows(dst, x); err != nil {
+					b.Fatal(err)
+				}
+			})
+		})
 	}
+}
+
+func BenchmarkPackT(b *testing.B) {
+	const k, n = 512, 128
+	w := NewNormal(NewRNG(2), 1, n, k)
+	var panel [packK * tileCols]float32
+	benchPerElement(b, k*n, func() {
+		for j := 0; j < n; j += tileCols {
+			for p := 0; p < k; p += packK {
+				packT(&panel, w.data[j*k+p:], k, packK, tileCols)
+			}
+		}
+	})
 }

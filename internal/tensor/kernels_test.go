@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"path/filepath"
 	"regexp"
 	"testing"
 )
@@ -237,6 +238,39 @@ func TestRowRangesBitIdenticalAtAnySplit(t *testing.T) {
 			expectBitIdentical(t, split, whole, name)
 		}
 	}
+
+	// The vector kernels are cut at every element, not every row: a
+	// cut moves which elements share a vector and which fall in a
+	// masked tail, and where a ParallelFor chunk or a batched row
+	// segment ends must not show either. Softmax is row-local, so its
+	// cuts are row cuts.
+	const elems = m * n
+	x, dy := NewNormal(rng, 2, elems), NewNormal(rng, 1, elems)
+	elementwise := map[string]func(dst *Tensor, lo, hi int){
+		"gelu":     func(dst *Tensor, lo, hi int) { geluRange(dst.data[lo:hi], x.data[lo:hi]) },
+		"geluGrad": func(dst *Tensor, lo, hi int) { geluGradRange(dst.data[lo:hi], x.data[lo:hi], dy.data[lo:hi]) },
+		"silu":     func(dst *Tensor, lo, hi int) { siluRange(dst.data[lo:hi], x.data[lo:hi]) },
+		"siluGrad": func(dst *Tensor, lo, hi int) { siluGradRange(dst.data[lo:hi], x.data[lo:hi], dy.data[lo:hi]) },
+		"expShift": func(dst *Tensor, lo, hi int) { expShift(dst.data[lo:hi], x.data[lo:hi], 0.5) },
+	}
+	for name, run := range elementwise {
+		whole := New(elems)
+		run(whole, 0, elems)
+		for cut := 1; cut < elems; cut++ {
+			split := New(elems)
+			run(split, cut, elems)
+			run(split, 0, cut)
+			expectBitIdentical(t, split, whole, name)
+		}
+	}
+	whole := New(m, n)
+	softmaxRowRange(whole.data, seed.data, n, 0, m)
+	for cut := 1; cut < m; cut++ {
+		split := New(m, n)
+		softmaxRowRange(split.data, seed.data, n, cut, m)
+		softmaxRowRange(split.data, seed.data, n, 0, cut)
+		expectBitIdentical(t, split, whole, "softmax")
+	}
 }
 
 // TestMatMulRejectsAliasedDst pins the no-alias contract: dst sharing
@@ -277,7 +311,8 @@ func TestMatMulRejectsAliasedDst(t *testing.T) {
 }
 
 // TestSerialKernelsDoNotAllocate pins the serial path at 0 allocs/op:
-// no closure, no error value, and MatMulT's pack panel on the stack.
+// no closure, no error value, MatMulT's pack panel on the stack, and no
+// temporary in softmax or the activation kernels.
 func TestSerialKernelsDoNotAllocate(t *testing.T) {
 	prev := Parallelism()
 	defer SetParallelism(prev)
@@ -293,6 +328,10 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 		"MatMulT":      func() error { return MatMulT(dst, a, bt) },
 		"MatMulTAccum": func() error { return MatMulTAccum(dst, at, b2) },
 		"SoftmaxRows":  func() error { return SoftmaxRows(dst, dst) },
+		"GELU":         func() error { return GELU(dst, dst) },
+		"GELUBackward": func() error { return GELUBackward(dst, dst, dst) },
+		"SiLU":         func() error { return SiLU(dst, dst) },
+		"SiLUBackward": func() error { return SiLUBackward(dst, dst, dst) },
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
 			if err := op(); err != nil {
@@ -305,22 +344,30 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestAsmTileNeverFusesOrReassociates reads the assembly tile: the
-// bit-identity argument needs every product rounded by VMULPS before
-// VADDPS adds it to one accumulator per lane, so a fused multiply-add,
-// a dot product or a horizontal add anywhere in the file breaks it.
+// TestAsmTileNeverFusesOrReassociates reads every assembly file of the
+// package. The bit-identity argument needs each product rounded by
+// VMULPS before VADDPS or VSUBPS uses it, one accumulator per lane, and
+// exactly rounded quotients: a fused multiply-add, a dot product or a
+// horizontal add anywhere breaks the first two, the approximate
+// reciprocal instructions the third.
 func TestAsmTileNeverFusesOrReassociates(t *testing.T) {
-	src, err := os.ReadFile("matmul_amd64.s")
-	if err != nil {
-		t.Fatal(err)
+	files, err := filepath.Glob("*.s")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no assembly files found: %v", err)
 	}
-	code := regexp.MustCompile(`(?m)//.*$`).ReplaceAll(src, nil)
-	if bad := regexp.MustCompile(`(?i)\bV?(FN?M(ADD|SUB)|DPPS|DPPD|HADD|HSUB)\w*`).Find(code); bad != nil {
-		t.Fatalf("matmul_amd64.s uses %s", bad)
-	}
-	for _, want := range []string{"VMULPS", "VADDPS", "VZEROUPPER"} {
-		if !regexp.MustCompile(`\b` + want + `\b`).Match(code) {
-			t.Fatalf("matmul_amd64.s has no %s", want)
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code := regexp.MustCompile(`(?m)//.*$`).ReplaceAll(src, nil)
+		if bad := regexp.MustCompile(`(?i)\bV?(FN?M(ADD|SUB)|DPPS|DPPD|HADD|HSUB|RCP|RSQRT)\w*`).Find(code); bad != nil {
+			t.Fatalf("%s uses %s", file, bad)
+		}
+		for _, want := range []string{"VMULPS", "VADDPS", "VZEROUPPER"} {
+			if !regexp.MustCompile(`\b` + want + `\b`).Match(code) {
+				t.Fatalf("%s has no %s", file, want)
+			}
 		}
 	}
 }
@@ -338,19 +385,26 @@ func TestKernelsBitIdenticalAcrossParallelism(t *testing.T) {
 	b2 := NewNormal(rng, 1, k, n)
 	bt := NewNormal(rng, 1, n, k)
 	at := NewNormal(rng, 1, k, m)
-	// Softmax and Add operands large enough to clear their fan-out
-	// grains (softmaxGrainElems, elemwiseGrain) so the pooled path
-	// actually runs at parallelism > 1.
-	sx := NewNormal(rng, 1, 1200, 45)
+	// Softmax, Add and activation operands large enough to clear their
+	// fan-out grains (softmaxGrainElems, elemwiseGrain, actGrain) so
+	// the pooled path actually runs at parallelism > 1; the odd sizes
+	// put every chunk boundary inside a vector.
+	sx := NewNormal(rng, 1, 3001, 45)
 	x := NewNormal(rng, 1, 300, 300)
 	y := NewNormal(rng, 1, 300, 300)
+	ax := NewNormal(rng, 2, 521, 523)
+	ady := NewNormal(rng, 1, 521, 523)
+	if sx.Len() <= softmaxGrainElems() || x.Len() <= elemwiseGrain || ax.Len() <= actGrain() {
+		t.Fatal("operands no longer clear the fan-out grains")
+	}
 
-	type result struct{ mm, mma, mmt, mmta, sm, add *Tensor }
+	type result struct{ mm, mma, mmt, mmta, sm, add, gelu, geluB, silu, siluB *Tensor }
 	run := func(par int) result {
 		SetParallelism(par)
 		r := result{
 			mm: New(m, n), mma: New(m, n), mmt: New(m, n),
-			mmta: New(m, n), sm: New(1200, 45), add: New(300, 300),
+			mmta: New(m, n), sm: New(3001, 45), add: New(300, 300),
+			gelu: New(521, 523), geluB: New(521, 523), silu: New(521, 523), siluB: New(521, 523),
 		}
 		if err := MatMul(r.mm, a, b2); err != nil {
 			t.Fatal(err)
@@ -370,6 +424,18 @@ func TestKernelsBitIdenticalAcrossParallelism(t *testing.T) {
 		if err := Add(r.add, x, y); err != nil {
 			t.Fatal(err)
 		}
+		if err := GELU(r.gelu, ax); err != nil {
+			t.Fatal(err)
+		}
+		if err := GELUBackward(r.geluB, ax, ady); err != nil {
+			t.Fatal(err)
+		}
+		if err := SiLU(r.silu, ax); err != nil {
+			t.Fatal(err)
+		}
+		if err := SiLUBackward(r.siluB, ax, ady); err != nil {
+			t.Fatal(err)
+		}
 		return r
 	}
 
@@ -382,5 +448,9 @@ func TestKernelsBitIdenticalAcrossParallelism(t *testing.T) {
 		expectBitIdentical(t, got.mmta, serial.mmta, "MatMulTAccum")
 		expectBitIdentical(t, got.sm, serial.sm, "SoftmaxRows")
 		expectBitIdentical(t, got.add, serial.add, "Add")
+		expectBitIdentical(t, got.gelu, serial.gelu, "GELU")
+		expectBitIdentical(t, got.geluB, serial.geluB, "GELUBackward")
+		expectBitIdentical(t, got.silu, serial.silu, "SiLU")
+		expectBitIdentical(t, got.siluB, serial.siluB, "SiLUBackward")
 	}
 }

@@ -183,13 +183,33 @@ func matmulTRange(dst, a, b []float32, rowLo, rowHi, k, n int) {
 }
 
 // packT fills the first kb rows of panel with the transpose of a
-// cols x kb block of b (row stride k): panel[p][c] = b[c*k+p]. A
-// function of its own so the copy loop gets registers to itself.
+// cols x kb block of b (row stride k): panel[p][c] = b[c*k+p]. Whole
+// 8x8 blocks go through the AVX2 shuffle transpose when the CPU has it
+// and the edges through the scalar loop; it is a copy either way.
+func packT(panel *[packK * tileCols]float32, b []float32, k, kb, cols int) {
+	vecP, vecC := 0, 0 // the assembly fills panel[:vecP][:vecC]
+	if haveAVX2 && kb >= 8 && cols >= 8 {
+		vecP, vecC = kb&^7, cols&^7
+		_ = b[(vecC-1)*k+vecP-1] // the bounds check the assembly cannot make
+		for c := 0; c < vecC; c += 8 {
+			packT8AVX2(&panel[c], &b[c*k], k, vecP/8)
+		}
+	}
+	if vecC < cols { // the columns right of the blocks
+		packTRows(panel, b, k, 0, vecP, vecC, cols)
+	}
+	packTRows(panel, b, k, vecP, kb, 0, cols) // the rows below them
+}
+
+// packTRows is packT's scalar loop over panel rows [pLo, pHi), columns
+// [cLo, cols). A function of its own so the copy loop gets registers to
+// itself.
 //
 //go:noinline
-func packT(panel *[packK * tileCols]float32, b []float32, k, kb, cols int) {
-	for p := 0; p < kb; p++ {
-		row := panel[p*tileCols:][:cols]
+func packTRows(panel *[packK * tileCols]float32, b []float32, k, pLo, pHi, cLo, cols int) {
+	b = b[cLo*k:]
+	for p := pLo; p < pHi; p++ {
+		row := panel[p*tileCols:][cLo:cols]
 		for c := range row {
 			row[c] = b[c*k+p]
 		}

@@ -10,3 +10,6 @@ func cpuHasAVX2() bool
 
 //go:noescape
 func tileAVX2(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool)
+
+//go:noescape
+func packT8AVX2(panel, b *float32, k, blocks int)

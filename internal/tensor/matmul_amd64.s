@@ -159,3 +159,71 @@ store:
 	VMASKMOVPS Y7, Y14, 32(DX)(R8*1)
 	VZEROUPPER
 	RET
+
+// func packT8AVX2(panel, b *float32, k, blocks int)
+//
+// MatMulT's pack for eight columns of a panel: for q in [0, blocks) and
+// i, c in [0, 8)
+//
+//	panel[(8q+i)*16 + c] = b[c*k + 8q+i]
+//
+// i.e. each 8x8 block of b (eight rows k floats apart) is transposed
+// into eight panel rows (16 floats apart) with the usual three rounds
+// of shuffles: unpack pairs of rows, shuffle pairs of pairs, swap
+// 128-bit halves. Loads, shuffles and stores only; no value is computed.
+TEXT ·packT8AVX2(SB), NOSPLIT, $0-32
+	MOVQ panel+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ k+16(FP), R9
+	MOVQ blocks+24(FP), CX
+	SHLQ $2, R9                // row stride of b in bytes
+	LEAQ (R9)(R9*2), R10       // 3 rows
+	LEAQ (R9)(R9*4), R11       // 5 rows
+	LEAQ (R10)(R9*4), R12      // 7 rows
+block:
+	VMOVUPS (SI), Y0
+	VMOVUPS (SI)(R9*1), Y1
+	VMOVUPS (SI)(R9*2), Y2
+	VMOVUPS (SI)(R10*1), Y3
+	VMOVUPS (SI)(R9*4), Y4
+	VMOVUPS (SI)(R11*1), Y5
+	VMOVUPS (SI)(R10*2), Y6
+	VMOVUPS (SI)(R12*1), Y7
+	VUNPCKLPS Y1, Y0, Y8       // r0[0] r1[0] r0[1] r1[1] | r0[4] r1[4] r0[5] r1[5]
+	VUNPCKHPS Y1, Y0, Y9       // r0[2] r1[2] r0[3] r1[3] | r0[6] ...
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VUNPCKLPS Y5, Y4, Y12
+	VUNPCKHPS Y5, Y4, Y13
+	VUNPCKLPS Y7, Y6, Y14
+	VUNPCKHPS Y7, Y6, Y15
+	VSHUFPS $0x44, Y10, Y8, Y0   // r0..r3 [0] | [4]
+	VSHUFPS $0xEE, Y10, Y8, Y1   // r0..r3 [1] | [5]
+	VSHUFPS $0x44, Y11, Y9, Y2   // r0..r3 [2] | [6]
+	VSHUFPS $0xEE, Y11, Y9, Y3   // r0..r3 [3] | [7]
+	VSHUFPS $0x44, Y14, Y12, Y4  // r4..r7 [0] | [4]
+	VSHUFPS $0xEE, Y14, Y12, Y5
+	VSHUFPS $0x44, Y15, Y13, Y6
+	VSHUFPS $0xEE, Y15, Y13, Y7
+	VPERM2F128 $0x20, Y4, Y0, Y8   // r0..r7 [0]
+	VPERM2F128 $0x20, Y5, Y1, Y9   // [1]
+	VPERM2F128 $0x20, Y6, Y2, Y10  // [2]
+	VPERM2F128 $0x20, Y7, Y3, Y11  // [3]
+	VPERM2F128 $0x31, Y4, Y0, Y12  // [4]
+	VPERM2F128 $0x31, Y5, Y1, Y13  // [5]
+	VPERM2F128 $0x31, Y6, Y2, Y14  // [6]
+	VPERM2F128 $0x31, Y7, Y3, Y15  // [7]
+	VMOVUPS Y8, (DI)
+	VMOVUPS Y9, 64(DI)
+	VMOVUPS Y10, 128(DI)
+	VMOVUPS Y11, 192(DI)
+	VMOVUPS Y12, 256(DI)
+	VMOVUPS Y13, 320(DI)
+	VMOVUPS Y14, 384(DI)
+	VMOVUPS Y15, 448(DI)
+	ADDQ $32, SI
+	ADDQ $512, DI
+	DECQ CX
+	JNZ  block
+	VZEROUPPER
+	RET

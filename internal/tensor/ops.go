@@ -9,10 +9,17 @@ import (
 // kernels: below ~32Ki elements the fan-out overhead exceeds the work.
 const elemwiseGrain = 1 << 15
 
-// softmaxGrainElems sizes the per-chunk row grain for SoftmaxRows;
-// exp is compute-bound so it pays to fan out earlier than the
-// elementwise ops do.
-const softmaxGrainElems = 1 << 13
+// softmaxGrainElems sizes the per-chunk row grain for SoftmaxRows: the
+// size from which two chunks plus a pool hand-off beat the caller doing
+// it all. That is 1<<17 at the assembly exp's ≈3 ns per element
+// (measured in docs/PERFORMANCE.md, "Fan-out threshold") and the
+// 1<<13 of the float64 exp for the portable twin, which costs as much.
+func softmaxGrainElems() int {
+	if haveAVX2 {
+		return 1 << 17
+	}
+	return 1 << 13
+}
 
 // Add computes dst = a + b elementwise. All three tensors must have the
 // same element count; dst may alias a or b.
@@ -190,7 +197,7 @@ func SoftmaxRows(dst, a *Tensor) error {
 	rows, cols := a.shape[0], a.shape[1]
 	grain := 1
 	if cols > 0 {
-		grain = softmaxGrainElems / cols
+		grain = softmaxGrainElems() / cols
 		if grain < 1 {
 			grain = 1
 		}
@@ -216,10 +223,9 @@ func softmaxRowRange(dst, a []float32, cols, rowLo, rowHi int) {
 				maxV = v
 			}
 		}
+		expShift(dr, ar, maxV)
 		var sum float64
-		for c, v := range ar {
-			e := float32(math.Exp(float64(v - maxV)))
-			dr[c] = e
+		for _, e := range dr {
 			sum += float64(e)
 		}
 		inv := float32(1.0 / sum)
