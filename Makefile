@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-purego test-v3 cross-build perf-test test-race bench bench-diff ci verify e2e
+.PHONY: build test test-purego test-v3 cross-build perf-test test-race test-stress bench bench-diff ci verify e2e
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,17 @@ perf-test:
 test-race:
 	$(GO) test -race ./internal/tensor ./internal/model ./internal/obs ./internal/split ./internal/quant ./internal/sched ./internal/batch ./internal/fleet ./internal/tsdb ./internal/alert ./internal/server ./internal/splitsim ./internal/core ./internal/client ./internal/adapter
 
+# Repeats the tests whose failures are rare interleavings or rare
+# inputs: the scheduler's claim-versus-revoke hammer and the server's
+# four-tenant contention run (a parked activation grant is either
+# claimed by its owner or revoked for someone else, never both, and
+# nothing outlives a session) under the race detector, and the LayerNorm
+# invariance property over its time-seeded generator.
+test-stress:
+	$(GO) test -race -count=20 -run 'TestClaimVersusRevokeHammer' ./internal/sched
+	$(GO) test -race -count=20 -run 'TestContentionIsFig3d' ./internal/server
+	$(GO) test -count=500 -run 'TestLayerNormInvarianceProperty' ./internal/nn
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -89,8 +100,8 @@ vet:
 
 # ci mirrors .github/workflows/ci.yml: the verify job's commands in the
 # same order, then the race job. Keep the two in sync.
-ci: build vet fmt-check test test-purego test-v3 cross-build perf-test test-race
+ci: build vet fmt-check test test-purego test-v3 cross-build perf-test test-race test-stress
 
 .PHONY: fmt-check vet
 
-verify: build test test-purego test-v3 perf-test test-race
+verify: build test test-purego test-v3 perf-test test-race test-stress

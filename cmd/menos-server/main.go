@@ -6,7 +6,7 @@
 // Usage:
 //
 //	menos-server [-addr :7600] [-model opt-tiny] [-seed 42]
-//	             [-gpu-gb 32] [-preserve] [-quiet]
+//	             [-gpu-gb 32] [-quiet]
 //	             [-batch-size N] [-batch-hold 2ms]
 //	             [-wire-compress off|fp16|int8]
 //	             [-metrics-addr :9090] [-trace-buffer-mb 8]
@@ -74,7 +74,6 @@ func run(args []string) error {
 	modelName := fs.String("model", "opt-tiny", "hosted base model (opt-tiny, llama-tiny)")
 	seed := fs.Uint64("seed", 42, "model owner's weight seed")
 	gpuGB := fs.Int64("gpu-gb", 32, "simulated GPU memory budget in GiB")
-	preserve := fs.Bool("preserve", false, "disable on-demand allocation (Fig. 3(b) ablation)")
 	quantFlag := fs.String("quant", "", "quantize the shared base: int8 or int4 (default fp32)")
 	weights := fs.String("weights", "", "load base weights from a checkpoint file instead of the seed")
 	exportWeights := fs.String("export-weights", "", "write the base weights to a file and exit (model distribution)")
@@ -87,7 +86,7 @@ func run(args []string) error {
 	sloP99 := fs.Duration("slo-p99", 0, "grant-wait p99 target enabling adaptive admission control (0 disables; see docs/ADMISSION.md)")
 	sloWindow := fs.Duration("slo-window", 0, "admission-control sliding window (default 8x the p99 target)")
 	wireCompress := fs.String("wire-compress", "off", "compress outbound activation payloads for negotiating clients: off, fp16 or int8 (docs/WIRE.md)")
-	batchSize := fs.Int("batch-size", 0, "coalesce up to this many compatible LoRA requests per kernel invocation (0 disables; incompatible with -preserve; see docs/BATCHING.md)")
+	batchSize := fs.Int("batch-size", 0, "coalesce up to this many compatible LoRA requests per kernel invocation (0 disables; see docs/BATCHING.md)")
 	batchHold := fs.Duration("batch-hold", 0, "how long batch formation waits for co-tenants to join (default sched.DefaultMaxHold)")
 	quiet := fs.Bool("quiet", false, "disable serving logs")
 	if err := fs.Parse(args); err != nil {
@@ -163,21 +162,20 @@ func run(args []string) error {
 		defer flight.Close()
 	}
 	dep, err := core.NewDeployment(core.DeploymentConfig{
-		Model:          cfg,
-		WeightSeed:     *seed,
-		GPU:            gpu.Spec{Name: "configured", MemoryBytes: *gpuGB << 30},
-		PreserveMemory: *preserve,
-		WeightsFile:    *weights,
-		BaseQuant:      prec,
-		SLO:            sched.SLO{TargetP99: *sloP99, Window: *sloWindow},
-		Batch:          sched.BatchPolicy{MaxSize: *batchSize, MaxHold: *batchHold},
-		WireCodec:      wireCodec,
-		Logger:         logger,
-		Metrics:        reg,
-		Tracer:         tracer,
-		Flight:         flight,
-		ServerID:       *serverID,
-		TenantCap:      *tenantCap,
+		Model:       cfg,
+		WeightSeed:  *seed,
+		GPU:         gpu.Spec{Name: "configured", MemoryBytes: *gpuGB << 30},
+		WeightsFile: *weights,
+		BaseQuant:   prec,
+		SLO:         sched.SLO{TargetP99: *sloP99, Window: *sloWindow},
+		Batch:       sched.BatchPolicy{MaxSize: *batchSize, MaxHold: *batchHold},
+		WireCodec:   wireCodec,
+		Logger:      logger,
+		Metrics:     reg,
+		Tracer:      tracer,
+		Flight:      flight,
+		ServerID:    *serverID,
+		TenantCap:   *tenantCap,
 	})
 	if err != nil {
 		return err

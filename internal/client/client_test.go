@@ -25,7 +25,7 @@ func startServer(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Store: store, OnDemand: true})
+	srv, err := server.New(server.Config{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestGenerateIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Store: store, OnDemand: true})
+	srv, err := server.New(server.Config{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func startWireServer(t *testing.T, codec quant.Codec) (string, *obs.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Store: store, OnDemand: true, Metrics: reg, WireCodec: codec})
+	srv, err := server.New(server.Config{Store: store, Metrics: reg, WireCodec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}

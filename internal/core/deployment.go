@@ -36,9 +36,6 @@ type DeploymentConfig struct {
 	// SchedPolicy is the scheduling discipline (default
 	// FCFS+backfill).
 	SchedPolicy sched.Policy
-	// PreserveMemory disables on-demand allocation (Fig. 3(b)
-	// ablation); the default is the Menos policy of Fig. 3(d).
-	PreserveMemory bool
 	// WeightsFile optionally loads the base weights from a checkpoint
 	// exported with checkpoint.SaveModelFile, overriding the
 	// seed-derived initialization — how a real pre-trained model is
@@ -54,8 +51,7 @@ type DeploymentConfig struct {
 	SLO sched.SLO
 	// Batch, when enabled, coalesces compatible LoRA iteration
 	// requests into batched kernel invocations over the shared base
-	// (docs/BATCHING.md). Requires on-demand serving; the zero value
-	// keeps per-request execution.
+	// (docs/BATCHING.md); the zero value keeps per-request execution.
 	Batch sched.BatchPolicy
 	// WireCodec compresses outbound activation/gradient payloads for
 	// clients that negotiated FeatureActivationCompression
@@ -124,7 +120,6 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		Store:       store,
 		GPU:         gpu.NewDevice(cfg.GPU),
 		SchedPolicy: cfg.SchedPolicy,
-		OnDemand:    !cfg.PreserveMemory,
 		SLO:         cfg.SLO,
 		Batch:       cfg.Batch,
 		WireCodec:   cfg.WireCodec,

@@ -124,7 +124,7 @@ func converge(cc convergeConfig, opts Options) (*ConvergenceResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("converge store: %w", err)
 	}
-	srv, err := server.New(server.Config{Store: store, OnDemand: true})
+	srv, err := server.New(server.Config{Store: store})
 	if err != nil {
 		return nil, fmt.Errorf("converge server: %w", err)
 	}

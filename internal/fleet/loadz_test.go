@@ -83,7 +83,7 @@ func TestLoadzEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Store: store, OnDemand: true, Metrics: reg, ServerID: 42})
+	srv, err := server.New(server.Config{Store: store, Metrics: reg, ServerID: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ const (
 	FlightReasonOOM       = "oom"       // a request could never fit / was refused for memory
 	FlightReasonAdmission = "admission" // admission state transition
 	FlightReasonAlert     = "alert"     // a fleet alert rule began firing (menos-fleetd)
+	FlightReasonProfile   = "profile"   // a kept activation cache outgrew its profiled grant
 )
 
 // FlightConfig configures a FlightRecorder.

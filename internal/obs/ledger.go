@@ -27,6 +27,7 @@ type ClientUsage struct {
 	BatchRows             int64   `json:"batch_rows,omitempty"`
 	Sheds                 int64   `json:"sheds"`
 	Retries               int64   `json:"retries"`
+	Revocations           int64   `json:"revocations"`
 }
 
 // LedgerConfig configures a Ledger.
@@ -68,6 +69,7 @@ type ledgerMetrics struct {
 	sheds     *CounterVec
 	retries   *CounterVec
 	batchRows *CounterVec
+	revoked   *CounterVec
 }
 
 // Ledger is the per-tenant accounting plane: every grant, reservation,
@@ -134,6 +136,8 @@ func (l *Ledger) Instrument(reg *Registry) {
 			"Resubmissions after a shed."),
 		batchRows: reg.CounterVec(MetricBatchRows, "client",
 			"Microbatch rows this client contributed to batched kernel invocations."),
+		revoked: reg.CounterVec(MetricSchedRevocations, "client",
+			"Parked activation grants revoked because another request needed the memory."),
 	}
 	// Families share the ledger's account cap so per-metric overflow
 	// kicks in at the same cardinality as the accounts themselves.
@@ -149,6 +153,7 @@ func (l *Ledger) Instrument(reg *Registry) {
 	l.m.sheds.SetCap(l.max)
 	l.m.retries.SetCap(l.max)
 	l.m.batchRows.SetCap(l.max)
+	l.m.revoked.SetCap(l.max)
 }
 
 // SplitOwner maps a memory-owner tag to the client it bills to and the
@@ -386,6 +391,25 @@ func (l *Ledger) Retry(client string) {
 	l.mu.Unlock()
 	if m != nil {
 		m.retries.With(id).Inc()
+	}
+}
+
+// Revoke counts one parked grant taken back from client because another
+// request needed the memory. The labeled family shares its name with the
+// scheduler's unlabeled counter, so Σ over {client=*} reproduces it. Safe
+// on nil.
+func (l *Ledger) Revoke(client string) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	a := l.accountFor(client)
+	a.u.Revocations++
+	m := l.m
+	id := a.u.ID
+	l.mu.Unlock()
+	if m != nil {
+		m.revoked.With(id).Inc()
 	}
 }
 

@@ -15,6 +15,15 @@ const (
 	MetricSchedQueueDepthMax     = "menos_sched_queue_depth_max"
 	MetricSchedWaitSeconds       = "menos_sched_wait_seconds"
 	MetricSchedHOLBlockedSeconds = "menos_sched_hol_blocked_seconds"
+	// Activations as a revocable grant: forward grants grown to the
+	// backward demand, parked grants their owner claimed back (a backward
+	// with no re-forward), parked grants revoked for another request (also
+	// a {client=...} family billed through the ledger), and the bytes
+	// parked right now — allocated, yet free to every fit test.
+	MetricSchedGrown       = "menos_sched_grown_total"
+	MetricSchedClaimed     = "menos_sched_claimed_total"
+	MetricSchedRevocations = "menos_sched_revocations_total"
+	MetricSchedParkedBytes = "menos_sched_parked_bytes"
 
 	// Admission control (internal/sched, docs/ADMISSION.md).
 	MetricSchedAdmissionState       = "menos_sched_admission_state"
@@ -67,6 +76,10 @@ const (
 	MetricServerComputeSeconds = "menos_server_compute_seconds"
 	MetricServerWaitSeconds    = "menos_server_sched_wait_seconds"
 	MetricServerActiveClients  = "menos_server_active_clients"
+	// Serial backwards that had to re-forward (parked cache revoked, or
+	// never kept), and kept caches larger than the grant profiled for them.
+	MetricServerReforwards        = "menos_server_reforwards_total"
+	MetricServerProfileViolations = "menos_server_profile_violations_total"
 
 	// Live migration (internal/server admin plane, docs/FLEET.md).
 	// "Out" counts sessions this server snapshotted and redirected

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"menos/internal/obs"
 )
@@ -185,6 +186,11 @@ func TestPlainCycleAllocs(t *testing.T) {
 	})
 	if got > 2 {
 		t.Errorf("plain Submit→Complete cycle allocates %v objects, want at most 2", got)
+	}
+	// The request is one of the two, and 128 bytes is its size class: a
+	// field more moves every Submit of every plane to the 144-byte class.
+	if sz := unsafe.Sizeof(request{}); sz > 128 {
+		t.Errorf("request is %d bytes, want at most 128", sz)
 	}
 }
 

@@ -13,6 +13,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -95,9 +96,19 @@ type request struct {
 	alias    []string
 	granted  bool // bytes are allocated (grantAt or Reserve)
 	reserved bool // a Reserve holding: counts against Schedulable
+	parked   bool // the grant is revocable: listed in Scheduler.parked
 	// self backs members for a one-member request, so the plain
 	// Submit→grant→Complete cycle costs no allocation beyond the request.
 	self [1]BatchMember
+}
+
+// revocable is a revocable grant and its owner's hook, run under s.mu
+// when the scheduler takes the bytes back for someone else. The hook
+// lives here, not in request: every Submit of every plane allocates a
+// request, only a parked one needs a hook.
+type revocable struct {
+	r      *request
+	revoke func()
 }
 
 // newRequest builds the one-member request of Submit and Reserve.
@@ -123,6 +134,10 @@ type schedMetrics struct {
 	depthMax   *obs.Gauge
 	wait       *obs.Histogram
 	holBlocked *obs.Histogram
+	grown      *obs.Counter
+	claimed    *obs.Counter
+	revoked    *obs.Counter
+	parked     *obs.Gauge
 }
 
 // Stats aggregates scheduler activity.
@@ -131,6 +146,9 @@ type Stats struct {
 	Granted       int64
 	Backfilled    int64 // granted out of FCFS order
 	Completed     int64
+	Grown         int64 // forward grants enlarged to hold the activation cache
+	Claimed       int64 // parked grants their owner took back (cache hits)
+	Revoked       int64 // parked grants taken back for another request
 	Decisions     int64
 	DecisionTime  time.Duration // cumulative wall time inside schedule()
 	MaxQueueDepth int
@@ -167,6 +185,11 @@ type Scheduler struct {
 	// reserved sums the bytes held by Reserve (long-lived holdings):
 	// the floor below total that queued requests can never use.
 	reserved int64
+	// parked lists the revocable grants oldest first; parkedBytes sums
+	// them. They are allocated (not in avail) yet free to every fit test:
+	// takeLocked revokes them when a request needs the memory.
+	parked      []revocable
+	parkedBytes int64
 
 	// ledger, when non-nil, receives per-tenant accounting events:
 	// grants and reservations as byte holdings (persistent vs transient
@@ -207,6 +230,10 @@ func (s *Scheduler) Instrument(reg *obs.Registry, clock obs.Clock) {
 		depthMax:   reg.Gauge(obs.MetricSchedQueueDepthMax, "high-water mark of the wait queue"),
 		wait:       reg.Histogram(obs.MetricSchedWaitSeconds, obs.DurationBuckets(), "submit-to-grant wait time"),
 		holBlocked: reg.Histogram(obs.MetricSchedHOLBlockedSeconds, obs.DurationBuckets(), "contiguous intervals the queue head was too large to grant"),
+		grown:      reg.Counter(obs.MetricSchedGrown, "forward grants grown to the backward demand (activations kept)"),
+		claimed:    reg.Counter(obs.MetricSchedClaimed, "parked grants claimed back by their owner (backward without re-forward)"),
+		revoked:    reg.Counter(obs.MetricSchedRevocations, "parked grants revoked because another request needed the memory"),
+		parked:     reg.Gauge(obs.MetricSchedParkedBytes, "bytes held by parked (revocable) grants"),
 	}
 	s.m.reg = reg
 	if s.adm != nil {
@@ -412,20 +439,15 @@ func (s *Scheduler) Complete(clientID string) int64 {
 	var reclaimed int64
 	if r := s.allocLocked(clientID); r != nil {
 		reclaimed = r.bytes
-		s.avail += reclaimed
-		if r.reserved {
-			s.reserved -= reclaimed
+		if r.parked {
+			// The owner gives a parked grant back itself (a forward no
+			// backward followed, a teardown): its hook does not fire.
+			s.unparkLocked(r)
 		}
+		s.releaseLocked(r)
 		s.stats.Completed++
 		if s.m != nil {
 			s.m.completed.Inc()
-		}
-		for _, m := range r.members {
-			delete(s.held, m.ClientID)
-			s.ledger.Release(m.ClientID, m.Bytes)
-		}
-		for _, id := range r.alias {
-			delete(s.held, id)
 		}
 	}
 	grants := s.schedule()
@@ -434,6 +456,157 @@ func (s *Scheduler) Complete(clientID string) int64 {
 		g()
 	}
 	return reclaimed
+}
+
+// releaseLocked returns r's bytes to free memory and clears every
+// identity it held. Caller holds s.mu.
+func (s *Scheduler) releaseLocked(r *request) {
+	s.avail += r.bytes
+	if r.reserved {
+		s.reserved -= r.bytes
+	}
+	for _, m := range r.members {
+		delete(s.held, m.ClientID)
+		s.ledger.Release(m.ClientID, m.Bytes)
+	}
+	for _, id := range r.alias {
+		delete(s.held, id)
+	}
+}
+
+// fitLocked is the fit test of every grant decision: bytes fit when free
+// memory plus what the parked grants would give back covers them. Caller
+// holds s.mu.
+func (s *Scheduler) fitLocked(bytes int64) bool {
+	return bytes <= s.avail+s.parkedBytes
+}
+
+// takeLocked allocates bytes that fitLocked admitted, revoking parked
+// grants — oldest first, and no more than needed — for what free memory
+// alone does not cover. Caller holds s.mu.
+func (s *Scheduler) takeLocked(bytes int64) {
+	for s.avail < bytes {
+		s.revokeLocked(s.parked[0].r)
+	}
+	s.avail -= bytes
+}
+
+// Grow enlarges clientID's live plain grant to bytes so the forward it
+// covers may keep its activations for the backward (M_f → M_b). It never
+// queues and never takes from anyone: it is refused while any request
+// waits or when strictly free memory — parked bytes do not count — does
+// not cover the difference.
+func (s *Scheduler) Grow(clientID string, bytes int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.allocLocked(clientID)
+	if r == nil || r.reserved || r.parked || len(r.members) != 1 || len(r.alias) != 0 {
+		return false
+	}
+	delta := max(bytes-r.bytes, 0)
+	if s.closed || len(s.waiting) > 0 || delta > s.avail {
+		return false
+	}
+	s.avail -= delta
+	r.bytes += delta
+	r.members[0].Bytes += delta
+	s.ledger.Acquire(clientID, delta)
+	s.stats.Grown++
+	if s.m != nil {
+		s.m.grown.Inc()
+	}
+	return true
+}
+
+// Park turns clientID's live grant into a revocable one instead of
+// completing it: the owner keeps what the bytes hold (a forward's
+// activation cache), every fit test counts them as free, and the first
+// request that would not otherwise fit takes them back — revoke then
+// runs under the scheduler mutex, so it must only drop the owner's
+// reference (an atomic store) and never call back in. Exactly one of
+// three things ends a parked grant: Claim returning true, Complete, or
+// revoke firing. Parking is a release: requests that queued while the
+// grant was live get a scheduling cycle.
+func (s *Scheduler) Park(clientID string, revoke func()) {
+	s.mu.Lock()
+	r := s.allocLocked(clientID)
+	if r == nil || r.reserved || r.parked {
+		s.mu.Unlock()
+		revoke() // nothing to park: the owner must not keep what no grant covers
+		return
+	}
+	r.parked = true
+	s.parked = append(s.parked, revocable{r, revoke})
+	s.parkedBytes += r.bytes
+	s.observeParked()
+	var grants []func()
+	switch {
+	case s.closed:
+		s.revokeLocked(r)
+	case len(s.waiting) > 0:
+		grants = s.schedule()
+	}
+	s.mu.Unlock()
+	for _, g := range grants {
+		g()
+	}
+}
+
+// Claim takes clientID's parked grant back for the backward it was kept
+// for. True means the grant is live again — revoke will never fire for
+// it, and the owner releases it with Complete as usual; false means it
+// was revoked (or never parked) and the owner holds nothing. Claim and
+// revocation exclude each other under the scheduler mutex.
+func (s *Scheduler) Claim(clientID string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.allocLocked(clientID)
+	if r == nil || !r.parked {
+		return false
+	}
+	s.unparkLocked(r)
+	s.stats.Claimed++
+	if s.m != nil {
+		s.m.claimed.Inc()
+	}
+	return true
+}
+
+// unparkLocked takes parked grant r off the list and returns its hook.
+// Caller holds s.mu.
+func (s *Scheduler) unparkLocked(r *request) (revoke func()) {
+	for i, p := range s.parked {
+		if p.r == r {
+			revoke = p.revoke
+			s.parked = slices.Delete(s.parked, i, i+1) // zeroes the vacated slot: no stale hook kept alive
+			break
+		}
+	}
+	s.parkedBytes -= r.bytes
+	r.parked = false
+	s.observeParked()
+	return revoke
+}
+
+// revokeLocked takes parked grant r back from its owner: bytes to free
+// memory, ledger holding released, identity cleared, owner told. Caller
+// holds s.mu.
+func (s *Scheduler) revokeLocked(r *request) {
+	revoke := s.unparkLocked(r)
+	s.releaseLocked(r)
+	s.stats.Revoked++
+	if s.m != nil {
+		s.m.revoked.Inc()
+	}
+	s.ledger.Revoke(r.clientID)
+	revoke()
+}
+
+// observeParked publishes the parked-bytes gauge. Caller holds s.mu.
+func (s *Scheduler) observeParked() {
+	if s.m != nil {
+		s.m.parked.Set(s.parkedBytes)
+	}
 }
 
 // schedule is Algorithm 2's SCHEDULE procedure. Caller holds s.mu; the
@@ -452,7 +625,7 @@ func (s *Scheduler) schedule() []func() {
 		for {
 			best := -1
 			for i, r := range s.waiting {
-				if r.bytes <= s.avail && (best < 0 || r.bytes < s.waiting[best].bytes) {
+				if s.fitLocked(r.bytes) && (best < 0 || r.bytes < s.waiting[best].bytes) {
 					best = i
 				}
 			}
@@ -463,13 +636,13 @@ func (s *Scheduler) schedule() []func() {
 		}
 	case PolicyFCFS:
 		// Strict order: stop at the first request that does not fit.
-		for len(s.waiting) > 0 && s.waiting[0].bytes <= s.avail {
+		for len(s.waiting) > 0 && s.fitLocked(s.waiting[0].bytes) {
 			grants = append(grants, s.grantAt(0, false))
 		}
 	default: // PolicyFCFSBackfill
 		// Lines 15-22: grant the head if it fits; if the head does not
 		// fit, keep it (fairness) and fall through to backfilling.
-		for len(s.waiting) > 0 && s.waiting[0].bytes <= s.avail {
+		for len(s.waiting) > 0 && s.fitLocked(s.waiting[0].bytes) {
 			grants = append(grants, s.grantAt(0, false))
 		}
 		// Lines 23-24: backfill later requests into leftover memory.
@@ -477,7 +650,7 @@ func (s *Scheduler) schedule() []func() {
 		// only small forward-class requests from resident clients may
 		// jump the head (admission.go).
 		for i := 1; i < len(s.waiting); {
-			if r := s.waiting[i]; r.bytes <= s.avail {
+			if r := s.waiting[i]; s.fitLocked(r.bytes) {
 				if s.adm != nil && !s.adm.backfillAllowed(r, s.isResident(r)) {
 					i++
 					continue
@@ -514,7 +687,7 @@ func (s *Scheduler) observeHeadOfLine() {
 	if s.m == nil {
 		return
 	}
-	blocked := len(s.waiting) > 0 && s.waiting[0].bytes > s.avail
+	blocked := len(s.waiting) > 0 && !s.fitLocked(s.waiting[0].bytes)
 	now := s.m.clock.Now()
 	switch {
 	case blocked && !s.holActive:
@@ -550,7 +723,7 @@ func (s *Scheduler) observeQueueDepth() {
 func (s *Scheduler) grantAt(i int, backfilled bool) func() {
 	r := s.waiting[i]
 	s.waiting = append(s.waiting[:i], s.waiting[i+1:]...)
-	s.avail -= r.bytes
+	s.takeLocked(r.bytes)
 	r.granted = true
 	s.stats.Granted++
 	if backfilled {
@@ -605,11 +778,11 @@ func (s *Scheduler) Reserve(id string, bytes int64) error {
 		s.rejectedInc()
 		return err
 	}
-	if bytes > s.avail {
+	if !s.fitLocked(bytes) {
 		s.rejectedInc()
-		return fmt.Errorf("%w: reserve %d, available %d", ErrNeverFits, bytes, s.avail)
+		return fmt.Errorf("%w: reserve %d, available %d", ErrNeverFits, bytes, s.avail+s.parkedBytes)
 	}
-	s.avail -= bytes
+	s.takeLocked(bytes)
 	r := newRequest(id, 0, bytes, nil)
 	r.granted, r.reserved = true, true
 	s.holdLocked(r)
@@ -663,11 +836,21 @@ func (s *Scheduler) Total() int64 {
 	return s.total
 }
 
-// Available returns schedulable free memory.
+// Available returns the memory a request could be granted right now:
+// free bytes plus parked ones, which are revoked the moment anything
+// needs them.
 func (s *Scheduler) Available() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.avail
+	return s.avail + s.parkedBytes
+}
+
+// Parked returns the bytes held by parked (revocable) grants: the
+// transient occupancy an uncontended server keeps to skip re-forwards.
+func (s *Scheduler) Parked() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.parkedBytes
 }
 
 // QueueDepth returns the number of waiting requests.
@@ -694,10 +877,14 @@ func (s *Scheduler) Stats() Stats {
 	return s.stats
 }
 
-// Close rejects future submissions. Pending requests stay queued (the
-// owner is expected to drain or abandon them).
+// Close rejects future submissions and revokes every parked grant.
+// Pending requests stay queued (the owner is expected to drain or
+// abandon them).
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
+	for len(s.parked) > 0 {
+		s.revokeLocked(s.parked[0].r)
+	}
 }

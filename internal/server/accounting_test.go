@@ -23,7 +23,7 @@ func TestAccountingConservationOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, OnDemand: true, Metrics: reg, ServerID: 7})
+	srv, err := New(Config{Store: store, Metrics: reg, ServerID: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

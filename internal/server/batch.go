@@ -23,10 +23,11 @@ import (
 
 // batchable reports whether a session's requests may join batches:
 // batching re-injects the session's adapter layers per-row, which is
-// implemented for LoRA only, and the executor runs the OnDemand
-// (no-grad forward, re-forward backward) protocol.
+// implemented for LoRA only. A batchable session never keeps its
+// activations: its forward is a stacked no-grad pass, and the backward
+// group need not be the forward group.
 func (s *Server) batchable(sess *session) (*adapter.LoRAAdapter, bool) {
-	if s.engine == nil || !s.cfg.OnDemand {
+	if s.engine == nil {
 		return nil, false
 	}
 	la, ok := sess.inst.Adapter().(*adapter.LoRAAdapter)

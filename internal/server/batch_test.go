@@ -52,10 +52,9 @@ func newBatchedServer(t *testing.T, maxSize int, reg *obs.Registry) string {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Store:    store,
-		OnDemand: true,
-		Batch:    sched.BatchPolicy{MaxSize: maxSize, MaxHold: 200 * time.Millisecond},
-		Metrics:  reg,
+		Store:   store,
+		Batch:   sched.BatchPolicy{MaxSize: maxSize, MaxHold: 200 * time.Millisecond},
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +103,7 @@ func TestBatchedServerBitIdentical(t *testing.T) {
 	// Serial ground truth: each client alone, one at a time, on an
 	// unbatched server over the same seeded store.
 	serial := make([][]float64, clients+1)
-	_, serialAddr := newTestServer(t, true)
+	_, serialAddr := newTestServer(t)
 	runOne := func(addr string, cfg client.Config, seed uint64, barrier *stepBarrier) ([]float64, error) {
 		c, err := client.Dial(addr, cfg)
 		if err != nil {
@@ -199,9 +198,8 @@ func TestBatchedServerBaseIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Store:    store,
-		OnDemand: true,
-		Batch:    sched.BatchPolicy{MaxSize: 4, MaxHold: 20 * time.Millisecond},
+		Store: store,
+		Batch: sched.BatchPolicy{MaxSize: 4, MaxHold: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +301,7 @@ func TestMalformedMemberFailsAlone(t *testing.T) {
 		return losses
 	}
 
-	_, serialAddr := newTestServer(t, true)
+	_, serialAddr := newTestServer(t)
 	c, err := client.Dial(serialAddr, good)
 	if err != nil {
 		t.Fatal(err)
@@ -358,18 +356,14 @@ func TestMalformedMemberFailsAlone(t *testing.T) {
 	wantShapeError(t, bad, "gradients")
 }
 
-// TestBatchRequiresOnDemand: the batched executor runs the on-demand
-// protocol; configuring batching with activation preservation is a
-// construction-time error, not a silent fallback.
-func TestBatchRequiresOnDemand(t *testing.T) {
+// TestInvalidBatchPolicyRejected: a malformed batch policy is a
+// construction-time error, not a silent fallback to serial serving.
+func TestInvalidBatchPolicyRejected(t *testing.T) {
 	store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Store: store, Batch: sched.BatchPolicy{MaxSize: 4}}); err == nil {
-		t.Fatal("batching without OnDemand accepted")
-	}
-	if _, err := New(Config{Store: store, OnDemand: true, Batch: sched.BatchPolicy{MaxSize: -2}}); err == nil {
+	if _, err := New(Config{Store: store, Batch: sched.BatchPolicy{MaxSize: -2}}); err == nil {
 		t.Fatal("invalid batch policy accepted")
 	}
 }

@@ -72,7 +72,9 @@ func (s *Server) LoadSnapshot() fleet.LoadSnapshot {
 	// UsedBytes mirrors what the simulator reports: device residency
 	// (base model and per-owner allocations) plus everything the
 	// scheduler currently holds out of its budget (grants in flight and
-	// persistent reservations).
+	// persistent reservations). Parked activation grants are not held in
+	// that sense — Available counts them as free, because any request
+	// that needs them gets them — so placement sees them as free too.
 	used := s.device.Used() + (s.scheduler.Total() - s.scheduler.Available())
 	return fleet.LoadSnapshot{
 		AtSeconds: s.clock.Now().Seconds(),

@@ -20,7 +20,7 @@ func TestMetricsOverRealTCPRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, OnDemand: true, Metrics: reg, Tracer: tracer})
+	srv, err := New(Config{Store: store, Metrics: reg, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +57,13 @@ func TestMetricsOverRealTCPRun(t *testing.T) {
 	if st.Iterations != steps {
 		t.Errorf("Stats().Iterations = %d, want %d", st.Iterations, steps)
 	}
-	if v := reg.Counter(obs.MetricSchedGranted).Value() + reg.Counter(obs.MetricSchedBackfilled).Value(); v < 2*steps {
-		t.Errorf("scheduler grants = %d, want >= %d (forward+backward per step)", v, 2*steps)
+	// Every phase runs under a grant: the forward's own, and for the
+	// backward either a fresh one or the forward's, parked and claimed.
+	if v := reg.Counter(obs.MetricSchedGranted).Value() + reg.Counter(obs.MetricSchedClaimed).Value(); v < 2*steps {
+		t.Errorf("scheduler grants + claims = %d, want >= %d (forward+backward per step)", v, 2*steps)
+	}
+	if v := reg.Gauge(obs.MetricSchedParkedBytes).Value(); v != 0 {
+		t.Errorf("parked bytes gauge = %d after the last backward, want 0", v)
 	}
 	if v := reg.Counter(obs.MetricGPUAllocOps).Value(); v == 0 {
 		t.Error("no GPU allocations counted")

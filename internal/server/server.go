@@ -4,6 +4,8 @@
 // each client's memory demands on arrival, and runs every forward and
 // backward under the Algorithm-2 scheduler with on-demand memory
 // allocation — Algorithm 1's serving loop, executing real tensor math.
+// A forward's activations are a revocable grant: kept for the backward
+// while nobody needs the memory, recomputed (Fig. 3(d)) when somebody did.
 package server
 
 import (
@@ -45,11 +47,6 @@ type Config struct {
 	GPU *gpu.Device
 	// SchedPolicy is the scheduler discipline (default FCFS+backfill).
 	SchedPolicy sched.Policy
-	// OnDemand enables Fig. 3(d)'s policy: no-grad first forward,
-	// release while waiting, re-forward on backward. When false the
-	// server preserves activations between forward and backward
-	// (Fig. 3(b)), the ablation baseline.
-	OnDemand bool
 	// MaxClients caps concurrently admitted clients (0 = unlimited).
 	// Admission beyond the cap is rejected at handshake with a clear
 	// reason rather than degrading everyone.
@@ -80,9 +77,9 @@ type Config struct {
 	// Batch, when enabled (MaxSize > 1), coalesces compatible
 	// forward/backward requests from concurrent LoRA clients into one
 	// batched kernel invocation with per-row adapter dispatch
-	// (docs/BATCHING.md). Requires OnDemand: the batched executor runs
-	// the no-grad-forward / re-forward-backward protocol. The zero
-	// value serves every request serially.
+	// (docs/BATCHING.md). The batched executor always runs the
+	// no-grad-forward / re-forward-backward protocol. The zero value
+	// serves every request serially.
 	Batch sched.BatchPolicy
 	// ServerID is this server's fleet identity, echoed in /loadz
 	// (LoadSnapshot). A single-server deployment can leave it 0.
@@ -148,6 +145,7 @@ type Server struct {
 		iterations    atomic.Int64
 		schedWaitNs   atomic.Int64
 		computeNs     atomic.Int64
+		reforwards    atomic.Int64
 	}
 
 	m serverMetrics
@@ -165,6 +163,8 @@ type serverMetrics struct {
 	migrationsOut     *obs.Counter
 	migrationsIn      *obs.Counter
 	migrationsAborted *obs.Counter
+	reforwards        *obs.Counter
+	profileViolations *obs.Counter
 }
 
 // New creates a server over the shared store. The store's base
@@ -210,9 +210,6 @@ func New(cfg Config) (*Server, error) {
 		s.scheduler.SetLedger(s.ledger)
 	}
 	if cfg.Batch.Enabled() {
-		if !cfg.OnDemand {
-			return nil, errors.New("server: batching requires OnDemand serving")
-		}
 		pol := cfg.Batch.WithDefaults()
 		engine, err := batch.New(batch.Config{
 			Policy:   pol,
@@ -251,6 +248,9 @@ func New(cfg Config) (*Server, error) {
 			migrationsOut:     cfg.Metrics.Counter(obs.MetricServerMigrationsOut, "sessions snapshotted and redirected to another server"),
 			migrationsIn:      cfg.Metrics.Counter(obs.MetricServerMigrationsIn, "sessions resumed here from a staged snapshot"),
 			migrationsAborted: cfg.Metrics.Counter(obs.MetricServerMigrationsAborted, "migration orders that failed mid-flight"),
+
+			reforwards:        cfg.Metrics.Counter(obs.MetricServerReforwards, "serial backwards that recomputed the forward (no parked cache to claim)"),
+			profileViolations: cfg.Metrics.Counter(obs.MetricServerProfileViolations, "kept activation caches larger than the grant profiled for them"),
 		}
 		s.payload.Compressed = cfg.Metrics.Counter(obs.MetricWireCompressedBytes, "on-wire bytes of compressed activation/gradient payloads sent")
 		s.payload.Raw = cfg.Metrics.Counter(obs.MetricWireRawBytes, "fp32 bytes the compressed payloads replaced")
@@ -272,6 +272,9 @@ type Stats struct {
 	Iterations    int64
 	AvgSchedWait  time.Duration
 	AvgCompute    time.Duration
+	// Reforwards counts serial backwards that recomputed the forward; the
+	// rest of the serial iterations reused the forward's parked cache.
+	Reforwards int64
 }
 
 // Stats returns a snapshot.
@@ -279,6 +282,7 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		ClientsServed: s.stats.clientsServed.Load(),
 		Iterations:    s.stats.iterations.Load(),
+		Reforwards:    s.stats.reforwards.Load(),
 	}
 	if st.Iterations > 0 {
 		st.AvgSchedWait = time.Duration(s.stats.schedWaitNs.Load()) / time.Duration(st.Iterations)
@@ -384,9 +388,15 @@ type session struct {
 	cachedBatch int
 	cachedSeq   int
 
-	// preserved holds the activation cache between forward and
-	// backward when OnDemand is disabled (Fig. 3(b) ablation).
-	preserved *model.BodyCache
+	// parked holds the forward's activation cache while its grant is
+	// parked in the scheduler. The session goroutine is the only reader;
+	// the scheduler's revoke hook only ever stores nil, and the buffers
+	// then fall to the GC — never back to the scratch arena, where a
+	// kernel could still be reading them.
+	parked atomic.Pointer[model.BodyCache]
+	// dropParked is that hook, built once per session: Park takes it on
+	// every kept forward.
+	dropParked func()
 
 	// decode holds an open incremental-inference session; its KV bytes
 	// are reserved from the scheduler until DecodeClose.
@@ -602,6 +612,7 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 		features: features,
 		payload:  s.payload,
 	}
+	sess.dropParked = func() { sess.parked.Store(nil) }
 	sess.payload.Negotiated = features&split.FeatureActivationCompression != 0
 	switch hello.Optimizer.Kind {
 	case "", "adam":
@@ -639,12 +650,14 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 	sess.demands = demands
 	// Scheduler principle 1: a demand that could never be granted is
 	// rejected up front rather than deadlocking the client later.
-	if demands.BackwardBytes > s.scheduler.Available() {
+	// Schedulable, not Available: another tenant's grant in flight makes
+	// this client wait its turn, it does not make the demand ungrantable.
+	if schedulable := s.scheduler.Schedulable(); demands.BackwardBytes > schedulable {
 		releaseReservation()
 		cleanup()
 		s.cfg.Flight.TriggerAsync(obs.FlightReasonOOM)
 		return reject(fmt.Sprintf("backward demand %d exceeds schedulable memory %d",
-			demands.BackwardBytes, s.scheduler.Available()+persistent))
+			demands.BackwardBytes, schedulable))
 	}
 
 	// Restore a migrated session after profiling: MeasureBody leaves
@@ -697,7 +710,7 @@ func (s *Server) teardown(sess *session) {
 	s.mu.Unlock()
 	s.m.active.Add(-1)
 	s.closeDecode(sess)
-	s.scheduler.Complete(sess.id)
+	s.scheduler.Complete(sess.id) // a grant in flight or parked, if any
 	s.scheduler.Complete("persist:" + sess.id)
 	if err := sess.inst.Release(); err != nil && !errors.Is(err, share.ErrReleased) {
 		s.logf("client %q: release: %v", sess.id, err)
@@ -833,40 +846,54 @@ func (s *Server) serveForward(conn net.Conn, sess *session, req *split.ForwardRe
 }
 
 // runForward is the serial forward executor: the session's own body
-// under its own grant.
+// under its own grant. Whether the activations are kept is decided per
+// iteration from what the scheduler observes: if nobody is waiting and
+// the backward demand fits free memory the grant grows to it, the
+// forward runs grad-enabled and the grant is parked with the cache
+// (Fig. 3(b) without its queueing); otherwise the forward is the
+// no-grad pass that releases before the gradient wait (Fig. 3(d)).
 func (s *Server) runForward(w *phaseWork) error {
 	sess := w.sess
-	if sess.preserved != nil {
-		// Fig. 3(b) holds the forward grant through the gradient wait. A
-		// forward that no backward followed (client.Evaluate, an
-		// abandoned iteration) still holds it: give the grant and the
-		// stale activations back, or this Submit fails ErrOutstanding.
-		sess.preserved = nil
+	if sess.parked.Swap(nil) != nil {
+		// A forward that no backward followed (client.Evaluate, an
+		// abandoned iteration) left its cache parked: give the grant back,
+		// or this Submit fails ErrOutstanding.
 		s.scheduler.Complete(sess.id)
 	}
 	if err := s.acquire(sched.KindForward, "", w); err != nil {
 		return err
 	}
+	keep := s.scheduler.Grow(sess.id, sess.demands.BackwardBytes)
 	compSpan := s.cfg.Tracer.BeginT(sess.id, "forward", "compute", w.traceID)
 	compStart := time.Now()
-	// Fig. 3(d): no-grad forward; only x_c is kept for the re-forward.
-	// Fig. 3(b): grad-enabled forward, activations preserved until the
-	// backward arrives.
-	xs, cache, err := sess.body.Forward(w.x, w.batch, w.seq, !s.cfg.OnDemand)
+	xs, cache, err := sess.body.Forward(w.x, w.batch, w.seq, keep)
 	if err != nil {
 		s.scheduler.Complete(sess.id)
 		return err
 	}
 	w.out, w.comp = xs, time.Since(compStart)
 	compSpan.End()
-	if s.cfg.OnDemand {
+	if keep && cache.Bytes() > sess.demands.BackwardBytes {
+		// Estimate-then-validate: the profiled M_b must cover what is
+		// kept. A profile that does not is reported, and the cache is not
+		// held on a grant too small for it.
+		s.m.profileViolations.Inc()
+		s.cfg.Flight.TriggerAsync(obs.FlightReasonProfile)
+		s.logf("client %q: kept cache %d bytes exceeds profiled backward demand %d",
+			sess.id, cache.Bytes(), sess.demands.BackwardBytes)
+		keep = false
+	}
+	if !keep {
 		// Release GPU memory before waiting for gradients.
 		rel := s.cfg.Tracer.BeginT(sess.id, "release", "release", w.traceID)
 		s.scheduler.Complete(sess.id)
 		rel.End()
-	} else {
-		sess.preserved = cache
+		return nil
 	}
+	park := s.cfg.Tracer.BeginT(sess.id, "park", "release", w.traceID)
+	sess.parked.Store(cache) // before Park: the hook may fire inside it
+	s.scheduler.Park(sess.id, sess.dropParked)
+	park.End()
 	return nil
 }
 
@@ -920,30 +947,32 @@ func (s *Server) serveBackward(conn net.Conn, sess *session, req *split.Backward
 	return split.WriteMessage(conn, &split.BackwardResp{Iter: req.Iter, Gradients: plain, Packed: packed, TraceID: sess.echoTrace(req.TraceID)})
 }
 
-// runBackward is the serial backward executor: re-forward (Fig. 3(d))
-// or the preserved activations (Fig. 3(b)), then the body backward.
-// Both policies release the grant afterwards.
+// runBackward is the serial backward executor. It claims the grant the
+// forward parked and backpropagates through the kept cache; if the
+// scheduler revoked it for someone else (or the forward never kept it)
+// this is Fig. 3(d)'s backward: acquire M_b, re-forward, backward. Both
+// outcomes release the grant afterwards.
 func (s *Server) runBackward(w *phaseWork) error {
 	sess := w.sess
 	var cache *model.BodyCache
-	var compSpan *obs.SpanHandle
+	if s.scheduler.Claim(sess.id) {
+		cache = sess.parked.Swap(nil)
+	} else if err := s.acquire(sched.KindBackward, "", w); err != nil {
+		return err
+	}
+	compSpan := s.cfg.Tracer.BeginT(sess.id, "backward", "compute", w.traceID)
 	compStart := time.Now()
-	if s.cfg.OnDemand {
-		err := s.acquire(sched.KindBackward, "", w)
-		if err != nil {
-			return err
-		}
-		compSpan = s.cfg.Tracer.BeginT(sess.id, "backward", "compute", w.traceID)
-		compStart = time.Now()
-		// Re-forward with gradient preparation.
+	if cache == nil {
+		refwd := s.cfg.Tracer.BeginT(sess.id, "refwd", "recompute", w.traceID)
+		var err error
 		_, cache, err = sess.body.Forward(sess.cachedInput, w.batch, w.seq, true)
+		refwd.End()
 		if err != nil {
 			s.scheduler.Complete(sess.id)
 			return err
 		}
-	} else {
-		compSpan = s.cfg.Tracer.BeginT(sess.id, "backward", "compute", w.traceID)
-		cache, sess.preserved = sess.preserved, nil
+		s.stats.reforwards.Add(1)
+		s.m.reforwards.Inc()
 	}
 	gs, err := sess.body.Backward(cache, w.x)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"menos/internal/client"
 	"menos/internal/model"
 	"menos/internal/nn"
+	"menos/internal/sched"
 	"menos/internal/share"
 	"menos/internal/split"
 	"menos/internal/tensor"
@@ -22,13 +23,23 @@ const weightSeed = 1234
 
 func testModelCfg() model.Config { return model.OPTTiny() }
 
-func newTestServer(t *testing.T, onDemand bool) (*Server, string) {
+func newTestServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
-	if err != nil {
-		t.Fatal(err)
+	return startServer(t, Config{})
+}
+
+// startServer serves cfg on a loopback listener until the test ends; a
+// nil Store is filled with a fresh test store.
+func startServer(t *testing.T, cfg Config) (*Server, string) {
+	t.Helper()
+	if cfg.Store == nil {
+		store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Store = store
 	}
-	srv, err := New(Config{Store: store, OnDemand: onDemand})
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +129,7 @@ func localBaseline(t *testing.T, cfg client.Config, ids, targets []int, steps in
 // maintaining the same logical flow". We assert the per-step losses
 // over real TCP match the local run to float tolerance.
 func TestSplitFineTuningEqualsLocal(t *testing.T) {
-	_, addr := newTestServer(t, true)
+	_, addr := newTestServer(t)
 	cfg := clientCfg("equiv")
 	ids, targets := batchFor(cfg, 7)
 	const steps = 5
@@ -151,27 +162,71 @@ func TestSplitFineTuningEqualsLocal(t *testing.T) {
 	}
 }
 
+// revokingConn forces the scheduler to need every byte right before the
+// client's backward frames: after the handshake a plain Step writes
+// ForwardReq, BackwardReq, ForwardReq, ... (one Write per frame), and
+// the server has parked the forward's cache before its ForwardResp let
+// the client get this far. The need is a real Reserve of everything
+// Available() reports — the path a joining tenant's reservation takes.
+type revokingConn struct {
+	net.Conn
+	sched  *sched.Scheduler
+	writes int
+}
+
+func (c *revokingConn) Write(p []byte) (int, error) {
+	c.writes++
+	if c.writes >= 3 && c.writes%2 == 1 {
+		if err := c.sched.Reserve("probe", c.sched.Available()); err != nil {
+			return 0, err
+		}
+		c.sched.Complete("probe")
+	}
+	return c.Conn.Write(p)
+}
+
 // TestPreservePolicyProducesIdenticalMath: the re-forward of the
 // on-demand policy must be numerically identical to preserving the
 // activations (Fig. 3's policies change memory behaviour, not
-// results).
+// results). The server has one policy whose two outcomes are compared:
+// left alone, every backward claims the cache its forward parked; with
+// the memory needed before every backward, every cache is revoked and
+// every backward re-forwards.
 func TestPreservePolicyProducesIdenticalMath(t *testing.T) {
-	runPolicy := func(onDemand bool) []float64 {
-		_, addr := newTestServer(t, onDemand)
+	const steps = 4
+	runPolicy := func(revoke bool) []float64 {
+		srv, addr := newTestServer(t)
 		cfg := clientCfg("policy")
 		ids, targets := batchFor(cfg, 8)
-		c, err := client.Dial(addr, cfg)
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if revoke {
+			conn = &revokingConn{Conn: conn, sched: srv.Scheduler()}
+		}
+		c, err := client.New(conn, cfg)
+		if err != nil {
+			conn.Close()
 			t.Fatal(err)
 		}
 		defer c.Close()
 		var losses []float64
-		for i := 0; i < 4; i++ {
+		for i := 0; i < steps; i++ {
 			res, err := c.Step(ids, targets)
 			if err != nil {
 				t.Fatal(err)
 			}
 			losses = append(losses, res.Loss)
+		}
+		st := srv.Scheduler().Stats()
+		wantHits, wantRefwd := int64(steps), int64(0)
+		if revoke {
+			wantHits, wantRefwd = 0, steps
+		}
+		if st.Grown != steps || st.Claimed != wantHits || st.Revoked != wantRefwd || srv.Stats().Reforwards != wantRefwd {
+			t.Fatalf("revoke=%v: grown %d claimed %d revoked %d reforwards %d, want %d/%d/%d/%d",
+				revoke, st.Grown, st.Claimed, st.Revoked, srv.Stats().Reforwards, steps, wantHits, wantRefwd, wantRefwd)
 		}
 		return losses
 	}
@@ -188,7 +243,7 @@ func TestPreservePolicyProducesIdenticalMath(t *testing.T) {
 // different data and different adapter kinds — the heterogeneity §3.1
 // motivates — and verifies isolation plus base integrity.
 func TestConcurrentClientsShareBase(t *testing.T) {
-	srv, addr := newTestServer(t, true)
+	srv, addr := newTestServer(t)
 
 	specs := []adapter.Spec{
 		adapter.LoRASpec(adapter.DefaultLoRA()),
@@ -241,7 +296,7 @@ func TestConcurrentClientsShareBase(t *testing.T) {
 }
 
 func TestHandshakeRejections(t *testing.T) {
-	_, addr := newTestServer(t, true)
+	_, addr := newTestServer(t)
 
 	t.Run("wrong model", func(t *testing.T) {
 		cfg := clientCfg("wrong-model")
@@ -278,11 +333,14 @@ func TestHandshakeRejections(t *testing.T) {
 }
 
 // TestAbruptDisconnectReleasesInstance: a client vanishing mid-session
-// must not leak its instance or its memory reservation.
+// — here with a forward's cache still parked — must not leak its
+// instance, its parked grant or its memory reservation.
 func TestAbruptDisconnectReleasesInstance(t *testing.T) {
-	srv, addr := newTestServer(t, true)
+	srv, addr := newTestServer(t)
 	cfg := clientCfg("flaky")
 	ids, targets := batchFor(cfg, 9)
+	sch := srv.Scheduler()
+	budget := sch.Available()
 
 	c, err := client.Dial(addr, cfg)
 	if err != nil {
@@ -290,6 +348,12 @@ func TestAbruptDisconnectReleasesInstance(t *testing.T) {
 	}
 	if _, err := c.Step(ids, targets); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := c.Evaluate(ids, targets); err != nil {
+		t.Fatal(err)
+	}
+	if sch.Parked() == 0 {
+		t.Fatal("the abandoned forward left nothing parked")
 	}
 	// Abrupt close without Bye.
 	_ = c.Close()
@@ -306,11 +370,21 @@ func TestAbruptDisconnectReleasesInstance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-admission failed: %v", err)
 	}
-	defer again.Close()
 	if _, err := again.Step(ids, targets); err != nil {
 		t.Fatal(err)
 	}
-	_ = srv
+	_ = again.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for sch.Available() != budget || sch.Schedulable() != budget {
+		if time.Now().After(deadline) {
+			t.Fatalf("leak: available %d, schedulable %d, parked %d of budget %d",
+				sch.Available(), sch.Schedulable(), sch.Parked(), budget)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if p := sch.Parked(); p != 0 {
+		t.Fatalf("%d parked bytes outlived their session", p)
+	}
 }
 
 // TestServerRejectsOversizedGeometry: the profiled batch/seq bound the
@@ -318,7 +392,7 @@ func TestAbruptDisconnectReleasesInstance(t *testing.T) {
 // smaller geometry (e.g. single-token generation) is memory-safe and
 // accepted.
 func TestServerRejectsOversizedGeometry(t *testing.T) {
-	_, addr := newTestServer(t, true)
+	_, addr := newTestServer(t)
 	cfg := clientCfg("geom")
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -357,51 +431,52 @@ func TestServerRejectsOversizedGeometry(t *testing.T) {
 	_ = c
 }
 
-// TestEvaluate runs no-grad evaluation round-trips under both memory
-// policies. Evaluate is a forward no backward ever follows: under
-// Fig. 3(b) it leaves the forward grant held and the activations
-// preserved, which the next forward must give back instead of failing
-// ErrOutstanding — so consecutive evaluations, and training after them,
-// keep working.
+// TestEvaluate runs evaluation round-trips. Evaluate is a forward no
+// backward ever follows: it leaves the forward's cache parked, which the
+// next forward must give back instead of failing ErrOutstanding — so
+// consecutive evaluations, and training after them, keep working.
 func TestEvaluate(t *testing.T) {
-	for _, onDemand := range []bool{true, false} {
-		t.Run(fmt.Sprintf("onDemand=%v", onDemand), func(t *testing.T) {
-			srv, addr := newTestServer(t, onDemand)
-			cfg := clientCfg("eval")
-			ids, targets := batchFor(cfg, 10)
-			c, err := client.Dial(addr, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			loss, err := c.Evaluate(ids, targets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if loss <= 0 || math.IsNaN(loss) {
-				t.Fatalf("loss = %v", loss)
-			}
-			// Evaluation must not move parameters: next evaluation identical.
-			loss2, err := c.Evaluate(ids, targets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if loss != loss2 {
-				t.Fatalf("evaluate mutated state: %v != %v", loss, loss2)
-			}
-			// A full iteration after the abandoned forwards: its loss is
-			// the evaluated one, and its backward returns every grant.
-			res, err := c.Step(ids, targets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Loss != loss {
-				t.Fatalf("step after evaluate: loss %v, evaluated %v", res.Loss, loss)
-			}
-			if sched := srv.Scheduler(); sched.Available() != sched.Schedulable() {
-				t.Fatalf("grant leaked: %d of %d schedulable bytes free", sched.Available(), sched.Schedulable())
-			}
-		})
+	srv, addr := newTestServer(t)
+	sch := srv.Scheduler()
+	cfg := clientCfg("eval")
+	ids, targets := batchFor(cfg, 10)
+	c, err := client.Dial(addr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	loss, err := c.Evaluate(ids, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loss <= 0 || math.IsNaN(loss) {
+		t.Fatalf("loss = %v", loss)
+	}
+	// The abandoned forward's cache is parked: held, yet free to anyone.
+	_, mb := c.Demands()
+	if sch.Parked() != mb || sch.Available() != sch.Schedulable() {
+		t.Fatalf("after evaluate: parked %d (want M_b %d), available %d of %d schedulable",
+			sch.Parked(), mb, sch.Available(), sch.Schedulable())
+	}
+	// Evaluation must not move parameters: next evaluation identical.
+	loss2, err := c.Evaluate(ids, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loss != loss2 {
+		t.Fatalf("evaluate mutated state: %v != %v", loss, loss2)
+	}
+	// A full iteration after the abandoned forwards: its loss is
+	// the evaluated one, and its backward returns every grant.
+	res, err := c.Step(ids, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Loss != loss {
+		t.Fatalf("step after evaluate: loss %v, evaluated %v", res.Loss, loss)
+	}
+	if sch.Available() != sch.Schedulable() || sch.Parked() != 0 {
+		t.Fatalf("grant leaked: %d of %d schedulable bytes free, %d parked", sch.Available(), sch.Schedulable(), sch.Parked())
 	}
 }
 
@@ -412,7 +487,7 @@ func TestBaseIntegrityAfterServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, OnDemand: true})
+	srv, err := New(Config{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +519,7 @@ func TestBaseIntegrityAfterServing(t *testing.T) {
 // disconnecting them must return the scheduler to its initial budget
 // (no leaked grants or reservations).
 func TestSchedulerBudgetRestoredAfterClients(t *testing.T) {
-	srv, addr := newTestServer(t, true)
+	srv, addr := newTestServer(t)
 	before := srv.Scheduler().Available()
 	for i := 0; i < 3; i++ {
 		cfg := clientCfg(fmt.Sprintf("budget-%d", i))
@@ -479,7 +554,7 @@ func TestMaxClientsAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, OnDemand: true, MaxClients: 2})
+	srv, err := New(Config{Store: store, MaxClients: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
