@@ -368,18 +368,3 @@ func BenchmarkGenerate(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkGenerateFast measures KV-cache decoding of the same job.
-func BenchmarkGenerateFast(b *testing.B) {
-	m, err := model.New(tensor.NewRNG(1), model.OPTTiny())
-	if err != nil {
-		b.Fatal(err)
-	}
-	prompt := []int{1, 2, 3, 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.GenerateFast(tensor.NewRNG(2), prompt, 24, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -71,10 +71,11 @@ func run(args []string) error {
 	}
 	ran := false
 	start := time.Now()
+	var out printer
 
 	if selected("measurement") {
 		ran = true
-		fmt.Println(experiments.MeasurementStudy().Render())
+		out.show(experiments.MeasurementStudy())
 	}
 	if selected("fig3") {
 		ran = true
@@ -82,15 +83,14 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(fig3.Render())
+		out.show(fig3)
 	}
 	if selected("fig5") {
 		ran = true
 		for _, fig := range experiments.Fig5() {
-			fmt.Println(fig.Render())
+			out.show(fig)
 		}
-		// Sorted so the output is byte-stable run to run (benchdiff
-		// and the regression harness diff this text).
+		// Sorted so the output is byte-stable run to run.
 		reductions := experiments.Fig5Reduction()
 		names := make([]string, 0, len(reductions))
 		for name := range reductions {
@@ -116,7 +116,7 @@ func run(args []string) error {
 			return err
 		}
 		for _, fig := range figs {
-			fmt.Println(fig.Render())
+			out.show(fig)
 		}
 	}
 	for _, tbl := range []struct {
@@ -135,7 +135,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(t.Render())
+		out.show(t)
 	}
 
 	if selected("fig7") {
@@ -145,7 +145,7 @@ func run(args []string) error {
 			return err
 		}
 		for _, fig := range figs {
-			fmt.Println(fig.Render())
+			out.show(fig)
 		}
 	}
 	if selected("fig8") {
@@ -154,7 +154,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Fig.Render())
+		out.show(res.Fig)
 		fmt.Printf("Fig. 8 headline: |split − local| final perplexity gap = %.6f (paper: identical)\n", res.FinalGap())
 		fmt.Printf("Fig. 8 timing: split %.0f ms/step vs local %.0f ms/step (split pays protocol round-trips)\n\n",
 			res.ClientStepSeconds[0]*1000, res.LocalStepSeconds*1000)
@@ -165,7 +165,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Fig.Render())
+		out.show(res.Fig)
 		fmt.Printf("Fig. 9 headline: |split − local| final perplexity gap = %.6f (paper: identical)\n", res.FinalGap())
 		fmt.Printf("Fig. 9 timing: split %.0f ms/step vs local %.0f ms/step (split pays protocol round-trips)\n\n",
 			res.ClientStepSeconds[0]*1000, res.LocalStepSeconds*1000)
@@ -176,7 +176,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(fig.Render())
+		out.show(fig)
 	}
 	if selected("ablations") {
 		ran = true
@@ -184,28 +184,28 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(mem.Render())
+		out.show(mem)
 		schedTbl, err := experiments.AblationSchedulerPolicy(opts)
 		if err != nil {
 			return err
 		}
-		fmt.Println(schedTbl.Render())
-		fmt.Println(experiments.AblationBaseSharing().Render())
+		out.show(schedTbl)
+		out.show(experiments.AblationBaseSharing())
 	}
 
 	if selected("extensions") {
 		ran = true
-		fmt.Println(experiments.ExtensionQuantization().Render())
+		out.show(experiments.ExtensionQuantization())
 		ms, err := experiments.ExtensionMultiServer(opts)
 		if err != nil {
 			return err
 		}
-		fmt.Println(ms.Render())
+		out.show(ms)
 		het, err := experiments.ExtensionHeterogeneousClients(opts)
 		if err != nil {
 			return err
 		}
-		fmt.Println(het.Render())
+		out.show(het)
 	}
 
 	// The overload sweep is opt-in (-only overload): it deliberately
@@ -217,7 +217,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(ov.Render())
+		out.show(ov)
 		if *flightDir != "" {
 			res, path, err := experiments.OverloadFlight(opts, *flightDir, *pprofFlag)
 			if err != nil {
@@ -238,7 +238,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(ml.Render())
+		out.show(ml)
 	}
 
 	// The wire sweep is opt-in (-only wire): it walks the compression ×
@@ -250,7 +250,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(ws.Render())
+		out.show(ws)
 	}
 
 	// The fleet sweep is opt-in (-only fleet) for the same reason: it
@@ -262,7 +262,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(fl.Render())
+		out.show(fl)
 	}
 
 	if *traceOut != "" {
@@ -278,6 +278,9 @@ func run(args []string) error {
 
 	if !ran {
 		return fmt.Errorf("unknown artifact %q", *only)
+	}
+	if out.err != nil {
+		return out.err
 	}
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
@@ -338,3 +341,21 @@ func dumpTrace(path string, opts experiments.Options, pol *sched.BatchPolicy, wi
 
 // renderable is the common surface of tables and figures.
 type renderable interface{ Render() string }
+
+// printer prints tables and figures. A table whose AddRow had to
+// truncate a row is refused, and so is everything after it: printing
+// it would silently drop results, so run returns the refusal and
+// menos-bench exits 1. A figure's table has one cell per series by
+// construction, so only tables can be refused.
+type printer struct{ err error }
+
+func (p *printer) show(r renderable) {
+	if p.err != nil {
+		return
+	}
+	if t, ok := r.(*trace.Table); ok && t.Err() != nil {
+		p.err = t.Err()
+		return
+	}
+	fmt.Println(r.Render())
+}

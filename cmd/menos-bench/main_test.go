@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"menos/internal/trace"
 )
 
 func TestRunSingleArtifacts(t *testing.T) {
@@ -37,5 +39,22 @@ func TestRunSweepArtifacts(t *testing.T) {
 		if err := run([]string{"-only", only, "-iterations", "4"}); err != nil {
 			t.Fatalf("%s: %v", only, err)
 		}
+	}
+}
+
+// TestShowRefusesTruncatedTable: a table whose AddRow dropped cells is
+// an error, not output, and nothing prints after it.
+func TestShowRefusesTruncatedTable(t *testing.T) {
+	bad := trace.NewTable("narrow", "A")
+	bad.AddRow("1", "2")
+	var out printer
+	out.show(bad)
+	if out.err == nil || !strings.Contains(out.err.Error(), "narrow") {
+		t.Fatalf("show(truncated table) left err = %v, want the arity error", out.err)
+	}
+	first := out.err
+	out.show(trace.NewTable("fine", "A"))
+	if out.err != first {
+		t.Fatalf("err = %v after a later table, want the first refusal kept", out.err)
 	}
 }

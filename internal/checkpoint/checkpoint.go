@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"menos/internal/nn"
 	"menos/internal/tensor"
@@ -158,32 +157,6 @@ func Load(r io.Reader, params []nn.Param) error {
 		delete(byName, name)
 	}
 	return nil
-}
-
-// SaveFile writes params to path (0644, truncating).
-func SaveFile(path string, params []nn.Param) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("checkpoint: create %s: %w", path, err)
-	}
-	if err := Save(f, params); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("checkpoint: close %s: %w", path, err)
-	}
-	return nil
-}
-
-// LoadFile restores params from path.
-func LoadFile(path string, params []nn.Param) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("checkpoint: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return Load(f, params)
 }
 
 func writeString(w io.Writer, s string) error {

@@ -24,7 +24,6 @@ import (
 	"menos/internal/quant"
 	"menos/internal/split"
 	"menos/internal/tensor"
-	"menos/internal/trace"
 )
 
 // Errors reported by the client.
@@ -164,9 +163,8 @@ type Client struct {
 	params    []nn.Param
 	optimizer nn.Optimizer
 
-	iter      int
-	breakdown trace.Breakdown
-	demands   split.HelloAck
+	iter    int
+	demands split.HelloAck
 	// traceOK reports that the server acked FeatureTraceContext:
 	// requests may carry trace IDs and responses echo them.
 	traceOK bool
@@ -368,10 +366,6 @@ func (c *Client) handshake() error {
 	return nil
 }
 
-// CompressionNegotiated reports whether the server accepted compressed
-// activation payloads at handshake.
-func (c *Client) CompressionNegotiated() bool { return c.payload.Negotiated }
-
 // TraceNegotiated reports whether the server accepted trace-context
 // propagation at handshake.
 func (c *Client) TraceNegotiated() bool { return c.traceOK }
@@ -504,7 +498,6 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 		sp.End()
 		p.span.End()
 
-		c.breakdown.Add(p.res.CommTime, p.res.CompTime, 0)
 		c.m.iterations.Inc()
 		c.m.comm.ObserveExemplar(p.res.CommTime.Seconds(), p.tid)
 		c.m.comp.ObserveExemplar(p.res.CompTime.Seconds(), p.tid)
@@ -793,9 +786,6 @@ func (c *Client) SaveAdapter(w io.Writer) error {
 func (c *Client) LoadAdapter(r io.Reader) error {
 	return checkpoint.Load(r, c.params)
 }
-
-// Breakdown returns the client's accumulated comm/comp split.
-func (c *Client) Breakdown() *trace.Breakdown { return &c.breakdown }
 
 // AdapterParams exposes the client-side trainable parameters.
 func (c *Client) AdapterParams() []nn.Param { return c.params }

@@ -3,6 +3,7 @@ package client_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"menos/internal/client"
 	"menos/internal/gpu"
 	"menos/internal/model"
+	"menos/internal/obs"
 	"menos/internal/server"
 	"menos/internal/share"
 	"menos/internal/split"
@@ -143,21 +145,40 @@ func TestDemandsReported(t *testing.T) {
 	}
 }
 
+// TestBreakdownAccumulates: every step lands in the client's comm and
+// comp histograms, which sum to the times the steps returned.
 func TestBreakdownAccumulates(t *testing.T) {
 	addr := startServer(t)
-	c, err := client.Dial(addr, validCfg("breakdown"))
+	cfg := validCfg("breakdown")
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	c, err := client.Dial(addr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	ids, targets := batch(16, 3)
+	var comm, comp time.Duration
 	for i := 0; i < 3; i++ {
-		if _, err := c.Step(ids, targets); err != nil {
+		res, err := c.Step(ids, targets)
+		if err != nil {
 			t.Fatal(err)
 		}
+		comm += res.CommTime
+		comp += res.CompTime
 	}
-	if c.Breakdown().Iterations() != 3 {
-		t.Fatalf("iterations = %d", c.Breakdown().Iterations())
+	if n := reg.Counter(obs.MetricClientIterations).Value(); n != 3 {
+		t.Fatalf("iterations = %d", n)
+	}
+	for _, h := range []struct {
+		name string
+		want time.Duration
+	}{{obs.MetricClientCommSeconds, comm}, {obs.MetricClientCompSeconds, comp}} {
+		got := reg.Histogram(h.name, nil)
+		if got.Count() != 3 || math.Abs(got.Sum()-h.want.Seconds()) > 1e-9 {
+			t.Fatalf("%s: %d observations summing to %gs, want 3 summing to %gs",
+				h.name, got.Count(), got.Sum(), h.want.Seconds())
+		}
 	}
 }
 

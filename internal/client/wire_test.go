@@ -99,7 +99,7 @@ func TestWireCompressionNegotiation(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if got := c.CompressionNegotiated(); got != tc.want {
+			if got := client.CompressionNegotiated(c); got != tc.want {
 				t.Fatalf("negotiated = %v, want %v", got, tc.want)
 			}
 			// Whatever was negotiated, training works.
@@ -331,7 +331,7 @@ func TestStepPipelinedCompressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.CompressionNegotiated() {
+	if !client.CompressionNegotiated(c) {
 		t.Fatal("compression not negotiated")
 	}
 	mb := make([]client.MicroBatch, 3)
@@ -427,7 +427,7 @@ func TestCompressedClientRedialsLegacyServer(t *testing.T) {
 		t.Fatalf("compression-enabled client failed against legacy server: %v", err)
 	}
 	defer c.Close()
-	if c.CompressionNegotiated() {
+	if client.CompressionNegotiated(c) {
 		t.Fatal("legacy server cannot have negotiated compression")
 	}
 }

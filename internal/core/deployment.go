@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"menos/internal/checkpoint"
-	"menos/internal/client"
 	"menos/internal/gpu"
 	"menos/internal/model"
 	"menos/internal/obs"
@@ -173,13 +172,4 @@ func (d *Deployment) Addr() string {
 		return ""
 	}
 	return d.listener.Addr().String()
-}
-
-// DialClient connects a split fine-tuning client to this deployment.
-func (d *Deployment) DialClient(cfg client.Config) (*client.Client, error) {
-	addr := d.Addr()
-	if addr == "" {
-		return nil, errors.New("core: deployment not listening")
-	}
-	return client.Dial(addr, cfg)
 }

@@ -28,7 +28,7 @@ func TestDeploymentLifecycle(t *testing.T) {
 		t.Fatalf("addr = %q / %q", addr, dep.Addr())
 	}
 
-	c, err := dep.DialClient(client.Config{
+	c, err := client.Dial(dep.Addr(), client.Config{
 		ClientID:    "life",
 		Model:       model.OPTTiny(),
 		WeightSeed:  5,
@@ -87,8 +87,9 @@ func TestDialBeforeListen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dep.DialClient(client.Config{ClientID: "x"}); err == nil {
-		t.Fatal("dial before listen succeeded")
+	// Nothing to dial until Listen binds an address.
+	if addr := dep.Addr(); addr != "" {
+		t.Fatalf("Addr before Listen = %q, want empty", addr)
 	}
 }
 
@@ -117,7 +118,7 @@ func TestQuantizedDeployment(t *testing.T) {
 	if _, err := dep.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := dep.DialClient(client.Config{
+	c, err := client.Dial(dep.Addr(), client.Config{
 		ClientID:    "q",
 		Model:       model.OPTTiny(),
 		WeightSeed:  5,
@@ -179,7 +180,7 @@ func TestWeightsFileDeployment(t *testing.T) {
 	if _, err := dep.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := dep.DialClient(client.Config{
+	c, err := client.Dial(dep.Addr(), client.Config{
 		ClientID:    "w",
 		Model:       model.OPTTiny(),
 		WeightSeed:  2, // also irrelevant

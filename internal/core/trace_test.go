@@ -36,7 +36,7 @@ func TestEndToEndTracePropagation(t *testing.T) {
 
 	clientTr := obs.NewTracer(obs.NewWallClock())
 	clientTr.SetProcess(2, "menos-client")
-	c, err := dep.DialClient(client.Config{
+	c, err := client.Dial(dep.Addr(), client.Config{
 		ClientID:    "tracee",
 		Model:       model.OPTTiny(),
 		WeightSeed:  5,
@@ -153,7 +153,7 @@ func TestTraceNegotiationRequiresBothSides(t *testing.T) {
 		t.Fatal(err)
 	}
 	clientTr := obs.NewTracer(obs.NewWallClock())
-	c, err := dep.DialClient(client.Config{
+	c, err := client.Dial(dep.Addr(), client.Config{
 		ClientID:    "plain",
 		Model:       model.OPTTiny(),
 		WeightSeed:  5,

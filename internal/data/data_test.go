@@ -152,8 +152,7 @@ func TestLoaderBatchGeometry(t *testing.T) {
 			t.Fatalf("target[%d] = %d, id = %d", i, targets[i], ids[i])
 		}
 	}
-	b, s := l.Geometry()
-	if b != 3 || s != 8 {
+	if l.batch != 3 || l.seq != 8 {
 		t.Fatal("geometry")
 	}
 }

@@ -52,9 +52,6 @@ func (l *Loader) Next() (ids, targets []int) {
 	return ids, targets
 }
 
-// Geometry returns the loader's batch and sequence length.
-func (l *Loader) Geometry() (batch, seq int) { return l.batch, l.seq }
-
 // Partition splits a token stream into n contiguous shards, one per
 // client, so each client fine-tunes on its own private data.
 func Partition(tokens []int, n int) ([][]int, error) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"menos/internal/memmodel"
 	"menos/internal/splitsim"
 )
 
@@ -58,10 +57,4 @@ func (s *Sweep) eachCell(fn func(m evalModel, mode splitsim.Mode, clients int, r
 		}
 	}
 	return nil
-}
-
-// Workloads exposes the two paper workloads for callers assembling
-// custom runs.
-func Workloads() (opt, llama memmodel.Workload) {
-	return memmodel.PaperOPTWorkload(), memmodel.PaperLlamaWorkload()
 }

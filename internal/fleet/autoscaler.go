@@ -114,7 +114,6 @@ type Autoscaler struct {
 	lastEvent time.Duration
 	calm      bool
 	calmSince time.Duration
-	events    int64
 }
 
 // NewAutoscaler builds an autoscaler; cfg is normalized through
@@ -125,9 +124,6 @@ func NewAutoscaler(cfg AutoscaleConfig) *Autoscaler {
 
 // Config returns the normalized (defaults-applied) configuration.
 func (a *Autoscaler) Config() AutoscaleConfig { return a.cfg }
-
-// Events returns how many scale decisions (up or down) were issued.
-func (a *Autoscaler) Events() int64 { return a.events }
 
 // Decide evaluates the fleet at now. pending is the number of clients
 // waiting to be placed (no server could physically admit them — the
@@ -197,5 +193,4 @@ func (a *Autoscaler) cooldownOver(now time.Duration) bool {
 func (a *Autoscaler) record(now time.Duration) {
 	a.haveEvent = true
 	a.lastEvent = now
-	a.events++
 }

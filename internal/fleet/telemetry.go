@@ -174,17 +174,3 @@ func (c *Controller) WriteMergedTrace(w io.Writer) error {
 	c.mu.Unlock()
 	return obs.WriteMergedChromeTrace(w, tracers...)
 }
-
-// FederatedSpans reports how many spans each server's mirror currently
-// holds, keyed by server ID — a test and debugging hook.
-func (c *Controller) FederatedSpans() map[int]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[int]int)
-	for id, st := range c.eps {
-		if st.mirror != nil {
-			out[id] = st.mirror.Len()
-		}
-	}
-	return out
-}

@@ -170,7 +170,12 @@ func TestControllerTraceFederation(t *testing.T) {
 	c.PollOnce()
 	c.PollOnce() // idempotent: cursor prevents re-ingesting anything
 
-	fed := c.FederatedSpans()
+	fed := map[int]int{} // spans each server's mirror holds
+	for id, st := range c.eps {
+		if st.mirror != nil {
+			fed[id] = st.mirror.Len()
+		}
+	}
 	if fed[1] != 2 || fed[2] != 1 {
 		t.Fatalf("federated spans = %v, want map[1:2 2:1]", fed)
 	}

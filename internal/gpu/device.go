@@ -7,7 +7,6 @@ package gpu
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"menos/internal/obs"
@@ -108,9 +107,6 @@ func (d *Device) Instrument(reg *obs.Registry) {
 	}
 	d.mu.Unlock()
 }
-
-// Spec returns the device description.
-func (d *Device) Spec() Spec { return d.spec }
 
 // Capacity returns total device memory.
 func (d *Device) Capacity() int64 { return d.spec.MemoryBytes }
@@ -217,33 +213,4 @@ func (d *Device) FreeOwner(owner string) int64 {
 		d.m.ownerBytes.With(owner).Add(-reclaimed)
 	}
 	return reclaimed
-}
-
-// OwnerUsage returns bytes currently held by owner.
-func (d *Device) OwnerUsage(owner string) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var total int64
-	for _, a := range d.allocs {
-		if a.owner == owner {
-			total += a.bytes
-		}
-	}
-	return total
-}
-
-// Owners returns the owners with live allocations, sorted.
-func (d *Device) Owners() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	seen := make(map[string]bool)
-	for _, a := range d.allocs {
-		seen[a.owner] = true
-	}
-	owners := make([]string, 0, len(seen))
-	for o := range seen {
-		owners = append(owners, o)
-	}
-	sort.Strings(owners)
-	return owners
 }

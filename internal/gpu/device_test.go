@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"menos/internal/obs"
 )
 
 func TestSpecPresets(t *testing.T) {
@@ -57,22 +59,27 @@ func TestZeroByteAllocAllowed(t *testing.T) {
 	}
 }
 
+// TestFreeOwner: FreeOwner returns every byte an owner holds, and the
+// per-owner gauge (menos_gpu_owner_bytes{owner}) follows.
 func TestFreeOwner(t *testing.T) {
 	d := NewDevice(Spec{Name: "t", MemoryBytes: 100})
+	reg := obs.NewRegistry()
+	d.Instrument(reg)
+	owner := reg.GaugeVec(obs.MetricGPUOwnerBytes, "owner")
 	mustAlloc(t, d, "a", 10)
 	mustAlloc(t, d, "a", 20)
 	mustAlloc(t, d, "b", 30)
-	if got := d.OwnerUsage("a"); got != 30 {
+	if got := owner.With("a").Value(); got != 30 {
 		t.Fatalf("owner a usage %d", got)
 	}
 	if reclaimed := d.FreeOwner("a"); reclaimed != 30 {
 		t.Fatalf("reclaimed %d", reclaimed)
 	}
-	if d.Used() != 30 || d.OwnerUsage("a") != 0 {
+	if d.Used() != 30 || owner.With("a").Value() != 0 {
 		t.Fatal("owner frees incomplete")
 	}
-	if owners := d.Owners(); len(owners) != 1 || owners[0] != "b" {
-		t.Fatalf("owners = %v", owners)
+	if got := owner.With("b").Value(); got != 30 {
+		t.Fatalf("owner b usage %d after freeing a", got)
 	}
 	if reclaimed := d.FreeOwner("missing"); reclaimed != 0 {
 		t.Fatal("freeing unknown owner reclaimed bytes")
@@ -189,7 +196,7 @@ func TestDeviceSetBalancing(t *testing.T) {
 	if _, err := s.Alloc("a", 40); err != nil {
 		t.Fatal(err)
 	}
-	d0, d1 := s.Devices()[0].Used(), s.Devices()[1].Used()
+	d0, d1 := s.devices[0].Used(), s.devices[1].Used()
 	if d0 != 40 || d1 != 40 {
 		t.Fatalf("unbalanced: %d, %d", d0, d1)
 	}
@@ -213,7 +220,7 @@ func TestDeviceSetSharded(t *testing.T) {
 		t.Fatalf("used %d", s.Used())
 	}
 	// Shards are spread: every device holds something.
-	for i, d := range s.Devices() {
+	for i, d := range s.devices {
 		if d.Used() == 0 {
 			t.Fatalf("device %d holds nothing", i)
 		}
@@ -232,15 +239,15 @@ func TestDeviceSetShardedAtomicFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fill one device so the even split cannot fit.
-	if _, err := s.Devices()[0].Alloc("x", 90); err != nil {
+	if _, err := s.devices[0].Alloc("x", 90); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AllocSharded("model", 180); !errors.Is(err, ErrOOM) {
 		t.Fatalf("sharded overcommit err = %v", err)
 	}
 	// Failure must not leak partial shards.
-	if s.Devices()[1].Used() != 0 {
-		t.Fatalf("partial shard leaked: %d", s.Devices()[1].Used())
+	if s.devices[1].Used() != 0 {
+		t.Fatalf("partial shard leaked: %d", s.devices[1].Used())
 	}
 }
 

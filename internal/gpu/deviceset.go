@@ -37,9 +37,6 @@ func NewDeviceSet(spec Spec, n int) (*DeviceSet, error) {
 	return s, nil
 }
 
-// Devices returns the member devices.
-func (s *DeviceSet) Devices() []*Device { return s.devices }
-
 // Instrument wires every member device to the registry. Because
 // devices instrumented against one registry share metric handles, the
 // exported used/peak gauges and alloc/free counters report the

@@ -309,3 +309,15 @@ func TestEq3BeatsEq2(t *testing.T) {
 			float64(menosMargin)/gib, float64(vanillaMargin)/gib)
 	}
 }
+
+// TinyOPTWorkload is a runnable workload over the tiny OPT model.
+func TinyOPTWorkload(batch, seq int) Workload {
+	return Workload{
+		Model:     model.OPTTiny(),
+		Cut:       1,
+		Adapter:   paperLoRASpec(),
+		Optimizer: OptAdam,
+		Batch:     batch,
+		Seq:       seq,
+	}
+}

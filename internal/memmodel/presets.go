@@ -16,19 +16,6 @@ func paperLoRASpec() adapter.Spec {
 	return adapter.LoRASpec(adapter.DefaultLoRA())
 }
 
-// TinyOPTWorkload returns a runnable workload over the tiny OPT model,
-// used to cross-validate the analytic model against measured caches.
-func TinyOPTWorkload(batch, seq int) Workload {
-	return Workload{
-		Model:     model.OPTTiny(),
-		Cut:       1,
-		Adapter:   paperLoRASpec(),
-		Optimizer: OptAdam,
-		Batch:     batch,
-		Seq:       seq,
-	}
-}
-
 // TinyLlamaWorkload returns a runnable workload over the tiny Llama
 // model.
 func TinyLlamaWorkload(batch, seq int) Workload {

@@ -8,107 +8,12 @@ import (
 )
 
 // Incremental decoding with per-block KV caches: one forward pass per
-// new token instead of re-running the whole window. The decode state
-// is per-session inference memory — the inference-time analogue of the
-// 𝕀 term Menos manages during training.
-
-// DecodeState holds the KV caches of one autoregressive decoding
-// session.
-type DecodeState struct {
-	model    *Transformer
-	capacity int
-	length   int
-	// Per block: cached post-RoPE keys and values, each (capacity, dim)
-	// with the first `length` rows valid.
-	keys   []*tensor.Tensor
-	values []*tensor.Tensor
-}
-
-// NewDecodeState allocates caches for up to capacity positions
-// (capped at the model's MaxSeq).
-func (t *Transformer) NewDecodeState(capacity int) (*DecodeState, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("%w: decode capacity %d", ErrConfig, capacity)
-	}
-	if capacity > t.Cfg.MaxSeq {
-		capacity = t.Cfg.MaxSeq
-	}
-	s := &DecodeState{
-		model:    t,
-		capacity: capacity,
-		keys:     make([]*tensor.Tensor, len(t.Blocks)),
-		values:   make([]*tensor.Tensor, len(t.Blocks)),
-	}
-	for i := range t.Blocks {
-		s.keys[i] = tensor.New(capacity, t.Cfg.Dim)
-		s.values[i] = tensor.New(capacity, t.Cfg.Dim)
-	}
-	return s, nil
-}
-
-// Len returns the number of cached positions.
-func (s *DecodeState) Len() int { return s.length }
-
-// Bytes returns the KV-cache footprint.
-func (s *DecodeState) Bytes() int64 {
-	var b int64
-	for i := range s.keys {
-		b += s.keys[i].Bytes() + s.values[i].Bytes()
-	}
-	return b
-}
-
-// Reset clears the cached context without reallocating.
-func (s *DecodeState) Reset() { s.length = 0 }
-
-// DecodeStep feeds one token through the model using the cached
-// context and returns the next-token logits (a (1, vocab) tensor).
-// The state must have free capacity.
-func (t *Transformer) DecodeStep(s *DecodeState, tokenID int) (*tensor.Tensor, error) {
-	if s == nil || s.model != t {
-		return nil, fmt.Errorf("%w: decode state belongs to a different model", ErrConfig)
-	}
-	if s.length >= s.capacity {
-		return nil, fmt.Errorf("%w: decode state full (%d positions)", ErrConfig, s.capacity)
-	}
-	if tokenID < 0 || tokenID >= t.Cfg.Vocab {
-		return nil, fmt.Errorf("%w: token %d out of vocab", ErrConfig, tokenID)
-	}
-	pos := s.length
-
-	x, err := t.Embed.Forward([]int{tokenID}, nil)
-	if err != nil {
-		return nil, fmt.Errorf("decode embed: %w", err)
-	}
-	if t.Pos != nil {
-		pe, err := t.Pos.Forward([]int{pos}, nil)
-		if err != nil {
-			return nil, fmt.Errorf("decode positions: %w", err)
-		}
-		if err := tensor.Add(x, x, pe); err != nil {
-			return nil, fmt.Errorf("decode position add: %w", err)
-		}
-	}
-
-	for i, b := range t.Blocks {
-		y, err := b.DecodeStep(x, pos, s.keys[i], s.values[i])
-		if err != nil {
-			return nil, fmt.Errorf("decode block %d: %w", i, err)
-		}
-		x = y
-	}
-	s.length++
-
-	n, _, err := t.Norm.Apply(x, false)
-	if err != nil {
-		return nil, fmt.Errorf("decode norm: %w", err)
-	}
-	logits, err := t.LMHead.Forward(n, nil)
-	if err != nil {
-		return nil, fmt.Errorf("decode head: %w", err)
-	}
-	return logits, nil
-}
+// new token instead of re-running the whole window. Decoding runs split
+// like training: the client decodes its input blocks (Block.DecodeStep)
+// and output section, the server its BodySection (DecodeStep over a
+// BodyDecodeState). The decode state is per-session inference memory —
+// the inference-time analogue of the 𝕀 term Menos manages during
+// training.
 
 // DecodeStep runs one block over a single-row x at position pos,
 // appending this position's K/V to the caches. Exported so split
@@ -229,47 +134,6 @@ func softmaxInPlace(v []float64) {
 	for i := range v {
 		v[i] /= sum
 	}
-}
-
-// GenerateFast is Generate using a KV cache: O(1) model work per token
-// instead of re-running the full window. Output is identical to
-// Generate for prompts within the state capacity.
-func (t *Transformer) GenerateFast(rng *tensor.RNG, prompt []int, maxNew int, temperature float64) ([]int, error) {
-	if len(prompt) == 0 {
-		return nil, fmt.Errorf("%w: empty prompt", ErrConfig)
-	}
-	if temperature < 0 {
-		return nil, fmt.Errorf("%w: negative temperature %v", ErrConfig, temperature)
-	}
-	need := len(prompt) + maxNew
-	if need > t.Cfg.MaxSeq {
-		return nil, fmt.Errorf("%w: %d tokens exceed MaxSeq %d (use Generate for windowed decoding)",
-			ErrConfig, need, t.Cfg.MaxSeq)
-	}
-	state, err := t.NewDecodeState(need)
-	if err != nil {
-		return nil, err
-	}
-	seq := append([]int(nil), prompt...)
-	var logits *tensor.Tensor
-	for _, id := range prompt {
-		logits, err = t.DecodeStep(state, id)
-		if err != nil {
-			return nil, err
-		}
-	}
-	for step := 0; step < maxNew; step++ {
-		next := sampleToken(rng, logits.Row(0), temperature)
-		seq = append(seq, next)
-		if step == maxNew-1 {
-			break
-		}
-		logits, err = t.DecodeStep(state, next)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return seq, nil
 }
 
 // BodyDecodeState holds the KV caches for incremental decoding through

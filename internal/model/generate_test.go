@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 
 	"menos/internal/tensor"
@@ -126,102 +127,71 @@ func TestPerplexityEvaluation(t *testing.T) {
 	}
 }
 
-// TestDecodeMatchesFullForward is the KV-cache correctness proof: the
-// logits from incremental decoding must match a full forward pass at
-// every position, for both families and with adapters attached.
-func TestDecodeMatchesFullForward(t *testing.T) {
-	for _, family := range []Family{FamilyOPT, FamilyLlama} {
-		t.Run(family.String(), func(t *testing.T) {
-			m, err := New(tensor.NewRNG(31), tinyCfg(family))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tokens := []int{3, 1, 4, 1, 5, 9, 2, 6}
-			seqLen := len(tokens)
-
-			// Full forward logits for the whole sequence.
-			input, body, output, err := m.Split(DefaultCut)
-			if err != nil {
-				t.Fatal(err)
-			}
-			xc, _, err := input.Forward(tokens, 1, seqLen, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			xs, _, err := body.Forward(xc, 1, seqLen, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fullLogits, _, err := output.Forward(xs, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Incremental decode, comparing logits position by position.
-			state, err := m.NewDecodeState(seqLen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for p, id := range tokens {
-				step, err := m.DecodeStep(state, id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for c := 0; c < m.Cfg.Vocab; c++ {
-					diff := float64(step.At(0, c) - fullLogits.At(p, c))
-					if diff < 0 {
-						diff = -diff
-					}
-					if diff > 2e-4 {
-						t.Fatalf("position %d vocab %d: decode %v vs full %v",
-							p, c, step.At(0, c), fullLogits.At(p, c))
-					}
-				}
-			}
-			if state.Len() != seqLen {
-				t.Fatalf("state length %d", state.Len())
-			}
-			if state.Bytes() <= 0 {
-				t.Fatal("no cache bytes accounted")
-			}
-		})
-	}
+// splitDecoder decodes one token at a time the way a split deployment
+// does (client.GenerateIncremental against the server's decode
+// session): the client's input blocks over their own KV caches, the
+// server's BodySection.DecodeStep over a BodyDecodeState, then the
+// client's output section.
+type splitDecoder struct {
+	m            *Transformer
+	keys, values []*tensor.Tensor // input-block caches, one per block below the cut
+	body         *BodySection
+	output       *OutputSection
+	state        *BodyDecodeState
+	pos          int
 }
 
-// TestGenerateFastMatchesGenerate: greedy decoding with and without
-// the KV cache must produce identical tokens.
-func TestGenerateFastMatchesGenerate(t *testing.T) {
-	m := generateModel(t)
-	prompt := []int{4, 7, 1}
-	slow, err := m.Generate(tensor.NewRNG(1), prompt, 10, 0)
+func newSplitDecoder(t *testing.T, m *Transformer, capacity int) *splitDecoder {
+	t.Helper()
+	_, body, output, err := m.Split(DefaultCut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := m.GenerateFast(tensor.NewRNG(1), prompt, 10, 0)
+	state, err := body.NewDecodeState(capacity, m.Cfg.Dim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(slow) != len(fast) {
-		t.Fatalf("lengths differ: %d vs %d", len(slow), len(fast))
+	d := &splitDecoder{m: m, body: body, output: output, state: state}
+	for i := 0; i < DefaultCut; i++ {
+		d.keys = append(d.keys, tensor.New(capacity, m.Cfg.Dim))
+		d.values = append(d.values, tensor.New(capacity, m.Cfg.Dim))
 	}
-	for i := range slow {
-		if slow[i] != fast[i] {
-			t.Fatalf("token %d: slow %d vs fast %d (%v vs %v)", i, slow[i], fast[i], slow, fast)
+	return d
+}
+
+// step feeds tokenID at the next position and returns the (1, vocab)
+// next-token logits.
+func (d *splitDecoder) step(tokenID int) (*tensor.Tensor, error) {
+	x, err := d.m.Embed.Forward([]int{tokenID}, nil)
+	if err != nil {
+		return nil, err
+	}
+	if d.m.Pos != nil {
+		pe, err := d.m.Pos.Forward([]int{d.pos}, nil)
+		if err != nil {
+			return nil, err
+		}
+		if err := tensor.Add(x, x, pe); err != nil {
+			return nil, err
 		}
 	}
+	for i := range d.keys {
+		if x, err = d.m.Blocks[i].DecodeStep(x, d.pos, d.keys[i], d.values[i]); err != nil {
+			return nil, err
+		}
+	}
+	if x, err = d.body.DecodeStep(x, d.state); err != nil {
+		return nil, err
+	}
+	d.pos++
+	logits, _, err := d.output.Forward(x, false)
+	return logits, err
 }
 
-// TestDecodeWithPrefixAdapter: prefix slots participate in incremental
-// attention exactly as in the batch path.
-func TestDecodeWithPrefixAdapter(t *testing.T) {
-	m, err := New(tensor.NewRNG(33), tinyCfg(FamilyLlama))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range m.Blocks {
-		b.Attn.Prefix = NewPrefixKV(tensor.NewRNG(34), 3, m.Cfg.Dim)
-	}
-	tokens := []int{2, 5, 8, 1}
+// fullLogits runs tokens through input → body → output in one pass:
+// the reference every decoded position must match.
+func fullLogits(t *testing.T, m *Transformer, tokens []int) *tensor.Tensor {
+	t.Helper()
 	input, body, output, err := m.Split(DefaultCut)
 	if err != nil {
 		t.Fatal(err)
@@ -234,74 +204,143 @@ func TestDecodeWithPrefixAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullLogits, _, err := output.Forward(xs, false)
+	logits, _, err := output.Forward(xs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := m.NewDecodeState(len(tokens))
-	if err != nil {
-		t.Fatal(err)
-	}
+	return logits
+}
+
+// expectDecodeMatchesFull decodes tokens one at a time and compares
+// every stride-th logit of every position with the full pass.
+func expectDecodeMatchesFull(t *testing.T, m *Transformer, tokens []int, stride int) *splitDecoder {
+	t.Helper()
+	full := fullLogits(t, m, tokens)
+	d := newSplitDecoder(t, m, len(tokens))
 	for p, id := range tokens {
-		step, err := m.DecodeStep(state, id)
+		step, err := d.step(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for c := 0; c < m.Cfg.Vocab; c += 3 {
-			diff := float64(step.At(0, c) - fullLogits.At(p, c))
-			if diff < 0 {
-				diff = -diff
+		for c := 0; c < m.Cfg.Vocab; c += stride {
+			if diff := math.Abs(float64(step.At(0, c) - full.At(p, c))); diff > 2e-4 {
+				t.Fatalf("position %d vocab %d: decode %v vs full %v", p, c, step.At(0, c), full.At(p, c))
 			}
-			if diff > 2e-4 {
-				t.Fatalf("prefix decode mismatch at pos %d vocab %d", p, c)
+		}
+	}
+	return d
+}
+
+// TestDecodeMatchesFullForward is the KV-cache correctness proof: the
+// logits from incremental split decoding must match a full forward
+// pass at every position, for both families.
+func TestDecodeMatchesFullForward(t *testing.T) {
+	for _, family := range []Family{FamilyOPT, FamilyLlama} {
+		t.Run(family.String(), func(t *testing.T) {
+			m, err := New(tensor.NewRNG(31), tinyCfg(family))
+			if err != nil {
+				t.Fatal(err)
 			}
+			tokens := []int{3, 1, 4, 1, 5, 9, 2, 6}
+			d := expectDecodeMatchesFull(t, m, tokens, 1)
+			if d.state.Len() != len(tokens) {
+				t.Fatalf("state length %d", d.state.Len())
+			}
+			if d.state.Bytes() <= 0 {
+				t.Fatal("no cache bytes accounted")
+			}
+		})
+	}
+}
+
+// TestSplitDecodeMatchesGenerate: greedy decoding through the KV
+// caches of the split path produces exactly Generate's tokens.
+func TestSplitDecodeMatchesGenerate(t *testing.T) {
+	m := generateModel(t)
+	prompt := []int{4, 7, 1}
+	const maxNew = 10
+	slow, err := m.Generate(tensor.NewRNG(1), prompt, maxNew, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newSplitDecoder(t, m, len(prompt)+maxNew)
+	fast := append([]int(nil), prompt...)
+	var logits *tensor.Tensor
+	for _, id := range prompt {
+		if logits, err = d.step(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < maxNew; i++ {
+		next := sampleToken(tensor.NewRNG(1), logits.Row(0), 0)
+		fast = append(fast, next)
+		if logits, err = d.step(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(slow) != len(fast) {
+		t.Fatalf("lengths differ: %d vs %d", len(slow), len(fast))
+	}
+	for i := range slow {
+		if slow[i] != fast[i] {
+			t.Fatalf("token %d: Generate %d vs split decode %d (%v vs %v)", i, slow[i], fast[i], slow, fast)
 		}
 	}
 }
 
+// TestDecodeWithPrefixAdapter: prefix slots participate in incremental
+// attention exactly as in the batch path, on the body the server
+// decodes as well as the client's input block.
+func TestDecodeWithPrefixAdapter(t *testing.T) {
+	m, err := New(tensor.NewRNG(33), tinyCfg(FamilyLlama))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range m.Blocks {
+		b.Attn.Prefix = NewPrefixKV(tensor.NewRNG(34), 3, m.Cfg.Dim)
+	}
+	expectDecodeMatchesFull(t, m, []int{2, 5, 8, 1}, 3)
+}
+
+// TestDecodeStateValidation: the body's decode state refuses a zero
+// capacity, a step past its capacity and a state built for a different
+// body; the client side refuses an out-of-vocab token.
 func TestDecodeStateValidation(t *testing.T) {
 	m := generateModel(t)
-	if _, err := m.NewDecodeState(0); err == nil {
+	_, body, _, err := m.Split(DefaultCut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := body.NewDecodeState(0, m.Cfg.Dim); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
-	state, err := m.NewDecodeState(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.DecodeStep(state, 999); err == nil {
+	d := newSplitDecoder(t, m, 2)
+	if _, err := d.step(999); err == nil {
 		t.Fatal("out-of-vocab token accepted")
 	}
-	if _, err := m.DecodeStep(state, 1); err != nil {
-		t.Fatal(err)
+	d = newSplitDecoder(t, m, 2)
+	for i := 0; i < 2; i++ {
+		if _, err := d.step(1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := m.DecodeStep(state, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.DecodeStep(state, 1); err == nil {
+	// The client sizes its own caches; the body refuses a third position.
+	if _, err := body.DecodeStep(tensor.New(1, m.Cfg.Dim), d.state); err == nil {
 		t.Fatal("overfull state accepted")
 	}
-	state.Reset()
-	if state.Len() != 0 {
-		t.Fatal("reset did not clear")
+	if d.state.Capacity() != 2 || d.state.Len() != 2 {
+		t.Fatalf("state capacity %d length %d, want 2 and 2", d.state.Capacity(), d.state.Len())
 	}
-	if _, err := m.DecodeStep(state, 1); err != nil {
-		t.Fatalf("state unusable after reset: %v", err)
-	}
-	// Wrong model.
-	other := generateModel(t)
-	otherState, err := other.NewDecodeState(2)
+	// A state sized for another cut's body.
+	_, other, _, err := m.Split(DefaultCut + 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.DecodeStep(otherState, 1); err == nil {
+	otherState, err := other.NewDecodeState(2, m.Cfg.Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := body.DecodeStep(tensor.New(1, m.Cfg.Dim), otherState); err == nil {
 		t.Fatal("foreign state accepted")
-	}
-	// Capacity beyond MaxSeq rejected at GenerateFast.
-	long := make([]int, m.Cfg.MaxSeq)
-	for i := range long {
-		long[i] = 1
-	}
-	if _, err := m.GenerateFast(tensor.NewRNG(1), long, 10, 0); err == nil {
-		t.Fatal("over-capacity GenerateFast accepted")
 	}
 }

@@ -107,12 +107,6 @@ func (t *Transformer) Params() []nn.Param {
 	return ps
 }
 
-// BaseParamCount returns the number of scalar parameters in the model,
-// independent of frozen state.
-func (t *Transformer) BaseParamCount() int64 {
-	return t.Cfg.TotalParams()
-}
-
 // positions returns [0..seq) repeated for each batch element, the index
 // input to the learned position embedding.
 func positions(batch, seq int) []int {

@@ -42,25 +42,15 @@ func GELUBackwardScratch(sc *tensor.Scratch, cache *ActCache, dy *tensor.Tensor)
 	return activateGrad("gelu", sc, cache, dy, tensor.GELUBackward)
 }
 
-// SiLU applies x * sigmoid(x), the activation used by Llama's SwiGLU
-// feed-forward network.
-func SiLU(x *tensor.Tensor, cache *ActCache) *tensor.Tensor {
-	return SiLUScratch(nil, x, cache)
-}
-
-// SiLUScratch is SiLU drawing its output from the given buffer arena
+// SiLUScratch applies x * sigmoid(x), the activation of Llama's SwiGLU
+// feed-forward network, drawing its output from the given buffer arena
 // (nil degrades to allocation).
 func SiLUScratch(sc *tensor.Scratch, x *tensor.Tensor, cache *ActCache) *tensor.Tensor {
 	return activate(sc, x, cache, tensor.SiLU)
 }
 
-// SiLUBackward computes dx = dy * silu'(x).
-func SiLUBackward(cache *ActCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
-	return SiLUBackwardScratch(nil, cache, dy)
-}
-
-// SiLUBackwardScratch is SiLUBackward drawing dx from the given buffer
-// arena (nil degrades to allocation).
+// SiLUBackwardScratch computes dx = dy * silu'(x), drawing dx from the
+// given buffer arena (nil degrades to allocation).
 func SiLUBackwardScratch(sc *tensor.Scratch, cache *ActCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
 	return activateGrad("silu", sc, cache, dy, tensor.SiLUBackward)
 }

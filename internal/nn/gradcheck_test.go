@@ -366,11 +366,11 @@ func TestSiLUGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(21)
 	x := tensor.NewNormal(rng, 1.5, 2, 6)
 	forward := func() float64 {
-		return sumLoss(SiLU(x, nil))
+		return sumLoss(SiLUScratch(nil, x, nil))
 	}
 	cache := &ActCache{}
-	y := SiLU(x, cache)
-	dx, err := SiLUBackward(cache, ones(y.Shape()...))
+	y := SiLUScratch(nil, x, cache)
+	dx, err := SiLUBackwardScratch(nil, cache, ones(y.Shape()...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,12 +382,12 @@ func TestActivationShapes(t *testing.T) {
 	if y := GELU(x, nil); !y.SameShape(x) {
 		t.Fatal("GELU changed shape")
 	}
-	if y := SiLU(x, nil); !y.SameShape(x) {
+	if y := SiLUScratch(nil, x, nil); !y.SameShape(x) {
 		t.Fatal("SiLU changed shape")
 	}
 	// GELU(0)=0, SiLU(0)=0.
 	z := tensor.New(1, 1)
-	if GELU(z, nil).At(0, 0) != 0 || SiLU(z, nil).At(0, 0) != 0 {
+	if GELU(z, nil).At(0, 0) != 0 || SiLUScratch(nil, z, nil).At(0, 0) != 0 {
 		t.Fatal("activation at 0 is not 0")
 	}
 }

@@ -14,8 +14,6 @@ type Optimizer interface {
 	// Step applies one update using the current gradients, then the
 	// caller typically zeroes gradients for the next accumulation.
 	Step(params []Param) error
-	// StateBytes reports the optimizer-state footprint (𝕆 in §2.3).
-	StateBytes() int64
 }
 
 // SnapshottableOptimizer exposes the per-parameter state an optimizer
@@ -87,15 +85,6 @@ func (o *SGD) Step(params []Param) error {
 		}
 	}
 	return nil
-}
-
-// StateBytes reports momentum-buffer bytes.
-func (o *SGD) StateBytes() int64 {
-	var b int64
-	for _, v := range o.velocity {
-		b += v.Bytes()
-	}
-	return b
 }
 
 // StateSlots implements SnapshottableOptimizer: the velocity buffer
@@ -203,15 +192,3 @@ func (o *Adam) StepCount() int64 { return o.step }
 
 // SetStepCount implements SnapshottableOptimizer.
 func (o *Adam) SetStepCount(n int64) { o.step = n }
-
-// StateBytes reports first+second moment buffer bytes (the 𝕆 term).
-func (o *Adam) StateBytes() int64 {
-	var b int64
-	for _, m := range o.m {
-		b += m.Bytes()
-	}
-	for _, v := range o.v {
-		b += v.Bytes()
-	}
-	return b
-}

@@ -15,7 +15,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"menos/internal/tensor"
 )
@@ -43,40 +42,6 @@ func ZeroGrads(params []Param) {
 	for _, p := range params {
 		p.Grad.Zero()
 	}
-}
-
-// ParamBytes returns the total byte size of parameter values (not
-// gradients).
-func ParamBytes(params []Param) int64 {
-	var b int64
-	for _, p := range params {
-		b += p.Value.Bytes()
-	}
-	return b
-}
-
-// GradL2Norm returns the Euclidean norm over all gradients, used for
-// gradient clipping and convergence diagnostics.
-func GradL2Norm(params []Param) float64 {
-	var s float64
-	for _, p := range params {
-		n := p.Grad.L2Norm()
-		s += n * n
-	}
-	return math.Sqrt(s)
-}
-
-// ClipGradNorm scales all gradients so their global L2 norm does not
-// exceed maxNorm. Returns the pre-clip norm.
-func ClipGradNorm(params []Param, maxNorm float64) float64 {
-	norm := GradL2Norm(params)
-	if norm > maxNorm && norm > 0 {
-		scale := float32(maxNorm / norm)
-		for _, p := range params {
-			p.Grad.Scale(scale)
-		}
-	}
-	return norm
 }
 
 // Prefixed returns params with name prefixed by "prefix.", used when a

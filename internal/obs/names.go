@@ -1,9 +1,9 @@
 package obs
 
 // Canonical metric names. Every instrumented plane registers its
-// metrics under these constants so the catalog in
-// docs/OBSERVABILITY.md is enforced by the compiler rather than by
-// convention.
+// metrics under these constants, so a misspelt name is a compile error,
+// and TestMetricCatalogIsDocumented fails on any name missing from
+// docs/OBSERVABILITY.md or docs/FLEET.md.
 const (
 	// Scheduler plane (internal/sched).
 	MetricSchedSubmitted         = "menos_sched_submitted_total"

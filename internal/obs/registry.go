@@ -24,7 +24,6 @@ type Registry struct {
 	counterVecs map[string]*CounterVec
 	gaugeVecs   map[string]*GaugeVec
 	histVecs    map[string]*HistogramVec
-	vecCap      int
 }
 
 // NewRegistry creates an empty registry.
@@ -37,7 +36,6 @@ func NewRegistry() *Registry {
 		counterVecs: make(map[string]*CounterVec),
 		gaugeVecs:   make(map[string]*GaugeVec),
 		histVecs:    make(map[string]*HistogramVec),
-		vecCap:      DefaultVecCap,
 	}
 }
 
@@ -278,9 +276,6 @@ func (h *Histogram) exemplarInfo() (bucket int, traceID uint64, v float64, ok bo
 	return int(b - 1), h.exTrace.Load(), math.Float64frombits(h.exVal.Load()), true
 }
 
-// ObserveDuration records a duration in seconds. Safe on nil.
-func (h *Histogram) ObserveDuration(d float64) { h.Observe(d) }
-
 // Count returns the number of observations. Safe on nil.
 func (h *Histogram) Count() int64 {
 	if h == nil {
@@ -375,15 +370,6 @@ func DurationBuckets() []float64 {
 		10e-6, 100e-6, 1e-3, 5e-3, 10e-3, 50e-3, 100e-3, 500e-3,
 		1, 2, 5, 10, 30, 60, 120, 300, 600, 1000,
 	}
-}
-
-// ByteBuckets are histogram bounds in bytes from 4KiB to 64GiB.
-func ByteBuckets() []float64 {
-	var b []float64
-	for v := int64(4 << 10); v <= 64<<30; v <<= 2 {
-		b = append(b, float64(v))
-	}
-	return b
 }
 
 // formatFloat renders a float the way the Prometheus text format

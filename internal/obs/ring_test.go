@@ -16,7 +16,7 @@ func TestRingEviction(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tr.Record("c", "s", "x", time.Duration(i)*time.Millisecond, time.Millisecond)
 	}
-	if got := tr.RingBytes(); got > budget {
+	if got := ringBytes(tr); got > budget {
 		t.Fatalf("ring bytes %d over budget %d", got, budget)
 	}
 	spans := tr.Spans()
@@ -134,7 +134,7 @@ func TestRingHammer(t *testing.T) {
 				return
 			default:
 			}
-			if b := tr.RingBytes(); b > budget {
+			if b := ringBytes(tr); b > budget {
 				pagerDone <- errInvariant("ring bytes over budget")
 				return
 			}
@@ -165,7 +165,7 @@ func TestRingHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if b := tr.RingBytes(); b > budget {
+	if b := ringBytes(tr); b > budget {
 		t.Fatalf("final ring bytes %d over budget %d", b, budget)
 	}
 	total := int64(writers * perWriter)
@@ -180,3 +180,10 @@ func TestRingHammer(t *testing.T) {
 type errInvariant string
 
 func (e errInvariant) Error() string { return string(e) }
+
+// ringBytes reads the ring's byte accounting under the tracer's lock.
+func ringBytes(t *Tracer) int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.curBytes
+}

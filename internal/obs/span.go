@@ -62,7 +62,6 @@ type Tracer struct {
 	mu       sync.Mutex
 	spans    []Span
 	head     int // index of the oldest live span in spans
-	limit    int
 	ring     bool
 	maxBytes int64
 	curBytes int64
@@ -74,8 +73,8 @@ type Tracer struct {
 	pname string
 }
 
-// DefaultSpanLimit bounds a tracer's buffer unless SetLimit overrides
-// it: enough for ~100k spans (a few thousand iterations across tens of
+// DefaultSpanLimit bounds a tracer's buffer outside ring mode: enough
+// for ~100k spans (a few thousand iterations across tens of
 // clients) at ~64 bytes each.
 const DefaultSpanLimit = 1 << 17
 
@@ -85,21 +84,7 @@ const DefaultRingBytes = 8 << 20
 
 // NewTracer creates a tracer reading timestamps from clock (required).
 func NewTracer(clock Clock) *Tracer {
-	return &Tracer{clock: clock, limit: DefaultSpanLimit, pid: 1}
-}
-
-// SetLimit caps the span buffer in drop-newest mode (n <= 0 means
-// DefaultSpanLimit). Safe on nil.
-func (t *Tracer) SetLimit(n int) {
-	if t == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultSpanLimit
-	}
-	t.mu.Lock()
-	t.limit = n
-	t.mu.Unlock()
+	return &Tracer{clock: clock, pid: 1}
 }
 
 // EnableRing switches the tracer to ring mode: instead of dropping the
@@ -196,7 +181,7 @@ func (t *Tracer) RecordT(track, name, cat string, traceID uint64, start, dur tim
 		t.curBytes += s.cost()
 		t.evictLocked()
 		t.compactLocked()
-	} else if len(t.spans)-t.head >= t.limit {
+	} else if len(t.spans)-t.head >= DefaultSpanLimit {
 		t.dropLocked(1)
 	} else {
 		t.spans = append(t.spans, s)
@@ -309,17 +294,6 @@ func (t *Tracer) LastSeq() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.nextSeq
-}
-
-// RingBytes returns the ring's current byte accounting (0 unless
-// EnableRing). Safe on nil.
-func (t *Tracer) RingBytes() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.curBytes
 }
 
 // Len returns the number of buffered spans. Safe on nil.

@@ -51,12 +51,11 @@ func TestTracerRecordAndTotals(t *testing.T) {
 
 func TestTracerLimit(t *testing.T) {
 	tr := NewTracer(&manualClock{})
-	tr.SetLimit(2)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < DefaultSpanLimit+3; i++ {
 		tr.Record("c", "s", "x", 0, time.Second)
 	}
-	if tr.Len() != 2 {
-		t.Fatalf("len = %d, want 2", tr.Len())
+	if tr.Len() != DefaultSpanLimit {
+		t.Fatalf("len = %d, want %d", tr.Len(), DefaultSpanLimit)
 	}
 	if tr.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", tr.Dropped())

@@ -28,11 +28,8 @@ type vec[M any] struct {
 	series map[string]M
 }
 
-func newVec[M any](label string, cap int, mk func() M) *vec[M] {
-	if cap <= 0 {
-		cap = DefaultVecCap
-	}
-	return &vec[M]{label: label, cap: cap, mk: mk, series: make(map[string]M)}
+func newVec[M any](label string, mk func() M) *vec[M] {
+	return &vec[M]{label: label, cap: DefaultVecCap, mk: mk, series: make(map[string]M)}
 }
 
 func (v *vec[M]) with(value string) M {
@@ -235,7 +232,7 @@ func (r *Registry) CounterVec(name, label string, help ...string) *CounterVec {
 	defer r.mu.Unlock()
 	cv, ok := r.counterVecs[name]
 	if !ok {
-		cv = &CounterVec{v: newVec(label, r.vecCap, func() *Counter { return &Counter{} })}
+		cv = &CounterVec{v: newVec(label, func() *Counter { return &Counter{} })}
 		r.counterVecs[name] = cv
 		r.setHelp(name, help)
 	}
@@ -252,7 +249,7 @@ func (r *Registry) GaugeVec(name, label string, help ...string) *GaugeVec {
 	defer r.mu.Unlock()
 	gv, ok := r.gaugeVecs[name]
 	if !ok {
-		gv = &GaugeVec{v: newVec(label, r.vecCap, func() *Gauge { return &Gauge{} })}
+		gv = &GaugeVec{v: newVec(label, func() *Gauge { return &Gauge{} })}
 		r.gaugeVecs[name] = gv
 		r.setHelp(name, help)
 	}
@@ -273,21 +270,9 @@ func (r *Registry) HistogramVec(name, label string, bounds []float64, help ...st
 	if !ok {
 		bs := make([]float64, len(bounds))
 		copy(bs, bounds)
-		hv = &HistogramVec{v: newVec(label, r.vecCap, func() *Histogram { return newHistogram(bs) })}
+		hv = &HistogramVec{v: newVec(label, func() *Histogram { return newHistogram(bs) })}
 		r.histVecs[name] = hv
 		r.setHelp(name, help)
 	}
 	return hv
-}
-
-// SetVecCap sets the default cardinality cap applied to labeled
-// families created after this call (existing families keep theirs —
-// adjust those with SetCap). Safe on a nil registry.
-func (r *Registry) SetVecCap(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.mu.Lock()
-	r.vecCap = n
-	r.mu.Unlock()
 }

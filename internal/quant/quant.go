@@ -142,9 +142,6 @@ func (m *Matrix) Rows() int { return m.rows }
 // Cols returns the column count.
 func (m *Matrix) Cols() int { return m.cols }
 
-// Precision returns the stored bit width.
-func (m *Matrix) Precision() Precision { return m.prec }
-
 // StorageBytes returns the quantized footprint including scales.
 func (m *Matrix) StorageBytes() int64 {
 	return int64(len(m.data)) + int64(len(m.scales))*4
@@ -177,22 +174,4 @@ func (m *Matrix) Dequantize() *tensor.Tensor {
 		}
 	}
 	return out
-}
-
-// MaxAbsError returns the largest absolute dequantization error
-// against the reference tensor, used to validate quantization quality.
-func (m *Matrix) MaxAbsError(ref *tensor.Tensor) (float64, error) {
-	if ref.Rank() != 2 || ref.Dim(0) != m.rows || ref.Dim(1) != m.cols {
-		return 0, fmt.Errorf("%w: reference shape %v", ErrQuant, ref.Shape())
-	}
-	var maxErr float64
-	for r := 0; r < m.rows; r++ {
-		for c := 0; c < m.cols; c++ {
-			e := math.Abs(float64(m.at(r, c) - ref.At(r, c)))
-			if e > maxErr {
-				maxErr = e
-			}
-		}
-	}
-	return maxErr, nil
 }

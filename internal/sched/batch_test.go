@@ -43,8 +43,8 @@ func TestSubmitBatchGrantsAndBills(t *testing.T) {
 	if got := c.got(); len(got) != 2 || got[1] != "batch-1" {
 		t.Fatalf("order = %v", got)
 	}
-	if s.Allocated("batch-1") != 60 {
-		t.Fatalf("batch allocation = %d, want 60", s.Allocated("batch-1"))
+	if allocated(s, "batch-1") != 60 {
+		t.Fatalf("batch allocation = %d, want 60", allocated(s, "batch-1"))
 	}
 	for _, m := range members {
 		u, ok := led.Usage(m.ClientID)
@@ -151,14 +151,14 @@ func TestSubmitBatchRejections(t *testing.T) {
 	}
 	outstanding("queued")
 	s.Complete("hog")
-	if s.Allocated("b4") != 20 {
-		t.Fatalf("b4 not granted after hog completed (allocated %d)", s.Allocated("b4"))
+	if allocated(s, "b4") != 20 {
+		t.Fatalf("b4 not granted after hog completed (allocated %d)", allocated(s, "b4"))
 	}
 	outstanding("granted")
 	// A member's ID names no allocation of its own: completing it must
 	// not release the batch it rides.
-	if got := s.Complete("x"); got != 0 || s.Allocated("b4") != 20 {
-		t.Errorf("Complete(x) reclaimed %d and left b4 with %d, want 0 and 20", got, s.Allocated("b4"))
+	if got := s.Complete("x"); got != 0 || allocated(s, "b4") != 20 {
+		t.Errorf("Complete(x) reclaimed %d and left b4 with %d, want 0 and 20", got, allocated(s, "b4"))
 	}
 	s.Complete("b4")
 	mustSubmit(t, s, "x", KindForward, 5, c.grant("x"))

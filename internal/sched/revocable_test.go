@@ -32,14 +32,14 @@ func TestGrowNeverQueuesNorRevokes(t *testing.T) {
 	if s.Grow("a", 60) { // needs 50 more, 40 strictly free
 		t.Fatal("grow took parked bytes")
 	}
-	if s.Allocated("a") != 10 || revoked.Load() != 0 || s.Parked() != 50 {
-		t.Fatalf("refused grow moved state: a=%d revoked=%d parked=%d", s.Allocated("a"), revoked.Load(), s.Parked())
+	if allocated(s, "a") != 10 || revoked.Load() != 0 || s.Parked() != 50 {
+		t.Fatalf("refused grow moved state: a=%d revoked=%d parked=%d", allocated(s, "a"), revoked.Load(), s.Parked())
 	}
 	if !s.Grow("a", 50) { // exactly the 40 free bytes
 		t.Fatal("grow into strictly free bytes refused")
 	}
-	if s.Allocated("a") != 50 || s.Available() != 50 {
-		t.Fatalf("after grow: a=%d available=%d, want 50 and 50 (the parked bytes)", s.Allocated("a"), s.Available())
+	if allocated(s, "a") != 50 || s.Available() != 50 {
+		t.Fatalf("after grow: a=%d available=%d, want 50 and 50 (the parked bytes)", allocated(s, "a"), s.Available())
 	}
 	if s.Complete("a") != 50 {
 		t.Fatal("complete did not return the grown grant")
@@ -91,7 +91,7 @@ func TestRevocationIsSynchronousOldestFirstAndMinimal(t *testing.T) {
 	if s.Claim("p1") {
 		t.Fatal("claim after revoke succeeded")
 	}
-	if s.Allocated("p1") != 0 {
+	if allocated(s, "p1") != 0 {
 		t.Fatal("a revoked grant still holds bytes")
 	}
 

@@ -860,16 +860,6 @@ func (s *Scheduler) QueueDepth() int {
 	return len(s.waiting)
 }
 
-// Allocated returns the bytes currently granted to clientID.
-func (s *Scheduler) Allocated(clientID string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r := s.allocLocked(clientID); r != nil {
-		return r.bytes
-	}
-	return 0
-}
-
 // Stats returns a snapshot of scheduler statistics.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()

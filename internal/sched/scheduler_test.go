@@ -36,8 +36,8 @@ func TestImmediateGrantWhenMemoryAvailable(t *testing.T) {
 	if got := c.got(); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("order = %v", got)
 	}
-	if s.Available() != 60 || s.Allocated("a") != 40 {
-		t.Fatalf("avail %d alloc %d", s.Available(), s.Allocated("a"))
+	if s.Available() != 60 || allocated(s, "a") != 40 {
+		t.Fatalf("avail %d alloc %d", s.Available(), allocated(s, "a"))
 	}
 }
 
@@ -302,4 +302,14 @@ func mustSubmit(t *testing.T, s *Scheduler, id string, kind RequestKind, bytes i
 	if err := s.Submit(id, kind, bytes, grant); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allocated returns the bytes currently granted to clientID.
+func allocated(s *Scheduler, clientID string) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r := s.allocLocked(clientID); r != nil {
+		return r.bytes
+	}
+	return 0
 }

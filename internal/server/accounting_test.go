@@ -98,7 +98,7 @@ func TestAccountingConservationOverTCP(t *testing.T) {
 
 	// Ledger rows: persistent prefixes stripped, wire traffic counted,
 	// holdings released on teardown, byte-seconds accrued.
-	rows := srv.Ledger().Snapshot()
+	rows := srv.ledger.Snapshot()
 	if len(rows) != len(steps) {
 		t.Fatalf("ledger rows = %+v, want one per tenant", rows)
 	}

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"menos/internal/fleet"
-	"menos/internal/obs"
 )
 
 // countingConn counts protocol bytes flowing over a client connection
@@ -44,10 +43,6 @@ func (s *Server) flushWire(sess *session, conn *countingConn) {
 		s.ledger.AddWire(sess.id, tx, rx)
 	}
 }
-
-// Ledger exposes the per-tenant accounting plane (nil when the server
-// runs without metrics).
-func (s *Server) Ledger() *obs.Ledger { return s.ledger }
 
 // LoadSnapshot assembles the /loadz wire document: the same ServerLoad
 // shape a fleet Placer consumes, hand-assembled by the simulator and

@@ -1,10 +1,11 @@
-// Package profile implements the server-side profiling phase of §3.3:
-// before serving a client, the server pushes random input sequences of
-// the client's reported geometry through the client's model instance
-// and measures the GPU memory its forward and backward computations
-// demand. Profiling needs no knowledge of the client's data — only the
-// configuration — making it generic over models and adapters.
-package profile
+package server
+
+// The profiling phase of §3.3: before serving a client, the server
+// pushes random input sequences of the client's reported geometry
+// through the client's model instance and measures the GPU memory its
+// forward and backward computations demand. Profiling needs no
+// knowledge of the client's data — only the configuration — making it
+// generic over models and adapters.
 
 import (
 	"fmt"
@@ -14,28 +15,28 @@ import (
 	"menos/internal/tensor"
 )
 
-// Result reports the measured per-operation memory demands (the M_f
+// memDemands are the measured per-operation memory demands (the M_f
 // and M_b of Algorithm 2).
-type Result struct {
+type memDemands struct {
 	ForwardBytes  int64
 	BackwardBytes int64
 }
 
-// MeasureBody profiles one client's body section with random
+// measureBody profiles one client's body section with random
 // activations of the reported (batch, seq) geometry. It runs a full
 // gradient-enabled forward and backward — verifying the instance and
 // adapter actually work — then zeroes any gradients it produced, so
 // profiling leaves the instance exactly as it found it.
-func MeasureBody(body *model.BodySection, params []nn.Param, batch, seq, dim int, seed uint64) (Result, error) {
+func measureBody(body *model.BodySection, params []nn.Param, batch, seq, dim int, seed uint64) (memDemands, error) {
 	if batch <= 0 || seq <= 0 {
-		return Result{}, fmt.Errorf("profile: invalid geometry batch=%d seq=%d", batch, seq)
+		return memDemands{}, fmt.Errorf("profile: invalid geometry batch=%d seq=%d", batch, seq)
 	}
 	rng := tensor.NewRNG(seed | 1)
 	x := tensor.NewNormal(rng, 0.5, batch*seq, dim)
 
 	y, cache, err := body.Forward(x, batch, seq, true)
 	if err != nil {
-		return Result{}, fmt.Errorf("profile forward: %w", err)
+		return memDemands{}, fmt.Errorf("profile forward: %w", err)
 	}
 	// Backward demand: retained activations plus the gradient working
 	// set (dy/dx ping-pong buffers at the section boundary).
@@ -43,7 +44,7 @@ func MeasureBody(body *model.BodySection, params []nn.Param, batch, seq, dim int
 
 	dy := tensor.NewNormal(rng, 0.01, y.Dim(0), y.Dim(1))
 	if _, err := body.Backward(cache, dy); err != nil {
-		return Result{}, fmt.Errorf("profile backward: %w", err)
+		return memDemands{}, fmt.Errorf("profile backward: %w", err)
 	}
 	nn.ZeroGrads(params)
 
@@ -51,5 +52,5 @@ func MeasureBody(body *model.BodySection, params []nn.Param, batch, seq, dim int
 	// cache. Measured as the boundary tensors plus double-buffering.
 	forward := 4 * x.Bytes()
 
-	return Result{ForwardBytes: forward, BackwardBytes: backward}, nil
+	return memDemands{ForwardBytes: forward, BackwardBytes: backward}, nil
 }

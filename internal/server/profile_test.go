@@ -1,4 +1,4 @@
-package profile
+package server
 
 import (
 	"testing"
@@ -30,7 +30,7 @@ func profiledBody(t *testing.T) (*model.BodySection, []nn.Param, model.Config) {
 
 func TestMeasureBodyReportsDemands(t *testing.T) {
 	body, params, cfg := profiledBody(t)
-	res, err := MeasureBody(body, params, 2, 8, cfg.Dim, 3)
+	res, err := measureBody(body, params, 2, 8, cfg.Dim, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestMeasureBodyReportsDemands(t *testing.T) {
 
 func TestMeasureBodyLeavesGradsClean(t *testing.T) {
 	body, params, cfg := profiledBody(t)
-	if _, err := MeasureBody(body, params, 2, 8, cfg.Dim, 3); err != nil {
+	if _, err := measureBody(body, params, 2, 8, cfg.Dim, 3); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range params {
@@ -56,11 +56,11 @@ func TestMeasureBodyLeavesGradsClean(t *testing.T) {
 
 func TestMeasureBodyDeterministic(t *testing.T) {
 	body, params, cfg := profiledBody(t)
-	a, err := MeasureBody(body, params, 2, 8, cfg.Dim, 9)
+	a, err := measureBody(body, params, 2, 8, cfg.Dim, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MeasureBody(body, params, 2, 8, cfg.Dim, 9)
+	b, err := measureBody(body, params, 2, 8, cfg.Dim, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestMeasureBodyDeterministic(t *testing.T) {
 
 func TestMeasureBodyScalesWithGeometry(t *testing.T) {
 	body, params, cfg := profiledBody(t)
-	small, err := MeasureBody(body, params, 1, 4, cfg.Dim, 1)
+	small, err := measureBody(body, params, 1, 4, cfg.Dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := MeasureBody(body, params, 4, 16, cfg.Dim, 1)
+	big, err := measureBody(body, params, 4, 16, cfg.Dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +89,10 @@ func TestMeasureBodyScalesWithGeometry(t *testing.T) {
 
 func TestMeasureBodyInvalidGeometry(t *testing.T) {
 	body, params, cfg := profiledBody(t)
-	if _, err := MeasureBody(body, params, 0, 8, cfg.Dim, 1); err == nil {
+	if _, err := measureBody(body, params, 0, 8, cfg.Dim, 1); err == nil {
 		t.Fatal("zero batch accepted")
 	}
-	if _, err := MeasureBody(body, params, 2, 0, cfg.Dim, 1); err == nil {
+	if _, err := measureBody(body, params, 2, 0, cfg.Dim, 1); err == nil {
 		t.Fatal("zero seq accepted")
 	}
 }
@@ -104,7 +104,7 @@ func TestMeasureBodyInvalidGeometry(t *testing.T) {
 // workspace terms from drifting).
 func TestMeasureMatchesAnalyticOrder(t *testing.T) {
 	body, params, cfg := profiledBody(t)
-	res, err := MeasureBody(body, params, 2, 7, cfg.Dim, 1)
+	res, err := measureBody(body, params, 2, 7, cfg.Dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,7 +170,7 @@ func TestContentionIsFig3d(t *testing.T) {
 		t.Errorf("parked bytes gauge = %d, want 0", v)
 	}
 	var revokedRows int64
-	for _, u := range srv.Ledger().Snapshot() {
+	for _, u := range srv.ledger.Snapshot() {
 		if u.PersistentBytes != 0 || u.TransientBytes != 0 {
 			t.Errorf("%s: ledger holdings outlived the session: persist=%d transient=%d", u.ID, u.PersistentBytes, u.TransientBytes)
 		}

@@ -25,13 +25,11 @@ import (
 	"menos/internal/model"
 	"menos/internal/nn"
 	"menos/internal/obs"
-	"menos/internal/profile"
 	"menos/internal/quant"
 	"menos/internal/sched"
 	"menos/internal/share"
 	"menos/internal/split"
 	"menos/internal/tensor"
-	"menos/internal/trace"
 )
 
 // ErrServerClosed is returned by Serve after Close.
@@ -369,7 +367,7 @@ type session struct {
 	body      *model.BodySection
 	params    []nn.Param
 	optimizer nn.Optimizer
-	demands   profile.Result
+	demands   memDemands
 	batch     int
 	seq       int
 	// features is the negotiated extension set (the intersection of
@@ -640,7 +638,7 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 	releaseReservation := func() { s.scheduler.Complete("persist:" + hello.ClientID) }
 
 	// Profiling phase (§3.3): random inputs through fwd/bwd.
-	demands, err := profile.MeasureBody(sess.body, sess.params, hello.Batch, hello.Seq,
+	demands, err := measureBody(sess.body, sess.params, hello.Batch, hello.Seq,
 		s.store.Config().Dim, hello.AdapterSeed)
 	if err != nil {
 		releaseReservation()
@@ -660,7 +658,7 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 			demands.BackwardBytes, schedulable))
 	}
 
-	// Restore a migrated session after profiling: MeasureBody leaves
+	// Restore a migrated session after profiling: measureBody leaves
 	// zeroed gradients behind, so the snapshot's values, grads,
 	// optimizer slots and step count land on a clean slate and the
 	// client resumes bit-exactly where the source server left off.
@@ -1026,17 +1024,6 @@ func (s *Server) retryAfter() time.Duration {
 		return s.cfg.SLO.RetryAfter
 	}
 	return s.cfg.SLO.TargetP99
-}
-
-// Breakdown satisfies experiment harnesses that want a trace view of
-// server activity.
-func (s *Server) Breakdown() *trace.Breakdown {
-	bd := &trace.Breakdown{}
-	st := s.Stats()
-	if st.Iterations > 0 {
-		bd.Add(0, st.AvgCompute*time.Duration(st.Iterations), st.AvgSchedWait*time.Duration(st.Iterations))
-	}
-	return bd
 }
 
 // serveDecodeOpen starts an incremental-inference session: the KV

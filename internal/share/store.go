@@ -75,12 +75,6 @@ func (s *Store) BaseParamBytes() int64 {
 	return s.cfg.TotalParams() * 4
 }
 
-// ServerParamBytes returns the byte footprint of only the blocks the
-// server hosts for the given cut.
-func (s *Store) ServerParamBytes(cut int) int64 {
-	return s.cfg.BlockParams() * int64(s.cfg.Layers-cut) * 4
-}
-
 // ActiveInstances returns the number of live (unreleased) instances.
 func (s *Store) ActiveInstances() int {
 	s.mu.Lock()
@@ -158,16 +152,6 @@ func (i *Instance) AdapterParams() []nn.Param {
 		return nil
 	}
 	return i.adapter.Params()
-}
-
-// PrivateBytes returns the per-client persistent footprint: adapter
-// parameters plus gradients (the 𝔸 term; optimizer state 𝕆 is owned
-// by the optimizer).
-func (i *Instance) PrivateBytes() int64 {
-	if i.adapter == nil {
-		return 0
-	}
-	return 2 * i.adapter.ParamBytes() // values + gradients
 }
 
 // Release detaches the adapter and returns the instance to the store.

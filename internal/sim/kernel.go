@@ -191,15 +191,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park(fmt.Sprintf("sleeping until %v", k.now+d))
 }
 
-// Yield reschedules the process at the current time, letting other
-// ready processes run first.
-func (p *Proc) Yield() {
-	k := p.kernel
-	k.push(&event{at: k.now, proc: p})
-	p.park("yield")
-}
-
-// Signal is a broadcast/wait synchronization point.
+// Signal is a FIFO wait/wake synchronization point.
 type Signal struct {
 	kernel  *Kernel
 	waiters []*Proc
@@ -226,14 +218,3 @@ func (s *Signal) Fire() bool {
 	s.kernel.push(&event{at: s.kernel.now, proc: p})
 	return true
 }
-
-// Broadcast wakes all waiters.
-func (s *Signal) Broadcast() {
-	for _, p := range s.waiters {
-		s.kernel.push(&event{at: s.kernel.now, proc: p})
-	}
-	s.waiters = nil
-}
-
-// Pending returns the number of blocked waiters.
-func (s *Signal) Pending() int { return len(s.waiters) }

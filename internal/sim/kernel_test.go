@@ -103,31 +103,6 @@ func TestSignalFIFO(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	k := New()
-	sig := k.NewSignal()
-	woken := 0
-	for i := 0; i < 4; i++ {
-		k.Spawn("w", func(p *Proc) {
-			sig.Wait(p, "b")
-			woken++
-		})
-	}
-	k.Spawn("b", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		if sig.Pending() != 4 {
-			t.Errorf("pending = %d", sig.Pending())
-		}
-		sig.Broadcast()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woken != 4 {
-		t.Fatalf("woken = %d", woken)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	k := New()
 	sig := k.NewSignal()
@@ -198,12 +173,14 @@ func TestSpawnFromProcess(t *testing.T) {
 	}
 }
 
+// A zero sleep yields: the process is rescheduled at the current time,
+// behind every process already ready then.
 func TestYield(t *testing.T) {
 	k := New()
 	var order []string
 	k.Spawn("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	k.Spawn("b", func(p *Proc) {
@@ -231,61 +208,6 @@ func TestNegativeDurationsClamped(t *testing.T) {
 	k.After(-time.Second, func() {})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMailbox(t *testing.T) {
-	k := New()
-	mb := NewMailbox[int](k, "test")
-	var got []int
-	k.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, mb.Recv(p))
-		}
-	})
-	k.Spawn("producer", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			p.Sleep(time.Second)
-			mb.Send(i * 10)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 10 || got[2] != 30 {
-		t.Fatalf("got = %v", got)
-	}
-}
-
-func TestMailboxTryRecv(t *testing.T) {
-	k := New()
-	mb := NewMailbox[string](k, "t")
-	if _, ok := mb.TryRecv(); ok {
-		t.Fatal("empty TryRecv succeeded")
-	}
-	mb.Send("x")
-	if mb.Len() != 1 {
-		t.Fatalf("len = %d", mb.Len())
-	}
-	v, ok := mb.TryRecv()
-	if !ok || v != "x" {
-		t.Fatalf("TryRecv = %q, %v", v, ok)
-	}
-}
-
-func TestMailboxBuffersWithoutReceiver(t *testing.T) {
-	k := New()
-	mb := NewMailbox[int](k, "t")
-	k.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			mb.Send(i)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if mb.Len() != 10 {
-		t.Fatalf("buffered %d", mb.Len())
 	}
 }
 

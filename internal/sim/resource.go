@@ -35,8 +35,5 @@ func (r *Resource) Release() {
 	r.signal.Fire()
 }
 
-// InUse returns the number of held units.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Capacity returns the unit count.
 func (r *Resource) Capacity() int { return r.capacity }

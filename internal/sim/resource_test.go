@@ -53,8 +53,8 @@ func TestResourceCapacity(t *testing.T) {
 	if k.Now() != 2*time.Second {
 		t.Fatalf("end time = %v, want 2s", k.Now())
 	}
-	if r.InUse() != 0 {
-		t.Fatalf("units leaked: %d", r.InUse())
+	if r.inUse != 0 {
+		t.Fatalf("units leaked: %d", r.inUse)
 	}
 }
 

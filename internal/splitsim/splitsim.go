@@ -391,22 +391,6 @@ type WaitStats struct {
 	Backwards     int
 }
 
-// AvgForward returns the mean forward grant wait.
-func (w WaitStats) AvgForward() time.Duration {
-	if w.Forwards == 0 {
-		return 0
-	}
-	return w.ForwardTotal / time.Duration(w.Forwards)
-}
-
-// AvgBackward returns the mean backward grant wait.
-func (w WaitStats) AvgBackward() time.Duration {
-	if w.Backwards == 0 {
-		return 0
-	}
-	return w.BackwardTotal / time.Duration(w.Backwards)
-}
-
 // AvgIterationTime returns the mean per-client iteration time,
 // matching the Fig. 6 metric.
 func (r *Result) AvgIterationTime() time.Duration { return r.Aggregate.AvgTotal() }

@@ -61,7 +61,6 @@ func benchMatMul(b *testing.B, op func(dst, a, b *Tensor) error, aT, bT bool) {
 }
 
 func BenchmarkMatMul(b *testing.B)       { benchMatMul(b, MatMul, false, false) }
-func BenchmarkMatMulAccum(b *testing.B)  { benchMatMul(b, MatMulAccum, false, false) }
 func BenchmarkMatMulT(b *testing.B)      { benchMatMul(b, MatMulT, false, true) }
 func BenchmarkMatMulTAccum(b *testing.B) { benchMatMul(b, MatMulTAccum, true, false) }
 

@@ -111,7 +111,7 @@ func garbage(m, n int) *Tensor {
 	return t
 }
 
-// matmulVariants runs all four kernels on operands of shape s filled
+// matmulVariants runs all three kernels on operands of shape s filled
 // by fill, and the reference loops on the same operands; check
 // compares each pair.
 func matmulVariants(t *testing.T, s struct{ m, k, n int }, fill func(*Tensor), check func(got, want *Tensor, label string)) {
@@ -137,11 +137,6 @@ func matmulVariants(t *testing.T, s struct{ m, k, n int }, fill func(*Tensor), c
 	must(MatMul(got, a, b2))
 	refMatMulAccum(want, a, b2)
 	check(got, want, "MatMul")
-
-	got, want = seed.Clone(), seed.Clone()
-	must(MatMulAccum(got, a, b2))
-	refMatMulAccum(want, a, b2)
-	check(got, want, "MatMulAccum")
 
 	got, want = garbage(s.m, s.n), New(s.m, s.n)
 	must(MatMulT(got, a, bt))
@@ -274,13 +269,13 @@ func TestRowRangesBitIdenticalAtAnySplit(t *testing.T) {
 }
 
 // TestMatMulRejectsAliasedDst pins the no-alias contract: dst sharing
-// memory with either operand is an error in all four entry points,
+// memory with either operand is an error in all three entry points,
 // views of one backing array that do not overlap are fine.
 func TestMatMulRejectsAliasedDst(t *testing.T) {
 	sq := NewNormal(NewRNG(3), 1, 8, 8)
 	other := NewNormal(NewRNG(4), 1, 8, 8)
 	for name, op := range map[string]func(dst, a, b *Tensor) error{
-		"MatMul": MatMul, "MatMulAccum": MatMulAccum, "MatMulT": MatMulT, "MatMulTAccum": MatMulTAccum,
+		"MatMul": MatMul, "MatMulT": MatMulT, "MatMulTAccum": MatMulTAccum,
 	} {
 		if err := op(sq, sq, other); !errors.Is(err, ErrAlias) {
 			t.Errorf("%s(x, x, y) = %v, want ErrAlias", name, err)
@@ -324,7 +319,6 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 	dst := New(m, n)
 	for name, op := range map[string]func() error{
 		"MatMul":       func() error { return MatMul(dst, a, b2) },
-		"MatMulAccum":  func() error { return MatMulAccum(dst, a, b2) },
 		"MatMulT":      func() error { return MatMulT(dst, a, bt) },
 		"MatMulTAccum": func() error { return MatMulTAccum(dst, at, b2) },
 		"SoftmaxRows":  func() error { return SoftmaxRows(dst, dst) },
@@ -398,18 +392,15 @@ func TestKernelsBitIdenticalAcrossParallelism(t *testing.T) {
 		t.Fatal("operands no longer clear the fan-out grains")
 	}
 
-	type result struct{ mm, mma, mmt, mmta, sm, add, gelu, geluB, silu, siluB *Tensor }
+	type result struct{ mm, mmt, mmta, sm, add, gelu, geluB, silu, siluB *Tensor }
 	run := func(par int) result {
 		SetParallelism(par)
 		r := result{
-			mm: New(m, n), mma: New(m, n), mmt: New(m, n),
+			mm: New(m, n), mmt: New(m, n),
 			mmta: New(m, n), sm: New(3001, 45), add: New(300, 300),
 			gelu: New(521, 523), geluB: New(521, 523), silu: New(521, 523), siluB: New(521, 523),
 		}
 		if err := MatMul(r.mm, a, b2); err != nil {
-			t.Fatal(err)
-		}
-		if err := MatMulAccum(r.mma, a, b2); err != nil {
 			t.Fatal(err)
 		}
 		if err := MatMulT(r.mmt, a, bt); err != nil {
@@ -443,7 +434,6 @@ func TestKernelsBitIdenticalAcrossParallelism(t *testing.T) {
 	for _, par := range []int{2, 8} {
 		got := run(par)
 		expectBitIdentical(t, got.mm, serial.mm, "MatMul")
-		expectBitIdentical(t, got.mma, serial.mma, "MatMulAccum")
 		expectBitIdentical(t, got.mmt, serial.mmt, "MatMulT")
 		expectBitIdentical(t, got.mmta, serial.mmta, "MatMulTAccum")
 		expectBitIdentical(t, got.sm, serial.sm, "SoftmaxRows")

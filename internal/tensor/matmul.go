@@ -11,7 +11,7 @@ import (
 // tiles of dst while later tiles still read a and b.
 var ErrAlias = errors.New("tensor: dst aliases an operand")
 
-// All four matmul variants are thin drivers over one micro-kernel,
+// All three matmul variants are thin drivers over one micro-kernel,
 // tile, which updates a tileRows x tileCols block of dst with one
 // accumulator per output element summed in ascending p — the add
 // sequence of the naive loop, so the bits match it exactly. Work is
@@ -53,17 +53,6 @@ func MatMul(dst, a, b *Tensor) error {
 		return err
 	}
 	matmul(dst.data, a.data, b.data, m, k, n, k, 1, false, true)
-	return nil
-}
-
-// MatMulAccum computes dst += a @ b with the same shape rules as
-// MatMul.
-func MatMulAccum(dst, a, b *Tensor) error {
-	m, k, n, err := matmulArgs("matmulAccum", dst, a, b, false, false)
-	if err != nil {
-		return err
-	}
-	matmul(dst.data, a.data, b.data, m, k, n, k, 1, false, false)
 	return nil
 }
 

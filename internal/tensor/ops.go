@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 )
 
 // elemwiseGrain is the ParallelFor grain for memory-bound elementwise
@@ -37,26 +36,6 @@ func Add(dst, a, b *Tensor) error {
 	ParallelFor(len(dd), elemwiseGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dd[i] = ad[i] + bd[i]
-		}
-	})
-	return nil
-}
-
-// Sub computes dst = a - b elementwise.
-func Sub(dst, a, b *Tensor) error {
-	if len(a.data) != len(b.data) || len(dst.data) != len(a.data) {
-		return fmt.Errorf("%w: sub %v - %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
-	}
-	ad, bd, dd := a.data, b.data, dst.data
-	if serialFor(len(dd), elemwiseGrain) {
-		for i, av := range ad {
-			dd[i] = av - bd[i]
-		}
-		return nil
-	}
-	ParallelFor(len(dd), elemwiseGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dd[i] = ad[i] - bd[i]
 		}
 	})
 	return nil
@@ -179,15 +158,6 @@ func (t *Tensor) MaxAbs() float32 {
 	return m
 }
 
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2Norm() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
 // SoftmaxRows applies a numerically stable softmax to each row of a
 // rank-2 tensor, writing into dst (which may alias a).
 func SoftmaxRows(dst, a *Tensor) error {
@@ -233,19 +203,4 @@ func softmaxRowRange(dst, a []float32, cols, rowLo, rowHi int) {
 			dr[c] *= inv
 		}
 	}
-}
-
-// Transpose returns the transpose of a rank-2 tensor as a new tensor.
-func Transpose(a *Tensor) (*Tensor, error) {
-	if len(a.shape) != 2 {
-		return nil, fmt.Errorf("%w: transpose of rank-%d tensor", ErrShape, len(a.shape))
-	}
-	rows, cols := a.shape[0], a.shape[1]
-	out := New(cols, rows)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			out.data[c*rows+r] = a.data[r*cols+c]
-		}
-	}
-	return out, nil
 }

@@ -1,11 +1,10 @@
 // Package trace collects per-iteration time breakdowns (communication,
 // computation, scheduling — the decomposition of the paper's Tables
-// 1-3) and renders experiment results as aligned text tables and CSV.
+// 1-3) and renders experiment results as aligned text tables.
 package trace
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -139,8 +138,8 @@ func NewTable(title string, headers ...string) *Table {
 
 // AddRow appends a row; short rows are padded. A row with more cells
 // than the table has columns is truncated, and the first such mismatch
-// is recorded: check Err after building, and WriteCSV refuses to emit a
-// table that silently lost data.
+// is recorded: check Err after building (menos-bench refuses to print a
+// table that silently lost data).
 func (t *Table) AddRow(cells ...string) {
 	if len(cells) > len(t.Headers) && t.err == nil {
 		t.err = fmt.Errorf("trace: row %d of table %q has %d cells but only %d columns",
@@ -196,34 +195,6 @@ func (t *Table) Render() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// WriteCSV emits the table as CSV. It fails if AddRow recorded a
-// truncated row, rather than exporting silently incomplete data.
-func (t *Table) WriteCSV(w io.Writer) error {
-	if t.err != nil {
-		return t.err
-	}
-	writeLine := func(cells []string) error {
-		escaped := make([]string, len(cells))
-		for i, c := range cells {
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			escaped[i] = c
-		}
-		_, err := io.WriteString(w, strings.Join(escaped, ",")+"\n")
-		return err
-	}
-	if err := writeLine(t.Headers); err != nil {
-		return fmt.Errorf("trace: write csv header: %w", err)
-	}
-	for _, row := range t.rows {
-		if err := writeLine(row); err != nil {
-			return fmt.Errorf("trace: write csv row: %w", err)
-		}
-	}
-	return nil
 }
 
 // Series is one line of a figure: y values indexed by x.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -115,26 +116,6 @@ func TestTableShortRowPadded(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	tb := NewTable("t", "name", "value")
-	tb.AddRow("plain", "1")
-	tb.AddRow("with,comma", "quote\"inside")
-	var sb strings.Builder
-	if err := tb.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "\"with,comma\"") {
-		t.Fatalf("csv escaping:\n%s", out)
-	}
-	if !strings.Contains(out, "\"quote\"\"inside\"") {
-		t.Fatalf("quote escaping:\n%s", out)
-	}
-	if !strings.HasPrefix(out, "name,value\n") {
-		t.Fatalf("header:\n%s", out)
-	}
-}
-
 func TestFigureTable(t *testing.T) {
 	f := NewFigure("Fig X", "clients")
 	vanilla := f.NewSeries("vanilla")
@@ -225,14 +206,6 @@ func TestTableLongRowRecordsError(t *testing.T) {
 	if tb.Err() != err {
 		t.Fatal("recorded error overwritten")
 	}
-	// CSV export refuses to emit truncated data.
-	var sb strings.Builder
-	if csvErr := tb.WriteCSV(&sb); csvErr != err {
-		t.Fatalf("WriteCSV error = %v, want %v", csvErr, err)
-	}
-	if sb.Len() != 0 {
-		t.Fatalf("partial csv written: %q", sb.String())
-	}
 }
 
 func TestTableShortRowNoError(t *testing.T) {
@@ -241,31 +214,28 @@ func TestTableShortRowNoError(t *testing.T) {
 	if tb.Err() != nil {
 		t.Fatalf("padded short row flagged: %v", tb.Err())
 	}
-	var sb strings.Builder
-	if err := tb.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "just-one,,\n") {
-		t.Fatalf("short row csv:\n%s", sb.String())
+	if got := tb.Rows()[0]; len(got) != 3 || got[0] != "just-one" || got[1] != "" || got[2] != "" {
+		t.Fatalf("short row = %q, want [just-one  ]", got)
 	}
 }
 
-func TestFigureCSVExport(t *testing.T) {
+// TestFigureTableJoinsOnX: a figure's table has one column per series,
+// rows in first-seen x order, and n/a where a series has no point.
+func TestFigureTableJoinsOnX(t *testing.T) {
 	f := NewFigure("Fig 6", "clients")
 	menos := f.NewSeries("menos")
 	menos.Add(1, 154.1)
 	menos.Add(4, 160)
 	vanilla := f.NewSeries("vanilla")
 	vanilla.Add(1, 155)
-	// vanilla has no x=4 point: the join emits n/a.
-	var sb strings.Builder
-	if err := f.Table().WriteCSV(&sb); err != nil {
-		t.Fatal(err)
+	tb := f.Table()
+	if tb.Err() != nil {
+		t.Fatal(tb.Err())
 	}
-	got := sb.String()
-	want := "clients,menos,vanilla\n1,154.100,155\n4,160,n/a\n"
+	got := fmt.Sprint(tb.Headers, tb.Rows())
+	want := "[clients menos vanilla] [[1 154.100 155] [4 160 n/a]]"
 	if got != want {
-		t.Fatalf("figure csv:\n got %q\nwant %q", got, want)
+		t.Fatalf("figure table:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -24,7 +24,6 @@
 package tsdb
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -230,17 +229,6 @@ func (s *Store) compactLocked(sr *series) {
 	}
 }
 
-// Latest returns the newest timestamp appended (0 before any sample).
-// Safe on nil.
-func (s *Store) Latest() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.latest
-}
-
 // Stats reports the store's occupancy: live series, total samples ever
 // appended, and series-creation drops at the cardinality cap. Safe on
 // nil.
@@ -327,15 +315,6 @@ func (s *Store) Query(name string, from, to time.Duration) []Series {
 	return s.query(func(id SeriesID) bool { return id.Name == name }, from, to)
 }
 
-// QueryID returns one exact series' points in [from, to]. Safe on nil.
-func (s *Store) QueryID(id SeriesID, from, to time.Duration) (Series, bool) {
-	res := s.query(func(o SeriesID) bool { return o == id }, from, to)
-	if len(res) == 0 {
-		return Series{ID: id}, false
-	}
-	return res[0], true
-}
-
 func (s *Store) query(match func(SeriesID) bool, from, to time.Duration) []Series {
 	if s == nil {
 		return nil
@@ -415,40 +394,6 @@ func (s *Store) AvgOver(id SeriesID, from, to time.Duration) (float64, bool) {
 	return sum / float64(n), true
 }
 
-// MaxOver returns the series maximum over [from, to] (bucket maxima
-// included). Safe on nil.
-func (s *Store) MaxOver(id SeriesID, from, to time.Duration) (float64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sr := s.series[id]
-	if sr == nil {
-		return 0, false
-	}
-	var max float64
-	found := false
-	half := s.cfg.Resolution / 2
-	consider := func(v float64) {
-		if !found || v > max {
-			max = v
-			found = true
-		}
-	}
-	for _, b := range sr.down {
-		if at := b.Start + half; at >= from && at <= to {
-			consider(b.Max)
-		}
-	}
-	for _, p := range sr.raw {
-		if p.At >= from && p.At <= to {
-			consider(p.Value)
-		}
-	}
-	return max, found
-}
-
 // Increase returns how much a counter series grew over [from, to]:
 // the sum of positive deltas between consecutive raw samples in range,
 // counter resets handled Prometheus-style (a decrease contributes the
@@ -494,9 +439,4 @@ func (s *Store) Increase(id SeriesID, from, to time.Duration) (float64, bool) {
 		return 0, false
 	}
 	return inc, true
-}
-
-// GoString aids test failure messages.
-func (p Point) GoString() string {
-	return fmt.Sprintf("{%s %g}", p.At, p.Value)
 }

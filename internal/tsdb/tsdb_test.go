@@ -53,7 +53,7 @@ func TestDownsampleAndRetentionBounds(t *testing.T) {
 		t.Fatalf("down ring %d buckets, want 1..%d", n, maxBuckets)
 	}
 	// Nothing older than Retention survives.
-	latest := s.Latest()
+	latest := s.latest
 	for _, b := range sr.down {
 		if b.Start+cfg.Resolution <= latest-cfg.Retention {
 			t.Fatalf("bucket at %v survived retention (latest %v)", b.Start, latest)
@@ -127,7 +127,7 @@ func TestOutOfOrderClamped(t *testing.T) {
 	}
 }
 
-func TestAvgMaxOver(t *testing.T) {
+func TestAvgOver(t *testing.T) {
 	s := New(Config{RawWindow: 10 * time.Second, Resolution: 5 * time.Second, Retention: time.Hour})
 	id := SeriesID{Name: "m"}
 	// 1..40 at 1s spacing; early samples fold into buckets.
@@ -137,9 +137,6 @@ func TestAvgMaxOver(t *testing.T) {
 	// Whole-range mean must weigh buckets by count: mean of 1..40.
 	if avg, ok := s.AvgOver(id, 0, time.Hour); !ok || !approx(avg, 20.5) {
 		t.Fatalf("AvgOver = %v %v, want 20.5", avg, ok)
-	}
-	if max, ok := s.MaxOver(id, 0, time.Hour); !ok || !approx(max, 40) {
-		t.Fatalf("MaxOver = %v %v, want 40", max, ok)
 	}
 	if _, ok := s.AvgOver(id, time.Hour, 2*time.Hour); ok {
 		t.Fatal("AvgOver over empty range should report !ok")
@@ -270,7 +267,6 @@ func TestConcurrentScrapeQuery(t *testing.T) {
 				s.Query("m", 0, time.Hour)
 				s.Last(id)
 				s.AvgOver(id, 0, time.Hour)
-				s.MaxOver(id, 0, time.Hour)
 				s.Increase(id, 0, time.Hour)
 				s.Names()
 				s.Servers("m")
