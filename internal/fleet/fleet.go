@@ -120,7 +120,9 @@ func (l ServerLoad) FreeBytes() int64 {
 
 // Placer chooses a server for a client. Implementations must be
 // deterministic: same inputs (including internal cursor state), same
-// answer. Place returns the chosen ServerLoad.ID.
+// answer. Place returns the chosen ServerLoad.ID. It must neither modify
+// nor retain servers (or any slice of it) once it returns: the Manager
+// refills the same buffer for every decision.
 type Placer interface {
 	Name() string
 	Place(c ClientInfo, servers []ServerLoad) (int, error)

@@ -20,6 +20,9 @@ type Manager struct {
 	servers map[int]*serverEntry
 	order   []int          // sorted server IDs
 	assign  map[string]int // client ID -> server ID
+	// loads is the ServerLoad buffer Place and Rebalance hand the
+	// placer, refilled under mu for every decision.
+	loads []ServerLoad
 
 	placements  int64
 	migrations  int64
@@ -149,7 +152,8 @@ func (m *Manager) Place(c ClientInfo) (int, error) {
 	if _, ok := m.assign[c.ID]; ok {
 		return 0, fmt.Errorf("fleet: client %q already placed", c.ID)
 	}
-	id, err := m.placer.Place(c, m.loadsLocked(false))
+	m.loads = m.appendLoadsLocked(m.loads[:0], false)
+	id, err := m.placer.Place(c, m.loads)
 	if err != nil {
 		return 0, err
 	}
@@ -199,7 +203,8 @@ func (m *Manager) Rebalance(c ClientInfo, fit func(serverID int) bool) (int, boo
 		return 0, false, fmt.Errorf("fleet: rebalance: client %q not placed", c.ID)
 	}
 	src := m.servers[cur]
-	id, err := m.placer.Place(c, m.loadsLocked(false))
+	m.loads = m.appendLoadsLocked(m.loads[:0], false)
+	id, err := m.placer.Place(c, m.loads)
 	if err != nil || id == cur {
 		return cur, false, nil
 	}
@@ -253,7 +258,7 @@ func (m *Manager) DrainCandidate() (int, bool) {
 func (m *Manager) Loads() []ServerLoad {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.loadsLocked(true)
+	return m.appendLoadsLocked(make([]ServerLoad, 0, len(m.order)), true)
 }
 
 // ServerOf returns the server currently hosting clientID.
@@ -347,9 +352,9 @@ func (m *Manager) detachLocked(clientID string) {
 	delete(m.assign, clientID)
 }
 
-// loadsLocked snapshots ServerLoads in ID order. Caller holds m.mu.
-func (m *Manager) loadsLocked(includeDraining bool) []ServerLoad {
-	loads := make([]ServerLoad, 0, len(m.order))
+// appendLoadsLocked appends a ServerLoad snapshot per server to loads,
+// in ID order. Caller holds m.mu.
+func (m *Manager) appendLoadsLocked(loads []ServerLoad, includeDraining bool) []ServerLoad {
 	for _, id := range m.order {
 		e := m.servers[id]
 		if e.draining && !includeDraining {

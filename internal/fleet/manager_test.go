@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -167,5 +168,39 @@ func TestManagerDrainCandidatePicksEmptiest(t *testing.T) {
 	id, ok = m.DrainCandidate()
 	if !ok || id != 0 {
 		t.Fatalf("DrainCandidate after departures = %d,%v, want 0,true", id, ok)
+	}
+}
+
+// Place and Rebalance hand the placer a buffer the Manager owns, so a
+// decision over a 64-server fleet allocates no ServerLoad slice; Loads
+// still returns a snapshot of its own.
+func TestManagerPlaceReusesLoadBuffer(t *testing.T) {
+	m := newTestManager(t, NewLeastLoaded(), 64)
+	ids := make([]string, 200)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("client-%d", i)
+	}
+	place := func() {
+		for _, id := range ids {
+			if _, err := m.Place(ClientInfo{ID: id, TransientPeakBytes: gib}); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := m.Rebalance(ClientInfo{ID: id, TransientPeakBytes: gib}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range ids {
+			m.Depart(id)
+		}
+	}
+	place()
+	// Only the attach's map growth may allocate, never a load per server.
+	if n := testing.AllocsPerRun(5, place); n > float64(len(ids)) {
+		t.Fatalf("%.0f allocations placing %d clients on 64 servers", n, len(ids))
+	}
+	a, b := m.Loads(), m.Loads()
+	a[0].Clients = -1
+	if b[0].Clients == -1 || &a[0] == &m.loads[0] {
+		t.Fatal("Loads shares its slice")
 	}
 }

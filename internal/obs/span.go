@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"sync"
@@ -374,14 +373,18 @@ func (h *SpanHandle) End() {
 // and the simulator's virtual-clock traces get the same IDs on every
 // run.
 func IterTraceID(clientID string, iter int) uint64 {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, clientID)
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(uint64(iter) >> (56 - 8*i))
+	// hash/fnv's New64a, inlined so a call allocates nothing: the
+	// simulator derives one ID per client iteration.
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	id := uint64(offset64)
+	for i := 0; i < len(clientID); i++ {
+		id ^= uint64(clientID[i])
+		id *= prime64
 	}
-	_, _ = h.Write(b[:])
-	id := h.Sum64()
+	for i := 0; i < 8; i++ { // iter, big-endian
+		id ^= uint64(byte(uint64(iter) >> (56 - 8*i)))
+		id *= prime64
+	}
 	if id == 0 {
 		id = 1
 	}

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"testing"
 	"time"
 )
@@ -138,5 +140,30 @@ func TestChromeTraceSchema(t *testing.T) {
 		if e.Ph == "X" && e.Name == "forward" && e.Dur != 5000 {
 			t.Fatalf("forward dur = %v µs, want 5000", e.Dur)
 		}
+	}
+}
+
+// IterTraceID is FNV-1a 64 over the client ID and the big-endian
+// iteration number, bit for bit what hash/fnv computes: traces recorded
+// before it was inlined keep their IDs.
+func TestIterTraceIDIsFNV1a(t *testing.T) {
+	for _, id := range []string{"", "c1", "client-2048", "tenant/α"} {
+		for _, iter := range []int{0, 1, 7, 1 << 20, -1} {
+			h := fnv.New64a()
+			h.Write([]byte(id))
+			var b [8]byte
+			binary.BigEndian.PutUint64(b[:], uint64(iter))
+			h.Write(b[:])
+			want := h.Sum64()
+			if want == 0 {
+				want = 1
+			}
+			if got := IterTraceID(id, iter); got != want {
+				t.Fatalf("IterTraceID(%q, %d) = %x, want %x", id, iter, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { IterTraceID("client-1", 3) }); n != 0 {
+		t.Fatalf("IterTraceID allocates %.0f times", n)
 	}
 }

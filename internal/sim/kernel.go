@@ -1,16 +1,19 @@
-// Package sim implements a deterministic discrete-event simulator with
-// goroutine-backed processes, in the style of SimPy: processes run one
-// at a time under kernel control, advancing a virtual clock, so every
-// simulation is reproducible bit-for-bit regardless of host scheduling.
+// Package sim implements a deterministic discrete-event simulator of
+// run-to-completion handlers. The kernel calls one event handler at a
+// time, in virtual-time order with FIFO tie-breaking, and a handler runs
+// to completion: where a simulated process would block, it hands its
+// continuation to a primitive (After, Signal.Wait, Resource.Acquire) and
+// returns. Every simulation is therefore reproducible bit-for-bit
+// regardless of host scheduling, and no event costs a goroutine, a
+// channel hand-off or an allocation in the kernel.
 //
 // The performance plane of the reproduction runs the Menos server,
-// its clients and the network as sim processes, which is what lets a
+// its clients and the network as sim handlers, which is what lets a
 // "154-second" vanilla fine-tuning iteration be measured in
 // microseconds of wall time.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -18,203 +21,173 @@ import (
 	"time"
 )
 
-// ErrDeadlock is returned by Run when no events remain but processes
-// are still blocked.
+// ErrDeadlock is returned by Run when no events remain but
+// continuations are still parked on signals.
 var ErrDeadlock = errors.New("sim: deadlock")
 
-// event is a scheduled occurrence: either waking a process or running a
-// callback.
+// event is a scheduled handler call. seq breaks ties between equal
+// times in scheduling order.
 type event struct {
-	at   time.Duration
-	seq  uint64 // FIFO tiebreak for equal times
-	proc *Proc
-	fn   func()
+	at  time.Duration
+	seq uint64
+	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
-// Kernel drives the simulation. It is not safe for concurrent use from
-// outside; all interaction happens from sim processes or between Run
-// calls.
+// Kernel drives the simulation. It is not safe for concurrent use: all
+// interaction happens from event handlers or between Run calls.
 type Kernel struct {
-	now     time.Duration
-	seq     uint64
-	queue   eventHeap
-	yielded chan struct{}
-	parked  map[*Proc]string // blocked process -> reason (for deadlock reports)
-	live    int
-	running *Proc
+	now   time.Duration
+	seq   uint64
+	queue []event // binary min-heap by (at, seq), held by value
+	// blocked counts continuations parked on signals; signals lists
+	// every signal so a deadlock report can name what each one waits for.
+	blocked int
+	signals []*Signal
 }
 
 // New creates an empty simulation at time zero.
-func New() *Kernel {
-	return &Kernel{
-		yielded: make(chan struct{}),
-		parked:  make(map[*Proc]string),
-	}
-}
+func New() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
 
-// Proc is a simulation process. All Proc methods must be called from
-// the process's own goroutine (inside the function passed to Spawn).
-type Proc struct {
-	kernel *Kernel
-	name   string
-	resume chan struct{}
-	done   bool
-}
-
-// Name returns the process name.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.kernel }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() time.Duration { return p.kernel.now }
-
-// Spawn creates a process that starts at the current virtual time.
-func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{kernel: k, name: name, resume: make(chan struct{})}
-	k.live++
-	go func() {
-		<-p.resume
-		fn(p)
-		p.done = true
-		k.live--
-		k.yielded <- struct{}{}
-	}()
-	k.push(&event{at: k.now, proc: p})
-	return p
-}
-
-// After schedules fn to run at now+d, outside any process context.
+// After schedules fn to run at now+d; a negative d counts as zero. A
+// zero delay yields: fn runs after every event already due now.
 func (k *Kernel) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	k.push(&event{at: k.now + d, fn: fn})
+	k.push(k.now+d, fn)
 }
 
-func (k *Kernel) push(e *event) {
+func (k *Kernel) push(at time.Duration, fn func()) {
 	k.seq++
-	e.seq = k.seq
-	heap.Push(&k.queue, e)
+	e := event{at: at, seq: k.seq, fn: fn}
+	q := append(k.queue, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+	k.queue = q
+}
+
+// pop removes and returns the earliest event.
+func (k *Kernel) pop() event {
+	q := k.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the handler reference
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if r := child + 1; r < n && q[r].before(&q[child]) {
+				child = r
+			}
+			if !q[child].before(&last) {
+				break
+			}
+			q[i] = q[child]
+			i = child
+		}
+		q[i] = last
+	}
+	k.queue = q
+	return top
 }
 
 // Run executes events until the queue drains. It returns ErrDeadlock
-// if blocked processes remain afterwards.
+// if continuations are still parked on signals afterwards.
 func (k *Kernel) Run() error { return k.RunUntil(-1) }
 
 // RunUntil executes events with time ≤ limit (limit < 0 means no
 // limit). Reaching the limit with events still queued is not an error;
-// draining the queue with parked processes is a deadlock.
+// draining the queue with parked continuations is a deadlock.
 func (k *Kernel) RunUntil(limit time.Duration) error {
-	for k.queue.Len() > 0 {
-		next := k.queue[0]
-		if limit >= 0 && next.at > limit {
+	for len(k.queue) > 0 {
+		if limit >= 0 && k.queue[0].at > limit {
 			k.now = limit
 			return nil
 		}
-		heap.Pop(&k.queue)
-		k.now = next.at
-		switch {
-		case next.proc != nil:
-			k.dispatch(next.proc)
-		case next.fn != nil:
-			next.fn()
-		}
+		e := k.pop()
+		k.now = e.at
+		e.fn()
 	}
-	if len(k.parked) > 0 {
-		return fmt.Errorf("%w: %s", ErrDeadlock, k.parkedSummary())
+	if k.blocked > 0 {
+		return fmt.Errorf("%w: %d blocked: %s", ErrDeadlock, k.blocked, k.blockedSummary())
 	}
 	return nil
 }
 
-func (k *Kernel) parkedSummary() string {
+// blockedSummary names every parked wait by its reason, sorted. It is
+// the only place a reason is formatted.
+func (k *Kernel) blockedSummary() string {
 	var parts []string
-	for p, reason := range k.parked {
-		parts = append(parts, fmt.Sprintf("%s (%s)", p.name, reason))
+	for _, s := range k.signals {
+		for _, w := range s.waiters[s.head:] {
+			parts = append(parts, w.reason)
+		}
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ", ")
 }
 
-// dispatch resumes a process and waits for it to park or finish.
-func (k *Kernel) dispatch(p *Proc) {
-	if p.done {
-		return
-	}
-	delete(k.parked, p)
-	prev := k.running
-	k.running = p
-	p.resume <- struct{}{}
-	<-k.yielded
-	k.running = prev
-}
-
-// park blocks the calling process until the kernel resumes it.
-func (p *Proc) park(reason string) {
-	k := p.kernel
-	k.parked[p] = reason
-	k.yielded <- struct{}{}
-	<-p.resume
-}
-
-// Sleep advances the process by d of virtual time.
-func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	k := p.kernel
-	k.push(&event{at: k.now + d, proc: p})
-	p.park(fmt.Sprintf("sleeping until %v", k.now+d))
-}
-
 // Signal is a FIFO wait/wake synchronization point.
 type Signal struct {
 	kernel  *Kernel
-	waiters []*Proc
+	waiters []waiter // FIFO from head; reset to empty when drained
+	head    int
+}
+
+type waiter struct {
+	reason string
+	then   func()
 }
 
 // NewSignal creates a signal bound to the kernel.
 func (k *Kernel) NewSignal() *Signal {
-	return &Signal{kernel: k}
+	s := &Signal{kernel: k}
+	k.signals = append(k.signals, s)
+	return s
 }
 
-// Wait parks the calling process until the signal fires.
-func (s *Signal) Wait(p *Proc, reason string) {
-	s.waiters = append(s.waiters, p)
-	p.park("waiting: " + reason)
+// Wait parks then until a Fire picks it, FIFO. reason names the wait
+// in a deadlock report; it is stored, never formatted, on this path.
+func (s *Signal) Wait(reason string, then func()) {
+	s.waiters = append(s.waiters, waiter{reason: reason, then: then})
+	s.kernel.blocked++
 }
 
-// Fire wakes one waiter (FIFO). It reports whether a waiter existed.
+// Fire schedules the oldest waiter's continuation as an event at the
+// current time — never inline — and reports whether a waiter existed.
 func (s *Signal) Fire() bool {
-	if len(s.waiters) == 0 {
+	if s.head == len(s.waiters) {
 		return false
 	}
-	p := s.waiters[0]
-	s.waiters = s.waiters[1:]
-	s.kernel.push(&event{at: s.kernel.now, proc: p})
+	w := s.waiters[s.head]
+	s.waiters[s.head] = waiter{}
+	if s.head++; s.head == len(s.waiters) {
+		s.waiters, s.head = s.waiters[:0], 0
+	}
+	s.kernel.blocked--
+	s.kernel.push(s.kernel.now, w.then)
 	return true
 }

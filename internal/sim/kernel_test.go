@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -9,9 +10,8 @@ import (
 func TestSleepAdvancesVirtualTime(t *testing.T) {
 	k := New()
 	var woke time.Duration
-	k.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(5 * time.Second)
-		woke = p.Now()
+	k.After(0, func() {
+		k.After(5*time.Second, func() { woke = k.Now() })
 	})
 	start := time.Now()
 	if err := k.Run(); err != nil {
@@ -30,9 +30,8 @@ func TestEventOrderingIsFIFOAtEqualTimes(t *testing.T) {
 	var order []string
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
-		k.Spawn(name, func(p *Proc) {
-			p.Sleep(time.Second)
-			order = append(order, name)
+		k.After(0, func() {
+			k.After(time.Second, func() { order = append(order, name) })
 		})
 	}
 	if err := k.Run(); err != nil {
@@ -48,18 +47,27 @@ func TestDeterminism(t *testing.T) {
 		k := New()
 		var times []time.Duration
 		sig := k.NewSignal()
-		k.Spawn("producer", func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				p.Sleep(time.Duration(i+1) * 100 * time.Millisecond)
+		var produce func(i int)
+		produce = func(i int) {
+			if i == 5 {
+				return
+			}
+			k.After(time.Duration(i+1)*100*time.Millisecond, func() {
 				sig.Fire()
-			}
-		})
-		k.Spawn("consumer", func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				sig.Wait(p, "tick")
-				times = append(times, p.Now())
-			}
-		})
+				produce(i + 1)
+			})
+		}
+		var consume func()
+		consume = func() {
+			sig.Wait("tick", func() {
+				times = append(times, k.Now())
+				if len(times) < 5 {
+					consume()
+				}
+			})
+		}
+		k.After(0, func() { produce(0) })
+		k.After(0, consume)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -82,18 +90,17 @@ func TestSignalFIFO(t *testing.T) {
 	sig := k.NewSignal()
 	for _, name := range []string{"w1", "w2"} {
 		name := name
-		k.Spawn(name, func(p *Proc) {
-			sig.Wait(p, "test")
-			order = append(order, name)
+		k.After(0, func() {
+			sig.Wait("test", func() { order = append(order, name) })
 		})
 	}
-	k.Spawn("firer", func(p *Proc) {
-		p.Sleep(time.Second)
-		if !sig.Fire() {
-			t.Error("no waiter")
-		}
-		p.Sleep(time.Second)
-		sig.Fire()
+	k.After(0, func() {
+		k.After(time.Second, func() {
+			if !sig.Fire() {
+				t.Error("no waiter")
+			}
+			k.After(time.Second, func() { sig.Fire() })
+		})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -103,27 +110,59 @@ func TestSignalFIFO(t *testing.T) {
 	}
 }
 
+// Fire never runs a continuation inline: it is an event at the current
+// time, behind every event already due then.
+func TestFireSchedulesNotRuns(t *testing.T) {
+	k := New()
+	var order []string
+	sig := k.NewSignal()
+	k.After(0, func() {
+		sig.Wait("w", func() { order = append(order, "woken") })
+	})
+	k.After(0, func() {
+		k.After(0, func() { order = append(order, "queued") })
+		sig.Fire()
+		order = append(order, "firer")
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(order, " ") != "firer queued woken" {
+		t.Fatalf("order = %v", order)
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	k := New()
 	sig := k.NewSignal()
-	k.Spawn("stuck", func(p *Proc) {
-		sig.Wait(p, "never fired")
+	k.After(0, func() {
+		sig.Wait("never fired", func() {})
+	})
+	k.After(0, func() {
+		k.NewSignal().Wait("also stuck", func() {})
 	})
 	err := k.Run()
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want deadlock", err)
+	}
+	for _, reason := range []string{"never fired", "also stuck", "2 blocked"} {
+		if !strings.Contains(err.Error(), reason) {
+			t.Fatalf("deadlock report %q does not name %q", err, reason)
+		}
 	}
 }
 
 func TestRunUntil(t *testing.T) {
 	k := New()
 	ticks := 0
-	k.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(time.Second)
-			ticks++
+	var tick func()
+	tick = func() {
+		ticks++
+		if ticks < 100 {
+			k.After(time.Second, tick)
 		}
-	})
+	}
+	k.After(0, func() { k.After(time.Second, tick) })
 	if err := k.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -154,16 +193,16 @@ func TestAfterCallback(t *testing.T) {
 	}
 }
 
-func TestSpawnFromProcess(t *testing.T) {
+func TestAfterFromHandler(t *testing.T) {
 	k := New()
 	var childRan bool
-	k.Spawn("parent", func(p *Proc) {
-		p.Sleep(time.Second)
-		k.Spawn("child", func(c *Proc) {
-			c.Sleep(time.Second)
-			childRan = true
+	k.After(0, func() {
+		k.After(time.Second, func() {
+			k.After(0, func() {
+				k.After(time.Second, func() { childRan = true })
+			})
+			k.After(5*time.Second, func() {})
 		})
-		p.Sleep(5 * time.Second)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -171,19 +210,21 @@ func TestSpawnFromProcess(t *testing.T) {
 	if !childRan {
 		t.Fatal("child never ran")
 	}
+	if k.Now() != 6*time.Second {
+		t.Fatalf("end time = %v, want 6s", k.Now())
+	}
 }
 
-// A zero sleep yields: the process is rescheduled at the current time,
-// behind every process already ready then.
+// A zero delay yields: the continuation is rescheduled at the current
+// time, behind every handler already ready then.
 func TestYield(t *testing.T) {
 	k := New()
 	var order []string
-	k.Spawn("a", func(p *Proc) {
+	k.After(0, func() {
 		order = append(order, "a1")
-		p.Sleep(0)
-		order = append(order, "a2")
+		k.After(0, func() { order = append(order, "a2") })
 	})
-	k.Spawn("b", func(p *Proc) {
+	k.After(0, func() {
 		order = append(order, "b1")
 	})
 	if err := k.Run(); err != nil {
@@ -199,11 +240,12 @@ func TestYield(t *testing.T) {
 
 func TestNegativeDurationsClamped(t *testing.T) {
 	k := New()
-	k.Spawn("p", func(p *Proc) {
-		p.Sleep(-time.Second)
-		if p.Now() != 0 {
-			t.Errorf("negative sleep advanced time to %v", p.Now())
-		}
+	k.After(0, func() {
+		k.After(-time.Second, func() {
+			if k.Now() != 0 {
+				t.Errorf("negative sleep advanced time to %v", k.Now())
+			}
+		})
 	})
 	k.After(-time.Second, func() {})
 	if err := k.Run(); err != nil {
@@ -211,14 +253,60 @@ func TestNegativeDurationsClamped(t *testing.T) {
 	}
 }
 
-func TestProcName(t *testing.T) {
+// The heap pops (time, sequence) order for any push order, including
+// events pushed while others at the same time are being dispatched.
+func TestHeapOrder(t *testing.T) {
 	k := New()
-	k.Spawn("named", func(p *Proc) {
-		if p.Name() != "named" || p.Kernel() != k {
-			t.Error("proc identity wrong")
-		}
-	})
+	var got []time.Duration
+	for i := 0; i < 200; i++ {
+		d := time.Duration((i*7919)%97) * time.Millisecond
+		k.After(d, func() {
+			got = append(got, k.Now())
+			if len(got)%3 == 0 {
+				k.After(0, func() { got = append(got, k.Now()) })
+			}
+		})
+	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] < got[i-1] {
+			t.Fatalf("time went backwards at %d: %v after %v", i, got[i], got[i-1])
+		}
+	}
+	if len(k.queue) != 0 || cap(k.queue) == 0 {
+		t.Fatalf("queue len %d cap %d", len(k.queue), cap(k.queue))
+	}
+}
+
+// Dispatching an event allocates nothing once the heap has grown.
+func TestEventPathAllocatesNothing(t *testing.T) {
+	k := New()
+	sig := k.NewSignal()
+	var step func()
+	n := 0
+	step = func() {
+		switch n++; {
+		case n >= 64:
+		case n%2 == 0:
+			sig.Wait("w", step)
+			sig.Fire()
+		default:
+			k.After(time.Millisecond, step)
+		}
+	}
+	run := func() {
+		n = 0
+		for i := 0; i < 8; i++ {
+			k.After(0, step) // eight interleaved chains grow the heap
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("%.1f allocations per run of 64 events", allocs)
 	}
 }

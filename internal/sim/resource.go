@@ -1,10 +1,10 @@
 package sim
 
 // Resource is a counted resource (e.g. GPU compute engines): Acquire
-// parks the process while all units are in use, FIFO.
+// parks its continuation while all units are in use, FIFO.
 type Resource struct {
-	kernel   *Kernel
 	name     string
+	reason   string // the deadlock-report reason, built once
 	capacity int
 	inUse    int
 	signal   *Signal
@@ -15,15 +15,19 @@ func (k *Kernel) NewResource(name string, capacity int) *Resource {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Resource{kernel: k, name: name, capacity: capacity, signal: k.NewSignal()}
+	return &Resource{name: name, reason: "resource " + name, capacity: capacity, signal: k.NewSignal()}
 }
 
-// Acquire takes one unit, parking until one is free.
-func (r *Resource) Acquire(p *Proc) {
-	for r.inUse >= r.capacity {
-		r.signal.Wait(p, "resource "+r.name)
+// Acquire takes one unit and runs then. With a unit free, then runs
+// inline; otherwise it is parked until a Release wakes it, when the
+// check is repeated — a unit taken in between sends it back to the tail.
+func (r *Resource) Acquire(then func()) {
+	if r.inUse >= r.capacity {
+		r.signal.Wait(r.reason, func() { r.Acquire(then) })
+		return
 	}
 	r.inUse++
+	then()
 }
 
 // Release returns one unit and wakes one waiter.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -10,15 +11,17 @@ func TestResourceSerializes(t *testing.T) {
 	r := k.NewResource("gpu", 1)
 	var active, maxActive int
 	for i := 0; i < 4; i++ {
-		k.Spawn("worker", func(p *Proc) {
-			r.Acquire(p)
-			active++
-			if active > maxActive {
-				maxActive = active
-			}
-			p.Sleep(time.Second)
-			active--
-			r.Release()
+		k.After(0, func() {
+			r.Acquire(func() {
+				active++
+				if active > maxActive {
+					maxActive = active
+				}
+				k.After(time.Second, func() {
+					active--
+					r.Release()
+				})
+			})
 		})
 	}
 	if err := k.Run(); err != nil {
@@ -40,10 +43,10 @@ func TestResourceCapacity(t *testing.T) {
 		t.Fatalf("capacity = %d", r.Capacity())
 	}
 	for i := 0; i < 4; i++ {
-		k.Spawn("worker", func(p *Proc) {
-			r.Acquire(p)
-			p.Sleep(time.Second)
-			r.Release()
+		k.After(0, func() {
+			r.Acquire(func() {
+				k.After(time.Second, r.Release)
+			})
 		})
 	}
 	if err := k.Run(); err != nil {
@@ -64,11 +67,11 @@ func TestResourceFIFO(t *testing.T) {
 	var order []string
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
-		k.Spawn(name, func(p *Proc) {
-			r.Acquire(p)
-			order = append(order, name)
-			p.Sleep(time.Second)
-			r.Release()
+		k.After(0, func() {
+			r.Acquire(func() {
+				order = append(order, name)
+				k.After(time.Second, r.Release)
+			})
 		})
 	}
 	if err := k.Run(); err != nil {
@@ -76,6 +79,37 @@ func TestResourceFIFO(t *testing.T) {
 	}
 	if order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("order = %v", order)
+	}
+}
+
+// A unit released to a parked waiter can be taken by an acquirer that
+// runs before the waiter's wake event; the waiter then re-queues at the
+// tail, behind anyone who parked meanwhile.
+func TestResourceRecheckRequeuesAtTail(t *testing.T) {
+	k := New()
+	r := k.NewResource("r", 1)
+	var order []string
+	take := func(name string, hold time.Duration) func() {
+		return func() {
+			r.Acquire(func() {
+				order = append(order, name)
+				k.After(hold, r.Release)
+			})
+		}
+	}
+	k.After(0, func() {
+		take("holder", time.Second)()
+		// Due at 1 s right after the holder's release and before the
+		// waiter's wake event, which that release schedules.
+		k.After(time.Second, take("thief", time.Second))
+	})
+	k.After(0, take("waiter", time.Second))
+	k.After(500*time.Millisecond, take("late", time.Second))
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "holder thief late waiter" {
+		t.Fatalf("order = %q, want the woken waiter re-queued behind late", got)
 	}
 }
 

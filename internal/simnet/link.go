@@ -32,6 +32,7 @@ type Link struct {
 
 	rng    *tensor.RNG
 	active int
+	free   []*flow
 
 	totalBytes     int64
 	totalTransfers int64
@@ -89,9 +90,10 @@ func (l *Link) TransferDuration(bytes int64) time.Duration {
 	return l.OneWayLatency + time.Duration(seconds*float64(time.Second))
 }
 
-// Transfer moves bytes over the link from within a sim process,
-// sleeping for the transfer duration. It returns the time taken.
-func (l *Link) Transfer(p *sim.Proc, bytes int64) time.Duration {
+// Transfer starts moving bytes over the link and returns the time it
+// takes. The flow counts toward contention until it lands, d later;
+// then the link lets go of it and runs then.
+func (l *Link) Transfer(bytes int64, then func()) time.Duration {
 	if bytes < 0 {
 		bytes = 0
 	}
@@ -99,9 +101,32 @@ func (l *Link) Transfer(p *sim.Proc, bytes int64) time.Duration {
 	l.active++
 	l.totalBytes += bytes
 	l.totalTransfers++
-	p.Sleep(d)
-	l.active--
+	var f *flow
+	if n := len(l.free); n > 0 {
+		f, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		f = &flow{link: l}
+		f.land = f.landed
+	}
+	f.then = then
+	l.kernel.After(d, f.land)
 	return d
+}
+
+// flow is one transfer in flight. Flows are pooled per link, each with
+// its landing bound once, so a transfer allocates nothing.
+type flow struct {
+	link *Link
+	then func()
+	land func()
+}
+
+func (f *flow) landed() {
+	l, then := f.link, f.then
+	l.active--
+	f.then = nil
+	l.free = append(l.free, f)
+	then()
 }
 
 // Stats summarizes link usage.

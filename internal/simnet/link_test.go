@@ -39,11 +39,12 @@ func TestTransferAdvancesSimTime(t *testing.T) {
 	k := sim.New()
 	l := WANPreset(k)
 	var took time.Duration
-	k.Spawn("xfer", func(p *sim.Proc) {
-		took = l.Transfer(p, 8<<20)
-		if p.Now() != took {
-			t.Errorf("virtual time %v != transfer %v", p.Now(), took)
-		}
+	k.After(0, func() {
+		took = l.Transfer(8<<20, func() {
+			if k.Now() != took {
+				t.Errorf("virtual time %v != transfer %v", k.Now(), took)
+			}
+		})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -60,8 +61,8 @@ func TestTransferAdvancesSimTime(t *testing.T) {
 func TestNegativeBytesClamped(t *testing.T) {
 	k := sim.New()
 	l := LANPreset(k)
-	k.Spawn("neg", func(p *sim.Proc) {
-		l.Transfer(p, -5)
+	k.After(0, func() {
+		l.Transfer(-5, func() {})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -78,8 +79,8 @@ func TestContentionInflatesConcurrentTransfers(t *testing.T) {
 	const payload = 16 << 20
 
 	var solo, contended time.Duration
-	k.Spawn("solo", func(p *sim.Proc) {
-		solo = l.Transfer(p, payload)
+	k.After(0, func() {
+		solo = l.Transfer(payload, func() {})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -90,8 +91,8 @@ func TestContentionInflatesConcurrentTransfers(t *testing.T) {
 	l2.JitterFraction = 0
 	for i := 0; i < 4; i++ {
 		i := i
-		k2.Spawn("c", func(p *sim.Proc) {
-			d := l2.Transfer(p, payload)
+		k2.After(0, func() {
+			d := l2.Transfer(payload, func() {})
 			if i == 3 {
 				contended = d
 			}
@@ -99,6 +100,10 @@ func TestContentionInflatesConcurrentTransfers(t *testing.T) {
 	}
 	if err := k2.Run(); err != nil {
 		t.Fatal(err)
+	}
+	// Every flow let go of the link when it landed.
+	if l2.active != 0 {
+		t.Fatalf("%d flows still active after the run", l2.active)
 	}
 	if contended <= solo {
 		t.Fatalf("no contention effect: %v vs %v", contended, solo)
@@ -138,5 +143,28 @@ func TestLinkString(t *testing.T) {
 	k := sim.New()
 	if s := WANPreset(k).String(); !strings.Contains(s, "MiB/s") {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// Flows are pooled: once the link has carried as many concurrent
+// transfers as it is asked to, a transfer allocates nothing.
+func TestTransferAllocatesNothing(t *testing.T) {
+	k := sim.New()
+	l := LANPreset(k)
+	done := func() {}
+	burst := func() {
+		for i := 0; i < 16; i++ {
+			l.Transfer(1<<20, done)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst()
+	if n := testing.AllocsPerRun(50, burst); n != 0 {
+		t.Fatalf("%.1f allocations per burst of 16 transfers", n)
+	}
+	if l.active != 0 {
+		t.Fatalf("%d flows still active", l.active)
 	}
 }

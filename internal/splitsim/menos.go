@@ -3,7 +3,6 @@ package splitsim
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"menos/internal/batch"
@@ -15,6 +14,7 @@ import (
 	"menos/internal/quant"
 	"menos/internal/sched"
 	"menos/internal/sim"
+	"menos/internal/simnet"
 	"menos/internal/trace"
 )
 
@@ -44,21 +44,6 @@ func migrationTime(bytes int64) time.Duration {
 	return migrationLatency + time.Duration(float64(bytes)/interServerBandwidth*float64(time.Second))
 }
 
-// runMenos simulates the Menos server: one shared base-model copy,
-// per-client serving processes, on-demand memory allocation under the
-// configured policy, and the Algorithm-2 scheduler.
-//
-// GPU compute is modeled as freely time-shared (CUDA streams): the
-// scarce, scheduled resource is memory, exactly as in the paper. The
-// growing cost of concurrency appears as the release/re-collection
-// overhead of Table 2, which scales with the per-GPU client density.
-//
-// Multi-server runs go through the fleet control plane
-// (internal/fleet): Config.Placer assigns clients to servers (default
-// RoundRobin, bit-identical to the historical i mod Servers
-// assignment) and Config.Autoscale lets servers join and drain mid-run
-// with clients migrating at iteration boundaries.
-//
 // serverSim is one Menos server in the simulation: its own GPUs, base
 // copy and scheduler. The scheduler's budget is the memory left after
 // the base copy and manager context; per-client persistent state is
@@ -71,7 +56,7 @@ type serverSim struct {
 	// Batched serving only: former forms this server's batches, and gpu
 	// is its kernel-invocation slot — one batched invocation owns the
 	// device at a time.
-	former *batch.Former[*simMember, simGroup]
+	former *batch.Former[*simMember, *simLead]
 	gpu    *sim.Resource
 	// maxDemand is the largest transient peak among clients ever
 	// admitted here; arrivals that would squeeze Schedulable below it
@@ -79,11 +64,70 @@ type serverSim struct {
 	maxDemand int64
 	draining  bool
 	removed   bool
+	// transient is this server's share of the memory timeline as last
+	// read (see menosRun.refresh).
+	transient int64
 }
 
+// menosRun is one Menos simulation's shared state. Every handler runs on
+// the kernel's single thread, so plain fields suffice.
+type menosRun struct {
+	cfg     Config
+	kernel  *sim.Kernel
+	link    *simnet.Link
+	mgr     *fleet.Manager
+	ledger  *obs.Ledger
+	servers []*serverSim
+	batcher *simBatcher
+
+	peakServers int
+	waits       WaitStats
+	rejected    int64 // admission sheds
+	hidden      time.Duration
+	// samples is the transient-memory timeline; transient is its
+	// current value, the sum of every server's last-read share.
+	samples   []MemSample
+	transient int64
+
+	// Fleet dynamics state (autoscaled runs only).
+	remaining    int
+	pendingPlace int
+	fleetErr     error
+	autoscaler   *fleet.Autoscaler
+	tick         func()
+
+	// Wire-plane instrumentation mirrors the TCP runtime's families
+	// (docs/WIRE.md): compressed counts the on-wire bytes of quantized
+	// payloads, raw the fp32 bytes they replaced, and the overlap
+	// histogram observes per-iteration hidden time in virtual seconds.
+	// All handles are nil-safe, so an uninstrumented run pays nothing.
+	wireCompressed *obs.Counter
+	wireRaw        *obs.Counter
+	hiddenHist     *obs.Histogram
+}
+
+// runMenos simulates the Menos server: one shared base-model copy,
+// per-client serving handlers, on-demand memory allocation under the
+// configured policy, and the Algorithm-2 scheduler.
+//
+// GPU compute is modeled as freely time-shared (CUDA streams): the
+// scarce, scheduled resource is memory, exactly as in the paper. The
+// growing cost of concurrency appears as the release/re-collection
+// overhead of Table 2, which scales with the per-GPU client density.
+//
+// Multi-server runs go through the fleet control plane
+// (internal/fleet): Config.Placer assigns clients to servers (default
+// RoundRobin, bit-identical to the historical i mod Servers
+// assignment) and Config.Autoscale lets servers join and drain mid-run
+// with clients migrating at iteration boundaries.
 func runMenos(cfg Config) (*Result, error) {
 	kernel := sim.New()
-	link := cfg.LinkPreset(kernel)
+	r := &menosRun{
+		cfg:       cfg,
+		kernel:    kernel,
+		link:      cfg.LinkPreset(kernel),
+		remaining: len(cfg.Clients),
+	}
 
 	// The fleet control plane. A nil Placer means RoundRobin, which
 	// reproduces the historical hardcoded assignment bit-exactly.
@@ -91,83 +135,41 @@ func runMenos(cfg Config) (*Result, error) {
 	if placer == nil {
 		placer = fleet.NewRoundRobin()
 	}
-	mgr := fleet.NewManager(placer)
-	mgr.Instrument(cfg.Metrics)
+	r.mgr = fleet.NewManager(placer)
+	r.mgr.Instrument(cfg.Metrics)
 
 	// Per-tenant accounting on the virtual clock. One ledger spans the
 	// whole fleet (rows are per client, wherever placed); every method
 	// is nil-receiver safe, so an uninstrumented run pays nothing. The
 	// ledger only observes — it never advances virtual time — so
 	// enabling it cannot perturb the simulation's schedule.
-	var ledger *obs.Ledger
 	if cfg.Metrics != nil {
-		ledger = obs.NewLedger(obs.LedgerConfig{Clock: obs.ClockFunc(kernel.Now)})
-		ledger.Instrument(cfg.Metrics)
+		r.ledger = obs.NewLedger(obs.LedgerConfig{Clock: obs.ClockFunc(kernel.Now)})
+		r.ledger.Instrument(cfg.Metrics)
 	}
 
 	// One server instance per cfg.Servers (plus any the autoscaler
 	// adds), each with its own shared base copy (sharded over its
 	// GPUs), manager context and scheduler.
-	w0 := cfg.Clients[0].Workload
-	var servers []*serverSim
-	peakServers := 0
-	newServer := func() (*serverSim, error) {
-		id := len(servers)
-		devices, err := gpu.NewDeviceSet(cfg.GPUSpec, cfg.GPUs)
-		if err != nil {
-			return nil, err
-		}
-		devices.Instrument(cfg.Metrics)
-		if _, err := devices.AllocSharded("base-model", w0.ServerBaseBytes()); err != nil {
-			return nil, fmt.Errorf("server %d: loading shared base model: %w", id, err)
-		}
-		if _, err := devices.Alloc("manager", memmodel.ManagerOverheadBytes); err != nil {
-			return nil, fmt.Errorf("server %d: manager context: %w", id, err)
-		}
-		srv := &serverSim{id: id, devices: devices}
-		// The virtual clock: scheduler wait times and spans are
-		// measured in kernel time, so the telemetry of a simulated run
-		// reads exactly like a real one (only ~10^6× faster to
-		// produce).
-		srv.scheduler = sched.New(devices.Available(), cfg.SchedPol)
-		srv.scheduler.Instrument(cfg.Metrics, obs.ClockFunc(kernel.Now))
-		srv.scheduler.SetLedger(ledger)
-		if cfg.Batch != nil && cfg.Batch.Enabled() {
-			srv.former = batch.NewFormer[*simMember, simGroup](cfg.Batch.MaxSize)
-			srv.gpu = kernel.NewResource(fmt.Sprintf("gpu:%d", id), 1)
-		}
-		if cfg.SLO.Enabled() {
-			if err := srv.scheduler.EnableAdmission(cfg.SLO, obs.ClockFunc(kernel.Now)); err != nil {
-				return nil, fmt.Errorf("admission control: %w", err)
-			}
-		}
-		if cfg.Flight != nil {
-			// The kernel is single-threaded, so the synchronous Trigger
-			// keeps flight snapshots deterministic across runs.
-			srv.scheduler.SetAdmissionHook(func(from, to sched.AdmissionState) {
-				cfg.Flight.Trigger(obs.FlightReasonAdmission)
-			})
-		}
-		servers = append(servers, srv)
-		err = mgr.AddServer(id, devices.Capacity(), []string{w0.Model.Name}, func() fleet.Signals {
-			return fleet.Signals{
-				QueueDepth: srv.scheduler.QueueDepth(),
-				UsedBytes:  srv.devices.Used(),
-				Admission:  fleet.AdmissionState(srv.scheduler.AdmissionState()),
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if n := mgr.ActiveServers(); n > peakServers {
-			peakServers = n
-		}
-		return srv, nil
-	}
 	for s := 0; s < cfg.Servers; s++ {
-		if _, err := newServer(); err != nil {
+		if _, err := r.newServer(); err != nil {
 			return nil, err
 		}
+	}
+
+	r.wireCompressed = cfg.Metrics.Counter(obs.MetricWireCompressedBytes, "On-wire bytes of compressed activation payloads (simulated).")
+	r.wireRaw = cfg.Metrics.Counter(obs.MetricWireRawBytes, "fp32 bytes the compressed payloads replaced (simulated).")
+	r.hiddenHist = cfg.Metrics.Histogram(obs.MetricOverlapHiddenSeconds, obs.DurationBuckets(), "Per-iteration virtual time hidden by comm/compute overlap.")
+
+	// Batched server phases (docs/BATCHING.md): compatible forward and
+	// backward requests coalesce into one kernel invocation, formed in
+	// virtual time under the same policy and metrics the wall-clock
+	// engine (internal/batch) uses. Nil when batching is disabled, which
+	// leaves the serial path — and its virtual-time trace — untouched.
+	if cfg.Batch != nil && cfg.Batch.Enabled() {
+		pol := cfg.Batch.WithDefaults()
+		bm := batch.NewMetrics(cfg.Metrics, r.ledger, pol.MaxSize)
+		r.batcher = newSimBatcher(kernel, r, pol, bm)
 	}
 
 	// Profiling phase (§3.3): the server measures each client's
@@ -176,599 +178,62 @@ func runMenos(cfg Config) (*Result, error) {
 	// measures instantiated caches. The fleet placer packs against the
 	// same prediction (persistent state plus the largest transient
 	// peak).
-	demands := make(map[string]struct{ fwd, bwd int64 }, len(cfg.Clients))
-	for _, cl := range cfg.Clients {
-		d := struct{ fwd, bwd int64 }{
-			fwd: cl.Workload.NoGradForwardBytes(),
-			bwd: cl.Workload.BackwardPeakBytes(),
-		}
-		switch cfg.Policy {
-		case PolicyReleaseOnWait:
-			d.fwd = cl.Workload.ActivationBytes()
-		case PolicyPreserve, PolicyPersistAll:
-			d.fwd = cl.Workload.ActivationBytes()
-			d.bwd = 0 // memory held since forward
-		}
-		demands[cl.ID] = d
-	}
-	infoOf := func(cl ClientSpec) fleet.ClientInfo {
-		d := demands[cl.ID]
-		peak := d.fwd
-		if d.bwd > peak {
-			peak = d.bwd
-		}
-		return fleet.ClientInfo{
-			ID:                 cl.ID,
-			BaseModel:          cl.Workload.Model.Name,
-			PersistentBytes:    cl.Workload.PersistentClientBytes(),
-			TransientPeakBytes: peak,
-		}
-	}
-
-	// admitClient physically lands a client's persistent state on srv:
-	// device memory plus a scheduler reservation, so the schedulable
-	// budget shrinks exactly as the historical post-persist budget did.
-	admitClient := func(srv *serverSim, ci fleet.ClientInfo) error {
-		if _, err := srv.devices.Alloc("persist:"+ci.ID, ci.PersistentBytes); err != nil {
-			return fmt.Errorf("client %q persistent state: %w", ci.ID, err)
-		}
-		if err := srv.scheduler.Reserve("persist:"+ci.ID, ci.PersistentBytes); err != nil {
-			srv.devices.FreeOwner("persist:" + ci.ID)
-			return fmt.Errorf("client %q persistent state: %w", ci.ID, err)
-		}
-		if ci.TransientPeakBytes > srv.maxDemand {
-			srv.maxDemand = ci.TransientPeakBytes
-		}
-		return nil
-	}
-	// canAdmit is the dynamic-arrival feasibility gate: after reserving
-	// the persistent state, the schedulable budget must still fit both
-	// the newcomer's and every resident's transient peak, or someone's
-	// Submit would fail ErrNeverFits and stall forever.
-	canAdmit := func(srv *serverSim, ci fleet.ClientInfo) bool {
-		if srv.draining || srv.removed {
-			return false
-		}
-		budget := srv.scheduler.Schedulable() - ci.PersistentBytes
-		need := ci.TransientPeakBytes
-		if srv.maxDemand > need {
-			need = srv.maxDemand
-		}
-		return budget >= need
+	clients := make([]menosClient, len(cfg.Clients))
+	results := make([]ClientResult, len(cfg.Clients))
+	for i := range clients {
+		results[i] = ClientResult{ID: cfg.Clients[i].ID, Breakdown: &trace.Breakdown{}}
+		clients[i].init(r, i, results[i].Breakdown)
 	}
 
 	// Static fleets place every client up front in arrival order — the
 	// admission-time decision of a deployment where the roster is known
 	// — which with RoundRobin reproduces the historical assignment
 	// exactly. Autoscaled fleets place each client when it arrives (see
-	// the client process below).
+	// the client schedule).
+	var persistent int64
 	if cfg.Autoscale == nil {
-		for _, cl := range cfg.Clients {
-			ci := infoOf(cl)
-			id, err := mgr.Place(ci)
+		for i := range clients {
+			c := &clients[i]
+			id, err := r.mgr.Place(c.ci)
 			if err != nil {
 				return nil, err
 			}
-			if err := admitClient(servers[id], ci); err != nil {
+			if err := r.admitClient(r.servers[id], c.ci); err != nil {
 				return nil, err
 			}
 		}
-	}
-	var persistent int64
-	if cfg.Autoscale == nil {
-		for _, srv := range servers {
+		for _, srv := range r.servers {
 			persistent += srv.devices.Used()
 		}
-	}
-
-	results := make([]ClientResult, len(cfg.Clients))
-	for i := range cfg.Clients {
-		results[i] = ClientResult{ID: cfg.Clients[i].ID, Breakdown: &trace.Breakdown{}}
-	}
-	var waits WaitStats
-	var rejected int64 // admission sheds; kernel is single-threaded
-	var hiddenTotal time.Duration
-
-	// Wire-plane instrumentation mirrors the TCP runtime's families
-	// (docs/WIRE.md): compressed counts the on-wire bytes of quantized
-	// payloads, raw the fp32 bytes they replaced, and the overlap
-	// histogram observes per-iteration hidden time in virtual seconds.
-	// All handles are nil-safe, so an uninstrumented run pays nothing.
-	wireCompressed := cfg.Metrics.Counter(obs.MetricWireCompressedBytes, "On-wire bytes of compressed activation payloads (simulated).")
-	wireRaw := cfg.Metrics.Counter(obs.MetricWireRawBytes, "fp32 bytes the compressed payloads replaced (simulated).")
-	hiddenHist := cfg.Metrics.Histogram(obs.MetricOverlapHiddenSeconds, obs.DurationBuckets(), "Per-iteration virtual time hidden by comm/compute overlap.")
-	var samples []MemSample
-	sampleMem := func(at time.Duration) {
-		var used int64
-		for _, srv := range servers {
-			// Transient scheduled memory: the schedulable budget minus
-			// what is still free (persistent reservations cancel out).
-			used += srv.scheduler.Schedulable() - srv.scheduler.Available()
+		// Release-overhead concurrency: clients per GPU on the client's
+		// server (allocator fragmentation is per-device). For a static
+		// fleet the roster is fixed, so the density is too; autoscaled
+		// runs recompute it per iteration.
+		for i := range clients {
+			c := &clients[i]
+			id, _ := r.mgr.ServerOf(c.id)
+			c.srv = r.servers[id]
+			c.staticRelease = c.cost.ReleaseOverhead(r.density(id))
 		}
-		// Coalesce same-instant transitions: keep the last value.
-		if n := len(samples); n > 0 && samples[n-1].At == at {
-			samples[n-1].Bytes = used
-			return
-		}
-		samples = append(samples, MemSample{At: at, Bytes: used})
-	}
-	recordWait := func(kind sched.RequestKind, d time.Duration) {
-		if kind == sched.KindForward {
-			waits.ForwardTotal += d
-			waits.Forwards++
-		} else {
-			waits.BackwardTotal += d
-			waits.Backwards++
-		}
-	}
-
-	// shed books one admission shed against every client it turned
-	// away: the one submitting, or each member of a shed batch.
-	shed := func(ids ...string) {
-		rejected += int64(len(ids))
-		for _, id := range ids {
-			ledger.Retry(id)
-		}
-		if cfg.Flight != nil {
-			cfg.Flight.Trigger(obs.FlightReasonShed)
-		}
-	}
-
-	// Batched server phases (docs/BATCHING.md): compatible forward and
-	// backward requests coalesce into one kernel invocation, formed in
-	// virtual time under the same policy and metrics the wall-clock
-	// engine (internal/batch) uses. Nil when batching is disabled, which
-	// leaves the serial path — and its virtual-time trace — untouched.
-	var batcher *simBatcher
-	if cfg.Batch != nil && cfg.Batch.Enabled() {
-		pol := cfg.Batch.WithDefaults()
-		bm := batch.NewMetrics(cfg.Metrics, ledger, pol.MaxSize)
-		batcher = newSimBatcher(kernel, pol, bm, shed, sampleMem)
-	}
-
-	// Fleet dynamics state (autoscaled runs only). The kernel is
-	// single-threaded, so plain variables suffice.
-	remaining := len(cfg.Clients)
-	pendingPlace := 0
-	var fleetErr error
-	failFleet := func(err error) {
-		if fleetErr == nil {
-			fleetErr = err
-		}
-	}
-	// decommission retires a drained server once its last client left:
-	// base copy and manager context are freed, the scheduler closed,
-	// and the server leaves the fleet bookkeeping.
-	decommission := func(srv *serverSim) {
-		if !srv.draining || srv.removed || mgr.ClientCount(srv.id) > 0 {
-			return
-		}
-		if err := mgr.Remove(srv.id); err != nil {
-			failFleet(err)
-			return
-		}
-		srv.removed = true
-		srv.scheduler.Close()
-		srv.devices.FreeOwner("base-model")
-		srv.devices.FreeOwner("manager")
 	}
 
 	if cfg.Autoscale != nil {
-		as := fleet.NewAutoscaler(*cfg.Autoscale)
-		interval := as.Config().Interval
-		var tick func()
-		tick = func() {
-			if remaining == 0 || fleetErr != nil {
-				return // last client done: let the kernel run dry
-			}
-			switch as.Decide(kernel.Now(), pendingPlace, mgr.Loads()) {
-			case fleet.ScaleUp:
-				if _, err := newServer(); err != nil {
-					failFleet(fmt.Errorf("fleet scale-up: %w", err))
-					return
-				}
-				mgr.RecordScaleEvent()
-			case fleet.ScaleDown:
-				if id, ok := mgr.DrainCandidate(); ok {
-					if err := mgr.Drain(id); err != nil {
-						failFleet(err)
-						return
-					}
-					servers[id].draining = true
-					mgr.RecordScaleEvent()
-					decommission(servers[id])
-				}
-			}
-			kernel.After(interval, tick)
-		}
-		kernel.After(interval, tick)
+		r.autoscaler = fleet.NewAutoscaler(*cfg.Autoscale)
+		r.tick = r.autoscale
+		kernel.After(r.autoscaler.Config().Interval, r.tick)
 	}
-
-	for i, cl := range cfg.Clients {
-		cl := cl
-		i := i
-		ci := infoOf(cl)
-		bd := results[i].Breakdown
-		cost := costmodel.New(cfg.ServerPerf, cl.Workload)
-		clientTotal := costmodel.ClientComputeTime(cl.Platform, cl.Workload)
-		pre, mid, post := clientPhases(clientTotal)
-		demand := demands[cl.ID]
-		// The wire codec shrinks every split-boundary transfer to its
-		// ratio of the fp32 volume (per-row scale overhead dropped; see
-		// quant.Codec.WireRatio). Grant sizes are untouched: compression
-		// changes what crosses the link, not what the GPU materializes.
-		rawTransfer := cl.Workload.TransferBytes()
-		transfer := rawTransfer
-		if cfg.WireCodec != quant.CodecFP32 {
-			transfer = int64(float64(rawTransfer) * cfg.WireCodec.WireRatio())
-		}
-		// Release-overhead concurrency: clients per GPU on this
-		// client's server (allocator fragmentation is per-device). For
-		// a static fleet the roster is fixed, so the density is too;
-		// autoscaled runs recompute it per iteration.
-		var srv *serverSim
-		var staticRelease time.Duration
-		if cfg.Autoscale == nil {
-			id, _ := mgr.ServerOf(cl.ID)
-			srv = servers[id]
-			density := (mgr.ClientCount(id) + cfg.GPUs - 1) / cfg.GPUs
-			staticRelease = cost.ReleaseOverhead(density)
-		}
-
-		kernel.Spawn("client:"+cl.ID, func(p *sim.Proc) {
-			defer func() { remaining-- }()
-			var scheduler *sched.Scheduler
-			if srv != nil {
-				scheduler = srv.scheduler
-			}
-			// Every accumulator update below also records a span with
-			// identical virtual-time bounds, so summing spans by
-			// category reconstructs the Breakdown exactly (the bench's
-			// -trace-out parity check relies on this).
-			// tid is the current iteration's trace ID — the same
-			// obs.IterTraceID(clientID, iter) a TCP client stamps on its
-			// wire requests, so simulated and real traces of one workload
-			// correlate by identical IDs.
-			var tid uint64
-			var comm, comp, schedT time.Duration
-			compOn := func(q *sim.Proc, name string, d time.Duration) {
-				start := q.Now()
-				q.Sleep(d)
-				comp += d
-				cfg.Tracer.RecordT(cl.ID, name, "compute", tid, start, d)
-				// Server-side phases bill the tenant's compute-seconds;
-				// the client-local sections ("client-*") are the
-				// client's own hardware, not shared-server time.
-				if !strings.HasPrefix(name, "client-") {
-					ledger.AddCompute(cl.ID, d.Seconds())
-				}
-			}
-			sleepComp := func(name string, d time.Duration) { compOn(p, name, d) }
-			// clientSeg is a client-local compute segment in its inline
-			// position; overlapped, the iteration's side process runs it
-			// instead (see the iteration loop).
-			clientSeg := func(name string, d time.Duration) {
-				if !cfg.Overlap {
-					sleepComp(name, d)
-				}
-			}
-			computeDone, joined := false, kernel.NewSignal() // side-process join state
-			xfer := func(name string) {
-				start := p.Now()
-				d := link.Transfer(p, transfer)
-				comm += d
-				cfg.Tracer.RecordT(cl.ID, name, "comm", tid, start, d)
-				// Wire accounting from the server's viewpoint: an upload
-				// is bytes the server received, a download bytes it sent.
-				if strings.HasPrefix(name, "upload:") {
-					ledger.AddWire(cl.ID, 0, transfer)
-				} else {
-					ledger.AddWire(cl.ID, transfer, 0)
-				}
-				if cfg.WireCodec != quant.CodecFP32 {
-					wireCompressed.Add(transfer)
-					wireRaw.Add(rawTransfer)
-				}
-			}
-			grant := func(kind sched.RequestKind, bytes int64) {
-				start := p.Now()
-				err := awaitGrant(p, "memory grant "+cl.ID, i%8, func() { shed(cl.ID) },
-					func(grant func()) error { return scheduler.Submit(cl.ID, kind, bytes, grant) })
-				if err != nil {
-					// Requests that can never fit stall the client
-					// forever; the deadlock detector will surface it with
-					// this reason.
-					kernel.NewSignal().Wait(p, fmt.Sprintf("unschedulable: %v", err))
-				}
-				// The recorded wait spans all attempts and backoffs, plus
-				// the fixed scheduler decision cost, which does not
-				// advance virtual time; the span is kept equal to what
-				// the Breakdown records.
-				d := p.Now() - start + costmodel.SchedulerDecisionTime
-				recordWait(kind, d)
-				sampleMem(p.Now())
-				schedT += d
-				cfg.Tracer.RecordT(cl.ID, "wait:"+kind.String(), "sched", tid, start, d)
-			}
-			release := func() {
-				scheduler.Complete(cl.ID)
-				sampleMem(p.Now())
-			}
-			// batchPhase runs one server phase through the batcher
-			// instead of grant/sleep/release: the member parks until its
-			// batch executes, then bills its share — grant wait and
-			// residency stall into the sched bucket, its row share of the
-			// batched kernel into compute (so Σ clients' compute equals
-			// the device time actually spent). Returns false on a fatal
-			// scheduling error.
-			batchPhase := func(kind sched.RequestKind, name string, bytes int64, dur, rel time.Duration) bool {
-				start := p.Now()
-				m := &simMember{
-					id:      cl.ID,
-					bytes:   bytes,
-					rows:    int64(cl.Workload.Batch),
-					dur:     dur,
-					release: rel,
-				}
-				key := batch.Key{Cut: cl.Workload.Cut, Seq: cl.Workload.Seq, Kind: kind}
-				if err := batcher.run(p, srv, key, m); err != nil {
-					failFleet(fmt.Errorf("client %q: %v", cl.ID, err))
-					return false
-				}
-				recordWait(kind, m.wait)
-				schedT += m.wait + m.stall
-				comp += m.compute
-				cfg.Tracer.RecordT(cl.ID, "wait:"+kind.String(), "sched", tid, start, m.wait)
-				grantAt := start + m.wait - costmodel.SchedulerDecisionTime
-				cfg.Tracer.RecordT(cl.ID, name, "compute", tid, grantAt, m.compute)
-				if m.stall > 0 {
-					cfg.Tracer.RecordT(cl.ID, "batch-stall", "sched", tid, grantAt+m.compute, m.stall)
-				}
-				ledger.AddCompute(cl.ID, m.compute.Seconds())
-				return true
-			}
-			if cl.StartDelay > 0 {
-				p.Sleep(cl.StartDelay)
-			}
-
-			// Autoscaled fleets place the client at arrival. When no
-			// server can physically admit it yet, the client backs off
-			// and retries; the pending count is the autoscaler's
-			// strongest grow signal.
-			if cfg.Autoscale != nil {
-				placed := false
-				counted := false
-				for attempt := 0; attempt < placementAttempts; attempt++ {
-					id, err := mgr.Place(ci)
-					if err == nil {
-						cand := servers[id]
-						if canAdmit(cand, ci) && admitClient(cand, ci) == nil {
-							srv = cand
-							scheduler = cand.scheduler
-							placed = true
-							break
-						}
-						mgr.Unplace(cl.ID)
-					}
-					if !counted {
-						pendingPlace++
-						counted = true
-					}
-					p.Sleep(placementRetry + placementRetry*time.Duration(i%8)/8)
-				}
-				if counted {
-					pendingPlace--
-				}
-				if !placed {
-					failFleet(fmt.Errorf("client %q: no server could admit it after %d attempts", cl.ID, placementAttempts))
-					return
-				}
-			}
-			// migrate follows a fleet decision to move this client:
-			// release everything held here, ship the persistent state,
-			// re-admit on the target. Runs only between iterations, so
-			// the only held grant is PolicyPersistAll's session grant.
-			migrate := func(p *sim.Proc, dst *serverSim) bool {
-				start := p.Now()
-				old := srv
-				old.scheduler.Complete(cl.ID)
-				old.scheduler.Complete("persist:" + cl.ID)
-				old.devices.FreeOwner("persist:" + ci.ID)
-				for attempt := 0; ; attempt++ {
-					if err := admitClient(dst, ci); err == nil {
-						break
-					}
-					if attempt >= placementAttempts {
-						failFleet(fmt.Errorf("client %q: migration to server %d failed after %d attempts", cl.ID, dst.id, placementAttempts))
-						return false
-					}
-					// Target memory still held by in-flight grants:
-					// wait for them to complete.
-					p.Sleep(placementRetry)
-				}
-				p.Sleep(migrationTime(ci.PersistentBytes))
-				d := p.Now() - start
-				schedT += d
-				cfg.Tracer.RecordT(cl.ID, "migrate", "sched", tid, start, d)
-				sampleMem(p.Now())
-				srv = dst
-				scheduler = dst.scheduler
-				decommission(old)
-				return true
-			}
-
-			persisted := false
-			for iter := 0; iter < cfg.Iterations; iter++ {
-				tid = obs.IterTraceID(cl.ID, iter)
-				comm, comp, schedT = 0, 0, 0
-
-				// Fleet rebalance check (autoscaled runs): evacuate a
-				// draining server, or follow a strictly better
-				// placement.
-				if cfg.Autoscale != nil && iter > 0 {
-					target, moved, err := mgr.Rebalance(ci, func(id int) bool {
-						return canAdmit(servers[id], ci)
-					})
-					if err != nil {
-						failFleet(err)
-						return
-					}
-					if moved {
-						if !migrate(p, servers[target]) {
-							return
-						}
-						persisted = false
-					}
-				}
-				releaseCost := staticRelease
-				if cfg.Autoscale != nil {
-					density := (mgr.ClientCount(srv.id) + cfg.GPUs - 1) / cfg.GPUs
-					releaseCost = cost.ReleaseOverhead(density)
-				}
-
-				// Overlapped iteration (docs/WIRE.md): the client-local
-				// compute runs as its own process, concurrent with the
-				// wire+server leg below, modeling the steady state of the
-				// double-buffered microbatch pipeline — each client
-				// segment of microbatch i+1 hides under the transfers and
-				// server phases of microbatch i, so the iteration's wall
-				// time is the slower leg (costmodel.OverlapStepTime), not
-				// the serial sum. The Breakdown still records serial
-				// totals (comm, comp, sched are resource costs, not wall
-				// time); the savings show up in SimulatedTime and the
-				// hidden-time histogram. Only the validated envelope
-				// (on-demand policy, serial serving, static fleet) sets
-				// Overlap; the clientSeg calls below are then no-ops.
-				iterStart := p.Now()
-				if cfg.Overlap {
-					computeDone = false
-					kernel.Spawn(fmt.Sprintf("client:%s:compute:%d", cl.ID, iter), func(q *sim.Proc) {
-						compOn(q, "client-pre", pre)
-						compOn(q, "client-mid", mid)
-						compOn(q, "client-post", post)
-						computeDone = true
-						joined.Fire()
-					})
-				}
-
-				// Client computes the input section and uploads x_c.
-				clientSeg("client-pre", pre)
-				xfer("upload:x_c")
-
-				// ---- Server: forward request ----
-				switch cfg.Policy {
-				case PolicyPersistAll:
-					// Reserve once, on the first iteration, forever.
-					if !persisted {
-						grant(sched.KindForward, demand.fwd)
-						persisted = true
-					}
-					sleepComp("forward", cost.ForwardTime(cl.Workload))
-				case PolicyPreserve, PolicyReleaseOnWait:
-					grant(sched.KindForward, demand.fwd)
-					sleepComp("forward", cost.ForwardTime(cl.Workload))
-					if cfg.Policy == PolicyReleaseOnWait {
-						release()
-						sleepComp("release", releaseCost/2)
-					}
-					// PolicyPreserve: memory stays allocated through
-					// the gradient wait.
-				default: // PolicyOnDemand, Fig. 3(d)
-					if batcher != nil {
-						if !batchPhase(sched.KindForward, "forward", demand.fwd,
-							cost.NoGradForwardTime(cl.Workload), 0) {
-							return
-						}
-					} else {
-						grant(sched.KindForward, demand.fwd)
-						sleepComp("forward", cost.NoGradForwardTime(cl.Workload))
-						release()
-					}
-				}
-
-				// Server returns x_s; client runs the output section,
-				// computes the loss, and uploads g_c.
-				xfer("download:x_s")
-				clientSeg("client-mid", mid)
-				xfer("upload:g_c")
-
-				// ---- Server: backward request ----
-				switch cfg.Policy {
-				case PolicyPersistAll:
-					sleepComp("backward", cost.BackwardTime(cl.Workload))
-				case PolicyPreserve:
-					sleepComp("backward", cost.BackwardTime(cl.Workload))
-					release()
-					sleepComp("release", releaseCost)
-				case PolicyReleaseOnWait:
-					grant(sched.KindBackward, demand.bwd)
-					sleepComp("backward", cost.ForwardTime(cl.Workload)+cost.BackwardTime(cl.Workload))
-					release()
-					sleepComp("release", releaseCost/2)
-				default: // PolicyOnDemand
-					if batcher != nil {
-						// Re-forward + backward, batched; the release/
-						// re-collection cycle happens once per batch
-						// inside the leader, not once per client.
-						if !batchPhase(sched.KindBackward, "re-forward+backward", demand.bwd,
-							cost.ForwardTime(cl.Workload)+cost.BackwardTime(cl.Workload), releaseCost) {
-							return
-						}
-					} else {
-						grant(sched.KindBackward, demand.bwd)
-						// Re-forward + backward.
-						sleepComp("re-forward+backward",
-							cost.ForwardTime(cl.Workload)+cost.BackwardTime(cl.Workload))
-						release()
-						// Releasing and re-collecting fragmented memory
-						// happens after the grant is returned (Table 2's
-						// growing overhead).
-						sleepComp("release", releaseCost)
-					}
-				}
-				sleepComp("optimizer", costmodel.OptimizerStepTime)
-
-				// Server returns g_s; client finishes its backward and
-				// optimizer step.
-				xfer("download:g_s")
-				clientSeg("client-post", post)
-				if cfg.Overlap {
-					for !computeDone {
-						joined.Wait(p, "overlap join "+cl.ID)
-					}
-					if hidden := comm + comp + schedT - (p.Now() - iterStart); hidden > 0 {
-						hiddenTotal += hidden
-						hiddenHist.Observe(hidden.Seconds())
-					}
-				}
-
-				bd.Add(comm, comp, schedT)
-				ledger.AddIteration(cl.ID)
-			}
-
-			// Autoscaled clients depart when done: persistent state
-			// leaves the server (offloaded host-side), which lets a
-			// draining server finish emptying. Static runs keep the
-			// historical semantics — state held until the run ends.
-			if cfg.Autoscale != nil {
-				scheduler.Complete(cl.ID)
-				scheduler.Complete("persist:" + cl.ID)
-				srv.devices.FreeOwner("persist:" + cl.ID)
-				mgr.Depart(cl.ID)
-				sampleMem(p.Now())
-				decommission(srv)
-			}
-		})
+	for i := range clients {
+		clients[i].start()
 	}
 
 	if err := kernel.Run(); err != nil {
 		return nil, fmt.Errorf("menos simulation: %w", err)
 	}
-	if fleetErr != nil {
-		return nil, fmt.Errorf("menos fleet: %w", fleetErr)
+	if r.fleetErr != nil {
+		return nil, fmt.Errorf("menos fleet: %w", r.fleetErr)
 	}
 	if cfg.Autoscale != nil {
-		for _, srv := range servers {
+		for _, srv := range r.servers {
 			if !srv.removed {
 				persistent += srv.devices.Used()
 			}
@@ -776,12 +241,12 @@ func runMenos(cfg Config) (*Result, error) {
 	}
 
 	agg := &trace.Breakdown{}
-	for _, r := range results {
-		agg.Merge(r.Breakdown)
+	for _, res := range results {
+		agg.Merge(res.Breakdown)
 	}
 	var schedStats sched.Stats
 	var admission sched.AdmissionStats
-	for _, srv := range servers {
+	for _, srv := range r.servers {
 		st := srv.scheduler.Stats()
 		schedStats.Submitted += st.Submitted
 		schedStats.Granted += st.Granted
@@ -803,71 +268,862 @@ func runMenos(cfg Config) (*Result, error) {
 			admission.P99 = ast.P99
 		}
 	}
-	fstats := mgr.Stats()
+	fstats := r.mgr.Stats()
 	return &Result{
 		Mode:            ModeMenos,
 		Clients:         results,
 		Aggregate:       agg,
 		PersistentBytes: persistent,
-		PeakBytes:       persistent + peakTransient(cfg, demands),
+		PeakBytes:       persistent + peakTransient(clients),
 		SchedStats:      schedStats,
-		Rejected:        rejected,
+		Rejected:        r.rejected,
 		Admission:       admission,
-		Waits:           waits,
-		MemSamples:      samples,
-		OverlapHidden:   hiddenTotal,
+		Waits:           r.waits,
+		MemSamples:      r.samples,
+		OverlapHidden:   r.hidden,
 		SimulatedTime:   kernel.Now(),
 		Fleet: FleetStats{
 			Policy:         placer.Name(),
 			StartServers:   cfg.Servers,
-			FinalServers:   mgr.ActiveServers(),
-			PeakServers:    peakServers,
+			FinalServers:   r.mgr.ActiveServers(),
+			PeakServers:    r.peakServers,
 			Placements:     fstats.Placements,
 			Migrations:     fstats.Migrations,
 			ScaleEvents:    fstats.ScaleEvents,
-			ImbalanceRatio: mgr.Imbalance(),
+			ImbalanceRatio: r.mgr.Imbalance(),
 		},
 	}, nil
 }
 
-// awaitGrant submits one scheduling request — submit wraps Submit or
-// SubmitBatch — and parks p until it is granted. An admission shed runs
-// onShed, backs off for the controller's hint and resubmits, exactly
-// like a real client; the backoff is jittered deterministically
-// (jitter in [0,8)) so shed clients do not resubmit in a synchronized
-// herd. Any other error can never be granted and is returned.
-func awaitGrant(p *sim.Proc, reason string, jitter int, onShed func(), submit func(grant func()) error) error {
-	granted := false
-	sig := p.Kernel().NewSignal()
-	for {
-		err := submit(func() {
-			granted = true
-			sig.Fire()
-		})
-		if err == nil {
-			break
-		}
-		var ov *sched.OverloadError
-		if !errors.As(err, &ov) {
-			return err
-		}
-		onShed()
-		p.Sleep(ov.RetryAfter + ov.RetryAfter*time.Duration(jitter)/8)
+// newServer brings one server into the fleet: its GPUs, the shared base
+// copy, the manager context and a scheduler on the virtual clock.
+func (r *menosRun) newServer() (*serverSim, error) {
+	cfg, kernel := &r.cfg, r.kernel
+	w0 := cfg.Clients[0].Workload
+	id := len(r.servers)
+	devices, err := gpu.NewDeviceSet(cfg.GPUSpec, cfg.GPUs)
+	if err != nil {
+		return nil, err
 	}
-	for !granted {
-		sig.Wait(p, reason)
+	devices.Instrument(cfg.Metrics)
+	if _, err := devices.AllocSharded("base-model", w0.ServerBaseBytes()); err != nil {
+		return nil, fmt.Errorf("server %d: loading shared base model: %w", id, err)
+	}
+	if _, err := devices.Alloc("manager", memmodel.ManagerOverheadBytes); err != nil {
+		return nil, fmt.Errorf("server %d: manager context: %w", id, err)
+	}
+	srv := &serverSim{id: id, devices: devices}
+	// The virtual clock: scheduler wait times and spans are measured in
+	// kernel time, so the telemetry of a simulated run reads exactly
+	// like a real one (only ~10^6× faster to produce).
+	srv.scheduler = sched.New(devices.Available(), cfg.SchedPol)
+	srv.scheduler.Instrument(cfg.Metrics, obs.ClockFunc(kernel.Now))
+	srv.scheduler.SetLedger(r.ledger)
+	if cfg.Batch != nil && cfg.Batch.Enabled() {
+		srv.former = batch.NewFormer[*simMember, *simLead](cfg.Batch.MaxSize)
+		srv.gpu = kernel.NewResource(fmt.Sprintf("gpu:%d", id), 1)
+	}
+	if cfg.SLO.Enabled() {
+		if err := srv.scheduler.EnableAdmission(cfg.SLO, obs.ClockFunc(kernel.Now)); err != nil {
+			return nil, fmt.Errorf("admission control: %w", err)
+		}
+	}
+	if cfg.Flight != nil {
+		// The kernel is single-threaded, so the synchronous Trigger
+		// keeps flight snapshots deterministic across runs.
+		srv.scheduler.SetAdmissionHook(func(from, to sched.AdmissionState) {
+			cfg.Flight.Trigger(obs.FlightReasonAdmission)
+		})
+	}
+	r.servers = append(r.servers, srv)
+	err = r.mgr.AddServer(id, devices.Capacity(), []string{w0.Model.Name}, func() fleet.Signals {
+		return fleet.Signals{
+			QueueDepth: srv.scheduler.QueueDepth(),
+			UsedBytes:  srv.devices.Used(),
+			Admission:  fleet.AdmissionState(srv.scheduler.AdmissionState()),
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if n := r.mgr.ActiveServers(); n > r.peakServers {
+		r.peakServers = n
+	}
+	return srv, nil
+}
+
+// density is the clients per GPU on server id, the concurrency the
+// release overhead scales with.
+func (r *menosRun) density(id int) int {
+	return (r.mgr.ClientCount(id) + r.cfg.GPUs - 1) / r.cfg.GPUs
+}
+
+// admitClient physically lands a client's persistent state on srv:
+// device memory plus a scheduler reservation, so the schedulable
+// budget shrinks exactly as the historical post-persist budget did.
+func (r *menosRun) admitClient(srv *serverSim, ci fleet.ClientInfo) error {
+	owner := "persist:" + ci.ID
+	if _, err := srv.devices.Alloc(owner, ci.PersistentBytes); err != nil {
+		return fmt.Errorf("client %q persistent state: %w", ci.ID, err)
+	}
+	if err := srv.scheduler.Reserve(owner, ci.PersistentBytes); err != nil {
+		srv.devices.FreeOwner(owner)
+		return fmt.Errorf("client %q persistent state: %w", ci.ID, err)
+	}
+	if ci.TransientPeakBytes > srv.maxDemand {
+		srv.maxDemand = ci.TransientPeakBytes
 	}
 	return nil
 }
 
+// canAdmit is the dynamic-arrival feasibility gate: after reserving
+// the persistent state, the schedulable budget must still fit both
+// the newcomer's and every resident's transient peak, or someone's
+// Submit would fail ErrNeverFits and stall forever.
+func (r *menosRun) canAdmit(srv *serverSim, ci fleet.ClientInfo) bool {
+	if srv.draining || srv.removed {
+		return false
+	}
+	budget := srv.scheduler.Schedulable() - ci.PersistentBytes
+	need := ci.TransientPeakBytes
+	if srv.maxDemand > need {
+		need = srv.maxDemand
+	}
+	return budget >= need
+}
+
+// refresh re-reads srv's transient scheduled memory — the schedulable
+// budget minus what is still free (persistent reservations cancel out)
+// — into the fleet total. Every scheduler call that can move it is
+// followed by a refresh of that server before anything else samples,
+// so the total always equals a sum over every server.
+func (r *menosRun) refresh(srv *serverSim) {
+	v := srv.scheduler.Schedulable() - srv.scheduler.Available()
+	r.transient += v - srv.transient
+	srv.transient = v
+}
+
+// sampleMem records one point of the transient-memory timeline after
+// srv's scheduler changed.
+func (r *menosRun) sampleMem(at time.Duration, srv *serverSim) {
+	r.refresh(srv)
+	// Coalesce same-instant transitions: keep the last value.
+	if n := len(r.samples); n > 0 && r.samples[n-1].At == at {
+		r.samples[n-1].Bytes = r.transient
+		return
+	}
+	r.samples = append(r.samples, MemSample{At: at, Bytes: r.transient})
+}
+
+func (r *menosRun) recordWait(kind sched.RequestKind, d time.Duration) {
+	if kind == sched.KindForward {
+		r.waits.ForwardTotal += d
+		r.waits.Forwards++
+	} else {
+		r.waits.BackwardTotal += d
+		r.waits.Backwards++
+	}
+}
+
+// shed books one admission shed against every client it turned away:
+// the one submitting, or each member of a shed batch.
+func (r *menosRun) shed(ids ...string) {
+	r.rejected += int64(len(ids))
+	for _, id := range ids {
+		r.ledger.Retry(id)
+	}
+	if r.cfg.Flight != nil {
+		r.cfg.Flight.Trigger(obs.FlightReasonShed)
+	}
+}
+
+func (r *menosRun) failFleet(err error) {
+	if r.fleetErr == nil {
+		r.fleetErr = err
+	}
+}
+
+// decommission retires a drained server once its last client left:
+// base copy and manager context are freed, the scheduler closed, and
+// the server leaves the fleet bookkeeping.
+func (r *menosRun) decommission(srv *serverSim) {
+	if !srv.draining || srv.removed || r.mgr.ClientCount(srv.id) > 0 {
+		return
+	}
+	if err := r.mgr.Remove(srv.id); err != nil {
+		r.failFleet(err)
+		return
+	}
+	srv.removed = true
+	srv.scheduler.Close()
+	srv.devices.FreeOwner("base-model")
+	srv.devices.FreeOwner("manager")
+}
+
+// autoscale is the autoscaler's tick on the virtual clock: add or
+// drain a server from queue-depth and admission signals, then re-arm.
+func (r *menosRun) autoscale() {
+	if r.remaining == 0 || r.fleetErr != nil {
+		return // last client done: let the kernel run dry
+	}
+	switch r.autoscaler.Decide(r.kernel.Now(), r.pendingPlace, r.mgr.Loads()) {
+	case fleet.ScaleUp:
+		if _, err := r.newServer(); err != nil {
+			r.failFleet(fmt.Errorf("fleet scale-up: %w", err))
+			return
+		}
+		r.mgr.RecordScaleEvent()
+	case fleet.ScaleDown:
+		if id, ok := r.mgr.DrainCandidate(); ok {
+			if err := r.mgr.Drain(id); err != nil {
+				r.failFleet(err)
+				return
+			}
+			r.servers[id].draining = true
+			r.mgr.RecordScaleEvent()
+			r.decommission(r.servers[id])
+		}
+	}
+	r.kernel.After(r.autoscaler.Config().Interval, r.tick)
+}
+
+// demand is a client's profiled forward and backward grant sizes.
+type demand struct{ fwd, bwd int64 }
+
+// menosClient is one client's serving schedule and everything it keeps
+// between events. step runs the schedule from pc until something
+// blocks; every blocking primitive is handed a continuation bound once
+// in init, so an event costs no allocation here.
+type menosClient struct {
+	clientLoop
+	r    *menosRun
+	i    int
+	spec *ClientSpec
+	ci   fleet.ClientInfo
+	bd   *trace.Breakdown
+	cost *costmodel.Model
+
+	// Per-iteration constants: the client's compute segments, server
+	// phase durations and grant sizes.
+	pre, mid, post      time.Duration
+	fwd, noGradFwd, bwd time.Duration
+	demand              demand
+	persistOwner        string
+
+	srv           *serverSim
+	staticRelease time.Duration
+
+	// Schedule position and loop state.
+	pc          clientPC
+	iter        int
+	attempt     int  // placement or migration retries so far
+	counted     bool // counted in the autoscaler's pending placements
+	persisted   bool // PolicyPersistAll's session grant is held
+	releaseCost time.Duration
+	iterStart   time.Duration
+
+	// Grant in flight.
+	kind  sched.RequestKind
+	bytes int64
+	gw    grantWait
+
+	// Migration in flight (autoscaled runs).
+	from, to *serverSim
+
+	// Batched serving: this client's share of the group it joins.
+	member simMember
+
+	// Overlap: the client-compute side of the iteration and its join.
+	sidePC      int
+	computeDone bool
+	joined      *sim.Signal
+	joinReason  string
+
+	side func()
+	fits func(serverID int) bool
+}
+
+// clientPC is a position in menosClient.step's schedule.
+type clientPC int
+
+// The schedule's positions, in loop order.
+const (
+	pcArrive clientPC = iota
+	pcPlace
+	pcIterate
+	pcMigrateAdmit
+	pcMigrated
+	pcClientPre
+	pcUploadXC
+	pcForward
+	pcForwardCompute
+	pcForwardRelease
+	pcDownloadXS
+	pcClientMid
+	pcUploadGC
+	pcBackward
+	pcBackwardCompute
+	pcBackwardRelease
+	pcOptimizer
+	pcDownloadGS
+	pcClientPost
+	pcJoin
+	pcDepart
+)
+
+func (c *menosClient) init(r *menosRun, i int, bd *trace.Breakdown) {
+	cfg := &r.cfg
+	spec := &cfg.Clients[i]
+	w := spec.Workload
+	// The wire codec shrinks every split-boundary transfer to its ratio
+	// of the fp32 volume (per-row scale overhead dropped; see
+	// quant.Codec.WireRatio). Grant sizes are untouched: compression
+	// changes what crosses the link, not what the GPU materializes.
+	c.initLoop(r.kernel, r.link, cfg.Tracer, spec.ID, w.TransferBytes(), c.step)
+	c.ledger = r.ledger
+	if cfg.WireCodec != quant.CodecFP32 {
+		c.transfer = int64(float64(c.rawTransfer) * cfg.WireCodec.WireRatio())
+		c.wireCompressed, c.wireRaw = r.wireCompressed, r.wireRaw
+	}
+	c.r, c.i, c.spec, c.bd = r, i, spec, bd
+	c.cost = costmodel.New(cfg.ServerPerf, w)
+	c.pre, c.mid, c.post = clientPhases(costmodel.ClientComputeTime(spec.Platform, w))
+	c.fwd = c.cost.ForwardTime(w)
+	c.noGradFwd = c.cost.NoGradForwardTime(w)
+	c.bwd = c.cost.BackwardTime(w)
+	c.demand = demand{fwd: w.NoGradForwardBytes(), bwd: w.BackwardPeakBytes()}
+	switch cfg.Policy {
+	case PolicyReleaseOnWait:
+		c.demand.fwd = w.ActivationBytes()
+	case PolicyPreserve, PolicyPersistAll:
+		c.demand.fwd = w.ActivationBytes()
+		c.demand.bwd = 0 // memory held since forward
+	}
+	peak := c.demand.fwd
+	if c.demand.bwd > peak {
+		peak = c.demand.bwd
+	}
+	c.ci = fleet.ClientInfo{
+		ID:                 spec.ID,
+		BaseModel:          w.Model.Name,
+		PersistentBytes:    w.PersistentClientBytes(),
+		TransientPeakBytes: peak,
+	}
+	c.persistOwner = "persist:" + spec.ID
+
+	c.gw.init(r.kernel, "memory grant "+spec.ID, i%8, c.submit, c.shedSelf, c.grantLanded)
+	if r.batcher != nil {
+		c.member = simMember{id: spec.ID, rows: int64(w.Batch), reason: "batch member " + spec.ID,
+			sig: r.kernel.NewSignal(), then: c.batchLanded}
+	}
+	if cfg.Overlap {
+		c.side = c.overlap
+		c.joined = r.kernel.NewSignal()
+		c.joinReason = "overlap join " + spec.ID
+	}
+	if cfg.Autoscale != nil {
+		c.fits = func(id int) bool { return r.canAdmit(r.servers[id], c.ci) }
+	}
+}
+
+// start schedules the client's arrival at the current time.
+func (c *menosClient) start() { c.kernel.After(0, c.advance) }
+
+// step is the client's serving schedule, written once and in order: the
+// placement at arrival, then per iteration the rebalance check, client
+// input section, x_c upload, server forward, x_s download, client output
+// section and loss, g_c upload, server backward, optimizer, g_s download
+// and client backward. Each case does its work and either moves pc on
+// and continues, or hands c.advance (or a landing that ends in it) to a
+// primitive and returns; a primitive that does not block runs it in
+// place.
+func (c *menosClient) step() {
+	r := c.r
+	cfg := &r.cfg
+	k := c.kernel
+	for {
+		switch c.pc {
+		case pcArrive:
+			c.pc = pcPlace
+			if c.spec.StartDelay > 0 {
+				k.After(c.spec.StartDelay, c.advance)
+				return
+			}
+
+		case pcPlace:
+			// Autoscaled fleets place the client at arrival. When no
+			// server can physically admit it yet, the client backs off
+			// and retries; the pending count is the autoscaler's
+			// strongest grow signal.
+			if cfg.Autoscale != nil {
+				if c.attempt < placementAttempts && !c.place() {
+					c.attempt++
+					k.After(placementRetry+placementRetry*time.Duration(c.i%8)/8, c.advance)
+					return
+				}
+				if c.counted {
+					r.pendingPlace--
+				}
+				if c.srv == nil {
+					c.fail(fmt.Errorf("client %q: no server could admit it after %d attempts", c.id, placementAttempts))
+					return
+				}
+			}
+			c.pc = pcIterate
+
+		case pcIterate:
+			if c.iter == cfg.Iterations {
+				c.pc = pcDepart
+				continue
+			}
+			c.tid = obs.IterTraceID(c.id, c.iter)
+			c.comm, c.comp, c.schedT = 0, 0, 0
+			c.pc = pcClientPre
+			// Fleet rebalance check (autoscaled runs): evacuate a
+			// draining server, or follow a strictly better placement.
+			if cfg.Autoscale != nil && c.iter > 0 {
+				target, moved, err := r.mgr.Rebalance(c.ci, c.fits)
+				if err != nil {
+					c.fail(err)
+					return
+				}
+				if moved {
+					c.beginMigration(r.servers[target])
+					c.pc = pcMigrateAdmit
+				}
+			}
+
+		case pcMigrateAdmit:
+			if err := r.admitClient(c.to, c.ci); err != nil {
+				if c.attempt >= placementAttempts {
+					c.fail(fmt.Errorf("client %q: migration to server %d failed after %d attempts", c.id, c.to.id, placementAttempts))
+					return
+				}
+				// Target memory still held by in-flight grants: wait for
+				// them to complete.
+				c.attempt++
+				k.After(placementRetry, c.advance)
+				return
+			}
+			c.pc = pcMigrated
+			k.After(migrationTime(c.ci.PersistentBytes), c.advance)
+			return
+
+		case pcMigrated:
+			d := k.Now() - c.opStart
+			c.schedT += d
+			c.tracer.RecordT(c.id, "migrate", "sched", c.tid, c.opStart, d)
+			r.sampleMem(k.Now(), c.to)
+			c.srv = c.to
+			r.decommission(c.from)
+			c.persisted = false
+			c.pc = pcClientPre
+
+		case pcClientPre:
+			c.releaseCost = c.staticRelease
+			if cfg.Autoscale != nil {
+				c.releaseCost = c.cost.ReleaseOverhead(r.density(c.srv.id))
+			}
+			// Overlapped iteration (docs/WIRE.md): the client-local
+			// compute runs as its own handler, concurrent with the
+			// wire+server leg below, modeling the steady state of the
+			// double-buffered microbatch pipeline — each client segment
+			// of microbatch i+1 hides under the transfers and server
+			// phases of microbatch i, so the iteration's wall time is the
+			// slower leg (costmodel.OverlapStepTime), not the serial sum.
+			// The Breakdown still records serial totals (comm, comp,
+			// sched are resource costs, not wall time); the savings show
+			// up in SimulatedTime and the hidden-time histogram. Only the
+			// validated envelope (on-demand policy, serial serving,
+			// static fleet) sets Overlap; the client segments below are
+			// then skipped.
+			c.iterStart = k.Now()
+			c.pc = pcUploadXC
+			if cfg.Overlap {
+				c.computeDone, c.sidePC = false, 0
+				k.After(0, c.side)
+				continue
+			}
+			// Client computes the input section and uploads x_c.
+			c.compute("client-pre", c.pre)
+			return
+
+		case pcUploadXC:
+			c.pc = pcForward
+			c.xfer("upload:x_c")
+			return
+
+		// ---- Server: forward request ----
+		case pcForward:
+			c.pc = pcForwardCompute
+			switch {
+			case cfg.Policy == PolicyPersistAll:
+				// Reserve once, on the first iteration, forever.
+				if !c.persisted {
+					c.persisted = true
+					c.grant(sched.KindForward, c.demand.fwd)
+					return
+				}
+			case r.batcher != nil: // PolicyOnDemand, batched
+				c.pc = pcDownloadXS
+				c.batchPhase(sched.KindForward, "forward", c.demand.fwd, c.noGradFwd, 0)
+				return
+			default:
+				c.grant(sched.KindForward, c.demand.fwd)
+				return
+			}
+
+		case pcForwardCompute:
+			c.pc = pcForwardRelease
+			if cfg.Policy == PolicyOnDemand { // Fig. 3(d)'s no-grad forward
+				c.compute("forward", c.noGradFwd)
+			} else {
+				c.compute("forward", c.fwd)
+			}
+			return
+
+		case pcForwardRelease:
+			c.pc = pcDownloadXS
+			switch cfg.Policy {
+			case PolicyReleaseOnWait:
+				c.release()
+				c.compute("release", c.releaseCost/2)
+				return
+			case PolicyOnDemand:
+				c.release()
+			}
+			// PolicyPreserve: memory stays allocated through the
+			// gradient wait.
+
+		// Server returns x_s; client runs the output section, computes
+		// the loss, and uploads g_c.
+		case pcDownloadXS:
+			c.pc = pcClientMid
+			c.xfer("download:x_s")
+			return
+
+		case pcClientMid:
+			c.pc = pcUploadGC
+			if !cfg.Overlap {
+				c.compute("client-mid", c.mid)
+				return
+			}
+
+		case pcUploadGC:
+			c.pc = pcBackward
+			c.xfer("upload:g_c")
+			return
+
+		// ---- Server: backward request ----
+		case pcBackward:
+			c.pc = pcBackwardCompute
+			switch {
+			case cfg.Policy == PolicyPersistAll, cfg.Policy == PolicyPreserve:
+				// Memory held since forward.
+			case r.batcher != nil:
+				// Re-forward + backward, batched; the release/
+				// re-collection cycle happens once per batch inside the
+				// leader, not once per client.
+				c.pc = pcOptimizer
+				c.batchPhase(sched.KindBackward, "re-forward+backward", c.demand.bwd, c.fwd+c.bwd, c.releaseCost)
+				return
+			default:
+				c.grant(sched.KindBackward, c.demand.bwd)
+				return
+			}
+
+		case pcBackwardCompute:
+			c.pc = pcBackwardRelease
+			switch cfg.Policy {
+			case PolicyPersistAll, PolicyPreserve:
+				c.compute("backward", c.bwd)
+			case PolicyReleaseOnWait:
+				c.compute("backward", c.fwd+c.bwd)
+			default: // PolicyOnDemand: re-forward + backward
+				c.compute("re-forward+backward", c.fwd+c.bwd)
+			}
+			return
+
+		case pcBackwardRelease:
+			c.pc = pcOptimizer
+			if cfg.Policy != PolicyPersistAll {
+				// Releasing and re-collecting fragmented memory happens
+				// after the grant is returned (Table 2's growing
+				// overhead).
+				c.release()
+				if cfg.Policy == PolicyReleaseOnWait {
+					c.compute("release", c.releaseCost/2)
+				} else {
+					c.compute("release", c.releaseCost)
+				}
+				return
+			}
+
+		case pcOptimizer:
+			c.pc = pcDownloadGS
+			c.compute("optimizer", costmodel.OptimizerStepTime)
+			return
+
+		// Server returns g_s; client finishes its backward and optimizer
+		// step.
+		case pcDownloadGS:
+			c.pc = pcClientPost
+			c.xfer("download:g_s")
+			return
+
+		case pcClientPost:
+			c.pc = pcJoin
+			if !cfg.Overlap {
+				c.compute("client-post", c.post)
+				return
+			}
+
+		case pcJoin:
+			if cfg.Overlap {
+				if !c.computeDone {
+					c.joined.Wait(c.joinReason, c.advance)
+					return
+				}
+				if hidden := c.comm + c.comp + c.schedT - (k.Now() - c.iterStart); hidden > 0 {
+					r.hidden += hidden
+					r.hiddenHist.Observe(hidden.Seconds())
+				}
+			}
+			c.bd.Add(c.comm, c.comp, c.schedT)
+			r.ledger.AddIteration(c.id)
+			c.iter++
+			c.pc = pcIterate
+
+		case pcDepart:
+			// Autoscaled clients depart when done: persistent state
+			// leaves the server (offloaded host-side), which lets a
+			// draining server finish emptying. Static runs keep the
+			// historical semantics — state held until the run ends.
+			if cfg.Autoscale != nil {
+				c.srv.scheduler.Complete(c.id)
+				c.srv.scheduler.Complete(c.persistOwner)
+				c.srv.devices.FreeOwner(c.persistOwner)
+				r.mgr.Depart(c.id)
+				r.sampleMem(k.Now(), c.srv)
+				r.decommission(c.srv)
+			}
+			r.remaining--
+			return
+		}
+	}
+}
+
+// fail ends the client's schedule on a fleet error.
+func (c *menosClient) fail(err error) {
+	c.r.failFleet(err)
+	c.r.remaining--
+}
+
+// place tries once to place the client on a server that can admit it.
+func (c *menosClient) place() bool {
+	r := c.r
+	id, err := r.mgr.Place(c.ci)
+	if err == nil {
+		cand := r.servers[id]
+		if r.canAdmit(cand, c.ci) && r.admitClient(cand, c.ci) == nil {
+			c.srv = cand
+			return true
+		}
+		r.mgr.Unplace(c.id)
+	}
+	if !c.counted {
+		r.pendingPlace++
+		c.counted = true
+	}
+	return false
+}
+
+// beginMigration follows a fleet decision to move this client: release
+// everything held here; the schedule then re-admits it on dst and ships
+// the persistent state. Runs only between iterations, so the only held
+// grant is PolicyPersistAll's session grant.
+func (c *menosClient) beginMigration(dst *serverSim) {
+	old := c.srv
+	c.opStart = c.kernel.Now()
+	c.from, c.to, c.attempt = old, dst, 0
+	old.scheduler.Complete(c.id)
+	old.scheduler.Complete(c.persistOwner)
+	old.devices.FreeOwner(c.persistOwner)
+	c.r.refresh(old)
+}
+
+// overlap is an overlapped iteration's client-compute side: the three
+// client segments back to back, then the join.
+func (c *menosClient) overlap() {
+	k := c.kernel
+	c.sidePC++
+	switch c.sidePC {
+	case 1:
+		k.After(c.pre, c.side)
+	case 2:
+		c.billCompute("client-pre", k.Now()-c.pre, c.pre)
+		k.After(c.mid, c.side)
+	case 3:
+		c.billCompute("client-mid", k.Now()-c.mid, c.mid)
+		k.After(c.post, c.side)
+	case 4:
+		c.billCompute("client-post", k.Now()-c.post, c.post)
+		c.computeDone = true
+		c.joined.Fire()
+	}
+}
+
+// grant requests bytes of kind memory and continues once it is held.
+func (c *menosClient) grant(kind sched.RequestKind, bytes int64) {
+	c.kind, c.bytes, c.opStart = kind, bytes, c.kernel.Now()
+	c.gw.await()
+}
+
+// submit is c.gw's submission: one Submit, after which the server's
+// share of the memory timeline is re-read (the cycle it ran may have
+// granted others).
+func (c *menosClient) submit(grant func()) error {
+	err := c.srv.scheduler.Submit(c.id, c.kind, c.bytes, grant)
+	c.r.refresh(c.srv)
+	return err
+}
+
+func (c *menosClient) shedSelf() { c.r.shed(c.id) }
+
+func (c *menosClient) grantLanded() {
+	r := c.r
+	now := c.kernel.Now()
+	if err := c.gw.err; err != nil {
+		// Requests that can never fit stall the client forever; the
+		// deadlock detector will surface it with this reason.
+		c.kernel.NewSignal().Wait(fmt.Sprintf("unschedulable: %v", err), nil)
+		return
+	}
+	// The recorded wait spans all attempts and backoffs, plus the fixed
+	// scheduler decision cost, which does not advance virtual time; the
+	// span is kept equal to what the Breakdown records.
+	d := now - c.opStart + costmodel.SchedulerDecisionTime
+	r.recordWait(c.kind, d)
+	r.sampleMem(now, c.srv)
+	c.schedT += d
+	c.tracer.RecordT(c.id, waitSpan(c.kind), "sched", c.tid, c.opStart, d)
+	c.advance()
+}
+
+// waitSpan names a grant wait's span without building a string.
+func waitSpan(kind sched.RequestKind) string {
+	if kind == sched.KindForward {
+		return "wait:forward"
+	}
+	return "wait:backward"
+}
+
+func (c *menosClient) release() {
+	c.srv.scheduler.Complete(c.id)
+	c.r.sampleMem(c.kernel.Now(), c.srv)
+}
+
+// batchPhase runs one server phase through the batcher instead of
+// grant/compute/release: the member waits until its batch executes,
+// then bills its share — grant wait and residency stall into the sched
+// bucket, its row share of the batched kernel into compute (so Σ
+// clients' compute equals the device time actually spent).
+func (c *menosClient) batchPhase(kind sched.RequestKind, name string, bytes int64, dur, rel time.Duration) {
+	m := &c.member
+	m.bytes, m.dur, m.release = bytes, dur, rel
+	c.kind, c.opName, c.opStart = kind, name, c.kernel.Now()
+	key := batch.Key{Cut: c.spec.Workload.Cut, Seq: c.spec.Workload.Seq, Kind: kind}
+	c.r.batcher.join(c.srv, key, m)
+}
+
+func (c *menosClient) batchLanded() {
+	r, m := c.r, &c.member
+	if m.err != nil {
+		c.fail(fmt.Errorf("client %q: %v", c.id, m.err))
+		return
+	}
+	start := c.opStart
+	r.recordWait(c.kind, m.wait)
+	c.schedT += m.wait + m.stall
+	c.comp += m.compute
+	c.tracer.RecordT(c.id, waitSpan(c.kind), "sched", c.tid, start, m.wait)
+	grantAt := start + m.wait - costmodel.SchedulerDecisionTime
+	c.tracer.RecordT(c.id, c.opName, "compute", c.tid, grantAt, m.compute)
+	if m.stall > 0 {
+		c.tracer.RecordT(c.id, "batch-stall", "sched", c.tid, grantAt+m.compute, m.stall)
+	}
+	r.ledger.AddCompute(c.id, m.compute.Seconds())
+	c.advance()
+}
+
+// grantWait is a handler's scheduling request in flight; submit wraps
+// Submit or SubmitBatch. An admission shed runs onShed, backs off for
+// the controller's hint and resubmits, exactly like a real client; the
+// backoff is jittered deterministically (jitter in [0,8)) so shed
+// clients do not resubmit in a synchronized herd. A grant delivered
+// inside submit continues in place; a later one wakes the handler
+// through sig. Either way then runs once the grant is held. Any other
+// error can never be granted: then runs at once with err set.
+type grantWait struct {
+	kernel *sim.Kernel
+	reason string
+	jitter int
+	submit func(grant func()) error
+	onShed func()
+	then   func()
+
+	sig            *sim.Signal
+	granted        bool
+	err            error
+	onGrant, retry func()
+}
+
+func (w *grantWait) init(k *sim.Kernel, reason string, jitter int, submit func(func()) error, onShed, then func()) {
+	*w = grantWait{kernel: k, reason: reason, jitter: jitter, submit: submit, onShed: onShed, then: then, sig: k.NewSignal()}
+	w.onGrant = w.deliver
+	w.retry = w.try
+}
+
+// await submits the request.
+func (w *grantWait) await() {
+	w.granted, w.err = false, nil
+	w.try()
+}
+
+func (w *grantWait) try() {
+	err := w.submit(w.onGrant)
+	if err == nil {
+		if w.granted {
+			w.then()
+		} else {
+			w.sig.Wait(w.reason, w.then)
+		}
+		return
+	}
+	var ov *sched.OverloadError
+	if !errors.As(err, &ov) {
+		w.err = err
+		w.then()
+		return
+	}
+	w.onShed()
+	w.kernel.After(ov.RetryAfter+ov.RetryAfter*time.Duration(w.jitter)/8, w.retry)
+}
+
+// deliver is the scheduler's grant callback.
+func (w *grantWait) deliver() {
+	w.granted = true
+	w.sig.Fire()
+}
+
 // peakTransient estimates the transient memory above the persistent
 // floor: the largest single backward footprint that can be in flight.
-func peakTransient(cfg Config, demands map[string]struct{ fwd, bwd int64 }) int64 {
+func peakTransient(clients []menosClient) int64 {
 	var maxBwd int64
-	for _, d := range demands {
-		b := d.bwd
+	for i := range clients {
+		b := clients[i].demand.bwd
 		if b == 0 {
-			b = d.fwd
+			b = clients[i].demand.fwd
 		}
 		if b > maxBwd {
 			maxBwd = b

@@ -1,7 +1,7 @@
 // Package splitsim runs split fine-tuning workloads on the performance
 // plane: clients, the WAN link, the server's GPUs, the Menos scheduler
 // and the vanilla task-swapping baseline, all as deterministic
-// discrete-event processes. One simulated "154-second" iteration takes
+// discrete-event handlers. One simulated "154-second" iteration takes
 // microseconds of wall time, which is what makes regenerating every
 // timing figure of the paper practical.
 package splitsim
@@ -9,6 +9,7 @@ package splitsim
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"menos/internal/costmodel"
@@ -431,4 +432,89 @@ func clientPhases(total time.Duration) (pre, mid, post time.Duration) {
 	mid = time.Duration(0.5 * float64(total))
 	post = total - pre - mid
 	return pre, mid, post
+}
+
+// clientLoop is what both modes' client schedules share: the current
+// iteration's accumulators and trace ID, and the two timed operations
+// every iteration is made of, each billed when it lands and then
+// followed by advance, the schedule's next step.
+//
+// Every accumulator update also records a span with identical
+// virtual-time bounds, so summing spans by category reconstructs the
+// Breakdown exactly (the bench's -trace-out parity check relies on
+// this). tid is the same obs.IterTraceID(clientID, iter) a TCP client
+// stamps on its wire requests, so simulated and real traces of one
+// workload correlate by identical IDs.
+type clientLoop struct {
+	kernel *sim.Kernel
+	link   *simnet.Link
+	tracer *obs.Tracer
+	// Menos mode only (nil handles are no-ops): the tenant ledger, and
+	// the wire counters when a codec compresses the payloads.
+	ledger                  *obs.Ledger
+	wireCompressed, wireRaw *obs.Counter
+
+	id                    string
+	transfer, rawTransfer int64 // link payload on the wire, and in fp32
+
+	tid                   uint64
+	comm, comp, schedT    time.Duration
+	opName                string // the timed operation in flight
+	opStart, opDur        time.Duration
+	advance               func()
+	computed, transferred func()
+}
+
+// initLoop binds the loop's continuations; advance is the schedule.
+func (l *clientLoop) initLoop(k *sim.Kernel, link *simnet.Link, tracer *obs.Tracer, id string, transfer int64, advance func()) {
+	l.kernel, l.link, l.tracer, l.id = k, link, tracer, id
+	l.transfer, l.rawTransfer = transfer, transfer
+	l.advance = advance
+	l.computed = l.computeLanded
+	l.transferred = l.transferLanded
+}
+
+// compute spends d of virtual time computing, then continues.
+func (l *clientLoop) compute(name string, d time.Duration) {
+	l.opName, l.opStart, l.opDur = name, l.kernel.Now(), d
+	l.kernel.After(d, l.computed)
+}
+
+func (l *clientLoop) computeLanded() {
+	l.billCompute(l.opName, l.opStart, l.opDur)
+	l.advance()
+}
+
+func (l *clientLoop) billCompute(name string, start, d time.Duration) {
+	l.comp += d
+	l.tracer.RecordT(l.id, name, "compute", l.tid, start, d)
+	// Server-side phases bill the tenant's compute-seconds; the
+	// client-local sections ("client-*") are the client's own hardware,
+	// not shared-server time.
+	if l.ledger != nil && !strings.HasPrefix(name, "client-") {
+		l.ledger.AddCompute(l.id, d.Seconds())
+	}
+}
+
+// xfer moves one split-boundary payload over the link, then continues.
+func (l *clientLoop) xfer(name string) {
+	l.opName, l.opStart = name, l.kernel.Now()
+	l.opDur = l.link.Transfer(l.transfer, l.transferred)
+}
+
+func (l *clientLoop) transferLanded() {
+	l.comm += l.opDur
+	l.tracer.RecordT(l.id, l.opName, "comm", l.tid, l.opStart, l.opDur)
+	// Wire accounting from the server's viewpoint: an upload is bytes
+	// the server received, a download bytes it sent.
+	if l.ledger != nil {
+		if strings.HasPrefix(l.opName, "upload:") {
+			l.ledger.AddWire(l.id, 0, l.transfer)
+		} else {
+			l.ledger.AddWire(l.id, l.transfer, 0)
+		}
+	}
+	l.wireCompressed.Add(l.transfer)
+	l.wireRaw.Add(l.rawTransfer)
+	l.advance()
 }

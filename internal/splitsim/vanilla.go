@@ -12,13 +12,27 @@ import (
 	"menos/internal/trace"
 )
 
-// vanillaWaiter is one client queued for GPU residency.
-type vanillaWaiter struct {
-	id          string
-	signal      *sim.Signal
-	victimBytes int64       // swap-out volume of the evicted task
-	allocID     gpu.AllocID // reserved at eviction time
-	ready       bool
+// vanillaTask is one client's replica as the residency manager sees it.
+type vanillaTask struct {
+	owner string // device-set owner of the replica
+	// residentBytes is the on-GPU working set (replica + states +
+	// preserved activations); swapBytes is what actually moves over
+	// PCIe on eviction (model + states — activations are discarded at
+	// iteration end and rebuilt), taking swapTime.
+	residentBytes int64
+	swapBytes     int64
+	swapTime      time.Duration
+
+	resident bool
+	allocID  gpu.AllocID // reserved at eviction time while queued
+
+	// Queued for residency: signal wakes the task once memory is
+	// reserved for it, then it swaps in and runs then.
+	res               *residency
+	reason            string
+	signal            *sim.Signal
+	then              func()
+	swapIn, swappedIn func()
 }
 
 // residency implements the paper's comparison baseline (§5.1): the
@@ -31,16 +45,7 @@ type vanillaWaiter struct {
 type residency struct {
 	kernel  *sim.Kernel
 	devices *gpu.DeviceSet
-
-	// residentBytes is the on-GPU working set per client (replica +
-	// states + preserved activations); swapBytes is what actually
-	// moves over PCIe on eviction (model + states — activations are
-	// discarded at iteration end and rebuilt).
-	residentBytes map[string]int64
-	swapBytes     map[string]int64
-
-	resident map[string]gpu.AllocID
-	queue    []*vanillaWaiter
+	queue   []*vanillaTask
 
 	// swapOps/swapTraffic count swap-in transfers (nil-safe handles;
 	// zero value means un-instrumented).
@@ -48,69 +53,191 @@ type residency struct {
 	swapTraffic *obs.Counter
 }
 
-// ensure makes the client resident, returning the scheduling delay
-// (queue wait + swap transfer time).
-func (r *residency) ensure(p *sim.Proc, id string, cost *costmodel.Model) time.Duration {
-	if _, ok := r.resident[id]; ok {
-		return 0
+// ensure makes t resident and runs then: at once when it already is or
+// memory is free, otherwise after queueing for a reservation and paying
+// the swap-in.
+func (r *residency) ensure(t *vanillaTask, then func()) {
+	if t.resident {
+		then()
+		return
 	}
-	start := p.Now()
 	// FIFO fairness: only claim memory directly when nobody is queued.
 	if len(r.queue) == 0 {
-		if allocID, err := r.devices.Alloc("replica:"+id, r.residentBytes[id]); err == nil {
-			// Free capacity: the initial load is not charged (the
-			// paper's steady-state averages exclude it).
-			r.resident[id] = allocID
-			return p.Now() - start
+		if allocID, err := r.devices.Alloc(t.owner, t.residentBytes); err == nil {
+			// Free capacity: the initial load is not charged (the paper's
+			// steady-state averages exclude it).
+			t.allocID, t.resident = allocID, true
+			then()
+			return
 		}
 	}
-	w := &vanillaWaiter{id: id, signal: r.kernel.NewSignal()}
-	r.queue = append(r.queue, w)
-	for !w.ready {
-		w.signal.Wait(p, "vanilla residency "+id)
-	}
-	// The slot was reserved at eviction; pay the PCIe transfer for our
-	// own replica now. The victim's write-back overlaps with queueing
-	// (asynchronous DMA), so it does not appear on the critical path.
-	p.Sleep(cost.SwapTime(r.swapBytes[id]))
-	r.swapOps.Inc()
-	r.swapTraffic.Add(r.swapBytes[id])
-	r.resident[id] = w.allocID
-	return p.Now() - start
+	t.then = then
+	r.queue = append(r.queue, t)
+	t.signal.Wait(t.reason, t.swapIn)
+}
+
+// swap pays the PCIe transfer for t's own replica once its slot was
+// reserved at eviction. The victim's write-back overlaps with queueing
+// (asynchronous DMA), so it does not appear on the critical path.
+func (t *vanillaTask) swap() {
+	t.res.kernel.After(t.swapTime, t.swappedIn)
+}
+
+func (t *vanillaTask) swapped() {
+	t.res.swapOps.Inc()
+	t.res.swapTraffic.Add(t.swapBytes)
+	t.resident = true
+	t.then()
 }
 
 // iterDone is called at the end of each client iteration: if clients
-// are queued, the finishing client is swapped out and the head waiter
-// whose replica fits gets a reservation.
-func (r *residency) iterDone(id string) {
-	if len(r.queue) == 0 {
+// are queued, the finishing client is swapped out and the head waiters
+// whose replicas fit get reservations.
+func (r *residency) iterDone(t *vanillaTask) {
+	if len(r.queue) == 0 || !t.resident {
 		return
 	}
-	allocID, ok := r.resident[id]
-	if !ok {
-		return
-	}
-	delete(r.resident, id)
-	_ = r.devices.Free(allocID)
-	r.admit(id)
+	t.resident = false
+	_ = r.devices.Free(t.allocID)
+	r.admit()
 }
 
-// admit reserves freed memory for as many queued waiters as fit,
-// charging the first one the victim's swap-out.
-func (r *residency) admit(victimID string) {
-	victimBytes := r.swapBytes[victimID]
+// admit reserves freed memory for as many queued waiters as fit, in
+// FIFO order.
+func (r *residency) admit() {
 	for len(r.queue) > 0 {
-		w := r.queue[0]
-		allocID, err := r.devices.Alloc("replica:"+w.id, r.residentBytes[w.id])
+		t := r.queue[0]
+		allocID, err := r.devices.Alloc(t.owner, t.residentBytes)
 		if err != nil {
 			return // head does not fit yet; keep FIFO order
 		}
 		r.queue = r.queue[1:]
-		w.allocID = allocID
-		w.victimBytes = victimBytes
-		victimBytes = 0 // only the first admitted waiter pays the swap-out
-		w.ready = true
-		w.signal.Fire()
+		t.allocID = allocID
+		t.signal.Fire()
+	}
+}
+
+// vanillaClient is one baseline client's schedule: the Menos loop's
+// transfers and client segments around a whole-iteration residency.
+type vanillaClient struct {
+	clientLoop
+	res  *residency
+	task vanillaTask
+	spec *ClientSpec
+	bd   *trace.Breakdown
+
+	pre, mid, post time.Duration
+	fwd, bwd       time.Duration
+	iterations     int
+
+	pc       vanillaPC
+	iter     int
+	resStart time.Duration
+}
+
+// vanillaPC is a position in vanillaClient.step.
+type vanillaPC int
+
+const (
+	vpArrive vanillaPC = iota
+	vpIterate
+	vpUploadXC
+	vpResident
+	vpForward
+	vpDownloadXS
+	vpClientMid
+	vpUploadGC
+	vpBackward
+	vpOptimizer
+	vpDownloadGS
+	vpClientPost
+	vpIterDone
+)
+
+// step is the baseline client's schedule in loop order; see
+// menosClient.step for how a case blocks.
+func (c *vanillaClient) step() {
+	k := c.kernel
+	for {
+		switch c.pc {
+		case vpArrive:
+			c.pc = vpIterate
+			if c.spec.StartDelay > 0 {
+				k.After(c.spec.StartDelay, c.advance)
+				return
+			}
+
+		case vpIterate:
+			if c.iter == c.iterations {
+				return
+			}
+			c.tid = obs.IterTraceID(c.id, c.iter)
+			c.comm, c.comp, c.schedT = 0, 0, 0
+			c.pc = vpUploadXC
+			c.compute("client-pre", c.pre)
+			return
+
+		case vpUploadXC:
+			c.pc = vpResident
+			c.xfer("upload:x_c")
+			return
+
+		case vpResident:
+			// The task must be on the GPU for the whole iteration.
+			c.resStart = k.Now()
+			c.pc = vpForward
+			c.res.ensure(&c.task, c.advance)
+			return
+
+		case vpForward:
+			d := k.Now() - c.resStart
+			c.schedT += d
+			c.tracer.RecordT(c.id, "residency-wait", "sched", c.tid, c.resStart, d)
+			c.pc = vpDownloadXS
+			c.compute("forward", c.fwd)
+			return
+
+		case vpDownloadXS:
+			c.pc = vpClientMid
+			c.xfer("download:x_s")
+			return
+
+		case vpClientMid:
+			c.pc = vpUploadGC
+			c.compute("client-mid", c.mid)
+			return
+
+		case vpUploadGC:
+			c.pc = vpBackward
+			c.xfer("upload:g_c")
+			return
+
+		case vpBackward:
+			c.pc = vpOptimizer
+			c.compute("backward", c.bwd)
+			return
+
+		case vpOptimizer:
+			c.pc = vpDownloadGS
+			c.compute("optimizer", costmodel.OptimizerStepTime)
+			return
+
+		case vpDownloadGS:
+			c.pc = vpClientPost
+			c.xfer("download:g_s")
+			return
+
+		case vpClientPost:
+			c.pc = vpIterDone
+			c.compute("client-post", c.post)
+			return
+
+		case vpIterDone:
+			c.bd.Add(c.comm, c.comp, c.schedT)
+			c.res.iterDone(&c.task)
+			c.iter++
+			c.pc = vpIterate
+		}
 	}
 }
 
@@ -125,101 +252,54 @@ func runVanilla(cfg Config) (*Result, error) {
 
 	devices.Instrument(cfg.Metrics)
 	res := &residency{
-		kernel:        kernel,
-		devices:       devices,
-		residentBytes: make(map[string]int64),
-		swapBytes:     make(map[string]int64),
-		resident:      make(map[string]gpu.AllocID),
-		swapOps:       cfg.Metrics.Counter(obs.MetricSwapOps, "Task swap-in transfers (vanilla baseline)."),
-		swapTraffic:   cfg.Metrics.Counter(obs.MetricSwapBytes, "Bytes moved over PCIe by task swap-ins (vanilla baseline)."),
+		kernel:      kernel,
+		devices:     devices,
+		swapOps:     cfg.Metrics.Counter(obs.MetricSwapOps, "Task swap-in transfers (vanilla baseline)."),
+		swapTraffic: cfg.Metrics.Counter(obs.MetricSwapBytes, "Bytes moved over PCIe by task swap-ins (vanilla baseline)."),
 	}
-	var persistent int64
-	for _, cl := range cfg.Clients {
-		w := cl.Workload
-		states := w.AdapterBytes() + w.GradBytes() + w.OptimizerBytes()
-		res.residentBytes[cl.ID] = w.ServerBaseBytes() + states + w.ActivationBytes()
-		res.swapBytes[cl.ID] = w.ServerBaseBytes() + states
-		persistent += w.ServerBaseBytes() + states
-	}
-
-	// Reject configurations where one replica cannot fit at all.
-	for _, cl := range cfg.Clients {
-		if res.residentBytes[cl.ID] > devices.Capacity() {
-			return nil, fmt.Errorf("%w: replica for %q needs %d bytes, capacity %d",
-				ErrConfig, cl.ID, res.residentBytes[cl.ID], devices.Capacity())
-		}
-	}
-
+	clients := make([]vanillaClient, len(cfg.Clients))
 	results := make([]ClientResult, len(cfg.Clients))
-	for i := range cfg.Clients {
-		results[i] = ClientResult{ID: cfg.Clients[i].ID, Breakdown: &trace.Breakdown{}}
-	}
-
-	for i, cl := range cfg.Clients {
-		cl := cl
-		bd := results[i].Breakdown
-		cost := costmodel.New(cfg.ServerPerf, cl.Workload)
-		clientTotal := costmodel.ClientComputeTime(cl.Platform, cl.Workload)
-		pre, mid, post := clientPhases(clientTotal)
+	var persistent int64
+	for i := range clients {
+		spec := &cfg.Clients[i]
+		w := spec.Workload
+		c := &clients[i]
+		results[i] = ClientResult{ID: spec.ID, Breakdown: &trace.Breakdown{}}
 		// The wire codec shrinks split-boundary transfers exactly as in
 		// the Menos loop, so codec sweeps compare modes fairly.
-		transfer := cl.Workload.TransferBytes()
+		transfer := w.TransferBytes()
 		if cfg.WireCodec != quant.CodecFP32 {
 			transfer = int64(float64(transfer) * cfg.WireCodec.WireRatio())
 		}
+		c.initLoop(kernel, link, cfg.Tracer, spec.ID, transfer, c.step)
+		cost := costmodel.New(cfg.ServerPerf, w)
+		c.res, c.spec, c.bd, c.iterations = res, spec, results[i].Breakdown, cfg.Iterations
+		c.pre, c.mid, c.post = clientPhases(costmodel.ClientComputeTime(spec.Platform, w))
+		c.fwd, c.bwd = cost.ForwardTime(w), cost.BackwardTime(w)
 
-		kernel.Spawn("client:"+cl.ID, func(p *sim.Proc) {
-			// Spans mirror the Breakdown accumulators exactly, as in
-			// the Menos loop, and carry the same deterministic
-			// per-iteration trace IDs.
-			var tid uint64
-			var comm, comp, schedT time.Duration
-			sleepComp := func(name string, d time.Duration) {
-				start := p.Now()
-				p.Sleep(d)
-				comp += d
-				cfg.Tracer.RecordT(cl.ID, name, "compute", tid, start, d)
-			}
-			xfer := func(name string) {
-				start := p.Now()
-				d := link.Transfer(p, transfer)
-				comm += d
-				cfg.Tracer.RecordT(cl.ID, name, "comm", tid, start, d)
-			}
-			if cl.StartDelay > 0 {
-				p.Sleep(cl.StartDelay)
-			}
-			for iter := 0; iter < cfg.Iterations; iter++ {
-				tid = obs.IterTraceID(cl.ID, iter)
-				comm, comp, schedT = 0, 0, 0
-
-				sleepComp("client-pre", pre)
-				xfer("upload:x_c")
-
-				// The task must be on the GPU for the whole iteration.
-				resStart := p.Now()
-				d := res.ensure(p, cl.ID, cost)
-				schedT += d
-				cfg.Tracer.RecordT(cl.ID, "residency-wait", "sched", tid, resStart, d)
-
-				sleepComp("forward", cost.ForwardTime(cl.Workload))
-
-				xfer("download:x_s")
-				sleepComp("client-mid", mid)
-				xfer("upload:g_c")
-
-				sleepComp("backward", cost.BackwardTime(cl.Workload))
-				sleepComp("optimizer", costmodel.OptimizerStepTime)
-
-				xfer("download:g_s")
-				sleepComp("client-post", post)
-
-				bd.Add(comm, comp, schedT)
-				res.iterDone(cl.ID)
-			}
-		})
+		states := w.AdapterBytes() + w.GradBytes() + w.OptimizerBytes()
+		t := &c.task
+		t.owner = "replica:" + spec.ID
+		t.residentBytes = w.ServerBaseBytes() + states + w.ActivationBytes()
+		t.swapBytes = w.ServerBaseBytes() + states
+		t.swapTime = cost.SwapTime(t.swapBytes)
+		t.reason = "vanilla residency " + spec.ID
+		t.res, t.signal = res, kernel.NewSignal()
+		t.swapIn, t.swappedIn = t.swap, t.swapped
+		persistent += t.swapBytes
 	}
 
+	// Reject configurations where one replica cannot fit at all.
+	for i := range clients {
+		if t := &clients[i].task; t.residentBytes > devices.Capacity() {
+			return nil, fmt.Errorf("%w: replica for %q needs %d bytes, capacity %d",
+				ErrConfig, clients[i].id, t.residentBytes, devices.Capacity())
+		}
+	}
+
+	for i := range clients {
+		kernel.After(0, clients[i].advance)
+	}
 	if err := kernel.Run(); err != nil {
 		return nil, fmt.Errorf("vanilla simulation: %w", err)
 	}
