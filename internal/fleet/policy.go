@@ -3,9 +3,7 @@
 // highest weighted total wins), specialized to Menos' load surface.
 // Hard constraints — memory fit, admission state — are Predicates;
 // soft preferences — balance, model residency — are weighted
-// Priorities; an Extender lets logic outside this process (a policy
-// sidecar, an experiment harness) veto and re-score candidates
-// without recompiling the fleet.
+// Priorities.
 package fleet
 
 import (
@@ -36,39 +34,25 @@ type Priority struct {
 	Score  func(c ClientInfo, s ServerLoad, all []ServerLoad) int64
 }
 
-// Extender participates in placement from outside the policy's
-// compiled-in rules: Filter may remove candidates, Prioritize adds
-// weighted score (by server ID). Either may be a no-op. An error
-// fails the placement — an extender is a hard dependency once
-// configured, because silently ignoring it would admit placements
-// the operator's policy forbids.
-type Extender interface {
-	Name() string
-	Filter(c ClientInfo, feasible []ServerLoad) ([]ServerLoad, error)
-	Prioritize(c ClientInfo, feasible []ServerLoad) (map[int]int64, error)
-}
-
-// PolicyPlacer is a Placer assembled from predicates, priorities and
-// extenders. Placement is two-phase: filter all non-draining servers
-// through every predicate and extender filter, then score the
-// survivors with every priority and extender prioritizer; the highest
-// weighted total wins, ties to the lowest server ID. When the filter
-// phase removes every server, the policy relaxes: it scores the full
-// candidate set instead of failing, mirroring MemoryBestFit's
+// PolicyPlacer is a Placer assembled from predicates and priorities.
+// Placement is two-phase: filter all non-draining servers through
+// every predicate, then score the survivors with every priority; the
+// highest weighted total wins, ties to the lowest server ID. When the
+// filter phase removes every server, the policy relaxes: it scores the
+// full candidate set instead of failing, mirroring MemoryBestFit's
 // overcommit fallback (clients then queue on the scheduler, which is
-// the scheduler's job to absorb). Extender errors are never relaxed.
+// the scheduler's job to absorb).
 type PolicyPlacer struct {
 	name       string
 	predicates []Predicate
 	priorities []Priority
-	extenders  []Extender
 }
 
 // NewPolicyPlacer builds a PolicyPlacer. name is what Name() reports
 // (and what PlacerByName would need to reconstruct it, so custom
 // policies should pick something not already registered).
-func NewPolicyPlacer(name string, preds []Predicate, prios []Priority, exts ...Extender) *PolicyPlacer {
-	return &PolicyPlacer{name: name, predicates: preds, priorities: prios, extenders: exts}
+func NewPolicyPlacer(name string, preds []Predicate, prios []Priority) *PolicyPlacer {
+	return &PolicyPlacer{name: name, predicates: preds, priorities: prios}
 }
 
 // DefaultPolicy is the policy PlacerByName("policy") returns: fit and
@@ -106,9 +90,6 @@ func (p *PolicyPlacer) Describe() string {
 		fmt.Fprintf(&b, "%s*%d", pr.Name, pr.Weight)
 	}
 	b.WriteString("]")
-	for _, e := range p.extenders {
-		fmt.Fprintf(&b, " extender[%s]", e.Name())
-	}
 	return b.String()
 }
 
@@ -134,28 +115,10 @@ func (p *PolicyPlacer) Place(c ClientInfo, servers []ServerLoad) (int, error) {
 		}
 		feasible = kept
 	}
-	for _, ext := range p.extenders {
-		var err error
-		feasible, err = ext.Filter(c, feasible)
-		if err != nil {
-			return 0, fmt.Errorf("fleet: extender %s filter: %w", ext.Name(), err)
-		}
-	}
 	if len(feasible) == 0 {
 		// Relaxation pass: nothing satisfies the hard constraints, so
-		// overcommit the least-bad server rather than refuse. Extender
-		// filters are re-consulted — their vetoes stay hard.
+		// overcommit the least-bad server rather than refuse.
 		feasible = candidates
-		for _, ext := range p.extenders {
-			var err error
-			feasible, err = ext.Filter(c, feasible)
-			if err != nil {
-				return 0, fmt.Errorf("fleet: extender %s filter: %w", ext.Name(), err)
-			}
-		}
-		if len(feasible) == 0 {
-			return 0, ErrNoServers
-		}
 	}
 
 	totals := make(map[int]int64, len(feasible))
@@ -165,17 +128,6 @@ func (p *PolicyPlacer) Place(c ClientInfo, servers []ServerLoad) (int, error) {
 	for _, prio := range p.priorities {
 		for _, s := range feasible {
 			totals[s.ID] += int64(prio.Weight) * prio.Score(c, s, feasible)
-		}
-	}
-	for _, ext := range p.extenders {
-		scores, err := ext.Prioritize(c, feasible)
-		if err != nil {
-			return 0, fmt.Errorf("fleet: extender %s prioritize: %w", ext.Name(), err)
-		}
-		for id, sc := range scores {
-			if _, ok := totals[id]; ok {
-				totals[id] += sc
-			}
 		}
 	}
 

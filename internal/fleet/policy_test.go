@@ -99,60 +99,6 @@ func TestPolicyAllDrainingErrors(t *testing.T) {
 	}
 }
 
-// testExtender vetoes a server ID and boosts another.
-type testExtender struct {
-	veto    int
-	boost   int
-	failing bool
-}
-
-func (e *testExtender) Name() string { return "test" }
-
-func (e *testExtender) Filter(_ ClientInfo, feasible []ServerLoad) ([]ServerLoad, error) {
-	if e.failing {
-		return nil, errors.New("extender down")
-	}
-	kept := feasible[:0:0]
-	for _, s := range feasible {
-		if s.ID != e.veto {
-			kept = append(kept, s)
-		}
-	}
-	return kept, nil
-}
-
-func (e *testExtender) Prioritize(_ ClientInfo, feasible []ServerLoad) (map[int]int64, error) {
-	return map[int]int64{e.boost: 1000}, nil
-}
-
-func TestPolicyExtenderVetoAndBoost(t *testing.T) {
-	servers := []ServerLoad{
-		load(0, 0, 0, 32*gib, "m"),
-		load(1, 2, 8*gib, 32*gib, "m"),
-		load(2, 2, 8*gib, 32*gib, "m"),
-	}
-	// Without the extender, 0 (empty) wins. The extender vetoes 0 and
-	// boosts 2 past 1.
-	p := NewPolicyPlacer("ext", []Predicate{PredicateFitsMemory()},
-		[]Priority{{Name: "balance", Weight: 1, Score: ScoreBalancedHeadcount}},
-		&testExtender{veto: 0, boost: 2})
-	id, err := p.Place(ClientInfo{ID: "c", TransientPeakBytes: gib}, servers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 2 {
-		t.Fatalf("placed on %d, want extender-boosted 2", id)
-	}
-}
-
-func TestPolicyExtenderErrorIsHard(t *testing.T) {
-	p := NewPolicyPlacer("ext", nil, nil, &testExtender{failing: true})
-	_, err := p.Place(ClientInfo{ID: "c"}, []ServerLoad{load(0, 0, 0, gib)})
-	if err == nil || !strings.Contains(err.Error(), "extender") {
-		t.Fatalf("err = %v, want extender failure", err)
-	}
-}
-
 func TestPolicyByName(t *testing.T) {
 	p, err := PlacerByName("policy")
 	if err != nil {

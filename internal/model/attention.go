@@ -127,10 +127,11 @@ func (e *errCollector) set(err error) {
 // is false no cache is produced (no-grad forward).
 //
 // The per-(batch, head) bodies are independent — each one reads shared
-// projections and writes a disjoint slice of ctx/probs — so they fan
-// out over the tensor worker pool. Every float is still produced by
-// exactly the same instruction sequence as the serial loop, so results
-// are bit-identical at any parallelism.
+// projections and writes a disjoint slice of ctx/probs — so they may
+// fan out over the tensor worker pool, at 2·seq·(P+seq)·headDim
+// multiply-adds each (the score and context products). Every float is
+// still produced by exactly the same instruction sequence as the
+// serial loop, so results are bit-identical at any parallelism.
 func (a *Attention) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*tensor.Tensor, *AttnCache, error) {
 	dim := a.heads * a.headDim
 	if x.Rank() != 2 || x.Dim(0) != batch*seq || x.Dim(1) != dim {
@@ -165,7 +166,7 @@ func (a *Attention) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*t
 	scale := float32(1.0 / math.Sqrt(float64(a.headDim)))
 
 	var ec errCollector
-	tensor.ParallelFor(batch*a.heads, 1, func(lo, hi int) {
+	tensor.ParallelFor(batch*a.heads, 2*seq*ext*a.headDim, func(lo, hi int) {
 		qh := sc.Get(seq, a.headDim)
 		khExt := sc.Get(ext, a.headDim)
 		vhExt := sc.Get(ext, a.headDim)
@@ -303,14 +304,15 @@ func (a *Attention) Backward(cache *AttnCache, dy *tensor.Tensor) (*tensor.Tenso
 	// fan-out is flat. With a prefix, all batches of one head
 	// accumulate into the same prefix-gradient columns, so the unit of
 	// parallelism becomes the head and batches run in ascending order
-	// inside it — the exact accumulation order of the serial loop.
-	units := batch * a.heads
+	// inside it — the exact accumulation order of the serial loop. A
+	// (batch, head) body is four seq·(P+seq)·headDim products.
+	units, work := batch*a.heads, 4*seq*ext*a.headDim
 	perHead := pLen > 0
 	if perHead {
-		units = a.heads
+		units, work = a.heads, batch*work
 	}
 	var ec errCollector
-	tensor.ParallelFor(units, 1, func(lo, hi int) {
+	tensor.ParallelFor(units, work, func(lo, hi int) {
 		bufs := &attnBwdBufs{
 			qh:     sc.Get(seq, a.headDim),
 			khExt:  sc.Get(ext, a.headDim),
@@ -430,16 +432,11 @@ func (a *Attention) scatterHeadAdd(dst *tensor.Tensor, rowOff, h, rows int, src 
 }
 
 // applyRope rotates q/k rows in place; inverse applies the backward
-// rotation. Rows are independent, so they fan out over the pool.
+// rotation. Rows are independent, dim elements each, so they may fan
+// out over the pool.
 func (a *Attention) applyRope(t *tensor.Tensor, batch, seq int, inverse bool) {
 	dim := a.heads * a.headDim
-	grain := 1
-	if dim > 0 {
-		if grain = (1 << 14) / dim; grain < 1 {
-			grain = 1
-		}
-	}
-	tensor.ParallelFor(batch*seq, grain, func(lo, hi int) {
+	tensor.ParallelFor(batch*seq, dim, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			pos := r % seq
 			row := t.Data()[r*dim : (r+1)*dim]

@@ -39,49 +39,6 @@ func trainSteps(t *testing.T, m *Transformer, n int) []float64 {
 	return losses
 }
 
-// TestTrainingBitIdenticalAcrossParallelism is the determinism pin for
-// the compute-plane overhaul: training the same model on the same data
-// must produce byte-identical losses and weights whether the kernels
-// run on one worker or eight. Partitioning work by output row is what
-// makes this hold; any kernel change that reorders a reduction breaks
-// this test.
-func TestTrainingBitIdenticalAcrossParallelism(t *testing.T) {
-	prev := tensor.Parallelism()
-	defer tensor.SetParallelism(prev)
-
-	const steps = 3
-	run := func(par int) (*Transformer, []float64) {
-		tensor.SetParallelism(par)
-		m, err := New(tensor.NewRNG(42), OPTTiny())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, trainSteps(t, m, steps)
-	}
-
-	m1, loss1 := run(1)
-	m8, loss8 := run(8)
-
-	for i := range loss1 {
-		if math.Float64bits(loss1[i]) != math.Float64bits(loss8[i]) {
-			t.Fatalf("step %d loss differs: %v (serial) vs %v (parallel)", i, loss1[i], loss8[i])
-		}
-	}
-	p1, p8 := m1.Params(), m8.Params()
-	if len(p1) != len(p8) {
-		t.Fatalf("param count differs: %d vs %d", len(p1), len(p8))
-	}
-	for i := range p1 {
-		d1, d8 := p1[i].Value.Data(), p8[i].Value.Data()
-		for j := range d1 {
-			if math.Float32bits(d1[j]) != math.Float32bits(d8[j]) {
-				t.Fatalf("param %q element %d differs after %d steps: %g vs %g",
-					p1[i].Name, j, steps, d1[j], d8[j])
-			}
-		}
-	}
-}
-
 // kernelParityTolerance is the one versioned tolerance in the
 // repository (docs/NUMERICS.md): how far a change that deliberately
 // alters kernel bits may move any of the recorded losses below.
@@ -129,57 +86,6 @@ func TestKernelConvergenceParity(t *testing.T) {
 		}
 	}
 	t.Logf("largest deviation from the recorded losses: %.3g", worst)
-}
-
-// TestConcurrentTrainingStepsShareThePool hammers the shared worker
-// pool from several goroutines, each training its own model. Run under
-// -race (make test-race) this is the concurrency pin for the pool and
-// the per-model scratch arenas.
-func TestConcurrentTrainingStepsShareThePool(t *testing.T) {
-	prev := tensor.Parallelism()
-	defer tensor.SetParallelism(prev)
-	tensor.SetParallelism(4)
-
-	const workers = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			m, err := New(tensor.NewRNG(seed), OPTTiny())
-			if err != nil {
-				errs <- err
-				return
-			}
-			opt := nn.NewAdam(1e-3)
-			params := m.Params()
-			batch, seq := 2, 8
-			rng := tensor.NewRNG(seed + 100)
-			ids := make([]int, batch*seq)
-			targets := make([]int, batch*seq)
-			for i := range ids {
-				ids[i] = rng.Intn(m.Cfg.Vocab)
-				targets[i] = rng.Intn(m.Cfg.Vocab)
-			}
-			for step := 0; step < 2; step++ {
-				if _, err := m.LossAndGrad(ids, targets, batch, seq); err != nil {
-					errs <- err
-					return
-				}
-				if err := opt.Step(params); err != nil {
-					errs <- err
-					return
-				}
-				nn.ZeroGrads(params)
-			}
-		}(uint64(w + 1))
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
 }
 
 // TestConcurrentNoGradForwardSharesArena drives concurrent no-grad

@@ -114,13 +114,6 @@ func (e *NonFiniteError) Error() string {
 // match either errors.Is(err, ErrQuant) or errors.As for the detail.
 func (e *NonFiniteError) Unwrap() error { return ErrQuant }
 
-// packGrain sizes ParallelFor chunks so each covers roughly 16 KiB of
-// source data — small enough to balance, large enough to amortize.
-func packGrain(cols int) int {
-	g := (16 << 10) / (4 * max(cols, 1))
-	return max(g, 1)
-}
-
 // Pack compresses t with the given codec. CodecFP32 returns nil — the
 // caller should send the tensor uncompressed. The returned Packed
 // aliases nothing in t.
@@ -157,7 +150,7 @@ func Pack(t *tensor.Tensor, c Codec) (*Packed, error) {
 	switch c {
 	case CodecFP16:
 		p.Data = make([]byte, 2*len(src))
-		tensor.ParallelFor(rows, packGrain(cols), func(lo, hi int) {
+		tensor.ParallelFor(rows, cols, func(lo, hi int) {
 			for i := lo * cols; i < hi*cols; i++ {
 				h := Float16FromFloat32(src[i])
 				p.Data[2*i] = byte(h)
@@ -167,7 +160,7 @@ func Pack(t *tensor.Tensor, c Codec) (*Packed, error) {
 	case CodecInt8:
 		p.Data = make([]byte, len(src))
 		p.Scales = make([]float32, rows)
-		tensor.ParallelFor(rows, packGrain(cols), func(lo, hi int) {
+		tensor.ParallelFor(rows, cols, func(lo, hi int) {
 			for r := lo; r < hi; r++ {
 				row := src[r*cols : (r+1)*cols]
 				var maxAbs float64
@@ -231,14 +224,14 @@ func (p *Packed) Unpack() (*tensor.Tensor, error) {
 	out := make([]float32, numel)
 	switch p.Codec {
 	case CodecFP16:
-		tensor.ParallelFor(rows, packGrain(cols), func(lo, hi int) {
+		tensor.ParallelFor(rows, cols, func(lo, hi int) {
 			for i := lo * cols; i < hi*cols; i++ {
 				h := uint16(p.Data[2*i]) | uint16(p.Data[2*i+1])<<8
 				out[i] = Float16ToFloat32(h)
 			}
 		})
 	case CodecInt8:
-		tensor.ParallelFor(rows, packGrain(cols), func(lo, hi int) {
+		tensor.ParallelFor(rows, cols, func(lo, hi int) {
 			for r := lo; r < hi; r++ {
 				scale := p.Scales[r]
 				for j := 0; j < cols; j++ {

@@ -198,20 +198,6 @@ func siluGradRange(dx, x, dy []float32) {
 	}
 }
 
-// actGrain is the ParallelFor grain of the activation kernels, in
-// elements: the size from which two chunks plus a pool hand-off beat
-// the caller doing it all. That is 1<<18 at the assembly's ≈1.1–1.6 ns
-// per element (measured in docs/PERFORMANCE.md, "Fan-out threshold");
-// the portable twins cost ten times that and keep the 1<<13 the
-// float64 kernels of the same cost had. Where a chunk ends never shows
-// in a bit, so the two forms still agree.
-func actGrain() int {
-	if haveAVX2 {
-		return 1 << 18
-	}
-	return 1 << 13
-}
-
 // GELU computes dst = gelu(a) elementwise, the tanh-form Gaussian Error
 // Linear Unit of OPT/GPT-style models. dst may be a.
 func GELU(dst, a *Tensor) error {
@@ -238,14 +224,7 @@ func activation(op string, dst, a *Tensor, kernel func(dst, x []float32)) error 
 	if len(dst.data) != len(a.data) {
 		return fmt.Errorf("%w: %s of %v into %v", ErrShape, op, a.shape, dst.shape)
 	}
-	dd, ad := dst.data, a.data
-	if serialFor(len(ad), actGrain()) {
-		kernel(dd, ad)
-		return nil
-	}
-	ParallelFor(len(ad), actGrain(), func(lo, hi int) {
-		kernel(dd[lo:hi], ad[lo:hi])
-	})
+	unary(dst.data, a.data, kernel)
 	return nil
 }
 
@@ -253,13 +232,6 @@ func activationGrad(op string, dx, x, dy *Tensor, kernel func(dx, x, dy []float3
 	if len(dx.data) != len(x.data) || len(dy.data) != len(x.data) {
 		return fmt.Errorf("%w: %s of x %v, dy %v into %v", ErrShape, op, x.shape, dy.shape, dx.shape)
 	}
-	dxd, xd, dyd := dx.data, x.data, dy.data
-	if serialFor(len(xd), actGrain()) {
-		kernel(dxd, xd, dyd)
-		return nil
-	}
-	ParallelFor(len(xd), actGrain(), func(lo, hi int) {
-		kernel(dxd[lo:hi], xd[lo:hi], dyd[lo:hi])
-	})
+	binary(dx.data, x.data, dy.data, kernel)
 	return nil
 }

@@ -72,8 +72,8 @@ func expectBitIdentical(t *testing.T, got, want *Tensor, label string) {
 // once (row remainders, the 8- and 16-lane vector edges, the packK
 // block of MatMulT's reduction, an empty reduction), then add the
 // products a perf-mid training step is made of and one product big
-// enough to clear matmulParallelFlops, whose two row chunks each end in
-// a partial tile.
+// enough to clear fanOutWork, whose two row chunks each end in a
+// partial tile.
 var boundaryShapes = func() []struct{ m, k, n int } {
 	shapes := []struct{ m, k, n int }{
 		{2, 3, 5}, {63, 31, 17}, {64, 33, 19}, {65, 29, 21}, {66, 5, 1}, {7, 64, 65},
@@ -307,7 +307,7 @@ func TestMatMulRejectsAliasedDst(t *testing.T) {
 
 // TestSerialKernelsDoNotAllocate pins the serial path at 0 allocs/op:
 // no closure, no error value, MatMulT's pack panel on the stack, and no
-// temporary in softmax or the activation kernels.
+// temporary in softmax, the activation or the elementwise kernels.
 func TestSerialKernelsDoNotAllocate(t *testing.T) {
 	prev := Parallelism()
 	defer SetParallelism(prev)
@@ -326,6 +326,10 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 		"GELUBackward": func() error { return GELUBackward(dst, dst, dst) },
 		"SiLU":         func() error { return SiLU(dst, dst) },
 		"SiLUBackward": func() error { return SiLUBackward(dst, dst, dst) },
+		"Add":          func() error { return Add(dst, dst, dst) },
+		"Mul":          func() error { return Mul(dst, dst, dst) },
+		"AXPY":         func() error { return AXPY(0.5, dst, dst) },
+		"Scale":        func() error { dst.Scale(0.5); return nil },
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
 			if err := op(); err != nil {
@@ -373,74 +377,56 @@ func TestKernelsBitIdenticalAcrossParallelism(t *testing.T) {
 	prev := Parallelism()
 	defer SetParallelism(prev)
 
-	m, k, n := 67, 45, 53
+	// Every operand is just past fanOutWork, so each kernel splits into
+	// two chunks at parallelism > 1 and hands one to the pool (checked
+	// below); the odd sizes end the matmul chunk inside a row tile and
+	// the elementwise chunks inside a vector. One (x, y) pair of er x ec
+	// operands serves softmax, Add and the activations.
+	m, k, n := 67, 301, 257
+	const er, ec = 2053, 2045
 	rng := NewRNG(99)
 	a := NewNormal(rng, 1, m, k)
 	b2 := NewNormal(rng, 1, k, n)
 	bt := NewNormal(rng, 1, n, k)
 	at := NewNormal(rng, 1, k, m)
-	// Softmax, Add and activation operands large enough to clear their
-	// fan-out grains (softmaxGrainElems, elemwiseGrain, actGrain) so
-	// the pooled path actually runs at parallelism > 1; the odd sizes
-	// put every chunk boundary inside a vector.
-	sx := NewNormal(rng, 1, 3001, 45)
-	x := NewNormal(rng, 1, 300, 300)
-	y := NewNormal(rng, 1, 300, 300)
-	ax := NewNormal(rng, 2, 521, 523)
-	ady := NewNormal(rng, 1, 521, 523)
-	if sx.Len() <= softmaxGrainElems() || x.Len() <= elemwiseGrain || ax.Len() <= actGrain() {
-		t.Fatal("operands no longer clear the fan-out grains")
-	}
+	x := NewNormal(rng, 2, er, ec)
+	y := NewNormal(rng, 1, er, ec)
 
-	type result struct{ mm, mmt, mmta, sm, add, gelu, geluB, silu, siluB *Tensor }
-	run := func(par int) result {
-		SetParallelism(par)
-		r := result{
-			mm: New(m, n), mmt: New(m, n),
-			mmta: New(m, n), sm: New(3001, 45), add: New(300, 300),
-			gelu: New(521, 523), geluB: New(521, 523), silu: New(521, 523), siluB: New(521, 523),
+	// Kernel by kernel into two reused buffers, which keeps the test's
+	// heap (and the race detector's shadow of it) near four operands.
+	serialBuf, gotBuf := make([]float32, er*ec), make([]float32, er*ec)
+	for _, kern := range []struct {
+		name       string
+		rows, cols int
+		run        func(dst *Tensor) error
+	}{
+		{"MatMul", m, n, func(dst *Tensor) error { return MatMul(dst, a, b2) }},
+		{"MatMulT", m, n, func(dst *Tensor) error { return MatMulT(dst, a, bt) }},
+		{"MatMulTAccum", m, n, func(dst *Tensor) error { return MatMulTAccum(dst, at, b2) }},
+		{"SoftmaxRows", er, ec, func(dst *Tensor) error { return SoftmaxRows(dst, x) }},
+		{"Add", er, ec, func(dst *Tensor) error { return Add(dst, x, y) }},
+		{"GELU", er, ec, func(dst *Tensor) error { return GELU(dst, x) }},
+		{"GELUBackward", er, ec, func(dst *Tensor) error { return GELUBackward(dst, x, y) }},
+		{"SiLU", er, ec, func(dst *Tensor) error { return SiLU(dst, x) }},
+		{"SiLUBackward", er, ec, func(dst *Tensor) error { return SiLUBackward(dst, x, y) }},
+	} {
+		run := func(par int, buf []float32) *Tensor {
+			SetParallelism(par)
+			buf = buf[:kern.rows*kern.cols]
+			clear(buf)
+			dst := &Tensor{data: buf, shape: []int{kern.rows, kern.cols}}
+			before := handOffs.Load()
+			if err := kern.run(dst); err != nil {
+				t.Fatal(err)
+			}
+			if par > 1 && handOffs.Load() == before {
+				t.Fatalf("%s at parallelism %d handed nothing to the pool", kern.name, par)
+			}
+			return dst
 		}
-		if err := MatMul(r.mm, a, b2); err != nil {
-			t.Fatal(err)
+		serial := run(1, serialBuf)
+		for _, par := range []int{2, 8} {
+			expectBitIdentical(t, run(par, gotBuf), serial, kern.name)
 		}
-		if err := MatMulT(r.mmt, a, bt); err != nil {
-			t.Fatal(err)
-		}
-		if err := MatMulTAccum(r.mmta, at, b2); err != nil {
-			t.Fatal(err)
-		}
-		if err := SoftmaxRows(r.sm, sx); err != nil {
-			t.Fatal(err)
-		}
-		if err := Add(r.add, x, y); err != nil {
-			t.Fatal(err)
-		}
-		if err := GELU(r.gelu, ax); err != nil {
-			t.Fatal(err)
-		}
-		if err := GELUBackward(r.geluB, ax, ady); err != nil {
-			t.Fatal(err)
-		}
-		if err := SiLU(r.silu, ax); err != nil {
-			t.Fatal(err)
-		}
-		if err := SiLUBackward(r.siluB, ax, ady); err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-
-	serial := run(1)
-	for _, par := range []int{2, 8} {
-		got := run(par)
-		expectBitIdentical(t, got.mm, serial.mm, "MatMul")
-		expectBitIdentical(t, got.mmt, serial.mmt, "MatMulT")
-		expectBitIdentical(t, got.mmta, serial.mmta, "MatMulTAccum")
-		expectBitIdentical(t, got.sm, serial.sm, "SoftmaxRows")
-		expectBitIdentical(t, got.add, serial.add, "Add")
-		expectBitIdentical(t, got.gelu, serial.gelu, "GELU")
-		expectBitIdentical(t, got.geluB, serial.geluB, "GELUBackward")
-		expectBitIdentical(t, got.silu, serial.silu, "SiLU")
-		expectBitIdentical(t, got.siluB, serial.siluB, "SiLUBackward")
 	}
 }

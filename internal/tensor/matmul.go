@@ -25,25 +25,6 @@ const (
 	packK = 128
 )
 
-// matmulParallelFlops is the approximate multiply-add count below
-// which fanning a kernel out costs more than it saves; it sets the
-// ParallelFor grain so small matmuls stay on the calling goroutine.
-// Measured in docs/PERFORMANCE.md ("Fan-out threshold").
-const matmulParallelFlops = 1 << 22
-
-// matmulGrain converts a per-row cost into a ParallelFor grain: the
-// number of output rows that amount to matmulParallelFlops of work.
-func matmulGrain(flopsPerRow int) int {
-	if flopsPerRow <= 0 {
-		return 1 << 30
-	}
-	g := matmulParallelFlops / flopsPerRow
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
-
 // MatMul computes dst = a @ b for rank-2 tensors: a is (m,k), b is
 // (k,n), dst is (m,n). dst must not alias a or b (ErrAlias); its
 // previous contents are ignored.
@@ -114,7 +95,8 @@ func overlaps(x, y []float32) bool {
 	return x0 < y0+4*uintptr(len(y)) && y0 < x0+4*uintptr(len(x))
 }
 
-// matmul fans matmulRange out over the output rows.
+// matmul fans matmulRange out over the output rows, each k·n
+// multiply-adds of work.
 func matmul(dst, a, b []float32, m, k, n, ars, aps int, bT, zero bool) {
 	if k == 0 {
 		if zero {
@@ -122,12 +104,11 @@ func matmul(dst, a, b []float32, m, k, n, ars, aps int, bT, zero bool) {
 		}
 		return
 	}
-	g := matmulGrain(k * n)
-	if serialFor(m, g) {
+	if serialFor(m, k*n) {
 		matmulRange(dst, a, b, 0, m, k, n, ars, aps, bT, zero)
 		return
 	}
-	ParallelFor(m, g, func(lo, hi int) {
+	ParallelFor(m, k*n, func(lo, hi int) {
 		matmulRange(dst, a, b, lo, hi, k, n, ars, aps, bT, zero)
 	})
 }

@@ -4,20 +4,31 @@ import (
 	"fmt"
 )
 
-// elemwiseGrain is the ParallelFor grain for memory-bound elementwise
-// kernels: below ~32Ki elements the fan-out overhead exceeds the work.
-const elemwiseGrain = 1 << 15
+// An elementwise kernel states one unit of work per element. Each loop
+// is written once as a range function: the serial path calls it
+// directly, with no closure, and the fan-out calls it per chunk.
 
-// softmaxGrainElems sizes the per-chunk row grain for SoftmaxRows: the
-// size from which two chunks plus a pool hand-off beat the caller doing
-// it all. That is 1<<17 at the assembly exp's ≈3 ns per element
-// (measured in docs/PERFORMANCE.md, "Fan-out threshold") and the
-// 1<<13 of the float64 exp for the portable twin, which costs as much.
-func softmaxGrainElems() int {
-	if haveAVX2 {
-		return 1 << 17
+// unary runs kernel over d and a, split into chunks when the fan-out
+// rule says so.
+func unary(d, a []float32, kernel func(d, a []float32)) {
+	if serialFor(len(d), 1) {
+		kernel(d, a)
+		return
 	}
-	return 1 << 13
+	ParallelFor(len(d), 1, func(lo, hi int) {
+		kernel(d[lo:hi], a[lo:hi])
+	})
+}
+
+// binary is unary with a second operand.
+func binary(d, a, b []float32, kernel func(d, a, b []float32)) {
+	if serialFor(len(d), 1) {
+		kernel(d, a, b)
+		return
+	}
+	ParallelFor(len(d), 1, func(lo, hi int) {
+		kernel(d[lo:hi], a[lo:hi], b[lo:hi])
+	})
 }
 
 // Add computes dst = a + b elementwise. All three tensors must have the
@@ -26,19 +37,15 @@ func Add(dst, a, b *Tensor) error {
 	if len(a.data) != len(b.data) || len(dst.data) != len(a.data) {
 		return fmt.Errorf("%w: add %v + %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
 	}
-	ad, bd, dd := a.data, b.data, dst.data
-	if serialFor(len(dd), elemwiseGrain) {
-		for i, av := range ad {
-			dd[i] = av + bd[i]
-		}
-		return nil
-	}
-	ParallelFor(len(dd), elemwiseGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dd[i] = ad[i] + bd[i]
-		}
-	})
+	binary(dst.data, a.data, b.data, addRange)
 	return nil
+}
+
+func addRange(d, a, b []float32) {
+	d, b = d[:len(a)], b[:len(a)]
+	for i, av := range a {
+		d[i] = av + b[i]
+	}
 }
 
 // Mul computes dst = a * b elementwise (Hadamard product).
@@ -46,19 +53,15 @@ func Mul(dst, a, b *Tensor) error {
 	if len(a.data) != len(b.data) || len(dst.data) != len(a.data) {
 		return fmt.Errorf("%w: mul %v * %v -> %v", ErrShape, a.shape, b.shape, dst.shape)
 	}
-	ad, bd, dd := a.data, b.data, dst.data
-	if serialFor(len(dd), elemwiseGrain) {
-		for i, av := range ad {
-			dd[i] = av * bd[i]
-		}
-		return nil
-	}
-	ParallelFor(len(dd), elemwiseGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dd[i] = ad[i] * bd[i]
-		}
-	})
+	binary(dst.data, a.data, b.data, mulRange)
 	return nil
+}
+
+func mulRange(d, a, b []float32) {
+	d, b = d[:len(a)], b[:len(a)]
+	for i, av := range a {
+		d[i] = av * b[i]
+	}
 }
 
 // AXPY computes dst += alpha * x.
@@ -67,34 +70,39 @@ func AXPY(alpha float32, x, dst *Tensor) error {
 		return fmt.Errorf("%w: axpy %v into %v", ErrShape, x.shape, dst.shape)
 	}
 	xd, dd := x.data, dst.data
-	if serialFor(len(dd), elemwiseGrain) {
-		for i, xv := range xd {
-			dd[i] += alpha * xv
-		}
+	if serialFor(len(dd), 1) {
+		axpyRange(alpha, xd, dd)
 		return nil
 	}
-	ParallelFor(len(dd), elemwiseGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dd[i] += alpha * xd[i]
-		}
+	ParallelFor(len(dd), 1, func(lo, hi int) {
+		axpyRange(alpha, xd[lo:hi], dd[lo:hi])
 	})
 	return nil
+}
+
+func axpyRange(alpha float32, x, d []float32) {
+	d = d[:len(x)]
+	for i, xv := range x {
+		d[i] += alpha * xv
+	}
 }
 
 // Scale multiplies every element of t by alpha in place.
 func (t *Tensor) Scale(alpha float32) {
 	td := t.data
-	if serialFor(len(td), elemwiseGrain) {
-		for i := range td {
-			td[i] *= alpha
-		}
+	if serialFor(len(td), 1) {
+		scaleRange(alpha, td)
 		return
 	}
-	ParallelFor(len(td), elemwiseGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			td[i] *= alpha
-		}
+	ParallelFor(len(td), 1, func(lo, hi int) {
+		scaleRange(alpha, td[lo:hi])
 	})
+}
+
+func scaleRange(alpha float32, d []float32) {
+	for i := range d {
+		d[i] *= alpha
+	}
 }
 
 // AddRowBroadcast computes dst[r, :] = a[r, :] + bias[:] for every row
@@ -165,18 +173,11 @@ func SoftmaxRows(dst, a *Tensor) error {
 		return fmt.Errorf("%w: softmax rows of %v into %v", ErrShape, a.shape, dst.shape)
 	}
 	rows, cols := a.shape[0], a.shape[1]
-	grain := 1
-	if cols > 0 {
-		grain = softmaxGrainElems() / cols
-		if grain < 1 {
-			grain = 1
-		}
-	}
-	if serialFor(rows, grain) {
+	if serialFor(rows, cols) {
 		softmaxRowRange(dst.data, a.data, cols, 0, rows)
 		return nil
 	}
-	ParallelFor(rows, grain, func(rowLo, rowHi int) {
+	ParallelFor(rows, cols, func(rowLo, rowHi int) {
 		softmaxRowRange(dst.data, a.data, cols, rowLo, rowHi)
 	})
 	return nil

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"menos/internal/model"
-	"menos/internal/nn"
 	"menos/internal/tensor"
 )
 
@@ -21,27 +20,9 @@ func TestTrainingBitIdenticalWithoutAsm(t *testing.T) {
 	}
 	const steps, batch, seq = 3, 2, 16
 	train := func() (*model.Transformer, []float64) {
-		m, err := model.New(tensor.NewRNG(42), model.OPTTiny())
+		m, losses, err := trainOPTTiny(42, 11, batch, seq, steps)
 		if err != nil {
 			t.Fatal(err)
-		}
-		rng := tensor.NewRNG(11)
-		ids, targets := make([]int, batch*seq), make([]int, batch*seq)
-		for i := range ids {
-			ids[i], targets[i] = rng.Intn(m.Cfg.Vocab), rng.Intn(m.Cfg.Vocab)
-		}
-		opt, params := nn.NewAdam(1e-3), m.Params()
-		var losses []float64
-		for step := 0; step < steps; step++ {
-			res, err := m.LossAndGrad(ids, targets, batch, seq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := opt.Step(params); err != nil {
-				t.Fatal(err)
-			}
-			nn.ZeroGrads(params)
-			losses = append(losses, res.Loss)
 		}
 		return m, losses
 	}

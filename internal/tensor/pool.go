@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,19 @@ import (
 //     workers blocked inside nested waits can never strand the queue.
 //  3. No goroutine churn. Workers are persistent; a ParallelFor call
 //     only touches a channel and a WaitGroup.
+//  4. One fan-out rule. A kernel states the work of one item and the
+//     pool alone decides how many items make a chunk worth handing off
+//     (fanOutWork); no call site picks a grain of its own.
+
+// fanOutWork is the one fan-out rule: the work, in multiply-adds or
+// elements, below which a chunk stays on the caller. It is the matmul
+// break-even measured in docs/PERFORMANCE.md ("Fan-out threshold"):
+// ≈ 180 µs of tile work per chunk against a ≈ 115 µs hand-off.
+const fanOutWork = 1 << 22
+
+// handOffs counts the chunks actually sent to the pool, so tests can
+// pin where the rule fans out and where it does not.
+var handOffs atomic.Int64
 
 // poolQueueDepth bounds the number of queued-but-unclaimed chunks.
 // Beyond it, submissions fall back to inline execution, which
@@ -123,30 +137,39 @@ func Parallelism() int {
 	return pool.target
 }
 
-// serialFor reports whether a kernel over n elements with the given
-// grain would run as a single chunk anyway. Hot call sites use it to
-// skip ParallelFor entirely, which also skips the closure allocation
-// the fan-out path requires.
-func serialFor(n, grain int) bool {
-	return n <= grain || Parallelism() <= 1
+// grainFor is how many items of the given work make one chunk of
+// fanOutWork: the fewest a chunk may hold.
+func grainFor(work int) int {
+	if work <= 0 {
+		return math.MaxInt
+	}
+	return max(fanOutWork/work, 1)
 }
 
-// ParallelFor runs fn over [0, n) partitioned into contiguous chunks
-// of at least grain iterations each, fanning the chunks out over the
-// shared pool. fn(lo, hi) must be safe to call concurrently for
-// disjoint ranges. The call returns after every chunk has finished.
+// serialFor reports whether n items of the given work each would run
+// as a single chunk anyway. Hot call sites use it to skip ParallelFor
+// entirely, which also skips the closure allocation the fan-out path
+// requires.
+func serialFor(n, work int) bool {
+	return n <= grainFor(work) || Parallelism() <= 1
+}
+
+// ParallelFor runs fn over [0, n), where one item costs work
+// multiply-adds (or elements, for a memory-bound kernel). Items are
+// partitioned into contiguous chunks of at least fanOutWork each,
+// which fan out over the shared pool. fn(lo, hi) must be safe to call
+// concurrently for disjoint ranges. The call returns after every chunk
+// has finished.
 //
 // The caller always executes the final chunk itself, and chunks that
 // cannot be handed off without blocking run inline on the caller, so
 // ParallelFor is safe to nest and degrades to a plain loop when the
-// pool is saturated or parallelism is 1.
-func ParallelFor(n, grain int, fn func(lo, hi int)) {
+// pool is saturated, parallelism is 1 or the work fits one chunk.
+func ParallelFor(n, work int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if grain < 1 {
-		grain = 1
-	}
+	grain := grainFor(work)
 	w := Parallelism()
 	if w <= 1 || n <= grain {
 		fn(0, n)
@@ -183,6 +206,7 @@ func ParallelFor(n, grain int, fn func(lo, hi int)) {
 		}
 		select {
 		case pool.tasks <- task:
+			handOffs.Add(1)
 		default:
 			remaining.Add(-1) // sentinel still held, cannot reach 0
 			fn(lo, hi)

@@ -7,17 +7,20 @@ import (
 	"testing"
 )
 
+// TestParallelForCoversRangeExactlyOnce states the work per item so
+// chunks hold at least 1, 3, 64 and 10010 items.
 func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
 	prev := Parallelism()
 	defer SetParallelism(prev)
 	for _, par := range []int{1, 2, 3, 8} {
 		SetParallelism(par)
 		for _, n := range []int{1, 2, 7, 64, 1000} {
-			for _, grain := range []int{1, 3, 64, 10000} {
+			for _, work := range []int{fanOutWork, fanOutWork / 3, fanOutWork / 64, fanOutWork / 10000} {
 				hits := make([]int32, n)
-				ParallelFor(n, grain, func(lo, hi int) {
+				before := handOffs.Load()
+				ParallelFor(n, work, func(lo, hi int) {
 					if lo < 0 || hi > n || lo >= hi {
-						t.Errorf("par=%d n=%d grain=%d: bad chunk [%d,%d)", par, n, grain, lo, hi)
+						t.Errorf("par=%d n=%d work=%d: bad chunk [%d,%d)", par, n, work, lo, hi)
 						return
 					}
 					for i := lo; i < hi; i++ {
@@ -26,8 +29,11 @@ func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
 				})
 				for i, h := range hits {
 					if h != 1 {
-						t.Fatalf("par=%d n=%d grain=%d: index %d visited %d times", par, n, grain, i, h)
+						t.Fatalf("par=%d n=%d work=%d: index %d visited %d times", par, n, work, i, h)
 					}
+				}
+				if split := par > 1 && n > grainFor(work); split != (handOffs.Load() > before) {
+					t.Fatalf("par=%d n=%d work=%d: split %v, but %d hand-offs", par, n, work, split, handOffs.Load()-before)
 				}
 			}
 		}
@@ -54,15 +60,19 @@ func TestParallelForNested(t *testing.T) {
 	defer SetParallelism(prev)
 	SetParallelism(4)
 	var total int64
-	ParallelFor(8, 1, func(lo, hi int) {
+	before := handOffs.Load()
+	ParallelFor(8, fanOutWork, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ParallelFor(100, 10, func(ilo, ihi int) {
+			ParallelFor(100, fanOutWork/10, func(ilo, ihi int) {
 				atomic.AddInt64(&total, int64(ihi-ilo))
 			})
 		}
 	})
 	if total != 800 {
 		t.Fatalf("nested ParallelFor covered %d of 800 iterations", total)
+	}
+	if handOffs.Load() == before {
+		t.Fatal("nested ParallelFor handed nothing to the pool")
 	}
 }
 
@@ -77,11 +87,15 @@ func TestSetParallelismResize(t *testing.T) {
 		}
 		// The pool must keep functioning across resizes.
 		var count int64
-		ParallelFor(500, 1, func(lo, hi int) {
+		before := handOffs.Load()
+		ParallelFor(500, fanOutWork, func(lo, hi int) {
 			atomic.AddInt64(&count, int64(hi-lo))
 		})
 		if count != 500 {
 			t.Fatalf("after resize to %d: covered %d of 500", n, count)
+		}
+		if n > 1 && handOffs.Load() == before {
+			t.Fatalf("after resize to %d: nothing handed to the pool", n)
 		}
 	}
 
@@ -114,9 +128,10 @@ func TestSetParallelismDuringParallelFor(t *testing.T) {
 			}
 		}
 	}()
+	before := handOffs.Load()
 	for iter := 0; iter < 50; iter++ {
 		var count int64
-		ParallelFor(200, 1, func(lo, hi int) {
+		ParallelFor(200, fanOutWork, func(lo, hi int) {
 			atomic.AddInt64(&count, int64(hi-lo))
 		})
 		if count != 200 {
@@ -125,4 +140,7 @@ func TestSetParallelismDuringParallelFor(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if handOffs.Load() == before {
+		t.Fatal("no iteration handed anything to the pool")
+	}
 }

@@ -287,18 +287,22 @@ func TestMatMulTAccumMatchesExplicitTranspose(t *testing.T) {
 }
 
 func TestMatMulParallelMatchesSerial(t *testing.T) {
-	// Exercise the pooled parallel path (work above the fan-out grain
-	// at parallelism > 1) and confirm the result matches a serial
+	// Exercise the pooled parallel path (work above fanOutWork at
+	// parallelism > 1) and confirm the result matches a serial
 	// reference computation.
 	defer SetParallelism(Parallelism())
 	SetParallelism(4)
 	rng := NewRNG(4)
-	m, k, n := 139, 301, 129 // > matmulParallelFlops multiply-adds
+	m, k, n := 139, 301, 129 // > fanOutWork multiply-adds
 	a := NewNormal(rng, 1, m, k)
 	b := NewNormal(rng, 1, k, n)
 	got := New(m, n)
+	before := handOffs.Load()
 	if err := MatMul(got, a, b); err != nil {
 		t.Fatal(err)
+	}
+	if handOffs.Load() == before {
+		t.Fatal("the matmul handed nothing to the pool")
 	}
 	want := New(m, n)
 	matmulRange(want.Data(), a.Data(), b.Data(), 0, m, k, n, k, 1, false, true)
