@@ -349,7 +349,11 @@ func BenchmarkFig3(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		duty = rows[len(rows)-1].DutyCycle
+		for _, row := range rows {
+			if row.Policy == splitsim.PolicyOnDemand {
+				duty = row.DutyCycle
+			}
+		}
 	}
 	b.ReportMetric(duty, "on-demand-duty-cycle")
 }

@@ -269,12 +269,11 @@ func runMenos(cfg Config) (*Result, error) {
 		}
 	}
 	fstats := r.mgr.Stats()
-	return &Result{
+	res := &Result{
 		Mode:            ModeMenos,
 		Clients:         results,
 		Aggregate:       agg,
 		PersistentBytes: persistent,
-		PeakBytes:       persistent + peakTransient(clients),
 		SchedStats:      schedStats,
 		Rejected:        r.rejected,
 		Admission:       admission,
@@ -292,7 +291,9 @@ func runMenos(cfg Config) (*Result, error) {
 			ScaleEvents:    fstats.ScaleEvents,
 			ImbalanceRatio: r.mgr.Imbalance(),
 		},
-	}, nil
+	}
+	res.PeakBytes = persistent + res.PeakTransientBytes()
+	return res, nil
 }
 
 // newServer brings one server into the fleet: its GPUs, the shared base
@@ -487,9 +488,6 @@ func (r *menosRun) autoscale() {
 	r.kernel.After(r.autoscaler.Config().Interval, r.tick)
 }
 
-// demand is a client's profiled forward and backward grant sizes.
-type demand struct{ fwd, bwd int64 }
-
 // menosClient is one client's serving schedule and everything it keeps
 // between events. step runs the schedule from pc until something
 // blocks; every blocking primitive is handed a continuation bound once
@@ -503,22 +501,22 @@ type menosClient struct {
 	bd   *trace.Breakdown
 	cost *costmodel.Model
 
-	// Per-iteration constants: the client's compute segments, server
-	// phase durations and grant sizes.
-	pre, mid, post      time.Duration
-	fwd, noGradFwd, bwd time.Duration
-	demand              demand
-	persistOwner        string
+	// Per-iteration constants: the client's compute segments and its
+	// forward and backward server phases.
+	pre, mid, post time.Duration
+	phases         [2]serverPhase
+	persistOwner   string
 
 	srv           *serverSim
 	staticRelease time.Duration
 
 	// Schedule position and loop state.
 	pc          clientPC
+	ph          int // the server phase in flight: 0 forward, 1 backward
 	iter        int
 	attempt     int  // placement or migration retries so far
 	counted     bool // counted in the autoscaler's pending placements
-	persisted   bool // PolicyPersistAll's session grant is held
+	held        bool // a grant is held on c.srv
 	releaseCost time.Duration
 	iterStart   time.Duration
 
@@ -555,21 +553,21 @@ const (
 	pcMigrated
 	pcClientPre
 	pcUploadXC
-	pcForward
-	pcForwardCompute
-	pcForwardRelease
+	pcGrant // server phase c.ph: forward, then backward
+	pcCompute
+	pcRelease
 	pcDownloadXS
 	pcClientMid
 	pcUploadGC
-	pcBackward
-	pcBackwardCompute
-	pcBackwardRelease
 	pcOptimizer
 	pcDownloadGS
 	pcClientPost
 	pcJoin
 	pcDepart
 )
+
+// afterPhase is where the schedule resumes after each server phase.
+var afterPhase = [2]clientPC{pcDownloadXS, pcOptimizer}
 
 func (c *menosClient) init(r *menosRun, i int, bd *trace.Breakdown) {
 	cfg := &r.cfg
@@ -588,26 +586,12 @@ func (c *menosClient) init(r *menosRun, i int, bd *trace.Breakdown) {
 	c.r, c.i, c.spec, c.bd = r, i, spec, bd
 	c.cost = costmodel.New(cfg.ServerPerf, w)
 	c.pre, c.mid, c.post = clientPhases(costmodel.ClientComputeTime(spec.Platform, w))
-	c.fwd = c.cost.ForwardTime(w)
-	c.noGradFwd = c.cost.NoGradForwardTime(w)
-	c.bwd = c.cost.BackwardTime(w)
-	c.demand = demand{fwd: w.NoGradForwardBytes(), bwd: w.BackwardPeakBytes()}
-	switch cfg.Policy {
-	case PolicyReleaseOnWait:
-		c.demand.fwd = w.ActivationBytes()
-	case PolicyPreserve, PolicyPersistAll:
-		c.demand.fwd = w.ActivationBytes()
-		c.demand.bwd = 0 // memory held since forward
-	}
-	peak := c.demand.fwd
-	if c.demand.bwd > peak {
-		peak = c.demand.bwd
-	}
+	c.phases = cfg.serverPhases(w, c.cost)
 	c.ci = fleet.ClientInfo{
 		ID:                 spec.ID,
 		BaseModel:          w.Model.Name,
 		PersistentBytes:    w.PersistentClientBytes(),
-		TransientPeakBytes: peak,
+		TransientPeakBytes: max(c.phases[0].grant, c.phases[1].grant),
 	}
 	c.persistOwner = "persist:" + spec.ID
 
@@ -716,7 +700,6 @@ func (c *menosClient) step() {
 			r.sampleMem(k.Now(), c.to)
 			c.srv = c.to
 			r.decommission(c.from)
-			c.persisted = false
 			c.pc = pcClientPre
 
 		case pcClientPre:
@@ -749,51 +732,46 @@ func (c *menosClient) step() {
 			return
 
 		case pcUploadXC:
-			c.pc = pcForward
+			c.pc, c.ph = pcGrant, 0
 			c.xfer("upload:x_c")
 			return
 
-		// ---- Server: forward request ----
-		case pcForward:
-			c.pc = pcForwardCompute
-			switch {
-			case cfg.Policy == PolicyPersistAll:
-				// Reserve once, on the first iteration, forever.
-				if !c.persisted {
-					c.persisted = true
-					c.grant(sched.KindForward, c.demand.fwd)
-					return
-				}
-			case r.batcher != nil: // PolicyOnDemand, batched
-				c.pc = pcDownloadXS
-				c.batchPhase(sched.KindForward, "forward", c.demand.fwd, c.noGradFwd, 0)
+		// ---- Server: phase c.ph, grant → compute → release ----
+		case pcGrant:
+			p := &c.phases[c.ph]
+			c.pc = pcCompute
+			if r.batcher != nil {
+				// The batch leader grants, computes and releases.
+				c.pc = afterPhase[c.ph]
+				c.batchPhase(p)
 				return
-			default:
-				c.grant(sched.KindForward, c.demand.fwd)
+			}
+			// A grant still held (3(b)'s backward, 3(a) after its
+			// first forward) serves this phase too.
+			if !c.held {
+				c.held = true
+				c.grant(p.kind, p.grant)
 				return
 			}
 
-		case pcForwardCompute:
-			c.pc = pcForwardRelease
-			if cfg.Policy == PolicyOnDemand { // Fig. 3(d)'s no-grad forward
-				c.compute("forward", c.noGradFwd)
-			} else {
-				c.compute("forward", c.fwd)
-			}
+		case pcCompute:
+			p := &c.phases[c.ph]
+			c.pc = pcRelease
+			c.compute(p.name, p.dur)
 			return
 
-		case pcForwardRelease:
-			c.pc = pcDownloadXS
-			switch cfg.Policy {
-			case PolicyReleaseOnWait:
+		case pcRelease:
+			p := &c.phases[c.ph]
+			c.pc = afterPhase[c.ph]
+			if p.release {
+				// Re-collecting the freed memory is Table 2's growing
+				// overhead, paid after the grant is returned.
 				c.release()
-				c.compute("release", c.releaseCost/2)
-				return
-			case PolicyOnDemand:
-				c.release()
+				if p.cycleDiv > 0 {
+					c.compute("release", c.cycleShare(p))
+					return
+				}
 			}
-			// PolicyPreserve: memory stays allocated through the
-			// gradient wait.
 
 		// Server returns x_s; client runs the output section, computes
 		// the loss, and uploads g_c.
@@ -810,54 +788,9 @@ func (c *menosClient) step() {
 			}
 
 		case pcUploadGC:
-			c.pc = pcBackward
+			c.pc, c.ph = pcGrant, 1
 			c.xfer("upload:g_c")
 			return
-
-		// ---- Server: backward request ----
-		case pcBackward:
-			c.pc = pcBackwardCompute
-			switch {
-			case cfg.Policy == PolicyPersistAll, cfg.Policy == PolicyPreserve:
-				// Memory held since forward.
-			case r.batcher != nil:
-				// Re-forward + backward, batched; the release/
-				// re-collection cycle happens once per batch inside the
-				// leader, not once per client.
-				c.pc = pcOptimizer
-				c.batchPhase(sched.KindBackward, "re-forward+backward", c.demand.bwd, c.fwd+c.bwd, c.releaseCost)
-				return
-			default:
-				c.grant(sched.KindBackward, c.demand.bwd)
-				return
-			}
-
-		case pcBackwardCompute:
-			c.pc = pcBackwardRelease
-			switch cfg.Policy {
-			case PolicyPersistAll, PolicyPreserve:
-				c.compute("backward", c.bwd)
-			case PolicyReleaseOnWait:
-				c.compute("backward", c.fwd+c.bwd)
-			default: // PolicyOnDemand: re-forward + backward
-				c.compute("re-forward+backward", c.fwd+c.bwd)
-			}
-			return
-
-		case pcBackwardRelease:
-			c.pc = pcOptimizer
-			if cfg.Policy != PolicyPersistAll {
-				// Releasing and re-collecting fragmented memory happens
-				// after the grant is returned (Table 2's growing
-				// overhead).
-				c.release()
-				if cfg.Policy == PolicyReleaseOnWait {
-					c.compute("release", c.releaseCost/2)
-				} else {
-					c.compute("release", c.releaseCost)
-				}
-				return
-			}
 
 		case pcOptimizer:
 			c.pc = pcDownloadGS
@@ -940,12 +873,12 @@ func (c *menosClient) place() bool {
 
 // beginMigration follows a fleet decision to move this client: release
 // everything held here; the schedule then re-admits it on dst and ships
-// the persistent state. Runs only between iterations, so the only held
-// grant is PolicyPersistAll's session grant.
+// the persistent state. Runs only between iterations, so the only grant
+// it can find held is a session-long one, which dst grants again.
 func (c *menosClient) beginMigration(dst *serverSim) {
 	old := c.srv
 	c.opStart = c.kernel.Now()
-	c.from, c.to, c.attempt = old, dst, 0
+	c.from, c.to, c.attempt, c.held = old, dst, 0, false
 	old.scheduler.Complete(c.id)
 	old.scheduler.Complete(c.persistOwner)
 	old.devices.FreeOwner(c.persistOwner)
@@ -1019,20 +952,31 @@ func waitSpan(kind sched.RequestKind) string {
 }
 
 func (c *menosClient) release() {
+	c.held = false
 	c.srv.scheduler.Complete(c.id)
 	c.r.sampleMem(c.kernel.Now(), c.srv)
 }
 
-// batchPhase runs one server phase through the batcher instead of
+// cycleShare is what p's release costs of this iteration's
+// release/re-collect cycle.
+func (c *menosClient) cycleShare(p *serverPhase) time.Duration {
+	if p.cycleDiv == 0 {
+		return 0
+	}
+	return c.releaseCost / time.Duration(p.cycleDiv)
+}
+
+// batchPhase runs server phase p through the batcher instead of
 // grant/compute/release: the member waits until its batch executes,
 // then bills its share — grant wait and residency stall into the sched
 // bucket, its row share of the batched kernel into compute (so Σ
-// clients' compute equals the device time actually spent).
-func (c *menosClient) batchPhase(kind sched.RequestKind, name string, bytes int64, dur, rel time.Duration) {
+// clients' compute equals the device time actually spent). The leader
+// pays the release cycle once per batch, not once per member.
+func (c *menosClient) batchPhase(p *serverPhase) {
 	m := &c.member
-	m.bytes, m.dur, m.release = bytes, dur, rel
-	c.kind, c.opName, c.opStart = kind, name, c.kernel.Now()
-	key := batch.Key{Cut: c.spec.Workload.Cut, Seq: c.spec.Workload.Seq, Kind: kind}
+	m.bytes, m.dur, m.release = p.grant, p.dur, c.cycleShare(p)
+	c.kind, c.opName, c.opStart = p.kind, p.name, c.kernel.Now()
+	key := batch.Key{Cut: c.spec.Workload.Cut, Seq: c.spec.Workload.Seq, Kind: p.kind}
 	c.r.batcher.join(c.srv, key, m)
 }
 
@@ -1114,20 +1058,4 @@ func (w *grantWait) try() {
 func (w *grantWait) deliver() {
 	w.granted = true
 	w.sig.Fire()
-}
-
-// peakTransient estimates the transient memory above the persistent
-// floor: the largest single backward footprint that can be in flight.
-func peakTransient(clients []menosClient) int64 {
-	var maxBwd int64
-	for i := range clients {
-		b := clients[i].demand.bwd
-		if b == 0 {
-			b = clients[i].demand.fwd
-		}
-		if b > maxBwd {
-			maxBwd = b
-		}
-	}
-	return maxBwd
 }

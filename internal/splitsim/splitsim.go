@@ -49,40 +49,95 @@ func (m Mode) String() string {
 }
 
 // MemPolicy selects the Menos memory-allocation policy, one per
-// sub-figure of Fig. 3.
+// sub-figure of Fig. 3; policyRows says what each one does.
 type MemPolicy int
 
 // Memory policies.
 const (
-	// PolicyOnDemand is Fig. 3(d): no-grad first forward, release on
-	// every wait, re-forward before backward. The Menos default.
-	PolicyOnDemand MemPolicy = iota + 1
-	// PolicyReleaseOnWait is Fig. 3(c): grad-enabled first forward,
-	// released while waiting for gradients, re-forward on backward.
-	PolicyReleaseOnWait
-	// PolicyPreserve is Fig. 3(b): activations held from forward
-	// until the backward completes (released between iterations).
-	PolicyPreserve
-	// PolicyPersistAll is Fig. 3(a): activation memory reserved for
-	// the client's whole session (vanilla-style, but with base
-	// sharing).
-	PolicyPersistAll
+	PolicyOnDemand      MemPolicy = iota + 1 // Fig. 3(d), the Menos default
+	PolicyReleaseOnWait                      // Fig. 3(c)
+	PolicyPreserve                           // Fig. 3(b)
+	PolicyPersistAll                         // Fig. 3(a): vanilla-style, but with base sharing
 )
+
+// releasePoint is when a policy returns its activation memory.
+type releasePoint int
+
+const (
+	releaseAtSessionEnd  releasePoint = iota // granted once; again after a migration
+	releaseAfterBackward                     // held through the gradient wait
+	releaseOnWait                            // on every wait for the client
+)
+
+// policyRows is Fig. 3 as data. Its four sub-figures differ in two
+// decisions only: whether the first forward keeps grad, and when the
+// activations are released. menosClient.init derives each client's two
+// server phases from its row (serverPhases); nothing else in the serving
+// loop asks which policy runs.
+var policyRows = [...]struct {
+	name     string
+	keepGrad bool // the first forward keeps grad
+	release  releasePoint
+}{
+	PolicyPersistAll:    {"persist-all", true, releaseAtSessionEnd}, // 3(a)
+	PolicyPreserve:      {"preserve", true, releaseAfterBackward},   // 3(b)
+	PolicyReleaseOnWait: {"release-on-wait", true, releaseOnWait},   // 3(c)
+	PolicyOnDemand:      {"on-demand", false, releaseOnWait},        // 3(d)
+}
+
+func (p MemPolicy) valid() bool { return p > 0 && int(p) < len(policyRows) }
 
 // String returns the policy name.
 func (p MemPolicy) String() string {
-	switch p {
-	case PolicyOnDemand:
-		return "on-demand"
-	case PolicyReleaseOnWait:
-		return "release-on-wait"
-	case PolicyPreserve:
-		return "preserve"
-	case PolicyPersistAll:
-		return "persist-all"
-	default:
+	if !p.valid() {
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
+	return policyRows[p].name
+}
+
+// serverPhase is one of a client's two server phases per iteration: the
+// grant it takes, the compute it runs under it, and whether it returns
+// the memory afterwards. menosClient.init derives both from the
+// configured row once per client.
+type serverPhase struct {
+	kind    sched.RequestKind
+	grant   int64  // bytes requested; 0 when the memory is held since the forward
+	name    string // the compute span
+	dur     time.Duration
+	release bool
+	// cycleDiv is the phase's share of Table 2's release/re-collect
+	// cycle: its release costs 1/cycleDiv of it, and 0 costs nothing.
+	cycleDiv int
+}
+
+// serverPhases derives the forward and backward phases of the
+// configured policy's row for workload w.
+func (c *Config) serverPhases(w memmodel.Workload, cost *costmodel.Model) [2]serverPhase {
+	row := policyRows[c.Policy]
+	fwdT, bwdT := cost.ForwardTime(w), cost.BackwardTime(w)
+	fwd := serverPhase{kind: sched.KindForward, grant: w.NoGradForwardBytes(), name: "forward",
+		dur: cost.NoGradForwardTime(w), release: row.release == releaseOnWait}
+	if row.keepGrad {
+		fwd.grant, fwd.dur = w.ActivationBytes(), fwdT
+	}
+	bwd := serverPhase{kind: sched.KindBackward, name: "backward", dur: bwdT,
+		release: row.release != releaseAtSessionEnd}
+	if row.release == releaseOnWait {
+		// Nothing survived the wait: a new grant, and the forward again.
+		bwd.grant, bwd.dur = w.BackwardPeakBytes(), fwdT+bwdT
+	}
+	if !row.keepGrad {
+		bwd.name = "re-forward+backward"
+	}
+	// The cycle is paid once per iteration, split evenly over the
+	// releases that free grad-enabled activations.
+	switch {
+	case fwd.release && row.keepGrad:
+		fwd.cycleDiv, bwd.cycleDiv = 2, 2
+	case bwd.release:
+		bwd.cycleDiv = 1
+	}
+	return [2]serverPhase{fwd, bwd}
 }
 
 // ClientSpec describes one simulated client.
@@ -98,8 +153,10 @@ type ClientSpec struct {
 
 // Config describes one simulation run.
 type Config struct {
-	Mode     Mode
-	Policy   MemPolicy    // Menos only; zero value means PolicyOnDemand
+	Mode Mode
+	// Policy is the Fig. 3 row (policyRows) every client follows (Menos
+	// only). The zero value means PolicyOnDemand.
+	Policy   MemPolicy
 	SchedPol sched.Policy // Menos only; zero value means FCFS+backfill
 	// SLO, when enabled, activates adaptive admission control on every
 	// simulated scheduler (docs/ADMISSION.md), evaluated in virtual
@@ -213,6 +270,12 @@ func (c *Config) validate() error {
 	if len(c.Clients) == 0 {
 		return fmt.Errorf("%w: no clients", ErrConfig)
 	}
+	if !c.Policy.valid() {
+		return fmt.Errorf("%w: memory policy %d", ErrConfig, int(c.Policy))
+	}
+	if c.SchedPol < sched.PolicyFCFSBackfill || c.SchedPol > sched.PolicySmallestFirst {
+		return fmt.Errorf("%w: scheduling policy %d", ErrConfig, int(c.SchedPol))
+	}
 	if c.Mode == ModeVanilla && c.Servers > 1 {
 		return fmt.Errorf("%w: the vanilla baseline models a single server", ErrConfig)
 	}
@@ -292,7 +355,9 @@ type Result struct {
 	// PersistentBytes is GPU memory held between iterations
 	// (Fig. 5's comparison basis).
 	PersistentBytes int64
-	// PeakBytes is the device-set high-water mark.
+	// PeakBytes is the device-set high-water mark. In Menos mode that is
+	// PersistentBytes plus PeakTransientBytes(), the largest transient
+	// allocation the run sampled.
 	PeakBytes int64
 	// SchedStats reports Menos scheduler activity (zero for vanilla).
 	SchedStats sched.Stats

@@ -334,12 +334,17 @@ func TestPersistentMemoryComparison(t *testing.T) {
 }
 
 // TestPeakNeverExceedsCapacity: the device set must never report a
-// peak above its capacity under Menos' admission control.
+// peak above its capacity under Menos' admission control, and the peak
+// it reports is the run's sampled high-water mark.
 func TestPeakNeverExceedsCapacity(t *testing.T) {
 	w := memmodel.PaperOPTWorkload()
 	r := run(t, menosCfg(6, w))
 	if r.PeakBytes > gpu.V100().MemoryBytes {
 		t.Fatalf("peak %d exceeds V100 capacity", r.PeakBytes)
+	}
+	if want := r.PersistentBytes + r.PeakTransientBytes(); r.PeakBytes != want {
+		t.Fatalf("peak %d, want persistent %d + sampled transient peak %d = %d",
+			r.PeakBytes, r.PersistentBytes, r.PeakTransientBytes(), want)
 	}
 }
 

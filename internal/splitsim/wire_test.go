@@ -10,6 +10,7 @@ import (
 	"menos/internal/memmodel"
 	"menos/internal/obs"
 	"menos/internal/quant"
+	"menos/internal/sched"
 )
 
 // TestWireCodecScalesCommTime pins the codec transfer model: per-link
@@ -158,6 +159,8 @@ func TestOverlapConfigGate(t *testing.T) {
 		func(c *Config) { c.Mode = ModeVanilla },
 		func(c *Config) { c.Policy = PolicyPreserve },
 		func(c *Config) { c.WireCodec = quant.Codec(9); c.Overlap = false },
+		func(c *Config) { c.Policy = MemPolicy(7); c.Overlap = false },
+		func(c *Config) { c.SchedPol = sched.Policy(9); c.Overlap = false },
 	}
 	for i, mutate := range bad {
 		cfg := menosCfg(1, w)
