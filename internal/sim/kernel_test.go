@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -253,16 +255,20 @@ func TestNegativeDurationsClamped(t *testing.T) {
 	}
 }
 
-// The heap pops (time, sequence) order for any push order, including
-// events pushed while others at the same time are being dispatched.
+// The queue pops (time, sequence) order for any push order, including
+// events pushed while others at the same time are being dispatched, and
+// dispatches every pushed event exactly once.
 func TestHeapOrder(t *testing.T) {
 	k := New()
 	var got []time.Duration
+	pushed := 0
 	for i := 0; i < 200; i++ {
 		d := time.Duration((i*7919)%97) * time.Millisecond
+		pushed++
 		k.After(d, func() {
 			got = append(got, k.Now())
 			if len(got)%3 == 0 {
+				pushed++
 				k.After(0, func() { got = append(got, k.Now()) })
 			}
 		})
@@ -275,38 +281,146 @@ func TestHeapOrder(t *testing.T) {
 			t.Fatalf("time went backwards at %d: %v after %v", i, got[i], got[i-1])
 		}
 	}
-	if len(k.queue) != 0 || cap(k.queue) == 0 {
-		t.Fatalf("queue len %d cap %d", len(k.queue), cap(k.queue))
+	if len(got) != pushed {
+		t.Fatalf("dispatched %d of %d pushed events", len(got), pushed)
 	}
 }
 
-// Dispatching an event allocates nothing once the heap has grown.
-func TestEventPathAllocatesNothing(t *testing.T) {
-	k := New()
-	sig := k.NewSignal()
-	var step func()
-	n := 0
-	step = func() {
-		switch n++; {
-		case n >= 64:
-		case n%2 == 0:
-			sig.Wait("w", step)
-			sig.Fire()
-		default:
-			k.After(time.Millisecond, step)
+// A seeded program — After with delays from a small set, so many times
+// tie; After(0) and Signal.Fire from inside handlers; pushes and fires
+// between RunUntil calls — dispatches in exactly the order of a
+// reference sort of its pushes by (time, push counter), each at its own
+// time.
+func TestDispatchOrderIsTimeThenPush(t *testing.T) {
+	delays := []time.Duration{0, 0, time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond}
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := New()
+		sig := k.NewSignal()
+		var at []time.Duration // at[n] is push n's due time
+		var got []int          // push counters in dispatch order
+		var woken []*int       // each parked wait's push counter, FIFO like sig
+		var handler func(n int) func()
+		push := func() int {
+			at = append(at, k.Now())
+			return len(at) - 1
 		}
-	}
-	run := func() {
-		n = 0
+		after := func() {
+			d := delays[rng.Intn(len(delays))]
+			n := push()
+			at[n] += d
+			k.After(d, handler(n))
+		}
+		fire := func() {
+			if sig.Fire() {
+				*woken[0] = push()
+				woken = woken[1:]
+			}
+		}
+		handler = func(n int) func() {
+			return func() {
+				if k.Now() != at[n] {
+					t.Fatalf("seed %d: push %d due %v ran at %v", seed, n, at[n], k.Now())
+				}
+				got = append(got, n)
+				if len(at) > 3000 {
+					return
+				}
+				for i := rng.Intn(3); i >= 0; i-- {
+					switch rng.Intn(4) {
+					case 0, 1:
+						after()
+					case 2:
+						w := new(int)
+						woken = append(woken, w)
+						sig.Wait("model", func() { handler(*w)() })
+					case 3:
+						fire()
+					}
+				}
+			}
+		}
 		for i := 0; i < 8; i++ {
-			k.After(0, step) // eight interleaved chains grow the heap
+			after()
 		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
+		for limit := time.Duration(0); limit < 40*time.Millisecond; limit += time.Duration(rng.Intn(4)) * time.Millisecond {
+			if err := k.RunUntil(limit); err != nil && !errors.Is(err, ErrDeadlock) {
+				t.Fatal(err)
+			}
+			after()
+			fire()
+		}
+		for {
+			err := k.Run()
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, ErrDeadlock) {
+				t.Fatal(err)
+			}
+			fire()
+		}
+		want := make([]int, len(at))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return at[want[i]] < at[want[j]] })
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: dispatched %d of %d pushes", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dispatch %d is push %d (due %v), want push %d (due %v)",
+					seed, i, got[i], at[got[i]], want[i], at[want[i]])
+			}
 		}
 	}
-	run()
-	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Fatalf("%.1f allocations per run of 64 events", allocs)
+}
+
+// BenchmarkDispatch runs 2048 chains of 16 hops each. In lockstep every
+// hop waits the same delay, so the chains share each due time, as
+// sim_fleet's homogeneous clients do; in distinct every hop draws a
+// fresh pseudo-random delay, so no two events share a time.
+//
+//	go test -run '^$' -bench Dispatch ./internal/sim
+func BenchmarkDispatch(b *testing.B) {
+	const chains, hops = 2048, 16
+	for _, bc := range []struct {
+		name  string
+		delay func(x *uint64) time.Duration
+	}{
+		{"lockstep", func(*uint64) time.Duration { return time.Millisecond }},
+		{"distinct", func(x *uint64) time.Duration {
+			*x ^= *x << 13
+			*x ^= *x >> 7
+			*x ^= *x << 17
+			return time.Duration(*x % uint64(time.Second))
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			k := New()
+			x := uint64(1)
+			left := make([]int, chains)
+			hop := make([]func(), chains)
+			for c := range hop {
+				hop[c] = func() {
+					if left[c]--; left[c] > 0 {
+						k.After(bc.delay(&x), hop[c])
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for c := range hop {
+					left[c] = hops
+					k.After(bc.delay(&x), hop[c])
+				}
+				if err := k.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chains*hops), "ns/event")
+		})
 	}
 }

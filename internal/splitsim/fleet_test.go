@@ -1,12 +1,17 @@
 package splitsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"hash"
 	"testing"
 	"time"
 
 	"menos/internal/fleet"
 	"menos/internal/memmodel"
+	"menos/internal/sched"
 	"menos/internal/simnet"
 )
 
@@ -161,5 +166,77 @@ func TestFleetAutoscaleDeterministic(t *testing.T) {
 	}
 	if len(a.MemSamples) != len(b.MemSamples) {
 		t.Fatalf("MemSamples length: %d vs %d", len(a.MemSamples), len(b.MemSamples))
+	}
+}
+
+// recordingPlacer wraps a real placer and hashes every call: the client,
+// every field of every ServerLoad it is shown, and the choice.
+type recordingPlacer struct {
+	fleet.Placer
+	h     hash.Hash
+	calls int
+	// The highest live signals any call was shown.
+	maxQueue int
+	maxAdm   fleet.AdmissionState
+}
+
+func (p *recordingPlacer) Place(c fleet.ClientInfo, servers []fleet.ServerLoad) (int, error) {
+	p.calls++
+	fmt.Fprintf(p.h, "place %+v\n", c)
+	for _, s := range servers {
+		fmt.Fprintf(p.h, "  %+v\n", s)
+		p.maxQueue = max(p.maxQueue, s.QueueDepth)
+		p.maxAdm = max(p.maxAdm, s.Admission)
+	}
+	id, err := p.Placer.Place(c, servers)
+	fmt.Fprintf(p.h, "-> %d %v\n", id, err)
+	return id, err
+}
+
+// placerSeesDigests were recorded while every Place and Rebalance still
+// probed each server's scheduler and devices at decision time.
+var placerSeesDigests = map[string]string{
+	"autoscale": "fa88aaab59cba6c90bad1f49958ee29887f6d72255a21b739f72124889ecfbe6",
+	"best-fit":  "801379959178b973bb1c43ce5b2b6f6345f47eb13b1dcf74c8f403c87d8876c4",
+	"fleet":     "dc599a5d6fa41f1ea797aa78f8ce4d580fdcec17c00a6f1c1f9574751c8ae5a0",
+	"slo":       "c7cc34a2fbf093f8bdbe27569c1f317588be2cb692c6a3aad088357ab03ee729",
+}
+
+// TestPlacerSeesLiveLoads pins what every placement decision sees: a
+// static fleet at sim_fleet's shape, memory-best-fit over mixed
+// footprints, an autoscaled fleet (Rebalance places too) and an
+// autoscaled least-loaded fleet under an SLO. The rows a placer reads
+// must equal the live scheduler and device state at the moment of the
+// decision.
+func TestPlacerSeesLiveLoads(t *testing.T) {
+	mixed := menosCfg(12, memmodel.PaperOPTWorkload())
+	mixed.Servers, mixed.GPUs, mixed.Iterations = 3, 2, 1
+	for i := range mixed.Clients {
+		mixed.Clients[i].Workload.Batch = []int{4, 16, 8, 32}[i%4]
+	}
+	mixed.Placer = fleet.NewMemoryBestFit()
+	slo := autoscaleCfg(8)
+	slo.SLO = sched.SLO{TargetP99: 2 * time.Second, Window: 40 * time.Second}
+	for name, cfg := range map[string]Config{
+		"fleet":     simFleetCfg(256, 2),
+		"best-fit":  mixed,
+		"autoscale": autoscaleCfg(8),
+		"slo":       slo,
+	} {
+		p := &recordingPlacer{Placer: cfg.Placer, h: sha256.New()}
+		cfg.Placer = p
+		run(t, cfg)
+		// Each config must reach the signals it is in the set for.
+		switch {
+		case p.calls < len(cfg.Clients),
+			name == "autoscale" && p.maxQueue == 0,
+			name == "slo" && p.maxAdm == fleet.AdmissionOpen:
+			t.Errorf("%s: %d calls, max queue depth %d, max admission %d: config no longer exercises its path",
+				name, p.calls, p.maxQueue, p.maxAdm)
+		}
+		got := hex.EncodeToString(p.h.Sum(nil))
+		if want := placerSeesDigests[name]; got != want {
+			t.Errorf("%s: digest %s, want %s", name, got, want)
+		}
 	}
 }
