@@ -62,7 +62,7 @@ type ControllerConfig struct {
 	// the Controller scrapes each healthy endpoint's /metrics.json and
 	// appends the flattened samples (plus synthetic menos_fleetd_up /
 	// menos_fleetd_identity_mismatch series) into the store, labeled by
-	// server — closing the Probe contract's documented gap. The alert
+	// server: the full gauge history behind each /loadz row. The alert
 	// engine and /queryz read from here.
 	Store *tsdb.Store
 	// Clock stamps scraped samples and down-time accounting. Nil means

@@ -43,8 +43,9 @@ func (c ClientInfo) demandBytes() int64 {
 	return c.PersistentBytes + c.TransientPeakBytes
 }
 
-// Signals is one live telemetry probe of a server: the gauges the
-// placement policies react to, read at decision time.
+// Signals are a server's live gauges that the placement policies react
+// to. The server pushes them to its Manager with Observe whenever they
+// change, so a decision reads them without asking any server.
 type Signals struct {
 	// QueueDepth is the scheduler's menos_sched_queue_depth gauge.
 	QueueDepth int
@@ -67,14 +68,10 @@ const (
 	AdmissionShedding
 )
 
-// Probe reads a server's live Signals. In the simulator it closes over
-// the simulated scheduler and device set; in a real deployment it
-// would scrape the server's /metrics.json.
-type Probe func() Signals
-
 // ServerLoad is one server's state as seen by a placement decision:
-// live signals plus the Manager's own bookkeeping (resident clients,
-// committed transient demand, resident models, drain flag).
+// its last observed Signals plus the Manager's own bookkeeping
+// (resident clients, committed transient demand, resident models, drain
+// flag).
 // The JSON tags define the wire schema of the /loadz endpoint
 // (LoadSnapshot); changing them is a breaking change for menos-top and
 // any polling controller.
@@ -83,7 +80,7 @@ type ServerLoad struct {
 	// Clients is the number of resident clients (persistent state on
 	// this server).
 	Clients int `json:"clients"`
-	// QueueDepth, UsedBytes and Admission are the live Signals.
+	// QueueDepth, UsedBytes and Admission are the last observed Signals.
 	QueueDepth int            `json:"queue_depth"`
 	UsedBytes  int64          `json:"used_bytes"`
 	Admission  AdmissionState `json:"admission"`
@@ -122,7 +119,7 @@ func (l ServerLoad) FreeBytes() int64 {
 // deterministic: same inputs (including internal cursor state), same
 // answer. Place returns the chosen ServerLoad.ID. It must neither modify
 // nor retain servers (or any slice of it) once it returns: the Manager
-// refills the same buffer for every decision.
+// hands over its own rows.
 type Placer interface {
 	Name() string
 	Place(c ClientInfo, servers []ServerLoad) (int, error)

@@ -1,8 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"menos/internal/obs"
@@ -10,19 +11,20 @@ import (
 
 // Manager is the fleet's bookkeeping plane: which servers exist, which
 // clients live where, and how much transient demand each server has
-// committed. It delegates the actual choice to a Placer and publishes
-// the menos_fleet_* metrics. All iteration is in sorted server-ID
-// order, so decisions are deterministic regardless of map layout.
+// committed. Its state is one ServerLoad row per server in ID order:
+// the Manager keeps each row's clients, committed bytes and drain flag,
+// the server's live signals arrive through Observe, and Place and
+// Rebalance hand the rows to the Placer as they are. It publishes the
+// menos_fleet_* metrics. Decisions are deterministic regardless of map
+// layout.
 type Manager struct {
 	mu     sync.Mutex
 	placer Placer
 
-	servers map[int]*serverEntry
-	order   []int          // sorted server IDs
-	assign  map[string]int // client ID -> server ID
-	// loads is the ServerLoad buffer Place and Rebalance hand the
-	// placer, refilled under mu for every decision.
-	loads []ServerLoad
+	rows     []ServerLoad
+	draining int                 // rows with Draining set
+	active   []ServerLoad        // the non-draining rows, refilled per decision while any row drains
+	assign   map[string]resident // client ID -> where it lives
 
 	placements  int64
 	migrations  int64
@@ -36,15 +38,11 @@ type Manager struct {
 	mImbalance   *obs.Gauge
 }
 
-// serverEntry is the Manager's record of one server.
-type serverEntry struct {
-	id        int
-	capacity  int64
-	models    []string
-	probe     Probe
-	clients   map[string]int64 // client ID -> committed transient bytes
-	committed int64            // sum of clients' transient peaks
-	draining  bool
+// resident is a placed client's server and the transient peak it
+// committed there.
+type resident struct {
+	server    int
+	committed int64
 }
 
 // NewManager builds a Manager around placer (nil means RoundRobin, the
@@ -53,11 +51,7 @@ func NewManager(placer Placer) *Manager {
 	if placer == nil {
 		placer = NewRoundRobin()
 	}
-	return &Manager{
-		placer:  placer,
-		servers: make(map[int]*serverEntry),
-		assign:  make(map[string]int),
-	}
+	return &Manager{placer: placer, assign: make(map[string]resident)}
 }
 
 // Placer returns the policy in use.
@@ -79,25 +73,34 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 	m.publishLocked()
 }
 
-// AddServer registers a server. Probe may be nil (signals read as
-// zero), which only makes sense for tests.
-func (m *Manager) AddServer(id int, capacity int64, models []string, probe Probe) error {
+// AddServer registers a server. Its signals read as zero until the
+// first Observe.
+func (m *Manager) AddServer(id int, capacity int64, models []string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.servers[id]; ok {
+	i, ok := m.indexLocked(id)
+	if ok {
 		return fmt.Errorf("fleet: server %d already registered", id)
 	}
-	m.servers[id] = &serverEntry{
-		id:       id,
-		capacity: capacity,
-		models:   append([]string(nil), models...),
-		probe:    probe,
-		clients:  make(map[string]int64),
-	}
-	m.order = append(m.order, id)
-	sort.Ints(m.order)
+	m.rows = slices.Insert(m.rows, i, ServerLoad{
+		ID:            id,
+		CapacityBytes: capacity,
+		Models:        append([]string(nil), models...),
+	})
 	m.publishLocked()
 	return nil
+}
+
+// Observe records server id's live signals, which every later decision
+// and Loads snapshot reads until the next Observe. The server pushes
+// them whenever they change. An unregistered id is ignored.
+func (m *Manager) Observe(id int, sig Signals) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if i, ok := m.indexLocked(id); ok {
+		r := &m.rows[i]
+		r.QueueDepth, r.UsedBytes, r.Admission = sig.QueueDepth, sig.UsedBytes, sig.Admission
+	}
 }
 
 // Drain marks a server as scaling down: it stops receiving placements
@@ -106,17 +109,18 @@ func (m *Manager) AddServer(id int, capacity int64, models []string, probe Probe
 func (m *Manager) Drain(id int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.servers[id]
+	i, ok := m.indexLocked(id)
 	if !ok {
 		return fmt.Errorf("fleet: drain: unknown server %d", id)
 	}
-	if e.draining {
+	if m.rows[i].Draining {
 		return nil
 	}
 	if m.activeLocked() <= 1 {
 		return fmt.Errorf("fleet: cannot drain the last active server %d", id)
 	}
-	e.draining = true
+	m.rows[i].Draining = true
+	m.draining++
 	m.publishLocked()
 	return nil
 }
@@ -126,20 +130,17 @@ func (m *Manager) Drain(id int) error {
 func (m *Manager) Remove(id int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.servers[id]
+	i, ok := m.indexLocked(id)
 	if !ok {
 		return fmt.Errorf("fleet: remove: unknown server %d", id)
 	}
-	if len(e.clients) > 0 {
-		return fmt.Errorf("fleet: remove: server %d still hosts %d clients", id, len(e.clients))
+	if n := m.rows[i].Clients; n > 0 {
+		return fmt.Errorf("fleet: remove: server %d still hosts %d clients", id, n)
 	}
-	delete(m.servers, id)
-	for i, oid := range m.order {
-		if oid == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
+	if m.rows[i].Draining {
+		m.draining--
 	}
+	m.rows = slices.Delete(m.rows, i, i+1)
 	m.publishLocked()
 	return nil
 }
@@ -152,16 +153,15 @@ func (m *Manager) Place(c ClientInfo) (int, error) {
 	if _, ok := m.assign[c.ID]; ok {
 		return 0, fmt.Errorf("fleet: client %q already placed", c.ID)
 	}
-	m.loads = m.appendLoadsLocked(m.loads[:0], false)
-	id, err := m.placer.Place(c, m.loads)
+	id, err := m.placer.Place(c, m.candidatesLocked())
 	if err != nil {
 		return 0, err
 	}
-	e, ok := m.servers[id]
+	i, ok := m.indexLocked(id)
 	if !ok {
 		return 0, fmt.Errorf("fleet: placer %s chose unknown server %d", m.placer.Name(), id)
 	}
-	m.attachLocked(e, c)
+	m.attachLocked(i, c)
 	m.placements++
 	m.mPlacements.Inc()
 	m.publishLocked()
@@ -198,21 +198,21 @@ func (m *Manager) Depart(clientID string) {
 func (m *Manager) Rebalance(c ClientInfo, fit func(serverID int) bool) (int, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cur, ok := m.assign[c.ID]
+	placed, ok := m.assign[c.ID]
 	if !ok {
 		return 0, false, fmt.Errorf("fleet: rebalance: client %q not placed", c.ID)
 	}
-	src := m.servers[cur]
-	m.loads = m.appendLoadsLocked(m.loads[:0], false)
-	id, err := m.placer.Place(c, m.loads)
+	cur := placed.server
+	id, err := m.placer.Place(c, m.candidatesLocked())
 	if err != nil || id == cur {
 		return cur, false, nil
 	}
-	dst, ok := m.servers[id]
+	dst, ok := m.indexLocked(id)
 	if !ok {
 		return cur, false, nil
 	}
-	if !src.draining && len(dst.clients)+1 >= len(src.clients) {
+	src, _ := m.indexLocked(cur)
+	if !m.rows[src].Draining && m.rows[dst].Clients+1 >= m.rows[src].Clients {
 		return cur, false, nil
 	}
 	if fit != nil && !fit(id) {
@@ -237,14 +237,9 @@ func (m *Manager) DrainCandidate() (int, bool) {
 	}
 	best := -1
 	bestClients := 0
-	for _, id := range m.order {
-		e := m.servers[id]
-		if e.draining {
-			continue
-		}
-		if best < 0 || len(e.clients) < bestClients {
-			best = id
-			bestClients = len(e.clients)
+	for _, r := range m.rows {
+		if !r.Draining && (best < 0 || r.Clients < bestClients) {
+			best, bestClients = r.ID, r.Clients
 		}
 	}
 	if best < 0 {
@@ -254,19 +249,19 @@ func (m *Manager) DrainCandidate() (int, bool) {
 }
 
 // Loads snapshots every non-removed server's ServerLoad (including
-// draining ones, flagged), probing live signals, in ID order.
+// draining ones, flagged) with its last observed signals, in ID order.
 func (m *Manager) Loads() []ServerLoad {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.appendLoadsLocked(make([]ServerLoad, 0, len(m.order)), true)
+	return slices.Clone(m.rows)
 }
 
 // ServerOf returns the server currently hosting clientID.
 func (m *Manager) ServerOf(clientID string) (int, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id, ok := m.assign[clientID]
-	return id, ok
+	placed, ok := m.assign[clientID]
+	return placed.server, ok
 }
 
 // ClientCount returns the number of clients resident on server id
@@ -274,8 +269,8 @@ func (m *Manager) ServerOf(clientID string) (int, bool) {
 func (m *Manager) ClientCount(id int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e, ok := m.servers[id]; ok {
-		return len(e.clients)
+	if i, ok := m.indexLocked(id); ok {
+		return m.rows[i].Clients
 	}
 	return 0
 }
@@ -317,102 +312,84 @@ type Stats struct {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Placements:  m.placements,
 		Migrations:  m.migrations,
 		ScaleEvents: m.scaleEvents,
+		Servers:     m.activeLocked(),
+		Draining:    m.draining,
 	}
-	for _, e := range m.servers {
-		if e.draining {
-			st.Draining++
-		} else {
-			st.Servers++
-		}
-	}
-	return st
 }
 
-// attachLocked records client c on server e. Caller holds m.mu.
-func (m *Manager) attachLocked(e *serverEntry, c ClientInfo) {
-	e.clients[c.ID] = c.TransientPeakBytes
-	e.committed += c.TransientPeakBytes
-	m.assign[c.ID] = e.id
+// indexLocked returns server id's row index, or where it would be
+// inserted and false. Caller holds m.mu.
+func (m *Manager) indexLocked(id int) (int, bool) {
+	return slices.BinarySearchFunc(m.rows, id, func(r ServerLoad, id int) int { return cmp.Compare(r.ID, id) })
+}
+
+// candidatesLocked returns the rows a placement may choose from: all of
+// them, or the non-draining ones while a server drains. Caller holds
+// m.mu.
+func (m *Manager) candidatesLocked() []ServerLoad {
+	if m.draining == 0 {
+		return m.rows
+	}
+	m.active = m.active[:0]
+	for _, r := range m.rows {
+		if !r.Draining {
+			m.active = append(m.active, r)
+		}
+	}
+	return m.active
+}
+
+// attachLocked records client c on row i. Caller holds m.mu.
+func (m *Manager) attachLocked(i int, c ClientInfo) {
+	r := &m.rows[i]
+	r.Clients++
+	r.CommittedBytes += c.TransientPeakBytes
+	m.assign[c.ID] = resident{server: r.ID, committed: c.TransientPeakBytes}
 }
 
 // detachLocked removes clientID from its server. Caller holds m.mu.
 func (m *Manager) detachLocked(clientID string) {
-	id, ok := m.assign[clientID]
+	placed, ok := m.assign[clientID]
 	if !ok {
 		return
 	}
-	if e, ok := m.servers[id]; ok {
-		e.committed -= e.clients[clientID]
-		delete(e.clients, clientID)
+	if i, ok := m.indexLocked(placed.server); ok {
+		m.rows[i].Clients--
+		m.rows[i].CommittedBytes -= placed.committed
 	}
 	delete(m.assign, clientID)
 }
 
-// appendLoadsLocked appends a ServerLoad snapshot per server to loads,
-// in ID order. Caller holds m.mu.
-func (m *Manager) appendLoadsLocked(loads []ServerLoad, includeDraining bool) []ServerLoad {
-	for _, id := range m.order {
-		e := m.servers[id]
-		if e.draining && !includeDraining {
-			continue
-		}
-		var sig Signals
-		if e.probe != nil {
-			sig = e.probe()
-		}
-		loads = append(loads, ServerLoad{
-			ID:             id,
-			Clients:        len(e.clients),
-			QueueDepth:     sig.QueueDepth,
-			UsedBytes:      sig.UsedBytes,
-			Admission:      sig.Admission,
-			CommittedBytes: e.committed,
-			CapacityBytes:  e.capacity,
-			Models:         e.models,
-			Draining:       e.draining,
-		})
-	}
-	return loads
-}
-
 // activeLocked counts non-draining servers. Caller holds m.mu.
-func (m *Manager) activeLocked() int {
-	n := 0
-	for _, e := range m.servers {
-		if !e.draining {
-			n++
-		}
-	}
-	return n
-}
+func (m *Manager) activeLocked() int { return len(m.rows) - m.draining }
 
 // imbalanceLocked computes max/mean resident clients over active
 // servers. Caller holds m.mu.
 func (m *Manager) imbalanceLocked() float64 {
-	active, total, maxC := 0, 0, 0
-	for _, e := range m.servers {
-		if e.draining {
-			continue
-		}
-		active++
-		total += len(e.clients)
-		if len(e.clients) > maxC {
-			maxC = len(e.clients)
+	total, maxC := 0, 0
+	for _, r := range m.rows {
+		if !r.Draining {
+			total += r.Clients
+			maxC = max(maxC, r.Clients)
 		}
 	}
-	if active == 0 || total == 0 {
+	if total == 0 {
 		return 0
 	}
-	mean := float64(total) / float64(active)
+	mean := float64(total) / float64(m.activeLocked())
 	return float64(maxC) / mean
 }
 
-// publishLocked refreshes the fleet gauges. Caller holds m.mu.
+// publishLocked refreshes the fleet gauges, when instrumented. Caller
+// holds m.mu.
 func (m *Manager) publishLocked() {
+	if m.mServers == nil {
+		return
+	}
 	m.mServers.Set(int64(m.activeLocked()))
 	m.mImbalance.Set(int64(m.imbalanceLocked() * 1000))
 }

@@ -12,7 +12,7 @@ func newTestManager(t *testing.T, placer Placer, servers int) *Manager {
 	t.Helper()
 	m := NewManager(placer)
 	for i := 0; i < servers; i++ {
-		if err := m.AddServer(i, 32*gib, []string{"m"}, nil); err != nil {
+		if err := m.AddServer(i, 32*gib, []string{"m"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestManagerMetricsAndImbalance(t *testing.T) {
 	m := NewManager(NewRoundRobin())
 	m.Instrument(reg)
 	for i := 0; i < 2; i++ {
-		if err := m.AddServer(i, 32*gib, []string{"m"}, nil); err != nil {
+		if err := m.AddServer(i, 32*gib, []string{"m"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,9 +171,10 @@ func TestManagerDrainCandidatePicksEmptiest(t *testing.T) {
 	}
 }
 
-// Place and Rebalance hand the placer a buffer the Manager owns, so a
-// decision over a 64-server fleet allocates no ServerLoad slice; Loads
-// still returns a snapshot of its own.
+// Place and Rebalance hand the placer the Manager's own rows, or a
+// buffer it owns while a server drains, so a decision over a 64-server
+// fleet allocates no ServerLoad slice; Loads still returns a snapshot
+// of its own.
 func TestManagerPlaceReusesLoadBuffer(t *testing.T) {
 	m := newTestManager(t, NewLeastLoaded(), 64)
 	ids := make([]string, 200)
@@ -193,14 +194,48 @@ func TestManagerPlaceReusesLoadBuffer(t *testing.T) {
 			m.Depart(id)
 		}
 	}
-	place()
-	// Only the attach's map growth may allocate, never a load per server.
-	if n := testing.AllocsPerRun(5, place); n > float64(len(ids)) {
-		t.Fatalf("%.0f allocations placing %d clients on 64 servers", n, len(ids))
+	for _, drain := range []bool{false, true} {
+		if drain {
+			if err := m.Drain(5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		place()
+		// Only the assignment map's growth may allocate, never a load per
+		// server.
+		if n := testing.AllocsPerRun(5, place); n > float64(len(ids)) {
+			t.Fatalf("draining %v: %.0f allocations placing %d clients on 64 servers", drain, n, len(ids))
+		}
 	}
 	a, b := m.Loads(), m.Loads()
 	a[0].Clients = -1
-	if b[0].Clients == -1 || &a[0] == &m.loads[0] {
+	if b[0].Clients == -1 || &a[0] == &m.rows[0] {
 		t.Fatal("Loads shares its slice")
+	}
+}
+
+// Observe is the only way live signals reach a decision: each push
+// lands in that server's row, Place reads it with no other call, Loads
+// reports it, and a push for an unregistered server changes nothing.
+func TestManagerObserveFeedsDecisions(t *testing.T) {
+	m := newTestManager(t, NewLeastLoaded(), 3)
+	m.Observe(0, Signals{QueueDepth: 5})
+	m.Observe(1, Signals{QueueDepth: 2, UsedBytes: 3 * gib, Admission: AdmissionThrottled})
+	if id, err := m.Place(ClientInfo{ID: "a"}); err != nil || id != 2 {
+		t.Fatalf("Place = %d, %v; want 2, the only server with no queue", id, err)
+	}
+	m.Observe(2, Signals{QueueDepth: 9})
+	if id, err := m.Place(ClientInfo{ID: "b"}); err != nil || id != 1 {
+		t.Fatalf("Place = %d, %v; want 1 after server 2's queue grew", id, err)
+	}
+	m.Observe(7, Signals{QueueDepth: 1})
+	loads := m.Loads()
+	if len(loads) != 3 {
+		t.Fatalf("%d rows after observing an unregistered server, want 3", len(loads))
+	}
+	want := ServerLoad{ID: 1, Clients: 1, QueueDepth: 2, UsedBytes: 3 * gib, Admission: AdmissionThrottled,
+		CapacityBytes: 32 * gib, Models: []string{"m"}}
+	if got := loads[1]; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Loads()[1] = %+v, want %+v", got, want)
 	}
 }

@@ -19,7 +19,7 @@ func TestManagerRebalanceFitVeto(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := m.AddServer(1, 32*gib, []string{"m"}, nil); err != nil {
+	if err := m.AddServer(1, 32*gib, []string{"m"}); err != nil {
 		t.Fatal(err)
 	}
 	victim := ClientInfo{ID: "c0", TransientPeakBytes: gib}
@@ -65,7 +65,7 @@ func TestManagerRebalanceTieIsNotImprovement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := m.AddServer(1, 32*gib, []string{"m"}, nil); err != nil {
+	if err := m.AddServer(1, 32*gib, []string{"m"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Place(ClientInfo{ID: "c2", TransientPeakBytes: gib}); err != nil {

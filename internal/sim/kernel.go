@@ -7,6 +7,11 @@
 // regardless of host scheduling, and no event costs a goroutine, a
 // channel hand-off or an allocation in the kernel.
 //
+// The queue orders instants, not events: an instant is a FIFO of the
+// handlers due at one time, and a push joins the newest instant when
+// its time matches. Processes that move in lock-step therefore pay a
+// heap operation per due time they open, not per event.
+//
 // The performance plane of the reproduction runs the Menos server,
 // its clients and the network as sim handlers, which is what lets a
 // "154-second" vanilla fine-tuning iteration be measured in
@@ -25,15 +30,25 @@ import (
 // continuations are still parked on signals.
 var ErrDeadlock = errors.New("sim: deadlock")
 
-// event is a scheduled handler call. seq breaks ties between equal
-// times in scheduling order.
-type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
+// node is one scheduled handler, linked into its instant's FIFO while
+// pending and into the kernel's free list once dispatched. Nodes are
+// named by their index in Kernel.nodes; 0 names none.
+type node struct {
+	fn   func()
+	next int
 }
 
-func (e *event) before(o *event) bool {
+// instant is every handler due at one time that was pushed while it was
+// the newest instant, so its handlers are contiguous in scheduling
+// order: a FIFO of nodes from head. Instants run in (at, seq) order,
+// seq numbering them as they open.
+type instant struct {
+	at   time.Duration
+	seq  uint64
+	head int
+}
+
+func (e *instant) before(o *instant) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
@@ -44,8 +59,14 @@ func (e *event) before(o *event) bool {
 // interaction happens from event handlers or between Run calls.
 type Kernel struct {
 	now   time.Duration
-	seq   uint64
-	queue []event // binary min-heap by (at, seq), held by value
+	seq   uint64    // the newest instant's seq
+	queue []instant // binary min-heap by (at, seq), held by value
+	nodes []node    // every handler node; nodes[0] is unused
+	free  int       // the first free node
+	// tail is the newest instant's last node while it is pending, and
+	// lastAt its time.
+	tail   int
+	lastAt time.Duration
 	// blocked counts continuations parked on signals; signals lists
 	// every signal so a deadlock report can name what each one waits for.
 	blocked int
@@ -53,7 +74,7 @@ type Kernel struct {
 }
 
 // New creates an empty simulation at time zero.
-func New() *Kernel { return &Kernel{} }
+func New() *Kernel { return &Kernel{nodes: make([]node, 1)} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
@@ -67,9 +88,27 @@ func (k *Kernel) After(d time.Duration, fn func()) {
 	k.push(k.now+d, fn)
 }
 
+// push schedules fn at at, behind everything already scheduled at at.
+// Joining the newest instant keeps that order: every other instant at
+// at opened before it and sorts ahead by seq. Any other time opens an
+// instant, which sorts behind every pending one at its time.
 func (k *Kernel) push(at time.Duration, fn func()) {
+	n := k.free
+	if n != 0 {
+		k.free = k.nodes[n].next
+		k.nodes[n] = node{fn: fn}
+	} else {
+		n = len(k.nodes)
+		k.nodes = append(k.nodes, node{fn: fn})
+	}
+	if k.tail != 0 && k.lastAt == at {
+		k.nodes[k.tail].next = n
+		k.tail = n
+		return
+	}
+	k.tail, k.lastAt = n, at
 	k.seq++
-	e := event{at: at, seq: k.seq, fn: fn}
+	e := instant{at: at, seq: k.seq, head: n}
 	q := append(k.queue, e)
 	i := len(q) - 1
 	for i > 0 {
@@ -84,13 +123,14 @@ func (k *Kernel) push(at time.Duration, fn func()) {
 	k.queue = q
 }
 
-// pop removes and returns the earliest event.
-func (k *Kernel) pop() event {
+// pop removes the earliest instant, which has run its last handler.
+func (k *Kernel) pop() {
 	q := k.queue
-	top := q[0]
+	if q[0].seq == k.seq {
+		k.tail = 0 // the newest instant is gone: the next push opens one
+	}
 	n := len(q) - 1
 	last := q[n]
-	q[n] = event{} // drop the handler reference
 	q = q[:n]
 	if n > 0 {
 		i := 0
@@ -111,7 +151,6 @@ func (k *Kernel) pop() event {
 		q[i] = last
 	}
 	k.queue = q
-	return top
 }
 
 // Run executes events until the queue drains. It returns ErrDeadlock
@@ -119,17 +158,28 @@ func (k *Kernel) pop() event {
 func (k *Kernel) Run() error { return k.RunUntil(-1) }
 
 // RunUntil executes events with time ≤ limit (limit < 0 means no
-// limit). Reaching the limit with events still queued is not an error;
-// draining the queue with parked continuations is a deadlock.
+// limit). Reaching the limit with events still queued is not an error:
+// the clock then reads limit, or stays put if it is already later, as
+// time never runs backwards. Draining the queue with parked
+// continuations is a deadlock.
 func (k *Kernel) RunUntil(limit time.Duration) error {
 	for len(k.queue) > 0 {
-		if limit >= 0 && k.queue[0].at > limit {
-			k.now = limit
+		top := &k.queue[0]
+		if limit >= 0 && top.at > limit {
+			k.now = max(k.now, limit)
 			return nil
 		}
-		e := k.pop()
-		k.now = e.at
-		e.fn()
+		k.now = top.at
+		n := &k.nodes[top.head]
+		fn, next := n.fn, n.next
+		// Free the node, dropping the handler reference.
+		n.fn, n.next, k.free = nil, k.free, top.head
+		if next != 0 {
+			top.head = next
+		} else {
+			k.pop()
+		}
+		fn()
 	}
 	if k.blocked > 0 {
 		return fmt.Errorf("%w: %d blocked: %s", ErrDeadlock, k.blocked, k.blockedSummary())

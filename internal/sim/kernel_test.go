@@ -377,6 +377,69 @@ func TestDispatchOrderIsTimeThenPush(t *testing.T) {
 	}
 }
 
+// RunUntil with a limit behind the clock leaves the clock where it is:
+// time never moves backwards, so a later After cannot land before an
+// event that already ran.
+func TestRunUntilNeverMovesTimeBack(t *testing.T) {
+	k := New()
+	var ran []time.Duration
+	k.After(10*time.Second, func() { ran = append(ran, k.Now()) })
+	k.After(20*time.Second, func() { ran = append(ran, k.Now()) })
+	if err := k.RunUntil(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunUntil(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 15*time.Second {
+		t.Fatalf("Now = %v after RunUntil(5s) at 15s, want 15s", k.Now())
+	}
+	k.After(time.Second, func() { ran = append(ran, k.Now()) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []time.Duration{10 * time.Second, 16 * time.Second, 20 * time.Second}
+	if len(ran) != len(want) {
+		t.Fatalf("ran at %v, want %v", ran, want)
+	}
+	for i := range want {
+		if ran[i] != want[i] {
+			t.Fatalf("ran at %v, want %v", ran, want)
+		}
+	}
+}
+
+// Dispatching an event allocates nothing once the heap has grown.
+func TestEventPathAllocatesNothing(t *testing.T) {
+	k := New()
+	sig := k.NewSignal()
+	var step func()
+	n := 0
+	step = func() {
+		switch n++; {
+		case n >= 64:
+		case n%2 == 0:
+			sig.Wait("w", step)
+			sig.Fire()
+		default:
+			k.After(time.Millisecond, step)
+		}
+	}
+	run := func() {
+		n = 0
+		for i := 0; i < 8; i++ {
+			k.After(0, step) // eight interleaved chains grow the heap
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("%.1f allocations per run of 64 events", allocs)
+	}
+}
+
 // BenchmarkDispatch runs 2048 chains of 16 hops each. In lockstep every
 // hop waits the same delay, so the chains share each due time, as
 // sim_fleet's homogeneous clients do; in distinct every hop draws a

@@ -67,6 +67,9 @@ type serverSim struct {
 	// transient is this server's share of the memory timeline as last
 	// read (see menosRun.refresh).
 	transient int64
+	// sig is what the fleet Manager last saw of this server: refresh
+	// pushes the scheduler's gauges, used the device usage.
+	sig fleet.Signals
 }
 
 // menosRun is one Menos simulation's shared state. Every handler runs on
@@ -337,16 +340,10 @@ func (r *menosRun) newServer() (*serverSim, error) {
 		})
 	}
 	r.servers = append(r.servers, srv)
-	err = r.mgr.AddServer(id, devices.Capacity(), []string{w0.Model.Name}, func() fleet.Signals {
-		return fleet.Signals{
-			QueueDepth: srv.scheduler.QueueDepth(),
-			UsedBytes:  srv.devices.Used(),
-			Admission:  fleet.AdmissionState(srv.scheduler.AdmissionState()),
-		}
-	})
-	if err != nil {
+	if err := r.mgr.AddServer(id, devices.Capacity(), []string{w0.Model.Name}); err != nil {
 		return nil, err
 	}
+	r.used(srv)
 	if n := r.mgr.ActiveServers(); n > r.peakServers {
 		r.peakServers = n
 	}
@@ -374,6 +371,7 @@ func (r *menosRun) admitClient(srv *serverSim, ci fleet.ClientInfo) error {
 	if ci.TransientPeakBytes > srv.maxDemand {
 		srv.maxDemand = ci.TransientPeakBytes
 	}
+	r.used(srv)
 	return nil
 }
 
@@ -395,13 +393,28 @@ func (r *menosRun) canAdmit(srv *serverSim, ci fleet.ClientInfo) bool {
 
 // refresh re-reads srv's transient scheduled memory — the schedulable
 // budget minus what is still free (persistent reservations cancel out)
-// — into the fleet total. Every scheduler call that can move it is
-// followed by a refresh of that server before anything else samples,
-// so the total always equals a sum over every server.
+// — into the fleet total, and pushes its queue depth and admission state
+// to the fleet Manager if they moved. Every scheduler call that can move
+// any of them is followed by a refresh of that server before anything
+// else samples or places, so the total always equals a sum over every
+// server and each placement sees every server's live state.
 func (r *menosRun) refresh(srv *serverSim) {
 	v := srv.scheduler.Schedulable() - srv.scheduler.Available()
 	r.transient += v - srv.transient
 	srv.transient = v
+	depth, adm := srv.scheduler.QueueDepth(), fleet.AdmissionState(srv.scheduler.AdmissionState())
+	if depth != srv.sig.QueueDepth || adm != srv.sig.Admission {
+		srv.sig.QueueDepth, srv.sig.Admission = depth, adm
+		r.mgr.Observe(srv.id, srv.sig)
+	}
+}
+
+// used pushes srv's device usage to the fleet Manager. It follows every
+// Alloc and FreeOwner on a server still in the fleet, the only calls
+// that move it.
+func (r *menosRun) used(srv *serverSim) {
+	srv.sig.UsedBytes = srv.devices.Used()
+	r.mgr.Observe(srv.id, srv.sig)
 }
 
 // sampleMem records one point of the transient-memory timeline after
@@ -836,6 +849,7 @@ func (c *menosClient) step() {
 				c.srv.scheduler.Complete(c.id)
 				c.srv.scheduler.Complete(c.persistOwner)
 				c.srv.devices.FreeOwner(c.persistOwner)
+				r.used(c.srv)
 				r.mgr.Depart(c.id)
 				r.sampleMem(k.Now(), c.srv)
 				r.decommission(c.srv)
@@ -882,6 +896,7 @@ func (c *menosClient) beginMigration(dst *serverSim) {
 	old.scheduler.Complete(c.id)
 	old.scheduler.Complete(c.persistOwner)
 	old.devices.FreeOwner(c.persistOwner)
+	c.r.used(old)
 	c.r.refresh(old)
 }
 
