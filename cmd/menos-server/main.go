@@ -15,9 +15,11 @@
 // -batch-size enables cross-client batch formation: up to N compatible
 // LoRA iteration requests coalesce into one batched kernel invocation
 // over the shared base, each client keeping its own adapter via
-// per-row dispatch (docs/BATCHING.md). Results are bit-identical to
-// serial execution; -batch-hold bounds how long a partial batch waits
-// for co-tenants.
+// per-row dispatch (docs/BATCHING.md). A request joins a batch only
+// while another request waits for memory; otherwise it is served on its
+// own and may keep its activations for the backward. Results are
+// bit-identical to serial execution; -batch-hold bounds how long a
+// partial batch waits for co-tenants.
 //
 // -wire-compress quantizes the activation tensors this server sends to
 // clients that negotiated the compression capability (fp16 halves,

@@ -6,7 +6,8 @@
 // scheduler (SubmitBatch), each member is billed its own bytes, grant
 // wait and compute share, and the math is bit-identical to serving the
 // members one at a time (pinned by TestBatchedServerBitIdentical and,
-// at the model layer, the multilora adapter tests).
+// at the model layer, the multilora adapter tests). Server.run routes a
+// request here only while another request waits for memory.
 package server
 
 import (
@@ -23,9 +24,7 @@ import (
 
 // batchable reports whether a session's requests may join batches:
 // batching re-injects the session's adapter layers per-row, which is
-// implemented for LoRA only. A batchable session never keeps its
-// activations: its forward is a stacked no-grad pass, and the backward
-// group need not be the forward group.
+// implemented for LoRA only.
 func (s *Server) batchable(sess *session) (*adapter.LoRAAdapter, bool) {
 	if s.engine == nil {
 		return nil, false

@@ -45,27 +45,60 @@ func (b *stepBarrier) wait() {
 	<-ch
 }
 
-func newBatchedServer(t *testing.T, maxSize int, reg *obs.Registry) string {
+func newBatchedServer(t *testing.T, maxSize int, reg *obs.Registry) (*Server, string) {
 	t.Helper()
-	store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{
-		Store:   store,
+	return startServer(t, Config{
 		Batch:   sched.BatchPolicy{MaxSize: maxSize, MaxHold: 200 * time.Millisecond},
 		Metrics: reg,
 	})
-	if err != nil {
+}
+
+// pressure keeps one request waiting in sch until release is called: it
+// holds a one-byte grant and queues a request for everything that was
+// free, which fits only once that grant is gone. While it waits, every
+// batchable request is routed to the batch engine. release gives the
+// grant back, waits for the queued request to be granted — which needs
+// everything taken since the call to have been given back, including
+// the reservations of sessions admitted after it — and completes it.
+func pressure(t testing.TB, sch *sched.Scheduler) (release func()) {
+	t.Helper()
+	free := sch.Available()
+	if err := sch.Submit("pressure-hold", sched.KindForward, 1, func() {}); err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	granted := make(chan struct{})
+	if err := sch.Submit("pressure-waiter", sched.KindBackward, free, func() { close(granted) }); err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = srv.Serve(l) }()
-	t.Cleanup(func() { _ = srv.Close() })
-	return l.Addr().String()
+	if d := sch.QueueDepth(); d != 1 {
+		t.Fatalf("queue depth %d under pressure, want 1", d)
+	}
+	return func() {
+		t.Helper()
+		sch.Complete("pressure-hold")
+		select {
+		case <-granted:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the waiting request was never granted: %d of %d bytes still held",
+				sch.Schedulable()-sch.Available(), sch.Schedulable())
+		}
+		sch.Complete("pressure-waiter")
+	}
+}
+
+// frameHookConn runs a hook right before the client writes a frame of
+// the given type: WriteMessage issues one Write per frame, with the
+// message type at byte 3 of the header.
+type frameHookConn struct {
+	net.Conn
+	before map[split.MsgType]func()
+}
+
+func (c *frameHookConn) Write(p []byte) (int, error) {
+	if hook := c.before[split.MsgType(p[3])]; hook != nil {
+		hook()
+	}
+	return c.Conn.Write(p)
 }
 
 // TestBatchedServerBitIdentical is the determinism contract of
@@ -111,18 +144,7 @@ func TestBatchedServerBitIdentical(t *testing.T) {
 		}
 		defer c.Close()
 		ids, targets := batchFor(cfg, seed)
-		losses := make([]float64, 0, steps)
-		for s := 0; s < steps; s++ {
-			if barrier != nil {
-				barrier.wait()
-			}
-			res, err := c.Step(ids, targets)
-			if err != nil {
-				return nil, err
-			}
-			losses = append(losses, res.Loss)
-		}
-		return losses, nil
+		return stepLosses(c, ids, targets, steps, barrier)
 	}
 	for i := 0; i < clients; i++ {
 		losses, err := runOne(serialAddr, cfgFor(i), uint64(50+i), nil)
@@ -138,9 +160,12 @@ func TestBatchedServerBitIdentical(t *testing.T) {
 	serial[clients] = pl
 
 	// Batched run: everyone concurrent, steps in lockstep so the LoRA
-	// clients' requests land within one hold window.
+	// clients' requests land within one hold window, and a request kept
+	// waiting for memory throughout, so that every LoRA request is routed
+	// to the batch engine.
 	reg := obs.NewRegistry()
-	addr := newBatchedServer(t, clients, reg)
+	srv, addr := newBatchedServer(t, clients, reg)
+	release := pressure(t, srv.Scheduler())
 	barrier := newStepBarrier(clients + 1)
 	batched := make([][]float64, clients+1)
 	errs := make([]error, clients+1)
@@ -158,6 +183,7 @@ func TestBatchedServerBitIdentical(t *testing.T) {
 		batched[clients], errs[clients] = runOne(addr, prefixCfg, 99, barrier)
 	}()
 	wg.Wait()
+	release()
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
@@ -191,25 +217,20 @@ func TestBatchedServerBitIdentical(t *testing.T) {
 
 // TestBatchedServerBaseIntegrity: batched serving builds throwaway
 // multi-adapter bodies over shallow clones; the shared base must stay
-// bit-identical afterwards.
+// bit-identical afterwards. A request kept waiting for memory routes
+// every step through those bodies.
 func TestBatchedServerBaseIntegrity(t *testing.T) {
 	store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{
-		Store: store,
-		Batch: sched.BatchPolicy{MaxSize: 4, MaxHold: 20 * time.Millisecond},
+	reg := obs.NewRegistry()
+	srv, addr := startServer(t, Config{
+		Store:   store,
+		Batch:   sched.BatchPolicy{MaxSize: 4, MaxHold: 20 * time.Millisecond},
+		Metrics: reg,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(l) }()
-	defer srv.Close()
+	release := pressure(t, srv.Scheduler())
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 2)
@@ -219,7 +240,7 @@ func TestBatchedServerBaseIntegrity(t *testing.T) {
 			defer wg.Done()
 			cfg := clientCfg(fmt.Sprintf("integ-%d", i))
 			cfg.AdapterSeed = uint64(200 + i)
-			c, err := client.Dial(l.Addr().String(), cfg)
+			c, err := client.Dial(addr, cfg)
 			if err != nil {
 				errCh <- err
 				return
@@ -235,13 +256,187 @@ func TestBatchedServerBaseIntegrity(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	release()
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
 	}
+	if reg.Counter(obs.MetricBatchFormed).Value() == 0 {
+		t.Fatal("no batch formed: the stacked pass never ran")
+	}
 	if err := store.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// stepLosses runs n training steps, each after barrier (if any) opens,
+// and returns their losses.
+func stepLosses(c *client.Client, ids, targets []int, n int, barrier *stepBarrier) ([]float64, error) {
+	losses := make([]float64, 0, n)
+	for i := 0; i < n; i++ {
+		if barrier != nil {
+			barrier.wait()
+		}
+		res, err := c.Step(ids, targets)
+		if err != nil {
+			return nil, err
+		}
+		losses = append(losses, res.Loss)
+	}
+	return losses, nil
+}
+
+// TestBatchingFollowsPressure: a batchable request joins a batch only
+// while another request waits for memory; otherwise it is served on the
+// session's own body and keeps its activations like any other. The
+// decision is taken per phase, so each transition between the two is
+// pinned — and every loss is bit-equal to an unbatched server's.
+func TestBatchingFollowsPressure(t *testing.T) {
+	batching := sched.BatchPolicy{MaxSize: 4}
+	cfg := clientCfg("pressured")
+	ids, targets := batchFor(cfg, 15)
+
+	_, plainAddr := newTestServer(t)
+	c, err := client.Dial(plainAddr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stepLosses(c, ids, targets, 1, nil)
+	_ = c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// check compares a single step's loss with the unbatched one and the
+	// server's counters with what the transition must have done.
+	check := func(t *testing.T, srv *Server, reg *obs.Registry, loss float64, formed, claimed, reforwards int64) {
+		t.Helper()
+		if loss != want[0] {
+			t.Errorf("loss %v, unbatched %v", loss, want[0])
+		}
+		got := [3]int64{reg.Counter(obs.MetricBatchFormed).Value(), srv.Scheduler().Stats().Claimed, srv.Stats().Reforwards}
+		if got != [3]int64{formed, claimed, reforwards} {
+			t.Errorf("batches formed / claim hits / re-forwards = %v, want %v", got, [3]int64{formed, claimed, reforwards})
+		}
+	}
+
+	t.Run("ample memory forms no batch", func(t *testing.T) {
+		const tenants, steps = 3, 3
+		cfgFor := func(i int) client.Config {
+			cfg := clientCfg(fmt.Sprintf("ample-%d", i))
+			cfg.AdapterSeed = uint64(300 + i)
+			return cfg
+		}
+		run := func(addr string, barrier *stepBarrier) [][]float64 {
+			losses := make([][]float64, tenants)
+			errs := make([]error, tenants)
+			var wg sync.WaitGroup
+			for i := range losses {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					cfg := cfgFor(i)
+					c, err := client.Dial(addr, cfg)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					defer c.Close()
+					ids, targets := batchFor(cfg, uint64(70+i))
+					losses[i], errs[i] = stepLosses(c, ids, targets, steps, barrier)
+				}(i)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			return losses
+		}
+		ref := run(plainAddr, nil)
+		reg := obs.NewRegistry()
+		srv, addr := startServer(t, Config{Batch: batching, Metrics: reg})
+		got := run(addr, newStepBarrier(tenants))
+		for i := range ref {
+			for s := range ref[i] {
+				if got[i][s] != ref[i][s] {
+					t.Errorf("tenant %d step %d: loss %v, unbatched %v", i, s, got[i][s], ref[i][s])
+				}
+			}
+		}
+		if v := reg.Counter(obs.MetricBatchFormed).Value(); v != 0 {
+			t.Errorf("%d batches formed with nobody waiting for memory", v)
+		}
+		if hits, iters := srv.Scheduler().Stats().Claimed, srv.Stats().Iterations; hits != iters || iters != tenants*steps {
+			t.Errorf("claim hits %d, iterations %d, want %d each", hits, iters, tenants*steps)
+		}
+		if r := srv.Stats().Reforwards; r != 0 {
+			t.Errorf("%d re-forwards with ample memory", r)
+		}
+	})
+
+	// One tenant on a fresh batched server, dialled through hooks that
+	// run right before its ForwardReq / BackwardReq frames go out.
+	dial := func(t *testing.T, before map[split.MsgType]func()) (*Server, *obs.Registry, *client.Client) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		srv, addr := startServer(t, Config{Batch: batching, Metrics: reg})
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := client.New(&frameHookConn{Conn: conn, before: before}, cfg)
+		if err != nil {
+			_ = conn.Close()
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		return srv, reg, c
+	}
+
+	t.Run("evaluate parks, a waiter appears, the step is batched", func(t *testing.T) {
+		srv, reg, c := dial(t, nil)
+		if _, err := c.Evaluate(ids, targets); err != nil {
+			t.Fatal(err)
+		}
+		if srv.Scheduler().Parked() == 0 {
+			t.Fatal("the lone evaluation kept nothing parked")
+		}
+		release := pressure(t, srv.Scheduler())
+		res, err := c.Step(ids, targets) // its forward must give the parked grant back first
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		check(t, srv, reg, res.Loss, 2, 0, 0)
+	})
+
+	t.Run("kept alone, a waiter appears, the backward claims", func(t *testing.T) {
+		hooks := map[split.MsgType]func(){}
+		srv, reg, c := dial(t, hooks)
+		var release func()
+		hooks[split.TypeBackwardReq] = func() { release = pressure(t, srv.Scheduler()) }
+		res, err := c.Step(ids, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		check(t, srv, reg, res.Loss, 0, 1, 0)
+	})
+
+	t.Run("batched forward, pressure lifts, the backward re-forwards", func(t *testing.T) {
+		hooks := map[split.MsgType]func(){}
+		srv, reg, c := dial(t, hooks)
+		var release func()
+		hooks[split.TypeForwardReq] = func() { release = pressure(t, srv.Scheduler()) }
+		hooks[split.TypeBackwardReq] = func() { release() }
+		res, err := c.Step(ids, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, srv, reg, res.Loss, 1, 0, 1)
+	})
 }
 
 // rawSession handshakes as a well-formed client and hands back the
@@ -310,9 +505,12 @@ func TestMalformedMemberFailsAlone(t *testing.T) {
 	_ = c.Close()
 
 	// The offender's frame goes out first and the well-behaved step
-	// follows at once, well inside the 200ms hold window: without the
+	// follows at once, well inside the 200ms hold window: with a request
+	// waiting for memory both are routed to the engine, and without the
 	// envelope check the two form one group of MaxSize 2.
-	addr := newBatchedServer(t, 2, nil)
+	srv, addr := newBatchedServer(t, 2, nil)
+	release := pressure(t, srv.Scheduler())
+	defer release()
 	c, err = client.Dial(addr, good)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"menos/internal/client"
 	"menos/internal/gpu"
@@ -16,7 +17,7 @@ import (
 // tenantFootprint reports what one tenant of clientCfg's shape costs the
 // scheduler — M_f, M_b and the persistent reservation — by admitting one
 // on an ample server.
-func tenantFootprint(t *testing.T) (mf, mb, persist int64) {
+func tenantFootprint(t testing.TB) (mf, mb, persist int64) {
 	t.Helper()
 	srv, addr := newTestServer(t)
 	c, err := client.Dial(addr, clientCfg("footprint"))
@@ -178,5 +179,253 @@ func TestContentionIsFig3d(t *testing.T) {
 	}
 	if revokedRows != st.Revoked {
 		t.Errorf("ledger rows carry %d revocations, scheduler counted %d", revokedRows, st.Revoked)
+	}
+}
+
+// TestContentionIsFig3dBatched is TestContentionIsFig3d with batching on
+// (MaxSize: every tenant). On that budget requests do wait for memory, so
+// some join batches while others keep or lose a parked cache, and every
+// tenant's last step runs while a request is kept waiting, so batches
+// form whatever the earlier steps' timing did. Still nothing but memory
+// behaviour may differ from an ample server: bit-equal losses, every
+// revocation billed to a tenant, nothing held, parked or queued after
+// the last Bye.
+func TestContentionIsFig3dBatched(t *testing.T) {
+	const tenants, steps = 4, 6
+	_, ampleAddr := newTestServer(t)
+	want := contend(t, ampleAddr, tenants, steps, nil)
+
+	srv, reg, addr, budget := contendedServer(t, tenants, sched.BatchPolicy{MaxSize: tenants})
+	got := contend(t, addr, tenants, steps, srv.Scheduler())
+	if t.Failed() {
+		return
+	}
+	for i := range want {
+		for k := range want[i] {
+			if got[i][k] != want[i][k] {
+				t.Fatalf("tenant %d step %d: contended batched loss %v != uncontended %v", i, k, got[i][k], want[i][k])
+			}
+		}
+	}
+	waitForTeardown(t, reg)
+
+	sch, st := srv.Scheduler(), srv.Scheduler().Stats()
+	if v := reg.Counter(obs.MetricBatchFormed).Value(); v == 0 {
+		t.Error("no batch formed while a request waited for memory")
+	}
+	if iters := srv.Stats().Iterations; iters != tenants*steps {
+		t.Errorf("iterations %d, want %d", iters, tenants*steps)
+	}
+	if st.Revoked == 0 {
+		t.Error("no revocation on a budget that cannot hold two caches")
+	}
+	byTenant := reg.CounterVec(obs.MetricSchedRevocations, "client")
+	var labeled int64
+	for _, lbl := range byTenant.Labels() {
+		labeled += byTenant.With(lbl).Value()
+	}
+	if agg := reg.Counter(obs.MetricSchedRevocations).Value(); labeled != st.Revoked || agg != st.Revoked {
+		t.Errorf("revocations: %d by tenant, %d unlabeled, %d in scheduler stats", labeled, agg, st.Revoked)
+	}
+	if sch.Available() != budget || sch.Schedulable() != budget || sch.Parked() != 0 || sch.QueueDepth() != 0 {
+		t.Errorf("after the last Bye: available %d, schedulable %d of %d, parked %d, queued %d",
+			sch.Available(), sch.Schedulable(), budget, sch.Parked(), sch.QueueDepth())
+	}
+	if v := reg.Gauge(obs.MetricSchedParkedBytes).Value(); v != 0 {
+		t.Errorf("parked bytes gauge = %d, want 0", v)
+	}
+	var revokedRows int64
+	for _, u := range srv.ledger.Snapshot() {
+		if u.PersistentBytes != 0 || u.TransientBytes != 0 {
+			t.Errorf("%s: ledger holdings outlived the session: persist=%d transient=%d", u.ID, u.PersistentBytes, u.TransientBytes)
+		}
+		revokedRows += u.Revocations
+	}
+	if revokedRows != st.Revoked {
+		t.Errorf("ledger rows carry %d revocations, scheduler counted %d", revokedRows, st.Revoked)
+	}
+}
+
+// BenchmarkContendedBatching compares batching on and off where a
+// batchable request is routed to the batch engine at all: on
+// TestContentionIsFig3d's budget, where requests wait for memory. It
+// reports steps/s over every tenant, set-up included, and the mean
+// scheduler wait per iteration, which does not count a batch's hold.
+// -count repeats one side before starting the other, so compare pairs of
+// single runs, alternating which side goes first:
+//
+//	go test -run '^$' -bench 'ContendedBatching/on$' -benchtime 100x ./internal/server
+//	go test -run '^$' -bench 'ContendedBatching/off$' -benchtime 100x ./internal/server
+func BenchmarkContendedBatching(b *testing.B) {
+	const tenants = 4
+	for _, bc := range []struct {
+		name  string
+		batch sched.BatchPolicy
+	}{{"off", sched.BatchPolicy{}}, {"on", sched.BatchPolicy{MaxSize: tenants}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			srv, _, addr, _ := contendedServer(b, tenants, bc.batch)
+			start := time.Now()
+			contend(b, addr, tenants, b.N, nil)
+			b.ReportMetric(float64(tenants*b.N)/time.Since(start).Seconds(), "steps/s")
+			b.ReportMetric(float64(srv.Stats().AvgSchedWait.Microseconds())/1e3, "sched-wait-ms/iter")
+		})
+	}
+}
+
+// contendedServer serves TestContentionIsFig3d's budget for tenants
+// clientCfg tenants, with batch as its batch policy: everyone's
+// persistent state and M_f plus a single M_b, so at most one cache stays
+// parked and every other backward needs its bytes. It returns the
+// server, its registry, its address and the budget.
+func contendedServer(t testing.TB, tenants int, batch sched.BatchPolicy) (*Server, *obs.Registry, string, int64) {
+	t.Helper()
+	mf, mb, persist := tenantFootprint(t)
+	n := int64(tenants)
+	if mb <= n*mf {
+		t.Fatalf("M_b %d does not exceed %d·M_f %d: the budget would not contend", mb, tenants, mf)
+	}
+	store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := n*persist + mb + n*mf
+	reg := obs.NewRegistry()
+	srv, addr := startServer(t, Config{
+		Store:   store,
+		GPU:     gpu.NewDevice(gpu.Spec{Name: "tight", MemoryBytes: store.BaseParamBytes() + budget}),
+		Batch:   batch,
+		Metrics: reg,
+	})
+	return srv, reg, addr, budget
+}
+
+// contend is TestContentionIsFig3d's drive: tenants dial addr, tenant 0
+// evaluates (leaving its cache parked), tenant 1 steps once alone (its
+// backward cannot fit beside that cache), then everyone steps
+// concurrently until each has steps losses, and says Bye. Given the
+// server's scheduler, each tenant's last step runs while a request waits
+// in it (pressure), released after the last Bye.
+func contend(t testing.TB, addr string, tenants, steps int, sch *sched.Scheduler) [][]float64 {
+	t.Helper()
+	clients := make([]*client.Client, tenants)
+	for i := range clients {
+		cfg := clientCfg(fmt.Sprintf("tenant-%d", i))
+		cfg.AdapterSeed += uint64(i)
+		c, err := client.Dial(addr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+	ids, targets := batchFor(clientCfg(""), 12)
+	if _, err := clients[0].Evaluate(ids, targets); err != nil {
+		t.Fatal(err)
+	}
+	losses := make([][]float64, tenants)
+	first, err := clients[1].Step(ids, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses[1] = append(losses[1], first.Loss)
+	stepTo := func(n int) {
+		var wg sync.WaitGroup
+		for i, c := range clients {
+			wg.Add(1)
+			go func(i int, c *client.Client) {
+				defer wg.Done()
+				rest, err := stepLosses(c, ids, targets, n-len(losses[i]), nil)
+				if err != nil {
+					t.Errorf("tenant-%d: %v", i, err)
+				}
+				losses[i] = append(losses[i], rest...)
+			}(i, c)
+		}
+		wg.Wait()
+	}
+	release := func() {}
+	if sch != nil {
+		stepTo(steps - 1)
+		release = pressure(t, sch)
+	}
+	stepTo(steps)
+	for _, c := range clients {
+		if err := c.Close(); err != nil { // Bye
+			t.Error(err)
+		}
+	}
+	release()
+	return losses
+}
+
+// TestProfileViolationRaisesBackwardDemand: a kept cache larger than the
+// session's profiled M_b is a profile violation once. The session's M_b
+// is raised to what the cache measured, so the next forwards keep their
+// caches on a grant that covers them and the backwards claim them.
+func TestProfileViolationRaisesBackwardDemand(t *testing.T) {
+	const steps = 4
+	cfg := clientCfg("underprofiled")
+	ids, targets := batchFor(cfg, 14)
+	_, plainAddr := newTestServer(t)
+	c, err := client.Dial(plainAddr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stepLosses(c, ids, targets, steps, nil)
+	_ = c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	srv, addr := startServer(t, Config{Metrics: reg})
+	c, err = client.Dial(addr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mf, mb := c.Demands()
+	// One round trip first, so the session goroutine is past its
+	// admission log line (which reads the demands) before they change.
+	// The evaluation parks a cache the first step's forward gives back.
+	if _, err := c.Evaluate(ids, targets); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	sess := srv.sessions[cfg.ClientID]
+	sess.demands.BackwardBytes = mf // a profile that undershoots what a kept cache holds
+	srv.mu.Unlock()
+	got, err := stepLosses(c, ids, targets, steps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("step %d: loss %v, correctly profiled %v", i, got[i], want[i])
+		}
+	}
+	if v := reg.Counter(obs.MetricServerProfileViolations).Value(); v != 1 {
+		t.Errorf("%d profile violations over %d steps, want 1", v, steps)
+	}
+	if hits, refwd := srv.Scheduler().Stats().Claimed, srv.Stats().Reforwards; hits != steps-1 || refwd != 1 {
+		t.Errorf("claim hits %d, re-forwards %d; want %d and 1 (only the violating iteration re-forwards)", hits, refwd, steps-1)
+	}
+	srv.mu.Lock()
+	raised := sess.demands.BackwardBytes
+	srv.mu.Unlock()
+	if raised <= mf || raised >= mb {
+		t.Errorf("raised M_b %d, want the kept cache's size: above the undershoot %d, below the profile %d", raised, mf, mb)
+	}
+
+	// The raise is capped at schedulable and never lowers a demand:
+	// another tenant's handshake can shrink schedulable below M_b between
+	// the forward's grow and the check, and no server run orders that.
+	for _, c := range []struct{ profiled, kept, schedulable, want int64 }{
+		{100, 150, 400, 150}, // the kept cache's size
+		{100, 500, 400, 400}, // no more than a grant can ever be
+		{100, 150, 80, 100},  // schedulable shrank below M_b: unchanged
+	} {
+		if got := raisedBackwardDemand(c.profiled, c.kept, c.schedulable); got != c.want {
+			t.Errorf("raisedBackwardDemand(%d, %d, %d) = %d, want %d", c.profiled, c.kept, c.schedulable, got, c.want)
+		}
 	}
 }

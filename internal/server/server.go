@@ -75,9 +75,12 @@ type Config struct {
 	// Batch, when enabled (MaxSize > 1), coalesces compatible
 	// forward/backward requests from concurrent LoRA clients into one
 	// batched kernel invocation with per-row adapter dispatch
-	// (docs/BATCHING.md). The batched executor always runs the
-	// no-grad-forward / re-forward-backward protocol. The zero value
-	// serves every request serially.
+	// (docs/BATCHING.md). A request joins a batch only while another
+	// request waits for memory; the batched executor then runs the
+	// no-grad-forward / re-forward-backward protocol, and MaxHold bounds
+	// how long a forming group waits. Otherwise the request is served
+	// serially and may keep its activations. The zero value serves
+	// every request serially.
 	Batch sched.BatchPolicy
 	// ServerID is this server's fleet identity, echoed in /loadz
 	// (LoadSnapshot). A single-server deployment can leave it 0.
@@ -706,13 +709,14 @@ func (s *Server) teardown(sess *session) {
 		delete(s.pendingMig, sess.id)
 	}
 	s.mu.Unlock()
-	s.m.active.Add(-1)
 	s.closeDecode(sess)
 	s.scheduler.Complete(sess.id) // a grant in flight or parked, if any
 	s.scheduler.Complete("persist:" + sess.id)
 	if err := sess.inst.Release(); err != nil && !errors.Is(err, share.ErrReleased) {
 		s.logf("client %q: release: %v", sess.id, err)
 	}
+	// Last, so that a client no longer counted has nothing left held.
+	s.m.active.Add(-1)
 }
 
 // acquire blocks until the scheduler grants kind's memory to works:
@@ -792,19 +796,40 @@ func (s *Server) checkShape(what string, t *tensor.Tensor, rows int) error {
 	return nil
 }
 
-// run executes one phase of w's session: as a member of a batched
-// invocation when the session is batchable, on its own body otherwise.
-// Both executors acquire and release the phase's grant themselves and
-// leave the session's bookkeeping to the envelope.
+// run executes one phase of w's session and is the one place that
+// decides how, from what the scheduler observes. A backward first claims
+// the grant its forward parked: a kept cache is served on the session's
+// own body whatever the load. A forward first gives back a cache an
+// earlier forward left parked, so the session holds nothing from here
+// on. Then a batchable request joins a batched invocation, but only
+// while another request waits for memory — the one case where one
+// aggregate grant buys something, and where a serial forward's grow
+// would be refused anyway. Otherwise the phase runs on the session's own
+// body. Every executor acquires and releases its grant itself and
+// leaves the session's bookkeeping to the envelope.
 func (s *Server) run(kind sched.RequestKind, w *phaseWork) error {
-	if la, ok := s.batchable(w.sess); ok {
-		it := &batch.Item{Client: w.sess.id, Rows: w.batch * w.seq, Bytes: w.sess.demand(kind), Payload: w}
-		return s.engine.Join(batchKey(w.sess, la, kind, w.seq), it) // the member's own verdict
-	}
+	sess := w.sess
 	if kind == sched.KindBackward {
-		return s.runBackward(w)
+		if s.scheduler.Claim(sess.id) {
+			return s.runBackward(w, sess.parked.Swap(nil))
+		}
+	} else if sess.parked.Swap(nil) != nil {
+		// A forward that no backward followed (client.Evaluate, an
+		// abandoned iteration) left its cache parked: give the grant back,
+		// or this phase's submission fails ErrOutstanding.
+		s.scheduler.Complete(sess.id)
 	}
-	return s.runForward(w)
+	if la, ok := s.batchable(sess); ok && s.scheduler.QueueDepth() > 0 {
+		it := &batch.Item{Client: sess.id, Rows: w.batch * w.seq, Bytes: sess.demand(kind), Payload: w}
+		return s.engine.Join(batchKey(sess, la, kind, w.seq), it) // the member's own verdict
+	}
+	if kind == sched.KindForward {
+		return s.runForward(w)
+	}
+	if err := s.acquire(sched.KindBackward, "", w); err != nil {
+		return err
+	}
+	return s.runBackward(w, nil)
 }
 
 // serveForward is Algorithm 1, lines 4-8: decode, validate, run, cache
@@ -852,12 +877,6 @@ func (s *Server) serveForward(conn net.Conn, sess *session, req *split.ForwardRe
 // no-grad pass that releases before the gradient wait (Fig. 3(d)).
 func (s *Server) runForward(w *phaseWork) error {
 	sess := w.sess
-	if sess.parked.Swap(nil) != nil {
-		// A forward that no backward followed (client.Evaluate, an
-		// abandoned iteration) left its cache parked: give the grant back,
-		// or this Submit fails ErrOutstanding.
-		s.scheduler.Complete(sess.id)
-	}
 	if err := s.acquire(sched.KindForward, "", w); err != nil {
 		return err
 	}
@@ -873,12 +892,19 @@ func (s *Server) runForward(w *phaseWork) error {
 	compSpan.End()
 	if keep && cache.Bytes() > sess.demands.BackwardBytes {
 		// Estimate-then-validate: the profiled M_b must cover what is
-		// kept. A profile that does not is reported, and the cache is not
-		// held on a grant too small for it.
+		// kept. A profile that does not is reported, the cache is not held
+		// on a grant too small for it, and M_b is raised to what the cache
+		// measured, so the violation happens once rather than every
+		// iteration. The write is under s.mu because /loadz reads the
+		// demands from another goroutine.
 		s.m.profileViolations.Inc()
 		s.cfg.Flight.TriggerAsync(obs.FlightReasonProfile)
 		s.logf("client %q: kept cache %d bytes exceeds profiled backward demand %d",
 			sess.id, cache.Bytes(), sess.demands.BackwardBytes)
+		raised := raisedBackwardDemand(sess.demands.BackwardBytes, cache.Bytes(), s.scheduler.Schedulable())
+		s.mu.Lock()
+		sess.demands.BackwardBytes = raised
+		s.mu.Unlock()
 		keep = false
 	}
 	if !keep {
@@ -893,6 +919,16 @@ func (s *Server) runForward(w *phaseWork) error {
 	s.scheduler.Park(sess.id, sess.dropParked)
 	park.End()
 	return nil
+}
+
+// raisedBackwardDemand is the M_b a profile violation leaves behind: the
+// kept cache's size, capped at what a grant can ever be (a backward
+// demand above schedulable would fail every acquire), and never below
+// the profile it replaces — another tenant's handshake may have shrunk
+// schedulable while the forward computed. A cache larger than the whole
+// schedulable budget therefore stays a violation every time it is kept.
+func raisedBackwardDemand(profiled, kept, schedulable int64) int64 {
+	return max(profiled, min(kept, schedulable))
 }
 
 // serveBackward is Algorithm 1, lines 9-14: decode, validate, run,
@@ -945,19 +981,13 @@ func (s *Server) serveBackward(conn net.Conn, sess *session, req *split.Backward
 	return split.WriteMessage(conn, &split.BackwardResp{Iter: req.Iter, Gradients: plain, Packed: packed, TraceID: sess.echoTrace(req.TraceID)})
 }
 
-// runBackward is the serial backward executor. It claims the grant the
-// forward parked and backpropagates through the kept cache; if the
-// scheduler revoked it for someone else (or the forward never kept it)
-// this is Fig. 3(d)'s backward: acquire M_b, re-forward, backward. Both
-// outcomes release the grant afterwards.
-func (s *Server) runBackward(w *phaseWork) error {
+// runBackward is the serial backward executor, entered holding the
+// phase's grant: the forward's, claimed back with its kept cache, or a
+// fresh M_b grant with no cache. It backpropagates through the cache;
+// without one this is Fig. 3(d)'s backward, re-forward then backward.
+// Both outcomes release the grant afterwards.
+func (s *Server) runBackward(w *phaseWork, cache *model.BodyCache) error {
 	sess := w.sess
-	var cache *model.BodyCache
-	if s.scheduler.Claim(sess.id) {
-		cache = sess.parked.Swap(nil)
-	} else if err := s.acquire(sched.KindBackward, "", w); err != nil {
-		return err
-	}
 	compSpan := s.cfg.Tracer.BeginT(sess.id, "backward", "compute", w.traceID)
 	compStart := time.Now()
 	if cache == nil {

@@ -23,14 +23,14 @@ const weightSeed = 1234
 
 func testModelCfg() model.Config { return model.OPTTiny() }
 
-func newTestServer(t *testing.T) (*Server, string) {
+func newTestServer(t testing.TB) (*Server, string) {
 	t.Helper()
 	return startServer(t, Config{})
 }
 
 // startServer serves cfg on a loopback listener until the test ends; a
 // nil Store is filled with a fresh test store.
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	if cfg.Store == nil {
 		store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
