@@ -56,14 +56,14 @@ test-race:
 
 # Repeats the tests whose failures are rare interleavings or rare
 # inputs: the scheduler's claim-versus-revoke hammer and the server's
-# four-tenant contention run, with batching off and on (a parked
+# four-tenant contention run, one table over batching off and on (a parked
 # activation grant is either claimed by its owner or revoked for someone
 # else, never both, and nothing outlives a session), and the routing of
 # batchable requests by memory pressure, all under the race detector;
 # and the LayerNorm invariance property over its time-seeded generator.
 test-stress:
 	$(GO) test -race -count=20 -run 'TestClaimVersusRevokeHammer' ./internal/sched
-	$(GO) test -race -count=20 -run 'TestContentionIsFig3d|TestBatchingFollowsPressure' ./internal/server
+	$(GO) test -race -count=20 -run '^(TestContentionIsFig3d|TestBatchingFollowsPressure)$$' ./internal/server
 	$(GO) test -count=500 -run 'TestLayerNormInvarianceProperty' ./internal/nn
 
 bench:

@@ -116,14 +116,11 @@ func run(args []string) error {
 		// budget instead of going quiet once the buffer fills.
 		tracer.EnableRing(obs.DefaultRingBytes)
 		tracer.SetProcess(2, "menos-client:"+*id)
-		tracer.Instrument(reg)
 		ml, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
 		defer ml.Close()
-		stopSampler := obs.StartRuntimeSampler(reg, obs.RuntimeSamplerConfig{})
-		defer stopSampler()
 		var opts []obs.HandlerOption
 		if *pprofFlag {
 			opts = append(opts, obs.WithPprof())

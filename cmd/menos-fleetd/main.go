@@ -53,8 +53,8 @@
 //	               away on subsequent rebalance ticks
 //	POST /migrate  {"client_id","src","dst"}: order one migration now
 //	/metrics,      the menos_fleetd_* families (Prometheus text and
-//	/metrics.json  JSON), plus /healthz liveness and the menos_go_*
-//	               runtime gauges; -pprof mounts /debug/pprof/
+//	/metrics.json  JSON), plus /healthz liveness; -pprof mounts
+//	               /debug/pprof/
 package main
 
 import (
@@ -179,9 +179,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	stopSampler := obs.StartRuntimeSampler(reg, obs.RuntimeSamplerConfig{})
-	defer stopSampler()
-
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)

@@ -34,8 +34,7 @@
 // docs/FLEET.md and menos-fleetd) under /admin/,
 // and a Chrome trace of recent request spans on /trace (pageable with
 // ?since=/?window=; spans are kept in a ring bounded by
-// -trace-buffer-mb). A runtime sampler publishes the menos_go_* gauges
-// (heap, goroutines, GC). With -flight-dir set, a flight recorder
+// -trace-buffer-mb). With -flight-dir set, a flight recorder
 // snapshots the trace window and metrics to size-bounded JSONL on
 // sheds, OOMs and admission state changes (see docs/OBSERVABILITY.md).
 // -pprof additionally mounts net/http/pprof under /debug/pprof/ on the
@@ -148,7 +147,6 @@ func run(args []string) error {
 			pid = *serverID
 		}
 		tracer.SetProcess(pid, pname)
-		tracer.Instrument(reg)
 	}
 	var flight *obs.FlightRecorder
 	if *flightDir != "" {
@@ -187,8 +185,6 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
-		stopSampler := obs.StartRuntimeSampler(reg, obs.RuntimeSamplerConfig{})
-		defer stopSampler()
 		admission := func() string { return dep.Server.Scheduler().AdmissionState().String() }
 		opts := []obs.HandlerOption{
 			obs.WithAdmission(admission),

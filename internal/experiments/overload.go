@@ -86,7 +86,6 @@ func OverloadFlight(opts Options, dir string, captureProfiles bool) (*splitsim.R
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(nil) // spans carry explicit virtual times
 	tracer.EnableRing(obs.DefaultRingBytes)
-	tracer.Instrument(reg)
 	// A short rate-limit interval: the whole simulated incident plays
 	// out in milliseconds of wall time, so the default 1s would keep
 	// all but the first snapshot per reason.

@@ -133,23 +133,14 @@ type Controller struct {
 	order     []int
 	nextToken uint64
 
-	mPolls       *obs.Counter
-	mPollErrors  *obs.Counter
-	mHealthy     *obs.Gauge
-	mPlacements  *obs.Counter
-	mMigrations  *obs.Counter
-	mMigFailures *obs.Counter
-	mIdentity    *obs.Counter
+	mMigrations *obs.Counter
+	mIdentity   *obs.Counter
 
 	// Federation self-observability (nil-safe when unregistered).
 	mScrapes      *obs.Counter
 	mScrapeErrors *obs.Counter
 	mFedSpans     *obs.Counter
 	gSeries       *obs.Gauge
-	mSamples      *obs.Counter
-	mDropped      *obs.Counter
-	prevSamples   int64
-	prevDropped   int64
 }
 
 // NewController builds a Controller. Endpoint IDs must be unique.
@@ -196,19 +187,12 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	}
 	sort.Ints(c.order)
 	if reg := cfg.Metrics; reg != nil {
-		c.mPolls = reg.Counter(obs.MetricFleetdPolls, "server endpoint polls")
-		c.mPollErrors = reg.Counter(obs.MetricFleetdPollErrors, "failed endpoint polls")
-		c.mHealthy = reg.Gauge(obs.MetricFleetdServersHealthy, "endpoints whose last poll succeeded with matching identity")
-		c.mPlacements = reg.Counter(obs.MetricFleetdPlacements, "redirect placements handed to arriving clients")
 		c.mMigrations = reg.Counter(obs.MetricFleetdMigrations, "live migrations ordered successfully")
-		c.mMigFailures = reg.Counter(obs.MetricFleetdMigrationFailures, "migration orders the source server rejected")
 		c.mIdentity = reg.Counter(obs.MetricFleetdIdentityMismatch, "polls answered by a server other than the configured identity")
 		if c.store != nil {
 			c.mScrapes = reg.Counter(obs.MetricFleetdScrapes, "successful /metrics.json scrapes")
 			c.mScrapeErrors = reg.Counter(obs.MetricFleetdScrapeErrors, "failed /metrics.json or /trace scrapes of otherwise-healthy servers")
 			c.gSeries = reg.Gauge(obs.MetricFleetdTSDBSeries, "live series in the federated time-series store")
-			c.mSamples = reg.Counter(obs.MetricFleetdTSDBSamples, "samples appended to the federated time-series store")
-			c.mDropped = reg.Counter(obs.MetricFleetdTSDBDroppedSeries, "series creations dropped at the store's cardinality cap")
 		}
 		if c.fedTraces {
 			c.mFedSpans = reg.Counter(obs.MetricFleetdTraceSpansFederated, "spans pulled from server /trace pages into the fleet mirror")
@@ -238,10 +222,6 @@ func (c *Controller) PollOnce() int {
 		c.mu.Unlock()
 
 		ok, errStr, h, snap := c.pollEndpoint(ep)
-		c.mPolls.Inc()
-		if !ok {
-			c.mPollErrors.Inc()
-		}
 		now := c.clock.Now()
 
 		c.mu.Lock()
@@ -280,13 +260,9 @@ func (c *Controller) PollOnce() int {
 			c.scrapeTrace(st, ep)
 		}
 	}
-	c.mHealthy.Set(int64(healthy))
 	if c.store != nil {
-		n, samples, dropped := c.store.Stats()
+		n, _, _ := c.store.Stats()
 		c.gSeries.Set(int64(n)) // nil-safe
-		c.mSamples.Add(samples - c.prevSamples)
-		c.mDropped.Add(dropped - c.prevDropped)
-		c.prevSamples, c.prevDropped = samples, dropped
 	}
 	return healthy
 }
@@ -366,7 +342,6 @@ func (c *Controller) PlaceClient(ci ClientInfo) (Endpoint, error) {
 	if !ok {
 		return Endpoint{}, fmt.Errorf("fleet: placer %s chose unknown server %d", c.placer.Name(), id)
 	}
-	c.mPlacements.Inc()
 	c.logf("placed client %q on server %d (%s)", ci.ID, id, ep.Addr)
 	return ep, nil
 }
@@ -413,13 +388,11 @@ func (c *Controller) MigrateClient(clientID string, src, dst int) error {
 	resp, err := c.http.Post(strings.TrimRight(srcSt.ep.AdminURL, "/")+"/admin/migrate",
 		"application/json", bytes.NewReader(ord))
 	if err != nil {
-		c.mMigFailures.Inc()
 		return fmt.Errorf("fleet: migrate %q: %w", clientID, err)
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		c.mMigFailures.Inc()
 		return fmt.Errorf("fleet: migrate %q: server %d said %s: %s",
 			clientID, src, resp.Status, strings.TrimSpace(string(body)))
 	}

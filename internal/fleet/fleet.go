@@ -47,9 +47,10 @@ func (c ClientInfo) demandBytes() int64 {
 // to. The server pushes them to its Manager with Observe whenever they
 // change, so a decision reads them without asking any server.
 type Signals struct {
-	// QueueDepth is the scheduler's menos_sched_queue_depth gauge.
+	// QueueDepth is the number of requests waiting in the scheduler
+	// (sched.Scheduler.QueueDepth, /loadz queue_depth).
 	QueueDepth int
-	// UsedBytes is the device-set menos_gpu_used_bytes gauge.
+	// UsedBytes is the device set's allocated bytes (/loadz used_bytes).
 	UsedBytes int64
 	// Admission is the server's admission-ladder position.
 	Admission AdmissionState
@@ -151,7 +152,7 @@ func (r *RoundRobin) Place(_ ClientInfo, servers []ServerLoad) (int, error) {
 }
 
 // LeastLoaded picks the server with the fewest waiting-plus-resident
-// clients (menos_sched_queue_depth plus the active-client count),
+// clients (the scheduler's queue depth plus the active-client count),
 // breaking ties toward the lowest server ID. It balances headcount but
 // is blind to memory, so heterogeneous footprints can still pile onto
 // one scheduler.
@@ -182,7 +183,7 @@ func (l *LeastLoaded) Place(_ ClientInfo, servers []ServerLoad) (int, error) {
 
 // MemoryBestFit packs the client's predicted footprint (persistent +
 // transient peak) against each server's free memory — capacity minus
-// menos_gpu_used_bytes minus already-committed transient demand. Among
+// the device's used bytes minus already-committed transient demand. Among
 // servers where the client fits it prefers those that already host the
 // client's base model (sharing-aware residency: co-placed clients
 // share one base copy), then the tightest remaining fit, then the

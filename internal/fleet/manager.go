@@ -32,7 +32,6 @@ type Manager struct {
 
 	// Telemetry handles (nil-safe; wired by Instrument).
 	mPlacements  *obs.Counter
-	mMigrations  *obs.Counter
 	mServers     *obs.Gauge
 	mScaleEvents *obs.Counter
 	mImbalance   *obs.Gauge
@@ -66,7 +65,6 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.mPlacements = reg.Counter(obs.MetricFleetPlacements, "client placements decided")
-	m.mMigrations = reg.Counter(obs.MetricFleetMigrations, "clients migrated between servers")
 	m.mServers = reg.Gauge(obs.MetricFleetServers, "active (non-draining) servers")
 	m.mScaleEvents = reg.Counter(obs.MetricFleetScaleEvents, "autoscaler scale-up/down events")
 	m.mImbalance = reg.Gauge(obs.MetricFleetImbalance, "max/mean resident clients per active server, thousandths")
@@ -221,7 +219,6 @@ func (m *Manager) Rebalance(c ClientInfo, fit func(serverID int) bool) (int, boo
 	m.detachLocked(c.ID)
 	m.attachLocked(dst, c)
 	m.migrations++
-	m.mMigrations.Inc()
 	m.publishLocked()
 	return id, true, nil
 }

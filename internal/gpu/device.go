@@ -42,13 +42,8 @@ type allocation struct {
 // instrumented against the same registry share handles, so a
 // DeviceSet's members aggregate naturally.
 type devMetrics struct {
-	allocBytes *obs.Counter
-	freeBytes  *obs.Counter
-	allocOps   *obs.Counter
-	freeOps    *obs.Counter
-	oom        *obs.Counter
-	used       *obs.Gauge
-	peak       *obs.Gauge
+	allocOps *obs.Counter
+	oom      *obs.Counter
 	// ownerBytes attributes residency per allocation owner tag
 	// ("persist:<client>", "base-model", ...), the device-plane half of
 	// the per-tenant accounting story.
@@ -79,29 +74,22 @@ func NewDevice(spec Spec) *Device {
 	}
 }
 
-// Instrument wires the device's counters and watermarks to a
+// Instrument wires the device's counters and per-owner residency to a
 // telemetry registry. Call it before the device is shared between
 // goroutines. Devices instrumented with the same registry share the
-// metric handles, so used/peak gauges report the aggregate across all
-// of them (the paper's "GPU memory is an abstraction of all available
+// metric handles, so the families report the aggregate across all of
+// them (the paper's "GPU memory is an abstraction of all available
 // GPUs").
 func (d *Device) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	d.m = devMetrics{
-		allocBytes: reg.Counter(obs.MetricGPUAllocBytes, "bytes allocated on the device plane"),
-		freeBytes:  reg.Counter(obs.MetricGPUFreeBytes, "bytes released on the device plane"),
 		allocOps:   reg.Counter(obs.MetricGPUAllocOps, "allocation operations"),
-		freeOps:    reg.Counter(obs.MetricGPUFreeOps, "free operations"),
 		oom:        reg.Counter(obs.MetricGPUOOM, "allocations refused for lack of memory"),
-		used:       reg.Gauge(obs.MetricGPUUsedBytes, "bytes currently allocated"),
-		peak:       reg.Gauge(obs.MetricGPUPeakBytes, "high-water mark of allocated bytes"),
 		ownerBytes: reg.GaugeVec(obs.MetricGPUOwnerBytes, "owner", "bytes currently allocated per owner tag"),
 	}
 	d.mu.Lock()
-	d.m.used.Add(d.used)
-	d.m.peak.SetMax(d.m.used.Value())
 	for _, a := range d.allocs {
 		d.m.ownerBytes.With(a.owner).Add(a.bytes)
 	}
@@ -167,9 +155,6 @@ func (d *Device) Alloc(owner string, bytes int64) (AllocID, error) {
 		d.peak = d.used
 	}
 	d.m.allocOps.Inc()
-	d.m.allocBytes.Add(bytes)
-	d.m.used.Add(bytes)
-	d.m.peak.SetMax(d.m.used.Value())
 	d.m.ownerBytes.With(owner).Add(bytes)
 	return id, nil
 }
@@ -185,9 +170,6 @@ func (d *Device) Free(id AllocID) error {
 	delete(d.allocs, id)
 	d.used -= a.bytes
 	d.freeOps++
-	d.m.freeOps.Inc()
-	d.m.freeBytes.Add(a.bytes)
-	d.m.used.Add(-a.bytes)
 	d.m.ownerBytes.With(a.owner).Add(-a.bytes)
 	return nil
 }
@@ -203,12 +185,9 @@ func (d *Device) FreeOwner(owner string) int64 {
 			delete(d.allocs, id)
 			d.used -= a.bytes
 			d.freeOps++
-			d.m.freeOps.Inc()
 			reclaimed += a.bytes
 		}
 	}
-	d.m.freeBytes.Add(reclaimed)
-	d.m.used.Add(-reclaimed)
 	if reclaimed > 0 {
 		d.m.ownerBytes.With(owner).Add(-reclaimed)
 	}

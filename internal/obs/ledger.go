@@ -62,12 +62,9 @@ type ledgerMetrics struct {
 	iters     *CounterVec
 	persistBS *CounterVec
 	transBS   *CounterVec
-	persistB  *GaugeVec
-	transB    *GaugeVec
 	wireTx    *CounterVec
 	wireRx    *CounterVec
 	sheds     *CounterVec
-	retries   *CounterVec
 	batchRows *CounterVec
 	revoked   *CounterVec
 }
@@ -122,18 +119,12 @@ func (l *Ledger) Instrument(reg *Registry) {
 			"Accrued persistent GPU residency, byte-seconds (integer-truncated)."),
 		transBS: reg.CounterVec(MetricGPUTransientByteSeconds, "client",
 			"Accrued transient GPU residency, byte-seconds (integer-truncated)."),
-		persistB: reg.GaugeVec(MetricGPUClientPersistentBytes, "client",
-			"Persistent GPU bytes currently held (adapter state, KV reservations)."),
-		transB: reg.GaugeVec(MetricGPUClientTransientBytes, "client",
-			"Transient GPU bytes currently granted (activations, gradients)."),
 		wireTx: reg.CounterVec(MetricServerWireTxBytes, "client",
 			"Bytes sent to the client over the split-protocol connection."),
 		wireRx: reg.CounterVec(MetricServerWireRxBytes, "client",
 			"Bytes received from the client over the split-protocol connection."),
 		sheds: reg.CounterVec(MetricServerShedsTotal, "client",
 			"Submissions shed by admission control."),
-		retries: reg.CounterVec(MetricServerRetriesTotal, "client",
-			"Resubmissions after a shed."),
 		batchRows: reg.CounterVec(MetricBatchRows, "client",
 			"Microbatch rows this client contributed to batched kernel invocations."),
 		revoked: reg.CounterVec(MetricSchedRevocations, "client",
@@ -146,12 +137,9 @@ func (l *Ledger) Instrument(reg *Registry) {
 	l.m.iters.SetCap(l.max)
 	l.m.persistBS.SetCap(l.max)
 	l.m.transBS.SetCap(l.max)
-	l.m.persistB.SetCap(l.max)
-	l.m.transB.SetCap(l.max)
 	l.m.wireTx.SetCap(l.max)
 	l.m.wireRx.SetCap(l.max)
 	l.m.sheds.SetCap(l.max)
-	l.m.retries.SetCap(l.max)
 	l.m.batchRows.SetCap(l.max)
 	l.m.revoked.SetCap(l.max)
 }
@@ -223,14 +211,8 @@ func (l *Ledger) Acquire(owner string, bytes int64) {
 	l.accrueLocked(a, l.clock.Now())
 	if persistent {
 		a.u.PersistentBytes += bytes
-		if l.m != nil {
-			l.m.persistB.With(a.u.ID).Set(a.u.PersistentBytes)
-		}
 	} else {
 		a.u.TransientBytes += bytes
-		if l.m != nil {
-			l.m.transB.With(a.u.ID).Set(a.u.TransientBytes)
-		}
 	}
 }
 
@@ -246,21 +228,9 @@ func (l *Ledger) Release(owner string, bytes int64) {
 	a := l.accountFor(client)
 	l.accrueLocked(a, l.clock.Now())
 	if persistent {
-		a.u.PersistentBytes -= bytes
-		if a.u.PersistentBytes < 0 {
-			a.u.PersistentBytes = 0
-		}
-		if l.m != nil {
-			l.m.persistB.With(a.u.ID).Set(a.u.PersistentBytes)
-		}
+		a.u.PersistentBytes = max(a.u.PersistentBytes-bytes, 0)
 	} else {
-		a.u.TransientBytes -= bytes
-		if a.u.TransientBytes < 0 {
-			a.u.TransientBytes = 0
-		}
-		if l.m != nil {
-			l.m.transB.With(a.u.ID).Set(a.u.TransientBytes)
-		}
+		a.u.TransientBytes = max(a.u.TransientBytes-bytes, 0)
 	}
 }
 
@@ -384,14 +354,8 @@ func (l *Ledger) Retry(client string) {
 		return
 	}
 	l.mu.Lock()
-	a := l.accountFor(client)
-	a.u.Retries++
-	m := l.m
-	id := a.u.ID
+	l.accountFor(client).u.Retries++
 	l.mu.Unlock()
-	if m != nil {
-		m.retries.With(id).Inc()
-	}
 }
 
 // Revoke counts one parked grant taken back from client because another

@@ -47,10 +47,6 @@ func TestLedgerByteSecondsAccrual(t *testing.T) {
 	if pc.Value() != 1000 || tc.Value() != 150 {
 		t.Fatalf("exported byte-seconds = %d/%d, want 1000/150", pc.Value(), tc.Value())
 	}
-	pg, _ := reg.GaugeVec(MetricGPUClientPersistentBytes, "client").Get("client-1")
-	if pg.Value() != 0 {
-		t.Fatalf("persistent bytes gauge = %d, want 0", pg.Value())
-	}
 }
 
 func TestLedgerEventCountsAndVecs(t *testing.T) {

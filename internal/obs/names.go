@@ -1,9 +1,11 @@
 package obs
 
 // Canonical metric names. Every instrumented plane registers its
-// metrics under these constants, so a misspelt name is a compile error,
-// and TestMetricCatalogIsDocumented fails on any name missing from
-// docs/OBSERVABILITY.md or docs/FLEET.md.
+// metrics under these constants, so a misspelt name is a compile error.
+// TestMetricCatalogIsDocumented ties the catalog to the operator docs in
+// both directions, and the root package's TestEveryMetricHasAReader
+// fails on a name that no alert rule, dashboard, /loadz, benchmark
+// detail or test outside this package reads.
 const (
 	// Scheduler plane (internal/sched).
 	MetricSchedSubmitted         = "menos_sched_submitted_total"
@@ -11,7 +13,6 @@ const (
 	MetricSchedBackfilled        = "menos_sched_backfilled_total"
 	MetricSchedCompleted         = "menos_sched_completed_total"
 	MetricSchedRejected          = "menos_sched_rejected_total"
-	MetricSchedQueueDepth        = "menos_sched_queue_depth"
 	MetricSchedQueueDepthMax     = "menos_sched_queue_depth_max"
 	MetricSchedWaitSeconds       = "menos_sched_wait_seconds"
 	MetricSchedHOLBlockedSeconds = "menos_sched_hol_blocked_seconds"
@@ -25,21 +26,17 @@ const (
 	MetricSchedRevocations = "menos_sched_revocations_total"
 	MetricSchedParkedBytes = "menos_sched_parked_bytes"
 
-	// Admission control (internal/sched, docs/ADMISSION.md).
-	MetricSchedAdmissionState       = "menos_sched_admission_state"
-	MetricSchedAdmissionP99Micros   = "menos_sched_admission_p99_wait_micros"
-	MetricSchedAdmissionTransitions = "menos_sched_admission_transitions_total"
-	MetricSchedAdmissionShed        = "menos_sched_admission_shed_total"
-	MetricSchedAdmissionDeferred    = "menos_sched_admission_deferred_total"
+	// Admission control (internal/sched, docs/ADMISSION.md): submissions
+	// shed, and the configured grant-wait p99 target in integer
+	// microseconds, published so the fleet telemetry plane can compute
+	// burn rates against each server's own target instead of a
+	// fleetd-side guess.
+	MetricSchedAdmissionShed      = "menos_sched_admission_shed_total"
+	MetricSchedAdmissionSLOTarget = "menos_sched_admission_slo_target_micros"
 
 	// GPU memory plane (internal/gpu).
-	MetricGPUAllocBytes = "menos_gpu_alloc_bytes_total"
-	MetricGPUFreeBytes  = "menos_gpu_free_bytes_total"
-	MetricGPUAllocOps   = "menos_gpu_alloc_ops_total"
-	MetricGPUFreeOps    = "menos_gpu_free_ops_total"
-	MetricGPUOOM        = "menos_gpu_oom_total"
-	MetricGPUUsedBytes  = "menos_gpu_used_bytes"
-	MetricGPUPeakBytes  = "menos_gpu_peak_bytes"
+	MetricGPUAllocOps = "menos_gpu_alloc_ops_total"
+	MetricGPUOOM      = "menos_gpu_oom_total"
 	// Per-owner residency: a GaugeVec labeled {owner=...} where owner
 	// is the allocation tag ("persist:<client>", "base-model", ...).
 	MetricGPUOwnerBytes = "menos_gpu_owner_bytes"
@@ -50,12 +47,9 @@ const (
 	// Reserve, transient is per-iteration grant traffic.
 	MetricGPUPersistentByteSeconds = "menos_gpu_persistent_byte_seconds_total"
 	MetricGPUTransientByteSeconds  = "menos_gpu_transient_byte_seconds_total"
-	MetricGPUClientPersistentBytes = "menos_gpu_persistent_bytes"
-	MetricGPUClientTransientBytes  = "menos_gpu_transient_bytes"
 	MetricServerWireTxBytes        = "menos_server_wire_tx_bytes_total"
 	MetricServerWireRxBytes        = "menos_server_wire_rx_bytes_total"
 	MetricServerShedsTotal         = "menos_server_sheds_total"
-	MetricServerRetriesTotal       = "menos_server_retries_total"
 
 	// Batch formation (internal/batch, docs/BATCHING.md). One "batch"
 	// is a single kernel invocation over the shared frozen base that
@@ -71,7 +65,6 @@ const (
 
 	// Serving plane (internal/server).
 	MetricServerAdmitted       = "menos_server_clients_admitted_total"
-	MetricServerRejected       = "menos_server_clients_rejected_total"
 	MetricServerIterations     = "menos_server_iterations_total"
 	MetricServerComputeSeconds = "menos_server_compute_seconds"
 	MetricServerWaitSeconds    = "menos_server_sched_wait_seconds"
@@ -80,15 +73,6 @@ const (
 	// never kept), and kept caches larger than the grant profiled for them.
 	MetricServerReforwards        = "menos_server_reforwards_total"
 	MetricServerProfileViolations = "menos_server_profile_violations_total"
-
-	// Live migration (internal/server admin plane, docs/FLEET.md).
-	// "Out" counts sessions this server snapshotted and redirected
-	// away; "in" counts sessions resumed here from a staged snapshot;
-	// "aborted" counts orders that failed mid-flight (the session keeps
-	// serving where it is).
-	MetricServerMigrationsOut     = "menos_server_migrations_out_total"
-	MetricServerMigrationsIn      = "menos_server_migrations_in_total"
-	MetricServerMigrationsAborted = "menos_server_migrations_aborted_total"
 
 	// Client plane (internal/client).
 	MetricClientIterations  = "menos_client_iterations_total"
@@ -108,45 +92,24 @@ const (
 	MetricWireCodecSeconds     = "menos_wire_codec_seconds"
 	MetricOverlapHiddenSeconds = "menos_overlap_hidden_seconds"
 
-	// Compute plane (internal/tensor). The worker-pool size is fixed
-	// per process, so the gauge is set once at server construction.
-	MetricTensorPoolWorkers = "menos_tensor_pool_workers"
-
 	// Swap path (vanilla baseline, internal/splitsim).
 	MetricSwapOps   = "menos_swap_ops_total"
 	MetricSwapBytes = "menos_swap_bytes_total"
-
-	// Telemetry self-observation (internal/obs).
-	MetricObsSpansDropped = "menos_obs_spans_dropped_total"
-
-	// Go runtime self-observability (obs.StartRuntimeSampler), sampled
-	// from runtime/metrics on a background ticker.
-	MetricGoHeapBytes     = "menos_go_heap_bytes"
-	MetricGoGoroutines    = "menos_go_goroutines"
-	MetricGoGCCycles      = "menos_go_gc_cycles_total"
-	MetricGoGCPauseMicros = "menos_go_gc_pause_micros_total"
 
 	// Fleet control plane (internal/fleet, docs/FLEET.md). Gauges are
 	// integers, so the imbalance ratio is published in thousandths
 	// (1000 = perfectly balanced).
 	MetricFleetPlacements  = "menos_fleet_placements_total"
-	MetricFleetMigrations  = "menos_fleet_migrations_total"
 	MetricFleetServers     = "menos_fleet_servers"
 	MetricFleetScaleEvents = "menos_fleet_scale_events_total"
 	MetricFleetImbalance   = "menos_fleet_imbalance_ratio"
 
 	// Control-plane daemon (cmd/menos-fleetd, docs/FLEET.md). The
 	// daemon re-exports its embedded fleet.Manager's menos_fleet_*
-	// families and adds its own orchestration counters: poll outcomes,
-	// redirect placements handed to arriving clients, and live
-	// migrations it drove to completion (or lost).
-	MetricFleetdPolls             = "menos_fleetd_polls_total"
-	MetricFleetdPollErrors        = "menos_fleetd_poll_errors_total"
-	MetricFleetdServersHealthy    = "menos_fleetd_servers_healthy"
-	MetricFleetdPlacements        = "menos_fleetd_placements_total"
-	MetricFleetdMigrations        = "menos_fleetd_migrations_total"
-	MetricFleetdMigrationFailures = "menos_fleetd_migration_failures_total"
-	MetricFleetdIdentityMismatch  = "menos_fleetd_identity_mismatches_total"
+	// families and adds its own: live migrations it ordered, and polls
+	// answered by a server other than the configured identity.
+	MetricFleetdMigrations       = "menos_fleetd_migrations_total"
+	MetricFleetdIdentityMismatch = "menos_fleetd_identity_mismatches_total"
 
 	// Fleet telemetry plane (internal/tsdb + internal/alert, served by
 	// menos-fleetd /queryz and /alertz — docs/OBSERVABILITY.md).
@@ -161,15 +124,7 @@ const (
 	MetricFleetdAlertsFiring        = "menos_fleetd_alerts_firing"
 	MetricFleetdAlertsTransitions   = "menos_fleetd_alerts_transitions_total"
 	MetricFleetdTSDBSeries          = "menos_fleetd_tsdb_series"
-	MetricFleetdTSDBSamples         = "menos_fleetd_tsdb_samples_total"
-	MetricFleetdTSDBDroppedSeries   = "menos_fleetd_tsdb_dropped_series_total"
 	MetricFleetdScrapes             = "menos_fleetd_scrapes_total"
 	MetricFleetdScrapeErrors        = "menos_fleetd_scrape_errors_total"
 	MetricFleetdTraceSpansFederated = "menos_fleetd_trace_spans_federated_total"
-
-	// Admission SLO advertisement (internal/sched): the configured
-	// grant-wait p99 target in integer microseconds, published so the
-	// fleet telemetry plane can compute burn rates against each
-	// server's own target instead of a fleetd-side guess.
-	MetricSchedAdmissionSLOTarget = "menos_sched_admission_slo_target_micros"
 )

@@ -113,8 +113,6 @@ func TestRingSeqSurvivesReset(t *testing.T) {
 // Run with -race (make test-race).
 func TestRingHammer(t *testing.T) {
 	tr := NewTracer(NewWallClock())
-	reg := NewRegistry()
-	tr.Instrument(reg)
 	const budget = 16 << 10
 	tr.EnableRing(budget)
 
@@ -171,9 +169,6 @@ func TestRingHammer(t *testing.T) {
 	total := int64(writers * perWriter)
 	if got := int64(tr.Len()) + tr.Dropped(); got != total {
 		t.Fatalf("live %d + dropped %d != recorded %d", tr.Len(), tr.Dropped(), total)
-	}
-	if c := reg.Counter(MetricObsSpansDropped); c.Value() != tr.Dropped() {
-		t.Fatalf("drop counter %d != Dropped %d", c.Value(), tr.Dropped())
 	}
 }
 

@@ -11,30 +11,6 @@ import (
 	"time"
 )
 
-func TestRuntimeSampler(t *testing.T) {
-	reg := NewRegistry()
-	stop := StartRuntimeSampler(reg, RuntimeSamplerConfig{
-		Interval: time.Hour, // only the synchronous first sample matters here
-		Extra: func(r *Registry) {
-			r.Gauge("menos_test_extra").Set(42)
-		},
-	})
-	if reg.Gauge(MetricGoHeapBytes).Value() <= 0 {
-		t.Fatal("heap gauge not sampled")
-	}
-	if reg.Gauge(MetricGoGoroutines).Value() <= 0 {
-		t.Fatal("goroutine gauge not sampled")
-	}
-	if reg.Gauge("menos_test_extra").Value() != 42 {
-		t.Fatal("Extra hook did not run")
-	}
-	stop()
-	stop() // idempotent
-
-	// Nil registry: no goroutine, no panic.
-	StartRuntimeSampler(nil, RuntimeSamplerConfig{})()
-}
-
 // TestFlightAsyncBurstRotation hammers the recorder from concurrent
 // TriggerAsync callers (the shape of a real shedding storm) and then
 // drives rotation to completion, asserting the size bound and the

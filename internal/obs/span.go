@@ -66,7 +66,6 @@ type Tracer struct {
 	curBytes int64
 	dropped  int64
 	nextSeq  uint64
-	dropCtr  *Counter
 
 	pid   int
 	pname string
@@ -122,21 +121,6 @@ func (t *Tracer) SetProcess(pid int, name string) {
 	t.mu.Unlock()
 }
 
-// Instrument publishes the tracer's drop counter as
-// MetricObsSpansDropped in reg, seeding it with drops recorded so far.
-// Safe on nil tracer or registry.
-func (t *Tracer) Instrument(reg *Registry) {
-	if t == nil || reg == nil {
-		return
-	}
-	c := reg.Counter(MetricObsSpansDropped,
-		"spans discarded by the tracer (buffer-full drops and ring evictions)")
-	t.mu.Lock()
-	t.dropCtr = c
-	c.Add(t.dropped - c.Value())
-	t.mu.Unlock()
-}
-
 // Now returns the tracer's clock reading. Safe on nil (returns 0).
 func (t *Tracer) Now() time.Duration {
 	if t == nil {
@@ -181,7 +165,7 @@ func (t *Tracer) RecordT(track, name, cat string, traceID uint64, start, dur tim
 		t.evictLocked()
 		t.compactLocked()
 	} else if len(t.spans)-t.head >= DefaultSpanLimit {
-		t.dropLocked(1)
+		t.dropped++
 	} else {
 		t.spans = append(t.spans, s)
 	}
@@ -195,7 +179,7 @@ func (t *Tracer) evictLocked() {
 		t.curBytes -= t.spans[t.head].cost()
 		t.spans[t.head] = Span{}
 		t.head++
-		t.dropLocked(1)
+		t.dropped++
 	}
 }
 
@@ -209,12 +193,6 @@ func (t *Tracer) compactLocked() {
 	n := copy(t.spans, t.spans[t.head:])
 	t.spans = t.spans[:n]
 	t.head = 0
-}
-
-// dropLocked records n discarded spans. Caller holds t.mu.
-func (t *Tracer) dropLocked(n int64) {
-	t.dropped += n
-	t.dropCtr.Add(n) // nil-safe
 }
 
 // Spans returns a copy of the live spans, oldest first. Safe on nil.

@@ -188,12 +188,8 @@ type AdmissionController struct {
 	// hook observes state transitions (Scheduler.SetAdmissionHook).
 	hook func(from, to AdmissionState)
 
-	// Telemetry handles (nil-safe; wired by instrument).
-	mState       *obs.Gauge
-	mP99Micros   *obs.Gauge
-	mTransitions *obs.Counter
-	mShed        *obs.Counter
-	mDeferred    *obs.Counter
+	// Telemetry handle (nil-safe; wired by instrument).
+	mShed *obs.Counter
 }
 
 // newAdmissionController builds a controller for an enabled SLO.
@@ -223,12 +219,7 @@ func (a *AdmissionController) instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	a.mState = reg.Gauge(obs.MetricSchedAdmissionState, "admission state (0 open, 1 throttled, 2 shedding)")
-	a.mP99Micros = reg.Gauge(obs.MetricSchedAdmissionP99Micros, "sliding-window p99 grant wait, microseconds")
-	a.mTransitions = reg.Counter(obs.MetricSchedAdmissionTransitions, "admission state transitions")
 	a.mShed = reg.Counter(obs.MetricSchedAdmissionShed, "submissions shed (each client's every 2nd while throttled, all while shedding)")
-	a.mDeferred = reg.Counter(obs.MetricSchedAdmissionDeferred, "backfill grants suppressed while throttled/shedding")
-	a.mState.Set(int64(a.state))
 	// Advertise the configured target so scrapers (the fleet telemetry
 	// plane's burn-rate rule) compare each server's p99 against the
 	// server's own SLO rather than a control-plane-side default.
@@ -303,7 +294,6 @@ func (a *AdmissionController) evaluate(now, headAge time.Duration) {
 	snap := a.windowSnapshot()
 	p99 := a.effectiveP99(snap, headAge)
 	a.lastP99 = p99
-	a.mP99Micros.Set(p99.Microseconds())
 
 	throttleAt := time.Duration(a.slo.ThrottleFactor * float64(a.slo.TargetP99))
 	shedAt := time.Duration(a.slo.ShedFactor * float64(a.slo.TargetP99))
@@ -343,7 +333,7 @@ func (a *AdmissionController) evaluate(now, headAge time.Duration) {
 	}
 }
 
-// transition moves to state, stamping counters and gauges. The hook,
+// transition moves to state and counts the transition. The hook,
 // if set, fires under the scheduler mutex — it must hand real work off
 // (see SetAdmissionHook).
 func (a *AdmissionController) transition(state AdmissionState, now time.Duration) {
@@ -352,8 +342,6 @@ func (a *AdmissionController) transition(state AdmissionState, now time.Duration
 	a.since = now
 	a.calm = false
 	a.transitions++
-	a.mTransitions.Inc()
-	a.mState.Set(int64(state))
 	if a.hook != nil && from != state {
 		a.hook(from, state)
 	}
@@ -408,7 +396,6 @@ func (a *AdmissionController) backfillAllowed(req *request, resident bool) bool 
 		return true
 	}
 	a.deferred++
-	a.mDeferred.Inc()
 	return false
 }
 

@@ -130,7 +130,6 @@ type schedMetrics struct {
 	backfilled *obs.Counter
 	completed  *obs.Counter
 	rejected   *obs.Counter
-	queueDepth *obs.Gauge
 	depthMax   *obs.Gauge
 	wait       *obs.Histogram
 	holBlocked *obs.Histogram
@@ -226,7 +225,6 @@ func (s *Scheduler) Instrument(reg *obs.Registry, clock obs.Clock) {
 		backfilled: reg.Counter(obs.MetricSchedBackfilled, "grants made out of FCFS order"),
 		completed:  reg.Counter(obs.MetricSchedCompleted, "allocations reclaimed"),
 		rejected:   reg.Counter(obs.MetricSchedRejected, "submissions rejected (never-fits, duplicate, closed)"),
-		queueDepth: reg.Gauge(obs.MetricSchedQueueDepth, "requests currently waiting"),
 		depthMax:   reg.Gauge(obs.MetricSchedQueueDepthMax, "high-water mark of the wait queue"),
 		wait:       reg.Histogram(obs.MetricSchedWaitSeconds, obs.DurationBuckets(), "submit-to-grant wait time"),
 		holBlocked: reg.Histogram(obs.MetricSchedHOLBlockedSeconds, obs.DurationBuckets(), "contiguous intervals the queue head was too large to grant"),
@@ -707,15 +705,12 @@ func (s *Scheduler) rejectedInc() {
 	}
 }
 
-// observeQueueDepth publishes the current and high-water queue depth.
-// Caller holds s.mu.
+// observeQueueDepth publishes the high-water queue depth. Caller holds
+// s.mu.
 func (s *Scheduler) observeQueueDepth() {
-	if s.m == nil {
-		return
+	if s.m != nil {
+		s.m.depthMax.SetMax(int64(len(s.waiting)))
 	}
-	depth := int64(len(s.waiting))
-	s.m.queueDepth.Set(depth)
-	s.m.depthMax.SetMax(depth)
 }
 
 // grantAt removes the request at index i, allocates its memory, and

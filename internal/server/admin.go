@@ -179,7 +179,6 @@ func (s *Server) executeMigration(conn io.Writer, sess *session, ord fleet.Migra
 	if err := split.WriteMessage(conn, &split.MigrateMsg{Target: ord.TargetAddr, Token: ord.Token}); err != nil {
 		return fmt.Errorf("redirect: %w", err)
 	}
-	s.m.migrationsOut.Inc()
 	s.logf("client %q: migrated to %s (%d snapshot bytes)", sess.id, ord.TargetAddr, len(data))
 	return nil
 }

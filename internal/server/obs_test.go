@@ -65,6 +65,16 @@ func TestMetricsOverRealTCPRun(t *testing.T) {
 	if v := reg.Gauge(obs.MetricSchedParkedBytes).Value(); v != 0 {
 		t.Errorf("parked bytes gauge = %d after the last backward, want 0", v)
 	}
+	// Alone on the server, every forward grows its grant to the backward
+	// demand and every backward claims it back: Fig. 3(b)'s compute, no
+	// re-forward.
+	grown, claimed := reg.Counter(obs.MetricSchedGrown).Value(), reg.Counter(obs.MetricSchedClaimed).Value()
+	if grown != steps || claimed != steps {
+		t.Errorf("grown = %d, claimed = %d, want both %d", grown, claimed, steps)
+	}
+	if v := reg.Counter(obs.MetricServerReforwards).Value(); v != 0 {
+		t.Errorf("reforwards = %d on an uncontended run, want 0", v)
+	}
 	if v := reg.Counter(obs.MetricGPUAllocOps).Value(); v == 0 {
 		t.Error("no GPU allocations counted")
 	}

@@ -61,188 +61,102 @@ func TestHandshakeAdmitsAgainstSchedulable(t *testing.T) {
 // and nothing but memory behaviour may differ from an ample server:
 // bit-equal losses, every serial backward either a hit or a re-forward,
 // every revocation billed to a tenant, nothing held after the last Bye.
+//
+// One row per batch policy. With batching on (MaxSize: every tenant)
+// requests do wait for memory on that budget, so some join batches while
+// others keep or lose a parked cache, and every tenant's last step runs
+// while a request is kept waiting, so batches form whatever the earlier
+// steps' timing did. A batched iteration is neither a hit nor a
+// re-forward, so the hit identity is that row's only exemption.
 func TestContentionIsFig3d(t *testing.T) {
-	const tenants, steps = 4, 6
-	mf, mb, persist := tenantFootprint(t)
-	if mb <= tenants*mf {
-		t.Fatalf("M_b %d does not exceed %d·M_f %d: the budget below would not contend", mb, tenants, mf)
-	}
-	id := func(i int) string { return fmt.Sprintf("tenant-%d", i) }
-
-	// drive runs the tenants and returns their per-step losses. The
-	// prelude makes one revocation certain: tenant 0's evaluation leaves
-	// its cache parked, and tenant 1's backward cannot fit beside it.
-	drive := func(addr string) [][]float64 {
-		clients := make([]*client.Client, tenants)
-		for i := range clients {
-			cfg := clientCfg(id(i))
-			cfg.AdapterSeed += uint64(i)
-			c, err := client.Dial(addr, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clients[i] = c
-		}
-		ids, targets := batchFor(clientCfg(""), 12)
-		if _, err := clients[0].Evaluate(ids, targets); err != nil {
-			t.Fatal(err)
-		}
-		losses := make([][]float64, tenants)
-		first, err := clients[1].Step(ids, targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		losses[1] = append(losses[1], first.Loss)
-		var wg sync.WaitGroup
-		for i, c := range clients {
-			wg.Add(1)
-			go func(i int, c *client.Client) {
-				defer wg.Done()
-				for len(losses[i]) < steps {
-					res, err := c.Step(ids, targets)
-					if err != nil {
-						t.Errorf("%s: %v", id(i), err)
-						return
-					}
-					losses[i] = append(losses[i], res.Loss)
-				}
-			}(i, c)
-		}
-		wg.Wait()
-		for _, c := range clients {
-			if err := c.Close(); err != nil { // Bye
-				t.Error(err)
-			}
-		}
-		return losses
-	}
-
-	_, ampleAddr := newTestServer(t)
-	want := drive(ampleAddr)
-
-	store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := tenants*persist + mb + tenants*mf
-	reg := obs.NewRegistry()
-	srv, addr := startServer(t, Config{
-		Store:   store,
-		GPU:     gpu.NewDevice(gpu.Spec{Name: "tight", MemoryBytes: store.BaseParamBytes() + budget}),
-		Metrics: reg,
-	})
-	got := drive(addr)
-	if t.Failed() {
-		return
-	}
-	for i := range want {
-		for k := range want[i] {
-			if got[i][k] != want[i][k] {
-				t.Fatalf("%s step %d: contended loss %v != uncontended %v", id(i), k, got[i][k], want[i][k])
-			}
-		}
-	}
-	waitForTeardown(t, reg)
-
-	sch, st := srv.Scheduler(), srv.Scheduler().Stats()
-	if hits, refwd, iters := st.Claimed, srv.Stats().Reforwards, srv.Stats().Iterations; hits+refwd != iters || iters != tenants*steps {
-		t.Errorf("hits %d + re-forwards %d != iterations %d (want %d)", hits, refwd, iters, tenants*steps)
-	}
-	if st.Revoked == 0 {
-		t.Error("no revocation on a budget that cannot hold two caches")
-	}
-	// Every revocation carries a tenant label, and the labels sum back to
-	// the scheduler's own count.
-	byTenant := reg.CounterVec(obs.MetricSchedRevocations, "client")
-	var labeled int64
-	for _, lbl := range byTenant.Labels() {
-		labeled += byTenant.With(lbl).Value()
-	}
-	if agg := reg.Counter(obs.MetricSchedRevocations).Value(); labeled != st.Revoked || agg != st.Revoked {
-		t.Errorf("revocations: %d by tenant, %d unlabeled, %d in scheduler stats", labeled, agg, st.Revoked)
-	}
-	// Nothing outlives the sessions: the whole budget is free again and
-	// every ledger holding is back to zero.
-	if sch.Available() != budget || sch.Schedulable() != budget || sch.Parked() != 0 || sch.QueueDepth() != 0 {
-		t.Errorf("after the last Bye: available %d, schedulable %d of %d, parked %d, queued %d",
-			sch.Available(), sch.Schedulable(), budget, sch.Parked(), sch.QueueDepth())
-	}
-	if v := reg.Gauge(obs.MetricSchedParkedBytes).Value(); v != 0 {
-		t.Errorf("parked bytes gauge = %d, want 0", v)
-	}
-	var revokedRows int64
-	for _, u := range srv.ledger.Snapshot() {
-		if u.PersistentBytes != 0 || u.TransientBytes != 0 {
-			t.Errorf("%s: ledger holdings outlived the session: persist=%d transient=%d", u.ID, u.PersistentBytes, u.TransientBytes)
-		}
-		revokedRows += u.Revocations
-	}
-	if revokedRows != st.Revoked {
-		t.Errorf("ledger rows carry %d revocations, scheduler counted %d", revokedRows, st.Revoked)
-	}
-}
-
-// TestContentionIsFig3dBatched is TestContentionIsFig3d with batching on
-// (MaxSize: every tenant). On that budget requests do wait for memory, so
-// some join batches while others keep or lose a parked cache, and every
-// tenant's last step runs while a request is kept waiting, so batches
-// form whatever the earlier steps' timing did. Still nothing but memory
-// behaviour may differ from an ample server: bit-equal losses, every
-// revocation billed to a tenant, nothing held, parked or queued after
-// the last Bye.
-func TestContentionIsFig3dBatched(t *testing.T) {
 	const tenants, steps = 4, 6
 	_, ampleAddr := newTestServer(t)
 	want := contend(t, ampleAddr, tenants, steps, nil)
 
-	srv, reg, addr, budget := contendedServer(t, tenants, sched.BatchPolicy{MaxSize: tenants})
-	got := contend(t, addr, tenants, steps, srv.Scheduler())
-	if t.Failed() {
-		return
-	}
-	for i := range want {
-		for k := range want[i] {
-			if got[i][k] != want[i][k] {
-				t.Fatalf("tenant %d step %d: contended batched loss %v != uncontended %v", i, k, got[i][k], want[i][k])
+	for _, row := range []struct {
+		name  string
+		batch sched.BatchPolicy
+	}{
+		{"off", sched.BatchPolicy{}},
+		{"batched", sched.BatchPolicy{MaxSize: tenants}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			batched := row.batch.Enabled()
+			srv, reg, addr, budget := contendedServer(t, tenants, row.batch)
+			var pressured *sched.Scheduler
+			if batched {
+				pressured = srv.Scheduler()
 			}
-		}
-	}
-	waitForTeardown(t, reg)
+			got := contend(t, addr, tenants, steps, pressured)
+			if t.Failed() {
+				return
+			}
+			for i := range want {
+				for k := range want[i] {
+					if got[i][k] != want[i][k] {
+						t.Fatalf("tenant-%d step %d: contended loss %v != uncontended %v", i, k, got[i][k], want[i][k])
+					}
+				}
+			}
+			waitForTeardown(t, reg)
 
-	sch, st := srv.Scheduler(), srv.Scheduler().Stats()
-	if v := reg.Counter(obs.MetricBatchFormed).Value(); v == 0 {
-		t.Error("no batch formed while a request waited for memory")
-	}
-	if iters := srv.Stats().Iterations; iters != tenants*steps {
-		t.Errorf("iterations %d, want %d", iters, tenants*steps)
-	}
-	if st.Revoked == 0 {
-		t.Error("no revocation on a budget that cannot hold two caches")
-	}
-	byTenant := reg.CounterVec(obs.MetricSchedRevocations, "client")
-	var labeled int64
-	for _, lbl := range byTenant.Labels() {
-		labeled += byTenant.With(lbl).Value()
-	}
-	if agg := reg.Counter(obs.MetricSchedRevocations).Value(); labeled != st.Revoked || agg != st.Revoked {
-		t.Errorf("revocations: %d by tenant, %d unlabeled, %d in scheduler stats", labeled, agg, st.Revoked)
-	}
-	if sch.Available() != budget || sch.Schedulable() != budget || sch.Parked() != 0 || sch.QueueDepth() != 0 {
-		t.Errorf("after the last Bye: available %d, schedulable %d of %d, parked %d, queued %d",
-			sch.Available(), sch.Schedulable(), budget, sch.Parked(), sch.QueueDepth())
-	}
-	if v := reg.Gauge(obs.MetricSchedParkedBytes).Value(); v != 0 {
-		t.Errorf("parked bytes gauge = %d, want 0", v)
-	}
-	var revokedRows int64
-	for _, u := range srv.ledger.Snapshot() {
-		if u.PersistentBytes != 0 || u.TransientBytes != 0 {
-			t.Errorf("%s: ledger holdings outlived the session: persist=%d transient=%d", u.ID, u.PersistentBytes, u.TransientBytes)
-		}
-		revokedRows += u.Revocations
-	}
-	if revokedRows != st.Revoked {
-		t.Errorf("ledger rows carry %d revocations, scheduler counted %d", revokedRows, st.Revoked)
+			sch, st := srv.Scheduler(), srv.Scheduler().Stats()
+			if batched {
+				if v := reg.Counter(obs.MetricBatchFormed).Value(); v == 0 {
+					t.Error("no batch formed while a request waited for memory")
+				}
+				if iters := srv.Stats().Iterations; iters != tenants*steps {
+					t.Errorf("iterations %d, want %d", iters, tenants*steps)
+				}
+			} else {
+				if hits, refwd, iters := st.Claimed, srv.Stats().Reforwards, srv.Stats().Iterations; hits+refwd != iters || iters != tenants*steps {
+					t.Errorf("hits %d + re-forwards %d != iterations %d (want %d)", hits, refwd, iters, tenants*steps)
+				}
+				// The same identity as a scrape sees it.
+				claimed, refwd, iters := reg.Counter(obs.MetricSchedClaimed).Value(),
+					reg.Counter(obs.MetricServerReforwards).Value(), reg.Counter(obs.MetricServerIterations).Value()
+				if claimed+refwd != iters {
+					t.Errorf("counters: claimed %d + re-forwards %d != iterations %d", claimed, refwd, iters)
+				}
+			}
+			// Tenant 1's first backward revokes tenant 0's parked cache
+			// and has none of its own: at least that one re-forwards.
+			if v := reg.Counter(obs.MetricServerReforwards).Value(); v == 0 {
+				t.Error("no re-forward counted on a budget that cannot hold two caches")
+			}
+			if st.Revoked == 0 {
+				t.Error("no revocation on a budget that cannot hold two caches")
+			}
+			// Every revocation carries a tenant label, and the labels sum
+			// back to the scheduler's own count.
+			byTenant := reg.CounterVec(obs.MetricSchedRevocations, "client")
+			var labeled int64
+			for _, lbl := range byTenant.Labels() {
+				labeled += byTenant.With(lbl).Value()
+			}
+			if agg := reg.Counter(obs.MetricSchedRevocations).Value(); labeled != st.Revoked || agg != st.Revoked {
+				t.Errorf("revocations: %d by tenant, %d unlabeled, %d in scheduler stats", labeled, agg, st.Revoked)
+			}
+			// Nothing outlives the sessions: the whole budget is free again
+			// and every ledger holding is back to zero.
+			if sch.Available() != budget || sch.Schedulable() != budget || sch.Parked() != 0 || sch.QueueDepth() != 0 {
+				t.Errorf("after the last Bye: available %d, schedulable %d of %d, parked %d, queued %d",
+					sch.Available(), sch.Schedulable(), budget, sch.Parked(), sch.QueueDepth())
+			}
+			if v := reg.Gauge(obs.MetricSchedParkedBytes).Value(); v != 0 {
+				t.Errorf("parked bytes gauge = %d, want 0", v)
+			}
+			var revokedRows int64
+			for _, u := range srv.ledger.Snapshot() {
+				if u.PersistentBytes != 0 || u.TransientBytes != 0 {
+					t.Errorf("%s: ledger holdings outlived the session: persist=%d transient=%d", u.ID, u.PersistentBytes, u.TransientBytes)
+				}
+				revokedRows += u.Revocations
+			}
+			if revokedRows != st.Revoked {
+				t.Errorf("ledger rows carry %d revocations, scheduler counted %d", revokedRows, st.Revoked)
+			}
+		})
 	}
 }
 
@@ -377,7 +291,8 @@ func TestProfileViolationRaisesBackwardDemand(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	srv, addr := startServer(t, Config{Metrics: reg})
+	fr := newFlight(t)
+	srv, addr := startServer(t, Config{Metrics: reg, Flight: fr})
 	c, err = client.Dial(addr, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -405,6 +320,9 @@ func TestProfileViolationRaisesBackwardDemand(t *testing.T) {
 	}
 	if v := reg.Counter(obs.MetricServerProfileViolations).Value(); v != 1 {
 		t.Errorf("%d profile violations over %d steps, want 1", v, steps)
+	}
+	if got := flightReasons(t, fr); got[obs.FlightReasonProfile] != 1 {
+		t.Errorf("flight records by reason %v, want exactly one %q", got, obs.FlightReasonProfile)
 	}
 	if hits, refwd := srv.Scheduler().Stats().Claimed, srv.Stats().Reforwards; hits != steps-1 || refwd != 1 {
 		t.Errorf("claim hits %d, re-forwards %d; want %d and 1 (only the violating iteration re-forwards)", hits, refwd, steps-1)

@@ -156,14 +156,10 @@ type Server struct {
 // value (nil handles) is valid and free.
 type serverMetrics struct {
 	admitted          *obs.Counter
-	rejected          *obs.Counter
 	iterations        *obs.Counter
 	compute           *obs.Histogram
 	schedWait         *obs.Histogram
 	active            *obs.Gauge
-	migrationsOut     *obs.Counter
-	migrationsIn      *obs.Counter
-	migrationsAborted *obs.Counter
 	reforwards        *obs.Counter
 	profileViolations *obs.Counter
 }
@@ -182,7 +178,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.SchedPolicy = sched.PolicyFCFSBackfill
 	}
 	// Instrument before the preload so the base-model charge shows up
-	// in the alloc counters, not just the seeded used gauge.
+	// in the alloc counter and the per-owner residency.
 	cfg.GPU.Instrument(cfg.Metrics)
 	if _, err := cfg.GPU.Alloc("base-model", cfg.Store.BaseParamBytes()); err != nil {
 		return nil, fmt.Errorf("server: loading base model: %w", err)
@@ -239,24 +235,17 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Metrics != nil {
 		s.m = serverMetrics{
-			admitted:   cfg.Metrics.Counter(obs.MetricServerAdmitted, "clients admitted at handshake"),
-			rejected:   cfg.Metrics.Counter(obs.MetricServerRejected, "clients rejected at handshake"),
-			iterations: cfg.Metrics.Counter(obs.MetricServerIterations, "fine-tuning iterations completed"),
-			compute:    cfg.Metrics.Histogram(obs.MetricServerComputeSeconds, obs.DurationBuckets(), "server-side compute per request"),
-			schedWait:  cfg.Metrics.Histogram(obs.MetricServerWaitSeconds, obs.DurationBuckets(), "scheduler grant wait per request"),
-			active:     cfg.Metrics.Gauge(obs.MetricServerActiveClients, "clients currently connected and admitted"),
-
-			migrationsOut:     cfg.Metrics.Counter(obs.MetricServerMigrationsOut, "sessions snapshotted and redirected to another server"),
-			migrationsIn:      cfg.Metrics.Counter(obs.MetricServerMigrationsIn, "sessions resumed here from a staged snapshot"),
-			migrationsAborted: cfg.Metrics.Counter(obs.MetricServerMigrationsAborted, "migration orders that failed mid-flight"),
-
+			admitted:          cfg.Metrics.Counter(obs.MetricServerAdmitted, "clients admitted at handshake"),
+			iterations:        cfg.Metrics.Counter(obs.MetricServerIterations, "fine-tuning iterations completed"),
+			compute:           cfg.Metrics.Histogram(obs.MetricServerComputeSeconds, obs.DurationBuckets(), "server-side compute per request"),
+			schedWait:         cfg.Metrics.Histogram(obs.MetricServerWaitSeconds, obs.DurationBuckets(), "scheduler grant wait per request"),
+			active:            cfg.Metrics.Gauge(obs.MetricServerActiveClients, "clients currently connected and admitted"),
 			reforwards:        cfg.Metrics.Counter(obs.MetricServerReforwards, "serial backwards that recomputed the forward (no parked cache to claim)"),
 			profileViolations: cfg.Metrics.Counter(obs.MetricServerProfileViolations, "kept activation caches larger than the grant profiled for them"),
 		}
 		s.payload.Compressed = cfg.Metrics.Counter(obs.MetricWireCompressedBytes, "on-wire bytes of compressed activation/gradient payloads sent")
 		s.payload.Raw = cfg.Metrics.Counter(obs.MetricWireRawBytes, "fp32 bytes the compressed payloads replaced")
 		s.payload.Seconds = cfg.Metrics.Histogram(obs.MetricWireCodecSeconds, obs.DurationBuckets(), "time quantizing/dequantizing wire payloads")
-		cfg.Metrics.Gauge(obs.MetricTensorPoolWorkers, "tensor worker-pool parallelism").Set(int64(tensor.Parallelism()))
 	}
 	return s, nil
 }
@@ -454,7 +443,6 @@ func (s *Server) handleConn(rawConn net.Conn) {
 				err := s.executeMigration(conn, sess, ord)
 				mig.End()
 				if err != nil {
-					s.m.migrationsAborted.Inc()
 					s.logf("client %q: migration to %s aborted: %v", sess.id, ord.TargetAddr, err)
 					// Fall through: the session keeps serving here.
 				} else {
@@ -525,7 +513,6 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 	}
 	admitSpan := s.cfg.Tracer.Begin(hello.ClientID, "admit", "admission")
 	reject := func(reason string) (*session, error) {
-		s.m.rejected.Inc()
 		admitSpan.End()
 		_ = split.WriteMessage(conn, &split.HelloAck{OK: false, Reason: reason})
 		return nil, fmt.Errorf("rejected %q: %s", hello.ClientID, reason)
@@ -550,7 +537,6 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 	// they are profiled or charged — a retryable rejection, unlike the
 	// hard configuration rejections above.
 	if s.scheduler.AdmissionState() == sched.StateShedding {
-		s.m.rejected.Inc()
 		s.ledger.Shed(hello.ClientID)
 		admitSpan.End()
 		s.cfg.Flight.TriggerAsync(obs.FlightReasonShed)
@@ -676,7 +662,6 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 			return reject(fmt.Sprintf("resume restore failed: %v", err))
 		}
 		mig.End()
-		s.m.migrationsIn.Inc()
 		s.logf("client %q: session resumed from snapshot (%d bytes)", sess.id, len(staged.data))
 	}
 

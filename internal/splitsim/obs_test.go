@@ -179,6 +179,14 @@ func TestMenosShedTriggersFlight(t *testing.T) {
 	if !strings.Contains(string(data), `"reason":"`+obs.FlightReasonShed+`"`) {
 		t.Fatal("no shed snapshot in flight recording")
 	}
+	// Shedding means the controller left Open, and every state change
+	// snapshots too.
+	if r.Admission.Transitions == 0 {
+		t.Fatal("a shedding run recorded no admission transition")
+	}
+	if !strings.Contains(string(data), `"reason":"`+obs.FlightReasonAdmission+`"`) {
+		t.Fatal("no admission-transition snapshot in flight recording")
+	}
 	if !strings.Contains(string(data), `"trace_id":"`) {
 		t.Fatal("flight snapshot spans carry no trace IDs")
 	}

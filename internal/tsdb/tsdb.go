@@ -42,7 +42,7 @@ type SeriesID struct {
 }
 
 // String renders the series in a stable prometheus-ish form, e.g.
-// `menos_sched_queue_depth{server=1}` — the instance key used by alert
+// `menos_server_active_clients{server=1}` — the instance key used by alert
 // state and /alertz output.
 func (id SeriesID) String() string {
 	if id.Server == 0 && id.Client == "" {
