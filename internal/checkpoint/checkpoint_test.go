@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -261,5 +263,20 @@ func TestSaveFileBadPath(t *testing.T) {
 	}
 	if err := SaveModelFile("/nonexistent-dir/x/y", m); err == nil {
 		t.Fatal("bad model save path accepted")
+	}
+}
+
+// TestSaveBytesArePinned pins Save's output byte for byte: the
+// SHA-256 of a fixed parameter set's checkpoint, so a codec change that
+// moves one byte of the format fails here before any round trip could
+// hide it.
+func TestSaveBytesArePinned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Save(&buf, testParams(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	const want = "51ad89557b8a039efff468974827690d58f99183753759e970e2b67ac81c44ff"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("Save output sha256 = %s, want %s (%d bytes)", got, want, buf.Len())
 	}
 }
