@@ -102,7 +102,7 @@ func run(args []string) error {
 	listen := fs.String("listen", ":9600", "control-plane HTTP listen address")
 	alerts := fs.Bool("alerts", true, "evaluate the built-in alert catalog over the federated metrics each poll tick")
 	sloP99 := fs.Duration("slo-p99", 0, "burn-rate target for servers that do not advertise one (0 skips them)")
-	retention := fs.Duration("retention", 0, "federated time-series retention (0 = 1h; older downsampled buckets are evicted)")
+	retention := fs.Duration("retention", 0, "federated time-series retention, at least the 5m raw window (0 = 1h; older downsampled buckets are evicted)")
 	fedTraces := fs.Bool("federate-traces", false, "scrape every server's /trace ring each poll and serve the merged fleet trace on /trace")
 	traceBudget := fs.Int64("trace-buffer-mb", 4, "per-server mirror ring budget for trace federation in MiB")
 	flightDir := fs.String("flight-dir", "", "write a flight-recorder snapshot (fleetd metrics JSONL) on every alert transition into firing")
@@ -110,6 +110,12 @@ func run(args []string) error {
 	quiet := fs.Bool("quiet", false, "disable orchestration logs")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *poll <= 0 {
+		return fmt.Errorf("-poll %v: want a positive interval", *poll)
+	}
+	if *retention != 0 && *retention < tsdb.RawWindow {
+		return fmt.Errorf("-retention %v: want 0 (1h) or at least the %v raw window", *retention, tsdb.RawWindow)
 	}
 	if len(endpoints) == 0 {
 		return fmt.Errorf("no servers: pass at least one -server id=...,addr=...,metrics=...,admin=...")

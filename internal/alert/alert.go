@@ -103,13 +103,14 @@ type Config struct {
 	Store     *tsdb.Store
 	Rules     []Rule
 	Recording []RecordingRule
-	// MaxTransitions bounds the firing-history ring (default 256).
-	MaxTransitions int
 	// OnFiring observes every transition INTO Firing — menos-fleetd
 	// hangs the flight-recorder snapshot off it. Called synchronously
 	// inside EvalTick, without the engine lock held.
 	OnFiring func(Transition)
 }
+
+// maxTransitions bounds the firing-history ring.
+const maxTransitions = 256
 
 // instance is the engine-side memory for one (rule, series) pair.
 type instance struct {
@@ -140,9 +141,6 @@ type Engine struct {
 
 // NewEngine builds an engine over cfg.
 func NewEngine(cfg Config) *Engine {
-	if cfg.MaxTransitions <= 0 {
-		cfg.MaxTransitions = 256
-	}
 	for i := range cfg.Rules {
 		if cfg.Rules[i].Resolve <= 0 {
 			cfg.Rules[i].Resolve = cfg.Rules[i].For
@@ -261,7 +259,7 @@ func (e *Engine) transitionLocked(fired []Transition, rule *Rule, inst *instance
 	e.totalTrans++
 	e.mTrans.Add(1) // nil-safe
 	e.transitions = append(e.transitions, tr)
-	if n := len(e.transitions) - e.cfg.MaxTransitions; n > 0 {
+	if n := len(e.transitions) - maxTransitions; n > 0 {
 		e.transitions = append(e.transitions[:0], e.transitions[n:]...)
 	}
 	return append(fired, tr)

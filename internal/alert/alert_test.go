@@ -185,30 +185,30 @@ func TestPerInstanceIndependence(t *testing.T) {
 	}
 }
 
-// TestTransitionRingBounded pins MaxTransitions.
+// TestTransitionRingBounded pins maxTransitions.
 func TestTransitionRingBounded(t *testing.T) {
 	st := tsdb.New(tsdb.Config{})
 	e := NewEngine(Config{
-		Store:          st,
-		Rules:          []Rule{thresholdRule(0, 0)},
-		MaxTransitions: 4,
+		Store: st,
+		Rules: []Rule{thresholdRule(0, 0)},
 	})
 	id := tsdb.SeriesID{Name: "sig", Server: 1}
-	for i := 0; i < 20; i++ {
+	const ticks = 2*maxTransitions + 20
+	for i := 0; i < ticks; i++ {
 		now := time.Duration(i) * time.Second
 		st.Append(id, now, float64((i%2)*2)) // flap every tick
 		e.EvalTick(now)
 	}
-	doc := e.Snapshot(20 * time.Second)
-	if len(doc.History) > 4 {
-		t.Fatalf("history %d entries, cap 4", len(doc.History))
+	doc := e.Snapshot(ticks * time.Second)
+	if len(doc.History) > maxTransitions {
+		t.Fatalf("history %d entries, cap %d", len(doc.History), maxTransitions)
 	}
-	if doc.Transitions <= 4 {
+	if doc.Transitions <= maxTransitions {
 		t.Fatalf("transitions_total = %d, want > cap", doc.Transitions)
 	}
 	// Ring keeps the newest transitions.
-	if doc.History[len(doc.History)-1].AtSeconds != 19 {
-		t.Fatalf("newest transition at %v, want 19", doc.History[len(doc.History)-1].AtSeconds)
+	if doc.History[len(doc.History)-1].AtSeconds != ticks-1 {
+		t.Fatalf("newest transition at %v, want %d", doc.History[len(doc.History)-1].AtSeconds, ticks-1)
 	}
 }
 

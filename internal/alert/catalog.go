@@ -32,30 +32,25 @@ type CatalogConfig struct {
 	// not advertise menos_sched_admission_slo_target_micros. Zero
 	// skips such servers rather than guessing a target.
 	SLOTargetP99 time.Duration
-	// ImbalanceRatio is the max/mean active-client ratio above which
-	// the imbalance alert goes active (default 3.0), once the fleet
-	// has at least ImbalanceMinClients clients (default 4 — a fleet of
-	// one or two clients is always "imbalanced" and never actionable).
-	ImbalanceRatio      float64
-	ImbalanceMinClients float64
-	// OccupancyFloor is the batch-occupancy collapse threshold in
-	// integer thousandths of the configured batch size, matching the
-	// menos_batch_occupancy_ratio gauge (default 250 = 25%).
-	OccupancyFloor float64
 }
+
+// The catalog's fixed thresholds.
+const (
+	// imbalanceRatio is the max/mean active-client ratio above which
+	// the imbalance alert goes active, once the fleet has at least
+	// imbalanceMinClients clients (a fleet of one or two clients is
+	// always "imbalanced" and never actionable).
+	imbalanceRatio      = 3.0
+	imbalanceMinClients = 4
+	// occupancyFloor is the batch-occupancy collapse threshold in
+	// integer thousandths of the configured batch size, matching the
+	// menos_batch_occupancy_ratio gauge (250 = 25%).
+	occupancyFloor = 250
+)
 
 func (c CatalogConfig) withDefaults() CatalogConfig {
 	if c.Poll <= 0 {
 		c.Poll = 2 * time.Second
-	}
-	if c.ImbalanceRatio <= 0 {
-		c.ImbalanceRatio = 3.0
-	}
-	if c.ImbalanceMinClients <= 0 {
-		c.ImbalanceMinClients = 4
-	}
-	if c.OccupancyFloor <= 0 {
-		c.OccupancyFloor = 250
 	}
 	return c
 }
@@ -222,7 +217,7 @@ func Catalog(cfg CatalogConfig) ([]RecordingRule, []Rule) {
 			Eval: func(st *tsdb.Store, now time.Duration) []Sample {
 				id := tsdb.SeriesID{Name: SeriesImbalanceRatio}
 				last, ok := st.Last(id)
-				if !ok || last.Value < cfg.ImbalanceRatio {
+				if !ok || last.Value < imbalanceRatio {
 					return nil
 				}
 				var total float64
@@ -231,7 +226,7 @@ func Catalog(cfg CatalogConfig) ([]RecordingRule, []Rule) {
 						total += l.Value
 					}
 				}
-				if total < cfg.ImbalanceMinClients {
+				if total < imbalanceMinClients {
 					return nil
 				}
 				return []Sample{{Series: id, Value: last.Value}}
@@ -251,7 +246,7 @@ func Catalog(cfg CatalogConfig) ([]RecordingRule, []Rule) {
 						continue // batching idle or disabled: nothing to judge
 					}
 					id := tsdb.SeriesID{Name: obs.MetricBatchOccupancy, Server: srv}
-					if avg, ok := st.AvgOver(id, now-10*poll, now); ok && avg < cfg.OccupancyFloor {
+					if avg, ok := st.AvgOver(id, now-10*poll, now); ok && avg < occupancyFloor {
 						out = append(out, Sample{Series: id, Value: avg})
 					}
 				}

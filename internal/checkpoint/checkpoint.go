@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"menos/internal/nn"
 	"menos/internal/tensor"
@@ -53,19 +52,8 @@ func Save(w io.Writer, params []nn.Param) error {
 		if err := writeString(bw, p.Name); err != nil {
 			return err
 		}
-		shape := p.Value.Shape()
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(shape))); err != nil {
-			return fmt.Errorf("checkpoint: write rank: %w", err)
-		}
-		for _, d := range shape {
-			if err := binary.Write(bw, binary.LittleEndian, uint32(d)); err != nil {
-				return fmt.Errorf("checkpoint: write dim: %w", err)
-			}
-		}
-		for _, v := range p.Value.Data() {
-			if err := binary.Write(bw, binary.LittleEndian, math.Float32bits(v)); err != nil {
-				return fmt.Errorf("checkpoint: write data: %w", err)
-			}
+		if err := writeTensor(bw, p.Value); err != nil {
+			return fmt.Errorf("checkpoint: write %q: %w", p.Name, err)
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -111,48 +99,10 @@ func Load(r io.Reader, params []nn.Param) error {
 		if err != nil {
 			return err
 		}
-		var rank uint32
-		if err := binary.Read(br, binary.LittleEndian, &rank); err != nil {
-			return fmt.Errorf("checkpoint: read rank: %w", err)
-		}
-		if rank > 8 {
-			return fmt.Errorf("%w: rank %d", ErrFormat, rank)
-		}
-		shape := make([]int, rank)
-		elems := 1
-		for j := range shape {
-			var d uint32
-			if err := binary.Read(br, binary.LittleEndian, &d); err != nil {
-				return fmt.Errorf("checkpoint: read dim: %w", err)
-			}
-			shape[j] = int(d)
-			elems *= int(d)
-		}
-		if elems < 0 || elems > maxElems {
-			return fmt.Errorf("%w: tensor %q has %d elements", ErrFormat, name, elems)
-		}
-		p, ok := byName[name]
-		if !ok {
-			return fmt.Errorf("%w: unknown parameter %q", ErrMismatch, name)
-		}
-		if !sameShape(p.Value, shape) {
-			return fmt.Errorf("%w: %q stored %v, model has %v",
-				ErrMismatch, name, shape, p.Value.Shape())
-		}
-		data := make([]float32, elems)
-		for j := range data {
-			var bits uint32
-			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-				return fmt.Errorf("checkpoint: read data for %q: %w", name, err)
-			}
-			data[j] = math.Float32frombits(bits)
-		}
-		loaded, err := tensor.FromSlice(data, shape...)
-		if err != nil {
-			return fmt.Errorf("checkpoint: %q: %w", name, err)
-		}
-		if err := p.Value.CopyFrom(loaded); err != nil {
-			return fmt.Errorf("checkpoint: %q: %w", name, err)
+		// An unknown name has no target: readTensorInto checks the
+		// stored header first, then refuses it as a mismatch.
+		if err := readTensorInto(br, byName[name].Value, name, "value"); err != nil {
+			return err
 		}
 		delete(byName, name)
 	}

@@ -246,7 +246,7 @@ func readTensorInto(r io.Reader, dst *tensor.Tensor, name, what string) error {
 		return fmt.Errorf("%w: %q %s has no target tensor", ErrMismatch, name, what)
 	}
 	if !sameShape(dst, shape) {
-		return fmt.Errorf("%w: %q %s stored %v, session has %v",
+		return fmt.Errorf("%w: %q %s stored %v, target has %v",
 			ErrMismatch, name, what, shape, dst.Shape())
 	}
 	data := make([]float32, elems)

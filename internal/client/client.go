@@ -88,11 +88,9 @@ type Config struct {
 	// initialization.
 	AdapterSeed uint64
 	// LR is the optimizer learning rate (client and server side).
-	LR float64
-	// Optimizer is "adam" (default) or "sgd".
-	Optimizer string
-	Batch     int
-	Seq       int
+	LR    float64
+	Batch int
+	Seq   int
 	// Metrics, when set, records per-iteration counters and comm/comp
 	// histograms under the menos_client_* names. Nil disables them.
 	Metrics *obs.Registry
@@ -103,11 +101,6 @@ type Config struct {
 	// (split.FeatureTraceContext) at handshake so the server's spans
 	// share those IDs. Nil disables all of it.
 	Tracer *obs.Tracer
-	// NoTraceContext suppresses the trace-context offer even when
-	// Tracer is set: the handshake then stays a plain version-1 frame.
-	// Dial's compatibility fallback sets this when a legacy server
-	// hangs up on the extended hello.
-	NoTraceContext bool
 	// Migrate offers split.FeatureMigration at handshake: the server
 	// may answer a forward with a redirect to another server, and the
 	// client follows it transparently mid-run — redial, resume the
@@ -138,10 +131,10 @@ func (c *Config) applyDefaults() {
 	if c.LR == 0 {
 		c.LR = 1e-3
 	}
-	if c.Optimizer == "" {
-		c.Optimizer = "adam"
-	}
 }
+
+// optimizerKind is the optimizer both peers run, named in the Hello.
+const optimizerKind = "adam"
 
 // StepResult reports one fine-tuning iteration.
 type StepResult struct {
@@ -165,6 +158,9 @@ type Client struct {
 
 	iter    int
 	demands split.HelloAck
+	// offerTrace offers FeatureTraceContext at handshake: a tracer is
+	// set and Dial has not withdrawn the offer for a legacy server.
+	offerTrace bool
 	// traceOK reports that the server acked FeatureTraceContext:
 	// requests may carry trace IDs and responses echo them.
 	traceOK bool
@@ -207,6 +203,11 @@ type clientMetrics struct {
 // New builds the client's model sections and performs the handshake
 // over conn. The caller owns conn's lifetime until Close.
 func New(conn net.Conn, cfg Config) (*Client, error) {
+	return newClient(conn, cfg, cfg.Tracer != nil)
+}
+
+// newClient is New with the trace-context offer decided by the caller.
+func newClient(conn net.Conn, cfg Config, offerTrace bool) (*Client, error) {
 	cfg.applyDefaults()
 	if cfg.ClientID == "" {
 		return nil, errors.New("client: missing client id")
@@ -238,22 +239,16 @@ func New(conn net.Conn, cfg Config) (*Client, error) {
 	}
 
 	c := &Client{
-		cfg:     cfg,
-		conn:    conn,
-		local:   m,
-		input:   input,
-		output:  output,
-		adapter: ad,
-		params:  ad.Params(),
-		payload: split.PayloadCodec{Codec: cfg.WireCodec},
-	}
-	switch cfg.Optimizer {
-	case "adam":
-		c.optimizer = nn.NewAdam(cfg.LR)
-	case "sgd":
-		c.optimizer = nn.NewSGD(cfg.LR, 0)
-	default:
-		return nil, fmt.Errorf("client: unknown optimizer %q", cfg.Optimizer)
+		cfg:        cfg,
+		conn:       conn,
+		local:      m,
+		input:      input,
+		output:     output,
+		adapter:    ad,
+		params:     ad.Params(),
+		optimizer:  nn.NewAdam(cfg.LR),
+		offerTrace: offerTrace,
+		payload:    split.PayloadCodec{Codec: cfg.WireCodec},
 	}
 	if cfg.Metrics != nil {
 		c.m = clientMetrics{
@@ -288,9 +283,8 @@ const AdapterSalt = 0x5f3759df
 // extended hello and hanging up — Dial redials once with the offer
 // withdrawn, so a new client still interoperates with an old server.
 func Dial(addr string, cfg Config) (*Client, error) {
-	c, err := dialOnce(addr, cfg)
-	offeredExt := (cfg.Tracer != nil && !cfg.NoTraceContext) || cfg.Migrate ||
-		cfg.WireCodec != quant.CodecFP32
+	c, err := dialOnce(addr, cfg, cfg.Tracer != nil)
+	offeredExt := cfg.Tracer != nil || cfg.Migrate || cfg.WireCodec != quant.CodecFP32
 	if err == nil || !offeredExt {
 		return c, err
 	}
@@ -299,18 +293,17 @@ func Dial(addr string, cfg Config) (*Client, error) {
 	if errors.Is(err, ErrRejected) || errors.Is(err, ErrOverloaded) || errors.Is(err, ErrRemote) {
 		return nil, err
 	}
-	cfg.NoTraceContext = true
 	cfg.Migrate = false
 	cfg.WireCodec = quant.CodecFP32
-	return dialOnce(addr, cfg)
+	return dialOnce(addr, cfg, false)
 }
 
-func dialOnce(addr string, cfg Config) (*Client, error) {
+func dialOnce(addr string, cfg Config, offerTrace bool) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	c, err := New(conn, cfg)
+	c, err := newClient(conn, cfg, offerTrace)
 	if err != nil {
 		_ = conn.Close()
 		return nil, err
@@ -324,12 +317,12 @@ func (c *Client) handshake() error {
 		ModelName:   c.cfg.Model.Name,
 		Cut:         c.cfg.Cut,
 		Adapter:     c.cfg.Adapter,
-		Optimizer:   split.OptimizerConfig{Kind: c.cfg.Optimizer, LR: c.cfg.LR},
+		Optimizer:   split.OptimizerConfig{Kind: optimizerKind, LR: c.cfg.LR},
 		Batch:       c.cfg.Batch,
 		Seq:         c.cfg.Seq,
 		AdapterSeed: c.cfg.AdapterSeed,
 	}
-	if c.cfg.Tracer != nil && !c.cfg.NoTraceContext {
+	if c.offerTrace {
 		hello.Features = split.FeatureTraceContext
 	}
 	if c.cfg.Migrate {

@@ -72,7 +72,6 @@ func TestConfigValidation(t *testing.T) {
 		{"missing id", func(c *client.Config) { c.ClientID = "" }},
 		{"zero batch", func(c *client.Config) { c.Batch = 0 }},
 		{"zero seq", func(c *client.Config) { c.Seq = 0 }},
-		{"bad optimizer", func(c *client.Config) { c.Optimizer = "nope" }},
 		{"bad adapter", func(c *client.Config) { c.Adapter = adapter.Spec{Kind: adapter.KindLoRA} }},
 		{"bad model", func(c *client.Config) { c.Model.Dim = 0 }},
 	}
@@ -115,9 +114,8 @@ func TestStepBatchSizeValidation(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	addr := startServer(t)
 	cfg := validCfg("defaults")
-	cfg.Cut = 0        // -> DefaultCut
-	cfg.LR = 0         // -> 1e-3
-	cfg.Optimizer = "" // -> adam
+	cfg.Cut = 0 // -> DefaultCut
+	cfg.LR = 0  // -> 1e-3
 	c, err := client.Dial(addr, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -32,9 +32,6 @@ type DeploymentConfig struct {
 	WeightSeed uint64
 	// GPU selects the simulated device budget (default V100).
 	GPU gpu.Spec
-	// SchedPolicy is the scheduling discipline (default
-	// FCFS+backfill).
-	SchedPolicy sched.Policy
 	// WeightsFile optionally loads the base weights from a checkpoint
 	// exported with checkpoint.SaveModelFile, overriding the
 	// seed-derived initialization — how a real pre-trained model is
@@ -116,18 +113,17 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		return nil, fmt.Errorf("core: build store: %w", err)
 	}
 	srv, err := server.New(server.Config{
-		Store:       store,
-		GPU:         gpu.NewDevice(cfg.GPU),
-		SchedPolicy: cfg.SchedPolicy,
-		SLO:         cfg.SLO,
-		Batch:       cfg.Batch,
-		WireCodec:   cfg.WireCodec,
-		Logger:      cfg.Logger,
-		Metrics:     cfg.Metrics,
-		Tracer:      cfg.Tracer,
-		Flight:      cfg.Flight,
-		ServerID:    cfg.ServerID,
-		TenantCap:   cfg.TenantCap,
+		Store:     store,
+		GPU:       gpu.NewDevice(cfg.GPU),
+		SLO:       cfg.SLO,
+		Batch:     cfg.Batch,
+		WireCodec: cfg.WireCodec,
+		Logger:    cfg.Logger,
+		Metrics:   cfg.Metrics,
+		Tracer:    cfg.Tracer,
+		Flight:    cfg.Flight,
+		ServerID:  cfg.ServerID,
+		TenantCap: cfg.TenantCap,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: build server: %w", err)

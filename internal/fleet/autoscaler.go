@@ -5,36 +5,38 @@ import (
 	"time"
 )
 
-// AutoscaleConfig tunes the fleet autoscaler. The zero value of every
-// field gets a sensible default from withDefaults; the zero value of
-// the whole struct is a valid "scale between 1 and 4 servers" policy.
+// AutoscaleConfig bounds the fleet autoscaler. The zero value is a
+// valid "scale between 1 and 4 servers" policy.
 type AutoscaleConfig struct {
 	// Min and Max bound the active server count (defaults 1 and
 	// max(Min, 4)).
 	Min int
 	Max int
-	// Interval is how often the autoscaler evaluates the fleet
-	// (default 5s on the decision clock, virtual or wall).
-	Interval time.Duration
-	// UpQueueDepth scales up when the mean scheduler queue depth per
-	// active server reaches this (default 2). Any server at admission
-	// state Throttled or worse, or any client waiting to be placed,
-	// also counts as pressure.
-	UpQueueDepth float64
-	// DownQueueDepth arms scale-down when the mean queue depth stays at
-	// or below this (default 0.25) with every admission ladder Open.
-	DownQueueDepth float64
-	// Cooldown and DownDwell give the loop hysteresis: scale-ups are
-	// gated only by Cooldown, the minimum time between consecutive
-	// scale events (default 3×Interval); scale-downs additionally
-	// require the calm signal to hold for DownDwell (default
-	// 4×Interval) first, exactly the dwell-gated de-escalation style of
-	// the admission ladder.
-	Cooldown  time.Duration
-	DownDwell time.Duration
 }
 
-// withDefaults fills unset knobs.
+// The autoscaler's fixed thresholds and hysteresis.
+const (
+	// autoscaleInterval is how often the autoscaler evaluates the fleet,
+	// on the decision clock (virtual or wall).
+	autoscaleInterval = 5 * time.Second
+	// upQueueDepth scales up when the mean scheduler queue depth per
+	// active server reaches it. Any server at admission state Throttled
+	// or worse, or any client waiting to be placed, also counts as
+	// pressure.
+	upQueueDepth = 2
+	// downQueueDepth arms scale-down when the mean queue depth stays at
+	// or below it with every admission ladder Open.
+	downQueueDepth = 0.25
+	// scaleCooldown and downDwell give the loop hysteresis: scale-ups
+	// are gated only by scaleCooldown, the minimum time between
+	// consecutive scale events; scale-downs additionally require the
+	// calm signal to hold for downDwell first, exactly the dwell-gated
+	// de-escalation style of the admission ladder.
+	scaleCooldown = 3 * autoscaleInterval
+	downDwell     = 4 * autoscaleInterval
+)
+
+// withDefaults fills unset bounds.
 func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
 	if c.Min <= 0 {
 		c.Min = 1
@@ -45,35 +47,14 @@ func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
 	if c.Max < c.Min {
 		c.Max = c.Min
 	}
-	if c.Interval <= 0 {
-		c.Interval = 5 * time.Second
-	}
-	if c.UpQueueDepth <= 0 {
-		c.UpQueueDepth = 2
-	}
-	if c.DownQueueDepth <= 0 {
-		c.DownQueueDepth = 0.25
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 3 * c.Interval
-	}
-	if c.DownDwell <= 0 {
-		c.DownDwell = 4 * c.Interval
-	}
 	return c
 }
 
 // Validate rejects configs that resolve to nonsense.
 func (c AutoscaleConfig) Validate() error {
-	r := c.withDefaults()
 	if c.Max > 0 && c.Min > 0 && c.Max < c.Min {
 		return fmt.Errorf("fleet: autoscale max %d < min %d", c.Max, c.Min)
 	}
-	if c.DownQueueDepth > 0 && c.UpQueueDepth > 0 && c.DownQueueDepth >= c.UpQueueDepth {
-		return fmt.Errorf("fleet: autoscale down threshold %.2f >= up threshold %.2f",
-			c.DownQueueDepth, c.UpQueueDepth)
-	}
-	_ = r
 	return nil
 }
 
@@ -125,16 +106,19 @@ func NewAutoscaler(cfg AutoscaleConfig) *Autoscaler {
 // Config returns the normalized (defaults-applied) configuration.
 func (a *Autoscaler) Config() AutoscaleConfig { return a.cfg }
 
+// Interval is how often the caller evaluates the fleet with Decide.
+func (a *Autoscaler) Interval() time.Duration { return autoscaleInterval }
+
 // Decide evaluates the fleet at now. pending is the number of clients
 // waiting to be placed (no server could physically admit them — the
 // strongest possible grow signal); loads is the Manager's snapshot,
 // draining servers included (they are ignored here).
 //
-// Pressure — mean queue depth at or above UpQueueDepth, any admission
+// Pressure — mean queue depth at or above upQueueDepth, any admission
 // controller at Throttled or worse, or pending placements — scales up
-// immediately, gated only by Cooldown and Max. Calm — mean queue depth
-// at or below DownQueueDepth with every admission ladder Open and
-// nothing pending — must hold for DownDwell before a cooldown-gated
+// immediately, gated only by scaleCooldown and Max. Calm — mean queue
+// depth at or below downQueueDepth with every admission ladder Open and
+// nothing pending — must hold for downDwell before a cooldown-gated
 // scale-down, mirroring the admission ladder's asymmetric hysteresis.
 func (a *Autoscaler) Decide(now time.Duration, pending int, loads []ServerLoad) Decision {
 	active := 0
@@ -155,7 +139,7 @@ func (a *Autoscaler) Decide(now time.Duration, pending int, loads []ServerLoad) 
 	}
 	meanQ := float64(queued) / float64(active)
 
-	pressured := pending > 0 || meanQ >= a.cfg.UpQueueDepth || worst >= AdmissionThrottled
+	pressured := pending > 0 || meanQ >= upQueueDepth || worst >= AdmissionThrottled
 	if pressured {
 		a.calm = false
 		if active < a.cfg.Max && a.cooldownOver(now) {
@@ -165,7 +149,7 @@ func (a *Autoscaler) Decide(now time.Duration, pending int, loads []ServerLoad) 
 		return Hold
 	}
 
-	calm := meanQ <= a.cfg.DownQueueDepth && worst == AdmissionOpen
+	calm := meanQ <= downQueueDepth && worst == AdmissionOpen
 	if !calm || active <= a.cfg.Min {
 		a.calm = false
 		return Hold
@@ -175,7 +159,7 @@ func (a *Autoscaler) Decide(now time.Duration, pending int, loads []ServerLoad) 
 		a.calmSince = now
 		return Hold
 	}
-	if now-a.calmSince >= a.cfg.DownDwell && a.cooldownOver(now) {
+	if now-a.calmSince >= downDwell && a.cooldownOver(now) {
 		a.calm = false
 		a.record(now)
 		return ScaleDown
@@ -186,7 +170,7 @@ func (a *Autoscaler) Decide(now time.Duration, pending int, loads []ServerLoad) 
 // cooldownOver reports whether enough time has passed since the last
 // scale event.
 func (a *Autoscaler) cooldownOver(now time.Duration) bool {
-	return !a.haveEvent || now-a.lastEvent >= a.cfg.Cooldown
+	return !a.haveEvent || now-a.lastEvent >= scaleCooldown
 }
 
 // record stamps a scale event.

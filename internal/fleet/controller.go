@@ -47,17 +47,12 @@ type ControllerConfig struct {
 	// Placer decides placements and rebalance targets; nil means
 	// DefaultPolicy().
 	Placer Placer
-	// HTTP is the polling client; nil means a 5-second timeout.
-	HTTP *http.Client
 	// Metrics receives the menos_fleetd_* families (nil-safe).
 	Metrics *obs.Registry
 	// TokenSeed randomizes resume tokens so a restarted fleetd does
 	// not mint tokens colliding with snapshots staged by its previous
 	// life. Zero means 1.
 	TokenSeed uint64
-	// MaxMovesPerTick caps the migration orders one RebalanceOnce call
-	// may issue. Zero means DefaultMaxMovesPerTick.
-	MaxMovesPerTick int
 	// Store, when set, turns every PollOnce into a federation tick:
 	// the Controller scrapes each healthy endpoint's /metrics.json and
 	// appends the flattened samples (plus synthetic menos_fleetd_up /
@@ -111,10 +106,10 @@ type endpointState struct {
 	mirror      *obs.Tracer
 }
 
-// DefaultMaxMovesPerTick bounds RebalanceOnce when the config does not:
-// enough to drain a small server in one tick without stampeding the
-// fleet before the next poll confirms the moves landed.
-const DefaultMaxMovesPerTick = 4
+// maxMovesPerTick caps the migration orders one RebalanceOnce call may
+// issue: enough to drain a small server in one tick without stampeding
+// the fleet before the next poll confirms the moves landed.
+const maxMovesPerTick = 4
 
 // Controller polls a fixed set of server endpoints and makes
 // placement and migration decisions over what it saw.
@@ -122,7 +117,6 @@ type Controller struct {
 	placer      Placer
 	http        *http.Client
 	logf        func(string, ...any)
-	maxMoves    int
 	store       *tsdb.Store
 	clock       obs.Clock
 	fedTraces   bool
@@ -147,18 +141,14 @@ type Controller struct {
 func NewController(cfg ControllerConfig) (*Controller, error) {
 	c := &Controller{
 		placer:      cfg.Placer,
-		http:        cfg.HTTP,
+		http:        &http.Client{Timeout: 5 * time.Second},
 		logf:        cfg.Logf,
-		maxMoves:    cfg.MaxMovesPerTick,
 		store:       cfg.Store,
 		clock:       cfg.Clock,
 		fedTraces:   cfg.FederateTraces,
 		traceBudget: cfg.TraceBudgetBytes,
 		eps:         make(map[int]*endpointState, len(cfg.Endpoints)),
 		nextToken:   cfg.TokenSeed,
-	}
-	if c.maxMoves <= 0 {
-		c.maxMoves = DefaultMaxMovesPerTick
 	}
 	if c.clock == nil {
 		c.clock = obs.NewWallClock()
@@ -168,9 +158,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	}
 	if c.placer == nil {
 		c.placer = DefaultPolicy()
-	}
-	if c.http == nil {
-		c.http = &http.Client{Timeout: 5 * time.Second}
 	}
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
@@ -401,7 +388,7 @@ func (c *Controller) MigrateClient(clientID string, src, dst int) error {
 	return nil
 }
 
-// RebalanceOnce makes up to MaxMovesPerTick migration decisions over
+// RebalanceOnce makes up to maxMovesPerTick migration decisions over
 // the last poll. Each decision evacuates a client from a draining
 // server, or moves one client from the most to the least crowded
 // server when the move is a strict improvement (the target must end up
@@ -438,7 +425,7 @@ func (c *Controller) RebalanceOnce() (int, error) {
 	exhausted := make(map[int]bool)
 	sessCache := make(map[int][]SessionInfo)
 	ordered := make(map[string]bool)
-	for moves < c.maxMoves {
+	for moves < maxMovesPerTick {
 		var src, dst *node
 		for _, n := range nodes {
 			if n.draining {

@@ -26,16 +26,9 @@ type FlightConfig struct {
 	// Dir is the directory holding the recorder's JSONL output
 	// (created if missing). Required.
 	Dir string
-	// MaxBytes bounds the active file; on overflow it rotates to
-	// flight.jsonl.1 (replacing any previous rotation), so total disk
-	// use stays under ~2x MaxBytes. <= 0 means 8 MiB.
-	MaxBytes int64
 	// MinInterval rate-limits snapshots per reason (a shedding storm
 	// triggers once per interval, not per request). <= 0 means 1s.
 	MinInterval time.Duration
-	// Window is the trailing trace window each snapshot captures.
-	// <= 0 means 30s.
-	Window time.Duration
 	// Clock supplies timestamps and the rate-limit timebase; the
 	// simulator passes its virtual clock so snapshots are
 	// deterministic. Nil means wall clock.
@@ -48,6 +41,16 @@ type FlightConfig struct {
 	// simulator never enables this — the daemons gate it behind -pprof.
 	CaptureProfiles bool
 }
+
+// The recorder's fixed bounds.
+const (
+	// flightMaxBytes bounds the active file; on overflow it rotates to
+	// flight.jsonl.1 (replacing any previous rotation), so total disk
+	// use stays under ~2x flightMaxBytes.
+	flightMaxBytes = 8 << 20
+	// flightWindow is the trailing trace window each snapshot captures.
+	flightWindow = 30 * time.Second
+)
 
 // flightRecord is one JSONL line: why the snapshot fired, when, the
 // trace window, and the full metrics state at that instant.
@@ -81,6 +84,8 @@ type FlightRecorder struct {
 	cfg    FlightConfig
 	reg    *Registry
 	tracer *Tracer
+	// maxBytes is flightMaxBytes; the package's rotation tests lower it.
+	maxBytes int64
 
 	mu      sync.Mutex
 	f       *os.File
@@ -103,14 +108,8 @@ func NewFlightRecorder(cfg FlightConfig, reg *Registry, tracer *Tracer) (*Flight
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("obs: flight recorder needs a directory")
 	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = 8 << 20
-	}
 	if cfg.MinInterval <= 0 {
 		cfg.MinInterval = time.Second
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 30 * time.Second
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = NewWallClock()
@@ -128,15 +127,16 @@ func NewFlightRecorder(cfg FlightConfig, reg *Registry, tracer *Tracer) (*Flight
 		return nil, fmt.Errorf("obs: flight file: %w", err)
 	}
 	r := &FlightRecorder{
-		cfg:    cfg,
-		reg:    reg,
-		tracer: tracer,
-		f:      f,
-		size:   st.Size(),
-		last:   make(map[string]time.Duration),
-		ch:     make(chan string, 16),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
+		cfg:      cfg,
+		reg:      reg,
+		tracer:   tracer,
+		maxBytes: flightMaxBytes,
+		f:        f,
+		size:     st.Size(),
+		last:     make(map[string]time.Duration),
+		ch:       make(chan string, 16),
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	go r.drain()
 	return r, nil
@@ -253,7 +253,7 @@ func (r *FlightRecorder) snapshotLocked(reason string) error {
 		Reason:    reason,
 		Spans:     []flightSpan{},
 	}
-	for _, s := range r.tracer.SpansWindow(r.cfg.Window) {
+	for _, s := range r.tracer.SpansWindow(flightWindow) {
 		fs := flightSpan{
 			Track:   s.Track,
 			Name:    s.Name,
@@ -282,7 +282,7 @@ func (r *FlightRecorder) snapshotLocked(reason string) error {
 	}
 	line = append(line, '\n')
 
-	if r.size+int64(len(line)) > r.cfg.MaxBytes && r.size > 0 {
+	if r.size+int64(len(line)) > r.maxBytes && r.size > 0 {
 		if err := r.rotateLocked(); err != nil {
 			return err
 		}
@@ -341,7 +341,7 @@ func sanitizeReason(reason string) string {
 
 // rotateLocked moves the active file to flight.jsonl.1 (replacing any
 // previous rotation) and starts a fresh one, bounding total disk use
-// at ~2x MaxBytes. Caller holds r.mu.
+// at ~2x maxBytes. Caller holds r.mu.
 func (r *FlightRecorder) rotateLocked() error {
 	active := filepath.Join(r.cfg.Dir, "flight.jsonl")
 	if err := r.f.Close(); err != nil {

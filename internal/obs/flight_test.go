@@ -109,7 +109,8 @@ func TestFlightRateLimit(t *testing.T) {
 }
 
 // TestFlightRotationBound: the active file rotates to .1 on overflow
-// and total disk use stays bounded by ~2x MaxBytes.
+// and total disk use stays bounded by ~2x maxBytes (lowered from 8 MiB
+// so a few hundred records overflow it).
 func TestFlightRotationBound(t *testing.T) {
 	clk := &manualClock{}
 	dir := t.TempDir()
@@ -117,12 +118,12 @@ func TestFlightRotationBound(t *testing.T) {
 	fr, err := NewFlightRecorder(FlightConfig{
 		Dir:         dir,
 		Clock:       clk,
-		MaxBytes:    maxBytes,
 		MinInterval: time.Nanosecond,
 	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fr.maxBytes = maxBytes
 	defer fr.Close()
 	for i := 0; i < 200; i++ {
 		clk.t += time.Microsecond

@@ -20,12 +20,12 @@ func TestFlightAsyncBurstRotation(t *testing.T) {
 	dir := t.TempDir()
 	fr, err := NewFlightRecorder(FlightConfig{
 		Dir:         dir,
-		MaxBytes:    4096,
 		MinInterval: time.Nanosecond,
 	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fr.maxBytes = 4096 // rotate within a few dozen records, not 8 MiB
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -88,53 +88,33 @@ type SLO struct {
 	TargetP99 time.Duration
 	// Window is the sliding measurement window (default 8×TargetP99).
 	Window time.Duration
-	// ThrottleFactor enters Throttled at p99 ≥ factor×TargetP99
-	// (default 0.7).
-	ThrottleFactor float64
-	// ShedFactor enters Shedding at p99 ≥ factor×TargetP99
-	// (default 1.0).
-	ShedFactor float64
-	// ReopenFactor de-escalates one state when p99 < factor×TargetP99
-	// for a full Dwell (default 0.5).
-	ReopenFactor float64
-	// MinSamples gates escalation on window population, so one slow
-	// grant after an idle period cannot throttle the scheduler. The
-	// queue-head age bypasses this: a head older than the threshold is
-	// overload evidence regardless of sample count (default 8).
-	MinSamples int
-	// Dwell is the minimum time between de-escalations (default
-	// Window/4). Escalations are immediate.
-	Dwell time.Duration
-	// RetryAfter is the backoff hint carried by OverloadError
-	// (default TargetP99).
-	RetryAfter time.Duration
 }
+
+// The controller's fixed tuning; the thresholds are fractions of
+// SLO.TargetP99. Escalations are immediate, de-escalation waits a dwell
+// of Window/4, and a shed carries TargetP99 as its backoff hint.
+const (
+	// throttleFactor enters Throttled at p99 ≥ throttleFactor×TargetP99.
+	throttleFactor = 0.7
+	// shedFactor enters Shedding at p99 ≥ shedFactor×TargetP99.
+	shedFactor = 1.0
+	// reopenFactor de-escalates one state when p99 <
+	// reopenFactor×TargetP99 for a full dwell.
+	reopenFactor = 0.5
+	// minSamples gates escalation on window population, so one slow
+	// grant after an idle period cannot throttle the scheduler. The
+	// queue-head age bypasses this: a head older than the throttle
+	// threshold is overload evidence regardless of sample count.
+	minSamples = 8
+)
 
 // Enabled reports whether this SLO activates admission control.
 func (s SLO) Enabled() bool { return s.TargetP99 > 0 }
 
-// withDefaults fills unset tuning knobs.
+// withDefaults fills an unset Window.
 func (s SLO) withDefaults() SLO {
 	if s.Window <= 0 {
 		s.Window = 8 * s.TargetP99
-	}
-	if s.ThrottleFactor <= 0 {
-		s.ThrottleFactor = 0.7
-	}
-	if s.ShedFactor <= 0 {
-		s.ShedFactor = 1.0
-	}
-	if s.ReopenFactor <= 0 {
-		s.ReopenFactor = 0.5
-	}
-	if s.MinSamples <= 0 {
-		s.MinSamples = 8
-	}
-	if s.Dwell <= 0 {
-		s.Dwell = s.Window / 4
-	}
-	if s.RetryAfter <= 0 {
-		s.RetryAfter = s.TargetP99
 	}
 	return s
 }
@@ -295,13 +275,13 @@ func (a *AdmissionController) evaluate(now, headAge time.Duration) {
 	p99 := a.effectiveP99(snap, headAge)
 	a.lastP99 = p99
 
-	throttleAt := time.Duration(a.slo.ThrottleFactor * float64(a.slo.TargetP99))
-	shedAt := time.Duration(a.slo.ShedFactor * float64(a.slo.TargetP99))
-	reopenAt := time.Duration(a.slo.ReopenFactor * float64(a.slo.TargetP99))
+	throttleAt := time.Duration(throttleFactor * float64(a.slo.TargetP99))
+	shedAt := time.Duration(shedFactor * float64(a.slo.TargetP99))
+	reopenAt := time.Duration(reopenFactor * float64(a.slo.TargetP99))
 
 	// Escalation needs either a populated window or direct queue-head
 	// evidence; either way it takes effect immediately.
-	evidence := snap.Count >= int64(a.slo.MinSamples) || headAge >= throttleAt
+	evidence := snap.Count >= minSamples || headAge >= throttleAt
 	if evidence {
 		if p99 >= shedAt && a.state != StateShedding {
 			a.transition(StateShedding, now)
@@ -328,7 +308,7 @@ func (a *AdmissionController) evaluate(now, headAge time.Duration) {
 		a.calmSince = now
 		return
 	}
-	if now-a.calmSince >= a.slo.Dwell {
+	if now-a.calmSince >= a.slo.Window/4 {
 		a.transition(a.state-1, now)
 	}
 }
@@ -361,7 +341,7 @@ func (a *AdmissionController) transition(state AdmissionState, now time.Duration
 // client whose submissions happen to land on the even ones. Shedding
 // rejects everything.
 func (a *AdmissionController) admit(clientID string) error {
-	retry := a.slo.RetryAfter
+	retry := a.slo.TargetP99
 	switch a.state {
 	case StateShedding:
 	case StateThrottled:

@@ -135,8 +135,8 @@ func TestAdmitPerState(t *testing.T) {
 			if !errors.As(err, &ov) || !errors.Is(err, ErrOverloaded) {
 				t.Fatalf("throttled: wrong error type: %v", err)
 			}
-			if ov.RetryAfter != a.slo.RetryAfter/2 {
-				t.Fatalf("throttled retry hint = %v, want %v", ov.RetryAfter, a.slo.RetryAfter/2)
+			if ov.RetryAfter != a.slo.TargetP99/2 {
+				t.Fatalf("throttled retry hint = %v, want %v", ov.RetryAfter, a.slo.TargetP99/2)
 			}
 			shed++
 		} else {
@@ -154,8 +154,8 @@ func TestAdmitPerState(t *testing.T) {
 		if !errors.As(err, &ov) {
 			t.Fatalf("shedding: admit returned %v", err)
 		}
-		if ov.RetryAfter != a.slo.RetryAfter {
-			t.Fatalf("shedding retry hint = %v, want %v", ov.RetryAfter, a.slo.RetryAfter)
+		if ov.RetryAfter != a.slo.TargetP99 {
+			t.Fatalf("shedding retry hint = %v, want %v", ov.RetryAfter, a.slo.TargetP99)
 		}
 	}
 }

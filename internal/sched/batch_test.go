@@ -207,6 +207,7 @@ func TestSerialRequestIsBatchOfOne(t *testing.T) {
 		stats    Stats
 		ledger   []obs.ClientUsage
 		metrics  string
+		adm      AdmissionStats
 	}
 	run := func(seed int64, policy Policy, slo SLO, batched bool) outcome {
 		reg := obs.NewRegistry()
@@ -250,6 +251,7 @@ func TestSerialRequestIsBatchOfOne(t *testing.T) {
 		out.stats = s.Stats()
 		out.stats.DecisionTime = 0 // wall time
 		out.ledger = led.Snapshot()
+		out.adm = s.AdmissionStats()
 		var buf bytes.Buffer
 		if err := reg.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
@@ -264,7 +266,7 @@ func TestSerialRequestIsBatchOfOne(t *testing.T) {
 
 	slos := map[string]SLO{
 		"open":      {},
-		"admission": {TargetP99: 2 * time.Second, Window: 10 * time.Second, Dwell: time.Second, RetryAfter: time.Second, MinSamples: 4},
+		"admission": {TargetP99: 2 * time.Second, Window: 10 * time.Second},
 	}
 	for name, slo := range slos {
 		for _, policy := range []Policy{PolicyFCFSBackfill, PolicyFCFS, PolicySmallestFirst} {
@@ -272,6 +274,11 @@ func TestSerialRequestIsBatchOfOne(t *testing.T) {
 				plain, batched := run(seed, policy, slo, false), run(seed, policy, slo, true)
 				if plain.stats.Granted == 0 || plain.stats.Completed == 0 {
 					t.Fatalf("%s/%v/seed %d: degenerate interleaving %+v", name, policy, seed, plain.stats)
+				}
+				// The admission row only compares the two paths if the
+				// controller acts in it: it must change state and shed.
+				if slo.Enabled() && (plain.adm.Transitions == 0 || plain.adm.Shed == 0) {
+					t.Fatalf("%s/%v/seed %d: admission control never acted: %+v", name, policy, seed, plain.adm)
 				}
 				for _, f := range []struct {
 					what           string

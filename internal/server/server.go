@@ -43,8 +43,6 @@ type Config struct {
 	// Defaults to a V100. Persistent components are charged to it on
 	// startup and per client.
 	GPU *gpu.Device
-	// SchedPolicy is the scheduler discipline (default FCFS+backfill).
-	SchedPolicy sched.Policy
 	// MaxClients caps concurrently admitted clients (0 = unlimited).
 	// Admission beyond the cap is rejected at handshake with a clear
 	// reason rather than degrading everyone.
@@ -174,9 +172,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.GPU == nil {
 		cfg.GPU = gpu.NewDevice(gpu.V100())
 	}
-	if cfg.SchedPolicy == 0 {
-		cfg.SchedPolicy = sched.PolicyFCFSBackfill
-	}
 	// Instrument before the preload so the base-model charge shows up
 	// in the alloc counter and the per-owner residency.
 	cfg.GPU.Instrument(cfg.Metrics)
@@ -187,7 +182,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		store:      cfg.Store,
 		device:     cfg.GPU,
-		scheduler:  sched.New(cfg.GPU.Available(), cfg.SchedPolicy),
+		scheduler:  sched.New(cfg.GPU.Available(), sched.PolicyFCFSBackfill),
 		clock:      obs.NewWallClock(),
 		listeners:  make(map[net.Listener]struct{}),
 		conns:      make(map[net.Conn]struct{}),
@@ -540,7 +535,7 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 		s.ledger.Shed(hello.ClientID)
 		admitSpan.End()
 		s.cfg.Flight.TriggerAsync(obs.FlightReasonShed)
-		retry := s.retryAfter()
+		retry := s.cfg.SLO.TargetP99
 		_ = split.WriteMessage(conn, &split.HelloAck{
 			OK:           false,
 			Reason:       "server overloaded",
@@ -1030,15 +1025,6 @@ func (s *Server) sendRetryable(conn net.Conn, ov *sched.OverloadError) {
 		Retryable:    true,
 		RetryAfterMs: ov.RetryAfter.Milliseconds(),
 	})
-}
-
-// retryAfter is the handshake-level backoff hint, from the configured
-// SLO (falling back to the p99 target itself).
-func (s *Server) retryAfter() time.Duration {
-	if s.cfg.SLO.RetryAfter > 0 {
-		return s.cfg.SLO.RetryAfter
-	}
-	return s.cfg.SLO.TargetP99
 }
 
 // serveDecodeOpen starts an incremental-inference session: the KV

@@ -223,7 +223,7 @@ func runMenos(cfg Config) (*Result, error) {
 	if cfg.Autoscale != nil {
 		r.autoscaler = fleet.NewAutoscaler(*cfg.Autoscale)
 		r.tick = r.autoscale
-		kernel.After(r.autoscaler.Config().Interval, r.tick)
+		kernel.After(r.autoscaler.Interval(), r.tick)
 	}
 	for i := range clients {
 		clients[i].start()
@@ -498,7 +498,7 @@ func (r *menosRun) autoscale() {
 			r.decommission(r.servers[id])
 		}
 	}
-	r.kernel.After(r.autoscaler.Config().Interval, r.tick)
+	r.kernel.After(r.autoscaler.Interval(), r.tick)
 }
 
 // menosClient is one client's serving schedule and everything it keeps

@@ -14,13 +14,13 @@
 //
 // Memory is bounded on three axes:
 //
-//   - per-series raw ring: samples older than RawWindow (or beyond
-//     MaxRawPoints) are folded into downsampled buckets;
-//   - per-series downsampled ring: Resolution-wide aggregate buckets
-//     (count/sum/min/max) retained up to Retention, then dropped;
-//   - cardinality: at most MaxSeries distinct series; appends to new
-//     series beyond the cap are counted and discarded, never silently
-//     grown.
+//   - per-series raw ring: samples older than RawWindow (5m) or
+//     beyond 4096 points are folded into downsampled buckets;
+//   - per-series downsampled ring: 30s-wide aggregate buckets
+//     (count/sum/min/max) retained up to Config.Retention, then
+//     dropped;
+//   - cardinality: at most 4096 distinct series; appends to new series
+//     beyond the cap are counted and discarded, never silently grown.
 package tsdb
 
 import (
@@ -73,7 +73,7 @@ type Point struct {
 }
 
 // Bucket is one downsampled aggregate: all raw samples whose timestamp
-// fell in [Start, Start+Resolution).
+// fell in [Start, Start+resolution).
 type Bucket struct {
 	Start time.Duration
 	Count int64
@@ -92,42 +92,35 @@ func (b Bucket) Avg() float64 {
 
 // Config bounds a Store. Zero values get defaults from New.
 type Config struct {
-	// RawWindow is how long samples stay at full resolution (default
-	// 5m).
-	RawWindow time.Duration
-	// Resolution is the downsample bucket width (default 30s).
-	Resolution time.Duration
 	// Retention is the total horizon, downsampled buckets included
 	// (default 1h). Must be >= RawWindow.
 	Retention time.Duration
-	// MaxSeries caps distinct series (default 4096). Appends creating a
-	// series beyond the cap are dropped and counted.
-	MaxSeries int
-	// MaxRawPoints caps one series' raw ring regardless of RawWindow
-	// (default 4096) — a misbehaving scraper cannot grow a ring without
-	// bound between retention sweeps.
-	MaxRawPoints int
 }
 
-// withDefaults fills unset knobs.
+// RawWindow is how long samples stay at full resolution; older ones
+// fold into buckets of resolution width.
+const RawWindow = 5 * time.Minute
+
+// The store's fixed resolution and bounds.
+const (
+	// resolution is the downsample bucket width.
+	resolution = 30 * time.Second
+	// maxSeries caps distinct series. Appends creating a series beyond
+	// the cap are dropped and counted.
+	maxSeries = 4096
+	// maxRawPoints caps one series' raw ring regardless of RawWindow —
+	// a misbehaving scraper cannot grow a ring without bound between
+	// retention sweeps.
+	maxRawPoints = 4096
+)
+
+// withDefaults fills an unset or too-short Retention.
 func (c Config) withDefaults() Config {
-	if c.RawWindow <= 0 {
-		c.RawWindow = 5 * time.Minute
-	}
-	if c.Resolution <= 0 {
-		c.Resolution = 30 * time.Second
-	}
 	if c.Retention <= 0 {
 		c.Retention = time.Hour
 	}
-	if c.Retention < c.RawWindow {
-		c.Retention = c.RawWindow
-	}
-	if c.MaxSeries <= 0 {
-		c.MaxSeries = 4096
-	}
-	if c.MaxRawPoints <= 0 {
-		c.MaxRawPoints = 4096
+	if c.Retention < RawWindow {
+		c.Retention = RawWindow
 	}
 	return c
 }
@@ -170,7 +163,7 @@ func (s *Store) Append(id SeriesID, at time.Duration, v float64) bool {
 	defer s.mu.Unlock()
 	sr := s.series[id]
 	if sr == nil {
-		if len(s.series) >= s.cfg.MaxSeries {
+		if len(s.series) >= maxSeries {
 			s.droppedSeries++
 			return false
 		}
@@ -193,12 +186,12 @@ func (s *Store) Append(id SeriesID, at time.Duration, v float64) bool {
 // into downsampled buckets and drops buckets past retention. Caller
 // holds s.mu.
 func (s *Store) compactLocked(sr *series) {
-	rawCut := s.latest - s.cfg.RawWindow
+	rawCut := s.latest - RawWindow
 	fold := 0
 	for fold < len(sr.raw) &&
-		(sr.raw[fold].At < rawCut || len(sr.raw)-fold > s.cfg.MaxRawPoints) {
+		(sr.raw[fold].At < rawCut || len(sr.raw)-fold > maxRawPoints) {
 		p := sr.raw[fold]
-		start := p.At - p.At%s.cfg.Resolution
+		start := p.At - p.At%resolution
 		if n := len(sr.down); n > 0 && sr.down[n-1].Start == start {
 			b := &sr.down[n-1]
 			b.Count++
@@ -220,7 +213,7 @@ func (s *Store) compactLocked(sr *series) {
 	}
 	downCut := s.latest - s.cfg.Retention
 	drop := 0
-	for drop < len(sr.down) && sr.down[drop].Start+s.cfg.Resolution <= downCut {
+	for drop < len(sr.down) && sr.down[drop].Start+resolution <= downCut {
 		drop++
 	}
 	if drop > 0 {
@@ -291,7 +284,7 @@ type Series struct {
 // to [from, to]. Caller holds s.mu (read).
 func (s *Store) rangePointsLocked(sr *series, from, to time.Duration) []Point {
 	var out []Point
-	half := s.cfg.Resolution / 2
+	half := resolution / 2
 	for _, b := range sr.down {
 		at := b.Start + half
 		if at < from || at > to {
@@ -353,7 +346,7 @@ func (s *Store) Last(id SeriesID) (Point, bool) {
 	}
 	if n := len(sr.down); n > 0 {
 		b := sr.down[n-1]
-		return Point{At: b.Start + s.cfg.Resolution/2, Value: b.Avg()}, true
+		return Point{At: b.Start + resolution/2, Value: b.Avg()}, true
 	}
 	return Point{}, false
 }
@@ -373,7 +366,7 @@ func (s *Store) AvgOver(id SeriesID, from, to time.Duration) (float64, bool) {
 	}
 	var sum float64
 	var n int64
-	half := s.cfg.Resolution / 2
+	half := resolution / 2
 	for _, b := range sr.down {
 		if at := b.Start + half; at < from || at > to {
 			continue

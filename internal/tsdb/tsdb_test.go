@@ -31,35 +31,31 @@ func TestAppendQueryRoundTrip(t *testing.T) {
 }
 
 func TestDownsampleAndRetentionBounds(t *testing.T) {
-	cfg := Config{
-		RawWindow:  time.Minute,
-		Resolution: 10 * time.Second,
-		Retention:  5 * time.Minute,
-	}
+	cfg := Config{Retention: 15 * time.Minute}
 	s := New(cfg)
 	id := SeriesID{Name: "m", Server: 1}
-	// One sample per second for 20 minutes: far beyond retention.
-	for i := 0; i < 20*60; i++ {
+	// One sample per second for an hour: far beyond retention.
+	for i := 0; i < 60*60; i++ {
 		s.Append(id, time.Duration(i)*time.Second, float64(i))
 	}
 	sr := s.series[id]
 	// Raw ring holds at most RawWindow of samples.
-	if n := len(sr.raw); n == 0 || time.Duration(n)*time.Second > cfg.RawWindow+time.Second {
-		t.Fatalf("raw ring %d samples, want <= %v worth", n, cfg.RawWindow)
+	if n := len(sr.raw); n == 0 || time.Duration(n)*time.Second > RawWindow+time.Second {
+		t.Fatalf("raw ring %d samples, want <= %v worth", n, RawWindow)
 	}
-	// Downsampled ring holds at most Retention/Resolution buckets.
-	maxBuckets := int(cfg.Retention/cfg.Resolution) + 1
+	// Downsampled ring holds at most Retention/resolution buckets.
+	maxBuckets := int(cfg.Retention/resolution) + 1
 	if n := len(sr.down); n == 0 || n > maxBuckets {
 		t.Fatalf("down ring %d buckets, want 1..%d", n, maxBuckets)
 	}
 	// Nothing older than Retention survives.
 	latest := s.latest
 	for _, b := range sr.down {
-		if b.Start+cfg.Resolution <= latest-cfg.Retention {
+		if b.Start+resolution <= latest-cfg.Retention {
 			t.Fatalf("bucket at %v survived retention (latest %v)", b.Start, latest)
 		}
 	}
-	// Buckets aggregate correctly: each full bucket holds Resolution
+	// Buckets aggregate correctly: each full bucket holds resolution
 	// worth of consecutive integers, so Avg is the midpoint and
 	// Max-Min spans the count. The newest bucket may be partial — the
 	// fold boundary (latest-RawWindow) can land mid-bucket.
@@ -67,8 +63,8 @@ func TestDownsampleAndRetentionBounds(t *testing.T) {
 		if i == len(sr.down)-1 {
 			break
 		}
-		if b.Count != int64(cfg.Resolution/time.Second) {
-			t.Fatalf("bucket count %d, want %d", b.Count, cfg.Resolution/time.Second)
+		if b.Count != int64(resolution/time.Second) {
+			t.Fatalf("bucket count %d, want %d", b.Count, resolution/time.Second)
 		}
 		if b.Max-b.Min != float64(b.Count-1) {
 			t.Fatalf("bucket min/max %v/%v span wrong for count %d", b.Min, b.Max, b.Count)
@@ -80,15 +76,16 @@ func TestDownsampleAndRetentionBounds(t *testing.T) {
 }
 
 func TestMaxRawPointsCapsRing(t *testing.T) {
-	s := New(Config{RawWindow: time.Hour, MaxRawPoints: 16})
+	s := New(Config{})
 	id := SeriesID{Name: "m"}
-	// All samples at nearly the same instant: the RawWindow cut never
-	// fires, only the point cap can bound the ring.
-	for i := 0; i < 1000; i++ {
+	// All samples within a few seconds: the RawWindow cut never fires,
+	// only the point cap can bound the ring.
+	const n = 3 * maxRawPoints
+	for i := 0; i < n; i++ {
 		s.Append(id, time.Duration(i)*time.Millisecond, 1)
 	}
-	if n := len(s.series[id].raw); n > 16 {
-		t.Fatalf("raw ring %d points, cap 16", n)
+	if got := len(s.series[id].raw); got > maxRawPoints {
+		t.Fatalf("raw ring %d points, cap %d", got, maxRawPoints)
 	}
 	// Folded samples are still accounted for in buckets.
 	var count int64
@@ -96,19 +93,20 @@ func TestMaxRawPointsCapsRing(t *testing.T) {
 		count += b.Count
 	}
 	count += int64(len(s.series[id].raw))
-	if count != 1000 {
-		t.Fatalf("samples accounted %d, want 1000", count)
+	if count != n {
+		t.Fatalf("samples accounted %d, want %d", count, n)
 	}
 }
 
 func TestSeriesCardinalityCap(t *testing.T) {
-	s := New(Config{MaxSeries: 3})
-	for i := 0; i < 10; i++ {
+	s := New(Config{})
+	const over = 7
+	for i := 0; i < maxSeries+over; i++ {
 		s.Append(SeriesID{Name: "m", Server: i}, 0, 1)
 	}
 	n, samples, dropped := s.Stats()
-	if n != 3 || samples != 3 || dropped != 7 {
-		t.Fatalf("stats = %d series %d samples %d dropped, want 3/3/7", n, samples, dropped)
+	if n != maxSeries || samples != maxSeries || dropped != over {
+		t.Fatalf("stats = %d series %d samples %d dropped, want %d/%d/%d", n, samples, dropped, maxSeries, maxSeries, over)
 	}
 	// Existing series still accept appends at the cap.
 	if !s.Append(SeriesID{Name: "m", Server: 0}, time.Second, 2) {
@@ -128,15 +126,19 @@ func TestOutOfOrderClamped(t *testing.T) {
 }
 
 func TestAvgOver(t *testing.T) {
-	s := New(Config{RawWindow: 10 * time.Second, Resolution: 5 * time.Second, Retention: time.Hour})
+	s := New(Config{})
 	id := SeriesID{Name: "m"}
-	// 1..40 at 1s spacing; early samples fold into buckets.
-	for i := 1; i <= 40; i++ {
+	// 1..1200 at 1s spacing; samples older than RawWindow fold into
+	// buckets.
+	for i := 1; i <= 1200; i++ {
 		s.Append(id, time.Duration(i)*time.Second, float64(i))
 	}
-	// Whole-range mean must weigh buckets by count: mean of 1..40.
-	if avg, ok := s.AvgOver(id, 0, time.Hour); !ok || !approx(avg, 20.5) {
-		t.Fatalf("AvgOver = %v %v, want 20.5", avg, ok)
+	if len(s.series[id].down) == 0 {
+		t.Fatal("nothing folded into buckets")
+	}
+	// Whole-range mean must weigh buckets by count: mean of 1..1200.
+	if avg, ok := s.AvgOver(id, 0, time.Hour); !ok || !approx(avg, 600.5) {
+		t.Fatalf("AvgOver = %v %v, want 600.5", avg, ok)
 	}
 	if _, ok := s.AvgOver(id, time.Hour, 2*time.Hour); ok {
 		t.Fatal("AvgOver over empty range should report !ok")
@@ -242,7 +244,9 @@ func TestNilStoreSafe(t *testing.T) {
 // TestConcurrentScrapeQuery is the -race hammer: writers appending like
 // a scrape loop while readers run every query path.
 func TestConcurrentScrapeQuery(t *testing.T) {
-	s := New(Config{RawWindow: time.Second, Resolution: 250 * time.Millisecond, Retention: 4 * time.Second})
+	// At one sample a second, each series outlives RawWindow and the
+	// shortest Retention, so writers fold and evict while readers scan.
+	s := New(Config{Retention: RawWindow})
 	var wg sync.WaitGroup
 	const writers, readers, iters = 4, 4, 2000
 	for w := 0; w < writers; w++ {
@@ -252,7 +256,7 @@ func TestConcurrentScrapeQuery(t *testing.T) {
 			id := SeriesID{Name: "m", Server: w}
 			cid := SeriesID{Name: "mc", Server: w, Client: fmt.Sprintf("c%d", w)}
 			for i := 0; i < iters; i++ {
-				at := time.Duration(i) * 10 * time.Millisecond
+				at := time.Duration(i) * time.Second
 				s.Append(id, at, float64(i))
 				s.Append(cid, at, float64(i))
 			}
