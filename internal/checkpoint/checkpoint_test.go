@@ -280,3 +280,44 @@ func TestSaveBytesArePinned(t *testing.T) {
 		t.Fatalf("Save output sha256 = %s, want %s (%d bytes)", got, want, buf.Len())
 	}
 }
+
+// TestModelWeightsArePinned pins the bits of a freshly built model: the
+// SHA-256 of SaveModel(model.New(seed, cfg)) for both families and a
+// perf-mid-shaped OPT, at one worker and at four. Every parameter draws
+// from its own stream, so a construction change that reorders one
+// layer's Split() or fills a tensor from the wrong stream fails here.
+func TestModelWeightsArePinned(t *testing.T) {
+	prev := tensor.Parallelism()
+	defer tensor.SetParallelism(prev)
+
+	perfMid := model.Config{
+		Name: "perf-mid", Family: model.FamilyOPT,
+		Vocab: 96, Dim: 128, Layers: 4, Heads: 4, FFN: 512, MaxSeq: 128,
+	}
+	cases := []struct {
+		cfg  model.Config
+		seed uint64
+		want string
+	}{
+		{model.OPTTiny(), 42, "ad7859a6924e7f9ad7d60b813cbe6a8a62e612a4b5702c88766c63b896ed2680"},
+		{model.LlamaTiny(), 42, "704de027aaffd934a69f908a70060ccf482ea37353b7830241fafdffa18e1889"},
+		{perfMid, 7, "9937254ffcd254346c40446edfa268da500adfa96bea7ec279e4564f73114204"},
+	}
+	for _, par := range []int{1, 4} {
+		tensor.SetParallelism(par)
+		for _, c := range cases {
+			m, err := model.New(tensor.NewRNG(c.seed), c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := SaveModel(&buf, m); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.want {
+				t.Errorf("%s seed %d at parallelism %d: weights sha256 = %s, want %s",
+					c.cfg.Name, c.seed, par, got, c.want)
+			}
+		}
+	}
+}
