@@ -40,7 +40,10 @@ perf-test:
 
 # Race-checks the packages with real lock/atomic contention: the
 # tensor worker pool and scratch arena, the model plane that hammers
-# them from concurrent training loops, the metrics registry and ring
+# them from concurrent training loops and fills a new model's weights
+# over the pool (model.New's parallel fill; the model tests build at
+# four workers, e.g. TestConcurrentNoGradForwardSharesArena), the
+# metrics registry and ring
 # tracer, the wire protocol (version interop), the scheduler (including
 # admission-control state flips), the batch-formation engine, the fleet
 # manager (concurrent scrape ingestion), the federated time-series
@@ -94,7 +97,11 @@ vet:
 # same order, then the race job. Keep the two in sync. `test` includes
 # the root package's surface test (every exported identifier under
 # internal/ has a reader) and the metric-catalog test. The bench-smoke
-# job's paper-artifact smokes and its advisory base-vs-head comparison
+# job's kernel benchmark smoke (one iteration each of the matmul, GELU,
+# softmax and attention kernels, BenchmarkModelNew's pool and serial
+# perf-mid build, BenchmarkClientSetup's tenant set-up, the sim
+# dispatch, a sim_fleet run and the memory-policy sweeps), its
+# paper-artifact smokes and its advisory base-vs-head comparison
 # (bash perf/run.sh, then perf -compare) are not mirrored: the
 # benchmark is perf/ (perf/README.md), and timings need a quiet machine.
 ci: build vet fmt-check test test-purego test-v3 cross-build perf-test test-race test-stress

@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"io"
 
+	"menos/internal/model"
 	"menos/internal/nn"
-	"menos/internal/tensor"
 )
 
 // Format constants.
@@ -66,6 +66,13 @@ func Save(w io.Writer, params []nn.Param) error {
 // a target parameter by name with an identical shape; counts must
 // agree exactly.
 func Load(r io.Reader, params []nn.Param) error {
+	return load(r, params, nil)
+}
+
+// load is Load where the stream also holds the records named in
+// absent, which have no target: each is checked for its name and shape
+// like any other record, and its values are skipped.
+func load(r io.Reader, params []nn.Param, absent []model.ParamShape) error {
 	br := bufio.NewReader(r)
 	var m, ver, count uint32
 	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
@@ -86,18 +93,29 @@ func Load(r io.Reader, params []nn.Param) error {
 	if count > maxParams {
 		return fmt.Errorf("%w: %d parameters", ErrFormat, count)
 	}
-	if int(count) != len(params) {
+	if want := len(params) + len(absent); int(count) != want {
 		return fmt.Errorf("%w: checkpoint has %d parameters, model has %d",
-			ErrMismatch, count, len(params))
+			ErrMismatch, count, want)
 	}
 	byName := make(map[string]nn.Param, len(params))
 	for _, p := range params {
 		byName[p.Name] = p
 	}
+	skipped := make(map[string][]int, len(absent))
+	for _, a := range absent {
+		skipped[a.Name] = a.Shape
+	}
 	for i := uint32(0); i < count; i++ {
 		name, err := readString(br)
 		if err != nil {
 			return err
+		}
+		if shape, ok := skipped[name]; ok {
+			if err := skipTensor(br, shape, name); err != nil {
+				return err
+			}
+			delete(skipped, name)
+			continue
 		}
 		// An unknown name has no target: readTensorInto checks the
 		// stored header first, then refuses it as a mismatch.
@@ -132,17 +150,4 @@ func readString(r io.Reader) (string, error) {
 		return "", fmt.Errorf("checkpoint: read string: %w", err)
 	}
 	return string(buf), nil
-}
-
-func sameShape(t *tensor.Tensor, shape []int) bool {
-	got := t.Shape()
-	if len(got) != len(shape) {
-		return false
-	}
-	for i := range got {
-		if got[i] != shape[i] {
-			return false
-		}
-	}
-	return true
 }

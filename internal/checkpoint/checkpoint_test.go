@@ -321,3 +321,116 @@ func TestModelWeightsArePinned(t *testing.T) {
 		}
 	}
 }
+
+// TestSectionsLoadFromTheFullModelsFile: a client's sections-only model,
+// built with no fill, loads its parameters bit-for-bit from the full
+// model's weights file, and checks every record it skips: a truncated
+// file, a renamed, mis-shaped or missing record is refused whether it
+// belongs to the sections or to the body the client does not hold.
+func TestSectionsLoadFromTheFullModelsFile(t *testing.T) {
+	cfg := model.OPTTiny()
+	full, err := model.New(tensor.NewRNG(3), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullParams, err := full.BaseParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := func(params []nn.Param) []byte {
+		var buf bytes.Buffer
+		if err := Save(&buf, params); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	file := save(fullParams)
+	loadSections := func(raw []byte, cut int) (*model.Transformer, error) {
+		m, err := model.NewSections(nil, cfg, cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, LoadModel(bytes.NewReader(raw), m)
+	}
+
+	byName := make(map[string]*tensor.Tensor, len(fullParams))
+	for _, p := range fullParams {
+		byName[p.Name] = p.Value
+	}
+	for _, cut := range []int{1, cfg.Layers - 1} {
+		m, err := model.NewSections(nil, cfg, cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range m.LMHead.W.Value.Data() {
+			if v != 0 {
+				t.Fatalf("cut %d: a structure-only model drew its LM head", cut)
+			}
+		}
+		if m, err = loadSections(file, cut); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		params, err := m.BaseParams()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range params {
+			for i, v := range p.Value.Data() {
+				if v != byName[p.Name].Data()[i] {
+					t.Fatalf("cut %d: %s[%d] = %v after the load, want %v", cut, p.Name, i, v, byName[p.Name].Data()[i])
+				}
+			}
+		}
+	}
+
+	// Every refusal below is at cut 1: blocks 1..3 are the skipped body.
+	edited := func(edit func(ps []nn.Param) []nn.Param) []byte {
+		return save(edit(append([]nn.Param(nil), fullParams...)))
+	}
+	index := func(name string) int {
+		for i, p := range fullParams {
+			if p.Name == name {
+				return i
+			}
+		}
+		t.Fatalf("no record %s", name)
+		return -1
+	}
+	rename := func(from, to string) []byte {
+		return edited(func(ps []nn.Param) []nn.Param { ps[index(from)].Name = to; return ps })
+	}
+	body := index("block1.norm1.gamma")
+	for _, c := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"renamed held record", rename("embed.table", "embed.tabel")},
+		{"renamed body record", rename("block2.attn.q.w", "block2.attn.x.w")},
+		{"mis-shaped body record", edited(func(ps []nn.Param) []nn.Param {
+			ps[index("block2.ffn.up.w")].Value = tensor.New(3, 3)
+			return ps
+		})},
+		{"missing body record", edited(func(ps []nn.Param) []nn.Param {
+			return append(ps[:index("block3.ffn.down.b")], ps[index("block3.ffn.down.b")+1:]...)
+		})},
+		{"duplicated body record", edited(func(ps []nn.Param) []nn.Param {
+			ps[index("block3.ffn.down.b")] = ps[index("block3.ffn.up.b")]
+			return ps
+		})},
+	} {
+		if _, err := loadSections(c.raw, 1); !errors.Is(err, ErrMismatch) {
+			t.Errorf("%s: err = %v, want ErrMismatch", c.name, err)
+		}
+	}
+	// Truncated inside the values of the first body record, which the
+	// sections skip, and inside the LM head, which they hold.
+	offset := len(save(fullParams[:body]))
+	for _, n := range []int{offset + 100, len(file) - 1} {
+		if _, err := loadSections(file[:n], 1); err == nil {
+			t.Errorf("a file truncated to %d of %d bytes loaded", n, len(file))
+		}
+	}
+	if _, err := loadSections(file, 1); err != nil {
+		t.Fatalf("the untouched file no longer loads: %v", err)
+	}
+}

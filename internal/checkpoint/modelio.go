@@ -20,14 +20,21 @@ func SaveModel(w io.Writer, m *model.Transformer) error {
 	return Save(w, params)
 }
 
-// LoadModel restores base weights into a structurally identical
-// pristine model.
+// LoadModel restores base weights into a pristine model of the same
+// configuration: a full one, or a NewSections one, which takes its
+// sections from the full model's file. Every record must match the
+// full configuration by name and shape, the body records a sections
+// model skips included.
 func LoadModel(r io.Reader, m *model.Transformer) error {
 	params, err := m.BaseParams()
 	if err != nil {
 		return fmt.Errorf("checkpoint: enumerate model: %w", err)
 	}
-	return Load(r, params)
+	absent, err := m.AbsentBaseParams()
+	if err != nil {
+		return fmt.Errorf("checkpoint: enumerate model: %w", err)
+	}
+	return load(r, params, absent)
 }
 
 // SaveModelFile writes the model's base weights to path.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"menos/internal/nn"
 	"menos/internal/tensor"
@@ -219,33 +220,42 @@ func writeTensor(w io.Writer, t *tensor.Tensor) error {
 	return nil
 }
 
-// readTensorInto decodes a tensor and copies it into dst, which must
-// have the identical shape.
-func readTensorInto(r io.Reader, dst *tensor.Tensor, name, what string) error {
+// readShape decodes a tensor header: the shape and its element count.
+func readShape(r io.Reader, name, what string) ([]int, int, error) {
 	var rank uint32
 	if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-		return fmt.Errorf("checkpoint: %q %s rank: %w", name, what, err)
+		return nil, 0, fmt.Errorf("checkpoint: %q %s rank: %w", name, what, err)
 	}
 	if rank > 8 {
-		return fmt.Errorf("%w: %q %s rank %d", ErrFormat, name, what, rank)
+		return nil, 0, fmt.Errorf("%w: %q %s rank %d", ErrFormat, name, what, rank)
 	}
 	shape := make([]int, rank)
 	elems := 1
 	for i := range shape {
 		var d uint32
 		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-			return fmt.Errorf("checkpoint: %q %s dim: %w", name, what, err)
+			return nil, 0, fmt.Errorf("checkpoint: %q %s dim: %w", name, what, err)
 		}
 		shape[i] = int(d)
 		elems *= int(d)
 	}
 	if elems < 0 || elems > maxElems {
-		return fmt.Errorf("%w: %q %s has %d elements", ErrFormat, name, what, elems)
+		return nil, 0, fmt.Errorf("%w: %q %s has %d elements", ErrFormat, name, what, elems)
+	}
+	return shape, elems, nil
+}
+
+// readTensorInto decodes a tensor and copies it into dst, which must
+// have the identical shape.
+func readTensorInto(r io.Reader, dst *tensor.Tensor, name, what string) error {
+	shape, elems, err := readShape(r, name, what)
+	if err != nil {
+		return err
 	}
 	if dst == nil {
 		return fmt.Errorf("%w: %q %s has no target tensor", ErrMismatch, name, what)
 	}
-	if !sameShape(dst, shape) {
+	if !slices.Equal(dst.Shape(), shape) {
 		return fmt.Errorf("%w: %q %s stored %v, target has %v",
 			ErrMismatch, name, what, shape, dst.Shape())
 	}
@@ -263,6 +273,22 @@ func readTensorInto(r io.Reader, dst *tensor.Tensor, name, what string) error {
 	}
 	if err := dst.CopyFrom(loaded); err != nil {
 		return fmt.Errorf("checkpoint: %q %s: %w", name, what, err)
+	}
+	return nil
+}
+
+// skipTensor decodes a tensor's header, checks it against want and
+// discards the values: a record the target model does not hold.
+func skipTensor(r io.Reader, want []int, name string) error {
+	shape, elems, err := readShape(r, name, "value")
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(want, shape) {
+		return fmt.Errorf("%w: %q value stored %v, want %v", ErrMismatch, name, shape, want)
+	}
+	if _, err := io.CopyN(io.Discard, r, 4*int64(elems)); err != nil {
+		return fmt.Errorf("checkpoint: %q value data: %w", name, err)
 	}
 	return nil
 }

@@ -77,7 +77,9 @@ type Config struct {
 	WeightSeed uint64
 	// WeightsFile optionally loads the model owner's distributed base
 	// weights (checkpoint.SaveModelFile), overriding the seed-derived
-	// initialization. It must hold the same weights the server serves.
+	// initialization. It must hold the same weights the server serves:
+	// the full model's file, from which the client loads its sections
+	// and checks the body's records without keeping them.
 	WeightsFile string
 	// Cut is the split layer (client keeps blocks [0, Cut)).
 	Cut int
@@ -215,7 +217,13 @@ func newClient(conn net.Conn, cfg Config, offerTrace bool) (*Client, error) {
 	if cfg.Batch <= 0 || cfg.Seq <= 0 {
 		return nil, fmt.Errorf("client: bad geometry batch=%d seq=%d", cfg.Batch, cfg.Seq)
 	}
-	m, err := model.New(tensor.NewRNG(cfg.WeightSeed), cfg.Model)
+	// The client holds its input and output sections only; the body
+	// blocks [Cut, Layers) stay on the server.
+	rng := tensor.NewRNG(cfg.WeightSeed)
+	if cfg.WeightsFile != "" {
+		rng = nil // the file supplies every weight: build the structure only
+	}
+	m, err := model.NewSections(rng, cfg.Model, cfg.Cut)
 	if err != nil {
 		return nil, fmt.Errorf("client: build model sections: %w", err)
 	}
@@ -225,7 +233,7 @@ func newClient(conn net.Conn, cfg Config, offerTrace bool) (*Client, error) {
 		}
 	}
 	m.SetFrozenBase(true)
-	input, _, output, err := m.Split(cfg.Cut)
+	input, output, err := m.Sections(cfg.Cut)
 	if err != nil {
 		return nil, fmt.Errorf("client: split: %w", err)
 	}

@@ -3,6 +3,7 @@ package client_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"menos/internal/client"
 	"menos/internal/gpu"
 	"menos/internal/model"
+	"menos/internal/nn"
 	"menos/internal/obs"
 	"menos/internal/server"
 	"menos/internal/share"
@@ -23,7 +25,13 @@ const weightSeed = 77
 
 func startServer(t *testing.T) string {
 	t.Helper()
-	store, err := share.NewStore(tensor.NewRNG(weightSeed), model.OPTTiny())
+	return startServerFor(t, model.OPTTiny())
+}
+
+// startServerFor serves cfg's base model, seeded with weightSeed.
+func startServerFor(t testing.TB, cfg model.Config) string {
+	t.Helper()
+	store, err := share.NewStore(tensor.NewRNG(weightSeed), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +91,109 @@ func TestConfigValidation(t *testing.T) {
 				t.Fatal("invalid config accepted")
 			}
 		})
+	}
+}
+
+// TestClientHoldsOnlyItsSections: a client builds its input and
+// output sections and no body block. For both families, at the
+// shallowest and the deepest cut, it holds no block at index >= Cut,
+// its base parameter count is the embeddings', Cut blocks' and the
+// head's, and each base parameter is bit-equal to the same-named one of
+// the full model the server was built from.
+func TestClientHoldsOnlyItsSections(t *testing.T) {
+	// baseOf sees through the client's LoRA wrapping to the projection
+	// it adapts.
+	baseOf := func(op nn.Op) nn.Op {
+		if l, ok := op.(*adapter.LoRALinear); ok {
+			return l.Base
+		}
+		return op
+	}
+	for _, mcfg := range []model.Config{model.OPTTiny(), model.LlamaTiny()} {
+		addr := startServerFor(t, mcfg)
+		full, err := model.New(tensor.NewRNG(weightSeed), mcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullParams, err := full.BaseParams()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName := make(map[string]*tensor.Tensor, len(fullParams))
+		for _, p := range fullParams {
+			byName[p.Name] = p.Value
+		}
+		for _, cut := range []int{1, mcfg.Layers - 1} {
+			cfg := validCfg(fmt.Sprintf("sections-%s-%d", mcfg.Name, cut))
+			cfg.Model, cfg.Cut = mcfg, cut
+			c, err := client.Dial(addr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			local := client.LocalModel(c)
+			if len(local.Blocks) != cut {
+				t.Fatalf("%s cut %d: the client holds %d blocks", mcfg.Name, cut, len(local.Blocks))
+			}
+			// The same model with the adapter's wrapping peeled off.
+			pristine := *local
+			pristine.Blocks = make([]*model.Block, cut)
+			for i, b := range local.Blocks {
+				pristine.Blocks[i] = &model.Block{
+					Norm1: b.Norm1, Norm2: b.Norm2,
+					Attn: &model.Attention{Q: baseOf(b.Attn.Q), K: baseOf(b.Attn.K), V: baseOf(b.Attn.V), O: baseOf(b.Attn.O)},
+					FFN:  &model.FFN{Up: baseOf(b.FFN.Up), Down: baseOf(b.FFN.Down)},
+				}
+				if b.FFN.Gate != nil {
+					pristine.Blocks[i].FFN.Gate = baseOf(b.FFN.Gate)
+				}
+			}
+			params, err := pristine.BaseParams()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var count int64
+			for _, p := range params {
+				want, ok := byName[p.Name]
+				if !ok {
+					t.Fatalf("%s cut %d: %s is not a parameter of the full model", mcfg.Name, cut, p.Name)
+				}
+				for i, v := range p.Value.Data() {
+					if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+						t.Fatalf("%s cut %d: %s[%d] = %v, full model has %v", mcfg.Name, cut, p.Name, i, v, want.Data()[i])
+					}
+				}
+				count += int64(p.Value.Len())
+			}
+			if want := mcfg.EmbeddingParams() + int64(cut)*mcfg.BlockParams() + mcfg.HeadParams(); count != want {
+				t.Errorf("%s cut %d: the client holds %d base parameters, want %d", mcfg.Name, cut, count, want)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkClientSetup is one tenant's set-up at tenants_batched's
+// shape: dial, build the perf-mid input and output sections, attach a
+// rank-8 LoRA and handshake with a live server, then say goodbye.
+func BenchmarkClientSetup(b *testing.B) {
+	mcfg := model.Config{
+		Name: "perf-mid", Family: model.FamilyOPT,
+		Vocab: 96, Dim: 128, Layers: 4, Heads: 4, FFN: 512, MaxSeq: 128,
+	}
+	addr := startServerFor(b, mcfg)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := validCfg(fmt.Sprintf("setup-%d", i))
+		cfg.Model, cfg.Batch, cfg.Seq = mcfg, 1, 32
+		c, err := client.Dial(addr, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

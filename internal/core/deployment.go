@@ -94,7 +94,11 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	if cfg.GPU.MemoryBytes == 0 {
 		cfg.GPU = gpu.V100()
 	}
-	m, err := model.New(tensor.NewRNG(cfg.WeightSeed), cfg.Model)
+	rng := tensor.NewRNG(cfg.WeightSeed)
+	if cfg.WeightsFile != "" {
+		rng = nil // the file supplies every weight: build the structure only
+	}
+	m, err := model.New(rng, cfg.Model)
 	if err != nil {
 		return nil, fmt.Errorf("core: build model: %w", err)
 	}

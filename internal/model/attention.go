@@ -86,15 +86,15 @@ func (c *AttnCache) Bytes() int64 {
 
 // newAttention builds the attention module for cfg with plain Linear
 // projections.
-func newAttention(rng *tensor.RNG, cfg Config) *Attention {
-	a := &Attention{
-		Q:       nn.NewLinear(rng.Split(), cfg.Dim, cfg.Dim, cfg.HasBias()),
-		K:       nn.NewLinear(rng.Split(), cfg.Dim, cfg.Dim, cfg.HasBias()),
-		V:       nn.NewLinear(rng.Split(), cfg.Dim, cfg.Dim, cfg.HasBias()),
-		O:       nn.NewLinear(rng.Split(), cfg.Dim, cfg.Dim, cfg.HasBias()),
-		heads:   cfg.Heads,
-		headDim: cfg.HeadDim(),
+func newAttention(w *initWalk, cfg Config) *Attention {
+	q := w.linear(cfg.Dim, cfg.Dim, cfg.HasBias())
+	k := w.linear(cfg.Dim, cfg.Dim, cfg.HasBias())
+	v := w.linear(cfg.Dim, cfg.Dim, cfg.HasBias())
+	o := w.linear(cfg.Dim, cfg.Dim, cfg.HasBias())
+	if w.skip {
+		return nil
 	}
+	a := &Attention{Q: q, K: k, V: v, O: o, heads: cfg.Heads, headDim: cfg.HeadDim()}
 	if cfg.Family == FamilyLlama {
 		a.rope = newRopeTable(cfg.MaxSeq, cfg.HeadDim())
 	}

@@ -14,8 +14,9 @@ func BenchmarkAttention(b *testing.B) {
 		Name: "bench", Family: FamilyOPT,
 		Vocab: 96, Dim: 256, Layers: 2, Heads: 8, FFN: 512, MaxSeq: 128,
 	}
-	rng := tensor.NewRNG(1)
-	attn := newAttention(rng, cfg)
+	w := &initWalk{rng: tensor.NewRNG(1)}
+	attn := newAttention(w, cfg)
+	w.fill()
 	// Wire up the arena exactly as a block inside a model would, and
 	// release the outputs the way Block.Forward/Backward do, so the
 	// bench measures the steady-state reuse path.
@@ -69,4 +70,30 @@ func BenchmarkTrainStep(b *testing.B) {
 		}
 		nn.ZeroGrads(params)
 	}
+}
+
+// BenchmarkModelNew builds a perf-mid model — the one large_plain and
+// tenants_batched serve — at the pool's configured parallelism ("pool")
+// and pinned to one worker ("serial"): the parallel weight fill's
+// speedup in one -bench run.
+func BenchmarkModelNew(b *testing.B) {
+	cfg := Config{
+		Name: "perf-mid", Family: FamilyOPT,
+		Vocab: 96, Dim: 128, Layers: 4, Heads: 4, FFN: 512, MaxSeq: 128,
+	}
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := New(tensor.NewRNG(7), cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("pool", run)
+	b.Run("serial", func(b *testing.B) {
+		prev := tensor.Parallelism()
+		tensor.SetParallelism(1)
+		defer tensor.SetParallelism(prev)
+		run(b)
+	})
 }

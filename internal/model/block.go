@@ -53,12 +53,14 @@ func (c *BlockCache) Bytes() int64 {
 	return nn.CacheBytes(c.Norm1C) + c.AttnC.Bytes() + nn.CacheBytes(c.Norm2C) + c.FFNC.Bytes()
 }
 
-// NewBlock constructs a block for cfg with freshly initialized weights.
-func NewBlock(rng *tensor.RNG, cfg Config) *Block {
-	b := &Block{
-		Attn: newAttention(rng, cfg),
-		FFN:  newFFN(rng, cfg),
+// newBlock constructs a block for cfg on the walk: nil when the walk
+// skips it.
+func newBlock(w *initWalk, cfg Config) *Block {
+	attn, ffn := newAttention(w, cfg), newFFN(w, cfg)
+	if w.skip {
+		return nil
 	}
+	b := &Block{Attn: attn, FFN: ffn}
 	if cfg.Family == FamilyOPT {
 		b.Norm1 = nn.NewLayerNorm(cfg.Dim)
 		b.Norm2 = nn.NewLayerNorm(cfg.Dim)

@@ -49,14 +49,19 @@ func (c *FFNCache) Bytes() int64 {
 	return b
 }
 
-func newFFN(rng *tensor.RNG, cfg Config) *FFN {
-	f := &FFN{
-		family: cfg.Family,
-		Up:     nn.NewLinear(rng.Split(), cfg.Dim, cfg.FFN, cfg.HasBias()),
-		Down:   nn.NewLinear(rng.Split(), cfg.FFN, cfg.Dim, cfg.HasBias()),
-	}
+func newFFN(w *initWalk, cfg Config) *FFN {
+	up := w.linear(cfg.Dim, cfg.FFN, cfg.HasBias())
+	down := w.linear(cfg.FFN, cfg.Dim, cfg.HasBias())
+	var gate *nn.Linear
 	if cfg.Family == FamilyLlama {
-		f.Gate = nn.NewLinear(rng.Split(), cfg.Dim, cfg.FFN, false)
+		gate = w.linear(cfg.Dim, cfg.FFN, false)
+	}
+	if w.skip {
+		return nil
+	}
+	f := &FFN{family: cfg.Family, Up: up, Down: down}
+	if gate != nil {
+		f.Gate = gate
 	}
 	return f
 }

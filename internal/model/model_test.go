@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"menos/internal/nn"
@@ -501,5 +502,80 @@ func TestBodyBackwardCacheMismatch(t *testing.T) {
 	}
 	if _, err := body.Backward(&BodyCache{}, tensor.New(1, cfg.Dim)); err == nil {
 		t.Fatal("empty cache accepted")
+	}
+}
+
+// TestSectionsAreTheFullModelsParams: a NewSections model at cut holds
+// the embeddings, blocks [0, cut), the final norm and the LM head and
+// nothing else, each parameter bit-equal to the same-named one of New
+// from the same seed, and names the body's parameters it skips with
+// their shapes. A bad cut is refused before anything is drawn, and the
+// sections do not split off a body they do not hold.
+func TestSectionsAreTheFullModelsParams(t *testing.T) {
+	for _, cfg := range []Config{OPTTiny(), LlamaTiny()} {
+		full, err := New(tensor.NewRNG(11), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullParams, err := full.BaseParams()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName := make(map[string]*tensor.Tensor, len(fullParams))
+		for _, p := range fullParams {
+			byName[p.Name] = p.Value
+		}
+		for _, cut := range []int{1, cfg.Layers - 1} {
+			m, err := NewSections(tensor.NewRNG(11), cfg, cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.Blocks) != cut {
+				t.Fatalf("%s cut %d: holds %d blocks", cfg.Name, cut, len(m.Blocks))
+			}
+			params, err := m.BaseParams()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var count int64
+			for _, p := range params {
+				want, ok := byName[p.Name]
+				if !ok {
+					t.Fatalf("%s cut %d: %s is not a parameter of the full model", cfg.Name, cut, p.Name)
+				}
+				for i, v := range p.Value.Data() {
+					if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+						t.Fatalf("%s cut %d: %s[%d] = %v, full model has %v", cfg.Name, cut, p.Name, i, v, want.Data()[i])
+					}
+				}
+				count += int64(p.Value.Len())
+			}
+			if want := cfg.EmbeddingParams() + int64(cut)*cfg.BlockParams() + cfg.HeadParams(); count != want {
+				t.Errorf("%s cut %d: %d base parameters, want %d", cfg.Name, cut, count, want)
+			}
+
+			absent, err := m.AbsentBaseParams()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(params)+len(absent) != len(fullParams) {
+				t.Fatalf("%s cut %d: %d held + %d absent records, full model has %d",
+					cfg.Name, cut, len(params), len(absent), len(fullParams))
+			}
+			for _, a := range absent {
+				want, ok := byName[a.Name]
+				if !ok || !slices.Equal(a.Shape, want.Shape()) {
+					t.Fatalf("%s cut %d: absent %s %v does not match the full model", cfg.Name, cut, a.Name, a.Shape)
+				}
+			}
+			if _, _, _, err := m.Split(cut); !errors.Is(err, ErrConfig) {
+				t.Errorf("%s cut %d: Split of a sections model: err = %v, want ErrConfig", cfg.Name, cut, err)
+			}
+		}
+		for _, cut := range []int{0, cfg.Layers} {
+			if _, err := NewSections(tensor.NewRNG(11), cfg, cut); !errors.Is(err, ErrConfig) {
+				t.Errorf("%s cut %d: err = %v, want ErrConfig", cfg.Name, cut, err)
+			}
+		}
 	}
 }

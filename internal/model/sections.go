@@ -92,15 +92,27 @@ func (c *OutputCache) Bytes() int64 {
 // Split partitions the model at the given cut layer. The client keeps
 // blocks [0, cut); the server receives blocks [cut, Layers). A cut of
 // DefaultCut (1) reproduces the paper's setup. cut must satisfy
-// 1 <= cut < Layers so both sides hold at least one block.
+// 1 <= cut < Layers so both sides hold at least one block, and the
+// model must hold every block: a NewSections model has no body to give.
 func (t *Transformer) Split(cut int) (*InputSection, *BodySection, *OutputSection, error) {
-	if cut < 1 || cut >= len(t.Blocks) {
-		return nil, nil, nil, fmt.Errorf("%w: cut %d for %d layers", ErrConfig, cut, len(t.Blocks))
+	if len(t.Blocks) != t.Cfg.Layers {
+		return nil, nil, nil, fmt.Errorf("%w: model holds %d of %d blocks", ErrConfig, len(t.Blocks), t.Cfg.Layers)
 	}
-	return &InputSection{model: t, cut: cut},
-		&BodySection{blocks: t.Blocks[cut:]},
-		&OutputSection{model: t},
-		nil
+	input, output, err := t.Sections(cut)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return input, &BodySection{blocks: t.Blocks[cut:]}, output, nil
+}
+
+// Sections returns the client's two sections at cut: the input section
+// over blocks [0, cut) and the output section. The model is a full one
+// or a NewSections one built at cut.
+func (t *Transformer) Sections(cut int) (*InputSection, *OutputSection, error) {
+	if cut < 1 || cut >= t.Cfg.Layers || cut > len(t.Blocks) {
+		return nil, nil, fmt.Errorf("%w: cut %d for %d layers, %d held", ErrConfig, cut, t.Cfg.Layers, len(t.Blocks))
+	}
+	return &InputSection{model: t, cut: cut}, &OutputSection{model: t}, nil
 }
 
 // Body returns a BodySection over an explicit block slice; used by the

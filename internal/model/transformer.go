@@ -23,30 +23,22 @@ type Transformer struct {
 }
 
 // New constructs a transformer with freshly initialized weights drawn
-// from rng.
+// from rng. A nil rng builds the structure with zero weights, for a
+// weights file to fill (checkpoint.LoadModel).
 func New(rng *tensor.RNG, cfg Config) (*Transformer, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	return build(rng, cfg, cfg.Layers)
+}
+
+// NewSections constructs only what a split client holds at cut: the
+// embeddings, blocks [0, cut), the final norm and the LM head, each
+// bit-equal to the same-named parameter of New(rng, cfg). The body
+// blocks [cut, Layers), which the server holds, are neither allocated
+// nor drawn. A nil rng leaves every weight zero, as for New.
+func NewSections(rng *tensor.RNG, cfg Config, cut int) (*Transformer, error) {
+	if cut < 1 || cut >= cfg.Layers {
+		return nil, fmt.Errorf("%w: cut %d for %d layers", ErrConfig, cut, cfg.Layers)
 	}
-	t := &Transformer{
-		Cfg:    cfg,
-		Embed:  nn.NewEmbedding(rng.Split(), cfg.Vocab, cfg.Dim),
-		LMHead: nn.NewLinear(rng.Split(), cfg.Dim, cfg.Vocab, false),
-	}
-	if cfg.Family == FamilyOPT {
-		t.Pos = nn.NewEmbedding(rng.Split(), cfg.MaxSeq, cfg.Dim)
-		t.Norm = nn.NewLayerNorm(cfg.Dim)
-	} else {
-		t.Norm = nn.NewRMSNorm(cfg.Dim)
-	}
-	t.scratch = tensor.NewScratch()
-	t.Blocks = make([]*Block, cfg.Layers)
-	for i := range t.Blocks {
-		t.Blocks[i] = NewBlock(rng, cfg)
-		t.Blocks[i].setScratch(t.scratch)
-	}
-	setOpScratch(t.scratch, t.Norm, t.LMHead)
-	return t, nil
+	return build(rng, cfg, cut)
 }
 
 // Scratch exposes the model's buffer arena (nil for a zero-value

@@ -27,12 +27,6 @@ func (c *EmbeddingCache) Bytes() int64 {
 	return int64(len(c.IDs)) * 8
 }
 
-// NewEmbedding creates an embedding table with N(0, 0.02²) entries, the
-// conventional transformer initialization.
-func NewEmbedding(rng *tensor.RNG, vocab, dim int) *Embedding {
-	return &Embedding{Table: NewParam("table", tensor.NewNormal(rng, 0.02, vocab, dim))}
-}
-
 // Vocab returns the vocabulary size.
 func (e *Embedding) Vocab() int { return e.Table.Value.Dim(0) }
 

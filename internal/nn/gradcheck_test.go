@@ -210,7 +210,7 @@ func TestLinearNoBias(t *testing.T) {
 
 func TestEmbeddingForwardBackward(t *testing.T) {
 	rng := tensor.NewRNG(15)
-	e := NewEmbedding(rng, 10, 4)
+	e := &Embedding{Table: NewParam("table", tensor.NewNormal(rng, 0.02, 10, 4))}
 	ids := []int{3, 7, 3}
 	cache := &EmbeddingCache{}
 	out, err := e.Forward(ids, cache)
@@ -241,7 +241,7 @@ func TestEmbeddingForwardBackward(t *testing.T) {
 
 func TestEmbeddingOutOfRange(t *testing.T) {
 	rng := tensor.NewRNG(16)
-	e := NewEmbedding(rng, 4, 2)
+	e := &Embedding{Table: NewParam("table", tensor.NewNormal(rng, 0.02, 4, 2))}
 	if _, err := e.Forward([]int{4}, nil); err == nil {
 		t.Fatal("out-of-range id accepted")
 	}

@@ -44,9 +44,15 @@ func (c *LinearCache) Bytes() int64 {
 // NewLinear creates a Linear layer with Xavier-initialized weights and,
 // if bias is true, a zero bias.
 func NewLinear(rng *tensor.RNG, in, out int, bias bool) *Linear {
-	l := &Linear{W: NewParam("w", tensor.NewXavier(rng, in, out))}
+	return LinearOf(tensor.NewXavier(rng, in, out), bias)
+}
+
+// LinearOf makes w, of shape (in, out), the weight of a Linear layer
+// with, if bias is true, a zero bias.
+func LinearOf(w *tensor.Tensor, bias bool) *Linear {
+	l := &Linear{W: NewParam("w", w)}
 	if bias {
-		l.B = NewParam("b", tensor.New(out))
+		l.B = NewParam("b", tensor.New(w.Dim(1)))
 	}
 	return l
 }

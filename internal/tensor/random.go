@@ -61,10 +61,17 @@ func (r *RNG) Split() *RNG {
 }
 
 // FillNormal fills t with N(0, std²) samples.
+//
+// The loop draws from a local copy of r and stores the state back once
+// at the end. Generators are 8-byte allocations, so those made one
+// after another share a cache line, and goroutines filling tensors in
+// parallel from them would otherwise contend for it on every draw.
 func (t *Tensor) FillNormal(r *RNG, std float64) {
+	local := *r
 	for i := range t.data {
-		t.data[i] = float32(r.NormFloat64() * std)
+		t.data[i] = float32(local.NormFloat64() * std)
 	}
+	*r = local
 }
 
 // FillUniform fills t with uniform samples in [lo, hi).
@@ -84,6 +91,11 @@ func NewNormal(r *RNG, std float64, shape ...int) *Tensor {
 // NewXavier creates a tensor initialized with Xavier/Glorot scaling for
 // a (fanIn, fanOut) weight matrix.
 func NewXavier(r *RNG, fanIn, fanOut int) *Tensor {
-	std := math.Sqrt(2.0 / float64(fanIn+fanOut))
-	return NewNormal(r, std, fanIn, fanOut)
+	return NewNormal(r, XavierStd(fanIn, fanOut), fanIn, fanOut)
+}
+
+// XavierStd is the Xavier/Glorot standard deviation of a (fanIn,
+// fanOut) weight matrix.
+func XavierStd(fanIn, fanOut int) float64 {
+	return math.Sqrt(2.0 / float64(fanIn+fanOut))
 }
