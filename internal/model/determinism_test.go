@@ -1,6 +1,8 @@
 package model
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -139,5 +141,71 @@ func TestConcurrentNoGradForwardSharesArena(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestForwardLogitsArePinned pins the bits of the no-grad full forward:
+// the SHA-256 of the logits of OPTTiny and LlamaTiny over a fixed
+// two-sequence batch, plain and with a prefix on every block, at one
+// worker and at four. A change to the attention, block or section
+// forward that moves one bit of any logit fails here.
+func TestForwardLogitsArePinned(t *testing.T) {
+	prev := tensor.Parallelism()
+	defer tensor.SetParallelism(prev)
+
+	cases := []struct {
+		cfg    Config
+		prefix bool
+		want   string
+	}{
+		{OPTTiny(), false, "edcad5949dbf6690cf471d6b5e39ec04a44893270525a225de393a9533c4878c"},
+		{OPTTiny(), true, "29100f867b35ade880aad54c7c1620c246e2285fce2214e554400f64a101a1ce"},
+		{LlamaTiny(), false, "ef849ad3513088b40b21009aa145a82e7ae0a1859947319ab5ff2a793967e65a"},
+		{LlamaTiny(), true, "84c184090d2a684aac084b219b05306dd2305cec1110f9bd4aea27ce80f01c31"},
+	}
+	const batch, seq = 2, 24
+	for _, par := range []int{1, 4} {
+		tensor.SetParallelism(par)
+		for _, c := range cases {
+			m, err := New(tensor.NewRNG(42), c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.prefix {
+				rng := tensor.NewRNG(43)
+				for _, b := range m.Blocks {
+					b.Attn.Prefix = NewPrefixKV(rng, 5, c.cfg.Dim)
+				}
+			}
+			rng := tensor.NewRNG(44)
+			ids := make([]int, batch*seq)
+			for i := range ids {
+				ids[i] = rng.Intn(c.cfg.Vocab)
+			}
+			input, body, output, err := m.Split(DefaultCut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xc, _, err := input.Forward(ids, batch, seq, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs, _, err := body.Forward(xc, batch, seq, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logits, _, err := output.Forward(xs, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, v := range logits.Data() {
+				_ = binary.Write(h, binary.LittleEndian, math.Float32bits(v))
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.want {
+				t.Errorf("%s prefix=%v at parallelism %d: logits sha256 = %s, want %s",
+					c.cfg.Name, c.prefix, par, got, c.want)
+			}
+		}
 	}
 }
