@@ -99,7 +99,8 @@ vet:
 # internal/ has a reader) and the metric-catalog test. The bench-smoke
 # job's kernel benchmark smoke (one iteration each of the matmul, GELU,
 # softmax and attention kernels, BenchmarkModelNew's pool and serial
-# perf-mid build, BenchmarkClientSetup's tenant set-up, the sim
+# perf-mid build, BenchmarkDecode's 64-position split decode,
+# BenchmarkClientSetup's tenant set-up, the sim
 # dispatch, a sim_fleet run and the memory-policy sweeps), its
 # paper-artifact smokes and its advisory base-vs-head comparison
 # (bash perf/run.sh, then perf -compare) are not mirrored: the

@@ -450,6 +450,12 @@ type pendingMicro struct {
 // reads that forward's response only after the previous microbatch's
 // backward has been drained, so nothing but the displaced forward is
 // in flight and replaying it on the target loses no work.
+//
+// On an error the results hold the microbatches whose backwards
+// completed: their gradients are accumulated on both sides of the
+// split, the rest are not. A caller retrying a shed group (ErrOverloaded)
+// resumes with batches[len(results):]; re-running the whole group
+// would count the first len(results) microbatches twice.
 func (c *Client) StepPipelined(batches []MicroBatch) ([]StepResult, error) {
 	if len(batches) == 0 {
 		return nil, errors.New("client: pipelined step needs at least one microbatch")
@@ -559,6 +565,10 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 			fwdSent := time.Now()
 			c.m.overlapHidden.Observe(fwdSent.Sub(pending.sent).Seconds())
 			if err := finish(pending, false); err != nil {
+				// Our forward is on the wire and its reply comes
+				// next: read and drop it, so the connection is left
+				// at a message boundary for the caller's retry.
+				_, _ = c.awaitForward(req)
 				return results, err
 			}
 			pending = nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -382,6 +383,94 @@ func TestServerErrorSurfaced(t *testing.T) {
 	}
 }
 
+// TestShedBackwardInPipelinedGroup: a retryable shed of a backward
+// inside a StepPipelined group reaches the caller as ErrOverloaded with
+// the server's hint, and leaves the connection usable. The scripted
+// peer sheds the group's first backward; by then the client has already
+// sent the second microbatch's forward, whose reply is queued behind
+// the shed. Loopback TCP, not net.Pipe: the pipelined writes need the
+// socket buffers.
+func TestShedBackwardInPipelinedGroup(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const hint = 250 * time.Millisecond
+	dim := model.OPTTiny().Dim
+	peer := make(chan error, 1)
+	go func() {
+		peer <- func() error {
+			conn, err := l.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			if _, err := split.ReadMessage(conn); err != nil {
+				return err
+			}
+			if err := split.WriteMessage(conn, &split.HelloAck{OK: true, ForwardBytes: 1, BackwardBytes: 2}); err != nil {
+				return err
+			}
+			shed := true
+			for {
+				msg, err := split.ReadMessage(conn)
+				if err != nil {
+					return err
+				}
+				var reply split.Message
+				switch m := msg.(type) {
+				case *split.Bye:
+					return nil
+				case *split.ForwardReq:
+					reply = &split.ForwardResp{Iter: m.Iter, Activations: tensor.New(m.Batch*m.Seq, dim)}
+				case *split.BackwardReq:
+					if shed {
+						shed = false
+						reply = &split.ErrorMsg{Reason: "shed", Retryable: true, RetryAfterMs: hint.Milliseconds()}
+					} else {
+						reply = &split.BackwardResp{Iter: m.Iter, Gradients: tensor.New(m.Gradients.Shape()...)}
+					}
+				default:
+					return fmt.Errorf("peer: unexpected %v", msg.MsgType())
+				}
+				if err := split.WriteMessage(conn, reply); err != nil {
+					return err
+				}
+			}
+		}()
+	}()
+
+	c, err := client.Dial(l.Addr().String(), validCfg("shed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids1, targets1 := batch(16, 1)
+	ids2, targets2 := batch(16, 2)
+	results, err := c.StepPipelined([]client.MicroBatch{{IDs: ids1, Targets: targets1}, {IDs: ids2, Targets: targets2}})
+	if len(results) != 0 {
+		t.Fatalf("%d results from a group whose first backward was shed", len(results))
+	}
+	if !errors.Is(err, client.ErrOverloaded) {
+		t.Fatalf("err = %v, want ErrOverloaded", err)
+	}
+	if after, ok := client.RetryAfter(err); !ok || after != hint {
+		t.Fatalf("RetryAfter = %v, %v; want %v, true", after, ok, hint)
+	}
+	if want := "retry after " + hint.String(); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not carry %q", err, want)
+	}
+	if _, err := c.Step(ids1, targets1); err != nil {
+		t.Fatalf("step after the shed group: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-peer; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGarbageServerRejected: a non-protocol peer produces a clean
 // error, not a hang or panic.
 func TestGarbageServerRejected(t *testing.T) {
@@ -629,5 +718,27 @@ func TestGenerateIncremental(t *testing.T) {
 	}
 	if _, _, err := c.GenerateIncremental(tensor.NewRNG(1), []int{1}, 1, -1); err == nil {
 		t.Fatal("negative temperature accepted")
+	}
+}
+
+// TestNegativeTokenBudgetRefused: both generators refuse a negative
+// maxNew with an error, before anything reaches the server (a negative
+// budget once sized the client's KV caches short of the prompt and
+// panicked), and the same client trains on afterwards.
+func TestNegativeTokenBudgetRefused(t *testing.T) {
+	c, err := client.Dial(startServer(t), validCfg("budget"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.GenerateIncremental(tensor.NewRNG(1), []int{1, 2, 3}, -1, 0); err == nil {
+		t.Fatal("GenerateIncremental accepted a negative token budget")
+	}
+	if _, err := c.Generate(tensor.NewRNG(1), []int{1, 2, 3}, -1, 0); err == nil {
+		t.Fatal("Generate accepted a negative token budget")
+	}
+	ids, targets := batch(16, 13)
+	if _, err := c.Step(ids, targets); err != nil {
+		t.Fatalf("step after the refused requests: %v", err)
 	}
 }

@@ -3,33 +3,27 @@ package client
 import (
 	"fmt"
 
+	"menos/internal/model"
 	"menos/internal/split"
 	"menos/internal/tensor"
 )
 
 // GenerateIncremental decodes through the split deployment with KV
-// caches on both sides: the client caches its input-section blocks
-// locally, and the server holds the body-side cache in a decode
+// caches on both sides: the client's input section decodes over its
+// own model.DecodeState, and the server holds the body's in a decode
 // session whose memory is reserved through the Menos scheduler. One
 // single-row round-trip per token, O(1) model work per side.
 //
 // ServerKVBytes in the result reports what the session reserved on the
 // server — the inference-time memory the Menos design manages.
 func (c *Client) GenerateIncremental(rng *tensor.RNG, prompt []int, maxNew int, temperature float64) (tokens []int, serverKVBytes int64, err error) {
-	if len(prompt) == 0 {
-		return nil, 0, fmt.Errorf("client: empty prompt")
-	}
-	if temperature < 0 {
-		return nil, 0, fmt.Errorf("client: negative temperature %v", temperature)
-	}
-	for _, id := range prompt {
-		if id < 0 || id >= c.cfg.Model.Vocab {
-			return nil, 0, fmt.Errorf("client: prompt token %d out of vocab", id)
-		}
+	if err := model.CheckPrompt(c.cfg.Model, prompt, maxNew, temperature); err != nil {
+		return nil, 0, fmt.Errorf("client: %w", err)
 	}
 	capacity := len(prompt) + maxNew
-	if capacity > c.cfg.Model.MaxSeq {
-		return nil, 0, fmt.Errorf("client: %d tokens exceed MaxSeq %d", capacity, c.cfg.Model.MaxSeq)
+	state, err := c.input.NewDecodeState(capacity)
+	if err != nil {
+		return nil, 0, fmt.Errorf("client: %w", err)
 	}
 
 	// Open the server-side session.
@@ -53,37 +47,14 @@ func (c *Client) GenerateIncremental(rng *tensor.RNG, prompt []int, maxNew int, 
 		}
 	}()
 
-	// Client-side caches for the input-section blocks.
-	dim := c.cfg.Model.Dim
-	keys := make([]*tensor.Tensor, c.cfg.Cut)
-	values := make([]*tensor.Tensor, c.cfg.Cut)
-	for i := range keys {
-		keys[i] = tensor.New(capacity, dim)
-		values[i] = tensor.New(capacity, dim)
-	}
-
-	step := func(tokenID, pos int) (*tensor.Tensor, error) {
-		x, err := c.local.Embed.Forward([]int{tokenID}, nil)
+	// step decodes tokenID at the next position: the input section
+	// here, the body on the server, the output section here.
+	step := func(tokenID int) (*tensor.Tensor, error) {
+		pos := state.Len()
+		x, err := c.input.DecodeStep(tokenID, state)
 		if err != nil {
-			return nil, fmt.Errorf("client: decode embed: %w", err)
+			return nil, fmt.Errorf("client: decode: %w", err)
 		}
-		if c.local.Pos != nil {
-			pe, err := c.local.Pos.Forward([]int{pos}, nil)
-			if err != nil {
-				return nil, fmt.Errorf("client: decode positions: %w", err)
-			}
-			if err := tensor.Add(x, x, pe); err != nil {
-				return nil, fmt.Errorf("client: decode position add: %w", err)
-			}
-		}
-		for i := 0; i < c.cfg.Cut; i++ {
-			y, err := c.local.Blocks[i].DecodeStep(x, pos, keys[i], values[i])
-			if err != nil {
-				return nil, fmt.Errorf("client: decode block %d: %w", i, err)
-			}
-			x = y
-		}
-		// Body runs on the server.
 		if err := split.WriteMessage(c.conn, &split.DecodeReq{Pos: pos, Activation: x}); err != nil {
 			return nil, fmt.Errorf("client: decode send: %w", err)
 		}
@@ -96,14 +67,9 @@ func (c *Client) GenerateIncremental(rng *tensor.RNG, prompt []int, maxNew int, 
 			if r.Pos != pos || r.Activation == nil {
 				return nil, fmt.Errorf("client: bad decode response at %d", pos)
 			}
-			// Output head locally.
-			n, _, err := c.local.Norm.Apply(r.Activation, false)
+			logits, _, err := c.output.Forward(r.Activation, false)
 			if err != nil {
-				return nil, fmt.Errorf("client: decode norm: %w", err)
-			}
-			logits, err := c.local.LMHead.Forward(n, nil)
-			if err != nil {
-				return nil, fmt.Errorf("client: decode head: %w", err)
+				return nil, fmt.Errorf("client: decode output: %w", err)
 			}
 			return logits, nil
 		case *split.ErrorMsg:
@@ -115,25 +81,20 @@ func (c *Client) GenerateIncremental(rng *tensor.RNG, prompt []int, maxNew int, 
 
 	tokens = append([]int(nil), prompt...)
 	var logits *tensor.Tensor
-	pos := 0
 	for _, id := range prompt {
-		logits, err = step(id, pos)
-		if err != nil {
+		if logits, err = step(id); err != nil {
 			return nil, ack.KVBytes, err
 		}
-		pos++
 	}
 	for i := 0; i < maxNew; i++ {
-		next := sampleToken(rng, logits.Row(0), temperature)
+		next := model.SampleToken(rng, logits.Row(0), temperature)
 		tokens = append(tokens, next)
 		if i == maxNew-1 {
 			break
 		}
-		logits, err = step(next, pos)
-		if err != nil {
+		if logits, err = step(next); err != nil {
 			return nil, ack.KVBytes, err
 		}
-		pos++
 	}
 	return tokens, ack.KVBytes, nil
 }

@@ -2,8 +2,8 @@ package client
 
 import (
 	"fmt"
-	"math"
 
+	"menos/internal/model"
 	"menos/internal/split"
 	"menos/internal/tensor"
 )
@@ -15,16 +15,8 @@ import (
 // the session's profiled sequence length, keeping every request within
 // the server's profiled memory demand.
 func (c *Client) Generate(rng *tensor.RNG, prompt []int, maxNew int, temperature float64) ([]int, error) {
-	if len(prompt) == 0 {
-		return nil, fmt.Errorf("client: empty prompt")
-	}
-	if temperature < 0 {
-		return nil, fmt.Errorf("client: negative temperature %v", temperature)
-	}
-	for _, id := range prompt {
-		if id < 0 || id >= c.cfg.Model.Vocab {
-			return nil, fmt.Errorf("client: prompt token %d out of vocab", id)
-		}
+	if err := model.CheckPrompt(c.cfg.Model, prompt, maxNew, temperature); err != nil {
+		return nil, fmt.Errorf("client: %w", err)
 	}
 	seq := append([]int(nil), prompt...)
 	for step := 0; step < maxNew; step++ {
@@ -49,44 +41,7 @@ func (c *Client) Generate(rng *tensor.RNG, prompt []int, maxNew int, temperature
 			return nil, fmt.Errorf("client: generate output: %w", err)
 		}
 		last := logits.Row(logits.Dim(0) - 1)
-		seq = append(seq, sampleToken(rng, last, temperature))
+		seq = append(seq, model.SampleToken(rng, last, temperature))
 	}
 	return seq, nil
-}
-
-// sampleToken draws from softmax(logits/temperature); temperature 0 is
-// argmax.
-func sampleToken(rng *tensor.RNG, logits *tensor.Tensor, temperature float64) int {
-	vocab := logits.Len()
-	if temperature == 0 {
-		best, bestV := 0, logits.At(0)
-		for i := 1; i < vocab; i++ {
-			if v := logits.At(i); v > bestV {
-				best, bestV = i, v
-			}
-		}
-		return best
-	}
-	var sum float64
-	probs := make([]float64, vocab)
-	maxLogit := float64(logits.At(0))
-	for i := 1; i < vocab; i++ {
-		if v := float64(logits.At(i)); v > maxLogit {
-			maxLogit = v
-		}
-	}
-	for i := 0; i < vocab; i++ {
-		p := math.Exp((float64(logits.At(i)) - maxLogit) / temperature)
-		probs[i] = p
-		sum += p
-	}
-	u := rng.Float64() * sum
-	var cum float64
-	for i, p := range probs {
-		cum += p
-		if u < cum {
-			return i
-		}
-	}
-	return vocab - 1
 }

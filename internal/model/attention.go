@@ -125,13 +125,6 @@ func (e *errCollector) set(err error) {
 
 // Forward computes attention over x of shape (B*T, dim). When withGrad
 // is false no cache is produced (no-grad forward).
-//
-// The per-(batch, head) bodies are independent — each one reads shared
-// projections and writes a disjoint slice of ctx/probs — so they may
-// fan out over the tensor worker pool, at 2·seq·(P+seq)·headDim
-// multiply-adds each (the score and context products). Every float is
-// still produced by exactly the same instruction sequence as the
-// serial loop, so results are bit-identical at any parallelism.
 func (a *Attention) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*tensor.Tensor, *AttnCache, error) {
 	dim := a.heads * a.headDim
 	if x.Rank() != 2 || x.Dim(0) != batch*seq || x.Dim(1) != dim {
@@ -156,13 +149,57 @@ func (a *Attention) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*t
 	}
 
 	pLen := a.prefixLen()
-	ext := pLen + seq
 	sc := a.scratch
 	ctx := sc.Get(batch*seq, dim)
 	var probs *tensor.Tensor
 	if withGrad {
-		probs = sc.Get(batch*a.heads*seq, ext)
+		probs = sc.Get(batch*a.heads*seq, pLen+seq)
 	}
+	if err := a.attend(ctx, probs, q, k, v, batch, seq, seq); err != nil {
+		sc.Put(ctx, probs)
+		return nil, nil, err
+	}
+
+	y, oc, err := a.O.Apply(ctx, withGrad)
+	if err != nil {
+		return nil, nil, fmt.Errorf("attention o: %w", err)
+	}
+	if !withGrad {
+		// Without a cache the projections die with the head loop.
+		sc.Put(ctx, q, k, v)
+		return y, nil, nil
+	}
+	return y, &AttnCache{
+		B: batch, T: seq, P: pLen,
+		QC: qc, KC: kc, VC: vc, OC: oc,
+		QT: q, KT: k, VT: v, Probs: probs, Ctx: ctx,
+	}, nil
+}
+
+// attend is the attention of every (batch, head): scores = q·kᵀ/√hd
+// over the prefix slots and kvLen key positions, the causal mask, the
+// row softmax and ctx = scores·v. Batch b's queries are rows
+// [b*seq, (b+1)*seq) of q, its keys and values rows [b*kvLen,
+// (b+1)*kvLen) of k and v, and its queries are the last seq of those
+// kvLen positions. Forward has kvLen == seq; a decode step has one
+// query over every position cached so far. When probs is non-nil it
+// receives each (batch, head)'s (seq, P+kvLen) probabilities.
+//
+// Every kernel here accumulates each output row on its own, and a
+// masked score is exactly 0 after the softmax, so a query row's result
+// does not depend on which other rows or later positions share the
+// call: a decoded row is bit-equal to the same row of a full forward.
+//
+// The per-(batch, head) bodies are independent — each one reads shared
+// projections and writes a disjoint slice of ctx/probs — so they may
+// fan out over the tensor worker pool, at 2·seq·(P+kvLen)·headDim
+// multiply-adds each (the score and context products). Every float is
+// still produced by exactly the same instruction sequence as the
+// serial loop, so results are bit-identical at any parallelism.
+func (a *Attention) attend(ctx, probs, q, k, v *tensor.Tensor, batch, seq, kvLen int) error {
+	pLen := a.prefixLen()
+	ext := pLen + kvLen
+	sc := a.scratch
 	scale := float32(1.0 / math.Sqrt(float64(a.headDim)))
 
 	var ec errCollector
@@ -180,14 +217,14 @@ func (a *Attention) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*t
 				a.gatherHead(a.Prefix.K.Value, 0, h, pLen, khExt.Data()[:pLen*a.headDim])
 				a.gatherHead(a.Prefix.V.Value, 0, h, pLen, vhExt.Data()[:pLen*a.headDim])
 			}
-			a.gatherHead(k, b*seq, h, seq, khExt.Data()[pLen*a.headDim:])
-			a.gatherHead(v, b*seq, h, seq, vhExt.Data()[pLen*a.headDim:])
+			a.gatherHead(k, b*kvLen, h, kvLen, khExt.Data()[pLen*a.headDim:])
+			a.gatherHead(v, b*kvLen, h, kvLen, vhExt.Data()[pLen*a.headDim:])
 			if err := tensor.MatMulT(scores, qh, khExt); err != nil {
 				ec.set(fmt.Errorf("attention scores: %w", err))
 				return
 			}
 			scores.Scale(scale)
-			maskCausal(scores, pLen)
+			maskCausal(scores)
 			if err := tensor.SoftmaxRows(scores, scores); err != nil {
 				ec.set(fmt.Errorf("attention softmax: %w", err))
 				return
@@ -203,25 +240,7 @@ func (a *Attention) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*t
 			a.scatterHeadCopy(ctx, b*seq, h, seq, outh.Data())
 		}
 	})
-	if ec.err != nil {
-		sc.Put(ctx, probs)
-		return nil, nil, ec.err
-	}
-
-	y, oc, err := a.O.Apply(ctx, withGrad)
-	if err != nil {
-		return nil, nil, fmt.Errorf("attention o: %w", err)
-	}
-	if !withGrad {
-		// Without a cache the projections die with the head loop.
-		sc.Put(ctx, q, k, v)
-		return y, nil, nil
-	}
-	return y, &AttnCache{
-		B: batch, T: seq, P: pLen,
-		QC: qc, KC: kc, VC: vc, OC: oc,
-		QT: q, KT: k, VT: v, Probs: probs, Ctx: ctx,
-	}, nil
+	return ec.err
 }
 
 // attnBwdBufs is the per-worker buffer set of the backward head loop.
@@ -447,15 +466,16 @@ func (a *Attention) applyRope(t *tensor.Tensor, batch, seq int, inverse bool) {
 	})
 }
 
-// maskCausal adds a large negative value to entries of a (T, P+T) score
-// matrix where query position i would attend to a real key position
-// j > i. Prefix columns [0, P) are always visible.
-func maskCausal(scores *tensor.Tensor, pLen int) {
+// maskCausal adds a large negative value to the entries of a (T, P+K)
+// score matrix where a query would attend to a later key position. The
+// T queries are the last T of the K key positions, so query i sits at
+// key column P+K-T+i; the prefix columns [0, P) are always visible.
+func maskCausal(scores *tensor.Tensor) {
 	seq := scores.Dim(0)
 	ext := scores.Dim(1)
 	for i := 0; i < seq; i++ {
 		row := scores.Data()[i*ext : (i+1)*ext]
-		for j := pLen + i + 1; j < ext; j++ {
+		for j := ext - seq + i + 1; j < ext; j++ {
 			row[j] += causalMask
 		}
 	}

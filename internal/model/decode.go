@@ -2,65 +2,37 @@ package model
 
 import (
 	"fmt"
-	"math"
 
 	"menos/internal/tensor"
 )
 
-// Incremental decoding with per-block KV caches: one forward pass per
-// new token instead of re-running the whole window. Decoding runs split
-// like training: the client decodes its input blocks (Block.DecodeStep)
-// and output section, the server its BodySection (DecodeStep over a
-// BodyDecodeState). The decode state is per-session inference memory —
-// the inference-time analogue of the 𝕀 term Menos manages during
-// training.
+// Incremental decoding: one forward pass per new token over per-block
+// KV caches instead of re-running the whole window. A decode step is
+// the full forward's last row computed by the same code (Block.forward,
+// Attention.attend), so a decoded position's logits are bit-equal to
+// that row of a no-grad forward over every position so far. Decoding
+// runs split like training: the client's InputSection and the server's
+// BodySection each decode their blocks over their own DecodeState, and
+// the client's OutputSection turns the result into logits. The server's
+// state is per-session inference memory — the inference-time analogue
+// of the 𝕀 term Menos manages during training.
 
-// DecodeStep runs one block over a single-row x at position pos,
-// appending this position's K/V to the caches. Exported so split
-// runtimes can decode through arbitrary block slices.
-func (b *Block) DecodeStep(x *tensor.Tensor, pos int, kCache, vCache *tensor.Tensor) (*tensor.Tensor, error) {
-	n1, _, err := b.Norm1.Apply(x, false)
-	if err != nil {
-		return nil, fmt.Errorf("norm1: %w", err)
-	}
-	attnOut, err := b.Attn.decodeStep(n1, pos, kCache, vCache)
-	if err != nil {
-		return nil, fmt.Errorf("attn: %w", err)
-	}
-	h := tensor.New(x.Shape()...)
-	if err := tensor.Add(h, x, attnOut); err != nil {
-		return nil, fmt.Errorf("residual 1: %w", err)
-	}
-	n2, _, err := b.Norm2.Apply(h, false)
-	if err != nil {
-		return nil, fmt.Errorf("norm2: %w", err)
-	}
-	ffnOut, _, err := b.FFN.Forward(n2, false)
-	if err != nil {
-		return nil, fmt.Errorf("ffn: %w", err)
-	}
-	y := tensor.New(h.Shape()...)
-	if err := tensor.Add(y, h, ffnOut); err != nil {
-		return nil, fmt.Errorf("residual 2: %w", err)
-	}
-	return y, nil
-}
-
-// decodeStep computes attention for a single query row at position
-// pos over the cached keys/values (plus any prefix adapter slots).
+// decodeStep is Forward for the single row x at position pos: the row's
+// key and value enter row pos of the caches, and its query attends over
+// the prefix slots and the cached positions [0, pos].
 func (a *Attention) decodeStep(x *tensor.Tensor, pos int, kCache, vCache *tensor.Tensor) (*tensor.Tensor, error) {
 	dim := a.heads * a.headDim
 	q, _, err := a.Q.Apply(x, false)
 	if err != nil {
-		return nil, fmt.Errorf("q: %w", err)
+		return nil, fmt.Errorf("attention q: %w", err)
 	}
 	k, _, err := a.K.Apply(x, false)
 	if err != nil {
-		return nil, fmt.Errorf("k: %w", err)
+		return nil, fmt.Errorf("attention k: %w", err)
 	}
 	v, _, err := a.V.Apply(x, false)
 	if err != nil {
-		return nil, fmt.Errorf("v: %w", err)
+		return nil, fmt.Errorf("attention v: %w", err)
 	}
 	if a.rope != nil {
 		for h := 0; h < a.heads; h++ {
@@ -71,108 +43,75 @@ func (a *Attention) decodeStep(x *tensor.Tensor, pos int, kCache, vCache *tensor
 	copy(kCache.Data()[pos*dim:(pos+1)*dim], k.Data())
 	copy(vCache.Data()[pos*dim:(pos+1)*dim], v.Data())
 
-	pLen := a.prefixLen()
-	ctxLen := pos + 1
-	ext := pLen + ctxLen
-	scale := 1.0 / math.Sqrt(float64(a.headDim))
-
-	ctx := tensor.New(1, dim)
-	scores := make([]float64, ext)
-	for h := 0; h < a.heads; h++ {
-		qh := q.Data()[h*a.headDim : (h+1)*a.headDim]
-		// Scores over prefix slots then cached positions.
-		for j := 0; j < ext; j++ {
-			var keyRow []float32
-			if j < pLen {
-				keyRow = a.Prefix.K.Value.Data()[j*dim+h*a.headDim:][:a.headDim]
-			} else {
-				p := j - pLen
-				keyRow = kCache.Data()[p*dim+h*a.headDim:][:a.headDim]
-			}
-			var dot float64
-			for c := 0; c < a.headDim; c++ {
-				dot += float64(qh[c]) * float64(keyRow[c])
-			}
-			scores[j] = dot * scale
-		}
-		softmaxInPlace(scores)
-		out := ctx.Data()[h*a.headDim : (h+1)*a.headDim]
-		for j := 0; j < ext; j++ {
-			var valRow []float32
-			if j < pLen {
-				valRow = a.Prefix.V.Value.Data()[j*dim+h*a.headDim:][:a.headDim]
-			} else {
-				p := j - pLen
-				valRow = vCache.Data()[p*dim+h*a.headDim:][:a.headDim]
-			}
-			w := float32(scores[j])
-			for c := 0; c < a.headDim; c++ {
-				out[c] += w * valRow[c]
-			}
-		}
+	sc := a.scratch
+	ctx := sc.Get(1, dim)
+	err = a.attend(ctx, nil, q, kCache, vCache, 1, 1, pos+1)
+	sc.Put(q, k, v)
+	if err != nil {
+		sc.Put(ctx)
+		return nil, err
 	}
 	y, _, err := a.O.Apply(ctx, false)
+	sc.Put(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("o: %w", err)
+		return nil, fmt.Errorf("attention o: %w", err)
 	}
 	return y, nil
 }
 
-func softmaxInPlace(v []float64) {
-	maxV := v[0]
-	for _, x := range v[1:] {
-		if x > maxV {
-			maxV = x
-		}
-	}
-	var sum float64
-	for i, x := range v {
-		e := math.Exp(x - maxV)
-		v[i] = e
-		sum += e
-	}
-	for i := range v {
-		v[i] /= sum
-	}
-}
-
-// BodyDecodeState holds the KV caches for incremental decoding through
-// a BodySection: the server-side inference state of a split decoding
-// session. Its Bytes() footprint is what a Menos server reserves from
-// the scheduler for the session's lifetime.
-type BodyDecodeState struct {
+// DecodeState holds one section's key and value caches for incremental
+// decoding, one pair per block, and how many positions they hold. The
+// client keeps one for its input section; a Menos server keeps one per
+// decode session for the body, and its Bytes() footprint is what the
+// server reserves from the scheduler for the session's lifetime.
+type DecodeState struct {
 	capacity int
+	dim      int
 	length   int
 	keys     []*tensor.Tensor
 	values   []*tensor.Tensor
 }
 
-// NewDecodeState allocates per-block caches for up to capacity
-// positions of hidden size dim.
-func (s *BodySection) NewDecodeState(capacity, dim int) (*BodyDecodeState, error) {
+func newDecodeState(blocks, capacity, dim int) (*DecodeState, error) {
 	if capacity <= 0 || dim <= 0 {
 		return nil, fmt.Errorf("%w: decode capacity %d dim %d", ErrConfig, capacity, dim)
 	}
-	st := &BodyDecodeState{
+	st := &DecodeState{
 		capacity: capacity,
-		keys:     make([]*tensor.Tensor, len(s.blocks)),
-		values:   make([]*tensor.Tensor, len(s.blocks)),
+		dim:      dim,
+		keys:     make([]*tensor.Tensor, blocks),
+		values:   make([]*tensor.Tensor, blocks),
 	}
-	for i := range s.blocks {
+	for i := range st.keys {
 		st.keys[i] = tensor.New(capacity, dim)
 		st.values[i] = tensor.New(capacity, dim)
 	}
 	return st, nil
 }
 
+// NewDecodeState allocates the body's caches for up to capacity
+// positions of hidden size dim.
+func (s *BodySection) NewDecodeState(capacity, dim int) (*DecodeState, error) {
+	return newDecodeState(len(s.blocks), capacity, dim)
+}
+
+// NewDecodeState allocates the input section's caches for up to
+// capacity positions, at most the model's MaxSeq.
+func (s *InputSection) NewDecodeState(capacity int) (*DecodeState, error) {
+	if capacity > s.model.Cfg.MaxSeq {
+		return nil, fmt.Errorf("%w: decode capacity %d exceeds MaxSeq %d", ErrConfig, capacity, s.model.Cfg.MaxSeq)
+	}
+	return newDecodeState(s.cut, capacity, s.model.Cfg.Dim)
+}
+
 // Len returns the number of cached positions.
-func (s *BodyDecodeState) Len() int { return s.length }
+func (s *DecodeState) Len() int { return s.length }
 
 // Capacity returns the maximum cached positions.
-func (s *BodyDecodeState) Capacity() int { return s.capacity }
+func (s *DecodeState) Capacity() int { return s.capacity }
 
 // Bytes returns the KV-cache footprint.
-func (s *BodyDecodeState) Bytes() int64 {
+func (s *DecodeState) Bytes() int64 {
 	var b int64
 	for i := range s.keys {
 		b += s.keys[i].Bytes() + s.values[i].Bytes()
@@ -180,28 +119,58 @@ func (s *BodyDecodeState) Bytes() int64 {
 	return b
 }
 
+// step runs blocks over the (1, dim) row x at the next position and
+// advances the state. x stays the caller's.
+func (s *DecodeState) step(blocks []*Block, x *tensor.Tensor) (*tensor.Tensor, error) {
+	if s == nil || len(s.keys) != len(blocks) {
+		return nil, fmt.Errorf("%w: decode state does not match the section", ErrConfig)
+	}
+	if s.length >= s.capacity {
+		return nil, fmt.Errorf("%w: decode state full (%d positions)", ErrConfig, s.capacity)
+	}
+	if x.Rank() != 2 || x.Dim(0) != 1 || x.Dim(1) != s.dim {
+		return nil, fmt.Errorf("%w: decode input %v, want (1, %d)", ErrConfig, x.Shape(), s.dim)
+	}
+	for i, b := range blocks {
+		y, err := b.decodeStep(x, s.length, s.keys[i], s.values[i])
+		if err != nil {
+			return nil, fmt.Errorf("decode block %d: %w", i, err)
+		}
+		if i > 0 {
+			b.scratch.Put(x)
+		}
+		x = y
+	}
+	s.length++
+	return x, nil
+}
+
+// DecodeStep embeds token at the state's next position, adds that
+// position's learned embedding (OPT) and runs the input blocks over it,
+// returning the (1, dim) activation for the body.
+func (s *InputSection) DecodeStep(token int, st *DecodeState) (*tensor.Tensor, error) {
+	x, err := s.model.Embed.Forward([]int{token}, nil)
+	if err != nil {
+		return nil, fmt.Errorf("decode embedding: %w", err)
+	}
+	defer s.model.scratch.Put(x)
+	if s.model.Pos != nil {
+		pos, err := s.model.Pos.Forward([]int{st.length}, nil)
+		if err != nil {
+			return nil, fmt.Errorf("decode position: %w", err)
+		}
+		if err := tensor.Add(x, x, pos); err != nil {
+			return nil, fmt.Errorf("decode position add: %w", err)
+		}
+		s.model.scratch.Put(pos)
+	}
+	return st.step(s.model.Blocks[:s.cut], x)
+}
+
 // DecodeStep advances the body by one position: x is the (1, dim)
 // activation arriving from the client's input section at the next
 // position; the return value is the (1, dim) activation for the
 // client's output section.
-func (s *BodySection) DecodeStep(x *tensor.Tensor, st *BodyDecodeState) (*tensor.Tensor, error) {
-	if st == nil || len(st.keys) != len(s.blocks) {
-		return nil, fmt.Errorf("%w: decode state does not match body", ErrConfig)
-	}
-	if st.length >= st.capacity {
-		return nil, fmt.Errorf("%w: decode state full (%d positions)", ErrConfig, st.capacity)
-	}
-	if x.Rank() != 2 || x.Dim(0) != 1 {
-		return nil, fmt.Errorf("%w: decode input %v, want (1, dim)", ErrConfig, x.Shape())
-	}
-	pos := st.length
-	for i, b := range s.blocks {
-		y, err := b.DecodeStep(x, pos, st.keys[i], st.values[i])
-		if err != nil {
-			return nil, fmt.Errorf("decode body block %d: %w", i, err)
-		}
-		x = y
-	}
-	st.length++
-	return x, nil
+func (s *BodySection) DecodeStep(x *tensor.Tensor, st *DecodeState) (*tensor.Tensor, error) {
+	return st.step(s.blocks, x)
 }

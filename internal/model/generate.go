@@ -12,16 +12,8 @@ import (
 // argmax). Generation re-runs the full forward each step — no KV cache
 // — which is fine at the tiny-model scale this repository trains.
 func (t *Transformer) Generate(rng *tensor.RNG, prompt []int, maxNew int, temperature float64) ([]int, error) {
-	if len(prompt) == 0 {
-		return nil, fmt.Errorf("%w: empty prompt", ErrConfig)
-	}
-	if temperature < 0 {
-		return nil, fmt.Errorf("%w: negative temperature %v", ErrConfig, temperature)
-	}
-	for _, id := range prompt {
-		if id < 0 || id >= t.Cfg.Vocab {
-			return nil, fmt.Errorf("%w: prompt token %d out of vocab", ErrConfig, id)
-		}
+	if err := CheckPrompt(t.Cfg, prompt, maxNew, temperature); err != nil {
+		return nil, err
 	}
 	input, body, output, err := t.Split(DefaultCut)
 	if err != nil {
@@ -47,15 +39,36 @@ func (t *Transformer) Generate(rng *tensor.RNG, prompt []int, maxNew int, temper
 			return nil, fmt.Errorf("generate output: %w", err)
 		}
 		last := logits.Row(logits.Dim(0) - 1)
-		next := sampleToken(rng, last, temperature)
+		next := SampleToken(rng, last, temperature)
 		seq = append(seq, next)
 	}
 	return seq, nil
 }
 
-// sampleToken draws from softmax(logits/temperature); temperature 0 is
+// CheckPrompt validates a generation request against cfg: a non-empty
+// prompt of in-vocabulary tokens, a non-negative token budget and a
+// non-negative temperature. Every generator checks here first.
+func CheckPrompt(cfg Config, prompt []int, maxNew int, temperature float64) error {
+	if len(prompt) == 0 {
+		return fmt.Errorf("%w: empty prompt", ErrConfig)
+	}
+	if maxNew < 0 {
+		return fmt.Errorf("%w: negative token budget %d", ErrConfig, maxNew)
+	}
+	if temperature < 0 {
+		return fmt.Errorf("%w: negative temperature %v", ErrConfig, temperature)
+	}
+	for _, id := range prompt {
+		if id < 0 || id >= cfg.Vocab {
+			return fmt.Errorf("%w: prompt token %d out of vocab", ErrConfig, id)
+		}
+	}
+	return nil
+}
+
+// SampleToken draws from softmax(logits/temperature); temperature 0 is
 // argmax.
-func sampleToken(rng *tensor.RNG, logits *tensor.Tensor, temperature float64) int {
+func SampleToken(rng *tensor.RNG, logits *tensor.Tensor, temperature float64) int {
 	vocab := logits.Len()
 	if temperature == 0 {
 		best, bestV := 0, logits.At(0)

@@ -85,6 +85,9 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := m.Generate(tensor.NewRNG(1), []int{1}, 3, -1); err == nil {
 		t.Fatal("negative temperature accepted")
 	}
+	if _, err := m.Generate(tensor.NewRNG(1), []int{1}, -1, 0); err == nil {
+		t.Fatal("negative token budget accepted")
+	}
 }
 
 func TestGenerateWindowsLongPrompts(t *testing.T) {
@@ -129,21 +132,23 @@ func TestPerplexityEvaluation(t *testing.T) {
 
 // splitDecoder decodes one token at a time the way a split deployment
 // does (client.GenerateIncremental against the server's decode
-// session): the client's input blocks over their own KV caches, the
-// server's BodySection.DecodeStep over a BodyDecodeState, then the
-// client's output section.
+// session): the client's InputSection.DecodeStep over its own
+// DecodeState, the server's BodySection.DecodeStep over the body's,
+// then the client's output section.
 type splitDecoder struct {
-	m            *Transformer
-	keys, values []*tensor.Tensor // input-block caches, one per block below the cut
-	body         *BodySection
-	output       *OutputSection
-	state        *BodyDecodeState
-	pos          int
+	input     *InputSection
+	body      *BodySection
+	output    *OutputSection
+	in, state *DecodeState // the input section's and the body's
 }
 
 func newSplitDecoder(t *testing.T, m *Transformer, capacity int) *splitDecoder {
 	t.Helper()
-	_, body, output, err := m.Split(DefaultCut)
+	input, body, output, err := m.Split(DefaultCut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := input.NewDecodeState(capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,39 +156,19 @@ func newSplitDecoder(t *testing.T, m *Transformer, capacity int) *splitDecoder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &splitDecoder{m: m, body: body, output: output, state: state}
-	for i := 0; i < DefaultCut; i++ {
-		d.keys = append(d.keys, tensor.New(capacity, m.Cfg.Dim))
-		d.values = append(d.values, tensor.New(capacity, m.Cfg.Dim))
-	}
-	return d
+	return &splitDecoder{input: input, body: body, output: output, in: in, state: state}
 }
 
 // step feeds tokenID at the next position and returns the (1, vocab)
 // next-token logits.
 func (d *splitDecoder) step(tokenID int) (*tensor.Tensor, error) {
-	x, err := d.m.Embed.Forward([]int{tokenID}, nil)
+	x, err := d.input.DecodeStep(tokenID, d.in)
 	if err != nil {
 		return nil, err
-	}
-	if d.m.Pos != nil {
-		pe, err := d.m.Pos.Forward([]int{d.pos}, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := tensor.Add(x, x, pe); err != nil {
-			return nil, err
-		}
-	}
-	for i := range d.keys {
-		if x, err = d.m.Blocks[i].DecodeStep(x, d.pos, d.keys[i], d.values[i]); err != nil {
-			return nil, err
-		}
 	}
 	if x, err = d.body.DecodeStep(x, d.state); err != nil {
 		return nil, err
 	}
-	d.pos++
 	logits, _, err := d.output.Forward(x, false)
 	return logits, err
 }
@@ -272,7 +257,7 @@ func TestSplitDecodeMatchesGenerate(t *testing.T) {
 		}
 	}
 	for i := 0; i < maxNew; i++ {
-		next := sampleToken(tensor.NewRNG(1), logits.Row(0), 0)
+		next := SampleToken(tensor.NewRNG(1), logits.Row(0), 0)
 		fast = append(fast, next)
 		if logits, err = d.step(next); err != nil {
 			t.Fatal(err)

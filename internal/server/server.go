@@ -22,6 +22,7 @@ import (
 	"menos/internal/checkpoint"
 	"menos/internal/fleet"
 	"menos/internal/gpu"
+	"menos/internal/memmodel"
 	"menos/internal/model"
 	"menos/internal/nn"
 	"menos/internal/obs"
@@ -385,7 +386,7 @@ type session struct {
 
 	// decode holds an open incremental-inference session; its KV bytes
 	// are reserved from the scheduler until DecodeClose.
-	decode *model.BodyDecodeState
+	decode *model.DecodeState
 }
 
 // handleConn runs one client's full lifecycle.
@@ -603,8 +604,6 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 			lr = 1e-3
 		}
 		sess.optimizer = nn.NewAdam(lr)
-	case "sgd":
-		sess.optimizer = nn.NewSGD(hello.Optimizer.LR, 0)
 	default:
 		cleanup()
 		return reject(fmt.Sprintf("unknown optimizer %q", hello.Optimizer.Kind))
@@ -614,7 +613,7 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 	// grads, Adam moments, process context) outside the request
 	// queue. The reservation shrinks the schedulable pool for the
 	// client's lifetime.
-	persistent := 4*inst.Adapter().ParamBytes() + contextOverheadBytes
+	persistent := 4*inst.Adapter().ParamBytes() + memmodel.ContextOverheadBytes
 	if err := s.scheduler.Reserve("persist:"+hello.ClientID, persistent); err != nil {
 		cleanup()
 		return reject(fmt.Sprintf("insufficient GPU memory for client state: %v", err))
@@ -676,10 +675,6 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 	admitSpan.End()
 	return sess, nil
 }
-
-// contextOverheadBytes mirrors memmodel.ContextOverheadBytes for the
-// real runtime's accounting device.
-const contextOverheadBytes = 128 << 20
 
 func (s *Server) teardown(sess *session) {
 	s.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -330,6 +331,39 @@ func TestHandshakeRejections(t *testing.T) {
 			t.Fatalf("duplicate err = %v", err)
 		}
 	})
+}
+
+// TestSGDHelloRefused: the server optimizes φ_s with Adam only, and
+// its persistent reservation is sized for Adam's two moments. A Hello
+// asking for "sgd" is refused as an unknown optimizer and leaves the
+// scheduler's budget as it was.
+func TestSGDHelloRefused(t *testing.T) {
+	srv, addr := newTestServer(t)
+	before := srv.Scheduler().Available()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	cfg := clientCfg("sgd")
+	if err := split.WriteMessage(conn, &split.Hello{
+		ClientID: cfg.ClientID, ModelName: cfg.Model.Name, Cut: cfg.Cut, Adapter: cfg.Adapter,
+		Optimizer: split.OptimizerConfig{Kind: "sgd", LR: 1e-2},
+		Batch:     cfg.Batch, Seq: cfg.Seq, AdapterSeed: cfg.AdapterSeed,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := split.ReadMessage(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, ok := msg.(*split.HelloAck)
+	if !ok || ack.OK || !strings.Contains(ack.Reason, `unknown optimizer "sgd"`) {
+		t.Fatalf("reply %#v, want a refusal naming the unknown optimizer", msg)
+	}
+	if got := srv.Scheduler().Available(); got != before {
+		t.Fatalf("scheduler available %d after the refusal, %d before", got, before)
+	}
 }
 
 // TestAbruptDisconnectReleasesInstance: a client vanishing mid-session

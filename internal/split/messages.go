@@ -9,7 +9,7 @@ import (
 // OptimizerConfig is the client's server-side optimizer choice (the
 // server optimizes φ_s on the client's behalf, Algorithm 1 line 12).
 type OptimizerConfig struct {
-	Kind string // "adam", "sgd"
+	Kind string // "adam" (the only optimizer a server runs)
 	LR   float64
 }
 
