@@ -8,19 +8,21 @@ build:
 test:
 	$(GO) test ./...
 
-# The matmul tile and the exp-based kernels (GELU, SiLU, softmax) each
-# have an AVX2 assembly form (amd64) and a portable Go twin (everything
-# else). The purego tag forces the twins, so an amd64 machine tests the
-# code every other GOARCH runs; cross-build keeps the non-amd64 build
-# from rotting.
+# The kernels come in three tiers: on amd64 the matmul tile has an
+# 8-row AVX-512 form and a 4-row AVX2 form and the exp-based kernels
+# (GELU, SiLU, softmax) an AVX2 form, the best the CPU runs picked at
+# start-up; everything else runs the portable Go twins. The purego tag
+# forces the twins, so an amd64 machine tests the code every other
+# GOARCH runs (the tier-parity tests compare all three in one amd64
+# process); cross-build keeps the non-amd64 build from rotting.
 test-purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/model ./internal/adapter
 
 # At GOAMD64=v3 the compiler may assume FMA hardware, and the language
 # lets it fuse x*y + z wherever the product is not explicitly rounded.
 # The twins round every such product with float32(x*y); one that does
-# not would, once fused, stop matching the assembly, and the
-# asm-vs-portable parity tests in these packages fail here rather than
+# not would, once fused, stop matching the assembly tiers, and the
+# tier-parity tests in these packages fail here rather than
 # on someone's arm64 machine. A forward guard: the Go 1.24 amd64 back
 # end still emits MULSS+ADDSS at v3, so today only arm64 fuses, and the
 # cross-build below compiles that target without running it.

@@ -5,10 +5,15 @@
 // Usage:
 //
 //	menos-client [-addr localhost:7600] [-id alice] [-model opt-tiny]
-//	             [-seed 42] [-adapter lora] [-dataset shakespeare]
+//	             [-seed 42] [-weights base.ckpt] [-adapter lora] [-dataset shakespeare]
 //	             [-steps 100] [-batch 4] [-seq 32] [-lr 0.008]
 //	             [-max-retries 8] [-wire-compress off|fp16|int8]
 //	             [-metrics-addr :9091]
+//
+// -weights loads the base weights from the checkpoint file the model
+// owner distributes (menos-server -export-weights writes one) instead
+// of deriving them from -seed; it must be the file the server serves
+// with its own -weights.
 //
 // -wire-compress quantizes the activation/gradient uploads this client
 // sends to a server that negotiated the compression capability (fp16
@@ -60,6 +65,7 @@ func run(args []string) error {
 	id := fs.String("id", "client-1", "client id (unique per server)")
 	modelName := fs.String("model", "opt-tiny", "base model served by the server")
 	seed := fs.Uint64("seed", 42, "model owner's weight seed (must match server)")
+	weights := fs.String("weights", "", "load base weights from a checkpoint file instead of the seed (the file menos-server -weights serves)")
 	adapterKind := fs.String("adapter", "lora", "adapter: lora, prefix, bottleneck")
 	dataset := fs.String("dataset", "shakespeare", "dataset: shakespeare, wikitext")
 	steps := fs.Int("steps", 100, "fine-tuning steps")
@@ -142,6 +148,7 @@ func run(args []string) error {
 		ClientID:    *id,
 		Model:       cfg,
 		WeightSeed:  *seed,
+		WeightsFile: *weights,
 		Adapter:     spec,
 		AdapterSeed: *dataSeed * 31,
 		LR:          *lr,

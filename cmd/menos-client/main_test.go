@@ -1,6 +1,8 @@
 package main
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"menos/internal/core"
@@ -37,6 +39,29 @@ func TestLoadTokens(t *testing.T) {
 		if len(tokens) < 100 {
 			t.Fatalf("%s: only %d tokens", ds, len(tokens))
 		}
+	}
+}
+
+// TestMissingWeightsFileFails: -weights names the base checkpoint the
+// client loads instead of deriving weights from -seed; a file that is
+// not there fails the run, naming the path.
+func TestMissingWeightsFileFails(t *testing.T) {
+	dep, err := core.NewDeployment(core.DeploymentConfig{
+		Model:      model.OPTTiny(),
+		WeightSeed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	addr, err := dep.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "no-such-base.ckpt")
+	err = run([]string{"-addr", addr, "-model", "opt-tiny", "-weights", missing, "-steps", "1"})
+	if err == nil || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("run with a missing -weights file: %v, want an error naming %s", err, missing)
 	}
 }
 

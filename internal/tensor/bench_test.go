@@ -9,8 +9,10 @@ import (
 // 512-cube of the compute-plane acceptance numbers, and the products a
 // perf-mid split fine-tuning step is made of (linear layers at 64 rows,
 // per-head attention, rank-8 LoRA). Each shape is measured at the
-// pool's configured parallelism ("pool") and pinned to one worker
-// ("serial"), so the parallel speedup is visible in one -bench run.
+// pool's configured parallelism ("pool"), pinned to one worker
+// ("serial"), and pinned to one worker on the AVX2 tier ("avx2"), so
+// the parallel speedup and, on an AVX-512 machine, the gain of the
+// 8-row tile over the 4-row one are visible in one -bench run.
 
 const benchDim = 512
 
@@ -19,6 +21,7 @@ var benchShapes = []struct{ m, k, n int }{
 	{benchDim, benchDim, benchDim},
 	{64, 128, 512},
 	{64, 512, 128},
+	{64, 128, 128},
 	{32, 32, 32},
 	{64, 128, 8},
 	{64, 8, 128},
@@ -50,11 +53,18 @@ func benchMatMul(b *testing.B, op func(dst, a, b *Tensor) error, aT, bT bool) {
 		}
 		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
 			b.Run("pool", run)
-			b.Run("serial", func(b *testing.B) {
+			serial := func(b *testing.B) {
 				prev := Parallelism()
 				SetParallelism(1)
 				defer SetParallelism(prev)
 				run(b)
+			}
+			b.Run("serial", serial)
+			b.Run("avx2", func(b *testing.B) {
+				if !hasTier(TierAVX2) {
+					b.Skip("no AVX2 on this CPU")
+				}
+				WithTier(TierAVX2, func() { serial(b) })
 			})
 		})
 	}

@@ -18,7 +18,7 @@ import (
 // Each element must come out bit-identical (NaN for NaN: which payload
 // survives a product of two NaNs is the operand order's business), and
 // the canaries around the destination must survive, so a store past
-// the tail mask fails too. The same calls under WithoutAVX2 — the
+// the tail mask fails too. The same calls on the portable tier — the
 // dispatch a purego build or another GOARCH takes — must agree as well.
 func TestVectorKernelsMatchPortable(t *testing.T) {
 	if !haveAVX2 {
@@ -71,7 +71,7 @@ func TestVectorKernelsMatchPortable(t *testing.T) {
 				}
 				asm := run()
 				var portable []float32
-				WithoutAVX2(func() { portable = run() })
+				WithTier(TierPortable, func() { portable = run() })
 				label := fmt.Sprintf("%s n=%d off=%d", k.name, n, off)
 				for i, got := range asm {
 					want, in := canary, canary // outside the slice: untouched
@@ -79,7 +79,7 @@ func TestVectorKernelsMatchPortable(t *testing.T) {
 						in = x[i-off]
 						want = k.scalar(in, dy[i-off])
 					}
-					for impl, g := range map[string]float32{"assembly": got, "WithoutAVX2": portable[i]} {
+					for impl, g := range map[string]float32{"assembly": got, "portable tier": portable[i]} {
 						if math.Float32bits(g) != math.Float32bits(want) && !(g != g && want != want) {
 							t.Fatalf("%s: %s element %d (x = %g) is %g (%#x), want %g (%#x)", label, impl, i-off,
 								in, g, math.Float32bits(g), want, math.Float32bits(want))
@@ -109,7 +109,7 @@ func TestPackTMatchesScalarLoop(t *testing.T) {
 				got[i], want[i] = -1, -1
 			}
 			packT(&got, b, k, kb, cols)
-			WithoutAVX2(func() { packT(&want, b, k, kb, cols) })
+			WithTier(TierPortable, func() { packT(&want, b, k, kb, cols) })
 			if got != want {
 				t.Fatalf("kb=%d cols=%d k=%d: packed panels differ", kb, cols, k)
 			}

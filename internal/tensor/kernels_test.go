@@ -68,12 +68,12 @@ func expectBitIdentical(t *testing.T, got, want *Tensor, label string) {
 	}
 }
 
-// boundaryShapes straddle every edge of the 4-row x 16-column tile at
-// once (row remainders, the 8- and 16-lane vector edges, the packK
-// block of MatMulT's reduction, an empty reduction), then add the
-// products a perf-mid training step is made of and one product big
-// enough to clear fanOutWork, whose two row chunks each end in a
-// partial tile.
+// boundaryShapes straddle every edge of the 8- and 4-row x 16-column
+// tiles at once (the 8-row block and the AVX2/Go remainders it leaves,
+// the 8- and 16-lane vector edges, the packK block of MatMulT's
+// reduction, an empty reduction), then add the products a perf-mid
+// training step is made of and one product big enough to clear
+// fanOutWork, whose two row chunks each end in a partial tile.
 var boundaryShapes = func() []struct{ m, k, n int } {
 	shapes := []struct{ m, k, n int }{
 		{2, 3, 5}, {63, 31, 17}, {64, 33, 19}, {65, 29, 21}, {66, 5, 1}, {7, 64, 65},
@@ -81,7 +81,7 @@ var boundaryShapes = func() []struct{ m, k, n int } {
 		{64, 128, 512}, {64, 512, 128}, {32, 32, 32}, {64, 128, 8}, {64, 8, 128},
 		{131, 257, 130},
 	}
-	for _, m := range []int{1, 3, 4, 5} {
+	for _, m := range []int{1, 3, 4, 5, 7, 8, 9, 16, 17} {
 		for _, k := range []int{0, 1, 2, packK - 1, packK, packK + 1} {
 			for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 31, 33} {
 				shapes = append(shapes, struct{ m, k, n int }{m, k, n})
@@ -347,7 +347,10 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 // VMULPS before VADDPS or VSUBPS uses it, one accumulator per lane, and
 // exactly rounded quotients: a fused multiply-add, a dot product or a
 // horizontal add anywhere breaks the first two, the approximate
-// reciprocal instructions the third.
+// reciprocal instructions the third. An AVX-512 rounding or SAE suffix
+// overrides MXCSR's round-to-nearest for that one instruction, and the
+// AVX512ER approximations (VEXP2PS, VRCP28*, VRSQRT28*) are not the
+// correctly rounded operations the portable twins compute.
 func TestAsmTileNeverFusesOrReassociates(t *testing.T) {
 	files, err := filepath.Glob("*.s")
 	if err != nil || len(files) == 0 {
@@ -359,8 +362,11 @@ func TestAsmTileNeverFusesOrReassociates(t *testing.T) {
 			t.Fatal(err)
 		}
 		code := regexp.MustCompile(`(?m)//.*$`).ReplaceAll(src, nil)
-		if bad := regexp.MustCompile(`(?i)\bV?(FN?M(ADD|SUB)|DPPS|DPPD|HADD|HSUB|RCP|RSQRT)\w*`).Find(code); bad != nil {
+		if bad := regexp.MustCompile(`(?i)\bV?(FN?M(ADD|SUB)|DPPS|DPPD|HADD|HSUB|RCP|RSQRT|EXP2)\w*`).Find(code); bad != nil {
 			t.Fatalf("%s uses %s", file, bad)
+		}
+		if bad := regexp.MustCompile(`(?i)\b\w+\.(R[NZDU]_)?SAE\b`).Find(code); bad != nil {
+			t.Fatalf("%s uses %s, which overrides MXCSR rounding", file, bad)
 		}
 		for _, want := range []string{"VMULPS", "VADDPS", "VZEROUPPER"} {
 			if !regexp.MustCompile(`\b` + want + `\b`).Match(code) {

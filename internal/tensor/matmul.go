@@ -12,14 +12,15 @@ import (
 var ErrAlias = errors.New("tensor: dst aliases an operand")
 
 // All three matmul variants are thin drivers over one micro-kernel,
-// tile, which updates a tileRows x tileCols block of dst with one
-// accumulator per output element summed in ascending p — the add
-// sequence of the naive loop, so the bits match it exactly. Work is
-// partitioned by output row, so any parallel split is bit-identical to
-// the serial kernel too.
+// tile, which updates a block of up to blockRows() x tileCols elements
+// of dst with one accumulator per output element summed in ascending
+// p — the add sequence of the naive loop, so the bits match it exactly.
+// Work is partitioned by output row, so any parallel split is
+// bit-identical to the serial kernel too.
 const (
-	tileRows = 4
-	tileCols = 16
+	tileRows     = 4 // the AVX2 and portable tiles
+	wideTileRows = 8 // the AVX-512 tile
+	tileCols     = 16
 	// packK is how many reduction steps of bᵀ MatMulT packs at a time:
 	// a packK x tileCols panel is 8 KiB of stack and stays in L1.
 	packK = 128
@@ -123,12 +124,22 @@ func matmulRange(dst, a, b []float32, rowLo, rowHi, k, n, ars, aps int, bT, zero
 		matmulTRange(dst, a, b, rowLo, rowHi, k, n)
 		return
 	}
+	rb := blockRows()
 	for j := 0; j < n; j += tileCols {
 		cols := min(tileCols, n-j)
-		for i := rowLo; i < rowHi; i += tileRows {
-			tile(dst[i*n+j:], n, a[i*ars:], ars, aps, b[j:], n, k, min(tileRows, rowHi-i), cols, zero)
+		for i := rowLo; i < rowHi; i += rb {
+			tile(dst[i*n+j:], n, a[i*ars:], ars, aps, b[j:], n, k, min(rb, rowHi-i), cols, zero)
 		}
 	}
+}
+
+// blockRows is how many rows the drivers hand tile at a time: the
+// height of the widest tile the CPU runs.
+func blockRows() int {
+	if haveAVX512 {
+		return wideTileRows
+	}
+	return tileRows
 }
 
 // matmulTRange computes output rows [rowLo, rowHi) of dst = a @ bᵀ.
@@ -140,13 +151,14 @@ func matmulRange(dst, a, b []float32, rowLo, rowHi, k, n, ars, aps int, bT, zero
 // lossless, so each element is still one accumulator in ascending p.
 func matmulTRange(dst, a, b []float32, rowLo, rowHi, k, n int) {
 	var panel [packK * tileCols]float32
+	rb := blockRows()
 	for j := 0; j < n; j += tileCols {
 		cols := min(tileCols, n-j)
 		for p := 0; p < k; p += packK {
 			kb := min(packK, k-p)
 			packT(&panel, b[j*k+p:], k, kb, cols)
-			for i := rowLo; i < rowHi; i += tileRows {
-				tile(dst[i*n+j:], n, a[i*k+p:], k, 1, panel[:], tileCols, kb, min(tileRows, rowHi-i), cols, p == 0)
+			for i := rowLo; i < rowHi; i += rb {
+				tile(dst[i*n+j:], n, a[i*k+p:], k, 1, panel[:], tileCols, kb, min(rb, rowHi-i), cols, p == 0)
 			}
 		}
 	}
@@ -190,17 +202,27 @@ func packTRows(panel *[packK * tileCols]float32, b []float32, k, pLo, pHi, cLo, 
 //
 //	d[r][c] (+)= sum over p in [0,k) of a[r*ars+p*aps] * b[p*ldb+c]
 //
-// zero starts each sum at +0 instead of d's previous value. Full
-// blocks go to the AVX2 tile when the CPU has it; edge blocks and
-// other CPUs run tileGo. Both produce the same bits. k must be >= 1.
+// zero starts each sum at +0 instead of d's previous value. An 8-row
+// block goes to the AVX-512 tile when the CPU has it; otherwise the
+// first four rows go to the AVX2 tile when the CPU has that, and the
+// rest to tileGo. All three produce the same bits. k must be >= 1.
 func tile(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k, rows, cols int, zero bool) {
-	if haveAVX2 && rows == tileRows {
-		// The bounds checks the assembly cannot make.
+	// The bounds check on b the assembly cannot make.
+	_ = b[(k-1)*ldb+cols-1]
+	if haveAVX512 && rows == wideTileRows {
+		_ = d[(wideTileRows-1)*ldd+cols-1]
+		_ = a[(wideTileRows-1)*ars+(k-1)*aps]
+		tileAVX512(&d[0], ldd, &a[0], ars, aps, &b[0], ldb, k, cols, zero)
+		return
+	}
+	if haveAVX2 && rows >= tileRows {
 		_ = d[(tileRows-1)*ldd+cols-1]
 		_ = a[(tileRows-1)*ars+(k-1)*aps]
-		_ = b[(k-1)*ldb+cols-1]
 		tileAVX2(&d[0], ldd, &a[0], ars, aps, &b[0], ldb, k, cols, zero)
-		return
+		if rows == tileRows {
+			return
+		}
+		d, a, rows = d[tileRows*ldd:], a[tileRows*ars:], rows-tileRows
 	}
 	tileGo(d, ldd, a, ars, aps, b, ldb, k, rows, cols, zero)
 }

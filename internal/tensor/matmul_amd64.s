@@ -34,6 +34,37 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func cpuHasAVX512() bool
+//
+// The AVX-512 tile needs the CPU to implement AVX512F
+// (CPUID.7.0:EBX[16]), the OS to have turned XSAVE on (CPUID.1:ECX[27])
+// and the OS to save the XMM, YMM, opmask and both halves of the ZMM
+// state across context switches (XCR0[1,2,5,6,7], mask 0xE6).
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	MOVL $0, AX
+	CPUID
+	CMPL AX, $7
+	JLT  no
+	MOVL $1, AX
+	CPUID
+	ANDL $(1<<27), CX
+	JZ   no
+	MOVL $0, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  no
+	MOVL $7, AX
+	MOVL $0, CX
+	CPUID
+	SHRL $16, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+	RET
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
 // One reduction step of one tile row: broadcast a[r][p], multiply it
 // into the two halves of b[p][0:16], add each product to that row's
 // accumulator. The product is rounded to float32 by VMULPS before
@@ -157,6 +188,92 @@ store:
 	VMASKMOVPS Y5, Y14, 32(DX)
 	VMASKMOVPS Y6, Y13, (DX)(R8*1)
 	VMASKMOVPS Y7, Y14, 32(DX)(R8*1)
+	VZEROUPPER
+	RET
+
+// One reduction step of one AVX-512 tile row: multiply b[p][0:16]
+// (Z16) by a[r][p] broadcast from memory, rounding each product to
+// float32, then add it to that row's accumulator — the same two
+// roundings as ROW, sixteen lanes at a time.
+#define ROW16(aop, prod, acc) \
+	VMULPS.BCST aop, Z16, prod \
+	VADDPS      prod, acc, acc
+
+// func tileAVX512(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool)
+//
+// tileAVX2's contract for an 8 x cols tile (1 <= cols <= 16): one ZMM
+// accumulator per row in Z0-Z7, live across the whole p loop, each lane
+// one output element summed in ascending p. Opmask K1 holds the first
+// cols lanes; masked-out lanes are neither loaded nor stored and cannot
+// fault. Requires k >= 1.
+TEXT ·tileAVX512(SB), NOSPLIT, $0-73
+	MOVQ d+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ ars+24(FP), R9
+	MOVQ aps+32(FP), R10
+	MOVQ b+40(FP), BX
+	MOVQ ldb+48(FP), R11
+	MOVQ cols+64(FP), CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K1               // lanes [0, cols)
+	MOVQ k+56(FP), CX
+	SHLQ $2, R8                // strides in bytes
+	SHLQ $2, R9
+	SHLQ $2, R10
+	SHLQ $2, R11
+	LEAQ (R9)(R9*2), R12       // 3*ars
+	LEAQ (SI)(R9*4), R13       // &a[4][0]
+	LEAQ (R8)(R8*2), AX        // 3*ldd
+	LEAQ (DI)(R8*4), DX        // &d[4][0]
+
+	CMPB zero+72(FP), $0
+	JNE  clear
+	VMOVUPS.Z (DI), K1, Z0
+	VMOVUPS.Z (DI)(R8*1), K1, Z1
+	VMOVUPS.Z (DI)(R8*2), K1, Z2
+	VMOVUPS.Z (DI)(AX*1), K1, Z3
+	VMOVUPS.Z (DX), K1, Z4
+	VMOVUPS.Z (DX)(R8*1), K1, Z5
+	VMOVUPS.Z (DX)(R8*2), K1, Z6
+	VMOVUPS.Z (DX)(AX*1), K1, Z7
+	JMP  steps
+clear:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+
+steps:
+	VMOVUPS.Z (BX), K1, Z16
+	ROW16((SI), Z17, Z0)
+	ROW16((SI)(R9*1), Z18, Z1)
+	ROW16((SI)(R9*2), Z19, Z2)
+	ROW16((SI)(R12*1), Z20, Z3)
+	ROW16((R13), Z21, Z4)
+	ROW16((R13)(R9*1), Z22, Z5)
+	ROW16((R13)(R9*2), Z23, Z6)
+	ROW16((R13)(R12*1), Z24, Z7)
+	ADDQ R10, SI
+	ADDQ R10, R13
+	ADDQ R11, BX
+	DECQ CX
+	JNZ  steps
+
+	VMOVUPS Z0, K1, (DI)
+	VMOVUPS Z1, K1, (DI)(R8*1)
+	VMOVUPS Z2, K1, (DI)(R8*2)
+	VMOVUPS Z3, K1, (DI)(AX*1)
+	VMOVUPS Z4, K1, (DX)
+	VMOVUPS Z5, K1, (DX)(R8*1)
+	VMOVUPS Z6, K1, (DX)(R8*2)
+	VMOVUPS Z7, K1, (DX)(AX*1)
 	VZEROUPPER
 	RET
 

@@ -4,39 +4,58 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
-// TestAsmTileMatchesGoTile drives the two tiles directly on random
-// sub-tiles of larger buffers — random leading dimensions, reduction
-// lengths, column counts, both layouts of a, accumulating and
-// overwriting — and demands equal bits over the whole destination
-// buffer, so a store outside the tile fails too.
+// TestAsmTileMatchesGoTile drives tile, on every assembly tier the CPU
+// has, against tileGo on random sub-tiles of larger buffers — row
+// counts 1..8 (the whole AVX-512 tile, the AVX2 tile, and every
+// remainder they leave to the next tier down), random leading
+// dimensions, reduction lengths and column counts, both layouts of a,
+// accumulating and overwriting. Every element of the destination
+// buffer outside the tile is a canary, and the whole buffer must come
+// out with equal bits, so a store outside the tile fails too.
 func TestAsmTileMatchesGoTile(t *testing.T) {
-	if !haveAVX2 {
-		t.Skip("no AVX2 on this CPU")
+	tiers := Tiers()
+	if len(tiers) < 2 {
+		t.Skip("no assembly tile on this CPU")
 	}
-	rng := NewRNG(2024)
-	for iter := 0; iter < 2000; iter++ {
-		k := 1 + rng.Intn(70)
-		cols := 1 + rng.Intn(tileCols)
-		ldd := cols + rng.Intn(40)
-		ldb := cols + rng.Intn(40)
-		ars, aps := k+rng.Intn(9), 1 // a row-major
-		if rng.Intn(2) == 0 {
-			ars, aps = 1, tileRows+rng.Intn(9) // a transposed
+	canary := math.Float32frombits(0x7fc0dead)
+	for _, tier := range tiers[:len(tiers)-1] {
+		rng := NewRNG(2024)
+		for iter := 0; iter < 2000; iter++ {
+			rows := 1 + rng.Intn(wideTileRows)
+			k := 1 + rng.Intn(70)
+			cols := 1 + rng.Intn(tileCols)
+			ldd := cols + rng.Intn(40)
+			ldb := cols + rng.Intn(40)
+			ars, aps := k+rng.Intn(9), 1 // a row-major
+			if rng.Intn(2) == 0 {
+				ars, aps = 1, rows+rng.Intn(9) // a transposed
+			}
+			zero := rng.Intn(2) == 0
+			dOff, aOff, bOff := rng.Intn(5), rng.Intn(5), rng.Intn(5)
+
+			d := New(1, dOff+(rows-1)*ldd+cols+rng.Intn(5))
+			for i := range d.data {
+				d.data[i] = canary
+			}
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					d.data[dOff+r*ldd+c] = float32(rng.NormFloat64())
+				}
+			}
+			a := NewNormal(rng, 1, aOff+(rows-1)*ars+(k-1)*aps+1)
+			b := NewNormal(rng, 1, bOff+(k-1)*ldb+cols)
+			want := d.Clone()
+
+			WithTier(tier, func() {
+				tile(d.data[dOff:], ldd, a.data[aOff:], ars, aps, b.data[bOff:], ldb, k, rows, cols, zero)
+			})
+			tileGo(want.data[dOff:], ldd, a.data[aOff:], ars, aps, b.data[bOff:], ldb, k, rows, cols, zero)
+			expectBitIdentical(t, d, want, fmt.Sprintf("%s tile %d (rows=%d k=%d cols=%d ldd=%d ldb=%d ars=%d aps=%d zero=%v)",
+				tier, iter, rows, k, cols, ldd, ldb, ars, aps, zero))
 		}
-		zero := rng.Intn(2) == 0
-		dOff, aOff, bOff := rng.Intn(5), rng.Intn(5), rng.Intn(5)
-
-		d := NewNormal(rng, 1, dOff+(tileRows-1)*ldd+cols+rng.Intn(5))
-		a := NewNormal(rng, 1, aOff+(tileRows-1)*ars+(k-1)*aps+1)
-		b := NewNormal(rng, 1, bOff+(k-1)*ldb+cols)
-		want := d.Clone()
-
-		tileAVX2(&d.data[dOff], ldd, &a.data[aOff], ars, aps, &b.data[bOff], ldb, k, cols, zero)
-		tileGo(want.data[dOff:], ldd, a.data[aOff:], ars, aps, b.data[bOff:], ldb, k, tileRows, cols, zero)
-		expectBitIdentical(t, d, want, fmt.Sprintf("tile %d (k=%d cols=%d ldd=%d ldb=%d ars=%d aps=%d zero=%v)",
-			iter, k, cols, ldd, ldb, ars, aps, zero))
 	}
 }

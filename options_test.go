@@ -31,7 +31,6 @@ var optionExemptions = map[string]string{
 	"internal/server.Config.MaxClients":   "ROADMAP item 10 decides the tenant cap together with its faulty-tenant workload",
 	"internal/splitsim.Config.GPUSpec":    "ROADMAP item 6(c)'s measured device profile sets it",
 	"internal/splitsim.Config.ServerPerf": "ROADMAP item 6(c)'s measured device profile sets it",
-	"internal/client.Config.WeightsFile":  "the client half of seedless model distribution: it must load the file menos-server -weights serves; examples/lifecycle sets it",
 }
 
 // isOptionStruct reports whether the exported struct type <dir>.<name>
