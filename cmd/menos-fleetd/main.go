@@ -50,7 +50,8 @@
 //	POST /place    body ClientInfo JSON -> the chosen Endpoint JSON
 //	               (redirect handshake for arriving clients)
 //	POST /drain    ?id=N: mark a server draining; its clients migrate
-//	               away on subsequent rebalance ticks
+//	               away on subsequent rebalance ticks (202; 400 bad id,
+//	               404 unknown server, 409 the last server not draining)
 //	POST /migrate  {"client_id","src","dst"}: order one migration now
 //	/metrics,      the menos_fleetd_* families (Prometheus text and
 //	/metrics.json  JSON), plus /healthz liveness; -pprof mounts
@@ -59,6 +60,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -189,94 +191,9 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
-	mux := http.NewServeMux()
-	hopts := []obs.HandlerOption{}
-	if *pprofFlag {
-		hopts = append(hopts, obs.WithPprof())
-	}
-	mux.Handle("/", obs.Handler(reg, nil, hopts...))
-	mux.HandleFunc("GET /queryz", func(w http.ResponseWriter, req *http.Request) {
-		doc, err := queryzDoc(store, clock.Now(), req.URL.Query())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		data, _ := json.MarshalIndent(doc, "", "  ")
-		_, _ = w.Write(append(data, '\n'))
-	})
-	mux.HandleFunc("GET /alertz", func(w http.ResponseWriter, _ *http.Request) {
-		if engine == nil {
-			http.Error(w, "alerting disabled (-alerts=false)", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		data, _ := json.MarshalIndent(engine.Snapshot(clock.Now()), "", "  ")
-		_, _ = w.Write(append(data, '\n'))
-	})
-	// Shadows the obs.Handler /trace (which would be empty — fleetd has
-	// no tracer of its own): the federated fleet trace instead.
-	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, _ *http.Request) {
-		if !*fedTraces {
-			http.Error(w, "trace federation disabled (-federate-traces)", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := ctrl.WriteMergedTrace(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("GET /fleetz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		data, err := json.MarshalIndent(ctrl.Snapshot(), "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		_, _ = w.Write(append(data, '\n'))
-	})
-	mux.HandleFunc("POST /place", func(w http.ResponseWriter, req *http.Request) {
-		var ci fleet.ClientInfo
-		if err := json.NewDecoder(io.LimitReader(req.Body, 1<<20)).Decode(&ci); err != nil {
-			http.Error(w, "bad client info: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		ep, err := ctrl.PlaceClient(ci)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(ep)
-	})
-	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, req *http.Request) {
-		id, err := strconv.Atoi(req.URL.Query().Get("id"))
-		if err != nil {
-			http.Error(w, "bad id", http.StatusBadRequest)
-			return
-		}
-		if err := ctrl.Drain(id); err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		logf("server %d marked draining", id)
-		w.WriteHeader(http.StatusAccepted)
-	})
-	mux.HandleFunc("POST /migrate", func(w http.ResponseWriter, req *http.Request) {
-		var ord struct {
-			ClientID string `json:"client_id"`
-			Src      int    `json:"src"`
-			Dst      int    `json:"dst"`
-		}
-		if err := json.NewDecoder(io.LimitReader(req.Body, 1<<20)).Decode(&ord); err != nil {
-			http.Error(w, "bad order: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := ctrl.MigrateClient(ord.ClientID, ord.Src, ord.Dst); err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
+	mux := newMux(plane{
+		ctrl: ctrl, reg: reg, store: store, engine: engine, clock: clock,
+		fedTraces: *fedTraces, pprof: *pprofFlag,
 	})
 	go func() {
 		if serr := http.Serve(ln, mux); serr != nil {
@@ -311,6 +228,112 @@ func run(args []string) error {
 		case <-tick.C:
 		}
 	}
+}
+
+// plane is what the control-plane HTTP surface serves.
+type plane struct {
+	ctrl      *fleet.Controller
+	reg       *obs.Registry
+	store     *tsdb.Store
+	engine    *alert.Engine // nil with -alerts=false
+	clock     obs.Clock
+	fedTraces bool
+	pprof     bool
+}
+
+// newMux builds the daemon's -listen surface (the endpoint list in the
+// package comment).
+func newMux(p plane) *http.ServeMux {
+	mux := http.NewServeMux()
+	var hopts []obs.HandlerOption
+	if p.pprof {
+		hopts = append(hopts, obs.WithPprof())
+	}
+	mux.Handle("/", obs.Handler(p.reg, nil, hopts...))
+	mux.HandleFunc("GET /queryz", func(w http.ResponseWriter, req *http.Request) {
+		doc, err := queryzDoc(p.store, p.clock.Now(), req.URL.Query())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		writeJSON(w, doc)
+	})
+	mux.HandleFunc("GET /alertz", func(w http.ResponseWriter, _ *http.Request) {
+		if p.engine == nil {
+			http.Error(w, "alerting disabled (-alerts=false)", http.StatusNotFound)
+			return
+		}
+		writeJSON(w, p.engine.Snapshot(p.clock.Now()))
+	})
+	// Shadows the obs.Handler /trace (which would be empty — fleetd has
+	// no tracer of its own): the federated fleet trace instead.
+	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, _ *http.Request) {
+		if !p.fedTraces {
+			http.Error(w, "trace federation disabled (-federate-traces)", http.StatusNotFound)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		if err := p.ctrl.WriteMergedTrace(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.HandleFunc("GET /fleetz", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, p.ctrl.Snapshot())
+	})
+	mux.HandleFunc("POST /place", func(w http.ResponseWriter, req *http.Request) {
+		var ci fleet.ClientInfo
+		if err := json.NewDecoder(io.LimitReader(req.Body, 1<<20)).Decode(&ci); err != nil {
+			http.Error(w, "bad client info: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		ep, err := p.ctrl.PlaceClient(ci)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(ep)
+	})
+	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, req *http.Request) {
+		id, err := strconv.Atoi(req.URL.Query().Get("id"))
+		if err != nil {
+			http.Error(w, "bad id", http.StatusBadRequest)
+			return
+		}
+		switch err := p.ctrl.Drain(id); {
+		case errors.Is(err, fleet.ErrLastServer):
+			http.Error(w, err.Error(), http.StatusConflict)
+			return
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		w.WriteHeader(http.StatusAccepted)
+	})
+	mux.HandleFunc("POST /migrate", func(w http.ResponseWriter, req *http.Request) {
+		var ord struct {
+			ClientID string `json:"client_id"`
+			Src      int    `json:"src"`
+			Dst      int    `json:"dst"`
+		}
+		if err := json.NewDecoder(io.LimitReader(req.Body, 1<<20)).Decode(&ord); err != nil {
+			http.Error(w, "bad order: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		if err := p.ctrl.MigrateClient(ord.ClientID, ord.Src, ord.Dst); err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		w.WriteHeader(http.StatusAccepted)
+	})
+	return mux
+}
+
+// writeJSON serves doc as indented JSON.
+func writeJSON(w http.ResponseWriter, doc any) {
+	w.Header().Set("Content-Type", "application/json")
+	data, _ := json.MarshalIndent(doc, "", "  ")
+	_, _ = w.Write(append(data, '\n'))
 }
 
 // queryzPoint is one sample in a /queryz response; t is seconds on the

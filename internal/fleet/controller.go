@@ -44,8 +44,7 @@ type Endpoint struct {
 // ControllerConfig configures a Controller.
 type ControllerConfig struct {
 	Endpoints []Endpoint
-	// Placer decides placements and rebalance targets; nil means
-	// DefaultPolicy().
+	// Placer decides placements; nil means NewPolicyPlacer().
 	Placer Placer
 	// Metrics receives the menos_fleetd_* families (nil-safe).
 	Metrics *obs.Registry
@@ -157,7 +156,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		c.traceBudget = DefaultTraceBudgetBytes
 	}
 	if c.placer == nil {
-		c.placer = DefaultPolicy()
+		c.placer = NewPolicyPlacer()
 	}
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
@@ -304,39 +303,35 @@ func (c *Controller) Loads() []ServerLoad {
 	return loads
 }
 
-// Endpoint returns the configured endpoint for server id.
-func (c *Controller) Endpoint(id int) (Endpoint, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.eps[id]
-	if !ok {
-		return Endpoint{}, false
-	}
-	return st.ep, true
-}
-
-// PlaceClient picks a healthy server for an arriving client and
-// returns its endpoint — the address the client should dial. The
-// decision is advisory (the Controller keeps no assignment table);
-// the chosen server's own /loadz reflects the placement once the
-// client connects, closing the loop at the next poll.
+// PlaceClient picks a healthy server that is not draining for an
+// arriving client and returns its endpoint — the address the client
+// should dial. The decision is advisory (the Controller keeps no
+// assignment table); the chosen server's own /loadz reflects the
+// placement once the client connects, closing the loop at the next
+// poll. Decisions are serialized, so a stateful Placer is safe under
+// concurrent callers.
 func (c *Controller) PlaceClient(ci ClientInfo) (Endpoint, error) {
-	id, err := c.placer.Place(ci, c.Loads())
+	loads := c.Loads()
+	c.mu.Lock()
+	id, err := c.placer.Place(ci, candidates(loads[:0], loads))
+	st, ok := c.eps[id]
+	c.mu.Unlock()
 	if err != nil {
 		return Endpoint{}, err
 	}
-	ep, ok := c.Endpoint(id)
 	if !ok {
 		return Endpoint{}, fmt.Errorf("fleet: placer %s chose unknown server %d", c.placer.Name(), id)
 	}
-	c.logf("placed client %q on server %d (%s)", ci.ID, id, ep.Addr)
-	return ep, nil
+	c.logf("placed client %q on server %d (%s)", ci.ID, id, st.ep.Addr)
+	return st.ep, nil
 }
 
 // Drain marks an endpoint as draining: it stops being a placement
 // candidate and RebalanceOnce evacuates its clients. Drain is fleetd
 // intent, not server state — the server keeps serving until its
-// clients have been migrated away.
+// clients have been migrated away — so a server that is down still
+// counts as not draining, and draining the last such server returns
+// ErrLastServer.
 func (c *Controller) Drain(id int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -344,8 +339,21 @@ func (c *Controller) Drain(id int) error {
 	if !ok {
 		return fmt.Errorf("fleet: drain: unknown server %d", id)
 	}
+	if st.draining {
+		return nil
+	}
+	active := 0
+	for _, o := range c.eps {
+		if !o.draining {
+			active++
+		}
+	}
+	if active <= 1 {
+		return fmt.Errorf("%w (server %d)", ErrLastServer, id)
+	}
 	st.draining = true
 	st.load.Draining = true
+	c.logf("server %d marked draining", id)
 	return nil
 }
 
@@ -391,9 +399,8 @@ func (c *Controller) MigrateClient(clientID string, src, dst int) error {
 // RebalanceOnce makes up to maxMovesPerTick migration decisions over
 // the last poll. Each decision evacuates a client from a draining
 // server, or moves one client from the most to the least crowded
-// server when the move is a strict improvement (the target must end up
-// with fewer clients than the source has now, which damps
-// oscillation). Between decisions the controller updates its own
+// server when the move improves the fleet (the rule Manager.Rebalance
+// applies too). Between decisions the controller updates its own
 // pending counts — the orders it just issued have not landed in any
 // /loadz yet — and re-evaluates, so one tick can drain a whole server
 // without flooding a single target. Only clients that negotiated the
@@ -402,19 +409,12 @@ func (c *Controller) MigrateClient(clientID string, src, dst int) error {
 func (c *Controller) RebalanceOnce() (int, error) {
 	// Local working copy of the healthy fleet: client counts here
 	// include the moves ordered this tick, which no poll has seen yet.
-	type node struct {
-		id       int
-		clients  int
-		draining bool
-	}
 	c.mu.Lock()
-	nodes := make([]*node, 0, len(c.order))
+	rows := make([]ServerLoad, 0, len(c.order))
 	for _, id := range c.order {
-		st := c.eps[id]
-		if !st.healthy {
-			continue
+		if st := c.eps[id]; st.healthy {
+			rows = append(rows, ServerLoad{ID: id, Clients: st.load.Clients, Draining: st.draining})
 		}
-		nodes = append(nodes, &node{id: id, clients: st.load.Clients, draining: st.draining})
 	}
 	c.mu.Unlock()
 
@@ -426,39 +426,38 @@ func (c *Controller) RebalanceOnce() (int, error) {
 	sessCache := make(map[int][]SessionInfo)
 	ordered := make(map[string]bool)
 	for moves < maxMovesPerTick {
-		var src, dst *node
-		for _, n := range nodes {
-			if n.draining {
-				if n.clients > 0 && !exhausted[n.id] && src == nil {
+		var src, dst *ServerLoad
+		for i := range rows {
+			n := &rows[i]
+			if n.Draining {
+				if n.Clients > 0 && !exhausted[n.ID] && src == nil {
 					src = n
 				}
 				continue
 			}
-			if n.clients > 0 && !exhausted[n.id] &&
-				(src == nil || (!src.draining && n.clients > src.clients)) {
+			if n.Clients > 0 && !exhausted[n.ID] &&
+				(src == nil || (!src.Draining && n.Clients > src.Clients)) {
 				src = n
 			}
-			if dst == nil || n.clients < dst.clients {
+			if dst == nil || n.Clients < dst.Clients {
 				dst = n
 			}
 		}
-		if src == nil || dst == nil || src.id == dst.id {
-			break
-		}
-		if !src.draining && dst.clients+1 >= src.clients {
+		if src == nil || dst == nil || src.ID == dst.ID || !improves(*src, *dst) {
 			break
 		}
 
-		sessions, ok := sessCache[src.id]
+		sessions, ok := sessCache[src.ID]
 		if !ok {
-			ep, _ := c.Endpoint(src.id)
-			if err := c.getJSON(strings.TrimRight(ep.AdminURL, "/")+"/admin/sessions", &sessions); err != nil {
-				return moves, fmt.Errorf("fleet: rebalance: sessions of server %d: %w", src.id, err)
+			// eps and each ep are fixed at construction.
+			admin := c.eps[src.ID].ep.AdminURL
+			if err := c.getJSON(strings.TrimRight(admin, "/")+"/admin/sessions", &sessions); err != nil {
+				return moves, fmt.Errorf("fleet: rebalance: sessions of server %d: %w", src.ID, err)
 			}
 			// Lowest client ID first — deterministic given the same
 			// polled state.
 			sort.Slice(sessions, func(i, j int) bool { return sessions[i].ClientID < sessions[j].ClientID })
-			sessCache[src.id] = sessions
+			sessCache[src.ID] = sessions
 		}
 		pick := ""
 		for _, s := range sessions {
@@ -469,15 +468,15 @@ func (c *Controller) RebalanceOnce() (int, error) {
 			break
 		}
 		if pick == "" {
-			exhausted[src.id] = true
+			exhausted[src.ID] = true
 			continue
 		}
-		if err := c.MigrateClient(pick, src.id, dst.id); err != nil {
+		if err := c.MigrateClient(pick, src.ID, dst.ID); err != nil {
 			return moves, err
 		}
 		ordered[pick] = true
-		src.clients--
-		dst.clients++
+		src.Clients--
+		dst.Clients++
 		moves++
 	}
 	return moves, nil
@@ -514,9 +513,6 @@ func (c *Controller) Snapshot() FleetSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := FleetSnapshot{Policy: c.placer.Name()}
-	if p, ok := c.placer.(*PolicyPlacer); ok {
-		snap.Policy = p.Describe()
-	}
 	now := c.clock.Now()
 	for _, id := range c.order {
 		st := c.eps[id]

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -284,6 +286,101 @@ func TestControllerRebalanceStrictImprovement(t *testing.T) {
 	// 2 vs 1: moving makes it 1 vs 2 — no improvement, no move.
 	if moved, err := c.RebalanceOnce(); err != nil || moved != 0 {
 		t.Fatalf("moved=%d err=%v, want no-op on a non-improving move", moved, err)
+	}
+}
+
+// TestControllerPlaceSkipsDraining: under every placer, a drained
+// server is never offered to an arriving client — neither before the
+// next poll nor after it.
+func TestControllerPlaceSkipsDraining(t *testing.T) {
+	for _, name := range []string{"round-robin", "least-loaded", "memory-best-fit", "policy"} {
+		t.Run(name, func(t *testing.T) {
+			// Server 1 is what every placer would pick: the round-robin
+			// cursor's first, the least loaded, the lowest ID of two
+			// equal memory fits.
+			a := newFakeServer(t, 1, 0)
+			b := newFakeServer(t, 2, 3)
+			placer, err := PlacerByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewController(ControllerConfig{Endpoints: []Endpoint{a.endpoint(), b.endpoint()}, Placer: placer})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.PollOnce()
+			if err := c.Drain(1); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if i == 2 {
+					c.PollOnce()
+				}
+				ep, err := c.PlaceClient(ClientInfo{ID: fmt.Sprintf("c%d", i), TransientPeakBytes: gib})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ep.ID == 1 {
+					t.Fatalf("placement %d landed on drained server 1", i)
+				}
+			}
+		})
+	}
+}
+
+// TestDrainRefusesLastServerOnBothPlanes: the Manager and the
+// Controller refuse to drain the last server that is not draining, with
+// the same ErrLastServer. On the Controller a drain is intent, so a
+// server that is down still counts as not draining.
+func TestDrainRefusesLastServerOnBothPlanes(t *testing.T) {
+	a := newFakeServer(t, 1, 0)
+	b := newFakeServer(t, 2, 0)
+	b.mu.Lock()
+	b.healthy = false
+	b.mu.Unlock()
+	c := newTestController(t, obs.NewRegistry(), a, b)
+	c.PollOnce()
+	if err := c.Drain(1); err != nil {
+		t.Fatalf("controller: drain with a down peer: %v", err)
+	}
+	if err := c.Drain(1); err != nil {
+		t.Fatalf("controller: repeated drain: %v", err)
+	}
+	if err := c.Drain(2); !errors.Is(err, ErrLastServer) {
+		t.Fatalf("controller: drain of the last server: err = %v, want ErrLastServer", err)
+	}
+	if err := c.Drain(9); err == nil || errors.Is(err, ErrLastServer) {
+		t.Fatalf("controller: drain of an unknown server: err = %v, want an unknown-server error", err)
+	}
+	if snap := c.Snapshot(); snap.Servers[1].Draining {
+		t.Fatal("controller: the refused drain marked server 2 draining")
+	}
+
+	m := newTestManager(t, NewLeastLoaded(), 2)
+	if err := m.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Drain(1); !errors.Is(err, ErrLastServer) {
+		t.Fatalf("manager: drain of the last server: err = %v, want ErrLastServer", err)
+	}
+}
+
+// TestSnapshotReportsPlacerName: /fleetz's policy field is the
+// placer's Name, the same string -placer takes.
+func TestSnapshotReportsPlacerName(t *testing.T) {
+	a := newFakeServer(t, 1, 0)
+	for _, name := range []string{"round-robin", "least-loaded", "memory-best-fit", "policy"} {
+		placer, err := PlacerByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewController(ControllerConfig{Endpoints: []Endpoint{a.endpoint()}, Placer: placer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Snapshot().Policy; got != name {
+			t.Fatalf("policy = %q, want %q", got, name)
+		}
 	}
 }
 

@@ -19,8 +19,12 @@ import (
 )
 
 // ErrNoServers is returned by a Placer asked to place onto an empty
-// (or fully draining) fleet.
+// fleet (or one whose every server drains).
 var ErrNoServers = errors.New("fleet: no servers available for placement")
+
+// ErrLastServer refuses a drain that would leave no server accepting
+// placements. Both Manager.Drain and Controller.Drain return it.
+var ErrLastServer = errors.New("fleet: cannot drain the last server that is not draining")
 
 // ClientInfo is what the control plane knows about a client before
 // placing it: identity, the base model it needs resident, and the
@@ -114,6 +118,26 @@ func (l ServerLoad) HasModel(name string) bool {
 // is overcommitted (clients then queue on the scheduler).
 func (l ServerLoad) FreeBytes() int64 {
 	return l.CapacityBytes - l.UsedBytes - l.CommittedBytes
+}
+
+// candidates appends to buf the servers a placement may choose from —
+// every one that is not draining — and returns it. Both planes filter
+// through it, so no Placer ever sees a draining server.
+func candidates(buf, servers []ServerLoad) []ServerLoad {
+	for _, s := range servers {
+		if !s.Draining {
+			buf = append(buf, s)
+		}
+	}
+	return buf
+}
+
+// improves is the move rule both planes apply: a client moves off a
+// draining server unconditionally, and otherwise only when the target
+// ends up with fewer clients than the source has now, which damps
+// oscillation.
+func improves(src, dst ServerLoad) bool {
+	return src.Draining || dst.Clients+1 < src.Clients
 }
 
 // Placer chooses a server for a client. Implementations must be
@@ -249,7 +273,7 @@ func PlacerByName(name string) (Placer, error) {
 	case "memory-best-fit":
 		return NewMemoryBestFit(), nil
 	case "policy":
-		return DefaultPolicy(), nil
+		return NewPolicyPlacer(), nil
 	default:
 		return nil, fmt.Errorf("fleet: unknown placer %q", name)
 	}

@@ -16,6 +16,7 @@ import (
 	"menos/internal/fleet"
 	"menos/internal/model"
 	"menos/internal/obs"
+	"menos/internal/sched"
 	"menos/internal/server"
 	"menos/internal/share"
 	"menos/internal/tensor"
@@ -181,5 +182,25 @@ func TestLoadzEndToEnd(t *testing.T) {
 		[]fleet.ServerLoad{snap.Server})
 	if err != nil || id != 42 {
 		t.Errorf("placing onto decoded load: id=%d err=%v", id, err)
+	}
+}
+
+// TestAdmissionLadderCast pins the integer cast /loadz and the
+// simulator use to carry the scheduler's admission state into a
+// ServerLoad: each sched state lands on the fleet state of the same
+// meaning, so the policy's not-shedding rule and the autoscaler's
+// pressure check read the ladder the scheduler is on.
+func TestAdmissionLadderCast(t *testing.T) {
+	for _, tc := range []struct {
+		sched sched.AdmissionState
+		fleet fleet.AdmissionState
+	}{
+		{sched.StateOpen, fleet.AdmissionOpen},
+		{sched.StateThrottled, fleet.AdmissionThrottled},
+		{sched.StateShedding, fleet.AdmissionShedding},
+	} {
+		if got := fleet.AdmissionState(tc.sched); got != tc.fleet {
+			t.Errorf("fleet.AdmissionState(sched.%v) = %d, want %d", tc.sched, got, tc.fleet)
+		}
 	}
 }

@@ -102,8 +102,8 @@ func (m *Manager) Observe(id int, sig Signals) {
 }
 
 // Drain marks a server as scaling down: it stops receiving placements
-// and Rebalance moves its clients away. The last active server cannot
-// be drained.
+// and Rebalance moves its clients away. Draining the last active server
+// returns ErrLastServer.
 func (m *Manager) Drain(id int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -115,7 +115,7 @@ func (m *Manager) Drain(id int) error {
 		return nil
 	}
 	if m.activeLocked() <= 1 {
-		return fmt.Errorf("fleet: cannot drain the last active server %d", id)
+		return fmt.Errorf("%w (server %d)", ErrLastServer, id)
 	}
 	m.rows[i].Draining = true
 	m.draining++
@@ -210,7 +210,7 @@ func (m *Manager) Rebalance(c ClientInfo, fit func(serverID int) bool) (int, boo
 		return cur, false, nil
 	}
 	src, _ := m.indexLocked(cur)
-	if !m.rows[src].Draining && m.rows[dst].Clients+1 >= m.rows[src].Clients {
+	if !improves(m.rows[src], m.rows[dst]) {
 		return cur, false, nil
 	}
 	if fit != nil && !fit(id) {
@@ -232,15 +232,11 @@ func (m *Manager) DrainCandidate() (int, bool) {
 	if m.activeLocked() <= 1 {
 		return 0, false
 	}
-	best := -1
-	bestClients := 0
+	best, bestClients := -1, 0
 	for _, r := range m.rows {
 		if !r.Draining && (best < 0 || r.Clients < bestClients) {
 			best, bestClients = r.ID, r.Clients
 		}
-	}
-	if best < 0 {
-		return 0, false
 	}
 	return best, true
 }
@@ -331,12 +327,7 @@ func (m *Manager) candidatesLocked() []ServerLoad {
 	if m.draining == 0 {
 		return m.rows
 	}
-	m.active = m.active[:0]
-	for _, r := range m.rows {
-		if !r.Draining {
-			m.active = append(m.active, r)
-		}
-	}
+	m.active = candidates(m.active[:0], m.rows)
 	return m.active
 }
 

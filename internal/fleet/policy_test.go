@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -15,7 +14,7 @@ func load(id int, clients int, used, capacity int64, models ...string) ServerLoa
 }
 
 func TestPolicyPredicateFiltersInfeasible(t *testing.T) {
-	p := DefaultPolicy()
+	p := NewPolicyPlacer()
 	servers := []ServerLoad{
 		load(0, 0, 31*gib, 32*gib, "m"), // 1 GiB free: too tight
 		load(1, 3, 8*gib, 32*gib, "m"),  // busier but fits
@@ -30,7 +29,7 @@ func TestPolicyPredicateFiltersInfeasible(t *testing.T) {
 }
 
 func TestPolicyPrefersModelResidency(t *testing.T) {
-	p := DefaultPolicy()
+	p := NewPolicyPlacer()
 	servers := []ServerLoad{
 		load(0, 1, 8*gib, 32*gib, "other"),
 		load(1, 1, 8*gib, 32*gib, "m"),
@@ -45,7 +44,7 @@ func TestPolicyPrefersModelResidency(t *testing.T) {
 }
 
 func TestPolicyTieBreaksLowestID(t *testing.T) {
-	p := DefaultPolicy()
+	p := NewPolicyPlacer()
 	servers := []ServerLoad{
 		load(2, 1, 8*gib, 32*gib, "m"),
 		load(7, 1, 8*gib, 32*gib, "m"),
@@ -60,7 +59,7 @@ func TestPolicyTieBreaksLowestID(t *testing.T) {
 }
 
 func TestPolicyRelaxesWhenNothingFits(t *testing.T) {
-	p := DefaultPolicy()
+	p := NewPolicyPlacer()
 	// Both servers are full; the policy must overcommit, not refuse.
 	servers := []ServerLoad{
 		load(0, 4, 32*gib, 32*gib, "m"),
@@ -75,10 +74,12 @@ func TestPolicyRelaxesWhenNothingFits(t *testing.T) {
 	}
 }
 
+// TestPolicySkipsDrainingAndShedding: the policy itself skips a
+// shedding server; a draining one never reaches it, because the
+// Manager filters it out first.
 func TestPolicySkipsDrainingAndShedding(t *testing.T) {
-	p := DefaultPolicy()
+	p := NewPolicyPlacer()
 	servers := []ServerLoad{
-		{ID: 0, CapacityBytes: 32 * gib, Draining: true},
 		{ID: 1, CapacityBytes: 32 * gib, Admission: AdmissionShedding},
 		{ID: 2, CapacityBytes: 32 * gib, Clients: 5},
 	}
@@ -87,15 +88,38 @@ func TestPolicySkipsDrainingAndShedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	if id != 2 {
-		t.Fatalf("placed on %d, want 2 (0 draining, 1 shedding)", id)
+		t.Fatalf("placed on %d, want 2 (1 shedding)", id)
+	}
+
+	// Through the Manager: 0 (lowest ID, otherwise the tie-break winner)
+	// drains and 1 sheds, so only 2 remains.
+	m := newTestManager(t, p, 3)
+	m.Observe(1, Signals{Admission: AdmissionShedding})
+	if err := m.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	if id, err := m.Place(ClientInfo{ID: "c", TransientPeakBytes: gib}); err != nil || id != 2 {
+		t.Fatalf("manager placed on %d (err %v), want 2 (0 draining, 1 shedding)", id, err)
 	}
 }
 
+// TestPolicyAllDrainingErrors: with no candidate left — an empty fleet
+// for the placer, a fleet whose only server drains for the Manager —
+// placement fails with ErrNoServers.
 func TestPolicyAllDrainingErrors(t *testing.T) {
-	p := DefaultPolicy()
-	servers := []ServerLoad{{ID: 0, Draining: true}}
-	if _, err := p.Place(ClientInfo{ID: "c"}, servers); !errors.Is(err, ErrNoServers) {
+	p := NewPolicyPlacer()
+	if _, err := p.Place(ClientInfo{ID: "c"}, nil); !errors.Is(err, ErrNoServers) {
 		t.Fatalf("err = %v, want ErrNoServers", err)
+	}
+	m := newTestManager(t, p, 2)
+	if err := m.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Place(ClientInfo{ID: "c"}); !errors.Is(err, ErrNoServers) {
+		t.Fatalf("manager err = %v, want ErrNoServers", err)
 	}
 }
 
@@ -107,13 +131,10 @@ func TestPolicyByName(t *testing.T) {
 	if p.Name() != "policy" {
 		t.Fatalf("name = %q", p.Name())
 	}
-	if !strings.Contains(p.(*PolicyPlacer).Describe(), "fits-memory") {
-		t.Fatalf("describe = %q, want predicate list", p.(*PolicyPlacer).Describe())
-	}
 }
 
 func TestPolicyWorksUnderManager(t *testing.T) {
-	m := newTestManager(t, DefaultPolicy(), 3)
+	m := newTestManager(t, NewPolicyPlacer(), 3)
 	seen := map[int]int{}
 	for _, id := range []string{"a", "b", "c"} {
 		srv, err := m.Place(ClientInfo{ID: id, BaseModel: "m", TransientPeakBytes: gib})

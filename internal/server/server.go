@@ -498,7 +498,7 @@ func (s *Server) handleConn(rawConn net.Conn) {
 
 // handshake admits a client: validates the Hello, builds the instance,
 // attaches the adapter, charges persistent memory, and profiles.
-func (s *Server) handshake(conn net.Conn) (*session, error) {
+func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 	msg, err := split.ReadMessage(conn)
 	if err != nil {
 		return nil, fmt.Errorf("read hello: %w", err)
@@ -508,9 +508,31 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 		return nil, fmt.Errorf("expected hello, got %v", msg.MsgType())
 	}
 	admitSpan := s.cfg.Tracer.Begin(hello.ClientID, "admit", "admission")
-	reject := func(reason string) (*session, error) {
+	// One unwind for every way the handshake can fail from here on: the
+	// persistent reservation and the instance, once taken, go back
+	// before the admission span ends and the refusal (if any) reaches
+	// the client.
+	var (
+		inst     *share.Instance
+		reserved bool
+		refusal  *split.HelloAck
+	)
+	defer func() {
+		if err != nil {
+			if reserved {
+				s.scheduler.Complete("persist:" + hello.ClientID)
+			}
+			if inst != nil {
+				_ = inst.Release()
+			}
+		}
 		admitSpan.End()
-		_ = split.WriteMessage(conn, &split.HelloAck{OK: false, Reason: reason})
+		if refusal != nil {
+			_ = split.WriteMessage(conn, refusal)
+		}
+	}()
+	reject := func(reason string) (*session, error) {
+		refusal = &split.HelloAck{OK: false, Reason: reason}
 		return nil, fmt.Errorf("rejected %q: %s", hello.ClientID, reason)
 	}
 	if hello.ClientID == "" {
@@ -534,25 +556,21 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 	// hard configuration rejections above.
 	if s.scheduler.AdmissionState() == sched.StateShedding {
 		s.ledger.Shed(hello.ClientID)
-		admitSpan.End()
 		s.cfg.Flight.TriggerAsync(obs.FlightReasonShed)
 		retry := s.cfg.SLO.TargetP99
-		_ = split.WriteMessage(conn, &split.HelloAck{
+		refusal = &split.HelloAck{
 			OK:           false,
 			Reason:       "server overloaded",
 			Retryable:    true,
 			RetryAfterMs: retry.Milliseconds(),
-		})
+		}
 		return nil, fmt.Errorf("shed %q: overloaded (retry after %v)", hello.ClientID, retry)
 	}
-	inst, err := s.store.NewInstance(hello.ClientID, hello.Cut)
-	if err != nil {
+	if inst, err = s.store.NewInstance(hello.ClientID, hello.Cut); err != nil {
 		return reject(err.Error())
 	}
-	cleanup := func() { _ = inst.Release() }
 
 	if _, err := inst.AttachAdapter(tensor.NewRNG(hello.AdapterSeed), hello.Adapter); err != nil {
-		cleanup()
 		return reject(err.Error())
 	}
 	// Feature negotiation: accept the intersection of the client's
@@ -577,11 +595,9 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 	if hello.ResumeToken != 0 {
 		staged = s.takeStaged(hello.ResumeToken)
 		if staged == nil {
-			cleanup()
 			return reject(fmt.Sprintf("unknown resume token %d", hello.ResumeToken))
 		}
 		if staged.clientID != hello.ClientID {
-			cleanup()
 			return reject(fmt.Sprintf("resume token %d was staged for another client", hello.ResumeToken))
 		}
 	}
@@ -605,7 +621,6 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 		}
 		sess.optimizer = nn.NewAdam(lr)
 	default:
-		cleanup()
 		return reject(fmt.Sprintf("unknown optimizer %q", hello.Optimizer.Kind))
 	}
 
@@ -615,17 +630,14 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 	// client's lifetime.
 	persistent := 4*inst.Adapter().ParamBytes() + memmodel.ContextOverheadBytes
 	if err := s.scheduler.Reserve("persist:"+hello.ClientID, persistent); err != nil {
-		cleanup()
 		return reject(fmt.Sprintf("insufficient GPU memory for client state: %v", err))
 	}
-	releaseReservation := func() { s.scheduler.Complete("persist:" + hello.ClientID) }
+	reserved = true
 
 	// Profiling phase (§3.3): random inputs through fwd/bwd.
 	demands, err := measureBody(sess.body, sess.params, hello.Batch, hello.Seq,
 		s.store.Config().Dim, hello.AdapterSeed)
 	if err != nil {
-		releaseReservation()
-		cleanup()
 		return reject(fmt.Sprintf("profiling failed: %v", err))
 	}
 	sess.demands = demands
@@ -634,8 +646,6 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 	// Schedulable, not Available: another tenant's grant in flight makes
 	// this client wait its turn, it does not make the demand ungrantable.
 	if schedulable := s.scheduler.Schedulable(); demands.BackwardBytes > schedulable {
-		releaseReservation()
-		cleanup()
 		s.cfg.Flight.TriggerAsync(obs.FlightReasonOOM)
 		return reject(fmt.Sprintf("backward demand %d exceeds schedulable memory %d",
 			demands.BackwardBytes, schedulable))
@@ -651,8 +661,6 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 		// migration is still visible on the session's track.
 		mig := s.cfg.Tracer.Begin(sess.id, "migrate:in", "migrate")
 		if err := checkpoint.DecodeSession(staged.data, sess.params, sess.optimizer); err != nil {
-			releaseReservation()
-			cleanup()
 			return reject(fmt.Sprintf("resume restore failed: %v", err))
 		}
 		mig.End()
@@ -665,14 +673,11 @@ func (s *Server) handshake(conn net.Conn) (*session, error) {
 		BackwardBytes: demands.BackwardBytes,
 		Features:      features,
 	}); err != nil {
-		releaseReservation()
-		cleanup()
 		return nil, fmt.Errorf("write ack: %w", err)
 	}
 	s.stats.clientsServed.Add(1)
 	s.m.admitted.Inc()
 	s.m.active.Add(1)
-	admitSpan.End()
 	return sess, nil
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"menos/internal/adapter"
 	"menos/internal/client"
+	"menos/internal/gpu"
 	"menos/internal/model"
 	"menos/internal/nn"
 	"menos/internal/sched"
@@ -363,6 +364,63 @@ func TestSGDHelloRefused(t *testing.T) {
 	}
 	if got := srv.Scheduler().Available(); got != before {
 		t.Fatalf("scheduler available %d after the refusal, %d before", got, before)
+	}
+}
+
+// TestHandshakeRefusalsReleaseEverything: every refusal a raw Hello can
+// reach after the server built the client's instance — before and after
+// the persistent reservation — leaves the scheduler's budget and the
+// store's live instances as they were by the time the refusal arrives.
+func TestHandshakeRefusalsReleaseEverything(t *testing.T) {
+	_, mb, persist := tenantFootprint(t)
+	store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for a client's persistent state, not for its backward.
+	srv, addr := startServer(t, Config{
+		Store: store,
+		GPU:   gpu.NewDevice(gpu.Spec{Name: "small", MemoryBytes: store.BaseParamBytes() + persist + mb - 1}),
+	})
+	for _, tc := range []struct {
+		name   string
+		edit   func(*split.Hello)
+		reason string
+	}{
+		{"unknown optimizer", func(h *split.Hello) { h.Optimizer.Kind = "sgd" }, `unknown optimizer "sgd"`},
+		{"unknown resume token", func(h *split.Hello) { h.ResumeToken = 4242 }, "unknown resume token 4242"},
+		{"backward above schedulable", func(*split.Hello) {}, "exceeds schedulable memory"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			available, instances := srv.Scheduler().Available(), store.ActiveInstances()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			cfg := clientCfg("refused")
+			hello := &split.Hello{
+				ClientID: cfg.ClientID, ModelName: cfg.Model.Name, Cut: cfg.Cut, Adapter: cfg.Adapter,
+				Batch: cfg.Batch, Seq: cfg.Seq, AdapterSeed: cfg.AdapterSeed,
+			}
+			tc.edit(hello)
+			if err := split.WriteMessage(conn, hello); err != nil {
+				t.Fatal(err)
+			}
+			msg, err := split.ReadMessage(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ack, ok := msg.(*split.HelloAck); !ok || ack.OK || !strings.Contains(ack.Reason, tc.reason) {
+				t.Fatalf("reply %#v, want a refusal naming %q", msg, tc.reason)
+			}
+			if got := srv.Scheduler().Available(); got != available {
+				t.Errorf("scheduler available %d after the refusal, %d before", got, available)
+			}
+			if got := store.ActiveInstances(); got != instances {
+				t.Errorf("live instances %d after the refusal, %d before", got, instances)
+			}
+		})
 	}
 }
 
