@@ -32,6 +32,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -47,6 +48,8 @@ import (
 	"menos/internal/adapter"
 	"menos/internal/client"
 	"menos/internal/data"
+	"menos/internal/fleet"
+	"menos/internal/memmodel"
 	"menos/internal/model"
 	"menos/internal/obs"
 	"menos/internal/quant"
@@ -62,7 +65,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("menos-client", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:7600", "server address")
-	id := fs.String("id", "client-1", "client id (unique per server)")
+	id := fs.String("id", "client-1", "client id (unique per server, and across the fleet under -fleetd)")
 	modelName := fs.String("model", "opt-tiny", "base model served by the server")
 	seed := fs.Uint64("seed", 42, "model owner's weight seed (must match server)")
 	weights := fs.String("weights", "", "load base weights from a checkpoint file instead of the seed (the file menos-server -weights serves)")
@@ -137,7 +140,7 @@ func run(args []string) error {
 
 	dialAddr := *addr
 	if *fleetd != "" {
-		placed, err := placeViaFleetd(*fleetd, *id, cfg.Name)
+		placed, err := placeViaFleetd(*fleetd, placement(*id, cfg, spec, *batch, *seq))
 		if err != nil {
 			return fmt.Errorf("fleetd placement: %w", err)
 		}
@@ -203,12 +206,28 @@ type placedEndpoint struct {
 	Addr string `json:"addr"`
 }
 
+// placement is what this client tells fleetd before it connects: its
+// identity, base model and memmodel's predicted footprint at the
+// default cut, so the placer weighs real demand rather than zero.
+func placement(id string, cfg model.Config, spec adapter.Spec, batch, seq int) fleet.ClientInfo {
+	w := memmodel.Workload{Model: cfg, Cut: model.DefaultCut, Adapter: spec, Optimizer: memmodel.OptAdam, Batch: batch, Seq: seq}
+	return fleet.ClientInfo{
+		ID:                 id,
+		BaseModel:          cfg.Name,
+		PersistentBytes:    w.PersistentClientBytes(),
+		TransientPeakBytes: w.BackwardPeakBytes(),
+	}
+}
+
 // placeViaFleetd asks the control plane for a server (the redirect
 // handshake: fleetd picks by policy over live fleet load).
-func placeViaFleetd(base, clientID, model string) (string, error) {
-	body := fmt.Sprintf(`{"ID":%q,"BaseModel":%q}`, clientID, model)
+func placeViaFleetd(base string, ci fleet.ClientInfo) (string, error) {
+	body, err := json.Marshal(ci)
+	if err != nil {
+		return "", err
+	}
 	httpc := &http.Client{Timeout: 10 * time.Second}
-	resp, err := httpc.Post(strings.TrimRight(base, "/")+"/place", "application/json", strings.NewReader(body))
+	resp, err := httpc.Post(strings.TrimRight(base, "/")+"/place", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return "", err
 	}

@@ -1,11 +1,17 @@
 package main
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"menos/internal/adapter"
 	"menos/internal/core"
+	"menos/internal/fleet"
+	"menos/internal/memmodel"
 	"menos/internal/model"
 )
 
@@ -93,5 +99,37 @@ func TestClientAgainstLiveServer(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFleetdPlacementCarriesDemand: with -fleetd the client posts its
+// predicted footprint to /place — memmodel's persistent bytes and
+// backward peak for its model, the default cut, adapter, batch and
+// seq — so the placer weighs real demand rather than zero.
+func TestFleetdPlacementCarriesDemand(t *testing.T) {
+	var got fleet.ClientInfo
+	fleetd := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/place" {
+			http.NotFound(w, req)
+			return
+		}
+		if err := json.NewDecoder(req.Body).Decode(&got); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		// Nothing listens there: the run stops at the dial.
+		_ = json.NewEncoder(w).Encode(fleet.Endpoint{ID: 1, Addr: "127.0.0.1:1"})
+	}))
+	defer fleetd.Close()
+	if err := run([]string{"-fleetd", fleetd.URL, "-id", "tenant", "-model", "opt-tiny", "-adapter", "bottleneck",
+		"-batch", "2", "-seq", "16", "-steps", "1"}); err == nil {
+		t.Fatal("run dialed a server nobody listens on")
+	}
+	w := memmodel.Workload{Model: model.OPTTiny(), Cut: model.DefaultCut, Adapter: adapter.BottleneckSpec(adapter.DefaultBottleneck()),
+		Optimizer: memmodel.OptAdam, Batch: 2, Seq: 16}
+	want := fleet.ClientInfo{ID: "tenant", BaseModel: "opt-tiny",
+		PersistentBytes: w.PersistentClientBytes(), TransientPeakBytes: w.BackwardPeakBytes()}
+	if got.PersistentBytes == 0 || got.TransientPeakBytes == 0 || got != want {
+		t.Fatalf("/place body = %+v, want %+v", got, want)
 	}
 }

@@ -115,6 +115,47 @@ func TestPlaceNeverReturnsADrainedServer(t *testing.T) {
 	}
 }
 
+// TestPlacesBetweenPollsSpread: a /place counts against the next one
+// before any poll sees the client, so under the policy placer two
+// arrivals on an idle two-server fleet land on different servers.
+func TestPlacesBetweenPollsSpread(t *testing.T) {
+	_, h := testPlane(t, "policy", 0, 0)
+	if a, b := placeID(t, h, "a"), placeID(t, h, "b"); a == b {
+		t.Fatalf("both placements landed on server %d", a)
+	}
+}
+
+// TestRetriedPlaceAnswersTheSameServer: a client that retries /place
+// gets 200 and the server it was already given, every time.
+func TestRetriedPlaceAnswersTheSameServer(t *testing.T) {
+	for _, name := range placerNames {
+		t.Run(name, func(t *testing.T) {
+			_, h := testPlane(t, name, 0, 0)
+			first := placeID(t, h, "c")
+			if again := placeID(t, h, "c"); again != first {
+				t.Fatalf("retried /place answered server %d, first answered %d", again, first)
+			}
+		})
+	}
+}
+
+// TestPlaceAfterDrainMovesTheClient: a client whose server was drained
+// after its /place is placed elsewhere when it asks again.
+func TestPlaceAfterDrainMovesTheClient(t *testing.T) {
+	for _, name := range placerNames {
+		t.Run(name, func(t *testing.T) {
+			_, h := testPlane(t, name, 0, 0)
+			first := placeID(t, h, "c")
+			if rec := post(h, fmt.Sprintf("/drain?id=%d", first), ""); rec.Code != http.StatusAccepted {
+				t.Fatalf("drain: %d %s", rec.Code, rec.Body)
+			}
+			if again := placeID(t, h, "c"); again == first {
+				t.Fatalf("/place after the drain answered the drained server %d", again)
+			}
+		})
+	}
+}
+
 // TestDrainStatusCodes: /drain is 202 on success (and on a repeat),
 // 400 for an id that is not a number, 404 for an unknown server and
 // 409 for the last server that is not draining.

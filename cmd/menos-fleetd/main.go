@@ -1,11 +1,11 @@
 // Command menos-fleetd is the Menos control plane: it polls a fixed
 // fleet of menos-server processes (their /healthz and /loadz
-// endpoints), places arriving clients onto servers through a
-// pluggable policy, and drives live client migrations through the
-// servers' admin planes — draining servers evacuate, crowded servers
-// shed one client at a time to the emptiest peer, and a client moved
-// mid-run resumes on the target without losing an iteration
-// (docs/FLEET.md).
+// endpoints and admin session lists) into a fleet.Manager, places
+// arriving clients onto servers through a pluggable policy, and drives
+// live client migrations through the servers' admin planes — draining
+// servers evacuate, crowded servers shed clients to the servers the
+// same policy picks, and a client moved mid-run resumes on the target
+// without losing an iteration (docs/FLEET.md).
 //
 // Usage:
 //
@@ -48,7 +48,8 @@
 //	/trace         the merged fleet Chrome trace (with
 //	               -federate-traces)
 //	POST /place    body ClientInfo JSON -> the chosen Endpoint JSON
-//	               (redirect handshake for arriving clients)
+//	               (redirect handshake for arriving clients; a retry
+//	               for the same ID answers the same server)
 //	POST /drain    ?id=N: mark a server draining; its clients migrate
 //	               away on subsequent rebalance ticks (202; 400 bad id,
 //	               404 unknown server, 409 the last server not draining)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"menos/internal/adapter"
 	"menos/internal/client"
@@ -312,11 +313,15 @@ func TestMigrationTraceStitch(t *testing.T) {
 	// The displaced ForwardReq is iteration `pre` — its trace ID is the
 	// stitch key.
 	stitch := obs.IterTraceID("mig", pre)
+	// The source ends migrate:out after the redirect is on the wire, so
+	// the span can be recorded just after the client's steps on B return.
 	var out *obs.Span
-	for _, sp := range trA.Spans() {
-		if sp.Name == "migrate:out" && sp.Cat == "migrate" {
-			out = &sp
-			break
+	for deadline := time.Now().Add(5 * time.Second); out == nil && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, sp := range trA.Spans() {
+			if sp.Name == "migrate:out" && sp.Cat == "migrate" {
+				out = &sp
+				break
+			}
 		}
 	}
 	if out == nil {

@@ -25,8 +25,9 @@ type MigrateOrder struct {
 
 // SessionInfo is one row of a server's GET /admin/sessions response:
 // a resident split session as the control plane sees it. The
-// Controller uses Features to know whether the session can be live-
-// migrated and Migrating to avoid double-ordering.
+// Controller polls it every tick: the rows are the server's residents
+// in its Manager, Features says whether a session can be live-migrated
+// and Migrating avoids double-ordering.
 type SessionInfo struct {
 	ClientID string `json:"client_id"`
 	Batch    int    `json:"batch"`
@@ -35,4 +36,7 @@ type SessionInfo struct {
 	Features uint64 `json:"features"`
 	// Migrating reports a pending, not-yet-executed migration order.
 	Migrating bool `json:"migrating"`
+	// DemandBytes is the session's committed transient demand; the
+	// server's /loadz committed_bytes is the sum over its sessions.
+	DemandBytes int64 `json:"demand_bytes"`
 }

@@ -1,11 +1,9 @@
-// Controller is the polling control plane behind menos-fleetd: it
-// scrapes N real servers' /healthz and /loadz endpoints into the same
-// ServerLoad rows a Placer consumes, hands arriving clients a server
-// (redirect placement), and drives live migrations through the
-// servers' admin plane. It is the wall-clock counterpart of Manager:
-// where Manager owns authoritative bookkeeping inside one process,
-// the Controller treats the servers themselves as the source of truth
-// and rebuilds its world every PollOnce.
+// Controller is the polling control plane behind menos-fleetd: a
+// Manager fed by polls of N real servers, which makes every placement,
+// drain and rebalance decision. The Controller adds what a Manager
+// cannot do: HTTP polls, health and identity, federation (tsdb and
+// trace mirrors) and migration orders. The servers stay the source of
+// truth: each poll replaces a server's residents with what it reports.
 //
 // Like the rest of the package, the Controller has no goroutines and
 // no time source: PollOnce and RebalanceOnce are explicit ticks the
@@ -14,10 +12,13 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,18 +81,17 @@ type ControllerConfig struct {
 // servers fleetd-side).
 const DefaultTraceBudgetBytes = 4 << 20
 
-// endpointState is the Controller's last observation of one server.
+// endpointState is what the Controller keeps of one server beside its
+// Manager row.
 type endpointState struct {
 	ep           Endpoint
 	polled       bool
-	healthy      bool
 	lastErr      string
 	reportedID   int
 	reportedAddr string
 	atSeconds    float64
-	load         ServerLoad
 	clients      []obs.ClientUsage
-	draining     bool
+	sessions     []SessionInfo // client IDs ascending
 
 	// Down-time accounting (federation clock): the instant of the last
 	// successful poll, so /fleetz can report how long a DOWN server has
@@ -110,10 +110,10 @@ type endpointState struct {
 // the fleet before the next poll confirms the moves landed.
 const maxMovesPerTick = 4
 
-// Controller polls a fixed set of server endpoints and makes
-// placement and migration decisions over what it saw.
+// Controller polls a fixed set of server endpoints into its Manager and
+// turns the Manager's decisions into redirects and migration orders.
 type Controller struct {
-	placer      Placer
+	m           *Manager
 	http        *http.Client
 	logf        func(string, ...any)
 	store       *tsdb.Store
@@ -138,8 +138,12 @@ type Controller struct {
 
 // NewController builds a Controller. Endpoint IDs must be unique.
 func NewController(cfg ControllerConfig) (*Controller, error) {
+	placer := cfg.Placer
+	if placer == nil {
+		placer = NewPolicyPlacer()
+	}
 	c := &Controller{
-		placer:      cfg.Placer,
+		m:           NewManager(placer),
 		http:        &http.Client{Timeout: 5 * time.Second},
 		logf:        cfg.Logf,
 		store:       cfg.Store,
@@ -155,9 +159,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if c.traceBudget <= 0 {
 		c.traceBudget = DefaultTraceBudgetBytes
 	}
-	if c.placer == nil {
-		c.placer = NewPolicyPlacer()
-	}
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
 	}
@@ -165,9 +166,10 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		c.nextToken = 1
 	}
 	for _, ep := range cfg.Endpoints {
-		if _, dup := c.eps[ep.ID]; dup {
+		if err := c.m.AddServer(ep.ID, 0, nil); err != nil {
 			return nil, fmt.Errorf("fleet: duplicate endpoint ID %d", ep.ID)
 		}
+		c.m.setPolled(ep.ID, false, nil) // down until a good poll
 		c.eps[ep.ID] = &endpointState{ep: ep}
 		c.order = append(c.order, ep.ID)
 	}
@@ -194,47 +196,48 @@ type healthzDoc struct {
 	Addr     string `json:"addr"`
 }
 
-// PollOnce scrapes every endpoint's /healthz and /loadz, in ID order.
-// A server is healthy when both answer and /healthz echoes the
-// configured identity; anything else marks it unhealthy until the
-// next poll (placements and migrations skip unhealthy servers). It
-// returns the number of healthy endpoints.
+// PollOnce scrapes every endpoint's /healthz, /loadz and
+// /admin/sessions, in ID order. A server is healthy when all three
+// answer and /healthz echoes the configured identity: Observe records
+// its /loadz row and its sessions become its residents. Anything else
+// marks it down until the next good poll. It returns the number of
+// healthy endpoints.
 func (c *Controller) PollOnce() int {
 	healthy := 0
 	for _, id := range c.order {
-		c.mu.Lock()
-		st := c.eps[id]
+		st := c.eps[id] // eps and each ep are fixed at construction
 		ep := st.ep
-		c.mu.Unlock()
-
-		ok, errStr, h, snap := c.pollEndpoint(ep)
+		h, snap, sessions, err := c.pollEndpoint(ep)
+		ok := err == nil
 		now := c.clock.Now()
+		if ok {
+			l := snap.Server
+			c.m.Observe(ep.ID, Signals{QueueDepth: l.QueueDepth, UsedBytes: l.UsedBytes, Admission: l.Admission,
+				CapacityBytes: l.CapacityBytes, Models: l.Models})
+		}
+		c.m.setPolled(ep.ID, ok, sessions)
 
 		c.mu.Lock()
-		st.polled = true
-		st.healthy = ok
-		st.lastErr = errStr
+		st.polled, st.lastErr = true, ""
 		if h != nil {
 			if h.ServerID != nil {
 				st.reportedID = *h.ServerID
 			}
 			st.reportedAddr = h.Addr
 		}
-		if snap != nil {
-			st.atSeconds = snap.AtSeconds
-			st.load = snap.Server
-			st.load.ID = ep.ID
-			st.load.Draining = st.draining
-			st.clients = snap.Clients
-		}
 		if ok {
 			healthy++
+			st.atSeconds = snap.AtSeconds
+			st.clients = snap.Clients
+			st.sessions = sessions
 			st.lastOK = now
 			st.haveOK = true
+		} else {
+			st.lastErr = err.Error()
 		}
 		c.mu.Unlock()
 		if !ok {
-			c.logf("poll server %d (%s): %s", ep.ID, ep.MetricsURL, errStr)
+			c.logf("poll server %d (%s): %v", ep.ID, ep.MetricsURL, err)
 		}
 		// Federation: synthetic liveness series every tick, a full
 		// /metrics.json scrape and a /trace page for healthy servers.
@@ -253,14 +256,15 @@ func (c *Controller) PollOnce() int {
 	return healthy
 }
 
-// pollEndpoint fetches one server's health and load documents.
-func (c *Controller) pollEndpoint(ep Endpoint) (ok bool, errStr string, h *healthzDoc, snap *LoadSnapshot) {
+// pollEndpoint fetches one server's health, load and session documents,
+// the sessions sorted by client ID. h is set whenever /healthz answered.
+func (c *Controller) pollEndpoint(ep Endpoint) (h *healthzDoc, snap *LoadSnapshot, sessions []SessionInfo, err error) {
 	h = &healthzDoc{}
 	if err := c.getJSON(ep.MetricsURL+"/healthz", h); err != nil {
-		return false, "healthz: " + err.Error(), nil, nil
+		return nil, nil, nil, fmt.Errorf("healthz: %w", err)
 	}
 	if h.Status != "ok" {
-		return false, "healthz status " + h.Status, h, nil
+		return h, nil, nil, fmt.Errorf("healthz status %s", h.Status)
 	}
 	if h.ServerID == nil || *h.ServerID != ep.ID {
 		got := "absent"
@@ -268,16 +272,25 @@ func (c *Controller) pollEndpoint(ep Endpoint) (ok bool, errStr string, h *healt
 			got = fmt.Sprint(*h.ServerID)
 		}
 		c.mIdentity.Inc()
-		return false, fmt.Sprintf("identity mismatch: configured server %d, endpoint reports %s", ep.ID, got), h, nil
+		return h, nil, nil, fmt.Errorf("identity mismatch: configured server %d, endpoint reports %s", ep.ID, got)
 	}
 	snap = &LoadSnapshot{}
 	if err := c.getJSON(ep.MetricsURL+"/loadz", snap); err != nil {
-		return false, "loadz: " + err.Error(), h, nil
+		return h, nil, nil, fmt.Errorf("loadz: %w", err)
 	}
-	return true, "", h, snap
+	if err := c.getJSON(strings.TrimRight(ep.AdminURL, "/")+"/admin/sessions", &sessions); err != nil {
+		return h, nil, nil, fmt.Errorf("sessions: %w", err)
+	}
+	slices.SortFunc(sessions, func(a, b SessionInfo) int { return strings.Compare(a.ClientID, b.ClientID) })
+	return h, snap, sessions, nil
 }
 
 func (c *Controller) getJSON(url string, into any) error {
+	return c.get(url, 8<<20, func(r io.Reader) error { return json.NewDecoder(r).Decode(into) })
+}
+
+// get fetches url and hands read at most limit bytes of a 200 body.
+func (c *Controller) get(url string, limit int64, read func(io.Reader) error) error {
 	resp, err := c.http.Get(url)
 	if err != nil {
 		return err
@@ -286,73 +299,36 @@ func (c *Controller) getJSON(url string, into any) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: %s", url, resp.Status)
 	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(into)
+	return read(io.LimitReader(resp.Body, limit))
 }
 
-// Loads returns the last-polled ServerLoad rows of healthy endpoints,
-// in ID order — the candidate set for placement.
+// Loads returns the Manager's rows of healthy endpoints, in ID order.
 func (c *Controller) Loads() []ServerLoad {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	loads := make([]ServerLoad, 0, len(c.order))
-	for _, id := range c.order {
-		if st := c.eps[id]; st.healthy {
-			loads = append(loads, st.load)
-		}
-	}
-	return loads
+	return slices.DeleteFunc(c.m.Loads(), func(r ServerLoad) bool { return c.m.isDown(r.ID) })
 }
 
-// PlaceClient picks a healthy server that is not draining for an
-// arriving client and returns its endpoint — the address the client
-// should dial. The decision is advisory (the Controller keeps no
-// assignment table); the chosen server's own /loadz reflects the
-// placement once the client connects, closing the loop at the next
-// poll. Decisions are serialized, so a stateful Placer is safe under
-// concurrent callers.
+// PlaceClient places an arriving client with the Manager and returns
+// the endpoint it should dial. The placement counts against later
+// decisions until that server's next poll. A retry for a client that
+// already has a server answers that server.
 func (c *Controller) PlaceClient(ci ClientInfo) (Endpoint, error) {
-	loads := c.Loads()
-	c.mu.Lock()
-	id, err := c.placer.Place(ci, candidates(loads[:0], loads))
-	st, ok := c.eps[id]
-	c.mu.Unlock()
-	if err != nil {
+	id, err := c.m.Place(ci)
+	if err != nil && !errors.Is(err, errPlaced) {
 		return Endpoint{}, err
 	}
-	if !ok {
-		return Endpoint{}, fmt.Errorf("fleet: placer %s chose unknown server %d", c.placer.Name(), id)
-	}
-	c.logf("placed client %q on server %d (%s)", ci.ID, id, st.ep.Addr)
-	return st.ep, nil
+	ep := c.eps[id].ep // eps is fixed at construction, one per Manager row
+	c.logf("placed client %q on server %d (%s)", ci.ID, id, ep.Addr)
+	return ep, nil
 }
 
-// Drain marks an endpoint as draining: it stops being a placement
-// candidate and RebalanceOnce evacuates its clients. Drain is fleetd
-// intent, not server state — the server keeps serving until its
-// clients have been migrated away — so a server that is down still
-// counts as not draining, and draining the last such server returns
-// ErrLastServer.
+// Drain marks an endpoint as draining with the Manager: it stops being
+// a placement candidate and RebalanceOnce evacuates its clients. A
+// server that is down still counts as not draining, so draining the
+// last such server returns ErrLastServer.
 func (c *Controller) Drain(id int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.eps[id]
-	if !ok {
-		return fmt.Errorf("fleet: drain: unknown server %d", id)
+	if err := c.m.Drain(id); err != nil {
+		return err
 	}
-	if st.draining {
-		return nil
-	}
-	active := 0
-	for _, o := range c.eps {
-		if !o.draining {
-			active++
-		}
-	}
-	if active <= 1 {
-		return fmt.Errorf("%w (server %d)", ErrLastServer, id)
-	}
-	st.draining = true
-	st.load.Draining = true
 	c.logf("server %d marked draining", id)
 	return nil
 }
@@ -396,88 +372,54 @@ func (c *Controller) MigrateClient(clientID string, src, dst int) error {
 	return nil
 }
 
-// RebalanceOnce makes up to maxMovesPerTick migration decisions over
-// the last poll. Each decision evacuates a client from a draining
-// server, or moves one client from the most to the least crowded
-// server when the move improves the fleet (the rule Manager.Rebalance
-// applies too). Between decisions the controller updates its own
-// pending counts — the orders it just issued have not landed in any
-// /loadz yet — and re-evaluates, so one tick can drain a whole server
-// without flooding a single target. Only clients that negotiated the
-// migration feature are candidates. It returns the number of orders
-// issued; on error, the orders issued before the failure stand.
+// RebalanceOnce asks Manager.Rebalance about each migratable session
+// of a healthy server — draining servers first, then the most crowded,
+// client IDs ascending — and orders a live migration for every move, up
+// to maxMovesPerTick. A session the Manager moved since the last poll
+// is skipped. It returns the number of orders issued; on error, the
+// orders issued before the failure stand and the failed move is undone
+// in the Manager.
 func (c *Controller) RebalanceOnce() (int, error) {
-	// Local working copy of the healthy fleet: client counts here
-	// include the moves ordered this tick, which no poll has seen yet.
-	c.mu.Lock()
-	rows := make([]ServerLoad, 0, len(c.order))
-	for _, id := range c.order {
-		if st := c.eps[id]; st.healthy {
-			rows = append(rows, ServerLoad{ID: id, Clients: st.load.Clients, Draining: st.draining})
+	rows := c.Loads()
+	slices.SortStableFunc(rows, func(a, b ServerLoad) int {
+		if a.Draining != b.Draining {
+			if a.Draining {
+				return -1
+			}
+			return 1
 		}
-	}
-	c.mu.Unlock()
-
+		return cmp.Compare(b.Clients, a.Clients)
+	})
 	moves := 0
-	// exhausted marks sources whose session list held no further
-	// migratable client this tick; sessions and ordered keep one fetch
-	// per source honest across multiple moves.
-	exhausted := make(map[int]bool)
-	sessCache := make(map[int][]SessionInfo)
-	ordered := make(map[string]bool)
-	for moves < maxMovesPerTick {
-		var src, dst *ServerLoad
-		for i := range rows {
-			n := &rows[i]
-			if n.Draining {
-				if n.Clients > 0 && !exhausted[n.ID] && src == nil {
-					src = n
-				}
-				continue
-			}
-			if n.Clients > 0 && !exhausted[n.ID] &&
-				(src == nil || (!src.Draining && n.Clients > src.Clients)) {
-				src = n
-			}
-			if dst == nil || n.Clients < dst.Clients {
-				dst = n
-			}
+	for _, row := range rows {
+		ci := ClientInfo{}
+		if len(row.Models) == 1 { // a server serves one base model
+			ci.BaseModel = row.Models[0]
 		}
-		if src == nil || dst == nil || src.ID == dst.ID || !improves(*src, *dst) {
-			break
-		}
-
-		sessions, ok := sessCache[src.ID]
-		if !ok {
-			// eps and each ep are fixed at construction.
-			admin := c.eps[src.ID].ep.AdminURL
-			if err := c.getJSON(strings.TrimRight(admin, "/")+"/admin/sessions", &sessions); err != nil {
-				return moves, fmt.Errorf("fleet: rebalance: sessions of server %d: %w", src.ID, err)
-			}
-			// Lowest client ID first — deterministic given the same
-			// polled state.
-			sort.Slice(sessions, func(i, j int) bool { return sessions[i].ClientID < sessions[j].ClientID })
-			sessCache[src.ID] = sessions
-		}
-		pick := ""
+		c.mu.Lock()
+		sessions := c.eps[row.ID].sessions
+		c.mu.Unlock()
 		for _, s := range sessions {
-			if s.Migrating || ordered[s.ClientID] || s.Features&split.FeatureMigration == 0 {
+			if moves == maxMovesPerTick {
+				return moves, nil
+			}
+			if s.Migrating || s.Features&split.FeatureMigration == 0 {
 				continue
 			}
-			pick = s.ClientID
-			break
+			if cur, ok := c.m.ServerOf(s.ClientID); !ok || cur != row.ID {
+				continue
+			}
+			ci.ID, ci.TransientPeakBytes = s.ClientID, s.DemandBytes
+			dst, moved, err := c.m.Rebalance(ci, nil)
+			if err != nil || !moved {
+				continue
+			}
+			if err := c.MigrateClient(s.ClientID, row.ID, dst); err != nil {
+				c.m.undoMove(ci, row.ID)
+				return moves, err
+			}
+			moves++
 		}
-		if pick == "" {
-			exhausted[src.ID] = true
-			continue
-		}
-		if err := c.MigrateClient(pick, src.ID, dst.ID); err != nil {
-			return moves, err
-		}
-		ordered[pick] = true
-		src.Clients--
-		dst.Clients++
-		moves++
 	}
 	return moves, nil
 }
@@ -508,27 +450,29 @@ type FleetSnapshot struct {
 	Servers []FleetServer `json:"servers"`
 }
 
-// Snapshot assembles the /fleetz document.
+// Snapshot assembles the /fleetz document; each Load is the server's
+// Manager row.
 func (c *Controller) Snapshot() FleetSnapshot {
+	loads := c.m.Loads() // one row per endpoint, in c.order
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	snap := FleetSnapshot{Policy: c.placer.Name()}
+	snap := FleetSnapshot{Policy: c.m.Placer().Name()}
 	now := c.clock.Now()
-	for _, id := range c.order {
+	for i, id := range c.order {
 		st := c.eps[id]
 		row := FleetServer{
 			Endpoint:     st.ep,
 			Polled:       st.polled,
-			Healthy:      st.healthy,
+			Healthy:      !c.m.isDown(id),
 			Error:        st.lastErr,
 			ReportedID:   st.reportedID,
 			ReportedAddr: st.reportedAddr,
-			Draining:     st.draining,
+			Draining:     loads[i].Draining,
 			AtSeconds:    st.atSeconds,
-			Load:         st.load,
+			Load:         loads[i],
 			Clients:      st.clients,
 		}
-		if st.polled && !st.healthy && st.haveOK {
+		if st.polled && !row.Healthy && st.haveOK {
 			row.DownForSeconds = (now - st.lastOK).Seconds()
 		}
 		snap.Servers = append(snap.Servers, row)

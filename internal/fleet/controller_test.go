@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +16,8 @@ import (
 )
 
 // fakeServer impersonates one menos-server's metrics and admin planes
-// for controller tests.
+// for controller tests. Like a real server, its /loadz clients is the
+// number of sessions /admin/sessions lists.
 type fakeServer struct {
 	mu       sync.Mutex
 	id       int
@@ -24,16 +26,23 @@ type fakeServer struct {
 	sessions []SessionInfo
 	orders   []MigrateOrder
 	healthy  bool
+	refuse   bool // /admin/migrate answers 409 instead of accepting
 
 	metrics *httptest.Server
 	admin   *httptest.Server
 }
 
+// newFakeServer starts a fake server hosting clients sessions that did
+// not negotiate migration; a test that needs other sessions replaces
+// f.sessions before the first poll.
 func newFakeServer(t *testing.T, id int, clients int) *fakeServer {
 	t.Helper()
 	f := &fakeServer{
 		id: id, addr: "127.0.0.1:0", healthy: true,
-		load: ServerLoad{ID: id, Clients: clients, CapacityBytes: 32 * gib},
+		load: ServerLoad{ID: id, CapacityBytes: 32 * gib},
+	}
+	for i := 0; i < clients; i++ {
+		f.sessions = append(f.sessions, SessionInfo{ClientID: fmt.Sprintf("s%d-%d", id, i)})
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -51,7 +60,9 @@ func newFakeServer(t *testing.T, id int, clients int) *fakeServer {
 	mux.HandleFunc("/loadz", func(w http.ResponseWriter, _ *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		_ = json.NewEncoder(w).Encode(LoadSnapshot{AtSeconds: 1, Server: f.load})
+		load := f.load
+		load.Clients = len(f.sessions)
+		_ = json.NewEncoder(w).Encode(LoadSnapshot{AtSeconds: 1, Server: load})
 	})
 	f.metrics = httptest.NewServer(mux)
 	t.Cleanup(f.metrics.Close)
@@ -69,8 +80,12 @@ func newFakeServer(t *testing.T, id int, clients int) *fakeServer {
 			return
 		}
 		f.mu.Lock()
+		defer f.mu.Unlock()
+		if f.refuse {
+			http.Error(w, "refused", http.StatusConflict)
+			return
+		}
 		f.orders = append(f.orders, ord)
-		f.mu.Unlock()
 		w.WriteHeader(http.StatusAccepted)
 	})
 	f.admin = httptest.NewServer(amux)
@@ -279,13 +294,155 @@ func TestControllerRebalanceSkipsNonMigratable(t *testing.T) {
 
 func TestControllerRebalanceStrictImprovement(t *testing.T) {
 	a := newFakeServer(t, 1, 2)
-	a.sessions = []SessionInfo{{ClientID: "a1", Features: split.FeatureMigration}}
+	a.sessions[0] = SessionInfo{ClientID: "a1", Features: split.FeatureMigration}
 	b := newFakeServer(t, 2, 1)
 	c := newTestController(t, obs.NewRegistry(), a, b)
 	c.PollOnce()
 	// 2 vs 1: moving makes it 1 vs 2 — no improvement, no move.
 	if moved, err := c.RebalanceOnce(); err != nil || moved != 0 {
 		t.Fatalf("moved=%d err=%v, want no-op on a non-improving move", moved, err)
+	}
+}
+
+// TestControllerRebalanceKeepsThePlacersChoice: memory-best-fit puts a
+// client on the tighter of two servers; once the server reports the
+// session, the next rebalance asks the same placer and leaves it
+// there, though server 1 now has three clients and server 2 none.
+func TestControllerRebalanceKeepsThePlacersChoice(t *testing.T) {
+	a := newFakeServer(t, 1, 2)
+	a.load.UsedBytes = 20 * gib
+	b := newFakeServer(t, 2, 0)
+	c, err := NewController(ControllerConfig{Endpoints: []Endpoint{a.endpoint(), b.endpoint()}, Placer: NewMemoryBestFit()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.PollOnce()
+	ep, err := c.PlaceClient(ClientInfo{ID: "m", PersistentBytes: gib, TransientPeakBytes: gib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep.ID != 1 {
+		t.Fatalf("placed on %d, want the tighter fit 1", ep.ID)
+	}
+	a.mu.Lock()
+	a.sessions = append(a.sessions, SessionInfo{ClientID: "m", Features: split.FeatureMigration, DemandBytes: gib})
+	a.mu.Unlock()
+	c.PollOnce()
+	if moved, err := c.RebalanceOnce(); err != nil || moved != 0 {
+		t.Fatalf("moved=%d err=%v, want the placer's choice kept", moved, err)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.orders) != 0 {
+		t.Fatalf("orders = %+v, want none", a.orders)
+	}
+}
+
+// TestControllerPollReplacesPlacements: a placement counts against the
+// next decision until the server's next poll, which replaces the
+// server's residents with the sessions it reports and their demand.
+func TestControllerPollReplacesPlacements(t *testing.T) {
+	a := newFakeServer(t, 1, 0)
+	a.sessions = []SessionInfo{{ClientID: "x", DemandBytes: 3 * gib}}
+	c := newTestController(t, obs.NewRegistry(), a)
+	c.PollOnce()
+	if _, err := c.PlaceClient(ClientInfo{ID: "p", TransientPeakBytes: gib}); err != nil {
+		t.Fatal(err)
+	}
+	if l := c.Loads()[0]; l.Clients != 2 || l.CommittedBytes != 4*gib {
+		t.Fatalf("after a placement: clients %d committed %d, want 2 and 4 GiB", l.Clients, l.CommittedBytes)
+	}
+	c.PollOnce() // "p" never connected
+	if l := c.Loads()[0]; l.Clients != 1 || l.CommittedBytes != 3*gib || l.CapacityBytes != 32*gib {
+		t.Fatalf("after the poll: %+v, want the one reported session", l)
+	}
+}
+
+// TestControllerReplacesOffALostServer: a client placed on a server
+// that is then drained, or whose poll then fails, is placed again on
+// another server when it calls /place with the same ID, not sent back.
+func TestControllerReplacesOffALostServer(t *testing.T) {
+	for _, lose := range []string{"drain", "down"} {
+		t.Run(lose, func(t *testing.T) {
+			a := newFakeServer(t, 1, 0)
+			b := newFakeServer(t, 2, 1)
+			c := newTestController(t, obs.NewRegistry(), a, b)
+			c.PollOnce()
+			ep, err := c.PlaceClient(ClientInfo{ID: "c", TransientPeakBytes: gib})
+			if err != nil || ep.ID != 1 {
+				t.Fatalf("first place: server %d err %v, want the emptier server 1", ep.ID, err)
+			}
+			a.mu.Lock()
+			a.sessions = []SessionInfo{{ClientID: "c", Features: split.FeatureMigration, DemandBytes: gib}}
+			a.mu.Unlock()
+			c.PollOnce()
+			if lose == "drain" {
+				if err := c.Drain(1); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				a.mu.Lock()
+				a.healthy = false
+				a.mu.Unlock()
+				c.PollOnce()
+			}
+			ep, err = c.PlaceClient(ClientInfo{ID: "c", TransientPeakBytes: gib})
+			if err != nil || ep.ID != 2 {
+				t.Fatalf("second place: server %d err %v, want server 2", ep.ID, err)
+			}
+			if got, _ := c.m.ServerOf("c"); got != 2 {
+				t.Fatalf("the Manager has c on server %d, want 2", got)
+			}
+		})
+	}
+}
+
+// TestControllerSameIDOnTwoServers: when two servers each report a
+// session with the same client ID, each server's row is still exactly
+// what its /loadz reports.
+func TestControllerSameIDOnTwoServers(t *testing.T) {
+	a := newFakeServer(t, 1, 0)
+	a.sessions = []SessionInfo{{ClientID: "client-1", DemandBytes: 2 * gib}, {ClientID: "x", DemandBytes: gib}}
+	b := newFakeServer(t, 2, 0)
+	b.sessions = []SessionInfo{{ClientID: "client-1", DemandBytes: 3 * gib}}
+	c := newTestController(t, obs.NewRegistry(), a, b)
+	for poll := 0; poll < 2; poll++ {
+		c.PollOnce()
+		loads := c.Loads()
+		if l := loads[0]; l.Clients != 2 || l.CommittedBytes != 3*gib {
+			t.Fatalf("poll %d: server 1 row %+v, want 2 clients and 3 GiB", poll, l)
+		}
+		if l := loads[1]; l.Clients != 1 || l.CommittedBytes != 3*gib {
+			t.Fatalf("poll %d: server 2 row %+v, want 1 client and 3 GiB", poll, l)
+		}
+	}
+}
+
+// TestControllerRebalanceUndoesARefusedOrder: when the source refuses
+// a migration order, the Manager keeps the client on the source, so
+// placements before the next poll see the fleet as it is.
+func TestControllerRebalanceUndoesARefusedOrder(t *testing.T) {
+	a := newFakeServer(t, 1, 0)
+	a.sessions = []SessionInfo{{ClientID: "m", Features: split.FeatureMigration, DemandBytes: gib}}
+	a.refuse = true
+	b := newFakeServer(t, 2, 0)
+	c := newTestController(t, obs.NewRegistry(), a, b)
+	c.PollOnce()
+	if err := c.Drain(1); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Loads()
+	if moved, err := c.RebalanceOnce(); err == nil || moved != 0 {
+		t.Fatalf("moved=%d err=%v, want the refused order's error", moved, err)
+	}
+	if after := c.Loads(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rows after the refused order %+v, want %+v", after, before)
+	}
+	if got, _ := c.m.ServerOf("m"); got != 1 {
+		t.Fatalf("the Manager has m on server %d, want 1", got)
+	}
+	if st := c.m.Stats(); st.Migrations != 0 {
+		t.Fatalf("migrations = %d, want 0", st.Migrations)
 	}
 }
 

@@ -47,9 +47,11 @@ func (c ClientInfo) demandBytes() int64 {
 	return c.PersistentBytes + c.TransientPeakBytes
 }
 
-// Signals are a server's live gauges that the placement policies react
-// to. The server pushes them to its Manager with Observe whenever they
-// change, so a decision reads them without asking any server.
+// Signals are what a server reports about itself to its Manager with
+// Observe: the live gauges the placement policies react to, plus its
+// capacity and resident models. The simulator pushes them whenever they
+// change and the Controller on every poll, so a decision reads them
+// without asking any server.
 type Signals struct {
 	// QueueDepth is the number of requests waiting in the scheduler
 	// (sched.Scheduler.QueueDepth, /loadz queue_depth).
@@ -58,6 +60,10 @@ type Signals struct {
 	UsedBytes int64
 	// Admission is the server's admission-ladder position.
 	Admission AdmissionState
+	// CapacityBytes and Models (/loadz capacity_bytes and models; the
+	// Manager keeps the slice) replace the row's values unless zero.
+	CapacityBytes int64
+	Models        []string
 }
 
 // AdmissionState mirrors sched.AdmissionState ordering (0 open,
@@ -120,19 +126,7 @@ func (l ServerLoad) FreeBytes() int64 {
 	return l.CapacityBytes - l.UsedBytes - l.CommittedBytes
 }
 
-// candidates appends to buf the servers a placement may choose from —
-// every one that is not draining — and returns it. Both planes filter
-// through it, so no Placer ever sees a draining server.
-func candidates(buf, servers []ServerLoad) []ServerLoad {
-	for _, s := range servers {
-		if !s.Draining {
-			buf = append(buf, s)
-		}
-	}
-	return buf
-}
-
-// improves is the move rule both planes apply: a client moves off a
+// improves is the move rule every rebalance applies: a client moves off a
 // draining server unconditionally, and otherwise only when the target
 // ends up with fewer clients than the source has now, which damps
 // oscillation.

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -9,11 +10,12 @@ import (
 	"menos/internal/obs"
 )
 
-// Manager is the fleet's bookkeeping plane: which servers exist, which
+// Manager is the fleet's bookkeeping plane on both control planes (the
+// simulator and menos-fleetd's Controller): which servers exist, which
 // clients live where, and how much transient demand each server has
 // committed. Its state is one ServerLoad row per server in ID order:
 // the Manager keeps each row's clients, committed bytes and drain flag,
-// the server's live signals arrive through Observe, and Place and
+// what the server reports arrives through Observe, and Place and
 // Rebalance hand the rows to the Placer as they are. It publishes the
 // menos_fleet_* metrics. Decisions are deterministic regardless of map
 // layout.
@@ -23,7 +25,8 @@ type Manager struct {
 
 	rows     []ServerLoad
 	draining int                 // rows with Draining set
-	active   []ServerLoad        // the non-draining rows, refilled per decision while any row drains
+	down     map[int]bool        // servers whose last poll failed (fleetd only)
+	active   []ServerLoad        // candidate rows, refilled per decision while any server drains or is down
 	assign   map[string]resident // client ID -> where it lives
 
 	placements  int64
@@ -50,7 +53,7 @@ func NewManager(placer Placer) *Manager {
 	if placer == nil {
 		placer = NewRoundRobin()
 	}
-	return &Manager{placer: placer, assign: make(map[string]resident)}
+	return &Manager{placer: placer, assign: make(map[string]resident), down: make(map[int]bool)}
 }
 
 // Placer returns the policy in use.
@@ -89,21 +92,66 @@ func (m *Manager) AddServer(id int, capacity int64, models []string) error {
 	return nil
 }
 
-// Observe records server id's live signals, which every later decision
-// and Loads snapshot reads until the next Observe. The server pushes
-// them whenever they change. An unregistered id is ignored.
+// Observe records what server id reports, which every later decision
+// and Loads snapshot reads until the next Observe. An unregistered id is
+// ignored.
 func (m *Manager) Observe(id int, sig Signals) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if i, ok := m.indexLocked(id); ok {
 		r := &m.rows[i]
 		r.QueueDepth, r.UsedBytes, r.Admission = sig.QueueDepth, sig.UsedBytes, sig.Admission
+		if sig.CapacityBytes != 0 {
+			r.CapacityBytes = sig.CapacityBytes
+		}
+		if sig.Models != nil {
+			r.Models = sig.Models
+		}
 	}
+}
+
+// setPolled records one poll of server id: ok false marks it down (no
+// candidate) and keeps its row as last seen; ok true marks it up and
+// makes its row's clients and committed bytes those of sessions. A
+// client ID two servers report counts on both rows and resides on the
+// server that reported it last.
+func (m *Manager) setPolled(id int, ok bool, sessions []SessionInfo) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i, registered := m.indexLocked(id)
+	if !registered {
+		return
+	}
+	if !ok {
+		m.down[id] = true
+		return
+	}
+	delete(m.down, id)
+	for cid, placed := range m.assign {
+		if placed.server == id {
+			delete(m.assign, cid)
+		}
+	}
+	r := &m.rows[i]
+	r.Clients, r.CommittedBytes = len(sessions), 0
+	for _, s := range sessions {
+		r.CommittedBytes += s.DemandBytes
+		m.assign[s.ClientID] = resident{server: id, committed: s.DemandBytes}
+	}
+	m.publishLocked()
+}
+
+// isDown reports whether server id's last poll failed (or it has had
+// none yet).
+func (m *Manager) isDown(id int) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.down[id]
 }
 
 // Drain marks a server as scaling down: it stops receiving placements
 // and Rebalance moves its clients away. Draining the last active server
-// returns ErrLastServer.
+// returns ErrLastServer; a server that is down counts as active.
 func (m *Manager) Drain(id int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -138,18 +186,27 @@ func (m *Manager) Remove(id int) error {
 	if m.rows[i].Draining {
 		m.draining--
 	}
+	delete(m.down, id)
 	m.rows = slices.Delete(m.rows, i, i+1)
 	m.publishLocked()
 	return nil
 }
 
+// errPlaced is Place's error for a client that already has a server.
+var errPlaced = errors.New("fleet: client already placed")
+
 // Place decides a server for client c, records the assignment, and
-// returns the server ID. Draining servers are never candidates.
+// returns the server ID. Draining and down servers are never
+// candidates. A client that already has a candidate server gets it
+// with errPlaced; one whose server is draining or down is placed again.
 func (m *Manager) Place(c ClientInfo) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.assign[c.ID]; ok {
-		return 0, fmt.Errorf("fleet: client %q already placed", c.ID)
+	if placed, ok := m.assign[c.ID]; ok {
+		if i, _ := m.indexLocked(placed.server); !m.rows[i].Draining && !m.down[placed.server] {
+			return placed.server, fmt.Errorf("%w: %q", errPlaced, c.ID)
+		}
+		m.detachLocked(c.ID)
 	}
 	id, err := m.placer.Place(c, m.candidatesLocked())
 	if err != nil {
@@ -178,12 +235,7 @@ func (m *Manager) Unplace(clientID string) {
 
 // Depart removes a finished client's assignment (its persistent state
 // left the server).
-func (m *Manager) Depart(clientID string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.detachLocked(clientID)
-	m.publishLocked()
-}
+func (m *Manager) Depart(clientID string) { m.Unplace(clientID) }
 
 // Rebalance re-places an already-resident client. A move happens only
 // when the client's server is draining (forced evacuation) or when the
@@ -221,6 +273,18 @@ func (m *Manager) Rebalance(c ClientInfo, fit func(serverID int) bool) (int, boo
 	m.migrations++
 	m.publishLocked()
 	return id, true, nil
+}
+
+// undoMove puts client c back on server src after Rebalance moved it
+// away but the move could not be carried out.
+func (m *Manager) undoMove(c ClientInfo, src int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i, _ := m.indexLocked(src) // src is registered: c resided there
+	m.detachLocked(c.ID)
+	m.attachLocked(i, c)
+	m.migrations--
+	m.publishLocked()
 }
 
 // DrainCandidate picks the server an autoscaler should drain next: the
@@ -320,14 +384,19 @@ func (m *Manager) indexLocked(id int) (int, bool) {
 	return slices.BinarySearchFunc(m.rows, id, func(r ServerLoad, id int) int { return cmp.Compare(r.ID, id) })
 }
 
-// candidatesLocked returns the rows a placement may choose from: all of
-// them, or the non-draining ones while a server drains. Caller holds
-// m.mu.
+// candidatesLocked returns the rows a decision may choose from: every
+// server that is neither draining nor down, so no Placer ever sees such
+// a server. Caller holds m.mu.
 func (m *Manager) candidatesLocked() []ServerLoad {
-	if m.draining == 0 {
+	if m.draining == 0 && len(m.down) == 0 {
 		return m.rows
 	}
-	m.active = candidates(m.active[:0], m.rows)
+	m.active = m.active[:0]
+	for _, r := range m.rows {
+		if !r.Draining && !m.down[r.ID] {
+			m.active = append(m.active, r)
+		}
+	}
 	return m.active
 }
 

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"time"
 
@@ -88,14 +87,11 @@ func (c *Controller) ingestPoll(ep Endpoint, ok, mismatch bool, now time.Duratio
 		app(name+suffixP90, h.P90)
 		app(name+suffixP99, h.P99)
 	}
-	for name, vec := range doc.CounterVecs {
-		for label, v := range vec.Series {
-			c.store.Append(tsdb.SeriesID{Name: name, Server: ep.ID, Client: label}, now, float64(v))
-		}
-	}
-	for name, vec := range doc.GaugeVecs {
-		for label, v := range vec.Series {
-			c.store.Append(tsdb.SeriesID{Name: name, Server: ep.ID, Client: label}, now, float64(v))
+	for _, vecs := range []map[string]scrapedVec{doc.CounterVecs, doc.GaugeVecs} {
+		for name, vec := range vecs {
+			for label, v := range vec.Series {
+				c.store.Append(tsdb.SeriesID{Name: name, Server: ep.ID, Client: label}, now, float64(v))
+			}
 		}
 	}
 }
@@ -114,20 +110,11 @@ func (c *Controller) scrapeTrace(st *endpointState, ep Endpoint) {
 	cursor := st.traceCursor
 	c.mu.Unlock()
 
-	url := fmt.Sprintf("%s/trace?since=%d", ep.MetricsURL, cursor)
-	resp, err := c.http.Get(url)
-	if err != nil {
-		c.mScrapeErrors.Inc()
-		c.logf("scrape server %d trace: %v", ep.ID, err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		c.mScrapeErrors.Inc()
-		c.logf("scrape server %d trace: %s", ep.ID, resp.Status)
-		return
-	}
-	parsed, err := obs.ParseChromeTrace(io.LimitReader(resp.Body, 64<<20))
+	var parsed obs.ParsedTrace
+	err := c.get(fmt.Sprintf("%s/trace?since=%d", ep.MetricsURL, cursor), 64<<20, func(r io.Reader) (err error) {
+		parsed, err = obs.ParseChromeTrace(r)
+		return err
+	})
 	if err != nil {
 		c.mScrapeErrors.Inc()
 		c.logf("scrape server %d trace: %v", ep.ID, err)

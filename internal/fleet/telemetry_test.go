@@ -14,7 +14,7 @@ import (
 
 // telemetryServer is a fake menos-server built from the real obs
 // stack, so the controller scrapes the exact /metrics.json and /trace
-// documents a live server emits.
+// documents a live server emits. Its admin plane lists no sessions.
 type telemetryServer struct {
 	id     int
 	reg    *obs.Registry
@@ -28,10 +28,13 @@ func newTelemetryServer(t *testing.T, id int, clock obs.Clock) *telemetryServer 
 	ts.tracer = obs.NewTracer(clock)
 	ts.tracer.EnableRing(0)
 	ts.tracer.SetProcess(id, "menos-server-"+string(rune('0'+id)))
-	ts.srv = httptest.NewServer(obs.Handler(ts.reg, ts.tracer,
+	mux := http.NewServeMux()
+	mux.Handle("/", obs.Handler(ts.reg, ts.tracer,
 		obs.WithIdentity(func() (int, string) { return ts.id, "127.0.0.1:0" }),
 		obs.WithLoadz(func() any { return LoadSnapshot{AtSeconds: 1, Server: ServerLoad{ID: ts.id}} }),
 	))
+	mux.HandleFunc("GET /admin/sessions", noSessions)
+	ts.srv = httptest.NewServer(mux)
 	t.Cleanup(ts.srv.Close)
 	return ts
 }
@@ -233,6 +236,7 @@ func TestControllerScrapeErrorDoesNotUnhealth(t *testing.T) {
 	mux.HandleFunc("/loadz", func(w http.ResponseWriter, _ *http.Request) {
 		_ = json.NewEncoder(w).Encode(LoadSnapshot{Server: ServerLoad{ID: 1}})
 	})
+	mux.HandleFunc("GET /admin/sessions", noSessions)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
@@ -253,3 +257,6 @@ func TestControllerScrapeErrorDoesNotUnhealth(t *testing.T) {
 		t.Fatalf("scrape errors = %d, want 1", got)
 	}
 }
+
+// noSessions is the admin plane of a server hosting no client.
+func noSessions(w http.ResponseWriter, _ *http.Request) { _, _ = w.Write([]byte("[]")) }

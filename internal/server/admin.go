@@ -117,11 +117,12 @@ func (s *Server) handleAdminSessions(w http.ResponseWriter, req *http.Request) {
 	for id, sess := range s.sessions {
 		_, pending := s.pendingMig[id]
 		out = append(out, fleet.SessionInfo{
-			ClientID:  id,
-			Batch:     sess.batch,
-			Seq:       sess.seq,
-			Features:  sess.features,
-			Migrating: pending,
+			ClientID:    id,
+			Batch:       sess.batch,
+			Seq:         sess.seq,
+			Features:    sess.features,
+			Migrating:   pending,
+			DemandBytes: sess.demands.committed(),
 		})
 	}
 	s.mu.Unlock()

@@ -55,13 +55,7 @@ func (s *Server) LoadSnapshot() fleet.LoadSnapshot {
 	s.mu.Lock()
 	clients := len(s.sessions)
 	for _, sess := range s.sessions {
-		// Committed transient demand is the largest single grant the
-		// session can request (the re-forward+backward peak dominates).
-		d := sess.demands.BackwardBytes
-		if sess.demands.ForwardBytes > d {
-			d = sess.demands.ForwardBytes
-		}
-		committed += d
+		committed += sess.demands.committed()
 	}
 	s.mu.Unlock()
 	// UsedBytes mirrors what the simulator reports: device residency

@@ -22,6 +22,12 @@ type memDemands struct {
 	BackwardBytes int64
 }
 
+// committed is the session's committed transient demand: the largest
+// single grant it can request (the re-forward+backward peak dominates).
+// /loadz sums it into committed_bytes and /admin/sessions reports it per
+// session as demand_bytes. Callers hold s.mu, which guards a raised M_b.
+func (d memDemands) committed() int64 { return max(d.ForwardBytes, d.BackwardBytes) }
+
 // measureBody profiles one client's body section with random
 // activations of the reported (batch, seq) geometry. It runs a full
 // gradient-enabled forward and backward — verifying the instance and
