@@ -18,7 +18,8 @@
 // -trace-out runs one traced Menos simulation and writes its spans as
 // Chrome trace-event JSON (load in chrome://tracing or Perfetto); span
 // timestamps are virtual time. It also prints the parity check between
-// span category totals and the run's Breakdown. Combined with
+// span category totals and the run's Breakdown, and exits 1 unless they
+// are equal and no span was dropped. Combined with
 // -only multilora the traced run uses the batched serving path, so the
 // dump shows batch formation; combined with -only wire it uses
 // int8-compressed overlapped transport, so the dump shows client
@@ -42,7 +43,6 @@ import (
 	"menos/internal/sched"
 	"menos/internal/simnet"
 	"menos/internal/splitsim"
-	"menos/internal/trace"
 )
 
 func main() {
@@ -288,7 +288,8 @@ func run(args []string) error {
 
 // dumpTrace runs one traced Menos simulation (the paper's OPT setup at
 // 6 clients), writes the spans as Chrome trace JSON, and prints the
-// span-vs-breakdown parity so the dump is self-validating. A non-nil
+// span-vs-breakdown parity so the dump is self-validating: a dropped
+// span or a category whose totals differ is an error. A non-nil
 // batch policy switches the run to batched serving on the multi-LoRA
 // sweep's server shape (docs/BATCHING.md); wire switches it to
 // int8-compressed overlapped transport (docs/WIRE.md).
@@ -328,14 +329,24 @@ func dumpTrace(path string, opts experiments.Options, pol *sched.BatchPolicy, wi
 	totals := tracer.CatTotals()
 	fmt.Printf("Trace: %d spans over %v of virtual time -> %s (open in chrome://tracing)\n",
 		tracer.Len(), res.SimulatedTime.Round(time.Millisecond), path)
+	var mismatch []string
 	for _, c := range []struct {
 		cat  string
 		want time.Duration
 	}{{"comm", comm}, {"compute", comp}, {"sched", sched}} {
 		fmt.Printf("  %-8s spans %ss, breakdown %ss\n",
-			c.cat, trace.Seconds(totals[c.cat]), trace.Seconds(c.want))
+			c.cat, experiments.Seconds(totals[c.cat]), experiments.Seconds(c.want))
+		if totals[c.cat] != c.want {
+			mismatch = append(mismatch, c.cat)
+		}
 	}
 	fmt.Println()
+	if n := tracer.Dropped(); n > 0 {
+		return fmt.Errorf("trace: %d spans dropped past the %d-span limit; %s is incomplete", n, obs.DefaultSpanLimit, path)
+	}
+	if mismatch != nil {
+		return fmt.Errorf("trace: span totals differ from the breakdown in %s", strings.Join(mismatch, ", "))
+	}
 	return nil
 }
 
@@ -353,7 +364,7 @@ func (p *printer) show(r renderable) {
 	if p.err != nil {
 		return
 	}
-	if t, ok := r.(*trace.Table); ok && t.Err() != nil {
+	if t, ok := r.(*experiments.Table); ok && t.Err() != nil {
 		p.err = t.Err()
 		return
 	}

@@ -1,10 +1,11 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"menos/internal/trace"
+	"menos/internal/experiments"
 )
 
 func TestRunSingleArtifacts(t *testing.T) {
@@ -45,7 +46,7 @@ func TestRunSweepArtifacts(t *testing.T) {
 // TestShowRefusesTruncatedTable: a table whose AddRow dropped cells is
 // an error, not output, and nothing prints after it.
 func TestShowRefusesTruncatedTable(t *testing.T) {
-	bad := trace.NewTable("narrow", "A")
+	bad := experiments.NewTable("narrow", "A")
 	bad.AddRow("1", "2")
 	var out printer
 	out.show(bad)
@@ -53,8 +54,25 @@ func TestShowRefusesTruncatedTable(t *testing.T) {
 		t.Fatalf("show(truncated table) left err = %v, want the arity error", out.err)
 	}
 	first := out.err
-	out.show(trace.NewTable("fine", "A"))
+	out.show(experiments.NewTable("fine", "A"))
 	if out.err != first {
 		t.Fatalf("err = %v after a later table, want the first refusal kept", out.err)
+	}
+}
+
+// TestTraceOutEnforcesParity: -trace-out fails when its dump cannot
+// reconstruct the Breakdown. 2000 iterations overfill the tracer's span
+// limit, so spans are dropped and every category total falls short.
+func TestTraceOutEnforcesParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 2000-iteration traced run in short mode")
+	}
+	dir := t.TempDir()
+	if err := run([]string{"-only", "none", "-trace-out", filepath.Join(dir, "ok.json")}); err != nil {
+		t.Fatalf("default traced run: %v", err)
+	}
+	err := run([]string{"-only", "none", "-iterations", "2000", "-trace-out", filepath.Join(dir, "full.json")})
+	if err == nil || !strings.Contains(err.Error(), "dropped") {
+		t.Fatalf("overfull traced run: err = %v, want the dropped-spans refusal", err)
 	}
 }

@@ -481,7 +481,7 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 	// response, run the input-section backward (and, for the applying
 	// microbatch, the optimizer step), and account the iteration.
 	finish := func(p *pendingMicro, optimize bool) error {
-		sp := c.cfg.Tracer.BeginT(c.cfg.ClientID, "backward-rtt", "comm", p.tid)
+		sp := c.cfg.Tracer.BeginT(c.cfg.ClientID, obs.SpanBackwardRTT, p.tid)
 		t0 := time.Now()
 		gs, err := c.expectBackwardResp(p.iter)
 		if err != nil {
@@ -490,7 +490,7 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 		p.res.CommTime += time.Since(t0)
 		sp.End()
 
-		sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "input-backward", "compute", p.tid)
+		sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, obs.SpanInputBackward, p.tid)
 		t0 = time.Now()
 		if err := c.input.Backward(p.inCache, gs); err != nil {
 			return fmt.Errorf("client: input backward: %w", err)
@@ -526,13 +526,13 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 		if c.cfg.Tracer != nil {
 			tid = obs.IterTraceID(c.cfg.ClientID, iter)
 		}
-		iterSpan := c.cfg.Tracer.BeginT(c.cfg.ClientID, "iteration", "iter", tid)
+		iterSpan := c.cfg.Tracer.BeginT(c.cfg.ClientID, obs.SpanIteration, tid)
 		var res StepResult
 
 		// Step 1 (client): input section forward. The previous
 		// microbatch's backward, if any, is in flight on the server
 		// while this runs.
-		sp := c.cfg.Tracer.BeginT(c.cfg.ClientID, "input-forward", "compute", tid)
+		sp := c.cfg.Tracer.BeginT(c.cfg.ClientID, obs.SpanInputForward, tid)
 		t0 := time.Now()
 		xc, inCache, err := c.input.Forward(mb.IDs, c.cfg.Batch, c.cfg.Seq, true)
 		if err != nil {
@@ -575,7 +575,7 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 			c.m.overlapHidden.Observe(time.Since(fwdSent).Seconds())
 		}
 
-		sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "forward-rtt", "comm", tid)
+		sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, obs.SpanForwardRTT, tid)
 		t0 = time.Now()
 		xs, err := c.awaitForward(req)
 		if err != nil {
@@ -585,7 +585,7 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 		sp.End()
 
 		// Client: output section forward, loss, output backward.
-		sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, "output-loss", "compute", tid)
+		sp = c.cfg.Tracer.BeginT(c.cfg.ClientID, obs.SpanOutputLoss, tid)
 		t0 = time.Now()
 		logits, outCache, err := c.output.Forward(xs, true)
 		if err != nil {

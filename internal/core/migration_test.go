@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -341,6 +342,11 @@ func TestMigrationTraceStitch(t *testing.T) {
 	}
 	if !haveIn {
 		t.Fatal("destination tracer has no migrate:in span")
+	}
+	// The destination's untraced spans: the snapshot restore inside the
+	// resuming handshake.
+	if got, want := spanKeys(trB, "mig", 0), []spanKey{{"migrate:in", "migrate"}, {"admit", "admission"}}; !slices.Equal(got, want) {
+		t.Errorf("destination handshake spans %v, want %v", got, want)
 	}
 	if !haveReplay {
 		t.Fatalf("destination never recorded compute spans under the stitch ID %016x", stitch)

@@ -4,20 +4,56 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
+	"slices"
 	"testing"
 
 	"menos/internal/adapter"
 	"menos/internal/client"
 	"menos/internal/model"
 	"menos/internal/obs"
+	"menos/internal/sched"
+	"menos/internal/split"
 	"menos/internal/tensor"
 )
+
+// spanKey is what a span-sequence pin compares of a span.
+type spanKey struct{ name, cat string }
+
+// spanKeys lists the spans of tracer on track with trace ID tid, in
+// record order.
+func spanKeys(tracer *obs.Tracer, track string, tid uint64) []spanKey {
+	var out []spanKey
+	for _, sp := range tracer.Spans() {
+		if sp.Track == track && sp.TraceID == tid {
+			out = append(out, spanKey{sp.Name, sp.Cat})
+		}
+	}
+	return out
+}
+
+// backwardHookConn runs beforeBackward, when set, right before the
+// client writes a BackwardReq frame: WriteMessage issues one Write per
+// frame, with the message type at byte 3 of the header.
+type backwardHookConn struct {
+	net.Conn
+	beforeBackward func()
+}
+
+func (c *backwardHookConn) Write(p []byte) (int, error) {
+	if c.beforeBackward != nil && split.MsgType(p[3]) == split.TypeBackwardReq {
+		c.beforeBackward()
+	}
+	return c.Conn.Write(p)
+}
 
 // TestEndToEndTracePropagation runs a loopback deployment with tracers
 // on both sides and checks the tentpole property: the server's sched
 // and compute spans for iteration i carry the exact trace ID the
 // client minted for its iteration-i span, and the two tracers merge
-// into one Chrome trace correlated by those IDs.
+// into one Chrome trace correlated by those IDs. It also pins the span
+// story of one iteration on each side, and of a step whose parked
+// activation cache is revoked before its backward.
 func TestEndToEndTracePropagation(t *testing.T) {
 	serverTr := obs.NewTracer(obs.NewWallClock())
 	serverTr.SetProcess(1, "menos-server")
@@ -36,7 +72,12 @@ func TestEndToEndTracePropagation(t *testing.T) {
 
 	clientTr := obs.NewTracer(obs.NewWallClock())
 	clientTr.SetProcess(2, "menos-client")
-	c, err := client.Dial(dep.Addr(), client.Config{
+	conn, err := net.Dial("tcp", dep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := &backwardHookConn{Conn: conn}
+	c, err := client.New(hooked, client.Config{
 		ClientID:    "tracee",
 		Model:       model.OPTTiny(),
 		WeightSeed:  5,
@@ -47,6 +88,7 @@ func TestEndToEndTracePropagation(t *testing.T) {
 		Tracer:      clientTr,
 	})
 	if err != nil {
+		_ = conn.Close()
 		t.Fatal(err)
 	}
 	defer c.Close()
@@ -65,6 +107,51 @@ func TestEndToEndTracePropagation(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		if _, err := c.Step(ids, targets); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// One more step, whose parked cache another request takes back
+	// between the forward and the backward: the backward then waits for
+	// a fresh grant and re-forwards.
+	sch := dep.Server.Scheduler()
+	hooked.beforeBackward = func() {
+		if err := sch.Submit("revoker", sched.KindForward, sch.Available(), func() {}); err != nil {
+			t.Errorf("revoking submission: %v", err)
+		}
+		sch.Complete("revoker")
+		hooked.beforeBackward = nil
+	}
+	if _, err := c.Step(ids, targets); err != nil {
+		t.Fatal(err)
+	}
+	if st := sch.Stats(); st.Revoked != 1 {
+		t.Fatalf("revocations = %d, want 1", st.Revoked)
+	}
+
+	clientIter := []spanKey{
+		{"input-forward", "compute"}, {"forward-rtt", "comm"}, {"output-loss", "compute"},
+		{"backward-rtt", "comm"}, {"input-backward", "compute"}, {"iteration", "iter"},
+	}
+	for _, pin := range []struct {
+		what   string
+		tracer *obs.Tracer
+		tid    uint64
+		want   []spanKey
+	}{
+		{"client, kept cache", clientTr, obs.IterTraceID("tracee", 0), clientIter},
+		{"client, revoked cache", clientTr, obs.IterTraceID("tracee", iters), clientIter},
+		{"server handshake", serverTr, 0, []spanKey{{"admit", "admission"}}},
+		{"server, kept cache", serverTr, obs.IterTraceID("tracee", 0), []spanKey{
+			{"wait:forward", "sched"}, {"forward", "compute"}, {"park", "release"},
+			{"backward", "compute"}, {"release", "release"}, {"optimizer", "compute"},
+		}},
+		{"server, revoked cache", serverTr, obs.IterTraceID("tracee", iters), []spanKey{
+			{"wait:forward", "sched"}, {"forward", "compute"}, {"park", "release"},
+			{"wait:backward", "sched"}, {"refwd", "recompute"}, {"backward", "compute"},
+			{"release", "release"}, {"optimizer", "compute"},
+		}},
+	} {
+		if got := spanKeys(pin.tracer, "tracee", pin.tid); !slices.Equal(got, pin.want) {
+			t.Errorf("%s: spans %v, want %v", pin.what, got, pin.want)
 		}
 	}
 

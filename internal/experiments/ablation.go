@@ -7,21 +7,20 @@ import (
 	"menos/internal/memmodel"
 	"menos/internal/sched"
 	"menos/internal/splitsim"
-	"menos/internal/trace"
 )
 
 // AblationMemoryPolicy sweeps the four memory policies of Fig. 3 on
 // the OPT workload, reporting per-round time and scheduling time for
 // each. PolicyPersistAll is capped at the client count that still fits
 // (4 on one V100 for OPT).
-func AblationMemoryPolicy(opts Options) (*trace.Table, error) {
+func AblationMemoryPolicy(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	w := memmodel.PaperOPTWorkload()
 	// 6 clients: enough that persist-all (Fig. 3(a)) cannot reserve
 	// everyone's activations simultaneously — the regime the on-demand
 	// design exists for.
 	const clients = 6
-	t := trace.NewTable(fmt.Sprintf("Ablation: Fig. 3 memory policies (OPT-1.3B, %d clients)", clients),
+	t := NewTable(fmt.Sprintf("Ablation: Fig. 3 memory policies (OPT-1.3B, %d clients)", clients),
 		"policy", "round (s)", "sched (s)", "comp (s)")
 	for _, policy := range []splitsim.MemPolicy{
 		splitsim.PolicyPersistAll,
@@ -42,9 +41,9 @@ func AblationMemoryPolicy(opts Options) (*trace.Table, error) {
 			continue
 		}
 		t.AddRow(policy.String(),
-			trace.Seconds(r.AvgIterationTime()),
-			trace.Seconds(r.Aggregate.AvgSched()),
-			trace.Seconds(r.Aggregate.AvgComp()))
+			Seconds(r.AvgIterationTime()),
+			Seconds(r.Aggregate.AvgSched()),
+			Seconds(r.Aggregate.AvgComp()))
 	}
 	return t, nil
 }
@@ -52,12 +51,12 @@ func AblationMemoryPolicy(opts Options) (*trace.Table, error) {
 // AblationSchedulerPolicy compares Algorithm 2's FCFS+backfill against
 // pure FCFS and smallest-first under a memory-pressured Llama
 // workload, reporting scheduling time and backfill counts.
-func AblationSchedulerPolicy(opts Options) (*trace.Table, error) {
+func AblationSchedulerPolicy(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	w := memmodel.PaperLlamaWorkload()
 	// 8 clients: enough memory pressure that backward grants collide
 	// and backfilling decisions actually differ between disciplines.
-	t := trace.NewTable("Ablation: scheduler disciplines (Llama 2-7B, 8 clients)",
+	t := NewTable("Ablation: scheduler disciplines (Llama 2-7B, 8 clients)",
 		"discipline", "round (s)", "sched (s)", "backfills")
 	for _, policy := range []sched.Policy{
 		sched.PolicyFCFSBackfill,
@@ -74,8 +73,8 @@ func AblationSchedulerPolicy(opts Options) (*trace.Table, error) {
 			return nil, fmt.Errorf("ablation sched %v: %w", policy, err)
 		}
 		t.AddRow(policy.String(),
-			trace.Seconds(r.AvgIterationTime()),
-			trace.Seconds(r.Aggregate.AvgSched()),
+			Seconds(r.AvgIterationTime()),
+			Seconds(r.Aggregate.AvgSched()),
 			fmt.Sprintf("%d", r.SchedStats.Backfilled))
 	}
 	return t, nil
@@ -84,15 +83,15 @@ func AblationSchedulerPolicy(opts Options) (*trace.Table, error) {
 // AblationBaseSharing isolates §3.1's mechanism: persistent memory
 // with and without base-model sharing across client counts, for both
 // models.
-func AblationBaseSharing() *trace.Table {
-	t := trace.NewTable("Ablation: base-model sharing (persistent GiB)",
+func AblationBaseSharing() *Table {
+	t := NewTable("Ablation: base-model sharing (persistent GiB)",
 		"model", "clients", "duplicated", "shared", "saving")
 	for _, m := range evalModels() {
 		for _, n := range m.clientCounts {
 			dup := memmodel.VanillaPersistentBytes(m.workload, n)
 			shared := memmodel.MenosPersistentBytes(m.workload, n)
 			t.AddRow(m.name, fmt.Sprintf("%d", n),
-				trace.GiB(dup), trace.GiB(shared),
+				GiB(dup), GiB(shared),
 				fmt.Sprintf("%.1f%%", 100*(1-float64(shared)/float64(dup))))
 		}
 	}

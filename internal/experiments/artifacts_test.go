@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"strings"
 	"testing"
-
-	"menos/internal/trace"
 )
 
 // TestEveryArtifactTableIsWhole builds every artifact menos-bench can
@@ -16,15 +14,15 @@ import (
 // table they render as.
 func TestEveryArtifactTableIsWhole(t *testing.T) {
 	opts := Options{Iterations: 2, Steps: 4, Seed: 1}
-	tables := map[string]*trace.Table{}
-	add := func(name string, tbl *trace.Table, err error) {
+	tables := map[string]*Table{}
+	add := func(name string, tbl *Table, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		tables[name] = tbl
 	}
-	addFigs := func(name string, figs []*trace.Figure, err error) {
+	addFigs := func(name string, figs []*Figure, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -54,10 +52,10 @@ func TestEveryArtifactTableIsWhole(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		addFigs(name, []*trace.Figure{res.Fig}, nil)
+		addFigs(name, []*Figure{res.Fig}, nil)
 	}
 	fig10, err := Fig10(opts)
-	addFigs("fig10", []*trace.Figure{fig10}, err)
+	addFigs("fig10", []*Figure{fig10}, err)
 	tbl, err = AblationMemoryPolicy(opts)
 	add("ablations/memory", tbl, err)
 	tbl, err = AblationSchedulerPolicy(opts)

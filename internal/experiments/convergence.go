@@ -14,14 +14,13 @@ import (
 	"menos/internal/server"
 	"menos/internal/share"
 	"menos/internal/tensor"
-	"menos/internal/trace"
 )
 
 // ConvergenceResult reports a real (functional-plane) fine-tuning run:
 // perplexity trajectories for every split client plus the local
 // single-device baseline.
 type ConvergenceResult struct {
-	Fig *trace.Figure
+	Fig *Figure
 	// Clients holds each split client's per-step perplexities.
 	Clients [][]float64
 	// Local holds the single-device baseline's per-step perplexities,
@@ -202,7 +201,7 @@ func converge(cc convergeConfig, opts Options) (*ConvergenceResult, error) {
 		return nil, fmt.Errorf("converge: shared base modified: %w", err)
 	}
 
-	fig := trace.NewFigure(cc.title, "step")
+	fig := NewFigure(cc.title, "step")
 	for i, ppl := range clientPPL {
 		s := fig.NewSeries(fmt.Sprintf("client-%d", i+1))
 		for step, p := range ppl {

@@ -7,7 +7,6 @@ import (
 	"menos/internal/memmodel"
 	"menos/internal/quant"
 	"menos/internal/splitsim"
-	"menos/internal/trace"
 )
 
 // Extension experiments: configurations the paper argues for but does
@@ -18,8 +17,8 @@ import (
 // quantizing the *shared* base stacks with base-model sharing. The
 // table reports persistent server memory for 4 Llama clients under
 // every combination of {duplicated, shared} × {fp32, int8, int4}.
-func ExtensionQuantization() *trace.Table {
-	t := trace.NewTable("Extension: quantized shared base (Llama 2-7B, 4 clients, persistent GiB)",
+func ExtensionQuantization() *Table {
+	t := NewTable("Extension: quantized shared base (Llama 2-7B, 4 clients, persistent GiB)",
 		"precision", "vanilla (duplicated)", "menos (shared)", "combined saving")
 	base := memmodel.VanillaPersistentBytes(memmodel.PaperLlamaWorkload(), 4)
 	for _, prec := range []quant.Precision{0, quant.Int8, quant.Int4} {
@@ -31,7 +30,7 @@ func ExtensionQuantization() *trace.Table {
 		}
 		vanilla := memmodel.VanillaPersistentBytes(w, 4)
 		shared := memmodel.MenosPersistentBytes(w, 4)
-		t.AddRow(name, trace.GiB(vanilla), trace.GiB(shared),
+		t.AddRow(name, GiB(vanilla), GiB(shared),
 			fmt.Sprintf("%.1f%%", 100*(1-float64(shared)/float64(base))))
 	}
 	return t
@@ -41,10 +40,10 @@ func ExtensionQuantization() *trace.Table {
 // one vs. two single-V100 servers (each with its own shared base copy
 // and scheduler). The per-server client density falls, so both the
 // release overhead and the backward queueing shrink.
-func ExtensionMultiServer(opts Options) (*trace.Table, error) {
+func ExtensionMultiServer(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	w := memmodel.PaperLlamaWorkload()
-	t := trace.NewTable("Extension: multi-server scale-out (Llama 2-7B, 12 CPU clients)",
+	t := NewTable("Extension: multi-server scale-out (Llama 2-7B, 12 CPU clients)",
 		"servers", "round (s)", "sched (s)", "comp (s)", "persistent (GiB)")
 	for _, servers := range []int{1, 2, 3} {
 		r, err := splitsim.Run(splitsim.Config{
@@ -57,10 +56,10 @@ func ExtensionMultiServer(opts Options) (*trace.Table, error) {
 			return nil, fmt.Errorf("multi-server extension (%d servers): %w", servers, err)
 		}
 		t.AddRow(fmt.Sprintf("%d", servers),
-			trace.Seconds(r.AvgIterationTime()),
-			trace.Seconds(r.Aggregate.AvgSched()),
-			trace.Seconds(r.Aggregate.AvgComp()),
-			trace.GiB(r.PersistentBytes))
+			Seconds(r.AvgIterationTime()),
+			Seconds(r.Aggregate.AvgSched()),
+			Seconds(r.Aggregate.AvgComp()),
+			GiB(r.PersistentBytes))
 	}
 	return t, nil
 }
@@ -68,7 +67,7 @@ func ExtensionMultiServer(opts Options) (*trace.Table, error) {
 // ExtensionHeterogeneousClients simulates the §3.1 heterogeneity
 // story at full scale: clients with different batch sizes and cut
 // depths sharing one server, which homogeneous sweeps never exercise.
-func ExtensionHeterogeneousClients(opts Options) (*trace.Table, error) {
+func ExtensionHeterogeneousClients(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	base := memmodel.PaperLlamaWorkload()
 
@@ -91,14 +90,14 @@ func ExtensionHeterogeneousClients(opts Options) (*trace.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("heterogeneous extension: %w", err)
 	}
-	t := trace.NewTable("Extension: heterogeneous clients (Llama 2-7B, Menos)",
+	t := NewTable("Extension: heterogeneous clients (Llama 2-7B, Menos)",
 		"client", "round (s)", "comm (s)", "comp (s)", "sched (s)")
 	for _, c := range r.Clients {
 		t.AddRow(c.ID,
-			trace.Seconds(c.Breakdown.AvgTotal()),
-			trace.Seconds(c.Breakdown.AvgComm()),
-			trace.Seconds(c.Breakdown.AvgComp()),
-			trace.Seconds(c.Breakdown.AvgSched()))
+			Seconds(c.Breakdown.AvgTotal()),
+			Seconds(c.Breakdown.AvgComm()),
+			Seconds(c.Breakdown.AvgComp()),
+			Seconds(c.Breakdown.AvgSched()))
 	}
 	return t, nil
 }

@@ -6,7 +6,6 @@ import (
 	"menos/internal/costmodel"
 	"menos/internal/memmodel"
 	"menos/internal/splitsim"
-	"menos/internal/trace"
 )
 
 // Fig3Row quantifies one memory policy's usage pattern.
@@ -24,10 +23,10 @@ type Fig3Row struct {
 // time-average and duty cycle. The paper's qualitative claim — that
 // Fig. 3(d) keeps memory "low for most of the iteration" with peaks
 // "in a very short period" — becomes a measured duty cycle.
-func Fig3(opts Options) (*trace.Table, []Fig3Row, error) {
+func Fig3(opts Options) (*Table, []Fig3Row, error) {
 	opts = opts.withDefaults()
 	w := memmodel.PaperLlamaWorkload()
-	t := trace.NewTable("Fig. 3: transient GPU memory patterns (Llama 2-7B, 1 client)",
+	t := NewTable("Fig. 3: transient GPU memory patterns (Llama 2-7B, 1 client)",
 		"policy", "peak (GiB)", "time-avg (GiB)", "duty cycle")
 	var rows []Fig3Row
 	for _, policy := range []splitsim.MemPolicy{

@@ -6,16 +6,15 @@ import (
 	"menos/internal/costmodel"
 	"menos/internal/memmodel"
 	"menos/internal/splitsim"
-	"menos/internal/trace"
 )
 
 // Fig5 reproduces "GPU memory consumption for persistent components"
 // (base parameters, adapters, optimizer state) as the client count
 // scales, for both evaluation models.
-func Fig5() []*trace.Figure {
-	var figs []*trace.Figure
+func Fig5() []*Figure {
+	var figs []*Figure
 	for _, m := range evalModels() {
-		fig := trace.NewFigure(
+		fig := NewFigure(
 			fmt.Sprintf("Fig. 5 (%s): persistent GPU memory (GiB) vs clients", m.name),
 			"clients")
 		vanilla := fig.NewSeries("vanilla")
@@ -43,13 +42,13 @@ func Fig5Reduction() map[string]float64 {
 
 // Fig6 reproduces "average time for clients to complete one round of
 // fine-tuning" vs client count.
-func Fig6(s *Sweep) ([]*trace.Figure, error) {
-	var figs []*trace.Figure
+func Fig6(s *Sweep) ([]*Figure, error) {
+	var figs []*Figure
 	for _, m := range evalModels() {
-		fig := trace.NewFigure(
+		fig := NewFigure(
 			fmt.Sprintf("Fig. 6 (%s): per-round fine-tuning time (s) vs clients", m.name),
 			"clients")
-		series := map[splitsim.Mode]*trace.Series{
+		series := map[splitsim.Mode]*Series{
 			splitsim.ModeVanilla: fig.NewSeries("vanilla"),
 			splitsim.ModeMenos:   fig.NewSeries("menos"),
 		}
@@ -70,7 +69,7 @@ func Fig6(s *Sweep) ([]*trace.Figure, error) {
 // Fig7 reproduces "average schedule time with increasing number of
 // clients": Menos' on-demand allocation against the memory-preserving
 // policy (Fig. 3(b)).
-func Fig7(opts Options) ([]*trace.Figure, error) {
+func Fig7(opts Options) ([]*Figure, error) {
 	opts = opts.withDefaults()
 	type cfg struct {
 		name     string
@@ -81,9 +80,9 @@ func Fig7(opts Options) ([]*trace.Figure, error) {
 		{"OPT-1.3B", memmodel.PaperOPTWorkload(), []int{2, 4, 8, 16}},
 		{"Llama 2-7B", memmodel.PaperLlamaWorkload(), []int{2, 3, 4}},
 	}
-	var figs []*trace.Figure
+	var figs []*Figure
 	for _, c := range cases {
-		fig := trace.NewFigure(
+		fig := NewFigure(
 			fmt.Sprintf("Fig. 7 (%s): average schedule time (s) vs clients", c.name),
 			"clients")
 		onDemand := fig.NewSeries("on-demand (Menos)")
@@ -114,10 +113,10 @@ func Fig7(opts Options) ([]*trace.Figure, error) {
 
 // Fig10 reproduces "fine-tuning time with multi-GPU server and scaling
 // clients on CPU devices": Llama 2, clients 2..10, one vs four V100s.
-func Fig10(opts Options) (*trace.Figure, error) {
+func Fig10(opts Options) (*Figure, error) {
 	opts = opts.withDefaults()
 	w := memmodel.PaperLlamaWorkload()
-	fig := trace.NewFigure("Fig. 10: fine-tuning time (s), CPU clients, multi-GPU server", "clients")
+	fig := NewFigure("Fig. 10: fine-tuning time (s), CPU clients, multi-GPU server", "clients")
 	oneGPU := fig.NewSeries("1 GPU")
 	fourGPU := fig.NewSeries("4 GPUs")
 	for _, n := range []int{2, 4, 6, 8, 10} {

@@ -11,7 +11,6 @@ import (
 	"menos/internal/sched"
 	"menos/internal/simnet"
 	"menos/internal/splitsim"
-	"menos/internal/trace"
 )
 
 // Fleet-sweep tuning. The sweep runs a heterogeneous Llama roster — a
@@ -45,9 +44,9 @@ var fleetCuts = []int{1, 8, 16}
 // memory-best-fit packs predicted peaks and is the only policy that
 // keeps the heavy clients apart on purpose. The p99 grant wait and the
 // shed count are read per cell from a fresh registry.
-func FleetSweep(opts Options) (*trace.Table, error) {
+func FleetSweep(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
-	t := trace.NewTable(
+	t := NewTable(
 		fmt.Sprintf("Fleet sweep (Llama 2-7B heavy/std/light mix, LAN, static %d servers vs autoscale 1..%d)",
 			FleetStaticServers, FleetMaxServers),
 		"clients", "policy", "static p99 (s)", "static sheds",

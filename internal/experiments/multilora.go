@@ -9,7 +9,6 @@ import (
 	"menos/internal/sched"
 	"menos/internal/simnet"
 	"menos/internal/splitsim"
-	"menos/internal/trace"
 )
 
 // Multi-LoRA sweep tuning. The sweep serves OPT clients over a LAN so
@@ -42,7 +41,7 @@ var MultiLoRAClientCounts = []int{4, 8, 16, 32}
 // cap within 10% of the row's best speedup — past it, larger batches
 // buy little because the batched kernel's serial fraction
 // (costmodel.BatchedTime) dominates.
-func MultiLoRASweep(opts Options) (*trace.Table, error) {
+func MultiLoRASweep(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	w := memmodel.PaperOPTWorkload()
 	cols := []string{"clients", "serial (s)"}
@@ -50,7 +49,7 @@ func MultiLoRASweep(opts Options) (*trace.Table, error) {
 		cols = append(cols, fmt.Sprintf("cap %d (x)", size))
 	}
 	cols = append(cols, "knee", "iter/s per client @knee")
-	t := trace.NewTable(
+	t := NewTable(
 		fmt.Sprintf("Multi-LoRA batching knee (OPT-6.7B, LAN, %d GPUs, hold %v)", multiLoRAGPUs, MultiLoRAHold),
 		cols...)
 	for _, clients := range MultiLoRAClientCounts {
@@ -79,7 +78,7 @@ func MultiLoRASweep(opts Options) (*trace.Table, error) {
 				break
 			}
 		}
-		row := []string{fmt.Sprintf("%d", clients), trace.Seconds(times[0])}
+		row := []string{fmt.Sprintf("%d", clients), Seconds(times[0])}
 		for _, s := range speedups[1:] {
 			row = append(row, fmt.Sprintf("%.2f", s))
 		}

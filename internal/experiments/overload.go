@@ -10,7 +10,6 @@ import (
 	"menos/internal/sched"
 	"menos/internal/simnet"
 	"menos/internal/splitsim"
-	"menos/internal/trace"
 )
 
 // Overload-sweep tuning. The sweep runs Llama clients over a LAN link
@@ -43,11 +42,11 @@ const (
 // the p99 grows with the client count; with it, shed-and-backoff holds
 // the p99 of admitted requests near the target at the cost of retried
 // submissions and a modestly longer run.
-func OverloadSweep(opts Options) (*trace.Table, error) {
+func OverloadSweep(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	w := memmodel.PaperLlamaWorkload()
 	slo := sched.SLO{TargetP99: OverloadSLO, Window: OverloadWindow}
-	t := trace.NewTable(
+	t := NewTable(
 		fmt.Sprintf("Overload sweep (Llama 2-7B, LAN, p99 SLO %v)", OverloadSLO),
 		"clients", "p99 off (s)", "p99 on (s)", "sheds", "final state", "run off (s)", "run on (s)")
 	for _, clients := range []int{4, 8, 12, 16} {
@@ -64,8 +63,8 @@ func OverloadSweep(opts Options) (*trace.Table, error) {
 			fmt.Sprintf("%.2f", on.p99),
 			fmt.Sprintf("%d", on.result.Rejected),
 			on.result.Admission.State.String(),
-			trace.Seconds(off.result.SimulatedTime),
-			trace.Seconds(on.result.SimulatedTime))
+			Seconds(off.result.SimulatedTime),
+			Seconds(on.result.SimulatedTime))
 	}
 	return t, nil
 }

@@ -1,92 +1,11 @@
-// Package trace collects per-iteration time breakdowns (communication,
-// computation, scheduling — the decomposition of the paper's Tables
-// 1-3) and renders experiment results as aligned text tables.
-package trace
+package experiments
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
-
-// Breakdown accumulates the three per-iteration time components the
-// paper's performance analysis separates.
-type Breakdown struct {
-	mu         sync.Mutex
-	comm       time.Duration
-	comp       time.Duration
-	sched      time.Duration
-	iterations int
-}
-
-// Add records one iteration's components.
-func (b *Breakdown) Add(comm, comp, sched time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.comm += comm
-	b.comp += comp
-	b.sched += sched
-	b.iterations++
-}
-
-// Iterations returns the number of recorded iterations.
-func (b *Breakdown) Iterations() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.iterations
-}
-
-// Totals returns the accumulated component sums (not averages). Span
-// traces recorded alongside a run reconstruct exactly these totals.
-func (b *Breakdown) Totals() (comm, comp, sched time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.comm, b.comp, b.sched
-}
-
-// AvgComm returns mean communication time per iteration.
-func (b *Breakdown) AvgComm() time.Duration { return b.avg(&b.comm) }
-
-// AvgComp returns mean computation time per iteration.
-func (b *Breakdown) AvgComp() time.Duration { return b.avg(&b.comp) }
-
-// AvgSched returns mean scheduling (queueing) time per iteration.
-func (b *Breakdown) AvgSched() time.Duration { return b.avg(&b.sched) }
-
-// AvgTotal returns mean total time per iteration.
-func (b *Breakdown) AvgTotal() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.iterations == 0 {
-		return 0
-	}
-	return (b.comm + b.comp + b.sched) / time.Duration(b.iterations)
-}
-
-func (b *Breakdown) avg(field *time.Duration) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.iterations == 0 {
-		return 0
-	}
-	return *field / time.Duration(b.iterations)
-}
-
-// Merge folds other's totals into b (for aggregating per-client
-// breakdowns into a system view).
-func (b *Breakdown) Merge(other *Breakdown) {
-	other.mu.Lock()
-	comm, comp, sched, iters := other.comm, other.comp, other.sched, other.iterations
-	other.mu.Unlock()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.comm += comm
-	b.comp += comp
-	b.sched += sched
-	b.iterations += iters
-}
 
 // Seconds formats a duration as seconds with adaptive precision,
 // matching how the paper reports times.
@@ -142,7 +61,7 @@ func NewTable(title string, headers ...string) *Table {
 // table that silently lost data).
 func (t *Table) AddRow(cells ...string) {
 	if len(cells) > len(t.Headers) && t.err == nil {
-		t.err = fmt.Errorf("trace: row %d of table %q has %d cells but only %d columns",
+		t.err = fmt.Errorf("experiments: row %d of table %q has %d cells but only %d columns",
 			len(t.rows), t.Title, len(cells), len(t.Headers))
 	}
 	row := make([]string, len(t.Headers))

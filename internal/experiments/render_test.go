@@ -1,68 +1,11 @@
-package trace
+package experiments
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestBreakdownAverages(t *testing.T) {
-	var b Breakdown
-	b.Add(2*time.Second, time.Second, 500*time.Millisecond)
-	b.Add(4*time.Second, time.Second, 1500*time.Millisecond)
-	if b.Iterations() != 2 {
-		t.Fatalf("iterations = %d", b.Iterations())
-	}
-	if b.AvgComm() != 3*time.Second {
-		t.Fatalf("avg comm = %v", b.AvgComm())
-	}
-	if b.AvgComp() != time.Second {
-		t.Fatalf("avg comp = %v", b.AvgComp())
-	}
-	if b.AvgSched() != time.Second {
-		t.Fatalf("avg sched = %v", b.AvgSched())
-	}
-	if b.AvgTotal() != 5*time.Second {
-		t.Fatalf("avg total = %v", b.AvgTotal())
-	}
-}
-
-func TestBreakdownEmpty(t *testing.T) {
-	var b Breakdown
-	if b.AvgComm() != 0 || b.AvgTotal() != 0 {
-		t.Fatal("empty breakdown not zero")
-	}
-}
-
-func TestBreakdownMerge(t *testing.T) {
-	var a, b Breakdown
-	a.Add(time.Second, 0, 0)
-	b.Add(3*time.Second, 0, 0)
-	a.Merge(&b)
-	if a.Iterations() != 2 || a.AvgComm() != 2*time.Second {
-		t.Fatalf("merged avg = %v over %d", a.AvgComm(), a.Iterations())
-	}
-}
-
-func TestBreakdownConcurrent(t *testing.T) {
-	var b Breakdown
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				b.Add(time.Millisecond, time.Millisecond, 0)
-			}
-		}()
-	}
-	wg.Wait()
-	if b.Iterations() != 800 {
-		t.Fatalf("iterations = %d", b.Iterations())
-	}
-}
 
 func TestSecondsFormatting(t *testing.T) {
 	tests := []struct {

@@ -5,27 +5,26 @@ import (
 
 	"menos/internal/memmodel"
 	"menos/internal/splitsim"
-	"menos/internal/trace"
 )
 
 // MeasurementStudy reproduces §2.3's motivating measurement: the
 // server-side GPU memory decomposition for split fine-tuning Llama
 // 2-7B with LoRA at batch size 4 (paper: 24 GB + 246 MB + 4 GB ≈
 // 28.7 GB).
-func MeasurementStudy() *trace.Table {
+func MeasurementStudy() *Table {
 	_, fp := memmodel.MeasurementStudy()
-	t := trace.NewTable("§2.3 measurement study: Llama 2-7B + LoRA, batch 4 (server side)",
+	t := NewTable("§2.3 measurement study: Llama 2-7B + LoRA, batch 4 (server side)",
 		"component", "size", "paper")
-	t.AddRow("base model parameters (M)", trace.Bytes(fp.M), "24 GB")
-	t.AddRow("adapter+optimizer (A+O)", trace.Bytes(fp.A+fp.O), "246 MB")
-	t.AddRow("intermediate results (I)", trace.Bytes(fp.I), "4 GB")
-	t.AddRow("total", trace.Bytes(fp.Total()), "28.7 GB")
+	t.AddRow("base model parameters (M)", Bytes(fp.M), "24 GB")
+	t.AddRow("adapter+optimizer (A+O)", Bytes(fp.A+fp.O), "246 MB")
+	t.AddRow("intermediate results (I)", Bytes(fp.I), "4 GB")
+	t.AddRow("total", Bytes(fp.Total()), "28.7 GB")
 	return t
 }
 
 // breakdownTable builds one of Tables 1-3 from the sweep.
-func breakdownTable(s *Sweep, title string, pick func(r *splitsim.Result) time.Duration) (*trace.Table, error) {
-	t := trace.NewTable(title, "model", "method", "1", "2", "3", "4", "5", "6")
+func breakdownTable(s *Sweep, title string, pick func(r *splitsim.Result) time.Duration) (*Table, error) {
+	t := NewTable(title, "model", "method", "1", "2", "3", "4", "5", "6")
 	for _, m := range evalModels() {
 		for _, mode := range []splitsim.Mode{splitsim.ModeVanilla, splitsim.ModeMenos} {
 			row := []string{m.name, mode.String()}
@@ -44,7 +43,7 @@ func breakdownTable(s *Sweep, title string, pick func(r *splitsim.Result) time.D
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, trace.Seconds(pick(r)))
+				row = append(row, Seconds(pick(r)))
 			}
 			t.AddRow(row...)
 		}
@@ -54,21 +53,21 @@ func breakdownTable(s *Sweep, title string, pick func(r *splitsim.Result) time.D
 
 // Table1 reproduces "average communication time (s) per fine-tuning
 // iteration".
-func Table1(s *Sweep) (*trace.Table, error) {
+func Table1(s *Sweep) (*Table, error) {
 	return breakdownTable(s, "Table 1: average communication time (s) per iteration",
 		func(r *splitsim.Result) time.Duration { return r.Aggregate.AvgComm() })
 }
 
 // Table2 reproduces "average computation time (s) per fine-tuning
 // iteration".
-func Table2(s *Sweep) (*trace.Table, error) {
+func Table2(s *Sweep) (*Table, error) {
 	return breakdownTable(s, "Table 2: average computation time (s) per iteration",
 		func(r *splitsim.Result) time.Duration { return r.Aggregate.AvgComp() })
 }
 
 // Table3 reproduces "average schedule time (s) per fine-tuning
 // iteration".
-func Table3(s *Sweep) (*trace.Table, error) {
+func Table3(s *Sweep) (*Table, error) {
 	return breakdownTable(s, "Table 3: average schedule time (s) per iteration",
 		func(r *splitsim.Result) time.Duration { return r.Aggregate.AvgSched() })
 }

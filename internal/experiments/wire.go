@@ -9,7 +9,6 @@ import (
 	"menos/internal/quant"
 	"menos/internal/simnet"
 	"menos/internal/splitsim"
-	"menos/internal/trace"
 )
 
 // Wire sweep tuning (docs/WIRE.md). The sweep walks a ladder of link
@@ -40,10 +39,10 @@ var WireBandwidths = []float64{8 << 20, 32 << 20, 128 << 20, 1 << 30}
 // scheduling corner and reports the speedup over the uncompressed
 // sequential baseline, plus the virtual time overlap hid in the
 // fastest corner.
-func WireSweep(opts Options) (*trace.Table, error) {
+func WireSweep(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	w := memmodel.PaperOPTWorkload()
-	t := trace.NewTable(
+	t := NewTable(
 		fmt.Sprintf("Wire transport sweep (OPT-6.7B, %d clients, %v one-way)", wireClients, wireOneWay),
 		"link (MiB/s)", "plain (s)", "fp16 (x)", "int8 (x)", "overlap (x)", "int8+overlap (x)", "hidden (s)")
 	for _, bw := range WireBandwidths {
@@ -76,12 +75,12 @@ func WireSweep(opts Options) (*trace.Table, error) {
 		}
 		t.AddRow(
 			fmt.Sprintf("%.0f", bw/(1<<20)),
-			trace.Seconds(base.SimulatedTime),
+			Seconds(base.SimulatedTime),
 			fmt.Sprintf("%.2f", fp16),
 			fmt.Sprintf("%.2f", int8),
 			fmt.Sprintf("%.2f", overlap),
 			fmt.Sprintf("%.2f", both),
-			trace.Seconds(bothRes.OverlapHidden))
+			Seconds(bothRes.OverlapHidden))
 	}
 	return t, nil
 }

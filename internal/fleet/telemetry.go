@@ -141,7 +141,7 @@ func (c *Controller) scrapeTrace(st *endpointState, ep Endpoint) {
 	c.mu.Unlock()
 
 	for _, s := range parsed.Spans {
-		mirror.RecordT(s.Track, s.Name, s.Cat, s.TraceID, s.Start, s.Dur)
+		mirror.RecordT(s.Track, obs.SpanKind{Name: s.Name, Cat: s.Cat}, s.TraceID, s.Start, s.Dur)
 	}
 	c.mFedSpans.Add(int64(len(parsed.Spans))) // nil-safe
 }

@@ -151,8 +151,8 @@ func TestControllerTraceFederation(t *testing.T) {
 	src := newTelemetryServer(t, 1, clock)
 	dst := newTelemetryServer(t, 2, clock)
 	iterID := obs.IterTraceID("mig-client", 7)
-	src.tracer.RecordT("mig-client", "forward", "compute", iterID, 0, time.Millisecond)
-	src.tracer.RecordT("mig-client", "migrate:out", "migrate", iterID, time.Millisecond, time.Millisecond)
+	src.tracer.RecordT("mig-client", obs.SpanForward, iterID, 0, time.Millisecond)
+	src.tracer.RecordT("mig-client", obs.SpanMigrateOut, iterID, time.Millisecond, time.Millisecond)
 
 	store := tsdb.New(tsdb.Config{})
 	reg := obs.NewRegistry()
@@ -169,7 +169,7 @@ func TestControllerTraceFederation(t *testing.T) {
 	c.PollOnce()
 	// The migrated client's iteration replays on the destination under
 	// the SAME trace ID; only these new spans should federate next.
-	dst.tracer.RecordT("mig-client", "forward", "compute", iterID, 5*time.Millisecond, time.Millisecond)
+	dst.tracer.RecordT("mig-client", obs.SpanForward, iterID, 5*time.Millisecond, time.Millisecond)
 	c.PollOnce()
 	c.PollOnce() // idempotent: cursor prevents re-ingesting anything
 

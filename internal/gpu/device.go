@@ -60,9 +60,6 @@ type Device struct {
 	next   AllocID
 	allocs map[AllocID]allocation
 
-	allocOps int64
-	freeOps  int64
-
 	m devMetrics
 }
 
@@ -120,19 +117,6 @@ func (d *Device) Peak() int64 {
 	return d.peak
 }
 
-// Stats reports cumulative operation counts.
-type Stats struct {
-	AllocOps int64
-	FreeOps  int64
-}
-
-// Stats returns cumulative counters.
-func (d *Device) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return Stats{AllocOps: d.allocOps, FreeOps: d.freeOps}
-}
-
 // Alloc reserves bytes for owner, failing with ErrOOM when the device
 // cannot fit the request.
 func (d *Device) Alloc(owner string, bytes int64) (AllocID, error) {
@@ -150,7 +134,6 @@ func (d *Device) Alloc(owner string, bytes int64) (AllocID, error) {
 	id := d.next
 	d.allocs[id] = allocation{owner: owner, bytes: bytes}
 	d.used += bytes
-	d.allocOps++
 	if d.used > d.peak {
 		d.peak = d.used
 	}
@@ -169,7 +152,6 @@ func (d *Device) Free(id AllocID) error {
 	}
 	delete(d.allocs, id)
 	d.used -= a.bytes
-	d.freeOps++
 	d.m.ownerBytes.With(a.owner).Add(-a.bytes)
 	return nil
 }
@@ -184,7 +166,6 @@ func (d *Device) FreeOwner(owner string) int64 {
 		if a.owner == owner {
 			delete(d.allocs, id)
 			d.used -= a.bytes
-			d.freeOps++
 			reclaimed += a.bytes
 		}
 	}

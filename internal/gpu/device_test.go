@@ -86,16 +86,22 @@ func TestFreeOwner(t *testing.T) {
 	}
 }
 
+// TestStatsCount: an instrumented device counts its successful
+// allocations, not its refusals or frees.
 func TestStatsCount(t *testing.T) {
+	reg := obs.NewRegistry()
 	d := NewDevice(Spec{Name: "t", MemoryBytes: 100})
+	d.Instrument(reg)
 	id := mustAlloc(t, d, "a", 10)
 	mustAlloc(t, d, "a", 10)
+	if _, err := d.Alloc("a", 200); !errors.Is(err, ErrOOM) {
+		t.Fatalf("oversized alloc: %v", err)
+	}
 	if err := d.Free(id); err != nil {
 		t.Fatal(err)
 	}
-	st := d.Stats()
-	if st.AllocOps != 2 || st.FreeOps != 1 {
-		t.Fatalf("stats = %+v", st)
+	if got := reg.Counter(obs.MetricGPUAllocOps).Value(); got != 2 {
+		t.Fatalf("%s = %d, want 2", obs.MetricGPUAllocOps, got)
 	}
 }
 

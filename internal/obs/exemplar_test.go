@@ -119,7 +119,7 @@ func TestTraceEndpointPaging(t *testing.T) {
 	clk := &manualClock{}
 	tr := NewTracer(clk)
 	for i := 0; i < 4; i++ {
-		tr.Record("c", "s", "x", time.Duration(i)*time.Second, time.Second)
+		tr.RecordT("c", SpanKind{"s", "x"}, 0, time.Duration(i)*time.Second, time.Second)
 	}
 	clk.t = 4 * time.Second
 	h := Handler(nil, tr)

@@ -88,7 +88,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("menos_x_total").Inc()
 	tr := NewTracer(NewWallClock())
-	tr.Record("c", "s", "compute", 0, time.Millisecond)
+	tr.RecordT("c", SpanKind{"s", "compute"}, 0, 0, time.Millisecond)
 	h := Handler(r, tr)
 
 	cases := []struct {

@@ -39,7 +39,7 @@ func TestFlightRecorderSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("menos_rejected_total", "sheds").Add(3)
 	tr := NewTracer(clk)
-	tr.RecordT("client-1", "wait:forward", "sched", 0xabc, 0, time.Second)
+	tr.RecordT("client-1", SpanKind{"wait:forward", "sched"}, 0xabc, 0, time.Second)
 
 	fr, err := NewFlightRecorder(FlightConfig{Dir: t.TempDir(), Clock: clk}, reg, tr)
 	if err != nil {

@@ -55,8 +55,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil histogram has a quantile")
 	}
 	var tr *Tracer
-	tr.Begin("a", "b", "c").End()
-	tr.Record("a", "b", "c", 0, 0)
+	tr.Begin("a", SpanKind{"b", "c"}).End()
+	tr.RecordT("a", SpanKind{"b", "c"}, 0, 0, 0)
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer recorded spans")
 	}

@@ -14,7 +14,7 @@ func TestRingEviction(t *testing.T) {
 	tr.EnableRing(budget)
 	const n = 100
 	for i := 0; i < n; i++ {
-		tr.Record("c", "s", "x", time.Duration(i)*time.Millisecond, time.Millisecond)
+		tr.RecordT("c", SpanKind{"s", "x"}, 0, time.Duration(i)*time.Millisecond, time.Millisecond)
 	}
 	if got := ringBytes(tr); got > budget {
 		t.Fatalf("ring bytes %d over budget %d", got, budget)
@@ -42,8 +42,8 @@ func TestRingEviction(t *testing.T) {
 func TestRingKeepsNewest(t *testing.T) {
 	tr := NewTracer(&manualClock{})
 	tr.EnableRing(1)
-	tr.Record("client-1", "forward", "compute", 0, time.Second)
-	tr.Record("client-1", "backward", "compute", time.Second, time.Second)
+	tr.RecordT("client-1", SpanKind{"forward", "compute"}, 0, 0, time.Second)
+	tr.RecordT("client-1", SpanKind{"backward", "compute"}, 0, time.Second, time.Second)
 	spans := tr.Spans()
 	if len(spans) != 1 || spans[0].Name != "backward" {
 		t.Fatalf("spans = %+v, want just the newest", spans)
@@ -55,7 +55,7 @@ func TestRingKeepsNewest(t *testing.T) {
 func TestSpansSincePaging(t *testing.T) {
 	tr := NewTracer(&manualClock{})
 	for i := 0; i < 10; i++ {
-		tr.Record("c", "s", "x", 0, time.Millisecond)
+		tr.RecordT("c", SpanKind{"s", "x"}, 0, 0, time.Millisecond)
 	}
 	page1 := tr.SpansSince(0)
 	if len(page1) != 10 {
@@ -74,8 +74,8 @@ func TestSpansSincePaging(t *testing.T) {
 func TestSpansWindow(t *testing.T) {
 	clk := &manualClock{}
 	tr := NewTracer(clk)
-	tr.Record("c", "old", "x", 0, time.Second)
-	tr.Record("c", "new", "x", 9*time.Second, time.Second)
+	tr.RecordT("c", SpanKind{"old", "x"}, 0, 0, time.Second)
+	tr.RecordT("c", SpanKind{"new", "x"}, 0, 9*time.Second, time.Second)
 	clk.t = 10 * time.Second
 	got := tr.SpansWindow(5 * time.Second)
 	if len(got) != 1 || got[0].Name != "new" {
@@ -87,8 +87,8 @@ func TestSpansWindow(t *testing.T) {
 
 	// Nil clock (offline/simulator dumps): anchored at max span end.
 	off := NewTracer(nil)
-	off.Record("c", "old", "x", 0, time.Second)
-	off.Record("c", "new", "x", 99*time.Second, time.Second)
+	off.RecordT("c", SpanKind{"old", "x"}, 0, 0, time.Second)
+	off.RecordT("c", SpanKind{"new", "x"}, 0, 99*time.Second, time.Second)
 	if got := off.SpansWindow(5 * time.Second); len(got) != 1 || got[0].Name != "new" {
 		t.Fatalf("nil-clock window spans = %+v", got)
 	}
@@ -98,10 +98,10 @@ func TestSpansWindow(t *testing.T) {
 // so a poller's ?since= cursor stays valid.
 func TestRingSeqSurvivesReset(t *testing.T) {
 	tr := NewTracer(&manualClock{})
-	tr.Record("c", "s", "x", 0, time.Millisecond)
+	tr.RecordT("c", SpanKind{"s", "x"}, 0, 0, time.Millisecond)
 	seq := tr.LastSeq()
 	tr.Reset()
-	tr.Record("c", "s", "x", 0, time.Millisecond)
+	tr.RecordT("c", SpanKind{"s", "x"}, 0, 0, time.Millisecond)
 	if tr.LastSeq() != seq+1 {
 		t.Fatalf("seq after reset = %d, want %d", tr.LastSeq(), seq+1)
 	}
@@ -152,7 +152,7 @@ func TestRingHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				tr.RecordT("client", "span", "compute", uint64(w*perWriter+i+1),
+				tr.RecordT("client", SpanKind{"span", "compute"}, uint64(w*perWriter+i+1),
 					time.Duration(i)*time.Microsecond, time.Microsecond)
 			}
 		}(w)

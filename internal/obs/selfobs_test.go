@@ -113,7 +113,7 @@ func TestFlightCaptureProfiles(t *testing.T) {
 func TestTraceEndpointRejectsMalformedParams(t *testing.T) {
 	clk := &manualClock{}
 	tr := NewTracer(clk)
-	tr.RecordT("t", "n", "c", 0, 0, time.Millisecond)
+	tr.RecordT("t", SpanKind{"n", "c"}, 0, 0, time.Millisecond)
 	h := Handler(nil, tr)
 
 	bad := []string{

@@ -10,9 +10,8 @@ import (
 )
 
 // Span is one completed timed interval on a named track (a client, a
-// scheduler, a device). Categories group spans for analysis: the
-// serving path uses "admission", "sched", "compute", "comm" and
-// "release", matching the breakdown of the paper's Tables 1-3.
+// scheduler, a device). Its name and category are one SpanKind of the
+// catalog in spans.go.
 //
 // TraceID groups the spans of one logical operation across tracks —
 // and, carried over the split-protocol wire, across processes: a
@@ -129,36 +128,31 @@ func (t *Tracer) Now() time.Duration {
 	return t.clock.Now()
 }
 
-// Begin opens an untraced span at the current clock time. End
+// Begin opens an untraced span of kind at the current clock time. End
 // completes and records it. Safe on a nil tracer (returns a nil handle
 // whose End is a no-op).
-func (t *Tracer) Begin(track, name, cat string) *SpanHandle {
-	return t.BeginT(track, name, cat, 0)
+func (t *Tracer) Begin(track string, kind SpanKind) *SpanHandle {
+	return t.BeginT(track, kind, 0)
 }
 
 // BeginT opens a span carrying a trace ID. Safe on nil.
-func (t *Tracer) BeginT(track, name, cat string, traceID uint64) *SpanHandle {
+func (t *Tracer) BeginT(track string, kind SpanKind, traceID uint64) *SpanHandle {
 	if t == nil {
 		return nil
 	}
-	return &SpanHandle{t: t, span: Span{Track: track, Name: name, Cat: cat, TraceID: traceID, Start: t.clock.Now()}}
+	return &SpanHandle{t: t, track: track, kind: kind, traceID: traceID, start: t.clock.Now()}
 }
 
-// Record appends a completed untraced span with explicit times — the
+// RecordT appends a completed span with explicit times — the
 // simulator's path, where durations are known without sampling the
-// clock twice. Safe on nil.
-func (t *Tracer) Record(track, name, cat string, start, dur time.Duration) {
-	t.RecordT(track, name, cat, 0, start, dur)
-}
-
-// RecordT appends a completed span carrying a trace ID. Safe on nil.
-func (t *Tracer) RecordT(track, name, cat string, traceID uint64, start, dur time.Duration) {
+// clock twice — carrying a trace ID (0 = untraced). Safe on nil.
+func (t *Tracer) RecordT(track string, kind SpanKind, traceID uint64, start, dur time.Duration) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.nextSeq++
-	s := Span{Track: track, Name: name, Cat: cat, TraceID: traceID, Seq: t.nextSeq, Start: start, Dur: dur}
+	s := Span{Track: track, Name: kind.Name, Cat: kind.Cat, TraceID: traceID, Seq: t.nextSeq, Start: start, Dur: dur}
 	if t.ring {
 		t.spans = append(t.spans, s)
 		t.curBytes += s.cost()
@@ -310,7 +304,7 @@ func (t *Tracer) Reset() {
 }
 
 // CatTotals sums span durations by category — the span-side view of
-// trace.Breakdown, used to cross-check that a dumped trace reconstructs
+// the simulator's Breakdown, used to cross-check that a dumped trace reconstructs
 // the same decomposition the experiment tables report. Safe on nil.
 func (t *Tracer) CatTotals() map[string]time.Duration {
 	totals := make(map[string]time.Duration)
@@ -322,16 +316,11 @@ func (t *Tracer) CatTotals() map[string]time.Duration {
 
 // SpanHandle is an open span returned by Begin/BeginT.
 type SpanHandle struct {
-	t    *Tracer
-	span Span
-}
-
-// TraceID returns the trace ID the span was opened with. Safe on nil.
-func (h *SpanHandle) TraceID() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.span.TraceID
+	t       *Tracer
+	track   string
+	kind    SpanKind
+	traceID uint64
+	start   time.Duration
 }
 
 // End completes the span at the current clock time and records it.
@@ -340,8 +329,7 @@ func (h *SpanHandle) End() {
 	if h == nil {
 		return
 	}
-	h.span.Dur = h.t.clock.Now() - h.span.Start
-	h.t.RecordT(h.span.Track, h.span.Name, h.span.Cat, h.span.TraceID, h.span.Start, h.span.Dur)
+	h.t.RecordT(h.track, h.kind, h.traceID, h.start, h.t.clock.Now()-h.start)
 }
 
 // IterTraceID derives the deterministic trace ID of one client

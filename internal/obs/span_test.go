@@ -19,7 +19,7 @@ func TestTracerBeginEnd(t *testing.T) {
 	clk := &manualClock{}
 	tr := NewTracer(clk)
 
-	h := tr.Begin("client-1", "forward", "compute")
+	h := tr.Begin("client-1", SpanKind{"forward", "compute"})
 	clk.t = 30 * time.Millisecond
 	h.End()
 
@@ -38,9 +38,9 @@ func TestTracerBeginEnd(t *testing.T) {
 
 func TestTracerRecordAndTotals(t *testing.T) {
 	tr := NewTracer(ClockFunc(func() time.Duration { return 0 }))
-	tr.Record("c1", "wait", "sched", 0, 10*time.Second)
-	tr.Record("c1", "fwd", "compute", 10*time.Second, 5*time.Second)
-	tr.Record("c2", "wait", "sched", 0, 2*time.Second)
+	tr.RecordT("c1", SpanKind{"wait", "sched"}, 0, 0, 10*time.Second)
+	tr.RecordT("c1", SpanKind{"fwd", "compute"}, 0, 10*time.Second, 5*time.Second)
+	tr.RecordT("c2", SpanKind{"wait", "sched"}, 0, 0, 2*time.Second)
 
 	totals := tr.CatTotals()
 	if totals["sched"] != 12*time.Second {
@@ -54,7 +54,7 @@ func TestTracerRecordAndTotals(t *testing.T) {
 func TestTracerLimit(t *testing.T) {
 	tr := NewTracer(&manualClock{})
 	for i := 0; i < DefaultSpanLimit+3; i++ {
-		tr.Record("c", "s", "x", 0, time.Second)
+		tr.RecordT("c", SpanKind{"s", "x"}, 0, 0, time.Second)
 	}
 	if tr.Len() != DefaultSpanLimit {
 		t.Fatalf("len = %d, want %d", tr.Len(), DefaultSpanLimit)
@@ -74,8 +74,8 @@ func TestTracerLimit(t *testing.T) {
 func TestChromeTraceSchema(t *testing.T) {
 	clk := &manualClock{}
 	tr := NewTracer(clk)
-	tr.Record("client-2", "wait:backward", "sched", 5*time.Millisecond, 20*time.Millisecond)
-	tr.Record("client-1", "forward", "compute", 0, 5*time.Millisecond)
+	tr.RecordT("client-2", SpanKind{"wait:backward", "sched"}, 0, 5*time.Millisecond, 20*time.Millisecond)
+	tr.RecordT("client-1", SpanKind{"forward", "compute"}, 0, 0, 5*time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {

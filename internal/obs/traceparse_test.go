@@ -15,8 +15,8 @@ func TestParseChromeTraceRoundTrip(t *testing.T) {
 	tr := NewTracer(ClockFunc(func() time.Duration { return now }))
 	tr.SetProcess(3, "menos-server-3")
 	id := IterTraceID("c1", 7)
-	tr.RecordT("c1", "forward", "compute", id, 10*time.Millisecond, 5*time.Millisecond)
-	tr.RecordT("sched", "grant", "sched", 0, 12*time.Millisecond, time.Millisecond)
+	tr.RecordT("c1", SpanKind{"forward", "compute"}, id, 10*time.Millisecond, 5*time.Millisecond)
+	tr.RecordT("sched", SpanKind{"grant", "sched"}, 0, 12*time.Millisecond, time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -49,7 +49,7 @@ func TestParseChromeTraceSincePage(t *testing.T) {
 	var now time.Duration
 	tr := NewTracer(ClockFunc(func() time.Duration { return now }))
 	for i := 0; i < 4; i++ {
-		tr.Record("t", "s", "c", time.Duration(i)*time.Millisecond, time.Millisecond)
+		tr.RecordT("t", SpanKind{"s", "c"}, 0, time.Duration(i)*time.Millisecond, time.Millisecond)
 	}
 	var buf bytes.Buffer
 	if err := tr.writeChromeSpans(&buf, tr.SpansSince(2)); err != nil {

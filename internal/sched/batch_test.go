@@ -249,7 +249,6 @@ func TestSerialRequestIsBatchOfOne(t *testing.T) {
 		}
 		out.grants = c.got()
 		out.stats = s.Stats()
-		out.stats.DecisionTime = 0 // wall time
 		out.ledger = led.Snapshot()
 		out.adm = s.AdmissionStats()
 		var buf bytes.Buffer

@@ -49,6 +49,16 @@ func (k RequestKind) String() string {
 	}
 }
 
+// Spans returns the spans a request of kind records: its grant wait and
+// the server compute the grant is for. Both planes name their phases
+// here, so a wait span always matches its request.
+func (k RequestKind) Spans() (wait, compute obs.SpanKind) {
+	if k == KindForward {
+		return obs.SpanWaitForward, obs.SpanForward
+	}
+	return obs.SpanWaitBackward, obs.SpanBackward
+}
+
 // Policy selects the scheduling discipline. The paper's design is
 // FCFS+backfilling; the others exist as ablations.
 type Policy int
@@ -149,7 +159,6 @@ type Stats struct {
 	Claimed       int64 // parked grants their owner took back (cache hits)
 	Revoked       int64 // parked grants taken back for another request
 	Decisions     int64
-	DecisionTime  time.Duration // cumulative wall time inside schedule()
 	MaxQueueDepth int
 }
 
@@ -610,12 +619,7 @@ func (s *Scheduler) observeParked() {
 // schedule is Algorithm 2's SCHEDULE procedure. Caller holds s.mu; the
 // returned grant callbacks must be invoked after unlocking.
 func (s *Scheduler) schedule() []func() {
-	start := time.Now()
-	defer func() {
-		s.stats.Decisions++
-		s.stats.DecisionTime += time.Since(start)
-	}()
-
+	s.stats.Decisions++
 	var grants []func()
 	switch s.policy {
 	case PolicySmallestFirst:

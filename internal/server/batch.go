@@ -69,10 +69,7 @@ func (s *Server) execBatch(key batch.Key, items []*batch.Item) {
 	}
 	defer s.scheduler.Complete(batchID)
 
-	name := "forward"
-	if key.Kind == sched.KindBackward {
-		name = "backward"
-	}
+	_, span := key.Kind.Spans()
 	tStart := s.cfg.Tracer.Now()
 	compStart := time.Now()
 	if err := s.runBatched(key, works); err != nil {
@@ -98,7 +95,7 @@ func (s *Server) execBatch(key batch.Key, items []*batch.Item) {
 		}
 		billed += share
 		works[i].comp = share
-		s.cfg.Tracer.RecordT(works[i].sess.id, name, "compute", works[i].traceID, tStart, share)
+		s.cfg.Tracer.RecordT(works[i].sess.id, span, works[i].traceID, tStart, share)
 	}
 }
 

@@ -136,23 +136,12 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// stats are atomics rather than a second mutex: serving goroutines
-	// update them while holding no locks, so there is no lock ordering
-	// to get wrong between stats, s.mu and the scheduler's internal
-	// lock (and `go test -race` keeps it that way).
-	stats struct {
-		clientsServed atomic.Int64
-		iterations    atomic.Int64
-		schedWaitNs   atomic.Int64
-		computeNs     atomic.Int64
-		reforwards    atomic.Int64
-	}
-
 	m serverMetrics
 }
 
-// serverMetrics are the serving plane's telemetry handles; the zero
-// value (nil handles) is valid and free.
+// serverMetrics are the serving plane's telemetry handles. They always
+// exist, in a private registry when Config.Metrics is nil, because
+// Stats reads them.
 type serverMetrics struct {
 	admitted          *obs.Counter
 	iterations        *obs.Counter
@@ -229,16 +218,20 @@ func New(cfg Config) (*Server, error) {
 			})
 		}
 	}
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	s.m = serverMetrics{
+		admitted:          reg.Counter(obs.MetricServerAdmitted, "clients admitted at handshake"),
+		iterations:        reg.Counter(obs.MetricServerIterations, "fine-tuning iterations completed"),
+		compute:           reg.Histogram(obs.MetricServerComputeSeconds, obs.DurationBuckets(), "server-side compute per request"),
+		schedWait:         reg.Histogram(obs.MetricServerWaitSeconds, obs.DurationBuckets(), "scheduler grant wait per request"),
+		active:            reg.Gauge(obs.MetricServerActiveClients, "clients currently connected and admitted"),
+		reforwards:        reg.Counter(obs.MetricServerReforwards, "serial backwards that recomputed the forward (no parked cache to claim)"),
+		profileViolations: reg.Counter(obs.MetricServerProfileViolations, "kept activation caches larger than the grant profiled for them"),
+	}
 	if cfg.Metrics != nil {
-		s.m = serverMetrics{
-			admitted:          cfg.Metrics.Counter(obs.MetricServerAdmitted, "clients admitted at handshake"),
-			iterations:        cfg.Metrics.Counter(obs.MetricServerIterations, "fine-tuning iterations completed"),
-			compute:           cfg.Metrics.Histogram(obs.MetricServerComputeSeconds, obs.DurationBuckets(), "server-side compute per request"),
-			schedWait:         cfg.Metrics.Histogram(obs.MetricServerWaitSeconds, obs.DurationBuckets(), "scheduler grant wait per request"),
-			active:            cfg.Metrics.Gauge(obs.MetricServerActiveClients, "clients currently connected and admitted"),
-			reforwards:        cfg.Metrics.Counter(obs.MetricServerReforwards, "serial backwards that recomputed the forward (no parked cache to claim)"),
-			profileViolations: cfg.Metrics.Counter(obs.MetricServerProfileViolations, "kept activation caches larger than the grant profiled for them"),
-		}
 		s.payload.Compressed = cfg.Metrics.Counter(obs.MetricWireCompressedBytes, "on-wire bytes of compressed activation/gradient payloads sent")
 		s.payload.Raw = cfg.Metrics.Counter(obs.MetricWireRawBytes, "fp32 bytes the compressed payloads replaced")
 		s.payload.Seconds = cfg.Metrics.Histogram(obs.MetricWireCodecSeconds, obs.DurationBuckets(), "time quantizing/dequantizing wire payloads")
@@ -263,16 +256,20 @@ type Stats struct {
 	Reforwards int64
 }
 
-// Stats returns a snapshot.
+// Stats returns a snapshot, read from the serving plane's metric
+// families: the numbers /metrics shows.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		ClientsServed: s.stats.clientsServed.Load(),
-		Iterations:    s.stats.iterations.Load(),
-		Reforwards:    s.stats.reforwards.Load(),
+		ClientsServed: s.m.admitted.Value(),
+		Iterations:    s.m.iterations.Value(),
+		Reforwards:    s.m.reforwards.Value(),
 	}
 	if st.Iterations > 0 {
-		st.AvgSchedWait = time.Duration(s.stats.schedWaitNs.Load()) / time.Duration(st.Iterations)
-		st.AvgCompute = time.Duration(s.stats.computeNs.Load()) / time.Duration(st.Iterations)
+		perIter := func(h *obs.Histogram) time.Duration {
+			return time.Duration(h.Sum() * float64(time.Second) / float64(st.Iterations))
+		}
+		st.AvgSchedWait = perIter(s.m.schedWait)
+		st.AvgCompute = perIter(s.m.compute)
 	}
 	return st
 }
@@ -435,7 +432,7 @@ func (s *Server) handleConn(rawConn net.Conn) {
 				// the source-side handoff span with it stitches both
 				// processes' spans under one IterTraceID in a merged
 				// fleet trace (fleetd trace federation).
-				mig := s.cfg.Tracer.BeginT(sess.id, "migrate:out", "migrate", m.TraceID)
+				mig := s.cfg.Tracer.BeginT(sess.id, obs.SpanMigrateOut, m.TraceID)
 				err := s.executeMigration(conn, sess, ord)
 				mig.End()
 				if err != nil {
@@ -507,7 +504,7 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 	if !ok {
 		return nil, fmt.Errorf("expected hello, got %v", msg.MsgType())
 	}
-	admitSpan := s.cfg.Tracer.Begin(hello.ClientID, "admit", "admission")
+	admitSpan := s.cfg.Tracer.Begin(hello.ClientID, obs.SpanAdmit)
 	// One unwind for every way the handshake can fail from here on: the
 	// persistent reservation and the instance, once taken, go back
 	// before the admission span ends and the refusal (if any) reaches
@@ -659,7 +656,7 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 		// Untraced span (the replayed iteration's trace ID arrives only
 		// with the client's next ForwardReq); the destination side of a
 		// migration is still visible on the session's track.
-		mig := s.cfg.Tracer.Begin(sess.id, "migrate:in", "migrate")
+		mig := s.cfg.Tracer.Begin(sess.id, obs.SpanMigrateIn)
 		if err := checkpoint.DecodeSession(staged.data, sess.params, sess.optimizer); err != nil {
 			return reject(fmt.Sprintf("resume restore failed: %v", err))
 		}
@@ -675,7 +672,6 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 	}); err != nil {
 		return nil, fmt.Errorf("write ack: %w", err)
 	}
-	s.stats.clientsServed.Add(1)
 	s.m.admitted.Inc()
 	s.m.active.Add(1)
 	return sess, nil
@@ -706,9 +702,10 @@ func (s *Server) teardown(sess *session) {
 // trace ID (0 = untraced) to tie a tail-latency observation back to the
 // client iteration that suffered it.
 func (s *Server) acquire(kind sched.RequestKind, batchID string, works ...*phaseWork) error {
+	waitSpan, _ := kind.Spans()
 	spans := make([]*obs.SpanHandle, len(works))
 	for i, w := range works {
-		spans[i] = s.cfg.Tracer.BeginT(w.sess.id, "wait:"+kind.String(), "sched", w.traceID)
+		spans[i] = s.cfg.Tracer.BeginT(w.sess.id, waitSpan, w.traceID)
 	}
 	granted := make(chan struct{}, 1) // may fire synchronously inside Submit
 	grant := func() { granted <- struct{}{} }
@@ -733,7 +730,6 @@ func (s *Server) acquire(kind sched.RequestKind, batchID string, works ...*phase
 	for i, w := range works {
 		spans[i].End()
 		if err == nil {
-			w.wait = wait
 			s.m.schedWait.ObserveExemplar(wait.Seconds(), w.traceID)
 		}
 	}
@@ -760,7 +756,6 @@ type phaseWork struct {
 	traceID uint64
 
 	out  *tensor.Tensor // x_s on forward, g_s on backward
-	wait time.Duration
 	comp time.Duration
 }
 
@@ -840,7 +835,7 @@ func (s *Server) serveForward(conn net.Conn, sess *session, req *split.ForwardRe
 	sess.cachedIter = req.Iter
 	sess.cachedBatch = req.Batch
 	sess.cachedSeq = req.Seq
-	s.recordIterationHalf(sess, w.wait, w.comp, req.TraceID)
+	s.recordIterationHalf(sess, w.comp, req.TraceID)
 	plain, packed, err := sess.payload.Pack(w.out)
 	if err != nil {
 		return fmt.Errorf("forward: %w", err)
@@ -861,7 +856,7 @@ func (s *Server) runForward(w *phaseWork) error {
 		return err
 	}
 	keep := s.scheduler.Grow(sess.id, sess.demands.BackwardBytes)
-	compSpan := s.cfg.Tracer.BeginT(sess.id, "forward", "compute", w.traceID)
+	compSpan := s.cfg.Tracer.BeginT(sess.id, obs.SpanForward, w.traceID)
 	compStart := time.Now()
 	xs, cache, err := sess.body.Forward(w.x, w.batch, w.seq, keep)
 	if err != nil {
@@ -889,12 +884,12 @@ func (s *Server) runForward(w *phaseWork) error {
 	}
 	if !keep {
 		// Release GPU memory before waiting for gradients.
-		rel := s.cfg.Tracer.BeginT(sess.id, "release", "release", w.traceID)
+		rel := s.cfg.Tracer.BeginT(sess.id, obs.SpanRelease, w.traceID)
 		s.scheduler.Complete(sess.id)
 		rel.End()
 		return nil
 	}
-	park := s.cfg.Tracer.BeginT(sess.id, "park", "release", w.traceID)
+	park := s.cfg.Tracer.BeginT(sess.id, obs.SpanPark, w.traceID)
 	sess.parked.Store(cache) // before Park: the hook may fire inside it
 	s.scheduler.Park(sess.id, sess.dropParked)
 	park.End()
@@ -941,7 +936,7 @@ func (s *Server) serveBackward(conn net.Conn, sess *session, req *split.Backward
 	// (Apply=false) the gradients keep accumulating across micro-batches
 	// and the step is deferred.
 	if req.Apply {
-		sp := s.cfg.Tracer.BeginT(sess.id, "optimizer", "compute", req.TraceID)
+		sp := s.cfg.Tracer.BeginT(sess.id, obs.SpanOptimizer, req.TraceID)
 		t0 := time.Now()
 		if err := sess.optimizer.Step(sess.params); err != nil {
 			return err
@@ -950,8 +945,7 @@ func (s *Server) serveBackward(conn net.Conn, sess *session, req *split.Backward
 		w.comp += time.Since(t0)
 		sp.End()
 	}
-	s.recordIterationHalf(sess, w.wait, w.comp, req.TraceID)
-	s.stats.iterations.Add(1)
+	s.recordIterationHalf(sess, w.comp, req.TraceID)
 	s.m.iterations.Inc()
 	s.ledger.AddIteration(sess.id)
 	plain, packed, err := sess.payload.Pack(w.out)
@@ -968,10 +962,10 @@ func (s *Server) serveBackward(conn net.Conn, sess *session, req *split.Backward
 // Both outcomes release the grant afterwards.
 func (s *Server) runBackward(w *phaseWork, cache *model.BodyCache) error {
 	sess := w.sess
-	compSpan := s.cfg.Tracer.BeginT(sess.id, "backward", "compute", w.traceID)
+	compSpan := s.cfg.Tracer.BeginT(sess.id, obs.SpanBackward, w.traceID)
 	compStart := time.Now()
 	if cache == nil {
-		refwd := s.cfg.Tracer.BeginT(sess.id, "refwd", "recompute", w.traceID)
+		refwd := s.cfg.Tracer.BeginT(sess.id, obs.SpanRefwd, w.traceID)
 		var err error
 		_, cache, err = sess.body.Forward(sess.cachedInput, w.batch, w.seq, true)
 		refwd.End()
@@ -979,7 +973,6 @@ func (s *Server) runBackward(w *phaseWork, cache *model.BodyCache) error {
 			s.scheduler.Complete(sess.id)
 			return err
 		}
-		s.stats.reforwards.Add(1)
 		s.m.reforwards.Inc()
 	}
 	gs, err := sess.body.Backward(cache, w.x)
@@ -989,7 +982,7 @@ func (s *Server) runBackward(w *phaseWork, cache *model.BodyCache) error {
 	}
 	w.out, w.comp = gs, time.Since(compStart)
 	compSpan.End()
-	rel := s.cfg.Tracer.BeginT(sess.id, "release", "release", w.traceID)
+	rel := s.cfg.Tracer.BeginT(sess.id, obs.SpanRelease, w.traceID)
 	s.scheduler.Complete(sess.id)
 	rel.End()
 	return nil
@@ -1006,9 +999,7 @@ func (sess *session) echoTrace(traceID uint64) uint64 {
 	return traceID
 }
 
-func (s *Server) recordIterationHalf(sess *session, wait, comp time.Duration, traceID uint64) {
-	s.stats.schedWaitNs.Add(int64(wait))
-	s.stats.computeNs.Add(int64(comp))
+func (s *Server) recordIterationHalf(sess *session, comp time.Duration, traceID uint64) {
 	s.m.compute.ObserveExemplar(comp.Seconds(), traceID)
 	s.ledger.AddCompute(sess.id, comp.Seconds())
 }

@@ -122,10 +122,6 @@ func TestMenosAccountingDeterminismPin(t *testing.T) {
 			cfg.Metrics = reg
 		}
 		r := run(t, cfg)
-		// DecisionTime is the one wall-clock-measured field in the
-		// result (real nanoseconds spent inside scheduler decisions);
-		// it is noisy with or without accounting, so mask it.
-		r.SchedStats.DecisionTime = 0
 		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 
 	"menos/internal/fleet"
 	"menos/internal/memmodel"
+	"menos/internal/obs"
 	"menos/internal/sched"
 	"menos/internal/simnet"
 )
@@ -54,11 +55,7 @@ func TestFleetRoundRobinByteIdentical(t *testing.T) {
 			t.Fatalf("MemSamples[%d]: %+v vs %+v", i, base.MemSamples[i], explicit.MemSamples[i])
 		}
 	}
-	// DecisionTime is measured in wall time (the one deliberately
-	// non-virtual stat); everything else must match exactly.
-	bs, es := base.SchedStats, explicit.SchedStats
-	bs.DecisionTime, es.DecisionTime = 0, 0
-	if bs != es {
+	if bs, es := base.SchedStats, explicit.SchedStats; bs != es {
 		t.Fatalf("SchedStats: %+v vs %+v", bs, es)
 	}
 	if base.Fleet != explicit.Fleet {
@@ -125,7 +122,10 @@ func autoscaleCfg(n int) Config {
 // fit only one backward at a time, so the queue builds and the
 // autoscaler must add servers; clients rebalance onto them.
 func TestFleetAutoscaleGrowsUnderLoad(t *testing.T) {
-	r := run(t, autoscaleCfg(8))
+	cfg := autoscaleCfg(8)
+	tracer := obs.NewTracer(nil)
+	cfg.Tracer = tracer
+	r := run(t, cfg)
 	if r.Fleet.PeakServers <= 1 {
 		t.Fatalf("fleet never grew: %+v", r.Fleet)
 	}
@@ -137,6 +137,16 @@ func TestFleetAutoscaleGrowsUnderLoad(t *testing.T) {
 	}
 	if r.Fleet.StartServers != 1 {
 		t.Fatalf("StartServers = %d, want 1", r.Fleet.StartServers)
+	}
+	// Every migration bills its state transfer as one sched span.
+	var migrateSpans int64
+	for _, s := range tracer.Spans() {
+		if (spanKey{s.Name, s.Cat} == spanKey{"migrate", "sched"}) {
+			migrateSpans++
+		}
+	}
+	if migrateSpans != r.Fleet.Migrations {
+		t.Fatalf("%d migrate spans for %d migrations", migrateSpans, r.Fleet.Migrations)
 	}
 	// Growth must pay off: the run with autoscaling beats the pinned
 	// single server.

@@ -92,7 +92,7 @@ var goldenDigests = map[string]string{
 }
 
 // resultDigest hashes a canonical encoding of every virtual-time
-// observable of r. DecisionTime (wall clock) is left out.
+// observable of r.
 func resultDigest(r *Result) string {
 	h := sha256.New()
 	put := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }

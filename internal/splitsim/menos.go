@@ -15,7 +15,6 @@ import (
 	"menos/internal/sched"
 	"menos/internal/sim"
 	"menos/internal/simnet"
-	"menos/internal/trace"
 )
 
 // Fleet-dynamics cost model: moving a client between servers ships its
@@ -184,8 +183,8 @@ func runMenos(cfg Config) (*Result, error) {
 	clients := make([]menosClient, len(cfg.Clients))
 	results := make([]ClientResult, len(cfg.Clients))
 	for i := range clients {
-		results[i] = ClientResult{ID: cfg.Clients[i].ID, Breakdown: &trace.Breakdown{}}
-		clients[i].init(r, i, results[i].Breakdown)
+		results[i].ID = cfg.Clients[i].ID
+		clients[i].init(r, i, &results[i].Breakdown)
 	}
 
 	// Static fleets place every client up front in arrival order — the
@@ -243,10 +242,6 @@ func runMenos(cfg Config) (*Result, error) {
 		}
 	}
 
-	agg := &trace.Breakdown{}
-	for _, res := range results {
-		agg.Merge(res.Breakdown)
-	}
 	var schedStats sched.Stats
 	var admission sched.AdmissionStats
 	for _, srv := range r.servers {
@@ -256,7 +251,6 @@ func runMenos(cfg Config) (*Result, error) {
 		schedStats.Backfilled += st.Backfilled
 		schedStats.Completed += st.Completed
 		schedStats.Decisions += st.Decisions
-		schedStats.DecisionTime += st.DecisionTime
 		if st.MaxQueueDepth > schedStats.MaxQueueDepth {
 			schedStats.MaxQueueDepth = st.MaxQueueDepth
 		}
@@ -275,7 +269,7 @@ func runMenos(cfg Config) (*Result, error) {
 	res := &Result{
 		Mode:            ModeMenos,
 		Clients:         results,
-		Aggregate:       agg,
+		Aggregate:       aggregate(results),
 		PersistentBytes: persistent,
 		SchedStats:      schedStats,
 		Rejected:        r.rejected,
@@ -511,7 +505,6 @@ type menosClient struct {
 	i    int
 	spec *ClientSpec
 	ci   fleet.ClientInfo
-	bd   *trace.Breakdown
 	cost *costmodel.Model
 
 	// Per-iteration constants: the client's compute segments and its
@@ -531,7 +524,9 @@ type menosClient struct {
 	counted     bool // counted in the autoscaler's pending placements
 	held        bool // a grant is held on c.srv
 	releaseCost time.Duration
-	iterStart   time.Duration
+	// Overlap: when the iteration's wire+server leg began, and what the
+	// client's Breakdown totalled then.
+	iterStart, iterBilled time.Duration
 
 	// Grant in flight.
 	kind  sched.RequestKind
@@ -582,7 +577,7 @@ const (
 // afterPhase is where the schedule resumes after each server phase.
 var afterPhase = [2]clientPC{pcDownloadXS, pcOptimizer}
 
-func (c *menosClient) init(r *menosRun, i int, bd *trace.Breakdown) {
+func (c *menosClient) init(r *menosRun, i int, bd *Breakdown) {
 	cfg := &r.cfg
 	spec := &cfg.Clients[i]
 	w := spec.Workload
@@ -590,13 +585,13 @@ func (c *menosClient) init(r *menosRun, i int, bd *trace.Breakdown) {
 	// of the fp32 volume (per-row scale overhead dropped; see
 	// quant.Codec.WireRatio). Grant sizes are untouched: compression
 	// changes what crosses the link, not what the GPU materializes.
-	c.initLoop(r.kernel, r.link, cfg.Tracer, spec.ID, w.TransferBytes(), c.step)
+	c.initLoop(r.kernel, r.link, cfg.Tracer, spec.ID, bd, w.TransferBytes(), c.step)
 	c.ledger = r.ledger
 	if cfg.WireCodec != quant.CodecFP32 {
 		c.transfer = int64(float64(c.rawTransfer) * cfg.WireCodec.WireRatio())
 		c.wireCompressed, c.wireRaw = r.wireCompressed, r.wireRaw
 	}
-	c.r, c.i, c.spec, c.bd = r, i, spec, bd
+	c.r, c.i, c.spec = r, i, spec
 	c.cost = costmodel.New(cfg.ServerPerf, w)
 	c.pre, c.mid, c.post = clientPhases(costmodel.ClientComputeTime(spec.Platform, w))
 	c.phases = cfg.serverPhases(w, c.cost)
@@ -674,7 +669,6 @@ func (c *menosClient) step() {
 				continue
 			}
 			c.tid = obs.IterTraceID(c.id, c.iter)
-			c.comm, c.comp, c.schedT = 0, 0, 0
 			c.pc = pcClientPre
 			// Fleet rebalance check (autoscaled runs): evacuate a
 			// draining server, or follow a strictly better placement.
@@ -707,9 +701,7 @@ func (c *menosClient) step() {
 			return
 
 		case pcMigrated:
-			d := k.Now() - c.opStart
-			c.schedT += d
-			c.tracer.RecordT(c.id, "migrate", "sched", c.tid, c.opStart, d)
+			c.bill(obs.SpanMigrate, c.opStart, k.Now()-c.opStart)
 			r.sampleMem(k.Now(), c.to)
 			c.srv = c.to
 			r.decommission(c.from)
@@ -733,7 +725,7 @@ func (c *menosClient) step() {
 			// validated envelope (on-demand policy, serial serving,
 			// static fleet) sets Overlap; the client segments below are
 			// then skipped.
-			c.iterStart = k.Now()
+			c.iterStart, c.iterBilled = k.Now(), c.bd.total()
 			c.pc = pcUploadXC
 			if cfg.Overlap {
 				c.computeDone, c.sidePC = false, 0
@@ -741,12 +733,12 @@ func (c *menosClient) step() {
 				continue
 			}
 			// Client computes the input section and uploads x_c.
-			c.compute("client-pre", c.pre)
+			c.computeLocal(obs.SpanClientPre, c.pre)
 			return
 
 		case pcUploadXC:
 			c.pc, c.ph = pcGrant, 0
-			c.xfer("upload:x_c")
+			c.upload(obs.SpanUploadXC)
 			return
 
 		// ---- Server: phase c.ph, grant → compute → release ----
@@ -770,7 +762,7 @@ func (c *menosClient) step() {
 		case pcCompute:
 			p := &c.phases[c.ph]
 			c.pc = pcRelease
-			c.compute(p.name, p.dur)
+			c.compute(p.span, p.dur)
 			return
 
 		case pcRelease:
@@ -781,7 +773,7 @@ func (c *menosClient) step() {
 				// overhead, paid after the grant is returned.
 				c.release()
 				if p.cycleDiv > 0 {
-					c.compute("release", c.cycleShare(p))
+					c.compute(obs.SpanReleaseCycle, c.cycleShare(p))
 					return
 				}
 			}
@@ -790,37 +782,37 @@ func (c *menosClient) step() {
 		// the loss, and uploads g_c.
 		case pcDownloadXS:
 			c.pc = pcClientMid
-			c.xfer("download:x_s")
+			c.download(obs.SpanDownloadXS)
 			return
 
 		case pcClientMid:
 			c.pc = pcUploadGC
 			if !cfg.Overlap {
-				c.compute("client-mid", c.mid)
+				c.computeLocal(obs.SpanClientMid, c.mid)
 				return
 			}
 
 		case pcUploadGC:
 			c.pc, c.ph = pcGrant, 1
-			c.xfer("upload:g_c")
+			c.upload(obs.SpanUploadGC)
 			return
 
 		case pcOptimizer:
 			c.pc = pcDownloadGS
-			c.compute("optimizer", costmodel.OptimizerStepTime)
+			c.compute(obs.SpanOptimizer, costmodel.OptimizerStepTime)
 			return
 
 		// Server returns g_s; client finishes its backward and optimizer
 		// step.
 		case pcDownloadGS:
 			c.pc = pcClientPost
-			c.xfer("download:g_s")
+			c.download(obs.SpanDownloadGS)
 			return
 
 		case pcClientPost:
 			c.pc = pcJoin
 			if !cfg.Overlap {
-				c.compute("client-post", c.post)
+				c.computeLocal(obs.SpanClientPost, c.post)
 				return
 			}
 
@@ -830,12 +822,12 @@ func (c *menosClient) step() {
 					c.joined.Wait(c.joinReason, c.advance)
 					return
 				}
-				if hidden := c.comm + c.comp + c.schedT - (k.Now() - c.iterStart); hidden > 0 {
+				if hidden := c.bd.total() - c.iterBilled - (k.Now() - c.iterStart); hidden > 0 {
 					r.hidden += hidden
 					r.hiddenHist.Observe(hidden.Seconds())
 				}
 			}
-			c.bd.Add(c.comm, c.comp, c.schedT)
+			c.bd.iterations++
 			r.ledger.AddIteration(c.id)
 			c.iter++
 			c.pc = pcIterate
@@ -909,13 +901,13 @@ func (c *menosClient) overlap() {
 	case 1:
 		k.After(c.pre, c.side)
 	case 2:
-		c.billCompute("client-pre", k.Now()-c.pre, c.pre)
+		c.bill(obs.SpanClientPre, k.Now()-c.pre, c.pre)
 		k.After(c.mid, c.side)
 	case 3:
-		c.billCompute("client-mid", k.Now()-c.mid, c.mid)
+		c.bill(obs.SpanClientMid, k.Now()-c.mid, c.mid)
 		k.After(c.post, c.side)
 	case 4:
-		c.billCompute("client-post", k.Now()-c.post, c.post)
+		c.bill(obs.SpanClientPost, k.Now()-c.post, c.post)
 		c.computeDone = true
 		c.joined.Fire()
 	}
@@ -953,17 +945,9 @@ func (c *menosClient) grantLanded() {
 	d := now - c.opStart + costmodel.SchedulerDecisionTime
 	r.recordWait(c.kind, d)
 	r.sampleMem(now, c.srv)
-	c.schedT += d
-	c.tracer.RecordT(c.id, waitSpan(c.kind), "sched", c.tid, c.opStart, d)
+	wait, _ := c.kind.Spans()
+	c.bill(wait, c.opStart, d)
 	c.advance()
-}
-
-// waitSpan names a grant wait's span without building a string.
-func waitSpan(kind sched.RequestKind) string {
-	if kind == sched.KindForward {
-		return "wait:forward"
-	}
-	return "wait:backward"
 }
 
 func (c *menosClient) release() {
@@ -990,7 +974,7 @@ func (c *menosClient) cycleShare(p *serverPhase) time.Duration {
 func (c *menosClient) batchPhase(p *serverPhase) {
 	m := &c.member
 	m.bytes, m.dur, m.release = p.grant, p.dur, c.cycleShare(p)
-	c.kind, c.opName, c.opStart = p.kind, p.name, c.kernel.Now()
+	c.kind, c.op, c.opStart = p.kind, p.span, c.kernel.Now()
 	key := batch.Key{Cut: c.spec.Workload.Cut, Seq: c.spec.Workload.Seq, Kind: p.kind}
 	c.r.batcher.join(c.srv, key, m)
 }
@@ -1003,13 +987,12 @@ func (c *menosClient) batchLanded() {
 	}
 	start := c.opStart
 	r.recordWait(c.kind, m.wait)
-	c.schedT += m.wait + m.stall
-	c.comp += m.compute
-	c.tracer.RecordT(c.id, waitSpan(c.kind), "sched", c.tid, start, m.wait)
+	wait, _ := c.kind.Spans()
+	c.bill(wait, start, m.wait)
 	grantAt := start + m.wait - costmodel.SchedulerDecisionTime
-	c.tracer.RecordT(c.id, c.opName, "compute", c.tid, grantAt, m.compute)
+	c.bill(c.op, grantAt, m.compute)
 	if m.stall > 0 {
-		c.tracer.RecordT(c.id, "batch-stall", "sched", c.tid, grantAt+m.compute, m.stall)
+		c.bill(obs.SpanBatchStall, grantAt+m.compute, m.stall)
 	}
 	r.ledger.AddCompute(c.id, m.compute.Seconds())
 	c.advance()

@@ -2,10 +2,12 @@ package splitsim
 
 import (
 	"testing"
+	"time"
 
 	"menos/internal/memmodel"
 	"menos/internal/obs"
 	"menos/internal/sched"
+	"menos/internal/simnet"
 )
 
 // spanKey is what TestPolicySpanSequence pins of a span.
@@ -61,27 +63,55 @@ func TestPolicySpanSequence(t *testing.T) {
 			{"optimizer", "compute"}, {"download:g_s", "comm"}, {"client-post", "compute"},
 		}},
 	}
-	for _, tc := range cases {
+	// check runs cfg for one iteration and compares client-1's spans.
+	check := func(name string, cfg Config, want []spanKey) {
 		tracer := obs.NewTracer(nil)
-		cfg := menosCfg(1, memmodel.PaperOPTWorkload())
 		cfg.Iterations = 1
-		cfg.Policy = tc.policy
-		cfg.Batch = tc.batch
 		cfg.Tracer = tracer
 		run(t, cfg)
 		var got []spanKey
 		for _, s := range tracer.Spans() {
-			got = append(got, spanKey{s.Name, s.Cat})
+			if s.Track == "client-1" {
+				got = append(got, spanKey{s.Name, s.Cat})
+			}
 		}
-		if len(got) != len(tc.want) {
-			t.Errorf("%s: %d spans %v, want %d %v", tc.name, len(got), got, len(tc.want), tc.want)
-			continue
+		if len(got) != len(want) {
+			t.Errorf("%s: %d spans %v, want %d %v", name, len(got), got, len(want), want)
+			return
 		}
 		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("%s: span %d is %v, want %v (all: %v)", tc.name, i, got[i], tc.want[i], got)
+			if got[i] != want[i] {
+				t.Errorf("%s: span %d is %v, want %v (all: %v)", name, i, got[i], want[i], got)
 				break
 			}
 		}
 	}
+	for _, tc := range cases {
+		cfg := menosCfg(1, memmodel.PaperOPTWorkload())
+		cfg.Policy = tc.policy
+		cfg.Batch = tc.batch
+		check(tc.name, cfg, tc.want)
+	}
+
+	// The vanilla baseline waits once per iteration, for its replica to
+	// be resident, and releases nothing.
+	check("vanilla", vanillaCfg(1, memmodel.PaperOPTWorkload()), []spanKey{
+		{"client-pre", "compute"}, {"upload:x_c", "comm"},
+		{"residency-wait", "sched"}, {"forward", "compute"},
+		{"download:x_s", "comm"}, {"client-mid", "compute"}, {"upload:g_c", "comm"},
+		{"backward", "compute"},
+		{"optimizer", "compute"}, {"download:g_s", "comm"}, {"client-post", "compute"},
+	})
+	// Two members share each batched invocation: each stalls for its
+	// co-member's rows after its own share of the kernel.
+	batched := menosCfg(2, memmodel.PaperOPTWorkload())
+	batched.Batch = &sched.BatchPolicy{MaxSize: 2, MaxHold: 100 * time.Millisecond}
+	batched.LinkPreset = simnet.LANPreset
+	check("batched pair", batched, []spanKey{
+		{"client-pre", "compute"}, {"upload:x_c", "comm"},
+		{"wait:forward", "sched"}, {"forward", "compute"}, {"batch-stall", "sched"},
+		{"download:x_s", "comm"}, {"client-mid", "compute"}, {"upload:g_c", "comm"},
+		{"wait:backward", "sched"}, {"re-forward+backward", "compute"}, {"batch-stall", "sched"},
+		{"optimizer", "compute"}, {"download:g_s", "comm"}, {"client-post", "compute"},
+	})
 }

@@ -9,7 +9,6 @@ package splitsim
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"menos/internal/costmodel"
@@ -21,7 +20,6 @@ import (
 	"menos/internal/sched"
 	"menos/internal/sim"
 	"menos/internal/simnet"
-	"menos/internal/trace"
 )
 
 // ErrConfig is returned (wrapped) for invalid simulation configs.
@@ -101,8 +99,8 @@ func (p MemPolicy) String() string {
 // configured row once per client.
 type serverPhase struct {
 	kind    sched.RequestKind
-	grant   int64  // bytes requested; 0 when the memory is held since the forward
-	name    string // the compute span
+	grant   int64        // bytes requested; 0 when the memory is held since the forward
+	span    obs.SpanKind // the compute span
 	dur     time.Duration
 	release bool
 	// cycleDiv is the phase's share of Table 2's release/re-collect
@@ -115,19 +113,21 @@ type serverPhase struct {
 func (c *Config) serverPhases(w memmodel.Workload, cost *costmodel.Model) [2]serverPhase {
 	row := policyRows[c.Policy]
 	fwdT, bwdT := cost.ForwardTime(w), cost.BackwardTime(w)
-	fwd := serverPhase{kind: sched.KindForward, grant: w.NoGradForwardBytes(), name: "forward",
+	fwd := serverPhase{kind: sched.KindForward, grant: w.NoGradForwardBytes(),
 		dur: cost.NoGradForwardTime(w), release: row.release == releaseOnWait}
+	_, fwd.span = fwd.kind.Spans()
 	if row.keepGrad {
 		fwd.grant, fwd.dur = w.ActivationBytes(), fwdT
 	}
-	bwd := serverPhase{kind: sched.KindBackward, name: "backward", dur: bwdT,
+	bwd := serverPhase{kind: sched.KindBackward, dur: bwdT,
 		release: row.release != releaseAtSessionEnd}
+	_, bwd.span = bwd.kind.Spans()
 	if row.release == releaseOnWait {
 		// Nothing survived the wait: a new grant, and the forward again.
 		bwd.grant, bwd.dur = w.BackwardPeakBytes(), fwdT+bwdT
 	}
 	if !row.keepGrad {
-		bwd.name = "re-forward+backward"
+		bwd.span = obs.SpanReforwardBackward
 	}
 	// The cycle is paid once per iteration, split evenly over the
 	// releases that free grad-enabled activations.
@@ -219,7 +219,7 @@ type Config struct {
 	// (comm transfers, compute segments, grant waits) in *virtual*
 	// time: span timestamps are kernel time, never the wall clock, so
 	// a dumped Chrome trace shows the simulated timeline. The span
-	// category totals reconstruct the run's trace.Breakdown exactly.
+	// category totals reconstruct the run's Breakdown exactly.
 	// Spans carry the same deterministic obs.IterTraceID(client, iter)
 	// IDs a real TCP run stamps on the wire, so identical workloads
 	// correlate across planes.
@@ -340,18 +340,81 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// Breakdown is the decomposition of the paper's Tables 1-3: the
+// communication, computation and scheduling time of a run's iterations,
+// summed. A client bills it only through clientLoop.bill, which records
+// the matching span, so a traced run's span category totals are these
+// totals.
+type Breakdown struct {
+	comm, comp, sched time.Duration
+	iterations        int
+}
+
+// add bills d to the component of span category cat.
+func (b *Breakdown) add(cat string, d time.Duration) {
+	switch cat {
+	case "comm":
+		b.comm += d
+	case "compute":
+		b.comp += d
+	case "sched":
+		b.sched += d
+	default:
+		panic("splitsim: span category " + cat + " is no Breakdown component")
+	}
+}
+
+// Iterations returns the number of completed iterations.
+func (b Breakdown) Iterations() int { return b.iterations }
+
+// Totals returns the component sums (not averages).
+func (b Breakdown) Totals() (comm, comp, sched time.Duration) { return b.comm, b.comp, b.sched }
+
+// AvgComm returns mean communication time per iteration.
+func (b Breakdown) AvgComm() time.Duration { return b.avg(b.comm) }
+
+// AvgComp returns mean computation time per iteration.
+func (b Breakdown) AvgComp() time.Duration { return b.avg(b.comp) }
+
+// AvgSched returns mean scheduling (queueing) time per iteration.
+func (b Breakdown) AvgSched() time.Duration { return b.avg(b.sched) }
+
+// AvgTotal returns mean total time per iteration.
+func (b Breakdown) AvgTotal() time.Duration { return b.avg(b.total()) }
+
+func (b Breakdown) total() time.Duration { return b.comm + b.comp + b.sched }
+
+func (b Breakdown) avg(d time.Duration) time.Duration {
+	if b.iterations == 0 {
+		return 0
+	}
+	return d / time.Duration(b.iterations)
+}
+
+// aggregate sums the clients' breakdowns into the system view.
+func aggregate(clients []ClientResult) Breakdown {
+	var agg Breakdown
+	for _, c := range clients {
+		agg.comm += c.Breakdown.comm
+		agg.comp += c.Breakdown.comp
+		agg.sched += c.Breakdown.sched
+		agg.iterations += c.Breakdown.iterations
+	}
+	return agg
+}
+
 // ClientResult is one client's measured breakdown.
 type ClientResult struct {
 	ID        string
-	Breakdown *trace.Breakdown
+	Breakdown Breakdown
 }
 
 // Result aggregates a simulation run.
 type Result struct {
 	Mode    Mode
 	Clients []ClientResult
-	// Aggregate merges all clients.
-	Aggregate *trace.Breakdown
+	// Aggregate sums all clients.
+	Aggregate Breakdown
 	// PersistentBytes is GPU memory held between iterations
 	// (Fig. 5's comparison basis).
 	PersistentBytes int64
@@ -499,17 +562,14 @@ func clientPhases(total time.Duration) (pre, mid, post time.Duration) {
 	return pre, mid, post
 }
 
-// clientLoop is what both modes' client schedules share: the current
-// iteration's accumulators and trace ID, and the two timed operations
-// every iteration is made of, each billed when it lands and then
-// followed by advance, the schedule's next step.
+// clientLoop is what both modes' client schedules share: the client's
+// Breakdown and the current iteration's trace ID, and the two timed
+// operations every iteration is made of, each billed when it lands and
+// then followed by advance, the schedule's next step.
 //
-// Every accumulator update also records a span with identical
-// virtual-time bounds, so summing spans by category reconstructs the
-// Breakdown exactly (the bench's -trace-out parity check relies on
-// this). tid is the same obs.IterTraceID(clientID, iter) a TCP client
-// stamps on its wire requests, so simulated and real traces of one
-// workload correlate by identical IDs.
+// tid is the same obs.IterTraceID(clientID, iter) a TCP client stamps on
+// its wire requests, so simulated and real traces of one workload
+// correlate by identical IDs.
 type clientLoop struct {
 	kernel *sim.Kernel
 	link   *simnet.Link
@@ -520,64 +580,77 @@ type clientLoop struct {
 	wireCompressed, wireRaw *obs.Counter
 
 	id                    string
+	bd                    *Breakdown
 	transfer, rawTransfer int64 // link payload on the wire, and in fp32
 
-	tid                   uint64
-	comm, comp, schedT    time.Duration
-	opName                string // the timed operation in flight
+	tid uint64
+	// The timed operation in flight. onServer says where its work lands,
+	// which is what the tenant ledger bills: a server compute phase, or
+	// an upload (bytes the server receives).
+	op                    obs.SpanKind
+	onServer              bool
 	opStart, opDur        time.Duration
 	advance               func()
 	computed, transferred func()
 }
 
 // initLoop binds the loop's continuations; advance is the schedule.
-func (l *clientLoop) initLoop(k *sim.Kernel, link *simnet.Link, tracer *obs.Tracer, id string, transfer int64, advance func()) {
-	l.kernel, l.link, l.tracer, l.id = k, link, tracer, id
+func (l *clientLoop) initLoop(k *sim.Kernel, link *simnet.Link, tracer *obs.Tracer, id string, bd *Breakdown, transfer int64, advance func()) {
+	l.kernel, l.link, l.tracer, l.id, l.bd = k, link, tracer, id, bd
 	l.transfer, l.rawTransfer = transfer, transfer
 	l.advance = advance
 	l.computed = l.computeLanded
 	l.transferred = l.transferLanded
 }
 
-// compute spends d of virtual time computing, then continues.
-func (l *clientLoop) compute(name string, d time.Duration) {
-	l.opName, l.opStart, l.opDur = name, l.kernel.Now(), d
+// bill charges d, begun at start, to the Breakdown component of span's
+// category and records span with the same virtual-time bounds. It is
+// the only way a client's time is counted, so summing a run's spans by
+// category reconstructs its Breakdown exactly (menos-bench -trace-out
+// checks this).
+func (l *clientLoop) bill(span obs.SpanKind, start, d time.Duration) {
+	l.bd.add(span.Cat, d)
+	l.tracer.RecordT(l.id, span, l.tid, start, d)
+}
+
+// compute spends d of virtual time in a server phase, and computeLocal
+// on the client's own hardware, then continue.
+func (l *clientLoop) compute(span obs.SpanKind, d time.Duration)      { l.spend(span, true, d) }
+func (l *clientLoop) computeLocal(span obs.SpanKind, d time.Duration) { l.spend(span, false, d) }
+
+func (l *clientLoop) spend(span obs.SpanKind, onServer bool, d time.Duration) {
+	l.op, l.onServer, l.opStart, l.opDur = span, onServer, l.kernel.Now(), d
 	l.kernel.After(d, l.computed)
 }
 
 func (l *clientLoop) computeLanded() {
-	l.billCompute(l.opName, l.opStart, l.opDur)
+	l.bill(l.op, l.opStart, l.opDur)
+	// Server phases bill the tenant's compute-seconds; the client-local
+	// sections are not shared-server time.
+	if l.onServer {
+		l.ledger.AddCompute(l.id, l.opDur.Seconds())
+	}
 	l.advance()
 }
 
-func (l *clientLoop) billCompute(name string, start, d time.Duration) {
-	l.comp += d
-	l.tracer.RecordT(l.id, name, "compute", l.tid, start, d)
-	// Server-side phases bill the tenant's compute-seconds; the
-	// client-local sections ("client-*") are the client's own hardware,
-	// not shared-server time.
-	if l.ledger != nil && !strings.HasPrefix(name, "client-") {
-		l.ledger.AddCompute(l.id, d.Seconds())
-	}
-}
+// upload and download move one split-boundary payload over the link,
+// then continue.
+func (l *clientLoop) upload(span obs.SpanKind)   { l.xfer(span, true) }
+func (l *clientLoop) download(span obs.SpanKind) { l.xfer(span, false) }
 
-// xfer moves one split-boundary payload over the link, then continues.
-func (l *clientLoop) xfer(name string) {
-	l.opName, l.opStart = name, l.kernel.Now()
+func (l *clientLoop) xfer(span obs.SpanKind, up bool) {
+	l.op, l.onServer, l.opStart = span, up, l.kernel.Now()
 	l.opDur = l.link.Transfer(l.transfer, l.transferred)
 }
 
 func (l *clientLoop) transferLanded() {
-	l.comm += l.opDur
-	l.tracer.RecordT(l.id, l.opName, "comm", l.tid, l.opStart, l.opDur)
+	l.bill(l.op, l.opStart, l.opDur)
 	// Wire accounting from the server's viewpoint: an upload is bytes
 	// the server received, a download bytes it sent.
-	if l.ledger != nil {
-		if strings.HasPrefix(l.opName, "upload:") {
-			l.ledger.AddWire(l.id, 0, l.transfer)
-		} else {
-			l.ledger.AddWire(l.id, l.transfer, 0)
-		}
+	if l.onServer {
+		l.ledger.AddWire(l.id, 0, l.transfer)
+	} else {
+		l.ledger.AddWire(l.id, l.transfer, 0)
 	}
 	l.wireCompressed.Add(l.transfer)
 	l.wireRaw.Add(l.rawTransfer)

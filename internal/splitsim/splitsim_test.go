@@ -470,3 +470,60 @@ func TestBiggerGPUFitsMoreVanillaClients(t *testing.T) {
 		t.Fatalf("48G device queued: %v", rb.Aggregate.AvgSched())
 	}
 }
+
+func TestBreakdownAverages(t *testing.T) {
+	var b Breakdown
+	for _, it := range [][3]time.Duration{
+		{2 * time.Second, time.Second, 500 * time.Millisecond},
+		{4 * time.Second, time.Second, 1500 * time.Millisecond},
+	} {
+		b.add("comm", it[0])
+		b.add("compute", it[1])
+		b.add("sched", it[2])
+		b.iterations++
+	}
+	if b.Iterations() != 2 {
+		t.Fatalf("iterations = %d", b.Iterations())
+	}
+	if b.AvgComm() != 3*time.Second {
+		t.Fatalf("avg comm = %v", b.AvgComm())
+	}
+	if b.AvgComp() != time.Second {
+		t.Fatalf("avg comp = %v", b.AvgComp())
+	}
+	if b.AvgSched() != time.Second {
+		t.Fatalf("avg sched = %v", b.AvgSched())
+	}
+	if b.AvgTotal() != 5*time.Second {
+		t.Fatalf("avg total = %v", b.AvgTotal())
+	}
+}
+
+func TestBreakdownEmpty(t *testing.T) {
+	var b Breakdown
+	if b.AvgComm() != 0 || b.AvgTotal() != 0 {
+		t.Fatal("empty breakdown not zero")
+	}
+}
+
+// TestBreakdownMerge: a run's Aggregate is the sum of its clients'
+// breakdowns, in both modes.
+func TestBreakdownMerge(t *testing.T) {
+	for _, cfg := range []Config{menosCfg(3, memmodel.PaperOPTWorkload()), vanillaCfg(3, memmodel.PaperOPTWorkload())} {
+		r := run(t, cfg)
+		var comm, comp, sched time.Duration
+		var iters int
+		for _, c := range r.Clients {
+			cm, cp, s := c.Breakdown.Totals()
+			comm, comp, sched, iters = comm+cm, comp+cp, sched+s, iters+c.Breakdown.Iterations()
+		}
+		gcm, gcp, gs := r.Aggregate.Totals()
+		if gcm != comm || gcp != comp || gs != sched || r.Aggregate.Iterations() != iters {
+			t.Errorf("%v: aggregate (%v %v %v over %d) != Σ clients (%v %v %v over %d)",
+				cfg.Mode, gcm, gcp, gs, r.Aggregate.Iterations(), comm, comp, sched, iters)
+		}
+		if iters != 3*cfg.Iterations {
+			t.Errorf("%v: %d iterations, want %d", cfg.Mode, iters, 3*cfg.Iterations)
+		}
+	}
+}

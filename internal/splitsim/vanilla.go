@@ -9,7 +9,6 @@ import (
 	"menos/internal/obs"
 	"menos/internal/quant"
 	"menos/internal/sim"
-	"menos/internal/trace"
 )
 
 // vanillaTask is one client's replica as the residency manager sees it.
@@ -124,7 +123,6 @@ type vanillaClient struct {
 	res  *residency
 	task vanillaTask
 	spec *ClientSpec
-	bd   *trace.Breakdown
 
 	pre, mid, post time.Duration
 	fwd, bwd       time.Duration
@@ -172,14 +170,13 @@ func (c *vanillaClient) step() {
 				return
 			}
 			c.tid = obs.IterTraceID(c.id, c.iter)
-			c.comm, c.comp, c.schedT = 0, 0, 0
 			c.pc = vpUploadXC
-			c.compute("client-pre", c.pre)
+			c.computeLocal(obs.SpanClientPre, c.pre)
 			return
 
 		case vpUploadXC:
 			c.pc = vpResident
-			c.xfer("upload:x_c")
+			c.upload(obs.SpanUploadXC)
 			return
 
 		case vpResident:
@@ -190,50 +187,48 @@ func (c *vanillaClient) step() {
 			return
 
 		case vpForward:
-			d := k.Now() - c.resStart
-			c.schedT += d
-			c.tracer.RecordT(c.id, "residency-wait", "sched", c.tid, c.resStart, d)
+			c.bill(obs.SpanResidencyWait, c.resStart, k.Now()-c.resStart)
 			c.pc = vpDownloadXS
-			c.compute("forward", c.fwd)
+			c.compute(obs.SpanForward, c.fwd)
 			return
 
 		case vpDownloadXS:
 			c.pc = vpClientMid
-			c.xfer("download:x_s")
+			c.download(obs.SpanDownloadXS)
 			return
 
 		case vpClientMid:
 			c.pc = vpUploadGC
-			c.compute("client-mid", c.mid)
+			c.computeLocal(obs.SpanClientMid, c.mid)
 			return
 
 		case vpUploadGC:
 			c.pc = vpBackward
-			c.xfer("upload:g_c")
+			c.upload(obs.SpanUploadGC)
 			return
 
 		case vpBackward:
 			c.pc = vpOptimizer
-			c.compute("backward", c.bwd)
+			c.compute(obs.SpanBackward, c.bwd)
 			return
 
 		case vpOptimizer:
 			c.pc = vpDownloadGS
-			c.compute("optimizer", costmodel.OptimizerStepTime)
+			c.compute(obs.SpanOptimizer, costmodel.OptimizerStepTime)
 			return
 
 		case vpDownloadGS:
 			c.pc = vpClientPost
-			c.xfer("download:g_s")
+			c.download(obs.SpanDownloadGS)
 			return
 
 		case vpClientPost:
 			c.pc = vpIterDone
-			c.compute("client-post", c.post)
+			c.computeLocal(obs.SpanClientPost, c.post)
 			return
 
 		case vpIterDone:
-			c.bd.Add(c.comm, c.comp, c.schedT)
+			c.bd.iterations++
 			c.res.iterDone(&c.task)
 			c.iter++
 			c.pc = vpIterate
@@ -264,16 +259,16 @@ func runVanilla(cfg Config) (*Result, error) {
 		spec := &cfg.Clients[i]
 		w := spec.Workload
 		c := &clients[i]
-		results[i] = ClientResult{ID: spec.ID, Breakdown: &trace.Breakdown{}}
+		results[i].ID = spec.ID
 		// The wire codec shrinks split-boundary transfers exactly as in
 		// the Menos loop, so codec sweeps compare modes fairly.
 		transfer := w.TransferBytes()
 		if cfg.WireCodec != quant.CodecFP32 {
 			transfer = int64(float64(transfer) * cfg.WireCodec.WireRatio())
 		}
-		c.initLoop(kernel, link, cfg.Tracer, spec.ID, transfer, c.step)
+		c.initLoop(kernel, link, cfg.Tracer, spec.ID, &results[i].Breakdown, transfer, c.step)
 		cost := costmodel.New(cfg.ServerPerf, w)
-		c.res, c.spec, c.bd, c.iterations = res, spec, results[i].Breakdown, cfg.Iterations
+		c.res, c.spec, c.iterations = res, spec, cfg.Iterations
 		c.pre, c.mid, c.post = clientPhases(costmodel.ClientComputeTime(spec.Platform, w))
 		c.fwd, c.bwd = cost.ForwardTime(w), cost.BackwardTime(w)
 
@@ -304,14 +299,10 @@ func runVanilla(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("vanilla simulation: %w", err)
 	}
 
-	agg := &trace.Breakdown{}
-	for _, r := range results {
-		agg.Merge(r.Breakdown)
-	}
 	return &Result{
 		Mode:            ModeVanilla,
 		Clients:         results,
-		Aggregate:       agg,
+		Aggregate:       aggregate(results),
 		PersistentBytes: persistent,
 		PeakBytes:       devices.Peak(),
 		SimulatedTime:   kernel.Now(),

@@ -44,7 +44,6 @@ import (
 	"menos/internal/quant"
 	"menos/internal/sched"
 	"menos/internal/splitsim"
-	"menos/internal/trace"
 )
 
 // Model configuration.
@@ -190,9 +189,9 @@ type (
 	// ExperimentOptions sizes experiment runs.
 	ExperimentOptions = experiments.Options
 	// Table is an aligned text table.
-	Table = trace.Table
+	Table = experiments.Table
 	// Figure is a set of series over one x axis.
-	Figure = trace.Figure
+	Figure = experiments.Figure
 )
 
 // Experiment entry points, one per paper artifact.

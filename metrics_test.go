@@ -1,10 +1,11 @@
-// The reader rule: every metric family and every flight-recorder reason
+// The reader rule: every metric family, flight-recorder reason and span
 // in internal/obs is read by something that would notice if it went
 // wrong. docs/OBSERVABILITY.md, "Who reads the catalog", states the rule
 // and what it decided.
 package menos_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"path/filepath"
@@ -62,6 +63,69 @@ func isTelemetryReader(fset *token.FileSet, f surfaceFile) bool {
 	return false
 }
 
+// spanPair is a span's (name, category). A span is read where it is
+// named as obs.Span*, or where the pair stands as two adjacent string
+// literals in one composite literal or call, {"forward", "compute"}: a
+// name alone is too short a word to count.
+type spanPair struct{ name, cat string }
+
+// catalogSpan is one Span* variable of internal/obs's span catalog.
+type catalogSpan struct {
+	ident string
+	pair  spanPair
+	pos   token.Position
+}
+
+// stringLit returns the value of a string literal expression.
+func stringLit(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
+}
+
+// spanCatalog lists the Span* variables declared by internal/obs's
+// non-test files as SpanKind{"<name>", "<category>"}.
+func spanCatalog(t *testing.T, fset *token.FileSet, files []surfaceFile) []catalogSpan {
+	t.Helper()
+	var out []catalogSpan
+	for _, f := range files {
+		if f.test || f.dir != "internal/obs" {
+			continue
+		}
+		for _, decl := range f.ast.Decls {
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok || gen.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, id := range vs.Names {
+					if !strings.HasPrefix(id.Name, "Span") || i >= len(vs.Values) {
+						continue
+					}
+					lit, ok := vs.Values[i].(*ast.CompositeLit)
+					if typ, _ := lit.Type.(*ast.Ident); !ok || typ == nil || typ.Name != "SpanKind" {
+						continue
+					}
+					if len(lit.Elts) != 2 {
+						t.Fatalf("obs.%s is not SpanKind{name, category}", id.Name)
+					}
+					name, ok1 := stringLit(lit.Elts[0])
+					cat, ok2 := stringLit(lit.Elts[1])
+					if !ok1 || !ok2 {
+						t.Fatalf("obs.%s is not a SpanKind of two string literals", id.Name)
+					}
+					out = append(out, catalogSpan{id.Name, spanPair{name, cat}, fset.Position(id.Pos())})
+				}
+			}
+		}
+	}
+	return out
+}
+
 // telemetryNames lists the Metric* and FlightReason* string constants
 // declared by internal/obs's non-test files.
 func telemetryNames(t *testing.T, fset *token.FileSet, files []surfaceFile) []telemetryName {
@@ -109,8 +173,31 @@ func TestEveryMetricHasAReader(t *testing.T) {
 	for i, n := range names {
 		byIdent[n.ident] = i
 	}
+	spans := spanCatalog(t, fset, files)
+	if len(spans) == 0 {
+		t.Fatal("no Span* catalog entries found in internal/obs")
+	}
+	spanByIdent, spanByPair := map[string]int{}, map[spanPair][]int{}
+	for i, s := range spans {
+		spanByIdent[s.ident] = i
+		spanByPair[s.pair] = append(spanByPair[s.pair], i)
+	}
 
 	read := make([]bool, len(names))
+	spanRead := make([]bool, len(spans))
+	// readPairs marks the spans named by adjacent string literals of one
+	// expression list.
+	readPairs := func(exprs []ast.Expr) {
+		for i := 0; i+1 < len(exprs); i++ {
+			name, ok1 := stringLit(exprs[i])
+			cat, ok2 := stringLit(exprs[i+1])
+			if ok1 && ok2 {
+				for _, j := range spanByPair[spanPair{name, cat}] {
+					spanRead[j] = true
+				}
+			}
+		}
+	}
 	for _, f := range files {
 		if !isTelemetryReader(fset, f) {
 			continue
@@ -131,7 +218,14 @@ func TestEveryMetricHasAReader(t *testing.T) {
 					if i, ok := byIdent[node.Sel.Name]; ok {
 						read[i] = true
 					}
+					if i, ok := spanByIdent[node.Sel.Name]; ok {
+						spanRead[i] = true
+					}
 				}
+			case *ast.CompositeLit:
+				readPairs(node.Elts)
+			case *ast.CallExpr:
+				readPairs(node.Args)
 			case *ast.BasicLit:
 				if node.Kind != token.STRING {
 					return true
@@ -159,5 +253,15 @@ func TestEveryMetricHasAReader(t *testing.T) {
 	sort.Strings(unread)
 	for _, s := range unread {
 		t.Errorf("%s has no reader: no alert rule, menos-top pane, /loadz, experiments table, perf detail or test outside internal/obs names it or its string. Assert it in a test, or delete it with its registration, update sites and docs row", s)
+	}
+	var unreadSpans []string
+	for i, s := range spans {
+		if !spanRead[i] {
+			unreadSpans = append(unreadSpans, fmt.Sprintf("%s: obs.%s (%q, %q)", s.pos, s.ident, s.pair.name, s.pair.cat))
+		}
+	}
+	sort.Strings(unreadSpans)
+	for _, s := range unreadSpans {
+		t.Errorf("%s has no reader: no experiments table, perf detail or test outside internal/obs names it, or asserts its name and category as adjacent string literals. Pin it in a span-sequence test, or delete it with its record sites and docs row", s)
 	}
 }
