@@ -93,6 +93,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *tenantCap < 0 {
+		return fmt.Errorf("-tenant-cap %d < 0 (0 means the default)", *tenantCap)
+	}
 
 	cfg, err := model.ConfigByName(*modelName)
 	if err != nil {

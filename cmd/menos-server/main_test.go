@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -18,6 +19,20 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-model", "opt-tiny", "-addr", "256.0.0.1:bad"}); err == nil {
 		t.Fatal("bad address accepted")
+	}
+	// The bad address makes a wrongly accepted value fail too, later and
+	// for another reason, instead of serving forever.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-tenant-cap", "-1"}, "-tenant-cap"},
+		{[]string{"-batch-size", "4", "-batch-hold", "-1ms"}, "MaxHold"},
+	} {
+		args := append([]string{"-model", "opt-tiny", "-addr", "256.0.0.1:bad"}, c.args...)
+		if err := run(args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run %v: error %v, want one naming %s", c.args, err, c.want)
+		}
 	}
 }
 

@@ -133,10 +133,11 @@ type Engine struct {
 	// insts[ruleIndex] maps series key → instance state.
 	insts       []map[string]*instance
 	transitions []Transition // ring, oldest first
-	totalTrans  int64
 
 	mFiring *obs.Gauge
-	mTrans  *obs.Counter
+	// mTrans counts every transition, standalone until Instrument,
+	// because Snapshot reads it.
+	mTrans *obs.Counter
 }
 
 // NewEngine builds an engine over cfg.
@@ -146,15 +147,16 @@ func NewEngine(cfg Config) *Engine {
 			cfg.Rules[i].Resolve = cfg.Rules[i].For
 		}
 	}
-	e := &Engine{cfg: cfg, insts: make([]map[string]*instance, len(cfg.Rules))}
+	e := &Engine{cfg: cfg, insts: make([]map[string]*instance, len(cfg.Rules)), mTrans: new(obs.Counter)}
 	for i := range e.insts {
 		e.insts[i] = make(map[string]*instance)
 	}
 	return e
 }
 
-// Instrument publishes the engine's gauges/counters in reg. Safe on a
-// nil registry.
+// Instrument publishes the engine's gauges/counters in reg. Call before
+// the first EvalTick: counts made earlier stay behind. Safe on a nil
+// registry.
 func (e *Engine) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -256,8 +258,7 @@ func (e *Engine) transitionLocked(fired []Transition, rule *Rule, inst *instance
 	tr := Transition{At: now, Rule: rule.Name, Series: inst.series, From: inst.state, To: to, Value: inst.value}
 	inst.state = to
 	inst.since = now
-	e.totalTrans++
-	e.mTrans.Add(1) // nil-safe
+	e.mTrans.Inc()
 	e.transitions = append(e.transitions, tr)
 	if n := len(e.transitions) - maxTransitions; n > 0 {
 		e.transitions = append(e.transitions[:0], e.transitions[n:]...)
@@ -331,7 +332,7 @@ func (e *Engine) Snapshot(now time.Duration) Doc {
 	doc := Doc{
 		AtSeconds:   now.Seconds(),
 		Firing:      e.firingLocked(),
-		Transitions: e.totalTrans,
+		Transitions: e.mTrans.Value(),
 		Rules:       make([]RuleStatus, 0, len(e.cfg.Rules)),
 	}
 	for ri := range e.cfg.Rules {

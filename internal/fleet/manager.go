@@ -29,11 +29,11 @@ type Manager struct {
 	active   []ServerLoad        // candidate rows, refilled per decision while any server drains or is down
 	assign   map[string]resident // client ID -> where it lives
 
-	placements  int64
-	migrations  int64
-	scaleEvents int64
+	migrations int64 // the one count with no family
 
-	// Telemetry handles (nil-safe; wired by Instrument).
+	// The placement and scale-event counters always exist, standalone
+	// until Instrument, because Stats reads them. The gauges are nil
+	// until Instrument.
 	mPlacements  *obs.Counter
 	mServers     *obs.Gauge
 	mScaleEvents *obs.Counter
@@ -53,14 +53,21 @@ func NewManager(placer Placer) *Manager {
 	if placer == nil {
 		placer = NewRoundRobin()
 	}
-	return &Manager{placer: placer, assign: make(map[string]resident), down: make(map[int]bool)}
+	return &Manager{
+		placer:       placer,
+		assign:       make(map[string]resident),
+		down:         make(map[int]bool),
+		mPlacements:  new(obs.Counter),
+		mScaleEvents: new(obs.Counter),
+	}
 }
 
 // Placer returns the policy in use.
 func (m *Manager) Placer() Placer { return m.placer }
 
 // Instrument wires the menos_fleet_* metrics into reg (nil-safe). Call
-// during setup, before decisions are made.
+// during setup, before decisions are made: counts made earlier stay
+// behind.
 func (m *Manager) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -217,7 +224,6 @@ func (m *Manager) Place(c ClientInfo) (int, error) {
 		return 0, fmt.Errorf("fleet: placer %s chose unknown server %d", m.placer.Name(), id)
 	}
 	m.attachLocked(i, c)
-	m.placements++
 	m.mPlacements.Inc()
 	m.publishLocked()
 	return id, nil
@@ -344,7 +350,6 @@ func (m *Manager) ActiveServers() int {
 func (m *Manager) RecordScaleEvent() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.scaleEvents++
 	m.mScaleEvents.Inc()
 }
 
@@ -365,14 +370,15 @@ type Stats struct {
 	Draining    int
 }
 
-// Stats snapshots the fleet counters.
+// Stats snapshots the fleet counters, placements and scale events read
+// from the counters /metrics shows.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Stats{
-		Placements:  m.placements,
+		Placements:  m.mPlacements.Value(),
 		Migrations:  m.migrations,
-		ScaleEvents: m.scaleEvents,
+		ScaleEvents: m.mScaleEvents.Value(),
 		Servers:     m.activeLocked(),
 		Draining:    m.draining,
 	}

@@ -42,20 +42,28 @@ type LedgerConfig struct {
 	MaxClients int
 }
 
-// account is one client's mutable ledger state.
+// account is what the ledger keeps for a client beyond its families:
+// the bytes held now, their byte-second integrals with the integer part
+// already pushed into the exported counters (so those stay monotonic
+// while the float accrual runs), and the retries, which no family
+// counts. Every other ClientUsage field is read from the families.
 type account struct {
-	u           ClientUsage
-	lastAccrual time.Duration
-	// Byte-seconds already pushed into the integer counters, so the
-	// exported counters stay monotonic while the float accrual runs.
-	pushedPersist int64
-	pushedTrans   int64
+	id                    string
+	persistentBytes       int64
+	transientBytes        int64
+	persistentByteSeconds float64
+	transientByteSeconds  float64
+	pushedPersist         int64
+	pushedTrans           int64
+	lastAccrual           time.Duration
+	retries               int64
 }
 
-// ledgerMetrics are the labeled families the ledger publishes into a
-// Registry. Families that share a name with an unlabeled aggregate
-// (compute, wait, iterations) are observed with the exact values the
-// aggregate sees, so Σ over {client=*} reproduces it.
+// ledgerMetrics are the labeled families that hold the ledger's counts,
+// one series per account. Families that share a name with an unlabeled
+// aggregate (compute, wait, iterations, batch rows, revocations) are
+// observed with the exact values the aggregate sees, so Σ over
+// {client=*} reproduces it.
 type ledgerMetrics struct {
 	compute   *HistogramVec
 	wait      *HistogramVec
@@ -69,46 +77,10 @@ type ledgerMetrics struct {
 	revoked   *CounterVec
 }
 
-// Ledger is the per-tenant accounting plane: every grant, reservation,
-// compute slice, wire transfer and shed is attributed to a client ID
-// and accrued into that client's ClientUsage. It is purely
-// bookkeeping — it never advances its clock, spawns goroutines, or
-// feeds back into scheduling — so enabling it cannot perturb a
-// deterministic simulation. All methods are safe on a nil ledger.
-type Ledger struct {
-	clock Clock
-	max   int
-
-	mu       sync.Mutex
-	accounts map[string]*account
-	m        *ledgerMetrics
-}
-
-// NewLedger creates an empty ledger.
-func NewLedger(cfg LedgerConfig) *Ledger {
-	if cfg.Clock == nil {
-		cfg.Clock = NewWallClock()
-	}
-	if cfg.MaxClients <= 0 {
-		cfg.MaxClients = DefaultVecCap
-	}
-	return &Ledger{
-		clock:    cfg.Clock,
-		max:      cfg.MaxClients,
-		accounts: make(map[string]*account),
-	}
-}
-
-// Instrument publishes the ledger's accounts as labeled families in
-// reg, mirroring every subsequent accrual. Call once, before traffic.
-// Safe on nil.
-func (l *Ledger) Instrument(reg *Registry) {
-	if l == nil || reg == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.m = &ledgerMetrics{
+// newLedgerMetrics registers the ledger's families in reg for a ledger
+// of maxClients accounts.
+func newLedgerMetrics(reg *Registry, maxClients int) *ledgerMetrics {
+	m := &ledgerMetrics{
 		compute: reg.HistogramVec(MetricServerComputeSeconds, "client", DurationBuckets(),
 			"Per-iteration server compute time (forward+backward), seconds."),
 		wait: reg.HistogramVec(MetricSchedWaitSeconds, "client", DurationBuckets(),
@@ -130,18 +102,59 @@ func (l *Ledger) Instrument(reg *Registry) {
 		revoked: reg.CounterVec(MetricSchedRevocations, "client",
 			"Parked activation grants revoked because another request needed the memory."),
 	}
-	// Families share the ledger's account cap so per-metric overflow
-	// kicks in at the same cardinality as the accounts themselves.
-	l.m.compute.SetCap(l.max)
-	l.m.wait.SetCap(l.max)
-	l.m.iters.SetCap(l.max)
-	l.m.persistBS.SetCap(l.max)
-	l.m.transBS.SetCap(l.max)
-	l.m.wireTx.SetCap(l.max)
-	l.m.wireRx.SetCap(l.max)
-	l.m.sheds.SetCap(l.max)
-	l.m.batchRows.SetCap(l.max)
-	l.m.revoked.SetCap(l.max)
+	// The ledger routes clients past its cap to the overflow account
+	// itself, so each family needs one series per account: maxClients
+	// plus the overflow's. A family never overflows on its own.
+	for _, f := range []interface{ SetCap(int) }{m.compute, m.wait, m.iters, m.persistBS,
+		m.transBS, m.wireTx, m.wireRx, m.sheds, m.batchRows, m.revoked} {
+		f.SetCap(maxClients + 1)
+	}
+	return m
+}
+
+// Ledger is the per-tenant accounting plane: every grant, reservation,
+// compute slice, wire transfer and shed is attributed to a client ID
+// and accrued into that client's ClientUsage. It is purely
+// bookkeeping — it never advances its clock, spawns goroutines, or
+// feeds back into scheduling — so enabling it cannot perturb a
+// deterministic simulation. All methods are safe on a nil ledger.
+type Ledger struct {
+	clock Clock
+	max   int
+
+	mu       sync.Mutex
+	accounts map[string]*account
+	// m holds every count, in a private registry until Instrument.
+	m *ledgerMetrics
+}
+
+// NewLedger creates an empty ledger.
+func NewLedger(cfg LedgerConfig) *Ledger {
+	if cfg.Clock == nil {
+		cfg.Clock = NewWallClock()
+	}
+	if cfg.MaxClients <= 0 {
+		cfg.MaxClients = DefaultVecCap
+	}
+	return &Ledger{
+		clock:    cfg.Clock,
+		max:      cfg.MaxClients,
+		accounts: make(map[string]*account),
+		m:        newLedgerMetrics(NewRegistry(), cfg.MaxClients),
+	}
+}
+
+// Instrument moves the ledger's families into reg, so its rows and
+// reg's {client} series are one store. A registry holds one ledger's
+// families. Call once, before traffic: counts made earlier stay behind.
+// Safe on nil.
+func (l *Ledger) Instrument(reg *Registry) {
+	if l == nil || reg == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.m = newLedgerMetrics(reg, l.max)
 }
 
 // SplitOwner maps a memory-owner tag to the client it bills to and the
@@ -170,9 +183,17 @@ func (l *Ledger) accountFor(client string) *account {
 	if client != VecOverflowLabel && len(l.accounts) >= l.max {
 		return l.accountFor(VecOverflowLabel)
 	}
-	a = &account{u: ClientUsage{ID: client}, lastAccrual: l.clock.Now()}
+	a = &account{id: client, lastAccrual: l.clock.Now()}
 	l.accounts[client] = a
 	return a
+}
+
+// bill returns the account ID client's counts go to and the families
+// that hold them.
+func (l *Ledger) bill(client string) (string, *ledgerMetrics) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.accountFor(client).id, l.m
 }
 
 // accrueLocked integrates held bytes over the time since the account's
@@ -184,53 +205,46 @@ func (l *Ledger) accrueLocked(a *account, now time.Duration) {
 	if dt <= 0 {
 		return
 	}
-	a.u.PersistentByteSeconds += float64(a.u.PersistentBytes) * dt
-	a.u.TransientByteSeconds += float64(a.u.TransientBytes) * dt
-	if l.m != nil {
-		if d := int64(a.u.PersistentByteSeconds) - a.pushedPersist; d > 0 {
-			l.m.persistBS.With(a.u.ID).Add(d)
-			a.pushedPersist += d
-		}
-		if d := int64(a.u.TransientByteSeconds) - a.pushedTrans; d > 0 {
-			l.m.transBS.With(a.u.ID).Add(d)
-			a.pushedTrans += d
-		}
+	a.persistentByteSeconds += float64(a.persistentBytes) * dt
+	a.transientByteSeconds += float64(a.transientBytes) * dt
+	if d := int64(a.persistentByteSeconds) - a.pushedPersist; d > 0 {
+		l.m.persistBS.With(a.id).Add(d)
+		a.pushedPersist += d
+	}
+	if d := int64(a.transientByteSeconds) - a.pushedTrans; d > 0 {
+		l.m.transBS.With(a.id).Add(d)
+		a.pushedTrans += d
 	}
 }
 
-// Acquire records that owner now holds bytes more GPU memory. Safe on
-// nil.
-func (l *Ledger) Acquire(owner string, bytes int64) {
-	if l == nil || bytes <= 0 {
-		return
-	}
+// hold changes owner's held bytes by delta (floored at zero), accruing
+// the byte-seconds held up to now first.
+func (l *Ledger) hold(owner string, delta int64) {
 	client, persistent := SplitOwner(owner)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	a := l.accountFor(client)
 	l.accrueLocked(a, l.clock.Now())
+	held := &a.transientBytes
 	if persistent {
-		a.u.PersistentBytes += bytes
-	} else {
-		a.u.TransientBytes += bytes
+		held = &a.persistentBytes
+	}
+	*held = max(*held+delta, 0)
+}
+
+// Acquire records that owner now holds bytes more GPU memory. Safe on
+// nil.
+func (l *Ledger) Acquire(owner string, bytes int64) {
+	if l != nil && bytes > 0 {
+		l.hold(owner, bytes)
 	}
 }
 
 // Release records that owner gave back bytes of GPU memory, accruing
 // the byte-seconds held up to now. Safe on nil.
 func (l *Ledger) Release(owner string, bytes int64) {
-	if l == nil || bytes <= 0 {
-		return
-	}
-	client, persistent := SplitOwner(owner)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	a := l.accountFor(client)
-	l.accrueLocked(a, l.clock.Now())
-	if persistent {
-		a.u.PersistentBytes = max(a.u.PersistentBytes-bytes, 0)
-	} else {
-		a.u.TransientBytes = max(a.u.TransientBytes-bytes, 0)
+	if l != nil && bytes > 0 {
+		l.hold(owner, -bytes)
 	}
 }
 
@@ -241,15 +255,8 @@ func (l *Ledger) AddCompute(client string, seconds float64) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	a := l.accountFor(client)
-	a.u.ComputeSeconds += seconds
-	m := l.m
-	id := a.u.ID
-	l.mu.Unlock()
-	if m != nil {
-		m.compute.With(id).Observe(seconds)
-	}
+	id, m := l.bill(client)
+	m.compute.With(id).Observe(seconds)
 }
 
 // AddGrantWait bills seconds of queue wait (submission → grant) to
@@ -258,15 +265,8 @@ func (l *Ledger) AddGrantWait(client string, seconds float64) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	a := l.accountFor(client)
-	a.u.GrantWaitSeconds += seconds
-	m := l.m
-	id := a.u.ID
-	l.mu.Unlock()
-	if m != nil {
-		m.wait.With(id).Observe(seconds)
-	}
+	id, m := l.bill(client)
+	m.wait.With(id).Observe(seconds)
 }
 
 // AddIteration counts one completed iteration for client. Safe on nil.
@@ -274,15 +274,8 @@ func (l *Ledger) AddIteration(client string) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	a := l.accountFor(client)
-	a.u.Iterations++
-	m := l.m
-	id := a.u.ID
-	l.mu.Unlock()
-	if m != nil {
-		m.iters.With(id).Inc()
-	}
+	id, m := l.bill(client)
+	m.iters.With(id).Inc()
 }
 
 // AddBatchRows bills rows microbatch rows that client contributed to a
@@ -294,15 +287,8 @@ func (l *Ledger) AddBatchRows(client string, rows int64) {
 	if l == nil || rows <= 0 {
 		return
 	}
-	l.mu.Lock()
-	a := l.accountFor(client)
-	a.u.BatchRows += rows
-	m := l.m
-	id := a.u.ID
-	l.mu.Unlock()
-	if m != nil {
-		m.batchRows.With(id).Add(rows)
-	}
+	id, m := l.bill(client)
+	m.batchRows.With(id).Add(rows)
 }
 
 // AddWire bills tx/rx wire bytes (server perspective) to client. Safe
@@ -311,24 +297,12 @@ func (l *Ledger) AddWire(client string, tx, rx int64) {
 	if l == nil || (tx <= 0 && rx <= 0) {
 		return
 	}
-	l.mu.Lock()
-	a := l.accountFor(client)
+	id, m := l.bill(client)
 	if tx > 0 {
-		a.u.WireTxBytes += tx
+		m.wireTx.With(id).Add(tx)
 	}
 	if rx > 0 {
-		a.u.WireRxBytes += rx
-	}
-	m := l.m
-	id := a.u.ID
-	l.mu.Unlock()
-	if m != nil {
-		if tx > 0 {
-			m.wireTx.With(id).Add(tx)
-		}
-		if rx > 0 {
-			m.wireRx.With(id).Add(rx)
-		}
+		m.wireRx.With(id).Add(rx)
 	}
 }
 
@@ -337,15 +311,8 @@ func (l *Ledger) Shed(client string) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	a := l.accountFor(client)
-	a.u.Sheds++
-	m := l.m
-	id := a.u.ID
-	l.mu.Unlock()
-	if m != nil {
-		m.sheds.With(id).Inc()
-	}
+	id, m := l.bill(client)
+	m.sheds.With(id).Inc()
 }
 
 // Retry counts one post-shed resubmission by client. Safe on nil.
@@ -354,7 +321,7 @@ func (l *Ledger) Retry(client string) {
 		return
 	}
 	l.mu.Lock()
-	l.accountFor(client).u.Retries++
+	l.accountFor(client).retries++
 	l.mu.Unlock()
 }
 
@@ -366,14 +333,38 @@ func (l *Ledger) Revoke(client string) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	a := l.accountFor(client)
-	a.u.Revocations++
-	m := l.m
-	id := a.u.ID
-	l.mu.Unlock()
-	if m != nil {
-		m.revoked.With(id).Inc()
+	id, m := l.bill(client)
+	m.revoked.With(id).Inc()
+}
+
+// rowLocked accrues a to now and returns its row: the account's own
+// holdings and retries, every count read from its family series. Caller
+// holds l.mu.
+func (l *Ledger) rowLocked(a *account, now time.Duration) ClientUsage {
+	l.accrueLocked(a, now)
+	count := func(cv *CounterVec) int64 {
+		c, _ := cv.Get(a.id)
+		return c.Value()
+	}
+	sum := func(hv *HistogramVec) float64 {
+		h, _ := hv.Get(a.id)
+		return h.Sum()
+	}
+	return ClientUsage{
+		ID:                    a.id,
+		ComputeSeconds:        sum(l.m.compute),
+		GrantWaitSeconds:      sum(l.m.wait),
+		PersistentByteSeconds: a.persistentByteSeconds,
+		TransientByteSeconds:  a.transientByteSeconds,
+		PersistentBytes:       a.persistentBytes,
+		TransientBytes:        a.transientBytes,
+		WireTxBytes:           count(l.m.wireTx),
+		WireRxBytes:           count(l.m.wireRx),
+		Iterations:            count(l.m.iters),
+		BatchRows:             count(l.m.batchRows),
+		Sheds:                 count(l.m.sheds),
+		Retries:               a.retries,
+		Revocations:           count(l.m.revoked),
 	}
 }
 
@@ -394,9 +385,7 @@ func (l *Ledger) Snapshot() []ClientUsage {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		a := l.accounts[id]
-		l.accrueLocked(a, now)
-		out = append(out, a.u)
+		out = append(out, l.rowLocked(l.accounts[id], now))
 	}
 	return out
 }
@@ -413,6 +402,5 @@ func (l *Ledger) Usage(client string) (ClientUsage, bool) {
 	if !ok {
 		return ClientUsage{}, false
 	}
-	l.accrueLocked(a, l.clock.Now())
-	return a.u, true
+	return l.rowLocked(a, l.clock.Now()), true
 }

@@ -156,7 +156,6 @@ type AdmissionController struct {
 	calmSince   time.Duration // start of the current below-reopen streak
 	calm        bool
 	transitions int64
-	shed        int64
 	deferred    int64
 	// throttleTicks is the per-client submission parity while
 	// Throttled: each client is shed on its own every-second
@@ -168,7 +167,7 @@ type AdmissionController struct {
 	// hook observes state transitions (Scheduler.SetAdmissionHook).
 	hook func(from, to AdmissionState)
 
-	// Telemetry handle (nil-safe; wired by instrument).
+	// mShed counts sheds, in the scheduler's registry (instrument).
 	mShed *obs.Counter
 }
 
@@ -193,12 +192,9 @@ func newAdmissionController(slo SLO, clock obs.Clock) *AdmissionController {
 	return a
 }
 
-// instrument wires the controller's metrics into reg (idempotent;
-// nil-safe on a nil registry).
+// instrument wires the controller's metrics into reg, the scheduler's
+// (idempotent).
 func (a *AdmissionController) instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	a.mShed = reg.Counter(obs.MetricSchedAdmissionShed, "submissions shed (each client's every 2nd while throttled, all while shedding)")
 	// Advertise the configured target so scrapers (the fleet telemetry
 	// plane's burn-rate rule) compare each server's p99 against the
@@ -353,7 +349,6 @@ func (a *AdmissionController) admit(clientID string) error {
 	default:
 		return nil
 	}
-	a.shed++
 	a.mShed.Inc()
 	return &OverloadError{
 		State:      a.state,

@@ -129,12 +129,11 @@ func newRequest(clientID string, kind RequestKind, bytes int64, grant func()) *r
 	return r
 }
 
-// schedMetrics holds the scheduler's resolved telemetry handles. All
-// fields are nil-safe obs handles, so update sites are unconditional;
-// the struct pointer itself gates the clock reads.
+// schedMetrics holds the scheduler's telemetry handles. They always
+// exist, in a private registry until Instrument, because Stats reads its
+// counts from them.
 type schedMetrics struct {
 	reg        *obs.Registry
-	clock      obs.Clock
 	submitted  *obs.Counter
 	granted    *obs.Counter
 	backfilled *obs.Counter
@@ -147,6 +146,25 @@ type schedMetrics struct {
 	claimed    *obs.Counter
 	revoked    *obs.Counter
 	parked     *obs.Gauge
+}
+
+// newSchedMetrics registers the scheduler's handles in reg.
+func newSchedMetrics(reg *obs.Registry) schedMetrics {
+	return schedMetrics{
+		reg:        reg,
+		submitted:  reg.Counter(obs.MetricSchedSubmitted, "scheduling requests submitted"),
+		granted:    reg.Counter(obs.MetricSchedGranted, "scheduling requests granted"),
+		backfilled: reg.Counter(obs.MetricSchedBackfilled, "grants made out of FCFS order"),
+		completed:  reg.Counter(obs.MetricSchedCompleted, "allocations reclaimed"),
+		rejected:   reg.Counter(obs.MetricSchedRejected, "submissions rejected (never-fits, duplicate, closed)"),
+		depthMax:   reg.Gauge(obs.MetricSchedQueueDepthMax, "high-water mark of the wait queue"),
+		wait:       reg.Histogram(obs.MetricSchedWaitSeconds, obs.DurationBuckets(), "submit-to-grant wait time"),
+		holBlocked: reg.Histogram(obs.MetricSchedHOLBlockedSeconds, obs.DurationBuckets(), "contiguous intervals the queue head was too large to grant"),
+		grown:      reg.Counter(obs.MetricSchedGrown, "forward grants grown to the backward demand (activations kept)"),
+		claimed:    reg.Counter(obs.MetricSchedClaimed, "parked grants claimed back by their owner (backward without re-forward)"),
+		revoked:    reg.Counter(obs.MetricSchedRevocations, "parked grants revoked because another request needed the memory"),
+		parked:     reg.Gauge(obs.MetricSchedParkedBytes, "bytes held by parked (revocable) grants"),
+	}
 }
 
 // Stats aggregates scheduler activity.
@@ -173,11 +191,15 @@ type Scheduler struct {
 	// held maps every identity with something outstanding — a request's
 	// own ID and each member's — to that request, from Submit, SubmitBatch
 	// or Reserve until Complete: the one-outstanding rule for all three.
-	held   map[string]*request
-	closed bool
-	stats  Stats
+	held      map[string]*request
+	closed    bool
+	decisions int64 // scheduling cycles run; the one count with no family
 
-	m *schedMetrics
+	m schedMetrics
+	// clock is the telemetry clock Instrument wired (nil until then). It
+	// gates the wait and head-of-line histograms, the observations that
+	// need a time.
+	clock obs.Clock
 	// holSince marks when the queue head last became blocked (the
 	// head-of-line interval the backfill policy exists to fill).
 	holSince  time.Duration
@@ -215,34 +237,23 @@ func New(totalMem int64, policy Policy) *Scheduler {
 		total:    totalMem,
 		held:     make(map[string]*request),
 		resident: make(map[string]struct{}),
+		m:        newSchedMetrics(obs.NewRegistry()),
 	}
 }
 
-// Instrument wires the scheduler to a telemetry registry and clock.
-// It must be called before the scheduler is shared between goroutines
-// (typically right after New). The clock decides whether wait and
-// head-of-line times are wall time (obs.NewWallClock) or virtual time
-// (obs.ClockFunc(kernel.Now)); both registry and clock are required.
+// Instrument moves the scheduler's handles into a telemetry registry
+// and wires the clock its waits are timed on. It must be called before
+// the scheduler is shared between goroutines (typically right after
+// New): counts made earlier stay behind. Schedulers instrumented into
+// one registry share its counters, so each one's Stats counts them all.
+// The clock decides whether wait and head-of-line times are wall time
+// (obs.NewWallClock) or virtual time (obs.ClockFunc(kernel.Now)); both
+// registry and clock are required.
 func (s *Scheduler) Instrument(reg *obs.Registry, clock obs.Clock) {
 	if reg == nil || clock == nil {
 		return
 	}
-	s.m = &schedMetrics{
-		clock:      clock,
-		submitted:  reg.Counter(obs.MetricSchedSubmitted, "scheduling requests submitted"),
-		granted:    reg.Counter(obs.MetricSchedGranted, "scheduling requests granted"),
-		backfilled: reg.Counter(obs.MetricSchedBackfilled, "grants made out of FCFS order"),
-		completed:  reg.Counter(obs.MetricSchedCompleted, "allocations reclaimed"),
-		rejected:   reg.Counter(obs.MetricSchedRejected, "submissions rejected (never-fits, duplicate, closed)"),
-		depthMax:   reg.Gauge(obs.MetricSchedQueueDepthMax, "high-water mark of the wait queue"),
-		wait:       reg.Histogram(obs.MetricSchedWaitSeconds, obs.DurationBuckets(), "submit-to-grant wait time"),
-		holBlocked: reg.Histogram(obs.MetricSchedHOLBlockedSeconds, obs.DurationBuckets(), "contiguous intervals the queue head was too large to grant"),
-		grown:      reg.Counter(obs.MetricSchedGrown, "forward grants grown to the backward demand (activations kept)"),
-		claimed:    reg.Counter(obs.MetricSchedClaimed, "parked grants claimed back by their owner (backward without re-forward)"),
-		revoked:    reg.Counter(obs.MetricSchedRevocations, "parked grants revoked because another request needed the memory"),
-		parked:     reg.Gauge(obs.MetricSchedParkedBytes, "bytes held by parked (revocable) grants"),
-	}
-	s.m.reg = reg
+	s.m, s.clock = newSchedMetrics(reg), clock
 	if s.adm != nil {
 		s.adm.instrument(reg)
 	}
@@ -266,13 +277,11 @@ func (s *Scheduler) EnableAdmission(slo SLO, clock obs.Clock) error {
 	// One time source for everything: if the scheduler is already
 	// instrumented, request timestamps come from the instrument clock,
 	// so the controller must read the same epoch.
-	if s.m != nil {
-		clock = s.m.clock
+	if s.clock != nil {
+		clock = s.clock
 	}
 	s.adm = newAdmissionController(slo, clock)
-	if s.m != nil {
-		s.adm.instrument(s.m.reg)
-	}
+	s.adm.instrument(s.m.reg)
 	return nil
 }
 
@@ -308,8 +317,8 @@ func (s *Scheduler) SetAdmissionHook(f func(from, to AdmissionState)) {
 // before instrumentation existed).
 func (s *Scheduler) clockNow() (time.Duration, bool) {
 	switch {
-	case s.m != nil:
-		return s.m.clock.Now(), true
+	case s.clock != nil:
+		return s.clock.Now(), true
 	case s.adm != nil:
 		return s.adm.clock.Now(), true
 	default:
@@ -344,7 +353,7 @@ func (s *Scheduler) submit(req *request) error {
 	s.mu.Lock()
 	if err := s.enqueueLocked(req); err != nil {
 		s.mu.Unlock()
-		s.rejectedInc()
+		s.m.rejected.Inc()
 		return err
 	}
 	grants := s.schedule()
@@ -395,16 +404,10 @@ func (s *Scheduler) enqueueLocked(req *request) error {
 	if now, ok := s.clockNow(); ok {
 		req.at = now
 	}
-	if s.m != nil {
-		s.m.submitted.Inc()
-	}
+	s.m.submitted.Inc()
 	s.holdLocked(req)
 	s.waiting = append(s.waiting, req)
-	s.stats.Submitted++
-	if len(s.waiting) > s.stats.MaxQueueDepth {
-		s.stats.MaxQueueDepth = len(s.waiting)
-	}
-	s.observeQueueDepth()
+	s.m.depthMax.SetMax(int64(len(s.waiting)))
 	return nil
 }
 
@@ -452,10 +455,7 @@ func (s *Scheduler) Complete(clientID string) int64 {
 			s.unparkLocked(r)
 		}
 		s.releaseLocked(r)
-		s.stats.Completed++
-		if s.m != nil {
-			s.m.completed.Inc()
-		}
+		s.m.completed.Inc()
 	}
 	grants := s.schedule()
 	s.mu.Unlock()
@@ -518,10 +518,7 @@ func (s *Scheduler) Grow(clientID string, bytes int64) bool {
 	r.bytes += delta
 	r.members[0].Bytes += delta
 	s.ledger.Acquire(clientID, delta)
-	s.stats.Grown++
-	if s.m != nil {
-		s.m.grown.Inc()
-	}
+	s.m.grown.Inc()
 	return true
 }
 
@@ -545,7 +542,7 @@ func (s *Scheduler) Park(clientID string, revoke func()) {
 	r.parked = true
 	s.parked = append(s.parked, revocable{r, revoke})
 	s.parkedBytes += r.bytes
-	s.observeParked()
+	s.m.parked.Set(s.parkedBytes)
 	var grants []func()
 	switch {
 	case s.closed:
@@ -572,10 +569,7 @@ func (s *Scheduler) Claim(clientID string) bool {
 		return false
 	}
 	s.unparkLocked(r)
-	s.stats.Claimed++
-	if s.m != nil {
-		s.m.claimed.Inc()
-	}
+	s.m.claimed.Inc()
 	return true
 }
 
@@ -591,7 +585,7 @@ func (s *Scheduler) unparkLocked(r *request) (revoke func()) {
 	}
 	s.parkedBytes -= r.bytes
 	r.parked = false
-	s.observeParked()
+	s.m.parked.Set(s.parkedBytes)
 	return revoke
 }
 
@@ -601,25 +595,15 @@ func (s *Scheduler) unparkLocked(r *request) (revoke func()) {
 func (s *Scheduler) revokeLocked(r *request) {
 	revoke := s.unparkLocked(r)
 	s.releaseLocked(r)
-	s.stats.Revoked++
-	if s.m != nil {
-		s.m.revoked.Inc()
-	}
+	s.m.revoked.Inc()
 	s.ledger.Revoke(r.clientID)
 	revoke()
-}
-
-// observeParked publishes the parked-bytes gauge. Caller holds s.mu.
-func (s *Scheduler) observeParked() {
-	if s.m != nil {
-		s.m.parked.Set(s.parkedBytes)
-	}
 }
 
 // schedule is Algorithm 2's SCHEDULE procedure. Caller holds s.mu; the
 // returned grant callbacks must be invoked after unlocking.
 func (s *Scheduler) schedule() []func() {
-	s.stats.Decisions++
+	s.decisions++
 	var grants []func()
 	switch s.policy {
 	case PolicySmallestFirst:
@@ -686,11 +670,11 @@ func (s *Scheduler) isResident(r *request) bool {
 // head does not fit in free memory — the blocked time backfilling
 // works around. Caller holds s.mu.
 func (s *Scheduler) observeHeadOfLine() {
-	if s.m == nil {
+	if s.clock == nil {
 		return
 	}
 	blocked := len(s.waiting) > 0 && !s.fitLocked(s.waiting[0].bytes)
-	now := s.m.clock.Now()
+	now := s.clock.Now()
 	switch {
 	case blocked && !s.holActive:
 		s.holActive = true
@@ -701,22 +685,6 @@ func (s *Scheduler) observeHeadOfLine() {
 	}
 }
 
-// rejectedInc counts a rejected submission (atomic; callable with or
-// without s.mu).
-func (s *Scheduler) rejectedInc() {
-	if s.m != nil {
-		s.m.rejected.Inc()
-	}
-}
-
-// observeQueueDepth publishes the high-water queue depth. Caller holds
-// s.mu.
-func (s *Scheduler) observeQueueDepth() {
-	if s.m != nil {
-		s.m.depthMax.SetMax(int64(len(s.waiting)))
-	}
-}
-
 // grantAt removes the request at index i, allocates its memory, and
 // returns its grant callback. Caller holds s.mu.
 func (s *Scheduler) grantAt(i int, backfilled bool) func() {
@@ -724,9 +692,9 @@ func (s *Scheduler) grantAt(i int, backfilled bool) func() {
 	s.waiting = append(s.waiting[:i], s.waiting[i+1:]...)
 	s.takeLocked(r.bytes)
 	r.granted = true
-	s.stats.Granted++
+	s.m.granted.Inc()
 	if backfilled {
-		s.stats.Backfilled++
+		s.m.backfilled.Inc()
 	}
 	// Each member is billed its own byte share; Complete releases the
 	// same shares.
@@ -736,18 +704,13 @@ func (s *Scheduler) grantAt(i int, backfilled bool) func() {
 	}
 	if now, ok := s.clockNow(); ok {
 		wait := now - r.at
-		if s.m != nil {
-			s.m.granted.Inc()
-			if backfilled {
-				s.m.backfilled.Inc()
-			}
+		if s.clock != nil {
 			// One wait observation per member, so the unlabeled
 			// histogram matches the per-member observations the ledger
 			// records below.
 			for range r.members {
 				s.m.wait.Observe(wait.Seconds())
 			}
-			s.observeQueueDepth()
 		}
 		if s.adm != nil {
 			s.adm.observe(now, wait)
@@ -770,15 +733,15 @@ func (s *Scheduler) Reserve(id string, bytes int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		s.rejectedInc()
+		s.m.rejected.Inc()
 		return ErrClosed
 	}
 	if err := s.outstandingLocked(id); err != nil {
-		s.rejectedInc()
+		s.m.rejected.Inc()
 		return err
 	}
 	if !s.fitLocked(bytes) {
-		s.rejectedInc()
+		s.m.rejected.Inc()
 		return fmt.Errorf("%w: reserve %d, available %d", ErrNeverFits, bytes, s.avail+s.parkedBytes)
 	}
 	s.takeLocked(bytes)
@@ -823,7 +786,7 @@ func (s *Scheduler) AdmissionStats() AdmissionStats {
 		State:       s.adm.state,
 		P99:         s.adm.lastP99,
 		Transitions: s.adm.transitions,
-		Shed:        s.adm.shed,
+		Shed:        s.adm.mShed.Value(),
 		Deferred:    s.adm.deferred,
 	}
 }
@@ -859,11 +822,22 @@ func (s *Scheduler) QueueDepth() int {
 	return len(s.waiting)
 }
 
-// Stats returns a snapshot of scheduler statistics.
+// Stats returns a snapshot of scheduler statistics, the counts read
+// from the counters /metrics shows.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	return Stats{
+		Submitted:     s.m.submitted.Value(),
+		Granted:       s.m.granted.Value(),
+		Backfilled:    s.m.backfilled.Value(),
+		Completed:     s.m.completed.Value(),
+		Grown:         s.m.grown.Value(),
+		Claimed:       s.m.claimed.Value(),
+		Revoked:       s.m.revoked.Value(),
+		Decisions:     s.decisions,
+		MaxQueueDepth: int(s.m.depthMax.Value()),
+	}
 }
 
 // Close rejects future submissions and revokes every parked grant.

@@ -555,13 +555,19 @@ func TestMalformedMemberFailsAlone(t *testing.T) {
 }
 
 // TestInvalidBatchPolicyRejected: a malformed batch policy is a
-// construction-time error, not a silent fallback to serial serving.
+// construction-time error, not a silent fallback to serial serving or to
+// the default hold.
 func TestInvalidBatchPolicyRejected(t *testing.T) {
 	store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Store: store, Batch: sched.BatchPolicy{MaxSize: -2}}); err == nil {
-		t.Fatal("invalid batch policy accepted")
+	for _, pol := range []sched.BatchPolicy{
+		{MaxSize: -2},
+		{MaxSize: 4, MaxHold: -time.Millisecond},
+	} {
+		if _, err := New(Config{Store: store, Batch: pol}); err == nil {
+			t.Errorf("invalid batch policy %+v accepted", pol)
+		}
 	}
 }

@@ -192,12 +192,11 @@ func New(cfg Config) (*Server, error) {
 		s.scheduler.SetLedger(s.ledger)
 	}
 	if cfg.Batch.Enabled() {
-		pol := cfg.Batch.WithDefaults()
 		engine, err := batch.New(batch.Config{
-			Policy:   pol,
+			Policy:   cfg.Batch,
 			Exec:     s.execBatch,
 			MaxBytes: s.scheduler.Schedulable,
-			Metrics:  batch.NewMetrics(cfg.Metrics, s.ledger, pol.MaxSize),
+			Metrics:  batch.NewMetrics(cfg.Metrics, s.ledger, cfg.Batch.MaxSize),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: batch engine: %w", err)

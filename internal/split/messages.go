@@ -163,6 +163,37 @@ func (m *HelloAck) extPresent() bool     { return m.Features != 0 }
 func (m *HelloAck) encodeExt(e *encoder) { e.u64(m.Features) }
 func (m *HelloAck) decodeExt(d *decoder) { m.Features = d.u64() }
 
+// The four tensor messages share one payload layout: the base payload
+// carries the tensor, or its tensor-absent marker when the payload
+// travels codec-compressed, and the ext tail carries TraceID, then the
+// Packed payload when there is one.
+
+// encodePayload writes t, or the tensor-absent marker when p carries it.
+func encodePayload(e *encoder, t *tensor.Tensor, p *quant.Packed) {
+	if p != nil {
+		t = nil
+	}
+	e.tensor(t)
+}
+
+func encodePayloadExt(e *encoder, traceID uint64, p *quant.Packed) {
+	e.u64(traceID)
+	if p != nil {
+		e.packed(p)
+	}
+}
+
+// decodePayloadExt reads a tensor message's ext tail. The compressed
+// payload was appended after TraceID shipped; it is decoded only when
+// bytes remain so older frames stay valid.
+func decodePayloadExt(d *decoder) (traceID uint64, p *quant.Packed) {
+	traceID = d.u64()
+	if d.err == nil && d.off < len(d.buf) {
+		p = d.packed()
+	}
+	return traceID, p
+}
+
 // ForwardReq carries the client's intermediate activations x_c
 // (step 1 of §2.2).
 type ForwardReq struct {
@@ -190,11 +221,7 @@ func (m *ForwardReq) encode(e *encoder) {
 	e.i64(int64(m.Iter))
 	e.i64(int64(m.Batch))
 	e.i64(int64(m.Seq))
-	if m.Packed != nil {
-		e.tensor(nil)
-	} else {
-		e.tensor(m.Activations)
-	}
+	encodePayload(e, m.Activations, m.Packed)
 }
 
 func (m *ForwardReq) decode(d *decoder) {
@@ -204,21 +231,9 @@ func (m *ForwardReq) decode(d *decoder) {
 	m.Activations = d.tensor()
 }
 
-func (m *ForwardReq) extPresent() bool { return m.TraceID != 0 || m.Packed != nil }
-func (m *ForwardReq) encodeExt(e *encoder) {
-	e.u64(m.TraceID)
-	if m.Packed != nil {
-		e.packed(m.Packed)
-	}
-}
-func (m *ForwardReq) decodeExt(d *decoder) {
-	m.TraceID = d.u64()
-	// The compressed payload was appended after TraceID shipped;
-	// decode it only when bytes remain so older frames stay valid.
-	if d.err == nil && d.off < len(d.buf) {
-		m.Packed = d.packed()
-	}
-}
+func (m *ForwardReq) extPresent() bool     { return m.TraceID != 0 || m.Packed != nil }
+func (m *ForwardReq) encodeExt(e *encoder) { encodePayloadExt(e, m.TraceID, m.Packed) }
+func (m *ForwardReq) decodeExt(d *decoder) { m.TraceID, m.Packed = decodePayloadExt(d) }
 
 // ForwardResp returns the server activations x_s (step 2).
 type ForwardResp struct {
@@ -237,11 +252,7 @@ func (*ForwardResp) MsgType() MsgType { return TypeForwardResp }
 
 func (m *ForwardResp) encode(e *encoder) {
 	e.i64(int64(m.Iter))
-	if m.Packed != nil {
-		e.tensor(nil)
-	} else {
-		e.tensor(m.Activations)
-	}
+	encodePayload(e, m.Activations, m.Packed)
 }
 
 func (m *ForwardResp) decode(d *decoder) {
@@ -249,19 +260,9 @@ func (m *ForwardResp) decode(d *decoder) {
 	m.Activations = d.tensor()
 }
 
-func (m *ForwardResp) extPresent() bool { return m.TraceID != 0 || m.Packed != nil }
-func (m *ForwardResp) encodeExt(e *encoder) {
-	e.u64(m.TraceID)
-	if m.Packed != nil {
-		e.packed(m.Packed)
-	}
-}
-func (m *ForwardResp) decodeExt(d *decoder) {
-	m.TraceID = d.u64()
-	if d.err == nil && d.off < len(d.buf) {
-		m.Packed = d.packed()
-	}
-}
+func (m *ForwardResp) extPresent() bool     { return m.TraceID != 0 || m.Packed != nil }
+func (m *ForwardResp) encodeExt(e *encoder) { encodePayloadExt(e, m.TraceID, m.Packed) }
+func (m *ForwardResp) decodeExt(d *decoder) { m.TraceID, m.Packed = decodePayloadExt(d) }
 
 // BackwardReq carries the client's gradients g_c at the upper cut
 // (step 3). Apply=false accumulates the server-side adapter gradients
@@ -285,11 +286,7 @@ func (*BackwardReq) MsgType() MsgType { return TypeBackwardReq }
 func (m *BackwardReq) encode(e *encoder) {
 	e.i64(int64(m.Iter))
 	e.bool(m.Apply)
-	if m.Packed != nil {
-		e.tensor(nil)
-	} else {
-		e.tensor(m.Gradients)
-	}
+	encodePayload(e, m.Gradients, m.Packed)
 }
 
 func (m *BackwardReq) decode(d *decoder) {
@@ -298,19 +295,9 @@ func (m *BackwardReq) decode(d *decoder) {
 	m.Gradients = d.tensor()
 }
 
-func (m *BackwardReq) extPresent() bool { return m.TraceID != 0 || m.Packed != nil }
-func (m *BackwardReq) encodeExt(e *encoder) {
-	e.u64(m.TraceID)
-	if m.Packed != nil {
-		e.packed(m.Packed)
-	}
-}
-func (m *BackwardReq) decodeExt(d *decoder) {
-	m.TraceID = d.u64()
-	if d.err == nil && d.off < len(d.buf) {
-		m.Packed = d.packed()
-	}
-}
+func (m *BackwardReq) extPresent() bool     { return m.TraceID != 0 || m.Packed != nil }
+func (m *BackwardReq) encodeExt(e *encoder) { encodePayloadExt(e, m.TraceID, m.Packed) }
+func (m *BackwardReq) decodeExt(d *decoder) { m.TraceID, m.Packed = decodePayloadExt(d) }
 
 // BackwardResp returns the server gradients g_s at the lower cut
 // (step 4).
@@ -330,11 +317,7 @@ func (*BackwardResp) MsgType() MsgType { return TypeBackwardResp }
 
 func (m *BackwardResp) encode(e *encoder) {
 	e.i64(int64(m.Iter))
-	if m.Packed != nil {
-		e.tensor(nil)
-	} else {
-		e.tensor(m.Gradients)
-	}
+	encodePayload(e, m.Gradients, m.Packed)
 }
 
 func (m *BackwardResp) decode(d *decoder) {
@@ -342,19 +325,9 @@ func (m *BackwardResp) decode(d *decoder) {
 	m.Gradients = d.tensor()
 }
 
-func (m *BackwardResp) extPresent() bool { return m.TraceID != 0 || m.Packed != nil }
-func (m *BackwardResp) encodeExt(e *encoder) {
-	e.u64(m.TraceID)
-	if m.Packed != nil {
-		e.packed(m.Packed)
-	}
-}
-func (m *BackwardResp) decodeExt(d *decoder) {
-	m.TraceID = d.u64()
-	if d.err == nil && d.off < len(d.buf) {
-		m.Packed = d.packed()
-	}
-}
+func (m *BackwardResp) extPresent() bool     { return m.TraceID != 0 || m.Packed != nil }
+func (m *BackwardResp) encodeExt(e *encoder) { encodePayloadExt(e, m.TraceID, m.Packed) }
+func (m *BackwardResp) decodeExt(d *decoder) { m.TraceID, m.Packed = decodePayloadExt(d) }
 
 // Bye announces a clean client departure so the server releases the
 // instance immediately.

@@ -244,26 +244,23 @@ func runMenos(cfg Config) (*Result, error) {
 
 	var schedStats sched.Stats
 	var admission sched.AdmissionStats
-	for _, srv := range r.servers {
-		st := srv.scheduler.Stats()
-		schedStats.Submitted += st.Submitted
-		schedStats.Granted += st.Granted
-		schedStats.Backfilled += st.Backfilled
-		schedStats.Completed += st.Completed
+	for i, srv := range r.servers {
+		st, ast := srv.scheduler.Stats(), srv.scheduler.AdmissionStats()
+		// Schedulers instrumented into one registry share its counters,
+		// so each one's counts are already the fleet's: take them once.
+		if i == 0 || cfg.Metrics == nil {
+			schedStats.Submitted += st.Submitted
+			schedStats.Granted += st.Granted
+			schedStats.Backfilled += st.Backfilled
+			schedStats.Completed += st.Completed
+			admission.Shed += ast.Shed
+		}
 		schedStats.Decisions += st.Decisions
-		if st.MaxQueueDepth > schedStats.MaxQueueDepth {
-			schedStats.MaxQueueDepth = st.MaxQueueDepth
-		}
-		ast := srv.scheduler.AdmissionStats()
+		schedStats.MaxQueueDepth = max(schedStats.MaxQueueDepth, st.MaxQueueDepth)
 		admission.Transitions += ast.Transitions
-		admission.Shed += ast.Shed
 		admission.Deferred += ast.Deferred
-		if ast.State > admission.State {
-			admission.State = ast.State
-		}
-		if ast.P99 > admission.P99 {
-			admission.P99 = ast.P99
-		}
+		admission.State = max(admission.State, ast.State)
+		admission.P99 = max(admission.P99, ast.P99)
 	}
 	fstats := r.mgr.Stats()
 	res := &Result{
