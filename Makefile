@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-purego test-v3 cross-build perf-test test-race test-stress bench ci verify e2e
+.PHONY: build test test-purego test-v3 cross-build perf-test examples test-race test-stress bench ci verify e2e
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,17 @@ cross-build:
 # target is what catches a refactor there that breaks the benchmark.
 perf-test:
 	cd perf && $(GO) vet ./... && $(GO) test ./...
+
+# examples/ is the public menos package's only non-test reader
+# (DESIGN.md §8); `go test ./...` compiles it but runs nothing there.
+# Each example exits non-zero on any failure and finishes in about a
+# second.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/multiclient
+	$(GO) run ./examples/scheduling
+	$(GO) run ./examples/convergence
+	$(GO) run ./examples/lifecycle
 
 # Race-checks the packages with real lock/atomic contention: the
 # tensor worker pool and scratch arena, the model plane that hammers
@@ -106,16 +117,17 @@ vet:
 # ci mirrors .github/workflows/ci.yml: the verify job's commands in the
 # same order, then the race job. Keep the two in sync. `test` includes
 # the root package's surface test (every exported identifier under
-# internal/ has a reader) and the metric-catalog test. The bench-smoke
-# job's kernel benchmark smoke (one iteration each of the matmul, GELU,
-# softmax and attention kernels, BenchmarkModelNew's pool and serial
-# perf-mid build, BenchmarkDecode's 64-position split decode,
-# BenchmarkClientSetup's tenant set-up, the sim
-# dispatch, a sim_fleet run and the memory-policy sweeps), its
+# internal/ has a reader) and the metric-catalog test; `examples` runs
+# the five examples/ programs. The bench-smoke job's kernel benchmark
+# smoke (one iteration each of the matmul, GELU, softmax and attention
+# kernels, BenchmarkModelNew's pool and serial perf-mid build,
+# BenchmarkDecode's 64-position split decode, BenchmarkClientSetup's
+# tenant set-up, the sim dispatch, a sim_fleet run and the
+# memory-policy sweeps), its
 # paper-artifact smokes and its advisory base-vs-head comparison
 # (bash perf/run.sh, then perf -compare) are not mirrored: the
 # benchmark is perf/ (perf/README.md), and timings need a quiet machine.
-ci: build vet fmt-check test test-purego test-v3 cross-build perf-test test-race test-stress
+ci: build vet fmt-check test test-purego test-v3 cross-build perf-test examples test-race test-stress
 
 .PHONY: fmt-check vet
 

@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -107,7 +108,7 @@ func run(args []string) error {
 	sloP99 := fs.Duration("slo-p99", 0, "burn-rate target for servers that do not advertise one (0 skips them)")
 	retention := fs.Duration("retention", 0, "federated time-series retention, at least the 5m raw window (0 = 1h; older downsampled buckets are evicted)")
 	fedTraces := fs.Bool("federate-traces", false, "scrape every server's /trace ring each poll and serve the merged fleet trace on /trace")
-	traceBudget := fs.Int64("trace-buffer-mb", 4, "per-server mirror ring budget for trace federation in MiB")
+	traceBudget := fs.Int64("trace-buffer-mb", 4, "per-server mirror ring budget for trace federation in MiB (0 = default)")
 	flightDir := fs.String("flight-dir", "", "write a flight-recorder snapshot (fleetd metrics JSONL) on every alert transition into firing")
 	pprofFlag := fs.Bool("pprof", false, "mount /debug/pprof/ on the control-plane mux and capture profiles in flight snapshots")
 	quiet := fs.Bool("quiet", false, "disable orchestration logs")
@@ -119,6 +120,9 @@ func run(args []string) error {
 	}
 	if *retention != 0 && *retention < tsdb.RawWindow {
 		return fmt.Errorf("-retention %v: want 0 (1h) or at least the %v raw window", *retention, tsdb.RawWindow)
+	}
+	if *traceBudget < 0 || *traceBudget > math.MaxInt64>>20 {
+		return fmt.Errorf("-trace-buffer-mb %d: want 0 (the default) or a positive size up to %d MiB", *traceBudget, int64(math.MaxInt64>>20))
 	}
 	if len(endpoints) == 0 {
 		return fmt.Errorf("no servers: pass at least one -server id=...,addr=...,metrics=...,admin=...")

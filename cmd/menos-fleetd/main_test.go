@@ -93,10 +93,11 @@ func TestQueryzWindowBounds(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadDurations: -poll and -retention are validated before
-// anything binds. The -listen address is held by the test, so a flag
-// that got past validation shows up as a listen error instead of a
-// daemon that runs forever (or, for -poll 0, panics in its ticker).
+// TestRunRejectsBadDurations: -poll, -retention and -trace-buffer-mb
+// are validated before anything binds. The -listen address is held by
+// the test, so a flag that got past validation shows up as a listen
+// error instead of a daemon that runs forever (or, for -poll 0, panics
+// in its ticker).
 func TestRunRejectsBadDurations(t *testing.T) {
 	held, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -115,9 +116,12 @@ func TestRunRejectsBadDurations(t *testing.T) {
 		{[]string{"-poll", "-1s"}, "-poll"},
 		{[]string{"-retention", "1m"}, "-retention"},
 		{[]string{"-retention", "-1s"}, "-retention"},
+		{[]string{"-trace-buffer-mb", "-5"}, "-trace-buffer-mb"},
+		{[]string{"-trace-buffer-mb", "9223372036854775807"}, "-trace-buffer-mb"},
 		// Valid values pass validation and reach the held listener.
 		{[]string{"-poll", "1s", "-retention", "0"}, "listen"},
 		{[]string{"-retention", tsdb.RawWindow.String()}, "listen"},
+		{[]string{"-trace-buffer-mb", "0"}, "listen"},
 	} {
 		err := run(append(append([]string{}, base...), tc.flags...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -46,6 +46,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -75,11 +76,10 @@ func run(args []string) error {
 	modelName := fs.String("model", "opt-tiny", "hosted base model (opt-tiny, llama-tiny)")
 	seed := fs.Uint64("seed", 42, "model owner's weight seed")
 	gpuGB := fs.Int64("gpu-gb", 32, "simulated GPU memory budget in GiB")
-	quantFlag := fs.String("quant", "", "quantize the shared base: int8 or int4 (default fp32)")
 	weights := fs.String("weights", "", "load base weights from a checkpoint file instead of the seed")
 	exportWeights := fs.String("export-weights", "", "write the base weights to a file and exit (model distribution)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics, /metrics.json, /trace and /healthz on this address (e.g. :9090)")
-	traceBudget := fs.Int64("trace-buffer-mb", 8, "ring-buffer budget for continuous span capture in MiB (with -metrics-addr)")
+	traceBudget := fs.Int64("trace-buffer-mb", 8, "ring-buffer budget for continuous span capture in MiB (with -metrics-addr; 0 = default)")
 	flightDir := fs.String("flight-dir", "", "write flight-recorder snapshots (trace window + metrics JSONL) to this directory on shed/OOM/admission events")
 	pprofFlag := fs.Bool("pprof", false, "mount /debug/pprof/ on the metrics mux and capture heap/goroutine profiles in flight snapshots")
 	serverID := fs.Int("server-id", 0, "fleet identity echoed by /loadz")
@@ -95,6 +95,12 @@ func run(args []string) error {
 	}
 	if *tenantCap < 0 {
 		return fmt.Errorf("-tenant-cap %d < 0 (0 means the default)", *tenantCap)
+	}
+	if *gpuGB <= 0 || *gpuGB > math.MaxInt64>>30 {
+		return fmt.Errorf("-gpu-gb %d: want a positive size up to %d GiB", *gpuGB, int64(math.MaxInt64>>30))
+	}
+	if *traceBudget < 0 || *traceBudget > math.MaxInt64>>20 {
+		return fmt.Errorf("-trace-buffer-mb %d: want 0 (the default) or a positive size up to %d MiB", *traceBudget, int64(math.MaxInt64>>20))
 	}
 
 	cfg, err := model.ConfigByName(*modelName)
@@ -112,16 +118,6 @@ func run(args []string) error {
 		fmt.Printf("menos-server: exported %s base weights (seed %d) to %s\n",
 			cfg.Name, *seed, *exportWeights)
 		return nil
-	}
-	var prec quant.Precision
-	switch *quantFlag {
-	case "":
-	case "int8":
-		prec = quant.Int8
-	case "int4":
-		prec = quant.Int4
-	default:
-		return fmt.Errorf("unknown quantization %q (want int8 or int4)", *quantFlag)
 	}
 	wireCodec, err := quant.ParseCodec(*wireCompress)
 	if err != nil {
@@ -169,7 +165,6 @@ func run(args []string) error {
 		WeightSeed:  *seed,
 		GPU:         gpu.Spec{Name: "configured", MemoryBytes: *gpuGB << 30},
 		WeightsFile: *weights,
-		BaseQuant:   prec,
 		SLO:         sched.SLO{TargetP99: *sloP99, Window: *sloWindow},
 		Batch:       sched.BatchPolicy{MaxSize: *batchSize, MaxHold: *batchHold},
 		WireCodec:   wireCodec,

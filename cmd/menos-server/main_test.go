@@ -14,9 +14,6 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-model", "does-not-exist"}); err == nil {
 		t.Fatal("unknown model accepted")
 	}
-	if err := run([]string{"-model", "opt-tiny", "-quant", "int3"}); err == nil {
-		t.Fatal("unknown quantization accepted")
-	}
 	if err := run([]string{"-model", "opt-tiny", "-addr", "256.0.0.1:bad"}); err == nil {
 		t.Fatal("bad address accepted")
 	}
@@ -27,6 +24,12 @@ func TestRunFlagValidation(t *testing.T) {
 		want string
 	}{
 		{[]string{"-tenant-cap", "-1"}, "-tenant-cap"},
+		{[]string{"-gpu-gb", "0"}, "-gpu-gb"},
+		{[]string{"-gpu-gb", "-1"}, "-gpu-gb"},
+		{[]string{"-gpu-gb", "8589934592"}, "-gpu-gb"},  // << 30 overflows to MinInt64
+		{[]string{"-gpu-gb", "17179869184"}, "-gpu-gb"}, // << 30 overflows to 0
+		{[]string{"-trace-buffer-mb", "-5"}, "-trace-buffer-mb"},
+		{[]string{"-trace-buffer-mb", "9223372036854775807"}, "-trace-buffer-mb"},
 		{[]string{"-batch-size", "4", "-batch-hold", "-1ms"}, "MaxHold"},
 	} {
 		args := append([]string{"-model", "opt-tiny", "-addr", "256.0.0.1:bad"}, c.args...)

@@ -75,6 +75,15 @@ func run(args []string, out io.Writer) error {
 	if *jsonOut && !*once {
 		return fmt.Errorf("-json requires -once (one document, not a refreshing stream)")
 	}
+	if *interval <= 0 {
+		return fmt.Errorf("-interval %v: want a positive refresh interval", *interval)
+	}
+	if *timeout <= 0 {
+		return fmt.Errorf("-timeout %v: want a positive poll timeout (0 would let one stalled server hang the dashboard)", *timeout)
+	}
+	if *top < 0 {
+		return fmt.Errorf("-top %d < 0 (0 means all)", *top)
+	}
 	client := &http.Client{Timeout: *timeout}
 	snapshot := func() string { return render(poll(client, targets), *top) }
 	base := ""

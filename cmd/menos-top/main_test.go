@@ -233,6 +233,28 @@ func TestJSONRequiresOnce(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags: a non-positive -interval (NewTicker panics),
+// a non-positive -timeout (no HTTP deadline: a stalled server hangs
+// the dashboard) and a negative -top are refused before any poll.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-interval", "0"}, "-interval"},
+		{[]string{"-interval", "-1s"}, "-interval"},
+		{[]string{"-timeout", "0"}, "-timeout"},
+		{[]string{"-timeout", "-1s"}, "-timeout"},
+		{[]string{"-top", "-1"}, "-top"},
+	} {
+		var out strings.Builder
+		err := run(append([]string{"-once", "-servers", "127.0.0.1:1"}, tc.flags...), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run %v: err = %v, want it to mention %q", tc.flags, err, tc.want)
+		}
+	}
+}
+
 func TestSpark(t *testing.T) {
 	if got := spark([]float64{0, 7, 3.5}); got != "▁█▄" {
 		t.Errorf("spark = %q, want ▁█▄", got)

@@ -2,9 +2,8 @@
 //
 //  1. The model owner trains/initializes a base model and exports its
 //     weights (the distributable artifact).
-//  2. The owner starts a Menos server from those weights with an int8
-//     quantized base (QLoRA-style) — the model body never leaves the
-//     server.
+//  2. The owner starts a Menos server from those weights (the base is
+//     served in fp32) — the model body never leaves the server.
 //  3. A data owner builds the client sections from the same weights
 //     file, fine-tunes on private text, and checkpoints the adapter.
 //  4. A second session resumes from the checkpoint and generates text
@@ -58,11 +57,10 @@ func run() error {
 	fmt.Printf("1. exported base weights: %s (%.1f KiB)\n", filepath.Base(weightsPath),
 		float64(info.Size())/1024)
 
-	// --- 2. Serve it, quantized. ---
+	// --- 2. Serve it. ---
 	dep, err := menos.NewDeployment(menos.DeploymentConfig{
 		Model:       menos.OPTTiny(),
 		WeightsFile: weightsPath,
-		BaseQuant:   menos.QuantInt8,
 	})
 	if err != nil {
 		return err
@@ -72,7 +70,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("2. serving int8-quantized base on %s\n", addr)
+	fmt.Printf("2. serving the exported fp32 base on %s\n", addr)
 
 	// --- 3. Data owner: fine-tune on private text; checkpoint φ_i. ---
 	tok, err := data.NewCharTokenizer(data.Shakespeare(), menos.OPTTiny().Vocab)
@@ -172,6 +170,6 @@ func run() error {
 	if err := dep.Store.VerifyIntegrity(); err != nil {
 		return err
 	}
-	fmt.Println("\nshared (quantized) base never modified: integrity verified")
+	fmt.Println("\nshared base never modified: integrity verified")
 	return nil
 }

@@ -37,10 +37,6 @@ type DeploymentConfig struct {
 	// seed-derived initialization — how a real pre-trained model is
 	// deployed.
 	WeightsFile string
-	// BaseQuant quantizes the shared base's transformer blocks
-	// (QLoRA-style); the zero value keeps fp32. Clients keep their
-	// own sections in fp32 either way.
-	BaseQuant quant.Precision
 	// SLO, when enabled, activates adaptive admission control on the
 	// server's scheduler (docs/ADMISSION.md); the zero value keeps the
 	// plain Algorithm-2 behaviour.
@@ -105,11 +101,6 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	if cfg.WeightsFile != "" {
 		if err := checkpoint.LoadModelFile(cfg.WeightsFile, m); err != nil {
 			return nil, fmt.Errorf("core: load weights: %w", err)
-		}
-	}
-	if cfg.BaseQuant != 0 {
-		if _, err := quant.QuantizeBlocks(m.Blocks, cfg.BaseQuant); err != nil {
-			return nil, fmt.Errorf("core: quantize base: %w", err)
 		}
 	}
 	store, err := share.NewStoreFromModel(m)

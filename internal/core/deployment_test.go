@@ -8,7 +8,6 @@ import (
 	"menos/internal/checkpoint"
 	"menos/internal/client"
 	"menos/internal/model"
-	"menos/internal/quant"
 	"menos/internal/tensor"
 )
 
@@ -100,58 +99,6 @@ func TestListenBadAddress(t *testing.T) {
 	}
 	if _, err := dep.Listen("256.256.256.256:99999"); err == nil {
 		t.Fatal("bad address accepted")
-	}
-}
-
-// TestQuantizedDeployment: a server hosting an int8 base still serves
-// split fine-tuning clients (QLoRA-style), and learning happens.
-func TestQuantizedDeployment(t *testing.T) {
-	dep, err := NewDeployment(DeploymentConfig{
-		Model:      model.OPTTiny(),
-		WeightSeed: 5,
-		BaseQuant:  quant.Int8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dep.Close()
-	if _, err := dep.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	c, err := client.Dial(dep.Addr(), client.Config{
-		ClientID:    "q",
-		Model:       model.OPTTiny(),
-		WeightSeed:  5,
-		Adapter:     adapter.LoRASpec(adapter.DefaultLoRA()),
-		AdapterSeed: 2,
-		LR:          8e-3,
-		Batch:       2,
-		Seq:         8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	r := tensor.NewRNG(3)
-	ids := make([]int, 16)
-	targets := make([]int, 16)
-	for i := range ids {
-		ids[i] = r.Intn(model.OPTTiny().Vocab)
-		targets[i] = r.Intn(model.OPTTiny().Vocab)
-	}
-	first, err := c.Step(ids, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last client.StepResult
-	for i := 0; i < 15; i++ {
-		last, err = c.Step(ids, targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if last.Loss >= first.Loss {
-		t.Fatalf("quantized deployment did not learn: %v -> %v", first.Loss, last.Loss)
 	}
 }
 

@@ -112,7 +112,7 @@ func baseOpParams(op nn.Op) ([]nn.Param, error) {
 	case *nn.RMSNorm:
 		return []nn.Param{l.Gamma}, nil
 	default:
-		return nil, fmt.Errorf("%w: projection wrapped or quantized (%T); export weights before modifying the model",
+		return nil, fmt.Errorf("%w: projection wrapped (%T); export weights before modifying the model",
 			ErrConfig, op)
 	}
 }

@@ -9,14 +9,13 @@ import (
 
 // This file implements the activation wire codec: lossy fp16/int8
 // packing for the per-iteration activation and gradient tensors that
-// cross the split boundary (docs/WIRE.md). Unlike the weight
-// quantizer above — per-output-column scales, computed once at load —
-// the activation codec runs on the hot path every iteration, so it is
-// per-row (rows are contiguous in memory), allocation-lean, and
-// parallelized over the tensor worker pool.
+// cross the split boundary (docs/WIRE.md). The codec runs on the hot
+// path every iteration, so it is per-row (rows are contiguous in
+// memory), allocation-lean, and parallelized over the tensor worker
+// pool.
 //
-// The codec is symmetric and zero-point free, matching the weight
-// path: int8 stores round(v/scale) with one fp32 scale per row
+// The codec is symmetric and zero-point free: int8 stores
+// round(v/scale) with one fp32 scale per row
 // (scale = maxAbs/127), fp16 stores IEEE 754 binary16 with
 // round-to-nearest-even. Non-finite inputs are rejected with
 // NonFiniteError rather than encoded: an Inf/NaN activation is a

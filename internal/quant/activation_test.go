@@ -206,26 +206,6 @@ func TestPackRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// QuantizeMatrix inherits the same non-finite rejection (the issue's
-// fix): an Inf or NaN weight must fail typed, not skew a column scale.
-func TestQuantizeMatrixRejectsNonFinite(t *testing.T) {
-	for _, bad := range []float32{float32(math.Inf(1)), float32(math.NaN())} {
-		w := tensor.New(3, 3)
-		w.Set(bad, 1, 1)
-		_, err := QuantizeMatrix(w, Int8)
-		var nfe *NonFiniteError
-		if !errors.As(err, &nfe) {
-			t.Fatalf("error %v is not NonFiniteError", err)
-		}
-		if !errors.Is(err, ErrQuant) {
-			t.Fatal("does not unwrap to ErrQuant")
-		}
-		if nfe.Index != 4 {
-			t.Fatalf("index %d, want 4", nfe.Index)
-		}
-	}
-}
-
 // Unpack validates hostile metadata: wire-decoded Packed structs are
 // untrusted input.
 func TestUnpackRejectsCorruptMetadata(t *testing.T) {

@@ -221,20 +221,9 @@ func (s *Store) computeChecksum() uint64 {
 				hashTensor(l.Beta.Value)
 			case *nn.RMSNorm:
 				hashTensor(l.Gamma.Value)
-			case selfHashing:
-				// Quantized (or otherwise packed) layers feed their own
-				// storage into the hash.
-				l.HashInto(func(p []byte) { h.Write(p) })
 			}
 		}
 	}
 	hashTensor(m.LMHead.W.Value)
 	return h.Sum64()
-}
-
-// selfHashing is implemented by layers with packed storage (e.g.
-// quantized linears) that contribute their own bytes to the integrity
-// checksum.
-type selfHashing interface {
-	HashInto(write func([]byte))
 }

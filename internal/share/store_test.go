@@ -9,7 +9,6 @@ import (
 	"menos/internal/adapter"
 	"menos/internal/model"
 	"menos/internal/nn"
-	"menos/internal/quant"
 	"menos/internal/tensor"
 )
 
@@ -321,35 +320,5 @@ func TestInstanceForwardEqualsMaster(t *testing.T) {
 		if math.Abs(float64(yInst.Data()[i]-yMaster.Data()[i])) > 1e-6 {
 			t.Fatalf("fresh instance diverges from master at %d", i)
 		}
-	}
-}
-
-// TestIntegrityCoversQuantizedBase: a quantized base is covered by the
-// integrity checksum like an fp32 one — any hashed component tripping
-// after construction is detected.
-func TestIntegrityCoversQuantizedBase(t *testing.T) {
-	cfg := model.Config{
-		Name: "test", Family: model.FamilyOPT,
-		Vocab: 13, Dim: 8, Layers: 3, Heads: 2, FFN: 16, MaxSeq: 16,
-	}
-	m, err := model.New(tensor.NewRNG(40), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := quant.QuantizeBlocks(m.Blocks, quant.Int8); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewStoreFromModel(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupting a hashed fp32 component still trips the checksum.
-	ln := m.Blocks[0].Norm1.(*nn.LayerNorm)
-	ln.Gamma.Value.Data()[0] += 1
-	if err := s.VerifyIntegrity(); !errors.Is(err, ErrCorrupted) {
-		t.Fatalf("corruption not detected: %v", err)
 	}
 }

@@ -132,3 +132,57 @@ func BenchmarkPackT(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkWeightResidency asks what a smaller base weight could buy:
+// perf-mid's 24 projection products (4 blocks of Q, K, V, O, FFN Up,
+// FFN Down at dim 128, FFN 512), each run forward (MatMul) and
+// input-gradient backward (MatMulT), single-threaded. "hot" runs one
+// block's weights four times (768 KB, stays in one core's L2); "cold"
+// runs four distinct blocks (3 MB, does not). The cold-over-hot gap
+// bounds what streaming fewer weight bytes (an int8 or int4 base)
+// could save before paying to dequantize; docs/PERFORMANCE.md ("Why
+// the served base is fp32") has the numbers.
+func BenchmarkWeightResidency(b *testing.B) {
+	const dim, ffn, layers = 128, 512, 4
+	shapes := [][2]int{{dim, dim}, {dim, dim}, {dim, dim}, {dim, dim}, {dim, ffn}, {ffn, dim}}
+	rng := NewRNG(3)
+	blocks := make([][]*Tensor, layers)
+	for l := range blocks {
+		for _, s := range shapes {
+			blocks[l] = append(blocks[l], NewNormal(rng, 0.02, s[0], s[1]))
+		}
+	}
+	for _, rows := range []int{32, 64} {
+		var xs, ys, dys, dxs []*Tensor
+		for _, s := range shapes {
+			xs = append(xs, NewNormal(rng, 1, rows, s[0]))
+			ys = append(ys, New(rows, s[1]))
+			dys = append(dys, NewNormal(rng, 1, rows, s[1]))
+			dxs = append(dxs, New(rows, s[0]))
+		}
+		for _, mode := range []string{"hot", "cold"} {
+			b.Run(fmt.Sprintf("rows=%d/%s", rows, mode), func(b *testing.B) {
+				prev := Parallelism()
+				SetParallelism(1)
+				defer SetParallelism(prev)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for l := 0; l < layers; l++ {
+						ws := blocks[0]
+						if mode == "cold" {
+							ws = blocks[l]
+						}
+						for j, w := range ws {
+							if err := MatMul(ys[j], xs[j], w); err != nil {
+								b.Fatal(err)
+							}
+							if err := MatMulT(dxs[j], dys[j], w); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}

@@ -215,9 +215,12 @@ var (
 	ExtensionHeterogeneousClients = experiments.ExtensionHeterogeneousClients
 )
 
-// Quantization (QLoRA-style, orthogonal to Menos per §5.2).
+// Quantization (QLoRA-style, orthogonal to Menos per §5.2): priced
+// by the memory model (Workload.BaseQuant), not served — the TCP
+// plane's base is fp32.
 type (
-	// QuantPrecision selects int8 or int4 base-weight storage.
+	// QuantPrecision selects the int8 or int4 base-weight width the
+	// memory model prices.
 	QuantPrecision = quant.Precision
 )
 
@@ -226,11 +229,6 @@ const (
 	QuantInt8 = quant.Int8
 	QuantInt4 = quant.Int4
 )
-
-// QuantizeBlocks converts a model's transformer blocks to quantized
-// storage (do this before attaching adapters). Returns the quantized
-// byte footprint.
-var QuantizeBlocks = quant.QuantizeBlocks
 
 // Checkpointing: adapter parameters can be saved and restored without
 // ever touching the shared base model.
