@@ -29,9 +29,20 @@ test-purego:
 test-v3:
 	GOAMD64=v3 $(GO) test ./internal/tensor ./internal/nn ./internal/model
 
+# The arm64 back end does fuse: cross-build fails if its assembly of
+# the compute-plane packages holds a single fused multiply-add
+# (FMADD/FMSUB/FNMADD/FNMSUB), i.e. a product feeding an add that no
+# float32(…)/float64(…) conversion rounds (docs/NUMERICS.md rule 3).
+FUSED_PKGS = ./internal/tensor ./internal/nn ./internal/model ./internal/adapter
+
 cross-build:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FUSED_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \
+	fused=$$(echo "$$asm" | grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB)[SD]\b'); \
+	if [ -n "$$fused" ]; then \
+		echo "arm64 fuses a multiply-add (docs/NUMERICS.md rule 3):"; echo "$$fused"; exit 1; \
+	fi
 
 # perf/ (the BENCHMARK.json benchmark) is a nested module, so
 # `go test ./...` from the root never compiles it. It imports

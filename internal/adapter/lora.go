@@ -169,11 +169,11 @@ func (l *LoRALinear) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor, any
 // two bit-identical.
 func (l *LoRALinear) residual(x, y *tensor.Tensor, keep bool) (*tensor.Tensor, error) {
 	rows, sc := x.Dim(0), l.scratch
-	xa := sc.Get(rows, l.A.Value.Dim(1))
+	xa := sc.GetUninit(rows, l.A.Value.Dim(1))
 	if err := tensor.MatMul(xa, x, l.A.Value); err != nil {
 		return nil, fmt.Errorf("lora xA: %w", err)
 	}
-	delta := sc.Get(rows, l.out)
+	delta := sc.GetUninit(rows, l.out)
 	if err := tensor.MatMul(delta, xa, l.B.Value); err != nil {
 		return nil, fmt.Errorf("lora xAB: %w", err)
 	}
@@ -223,14 +223,14 @@ func (l *LoRALinear) residualGrad(x, xa, dy, dx *tensor.Tensor) error {
 	rows, sc := x.Dim(0), l.scratch
 	// delta = scale * (x A) B
 	// dB += scale * (xA)ᵀ dy
-	scaled := sc.Get(dy.Shape()...)
+	scaled := sc.GetUninit(dy.Shape()...)
 	copy(scaled.Data(), dy.Data())
 	scaled.Scale(l.Scale)
 	if err := tensor.MatMulTAccum(l.B.Grad, xa, scaled); err != nil {
 		return fmt.Errorf("lora dB: %w", err)
 	}
 	// dXA = scale * dy Bᵀ
-	dxa := sc.Get(rows, l.A.Value.Dim(1))
+	dxa := sc.GetUninit(rows, l.A.Value.Dim(1))
 	if err := tensor.MatMulT(dxa, scaled, l.B.Value); err != nil {
 		return fmt.Errorf("lora dXA: %w", err)
 	}
@@ -239,7 +239,7 @@ func (l *LoRALinear) residualGrad(x, xa, dy, dx *tensor.Tensor) error {
 		return fmt.Errorf("lora dA: %w", err)
 	}
 	// dx += dXA Aᵀ
-	dxLora := sc.Get(rows, l.in)
+	dxLora := sc.GetUninit(rows, l.in)
 	if err := tensor.MatMulT(dxLora, dxa, l.A.Value); err != nil {
 		return fmt.Errorf("lora dx: %w", err)
 	}

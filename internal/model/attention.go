@@ -491,7 +491,7 @@ func softmaxBackwardInPlace(dp, p *tensor.Tensor) {
 		dpr := dp.Data()[r*cols : (r+1)*cols]
 		var dot float64
 		for c := 0; c < cols; c++ {
-			dot += float64(dpr[c]) * float64(pr[c])
+			dot += float64(float64(dpr[c]) * float64(pr[c]))
 		}
 		for c := 0; c < cols; c++ {
 			dpr[c] = pr[c] * (dpr[c] - float32(dot))

@@ -110,7 +110,7 @@ func (b *Block) forward(x *tensor.Tensor, withGrad bool,
 	if !withGrad {
 		sc.Put(n1)
 	}
-	h := sc.Get(x.Shape()...)
+	h := sc.GetUninit(x.Shape()...)
 	if err := tensor.Add(h, x, attnOut); err != nil {
 		return nil, nil, fmt.Errorf("block residual 1: %w", err)
 	}
@@ -127,7 +127,7 @@ func (b *Block) forward(x *tensor.Tensor, withGrad bool,
 	if !withGrad {
 		sc.Put(n2)
 	}
-	y := sc.Get(h.Shape()...)
+	y := sc.GetUninit(h.Shape()...)
 	if err := tensor.Add(y, h, ffnOut); err != nil {
 		return nil, nil, fmt.Errorf("block residual 2: %w", err)
 	}
@@ -162,7 +162,7 @@ func (b *Block) Backward(cache *BlockCache, dy *tensor.Tensor) (*tensor.Tensor, 
 	// backwards; H (the Norm2 input) by Norm2.Grad just above.
 	sc.Put(dffn, cache.H, cache.N2)
 	cache.H, cache.N2 = nil, nil
-	dh := sc.Get(dy.Shape()...)
+	dh := sc.GetUninit(dy.Shape()...)
 	if err := tensor.Add(dh, dy, dn2); err != nil {
 		return nil, fmt.Errorf("block residual 2 backward: %w", err)
 	}
@@ -181,7 +181,7 @@ func (b *Block) Backward(cache *BlockCache, dy *tensor.Tensor) (*tensor.Tensor, 
 	// backwards inside Attn.Backward.
 	sc.Put(dattn, cache.N1)
 	cache.N1 = nil
-	dx := sc.Get(dy.Shape()...)
+	dx := sc.GetUninit(dy.Shape()...)
 	if err := tensor.Add(dx, dh, dn1); err != nil {
 		return nil, fmt.Errorf("block residual 1 backward: %w", err)
 	}

@@ -116,7 +116,7 @@ func (f *FFN) Forward(x *tensor.Tensor, withGrad bool) (*tensor.Tensor, *FFNCach
 		if !withGrad {
 			sc.Put(g)
 		}
-		h := sc.Get(s.Shape()...)
+		h := sc.GetUninit(s.Shape()...)
 		if err := tensor.Mul(h, s, u); err != nil {
 			return nil, nil, fmt.Errorf("ffn gating: %w", err)
 		}
@@ -175,11 +175,11 @@ func (f *FFN) Backward(cache *FFNCache, dy *tensor.Tensor) (*tensor.Tensor, erro
 		sc.Put(cache.Hidden)
 		cache.Hidden = nil
 		// h = s ∘ u  →  ds = dh ∘ u ; du = dh ∘ s
-		ds := sc.Get(dh.Shape()...)
+		ds := sc.GetUninit(dh.Shape()...)
 		if err := tensor.Mul(ds, dh, cache.UpOut); err != nil {
 			return nil, fmt.Errorf("ffn ds: %w", err)
 		}
-		du := sc.Get(dh.Shape()...)
+		du := sc.GetUninit(dh.Shape()...)
 		if err := tensor.Mul(du, dh, cache.SiluOut); err != nil {
 			return nil, fmt.Errorf("ffn du: %w", err)
 		}

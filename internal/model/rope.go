@@ -45,7 +45,7 @@ func (rt *ropeTable) apply(v []float32, pos int, inverse bool) {
 			s = -s
 		}
 		x0, x1 := v[2*i], v[2*i+1]
-		v[2*i] = x0*c - x1*s
-		v[2*i+1] = x0*s + x1*c
+		v[2*i] = float32(x0*c) - float32(x1*s)
+		v[2*i+1] = float32(x0*s) + float32(x1*c)
 	}
 }

@@ -59,7 +59,7 @@ func SiLUBackwardScratch(sc *tensor.Scratch, cache *ActCache, dy *tensor.Tensor)
 // fresh output of x's shape and retains x for the backward pass. The
 // backward recomputes σ from x, so nothing else is cached.
 func activate(sc *tensor.Scratch, x *tensor.Tensor, cache *ActCache, kernel func(dst, a *tensor.Tensor) error) *tensor.Tensor {
-	out := sc.Get(x.Shape()...)
+	out := sc.GetUninit(x.Shape()...)
 	if err := kernel(out, x); err != nil {
 		panic(err) // out was made with x's shape
 	}
@@ -73,7 +73,7 @@ func activateGrad(name string, sc *tensor.Scratch, cache *ActCache, dy *tensor.T
 	if cache == nil || cache.X == nil {
 		return nil, fmt.Errorf("%s backward: no cached activations", name)
 	}
-	dx := sc.Get(cache.X.Shape()...)
+	dx := sc.GetUninit(cache.X.Shape()...)
 	if err := kernel(dx, cache.X, dy); err != nil { // dy's length differs
 		sc.Put(dx)
 		return nil, err

@@ -70,14 +70,9 @@ func (l *Linear) Forward(x *tensor.Tensor, cache *LinearCache) (*tensor.Tensor, 
 		return nil, fmt.Errorf("linear: input %v incompatible with weight %v: %w",
 			x.Shape(), l.W.Value.Shape(), tensor.ErrShape)
 	}
-	y := l.scratch.Get(x.Dim(0), l.Out())
-	if err := tensor.MatMul(y, x, l.W.Value); err != nil {
+	y := l.scratch.GetUninit(x.Dim(0), l.Out())
+	if err := tensor.MatMulBias(y, x, l.W.Value, l.B.Value); err != nil {
 		return nil, fmt.Errorf("linear forward: %w", err)
-	}
-	if l.B.Value != nil {
-		if err := tensor.AddRowBroadcast(y, y, l.B.Value); err != nil {
-			return nil, fmt.Errorf("linear bias: %w", err)
-		}
 	}
 	if cache != nil {
 		cache.X = x
@@ -108,7 +103,7 @@ func (l *Linear) Backward(cache *LinearCache, dy *tensor.Tensor) (*tensor.Tensor
 		}
 	}
 	// dx = dy @ Wᵀ
-	dx := l.scratch.Get(x.Dim(0), l.In())
+	dx := l.scratch.GetUninit(x.Dim(0), l.In())
 	if err := tensor.MatMulT(dx, dy, l.W.Value); err != nil {
 		return nil, fmt.Errorf("linear dx: %w", err)
 	}

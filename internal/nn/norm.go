@@ -66,45 +66,16 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, cache *LayerNormCache) (*tensor.Te
 			x.Shape(), l.Gamma.Value.Dim(0), tensor.ErrShape)
 	}
 	rows, cols := x.Dim(0), x.Dim(1)
-	out := l.scratch.Get(rows, cols)
-	var xhat *tensor.Tensor
-	var invStd []float32
+	out := l.scratch.GetUninit(rows, cols)
+	var xhat, invStd *tensor.Tensor
 	if cache != nil {
 		// xhat is only needed by the backward pass; a no-grad forward
 		// skips it entirely.
-		xhat = l.scratch.Get(rows, cols)
-		cache.XHat, cache.InvStd = xhat, l.scratch.Get(rows)
-		invStd = cache.InvStd.Data()
+		xhat, invStd = l.scratch.GetUninit(rows, cols), l.scratch.Get(rows)
+		cache.XHat, cache.InvStd = xhat, invStd
 	}
-	gamma, beta := l.Gamma.Value.Data(), l.Beta.Value.Data()
-	for r := 0; r < rows; r++ {
-		xr := x.Data()[r*cols : (r+1)*cols]
-		var mean float64
-		for _, v := range xr {
-			mean += float64(v)
-		}
-		mean /= float64(cols)
-		var variance float64
-		for _, v := range xr {
-			d := float64(v) - mean
-			variance += d * d
-		}
-		variance /= float64(cols)
-		inv := float32(1.0 / math.Sqrt(variance+normEps))
-		or := out.Data()[r*cols : (r+1)*cols]
-		if xhat != nil {
-			invStd[r] = inv
-			xh := xhat.Data()[r*cols : (r+1)*cols]
-			for c := 0; c < cols; c++ {
-				h := (xr[c] - float32(mean)) * inv
-				xh[c] = h
-				or[c] = h*gamma[c] + beta[c]
-			}
-		} else {
-			for c := 0; c < cols; c++ {
-				or[c] = (xr[c]-float32(mean))*inv*gamma[c] + beta[c]
-			}
-		}
+	if err := tensor.LayerNorm(out, xhat, invStd, x, l.Gamma.Value, l.Beta.Value, normEps); err != nil {
+		return nil, fmt.Errorf("layernorm: %w", err)
 	}
 	return out, nil
 }
@@ -119,37 +90,13 @@ func (l *LayerNorm) Backward(cache *LayerNormCache, dy *tensor.Tensor) (*tensor.
 		return nil, fmt.Errorf("layernorm backward: dy %v for cached %v: %w",
 			dy.Shape(), cache.XHat.Shape(), tensor.ErrShape)
 	}
-	gamma, invStd := l.Gamma.Value.Data(), cache.InvStd.Data()
-	dx := l.scratch.Get(rows, cols)
-	for r := 0; r < rows; r++ {
-		dyr := dy.Data()[r*cols : (r+1)*cols]
-		xh := cache.XHat.Data()[r*cols : (r+1)*cols]
-		inv := invStd[r]
-		// dxhat = dy * gamma
-		// dx = inv/cols * (cols*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat))
-		var sumDxh, sumDxhXh float64
-		for c := 0; c < cols; c++ {
-			dxh := float64(dyr[c]) * float64(gamma[c])
-			sumDxh += dxh
-			sumDxhXh += dxh * float64(xh[c])
-		}
-		dxr := dx.Data()[r*cols : (r+1)*cols]
-		n := float64(cols)
-		for c := 0; c < cols; c++ {
-			dxh := float64(dyr[c]) * float64(gamma[c])
-			dxr[c] = float32(float64(inv) / n * (n*dxh - sumDxh - float64(xh[c])*sumDxhXh))
-		}
-	}
+	var dg, db *tensor.Tensor
 	if !l.Frozen {
-		dg, db := l.Gamma.Grad.Data(), l.Beta.Grad.Data()
-		for r := 0; r < rows; r++ {
-			dyr := dy.Data()[r*cols : (r+1)*cols]
-			xh := cache.XHat.Data()[r*cols : (r+1)*cols]
-			for c := 0; c < cols; c++ {
-				dg[c] += dyr[c] * xh[c]
-				db[c] += dyr[c]
-			}
-		}
+		dg, db = l.Gamma.Grad, l.Beta.Grad
+	}
+	dx := l.scratch.GetUninit(rows, cols)
+	if err := tensor.LayerNormBackward(dx, dg, db, dy, cache.XHat, cache.InvStd, l.Gamma.Value); err != nil {
+		return nil, fmt.Errorf("layernorm backward: %w", err)
 	}
 	if l.scratch != nil {
 		// The layer owns xhat and the statistics; with the backward
@@ -218,14 +165,14 @@ func (l *RMSNorm) Forward(x *tensor.Tensor, cache *RMSNormCache) (*tensor.Tensor
 			x.Shape(), l.Gamma.Value.Dim(0), tensor.ErrShape)
 	}
 	rows, cols := x.Dim(0), x.Dim(1)
-	out := l.scratch.Get(rows, cols)
+	out := l.scratch.GetUninit(rows, cols)
 	invRMS := make([]float32, rows)
 	gamma := l.Gamma.Value.Data()
 	for r := 0; r < rows; r++ {
 		xr := x.Data()[r*cols : (r+1)*cols]
 		var ms float64
 		for _, v := range xr {
-			ms += float64(v) * float64(v)
+			ms += float64(float64(v) * float64(v))
 		}
 		ms /= float64(cols)
 		inv := float32(1.0 / math.Sqrt(ms+normEps))
@@ -253,7 +200,7 @@ func (l *RMSNorm) Backward(cache *RMSNormCache, dy *tensor.Tensor) (*tensor.Tens
 			dy.Shape(), cache.X.Shape(), tensor.ErrShape)
 	}
 	gamma := l.Gamma.Value.Data()
-	dx := l.scratch.Get(rows, cols)
+	dx := l.scratch.GetUninit(rows, cols)
 	for r := 0; r < rows; r++ {
 		xr := cache.X.Data()[r*cols : (r+1)*cols]
 		dyr := dy.Data()[r*cols : (r+1)*cols]
@@ -262,12 +209,12 @@ func (l *RMSNorm) Backward(cache *RMSNormCache, dy *tensor.Tensor) (*tensor.Tens
 		// dx_c = inv * g_c * dy_c - x_c * inv³/n * Σ_j dy_j g_j x_j
 		var dot float64
 		for c := 0; c < cols; c++ {
-			dot += float64(dyr[c]) * float64(gamma[c]) * float64(xr[c])
+			dot += float64(float64(dyr[c]) * float64(gamma[c]) * float64(xr[c]))
 		}
 		coef := inv * inv * inv / float64(cols) * dot
 		dxr := dx.Data()[r*cols : (r+1)*cols]
 		for c := 0; c < cols; c++ {
-			dxr[c] = float32(inv*float64(gamma[c])*float64(dyr[c]) - float64(xr[c])*coef)
+			dxr[c] = float32(float64(inv*float64(gamma[c])*float64(dyr[c])) - float64(float64(xr[c])*coef))
 		}
 	}
 	if !l.Frozen {
@@ -277,7 +224,7 @@ func (l *RMSNorm) Backward(cache *RMSNormCache, dy *tensor.Tensor) (*tensor.Tens
 			dyr := dy.Data()[r*cols : (r+1)*cols]
 			inv := cache.InvRMS[r]
 			for c := 0; c < cols; c++ {
-				dg[c] += dyr[c] * xr[c] * inv
+				dg[c] += float32(dyr[c] * xr[c] * inv)
 			}
 		}
 	}

@@ -80,8 +80,8 @@ func (o *SGD) Step(params []Param) error {
 		vd, gd, pd := v.Data(), p.Grad.Data(), p.Value.Data()
 		mu, lr := float32(o.Momentum), float32(o.LR)
 		for i := range vd {
-			vd[i] = mu*vd[i] + gd[i]
-			pd[i] -= lr * vd[i]
+			vd[i] = float32(mu*vd[i]) + gd[i]
+			pd[i] -= float32(lr * vd[i])
 		}
 	}
 	return nil
@@ -158,13 +158,13 @@ func (o *Adam) Step(params []Param) error {
 		b1, b2 := float32(o.Beta1), float32(o.Beta2)
 		for i := range md {
 			g := gd[i]
-			md[i] = b1*md[i] + (1-b1)*g
-			vd[i] = b2*vd[i] + (1-b2)*g*g
+			md[i] = float32(b1*md[i]) + float32((1-b1)*g)
+			vd[i] = float32(b2*vd[i]) + float32((1-b2)*g*g)
 			mHat := float64(md[i]) / bc1
 			vHat := float64(vd[i]) / bc2
 			upd := o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
 			if o.WeightDecay != 0 {
-				upd += o.LR * o.WeightDecay * float64(pd[i])
+				upd += float64(o.LR * o.WeightDecay * float64(pd[i]))
 			}
 			pd[i] -= float32(upd)
 		}

@@ -120,21 +120,9 @@
 	VMULPS  Y1, Y2, Y2     \
 	VMULPS  Y8, Y2, Y1
 
-// Eight all-ones words then eight zero words: the eight words starting
-// at word 8-n are the mask whose first n lanes are set.
-DATA lanemask<>+0(SB)/8, $0xffffffffffffffff
-DATA lanemask<>+8(SB)/8, $0xffffffffffffffff
-DATA lanemask<>+16(SB)/8, $0xffffffffffffffff
-DATA lanemask<>+24(SB)/8, $0xffffffffffffffff
-DATA lanemask<>+32(SB)/8, $0
-DATA lanemask<>+40(SB)/8, $0
-DATA lanemask<>+48(SB)/8, $0
-DATA lanemask<>+56(SB)/8, $0
-GLOBL lanemask<>(SB), RODATA|NOPTR, $64
-
 // TAILMASK: Y15 = the mask of the first CX lanes, 1 <= CX <= 7.
 #define TAILMASK \
-	LEAQ    lanemask<>+32(SB), AX \
+	LEAQ    ·laneMask+32(SB), AX  \
 	SHLQ    $2, CX                \
 	SUBQ    CX, AX                \
 	VMOVDQU (AX), Y15

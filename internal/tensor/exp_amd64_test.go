@@ -8,8 +8,9 @@ import (
 	"testing"
 )
 
-// TestVectorKernelsMatchPortable drives the five assembly kernels
-// against the scalar functions of exp.go at every length 0..67 (no
+// TestVectorKernelsMatchPortable drives the elementwise assembly
+// kernels — the five exp-based ones and the residual Add, AXPY and
+// Scale — against their scalar definitions at every length 0..67 (no
 // vector, whole vectors, every tail) and every start offset 0..8 (every
 // alignment of the first element within a vector), on inputs salted
 // with the values where a lane-wise and a scalar implementation could
@@ -55,6 +56,11 @@ func TestVectorKernelsMatchPortable(t *testing.T) {
 		{"geluGrad", geluGradRange, geluGradGo},
 		{"silu", func(dst, x, _ []float32) { siluRange(dst, x) }, func(x, _ float32) float32 { return siluGo(x) }},
 		{"siluGrad", siluGradRange, siluGradGo},
+		{"add", addRange, func(x, dy float32) float32 { return x + dy }},
+		{"axpy", func(dst, x, dy []float32) { copy(dst, dy); axpyRange(shift, x, dst) },
+			func(x, dy float32) float32 { return dy + float32(shift*x) }},
+		{"scale", func(dst, x, _ []float32) { copy(dst, x); scaleRange(shift, dst) },
+			func(x, _ float32) float32 { return x * shift }},
 	}
 	const canary = float32(-12345.678)
 	for _, k := range kernels {
@@ -115,6 +121,88 @@ func TestPackTMatchesScalarLoop(t *testing.T) {
 			}
 			if got[0] != b[0] || got[(kb-1)*tileCols+cols-1] != b[(cols-1)*k+kb-1] {
 				t.Fatalf("kb=%d cols=%d k=%d: panel corners are not b's", kb, cols, k)
+			}
+		}
+	}
+}
+
+// TestLayerNormKernelsMatchPortable drives LayerNorm's three row
+// kernels against their portable twins, as TestVectorKernelsMatchPortable
+// does the elementwise ones: every row length 0..67 and start offset
+// 0..8, inputs salted with signed zeros, subnormals, huge values,
+// infinities and NaN, every output element bit-identical (NaN for NaN),
+// the canaries around every output untouched. The forward runs with its
+// own xhat and with xhat aliasing out, as a no-grad forward calls it.
+func TestLayerNormKernelsMatchPortable(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this CPU")
+	}
+	const maxLen, maxOff = 67, 8
+	salt := []float32{
+		0, float32(math.Copysign(0, -1)), 1e-40, -1e-40, 1e30, -1e30,
+		math.MaxFloat32, -math.MaxFloat32, inf32, -inf32, float32(math.NaN()),
+	}
+	rng := NewRNG(78)
+	fill := func() []float32 {
+		buf := NewNormal(rng, 2, maxOff+maxLen).data
+		for i := range buf {
+			if rng.Intn(4) == 0 {
+				buf[i] = salt[rng.Intn(len(salt))]
+			}
+		}
+		return buf
+	}
+	x, gamma, beta, dy, xhat := fill(), fill(), fill(), fill(), fill()
+	const canary = float32(-12345.678)
+	canaried := func(n, off int) []float32 {
+		buf := make([]float32, off+n+8)
+		for i := range buf {
+			buf[i] = canary
+		}
+		return buf
+	}
+	kernels := map[string]func(n, off int) [][]float32{
+		"forward": func(n, off int) [][]float32 {
+			out, xh := canaried(n, off), canaried(n, off)
+			layerNormRow(out[off:off+n], xh[off:off+n], x[off:off+n], gamma[off:off+n], beta[off:off+n], 0.375, 1.25)
+			return [][]float32{out, xh}
+		},
+		"forward no-grad": func(n, off int) [][]float32 {
+			out := canaried(n, off)
+			layerNormRow(out[off:off+n], out[off:off+n], x[off:off+n], gamma[off:off+n], beta[off:off+n], -0.5, 3)
+			return [][]float32{out}
+		},
+		"dx": func(n, off int) [][]float32 {
+			dx := canaried(n, off)
+			layerNormGradRow(dx[off:off+n], dy[off:off+n], xhat[off:off+n], gamma[off:off+n], 0.01, float64(n), 1.5, -2.25)
+			return [][]float32{dx}
+		},
+		"param grads": func(n, off int) [][]float32 {
+			dg, db := canaried(n, off), canaried(n, off)
+			copy(dg[off:], x[off:off+n])
+			copy(db[off:], beta[off:off+n])
+			layerNormParamGradRow(dg[off:off+n], db[off:off+n], dy[off:off+n], xhat[off:off+n])
+			return [][]float32{dg, db}
+		},
+	}
+	for name, run := range kernels {
+		for n := 0; n <= maxLen; n++ {
+			for off := 0; off <= maxOff; off++ {
+				asm := run(n, off)
+				var portable [][]float32
+				WithTier(TierPortable, func() { portable = run(n, off) })
+				for o := range asm {
+					for i, g := range asm[o] {
+						w := portable[o][i]
+						if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+							t.Fatalf("%s n=%d off=%d: output %d element %d is %g (%#x), portable %g (%#x)",
+								name, n, off, o, i-off, g, math.Float32bits(g), w, math.Float32bits(w))
+						}
+						if (i < off || i >= off+n) && math.Float32bits(g) != math.Float32bits(canary) {
+							t.Fatalf("%s n=%d off=%d: output %d element %d outside the row was written", name, n, off, o, i-off)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"testing"
 )
 
@@ -111,7 +112,7 @@ func garbage(m, n int) *Tensor {
 	return t
 }
 
-// matmulVariants runs all three kernels on operands of shape s filled
+// matmulVariants runs all four kernels on operands of shape s filled
 // by fill, and the reference loops on the same operands; check
 // compares each pair.
 func matmulVariants(t *testing.T, s struct{ m, k, n int }, fill func(*Tensor), check func(got, want *Tensor, label string)) {
@@ -126,6 +127,7 @@ func matmulVariants(t *testing.T, s struct{ m, k, n int }, fill func(*Tensor), c
 	bt := operand(s.n, s.k)
 	at := operand(s.k, s.m)
 	seed := operand(s.m, s.n)
+	bias := operand(s.n)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -137,6 +139,14 @@ func matmulVariants(t *testing.T, s struct{ m, k, n int }, fill func(*Tensor), c
 	must(MatMul(got, a, b2))
 	refMatMulAccum(want, a, b2)
 	check(got, want, "MatMul")
+
+	got, want = garbage(s.m, s.n), New(s.m, s.n)
+	must(MatMulBias(got, a, b2, bias))
+	refMatMulAccum(want, a, b2)
+	for i := range want.data {
+		want.data[i] += bias.data[i%s.n]
+	}
+	check(got, want, "MatMulBias")
 
 	got, want = garbage(s.m, s.n), New(s.m, s.n)
 	must(MatMulT(got, a, bt))
@@ -214,14 +224,20 @@ func TestRowRangesBitIdenticalAtAnySplit(t *testing.T) {
 	b2 := NewNormal(rng, 1, k, n)
 	bt := NewNormal(rng, 1, n, k)
 	seed := NewNormal(rng, 1, m, n)
+	bias := NewNormal(rng, 1, n)
 	ranges := map[string]func(dst *Tensor, lo, hi int){
 		"matmul": func(dst *Tensor, lo, hi int) {
-			matmulRange(dst.data, a.data, b2.data, lo, hi, k, n, k, 1, false, false)
+			matmulRange(dst.data, a.data, b2.data, nil, lo, hi, k, n, k, 1, false, false)
+		},
+		"matmulBias": func(dst *Tensor, lo, hi int) {
+			matmulRange(dst.data, a.data, b2.data, bias.data, lo, hi, k, n, k, 1, false, true)
 		},
 		"matmulTAccum": func(dst *Tensor, lo, hi int) {
-			matmulRange(dst.data, at.data, b2.data, lo, hi, k, n, 1, m, false, false)
+			matmulRange(dst.data, at.data, b2.data, nil, lo, hi, k, n, 1, m, false, false)
 		},
-		"matmulT": func(dst *Tensor, lo, hi int) { matmulRange(dst.data, a.data, bt.data, lo, hi, k, n, k, 1, true, true) },
+		"matmulT": func(dst *Tensor, lo, hi int) {
+			matmulRange(dst.data, a.data, bt.data, nil, lo, hi, k, n, k, 1, true, true)
+		},
 	}
 	for name, run := range ranges {
 		whole := seed.Clone()
@@ -269,13 +285,14 @@ func TestRowRangesBitIdenticalAtAnySplit(t *testing.T) {
 }
 
 // TestMatMulRejectsAliasedDst pins the no-alias contract: dst sharing
-// memory with either operand is an error in all three entry points,
+// memory with any operand is an error in every entry point,
 // views of one backing array that do not overlap are fine.
 func TestMatMulRejectsAliasedDst(t *testing.T) {
 	sq := NewNormal(NewRNG(3), 1, 8, 8)
 	other := NewNormal(NewRNG(4), 1, 8, 8)
 	for name, op := range map[string]func(dst, a, b *Tensor) error{
 		"MatMul": MatMul, "MatMulT": MatMulT, "MatMulTAccum": MatMulTAccum,
+		"MatMulBias": func(dst, a, b *Tensor) error { return MatMulBias(dst, a, b, nil) },
 	} {
 		if err := op(sq, sq, other); !errors.Is(err, ErrAlias) {
 			t.Errorf("%s(x, x, y) = %v, want ErrAlias", name, err)
@@ -297,6 +314,9 @@ func TestMatMulRejectsAliasedDst(t *testing.T) {
 		}
 		return v
 	}
+	if err := MatMulBias(sq, other, other, sq.Row(0)); !errors.Is(err, ErrAlias) {
+		t.Errorf("MatMulBias with the bias in dst: %v, want ErrAlias", err)
+	}
 	if err := MatMul(view(0, 4), view(3, 7), view(8, 12)); !errors.Is(err, ErrAlias) {
 		t.Errorf("overlapping views: %v, want ErrAlias", err)
 	}
@@ -307,7 +327,8 @@ func TestMatMulRejectsAliasedDst(t *testing.T) {
 
 // TestSerialKernelsDoNotAllocate pins the serial path at 0 allocs/op:
 // no closure, no error value, MatMulT's pack panel on the stack, and no
-// temporary in softmax, the activation or the elementwise kernels.
+// temporary in softmax, the activation, the elementwise or the
+// LayerNorm kernels.
 func TestSerialKernelsDoNotAllocate(t *testing.T) {
 	prev := Parallelism()
 	defer SetParallelism(prev)
@@ -317,8 +338,11 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 	a, at := NewNormal(rng, 1, m, k), NewNormal(rng, 1, k, m)
 	b2, bt := NewNormal(rng, 1, k, n), NewNormal(rng, 1, n, k)
 	dst := New(m, n)
+	bias, gamma, inv := NewNormal(rng, 1, n), NewNormal(rng, 1, n), New(m)
+	xhat, dx, dg, db := New(m, n), New(m, n), New(n), New(n)
 	for name, op := range map[string]func() error{
 		"MatMul":       func() error { return MatMul(dst, a, b2) },
+		"MatMulBias":   func() error { return MatMulBias(dst, a, b2, bias) },
 		"MatMulT":      func() error { return MatMulT(dst, a, bt) },
 		"MatMulTAccum": func() error { return MatMulTAccum(dst, at, b2) },
 		"SoftmaxRows":  func() error { return SoftmaxRows(dst, dst) },
@@ -330,6 +354,10 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 		"Mul":          func() error { return Mul(dst, dst, dst) },
 		"AXPY":         func() error { return AXPY(0.5, dst, dst) },
 		"Scale":        func() error { dst.Scale(0.5); return nil },
+		"LayerNorm":    func() error { return LayerNorm(dst, xhat, inv, dx, gamma, bias, 1e-5) },
+		"LayerNormBackward": func() error {
+			return LayerNormBackward(dx, dg, db, dst, xhat, inv, gamma)
+		},
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
 			if err := op(); err != nil {
@@ -343,8 +371,10 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 }
 
 // TestAsmTileNeverFusesOrReassociates reads every assembly file of the
-// package. The bit-identity argument needs each product rounded by
-// VMULPS before VADDPS or VSUBPS uses it, one accumulator per lane, and
+// package — the tiles, the exp kernels and the residual and LayerNorm
+// lane kernels. The bit-identity argument needs each product rounded by
+// VMULPS (VMULPD in LayerNorm's float64 lanes) before an add or subtract
+// uses it, one accumulator per lane, and
 // exactly rounded quotients: a fused multiply-add, a dot product or a
 // horizontal add anywhere breaks the first two, the approximate
 // reciprocal instructions the third. An AVX-512 rounding or SAE suffix
@@ -353,8 +383,13 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 // correctly rounded operations the portable twins compute.
 func TestAsmTileNeverFusesOrReassociates(t *testing.T) {
 	files, err := filepath.Glob("*.s")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no assembly files found: %v", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"matmul_amd64.s", "exp_amd64.s", "lanes_amd64.s"} {
+		if !slices.Contains(files, want) {
+			t.Fatalf("%s not found among %v", want, files)
+		}
 	}
 	for _, file := range files {
 		src, err := os.ReadFile(file)

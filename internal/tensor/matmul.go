@@ -11,7 +11,7 @@ import (
 // tiles of dst while later tiles still read a and b.
 var ErrAlias = errors.New("tensor: dst aliases an operand")
 
-// All three matmul variants are thin drivers over one micro-kernel,
+// All the matmul variants are thin drivers over one micro-kernel,
 // tile, which updates a block of up to blockRows() x tileCols elements
 // of dst with one accumulator per output element summed in ascending
 // p — the add sequence of the naive loop, so the bits match it exactly.
@@ -34,7 +34,32 @@ func MatMul(dst, a, b *Tensor) error {
 	if err != nil {
 		return err
 	}
-	matmul(dst.data, a.data, b.data, m, k, n, k, 1, false, true)
+	matmul(dst.data, a.data, b.data, nil, m, k, n, k, 1, false, true)
+	return nil
+}
+
+// MatMulBias computes dst = a @ b + bias, bias (n) added to every row:
+// the forward of a linear layer. Each element is its finished sum plus
+// bias[c], two roundings in that order, exactly what MatMul followed by
+// a separate add loop computes; the tile adds the bias to its
+// accumulators before it stores them, so dst is written once. A nil
+// bias makes it MatMul. dst must not alias a, b or bias (ErrAlias).
+func MatMulBias(dst, a, b, bias *Tensor) error {
+	m, k, n, err := matmulArgs("matmulBias", dst, a, b, false, false)
+	if err != nil {
+		return err
+	}
+	var bd []float32
+	if bias != nil {
+		if len(bias.shape) != 1 || bias.shape[0] != n {
+			return fmt.Errorf("%w: matmulBias bias %v for %v", ErrShape, bias.shape, dst.shape)
+		}
+		if overlaps(dst.data, bias.data) {
+			return fmt.Errorf("%w: matmulBias", ErrAlias)
+		}
+		bd = bias.data
+	}
+	matmul(dst.data, a.data, b.data, bd, m, k, n, k, 1, false, true)
 	return nil
 }
 
@@ -47,7 +72,7 @@ func MatMulTAccum(dst, a, b *Tensor) error {
 	if err != nil {
 		return err
 	}
-	matmul(dst.data, a.data, b.data, m, k, n, 1, m, false, false)
+	matmul(dst.data, a.data, b.data, nil, m, k, n, 1, m, false, false)
 	return nil
 }
 
@@ -59,7 +84,7 @@ func MatMulT(dst, a, b *Tensor) error {
 	if err != nil {
 		return err
 	}
-	matmul(dst.data, a.data, b.data, m, k, n, k, 1, true, true)
+	matmul(dst.data, a.data, b.data, nil, m, k, n, k, 1, true, true)
 	return nil
 }
 
@@ -97,20 +122,24 @@ func overlaps(x, y []float32) bool {
 }
 
 // matmul fans matmulRange out over the output rows, each k·n
-// multiply-adds of work.
-func matmul(dst, a, b []float32, m, k, n, ars, aps int, bT, zero bool) {
+// multiply-adds of work. bias, when non-nil, is added to every row of
+// the result; only the zero-mode a @ b passes one.
+func matmul(dst, a, b, bias []float32, m, k, n, ars, aps int, bT, zero bool) {
 	if k == 0 {
 		if zero {
 			clear(dst)
 		}
+		for r := 0; bias != nil && r < m; r++ {
+			addRange(dst[r*n:][:n], dst[r*n:][:n], bias)
+		}
 		return
 	}
 	if serialFor(m, k*n) {
-		matmulRange(dst, a, b, 0, m, k, n, ars, aps, bT, zero)
+		matmulRange(dst, a, b, bias, 0, m, k, n, ars, aps, bT, zero)
 		return
 	}
 	ParallelFor(m, k*n, func(lo, hi int) {
-		matmulRange(dst, a, b, lo, hi, k, n, ars, aps, bT, zero)
+		matmulRange(dst, a, b, bias, lo, hi, k, n, ars, aps, bT, zero)
 	})
 }
 
@@ -118,8 +147,9 @@ func matmul(dst, a, b []float32, m, k, n, ars, aps int, bT, zero bool) {
 // with A[i][p] = a[i*ars+p*aps]: strides (k,1) read a row-major,
 // (1,m) read it transposed. B is b, or bᵀ when bT is set. Column panels
 // are the outer loop so the sixteen-wide strip of b a panel reads stays
-// cached across its row tiles.
-func matmulRange(dst, a, b []float32, rowLo, rowHi, k, n, ars, aps int, bT, zero bool) {
+// cached across its row tiles. matmulRange does not cut k, so every
+// tile it runs holds finished sums and can add the bias to them.
+func matmulRange(dst, a, b, bias []float32, rowLo, rowHi, k, n, ars, aps int, bT, zero bool) {
 	if bT {
 		matmulTRange(dst, a, b, rowLo, rowHi, k, n)
 		return
@@ -127,8 +157,12 @@ func matmulRange(dst, a, b []float32, rowLo, rowHi, k, n, ars, aps int, bT, zero
 	rb := blockRows()
 	for j := 0; j < n; j += tileCols {
 		cols := min(tileCols, n-j)
+		var bj []float32
+		if bias != nil {
+			bj = bias[j:]
+		}
 		for i := rowLo; i < rowHi; i += rb {
-			tile(dst[i*n+j:], n, a[i*ars:], ars, aps, b[j:], n, k, min(rb, rowHi-i), cols, zero)
+			tile(dst[i*n+j:], n, a[i*ars:], ars, aps, b[j:], n, k, min(rb, rowHi-i), cols, zero, bj)
 		}
 	}
 }
@@ -158,7 +192,7 @@ func matmulTRange(dst, a, b []float32, rowLo, rowHi, k, n int) {
 			kb := min(packK, k-p)
 			packT(&panel, b[j*k+p:], k, kb, cols)
 			for i := rowLo; i < rowHi; i += rb {
-				tile(dst[i*n+j:], n, a[i*k+p:], k, 1, panel[:], tileCols, kb, min(rb, rowHi-i), cols, p == 0)
+				tile(dst[i*n+j:], n, a[i*k+p:], k, 1, panel[:], tileCols, kb, min(rb, rowHi-i), cols, p == 0, nil)
 			}
 		}
 	}
@@ -200,31 +234,36 @@ func packTRows(panel *[packK * tileCols]float32, b []float32, k, pLo, pHi, cLo, 
 
 // tile updates the rows x cols block at d (row stride ldd):
 //
-//	d[r][c] (+)= sum over p in [0,k) of a[r*ars+p*aps] * b[p*ldb+c]
+//	d[r][c] (+)= sum over p in [0,k) of a[r*ars+p*aps] * b[p*ldb+c]  (+ bias[c])
 //
-// zero starts each sum at +0 instead of d's previous value. An 8-row
+// zero starts each sum at +0 instead of d's previous value; a non-nil
+// bias is added to each finished sum before it is stored. An 8-row
 // block goes to the AVX-512 tile when the CPU has it; otherwise the
 // first four rows go to the AVX2 tile when the CPU has that, and the
 // rest to tileGo. All three produce the same bits. k must be >= 1.
-func tile(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k, rows, cols int, zero bool) {
-	// The bounds check on b the assembly cannot make.
+func tile(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k, rows, cols int, zero bool, bias []float32) {
+	// The bounds checks on b and bias the assembly cannot make.
 	_ = b[(k-1)*ldb+cols-1]
+	var bp *float32
+	if bias != nil {
+		bp = &bias[:cols][0]
+	}
 	if haveAVX512 && rows == wideTileRows {
 		_ = d[(wideTileRows-1)*ldd+cols-1]
 		_ = a[(wideTileRows-1)*ars+(k-1)*aps]
-		tileAVX512(&d[0], ldd, &a[0], ars, aps, &b[0], ldb, k, cols, zero)
+		tileAVX512(&d[0], ldd, &a[0], ars, aps, &b[0], ldb, k, cols, zero, bp)
 		return
 	}
 	if haveAVX2 && rows >= tileRows {
 		_ = d[(tileRows-1)*ldd+cols-1]
 		_ = a[(tileRows-1)*ars+(k-1)*aps]
-		tileAVX2(&d[0], ldd, &a[0], ars, aps, &b[0], ldb, k, cols, zero)
+		tileAVX2(&d[0], ldd, &a[0], ars, aps, &b[0], ldb, k, cols, zero, bp)
 		if rows == tileRows {
 			return
 		}
 		d, a, rows = d[tileRows*ldd:], a[tileRows*ars:], rows-tileRows
 	}
-	tileGo(d, ldd, a, ars, aps, b, ldb, k, rows, cols, zero)
+	tileGo(d, ldd, a, ars, aps, b, ldb, k, rows, cols, zero, bias)
 }
 
 // tileGo is the portable tile. Bit-identity discipline: per element
@@ -235,7 +274,9 @@ func tile(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k, 
 // that fuses multiply-adds (arm64 does) cannot: the assembly tile
 // rounds twice, and which tile ran must not show in the bits. The
 // four-wide p block and the four-row body only save loads and stores.
-func tileGo(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k, rows, cols int, zero bool) {
+// The bias, if any, is added to each finished sum, as the assembly tiles
+// add it before their store.
+func tileGo(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k, rows, cols int, zero bool, bias []float32) {
 	if zero {
 		for r := 0; r < rows; r++ {
 			clear(d[r*ldd:][:cols])
@@ -304,6 +345,15 @@ func tileGo(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k
 			av := a[r*ars+p*aps]
 			for j, bv := range bp {
 				dr[j] += float32(av * bv)
+			}
+		}
+	}
+	if bias != nil {
+		bias = bias[:cols]
+		for r := 0; r < rows; r++ {
+			dr := d[r*ldd:][:cols]
+			for j, bv := range bias {
+				dr[j] += bv
 			}
 		}
 	}

@@ -15,10 +15,10 @@ func cpuHasAVX2() bool
 func cpuHasAVX512() bool
 
 //go:noescape
-func tileAVX2(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool)
+func tileAVX2(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool, bias *float32)
 
 //go:noescape
-func tileAVX512(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool)
+func tileAVX512(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool, bias *float32)
 
 //go:noescape
 func packT8AVX2(panel, b *float32, k, blocks int)

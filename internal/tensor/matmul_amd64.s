@@ -109,18 +109,20 @@ DATA tilemask<>+112(SB)/8, $0
 DATA tilemask<>+120(SB)/8, $0
 GLOBL tilemask<>(SB), RODATA|NOPTR, $128
 
-// func tileAVX2(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool)
+// func tileAVX2(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool, bias *float32)
 //
 // Updates the 4 x cols tile at d (row stride ldd floats, 1 <= cols <= 16):
 //
-//	d[r][c] (+)= sum over p in [0,k) of a[r*ars + p*aps] * b[p*ldb + c]
+//	d[r][c] (+)= sum over p in [0,k) of a[r*ars + p*aps] * b[p*ldb + c]  (+ bias[c])
 //
 // with the eight accumulators (4 rows x 2 YMM) live in Y0-Y7 across the
 // whole p loop. Each lane is one output element with one accumulator
 // summed in ascending p, so every element sees exactly the add sequence
 // of the scalar loop. zero starts the accumulators at +0 instead of
-// loading d. Requires k >= 1.
-TEXT ·tileAVX2(SB), NOSPLIT, $0-73
+// loading d. A non-nil bias is added to each finished accumulator
+// before the store: the sum is rounded, then the bias add, as in
+// `v += bias[c]` after the loop. Requires k >= 1.
+TEXT ·tileAVX2(SB), NOSPLIT, $0-88
 	MOVQ d+0(FP), DI
 	MOVQ ldd+8(FP), R8
 	MOVQ a+16(FP), SI
@@ -180,6 +182,20 @@ full:
 	JNZ  full
 
 store:
+	MOVQ bias+80(FP), SI
+	TESTQ SI, SI
+	JZ   write
+	VMASKMOVPS (SI), Y13, Y8
+	VMASKMOVPS 32(SI), Y14, Y9
+	VADDPS Y8, Y0, Y0
+	VADDPS Y9, Y1, Y1
+	VADDPS Y8, Y2, Y2
+	VADDPS Y9, Y3, Y3
+	VADDPS Y8, Y4, Y4
+	VADDPS Y9, Y5, Y5
+	VADDPS Y8, Y6, Y6
+	VADDPS Y9, Y7, Y7
+write:
 	VMASKMOVPS Y0, Y13, (DI)
 	VMASKMOVPS Y1, Y14, 32(DI)
 	VMASKMOVPS Y2, Y13, (DI)(R8*1)
@@ -199,14 +215,14 @@ store:
 	VMULPS.BCST aop, Z16, prod \
 	VADDPS      prod, acc, acc
 
-// func tileAVX512(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool)
+// func tileAVX512(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool, bias *float32)
 //
-// tileAVX2's contract for an 8 x cols tile (1 <= cols <= 16): one ZMM
-// accumulator per row in Z0-Z7, live across the whole p loop, each lane
-// one output element summed in ascending p. Opmask K1 holds the first
-// cols lanes; masked-out lanes are neither loaded nor stored and cannot
-// fault. Requires k >= 1.
-TEXT ·tileAVX512(SB), NOSPLIT, $0-73
+// tileAVX2's contract, bias included, for an 8 x cols tile
+// (1 <= cols <= 16): one ZMM accumulator per row in Z0-Z7, live across
+// the whole p loop, each lane one output element summed in ascending p.
+// Opmask K1 holds the first cols lanes; masked-out lanes are neither
+// loaded nor stored and cannot fault. Requires k >= 1.
+TEXT ·tileAVX512(SB), NOSPLIT, $0-88
 	MOVQ d+0(FP), DI
 	MOVQ ldd+8(FP), R8
 	MOVQ a+16(FP), SI
@@ -266,6 +282,19 @@ steps:
 	DECQ CX
 	JNZ  steps
 
+	MOVQ bias+80(FP), SI
+	TESTQ SI, SI
+	JZ   write
+	VMOVUPS.Z (SI), K1, Z16
+	VADDPS Z16, Z0, Z0
+	VADDPS Z16, Z1, Z1
+	VADDPS Z16, Z2, Z2
+	VADDPS Z16, Z3, Z3
+	VADDPS Z16, Z4, Z4
+	VADDPS Z16, Z5, Z5
+	VADDPS Z16, Z6, Z6
+	VADDPS Z16, Z7, Z7
+write:
 	VMOVUPS Z0, K1, (DI)
 	VMOVUPS Z1, K1, (DI)(R8*1)
 	VMOVUPS Z2, K1, (DI)(R8*2)

@@ -9,11 +9,11 @@ const (
 	haveAVX512 = false
 )
 
-func tileAVX2(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool) {
+func tileAVX2(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool, bias *float32) {
 	panic("tensor: tileAVX2 without AVX2")
 }
 
-func tileAVX512(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool) {
+func tileAVX512(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool, bias *float32) {
 	panic("tensor: tileAVX512 without AVX-512")
 }
 

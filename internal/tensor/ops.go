@@ -43,6 +43,10 @@ func Add(dst, a, b *Tensor) error {
 
 func addRange(d, a, b []float32) {
 	d, b = d[:len(a)], b[:len(a)]
+	if haveAVX2 && len(a) > 0 {
+		addAVX2(&d[0], &a[0], &b[0], len(a))
+		return
+	}
 	for i, av := range a {
 		d[i] = av + b[i]
 	}
@@ -82,8 +86,12 @@ func AXPY(alpha float32, x, dst *Tensor) error {
 
 func axpyRange(alpha float32, x, d []float32) {
 	d = d[:len(x)]
+	if haveAVX2 && len(x) > 0 {
+		axpyAVX2(&d[0], &x[0], len(x), alpha)
+		return
+	}
 	for i, xv := range x {
-		d[i] += alpha * xv
+		d[i] += float32(alpha * xv)
 	}
 }
 
@@ -100,29 +108,13 @@ func (t *Tensor) Scale(alpha float32) {
 }
 
 func scaleRange(alpha float32, d []float32) {
+	if haveAVX2 && len(d) > 0 {
+		scaleAVX2(&d[0], len(d), alpha)
+		return
+	}
 	for i := range d {
 		d[i] *= alpha
 	}
-}
-
-// AddRowBroadcast computes dst[r, :] = a[r, :] + bias[:] for every row
-// of a rank-2 tensor. dst may alias a.
-func AddRowBroadcast(dst, a, bias *Tensor) error {
-	if len(a.shape) != 2 || len(bias.shape) != 1 || a.shape[1] != bias.shape[0] {
-		return fmt.Errorf("%w: row broadcast %v + %v", ErrShape, a.shape, bias.shape)
-	}
-	if !dst.SameShape(a) {
-		return fmt.Errorf("%w: row broadcast destination %v for input %v", ErrShape, dst.shape, a.shape)
-	}
-	rows, cols := a.shape[0], a.shape[1]
-	for r := 0; r < rows; r++ {
-		ar := a.data[r*cols : (r+1)*cols]
-		dr := dst.data[r*cols : (r+1)*cols]
-		for c := 0; c < cols; c++ {
-			dr[c] = ar[c] + bias.data[c]
-		}
-	}
-	return nil
 }
 
 // SumRows accumulates the rows of a rank-2 tensor into a rank-1 tensor:

@@ -77,7 +77,7 @@ func (t *Tensor) FillNormal(r *RNG, std float64) {
 // FillUniform fills t with uniform samples in [lo, hi).
 func (t *Tensor) FillUniform(r *RNG, lo, hi float64) {
 	for i := range t.data {
-		t.data[i] = float32(lo + r.Float64()*(hi-lo))
+		t.data[i] = float32(lo + float64(r.Float64()*(hi-lo)))
 	}
 }
 

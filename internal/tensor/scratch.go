@@ -1,6 +1,10 @@
 package tensor
 
-import "sync"
+import (
+	"math"
+	"sync"
+	"testing"
+)
 
 // scratchMaxPerClass caps how many free buffers a size class retains.
 // Attention fans out at most pool-parallelism head workers, each with
@@ -14,7 +18,8 @@ const scratchMaxPerClass = 64
 // reuse. Unlike sync.Pool, nothing is dropped nondeterministically
 // and every Get observes identical (all-zero) contents whether the
 // buffer is fresh or recycled, so swapping New for Get can never
-// change a computed value.
+// change a computed value. GetUninit skips the zeroing, for the call
+// sites whose kernel writes every element before anything reads one.
 //
 // A nil *Scratch is valid and degrades to plain allocation, which
 // keeps call sites unconditional.
@@ -38,17 +43,50 @@ func NewScratch() *Scratch {
 	return &Scratch{free: make(map[int][]*Tensor)}
 }
 
+// uninitPoison is what GetUninit fills its tensors with in a test
+// binary: a quiet NaN with a payload no kernel produces.
+var uninitPoison = math.Float32frombits(0x7fc00bad)
+
+// poisonUninit makes GetUninit fill every tensor it returns with
+// uninitPoison in test binaries, fresh or recycled, so that a call site
+// which reads an element before writing it gets NaNs instead of a stale
+// or zero value and fails every bit pin at once; production binaries
+// skip the fill.
+var poisonUninit = testing.Testing()
+
 // Get returns a zeroed tensor with the given shape, reusing a retained
 // buffer of the same element count when one is available.
 func (s *Scratch) Get(shape ...int) *Tensor {
+	t, recycled := s.get(shape)
+	if recycled {
+		t.Zero()
+	}
+	return t
+}
+
+// GetUninit is Get without the zeroing: a recycled buffer keeps what
+// its last owner wrote. It is for a caller that overwrites every
+// element before it reads any — an overwriting matmul, an elementwise
+// kernel, a normalisation — and saves the clear that the first write
+// would make redundant.
+func (s *Scratch) GetUninit(shape ...int) *Tensor {
+	t, _ := s.get(shape)
+	if poisonUninit {
+		t.Fill(uninitPoison)
+	}
+	return t
+}
+
+// get takes a buffer of the shape's element count off its free list,
+// or allocates a zeroed one, and reports which.
+func (s *Scratch) get(shape []int) (t *Tensor, recycled bool) {
 	if s == nil {
-		return New(shape...)
+		return New(shape...), false
 	}
 	n := 1
 	for _, d := range shape {
 		n *= d
 	}
-	var t *Tensor
 	s.mu.Lock()
 	s.gets++
 	if list := s.free[n]; len(list) > 0 {
@@ -60,11 +98,10 @@ func (s *Scratch) Get(shape ...int) *Tensor {
 	}
 	s.mu.Unlock()
 	if t == nil {
-		return New(shape...)
+		return New(shape...), false
 	}
 	t.shape = append(t.shape[:0], shape...)
-	t.Zero()
-	return t
+	return t, true
 }
 
 // Put returns tensors to the arena. Nil entries and duplicates of

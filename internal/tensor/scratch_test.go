@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestScratchReusesAndZeroesBuffers(t *testing.T) {
 	sc := NewScratch()
@@ -107,5 +110,43 @@ func TestScratchRetainedBytesTracksGetPut(t *testing.T) {
 	sc.Get(10, 10)
 	if got := sc.RetainedBytes(); got != 0 {
 		t.Fatalf("retained %d bytes after get, want 0", got)
+	}
+}
+
+// TestScratchGetUninitIsPoisonedInTests shows the guard on GetUninit is
+// live in this test binary, and so in every package's: fresh and
+// recycled tensors both come back filled with the NaN poison, never
+// zero or an earlier owner's values, so a call site that reads before
+// it writes turns the bit pins to NaN. Get still zeroes a buffer that
+// GetUninit handed out and got back.
+func TestScratchGetUninitIsPoisonedInTests(t *testing.T) {
+	if !poisonUninit {
+		t.Fatal("GetUninit does not poison in a test binary")
+	}
+	poisoned := func(name string, x *Tensor) {
+		t.Helper()
+		for i, v := range x.Data() {
+			if math.Float32bits(v) != math.Float32bits(uninitPoison) {
+				t.Fatalf("%s: element %d is %g, want the poison NaN", name, i, v)
+			}
+		}
+	}
+	var nilArena *Scratch
+	poisoned("nil arena", nilArena.GetUninit(3, 5))
+	sc := NewScratch()
+	fresh := sc.GetUninit(3, 5)
+	poisoned("fresh", fresh)
+	fresh.Fill(2)
+	sc.Put(fresh)
+	recycled := sc.GetUninit(5, 3)
+	if &recycled.Data()[0] != &fresh.Data()[0] {
+		t.Fatal("GetUninit did not reuse the retained buffer")
+	}
+	poisoned("recycled", recycled)
+	sc.Put(recycled)
+	for i, v := range sc.Get(15).Data() {
+		if v != 0 {
+			t.Fatalf("Get after GetUninit: element %d is %g, want 0", i, v)
+		}
 	}
 }

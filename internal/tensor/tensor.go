@@ -182,10 +182,15 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element to v.
+// Fill sets every element to v: one element, then copies doubling
+// the filled prefix, so the stores go through memmove's vector loop.
 func (t *Tensor) Fill(v float32) {
-	for i := range t.data {
-		t.data[i] = v
+	if len(t.data) == 0 {
+		return
+	}
+	t.data[0] = v
+	for n := 1; n < len(t.data); n *= 2 {
+		copy(t.data[n:], t.data[:n])
 	}
 }
 

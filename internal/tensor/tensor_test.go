@@ -150,18 +150,22 @@ func TestAXPY(t *testing.T) {
 	}
 }
 
-func TestAddRowBroadcast(t *testing.T) {
+func TestMatMulBias(t *testing.T) {
 	a := MustFromSlice([]float32{1, 2, 3, 4}, 2, 2)
+	w := MustFromSlice([]float32{1, 0, 0, 2}, 2, 2)
 	bias := MustFromSlice([]float32{10, 20}, 2)
 	dst := New(2, 2)
-	if err := AddRowBroadcast(dst, a, bias); err != nil {
+	if err := MatMulBias(dst, a, w, bias); err != nil {
 		t.Fatal(err)
 	}
-	want := []float32{11, 22, 13, 24}
+	want := []float32{11, 24, 13, 28}
 	for i, w := range want {
 		if dst.Data()[i] != w {
-			t.Fatalf("broadcast[%d] = %v, want %v", i, dst.Data()[i], w)
+			t.Fatalf("matmul+bias[%d] = %v, want %v", i, dst.Data()[i], w)
 		}
+	}
+	if err := MatMulBias(dst, a, w, New(3)); !errors.Is(err, ErrShape) {
+		t.Fatalf("bias of the wrong length: %v, want ErrShape", err)
 	}
 }
 
@@ -305,7 +309,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 		t.Fatal("the matmul handed nothing to the pool")
 	}
 	want := New(m, n)
-	matmulRange(want.Data(), a.Data(), b.Data(), 0, m, k, n, k, 1, false, true)
+	matmulRange(want.Data(), a.Data(), b.Data(), nil, 0, m, k, n, k, 1, false, true)
 	assertClose(t, got, want, 1e-5)
 }
 
