@@ -6,6 +6,10 @@ import "slices"
 // since the process started.
 func HandOffs() int64 { return handOffs.Load() }
 
+// FMARef is the exact once-rounded a·b + c every matmul tier computes
+// per reduction step (fma_test.go).
+func FMARef(a, b, c float32) float32 { return fmaRef(a, b, c) }
+
 // The kernel tiers, named as Tiers and WithTier take them: the 8-row
 // AVX-512 matmul tile, the AVX2 kernels, and the portable Go twins
 // every other build runs.

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,10 +13,11 @@ import (
 
 // Reference kernels: the naive loops the tiled implementations must
 // reproduce bit for bit. Each accumulates in ascending p order per
-// output element, exactly like the production kernels, so comparisons
-// below demand exact equality rather than a tolerance. The float32
-// conversion rounds the product before the add, as the kernels do, on
-// platforms whose compiler would otherwise fuse the two.
+// output element, exactly like the production kernels, and each step
+// is fmaRef, the exact once-rounded multiply-add (fma_test.go), not the
+// portable tile's own arithmetic — so comparisons below demand exact
+// equality rather than a tolerance, and a -tags purego run does not
+// check the portable tile against itself.
 
 func refMatMulAccum(dst, a, b *Tensor) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
@@ -23,7 +25,7 @@ func refMatMulAccum(dst, a, b *Tensor) {
 		for p := 0; p < k; p++ {
 			av := a.data[i*k+p]
 			for j := 0; j < n; j++ {
-				dst.data[i*n+j] += float32(av * b.data[p*n+j])
+				dst.data[i*n+j] = fmaRef(av, b.data[p*n+j], dst.data[i*n+j])
 			}
 		}
 	}
@@ -35,7 +37,7 @@ func refMatMulT(dst, a, b *Tensor) {
 		for j := 0; j < n; j++ {
 			var s float32
 			for p := 0; p < k; p++ {
-				s += float32(a.data[i*k+p] * b.data[j*k+p])
+				s = fmaRef(a.data[i*k+p], b.data[j*k+p], s)
 			}
 			dst.data[i*n+j] = s
 		}
@@ -48,7 +50,7 @@ func refMatMulTAccum(dst, a, b *Tensor) {
 		for p := 0; p < k; p++ {
 			av := a.data[p*m+i]
 			for j := 0; j < n; j++ {
-				dst.data[i*n+j] += float32(av * b.data[p*n+j])
+				dst.data[i*n+j] = fmaRef(av, b.data[p*n+j], dst.data[i*n+j])
 			}
 		}
 	}
@@ -112,9 +114,10 @@ func garbage(m, n int) *Tensor {
 	return t
 }
 
-// matmulVariants runs all four kernels on operands of shape s filled
-// by fill, and the reference loops on the same operands; check
-// compares each pair.
+// matmulVariants runs the reference loops once on operands of shape s
+// filled by fill, then all four kernels on the same operands at
+// parallelism 1, 2 and 8; check compares each kernel's output with its
+// reference.
 func matmulVariants(t *testing.T, s struct{ m, k, n int }, fill func(*Tensor), check func(got, want *Tensor, label string)) {
 	t.Helper()
 	operand := func(shape ...int) *Tensor {
@@ -135,46 +138,52 @@ func matmulVariants(t *testing.T, s struct{ m, k, n int }, fill func(*Tensor), c
 		}
 	}
 
-	got, want := garbage(s.m, s.n), New(s.m, s.n)
-	must(MatMul(got, a, b2))
+	want := New(s.m, s.n)
 	refMatMulAccum(want, a, b2)
-	check(got, want, "MatMul")
-
-	got, want = garbage(s.m, s.n), New(s.m, s.n)
-	must(MatMulBias(got, a, b2, bias))
-	refMatMulAccum(want, a, b2)
-	for i := range want.data {
-		want.data[i] += bias.data[i%s.n]
+	wantBias := want.Clone()
+	for i := range wantBias.data {
+		wantBias.data[i] += bias.data[i%s.n]
 	}
-	check(got, want, "MatMulBias")
+	wantT := New(s.m, s.n)
+	refMatMulT(wantT, a, bt)
+	wantTAccum := seed.Clone()
+	refMatMulTAccum(wantTAccum, at, b2)
 
-	got, want = garbage(s.m, s.n), New(s.m, s.n)
-	must(MatMulT(got, a, bt))
-	refMatMulT(want, a, bt)
-	check(got, want, "MatMulT")
-
-	got, want = seed.Clone(), seed.Clone()
-	must(MatMulTAccum(got, at, b2))
-	refMatMulTAccum(want, at, b2)
-	check(got, want, "MatMulTAccum")
-}
-
-func TestMatMulVariantsMatchReferenceAtTileBoundaries(t *testing.T) {
 	prev := Parallelism()
 	defer SetParallelism(prev)
 	for _, par := range []int{1, 2, 8} {
 		SetParallelism(par)
-		for _, s := range boundaryShapes {
-			rng := NewRNG(uint64(s.m*1000000 + s.k*1000 + s.n))
-			matmulVariants(t, s, func(x *Tensor) { x.FillNormal(rng, 1) },
-				func(got, want *Tensor, label string) { expectBitIdentical(t, got, want, label) })
-		}
+		label := func(kernel string) string { return fmt.Sprintf("%s at parallelism %d", kernel, par) }
+
+		got := garbage(s.m, s.n)
+		must(MatMul(got, a, b2))
+		check(got, want, label("MatMul"))
+
+		got = garbage(s.m, s.n)
+		must(MatMulBias(got, a, b2, bias))
+		check(got, wantBias, label("MatMulBias"))
+
+		got = garbage(s.m, s.n)
+		must(MatMulT(got, a, bt))
+		check(got, wantT, label("MatMulT"))
+
+		got = seed.Clone()
+		must(MatMulTAccum(got, at, b2))
+		check(got, wantTAccum, label("MatMulTAccum"))
+	}
+}
+
+func TestMatMulVariantsMatchReferenceAtTileBoundaries(t *testing.T) {
+	for _, s := range boundaryShapes {
+		rng := NewRNG(uint64(s.m*1000000 + s.k*1000 + s.n))
+		matmulVariants(t, s, func(x *Tensor) { x.FillNormal(rng, 1) },
+			func(got, want *Tensor, label string) { expectBitIdentical(t, got, want, label) })
 	}
 }
 
 // TestMatMulVariantsOnSpecialValues feeds the kernels signed zeros,
 // subnormals, values whose products overflow, infinities and NaNs.
-// Every lane is an independent IEEE multiply then add, so the results
+// Every lane is an independent IEEE fused multiply-add, so the results
 // must still equal the reference bit for bit — except that where both
 // are NaN the payload is not compared: which operand's payload survives
 // NaN*NaN or NaN+NaN depends on operand order, which neither the Go
@@ -374,10 +383,14 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 // package — the tiles, the exp kernels and the residual and LayerNorm
 // lane kernels. The bit-identity argument needs each product rounded by
 // VMULPS (VMULPD in LayerNorm's float64 lanes) before an add or subtract
-// uses it, one accumulator per lane, and
-// exactly rounded quotients: a fused multiply-add, a dot product or a
-// horizontal add anywhere breaks the first two, the approximate
-// reciprocal instructions the third. An AVX-512 rounding or SAE suffix
+// uses it, one accumulator per lane, and exactly rounded quotients: a
+// fused multiply-add, a dot product or a horizontal add anywhere breaks
+// the first two, the approximate reciprocal instructions the third.
+// The one exception is the matmul tile's reduction step, which is one
+// fused multiply-add in every tier (tileGo computes it exactly): its
+// VFMADD231PS is allowed inside the ROW and ROW16 macro bodies of
+// matmul_amd64.s and nowhere else, and that file must issue it where
+// the others must issue VMULPS. An AVX-512 rounding or SAE suffix
 // overrides MXCSR's round-to-nearest for that one instruction, and the
 // AVX512ER approximations (VEXP2PS, VRCP28*, VRSQRT28*) are not the
 // correctly rounded operations the portable twins compute.
@@ -391,21 +404,34 @@ func TestAsmTileNeverFusesOrReassociates(t *testing.T) {
 			t.Fatalf("%s not found among %v", want, files)
 		}
 	}
+	tileMacro := regexp.MustCompile(`(?m)^#define ROW(16)?\(.*\\\n(.*\\\n)*.*$`)
+	tileFMA := regexp.MustCompile(`\bVFMADD231PS(\.BCST)?[ \t]`)
 	for _, file := range files {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
 		code := regexp.MustCompile(`(?m)//.*$`).ReplaceAll(src, nil)
+		want := []string{"VMULPS", "VADDPS", "VZEROUPPER"}
+		if file == "matmul_amd64.s" {
+			macros := tileMacro.FindAll(code, -1)
+			if len(macros) != 2 {
+				t.Fatalf("%s: found %d ROW/ROW16 macro bodies, want 2", file, len(macros))
+			}
+			code = tileMacro.ReplaceAllFunc(code, func(body []byte) []byte {
+				return tileFMA.ReplaceAll(body, []byte("FUSED "))
+			})
+			want = []string{"FUSED", "VADDPS", "VZEROUPPER"}
+		}
 		if bad := regexp.MustCompile(`(?i)\bV?(FN?M(ADD|SUB)|DPPS|DPPD|HADD|HSUB|RCP|RSQRT|EXP2)\w*`).Find(code); bad != nil {
 			t.Fatalf("%s uses %s", file, bad)
 		}
 		if bad := regexp.MustCompile(`(?i)\b\w+\.(R[NZDU]_)?SAE\b`).Find(code); bad != nil {
 			t.Fatalf("%s uses %s, which overrides MXCSR rounding", file, bad)
 		}
-		for _, want := range []string{"VMULPS", "VADDPS", "VZEROUPPER"} {
-			if !regexp.MustCompile(`\b` + want + `\b`).Match(code) {
-				t.Fatalf("%s has no %s", file, want)
+		for _, w := range want {
+			if !regexp.MustCompile(`\b` + w + `\b`).Match(code) {
+				t.Fatalf("%s has no %s", file, w)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package tensor
 import (
 	"errors"
 	"fmt"
+	"math"
 	"unsafe"
 )
 
@@ -13,8 +14,10 @@ var ErrAlias = errors.New("tensor: dst aliases an operand")
 
 // All the matmul variants are thin drivers over one micro-kernel,
 // tile, which updates a block of up to blockRows() x tileCols elements
-// of dst with one accumulator per output element summed in ascending
-// p — the add sequence of the naive loop, so the bits match it exactly.
+// of dst with one accumulator per output element fed in ascending p,
+// one fused multiply-add (a·b + acc, rounded once) per step — the
+// sequence of the naive loop over an exact fma, so the bits match it
+// exactly.
 // Work is partitioned by output row, so any parallel split is
 // bit-identical to the serial kernel too.
 const (
@@ -266,85 +269,67 @@ func tile(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k, 
 	tileGo(d, ldd, a, ars, aps, b, ldb, k, rows, cols, zero, bias)
 }
 
-// tileGo is the portable tile. Bit-identity discipline: per element
-// the reduction runs in strictly ascending p through a single
-// accumulator, every accumulation is its own `v += a*b` statement (a
-// combined `v += a0*b0 + a1*b1` re-associates the adds), and the
-// float32 conversion rounds the product before the add, so a compiler
-// that fuses multiply-adds (arm64 does) cannot: the assembly tile
-// rounds twice, and which tile ran must not show in the bits. The
-// four-wide p block and the four-row body only save loads and stores.
-// The bias, if any, is added to each finished sum, as the assembly tiles
-// add it before their store.
+// tileGo is the portable tile. Per element the reduction runs in
+// strictly ascending p through a single accumulator, and each step is
+// one multiply-add rounded once to float32 — the VFMADD231PS of the
+// assembly tiles — so which tile ran does not show in the bits. The
+// product of two float32 values is exact in float64, so the float64
+// sum s = a·b + c is the true result rounded once; converting s to
+// float32 rounds a second time, and that differs from a single
+// rounding only where roundsTwice says, which fma32Exact handles. The
+// explicit float64 conversion of each product keeps a compiler that
+// fuses multiply-adds (arm64 does) from emitting one. The rare path
+// loads its operands again instead of keeping them live, so each
+// loaded float32 widens in place: CVTSS2SD into another register would
+// wait on that register's last writer, the previous element's result.
+// In the four-row body the rows share each load of b; the bias, if
+// any, is added to each finished sum, as the assembly tiles add it
+// before their store.
 func tileGo(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k, rows, cols int, zero bool, bias []float32) {
 	if zero {
 		for r := 0; r < rows; r++ {
 			clear(d[r*ldd:][:cols])
 		}
 	}
-	p := 0
-	for ; p+4 <= k; p += 4 {
-		b0 := b[(p+0)*ldb:][:cols]
-		b1 := b[(p+1)*ldb:][:cols]
-		b2 := b[(p+2)*ldb:][:cols]
-		b3 := b[(p+3)*ldb:][:cols]
+	for p := 0; p < k; p++ {
+		bp := b[p*ldb:][:cols]
 		r := 0
-		if rows == tileRows { // four rows share each load of b
+		if rows == tileRows {
 			r = tileRows
 			d0, d1, d2, d3 := d[:cols], d[ldd:][:cols], d[2*ldd:][:cols], d[3*ldd:][:cols]
-			a0, a1, a2, a3 := a[p*aps:], a[ars+p*aps:], a[2*ars+p*aps:], a[3*ars+p*aps:]
-			a00, a01, a02, a03 := a0[0], a0[aps], a0[2*aps], a0[3*aps]
-			a10, a11, a12, a13 := a1[0], a1[aps], a1[2*aps], a1[3*aps]
-			a20, a21, a22, a23 := a2[0], a2[aps], a2[2*aps], a2[3*aps]
-			a30, a31, a32, a33 := a3[0], a3[aps], a3[2*aps], a3[3*aps]
-			for j, bv0 := range b0 {
-				bv1, bv2, bv3 := b1[j], b2[j], b3[j]
-				v0 := d0[j]
-				v0 += float32(a00 * bv0)
-				v0 += float32(a01 * bv1)
-				v0 += float32(a02 * bv2)
-				v0 += float32(a03 * bv3)
-				d0[j] = v0
-				v1 := d1[j]
-				v1 += float32(a10 * bv0)
-				v1 += float32(a11 * bv1)
-				v1 += float32(a12 * bv2)
-				v1 += float32(a13 * bv3)
-				d1[j] = v1
-				v2 := d2[j]
-				v2 += float32(a20 * bv0)
-				v2 += float32(a21 * bv1)
-				v2 += float32(a22 * bv2)
-				v2 += float32(a23 * bv3)
-				d2[j] = v2
-				v3 := d3[j]
-				v3 += float32(a30 * bv0)
-				v3 += float32(a31 * bv1)
-				v3 += float32(a32 * bv2)
-				v3 += float32(a33 * bv3)
-				d3[j] = v3
+			a0, a1, a2, a3 := a[p*aps], a[ars+p*aps], a[2*ars+p*aps], a[3*ars+p*aps]
+			f0, f1, f2, f3 := float64(a0), float64(a1), float64(a2), float64(a3)
+			for j := range bp {
+				bf := float64(bp[j])
+				s0 := float64(f0*bf) + float64(d0[j])
+				s1 := float64(f1*bf) + float64(d1[j])
+				s2 := float64(f2*bf) + float64(d2[j])
+				s3 := float64(f3*bf) + float64(d3[j])
+				if roundsTwice(s0) {
+					s0 = float64(fma32Exact(a0, bp[j], d0[j]))
+				}
+				if roundsTwice(s1) {
+					s1 = float64(fma32Exact(a1, bp[j], d1[j]))
+				}
+				if roundsTwice(s2) {
+					s2 = float64(fma32Exact(a2, bp[j], d2[j]))
+				}
+				if roundsTwice(s3) {
+					s3 = float64(fma32Exact(a3, bp[j], d3[j]))
+				}
+				d0[j], d1[j], d2[j], d3[j] = float32(s0), float32(s1), float32(s2), float32(s3)
 			}
 		}
 		for ; r < rows; r++ {
 			dr := d[r*ldd:][:cols]
-			ar := a[r*ars+p*aps:]
-			a0, a1, a2, a3 := ar[0], ar[aps], ar[2*aps], ar[3*aps]
-			for j, v := range dr {
-				v += float32(a0 * b0[j])
-				v += float32(a1 * b1[j])
-				v += float32(a2 * b2[j])
-				v += float32(a3 * b3[j])
-				dr[j] = v
-			}
-		}
-	}
-	for ; p < k; p++ {
-		bp := b[p*ldb:][:cols]
-		for r := 0; r < rows; r++ {
-			dr := d[r*ldd:][:cols]
 			av := a[r*ars+p*aps]
-			for j, bv := range bp {
-				dr[j] += float32(av * bv)
+			af := float64(av)
+			for j := range dr {
+				s := float64(af*float64(bp[j])) + float64(dr[j])
+				if roundsTwice(s) {
+					s = float64(fma32Exact(av, bp[j], dr[j]))
+				}
+				dr[j] = float32(s)
 			}
 		}
 	}
@@ -357,4 +342,48 @@ func tileGo(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k
 			}
 		}
 	}
+}
+
+// roundsTwice reports whether converting s, a float64 sum of a float32
+// product and a float32, to float32 can round differently from
+// rounding the true sum once. The float64 rounding of the sum can only
+// move it across a float32 halfway point by landing exactly on one:
+// for a normal float32 result that is s's 29 low mantissa bits reading
+// 1<<28. Below the float32 normal range the halfway points have other
+// patterns (±0 included), and a non-finite s comes from a non-finite
+// operand; all three go to fma32Exact. One unsigned compare covers
+// both exponent ranges. Small enough to inline, so the common case is
+// two integer tests in the loop.
+func roundsTwice(s float64) bool {
+	u := math.Float64bits(s)
+	return u&(1<<29-1) == 1<<28 || u>>52&0x7ff-(1023-126) >= 0x7ff-(1023-126)
+}
+
+// fma32Exact returns a·b + c rounded once to float32 for any inputs,
+// without a fused instruction. It rounds the exact sum p + c of the
+// float64 product p to odd in float64 — the rounded sum s, moved one
+// unit in the last place toward the true sum when s is inexact and its
+// last mantissa bit is even — and then to nearest float32: rounding to
+// odd with at least two more bits than the target cannot create a tie
+// the true sum does not have, so the one conversion rounds correctly.
+// s's rounding error e comes from TwoSum and is exact: p and c are
+// zero or at least 2⁻²⁹⁸ in magnitude, far above float64's subnormals,
+// and their sum cannot overflow float64. Rounding to odd is truncating
+// toward zero and setting the last bit; the truncation is s when e has
+// s's sign and s one unit nearer zero when it does not.
+//
+//go:noinline
+func fma32Exact(a, b, c float32) float32 {
+	p, q := float64(float64(a)*float64(b)), float64(c)
+	s := p + q
+	bq := s - p
+	e := (p - (s - bq)) + (q - bq)
+	if e != 0 && e == e { // inexact and finite: a non-finite s converts as IEEE says
+		u := math.Float64bits(s)
+		if (e < 0) != (s < 0) {
+			u--
+		}
+		s = math.Float64frombits(u | 1)
+	}
+	return float32(s)
 }

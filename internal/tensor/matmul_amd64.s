@@ -4,10 +4,12 @@
 
 // func cpuHasAVX2() bool
 //
-// AVX2 needs three things: the CPU implements it (CPUID.7.0:EBX[5]),
-// the CPU implements XSAVE/AVX and the OS has turned XSAVE on
+// The AVX2 tier needs four things: the CPU implements AVX2
+// (CPUID.7.0:EBX[5]) and FMA (CPUID.1:ECX[12]), which its matmul tile
+// issues, the CPU implements XSAVE/AVX and the OS has turned XSAVE on
 // (CPUID.1:ECX[27,28]), and the OS saves the YMM halves across context
-// switches (XCR0[1,2]).
+// switches (XCR0[1,2]). A CPU or VM that reports AVX2 without FMA runs
+// the portable tier.
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVL $0, AX
 	CPUID
@@ -15,8 +17,8 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	JLT  no
 	MOVL $1, AX
 	CPUID
-	ANDL $(1<<27 | 1<<28), CX
-	CMPL CX, $(1<<27 | 1<<28)
+	ANDL $(1<<12 | 1<<27 | 1<<28), CX
+	CMPL CX, $(1<<12 | 1<<27 | 1<<28)
 	JNE  no
 	MOVL $0, CX
 	XGETBV
@@ -65,17 +67,15 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// One reduction step of one tile row: broadcast a[r][p], multiply it
-// into the two halves of b[p][0:16], add each product to that row's
-// accumulator. The product is rounded to float32 by VMULPS before
-// VADDPS adds it — the same two roundings as the scalar `v += a*b` —
-// which is what a fused multiply-add would not do.
+// One reduction step of one tile row: broadcast a[r][p] and fold its
+// product with each half of b[p][0:16] into that row's accumulators,
+// acc = a·b + acc rounded once (VFMADD231PS), which tileGo computes
+// exactly without one. These two macros hold the package's only fused
+// multiply-adds (docs/NUMERICS.md rule 3).
 #define ROW(aop, acc0, acc1) \
-	VBROADCASTSS aop, Y10    \
-	VMULPS       Y8, Y10, Y11 \
-	VMULPS       Y9, Y10, Y12 \
-	VADDPS       Y11, acc0, acc0 \
-	VADDPS       Y12, acc1, acc1
+	VBROADCASTSS aop, Y10        \
+	VFMADD231PS  Y8, Y10, acc0   \
+	VFMADD231PS  Y9, Y10, acc1
 
 // One reduction step of the whole tile, b[p][0:16] already in Y8/Y9;
 // leaves the flags of the k countdown.
@@ -117,8 +117,8 @@ GLOBL tilemask<>(SB), RODATA|NOPTR, $128
 //
 // with the eight accumulators (4 rows x 2 YMM) live in Y0-Y7 across the
 // whole p loop. Each lane is one output element with one accumulator
-// summed in ascending p, so every element sees exactly the add sequence
-// of the scalar loop. zero starts the accumulators at +0 instead of
+// fed in ascending p, one fused multiply-add per step, so every element
+// sees exactly tileGo's sequence. zero starts the accumulators at +0 instead of
 // loading d. A non-nil bias is added to each finished accumulator
 // before the store: the sum is rounded, then the bias add, as in
 // `v += bias[c]` after the loop. Requires k >= 1.
@@ -207,13 +207,11 @@ write:
 	VZEROUPPER
 	RET
 
-// One reduction step of one AVX-512 tile row: multiply b[p][0:16]
-// (Z16) by a[r][p] broadcast from memory, rounding each product to
-// float32, then add it to that row's accumulator — the same two
-// roundings as ROW, sixteen lanes at a time.
-#define ROW16(aop, prod, acc) \
-	VMULPS.BCST aop, Z16, prod \
-	VADDPS      prod, acc, acc
+// One reduction step of one AVX-512 tile row: acc = b[p][0:16] (Z16)
+// times a[r][p] broadcast from memory, plus acc, rounded once — ROW's
+// fused multiply-add, sixteen lanes at a time.
+#define ROW16(aop, acc) \
+	VFMADD231PS.BCST aop, Z16, acc
 
 // func tileAVX512(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool, bias *float32)
 //
@@ -268,14 +266,14 @@ clear:
 
 steps:
 	VMOVUPS.Z (BX), K1, Z16
-	ROW16((SI), Z17, Z0)
-	ROW16((SI)(R9*1), Z18, Z1)
-	ROW16((SI)(R9*2), Z19, Z2)
-	ROW16((SI)(R12*1), Z20, Z3)
-	ROW16((R13), Z21, Z4)
-	ROW16((R13)(R9*1), Z22, Z5)
-	ROW16((R13)(R9*2), Z23, Z6)
-	ROW16((R13)(R12*1), Z24, Z7)
+	ROW16((SI), Z0)
+	ROW16((SI)(R9*1), Z1)
+	ROW16((SI)(R9*2), Z2)
+	ROW16((SI)(R12*1), Z3)
+	ROW16((R13), Z4)
+	ROW16((R13)(R9*1), Z5)
+	ROW16((R13)(R9*2), Z6)
+	ROW16((R13)(R12*1), Z7)
 	ADDQ R10, SI
 	ADDQ R10, R13
 	ADDQ R11, BX
