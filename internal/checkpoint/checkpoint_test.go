@@ -281,6 +281,33 @@ func TestSaveBytesArePinned(t *testing.T) {
 	}
 }
 
+// TestSessionSnapshotIsPinned pins EncodeSession's output byte for
+// byte after five seeded Adam steps with one more gradient accumulated
+// but not applied: the digest covers the values, the pending grads,
+// both moment buffers and the step count, so a change to Adam's step
+// bits or to the session format fails here.
+func TestSessionSnapshotIsPinned(t *testing.T) {
+	params := testParams(t, 1)
+	opt := nn.NewAdam(0.01)
+	for i := 0; i < 5; i++ {
+		stepOnce(t, params, opt, uint64(10+i))
+	}
+	rng := tensor.NewRNG(99)
+	for _, p := range params {
+		if err := p.Grad.CopyFrom(tensor.NewNormal(rng, 1, p.Grad.Shape()...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := EncodeSession(params, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "d887ae23e373a33ded9e66d275b9e7b54de6653db421a9e0d163dea3f4dd7b65"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("EncodeSession sha256 = %s, want %s (%d bytes)", got, want, len(data))
+	}
+}
+
 // TestModelWeightsArePinned pins the bits of a freshly built model: the
 // SHA-256 of SaveModel(model.New(seed, cfg)) for both families and a
 // perf-mid-shaped OPT, at one worker and at four. Every parameter draws
