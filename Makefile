@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-purego test-v3 cross-build perf-test examples test-race test-stress bench ci verify e2e
+.PHONY: build test test-purego test-v3 cross-build perf-test examples fuzz-smoke test-race test-stress bench ci verify e2e
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,16 @@ examples:
 	$(GO) run ./examples/scheduling
 	$(GO) run ./examples/convergence
 	$(GO) run ./examples/lifecycle
+
+# A short fuzzing run of each decoder that reads bytes from outside the
+# process: the split frame decoder and the checkpoint decoders (a
+# migration's session snapshot, a parameter file). `go test ./...` runs
+# only their seed corpora; a target that finds a failing input writes it
+# under the package's testdata/fuzz/ and fails here.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 10s ./internal/split
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSession$$' -fuzztime 10s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/checkpoint
 
 # Race-checks the packages with real lock/atomic contention: the
 # tensor worker pool and scratch arena, the model plane that hammers
@@ -129,7 +139,8 @@ vet:
 # same order, then the race job. Keep the two in sync. `test` includes
 # the root package's surface test (every exported identifier under
 # internal/ has a reader) and the metric-catalog test; `examples` runs
-# the five examples/ programs. The bench-smoke job's kernel benchmark
+# the five examples/ programs; `fuzz-smoke` fuzzes the three decoders
+# for ten seconds each. The bench-smoke job's kernel benchmark
 # smoke (one iteration each of the matmul, GELU, softmax and attention
 # kernels, BenchmarkModelNew's pool and serial perf-mid build,
 # BenchmarkDecode's 64-position split decode, BenchmarkClientSetup's
@@ -138,7 +149,7 @@ vet:
 # paper-artifact smokes and its advisory base-vs-head comparison
 # (bash perf/run.sh, then perf -compare) are not mirrored: the
 # benchmark is perf/ (perf/README.md), and timings need a quiet machine.
-ci: build vet fmt-check test test-purego test-v3 cross-build perf-test examples test-race test-stress
+ci: build vet fmt-check test test-purego test-v3 cross-build perf-test examples fuzz-smoke test-race test-stress
 
 .PHONY: fmt-check vet
 

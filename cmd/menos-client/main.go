@@ -51,6 +51,7 @@ import (
 	"menos/internal/fleet"
 	"menos/internal/memmodel"
 	"menos/internal/model"
+	"menos/internal/nn"
 	"menos/internal/obs"
 	"menos/internal/quant"
 )
@@ -90,6 +91,9 @@ func run(args []string) error {
 	cfg, err := model.ConfigByName(*modelName)
 	if err != nil {
 		return err
+	}
+	if err := nn.ValidateLR(*lr); err != nil {
+		return fmt.Errorf("-lr: %w", err)
 	}
 	wireCodec, err := quant.ParseCodec(*wireCompress)
 	if err != nil {
@@ -210,7 +214,7 @@ type placedEndpoint struct {
 // identity, base model and memmodel's predicted footprint at the
 // default cut, so the placer weighs real demand rather than zero.
 func placement(id string, cfg model.Config, spec adapter.Spec, batch, seq int) fleet.ClientInfo {
-	w := memmodel.Workload{Model: cfg, Cut: model.DefaultCut, Adapter: spec, Optimizer: memmodel.OptAdam, Batch: batch, Seq: seq}
+	w := memmodel.Workload{Model: cfg, Cut: model.DefaultCut, Adapter: spec, Batch: batch, Seq: seq}
 	return fleet.ClientInfo{
 		ID:                 id,
 		BaseModel:          cfg.Name,

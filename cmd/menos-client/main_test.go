@@ -28,6 +28,11 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-model", "opt-tiny", "-dataset", "nope"}); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
+	for _, lr := range []string{"-1", "NaN", "+Inf"} {
+		if err := run([]string{"-model", "opt-tiny", "-lr", lr}); err == nil || !strings.Contains(err.Error(), "-lr") {
+			t.Fatalf("-lr %s: err = %v, want a refusal naming -lr", lr, err)
+		}
+	}
 	if err := run([]string{"-model", "opt-tiny", "-addr", "127.0.0.1:1"}); err == nil {
 		t.Fatal("unreachable server accepted")
 	}
@@ -126,7 +131,7 @@ func TestFleetdPlacementCarriesDemand(t *testing.T) {
 		t.Fatal("run dialed a server nobody listens on")
 	}
 	w := memmodel.Workload{Model: model.OPTTiny(), Cut: model.DefaultCut, Adapter: adapter.BottleneckSpec(adapter.DefaultBottleneck()),
-		Optimizer: memmodel.OptAdam, Batch: 2, Seq: 16}
+		Batch: 2, Seq: 16}
 	want := fleet.ClientInfo{ID: "tenant", BaseModel: "opt-tiny",
 		PersistentBytes: w.PersistentClientBytes(), TransientPeakBytes: w.BackwardPeakBytes()}
 	if got.PersistentBytes == 0 || got.TransientPeakBytes == 0 || got != want {

@@ -64,7 +64,7 @@ func Save(w io.Writer, params []nn.Param) error {
 
 // Load restores values into params. Every stored parameter must match
 // a target parameter by name with an identical shape; counts must
-// agree exactly.
+// agree exactly, and nothing may follow the last record.
 func Load(r io.Reader, params []nn.Param) error {
 	return load(r, params, nil)
 }
@@ -123,6 +123,17 @@ func load(r io.Reader, params []nn.Param, absent []model.ParamShape) error {
 			return err
 		}
 		delete(byName, name)
+	}
+	return expectEOF(br)
+}
+
+// expectEOF refuses bytes after a stream's last record.
+func expectEOF(br *bufio.Reader) error {
+	if _, err := br.Peek(1); err != io.EOF {
+		if err != nil {
+			return fmt.Errorf("checkpoint: after the last record: %w", err)
+		}
+		return fmt.Errorf("%w: trailing bytes after the last record", ErrFormat)
 	}
 	return nil
 }

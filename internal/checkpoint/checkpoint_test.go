@@ -14,7 +14,7 @@ import (
 	"menos/internal/tensor"
 )
 
-func testParams(t *testing.T, seed uint64) []nn.Param {
+func testParams(t testing.TB, seed uint64) []nn.Param {
 	t.Helper()
 	rng := tensor.NewRNG(seed)
 	return []nn.Param{

@@ -23,15 +23,11 @@ import (
 const (
 	sessionMagic   uint32 = 0x4d53534e // "MSSN"
 	sessionVersion uint32 = 1
-
-	// maxSlots bounds per-parameter optimizer slots (corruption guard;
-	// Adam has 2, SGD-momentum 1).
-	maxSlots = 4
 )
 
 // SaveSession writes params (values and gradients) and opt's state to
-// w. opt may be nil for a stateless snapshot (values and grads only).
-func SaveSession(w io.Writer, params []nn.Param, opt nn.Optimizer) error {
+// w.
+func SaveSession(w io.Writer, params []nn.Param, opt *nn.Adam) error {
 	bw := bufio.NewWriter(w)
 	hdr := []uint32{sessionMagic, sessionVersion, uint32(len(params))}
 	for _, v := range hdr {
@@ -39,12 +35,7 @@ func SaveSession(w io.Writer, params []nn.Param, opt nn.Optimizer) error {
 			return fmt.Errorf("checkpoint: session header: %w", err)
 		}
 	}
-	snap, _ := opt.(nn.SnapshottableOptimizer)
-	var step int64
-	if snap != nil {
-		step = snap.StepCount()
-	}
-	if err := binary.Write(bw, binary.LittleEndian, step); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, opt.StepCount()); err != nil {
 		return fmt.Errorf("checkpoint: session step: %w", err)
 	}
 	for _, p := range params {
@@ -66,10 +57,7 @@ func SaveSession(w io.Writer, params []nn.Param, opt nn.Optimizer) error {
 				return fmt.Errorf("checkpoint: %q grad: %w", p.Name, err)
 			}
 		}
-		var slots []*tensor.Tensor
-		if snap != nil {
-			slots = snap.StateSlots(p)
-		}
+		slots := opt.StateSlots(p)
 		if err := binary.Write(bw, binary.LittleEndian, uint8(len(slots))); err != nil {
 			return fmt.Errorf("checkpoint: %q slot count: %w", p.Name, err)
 		}
@@ -87,10 +75,9 @@ func SaveSession(w io.Writer, params []nn.Param, opt nn.Optimizer) error {
 
 // LoadSession restores a session snapshot into params and opt. Every
 // stored parameter must match a target by name with an identical
-// shape, and the optimizer must offer at least as many state slots as
-// the snapshot carries for it (a snapshot taken under Adam cannot be
-// restored into SGD).
-func LoadSession(r io.Reader, params []nn.Param, opt nn.Optimizer) error {
+// shape, carry a gradient exactly when its target has one and carry
+// Adam's two moment buffers, and nothing may follow the last record.
+func LoadSession(r io.Reader, params []nn.Param, opt *nn.Adam) error {
 	br := bufio.NewReader(r)
 	var m, ver, count uint32
 	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
@@ -119,10 +106,7 @@ func LoadSession(r io.Reader, params []nn.Param, opt nn.Optimizer) error {
 	if err := binary.Read(br, binary.LittleEndian, &step); err != nil {
 		return fmt.Errorf("checkpoint: session step: %w", err)
 	}
-	snap, _ := opt.(nn.SnapshottableOptimizer)
-	if snap != nil {
-		snap.SetStepCount(step)
-	}
+	opt.SetStepCount(step)
 	byName := make(map[string]nn.Param, len(params))
 	for _, p := range params {
 		byName[p.Name] = p
@@ -144,10 +128,14 @@ func LoadSession(r io.Reader, params []nn.Param, opt nn.Optimizer) error {
 		if err := binary.Read(br, binary.LittleEndian, &hasGrad); err != nil {
 			return fmt.Errorf("checkpoint: %q grad flag: %w", name, err)
 		}
-		if hasGrad != 0 {
-			if p.Grad == nil {
-				return fmt.Errorf("%w: %q has a stored gradient but no target", ErrMismatch, name)
-			}
+		if hasGrad > 1 {
+			return fmt.Errorf("%w: %q grad flag %d", ErrFormat, name, hasGrad)
+		}
+		if (hasGrad == 1) != (p.Grad != nil) {
+			return fmt.Errorf("%w: %q stored grad flag %d, target has a gradient: %t",
+				ErrMismatch, name, hasGrad, p.Grad != nil)
+		}
+		if hasGrad == 1 {
 			if err := readTensorInto(br, p.Grad, name, "grad"); err != nil {
 				return err
 			}
@@ -156,32 +144,23 @@ func LoadSession(r io.Reader, params []nn.Param, opt nn.Optimizer) error {
 		if err := binary.Read(br, binary.LittleEndian, &nslots); err != nil {
 			return fmt.Errorf("checkpoint: %q slot count: %w", name, err)
 		}
-		if nslots > maxSlots {
-			return fmt.Errorf("%w: %q has %d optimizer slots", ErrFormat, name, nslots)
+		slots := opt.StateSlots(p)
+		if int(nslots) != len(slots) {
+			return fmt.Errorf("%w: %q has %d optimizer slots, Adam keeps %d",
+				ErrFormat, name, nslots, len(slots))
 		}
-		var slots []*tensor.Tensor
-		if nslots > 0 {
-			if snap == nil {
-				return fmt.Errorf("%w: snapshot carries optimizer state but the optimizer cannot restore it", ErrMismatch)
-			}
-			slots = snap.StateSlots(p)
-			if len(slots) < int(nslots) {
-				return fmt.Errorf("%w: %q stored %d optimizer slots, optimizer has %d",
-					ErrMismatch, name, nslots, len(slots))
-			}
-		}
-		for j := 0; j < int(nslots); j++ {
-			if err := readTensorInto(br, slots[j], name, fmt.Sprintf("slot %d", j)); err != nil {
+		for j, s := range slots {
+			if err := readTensorInto(br, s, name, fmt.Sprintf("slot %d", j)); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return expectEOF(br)
 }
 
 // EncodeSession is SaveSession into a fresh byte slice — the form the
 // migration plane ships over HTTP.
-func EncodeSession(params []nn.Param, opt nn.Optimizer) ([]byte, error) {
+func EncodeSession(params []nn.Param, opt *nn.Adam) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := SaveSession(&buf, params, opt); err != nil {
 		return nil, err
@@ -190,7 +169,7 @@ func EncodeSession(params []nn.Param, opt nn.Optimizer) ([]byte, error) {
 }
 
 // DecodeSession is LoadSession from a byte slice.
-func DecodeSession(data []byte, params []nn.Param, opt nn.Optimizer) error {
+func DecodeSession(data []byte, params []nn.Param, opt *nn.Adam) error {
 	return LoadSession(bytes.NewReader(data), params, opt)
 }
 

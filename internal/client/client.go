@@ -156,7 +156,7 @@ type Client struct {
 	output    *model.OutputSection
 	adapter   adapter.Adapter
 	params    []nn.Param
-	optimizer nn.Optimizer
+	optimizer *nn.Adam
 
 	iter    int
 	demands split.HelloAck
@@ -216,6 +216,9 @@ func newClient(conn net.Conn, cfg Config, offerTrace bool) (*Client, error) {
 	}
 	if cfg.Batch <= 0 || cfg.Seq <= 0 {
 		return nil, fmt.Errorf("client: bad geometry batch=%d seq=%d", cfg.Batch, cfg.Seq)
+	}
+	if err := nn.ValidateLR(cfg.LR); err != nil {
+		return nil, fmt.Errorf("client: %w", err)
 	}
 	// The client holds its input and output sections only; the body
 	// blocks [Cut, Layers) stay on the server.

@@ -83,13 +83,20 @@ func TestConfigValidation(t *testing.T) {
 		{"zero seq", func(c *client.Config) { c.Seq = 0 }},
 		{"bad adapter", func(c *client.Config) { c.Adapter = adapter.Spec{Kind: adapter.KindLoRA} }},
 		{"bad model", func(c *client.Config) { c.Model.Dim = 0 }},
+		{"negative lr", func(c *client.Config) { c.LR = -1 }},
+		{"NaN lr", func(c *client.Config) { c.LR = math.NaN() }},
+		{"infinite lr", func(c *client.Config) { c.LR = math.Inf(1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := validCfg("validate")
 			tt.mutate(&cfg)
-			if _, err := client.Dial(addr, cfg); err == nil {
+			_, err := client.Dial(addr, cfg)
+			if err == nil {
 				t.Fatal("invalid config accepted")
+			}
+			if errors.Is(err, client.ErrRejected) {
+				t.Fatalf("refused by the server (%v), want the client to refuse first", err)
 			}
 		})
 	}

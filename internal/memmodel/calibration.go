@@ -48,12 +48,11 @@ const paperSeqLen = 100
 // batch 16.
 func PaperOPTWorkload() Workload {
 	return Workload{
-		Model:     model1OPT(),
-		Cut:       1,
-		Adapter:   paperLoRASpec(),
-		Optimizer: OptAdam,
-		Batch:     16,
-		Seq:       paperSeqLen,
+		Model:   model1OPT(),
+		Cut:     1,
+		Adapter: paperLoRASpec(),
+		Batch:   16,
+		Seq:     paperSeqLen,
 	}
 }
 
@@ -62,11 +61,10 @@ func PaperOPTWorkload() Workload {
 // batch 4.
 func PaperLlamaWorkload() Workload {
 	return Workload{
-		Model:     model1Llama(),
-		Cut:       1,
-		Adapter:   paperLoRASpec(),
-		Optimizer: OptAdam,
-		Batch:     4,
-		Seq:       paperSeqLen,
+		Model:   model1Llama(),
+		Cut:     1,
+		Adapter: paperLoRASpec(),
+		Batch:   4,
+		Seq:     paperSeqLen,
 	}
 }

@@ -22,39 +22,15 @@ import (
 // ErrWorkload is returned (wrapped) for invalid workload descriptions.
 var ErrWorkload = errors.New("memmodel: invalid workload")
 
-// OptimizerKind selects the optimizer-state multiplier.
-type OptimizerKind int
-
-// Optimizer kinds.
-const (
-	OptAdam        OptimizerKind = iota + 1 // two moment buffers per parameter
-	OptSGDMomentum                          // one velocity buffer
-	OptSGD                                  // stateless
-)
-
-// statesPerParam returns the number of persistent state scalars the
-// optimizer keeps per trainable parameter.
-func (k OptimizerKind) statesPerParam() int64 {
-	switch k {
-	case OptAdam:
-		return 2
-	case OptSGDMomentum:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // Workload describes one client's fine-tuning configuration — exactly
 // the information the client reports to the server for profiling
 // (§3.3).
 type Workload struct {
-	Model     model.Config
-	Cut       int // client keeps blocks [0, Cut)
-	Adapter   adapter.Spec
-	Optimizer OptimizerKind
-	Batch     int
-	Seq       int
+	Model   model.Config
+	Cut     int // client keeps blocks [0, Cut)
+	Adapter adapter.Spec
+	Batch   int
+	Seq     int
 	// BaseQuant optionally quantizes the shared base parameters
 	// (QLoRA-style); the zero value keeps fp32. Quantization is
 	// orthogonal to Menos and stacks with base-model sharing, as the
@@ -75,9 +51,6 @@ func (w Workload) Validate() error {
 	}
 	if w.Batch <= 0 || w.Seq <= 0 {
 		return fmt.Errorf("%w: batch %d seq %d", ErrWorkload, w.Batch, w.Seq)
-	}
-	if w.Optimizer < OptAdam || w.Optimizer > OptSGD {
-		return fmt.Errorf("%w: optimizer %d", ErrWorkload, int(w.Optimizer))
 	}
 	return nil
 }
@@ -116,17 +89,24 @@ func (w Workload) GradBytes() int64 { return w.AdapterBytes() }
 
 // OptimizerBytes returns 𝕆: persistent optimizer state for the
 // adapter parameters.
-func (w Workload) OptimizerBytes() int64 {
-	return w.Adapter.ParamsPerBlock(w.Model.Dim) * w.serverBlocks() *
-		w.Optimizer.statesPerParam() * bytesPerParam
+func (w Workload) OptimizerBytes() int64 { return optimizerBytes(w.AdapterBytes()) }
+
+// optimizerBytes is 𝕆 for adapterBytes of trainable parameters: Adam,
+// the one optimizer either peer runs, keeps two moment buffers per
+// parameter.
+func optimizerBytes(adapterBytes int64) int64 { return 2 * adapterBytes }
+
+// PersistentBytes returns the per-client state that must stay resident
+// between iterations under Menos for an adapter of adapterBytes:
+// parameters, gradients, optimizer state, and the client process's GPU
+// context. The server reserves it at handshake.
+func PersistentBytes(adapterBytes int64) int64 {
+	return adapterBytes + adapterBytes + optimizerBytes(adapterBytes) + ContextOverheadBytes
 }
 
-// PersistentClientBytes returns the per-client state that must stay
-// resident between iterations under Menos: adapter parameters,
-// gradients, optimizer state, and the client process's GPU context.
-func (w Workload) PersistentClientBytes() int64 {
-	return w.AdapterBytes() + w.GradBytes() + w.OptimizerBytes() + ContextOverheadBytes
-}
+// PersistentClientBytes returns PersistentBytes for the workload's
+// server-side adapter.
+func (w Workload) PersistentClientBytes() int64 { return PersistentBytes(w.AdapterBytes()) }
 
 // activationFloatsPerRowPerBlock returns the retained activation
 // scalars per token per transformer block during a gradient-enabled

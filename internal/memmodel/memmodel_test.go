@@ -24,7 +24,6 @@ func TestWorkloadValidate(t *testing.T) {
 		{"bad adapter", func(w *Workload) { w.Adapter.Rank = 0 }},
 		{"bad batch", func(w *Workload) { w.Batch = 0 }},
 		{"bad seq", func(w *Workload) { w.Seq = 0 }},
-		{"bad optimizer", func(w *Workload) { w.Optimizer = 0 }},
 		{"bad model", func(w *Workload) { w.Model.Dim = 0 }},
 	}
 	for _, tt := range tests {
@@ -194,7 +193,7 @@ func TestActivationBytesMatchesMeasuredCaches(t *testing.T) {
 			batch, seq := 2, 7
 			w := Workload{
 				Model: c.cfg, Cut: 1, Adapter: c.spec,
-				Optimizer: OptAdam, Batch: batch, Seq: seq,
+				Batch: batch, Seq: seq,
 			}
 			if err := w.Validate(); err != nil {
 				t.Fatal(err)
@@ -249,16 +248,17 @@ func TestAdapterBytesMatchesInstantiated(t *testing.T) {
 	}
 }
 
-// TestOptimizerStateMultipliers checks the 𝕆 term per optimizer kind.
+// TestOptimizerStateMultipliers checks the 𝕆 term, Adam's two moments
+// per parameter, and the persistent state it joins: parameters,
+// gradients, both moments and the client's context.
 func TestOptimizerStateMultipliers(t *testing.T) {
 	w := TinyOPTWorkload(1, 4)
-	adam := w.OptimizerBytes()
-	w.Optimizer = OptSGDMomentum
-	mom := w.OptimizerBytes()
-	w.Optimizer = OptSGD
-	plain := w.OptimizerBytes()
-	if adam != 2*mom || plain != 0 {
-		t.Fatalf("optimizer bytes: adam %d, momentum %d, sgd %d", adam, mom, plain)
+	a := w.AdapterBytes()
+	if got := w.OptimizerBytes(); got != 2*a {
+		t.Fatalf("optimizer bytes %d, want 2 × %d adapter bytes", got, a)
+	}
+	if got, want := w.PersistentClientBytes(), 4*a+ContextOverheadBytes; got != want {
+		t.Fatalf("persistent client bytes %d, want %d", got, want)
 	}
 }
 
@@ -313,11 +313,10 @@ func TestEq3BeatsEq2(t *testing.T) {
 // TinyOPTWorkload is a runnable workload over the tiny OPT model.
 func TinyOPTWorkload(batch, seq int) Workload {
 	return Workload{
-		Model:     model.OPTTiny(),
-		Cut:       1,
-		Adapter:   paperLoRASpec(),
-		Optimizer: OptAdam,
-		Batch:     batch,
-		Seq:       seq,
+		Model:   model.OPTTiny(),
+		Cut:     1,
+		Adapter: paperLoRASpec(),
+		Batch:   batch,
+		Seq:     seq,
 	}
 }

@@ -20,11 +20,10 @@ func paperLoRASpec() adapter.Spec {
 // model.
 func TinyLlamaWorkload(batch, seq int) Workload {
 	return Workload{
-		Model:     model.LlamaTiny(),
-		Cut:       1,
-		Adapter:   paperLoRASpec(),
-		Optimizer: OptAdam,
-		Batch:     batch,
-		Seq:       seq,
+		Model:   model.LlamaTiny(),
+		Cut:     1,
+		Adapter: paperLoRASpec(),
+		Batch:   batch,
+		Seq:     seq,
 	}
 }

@@ -8,17 +8,10 @@ import (
 )
 
 // stateBytes is the optimizer-state footprint, the 𝕆 term of §2.3:
-// SGD's velocity buffers, or Adam's first and second moments.
-func stateBytes(opt Optimizer) int64 {
-	var bufs []map[*tensor.Tensor]*tensor.Tensor
-	switch o := opt.(type) {
-	case *SGD:
-		bufs = append(bufs, o.velocity)
-	case *Adam:
-		bufs = append(bufs, o.m, o.v)
-	}
+// Adam's first and second moments.
+func stateBytes(o *Adam) int64 {
 	var b int64
-	for _, buf := range bufs {
+	for _, buf := range []map[*tensor.Tensor]*tensor.Tensor{o.m, o.v} {
 		for _, x := range buf {
 			b += x.Bytes()
 		}
@@ -31,51 +24,6 @@ func stateBytes(opt Optimizer) int64 {
 func quadraticGrad(p Param, target float32) {
 	for i, v := range p.Value.Data() {
 		p.Grad.Data()[i] = 2 * (v - target)
-	}
-}
-
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	p := NewParam("p", tensor.MustFromSlice([]float32{5, -3, 10}, 3))
-	opt := NewSGD(0.1, 0)
-	for i := 0; i < 200; i++ {
-		quadraticGrad(p, 1)
-		if err := opt.Step([]Param{p}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, v := range p.Value.Data() {
-		if math.Abs(float64(v)-1) > 1e-3 {
-			t.Fatalf("param[%d] = %v, want 1", i, v)
-		}
-	}
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	p := NewParam("p", tensor.MustFromSlice([]float32{4}, 1))
-	opt := NewSGD(0.05, 0.9)
-	for i := 0; i < 300; i++ {
-		quadraticGrad(p, -2)
-		if err := opt.Step([]Param{p}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if math.Abs(float64(p.Value.At(0))+2) > 1e-2 {
-		t.Fatalf("param = %v, want -2", p.Value.At(0))
-	}
-	if stateBytes(opt) != 4 {
-		t.Fatalf("state bytes = %d, want 4", stateBytes(opt))
-	}
-}
-
-func TestSGDWithoutMomentumHasNoState(t *testing.T) {
-	p := NewParam("p", tensor.New(10))
-	opt := NewSGD(0.1, 0)
-	quadraticGrad(p, 0)
-	if err := opt.Step([]Param{p}); err != nil {
-		t.Fatal(err)
-	}
-	if stateBytes(opt) != 0 {
-		t.Fatalf("momentum-free SGD holds state: %d bytes", stateBytes(opt))
 	}
 }
 
@@ -108,26 +56,8 @@ func TestAdamStateBytes(t *testing.T) {
 	}
 }
 
-func TestAdamWeightDecayPullsTowardZero(t *testing.T) {
-	p := NewParam("p", tensor.MustFromSlice([]float32{1}, 1))
-	opt := NewAdam(0.01)
-	opt.WeightDecay = 0.5
-	// Zero gradient: only decay acts.
-	for i := 0; i < 100; i++ {
-		if err := opt.Step([]Param{p}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v := p.Value.At(0); v >= 1 || v < 0 {
-		t.Fatalf("weight decay did not shrink parameter: %v", v)
-	}
-}
-
 func TestOptimizerNilParamErrors(t *testing.T) {
 	bad := Param{Name: "bad"}
-	if err := NewSGD(0.1, 0).Step([]Param{bad}); err == nil {
-		t.Fatal("SGD accepted nil-value param")
-	}
 	if err := NewAdam(0.1).Step([]Param{bad}); err == nil {
 		t.Fatal("Adam accepted nil-value param")
 	}

@@ -105,20 +105,13 @@ func TestCrossEntropyGradientIdentityProperty(t *testing.T) {
 	}
 }
 
-// Property: optimizers are deterministic — two identically seeded
+// Property: the optimizer is deterministic — two identically seeded
 // parameter sets driven by identical gradients stay identical.
 func TestOptimizerDeterminismProperty(t *testing.T) {
-	f := func(seed uint64, adam bool) bool {
-		build := func() (Param, Optimizer) {
+	f := func(seed uint64) bool {
+		build := func() (Param, *Adam) {
 			rng := tensor.NewRNG(seed)
-			p := NewParam("p", tensor.NewNormal(rng, 1, 8))
-			var opt Optimizer
-			if adam {
-				opt = NewAdam(0.01)
-			} else {
-				opt = NewSGD(0.01, 0.9)
-			}
-			return p, opt
+			return NewParam("p", tensor.NewNormal(rng, 1, 8)), NewAdam(0.01)
 		}
 		p1, o1 := build()
 		p2, o2 := build()

@@ -44,10 +44,6 @@ type Config struct {
 	// Defaults to a V100. Persistent components are charged to it on
 	// startup and per client.
 	GPU *gpu.Device
-	// MaxClients caps concurrently admitted clients (0 = unlimited).
-	// Admission beyond the cap is rejected at handshake with a clear
-	// reason rather than degrading everyone.
-	MaxClients int
 	// SLO, when enabled, activates adaptive admission control on the
 	// scheduler (docs/ADMISSION.md): the sliding-window p99 grant wait
 	// is held near SLO.TargetP99 by throttling backfill and, under
@@ -350,7 +346,7 @@ type session struct {
 	inst      *share.Instance
 	body      *model.BodySection
 	params    []nn.Param
-	optimizer nn.Optimizer
+	optimizer *nn.Adam
 	demands   memDemands
 	batch     int
 	seq       int
@@ -544,9 +540,6 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 		return reject(err.Error())
 	}
 
-	if s.cfg.MaxClients > 0 && s.store.ActiveInstances() >= s.cfg.MaxClients {
-		return reject(fmt.Sprintf("server at capacity (%d clients)", s.cfg.MaxClients))
-	}
 	// Under sustained overload the controller sheds new clients before
 	// they are profiled or charged — a retryable rejection, unlike the
 	// hard configuration rejections above.
@@ -609,22 +602,23 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 	}
 	sess.dropParked = func() { sess.parked.Store(nil) }
 	sess.payload.Negotiated = features&split.FeatureActivationCompression != 0
-	switch hello.Optimizer.Kind {
-	case "", "adam":
-		lr := hello.Optimizer.LR
-		if lr == 0 {
-			lr = 1e-3
-		}
-		sess.optimizer = nn.NewAdam(lr)
-	default:
-		return reject(fmt.Sprintf("unknown optimizer %q", hello.Optimizer.Kind))
+	if k := hello.Optimizer.Kind; k != "" && k != "adam" {
+		return reject(fmt.Sprintf("unknown optimizer %q", k))
 	}
+	lr := hello.Optimizer.LR
+	if err := nn.ValidateLR(lr); err != nil {
+		return reject(err.Error())
+	}
+	if lr == 0 {
+		lr = 1e-3
+	}
+	sess.optimizer = nn.NewAdam(lr)
 
 	// Reserve the client's persistent footprint (adapter params,
 	// grads, Adam moments, process context) outside the request
 	// queue. The reservation shrinks the schedulable pool for the
 	// client's lifetime.
-	persistent := 4*inst.Adapter().ParamBytes() + memmodel.ContextOverheadBytes
+	persistent := memmodel.PersistentBytes(inst.Adapter().ParamBytes())
 	if err := s.scheduler.Reserve("persist:"+hello.ClientID, persistent); err != nil {
 		return reject(fmt.Sprintf("insufficient GPU memory for client state: %v", err))
 	}

@@ -388,6 +388,9 @@ func TestHandshakeRefusalsReleaseEverything(t *testing.T) {
 		reason string
 	}{
 		{"unknown optimizer", func(h *split.Hello) { h.Optimizer.Kind = "sgd" }, `unknown optimizer "sgd"`},
+		{"negative learning rate", func(h *split.Hello) { h.Optimizer.LR = -1 }, "learning rate -1 is not finite"},
+		{"NaN learning rate", func(h *split.Hello) { h.Optimizer.LR = math.NaN() }, "learning rate NaN is not finite"},
+		{"infinite learning rate", func(h *split.Hello) { h.Optimizer.LR = math.Inf(1) }, "learning rate +Inf is not finite"},
 		{"unknown resume token", func(h *split.Hello) { h.ResumeToken = 4242 }, "unknown resume token 4242"},
 		{"backward above schedulable", func(*split.Hello) {}, "exceeds schedulable memory"},
 	} {
@@ -637,54 +640,4 @@ func TestSchedulerBudgetRestoredAfterClients(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("budget leaked: %d != %d", srv.Scheduler().Available(), before)
-}
-
-// TestMaxClientsAdmission: the cap rejects the (n+1)th client with a
-// clear reason, and a slot frees up when a client leaves.
-func TestMaxClientsAdmission(t *testing.T) {
-	store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Store: store, MaxClients: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(l) }()
-	defer srv.Close()
-	addr := l.Addr().String()
-
-	c1, err := client.Dial(addr, clientCfg("cap-1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c2, err := client.Dial(addr, clientCfg("cap-2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Dial(addr, clientCfg("cap-3")); !errors.Is(err, client.ErrRejected) {
-		t.Fatalf("third client err = %v, want rejection", err)
-	}
-	// Freeing a slot admits a new client.
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var c3 *client.Client
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		c3, err = client.Dial(addr, clientCfg("cap-3"))
-		if err == nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("slot never freed: %v", err)
-	}
-	defer c3.Close()
 }

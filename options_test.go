@@ -28,7 +28,6 @@ var optionStructs = map[string]bool{
 // "<dir>.<Type>.<Field>", each with its reason. An entry whose field
 // gains a setter, or is no longer declared, fails the test.
 var optionExemptions = map[string]string{
-	"internal/server.Config.MaxClients":   "ROADMAP item 10 decides the tenant cap together with its faulty-tenant workload",
 	"internal/splitsim.Config.GPUSpec":    "ROADMAP item 6(c)'s measured device profile sets it",
 	"internal/splitsim.Config.ServerPerf": "ROADMAP item 6(c)'s measured device profile sets it",
 }
