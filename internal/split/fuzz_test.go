@@ -56,6 +56,8 @@ func FuzzReadMessage(f *testing.F) {
 		&ForwardResp{Iter: 3, TraceID: 0xdead, Packed: fuzzPack(f, rng, quant.CodecInt8)},
 		&BackwardReq{Iter: 3, Apply: true, Packed: fuzzPack(f, rng, quant.CodecFP16)},
 		&BackwardResp{Iter: 3, TraceID: 0xbeef, Packed: fuzzPack(f, rng, quant.CodecFP16)},
+		&Hello{ClientID: "d", ModelName: "m", Cut: 1,
+			Adapter: adapter.PrefixSpec(adapter.DefaultPrefix())},
 	}
 	for _, m := range seeds {
 		var buf bytes.Buffer
@@ -64,6 +66,7 @@ func FuzzReadMessage(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	f.Add(retiredKindHello(f))
 	// Hostile seeds.
 	f.Add([]byte{})
 	f.Add([]byte{0x53, 0x4D, 1, 3, 0xFF, 0xFF, 0xFF, 0x7F})

@@ -2,8 +2,10 @@ package split
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"testing/quick"
@@ -56,6 +58,72 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	if got.AdapterSeed != 0xdeadbeef || got.Batch != 4 || got.Seq != 128 {
 		t.Fatalf("config: %+v", got)
+	}
+}
+
+// TestHelloBytesArePinned pins the encoded Hello byte for byte: the
+// SHA-256 over six frames — three adapter specs (LoRA on q,v; rank-4
+// LoRA on q,k,v,o; an 8-slot prefix), each without feature bits and
+// with every one. A change to the spec codec or to the Hello's field
+// order fails here, before any peer sees it.
+func TestHelloBytesArePinned(t *testing.T) {
+	specs := []adapter.Spec{
+		adapter.LoRASpec(adapter.DefaultLoRA()),
+		adapter.LoRASpec(adapter.LoRAConfig{Rank: 4, Alpha: 8,
+			Targets: []adapter.Target{adapter.TargetQ, adapter.TargetK, adapter.TargetV, adapter.TargetO}}),
+		adapter.PrefixSpec(adapter.DefaultPrefix()),
+	}
+	h := sha256.New()
+	for _, features := range []uint64{0, FeatureTraceContext | FeatureMigration | FeatureActivationCompression} {
+		for i, spec := range specs {
+			h.Write(encodeFrame(t, &Hello{
+				ClientID:    fmt.Sprintf("client-%d", i),
+				ModelName:   "opt-tiny",
+				Cut:         1,
+				Adapter:     spec,
+				Optimizer:   OptimizerConfig{Kind: "adam", LR: 1e-3},
+				Batch:       2,
+				Seq:         16,
+				AdapterSeed: 0x5eed + uint64(i),
+				Features:    features,
+			}))
+		}
+	}
+	const want = "8fc4e1a2ef9dcfb191c144f1ecefa0e6ae78ab843e82a18de49a20d9a3ac631e"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("Hello frames sha256 = %s, want %s", got, want)
+	}
+}
+
+// retiredKindHello is the Hello of a peer that still offers the retired
+// adapter kind 3: its spec's trailing i64, reserved on the wire, is
+// non-zero.
+func retiredKindHello(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, &Hello{ClientID: "r", ModelName: "m", Cut: 1,
+		Adapter: adapter.Spec{Kind: 3}, Optimizer: OptimizerConfig{Kind: "adam", LR: 1e-3},
+		Batch: 1, Seq: 2}); err != nil {
+		tb.Fatal(err)
+	}
+	frame := buf.Bytes()
+	// After the reserved i64 come the optimizer kind (length + "adam")
+	// and LR, Batch, Seq and AdapterSeed.
+	off := len(frame) - (4 + len("adam") + 4*8) - 8
+	binary.LittleEndian.PutUint64(frame[off:], 16)
+	return frame
+}
+
+// TestRetiredKindHelloDecodes: a Hello naming a retired adapter kind is
+// a well-formed frame — refusing it is the handshake's job, with a
+// HelloAck, not the decoder's.
+func TestRetiredKindHelloDecodes(t *testing.T) {
+	m, err := ReadMessage(bytes.NewReader(retiredKindHello(t)))
+	if err != nil {
+		t.Fatalf("retired-kind Hello: %v", err)
+	}
+	if h := m.(*Hello); h.Adapter.Kind != 3 || h.Seq != 2 {
+		t.Fatalf("decoded %+v", h)
 	}
 }
 
