@@ -87,10 +87,12 @@ fuzz-smoke:
 # core (live migration between two in-process servers, admin-plane
 # goroutines), client (the pipelined loop against a live server),
 # adapter (multi-adapter dispatch over the shared, mutex-guarded scratch
-# arena) and menos-fleetd (its /place and /drain handlers on their own
-# goroutines while the controller polls and rebalances).
+# arena), share (every session's handshake and teardown take the
+# store's lock; concurrent instances forward over the shared base) and
+# menos-fleetd (its /place and /drain handlers on their own goroutines
+# while the controller polls and rebalances).
 test-race:
-	$(GO) test -race ./internal/tensor ./internal/model ./internal/obs ./internal/split ./internal/quant ./internal/sched ./internal/batch ./internal/fleet ./internal/tsdb ./internal/alert ./internal/server ./internal/splitsim ./internal/core ./internal/client ./internal/adapter ./cmd/menos-fleetd
+	$(GO) test -race ./internal/tensor ./internal/model ./internal/obs ./internal/split ./internal/quant ./internal/sched ./internal/batch ./internal/fleet ./internal/tsdb ./internal/alert ./internal/server ./internal/splitsim ./internal/core ./internal/client ./internal/adapter ./internal/share ./cmd/menos-fleetd
 
 # Repeats the tests whose failures are rare interleavings or rare
 # inputs: the scheduler's claim-versus-revoke hammer and the server's

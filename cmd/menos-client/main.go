@@ -70,7 +70,7 @@ func run(args []string) error {
 	modelName := fs.String("model", "opt-tiny", "base model served by the server")
 	seed := fs.Uint64("seed", 42, "model owner's weight seed (must match server)")
 	weights := fs.String("weights", "", "load base weights from a checkpoint file instead of the seed (the file menos-server -weights serves)")
-	adapterKind := fs.String("adapter", "lora", "adapter: lora, prefix, bottleneck")
+	adapterKind := fs.String("adapter", "lora", "adapter: lora, prefix")
 	dataset := fs.String("dataset", "shakespeare", "dataset: shakespeare, wikitext")
 	steps := fs.Int("steps", 100, "fine-tuning steps")
 	batch := fs.Int("batch", 4, "batch size")
@@ -105,8 +105,6 @@ func run(args []string) error {
 		spec = adapter.LoRASpec(adapter.DefaultLoRA())
 	case "prefix":
 		spec = adapter.PrefixSpec(adapter.DefaultPrefix())
-	case "bottleneck":
-		spec = adapter.BottleneckSpec(adapter.DefaultBottleneck())
 	default:
 		return fmt.Errorf("unknown adapter %q", *adapterKind)
 	}

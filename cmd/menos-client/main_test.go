@@ -126,11 +126,11 @@ func TestFleetdPlacementCarriesDemand(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(fleet.Endpoint{ID: 1, Addr: "127.0.0.1:1"})
 	}))
 	defer fleetd.Close()
-	if err := run([]string{"-fleetd", fleetd.URL, "-id", "tenant", "-model", "opt-tiny", "-adapter", "bottleneck",
+	if err := run([]string{"-fleetd", fleetd.URL, "-id", "tenant", "-model", "opt-tiny", "-adapter", "prefix",
 		"-batch", "2", "-seq", "16", "-steps", "1"}); err == nil {
 		t.Fatal("run dialed a server nobody listens on")
 	}
-	w := memmodel.Workload{Model: model.OPTTiny(), Cut: model.DefaultCut, Adapter: adapter.BottleneckSpec(adapter.DefaultBottleneck()),
+	w := memmodel.Workload{Model: model.OPTTiny(), Cut: model.DefaultCut, Adapter: adapter.PrefixSpec(adapter.DefaultPrefix()),
 		Batch: 2, Seq: 16}
 	want := fleet.ClientInfo{ID: "tenant", BaseModel: "opt-tiny",
 		PersistentBytes: w.PersistentClientBytes(), TransientPeakBytes: w.BackwardPeakBytes()}

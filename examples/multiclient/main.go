@@ -1,5 +1,6 @@
 // Multiclient: four concurrent clients fine-tune the same shared base
-// model with *different* adapter methods and cut layers — the
+// model with *different* adapters (LoRA at two ranks, prefix-tuning)
+// and cut layers — the
 // heterogeneity §3.1 is designed for — while the server pays for one
 // base copy. The example prints the memory accounting that makes the
 // paper's Fig. 5 argument, then proves base-parameter integrity.
@@ -63,7 +64,8 @@ func run() error {
 	plans := []clientPlan{
 		{"alice-lora", menos.DefaultLoRA(), 1},
 		{"bob-prefix", menos.DefaultPrefix(), 1},
-		{"carol-bottleneck", menos.AdapterSpec{Kind: menos.AdapterBottleneck, Hidden: 16}, 1},
+		{"carol-lora-r4", menos.AdapterSpec{Kind: menos.AdapterLoRA, Rank: 4, Alpha: 8,
+			Targets: menos.DefaultLoRA().Targets}, 1},
 		// dave is privacy-sensitive and cuts deeper, keeping two blocks
 		// local (the privacy-efficiency trade-off of §3.1).
 		{"dave-deep-cut", menos.DefaultLoRA(), 2},

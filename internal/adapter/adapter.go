@@ -9,29 +9,26 @@ import (
 )
 
 // Adapter is the common handle over an injected fine-tuning adapter:
-// it owns the trainable parameters φ and can detach itself, restoring
-// the model instance to its pristine structure.
+// it owns the trainable parameters φ. It is never detached — the blocks
+// it was injected into belong to one owner and are dropped with it.
 type Adapter interface {
 	Params() []nn.Param
-	ParamCount() int64
-	ParamBytes() int64
-	Remove()
 }
 
 var (
 	_ Adapter = (*LoRAAdapter)(nil)
 	_ Adapter = (*PrefixAdapter)(nil)
-	_ Adapter = (*BottleneckAdapter)(nil)
 )
 
-// Kind enumerates the supported adapter families.
+// Kind enumerates the supported adapter families: the two the paper
+// fine-tunes with.
 type Kind int
 
-// Adapter kinds.
+// Adapter kinds. Kind 3 is retired: the wire still reserves its slot,
+// and Validate refuses it as an unknown kind.
 const (
 	KindLoRA Kind = iota + 1
 	KindPrefix
-	KindBottleneck
 )
 
 // String returns the kind's name.
@@ -41,8 +38,6 @@ func (k Kind) String() string {
 		return "lora"
 	case KindPrefix:
 		return "prefix"
-	case KindBottleneck:
-		return "bottleneck"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -61,9 +56,6 @@ type Spec struct {
 
 	// Prefix-tuning.
 	PrefixLen int
-
-	// Bottleneck.
-	Hidden int
 }
 
 // LoRASpec builds a Spec from a LoRAConfig.
@@ -76,11 +68,6 @@ func PrefixSpec(cfg PrefixConfig) Spec {
 	return Spec{Kind: KindPrefix, PrefixLen: cfg.PrefixLen}
 }
 
-// BottleneckSpec builds a Spec from a BottleneckConfig.
-func BottleneckSpec(cfg BottleneckConfig) Spec {
-	return Spec{Kind: KindBottleneck, Hidden: cfg.Hidden}
-}
-
 // Validate checks the spec for the declared kind.
 func (s Spec) Validate() error {
 	switch s.Kind {
@@ -88,8 +75,6 @@ func (s Spec) Validate() error {
 		return LoRAConfig{Rank: s.Rank, Alpha: s.Alpha, Targets: s.Targets}.Validate()
 	case KindPrefix:
 		return PrefixConfig{PrefixLen: s.PrefixLen}.Validate()
-	case KindBottleneck:
-		return BottleneckConfig{Hidden: s.Hidden}.Validate()
 	default:
 		return fmt.Errorf("%w: unknown kind %d", ErrAdapter, int(s.Kind))
 	}
@@ -103,16 +88,15 @@ func (s Spec) Inject(rng *tensor.RNG, blocks []*model.Block, dim int) (Adapter, 
 		return InjectLoRA(rng, blocks, LoRAConfig{Rank: s.Rank, Alpha: s.Alpha, Targets: s.Targets})
 	case KindPrefix:
 		return InjectPrefix(rng, blocks, dim, PrefixConfig{PrefixLen: s.PrefixLen})
-	case KindBottleneck:
-		return InjectBottleneck(rng, blocks, dim, BottleneckConfig{Hidden: s.Hidden})
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrAdapter, int(s.Kind))
 	}
 }
 
 // ParamsPerBlock returns the adapter scalar count contributed to one
-// transformer block of hidden size dim, used by the analytic memory
-// model to compute 𝔸 without instantiating anything.
+// transformer block of hidden size dim: the one implementation of 𝔸,
+// which the analytic memory model and the server's admission price
+// from the spec before anything is instantiated.
 func (s Spec) ParamsPerBlock(dim int) int64 {
 	d := int64(dim)
 	switch s.Kind {
@@ -122,10 +106,6 @@ func (s Spec) ParamsPerBlock(dim int) int64 {
 	case KindPrefix:
 		// K and V prefixes, each (P, d).
 		return 2 * int64(s.PrefixLen) * d
-	case KindBottleneck:
-		// Down (d×h + h) + Up (h×d + d).
-		h := int64(s.Hidden)
-		return d*h + h + h*d + d
 	default:
 		return 0
 	}

@@ -1,6 +1,6 @@
-// Package adapter implements parameter-efficient fine-tuning adapters:
-// LoRA (the paper's evaluated method), prefix-tuning, and Houlsby-style
-// bottleneck adapters. Adapters attach to a model instance without
+// Package adapter implements the paper's two parameter-efficient
+// fine-tuning adapters: LoRA (its evaluated method) and prefix-tuning.
+// Adapters attach to a model instance without
 // modifying base parameters, which is precisely what makes base-model
 // sharing across clients safe (§3.1): the base tensors stay read-only
 // while each client owns its private adapter parameters φ.
@@ -9,6 +9,7 @@ package adapter
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"menos/internal/model"
 	"menos/internal/nn"
@@ -73,9 +74,12 @@ func (c LoRAConfig) Validate() error {
 	if len(c.Targets) == 0 {
 		return fmt.Errorf("%w: no targets", ErrAdapter)
 	}
-	for _, t := range c.Targets {
+	for i, t := range c.Targets {
 		if t < TargetQ || t > TargetO {
 			return fmt.Errorf("%w: unknown target %d", ErrAdapter, int(t))
+		}
+		if slices.Contains(c.Targets[:i], t) {
+			return fmt.Errorf("%w: target %v repeated", ErrAdapter, t)
 		}
 	}
 	return nil
@@ -261,22 +265,17 @@ func (l *LoRALinear) Params() []nn.Param {
 // are always trainable.
 func (l *LoRALinear) SetFrozen(frozen bool) { l.Base.SetFrozen(frozen) }
 
-// ParamCount returns the number of adapter scalars (A and B).
-func (l *LoRALinear) ParamCount() int64 {
-	return int64(l.A.Value.Len() + l.B.Value.Len())
-}
-
 // LoRAAdapter is the set of LoRA layers injected into a model section.
 type LoRAAdapter struct {
 	Config LoRAConfig
 
-	layers   []*LoRALinear
-	restores []func()
+	layers []*LoRALinear
 }
 
 // InjectLoRA wraps the configured projections of every block with LoRA
 // layers. It returns the adapter handle, which owns the new trainable
-// parameters and can detach itself via Remove. The blocks' base
+// parameters; the blocks must belong to the adapter's owner alone,
+// since the wrapping is never undone. The blocks' base
 // parameters are untouched — only the structural references change,
 // exactly the "separate parameters from structure" principle of §3.1.
 func InjectLoRA(rng *tensor.RNG, blocks []*model.Block, cfg LoRAConfig) (*LoRAAdapter, error) {
@@ -307,8 +306,6 @@ func InjectLoRA(rng *tensor.RNG, blocks []*model.Block, cfg LoRAConfig) (*LoRAAd
 			wrapped.SetScratch(b.Scratch())
 			*slot = wrapped
 			ad.layers = append(ad.layers, wrapped)
-			slotCopy := slot
-			ad.restores = append(ad.restores, func() { *slotCopy = base })
 		}
 	}
 	return ad, nil
@@ -339,29 +336,6 @@ func (a *LoRAAdapter) Params() []nn.Param {
 		)
 	}
 	return ps
-}
-
-// ParamCount returns the total number of adapter scalars.
-func (a *LoRAAdapter) ParamCount() int64 {
-	var n int64
-	for _, l := range a.layers {
-		n += l.ParamCount()
-	}
-	return n
-}
-
-// ParamBytes returns the adapter parameter footprint in bytes (the 𝔸
-// term of §2.3).
-func (a *LoRAAdapter) ParamBytes() int64 { return a.ParamCount() * 4 }
-
-// Remove detaches every LoRA layer, restoring the original projections.
-// The underlying base parameters were never modified.
-func (a *LoRAAdapter) Remove() {
-	for _, restore := range a.restores {
-		restore()
-	}
-	a.restores = nil
-	a.layers = nil
 }
 
 // Layers returns the injected LoRA layers (read-only use).

@@ -187,13 +187,6 @@ func (l *MultiLoRALinear) Params() []nn.Param {
 // SetFrozen forwards to the base projection.
 func (l *MultiLoRALinear) SetFrozen(frozen bool) { l.Base.SetFrozen(frozen) }
 
-// MultiLoRAAdapter is the set of MultiLoRALinear layers injected into
-// a (shallow-cloned) body for one batched invocation.
-type MultiLoRAAdapter struct {
-	layers   []*MultiLoRALinear
-	restores []func()
-}
-
 // InjectMultiLoRA wraps the targeted projections of every block with
 // multi-adapter layers that dispatch rows[k] consecutive rows of the
 // stacked input through members[k]'s LoRA parameters. members[k] must
@@ -203,7 +196,9 @@ type MultiLoRAAdapter struct {
 // block i/len(targets), target i%len(targets). The blocks should be
 // pristine shallow clones of the shared base: injecting over an
 // already-adapted slot is an error, because it would nest residuals.
-func InjectMultiLoRA(blocks []*model.Block, targets []Target, members [][]*LoRALinear, rows []int) (*MultiLoRAAdapter, error) {
+// It returns the injected layers, which live as long as the blocks:
+// one batched invocation's.
+func InjectMultiLoRA(blocks []*model.Block, targets []Target, members [][]*LoRALinear, rows []int) ([]*MultiLoRALinear, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("%w: no targets", ErrAdapter)
 	}
@@ -223,7 +218,7 @@ func InjectMultiLoRA(blocks []*model.Block, targets []Target, members [][]*LoRAL
 			return nil, fmt.Errorf("%w: member %d contributes %d rows", ErrAdapter, k, rows[k])
 		}
 	}
-	ad := &MultiLoRAAdapter{}
+	var layers []*MultiLoRALinear
 	for bi, b := range blocks {
 		attn := b.Attn
 		for ti, target := range targets {
@@ -254,23 +249,8 @@ func InjectMultiLoRA(blocks []*model.Block, targets []Target, members [][]*LoRAL
 				return nil, fmt.Errorf("block %d target %v: %w", bi, target, err)
 			}
 			*slot = ml
-			ad.layers = append(ad.layers, ml)
-			slotCopy := slot
-			ad.restores = append(ad.restores, func() { *slotCopy = base })
+			layers = append(layers, ml)
 		}
 	}
-	return ad, nil
-}
-
-// Layers returns the injected multi-adapter layers (read-only use).
-func (a *MultiLoRAAdapter) Layers() []*MultiLoRALinear { return a.layers }
-
-// Remove detaches every multi-adapter layer, restoring the original
-// projections. Member parameters are untouched.
-func (a *MultiLoRAAdapter) Remove() {
-	for _, restore := range a.restores {
-		restore()
-	}
-	a.restores = nil
-	a.layers = nil
+	return layers, nil
 }

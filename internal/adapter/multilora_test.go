@@ -168,8 +168,7 @@ func TestMultiLoRABitIdenticalToSerial(t *testing.T) {
 				totalBatch += b
 			}
 			blocks := model.ShallowCloneBlocks(f.master.Blocks)
-			mad, err := InjectMultiLoRA(blocks, f.targets, f.layersOf(), rows)
-			if err != nil {
+			if _, err := InjectMultiLoRA(blocks, f.targets, f.layersOf(), rows); err != nil {
 				t.Fatal(err)
 			}
 			mbody := model.Body(blocks)
@@ -216,7 +215,6 @@ func TestMultiLoRABitIdenticalToSerial(t *testing.T) {
 				}
 				lo = hi
 			}
-			mad.Remove()
 		})
 	}
 }
@@ -331,20 +329,18 @@ func TestInjectMultiLoRAValidation(t *testing.T) {
 		t.Error("injection over adapted slots accepted")
 	}
 
-	// A valid injection is removable: the clone's slots revert to the
-	// shared base projections.
-	clean := model.ShallowCloneBlocks(m.Blocks)
-	mad, err := InjectMultiLoRA(clean, cfg.Targets, member, []int{4})
+	// A valid injection wraps every targeted slot of its clone and
+	// leaves the shared master's slots alone.
+	layers, err := InjectMultiLoRA(model.ShallowCloneBlocks(m.Blocks), cfg.Targets, member, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mad.Layers()) != len(m.Blocks)*len(cfg.Targets) {
-		t.Fatalf("injected %d layers, want %d", len(mad.Layers()), len(m.Blocks)*len(cfg.Targets))
+	if len(layers) != len(m.Blocks)*len(cfg.Targets) {
+		t.Fatalf("injected %d layers, want %d", len(layers), len(m.Blocks)*len(cfg.Targets))
 	}
-	mad.Remove()
-	for i, b := range clean {
-		if b.Attn.Q != m.Blocks[i].Attn.Q || b.Attn.V != m.Blocks[i].Attn.V {
-			t.Fatalf("block %d slots not restored", i)
+	for i, b := range m.Blocks {
+		if _, ok := b.Attn.Q.(*MultiLoRALinear); ok {
+			t.Fatalf("block %d: injecting into a clone wrapped the master's slot", i)
 		}
 	}
 }

@@ -32,7 +32,6 @@ type PrefixAdapter struct {
 	Config PrefixConfig
 
 	prefixes []*model.PrefixKV
-	blocks   []*model.Block
 }
 
 // InjectPrefix attaches a trainable KV prefix to every block's
@@ -51,7 +50,6 @@ func InjectPrefix(rng *tensor.RNG, blocks []*model.Block, dim int, cfg PrefixCon
 		p := model.NewPrefixKV(rng.Split(), cfg.PrefixLen, dim)
 		b.Attn.Prefix = p
 		ad.prefixes = append(ad.prefixes, p)
-		ad.blocks = append(ad.blocks, b)
 	}
 	return ad, nil
 }
@@ -63,25 +61,4 @@ func (a *PrefixAdapter) Params() []nn.Param {
 		ps = append(ps, nn.Prefixed(fmt.Sprintf("prefix%d", i), p.Params())...)
 	}
 	return ps
-}
-
-// ParamCount returns the total number of adapter scalars.
-func (a *PrefixAdapter) ParamCount() int64 {
-	var n int64
-	for _, p := range a.prefixes {
-		n += int64(p.K.Value.Len() + p.V.Value.Len())
-	}
-	return n
-}
-
-// ParamBytes returns the adapter footprint in bytes.
-func (a *PrefixAdapter) ParamBytes() int64 { return a.ParamCount() * 4 }
-
-// Remove detaches the prefixes from their blocks.
-func (a *PrefixAdapter) Remove() {
-	for _, b := range a.blocks {
-		b.Attn.Prefix = nil
-	}
-	a.blocks = nil
-	a.prefixes = nil
 }

@@ -18,6 +18,7 @@ import (
 
 	"menos/internal/adapter"
 	"menos/internal/checkpoint"
+	"menos/internal/memmodel"
 	"menos/internal/model"
 	"menos/internal/nn"
 	"menos/internal/obs"
@@ -214,8 +215,11 @@ func newClient(conn net.Conn, cfg Config, offerTrace bool) (*Client, error) {
 	if cfg.ClientID == "" {
 		return nil, errors.New("client: missing client id")
 	}
-	if cfg.Batch <= 0 || cfg.Seq <= 0 {
-		return nil, fmt.Errorf("client: bad geometry batch=%d seq=%d", cfg.Batch, cfg.Seq)
+	// The workload the Hello will describe, validated as the server
+	// validates it: a config it would refuse is refused here first.
+	w := memmodel.Workload{Model: cfg.Model, Cut: cfg.Cut, Adapter: cfg.Adapter, Batch: cfg.Batch, Seq: cfg.Seq}
+	if err := w.Validate(); err != nil {
+		return nil, fmt.Errorf("client: %w", err)
 	}
 	if err := nn.ValidateLR(cfg.LR); err != nil {
 		return nil, fmt.Errorf("client: %w", err)

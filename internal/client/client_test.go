@@ -86,6 +86,16 @@ func TestConfigValidation(t *testing.T) {
 		{"negative lr", func(c *client.Config) { c.LR = -1 }},
 		{"NaN lr", func(c *client.Config) { c.LR = math.NaN() }},
 		{"infinite lr", func(c *client.Config) { c.LR = math.Inf(1) }},
+		{"seq above max seq", func(c *client.Config) { c.Seq = c.Model.MaxSeq + 1 }},
+		{"bad cut", func(c *client.Config) { c.Cut = c.Model.Layers }},
+		{"huge LoRA rank", func(c *client.Config) { c.Adapter.Rank = 1 << 50 }},
+		{"huge prefix", func(c *client.Config) {
+			c.Adapter = adapter.PrefixSpec(adapter.PrefixConfig{PrefixLen: 1 << 50})
+		}},
+		{"repeated target", func(c *client.Config) {
+			c.Adapter.Targets = []adapter.Target{adapter.TargetQ, adapter.TargetQ}
+		}},
+		{"retired adapter kind", func(c *client.Config) { c.Adapter = adapter.Spec{Kind: 3} }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

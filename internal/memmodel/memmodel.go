@@ -38,7 +38,9 @@ type Workload struct {
 	BaseQuant quant.Precision
 }
 
-// Validate checks the workload.
+// Validate checks the workload and bounds its adapter by the model, so
+// that a workload it passes is one adapter.Spec.Inject can build over
+// the model's blocks and its adapter prices (𝔸, 𝕆) cannot overflow.
 func (w Workload) Validate() error {
 	if err := w.Model.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrWorkload, err)
@@ -49,8 +51,14 @@ func (w Workload) Validate() error {
 	if err := w.Adapter.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrWorkload, err)
 	}
-	if w.Batch <= 0 || w.Seq <= 0 {
-		return fmt.Errorf("%w: batch %d seq %d", ErrWorkload, w.Batch, w.Seq)
+	switch a := w.Adapter; {
+	case a.Kind == adapter.KindLoRA && a.Rank > w.Model.Dim:
+		return fmt.Errorf("%w: LoRA rank %d above model dim %d", ErrWorkload, a.Rank, w.Model.Dim)
+	case a.Kind == adapter.KindPrefix && a.PrefixLen > w.Model.MaxSeq:
+		return fmt.Errorf("%w: prefix length %d above max seq %d", ErrWorkload, a.PrefixLen, w.Model.MaxSeq)
+	}
+	if w.Batch <= 0 || w.Seq <= 0 || w.Seq > w.Model.MaxSeq {
+		return fmt.Errorf("%w: batch %d seq %d (max seq %d)", ErrWorkload, w.Batch, w.Seq, w.Model.MaxSeq)
 	}
 	return nil
 }
@@ -96,17 +104,15 @@ func (w Workload) OptimizerBytes() int64 { return optimizerBytes(w.AdapterBytes(
 // parameter.
 func optimizerBytes(adapterBytes int64) int64 { return 2 * adapterBytes }
 
-// PersistentBytes returns the per-client state that must stay resident
-// between iterations under Menos for an adapter of adapterBytes:
-// parameters, gradients, optimizer state, and the client process's GPU
-// context. The server reserves it at handshake.
-func PersistentBytes(adapterBytes int64) int64 {
-	return adapterBytes + adapterBytes + optimizerBytes(adapterBytes) + ContextOverheadBytes
+// PersistentClientBytes returns the per-client state that must stay
+// resident between iterations under Menos: the server-side adapter's
+// parameters, gradients and optimizer state, and the client process's
+// GPU context. The server reserves it at handshake, before it builds
+// the adapter.
+func (w Workload) PersistentClientBytes() int64 {
+	a := w.AdapterBytes()
+	return a + a + optimizerBytes(a) + ContextOverheadBytes
 }
-
-// PersistentClientBytes returns PersistentBytes for the workload's
-// server-side adapter.
-func (w Workload) PersistentClientBytes() int64 { return PersistentBytes(w.AdapterBytes()) }
 
 // activationFloatsPerRowPerBlock returns the retained activation
 // scalars per token per transformer block during a gradient-enabled
@@ -132,14 +138,9 @@ func (w Workload) activationFloatsPerRowPerBlock() int64 {
 		base = 11*d + 4*f + h*ext + 2
 	}
 
-	switch w.Adapter.Kind {
-	case adapter.KindLoRA:
+	if w.Adapter.Kind == adapter.KindLoRA {
 		// Each wrapped projection retains x (d) and x·A (rank).
 		base += int64(len(w.Adapter.Targets)) * (d + int64(w.Adapter.Rank))
-	case adapter.KindBottleneck:
-		// The bottleneck wrapper retains y (d), the GELU input (hidden)
-		// and the up-projection input (hidden).
-		base += d + 2*int64(w.Adapter.Hidden)
 	}
 	return base
 }

@@ -25,6 +25,16 @@ func TestWorkloadValidate(t *testing.T) {
 		{"bad batch", func(w *Workload) { w.Batch = 0 }},
 		{"bad seq", func(w *Workload) { w.Seq = 0 }},
 		{"bad model", func(w *Workload) { w.Model.Dim = 0 }},
+		{"seq above max seq", func(w *Workload) { w.Seq = w.Model.MaxSeq + 1 }},
+		{"rank above dim", func(w *Workload) { w.Adapter.Rank = w.Model.Dim + 1 }},
+		{"huge rank", func(w *Workload) { w.Adapter.Rank = 1 << 50 }},
+		{"repeated target", func(w *Workload) {
+			w.Adapter.Targets = []adapter.Target{adapter.TargetQ, adapter.TargetQ}
+		}},
+		{"prefix above max seq", func(w *Workload) {
+			w.Adapter = adapter.PrefixSpec(adapter.PrefixConfig{PrefixLen: w.Model.MaxSeq + 1})
+		}},
+		{"retired kind", func(w *Workload) { w.Adapter = adapter.Spec{Kind: 3} }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -173,20 +183,23 @@ func TestTransferBytesMatchPaper(t *testing.T) {
 // TestActivationBytesMatchesMeasuredCaches is the cross-validation at
 // the heart of the reproduction strategy: the analytic 𝕀 formula must
 // agree *exactly* with the bytes retained by the real implementation's
-// caches, for both families and all three adapter kinds.
+// caches, for both families and both adapter kinds (LoRA in two
+// shapes).
 func TestActivationBytesMatchesMeasuredCaches(t *testing.T) {
 	type tc struct {
 		name string
 		cfg  model.Config
 		spec adapter.Spec
 	}
+	loraQKVO := adapter.LoRASpec(adapter.LoRAConfig{Rank: 4, Alpha: 8,
+		Targets: []adapter.Target{adapter.TargetQ, adapter.TargetK, adapter.TargetV, adapter.TargetO}})
 	cases := []tc{
 		{"opt+lora", model.OPTTiny(), adapter.LoRASpec(adapter.DefaultLoRA())},
 		{"llama+lora", model.LlamaTiny(), adapter.LoRASpec(adapter.DefaultLoRA())},
 		{"opt+prefix", model.OPTTiny(), adapter.PrefixSpec(adapter.PrefixConfig{PrefixLen: 4})},
 		{"llama+prefix", model.LlamaTiny(), adapter.PrefixSpec(adapter.PrefixConfig{PrefixLen: 4})},
-		{"opt+bottleneck", model.OPTTiny(), adapter.BottleneckSpec(adapter.BottleneckConfig{Hidden: 12})},
-		{"llama+bottleneck", model.LlamaTiny(), adapter.BottleneckSpec(adapter.BottleneckConfig{Hidden: 12})},
+		{"opt+lora-qkvo", model.OPTTiny(), loraQKVO},
+		{"llama+lora-qkvo", model.LlamaTiny(), loraQKVO},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -226,8 +239,8 @@ func TestActivationBytesMatchesMeasuredCaches(t *testing.T) {
 	}
 }
 
-// TestAdapterBytesMatchesInstantiated cross-validates 𝔸 against real
-// injected adapters.
+// TestAdapterBytesMatchesInstantiated cross-validates 𝔸 against the
+// parameters a real injected adapter exposes.
 func TestAdapterBytesMatchesInstantiated(t *testing.T) {
 	cfg := model.LlamaTiny()
 	w := TinyLlamaWorkload(2, 8)
@@ -243,7 +256,11 @@ func TestAdapterBytesMatchesInstantiated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := ad.ParamBytes(), w.AdapterBytes(); got != want {
+	var got int64
+	for _, p := range ad.Params() {
+		got += p.Value.Bytes()
+	}
+	if want := w.AdapterBytes(); got != want {
 		t.Fatalf("instantiated adapter bytes %d != analytic %d", got, want)
 	}
 }

@@ -19,25 +19,15 @@ func (c *ActCache) Bytes() int64 {
 	return c.X.Bytes()
 }
 
-// GELU applies the Gaussian Error Linear Unit (tanh approximation, as
-// used by OPT/GPT-style models).
-func GELU(x *tensor.Tensor, cache *ActCache) *tensor.Tensor {
-	return GELUScratch(nil, x, cache)
-}
-
-// GELUScratch is GELU drawing its output from the given buffer arena
-// (nil degrades to allocation).
+// GELUScratch applies the Gaussian Error Linear Unit (tanh
+// approximation, as used by OPT/GPT-style models), drawing its output
+// from the given buffer arena (nil degrades to allocation).
 func GELUScratch(sc *tensor.Scratch, x *tensor.Tensor, cache *ActCache) *tensor.Tensor {
 	return activate(sc, x, cache, tensor.GELU)
 }
 
-// GELUBackward computes dx = dy * gelu'(x).
-func GELUBackward(cache *ActCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
-	return GELUBackwardScratch(nil, cache, dy)
-}
-
-// GELUBackwardScratch is GELUBackward drawing dx from the given buffer
-// arena (nil degrades to allocation).
+// GELUBackwardScratch computes dx = dy * gelu'(x), drawing dx from the
+// given buffer arena (nil degrades to allocation).
 func GELUBackwardScratch(sc *tensor.Scratch, cache *ActCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
 	return activateGrad("gelu", sc, cache, dy, tensor.GELUBackward)
 }

@@ -351,11 +351,11 @@ func TestGELUGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(20)
 	x := tensor.NewNormal(rng, 1.5, 2, 6)
 	forward := func() float64 {
-		return sumLoss(GELU(x, nil))
+		return sumLoss(GELUScratch(nil, x, nil))
 	}
 	cache := &ActCache{}
-	y := GELU(x, cache)
-	dx, err := GELUBackward(cache, ones(y.Shape()...))
+	y := GELUScratch(nil, x, cache)
+	dx, err := GELUBackwardScratch(nil, cache, ones(y.Shape()...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestSiLUGradCheck(t *testing.T) {
 
 func TestActivationShapes(t *testing.T) {
 	x := ones(2, 3)
-	if y := GELU(x, nil); !y.SameShape(x) {
+	if y := GELUScratch(nil, x, nil); !y.SameShape(x) {
 		t.Fatal("GELU changed shape")
 	}
 	if y := SiLUScratch(nil, x, nil); !y.SameShape(x) {
@@ -387,7 +387,7 @@ func TestActivationShapes(t *testing.T) {
 	}
 	// GELU(0)=0, SiLU(0)=0.
 	z := tensor.New(1, 1)
-	if GELU(z, nil).At(0, 0) != 0 || SiLUScratch(nil, z, nil).At(0, 0) != 0 {
+	if GELUScratch(nil, z, nil).At(0, 0) != 0 || SiLUScratch(nil, z, nil).At(0, 0) != 0 {
 		t.Fatal("activation at 0 is not 0")
 	}
 }

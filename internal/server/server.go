@@ -488,8 +488,9 @@ func (s *Server) handleConn(rawConn net.Conn) {
 	}
 }
 
-// handshake admits a client: validates the Hello, builds the instance,
-// attaches the adapter, charges persistent memory, and profiles.
+// handshake admits a client: validates and prices the Hello, charges
+// its persistent memory, builds the instance, attaches the adapter, and
+// profiles.
 func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 	msg, err := split.ReadMessage(conn)
 	if err != nil {
@@ -533,11 +534,22 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 	if hello.ModelName != s.store.Config().Name {
 		return reject(fmt.Sprintf("model %q not hosted (serving %q)", hello.ModelName, s.store.Config().Name))
 	}
-	if hello.Batch <= 0 || hello.Seq <= 0 || hello.Seq > s.store.Config().MaxSeq {
-		return reject(fmt.Sprintf("bad geometry batch=%d seq=%d", hello.Batch, hello.Seq))
-	}
-	if err := hello.Adapter.Validate(); err != nil {
+	// The Hello is a workload over the served model: validated and
+	// priced once, before anything is built for it.
+	w := memmodel.Workload{Model: s.store.Config(), Cut: hello.Cut, Adapter: hello.Adapter,
+		Batch: hello.Batch, Seq: hello.Seq}
+	if err := w.Validate(); err != nil {
 		return reject(err.Error())
+	}
+	if k := hello.Optimizer.Kind; k != "" && k != "adam" {
+		return reject(fmt.Sprintf("unknown optimizer %q", k))
+	}
+	lr := hello.Optimizer.LR
+	if err := nn.ValidateLR(lr); err != nil {
+		return reject(err.Error())
+	}
+	if lr == 0 {
+		lr = 1e-3
 	}
 
 	// Under sustained overload the controller sheds new clients before
@@ -555,10 +567,22 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 		}
 		return nil, fmt.Errorf("shed %q: overloaded (retry after %v)", hello.ClientID, retry)
 	}
+
+	// Reserve the client's persistent footprint (adapter params,
+	// grads, Adam moments, process context) outside the request
+	// queue, before the instance and its adapter are allocated. The
+	// reservation shrinks the schedulable pool for the client's
+	// lifetime. A live session's ID already holds its reservation.
+	if err := s.scheduler.Reserve("persist:"+hello.ClientID, w.PersistentClientBytes()); err != nil {
+		if errors.Is(err, sched.ErrOutstanding) {
+			return reject(fmt.Sprintf("client %q already has a live session", hello.ClientID))
+		}
+		return reject(fmt.Sprintf("insufficient GPU memory for client state: %v", err))
+	}
+	reserved = true
 	if inst, err = s.store.NewInstance(hello.ClientID, hello.Cut); err != nil {
 		return reject(err.Error())
 	}
-
 	if _, err := inst.AttachAdapter(tensor.NewRNG(hello.AdapterSeed), hello.Adapter); err != nil {
 		return reject(err.Error())
 	}
@@ -577,9 +601,8 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 		features |= hello.Features & split.FeatureActivationCompression
 	}
 
-	// A resuming redial must find its staged snapshot before any state
-	// is built; claiming it early also keeps a bad token from leaking
-	// an instance.
+	// A resuming redial must find its staged snapshot before the
+	// session is profiled.
 	var staged *stagedSession
 	if hello.ResumeToken != 0 {
 		staged = s.takeStaged(hello.ResumeToken)
@@ -591,38 +614,18 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 		}
 	}
 	sess := &session{
-		id:       hello.ClientID,
-		inst:     inst,
-		body:     inst.Body(),
-		params:   inst.AdapterParams(),
-		batch:    hello.Batch,
-		seq:      hello.Seq,
-		features: features,
-		payload:  s.payload,
+		id:        hello.ClientID,
+		inst:      inst,
+		body:      inst.Body(),
+		params:    inst.AdapterParams(),
+		optimizer: nn.NewAdam(lr),
+		batch:     hello.Batch,
+		seq:       hello.Seq,
+		features:  features,
+		payload:   s.payload,
 	}
 	sess.dropParked = func() { sess.parked.Store(nil) }
 	sess.payload.Negotiated = features&split.FeatureActivationCompression != 0
-	if k := hello.Optimizer.Kind; k != "" && k != "adam" {
-		return reject(fmt.Sprintf("unknown optimizer %q", k))
-	}
-	lr := hello.Optimizer.LR
-	if err := nn.ValidateLR(lr); err != nil {
-		return reject(err.Error())
-	}
-	if lr == 0 {
-		lr = 1e-3
-	}
-	sess.optimizer = nn.NewAdam(lr)
-
-	// Reserve the client's persistent footprint (adapter params,
-	// grads, Adam moments, process context) outside the request
-	// queue. The reservation shrinks the schedulable pool for the
-	// client's lifetime.
-	persistent := memmodel.PersistentBytes(inst.Adapter().ParamBytes())
-	if err := s.scheduler.Reserve("persist:"+hello.ClientID, persistent); err != nil {
-		return reject(fmt.Sprintf("insufficient GPU memory for client state: %v", err))
-	}
-	reserved = true
 
 	// Profiling phase (§3.3): random inputs through fwd/bwd.
 	demands, err := measureBody(sess.body, sess.params, hello.Batch, hello.Seq,

@@ -242,15 +242,17 @@ func TestPreservePolicyProducesIdenticalMath(t *testing.T) {
 }
 
 // TestConcurrentClientsShareBase runs several clients at once with
-// different data and different adapter kinds — the heterogeneity §3.1
-// motivates — and verifies isolation plus base integrity.
+// different data and different adapters (both kinds, LoRA at two
+// shapes) — the heterogeneity §3.1 motivates — and verifies isolation
+// plus base integrity.
 func TestConcurrentClientsShareBase(t *testing.T) {
 	srv, addr := newTestServer(t)
 
 	specs := []adapter.Spec{
 		adapter.LoRASpec(adapter.DefaultLoRA()),
 		adapter.PrefixSpec(adapter.PrefixConfig{PrefixLen: 4}),
-		adapter.BottleneckSpec(adapter.BottleneckConfig{Hidden: 12}),
+		adapter.LoRASpec(adapter.LoRAConfig{Rank: 4, Alpha: 8,
+			Targets: []adapter.Target{adapter.TargetQ, adapter.TargetK, adapter.TargetV, adapter.TargetO}}),
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(specs))
@@ -317,8 +319,8 @@ func TestHandshakeRejections(t *testing.T) {
 	t.Run("bad seq", func(t *testing.T) {
 		cfg := clientCfg("bad-seq")
 		cfg.Seq = testModelCfg().MaxSeq + 1
-		if _, err := client.Dial(addr, cfg); !errors.Is(err, client.ErrRejected) {
-			t.Fatalf("err = %v", err)
+		if _, err := client.Dial(addr, cfg); err == nil {
+			t.Fatal("bad seq accepted")
 		}
 	})
 	t.Run("duplicate id", func(t *testing.T) {
@@ -368,19 +370,22 @@ func TestSGDHelloRefused(t *testing.T) {
 }
 
 // TestHandshakeRefusalsReleaseEverything: every refusal a raw Hello can
-// reach after the server built the client's instance — before and after
-// the persistent reservation — leaves the scheduler's budget and the
+// reach — an invalid or oversized spec before anything is built, an
+// unknown optimizer or learning rate, and refusals after the persistent
+// reservation and the instance — leaves the scheduler's budget and the
 // store's live instances as they were by the time the refusal arrives.
+// None of them costs the server: a healthy client trains afterwards.
 func TestHandshakeRefusalsReleaseEverything(t *testing.T) {
 	_, mb, persist := tenantFootprint(t)
 	store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Room for a client's persistent state, not for its backward.
+	// Room for one client's persistent state and backward, not for the
+	// backward of twice its batch.
 	srv, addr := startServer(t, Config{
 		Store: store,
-		GPU:   gpu.NewDevice(gpu.Spec{Name: "small", MemoryBytes: store.BaseParamBytes() + persist + mb - 1}),
+		GPU:   gpu.NewDevice(gpu.Spec{Name: "small", MemoryBytes: store.BaseParamBytes() + persist + mb}),
 	})
 	for _, tc := range []struct {
 		name   string
@@ -392,7 +397,16 @@ func TestHandshakeRefusalsReleaseEverything(t *testing.T) {
 		{"NaN learning rate", func(h *split.Hello) { h.Optimizer.LR = math.NaN() }, "learning rate NaN is not finite"},
 		{"infinite learning rate", func(h *split.Hello) { h.Optimizer.LR = math.Inf(1) }, "learning rate +Inf is not finite"},
 		{"unknown resume token", func(h *split.Hello) { h.ResumeToken = 4242 }, "unknown resume token 4242"},
-		{"backward above schedulable", func(*split.Hello) {}, "exceeds schedulable memory"},
+		{"backward above schedulable", func(h *split.Hello) { h.Batch *= 2 }, "exceeds schedulable memory"},
+		{"seq above max seq", func(h *split.Hello) { h.Seq = testModelCfg().MaxSeq + 1 }, "max seq 128"},
+		{"huge LoRA rank", func(h *split.Hello) { h.Adapter.Rank = 1 << 50 }, "above model dim"},
+		{"huge prefix", func(h *split.Hello) {
+			h.Adapter = adapter.PrefixSpec(adapter.PrefixConfig{PrefixLen: 1 << 50})
+		}, "above max seq"},
+		{"repeated target", func(h *split.Hello) {
+			h.Adapter.Targets = []adapter.Target{adapter.TargetV, adapter.TargetV}
+		}, "target v repeated"},
+		{"retired adapter kind", func(h *split.Hello) { h.Adapter = adapter.Spec{Kind: 3} }, "unknown kind 3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			available, instances := srv.Scheduler().Available(), store.ActiveInstances()
@@ -424,6 +438,27 @@ func TestHandshakeRefusalsReleaseEverything(t *testing.T) {
 				t.Errorf("live instances %d after the refusal, %d before", got, instances)
 			}
 		})
+	}
+
+	cfg := clientCfg("healthy")
+	ids, targets := batchFor(cfg, 5)
+	c, err := client.Dial(addr, cfg)
+	if err != nil {
+		t.Fatalf("a healthy client after the refusals: %v", err)
+	}
+	defer c.Close()
+	first, err := c.Step(ids, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := first
+	for i := 0; i < 5; i++ {
+		if last, err = c.Step(ids, targets); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if last.Loss >= first.Loss {
+		t.Fatalf("healthy client did not learn: %v -> %v", first.Loss, last.Loss)
 	}
 }
 

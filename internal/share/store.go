@@ -7,6 +7,7 @@
 package share
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -58,7 +59,11 @@ func NewStoreFromModel(m *model.Transformer) (*Store, error) {
 		master:    m,
 		instances: make(map[string]*Instance),
 	}
-	s.checksum = s.computeChecksum()
+	sum, err := s.computeChecksum()
+	if err != nil {
+		return nil, fmt.Errorf("share: %w", err)
+	}
+	s.checksum = sum
 	return s, nil
 }
 
@@ -85,7 +90,8 @@ func (s *Store) ActiveInstances() int {
 // Instance is one client's structural view over the shared base: its
 // own Block objects referencing the shared parameter tensors, cropped
 // to the client's cut layer, with the client's private adapter
-// attached.
+// attached. The adapter is injected into those blocks only, so it is
+// dropped together with the instance.
 type Instance struct {
 	ClientID string
 	Cut      int
@@ -154,15 +160,11 @@ func (i *Instance) AdapterParams() []nn.Param {
 	return i.adapter.Params()
 }
 
-// Release detaches the adapter and returns the instance to the store.
-// Releasing twice is an error.
+// Release returns the instance to the store. Releasing twice is an
+// error.
 func (i *Instance) Release() error {
 	if i.released {
 		return ErrReleased
-	}
-	if i.adapter != nil {
-		i.adapter.Remove()
-		i.adapter = nil
 	}
 	i.released = true
 	i.store.mu.Lock()
@@ -176,54 +178,30 @@ func (i *Instance) Release() error {
 // contract. Menos servers call this periodically (and tests always) to
 // prove that no client's fine-tuning touched the shared base.
 func (s *Store) VerifyIntegrity() error {
-	if got := s.computeChecksum(); got != s.checksum {
+	got, err := s.computeChecksum()
+	if err != nil {
+		return err
+	}
+	if got != s.checksum {
 		return fmt.Errorf("%w: checksum %x != %x", ErrCorrupted, got, s.checksum)
 	}
 	return nil
 }
 
-// computeChecksum hashes every base parameter tensor.
-func (s *Store) computeChecksum() uint64 {
+// computeChecksum hashes every base parameter tensor the master lists:
+// the same listing a weights file holds, independent of frozen state.
+func (s *Store) computeChecksum() (uint64, error) {
+	params, err := s.master.BaseParams()
+	if err != nil {
+		return 0, err
+	}
 	h := fnv.New64a()
 	buf := make([]byte, 4)
-	hashTensor := func(t *tensor.Tensor) {
-		for _, v := range t.Data() {
-			bits := math.Float32bits(v)
-			buf[0] = byte(bits)
-			buf[1] = byte(bits >> 8)
-			buf[2] = byte(bits >> 16)
-			buf[3] = byte(bits >> 24)
+	for _, p := range params {
+		for _, v := range p.Value.Data() {
+			binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
 			h.Write(buf)
 		}
 	}
-	m := s.master
-	hashTensor(m.Embed.Table.Value)
-	if m.Pos != nil {
-		hashTensor(m.Pos.Table.Value)
-	}
-	// Hash block parameters via the frozen-state-independent listing:
-	// temporarily unfreezing would race with concurrent use, so walk
-	// the known structure instead.
-	for _, b := range m.Blocks {
-		for _, op := range []nn.Op{b.Norm1, b.Norm2, b.Attn.Q, b.Attn.K, b.Attn.V, b.Attn.O,
-			b.FFN.Up, b.FFN.Down, b.FFN.Gate} {
-			if op == nil {
-				continue
-			}
-			switch l := op.(type) {
-			case *nn.Linear:
-				hashTensor(l.W.Value)
-				if l.B.Value != nil {
-					hashTensor(l.B.Value)
-				}
-			case *nn.LayerNorm:
-				hashTensor(l.Gamma.Value)
-				hashTensor(l.Beta.Value)
-			case *nn.RMSNorm:
-				hashTensor(l.Gamma.Value)
-			}
-		}
-	}
-	hashTensor(m.LMHead.W.Value)
-	return h.Sum64()
+	return h.Sum64(), nil
 }

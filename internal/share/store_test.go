@@ -225,6 +225,30 @@ func TestIntegrityDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestIntegrityCoversTheFinalNorm: the final norm is a base parameter
+// like any other, so a changed γ — LayerNorm's for OPT, RMSNorm's for
+// Llama — is a corrupted base.
+func TestIntegrityCoversTheFinalNorm(t *testing.T) {
+	for _, family := range []model.Family{model.FamilyOPT, model.FamilyLlama} {
+		t.Run(family.String(), func(t *testing.T) {
+			s := testStore(t, family)
+			var gamma *tensor.Tensor
+			switch n := s.Master().Norm.(type) {
+			case *nn.LayerNorm:
+				gamma = n.Gamma.Value
+			case *nn.RMSNorm:
+				gamma = n.Gamma.Value
+			default:
+				t.Fatalf("final norm is a %T", n)
+			}
+			gamma.Data()[0] += 1
+			if err := s.VerifyIntegrity(); !errors.Is(err, ErrCorrupted) {
+				t.Fatalf("final-norm corruption not detected: %v", err)
+			}
+		})
+	}
+}
+
 // TestMemoryScalingIsSublinear is Fig. 5 in miniature: N instances cost
 // one base copy plus N small adapter footprints.
 func TestMemoryScalingIsSublinear(t *testing.T) {
@@ -240,7 +264,9 @@ func TestMemoryScalingIsSublinear(t *testing.T) {
 		if _, err := inst.AttachAdapter(tensor.NewRNG(uint64(10+i)), adapter.LoRASpec(adapter.DefaultLoRA())); err != nil {
 			t.Fatal(err)
 		}
-		private += 2 * inst.Adapter().ParamBytes() // values + gradients: the 𝔸 term
+		for _, p := range inst.AdapterParams() {
+			private += p.Value.Bytes() + p.Grad.Bytes() // the 𝔸 term
+		}
 	}
 	shared := base + private
 	duplicated := base * n

@@ -86,6 +86,10 @@ func (m *Hello) decodeExt(d *decoder) {
 	}
 }
 
+// encodeSpec writes an adapter spec. Its trailing i64 is reserved: it
+// carried the width of a retired adapter kind, is written as 0 and is
+// read and discarded, so every frame keeps its bytes and a Hello naming
+// the retired kind still decodes (and is refused at validation).
 func encodeSpec(e *encoder, s adapter.Spec) {
 	e.u8(uint8(s.Kind))
 	e.i64(int64(s.Rank))
@@ -95,7 +99,7 @@ func encodeSpec(e *encoder, s adapter.Spec) {
 		e.u8(uint8(t))
 	}
 	e.i64(int64(s.PrefixLen))
-	e.i64(int64(s.Hidden))
+	e.i64(0)
 }
 
 func decodeSpec(d *decoder) adapter.Spec {
@@ -112,7 +116,7 @@ func decodeSpec(d *decoder) adapter.Spec {
 		s.Targets = append(s.Targets, adapter.Target(d.u8()))
 	}
 	s.PrefixLen = int(d.i64())
-	s.Hidden = int(d.i64())
+	d.i64()
 	return s
 }
 

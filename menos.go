@@ -77,15 +77,14 @@ var (
 type (
 	// AdapterSpec is a serializable fine-tuning adapter description.
 	AdapterSpec = adapter.Spec
-	// AdapterKind selects LoRA, prefix-tuning or bottleneck adapters.
+	// AdapterKind selects LoRA or prefix-tuning, the paper's two kinds.
 	AdapterKind = adapter.Kind
 )
 
 // Adapter kinds.
 const (
-	AdapterLoRA       = adapter.KindLoRA
-	AdapterPrefix     = adapter.KindPrefix
-	AdapterBottleneck = adapter.KindBottleneck
+	AdapterLoRA   = adapter.KindLoRA
+	AdapterPrefix = adapter.KindPrefix
 )
 
 // DefaultLoRA returns the paper's LoRA configuration (r=8, α=16, on
