@@ -1,9 +1,9 @@
 // Package adapter implements the paper's two parameter-efficient
 // fine-tuning adapters: LoRA (its evaluated method) and prefix-tuning.
-// Adapters attach to a model instance without
-// modifying base parameters, which is precisely what makes base-model
-// sharing across clients safe (§3.1): the base tensors stay read-only
-// while each client owns its private adapter parameters φ.
+// Adapters attach to a model instance without modifying base
+// parameters, which is precisely what makes base-model sharing across
+// clients safe (§3.1): the base tensors stay read-only while each
+// client owns its private adapter parameters φ.
 package adapter
 
 import (
