@@ -104,14 +104,18 @@ test-race:
 # the controller's fleet.Manager lock), and the ledger's writers racing
 # its snapshots over more clients than it has accounts (each row is
 # read from its family series and the rows add up to what was written),
-# all under the race detector; and the LayerNorm invariance property
-# over its time-seeded generator.
+# all under the race detector; and, over their time-seeded generators,
+# the LayerNorm invariance property and the priced-demands property
+# (memmodel's M_f and M_b against what a server body really holds, both
+# families and adapter kinds, pool parallelism 1 and 4: 40 geometries a
+# run, ≈ 1 s each).
 test-stress:
 	$(GO) test -race -count=20 -run 'TestClaimVersusRevokeHammer' ./internal/sched
 	$(GO) test -race -count=20 -run TestLedgerConcurrentConservation ./internal/obs
 	$(GO) test -race -count=20 -run '^(TestContentionIsFig3d|TestBatchingFollowsPressure)$$' ./internal/server
 	$(GO) test -race -count=20 -run TestHandlersRaceTheTicks ./cmd/menos-fleetd
 	$(GO) test -count=500 -run 'TestLayerNormInvarianceProperty' ./internal/nn
+	$(GO) test -count=40 -run 'TestPricedDemandsBoundTheBodyProperty' ./internal/memmodel
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -172,7 +172,7 @@ func run(args []string) error {
 	}
 	defer c.Close()
 	fwd, bwd := c.Demands()
-	fmt.Printf("menos-client %s: admitted (server profiled fwd=%d bwd=%d bytes)\n", *id, fwd, bwd)
+	fmt.Printf("menos-client %s: admitted (server priced fwd=%d bwd=%d bytes)\n", *id, fwd, bwd)
 
 	var finalLoss float64
 	for step := 0; step < *steps; step++ {

@@ -70,7 +70,7 @@ func run() error {
 	}
 	defer c.Close()
 	fwd, bwd := c.Demands()
-	fmt.Printf("admitted: server profiled forward=%d bytes, backward=%d bytes\n\n", fwd, bwd)
+	fmt.Printf("admitted: server priced forward=%d bytes, backward=%d bytes\n\n", fwd, bwd)
 
 	for step := 0; step < 40; step++ {
 		ids, targets := loader.Next()

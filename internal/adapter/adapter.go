@@ -44,7 +44,7 @@ func (k Kind) String() string {
 }
 
 // Spec is a serializable adapter description: the fine-tuning
-// configuration a client reports to the server during profiling (§3.3).
+// configuration a client reports to the server in its Hello (§3.3).
 // Exactly the fields for the chosen Kind are meaningful.
 type Spec struct {
 	Kind Kind

@@ -378,8 +378,9 @@ func (c *Client) handshake() error {
 // propagation at handshake.
 func (c *Client) TraceNegotiated() bool { return c.traceOK }
 
-// Demands returns the server-profiled memory requirements for this
-// client.
+// Demands returns this client's memory demands, M_f and M_b, as the
+// server priced them from its Hello's workload and sent them in the
+// HelloAck.
 func (c *Client) Demands() (forward, backward int64) {
 	return c.demands.ForwardBytes, c.demands.BackwardBytes
 }

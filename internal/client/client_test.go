@@ -96,6 +96,11 @@ func TestConfigValidation(t *testing.T) {
 			c.Adapter.Targets = []adapter.Target{adapter.TargetQ, adapter.TargetQ}
 		}},
 		{"retired adapter kind", func(c *client.Config) { c.Adapter = adapter.Spec{Kind: 3} }},
+		{"batch 1<<40", func(c *client.Config) { c.Batch = 1 << 40 }},
+		{"batch 1<<60 seq 16", func(c *client.Config) { c.Batch, c.Seq = 1<<60, 16 }},
+		{"rows one past the frame limit", func(c *client.Config) {
+			c.Batch, c.Seq = split.MaxFrameBytes/4/c.Model.Dim+1, 1
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 // deployment*: the input section runs locally, the body on the Menos
 // server, the output head locally, one server round-trip per token.
 // Temperature 0 means greedy decoding. The context window is capped at
-// the session's profiled sequence length, keeping every request within
-// the server's profiled memory demand.
+// the session's Hello sequence length, keeping every request within
+// the server's priced memory demand.
 func (c *Client) Generate(rng *tensor.RNG, prompt []int, maxNew int, temperature float64) ([]int, error) {
 	if err := model.CheckPrompt(c.cfg.Model, prompt, maxNew, temperature); err != nil {
 		return nil, fmt.Errorf("client: %w", err)

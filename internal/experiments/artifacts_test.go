@@ -106,14 +106,14 @@ var tableDigests = map[string]string{
 	"extensions/multi-server":  "0da3d9c0809c6b64568fb4f43d26ed083f599d4c59a4746164407f71e41db1c4",
 	"extensions/quantization":  "a7b85b4fcb82ffd1ace196353a1b06e2f82ec00c5abcdea7ae09227fee03551f",
 	"fig10/Fig. 10: fine-tuning time (s), CPU clients, multi-GPU server": "5a517cd934f4886a57e2799810dfdc282a94cfc93a89520a4ac66b366035682a",
-	"fig3": "4c1efe17cd71cb021c8288be2eb8302882d3aa174fa0781f9ca681a35fb67650",
+	"fig3": "6a63670904531347fa8209bb9e4b07da4092abf03bb03c6952c10cdd8889c909",
 	"fig5/Fig. 5 (Llama 2-7B): persistent GPU memory (GiB) vs clients":    "e327c5f0ea01fb06db9a6d54231ed45c92c289e45f78a8e7c1f3a5e1f31d3861",
 	"fig5/Fig. 5 (OPT-1.3B): persistent GPU memory (GiB) vs clients":      "5a8bd6280570df3b17c1a047aa9408f24a3e43c4713acd3fc2f06f24c5e77f0f",
 	"fig6/Fig. 6 (Llama 2-7B): per-round fine-tuning time (s) vs clients": "dbd6f03be1639f6d74f29f837bb76f6c00b3e984bcf2e0176c412b698757f241",
 	"fig6/Fig. 6 (OPT-1.3B): per-round fine-tuning time (s) vs clients":   "3810fb9c53449f2bc6e8b21f0dd2160c32af15e8fff1f34049394e3d98b63a60",
 	"fig7/Fig. 7 (Llama 2-7B): average schedule time (s) vs clients":      "41fd74a51926f5ce480241d6c19aa17df115a6014973ccb23999e05e857b8ea7",
 	"fig7/Fig. 7 (OPT-1.3B): average schedule time (s) vs clients":        "ca1bd986bb017a325466600f682566aa758ad3ce6a869ade3f337bd71b7b9e5a",
-	"fleet":       "1df53195939de0fcec70aab47e9c1d776d68852d3379570eb43a16d74958b238",
+	"fleet":       "9f13e69011b0de1f1f2ec869778d0d41d446ed5acf70ee14d7f58cdfb6f4b06f",
 	"measurement": "37ee71620dfe6aa4bb920414161031fa94a192965038ec6b2901673ae3e1617f",
 	"multilora":   "be960887e1e90ad7eed6999a312dabcb73ad1772fb013c0e233505fc1541a81f",
 	"overload":    "b87bc6bad03771751827d6694201a52b9ab504b61675803df7340cbe70431a56",

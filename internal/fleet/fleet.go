@@ -28,9 +28,9 @@ var ErrLastServer = errors.New("fleet: cannot drain the last server that is not 
 
 // ClientInfo is what the control plane knows about a client before
 // placing it: identity, the base model it needs resident, and the
-// memory-model prediction of its footprint (internal/memmodel §3.3
-// profiling — persistent adapter/optimizer state plus the largest
-// transient forward/backward peak).
+// memory-model prediction of its footprint (internal/memmodel's
+// pricing of §3.3's demands — persistent adapter/optimizer state plus
+// the largest transient forward/backward peak).
 type ClientInfo struct {
 	ID        string
 	BaseModel string

@@ -17,14 +17,15 @@ import (
 	"menos/internal/adapter"
 	"menos/internal/model"
 	"menos/internal/quant"
+	"menos/internal/split"
 )
 
 // ErrWorkload is returned (wrapped) for invalid workload descriptions.
 var ErrWorkload = errors.New("memmodel: invalid workload")
 
 // Workload describes one client's fine-tuning configuration — exactly
-// the information the client reports to the server for profiling
-// (§3.3).
+// the information the client reports to the server in its Hello, from
+// which the server prices §3.3's memory demands.
 type Workload struct {
 	Model   model.Config
 	Cut     int // client keeps blocks [0, Cut)
@@ -59,6 +60,14 @@ func (w Workload) Validate() error {
 	}
 	if w.Batch <= 0 || w.Seq <= 0 || w.Seq > w.Model.MaxSeq {
 		return fmt.Errorf("%w: batch %d seq %d (max seq %d)", ErrWorkload, w.Batch, w.Seq, w.Model.MaxSeq)
+	}
+	// An iteration's activations cross the cut in one frame, so rows
+	// whose batch·seq·dim floats cannot be framed are unusable. Bounding
+	// them here, by division, also keeps every price's product in int64.
+	maxRows := split.MaxFrameBytes / bytesPerFloat / w.Model.Dim
+	if w.Batch > maxRows/w.Seq {
+		return fmt.Errorf("%w: batch %d × seq %d rows of dim %d exceed the %d-byte frame limit",
+			ErrWorkload, w.Batch, w.Seq, w.Model.Dim, split.MaxFrameBytes)
 	}
 	return nil
 }
@@ -153,16 +162,43 @@ func (w Workload) ActivationBytes() int64 {
 	return w.activationFloatsPerRowPerBlock() * w.rows() * w.serverBlocks() * bytesPerFloat
 }
 
-// NoGradForwardBytes returns the transient working memory of the
-// non-gradient forward pass of Fig. 3(d): a few live activation
-// tensors, independent of depth.
+// NoGradForwardBytes returns M_f: the high-water mark of the working
+// memory of the non-gradient forward pass of Fig. 3(d), independent of
+// depth. It is derived term by term from what a block's no-grad
+// forward holds at once in internal/model, and the memmodel property
+// test checks it against the scratch arena's measured high-water.
+// Throughout a block the hidden entering it (d per row) stays live, and
+// on top of it the larger of the two sublayers' peaks:
+//   - attention: the Norm1 output, q, k, v and the context (5d per
+//     row), plus the head loop's buffers — each (batch, head) body's
+//     query, key, value and output slices and its score matrix. They
+//     are priced for every body at once, the most the pool can run in
+//     parallel, so the price holds at any parallelism. The O
+//     projection's output, and a LoRA wrapping's x·A and x·A·B, stay
+//     below that;
+//   - the FFN: the first residual sum and the Norm2 output (2d), with
+//     OPT's up-projection and GELU outputs (2f) or, at the down
+//     projection, the GELU output and the result (f + d); Llama's
+//     SwiGLU holds three f-wide temporaries and then the result (3f + d).
 func (w Workload) NoGradForwardBytes() int64 {
 	d := int64(w.Model.Dim)
 	f := int64(w.Model.FFN)
-	// Live set: current hidden, residual, widest FFN temporary, plus
-	// attention workspace.
-	perRow := 2*d + 2*f + int64(w.Model.Heads)*int64(w.Seq)
-	return perRow * w.rows() * bytesPerFloat
+	h := int64(w.Model.Heads)
+	batch, seq := int64(w.Batch), int64(w.Seq)
+	ext := seq // attention context length (prefix extends it)
+	if w.Adapter.Kind == adapter.KindPrefix {
+		ext += int64(w.Adapter.PrefixLen)
+	}
+	headLoop := batch * ((2*seq+2*ext)*d + h*seq*ext)
+	attn := 6*d*w.rows() + headLoop
+	var ffn int64
+	switch w.Model.Family {
+	case model.FamilyOPT:
+		ffn = (3*d + f + max(f, d)) * w.rows()
+	case model.FamilyLlama:
+		ffn = (4*d + 3*f) * w.rows()
+	}
+	return max(attn, ffn) * bytesPerFloat
 }
 
 // BackwardPeakBytes returns the peak memory of the re-forward plus

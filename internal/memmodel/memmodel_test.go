@@ -5,6 +5,7 @@ import (
 
 	"menos/internal/adapter"
 	"menos/internal/model"
+	"menos/internal/split"
 	"menos/internal/tensor"
 )
 
@@ -35,6 +36,9 @@ func TestWorkloadValidate(t *testing.T) {
 			w.Adapter = adapter.PrefixSpec(adapter.PrefixConfig{PrefixLen: w.Model.MaxSeq + 1})
 		}},
 		{"retired kind", func(w *Workload) { w.Adapter = adapter.Spec{Kind: 3} }},
+		{"batch 1<<40", func(w *Workload) { w.Batch = 1 << 40 }},
+		{"batch 1<<60 seq 16", func(w *Workload) { w.Batch, w.Seq = 1<<60, 16 }},
+		{"rows past the frame limit", func(w *Workload) { w.Batch, w.Seq = frameRows(*w)+1, 1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -45,7 +49,16 @@ func TestWorkloadValidate(t *testing.T) {
 			}
 		})
 	}
+	atLimit := PaperLlamaWorkload()
+	atLimit.Batch, atLimit.Seq = frameRows(atLimit), 1
+	if err := atLimit.Validate(); err != nil {
+		t.Fatalf("rows that fill one frame refused: %v", err)
+	}
 }
+
+// frameRows is the most batch·seq rows of w's model one activation
+// frame can carry.
+func frameRows(w Workload) int { return split.MaxFrameBytes / 4 / w.Model.Dim }
 
 // TestMeasurementStudy reproduces §2.3: Llama 2-7B, LoRA, batch 4 —
 // the paper measures ≈24 GB base, 246 MB adapter+optimizer, 4 GB

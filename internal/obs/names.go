@@ -70,9 +70,8 @@ const (
 	MetricServerWaitSeconds    = "menos_server_sched_wait_seconds"
 	MetricServerActiveClients  = "menos_server_active_clients"
 	// Serial backwards that had to re-forward (parked cache revoked, or
-	// never kept), and kept caches larger than the grant profiled for them.
-	MetricServerReforwards        = "menos_server_reforwards_total"
-	MetricServerProfileViolations = "menos_server_profile_violations_total"
+	// never kept).
+	MetricServerReforwards = "menos_server_reforwards_total"
 
 	// Client plane (internal/client).
 	MetricClientIterations  = "menos_client_iterations_total"

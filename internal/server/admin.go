@@ -122,7 +122,7 @@ func (s *Server) handleAdminSessions(w http.ResponseWriter, req *http.Request) {
 			Seq:         sess.seq,
 			Features:    sess.features,
 			Migrating:   pending,
-			DemandBytes: sess.demands.committed(),
+			DemandBytes: sess.committed(),
 		})
 	}
 	s.mu.Unlock()

@@ -55,7 +55,7 @@ func (s *Server) LoadSnapshot() fleet.LoadSnapshot {
 	s.mu.Lock()
 	clients := len(s.sessions)
 	for _, sess := range s.sessions {
-		committed += sess.demands.committed()
+		committed += sess.committed()
 	}
 	s.mu.Unlock()
 	// UsedBytes mirrors what the simulator reports: device residency

@@ -270,80 +270,3 @@ func contend(t testing.TB, addr string, tenants, steps int, sch *sched.Scheduler
 	release()
 	return losses
 }
-
-// TestProfileViolationRaisesBackwardDemand: a kept cache larger than the
-// session's profiled M_b is a profile violation once. The session's M_b
-// is raised to what the cache measured, so the next forwards keep their
-// caches on a grant that covers them and the backwards claim them.
-func TestProfileViolationRaisesBackwardDemand(t *testing.T) {
-	const steps = 4
-	cfg := clientCfg("underprofiled")
-	ids, targets := batchFor(cfg, 14)
-	_, plainAddr := newTestServer(t)
-	c, err := client.Dial(plainAddr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := stepLosses(c, ids, targets, steps, nil)
-	_ = c.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	fr := newFlight(t)
-	srv, addr := startServer(t, Config{Metrics: reg, Flight: fr})
-	c, err = client.Dial(addr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	mf, mb := c.Demands()
-	// One round trip first, so the session goroutine is past its
-	// admission log line (which reads the demands) before they change.
-	// The evaluation parks a cache the first step's forward gives back.
-	if _, err := c.Evaluate(ids, targets); err != nil {
-		t.Fatal(err)
-	}
-	srv.mu.Lock()
-	sess := srv.sessions[cfg.ClientID]
-	sess.demands.BackwardBytes = mf // a profile that undershoots what a kept cache holds
-	srv.mu.Unlock()
-	got, err := stepLosses(c, ids, targets, steps, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("step %d: loss %v, correctly profiled %v", i, got[i], want[i])
-		}
-	}
-	if v := reg.Counter(obs.MetricServerProfileViolations).Value(); v != 1 {
-		t.Errorf("%d profile violations over %d steps, want 1", v, steps)
-	}
-	if got := flightReasons(t, fr); got[obs.FlightReasonProfile] != 1 {
-		t.Errorf("flight records by reason %v, want exactly one %q", got, obs.FlightReasonProfile)
-	}
-	if hits, refwd := srv.Scheduler().Stats().Claimed, srv.Stats().Reforwards; hits != steps-1 || refwd != 1 {
-		t.Errorf("claim hits %d, re-forwards %d; want %d and 1 (only the violating iteration re-forwards)", hits, refwd, steps-1)
-	}
-	srv.mu.Lock()
-	raised := sess.demands.BackwardBytes
-	srv.mu.Unlock()
-	if raised <= mf || raised >= mb {
-		t.Errorf("raised M_b %d, want the kept cache's size: above the undershoot %d, below the profile %d", raised, mf, mb)
-	}
-
-	// The raise is capped at schedulable and never lowers a demand:
-	// another tenant's handshake can shrink schedulable below M_b between
-	// the forward's grow and the check, and no server run orders that.
-	for _, c := range []struct{ profiled, kept, schedulable, want int64 }{
-		{100, 150, 400, 150}, // the kept cache's size
-		{100, 500, 400, 400}, // no more than a grant can ever be
-		{100, 150, 80, 100},  // schedulable shrank below M_b: unchanged
-	} {
-		if got := raisedBackwardDemand(c.profiled, c.kept, c.schedulable); got != c.want {
-			t.Errorf("raisedBackwardDemand(%d, %d, %d) = %d, want %d", c.profiled, c.kept, c.schedulable, got, c.want)
-		}
-	}
-}

@@ -1,7 +1,7 @@
 // Package server implements the real (functional-plane) Menos server:
 // it accepts split fine-tuning clients over any net.Listener, shares
-// one base model across all of them through a share.Store, profiles
-// each client's memory demands on arrival, and runs every forward and
+// one base model across all of them through a share.Store, prices
+// each client's memory demands from its Hello, and runs every forward and
 // backward under the Algorithm-2 scheduler with on-demand memory
 // allocation — Algorithm 1's serving loop, executing real tensor math.
 // A forward's activations are a revocable grant: kept for the backward
@@ -139,13 +139,12 @@ type Server struct {
 // exist, in a private registry when Config.Metrics is nil, because
 // Stats reads them.
 type serverMetrics struct {
-	admitted          *obs.Counter
-	iterations        *obs.Counter
-	compute           *obs.Histogram
-	schedWait         *obs.Histogram
-	active            *obs.Gauge
-	reforwards        *obs.Counter
-	profileViolations *obs.Counter
+	admitted   *obs.Counter
+	iterations *obs.Counter
+	compute    *obs.Histogram
+	schedWait  *obs.Histogram
+	active     *obs.Gauge
+	reforwards *obs.Counter
 }
 
 // New creates a server over the shared store. The store's base
@@ -218,13 +217,12 @@ func New(cfg Config) (*Server, error) {
 		reg = obs.NewRegistry()
 	}
 	s.m = serverMetrics{
-		admitted:          reg.Counter(obs.MetricServerAdmitted, "clients admitted at handshake"),
-		iterations:        reg.Counter(obs.MetricServerIterations, "fine-tuning iterations completed"),
-		compute:           reg.Histogram(obs.MetricServerComputeSeconds, obs.DurationBuckets(), "server-side compute per request"),
-		schedWait:         reg.Histogram(obs.MetricServerWaitSeconds, obs.DurationBuckets(), "scheduler grant wait per request"),
-		active:            reg.Gauge(obs.MetricServerActiveClients, "clients currently connected and admitted"),
-		reforwards:        reg.Counter(obs.MetricServerReforwards, "serial backwards that recomputed the forward (no parked cache to claim)"),
-		profileViolations: reg.Counter(obs.MetricServerProfileViolations, "kept activation caches larger than the grant profiled for them"),
+		admitted:   reg.Counter(obs.MetricServerAdmitted, "clients admitted at handshake"),
+		iterations: reg.Counter(obs.MetricServerIterations, "fine-tuning iterations completed"),
+		compute:    reg.Histogram(obs.MetricServerComputeSeconds, obs.DurationBuckets(), "server-side compute per request"),
+		schedWait:  reg.Histogram(obs.MetricServerWaitSeconds, obs.DurationBuckets(), "scheduler grant wait per request"),
+		active:     reg.Gauge(obs.MetricServerActiveClients, "clients currently connected and admitted"),
+		reforwards: reg.Counter(obs.MetricServerReforwards, "serial backwards that recomputed the forward (no parked cache to claim)"),
 	}
 	if cfg.Metrics != nil {
 		s.payload.Compressed = cfg.Metrics.Counter(obs.MetricWireCompressedBytes, "on-wire bytes of compressed activation/gradient payloads sent")
@@ -347,9 +345,11 @@ type session struct {
 	body      *model.BodySection
 	params    []nn.Param
 	optimizer *nn.Adam
-	demands   memDemands
-	batch     int
-	seq       int
+	// mf and mb are Algorithm 2's per-operation demands, M_f and M_b,
+	// priced from the Hello's workload at the handshake and fixed there.
+	mf, mb int64
+	batch  int
+	seq    int
 	// features is the negotiated extension set (the intersection of
 	// the client's Hello offer and what this server accepts).
 	features uint64
@@ -403,8 +403,7 @@ func (s *Server) handleConn(rawConn net.Conn) {
 	s.mu.Unlock()
 	defer s.teardown(sess)
 	defer s.flushWire(sess, conn)
-	s.logf("client %q admitted (fwd=%d bwd=%d bytes)",
-		sess.id, sess.demands.ForwardBytes, sess.demands.BackwardBytes)
+	s.logf("client %q admitted (priced M_f=%d M_b=%d bytes)", sess.id, sess.mf, sess.mb)
 
 	for {
 		s.flushWire(sess, conn)
@@ -488,9 +487,9 @@ func (s *Server) handleConn(rawConn net.Conn) {
 	}
 }
 
-// handshake admits a client: validates and prices the Hello, charges
-// its persistent memory, builds the instance, attaches the adapter, and
-// profiles.
+// handshake admits a client: validates and prices the Hello, refuses a
+// backward that could never be granted, charges its persistent memory,
+// builds the instance and attaches the adapter.
 func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 	msg, err := split.ReadMessage(conn)
 	if err != nil {
@@ -553,8 +552,8 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 	}
 
 	// Under sustained overload the controller sheds new clients before
-	// they are profiled or charged — a retryable rejection, unlike the
-	// hard configuration rejections above.
+	// they are charged — a retryable rejection, unlike the hard
+	// configuration rejections above.
 	if s.scheduler.AdmissionState() == sched.StateShedding {
 		s.ledger.Shed(hello.ClientID)
 		s.cfg.Flight.TriggerAsync(obs.FlightReasonShed)
@@ -568,12 +567,27 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 		return nil, fmt.Errorf("shed %q: overloaded (retry after %v)", hello.ClientID, retry)
 	}
 
+	// Algorithm 2's demands are priced from the workload: §3.3 profiles
+	// them with random inputs because its models are arbitrary, but here
+	// the model families and adapter kinds are a closed set, so they are
+	// a function of the configuration (DESIGN.md §8). Scheduler principle
+	// 1: a backward that could never be granted beside the client's
+	// persistent state is refused now, before anything is reserved or
+	// built, rather than deadlocking the client later. Schedulable, not
+	// Available: another tenant's grant in flight makes this client wait
+	// its turn, it does not make the demand ungrantable.
+	mf, mb, persist := w.NoGradForwardBytes(), w.BackwardPeakBytes(), w.PersistentClientBytes()
+	if schedulable := s.scheduler.Schedulable() - persist; mb > schedulable {
+		s.cfg.Flight.TriggerAsync(obs.FlightReasonOOM)
+		return reject(fmt.Sprintf("backward demand %d exceeds schedulable memory %d", mb, schedulable))
+	}
+
 	// Reserve the client's persistent footprint (adapter params,
 	// grads, Adam moments, process context) outside the request
 	// queue, before the instance and its adapter are allocated. The
 	// reservation shrinks the schedulable pool for the client's
 	// lifetime. A live session's ID already holds its reservation.
-	if err := s.scheduler.Reserve("persist:"+hello.ClientID, w.PersistentClientBytes()); err != nil {
+	if err := s.scheduler.Reserve("persist:"+hello.ClientID, persist); err != nil {
 		if errors.Is(err, sched.ErrOutstanding) {
 			return reject(fmt.Sprintf("client %q already has a live session", hello.ClientID))
 		}
@@ -602,7 +616,7 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 	}
 
 	// A resuming redial must find its staged snapshot before the
-	// session is profiled.
+	// session is admitted.
 	var staged *stagedSession
 	if hello.ResumeToken != 0 {
 		staged = s.takeStaged(hello.ResumeToken)
@@ -619,6 +633,8 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 		body:      inst.Body(),
 		params:    inst.AdapterParams(),
 		optimizer: nn.NewAdam(lr),
+		mf:        mf,
+		mb:        mb,
 		batch:     hello.Batch,
 		seq:       hello.Seq,
 		features:  features,
@@ -627,27 +643,10 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 	sess.dropParked = func() { sess.parked.Store(nil) }
 	sess.payload.Negotiated = features&split.FeatureActivationCompression != 0
 
-	// Profiling phase (§3.3): random inputs through fwd/bwd.
-	demands, err := measureBody(sess.body, sess.params, hello.Batch, hello.Seq,
-		s.store.Config().Dim, hello.AdapterSeed)
-	if err != nil {
-		return reject(fmt.Sprintf("profiling failed: %v", err))
-	}
-	sess.demands = demands
-	// Scheduler principle 1: a demand that could never be granted is
-	// rejected up front rather than deadlocking the client later.
-	// Schedulable, not Available: another tenant's grant in flight makes
-	// this client wait its turn, it does not make the demand ungrantable.
-	if schedulable := s.scheduler.Schedulable(); demands.BackwardBytes > schedulable {
-		s.cfg.Flight.TriggerAsync(obs.FlightReasonOOM)
-		return reject(fmt.Sprintf("backward demand %d exceeds schedulable memory %d",
-			demands.BackwardBytes, schedulable))
-	}
-
-	// Restore a migrated session after profiling: measureBody leaves
-	// zeroed gradients behind, so the snapshot's values, grads,
-	// optimizer slots and step count land on a clean slate and the
-	// client resumes bit-exactly where the source server left off.
+	// Restore a migrated session: the snapshot's values, grads,
+	// optimizer slots and step count land on the instance just built,
+	// which nothing has stepped, and the client resumes bit-exactly where
+	// the source server left off.
 	if staged != nil {
 		// Untraced span (the replayed iteration's trace ID arrives only
 		// with the client's next ForwardReq); the destination side of a
@@ -662,8 +661,8 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 
 	if err := split.WriteMessage(conn, &split.HelloAck{
 		OK:            true,
-		ForwardBytes:  demands.ForwardBytes,
-		BackwardBytes: demands.BackwardBytes,
+		ForwardBytes:  mf,
+		BackwardBytes: mb,
 		Features:      features,
 	}); err != nil {
 		return nil, fmt.Errorf("write ack: %w", err)
@@ -732,13 +731,18 @@ func (s *Server) acquire(kind sched.RequestKind, batchID string, works ...*phase
 	return err
 }
 
-// demand is the profiled scheduler footprint of one phase.
+// demand is the priced scheduler footprint of one phase.
 func (sess *session) demand(kind sched.RequestKind) int64 {
 	if kind == sched.KindBackward {
-		return sess.demands.BackwardBytes
+		return sess.mb
 	}
-	return sess.demands.ForwardBytes
+	return sess.mf
 }
+
+// committed is the session's committed transient demand: the largest
+// single grant it can request. /loadz sums it into committed_bytes and
+// /admin/sessions reports it per session as demand_bytes.
+func (sess *session) committed() int64 { return max(sess.mf, sess.mb) }
 
 // phaseWork is one forward or backward request on its way through an
 // executor: the request envelope (serveForward/serveBackward) fills the
@@ -813,11 +817,11 @@ func (s *Server) serveForward(conn net.Conn, sess *session, req *split.ForwardRe
 	if x == nil {
 		return errors.New("forward request without activations")
 	}
-	// Geometry at or below the profiled one is memory-safe (demands
-	// shrink monotonically); anything larger would invalidate the
-	// profiled M_f/M_b and risk an OOM, so it is rejected.
+	// Geometry at or below the Hello's is memory-safe (every priced
+	// term is monotone in batch and seq); anything larger would outgrow
+	// the priced M_f/M_b and risk an OOM, so it is rejected.
 	if req.Batch <= 0 || req.Seq <= 0 || req.Batch > sess.batch || req.Seq > sess.seq {
-		return fmt.Errorf("geometry (%d,%d) exceeds profiled (%d,%d)",
+		return fmt.Errorf("geometry (%d,%d) exceeds the Hello's (%d,%d)",
 			req.Batch, req.Seq, sess.batch, sess.seq)
 	}
 	if err := s.checkShape("activations", x, req.Batch*req.Seq); err != nil {
@@ -851,7 +855,7 @@ func (s *Server) runForward(w *phaseWork) error {
 	if err := s.acquire(sched.KindForward, "", w); err != nil {
 		return err
 	}
-	keep := s.scheduler.Grow(sess.id, sess.demands.BackwardBytes)
+	keep := s.scheduler.Grow(sess.id, sess.mb)
 	compSpan := s.cfg.Tracer.BeginT(sess.id, obs.SpanForward, w.traceID)
 	compStart := time.Now()
 	xs, cache, err := sess.body.Forward(w.x, w.batch, w.seq, keep)
@@ -861,23 +865,6 @@ func (s *Server) runForward(w *phaseWork) error {
 	}
 	w.out, w.comp = xs, time.Since(compStart)
 	compSpan.End()
-	if keep && cache.Bytes() > sess.demands.BackwardBytes {
-		// Estimate-then-validate: the profiled M_b must cover what is
-		// kept. A profile that does not is reported, the cache is not held
-		// on a grant too small for it, and M_b is raised to what the cache
-		// measured, so the violation happens once rather than every
-		// iteration. The write is under s.mu because /loadz reads the
-		// demands from another goroutine.
-		s.m.profileViolations.Inc()
-		s.cfg.Flight.TriggerAsync(obs.FlightReasonProfile)
-		s.logf("client %q: kept cache %d bytes exceeds profiled backward demand %d",
-			sess.id, cache.Bytes(), sess.demands.BackwardBytes)
-		raised := raisedBackwardDemand(sess.demands.BackwardBytes, cache.Bytes(), s.scheduler.Schedulable())
-		s.mu.Lock()
-		sess.demands.BackwardBytes = raised
-		s.mu.Unlock()
-		keep = false
-	}
 	if !keep {
 		// Release GPU memory before waiting for gradients.
 		rel := s.cfg.Tracer.BeginT(sess.id, obs.SpanRelease, w.traceID)
@@ -890,16 +877,6 @@ func (s *Server) runForward(w *phaseWork) error {
 	s.scheduler.Park(sess.id, sess.dropParked)
 	park.End()
 	return nil
-}
-
-// raisedBackwardDemand is the M_b a profile violation leaves behind: the
-// kept cache's size, capped at what a grant can ever be (a backward
-// demand above schedulable would fail every acquire), and never below
-// the profile it replaces — another tenant's handshake may have shrunk
-// schedulable while the forward computed. A cache larger than the whole
-// schedulable budget therefore stays a violation every time it is kept.
-func raisedBackwardDemand(profiled, kept, schedulable int64) int64 {
-	return max(profiled, min(kept, schedulable))
 }
 
 // serveBackward is Algorithm 1, lines 9-14: decode, validate, run,
@@ -1016,7 +993,7 @@ func (s *Server) sendRetryable(conn net.Conn, ov *sched.OverloadError) {
 
 // serveDecodeOpen starts an incremental-inference session: the KV
 // cache for the whole session is reserved from the scheduler up front
-// (the inference-time analogue of the profiled training demands), so a
+// (the inference-time analogue of the priced training demands), so a
 // decode session can never OOM mid-stream.
 func (s *Server) serveDecodeOpen(conn net.Conn, sess *session, req *split.DecodeOpen) error {
 	reject := func(reason string) error {

@@ -407,6 +407,11 @@ func TestHandshakeRefusalsReleaseEverything(t *testing.T) {
 			h.Adapter.Targets = []adapter.Target{adapter.TargetV, adapter.TargetV}
 		}, "target v repeated"},
 		{"retired adapter kind", func(h *split.Hello) { h.Adapter = adapter.Spec{Kind: 3} }, "unknown kind 3"},
+		{"batch 1<<40", func(h *split.Hello) { h.Batch = 1 << 40 }, "frame limit"},
+		{"batch 1<<60 seq 16", func(h *split.Hello) { h.Batch, h.Seq = 1<<60, 16 }, "frame limit"},
+		{"rows one past the frame limit", func(h *split.Hello) {
+			h.Batch, h.Seq = split.MaxFrameBytes/4/testModelCfg().Dim+1, 1
+		}, "frame limit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			available, instances := srv.Scheduler().Available(), store.ActiveInstances()
@@ -517,7 +522,7 @@ func TestAbruptDisconnectReleasesInstance(t *testing.T) {
 	}
 }
 
-// TestServerRejectsOversizedGeometry: the profiled batch/seq bound the
+// TestServerRejectsOversizedGeometry: the Hello's batch/seq bound the
 // granted memory; a larger request must be an error, not an OOM, while
 // smaller geometry (e.g. single-token generation) is memory-safe and
 // accepted.
@@ -533,7 +538,7 @@ func TestServerRejectsOversizedGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Smaller-than-profiled geometry works (profiled 2x6).
+	// Geometry below the Hello's works (the Hello's is 2x6).
 	small := tensor.New(4, testModelCfg().Dim)
 	if err := split.WriteMessage(conn, &split.ForwardReq{Iter: 0, Batch: 1, Seq: 4, Activations: small}); err != nil {
 		t.Fatal(err)
@@ -546,7 +551,7 @@ func TestServerRejectsOversizedGeometry(t *testing.T) {
 		t.Fatalf("small geometry rejected: %v", msg.MsgType())
 	}
 
-	// Larger-than-profiled geometry is rejected.
+	// Geometry above the Hello's is rejected.
 	big := tensor.New(48, testModelCfg().Dim)
 	if err := split.WriteMessage(conn, &split.ForwardReq{Iter: 1, Batch: 8, Seq: 6, Activations: big}); err != nil {
 		t.Fatal(err)

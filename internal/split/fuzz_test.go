@@ -2,6 +2,8 @@ package split
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 
 	"menos/internal/adapter"
@@ -20,7 +22,10 @@ func fuzzPack(f *testing.F, rng *tensor.RNG, c quant.Codec) *quant.Packed {
 
 // FuzzReadMessage feeds arbitrary byte streams to the frame decoder.
 // The invariant: ReadMessage either returns a message or an error —
-// never panics, never reads past the frame. Run with
+// never panics, never reads past the frame — and a decoded packed
+// payload, which the decoder passes on unchecked, unpacks through
+// Payload to either an error wrapping quant.ErrQuant or a tensor of
+// exactly its declared shape. Run with
 // `go test -fuzz FuzzReadMessage ./internal/split` to explore; the
 // seed corpus (valid frames plus mutations) runs in normal `go test`.
 func FuzzReadMessage(f *testing.F) {
@@ -58,6 +63,17 @@ func FuzzReadMessage(f *testing.F) {
 		&BackwardResp{Iter: 3, TraceID: 0xbeef, Packed: fuzzPack(f, rng, quant.CodecFP16)},
 		&Hello{ClientID: "d", ModelName: "m", Cut: 1,
 			Adapter: adapter.PrefixSpec(adapter.DefaultPrefix())},
+		// Packed payloads the codec must refuse: an int8 tensor one scale
+		// short, an fp16 one with an odd byte count, a zero and a negative
+		// dimension.
+		&ForwardReq{Iter: 4, Batch: 1, Seq: 2, Packed: &quant.Packed{Codec: quant.CodecInt8,
+			Shape: []int{2, 3}, Scales: []float32{1}, Data: make([]byte, 6)}},
+		&BackwardReq{Iter: 4, Packed: &quant.Packed{Codec: quant.CodecFP16,
+			Shape: []int{2, 3}, Data: make([]byte, 11)}},
+		&ForwardResp{Iter: 4, Packed: &quant.Packed{Codec: quant.CodecInt8,
+			Shape: []int{0, 3}, Scales: []float32{}, Data: []byte{}}},
+		&BackwardResp{Iter: 4, Packed: &quant.Packed{Codec: quant.CodecFP16,
+			Shape: []int{-2, 3}, Data: make([]byte, 12)}},
 	}
 	for _, m := range seeds {
 		var buf bytes.Buffer
@@ -88,6 +104,29 @@ func FuzzReadMessage(f *testing.F) {
 		}
 		if back.MsgType() != msg.MsgType() {
 			t.Fatalf("type changed across round trip: %v -> %v", msg.MsgType(), back.MsgType())
+		}
+
+		var plain *tensor.Tensor
+		var packed *quant.Packed
+		switch m := msg.(type) {
+		case *ForwardReq:
+			plain, packed = m.Activations, m.Packed
+		case *ForwardResp:
+			plain, packed = m.Activations, m.Packed
+		case *BackwardReq:
+			plain, packed = m.Gradients, m.Packed
+		case *BackwardResp:
+			plain, packed = m.Gradients, m.Packed
+		}
+		if packed == nil {
+			return
+		}
+		x, err := Payload(plain, packed)
+		switch {
+		case err != nil && !errors.Is(err, quant.ErrQuant):
+			t.Fatalf("unpack of %v %v: error %v does not wrap quant.ErrQuant", packed.Codec, packed.Shape, err)
+		case err == nil && !slices.Equal(x.Shape(), packed.Shape):
+			t.Fatalf("unpacked shape %v, packed header says %v", x.Shape(), packed.Shape)
 		}
 	})
 }

@@ -14,7 +14,7 @@ type OptimizerConfig struct {
 }
 
 // Hello is the first client message: the fine-tuning configuration the
-// server needs for profiling (§3.3) — model, cut, adapter settings,
+// server prices its memory demands from (§3.3) — model, cut, adapter settings,
 // batch geometry — plus a seed so the server-side adapter φ_s is
 // initialized deterministically.
 type Hello struct {
@@ -120,14 +120,15 @@ func decodeSpec(d *decoder) adapter.Spec {
 	return s
 }
 
-// HelloAck reports profiling results (or rejection) back to the
-// client. A rejection with Retryable set is transient — the server is
+// HelloAck reports the client's priced memory demands (or a
+// rejection) back to it. A rejection with Retryable set is transient — the server is
 // shedding load, not refusing the configuration — and the client
 // should redial after RetryAfterMs.
 type HelloAck struct {
 	OK bool
-	// ForwardBytes / BackwardBytes are the profiled memory demands the
-	// server measured for this client.
+	// ForwardBytes / BackwardBytes are the memory demands M_f and M_b
+	// the server priced from the Hello's workload
+	// (memmodel.Workload.NoGradForwardBytes and BackwardPeakBytes).
 	ForwardBytes  int64
 	BackwardBytes int64
 	Reason        string // set when !OK

@@ -174,11 +174,10 @@ func runMenos(cfg Config) (*Result, error) {
 		r.batcher = newSimBatcher(kernel, r, pol, bm)
 	}
 
-	// Profiling phase (§3.3): the server measures each client's
-	// forward and backward memory demands before serving. In the
-	// simulation the profiler is the analytic model; the real runtime
-	// measures instantiated caches. The fleet placer packs against the
-	// same prediction (persistent state plus the largest transient
+	// §3.3's demands: each client's forward and backward memory,
+	// priced from its workload by the analytic model, as the real
+	// server's handshake prices them. The fleet placer packs against
+	// the same prediction (persistent state plus the largest transient
 	// peak).
 	clients := make([]menosClient, len(cfg.Clients))
 	results := make([]ClientResult, len(cfg.Clients))

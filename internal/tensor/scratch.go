@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -36,6 +37,9 @@ type Scratch struct {
 	gets  uint64
 	hits  uint64
 	bytes int64 // bytes currently retained on free lists
+	// out is the bytes Get handed out minus those Put took back, and
+	// peak its high-water mark since the last ResetPeak.
+	out, peak int64
 }
 
 // NewScratch returns an empty arena.
@@ -89,6 +93,8 @@ func (s *Scratch) get(shape []int) (t *Tensor, recycled bool) {
 	}
 	s.mu.Lock()
 	s.gets++
+	s.out += int64(n) * 4
+	s.peak = max(s.peak, s.out)
 	if list := s.free[n]; len(list) > 0 {
 		t = list[len(list)-1]
 		list[len(list)-1] = nil
@@ -118,17 +124,11 @@ func (s *Scratch) Put(ts ...*Tensor) {
 		}
 		n := len(t.data)
 		list := s.free[n]
-		if len(list) >= scratchMaxPerClass {
+		if slices.Contains(list, t) {
 			continue
 		}
-		dup := false
-		for _, have := range list {
-			if have == t {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		s.out -= int64(n) * 4
+		if len(list) >= scratchMaxPerClass {
 			continue
 		}
 		s.free[n] = append(list, t)
@@ -157,4 +157,27 @@ func (s *Scratch) RetainedBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.bytes
+}
+
+// Outstanding reports the bytes Get has handed out and Put has not
+// taken back, and their high-water mark since the last ResetPeak: what
+// the arena's owners hold at once, the measured side of a priced
+// working set.
+func (s *Scratch) Outstanding() (bytes, peak int64) {
+	if s == nil {
+		return 0, 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.out, s.peak
+}
+
+// ResetPeak restarts the high-water mark at the bytes outstanding now.
+func (s *Scratch) ResetPeak() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.peak = s.out
+	s.mu.Unlock()
 }

@@ -150,3 +150,31 @@ func TestScratchGetUninitIsPoisonedInTests(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchOutstandingHighWater: Get adds a tensor's bytes to the
+// outstanding count and Put takes them back once — a duplicate Put
+// takes nothing, and a Put past a size class's cap still does, because
+// the buffer has left its owner either way. The peak holds the most
+// ever outstanding until ResetPeak restarts it at the current count.
+func TestScratchOutstandingHighWater(t *testing.T) {
+	sc := NewScratch()
+	a, b := sc.Get(2, 8), sc.GetUninit(4)
+	sc.Put(a)
+	sc.Put(a)
+	if out, peak := sc.Outstanding(); out != 16 || peak != 80 {
+		t.Fatalf("outstanding %d peak %d, want 16 and 80", out, peak)
+	}
+	sc.ResetPeak()
+	if _, peak := sc.Outstanding(); peak != 16 {
+		t.Fatalf("peak %d after ResetPeak, want the 16 outstanding", peak)
+	}
+	held := make([]*Tensor, scratchMaxPerClass+1)
+	for i := range held {
+		held[i] = sc.Get(4)
+	}
+	sc.Put(held...)
+	sc.Put(b)
+	if out, peak := sc.Outstanding(); out != 0 || peak != 16*int64(scratchMaxPerClass+2) {
+		t.Fatalf("outstanding %d peak %d, want 0 and %d", out, peak, 16*(scratchMaxPerClass+2))
+	}
+}
