@@ -95,6 +95,61 @@ func TestHelloBytesArePinned(t *testing.T) {
 	}
 }
 
+// TestTrainingFrameBytesArePinned pins every frame but the Hello byte
+// for byte, header included: the SHA-256 over the HelloAck, each of the
+// four tensor messages plain, with a trace ID, and with an int8 and an
+// fp16 packed tail, then Bye, ErrorMsg and MigrateMsg. A change to a
+// field order, a type number or the payload layout fails here, before
+// any peer sees it.
+func TestTrainingFrameBytesArePinned(t *testing.T) {
+	rng := tensor.NewRNG(47)
+	x := tensor.NewNormal(rng, 2, 3, 4)
+	pack := func(c quant.Codec) *quant.Packed {
+		p, err := quant.Pack(x, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	frames := []Message{
+		&HelloAck{OK: true, ForwardBytes: 1 << 20, BackwardBytes: 3 << 20,
+			Features: FeatureTraceContext | FeatureActivationCompression},
+		&HelloAck{Reason: "overloaded", Retryable: true, RetryAfterMs: 250},
+	}
+	for _, tail := range []struct {
+		traceID uint64
+		packed  *quant.Packed
+	}{
+		{},
+		{traceID: 0xfeedface},
+		{traceID: 0xfeedface, packed: pack(quant.CodecInt8)},
+		{packed: pack(quant.CodecFP16)},
+	} {
+		plain := x
+		if tail.packed != nil {
+			plain = nil
+		}
+		frames = append(frames,
+			&ForwardReq{Iter: 5, Batch: 2, Seq: 3, Activations: plain, TraceID: tail.traceID, Packed: tail.packed},
+			&ForwardResp{Iter: 5, Activations: plain, TraceID: tail.traceID, Packed: tail.packed},
+			&BackwardReq{Iter: 5, Apply: true, Gradients: plain, TraceID: tail.traceID, Packed: tail.packed},
+			&BackwardResp{Iter: 5, Gradients: plain, TraceID: tail.traceID, Packed: tail.packed})
+	}
+	frames = append(frames,
+		&Bye{},
+		&ErrorMsg{Reason: "body forward failed"},
+		&ErrorMsg{Reason: "overloaded", Retryable: true, RetryAfterMs: 100},
+		&MigrateMsg{Target: "127.0.0.1:7411", Token: 0xdeadbeefcafe})
+	h := sha256.New()
+	for _, m := range frames {
+		h.Write(encodeFrame(t, m))
+	}
+	const want = "41552e87214e2fcb4701390498375c827ad1f8a0ac8a68e004e72fc004000b86"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("training frames sha256 = %s, want %s", got, want)
+	}
+}
+
 // retiredKindHello is the Hello of a peer that still offers the retired
 // adapter kind 3: its spec's trailing i64, reserved on the wire, is
 // non-zero.
