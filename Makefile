@@ -149,8 +149,7 @@ vet:
 # for ten seconds each. The bench-smoke job's kernel benchmark
 # smoke (one iteration each of the matmul, GELU, softmax and attention
 # kernels, BenchmarkModelNew's pool and serial perf-mid build,
-# BenchmarkDecode's 64-position split decode, BenchmarkClientSetup's
-# tenant set-up, the sim dispatch, a sim_fleet run and the
+# BenchmarkClientSetup's tenant set-up, the sim dispatch, a sim_fleet run and the
 # memory-policy sweeps), its
 # paper-artifact smokes and its advisory base-vs-head comparison
 # (bash perf/run.sh, then perf -compare) are not mirrored: the

@@ -150,12 +150,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	out, kvBytes, err := resumed.GenerateIncremental(tensor.NewRNG(8), prompt, 60, 0.8)
+	out, err := resumed.Generate(tensor.NewRNG(8), prompt, 60, 0.8)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("   (server reserved %.1f KiB of KV cache through the Menos scheduler)\n",
-		float64(kvBytes)/1024)
 	for i, id := range out {
 		if id >= tok.VocabSize() {
 			out[i] = 0

@@ -666,96 +666,15 @@ func TestGradientAccumulation(t *testing.T) {
 	}
 }
 
-// TestGenerateIncremental: KV-cached split decoding matches the
-// non-cached split path token-for-token under greedy decoding, and the
-// server-side KV reservation is released when the session closes.
-func TestGenerateIncremental(t *testing.T) {
-	store, err := share.NewStore(tensor.NewRNG(weightSeed), model.OPTTiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Config{Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(l) }()
-	defer srv.Close()
-
-	c, err := client.Dial(l.Addr().String(), validCfg("inc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	prompt := []int{1, 2, 3}
-	slow, err := c.Generate(tensor.NewRNG(1), prompt, 6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	before := srv.Scheduler().Available()
-	fast, kvBytes, err := c.GenerateIncremental(tensor.NewRNG(1), prompt, 6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kvBytes <= 0 {
-		t.Fatal("no KV bytes reported")
-	}
-	// DecodeClose is processed asynchronously; wait for the reserve to
-	// drain back.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Scheduler().Available() != before && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := srv.Scheduler().Available(); got != before {
-		t.Fatalf("KV reservation leaked: %d != %d", got, before)
-	}
-	for i := range slow {
-		if slow[i] != fast[i] {
-			t.Fatalf("token %d: windowed %v vs incremental %v", i, slow, fast)
-		}
-	}
-
-	// Training still works after a decode session.
-	ids, targets := batch(16, 12)
-	if _, err := c.Step(ids, targets); err != nil {
-		t.Fatal(err)
-	}
-
-	// Over-capacity sessions are rejected cleanly.
-	long := make([]int, model.OPTTiny().MaxSeq+1)
-	for i := range long {
-		long[i] = 1
-	}
-	if _, _, err := c.GenerateIncremental(tensor.NewRNG(1), long, 1, 0); err == nil {
-		t.Fatal("over-capacity session accepted")
-	}
-	// Validation.
-	if _, _, err := c.GenerateIncremental(tensor.NewRNG(1), nil, 1, 0); err == nil {
-		t.Fatal("empty prompt accepted")
-	}
-	if _, _, err := c.GenerateIncremental(tensor.NewRNG(1), []int{1}, 1, -1); err == nil {
-		t.Fatal("negative temperature accepted")
-	}
-}
-
-// TestNegativeTokenBudgetRefused: both generators refuse a negative
-// maxNew with an error, before anything reaches the server (a negative
-// budget once sized the client's KV caches short of the prompt and
-// panicked), and the same client trains on afterwards.
+// TestNegativeTokenBudgetRefused: Generate refuses a negative maxNew
+// with an error before anything reaches the server, and the same
+// client trains on afterwards.
 func TestNegativeTokenBudgetRefused(t *testing.T) {
 	c, err := client.Dial(startServer(t), validCfg("budget"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.GenerateIncremental(tensor.NewRNG(1), []int{1, 2, 3}, -1, 0); err == nil {
-		t.Fatal("GenerateIncremental accepted a negative token budget")
-	}
 	if _, err := c.Generate(tensor.NewRNG(1), []int{1, 2, 3}, -1, 0); err == nil {
 		t.Fatal("Generate accepted a negative token budget")
 	}

@@ -155,7 +155,7 @@ func (a *Attention) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*t
 	if withGrad {
 		probs = sc.Get(batch*a.heads*seq, pLen+seq)
 	}
-	if err := a.attend(ctx, probs, q, k, v, batch, seq, seq); err != nil {
+	if err := a.attend(ctx, probs, q, k, v, batch, seq); err != nil {
 		sc.Put(ctx, probs)
 		return nil, nil, err
 	}
@@ -177,28 +177,20 @@ func (a *Attention) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*t
 }
 
 // attend is the attention of every (batch, head): scores = q·kᵀ/√hd
-// over the prefix slots and kvLen key positions, the causal mask, the
-// row softmax and ctx = scores·v. Batch b's queries are rows
-// [b*seq, (b+1)*seq) of q, its keys and values rows [b*kvLen,
-// (b+1)*kvLen) of k and v, and its queries are the last seq of those
-// kvLen positions. Forward has kvLen == seq; a decode step has one
-// query over every position cached so far. When probs is non-nil it
-// receives each (batch, head)'s (seq, P+kvLen) probabilities.
-//
-// Every kernel here accumulates each output row on its own, and a
-// masked score is exactly 0 after the softmax, so a query row's result
-// does not depend on which other rows or later positions share the
-// call: a decoded row is bit-equal to the same row of a full forward.
+// over the prefix slots and the seq key positions, the causal mask, the
+// row softmax and ctx = scores·v. Batch b's queries, keys and values
+// are rows [b*seq, (b+1)*seq) of q, k and v. When probs is non-nil it
+// receives each (batch, head)'s (seq, P+seq) probabilities.
 //
 // The per-(batch, head) bodies are independent — each one reads shared
 // projections and writes a disjoint slice of ctx/probs — so they may
-// fan out over the tensor worker pool, at 2·seq·(P+kvLen)·headDim
+// fan out over the tensor worker pool, at 2·seq·(P+seq)·headDim
 // multiply-adds each (the score and context products). Every float is
 // still produced by exactly the same instruction sequence as the
 // serial loop, so results are bit-identical at any parallelism.
-func (a *Attention) attend(ctx, probs, q, k, v *tensor.Tensor, batch, seq, kvLen int) error {
+func (a *Attention) attend(ctx, probs, q, k, v *tensor.Tensor, batch, seq int) error {
 	pLen := a.prefixLen()
-	ext := pLen + kvLen
+	ext := pLen + seq
 	sc := a.scratch
 	scale := float32(1.0 / math.Sqrt(float64(a.headDim)))
 
@@ -217,8 +209,8 @@ func (a *Attention) attend(ctx, probs, q, k, v *tensor.Tensor, batch, seq, kvLen
 				a.gatherHead(a.Prefix.K.Value, 0, h, pLen, khExt.Data()[:pLen*a.headDim])
 				a.gatherHead(a.Prefix.V.Value, 0, h, pLen, vhExt.Data()[:pLen*a.headDim])
 			}
-			a.gatherHead(k, b*kvLen, h, kvLen, khExt.Data()[pLen*a.headDim:])
-			a.gatherHead(v, b*kvLen, h, kvLen, vhExt.Data()[pLen*a.headDim:])
+			a.gatherHead(k, b*seq, h, seq, khExt.Data()[pLen*a.headDim:])
+			a.gatherHead(v, b*seq, h, seq, vhExt.Data()[pLen*a.headDim:])
 			if err := tensor.MatMulT(scores, qh, khExt); err != nil {
 				ec.set(fmt.Errorf("attention scores: %w", err))
 				return

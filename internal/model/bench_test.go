@@ -97,51 +97,3 @@ func BenchmarkModelNew(b *testing.B) {
 		run(b)
 	})
 }
-
-// BenchmarkDecode measures a 64-position OPTTiny split decode as a
-// split deployment runs it: fresh input and body decode states, then
-// per token the input section's DecodeStep, the body's DecodeStep and
-// the output section's no-grad forward.
-func BenchmarkDecode(b *testing.B) {
-	const positions = 64
-	m, err := New(tensor.NewRNG(7), OPTTiny())
-	if err != nil {
-		b.Fatal(err)
-	}
-	input, body, output, err := m.Split(DefaultCut)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := tensor.NewRNG(9)
-	tokens := make([]int, positions)
-	for i := range tokens {
-		tokens[i] = rng.Intn(m.Cfg.Vocab)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in, err := input.NewDecodeState(positions)
-		if err != nil {
-			b.Fatal(err)
-		}
-		state, err := body.NewDecodeState(positions, m.Cfg.Dim)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, id := range tokens {
-			xc, err := input.DecodeStep(id, in)
-			if err != nil {
-				b.Fatal(err)
-			}
-			xs, err := body.DecodeStep(xc, state)
-			if err != nil {
-				b.Fatal(err)
-			}
-			logits, _, err := output.Forward(xs, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.scratch.Put(xc, xs, logits)
-		}
-	}
-}

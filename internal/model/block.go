@@ -73,26 +73,6 @@ func newBlock(w *initWalk, cfg Config) *Block {
 
 // Forward runs the block over x (B*T, dim).
 func (b *Block) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*tensor.Tensor, *BlockCache, error) {
-	return b.forward(x, withGrad, func(n1 *tensor.Tensor) (*tensor.Tensor, *AttnCache, error) {
-		return b.Attn.Forward(n1, batch, seq, withGrad)
-	})
-}
-
-// decodeStep runs the block over the single row x at position pos: the
-// no-grad Forward, with the attention writing the position's key and
-// value into row pos of the caches and attending over rows [0, pos].
-func (b *Block) decodeStep(x *tensor.Tensor, pos int, kCache, vCache *tensor.Tensor) (*tensor.Tensor, error) {
-	y, _, err := b.forward(x, false, func(n1 *tensor.Tensor) (*tensor.Tensor, *AttnCache, error) {
-		out, err := b.Attn.decodeStep(n1, pos, kCache, vCache)
-		return out, nil, err
-	})
-	return y, err
-}
-
-// forward is the block's one body, for Forward and decodeStep alike;
-// attn computes the attention sublayer over the Norm1 output.
-func (b *Block) forward(x *tensor.Tensor, withGrad bool,
-	attn func(n1 *tensor.Tensor) (*tensor.Tensor, *AttnCache, error)) (*tensor.Tensor, *BlockCache, error) {
 	var cache *BlockCache
 	if withGrad {
 		cache = &BlockCache{}
@@ -103,7 +83,7 @@ func (b *Block) forward(x *tensor.Tensor, withGrad bool,
 	if err != nil {
 		return nil, nil, fmt.Errorf("block norm1: %w", err)
 	}
-	attnOut, attnC, err := attn(n1)
+	attnOut, attnC, err := b.Attn.Forward(n1, batch, seq, withGrad)
 	if err != nil {
 		return nil, nil, fmt.Errorf("block attn: %w", err)
 	}

@@ -159,14 +159,11 @@ func (l *Ledger) Instrument(reg *Registry) {
 
 // SplitOwner maps a memory-owner tag to the client it bills to and the
 // lifetime class of the bytes. The scheduler and device planes tag
-// persistent state with the "persist:" (adapter weights, optimizer
-// state) and "decode:" (KV reservations) prefixes; everything else is
-// a transient per-iteration grant billed to the owner verbatim.
+// persistent state (adapter weights, optimizer state) with the
+// "persist:" prefix; everything else is a transient per-iteration grant
+// billed to the owner verbatim.
 func SplitOwner(owner string) (client string, persistent bool) {
 	if c, ok := strings.CutPrefix(owner, "persist:"); ok {
-		return c, true
-	}
-	if c, ok := strings.CutPrefix(owner, "decode:"); ok {
 		return c, true
 	}
 	return owner, false

@@ -150,7 +150,6 @@ func TestSplitOwner(t *testing.T) {
 		persistent bool
 	}{
 		{"persist:client-1", "client-1", true},
-		{"decode:client-2", "client-2", true},
 		{"client-3", "client-3", false},
 		{"base-model", "base-model", false},
 	}

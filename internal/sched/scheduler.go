@@ -289,8 +289,8 @@ func (s *Scheduler) EnableAdmission(slo SLO, clock obs.Clock) error {
 // before the scheduler is shared between goroutines. The scheduler is
 // the single source of GPU byte-second accrual: every grant and
 // reservation opens a holding, every Complete closes it, so persistent
-// ("persist:"/"decode:"-tagged reservations) and transient (plain
-// client grants) residency are attributed without double counting.
+// ("persist:"-tagged reservations) and transient (plain client grants)
+// residency are attributed without double counting.
 func (s *Scheduler) SetLedger(l *obs.Ledger) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -374,7 +374,7 @@ func (s *Scheduler) enqueueLocked(req *request) error {
 	}
 	// Fail fast on requests that could never be granted: larger than
 	// the total budget, or larger than what Reserve's long-lived
-	// holdings (persistent client state, KV caches) leave schedulable.
+	// holdings (persistent client state) leave schedulable.
 	// Without this check such a request would sit at the queue head
 	// forever, head-of-line-blocking every client behind it.
 	if req.bytes > s.total-s.reserved {

@@ -375,10 +375,6 @@ type session struct {
 	// dropParked is that hook, built once per session: Park takes it on
 	// every kept forward.
 	dropParked func()
-
-	// decode holds an open incremental-inference session; its KV bytes
-	// are reserved from the scheduler until DecodeClose.
-	decode *model.DecodeState
 }
 
 // handleConn runs one client's full lifecycle.
@@ -411,6 +407,9 @@ func (s *Server) handleConn(rawConn net.Conn) {
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("client %q: read: %v", sess.id, err)
+			}
+			if errors.Is(err, split.ErrRetired) {
+				s.sendError(conn, err)
 			}
 			return
 		}
@@ -463,20 +462,6 @@ func (s *Server) handleConn(rawConn net.Conn) {
 				s.sendError(conn, err)
 				return
 			}
-		case *split.DecodeOpen:
-			if err := s.serveDecodeOpen(conn, sess, m); err != nil {
-				s.logf("client %q: decode open: %v", sess.id, err)
-				s.sendError(conn, err)
-				return
-			}
-		case *split.DecodeReq:
-			if err := s.serveDecodeStep(conn, sess, m); err != nil {
-				s.logf("client %q: decode: %v", sess.id, err)
-				s.sendError(conn, err)
-				return
-			}
-		case *split.DecodeClose:
-			s.closeDecode(sess)
 		case *split.Bye:
 			s.logf("client %q: bye", sess.id)
 			return
@@ -680,7 +665,6 @@ func (s *Server) teardown(sess *session) {
 		delete(s.pendingMig, sess.id)
 	}
 	s.mu.Unlock()
-	s.closeDecode(sess)
 	s.scheduler.Complete(sess.id) // a grant in flight or parked, if any
 	s.scheduler.Complete("persist:" + sess.id)
 	if err := sess.inst.Release(); err != nil && !errors.Is(err, share.ErrReleased) {
@@ -989,60 +973,4 @@ func (s *Server) sendRetryable(conn net.Conn, ov *sched.OverloadError) {
 		Retryable:    true,
 		RetryAfterMs: ov.RetryAfter.Milliseconds(),
 	})
-}
-
-// serveDecodeOpen starts an incremental-inference session: the KV
-// cache for the whole session is reserved from the scheduler up front
-// (the inference-time analogue of the priced training demands), so a
-// decode session can never OOM mid-stream.
-func (s *Server) serveDecodeOpen(conn net.Conn, sess *session, req *split.DecodeOpen) error {
-	reject := func(reason string) error {
-		return split.WriteMessage(conn, &split.DecodeAck{OK: false, Reason: reason})
-	}
-	if sess.decode != nil {
-		return reject("decode session already open")
-	}
-	if req.Capacity <= 0 || req.Capacity > s.store.Config().MaxSeq {
-		return reject(fmt.Sprintf("capacity %d out of range (1..%d)",
-			req.Capacity, s.store.Config().MaxSeq))
-	}
-	state, err := sess.body.NewDecodeState(req.Capacity, s.store.Config().Dim)
-	if err != nil {
-		return reject(err.Error())
-	}
-	if err := s.scheduler.Reserve("decode:"+sess.id, state.Bytes()); err != nil {
-		return reject(fmt.Sprintf("insufficient GPU memory for KV cache: %v", err))
-	}
-	sess.decode = state
-	s.logf("client %q: decode session open (%d positions, %d KV bytes)",
-		sess.id, req.Capacity, state.Bytes())
-	return split.WriteMessage(conn, &split.DecodeAck{OK: true, KVBytes: state.Bytes()})
-}
-
-// serveDecodeStep advances an open session by one position.
-func (s *Server) serveDecodeStep(conn net.Conn, sess *session, req *split.DecodeReq) error {
-	if sess.decode == nil {
-		return errors.New("decode request without an open session")
-	}
-	if req.Activation == nil {
-		return errors.New("decode request without activation")
-	}
-	if req.Pos != sess.decode.Len() {
-		return fmt.Errorf("decode position %d, session is at %d", req.Pos, sess.decode.Len())
-	}
-	out, err := sess.body.DecodeStep(req.Activation, sess.decode)
-	if err != nil {
-		return err
-	}
-	return split.WriteMessage(conn, &split.DecodeResp{Pos: req.Pos, Activation: out})
-}
-
-// closeDecode releases an open session's KV reservation, if any.
-func (s *Server) closeDecode(sess *session) {
-	if sess.decode == nil {
-		return
-	}
-	sess.decode = nil
-	s.scheduler.Complete("decode:" + sess.id)
-	s.logf("client %q: decode session closed", sess.id)
 }

@@ -522,6 +522,64 @@ func TestAbruptDisconnectReleasesInstance(t *testing.T) {
 	}
 }
 
+// TestRetiredFrameIsRefused: a frame of a retired type (9 through 13
+// carried the incremental-decode plane) is answered with an ErrorMsg
+// naming its type, and the session is torn down with nothing left
+// behind: no grant, no parked cache, no instance.
+func TestRetiredFrameIsRefused(t *testing.T) {
+	store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, Config{Store: store})
+	sch := srv.Scheduler()
+	budget := sch.Available()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	cfg := clientCfg("retired")
+	c, err := client.New(conn, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An evaluation leaves its forward's cache parked, so the teardown
+	// has something to give back.
+	if _, err := c.Evaluate(batchFor(cfg, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if sch.Parked() == 0 {
+		t.Fatal("the evaluation left nothing parked")
+	}
+
+	// magic, version 1, type 9, an 8-byte payload.
+	frame := []byte{0x53, 0x4D, 1, 9, 8, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := split.ReadMessage(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if em, ok := msg.(*split.ErrorMsg); !ok || em.Retryable ||
+		!strings.Contains(em.Reason, "retired") || !strings.Contains(em.Reason, "type 9") {
+		t.Fatalf("reply %#v, want an ErrorMsg naming retired type 9", msg)
+	}
+	if _, err := split.ReadMessage(conn); err == nil {
+		t.Fatal("the session outlived the retired frame")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for sch.Available() != budget || sch.Schedulable() != budget || sch.Parked() != 0 || store.ActiveInstances() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("leak: available %d, schedulable %d of budget %d, %d parked, %d live instances",
+				sch.Available(), sch.Schedulable(), budget, sch.Parked(), store.ActiveInstances())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestServerRejectsOversizedGeometry: the Hello's batch/seq bound the
 // granted memory; a larger request must be an error, not an OOM, while
 // smaller geometry (e.g. single-token generation) is memory-safe and

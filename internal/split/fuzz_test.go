@@ -25,7 +25,7 @@ func fuzzPack(f *testing.F, rng *tensor.RNG, c quant.Codec) *quant.Packed {
 // never panics, never reads past the frame — and a decoded packed
 // payload, which the decoder passes on unchecked, unpacks through
 // Payload to either an error wrapping quant.ErrQuant or a tensor of
-// exactly its declared shape. Run with
+// exactly its declared shape. A frame of a retired type never decodes. Run with
 // `go test -fuzz FuzzReadMessage ./internal/split` to explore; the
 // seed corpus (valid frames plus mutations) runs in normal `go test`.
 func FuzzReadMessage(f *testing.F) {
@@ -41,6 +41,7 @@ func FuzzReadMessage(f *testing.F) {
 		&BackwardResp{Iter: 1, Gradients: tensor.NewNormal(rng, 1, 2, 3)},
 		&Bye{},
 		&ErrorMsg{Reason: "x"},
+		&MigrateMsg{Target: "127.0.0.1:7411", Token: 0xfeed},
 		// VersionExt frames: trace-context negotiation and propagation.
 		&Hello{ClientID: "b", ModelName: "m", Cut: 1,
 			Adapter:  adapter.LoRASpec(adapter.DefaultLoRA()),
@@ -83,6 +84,9 @@ func FuzzReadMessage(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add(retiredKindHello(f))
+	for typ := firstRetired; typ <= lastRetired; typ++ {
+		f.Add(retiredFrame(typ))
+	}
 	// Hostile seeds.
 	f.Add([]byte{})
 	f.Add([]byte{0x53, 0x4D, 1, 3, 0xFF, 0xFF, 0xFF, 0x7F})
@@ -92,6 +96,9 @@ func FuzzReadMessage(f *testing.F) {
 		msg, err := ReadMessage(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if typ := MsgType(data[3]); typ >= firstRetired && typ <= lastRetired {
+			t.Fatalf("a frame of retired type %d decoded to %v", typ, msg.MsgType())
 		}
 		// A decoded message must re-encode cleanly.
 		var buf bytes.Buffer

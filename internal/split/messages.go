@@ -417,97 +417,3 @@ func (m *MigrateMsg) decode(d *decoder) {
 
 // Interface conformance.
 var _ Message = (*MigrateMsg)(nil)
-
-// DecodeOpen starts an incremental (KV-cached) split decoding session
-// for up to Capacity positions. The server reserves the body-side KV
-// cache from its memory scheduler for the session's lifetime — the
-// inference-time analogue of the training-time 𝕀 management.
-type DecodeOpen struct {
-	Capacity int
-}
-
-// MsgType implements Message.
-func (*DecodeOpen) MsgType() MsgType { return TypeDecodeOpen }
-
-func (m *DecodeOpen) encode(e *encoder) { e.i64(int64(m.Capacity)) }
-func (m *DecodeOpen) decode(d *decoder) { m.Capacity = int(d.i64()) }
-
-// DecodeAck accepts or rejects a decode session, reporting the KV
-// bytes reserved server-side.
-type DecodeAck struct {
-	OK      bool
-	KVBytes int64
-	Reason  string
-}
-
-// MsgType implements Message.
-func (*DecodeAck) MsgType() MsgType { return TypeDecodeAck }
-
-func (m *DecodeAck) encode(e *encoder) {
-	e.bool(m.OK)
-	e.i64(m.KVBytes)
-	e.str(m.Reason)
-}
-
-func (m *DecodeAck) decode(d *decoder) {
-	m.OK = d.bool()
-	m.KVBytes = d.i64()
-	m.Reason = d.str()
-}
-
-// DecodeReq advances the session by one position with the client's
-// (1, dim) input-section activation.
-type DecodeReq struct {
-	Pos        int
-	Activation *tensor.Tensor
-}
-
-// MsgType implements Message.
-func (*DecodeReq) MsgType() MsgType { return TypeDecodeReq }
-
-func (m *DecodeReq) encode(e *encoder) {
-	e.i64(int64(m.Pos))
-	e.tensor(m.Activation)
-}
-
-func (m *DecodeReq) decode(d *decoder) {
-	m.Pos = int(d.i64())
-	m.Activation = d.tensor()
-}
-
-// DecodeResp returns the body output for one position.
-type DecodeResp struct {
-	Pos        int
-	Activation *tensor.Tensor
-}
-
-// MsgType implements Message.
-func (*DecodeResp) MsgType() MsgType { return TypeDecodeResp }
-
-func (m *DecodeResp) encode(e *encoder) {
-	e.i64(int64(m.Pos))
-	e.tensor(m.Activation)
-}
-
-func (m *DecodeResp) decode(d *decoder) {
-	m.Pos = int(d.i64())
-	m.Activation = d.tensor()
-}
-
-// DecodeClose ends the session, releasing the server-side KV reserve.
-type DecodeClose struct{}
-
-// MsgType implements Message.
-func (*DecodeClose) MsgType() MsgType { return TypeDecodeClose }
-
-func (m *DecodeClose) encode(*encoder) {}
-func (m *DecodeClose) decode(*decoder) {}
-
-// Interface conformance for the decode messages.
-var (
-	_ Message = (*DecodeOpen)(nil)
-	_ Message = (*DecodeAck)(nil)
-	_ Message = (*DecodeReq)(nil)
-	_ Message = (*DecodeResp)(nil)
-	_ Message = (*DecodeClose)(nil)
-)

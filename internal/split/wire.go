@@ -1,7 +1,7 @@
 // Package split defines the wire protocol between split fine-tuning
 // clients and the server: length-prefixed binary frames carrying the
-// §2.2 message flow (hello/profile, forward activations, backward
-// gradients) plus error reporting. The encoding is hand-rolled on
+// §2.2 message flow (hello and its priced demands, forward activations,
+// backward gradients) plus migration redirects and error reporting. The encoding is hand-rolled on
 // encoding/binary — no reflection — so activation payloads (megabytes
 // per iteration) serialize at memory-copy speed.
 package split
@@ -74,6 +74,9 @@ var (
 	ErrBadFrame  = errors.New("split: malformed frame")
 	ErrTooLarge  = errors.New("split: frame exceeds size limit")
 	ErrShortRead = errors.New("split: truncated payload")
+	// ErrRetired refuses a frame of a retired type. Its payload has
+	// been consumed, so the stream stays framed; the error names the type.
+	ErrRetired = errors.New("split: retired frame")
 )
 
 // MsgType identifies a protocol message.
@@ -89,13 +92,13 @@ const (
 	TypeBackwardResp
 	TypeBye
 	TypeError
-	TypeDecodeOpen
-	TypeDecodeAck
-	TypeDecodeReq
-	TypeDecodeResp
-	TypeDecodeClose
-	TypeMigrate
+	// Types 9 through 13 carried the retired incremental-decode frames.
+	// They stay reserved, and ReadMessage refuses them with ErrRetired.
+	TypeMigrate MsgType = 14
 )
+
+// firstRetired and lastRetired bound the reserved type numbers.
+const firstRetired, lastRetired MsgType = 9, 13
 
 // String returns the message type name.
 func (t MsgType) String() string {
@@ -116,16 +119,6 @@ func (t MsgType) String() string {
 		return "bye"
 	case TypeError:
 		return "error"
-	case TypeDecodeOpen:
-		return "decode-open"
-	case TypeDecodeAck:
-		return "decode-ack"
-	case TypeDecodeReq:
-		return "decode-req"
-	case TypeDecodeResp:
-		return "decode-resp"
-	case TypeDecodeClose:
-		return "decode-close"
 	case TypeMigrate:
 		return "migrate"
 	default:
@@ -243,21 +236,13 @@ func newMessage(t MsgType) (Message, error) {
 		return &Bye{}, nil
 	case TypeError:
 		return &ErrorMsg{}, nil
-	case TypeDecodeOpen:
-		return &DecodeOpen{}, nil
-	case TypeDecodeAck:
-		return &DecodeAck{}, nil
-	case TypeDecodeReq:
-		return &DecodeReq{}, nil
-	case TypeDecodeResp:
-		return &DecodeResp{}, nil
-	case TypeDecodeClose:
-		return &DecodeClose{}, nil
 	case TypeMigrate:
 		return &MigrateMsg{}, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown type %d", ErrBadFrame, int(t))
 	}
+	if t >= firstRetired && t <= lastRetired {
+		return nil, fmt.Errorf("%w: type %d", ErrRetired, int(t))
+	}
+	return nil, fmt.Errorf("%w: unknown type %d", ErrBadFrame, int(t))
 }
 
 // encoder appends a frame's payload to buf (WriteMessage seeds buf

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -265,6 +266,38 @@ func TestUnknownTypeRejected(t *testing.T) {
 	}
 }
 
+// retiredFrame is a well-formed frame of retired type typ with an
+// 8-byte payload.
+func retiredFrame(typ MsgType) []byte {
+	return []byte{0x53, 0x4D, Version, byte(typ), 8, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}
+}
+
+// TestRetiredTypesAreRefused: a frame of a retired type (9 through 13)
+// is refused with ErrRetired naming its number, not as malformed, and
+// its payload is consumed so the next frame still reads.
+func TestRetiredTypesAreRefused(t *testing.T) {
+	for typ := firstRetired; typ <= lastRetired; typ++ {
+		var buf bytes.Buffer
+		buf.Write(retiredFrame(typ))
+		if err := WriteMessage(&buf, &Bye{}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadMessage(&buf)
+		if !errors.Is(err, ErrRetired) || errors.Is(err, ErrBadFrame) {
+			t.Fatalf("type %d: err = %v, want ErrRetired", typ, err)
+		}
+		if want := fmt.Sprintf("type %d", typ); !strings.Contains(err.Error(), want) {
+			t.Fatalf("type %d: error %q does not name %q", typ, err, want)
+		}
+		if m, err := ReadMessage(&buf); err != nil || m.MsgType() != TypeBye {
+			t.Fatalf("type %d: next frame %v, %v; want bye", typ, m, err)
+		}
+	}
+	if TypeMigrate != 14 {
+		t.Fatalf("TypeMigrate = %d, want 14", TypeMigrate)
+	}
+}
+
 func TestOversizedFrameRejected(t *testing.T) {
 	header := make([]byte, headerSize)
 	var buf bytes.Buffer
@@ -309,8 +342,10 @@ func TestTrailingBytesRejected(t *testing.T) {
 func TestCorruptPayloadNoPanic(t *testing.T) {
 	// Fuzz-ish: any byte soup after a valid header must error, never
 	// panic.
+	live := []MsgType{TypeHello, TypeHelloAck, TypeForwardReq, TypeForwardResp,
+		TypeBackwardReq, TypeBackwardResp, TypeBye, TypeError, TypeMigrate}
 	f := func(body []byte, typeSeed uint8) bool {
-		msgType := MsgType(typeSeed%13 + 1)
+		msgType := live[int(typeSeed)%len(live)]
 		if len(body) > 1<<16 {
 			body = body[:1<<16]
 		}
