@@ -1,9 +1,10 @@
 // Package split defines the wire protocol between split fine-tuning
 // clients and the server: length-prefixed binary frames carrying the
-// §2.2 message flow (hello and its priced demands, forward activations,
-// backward gradients) plus migration redirects and error reporting. The encoding is hand-rolled on
-// encoding/binary — no reflection — so activation payloads (megabytes
-// per iteration) serialize at memory-copy speed.
+// §2.2 message flow (hello and its priced demands, forward
+// activations, backward gradients) plus migration redirects and error
+// reporting. The encoding is hand-rolled on encoding/binary — no
+// reflection — so activation payloads (megabytes per iteration)
+// serialize at memory-copy speed.
 package split
 
 import (
@@ -92,12 +93,11 @@ const (
 	TypeBackwardResp
 	TypeBye
 	TypeError
-	// Types 9 through 13 carried the retired incremental-decode frames.
-	// They stay reserved, and ReadMessage refuses them with ErrRetired.
 	TypeMigrate MsgType = 14
 )
 
-// firstRetired and lastRetired bound the reserved type numbers.
+// Types 9 through 13 carried the retired incremental-decode frames.
+// They stay reserved, and ReadMessage refuses them with ErrRetired.
 const firstRetired, lastRetired MsgType = 9, 13
 
 // String returns the message type name.
