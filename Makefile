@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-purego test-v3 cross-build perf-test examples fuzz-smoke test-race test-stress bench ci verify e2e
+.PHONY: build test test-purego test-v3 cross-build perf-test examples fuzz-smoke kernel-bench-smoke test-race test-stress bench ci verify e2e
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,27 @@ test-stress:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# One iteration of each kernel benchmark (every matmul shape's pool,
+# serial and avx2 sub-benchmarks, again under -tags purego for the
+# portable tile; GELU, softmax, LayerNorm, the linear layer and
+# attention), BenchmarkModelNew's pool and serial perf-mid build,
+# BenchmarkClientSetup's tenant set-up against a live server, the sim
+# kernel's dispatch, a sim_fleet-shaped simulator run and the root
+# package's memory-policy sweeps. A smoke test, not a timing: it
+# catches a kernel or handler that panics or allocates wildly under
+# the -bench harness. TestTileTier logs which kernel tier (avx512, avx2
+# or portable) the machine ran.
+kernel-bench-smoke:
+	$(GO) test -run '^TestTileTier$$' -v ./internal/tensor/
+	$(GO) test -bench='BenchmarkMatMul|BenchmarkGELUForward|BenchmarkSoftmaxRows' -benchtime=1x ./internal/tensor/
+	$(GO) test -tags purego -run '^$$' -bench=BenchmarkMatMul -benchtime=1x ./internal/tensor/
+	$(GO) test -run '^$$' -bench='BenchmarkLayerNorm|BenchmarkLinearForward' -benchtime=1x ./internal/nn/
+	$(GO) test -run '^$$' -bench='BenchmarkAttention|BenchmarkModelNew' -benchtime=1x ./internal/model/
+	$(GO) test -run '^$$' -bench=BenchmarkClientSetup -benchtime=1x ./internal/client/
+	$(GO) test -run '^$$' -bench=BenchmarkDispatch -benchtime=1x ./internal/sim/
+	$(GO) test -run '^$$' -bench=BenchmarkRunFleet -benchtime=1x ./internal/splitsim/
+	$(GO) test -run '^$$' -bench 'BenchmarkFig3$$|BenchmarkFig7$$|BenchmarkAblationMemoryPolicy$$' -benchtime=1x .
+
 # Multi-process end-to-end: builds menos-server, menos-client and
 # menos-fleetd, launches a two-server fleet plus the control plane on
 # loopback (alerting and trace federation enabled), and asserts one
@@ -146,15 +167,12 @@ vet:
 # the root package's surface test (every exported identifier under
 # internal/ has a reader) and the metric-catalog test; `examples` runs
 # the five examples/ programs; `fuzz-smoke` fuzzes the three decoders
-# for ten seconds each. The bench-smoke job's kernel benchmark
-# smoke (one iteration each of the matmul, GELU, softmax and attention
-# kernels, BenchmarkModelNew's pool and serial perf-mid build,
-# BenchmarkClientSetup's tenant set-up, the sim dispatch, a sim_fleet run and the
-# memory-policy sweeps), its
-# paper-artifact smokes and its advisory base-vs-head comparison
-# (bash perf/run.sh, then perf -compare) are not mirrored: the
-# benchmark is perf/ (perf/README.md), and timings need a quiet machine.
-ci: build vet fmt-check test test-purego test-v3 cross-build perf-test examples fuzz-smoke test-race test-stress
+# for ten seconds each; `kernel-bench-smoke` is the verify job's last
+# step. The bench-smoke job's paper-artifact smokes and its advisory
+# base-vs-head comparison (bash perf/run.sh, then perf -compare) are
+# not mirrored: the benchmark is perf/ (perf/README.md), and timings
+# need a quiet machine.
+ci: build vet fmt-check test test-purego test-v3 cross-build perf-test examples fuzz-smoke kernel-bench-smoke test-race test-stress
 
 .PHONY: fmt-check vet
 

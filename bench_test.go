@@ -2,7 +2,10 @@
 // evaluation (run with `go test -bench=. -benchmem`), plus
 // micro-benchmarks of the load-bearing primitives. Each paper-artifact
 // benchmark reports the headline quantity it reproduces as a custom
-// metric, so `bench_output.txt` doubles as a results record.
+// metric, so the run's output doubles as a results record:
+// `go test -run '^$' -bench=. -benchmem . | tee bench_output.txt` keeps
+// one. The record is not committed; its timings belong to the machine
+// that ran it.
 package menos_test
 
 import (

@@ -6,12 +6,12 @@
 //	menos-bench [-iterations N] [-steps N] [-seed N] [-only name]
 //	            [-trace-out spans.json]
 //
-// -only selects one artifact: measurement, fig3, fig5, fig6, fig7,
-// fig8, fig9, fig10, table1, table2, table3, ablations, extensions,
-// overload, fleet, multilora, wire. By default all run except overload
-// and fleet, which deliberately saturate the scheduler
-// (docs/ADMISSION.md, docs/FLEET.md), multilora, which sweeps batched
-// multi-LoRA serving (docs/BATCHING.md), and wire, which sweeps
+// -only selects one artifact, case-insensitively: measurement, fig3,
+// fig5, fig6, fig7, fig8, fig9, fig10, table1, table2, table3,
+// ablations, extensions, overload, fleet, multilora, wire. By default
+// all run except overload and fleet, which deliberately saturate the
+// scheduler (docs/ADMISSION.md, docs/FLEET.md), multilora, which sweeps
+// batched multi-LoRA serving (docs/BATCHING.md), and wire, which sweeps
 // compressed + overlapped activation transport (docs/WIRE.md); all
 // four must be requested explicitly.
 //
@@ -66,9 +66,9 @@ func run(args []string) error {
 	}
 	opts := experiments.Options{Iterations: *iterations, Steps: *steps, Seed: *seed}
 
-	selected := func(name string) bool {
-		return *only == "" || strings.EqualFold(*only, name)
-	}
+	// -only names an artifact case-insensitively, opt-in or default.
+	named := func(name string) bool { return strings.EqualFold(*only, name) }
+	selected := func(name string) bool { return *only == "" || named(name) }
 	ran := false
 	start := time.Now()
 	var out printer
@@ -211,7 +211,7 @@ func run(args []string) error {
 	// The overload sweep is opt-in (-only overload): it deliberately
 	// saturates the scheduler and enables admission control, so it is
 	// not part of the paper-default artifact set.
-	if *only == "overload" {
+	if named("overload") {
 		ran = true
 		ov, err := experiments.OverloadSweep(opts)
 		if err != nil {
@@ -232,7 +232,7 @@ func run(args []string) error {
 	// clients×caps cells of batched serving (docs/BATCHING.md) to locate
 	// the batch-size-vs-latency knee, which the default artifact set
 	// does not need.
-	if *only == "multilora" {
+	if named("multilora") {
 		ran = true
 		ml, err := experiments.MultiLoRASweep(opts)
 		if err != nil {
@@ -244,7 +244,7 @@ func run(args []string) error {
 	// The wire sweep is opt-in (-only wire): it walks the compression ×
 	// overlap × bandwidth surface of the split transport (docs/WIRE.md),
 	// which the paper-default artifact set does not need.
-	if *only == "wire" {
+	if named("wire") {
 		ran = true
 		ws, err := experiments.WireSweep(opts)
 		if err != nil {
@@ -256,7 +256,7 @@ func run(args []string) error {
 	// The fleet sweep is opt-in (-only fleet) for the same reason: it
 	// runs multi-server fleets past saturation to compare placement
 	// policies and the autoscaler (docs/FLEET.md).
-	if *only == "fleet" {
+	if named("fleet") {
 		ran = true
 		fl, err := experiments.FleetSweep(opts)
 		if err != nil {
@@ -268,10 +268,10 @@ func run(args []string) error {
 	if *traceOut != "" {
 		ran = true
 		var pol *sched.BatchPolicy
-		if strings.EqualFold(*only, "multilora") {
+		if named("multilora") {
 			pol = &sched.BatchPolicy{MaxSize: 8, MaxHold: experiments.MultiLoRAHold}
 		}
-		if err := dumpTrace(*traceOut, opts, pol, strings.EqualFold(*only, "wire")); err != nil {
+		if err := dumpTrace(*traceOut, opts, pol, named("wire")); err != nil {
 			return err
 		}
 	}

@@ -10,7 +10,8 @@ import (
 
 func TestRunSingleArtifacts(t *testing.T) {
 	// Exercise the cheap artifacts end to end through flag parsing.
-	for _, only := range []string{"measurement", "fig3", "fig5", "fig7", "fig10", "ablations", "extensions"} {
+	// -only matches case-insensitively, the opt-in artifacts included.
+	for _, only := range []string{"measurement", "fig3", "fig5", "FIG5", "fig7", "fig10", "ablations", "extensions", "Wire", "MultiLoRA"} {
 		t.Run(only, func(t *testing.T) {
 			if err := run([]string{"-only", only, "-iterations", "4", "-steps", "5"}); err != nil {
 				t.Fatal(err)
@@ -20,9 +21,11 @@ func TestRunSingleArtifacts(t *testing.T) {
 }
 
 func TestRunUnknownArtifact(t *testing.T) {
-	err := run([]string{"-only", "fig99"})
-	if err == nil || !strings.Contains(err.Error(), "unknown artifact") {
-		t.Fatalf("err = %v", err)
+	for _, only := range []string{"fig99", "Wires"} {
+		err := run([]string{"-only", only})
+		if err == nil || !strings.Contains(err.Error(), "unknown artifact") {
+			t.Fatalf("-only %s: err = %v", only, err)
+		}
 	}
 }
 

@@ -406,6 +406,19 @@ func (c *Client) MicroStep(ids, targets []int, apply bool) (StepResult, error) {
 	return results[0], nil
 }
 
+// nextIter takes the next iteration number and its deterministic
+// trace ID (zero without a tracer). When the server negotiated trace
+// context the ID rides the wire, so both processes' span buffers share
+// it and a merged Chrome trace lines up.
+func (c *Client) nextIter() (iter int, tid uint64) {
+	iter = c.iter
+	c.iter++
+	if c.cfg.Tracer != nil {
+		tid = obs.IterTraceID(c.cfg.ClientID, iter)
+	}
+	return iter, tid
+}
+
 // wireTrace gates a trace ID for the wire: zero (and therefore absent
 // from the frame) unless the server negotiated trace context.
 func (c *Client) wireTrace(tid uint64) uint64 {
@@ -413,6 +426,20 @@ func (c *Client) wireTrace(tid uint64) uint64 {
 		return 0
 	}
 	return tid
+}
+
+// forwardReq is iteration iter's ForwardReq carrying x_c, packed with
+// the negotiated codec and trace-stamped: the one way every forward —
+// training, evaluation, generation — goes on the wire.
+func (c *Client) forwardReq(iter, batch, seq int, tid uint64, xc *tensor.Tensor) (*split.ForwardReq, error) {
+	plain, packed, err := c.payload.Pack(xc)
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
+	}
+	return &split.ForwardReq{
+		Iter: iter, Batch: batch, Seq: seq,
+		Activations: plain, Packed: packed, TraceID: c.wireTrace(tid),
+	}, nil
 }
 
 // MicroBatch is one gradient-accumulation slice for StepPipelined;
@@ -525,15 +552,7 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 
 	var pending *pendingMicro
 	for i, mb := range batches {
-		iter := c.iter
-		c.iter++
-		// Every iteration gets a deterministic trace ID; when the server
-		// negotiated trace context it rides the wire, so both processes'
-		// span buffers share it and a merged Chrome trace lines up.
-		var tid uint64
-		if c.cfg.Tracer != nil {
-			tid = obs.IterTraceID(c.cfg.ClientID, iter)
-		}
+		iter, tid := c.nextIter()
 		iterSpan := c.cfg.Tracer.BeginT(c.cfg.ClientID, obs.SpanIteration, tid)
 		var res StepResult
 
@@ -550,13 +569,9 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 		sp.End()
 
 		// Steps 1-2 (server): send x_c, receive x_s.
-		plain, packed, err := c.payload.Pack(xc)
+		req, err := c.forwardReq(iter, c.cfg.Batch, c.cfg.Seq, tid, xc)
 		if err != nil {
-			return results, fmt.Errorf("client: %w", err)
-		}
-		req := &split.ForwardReq{
-			Iter: iter, Batch: c.cfg.Batch, Seq: c.cfg.Seq,
-			Activations: plain, Packed: packed, TraceID: c.wireTrace(tid),
+			return results, err
 		}
 		t0 = time.Now()
 		if err := split.WriteMessage(c.conn, req); err != nil {
@@ -614,7 +629,7 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 
 		// Steps 3-4 (server): send g_c; g_s is collected by finish, after
 		// the next microbatch's forward has been computed and sent.
-		plain, packed, err = c.payload.Pack(gc)
+		plain, packed, err := c.payload.Pack(gc)
 		if err != nil {
 			return results, fmt.Errorf("client: %w", err)
 		}
@@ -645,11 +660,7 @@ func (c *Client) Evaluate(ids, targets []int) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("client: input forward: %w", err)
 	}
-	iter := c.iter
-	c.iter++
-	xs, err := c.forwardRoundTrip(&split.ForwardReq{
-		Iter: iter, Batch: c.cfg.Batch, Seq: c.cfg.Seq, Activations: xc,
-	})
+	xs, err := c.forwardRoundTrip(c.cfg.Batch, c.cfg.Seq, xc)
 	if err != nil {
 		return 0, err
 	}
@@ -661,8 +672,14 @@ func (c *Client) Evaluate(ids, targets []int) (float64, error) {
 	return loss, err
 }
 
-// forwardRoundTrip sends a ForwardReq and waits for its response.
-func (c *Client) forwardRoundTrip(req *split.ForwardReq) (*tensor.Tensor, error) {
+// forwardRoundTrip sends x_c as the next iteration's ForwardReq and
+// waits for x_s: a no-grad forward (evaluation, generation).
+func (c *Client) forwardRoundTrip(batch, seq int, xc *tensor.Tensor) (*tensor.Tensor, error) {
+	iter, tid := c.nextIter()
+	req, err := c.forwardReq(iter, batch, seq, tid, xc)
+	if err != nil {
+		return nil, err
+	}
 	if err := split.WriteMessage(c.conn, req); err != nil {
 		return nil, fmt.Errorf("client: send forward: %w", err)
 	}

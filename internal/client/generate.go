@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"menos/internal/model"
-	"menos/internal/split"
 	"menos/internal/tensor"
 )
 
@@ -28,11 +27,7 @@ func (c *Client) Generate(rng *tensor.RNG, prompt []int, maxNew int, temperature
 		if err != nil {
 			return nil, fmt.Errorf("client: generate input: %w", err)
 		}
-		iter := c.iter
-		c.iter++
-		xs, err := c.forwardRoundTrip(&split.ForwardReq{
-			Iter: iter, Batch: 1, Seq: len(window), Activations: xc,
-		})
+		xs, err := c.forwardRoundTrip(1, len(window), xc)
 		if err != nil {
 			return nil, err
 		}

@@ -431,3 +431,46 @@ func TestCompressedClientRedialsLegacyServer(t *testing.T) {
 		t.Fatal("legacy server cannot have negotiated compression")
 	}
 }
+
+// TestNoGradForwardsArePacked: Evaluate and Generate send their
+// ForwardReq the way a training step does, so on an int8 session the
+// upload is a Packed payload, not fp32 activations.
+func TestNoGradForwardsArePacked(t *testing.T) {
+	addr, _ := startWireServer(t, quant.CodecInt8)
+	cfg := validCfg("eval-int8")
+	cfg.WireCodec = quant.CodecInt8
+	c, rec := dialRecorded(t, addr, cfg)
+	defer c.Close()
+	if !client.CompressionNegotiated(c) {
+		t.Fatal("compression not negotiated")
+	}
+	ids, targets := batch(16, 300)
+	if _, err := c.Evaluate(ids, targets); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Generate(tensor.NewRNG(1), ids[:4], 1, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	r := bytes.NewReader(rec.tx.Bytes())
+	if msg, err := split.ReadMessage(r); err != nil || msg.MsgType() != split.TypeHello {
+		t.Fatalf("first frame = %v, %v; want the hello", msg, err)
+	}
+	for i, want := range []struct{ batch, seq int }{{2, 8}, {1, 4}} {
+		msg, err := split.ReadMessage(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, ok := msg.(*split.ForwardReq)
+		if !ok {
+			t.Fatalf("frame %d is %v, want a ForwardReq", i+1, msg.MsgType())
+		}
+		if req.Packed == nil || req.Activations != nil {
+			t.Fatalf("forward %d uploaded fp32 activations on an int8 session", i)
+		}
+		if req.Iter != i || req.Batch != want.batch || req.Seq != want.seq {
+			t.Fatalf("forward %d = iter %d, %dx%d; want iter %d, %dx%d",
+				i, req.Iter, req.Batch, req.Seq, i, want.batch, want.seq)
+		}
+	}
+}

@@ -15,13 +15,12 @@ import (
 
 // WritePrometheus renders every registered metric in the Prometheus
 // text exposition format (version 0.0.4), sorted by metric name so the
-// output is deterministic. A labeled family sharing its name with an
-// unlabeled metric is merged under one TYPE header: the unlabeled
-// sample first, then the labeled series in label order — which is what
-// makes Σ series{client=*} comparable to the aggregate on a single
-// scrape. Histogram exemplars are appended to their bucket line in the
-// OpenMetrics style (`# {trace_id="..."} <value>`). Safe on a nil
-// registry (writes nothing).
+// output is deterministic. Each family is written under one TYPE
+// header: the unlabeled sample first, then the labeled series in label
+// order — which is what makes Σ series{client=*} comparable to the
+// aggregate on a single scrape. Histogram exemplars are appended to
+// their bucket line in the OpenMetrics style (`# {trace_id="..."}
+// <value>`). Safe on a nil registry (writes nothing).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -29,58 +28,51 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var b strings.Builder
-
-	for _, name := range unionKeys(r.counters, r.counterVecs) {
-		writeHeader(&b, name, "counter", r.help[name])
-		if c, ok := r.counters[name]; ok {
-			fmt.Fprintf(&b, "%s %d\n", name, c.Value())
-		}
-		if cv, ok := r.counterVecs[name]; ok {
-			for _, lv := range cv.Labels() {
-				c, _ := cv.Get(lv)
-				fmt.Fprintf(&b, "%s{%s=\"%s\"} %d\n", name, cv.Label(), escapeLabel(lv), c.Value())
-			}
-		}
-	}
-	for _, name := range unionKeys(r.gauges, r.gaugeVecs) {
-		writeHeader(&b, name, "gauge", r.help[name])
-		if g, ok := r.gauges[name]; ok {
-			fmt.Fprintf(&b, "%s %d\n", name, g.Value())
-		}
-		if gv, ok := r.gaugeVecs[name]; ok {
-			for _, lv := range gv.Labels() {
-				g, _ := gv.Get(lv)
-				fmt.Fprintf(&b, "%s{%s=\"%s\"} %d\n", name, gv.Label(), escapeLabel(lv), g.Value())
-			}
-		}
-	}
-	for _, name := range unionKeys(r.hists, r.histVecs) {
-		writeHeader(&b, name, "histogram", r.help[name])
-		if h, ok := r.hists[name]; ok {
-			writeHistText(&b, name, "", "", h)
-		}
-		if hv, ok := r.histVecs[name]; ok {
-			for _, lv := range hv.Labels() {
-				h, _ := hv.Get(lv)
-				writeHistText(&b, name, hv.Label(), lv, h)
-			}
-		}
-	}
-
+	writeFamilies(&b, r.counters, "counter", writeIntSample((*Counter).Value))
+	writeFamilies(&b, r.gauges, "gauge", writeIntSample((*Gauge).Value))
+	writeFamilies(&b, r.hists, "histogram", writeHistText)
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// writeFamilies emits every family of one kind in name order through
+// the kind's sample writer, which gets the series' label pair
+// (`client="a"`, escaped) or "" for the unlabeled series.
+func writeFamilies[M comparable](b *strings.Builder, fams map[string]*family[M], typ string, write func(b *strings.Builder, name, labels string, m M)) {
+	var none M
+	for _, name := range sortedKeys(fams) {
+		f := fams[name]
+		writeHeader(b, name, typ, f.help)
+		if f.plain != none {
+			write(b, name, "", f.plain)
+		}
+		for _, lv := range f.vec.Labels() {
+			m, _ := f.vec.Get(lv)
+			write(b, name, f.vec.Label()+`="`+escapeLabel(lv)+`"`, m)
+		}
+	}
+}
+
+// writeIntSample is the sample writer of an integer kind.
+func writeIntSample[M any](value func(M) int64) func(b *strings.Builder, name, labels string, m M) {
+	return func(b *strings.Builder, name, labels string, m M) {
+		if labels != "" {
+			labels = "{" + labels + "}"
+		}
+		fmt.Fprintf(b, "%s%s %d\n", name, labels, value(m))
+	}
 }
 
 // writeHistText emits one histogram series — cumulative buckets, sum,
 // count — optionally carrying a label pair. The bucket the exemplar
 // landed in (if any) gets the OpenMetrics exemplar suffix.
-func writeHistText(b *strings.Builder, name, label, value string, h *Histogram) {
+func writeHistText(b *strings.Builder, name, labels string, h *Histogram) {
 	s := h.Snapshot()
 	exIdx, exID, exVal, exOK := h.exemplarInfo()
 	var lp, ls string // prefix inside bucket braces; label set for sum/count
-	if label != "" {
-		lp = label + `="` + escapeLabel(value) + `",`
-		ls = "{" + label + `="` + escapeLabel(value) + `"}`
+	if labels != "" {
+		lp = labels + ","
+		ls = "{" + labels + "}"
 	}
 	bucket := func(i int, le string, cum int64) {
 		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d", name, lp, le, cum)
@@ -146,17 +138,11 @@ type exemplarJSON struct {
 	Value   float64 `json:"value"`
 }
 
-// vecJSON is the JSON projection of one labeled counter or gauge
-// family: the label key plus the per-value series.
-type vecJSON struct {
-	Label  string           `json:"label"`
-	Series map[string]int64 `json:"series"`
-}
-
-// histVecJSON is the JSON projection of one labeled histogram family.
-type histVecJSON struct {
-	Label  string              `json:"label"`
-	Series map[string]histJSON `json:"series"`
+// vecJSON is the JSON projection of one family's labeled series: the
+// label key plus the per-value projections.
+type vecJSON[V any] struct {
+	Label  string       `json:"label"`
+	Series map[string]V `json:"series"`
 }
 
 // histToJSON projects one histogram into its JSON form.
@@ -183,72 +169,58 @@ func histToJSON(h *Histogram) histJSON {
 }
 
 // WriteJSON renders the registry as a single expvar-style JSON object:
-// {"counters": {...}, "gauges": {...}, "histograms": {...}}, plus —
-// when labeled families are registered — "counter_vecs", "gauge_vecs"
-// and "histogram_vecs" sections keyed by family name. Keys are emitted
-// in sorted order (encoding/json sorts map keys). Safe on nil.
+// {"counters": {...}, "gauges": {...}, "histograms": {...}} holding the
+// unlabeled series, plus — when labeled series are registered —
+// "counter_vecs", "gauge_vecs" and "histogram_vecs" sections keyed by
+// family name. Keys are emitted in sorted order (encoding/json sorts
+// map keys). Safe on nil.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	out := struct {
-		Counters      map[string]int64       `json:"counters"`
-		Gauges        map[string]int64       `json:"gauges"`
-		Histograms    map[string]histJSON    `json:"histograms"`
-		CounterVecs   map[string]vecJSON     `json:"counter_vecs,omitempty"`
-		GaugeVecs     map[string]vecJSON     `json:"gauge_vecs,omitempty"`
-		HistogramVecs map[string]histVecJSON `json:"histogram_vecs,omitempty"`
-	}{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]histJSON),
+	var out struct {
+		Counters      map[string]int64             `json:"counters"`
+		Gauges        map[string]int64             `json:"gauges"`
+		Histograms    map[string]histJSON          `json:"histograms"`
+		CounterVecs   map[string]vecJSON[int64]    `json:"counter_vecs,omitempty"`
+		GaugeVecs     map[string]vecJSON[int64]    `json:"gauge_vecs,omitempty"`
+		HistogramVecs map[string]vecJSON[histJSON] `json:"histogram_vecs,omitempty"`
 	}
-	if r != nil {
-		r.mu.RLock()
-		for name, c := range r.counters {
-			out.Counters[name] = c.Value()
-		}
-		for name, g := range r.gauges {
-			out.Gauges[name] = g.Value()
-		}
-		for name, h := range r.hists {
-			out.Histograms[name] = histToJSON(h)
-		}
-		for name, cv := range r.counterVecs {
-			vj := vecJSON{Label: cv.Label(), Series: make(map[string]int64)}
-			for _, lv := range cv.Labels() {
-				c, _ := cv.Get(lv)
-				vj.Series[lv] = c.Value()
-			}
-			if out.CounterVecs == nil {
-				out.CounterVecs = make(map[string]vecJSON)
-			}
-			out.CounterVecs[name] = vj
-		}
-		for name, gv := range r.gaugeVecs {
-			vj := vecJSON{Label: gv.Label(), Series: make(map[string]int64)}
-			for _, lv := range gv.Labels() {
-				g, _ := gv.Get(lv)
-				vj.Series[lv] = g.Value()
-			}
-			if out.GaugeVecs == nil {
-				out.GaugeVecs = make(map[string]vecJSON)
-			}
-			out.GaugeVecs[name] = vj
-		}
-		for name, hv := range r.histVecs {
-			vj := histVecJSON{Label: hv.Label(), Series: make(map[string]histJSON)}
-			for _, lv := range hv.Labels() {
-				h, _ := hv.Get(lv)
-				vj.Series[lv] = histToJSON(h)
-			}
-			if out.HistogramVecs == nil {
-				out.HistogramVecs = make(map[string]histVecJSON)
-			}
-			out.HistogramVecs[name] = vj
-		}
-		r.mu.RUnlock()
+	if r == nil {
+		r = NewRegistry()
 	}
+	r.mu.RLock()
+	out.Counters, out.CounterVecs = familiesJSON(r.counters, (*Counter).Value)
+	out.Gauges, out.GaugeVecs = familiesJSON(r.gauges, (*Gauge).Value)
+	out.Histograms, out.HistogramVecs = familiesJSON(r.hists, histToJSON)
+	r.mu.RUnlock()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
+}
+
+// familiesJSON projects every family of one kind: the unlabeled series
+// by name, and the labeled ones by name under their label key (nil
+// when the kind has none, so the section is omitted).
+func familiesJSON[M comparable, V any](fams map[string]*family[M], project func(M) V) (map[string]V, map[string]vecJSON[V]) {
+	var none M
+	plain := make(map[string]V)
+	var vecs map[string]vecJSON[V]
+	for name, f := range fams {
+		if f.plain != none {
+			plain[name] = project(f.plain)
+		}
+		if f.vec == nil {
+			continue
+		}
+		vj := vecJSON[V]{Label: f.vec.Label(), Series: make(map[string]V)}
+		for _, lv := range f.vec.Labels() {
+			m, _ := f.vec.Get(lv)
+			vj.Series[lv] = project(m)
+		}
+		if vecs == nil {
+			vecs = make(map[string]vecJSON[V])
+		}
+		vecs[name] = vj
+	}
+	return plain, vecs
 }
 
 // HandlerOption customizes Handler's endpoints.

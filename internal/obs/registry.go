@@ -14,30 +14,56 @@ import (
 // hot path with single atomic operations.
 type Registry struct {
 	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	help     map[string]string
+	counters map[string]*family[*Counter]
+	gauges   map[string]*family[*Gauge]
+	hists    map[string]*family[*Histogram]
+}
 
-	// Labeled families (vec.go). A family may share a name with an
-	// unlabeled metric of the same kind; the exporters merge them.
-	counterVecs map[string]*CounterVec
-	gaugeVecs   map[string]*GaugeVec
-	histVecs    map[string]*HistogramVec
+// family is every series of one kind that shares a metric name: the
+// unlabeled series, the labeled ones (vec.go), or both. A name carries
+// both when a quantity is reported as an aggregate and per client; the
+// exporters write the two under one TYPE header.
+type family[M comparable] struct {
+	help  string
+	plain M       // zero until registered
+	vec   *vec[M] // nil until registered
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:    make(map[string]*Counter),
-		gauges:      make(map[string]*Gauge),
-		hists:       make(map[string]*Histogram),
-		help:        make(map[string]string),
-		counterVecs: make(map[string]*CounterVec),
-		gaugeVecs:   make(map[string]*GaugeVec),
-		histVecs:    make(map[string]*HistogramVec),
+		counters: make(map[string]*family[*Counter]),
+		gauges:   make(map[string]*family[*Gauge]),
+		hists:    make(map[string]*family[*Histogram]),
 	}
 }
+
+// lookup is the registry's one get-or-create: it returns the series
+// that slot picks from name's family in fams, filling it with mk on
+// first use. The series' creation records an optional help string as
+// the family's HELP text.
+func lookup[M, S comparable](r *Registry, fams map[string]*family[M], name string, help []string, slot func(*family[M]) *S, mk func() S) S {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := fams[name]
+	if !ok {
+		f = &family[M]{}
+		fams[name] = f
+	}
+	s := slot(f)
+	var none S
+	if *s == none {
+		*s = mk()
+		if len(help) > 0 && help[0] != "" {
+			f.help = help[0]
+		}
+	}
+	return *s
+}
+
+// plain and labeled are lookup's two slots.
+func plain[M comparable](f *family[M]) *M         { return &f.plain }
+func labeled[M comparable](f *family[M]) **vec[M] { return &f.vec }
 
 // Counter returns the counter registered under name, creating it on
 // first use. An optional help string documents the metric in the
@@ -47,15 +73,7 @@ func (r *Registry) Counter(name string, help ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-		r.setHelp(name, help)
-	}
-	return c
+	return lookup(r, r.counters, name, help, plain, newCounter)
 }
 
 // Gauge returns the gauge registered under name, creating it on first
@@ -64,15 +82,7 @@ func (r *Registry) Gauge(name string, help ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-		r.setHelp(name, help)
-	}
-	return g
+	return lookup(r, r.gauges, name, help, plain, newGauge)
 }
 
 // Histogram returns the histogram registered under name, creating it
@@ -83,26 +93,48 @@ func (r *Registry) Histogram(name string, bounds []float64, help ...string) *His
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-		r.setHelp(name, help)
-	}
-	return h
+	return lookup(r, r.hists, name, help, plain, func() *Histogram { return newHistogram(bounds) })
 }
 
-// setHelp records a metric's help text. Caller holds r.mu.
-func (r *Registry) setHelp(name string, help []string) {
-	if len(help) > 0 && help[0] != "" {
-		r.help[name] = help[0]
+// CounterVec returns the labeled counters registered under name,
+// creating them on first use with the given label key. They may share
+// the name with an unlabeled counter: the text exposition then emits
+// the unlabeled sample and the labeled series under one TYPE header,
+// which is how per-client series sum up to the aggregate. Safe on a
+// nil registry.
+func (r *Registry) CounterVec(name, label string, help ...string) *CounterVec {
+	if r == nil {
+		return nil
 	}
+	return lookup(r, r.counters, name, help, labeled, func() *CounterVec { return newVec(label, newCounter) })
 }
 
-// names returns the sorted metric names of one kind. Caller holds a
-// read lock.
+// GaugeVec returns the labeled gauges registered under name, creating
+// them on first use. Safe on a nil registry.
+func (r *Registry) GaugeVec(name, label string, help ...string) *GaugeVec {
+	if r == nil {
+		return nil
+	}
+	return lookup(r, r.gauges, name, help, labeled, func() *GaugeVec { return newVec(label, newGauge) })
+}
+
+// HistogramVec returns the labeled histograms registered under name,
+// creating them on first use with the given bucket bounds, which may
+// differ from a same-named unlabeled histogram's. Later calls return
+// the existing family regardless of the bounds argument. Safe on a nil
+// registry.
+func (r *Registry) HistogramVec(name, label string, bounds []float64, help ...string) *HistogramVec {
+	if r == nil {
+		return nil
+	}
+	return lookup(r, r.hists, name, help, labeled, func() *HistogramVec {
+		bs := make([]float64, len(bounds))
+		copy(bs, bounds)
+		return newVec(label, func() *Histogram { return newHistogram(bs) })
+	})
+}
+
+// sortedKeys returns a map's keys in sorted order.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -112,26 +144,12 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// unionKeys returns the sorted union of two maps' keys, for exporters
-// merging an unlabeled metric with a same-named labeled family.
-func unionKeys[A, B any](m1 map[string]A, m2 map[string]B) []string {
-	keys := make([]string, 0, len(m1)+len(m2))
-	for k := range m1 {
-		keys = append(keys, k)
-	}
-	for k := range m2 {
-		if _, dup := m1[k]; !dup {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Counter is a monotonically increasing integer metric.
 type Counter struct {
 	v atomic.Int64
 }
+
+func newCounter() *Counter { return &Counter{} }
 
 // Inc adds one. Safe on nil.
 func (c *Counter) Inc() { c.Add(1) }
@@ -158,6 +176,8 @@ func (c *Counter) Value() int64 {
 type Gauge struct {
 	v atomic.Int64
 }
+
+func newGauge() *Gauge { return &Gauge{} }
 
 // Set stores v. Safe on nil.
 func (g *Gauge) Set(v int64) {

@@ -435,33 +435,9 @@ func (s *Server) handleConn(rawConn net.Conn) {
 					return
 				}
 			}
-			if err := s.serveForward(conn, sess, m); err != nil {
-				var ov *sched.OverloadError
-				if errors.As(err, &ov) {
-					// Admission shed: transient, the session stays up and
-					// the client retries after the hinted backoff.
-					s.logf("client %q: forward shed (%v)", sess.id, ov.RetryAfter)
-					s.cfg.Flight.TriggerAsync(obs.FlightReasonShed)
-					s.sendRetryable(conn, ov)
-					continue
-				}
-				s.logf("client %q: forward: %v", sess.id, err)
-				s.sendError(conn, err)
-				return
-			}
+			err = s.serveForward(conn, sess, m)
 		case *split.BackwardReq:
-			if err := s.serveBackward(conn, sess, m); err != nil {
-				var ov *sched.OverloadError
-				if errors.As(err, &ov) {
-					s.logf("client %q: backward shed (%v)", sess.id, ov.RetryAfter)
-					s.cfg.Flight.TriggerAsync(obs.FlightReasonShed)
-					s.sendRetryable(conn, ov)
-					continue
-				}
-				s.logf("client %q: backward: %v", sess.id, err)
-				s.sendError(conn, err)
-				return
-			}
+			err = s.serveBackward(conn, sess, m)
 		case *split.Bye:
 			s.logf("client %q: bye", sess.id)
 			return
@@ -469,6 +445,21 @@ func (s *Server) handleConn(rawConn net.Conn) {
 			s.sendError(conn, fmt.Errorf("unexpected message %v", msg.MsgType()))
 			return
 		}
+		if err == nil {
+			continue
+		}
+		var ov *sched.OverloadError
+		if errors.As(err, &ov) {
+			// Admission shed: transient, the session stays up and the
+			// client retries after the hinted backoff.
+			s.logf("client %q: %v shed (%v)", sess.id, msg.MsgType(), ov.RetryAfter)
+			s.cfg.Flight.TriggerAsync(obs.FlightReasonShed)
+			s.sendRetryable(conn, ov)
+			continue
+		}
+		s.logf("client %q: %v: %v", sess.id, msg.MsgType(), err)
+		s.sendError(conn, err)
+		return
 	}
 }
 
