@@ -125,7 +125,8 @@ bench:
 # portable tile; GELU, softmax, LayerNorm, the linear layer and
 # attention), BenchmarkModelNew's pool and serial perf-mid build,
 # BenchmarkClientSetup's tenant set-up against a live server, the sim
-# kernel's dispatch, a sim_fleet-shaped simulator run and the root
+# kernel's dispatch, the scheduler's plain and 8-member grant cycles,
+# a sim_fleet-shaped simulator run and the root
 # package's memory-policy sweeps. A smoke test, not a timing: it
 # catches a kernel or handler that panics or allocates wildly under
 # the -bench harness. TestTileTier logs which kernel tier (avx512, avx2
@@ -138,6 +139,7 @@ kernel-bench-smoke:
 	$(GO) test -run '^$$' -bench='BenchmarkAttention|BenchmarkModelNew' -benchtime=1x ./internal/model/
 	$(GO) test -run '^$$' -bench=BenchmarkClientSetup -benchtime=1x ./internal/client/
 	$(GO) test -run '^$$' -bench=BenchmarkDispatch -benchtime=1x ./internal/sim/
+	$(GO) test -run '^$$' -bench=BenchmarkSchedulerCycle -benchtime=1x ./internal/sched/
 	$(GO) test -run '^$$' -bench=BenchmarkRunFleet -benchtime=1x ./internal/splitsim/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig3$$|BenchmarkFig7$$|BenchmarkAblationMemoryPolicy$$' -benchtime=1x .
 

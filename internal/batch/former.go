@@ -47,7 +47,7 @@ func (f *Former[M, S]) Add(key Key, m M, bytes, budget int64) (g *Group[M, S], o
 		sealed, g = g, nil
 	}
 	if g == nil {
-		g = &Group[M, S]{Key: key}
+		g = f.newGroup(key)
 		f.open[key] = g
 		opened = true
 	}
@@ -58,6 +58,26 @@ func (f *Former[M, S]) Add(key Key, m M, bytes, budget int64) (g *Group[M, S], o
 		sealed = g
 	}
 	return g, opened, sealed
+}
+
+// inlineMembers is how many members a group holds inside its own
+// allocation. The benchmark's batched workloads cap batches at 8; a
+// larger cap (the multilora sweep's 16) gives its groups a second
+// allocation for the member array.
+const inlineMembers = 8
+
+// newGroup opens an empty group under key with room for maxSize members,
+// so joins never grow it. Up to inlineMembers it is one allocation.
+func (f *Former[M, S]) newGroup(key Key) *Group[M, S] {
+	if f.maxSize > inlineMembers {
+		return &Group[M, S]{Key: key, Members: make([]M, 0, f.maxSize)}
+	}
+	a := &struct {
+		g       Group[M, S]
+		members [inlineMembers]M
+	}{}
+	a.g.Key, a.g.Members = key, a.members[:0:f.maxSize]
+	return &a.g
 }
 
 // Seal closes g to further members and reports whether this call did

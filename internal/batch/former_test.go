@@ -166,3 +166,23 @@ func TestFormerDrain(t *testing.T) {
 		t.Errorf("after drain, a member joined [%s] (opened %v), want a fresh group", names(g), opened)
 	}
 }
+
+// TestFormerAddAllocs: a group of eight costs one allocation, made when
+// it opens and sized for maxSize then; the seven joins cost none.
+func TestFormerAddAllocs(t *testing.T) {
+	const maxSize = 8
+	f := NewFormer[*int, struct{}](maxSize)
+	key := Key{Cut: 1, Seq: 8, Kind: sched.KindForward}
+	member := new(int)
+	got := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < maxSize; i++ {
+			_, opened, sealed := f.Add(key, member, 1, math.MaxInt64)
+			if opened != (i == 0) || (sealed != nil) != (i == maxSize-1) {
+				t.Fatalf("member %d: opened %v, sealed %v", i, opened, sealed != nil)
+			}
+		}
+	})
+	if got != 1 {
+		t.Errorf("a group of %d allocates %v objects, want 1", maxSize, got)
+	}
+}

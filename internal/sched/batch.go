@@ -77,17 +77,8 @@ func (s *Scheduler) SubmitBatch(batchID string, kind RequestKind, members []Batc
 		return fmt.Errorf("sched: batch %q has no members", batchID)
 	}
 	var total int64
-	seen := make(map[string]struct{}, len(members))
 	for _, m := range members {
-		if _, dup := seen[m.ClientID]; dup {
-			return fmt.Errorf("%w: %q appears twice in batch %q", ErrOutstanding, m.ClientID, batchID)
-		}
-		seen[m.ClientID] = struct{}{}
 		total += m.Bytes
 	}
-	req := &request{clientID: batchID, kind: kind, bytes: total, grant: grant, members: members}
-	if _, member := seen[batchID]; !member {
-		req.alias = []string{batchID}
-	}
-	return s.submit(req)
+	return s.submit(&request{clientID: batchID, kind: kind, bytes: total, grant: grant, members: members}, true)
 }

@@ -194,6 +194,122 @@ func TestPlainCycleAllocs(t *testing.T) {
 	}
 }
 
+// batchCycle returns one uncontended 8-member SubmitBatch→grant→Complete
+// cycle on s, the shape of a full sim_fleet batch: members that have all
+// been granted before, under a batch ID of its own.
+func batchCycle(tb testing.TB, s *Scheduler) func() {
+	members := make([]BatchMember, 8)
+	for i := range members {
+		members[i] = BatchMember{ClientID: fmt.Sprintf("m%d", i), Bytes: 5}
+	}
+	grant := func() {}
+	return func() {
+		if err := s.SubmitBatch("batch", KindForward, members, grant); err != nil {
+			tb.Fatal(err)
+		}
+		s.Complete("batch")
+	}
+}
+
+// TestBatchCycleAllocs pins the heap cost of the uncontended batched
+// cycle at one object, the request. The members' records are looked up,
+// marked resident and released through pointers, the batch ID's record
+// and the batch's record list are reused, and the grant list lives on
+// the stack.
+func TestBatchCycleAllocs(t *testing.T) {
+	s := New(100, PolicyFCFSBackfill)
+	if got := testing.AllocsPerRun(1000, batchCycle(t, s)); got > 1 {
+		t.Errorf("8-member SubmitBatch→Complete cycle allocates %v objects, want 1", got)
+	}
+	if st := s.Stats(); st.Identities != 8 {
+		t.Errorf("identity table holds %d records after the cycles, want the 8 resident members", st.Identities)
+	}
+}
+
+// BenchmarkSchedulerCycle times one uncontended grant cycle: a plain
+// Submit→Complete and an 8-member SubmitBatch→Complete.
+//
+//	go test -run '^$' -bench SchedulerCycle ./internal/sched
+func BenchmarkSchedulerCycle(b *testing.B) {
+	b.Run("plain", func(b *testing.B) {
+		b.ReportAllocs()
+		s := New(100, PolicyFCFSBackfill)
+		grant := func() {}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Submit("a", KindForward, 40, grant); err != nil {
+				b.Fatal(err)
+			}
+			s.Complete("a")
+		}
+	})
+	b.Run("batch8", func(b *testing.B) {
+		b.ReportAllocs()
+		cycle := batchCycle(b, New(100, PolicyFCFSBackfill))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cycle()
+		}
+	})
+}
+
+// TestIdentityTableOnlyHoldsWhatItNeeds: a reservation leaves no record
+// behind, a batch ID's record goes at release, a granted client's stays
+// (it is resident) until Forget, and Forget on an identity still held
+// drops it at release instead.
+func TestIdentityTableOnlyHoldsWhatItNeeds(t *testing.T) {
+	s := New(100, PolicyFCFSBackfill)
+	var c collector
+	identities := func(want int, when string) {
+		t.Helper()
+		if got := s.Stats().Identities; got != want {
+			t.Errorf("%s: %d identities, want %d", when, got, want)
+		}
+	}
+	if err := s.Reserve("persist:a", 10); err != nil {
+		t.Fatal(err)
+	}
+	identities(1, "reserved")
+	s.Complete("persist:a")
+	identities(0, "reservation completed")
+	if err := s.Reserve("persist:a", 1000); !errors.Is(err, ErrNeverFits) {
+		t.Fatalf("oversized reservation: err = %v", err)
+	}
+	identities(0, "reservation refused")
+
+	mustSubmit(t, s, "a", KindForward, 10, c.grant("a"))
+	if err := s.SubmitBatch("b1", KindForward, []BatchMember{{"x", 5}, {"y", 5}}, c.grant("b1")); err != nil {
+		t.Fatal(err)
+	}
+	identities(4, "a, b1 and its members held")
+	s.Complete("b1")
+	identities(3, "b1 completed: x and y resident")
+	s.Complete("a")
+	identities(3, "a completed: resident")
+
+	s.Forget("x")
+	identities(2, "x forgotten")
+	if err := s.SubmitBatch("b2", KindForward, []BatchMember{{"y", 5}}, c.grant("b2")); err != nil {
+		t.Fatal(err)
+	}
+	s.Forget("y") // held by b2: kept until b2 releases it
+	identities(3, "y forgotten while b2 holds it")
+	s.Complete("b2")
+	identities(1, "b2 completed")
+	s.Forget("a")
+	s.Forget("never-seen")
+	identities(0, "everyone forgotten")
+
+	if err := s.SubmitBatch("b3", KindForward, []BatchMember{{"z", 5}, {"z", 5}}, c.grant("b3")); !errors.Is(err, ErrOutstanding) {
+		t.Fatalf("duplicate member: err = %v", err)
+	}
+	s.Close()
+	if err := s.Submit("w", KindForward, 5, c.grant("w")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed: err = %v", err)
+	}
+	identities(0, "refused submissions")
+}
+
 // TestSerialRequestIsBatchOfOne drives one seeded random interleaving of
 // submits, completes, oversized and duplicate requests twice — once
 // through Submit(id, …), once through SubmitBatch(id, {id}) — under

@@ -8,6 +8,14 @@
 // memory) events and grants execution through a callback, so the same
 // code drives both the discrete-event simulation and the real TCP
 // runtime.
+//
+// Every identity the scheduler knows — a client, a batch ID, a
+// reservation — has one record: the request that holds it, and whether
+// it has ever been granted memory. A submission looks each identity up
+// once; from then on its request carries the records, so granting and
+// releasing it mark residency and clear the holding through pointers,
+// not by hashing the IDs again. A record that holds nothing and is not
+// resident is dropped; Forget drops a departed client's.
 package sched
 
 import (
@@ -15,6 +23,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"menos/internal/obs"
@@ -100,16 +109,69 @@ type request struct {
 	grant    func()
 	at       time.Duration // submit time on the telemetry clock
 	members  []BatchMember
-	// alias holds the request's own ID when no member carries it (a
-	// batch ID): with the members' IDs, every identity the request
-	// occupies under the one-outstanding rule, once each.
-	alias    []string
+	// rec is the one member's record of a Submit or Reserve request;
+	// batch holds a SubmitBatch request's records instead. Both are set
+	// when the request is enqueued and cleared when it is released.
+	rec      *ident
+	batch    *batchRecs
 	granted  bool // bytes are allocated (grantAt or Reserve)
 	reserved bool // a Reserve holding: counts against Schedulable
 	parked   bool // the grant is revocable: listed in Scheduler.parked
 	// self backs members for a one-member request, so the plain
 	// Submit→grant→Complete cycle costs no allocation beyond the request.
 	self [1]BatchMember
+}
+
+// ident is one identity's record in Scheduler.held.
+type ident struct {
+	id string
+	// req is the request or allocation holding this identity — as its
+	// own ID or as a member — from Submit, SubmitBatch or Reserve until
+	// Complete: the one-outstanding rule.
+	req *request
+	// resident marks an identity granted memory as a request's member at
+	// least once; admission control protects resident clients over
+	// newcomers.
+	resident bool
+	// mark is the submission that last looked the identity up, so a
+	// batch naming it twice is caught by comparing one number.
+	mark uint64
+}
+
+// batchRecs is a SubmitBatch request's records: every identity it
+// occupies under the one-outstanding rule, once each.
+type batchRecs struct {
+	members []*ident // in member order
+	alias   *ident   // the batch ID's, when no member carries it
+}
+
+// memberRec returns the record of r's i-th member.
+func (r *request) memberRec(i int) *ident {
+	if r.batch != nil {
+		return r.batch.members[i]
+	}
+	return r.rec
+}
+
+// alias returns the record of r's own ID when no member carries it (a
+// batch ID), or nil.
+func (r *request) alias() *ident {
+	if r.batch != nil {
+		return r.batch.alias
+	}
+	return nil
+}
+
+// hold makes h the holder of every one of r's records: r itself when it
+// is enqueued or reserved, nil when it is released. Caller holds s.mu
+// and, to hold, has checked outstanding for each record.
+func (r *request) hold(h *request) {
+	for i := range r.members {
+		r.memberRec(i).req = h
+	}
+	if a := r.alias(); a != nil {
+		a.req = h
+	}
 }
 
 // revocable is a revocable grant and its owner's hook, run under s.mu
@@ -178,6 +240,11 @@ type Stats struct {
 	Revoked       int64 // parked grants taken back for another request
 	Decisions     int64
 	MaxQueueDepth int
+	// Identities is the size of the scheduler's identity table: every
+	// identity with something outstanding, and every resident client
+	// not yet forgotten. A level, not a count: splitsim's fleet-wide
+	// Stats leave it zero.
+	Identities int `json:",omitempty"`
 }
 
 // Scheduler tracks available GPU memory and pending operation
@@ -186,12 +253,19 @@ type Scheduler struct {
 	mu      sync.Mutex
 	policy  Policy
 	avail   int64
-	total   int64
+	total   int64 // fixed at New
 	waiting []*request
-	// held maps every identity with something outstanding — a request's
-	// own ID and each member's — to that request, from Submit, SubmitBatch
-	// or Reserve until Complete: the one-outstanding rule for all three.
-	held      map[string]*request
+	// held maps every identity the scheduler tracks to its one record:
+	// the request holding it (a request's own ID and each member's, from
+	// Submit, SubmitBatch or Reserve until Complete: the one-outstanding
+	// rule for all three) and whether it is resident. Each submission
+	// hashes each of its identities once; a record holding nothing that
+	// is not resident is dropped at release, and Forget drops a resident
+	// one. Dropped records and released batches' record lists are reused.
+	held      map[string]*ident
+	freeRecs  []*ident
+	freeBatch []*batchRecs
+	marks     uint64 // submissions looked up: the last ident.mark issued
 	closed    bool
 	decisions int64 // scheduling cycles run; the one count with no family
 
@@ -209,12 +283,11 @@ type Scheduler struct {
 	// loop (docs/ADMISSION.md). With adm == nil every code path below
 	// is bit-identical to the plain Algorithm-2 scheduler.
 	adm *AdmissionController
-	// resident marks clients that have been granted memory at least
-	// once; admission control protects them over newcomers.
-	resident map[string]struct{}
 	// reserved sums the bytes held by Reserve (long-lived holdings):
-	// the floor below total that queued requests can never use.
-	reserved int64
+	// the floor below total that queued requests can never use. It is
+	// written under mu and read without it by Schedulable, which the
+	// simulator's batch former asks on every join.
+	reserved atomic.Int64
 	// parked lists the revocable grants oldest first; parkedBytes sums
 	// them. They are allocated (not in avail) yet free to every fit test:
 	// takeLocked revokes them when a request needs the memory.
@@ -232,12 +305,11 @@ type Scheduler struct {
 // memory.
 func New(totalMem int64, policy Policy) *Scheduler {
 	return &Scheduler{
-		policy:   policy,
-		avail:    totalMem,
-		total:    totalMem,
-		held:     make(map[string]*request),
-		resident: make(map[string]struct{}),
-		m:        newSchedMetrics(obs.NewRegistry()),
+		policy: policy,
+		avail:  totalMem,
+		total:  totalMem,
+		held:   make(map[string]*ident),
+		m:      newSchedMetrics(obs.NewRegistry()),
 	}
 }
 
@@ -344,19 +416,32 @@ func (s *Scheduler) headAgeLocked(now time.Duration) time.Duration {
 // outstanding request or live allocation, its own or as a member of a
 // batch.
 func (s *Scheduler) Submit(clientID string, kind RequestKind, bytes int64, grant func()) error {
-	return s.submit(newRequest(clientID, kind, bytes, grant))
+	return s.submit(newRequest(clientID, kind, bytes, grant), false)
 }
 
 // submit is the one submission path behind Submit and SubmitBatch:
-// admit req to the queue and run a scheduling cycle.
-func (s *Scheduler) submit(req *request) error {
+// look up req's identities, admit it to the queue and run a scheduling
+// cycle. batched marks a SubmitBatch request.
+func (s *Scheduler) submit(req *request, batched bool) error {
 	s.mu.Lock()
+	if batched {
+		// A member named twice is refused before anything else, and is
+		// not counted as a rejected submission.
+		if err := s.resolveBatchLocked(req); err != nil {
+			s.mu.Unlock()
+			return err
+		}
+	} else {
+		req.rec = s.identLocked(req.clientID)
+	}
 	if err := s.enqueueLocked(req); err != nil {
+		s.unresolveLocked(req)
 		s.mu.Unlock()
 		s.m.rejected.Inc()
 		return err
 	}
-	grants := s.schedule()
+	var buf grantBuf
+	grants := s.schedule(buf[:0])
 	s.mu.Unlock()
 	for _, g := range grants {
 		g()
@@ -364,10 +449,85 @@ func (s *Scheduler) submit(req *request) error {
 	return nil
 }
 
+// identLocked returns id's record, creating it (from the free list when
+// it can) if id has none. Caller holds s.mu.
+func (s *Scheduler) identLocked(id string) *ident {
+	rec := s.held[id]
+	if rec == nil {
+		if n := len(s.freeRecs); n > 0 {
+			rec, s.freeRecs = s.freeRecs[n-1], s.freeRecs[:n-1]
+		} else {
+			rec = new(ident)
+		}
+		rec.id = id
+		s.held[id] = rec
+	}
+	return rec
+}
+
+// dropIdleLocked drops rec if it holds nothing and is not resident.
+// Caller holds s.mu.
+func (s *Scheduler) dropIdleLocked(rec *ident) {
+	if rec.req != nil || rec.resident {
+		return
+	}
+	delete(s.held, rec.id)
+	*rec = ident{}
+	s.freeRecs = append(s.freeRecs, rec)
+}
+
+// resolveBatchLocked looks up every identity of SubmitBatch request req
+// once, into a record list of its own, and refuses a member named twice.
+// Caller holds s.mu.
+func (s *Scheduler) resolveBatchLocked(req *request) error {
+	var b *batchRecs
+	if n := len(s.freeBatch); n > 0 {
+		b, s.freeBatch = s.freeBatch[n-1], s.freeBatch[:n-1]
+	} else {
+		b = &batchRecs{members: make([]*ident, 0, len(req.members))}
+	}
+	req.batch = b
+	s.marks++
+	for _, m := range req.members {
+		rec := s.identLocked(m.ClientID)
+		if rec.mark == s.marks {
+			s.unresolveLocked(req)
+			return fmt.Errorf("%w: %q appears twice in batch %q", ErrOutstanding, m.ClientID, req.clientID)
+		}
+		rec.mark = s.marks
+		b.members = append(b.members, rec)
+	}
+	if rec := s.identLocked(req.clientID); rec.mark != s.marks {
+		b.alias = rec
+	}
+	return nil
+}
+
+// unresolveLocked undoes req's lookups when it is refused or released:
+// it drops every record left idle and returns req's record list to the
+// free list. Caller holds s.mu.
+func (s *Scheduler) unresolveLocked(req *request) {
+	if b := req.batch; b != nil {
+		for i, rec := range b.members {
+			s.dropIdleLocked(rec)
+			b.members[i] = nil
+		}
+		if b.alias != nil {
+			s.dropIdleLocked(b.alias)
+		}
+		b.members, b.alias = b.members[:0], nil
+		s.freeBatch = append(s.freeBatch, b)
+		req.batch = nil
+	} else if req.rec != nil {
+		s.dropIdleLocked(req.rec)
+		req.rec = nil
+	}
+}
+
 // enqueueLocked appends req to the wait queue unless the scheduler is
 // closed, req can never fit, one of its identities already has a
-// request or allocation outstanding, or admission control sheds it.
-// Caller holds s.mu.
+// request or allocation outstanding, or admission control sheds it. Its
+// records are resolved; caller holds s.mu.
 func (s *Scheduler) enqueueLocked(req *request) error {
 	if s.closed {
 		return ErrClosed
@@ -377,17 +537,17 @@ func (s *Scheduler) enqueueLocked(req *request) error {
 	// holdings (persistent client state) leave schedulable.
 	// Without this check such a request would sit at the queue head
 	// forever, head-of-line-blocking every client behind it.
-	if req.bytes > s.total-s.reserved {
+	if reserved := s.reserved.Load(); req.bytes > s.total-reserved {
 		return fmt.Errorf("%w: need %d, schedulable %d (total %d, %d reserved) (request %q, %d members)",
-			ErrNeverFits, req.bytes, s.total-s.reserved, s.total, s.reserved, req.clientID, len(req.members))
+			ErrNeverFits, req.bytes, s.total-reserved, s.total, reserved, req.clientID, len(req.members))
 	}
-	for _, m := range req.members {
-		if err := s.outstandingLocked(m.ClientID); err != nil {
+	for i := range req.members {
+		if err := outstanding(req.memberRec(i)); err != nil {
 			return err
 		}
 	}
-	for _, id := range req.alias {
-		if err := s.outstandingLocked(id); err != nil {
+	if a := req.alias(); a != nil {
+		if err := outstanding(a); err != nil {
 			return err
 		}
 	}
@@ -405,38 +565,29 @@ func (s *Scheduler) enqueueLocked(req *request) error {
 		req.at = now
 	}
 	s.m.submitted.Inc()
-	s.holdLocked(req)
+	req.hold(req)
 	s.waiting = append(s.waiting, req)
 	s.m.depthMax.SetMax(int64(len(s.waiting)))
 	return nil
 }
 
-// outstandingLocked reports ErrOutstanding when id holds an allocation
-// or reservation, is queued, or rides a queued or granted batch. Caller
-// holds s.mu.
-func (s *Scheduler) outstandingLocked(id string) error {
-	if r := s.held[id]; r != nil {
-		return fmt.Errorf("%w: %q (request %q, granted: %v)", ErrOutstanding, id, r.clientID, r.granted)
+// outstanding reports ErrOutstanding when rec's identity holds an
+// allocation or reservation, is queued, or rides a queued or granted
+// batch. Caller holds s.mu.
+func outstanding(rec *ident) error {
+	if r := rec.req; r != nil {
+		return fmt.Errorf("%w: %q (request %q, granted: %v)", ErrOutstanding, rec.id, r.clientID, r.granted)
 	}
 	return nil
-}
-
-// holdLocked registers r under each of its identities. Caller holds
-// s.mu and has checked outstandingLocked for each.
-func (s *Scheduler) holdLocked(r *request) {
-	for _, m := range r.members {
-		s.held[m.ClientID] = r
-	}
-	for _, id := range r.alias {
-		s.held[id] = r
-	}
 }
 
 // allocLocked returns the granted request or reservation that id names
 // (not one it merely rides as a member), or nil. Caller holds s.mu.
 func (s *Scheduler) allocLocked(id string) *request {
-	if r := s.held[id]; r != nil && r.granted && r.clientID == id {
-		return r
+	if rec := s.held[id]; rec != nil {
+		if r := rec.req; r != nil && r.granted && r.clientID == id {
+			return r
+		}
 	}
 	return nil
 }
@@ -457,7 +608,8 @@ func (s *Scheduler) Complete(clientID string) int64 {
 		s.releaseLocked(r)
 		s.m.completed.Inc()
 	}
-	grants := s.schedule()
+	var buf grantBuf
+	grants := s.schedule(buf[:0])
 	s.mu.Unlock()
 	for _, g := range grants {
 		g()
@@ -470,15 +622,13 @@ func (s *Scheduler) Complete(clientID string) int64 {
 func (s *Scheduler) releaseLocked(r *request) {
 	s.avail += r.bytes
 	if r.reserved {
-		s.reserved -= r.bytes
+		s.reserved.Add(-r.bytes)
 	}
 	for _, m := range r.members {
-		delete(s.held, m.ClientID)
 		s.ledger.Release(m.ClientID, m.Bytes)
 	}
-	for _, id := range r.alias {
-		delete(s.held, id)
-	}
+	r.hold(nil)
+	s.unresolveLocked(r)
 }
 
 // fitLocked is the fit test of every grant decision: bytes fit when free
@@ -507,7 +657,7 @@ func (s *Scheduler) Grow(clientID string, bytes int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.allocLocked(clientID)
-	if r == nil || r.reserved || r.parked || len(r.members) != 1 || len(r.alias) != 0 {
+	if r == nil || r.reserved || r.parked || len(r.members) != 1 || r.alias() != nil {
 		return false
 	}
 	delta := max(bytes-r.bytes, 0)
@@ -543,12 +693,13 @@ func (s *Scheduler) Park(clientID string, revoke func()) {
 	s.parked = append(s.parked, revocable{r, revoke})
 	s.parkedBytes += r.bytes
 	s.m.parked.Set(s.parkedBytes)
-	var grants []func()
+	var buf grantBuf
+	grants := buf[:0]
 	switch {
 	case s.closed:
 		s.revokeLocked(r)
 	case len(s.waiting) > 0:
-		grants = s.schedule()
+		grants = s.schedule(grants)
 	}
 	s.mu.Unlock()
 	for _, g := range grants {
@@ -600,11 +751,15 @@ func (s *Scheduler) revokeLocked(r *request) {
 	revoke()
 }
 
-// schedule is Algorithm 2's SCHEDULE procedure. Caller holds s.mu; the
-// returned grant callbacks must be invoked after unlocking.
-func (s *Scheduler) schedule() []func() {
+// grantBuf backs the grant list of one scheduling cycle on its caller's
+// stack: a cycle rarely grants more.
+type grantBuf [4]func()
+
+// schedule is Algorithm 2's SCHEDULE procedure: it appends the grant
+// callbacks of the requests it grants to grants. Caller holds s.mu; the
+// callbacks must be invoked after unlocking.
+func (s *Scheduler) schedule(grants []func()) []func() {
 	s.decisions++
-	var grants []func()
 	switch s.policy {
 	case PolicySmallestFirst:
 		// Ablation: repeatedly grant the smallest fitting request.
@@ -658,8 +813,8 @@ func (s *Scheduler) schedule() []func() {
 // isResident reports whether every member of r has been granted memory
 // before. Caller holds s.mu.
 func (s *Scheduler) isResident(r *request) bool {
-	for _, m := range r.members {
-		if _, ok := s.resident[m.ClientID]; !ok {
+	for i := range r.members {
+		if !r.memberRec(i).resident {
 			return false
 		}
 	}
@@ -698,8 +853,8 @@ func (s *Scheduler) grantAt(i int, backfilled bool) func() {
 	}
 	// Each member is billed its own byte share; Complete releases the
 	// same shares.
-	for _, m := range r.members {
-		s.resident[m.ClientID] = struct{}{}
+	for i, m := range r.members {
+		r.memberRec(i).resident = true
 		s.ledger.Acquire(m.ClientID, m.Bytes)
 	}
 	if now, ok := s.clockNow(); ok {
@@ -728,7 +883,8 @@ func (s *Scheduler) grantAt(i int, backfilled bool) func() {
 // Reserve immediately claims bytes for a long-lived holding (e.g. a
 // client's persistent adapter/optimizer state) outside the request
 // queue. Unlike Submit it never queues: if the memory is not free right
-// now, it fails. Release the reservation with Complete(id).
+// now, it fails. Release the reservation with Complete(id). A
+// reservation does not make id resident: no request names it.
 func (s *Scheduler) Reserve(id string, bytes int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -736,31 +892,43 @@ func (s *Scheduler) Reserve(id string, bytes int64) error {
 		s.m.rejected.Inc()
 		return ErrClosed
 	}
-	if err := s.outstandingLocked(id); err != nil {
+	rec := s.identLocked(id)
+	if err := outstanding(rec); err != nil {
 		s.m.rejected.Inc()
 		return err
 	}
 	if !s.fitLocked(bytes) {
+		s.dropIdleLocked(rec)
 		s.m.rejected.Inc()
 		return fmt.Errorf("%w: reserve %d, available %d", ErrNeverFits, bytes, s.avail+s.parkedBytes)
 	}
 	s.takeLocked(bytes)
 	r := newRequest(id, 0, bytes, nil)
-	r.granted, r.reserved = true, true
-	s.holdLocked(r)
-	s.reserved += bytes
-	s.resident[id] = struct{}{}
+	r.granted, r.reserved, r.rec = true, true, rec
+	r.hold(r)
+	s.reserved.Add(bytes)
 	s.ledger.Acquire(id, bytes)
 	return nil
+}
+
+// Forget drops id's record once it holds nothing, so a departed client
+// neither counts as resident nor stays in the identity table: it returns
+// as a newcomer to admission control. A request still holding id keeps
+// the record until it is released.
+func (s *Scheduler) Forget(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rec := s.held[id]; rec != nil {
+		rec.resident = false
+		s.dropIdleLocked(rec)
+	}
 }
 
 // Schedulable returns the memory a queued request can ever hope to be
 // granted: the total budget minus long-lived reservations. Submissions
 // above it fail fast with ErrNeverFits.
 func (s *Scheduler) Schedulable() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total - s.reserved
+	return s.total - s.reserved.Load()
 }
 
 // AdmissionState returns the current admission-control state
@@ -822,6 +990,32 @@ func (s *Scheduler) QueueDepth() int {
 	return len(s.waiting)
 }
 
+// Load is one consistent reading of the scheduler's memory and queue.
+type Load struct {
+	Total       int64 // the full budget (Total)
+	Schedulable int64 // the budget minus reservations (Schedulable)
+	Available   int64 // free plus parked bytes (Available)
+	QueueDepth  int
+	Admission   AdmissionState // StateOpen when admission control is disabled
+}
+
+// Load reads what Total, Schedulable, Available, QueueDepth and
+// AdmissionState report under one lock.
+func (s *Scheduler) Load() Load {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l := Load{
+		Total:       s.total,
+		Schedulable: s.total - s.reserved.Load(),
+		Available:   s.avail + s.parkedBytes,
+		QueueDepth:  len(s.waiting),
+	}
+	if s.adm != nil {
+		l.Admission = s.adm.state
+	}
+	return l
+}
+
 // Stats returns a snapshot of scheduler statistics, the counts read
 // from the counters /metrics shows.
 func (s *Scheduler) Stats() Stats {
@@ -837,6 +1031,7 @@ func (s *Scheduler) Stats() Stats {
 		Revoked:       s.m.revoked.Value(),
 		Decisions:     s.decisions,
 		MaxQueueDepth: int(s.m.depthMax.Value()),
+		Identities:    len(s.held),
 	}
 }
 

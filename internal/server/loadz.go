@@ -64,15 +64,16 @@ func (s *Server) LoadSnapshot() fleet.LoadSnapshot {
 	// persistent reservations). Parked activation grants are not held in
 	// that sense — Available counts them as free, because any request
 	// that needs them gets them — so placement sees them as free too.
-	used := s.device.Used() + (s.scheduler.Total() - s.scheduler.Available())
+	load := s.scheduler.Load()
+	used := s.device.Used() + (load.Total - load.Available)
 	return fleet.LoadSnapshot{
 		AtSeconds: s.clock.Now().Seconds(),
 		Server: fleet.ServerLoad{
 			ID:             s.cfg.ServerID,
 			Clients:        clients,
-			QueueDepth:     s.scheduler.QueueDepth(),
+			QueueDepth:     load.QueueDepth,
 			UsedBytes:      used,
-			Admission:      fleet.AdmissionState(s.scheduler.AdmissionState()),
+			Admission:      fleet.AdmissionState(load.Admission),
 			CommittedBytes: committed,
 			CapacityBytes:  s.device.Capacity(),
 			Models:         []string{s.store.Config().Name},

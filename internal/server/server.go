@@ -658,6 +658,7 @@ func (s *Server) teardown(sess *session) {
 	s.mu.Unlock()
 	s.scheduler.Complete(sess.id) // a grant in flight or parked, if any
 	s.scheduler.Complete("persist:" + sess.id)
+	s.scheduler.Forget(sess.id) // a reconnect is a newcomer to admission
 	if err := sess.inst.Release(); err != nil && !errors.Is(err, share.ErrReleased) {
 		s.logf("client %q: release: %v", sess.id, err)
 	}

@@ -739,3 +739,34 @@ func TestSchedulerBudgetRestoredAfterClients(t *testing.T) {
 	}
 	t.Fatalf("budget leaked: %d != %d", srv.Scheduler().Available(), before)
 }
+
+// TestSchedulerForgetsDepartedClients: the scheduler's identity table
+// returns to its size after many short sessions with distinct IDs, each
+// granted memory once (so resident) and then gone.
+func TestSchedulerForgetsDepartedClients(t *testing.T) {
+	srv, addr := newTestServer(t)
+	before := srv.Scheduler().Stats().Identities
+	for i := 0; i < 200; i++ {
+		cfg := clientCfg(fmt.Sprintf("brief-%d", i))
+		ids, targets := batchFor(cfg, uint64(i))
+		c, err := client.Dial(addr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Step(ids, targets); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Teardown is asynchronous to Close.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Scheduler().Stats().Identities != before {
+		if time.Now().After(deadline) {
+			t.Fatalf("identity table holds %d records after 200 departed sessions, want %d",
+				srv.Scheduler().Stats().Identities, before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

@@ -389,10 +389,11 @@ func (r *menosRun) canAdmit(srv *serverSim, ci fleet.ClientInfo) bool {
 // else samples or places, so the total always equals a sum over every
 // server and each placement sees every server's live state.
 func (r *menosRun) refresh(srv *serverSim) {
-	v := srv.scheduler.Schedulable() - srv.scheduler.Available()
+	load := srv.scheduler.Load()
+	v := load.Schedulable - load.Available
 	r.transient += v - srv.transient
 	srv.transient = v
-	depth, adm := srv.scheduler.QueueDepth(), fleet.AdmissionState(srv.scheduler.AdmissionState())
+	depth, adm := load.QueueDepth, fleet.AdmissionState(load.Admission)
 	if depth != srv.sig.QueueDepth || adm != srv.sig.Admission {
 		srv.sig.QueueDepth, srv.sig.Admission = depth, adm
 		r.mgr.Observe(srv.id, srv.sig)
