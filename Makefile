@@ -126,7 +126,7 @@ bench:
 # attention), BenchmarkModelNew's pool and serial perf-mid build,
 # BenchmarkClientSetup's tenant set-up against a live server, the sim
 # kernel's dispatch, the scheduler's plain and 8-member grant cycles,
-# a sim_fleet-shaped simulator run and the root
+# a sim_fleet-shaped simulator run and its set-up alone, and the root
 # package's memory-policy sweeps. A smoke test, not a timing: it
 # catches a kernel or handler that panics or allocates wildly under
 # the -bench harness. TestTileTier logs which kernel tier (avx512, avx2
@@ -140,7 +140,7 @@ kernel-bench-smoke:
 	$(GO) test -run '^$$' -bench=BenchmarkClientSetup -benchtime=1x ./internal/client/
 	$(GO) test -run '^$$' -bench=BenchmarkDispatch -benchtime=1x ./internal/sim/
 	$(GO) test -run '^$$' -bench=BenchmarkSchedulerCycle -benchtime=1x ./internal/sched/
-	$(GO) test -run '^$$' -bench=BenchmarkRunFleet -benchtime=1x ./internal/splitsim/
+	$(GO) test -run '^$$' -bench='BenchmarkRunFleet|BenchmarkFleetSetup' -benchtime=1x ./internal/splitsim/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig3$$|BenchmarkFig7$$|BenchmarkAblationMemoryPolicy$$' -benchtime=1x .
 
 # Multi-process end-to-end: builds menos-server, menos-client and

@@ -14,6 +14,7 @@ package batch
 type Former[M, S any] struct {
 	maxSize int
 	open    map[Key]*Group[M, S]
+	free    []*Group[M, S] // recycled groups, reopened before any is allocated
 }
 
 // Group is one batch, forming or sealed. Members are in join order.
@@ -67,8 +68,15 @@ func (f *Former[M, S]) Add(key Key, m M, bytes, budget int64) (g *Group[M, S], o
 const inlineMembers = 8
 
 // newGroup opens an empty group under key with room for maxSize members,
-// so joins never grow it. Up to inlineMembers it is one allocation.
+// so joins never grow it: a recycled one, or one allocation up to
+// inlineMembers.
 func (f *Former[M, S]) newGroup(key Key) *Group[M, S] {
+	if n := len(f.free); n > 0 {
+		g := f.free[n-1]
+		f.free[n-1], f.free = nil, f.free[:n-1]
+		g.Key = key
+		return g
+	}
 	if f.maxSize > inlineMembers {
 		return &Group[M, S]{Key: key, Members: make([]M, 0, f.maxSize)}
 	}
@@ -90,6 +98,16 @@ func (f *Former[M, S]) Seal(g *Group[M, S]) bool {
 	g.sealed = true
 	delete(f.open, g.Key) // an unsealed group is the one forming under its key
 	return true
+}
+
+// Recycle hands sealed group g back once its batch has run and its
+// driver is done with it, for Add to reopen under any key. g keeps its
+// State, so a driver can pool what it keeps per group with the group;
+// its members are dropped.
+func (f *Former[M, S]) Recycle(g *Group[M, S]) {
+	clear(g.Members)
+	g.Members, g.Bytes, g.sealed = g.Members[:0], 0, false
+	f.free = append(f.free, g)
 }
 
 // Drain seals and returns every group still forming.

@@ -186,3 +186,32 @@ func TestFormerAddAllocs(t *testing.T) {
 		t.Errorf("a group of %d allocates %v objects, want 1", maxSize, got)
 	}
 }
+
+// TestFormerRecycleAllocs: a group recycled after its batch reopens
+// under any key with no allocation, keeping the driver's State and none
+// of its members.
+func TestFormerRecycleAllocs(t *testing.T) {
+	const maxSize = 8
+	f := NewFormer[*int, *int](maxSize)
+	keys := [2]Key{{Cut: 1, Seq: 8, Kind: sched.KindForward}, {Cut: 1, Seq: 8, Kind: sched.KindBackward}}
+	member, state := new(int), new(int)
+	g, _, _ := f.Add(keys[0], member, 1, math.MaxInt64)
+	g.State = state
+	f.Seal(g)
+	f.Recycle(g)
+	got := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < maxSize; i++ {
+			g, opened, sealed := f.Add(keys[1], member, 1, math.MaxInt64)
+			if opened != (i == 0) || (sealed != nil) != (i == maxSize-1) || g.State != state || len(g.Members) != i+1 {
+				t.Fatalf("member %d: opened %v, sealed %v, %d members", i, opened, sealed != nil, len(g.Members))
+			}
+			if sealed != nil {
+				f.Recycle(sealed)
+			}
+		}
+		keys[0], keys[1] = keys[1], keys[0]
+	})
+	if got != 0 {
+		t.Errorf("a recycled group of %d allocates %v objects, want 0", maxSize, got)
+	}
+}

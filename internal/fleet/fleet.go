@@ -186,7 +186,8 @@ func (l *LeastLoaded) Name() string { return "least-loaded" }
 func (l *LeastLoaded) Place(_ ClientInfo, servers []ServerLoad) (int, error) {
 	best := -1
 	bestLoad := 0
-	for _, s := range servers {
+	for i := range servers {
+		s := &servers[i]
 		load := s.QueueDepth + s.Clients
 		if best < 0 || load < bestLoad || (load == bestLoad && s.ID < best) {
 			best = s.ID

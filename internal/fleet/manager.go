@@ -1,10 +1,10 @@
 package fleet
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 
 	"menos/internal/obs"
@@ -59,6 +59,17 @@ func NewManager(placer Placer) *Manager {
 		down:         make(map[int]bool),
 		mPlacements:  new(obs.Counter),
 		mScaleEvents: new(obs.Counter),
+	}
+}
+
+// Expect sizes the Manager's client table for n clients, so a control
+// plane that knows its roster up front does not grow it placement by
+// placement. Setup-time only, before the first placement.
+func (m *Manager) Expect(n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.assign) == 0 {
+		m.assign = make(map[string]resident, n)
 	}
 }
 
@@ -387,7 +398,11 @@ func (m *Manager) Stats() Stats {
 // indexLocked returns server id's row index, or where it would be
 // inserted and false. Caller holds m.mu.
 func (m *Manager) indexLocked(id int) (int, bool) {
-	return slices.BinarySearchFunc(m.rows, id, func(r ServerLoad, id int) int { return cmp.Compare(r.ID, id) })
+	if id >= 0 && id < len(m.rows) && m.rows[id].ID == id {
+		return id, true // the common case: IDs handed out densely from 0
+	}
+	i := sort.Search(len(m.rows), func(i int) bool { return m.rows[i].ID >= id })
+	return i, i < len(m.rows) && m.rows[i].ID == id
 }
 
 // candidatesLocked returns the rows a decision may choose from: every

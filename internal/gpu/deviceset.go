@@ -15,8 +15,11 @@ import (
 type DeviceSet struct {
 	mu      sync.Mutex
 	devices []*Device
-	// placements maps a set-level allocation to its per-device parts.
-	placements map[AllocID][]placement
+	// placements maps a set-level allocation to its device part, and
+	// shards one AllocSharded spread to its parts, so a single-device
+	// allocation costs the set no slice.
+	placements map[AllocID]placement
+	shards     map[AllocID][]placement
 	next       AllocID
 }
 
@@ -30,7 +33,7 @@ func NewDeviceSet(spec Spec, n int) (*DeviceSet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("gpu: device set needs at least one device, got %d", n)
 	}
-	s := &DeviceSet{placements: make(map[AllocID][]placement)}
+	s := &DeviceSet{placements: make(map[AllocID]placement), shards: make(map[AllocID][]placement)}
 	for i := 0; i < n; i++ {
 		s.devices = append(s.devices, NewDevice(spec))
 	}
@@ -100,7 +103,7 @@ func (s *DeviceSet) Alloc(owner string, bytes int64) (AllocID, error) {
 	}
 	s.next++
 	setID := s.next
-	s.placements[setID] = []placement{{device: best, id: id}}
+	s.placements[setID] = placement{device: best, id: id}
 	return setID, nil
 }
 
@@ -131,7 +134,7 @@ func (s *DeviceSet) AllocSharded(owner string, bytes int64) (AllocID, error) {
 	}
 	s.next++
 	setID := s.next
-	s.placements[setID] = placed
+	s.shards[setID] = placed
 	return setID, nil
 }
 
@@ -139,11 +142,15 @@ func (s *DeviceSet) AllocSharded(owner string, bytes int64) (AllocID, error) {
 func (s *DeviceSet) Free(id AllocID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	placed, ok := s.placements[id]
+	if p, ok := s.placements[id]; ok {
+		delete(s.placements, id)
+		return p.device.Free(p.id)
+	}
+	placed, ok := s.shards[id]
 	if !ok {
 		return fmt.Errorf("%w: set id %d", ErrBadFree, id)
 	}
-	delete(s.placements, id)
+	delete(s.shards, id)
 	for _, p := range placed {
 		if err := p.device.Free(p.id); err != nil {
 			return err
@@ -169,7 +176,12 @@ func (s *DeviceSet) FreeOwner(owner string) int64 {
 func (s *DeviceSet) pruneDead() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for id, placed := range s.placements {
+	for id, p := range s.placements {
+		if !p.device.OwnerUsageByID(p.id) {
+			delete(s.placements, id)
+		}
+	}
+	for id, placed := range s.shards {
 		live := false
 		for _, p := range placed {
 			if p.device.OwnerUsageByID(p.id) {
@@ -178,7 +190,7 @@ func (s *DeviceSet) pruneDead() {
 			}
 		}
 		if !live {
-			delete(s.placements, id)
+			delete(s.shards, id)
 		}
 	}
 }

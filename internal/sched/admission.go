@@ -157,12 +157,7 @@ type AdmissionController struct {
 	calm        bool
 	transitions int64
 	deferred    int64
-	// throttleTicks is the per-client submission parity while
-	// Throttled: each client is shed on its own every-second
-	// submission, so rate-halving is fair regardless of how the
-	// clients' submissions interleave.
-	throttleTicks map[string]int64
-	lastP99       time.Duration
+	lastP99     time.Duration
 
 	// hook observes state transitions (Scheduler.SetAdmissionHook).
 	hook func(from, to AdmissionState)
@@ -174,10 +169,9 @@ type AdmissionController struct {
 // newAdmissionController builds a controller for an enabled SLO.
 func newAdmissionController(slo SLO, clock obs.Clock) *AdmissionController {
 	a := &AdmissionController{
-		slo:           slo.withDefaults(),
-		clock:         clock,
-		bounds:        obs.DurationBuckets(),
-		throttleTicks: make(map[string]int64),
+		slo:    slo.withDefaults(),
+		clock:  clock,
+		bounds: obs.DurationBuckets(),
 	}
 	a.sliceDur = a.slo.Window / admissionWindowSlices
 	if a.sliceDur <= 0 {
@@ -193,8 +187,12 @@ func newAdmissionController(slo SLO, clock obs.Clock) *AdmissionController {
 }
 
 // instrument wires the controller's metrics into reg, the scheduler's
-// (idempotent).
+// (idempotent); with no registry yet the shed count is standalone.
 func (a *AdmissionController) instrument(reg *obs.Registry) {
+	if reg == nil {
+		a.mShed = new(obs.Counter)
+		return
+	}
 	a.mShed = reg.Counter(obs.MetricSchedAdmissionShed, "submissions shed (each client's every 2nd while throttled, all while shedding)")
 	// Advertise the configured target so scrapers (the fleet telemetry
 	// plane's burn-rate rule) compare each server's p99 against the
@@ -323,9 +321,11 @@ func (a *AdmissionController) transition(state AdmissionState, now time.Duration
 	}
 }
 
-// admit decides one submission from clientID. Returns nil (admit) or
-// an *OverloadError (reject). Caller holds the scheduler mutex and has
-// already called evaluate for this instant.
+// admit decides one submission; ticks is the submitting identity's
+// throttle parity, kept on its record in the scheduler's identity table
+// (ident.ticks). Returns nil (admit) or an *OverloadError (reject).
+// Caller holds the scheduler mutex and has already called evaluate for
+// this instant.
 //
 // Open admits everything. Throttled sheds each client's every second
 // submission — deterministic rate-halving, with half the usual retry
@@ -336,13 +336,12 @@ func (a *AdmissionController) transition(state AdmissionState, now time.Duration
 // would let one chatty client absorb all the odd slots and starve a
 // client whose submissions happen to land on the even ones. Shedding
 // rejects everything.
-func (a *AdmissionController) admit(clientID string) error {
+func (a *AdmissionController) admit(ticks *int64) error {
 	retry := a.slo.TargetP99
 	switch a.state {
 	case StateShedding:
 	case StateThrottled:
-		a.throttleTicks[clientID]++
-		if a.throttleTicks[clientID]%2 != 0 {
+		if *ticks++; *ticks%2 != 0 {
 			return nil
 		}
 		retry /= 2

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,15 +123,16 @@ func TestAdmissionHysteresis(t *testing.T) {
 func TestAdmitPerState(t *testing.T) {
 	clk := &testClock{}
 	a := newAdmissionController(SLO{TargetP99: time.Second}, clk.clock())
+	var c int64 // the submitting client's throttle parity (ident.ticks)
 
-	if err := a.admit("c"); err != nil {
+	if err := a.admit(&c); err != nil {
 		t.Fatalf("open: %v", err)
 	}
 
 	a.transition(StateThrottled, 0)
 	admitted, shed := 0, 0
 	for i := 0; i < 10; i++ {
-		if err := a.admit("c"); err != nil {
+		if err := a.admit(&c); err != nil {
 			var ov *OverloadError
 			if !errors.As(err, &ov) || !errors.Is(err, ErrOverloaded) {
 				t.Fatalf("throttled: wrong error type: %v", err)
@@ -149,7 +151,7 @@ func TestAdmitPerState(t *testing.T) {
 
 	a.transition(StateShedding, 0)
 	for i := 0; i < 3; i++ {
-		err := a.admit("c")
+		err := a.admit(&c)
 		var ov *OverloadError
 		if !errors.As(err, &ov) {
 			t.Fatalf("shedding: admit returned %v", err)
@@ -170,6 +172,7 @@ func TestThrottledShedIsPerClientFair(t *testing.T) {
 	a := newAdmissionController(SLO{TargetP99: time.Second}, clk.clock())
 	a.transition(StateThrottled, 0)
 
+	ticks := map[string]*int64{"a": new(int64), "b": new(int64)} // each client's record's parity
 	shedBy := map[string]int{}
 	admittedBy := map[string]int{}
 	for i := 0; i < 20; i++ { // strict alternation: a,b,a,b,…
@@ -177,7 +180,7 @@ func TestThrottledShedIsPerClientFair(t *testing.T) {
 		if i%2 == 1 {
 			id = "b"
 		}
-		if err := a.admit(id); err != nil {
+		if err := a.admit(ticks[id]); err != nil {
 			shedBy[id]++
 		} else {
 			admittedBy[id]++
@@ -319,5 +322,55 @@ func TestConcurrentSubmitCompleteUnderAdmission(t *testing.T) {
 	}
 	if got := s.AdmissionStats().Shed; got != shed.Load() {
 		t.Fatalf("shed counter = %d, callers saw %d", got, shed.Load())
+	}
+}
+
+// TestThrottledParityGoesWithTheRecord: admission keeps each identity's
+// throttle parity on its record in the identity table. A resident
+// client's record stays, so its submissions are still shed every second
+// one; a batch ID's record goes with its batch, so 10,000 throttled
+// submissions under fresh batch IDs leave the table holding the live
+// identities only — the eight resident members. (The parity of a fresh
+// ID starts over, so a batch's first throttled submission is never shed;
+// docs/ADMISSION.md.)
+func TestThrottledParityGoesWithTheRecord(t *testing.T) {
+	clk := &testClock{}
+	s := New(100, PolicyFCFSBackfill)
+	if err := s.EnableAdmission(SLO{TargetP99: time.Second}, clk.clock()); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.adm.transition(StateThrottled, 0) // the clock stands still, so it stays
+	s.mu.Unlock()
+	grant := func() {}
+
+	shed := 0
+	for i := 0; i < 10; i++ {
+		if err := s.Submit("c", KindForward, 10, grant); errors.Is(err, ErrOverloaded) {
+			shed++
+		}
+		s.Complete("c")
+	}
+	if shed != 5 {
+		t.Errorf("resident client shed %d of 10 throttled submissions, want 5", shed)
+	}
+	s.Forget("c")
+
+	members := make([]BatchMember, 8)
+	for i := range members {
+		members[i] = BatchMember{ClientID: fmt.Sprintf("m%d", i), Bytes: 5}
+	}
+	for i := 0; i < 10_000; i++ {
+		id := fmt.Sprintf("batch-%d", i)
+		if err := s.SubmitBatch(id, KindForward, members, grant); err != nil {
+			t.Fatalf("fresh batch %s: %v", id, err)
+		}
+		s.Complete(id)
+	}
+	if st := s.AdmissionState(); st != StateThrottled {
+		t.Fatalf("admission left Throttled for %v", st)
+	}
+	if n := s.Stats().Identities; n > len(members) {
+		t.Errorf("identity table holds %d records after 10,000 throttled batches, want at most the %d live members", n, len(members))
 	}
 }

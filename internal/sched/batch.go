@@ -80,5 +80,5 @@ func (s *Scheduler) SubmitBatch(batchID string, kind RequestKind, members []Batc
 	for _, m := range members {
 		total += m.Bytes
 	}
-	return s.submit(&request{clientID: batchID, kind: kind, bytes: total, grant: grant, members: members}, true)
+	return s.submit(batchID, kind, total, members, grant)
 }

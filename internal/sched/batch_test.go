@@ -169,7 +169,8 @@ func TestSubmitBatchRejections(t *testing.T) {
 }
 
 // TestPlainCycleAllocs pins the heap cost of the uncontended serial
-// Submit→grant→Complete cycle — the request and the grant list — so
+// Submit→grant→Complete cycle at nothing: the request comes back from
+// the scheduler's free list and the grant list lives on the stack, so
 // carrying a member share on every request stays free. sim_fleet runs
 // hundreds of thousands of these per window.
 func TestPlainCycleAllocs(t *testing.T) {
@@ -184,11 +185,11 @@ func TestPlainCycleAllocs(t *testing.T) {
 		}
 		s.Complete("a")
 	})
-	if got > 2 {
-		t.Errorf("plain Submit→Complete cycle allocates %v objects, want at most 2", got)
+	if got > 0 {
+		t.Errorf("plain Submit→Complete cycle allocates %v objects, want 0", got)
 	}
-	// The request is one of the two, and 128 bytes is its size class: a
-	// field more moves every Submit of every plane to the 144-byte class.
+	// 128 bytes is the request's size class: a field more moves every
+	// request of every plane, and the free list, to the 144-byte class.
 	if sz := unsafe.Sizeof(request{}); sz > 128 {
 		t.Errorf("request is %d bytes, want at most 128", sz)
 	}
@@ -212,14 +213,14 @@ func batchCycle(tb testing.TB, s *Scheduler) func() {
 }
 
 // TestBatchCycleAllocs pins the heap cost of the uncontended batched
-// cycle at one object, the request. The members' records are looked up,
-// marked resident and released through pointers, the batch ID's record
-// and the batch's record list are reused, and the grant list lives on
-// the stack.
+// cycle at nothing. The members' records are looked up, marked resident
+// and released through pointers; the request, the batch ID's record and
+// the batch's record list are reused; and the grant list lives on the
+// stack.
 func TestBatchCycleAllocs(t *testing.T) {
 	s := New(100, PolicyFCFSBackfill)
-	if got := testing.AllocsPerRun(1000, batchCycle(t, s)); got > 1 {
-		t.Errorf("8-member SubmitBatch→Complete cycle allocates %v objects, want 1", got)
+	if got := testing.AllocsPerRun(1000, batchCycle(t, s)); got > 0 {
+		t.Errorf("8-member SubmitBatch→Complete cycle allocates %v objects, want 0", got)
 	}
 	if st := s.Stats(); st.Identities != 8 {
 		t.Errorf("identity table holds %d records after the cycles, want the 8 resident members", st.Identities)

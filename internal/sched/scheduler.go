@@ -15,7 +15,10 @@
 // once; from then on its request carries the records, so granting and
 // releasing it mark residency and clear the holding through pointers,
 // not by hashing the IDs again. A record that holds nothing and is not
-// resident is dropped; Forget drops a departed client's.
+// resident is dropped; Forget drops a departed client's. A batch ID no
+// other identity names is listed beside the table instead of entering
+// it, so a fresh batch costs the table no insert and no delete. Records
+// and requests are reused once released.
 package sched
 
 import (
@@ -129,13 +132,20 @@ type ident struct {
 	// own ID or as a member — from Submit, SubmitBatch or Reserve until
 	// Complete: the one-outstanding rule.
 	req *request
+	// mark is the submission that last looked the identity up, so a
+	// batch naming it twice is caught by comparing one number.
+	mark uint64
+	// ticks counts the submissions admission control saw from this
+	// identity while Throttled; their parity sheds every second one. It
+	// goes with the record, so a dropped record takes its parity along.
+	ticks int64
 	// resident marks an identity granted memory as a request's member at
 	// least once; admission control protects resident clients over
 	// newcomers.
 	resident bool
-	// mark is the submission that last looked the identity up, so a
-	// batch naming it twice is caught by comparing one number.
-	mark uint64
+	// listed marks a batch ID's record kept in Scheduler.aliases, not in
+	// held.
+	listed bool
 }
 
 // batchRecs is a SubmitBatch request's records: every identity it
@@ -151,6 +161,23 @@ func (r *request) memberRec(i int) *ident {
 		return r.batch.members[i]
 	}
 	return r.rec
+}
+
+// own returns the record of r's own ID: a plain request's, a batch ID's,
+// or the member's that carries the batch ID.
+func (r *request) own() *ident {
+	switch {
+	case r.batch == nil:
+		return r.rec
+	case r.batch.alias != nil:
+		return r.batch.alias
+	}
+	for _, rec := range r.batch.members {
+		if rec.id == r.clientID {
+			return rec
+		}
+	}
+	return nil
 }
 
 // alias returns the record of r's own ID when no member carries it (a
@@ -183,17 +210,44 @@ type revocable struct {
 	revoke func()
 }
 
-// newRequest builds the one-member request of Submit and Reserve.
-func newRequest(clientID string, kind RequestKind, bytes int64, grant func()) *request {
-	r := &request{clientID: clientID, kind: kind, bytes: bytes, grant: grant}
+// recChunk and reqChunk are how many records and requests one
+// allocation makes when the free lists run dry.
+const (
+	recChunk = 16
+	reqChunk = 8
+)
+
+// requestLocked takes a released request for a new one-member request
+// of Submit or Reserve; SubmitBatch then points members at its own.
+// Caller holds s.mu.
+func (s *Scheduler) requestLocked(clientID string, kind RequestKind, bytes int64, grant func()) *request {
+	if len(s.freeReqs) == 0 {
+		chunk := make([]request, reqChunk)
+		for i := range chunk {
+			s.freeReqs = append(s.freeReqs, &chunk[i])
+		}
+	}
+	n := len(s.freeReqs) - 1
+	r := s.freeReqs[n]
+	s.freeReqs[n], s.freeReqs = nil, s.freeReqs[:n]
+	*r = request{clientID: clientID, kind: kind, bytes: bytes, grant: grant}
 	r.self[0] = BatchMember{ClientID: clientID, Bytes: bytes}
 	r.members = r.self[:]
 	return r
 }
 
-// schedMetrics holds the scheduler's telemetry handles. They always
-// exist, in a private registry until Instrument, because Stats reads its
-// counts from them.
+// freeRequestLocked takes back a request nothing refers to any more: a
+// refused one, or one released whose caller is done reading it. Caller
+// holds s.mu.
+func (s *Scheduler) freeRequestLocked(r *request) {
+	*r = request{}
+	s.freeReqs = append(s.freeReqs, r)
+}
+
+// schedMetrics holds the scheduler's telemetry handles. The counters and
+// gauges always exist, standalone until Instrument, because Stats reads
+// its counts from them; the histograms, only observed on an instrument
+// clock, and the registry are nil until then.
 type schedMetrics struct {
 	reg        *obs.Registry
 	submitted  *obs.Counter
@@ -208,6 +262,17 @@ type schedMetrics struct {
 	claimed    *obs.Counter
 	revoked    *obs.Counter
 	parked     *obs.Gauge
+}
+
+// standaloneSchedMetrics makes the handles of a scheduler not yet
+// instrumented, in two allocations.
+func standaloneSchedMetrics() schedMetrics {
+	c, g := new([8]obs.Counter), new([2]obs.Gauge)
+	return schedMetrics{
+		submitted: &c[0], granted: &c[1], backfilled: &c[2], completed: &c[3],
+		rejected: &c[4], grown: &c[5], claimed: &c[6], revoked: &c[7],
+		depthMax: &g[0], parked: &g[1],
+	}
 }
 
 // newSchedMetrics registers the scheduler's handles in reg.
@@ -261,9 +326,15 @@ type Scheduler struct {
 	// rule for all three) and whether it is resident. Each submission
 	// hashes each of its identities once; a record holding nothing that
 	// is not resident is dropped at release, and Forget drops a resident
-	// one. Dropped records and released batches' record lists are reused.
-	held      map[string]*ident
+	// one. Dropped records, released requests and released batches'
+	// record lists are reused.
+	held map[string]*ident
+	// aliases lists the records of live batch IDs that no other identity
+	// names, which held does not carry: one for each queued or granted
+	// batch at most, searched before held.
+	aliases   []*ident
 	freeRecs  []*ident
+	freeReqs  []*request
 	freeBatch []*batchRecs
 	marks     uint64 // submissions looked up: the last ident.mark issued
 	closed    bool
@@ -309,7 +380,7 @@ func New(totalMem int64, policy Policy) *Scheduler {
 		avail:  totalMem,
 		total:  totalMem,
 		held:   make(map[string]*ident),
-		m:      newSchedMetrics(obs.NewRegistry()),
+		m:      standaloneSchedMetrics(),
 	}
 }
 
@@ -410,32 +481,47 @@ func (s *Scheduler) headAgeLocked(now time.Duration) time.Duration {
 	return 0
 }
 
+// Expect sizes the identity table for n identities, so a scheduler
+// whose roster is known up front does not grow it record by record.
+// Setup-time only, before the first submission or reservation.
+func (s *Scheduler) Expect(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.held) == 0 {
+		s.held = make(map[string]*ident, n)
+	}
+}
+
 // Submit registers a request for bytes of GPU memory on behalf of
 // clientID; grant is invoked (possibly synchronously, under no lock)
 // when the request is scheduled. A client may have at most one
 // outstanding request or live allocation, its own or as a member of a
 // batch.
 func (s *Scheduler) Submit(clientID string, kind RequestKind, bytes int64, grant func()) error {
-	return s.submit(newRequest(clientID, kind, bytes, grant), false)
+	return s.submit(clientID, kind, bytes, nil, grant)
 }
 
 // submit is the one submission path behind Submit and SubmitBatch:
-// look up req's identities, admit it to the queue and run a scheduling
-// cycle. batched marks a SubmitBatch request.
-func (s *Scheduler) submit(req *request, batched bool) error {
+// build the request — members nil for a plain one — look up its
+// identities, admit it to the queue and run a scheduling cycle.
+func (s *Scheduler) submit(id string, kind RequestKind, bytes int64, members []BatchMember, grant func()) error {
 	s.mu.Lock()
-	if batched {
+	req := s.requestLocked(id, kind, bytes, grant)
+	if members != nil {
+		req.members = members
 		// A member named twice is refused before anything else, and is
 		// not counted as a rejected submission.
 		if err := s.resolveBatchLocked(req); err != nil {
+			s.freeRequestLocked(req)
 			s.mu.Unlock()
 			return err
 		}
 	} else {
-		req.rec = s.identLocked(req.clientID)
+		req.rec = s.identLocked(id)
 	}
 	if err := s.enqueueLocked(req); err != nil {
 		s.unresolveLocked(req)
+		s.freeRequestLocked(req)
 		s.mu.Unlock()
 		s.m.rejected.Inc()
 		return err
@@ -449,19 +535,53 @@ func (s *Scheduler) submit(req *request, batched bool) error {
 	return nil
 }
 
-// identLocked returns id's record, creating it (from the free list when
-// it can) if id has none. Caller holds s.mu.
-func (s *Scheduler) identLocked(id string) *ident {
-	rec := s.held[id]
-	if rec == nil {
-		if n := len(s.freeRecs); n > 0 {
-			rec, s.freeRecs = s.freeRecs[n-1], s.freeRecs[:n-1]
-		} else {
-			rec = new(ident)
+// lookupLocked returns id's record, or nil if id has none. Caller holds
+// s.mu.
+func (s *Scheduler) lookupLocked(id string) *ident {
+	for _, rec := range s.aliases {
+		if rec.id == id {
+			return rec
 		}
-		rec.id = id
+	}
+	return s.held[id]
+}
+
+// identLocked returns id's record, creating it in held if id has none.
+// Caller holds s.mu.
+func (s *Scheduler) identLocked(id string) *ident {
+	rec := s.lookupLocked(id)
+	if rec == nil {
+		rec = s.newIdentLocked(id)
 		s.held[id] = rec
 	}
+	return rec
+}
+
+// aliasLocked returns batch ID id's record, creating it in aliases if
+// id has none. Caller holds s.mu.
+func (s *Scheduler) aliasLocked(id string) *ident {
+	rec := s.lookupLocked(id)
+	if rec == nil {
+		rec = s.newIdentLocked(id)
+		rec.listed = true
+		s.aliases = append(s.aliases, rec)
+	}
+	return rec
+}
+
+// newIdentLocked takes a record off the free list for id. Caller holds
+// s.mu.
+func (s *Scheduler) newIdentLocked(id string) *ident {
+	if len(s.freeRecs) == 0 {
+		chunk := make([]ident, recChunk)
+		for i := range chunk {
+			s.freeRecs = append(s.freeRecs, &chunk[i])
+		}
+	}
+	n := len(s.freeRecs) - 1
+	rec := s.freeRecs[n]
+	s.freeRecs[n], s.freeRecs = nil, s.freeRecs[:n]
+	rec.id = id
 	return rec
 }
 
@@ -471,7 +591,12 @@ func (s *Scheduler) dropIdleLocked(rec *ident) {
 	if rec.req != nil || rec.resident {
 		return
 	}
-	delete(s.held, rec.id)
+	if rec.listed {
+		i := slices.Index(s.aliases, rec)
+		s.aliases = slices.Delete(s.aliases, i, i+1)
+	} else {
+		delete(s.held, rec.id)
+	}
 	*rec = ident{}
 	s.freeRecs = append(s.freeRecs, rec)
 }
@@ -497,7 +622,7 @@ func (s *Scheduler) resolveBatchLocked(req *request) error {
 		rec.mark = s.marks
 		b.members = append(b.members, rec)
 	}
-	if rec := s.identLocked(req.clientID); rec.mark != s.marks {
+	if rec := s.aliasLocked(req.clientID); rec.mark != s.marks {
 		b.alias = rec
 	}
 	return nil
@@ -554,7 +679,7 @@ func (s *Scheduler) enqueueLocked(req *request) error {
 	if s.adm != nil {
 		now, _ := s.clockNow()
 		s.adm.evaluate(now, s.headAgeLocked(now))
-		if err := s.adm.admit(req.clientID); err != nil {
+		if err := s.adm.admit(&req.own().ticks); err != nil {
 			for _, m := range req.members {
 				s.ledger.Shed(m.ClientID)
 			}
@@ -584,7 +709,7 @@ func outstanding(rec *ident) error {
 // allocLocked returns the granted request or reservation that id names
 // (not one it merely rides as a member), or nil. Caller holds s.mu.
 func (s *Scheduler) allocLocked(id string) *request {
-	if rec := s.held[id]; rec != nil {
+	if rec := s.lookupLocked(id); rec != nil {
 		if r := rec.req; r != nil && r.granted && r.clientID == id {
 			return r
 		}
@@ -606,6 +731,7 @@ func (s *Scheduler) Complete(clientID string) int64 {
 			s.unparkLocked(r)
 		}
 		s.releaseLocked(r)
+		s.freeRequestLocked(r)
 		s.m.completed.Inc()
 	}
 	var buf grantBuf
@@ -748,6 +874,7 @@ func (s *Scheduler) revokeLocked(r *request) {
 	s.releaseLocked(r)
 	s.m.revoked.Inc()
 	s.ledger.Revoke(r.clientID)
+	s.freeRequestLocked(r)
 	revoke()
 }
 
@@ -903,7 +1030,7 @@ func (s *Scheduler) Reserve(id string, bytes int64) error {
 		return fmt.Errorf("%w: reserve %d, available %d", ErrNeverFits, bytes, s.avail+s.parkedBytes)
 	}
 	s.takeLocked(bytes)
-	r := newRequest(id, 0, bytes, nil)
+	r := s.requestLocked(id, 0, bytes, nil)
 	r.granted, r.reserved, r.rec = true, true, rec
 	r.hold(r)
 	s.reserved.Add(bytes)
@@ -918,7 +1045,7 @@ func (s *Scheduler) Reserve(id string, bytes int64) error {
 func (s *Scheduler) Forget(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rec := s.held[id]; rec != nil {
+	if rec := s.lookupLocked(id); rec != nil {
 		rec.resident = false
 		s.dropIdleLocked(rec)
 	}
@@ -1031,7 +1158,7 @@ func (s *Scheduler) Stats() Stats {
 		Revoked:       s.m.revoked.Value(),
 		Decisions:     s.decisions,
 		MaxQueueDepth: int(s.m.depthMax.Value()),
-		Identities:    len(s.held),
+		Identities:    len(s.held) + len(s.aliases),
 	}
 }
 

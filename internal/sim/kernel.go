@@ -21,6 +21,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -193,7 +194,11 @@ func (k *Kernel) blockedSummary() string {
 	var parts []string
 	for _, s := range k.signals {
 		for _, w := range s.waiters[s.head:] {
-			parts = append(parts, w.reason)
+			if w.subject != "" {
+				parts = append(parts, w.reason+" "+w.subject)
+			} else {
+				parts = append(parts, w.reason)
+			}
 		}
 	}
 	sort.Strings(parts)
@@ -205,24 +210,50 @@ type Signal struct {
 	kernel  *Kernel
 	waiters []waiter // FIFO from head; reset to empty when drained
 	head    int
+	// first backs waiters until a second continuation parks, so a
+	// signal with one waiter at a time never allocates.
+	first [1]waiter
 }
 
 type waiter struct {
-	reason string
-	then   func()
+	reason, subject string
+	then            func()
 }
 
 // NewSignal creates a signal bound to the kernel.
 func (k *Kernel) NewSignal() *Signal {
-	s := &Signal{kernel: k}
-	k.signals = append(k.signals, s)
-	return s
+	return &k.NewSignals(1)[0]
+}
+
+// NewSignals creates n signals bound to the kernel in one allocation,
+// for a simulation that gives each of n processes its own.
+func (k *Kernel) NewSignals(n int) []Signal {
+	sigs := make([]Signal, n)
+	k.signals = slices.Grow(k.signals, n)
+	for i := range sigs {
+		s := &sigs[i]
+		s.kernel, s.waiters = k, s.first[:0]
+		k.signals = append(k.signals, s)
+	}
+	return sigs
 }
 
 // Wait parks then until a Fire picks it, FIFO. reason names the wait
 // in a deadlock report; it is stored, never formatted, on this path.
-func (s *Signal) Wait(reason string, then func()) {
-	s.waiters = append(s.waiters, waiter{reason: reason, then: then})
+func (s *Signal) Wait(reason string, then func()) { s.WaitFor(reason, "", then) }
+
+// WaitFor is Wait for a wait whose report names who waits as well:
+// "reason subject". The two are joined only if the report is written,
+// so a process can park under its own ID without building a string.
+func (s *Signal) WaitFor(reason, subject string, then func()) {
+	if s.head > 0 && len(s.waiters) == cap(s.waiters) {
+		// A signal that never drains would otherwise grow by every wait
+		// it ever held: move the live waiters down instead.
+		n := copy(s.waiters, s.waiters[s.head:])
+		clear(s.waiters[n:])
+		s.waiters, s.head = s.waiters[:n], 0
+	}
+	s.waiters = append(s.waiters, waiter{reason: reason, subject: subject, then: then})
 	s.kernel.blocked++
 }
 

@@ -487,3 +487,33 @@ func BenchmarkDispatch(b *testing.B) {
 		})
 	}
 }
+
+// A signal that always has a waiter parked, and a resource that always
+// has a continuation queued, never drain; their queues must stay the
+// size of what waits, not grow by every wait they ever held.
+func TestQueuesThatNeverDrainStayBounded(t *testing.T) {
+	k := New()
+	sig := k.NewSignal()
+	gpu := k.NewResource("gpu", 1)
+	noop := func() {}
+	sig.Wait("first", noop)
+	gpu.Acquire(noop) // takes the unit
+	gpu.Acquire(noop) // queues
+	for i := 0; i < 10_000; i++ {
+		sig.Wait("next", noop)
+		sig.Fire()
+		gpu.Acquire(noop)
+		gpu.Release()
+		// The queue drains with the two still parked: a deadlock, here
+		// on purpose.
+		if err := k.RunUntil(k.Now()); !errors.Is(err, ErrDeadlock) {
+			t.Fatal(err)
+		}
+	}
+	if n := cap(sig.waiters); n > 8 {
+		t.Errorf("signal with one or two waiters at a time holds room for %d", n)
+	}
+	if n := cap(gpu.parked); n > 8 {
+		t.Errorf("resource with one or two queued continuations holds room for %d", n)
+	}
+}

@@ -8,6 +8,12 @@ type Resource struct {
 	capacity int
 	inUse    int
 	signal   *Signal
+	// parked holds the continuations waiting for a unit, oldest at head,
+	// one for each retry waiting on signal: a Fire wakes the oldest
+	// retry, and retry re-runs Acquire for the oldest continuation.
+	parked []func()
+	head   int
+	retry  func()
 }
 
 // NewResource creates a resource with the given unit count.
@@ -15,7 +21,9 @@ func (k *Kernel) NewResource(name string, capacity int) *Resource {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Resource{name: name, reason: "resource " + name, capacity: capacity, signal: k.NewSignal()}
+	r := &Resource{name: name, reason: "resource " + name, capacity: capacity, signal: k.NewSignal()}
+	r.retry = r.acquireOldest
+	return r
 }
 
 // Acquire takes one unit and runs then. With a unit free, then runs
@@ -23,11 +31,28 @@ func (k *Kernel) NewResource(name string, capacity int) *Resource {
 // check is repeated — a unit taken in between sends it back to the tail.
 func (r *Resource) Acquire(then func()) {
 	if r.inUse >= r.capacity {
-		r.signal.Wait(r.reason, func() { r.Acquire(then) })
+		if r.head > 0 && len(r.parked) == cap(r.parked) {
+			n := copy(r.parked, r.parked[r.head:])
+			clear(r.parked[n:])
+			r.parked, r.head = r.parked[:n], 0
+		}
+		r.parked = append(r.parked, then)
+		r.signal.Wait(r.reason, r.retry)
 		return
 	}
 	r.inUse++
 	then()
+}
+
+// acquireOldest is a woken retry: Acquire again for the oldest parked
+// continuation.
+func (r *Resource) acquireOldest() {
+	then := r.parked[r.head]
+	r.parked[r.head] = nil
+	if r.head++; r.head == len(r.parked) {
+		r.parked, r.head = r.parked[:0], 0
+	}
+	r.Acquire(then)
 }
 
 // Release returns one unit and wakes one waiter.

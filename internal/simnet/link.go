@@ -101,17 +101,25 @@ func (l *Link) Transfer(bytes int64, then func()) time.Duration {
 	l.active++
 	l.totalBytes += bytes
 	l.totalTransfers++
-	var f *flow
-	if n := len(l.free); n > 0 {
-		f, l.free = l.free[n-1], l.free[:n-1]
-	} else {
-		f = &flow{link: l}
-		f.land = f.landed
+	if len(l.free) == 0 {
+		chunk := make([]flow, flowChunk)
+		for i := range chunk {
+			f := &chunk[i]
+			f.link, f.land = l, f.landed
+			l.free = append(l.free, f)
+		}
 	}
+	n := len(l.free) - 1
+	f := l.free[n]
+	l.free = l.free[:n]
 	f.then = then
 	l.kernel.After(d, f.land)
 	return d
 }
+
+// flowChunk is how many flows one allocation makes when a link's pool
+// runs dry.
+const flowChunk = 16
 
 // flow is one transfer in flight. Flows are pooled per link, each with
 // its landing bound once, so a transfer allocates nothing.

@@ -2,7 +2,6 @@ package splitsim
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"menos/internal/batch"
@@ -18,7 +17,9 @@ import (
 // metrics); this file is only the virtual clockwork around it —
 // kernel.After for the hold timer, a leader handler per sealed group —
 // because Engine's wall-clock timers and goroutines cannot run under
-// the deterministic kernel.
+// the deterministic kernel. A batch allocates nothing: each group keeps
+// its leader through the former's recycling, and batch IDs are cut from
+// an arena.
 //
 // Batched mode also changes the compute model: where the serial
 // simulation time-shares GPU compute freely (each client sleeps its own
@@ -34,8 +35,8 @@ type simBatcher struct {
 	pol     sched.BatchPolicy
 	metrics *batch.Metrics
 
-	seq  int        // batch IDs and shed-retry jitter count across the fleet
-	free []*simLead // leaders between groups
+	seq int   // batch IDs and shed-retry jitter count across the fleet
+	ids arena // every batch ID issued
 }
 
 // simMember is one client's share of a forming group. The joining
@@ -47,7 +48,6 @@ type simMember struct {
 	rows    int64
 	dur     time.Duration // this member's serial kernel duration
 	release time.Duration // release/re-collect overhead (backward only)
-	reason  string        // the member's wait in a deadlock report
 	sig     *sim.Signal
 	then    func() // the member's continuation once its batch ran
 
@@ -82,19 +82,18 @@ func (b *simBatcher) join(srv *serverSim, key batch.Key, m *simMember) {
 	g, opened, sealed := srv.former.Add(key, m, m.bytes, srv.scheduler.Schedulable())
 	if opened {
 		b.seq++
-		g.State = b.leader(g, srv)
+		if g.State == nil {
+			g.State = b.newLeader(srv)
+		}
+		g.State.open(g)
 		// The hold timer is its own event; leading a group is another,
 		// so the timer never runs a batch inline.
-		b.kernel.After(b.pol.MaxHold, func() {
-			if srv.former.Seal(g) {
-				b.startLeader(g)
-			}
-		})
+		b.kernel.After(b.pol.MaxHold, g.State.expire)
 	}
 	if sealed != nil {
 		b.startLeader(sealed)
 	}
-	m.sig.Wait(m.reason, m.then)
+	m.sig.WaitFor("batch member", m.id, m.then)
 }
 
 // startLeader starts sealed group g's leader at the current time.
@@ -104,15 +103,17 @@ func (b *simBatcher) startLeader(g *batch.Group[*simMember, *simLead]) {
 
 // simLead drives one sealed group: submit the batched grant, serialize
 // on the device, run the batched kernel, release, bill each member its
-// row share, and wake everyone. Leaders are pooled, each binding its
-// continuations once.
+// row share, and wake everyone. A leader stays with its group through
+// the server's former, binding its continuations once; the pair is
+// recycled when both the batch and the hold timer are done.
 type simLead struct {
-	b      *simBatcher
-	group  *batch.Group[*simMember, *simLead]
-	srv    *serverSim
-	id     string
-	opened time.Duration
-	pc     leadPC
+	b       *simBatcher
+	group   *batch.Group[*simMember, *simLead]
+	srv     *serverSim
+	id      string
+	opened  time.Duration
+	pc      leadPC
+	holding bool // the group's hold timer has yet to fire
 
 	members []sched.BatchMember
 	rows    []batch.MemberRows
@@ -122,8 +123,8 @@ type simLead struct {
 	hold    time.Duration
 	grantAt time.Duration
 
-	gw      grantWait
-	advance func()
+	gw              grantWait
+	advance, expire func()
 }
 
 // leadPC is a position in simLead.lead.
@@ -135,25 +136,49 @@ const (
 	leadRun
 	leadRan
 	leadDone
+	leadIdle // the batch ran and its members were woken
 )
 
-// leader takes a pooled leader for group g, opened now on srv.
-func (b *simBatcher) leader(g *batch.Group[*simMember, *simLead], srv *serverSim) *simLead {
-	var l *simLead
-	if n := len(b.free); n > 0 {
-		l, b.free = b.free[n-1], b.free[:n-1]
-	} else {
-		l = &simLead{b: b}
-		l.advance = l.lead
-		l.gw.init(b.kernel, "", 0, l.submit, l.shed, l.advance)
+// newLeader makes a leader for srv's groups.
+func (b *simBatcher) newLeader(srv *serverSim) *simLead {
+	l := &simLead{
+		b:       b,
+		srv:     srv,
+		members: make([]sched.BatchMember, 0, b.pol.MaxSize),
+		rows:    make([]batch.MemberRows, 0, b.pol.MaxSize),
 	}
-	buf := make([]byte, 0, 32)
-	buf = append(buf, "batch grant batch-"...)
-	reason := string(strconv.AppendInt(buf, int64(b.seq), 10))
-	l.group, l.srv, l.opened, l.pc = g, srv, b.kernel.Now(), leadStart
-	l.id = reason[len("batch grant "):]
-	l.gw.reason, l.gw.jitter = reason, b.seq%8
+	l.advance, l.expire = l.lead, l.holdExpired
+	l.gw.init(b.kernel, "batch grant", "", 0, b.kernel.NewSignal(), l, l.advance)
 	return l
+}
+
+// open takes group g, opened now, under the fleet's next batch ID.
+func (l *simLead) open(g *batch.Group[*simMember, *simLead]) {
+	b := l.b
+	l.id = b.ids.number("batch-", b.seq)
+	l.group, l.opened, l.pc, l.holding = g, b.kernel.Now(), leadStart, true
+	l.gw.subject, l.gw.jitter = l.id, b.seq%8
+}
+
+// holdExpired is the group's hold timer: a group still forming seals
+// and runs as it is.
+func (l *simLead) holdExpired() {
+	l.holding = false
+	switch {
+	case l.srv.former.Seal(l.group):
+		l.b.startLeader(l.group)
+	case l.pc == leadIdle:
+		l.srv.former.Recycle(l.group)
+	}
+}
+
+// finish ends the leader's batch; the group goes back to the former now,
+// or when its hold timer fires if it has yet to.
+func (l *simLead) finish() {
+	l.pc = leadIdle
+	if !l.holding {
+		l.srv.former.Recycle(l.group)
+	}
 }
 
 func (l *simLead) lead() {
@@ -187,7 +212,7 @@ func (l *simLead) lead() {
 					m.err = fmt.Errorf("batch %s: %w", l.id, err)
 					m.sig.Fire()
 				}
-				b.free = append(b.free, l)
+				l.finish()
 				return
 			}
 			l.grantAt = k.Now()
@@ -221,7 +246,7 @@ func (l *simLead) lead() {
 			for _, m := range l.group.Members {
 				m.sig.Fire()
 			}
-			b.free = append(b.free, l)
+			l.finish()
 			return
 		}
 	}
@@ -262,10 +287,4 @@ func (l *simLead) submit(grant func()) error {
 }
 
 // shed books an admission shed against every member of the group.
-func (l *simLead) shed() {
-	ids := make([]string, len(l.members))
-	for i, m := range l.members {
-		ids[i] = m.ClientID
-	}
-	l.b.run.shed(ids...)
-}
+func (l *simLead) shed() { l.b.run.shed(l.members...) }

@@ -77,10 +77,21 @@ type menosRun struct {
 	cfg     Config
 	kernel  *sim.Kernel
 	link    *simnet.Link
+	placer  fleet.Placer
 	mgr     *fleet.Manager
 	ledger  *obs.Ledger
 	servers []*serverSim
 	batcher *simBatcher
+	// perServer is the clients a server is sized for: an even share of
+	// the roster, which an uneven placement outgrows.
+	perServer int
+
+	clients  []menosClient
+	results  []ClientResult
+	profiles map[profileKey][]*profile
+	// persistent is the device memory a static fleet holds between
+	// iterations, summed once every client is admitted.
+	persistent int64
 
 	peakServers int
 	waits       WaitStats
@@ -123,21 +134,100 @@ type menosRun struct {
 // assignment) and Config.Autoscale lets servers join and drain mid-run
 // with clients migrating at iteration boundaries.
 func runMenos(cfg Config) (*Result, error) {
+	r, err := newMenosRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	kernel := r.kernel
+	for i := range r.clients {
+		r.clients[i].start()
+	}
+
+	if err := kernel.Run(); err != nil {
+		return nil, fmt.Errorf("menos simulation: %w", err)
+	}
+	if r.fleetErr != nil {
+		return nil, fmt.Errorf("menos fleet: %w", r.fleetErr)
+	}
+	persistent := r.persistent
+	if cfg.Autoscale != nil {
+		for _, srv := range r.servers {
+			if !srv.removed {
+				persistent += srv.devices.Used()
+			}
+		}
+	}
+
+	var schedStats sched.Stats
+	var admission sched.AdmissionStats
+	for i, srv := range r.servers {
+		st, ast := srv.scheduler.Stats(), srv.scheduler.AdmissionStats()
+		// Schedulers instrumented into one registry share its counters,
+		// so each one's counts are already the fleet's: take them once.
+		if i == 0 || cfg.Metrics == nil {
+			schedStats.Submitted += st.Submitted
+			schedStats.Granted += st.Granted
+			schedStats.Backfilled += st.Backfilled
+			schedStats.Completed += st.Completed
+			admission.Shed += ast.Shed
+		}
+		schedStats.Decisions += st.Decisions
+		schedStats.MaxQueueDepth = max(schedStats.MaxQueueDepth, st.MaxQueueDepth)
+		admission.Transitions += ast.Transitions
+		admission.Deferred += ast.Deferred
+		admission.State = max(admission.State, ast.State)
+		admission.P99 = max(admission.P99, ast.P99)
+	}
+	fstats := r.mgr.Stats()
+	res := &Result{
+		Mode:            ModeMenos,
+		Clients:         r.results,
+		Aggregate:       aggregate(r.results),
+		PersistentBytes: persistent,
+		SchedStats:      schedStats,
+		Rejected:        r.rejected,
+		Admission:       admission,
+		Waits:           r.waits,
+		MemSamples:      r.samples,
+		OverlapHidden:   r.hidden,
+		SimulatedTime:   kernel.Now(),
+		Fleet: FleetStats{
+			Policy:         r.placer.Name(),
+			StartServers:   cfg.Servers,
+			FinalServers:   r.mgr.ActiveServers(),
+			PeakServers:    r.peakServers,
+			Placements:     fstats.Placements,
+			Migrations:     fstats.Migrations,
+			ScaleEvents:    fstats.ScaleEvents,
+			ImbalanceRatio: r.mgr.Imbalance(),
+		},
+	}
+	res.PeakBytes = persistent + res.PeakTransientBytes()
+	return res, nil
+}
+
+// newMenosRun sets a run up to its first event: the servers, every
+// client priced and bound to its schedule, and on a static fleet every
+// client placed and admitted.
+func newMenosRun(cfg Config) (*menosRun, error) {
 	kernel := sim.New()
 	r := &menosRun{
 		cfg:       cfg,
 		kernel:    kernel,
 		link:      cfg.LinkPreset(kernel),
 		remaining: len(cfg.Clients),
+		perServer: (len(cfg.Clients) + cfg.Servers - 1) / cfg.Servers,
+		profiles:  make(map[profileKey][]*profile),
 	}
 
 	// The fleet control plane. A nil Placer means RoundRobin, which
 	// reproduces the historical hardcoded assignment bit-exactly.
-	placer := cfg.Placer
-	if placer == nil {
-		placer = fleet.NewRoundRobin()
+	r.placer = cfg.Placer
+	if r.placer == nil {
+		r.placer = fleet.NewRoundRobin()
 	}
-	r.mgr = fleet.NewManager(placer)
+	r.mgr = fleet.NewManager(r.placer)
+	r.mgr.Expect(len(cfg.Clients))
 	r.mgr.Instrument(cfg.Metrics)
 
 	// Per-tenant accounting on the virtual clock. One ledger spans the
@@ -174,24 +264,33 @@ func runMenos(cfg Config) (*Result, error) {
 		r.batcher = newSimBatcher(kernel, r, pol, bm)
 	}
 
-	// §3.3's demands: each client's forward and backward memory,
-	// priced from its workload by the analytic model, as the real
-	// server's handshake prices them. The fleet placer packs against
-	// the same prediction (persistent state plus the largest transient
-	// peak).
-	clients := make([]menosClient, len(cfg.Clients))
-	results := make([]ClientResult, len(cfg.Clients))
-	for i := range clients {
-		results[i].ID = cfg.Clients[i].ID
-		clients[i].init(r, i, &results[i].Breakdown)
+	// Each client's demands and phase times come from its profile,
+	// priced once per distinct workload and platform (profileOf). Every
+	// client waits on a signal of its own, for its grant or its batch.
+	r.clients = make([]menosClient, len(cfg.Clients))
+	r.results = make([]ClientResult, len(cfg.Clients))
+	waits := kernel.NewSignals(len(cfg.Clients))
+	var joins []sim.Signal
+	if cfg.Overlap {
+		joins = kernel.NewSignals(len(cfg.Clients))
 	}
+	var owners arena
+	for i := range r.clients {
+		c := &r.clients[i]
+		r.results[i].ID = cfg.Clients[i].ID
+		c.persistOwner = owners.join("persist:", cfg.Clients[i].ID)
+		c.init(r, i, &waits[i])
+		if joins != nil {
+			c.joined = &joins[i]
+		}
+	}
+	clients := r.clients
 
 	// Static fleets place every client up front in arrival order — the
 	// admission-time decision of a deployment where the roster is known
 	// — which with RoundRobin reproduces the historical assignment
 	// exactly. Autoscaled fleets place each client when it arrives (see
 	// the client schedule).
-	var persistent int64
 	if cfg.Autoscale == nil {
 		for i := range clients {
 			c := &clients[i]
@@ -199,12 +298,12 @@ func runMenos(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := r.admitClient(r.servers[id], c.ci); err != nil {
+			if err := r.admitClient(r.servers[id], c); err != nil {
 				return nil, err
 			}
 		}
 		for _, srv := range r.servers {
-			persistent += srv.devices.Used()
+			r.persistent += srv.devices.Used()
 		}
 		// Release-overhead concurrency: clients per GPU on the client's
 		// server (allocator fragmentation is per-device). For a static
@@ -214,7 +313,7 @@ func runMenos(cfg Config) (*Result, error) {
 			c := &clients[i]
 			id, _ := r.mgr.ServerOf(c.id)
 			c.srv = r.servers[id]
-			c.staticRelease = c.cost.ReleaseOverhead(r.density(id))
+			c.staticRelease = c.prof.cost.ReleaseOverhead(r.density(id))
 		}
 	}
 
@@ -223,70 +322,7 @@ func runMenos(cfg Config) (*Result, error) {
 		r.tick = r.autoscale
 		kernel.After(r.autoscaler.Interval(), r.tick)
 	}
-	for i := range clients {
-		clients[i].start()
-	}
-
-	if err := kernel.Run(); err != nil {
-		return nil, fmt.Errorf("menos simulation: %w", err)
-	}
-	if r.fleetErr != nil {
-		return nil, fmt.Errorf("menos fleet: %w", r.fleetErr)
-	}
-	if cfg.Autoscale != nil {
-		for _, srv := range r.servers {
-			if !srv.removed {
-				persistent += srv.devices.Used()
-			}
-		}
-	}
-
-	var schedStats sched.Stats
-	var admission sched.AdmissionStats
-	for i, srv := range r.servers {
-		st, ast := srv.scheduler.Stats(), srv.scheduler.AdmissionStats()
-		// Schedulers instrumented into one registry share its counters,
-		// so each one's counts are already the fleet's: take them once.
-		if i == 0 || cfg.Metrics == nil {
-			schedStats.Submitted += st.Submitted
-			schedStats.Granted += st.Granted
-			schedStats.Backfilled += st.Backfilled
-			schedStats.Completed += st.Completed
-			admission.Shed += ast.Shed
-		}
-		schedStats.Decisions += st.Decisions
-		schedStats.MaxQueueDepth = max(schedStats.MaxQueueDepth, st.MaxQueueDepth)
-		admission.Transitions += ast.Transitions
-		admission.Deferred += ast.Deferred
-		admission.State = max(admission.State, ast.State)
-		admission.P99 = max(admission.P99, ast.P99)
-	}
-	fstats := r.mgr.Stats()
-	res := &Result{
-		Mode:            ModeMenos,
-		Clients:         results,
-		Aggregate:       aggregate(results),
-		PersistentBytes: persistent,
-		SchedStats:      schedStats,
-		Rejected:        r.rejected,
-		Admission:       admission,
-		Waits:           r.waits,
-		MemSamples:      r.samples,
-		OverlapHidden:   r.hidden,
-		SimulatedTime:   kernel.Now(),
-		Fleet: FleetStats{
-			Policy:         placer.Name(),
-			StartServers:   cfg.Servers,
-			FinalServers:   r.mgr.ActiveServers(),
-			PeakServers:    r.peakServers,
-			Placements:     fstats.Placements,
-			Migrations:     fstats.Migrations,
-			ScaleEvents:    fstats.ScaleEvents,
-			ImbalanceRatio: r.mgr.Imbalance(),
-		},
-	}
-	res.PeakBytes = persistent + res.PeakTransientBytes()
-	return res, nil
+	return r, nil
 }
 
 // newServer brings one server into the fleet: its GPUs, the shared base
@@ -311,6 +347,8 @@ func (r *menosRun) newServer() (*serverSim, error) {
 	// kernel time, so the telemetry of a simulated run reads exactly
 	// like a real one (only ~10^6× faster to produce).
 	srv.scheduler = sched.New(devices.Available(), cfg.SchedPol)
+	// Each client is two identities here: itself and its reservation.
+	srv.scheduler.Expect(2 * r.perServer)
 	srv.scheduler.Instrument(cfg.Metrics, obs.ClockFunc(kernel.Now))
 	srv.scheduler.SetLedger(r.ledger)
 	if cfg.Batch != nil && cfg.Batch.Enabled() {
@@ -346,11 +384,11 @@ func (r *menosRun) density(id int) int {
 	return (r.mgr.ClientCount(id) + r.cfg.GPUs - 1) / r.cfg.GPUs
 }
 
-// admitClient physically lands a client's persistent state on srv:
-// device memory plus a scheduler reservation, so the schedulable
-// budget shrinks exactly as the historical post-persist budget did.
-func (r *menosRun) admitClient(srv *serverSim, ci fleet.ClientInfo) error {
-	owner := "persist:" + ci.ID
+// admitClient physically lands c's persistent state on srv: device
+// memory plus a scheduler reservation, so the schedulable budget shrinks
+// exactly as the historical post-persist budget did.
+func (r *menosRun) admitClient(srv *serverSim, c *menosClient) error {
+	ci, owner := &c.ci, c.persistOwner
 	if _, err := srv.devices.Alloc(owner, ci.PersistentBytes); err != nil {
 		return fmt.Errorf("client %q persistent state: %w", ci.ID, err)
 	}
@@ -432,10 +470,10 @@ func (r *menosRun) recordWait(kind sched.RequestKind, d time.Duration) {
 
 // shed books one admission shed against every client it turned away:
 // the one submitting, or each member of a shed batch.
-func (r *menosRun) shed(ids ...string) {
-	r.rejected += int64(len(ids))
-	for _, id := range ids {
-		r.ledger.Retry(id)
+func (r *menosRun) shed(members ...sched.BatchMember) {
+	r.rejected += int64(len(members))
+	for _, m := range members {
+		r.ledger.Retry(m.ClientID)
 	}
 	if r.cfg.Flight != nil {
 		r.cfg.Flight.Trigger(obs.FlightReasonShed)
@@ -494,21 +532,19 @@ func (r *menosRun) autoscale() {
 
 // menosClient is one client's serving schedule and everything it keeps
 // between events. step runs the schedule from pc until something
-// blocks; every blocking primitive is handed a continuation bound once
-// in init, so an event costs no allocation here.
+// blocks; every blocking primitive is handed the one continuation
+// bound in init, advance, so an event costs no allocation here and
+// binding it is the one allocation of a batched client's own set-up.
 type menosClient struct {
 	clientLoop
 	r    *menosRun
 	i    int
 	spec *ClientSpec
-	ci   fleet.ClientInfo
-	cost *costmodel.Model
-
-	// Per-iteration constants: the client's compute segments and its
-	// forward and backward server phases.
-	pre, mid, post time.Duration
-	phases         [2]serverPhase
-	persistOwner   string
+	// prof is the client's priced workload, shared with every client
+	// running the same one; ci is the fleet's view of it.
+	prof         *profile
+	ci           fleet.ClientInfo
+	persistOwner string // device owner and reservation ID of its persistent state
 
 	srv           *serverSim
 	staticRelease time.Duration
@@ -525,7 +561,7 @@ type menosClient struct {
 	// client's Breakdown totalled then.
 	iterStart, iterBilled time.Duration
 
-	// Grant in flight.
+	// Grant in flight (serial serving).
 	kind  sched.RequestKind
 	bytes int64
 	gw    grantWait
@@ -540,7 +576,6 @@ type menosClient struct {
 	sidePC      int
 	computeDone bool
 	joined      *sim.Signal
-	joinReason  string
 
 	side func()
 	fits func(serverID int) bool
@@ -559,6 +594,8 @@ const (
 	pcClientPre
 	pcUploadXC
 	pcGrant // server phase c.ph: forward, then backward
+	pcGranted
+	pcBatched
 	pcCompute
 	pcRelease
 	pcDownloadXS
@@ -574,41 +611,29 @@ const (
 // afterPhase is where the schedule resumes after each server phase.
 var afterPhase = [2]clientPC{pcDownloadXS, pcOptimizer}
 
-func (c *menosClient) init(r *menosRun, i int, bd *Breakdown) {
+// init binds client i to its profile and its schedule; wait is the
+// signal it parks on for a grant or, batched, for its batch.
+func (c *menosClient) init(r *menosRun, i int, wait *sim.Signal) {
 	cfg := &r.cfg
 	spec := &cfg.Clients[i]
-	w := spec.Workload
-	// The wire codec shrinks every split-boundary transfer to its ratio
-	// of the fp32 volume (per-row scale overhead dropped; see
-	// quant.Codec.WireRatio). Grant sizes are untouched: compression
-	// changes what crosses the link, not what the GPU materializes.
-	c.initLoop(r.kernel, r.link, cfg.Tracer, spec.ID, bd, w.TransferBytes(), c.step)
+	p := r.profileOf(spec)
+	c.initLoop(r.kernel, r.link, cfg.Tracer, spec.ID, &r.results[i].Breakdown, p.rawTransfer, c.step)
 	c.ledger = r.ledger
 	if cfg.WireCodec != quant.CodecFP32 {
-		c.transfer = int64(float64(c.rawTransfer) * cfg.WireCodec.WireRatio())
+		c.transfer = p.transfer
 		c.wireCompressed, c.wireRaw = r.wireCompressed, r.wireRaw
 	}
-	c.r, c.i, c.spec = r, i, spec
-	c.cost = costmodel.New(cfg.ServerPerf, w)
-	c.pre, c.mid, c.post = clientPhases(costmodel.ClientComputeTime(spec.Platform, w))
-	c.phases = cfg.serverPhases(w, c.cost)
-	c.ci = fleet.ClientInfo{
-		ID:                 spec.ID,
-		BaseModel:          w.Model.Name,
-		PersistentBytes:    w.PersistentClientBytes(),
-		TransientPeakBytes: max(c.phases[0].grant, c.phases[1].grant),
-	}
-	c.persistOwner = "persist:" + spec.ID
+	c.r, c.i, c.spec, c.prof = r, i, spec, p
+	c.ci = p.info
+	c.ci.ID = spec.ID
 
-	c.gw.init(r.kernel, "memory grant "+spec.ID, i%8, c.submit, c.shedSelf, c.grantLanded)
 	if r.batcher != nil {
-		c.member = simMember{id: spec.ID, rows: int64(w.Batch), reason: "batch member " + spec.ID,
-			sig: r.kernel.NewSignal(), then: c.batchLanded}
+		c.member = simMember{id: spec.ID, rows: p.rows, sig: wait, then: c.advance}
+	} else {
+		c.gw.init(r.kernel, "memory grant", spec.ID, i%8, wait, c, c.advance)
 	}
 	if cfg.Overlap {
 		c.side = c.overlap
-		c.joined = r.kernel.NewSignal()
-		c.joinReason = "overlap join " + spec.ID
 	}
 	if cfg.Autoscale != nil {
 		c.fits = func(id int) bool { return r.canAdmit(r.servers[id], c.ci) }
@@ -630,6 +655,7 @@ func (c *menosClient) step() {
 	r := c.r
 	cfg := &r.cfg
 	k := c.kernel
+	c.land()
 	for {
 		switch c.pc {
 		case pcArrive:
@@ -682,7 +708,7 @@ func (c *menosClient) step() {
 			}
 
 		case pcMigrateAdmit:
-			if err := r.admitClient(c.to, c.ci); err != nil {
+			if err := r.admitClient(c.to, c); err != nil {
 				if c.attempt >= placementAttempts {
 					c.fail(fmt.Errorf("client %q: migration to server %d failed after %d attempts", c.id, c.to.id, placementAttempts))
 					return
@@ -707,7 +733,7 @@ func (c *menosClient) step() {
 		case pcClientPre:
 			c.releaseCost = c.staticRelease
 			if cfg.Autoscale != nil {
-				c.releaseCost = c.cost.ReleaseOverhead(r.density(c.srv.id))
+				c.releaseCost = c.prof.cost.ReleaseOverhead(r.density(c.srv.id))
 			}
 			// Overlapped iteration (docs/WIRE.md): the client-local
 			// compute runs as its own handler, concurrent with the
@@ -730,7 +756,7 @@ func (c *menosClient) step() {
 				continue
 			}
 			// Client computes the input section and uploads x_c.
-			c.computeLocal(obs.SpanClientPre, c.pre)
+			c.computeLocal(obs.SpanClientPre, c.prof.pre)
 			return
 
 		case pcUploadXC:
@@ -740,30 +766,56 @@ func (c *menosClient) step() {
 
 		// ---- Server: phase c.ph, grant → compute → release ----
 		case pcGrant:
-			p := &c.phases[c.ph]
-			c.pc = pcCompute
+			p := &c.prof.phases[c.ph]
 			if r.batcher != nil {
 				// The batch leader grants, computes and releases.
-				c.pc = afterPhase[c.ph]
+				c.pc = pcBatched
 				c.batchPhase(p)
 				return
 			}
+			c.pc = pcCompute
 			// A grant still held (3(b)'s backward, 3(a) after its
 			// first forward) serves this phase too.
 			if !c.held {
 				c.held = true
+				c.pc = pcGranted
 				c.grant(p.kind, p.grant)
 				return
 			}
 
+		case pcGranted:
+			if err := c.gw.err; err != nil {
+				// Requests that can never fit stall the client forever; the
+				// deadlock detector will surface it with this reason.
+				k.NewSignal().Wait(fmt.Sprintf("unschedulable: %v", err), nil)
+				return
+			}
+			// The recorded wait spans all attempts and backoffs, plus the
+			// fixed scheduler decision cost, which does not advance
+			// virtual time; the span is kept equal to what the Breakdown
+			// records.
+			now := k.Now()
+			d := now - c.opStart + costmodel.SchedulerDecisionTime
+			r.recordWait(c.kind, d)
+			r.sampleMem(now, c.srv)
+			wait, _ := c.kind.Spans()
+			c.bill(wait, c.opStart, d)
+			c.pc = pcCompute
+
+		case pcBatched:
+			if !c.batchLanded() {
+				return
+			}
+			c.pc = afterPhase[c.ph]
+
 		case pcCompute:
-			p := &c.phases[c.ph]
+			p := &c.prof.phases[c.ph]
 			c.pc = pcRelease
 			c.compute(p.span, p.dur)
 			return
 
 		case pcRelease:
-			p := &c.phases[c.ph]
+			p := &c.prof.phases[c.ph]
 			c.pc = afterPhase[c.ph]
 			if p.release {
 				// Re-collecting the freed memory is Table 2's growing
@@ -785,7 +837,7 @@ func (c *menosClient) step() {
 		case pcClientMid:
 			c.pc = pcUploadGC
 			if !cfg.Overlap {
-				c.computeLocal(obs.SpanClientMid, c.mid)
+				c.computeLocal(obs.SpanClientMid, c.prof.mid)
 				return
 			}
 
@@ -809,14 +861,14 @@ func (c *menosClient) step() {
 		case pcClientPost:
 			c.pc = pcJoin
 			if !cfg.Overlap {
-				c.computeLocal(obs.SpanClientPost, c.post)
+				c.computeLocal(obs.SpanClientPost, c.prof.post)
 				return
 			}
 
 		case pcJoin:
 			if cfg.Overlap {
 				if !c.computeDone {
-					c.joined.Wait(c.joinReason, c.advance)
+					c.joined.WaitFor("overlap join", c.id, c.advance)
 					return
 				}
 				if hidden := c.bd.total() - c.iterBilled - (k.Now() - c.iterStart); hidden > 0 {
@@ -861,7 +913,7 @@ func (c *menosClient) place() bool {
 	id, err := r.mgr.Place(c.ci)
 	if err == nil {
 		cand := r.servers[id]
-		if r.canAdmit(cand, c.ci) && r.admitClient(cand, c.ci) == nil {
+		if r.canAdmit(cand, c.ci) && r.admitClient(cand, c) == nil {
 			c.srv = cand
 			return true
 		}
@@ -892,19 +944,19 @@ func (c *menosClient) beginMigration(dst *serverSim) {
 // overlap is an overlapped iteration's client-compute side: the three
 // client segments back to back, then the join.
 func (c *menosClient) overlap() {
-	k := c.kernel
+	k, p := c.kernel, c.prof
 	c.sidePC++
 	switch c.sidePC {
 	case 1:
-		k.After(c.pre, c.side)
+		k.After(p.pre, c.side)
 	case 2:
-		c.bill(obs.SpanClientPre, k.Now()-c.pre, c.pre)
-		k.After(c.mid, c.side)
+		c.bill(obs.SpanClientPre, k.Now()-p.pre, p.pre)
+		k.After(p.mid, c.side)
 	case 3:
-		c.bill(obs.SpanClientMid, k.Now()-c.mid, c.mid)
-		k.After(c.post, c.side)
+		c.bill(obs.SpanClientMid, k.Now()-p.mid, p.mid)
+		k.After(p.post, c.side)
 	case 4:
-		c.bill(obs.SpanClientPost, k.Now()-c.post, c.post)
+		c.bill(obs.SpanClientPost, k.Now()-p.post, p.post)
 		c.computeDone = true
 		c.joined.Fire()
 	}
@@ -925,27 +977,8 @@ func (c *menosClient) submit(grant func()) error {
 	return err
 }
 
-func (c *menosClient) shedSelf() { c.r.shed(c.id) }
-
-func (c *menosClient) grantLanded() {
-	r := c.r
-	now := c.kernel.Now()
-	if err := c.gw.err; err != nil {
-		// Requests that can never fit stall the client forever; the
-		// deadlock detector will surface it with this reason.
-		c.kernel.NewSignal().Wait(fmt.Sprintf("unschedulable: %v", err), nil)
-		return
-	}
-	// The recorded wait spans all attempts and backoffs, plus the fixed
-	// scheduler decision cost, which does not advance virtual time; the
-	// span is kept equal to what the Breakdown records.
-	d := now - c.opStart + costmodel.SchedulerDecisionTime
-	r.recordWait(c.kind, d)
-	r.sampleMem(now, c.srv)
-	wait, _ := c.kind.Spans()
-	c.bill(wait, c.opStart, d)
-	c.advance()
-}
+// shed is c.gw's shed bookkeeping.
+func (c *menosClient) shed() { c.r.shed(sched.BatchMember{ClientID: c.id}) }
 
 func (c *menosClient) release() {
 	c.held = false
@@ -972,15 +1005,17 @@ func (c *menosClient) batchPhase(p *serverPhase) {
 	m := &c.member
 	m.bytes, m.dur, m.release = p.grant, p.dur, c.cycleShare(p)
 	c.kind, c.op, c.opStart = p.kind, p.span, c.kernel.Now()
-	key := batch.Key{Cut: c.spec.Workload.Cut, Seq: c.spec.Workload.Seq, Kind: p.kind}
+	key := batch.Key{Cut: c.prof.cut, Seq: c.prof.seq, Kind: p.kind}
 	c.r.batcher.join(c.srv, key, m)
 }
 
-func (c *menosClient) batchLanded() {
+// batchLanded bills the member's share of the batch that ran its phase,
+// or ends its schedule, reporting false, if the batch never could.
+func (c *menosClient) batchLanded() bool {
 	r, m := c.r, &c.member
 	if m.err != nil {
 		c.fail(fmt.Errorf("client %q: %v", c.id, m.err))
-		return
+		return false
 	}
 	start := c.opStart
 	r.recordWait(c.kind, m.wait)
@@ -992,24 +1027,31 @@ func (c *menosClient) batchLanded() {
 		c.bill(obs.SpanBatchStall, grantAt+m.compute, m.stall)
 	}
 	r.ledger.AddCompute(c.id, m.compute.Seconds())
-	c.advance()
+	return true
 }
 
-// grantWait is a handler's scheduling request in flight; submit wraps
-// Submit or SubmitBatch. An admission shed runs onShed, backs off for
-// the controller's hint and resubmits, exactly like a real client; the
-// backoff is jittered deterministically (jitter in [0,8)) so shed
-// clients do not resubmit in a synchronized herd. A grant delivered
-// inside submit continues in place; a later one wakes the handler
-// through sig. Either way then runs once the grant is held. Any other
-// error can never be granted: then runs at once with err set.
+// grantee is what a grantWait submits for: a client's own request or a
+// batch leader's.
+type grantee interface {
+	submit(grant func()) error // Submit or SubmitBatch
+	shed()                     // the shed's bookkeeping
+}
+
+// grantWait is a handler's scheduling request in flight; owner submits
+// it. An admission shed runs owner.shed, backs off for the controller's
+// hint and resubmits, exactly like a real client; the backoff is
+// jittered deterministically (jitter in [0,8)) so shed clients do not
+// resubmit in a synchronized herd. A grant delivered inside submit
+// continues in place; a later one wakes the handler through sig. Either
+// way then runs once the grant is held. Any other error can never be
+// granted: then runs at once with err set. A wait is reported as
+// "reason subject" in a deadlock.
 type grantWait struct {
-	kernel *sim.Kernel
-	reason string
-	jitter int
-	submit func(grant func()) error
-	onShed func()
-	then   func()
+	kernel          *sim.Kernel
+	reason, subject string
+	jitter          int
+	owner           grantee
+	then            func()
 
 	sig            *sim.Signal
 	granted        bool
@@ -1017,8 +1059,8 @@ type grantWait struct {
 	onGrant, retry func()
 }
 
-func (w *grantWait) init(k *sim.Kernel, reason string, jitter int, submit func(func()) error, onShed, then func()) {
-	*w = grantWait{kernel: k, reason: reason, jitter: jitter, submit: submit, onShed: onShed, then: then, sig: k.NewSignal()}
+func (w *grantWait) init(k *sim.Kernel, reason, subject string, jitter int, sig *sim.Signal, owner grantee, then func()) {
+	*w = grantWait{kernel: k, reason: reason, subject: subject, jitter: jitter, owner: owner, then: then, sig: sig}
 	w.onGrant = w.deliver
 	w.retry = w.try
 }
@@ -1030,12 +1072,12 @@ func (w *grantWait) await() {
 }
 
 func (w *grantWait) try() {
-	err := w.submit(w.onGrant)
+	err := w.owner.submit(w.onGrant)
 	if err == nil {
 		if w.granted {
 			w.then()
 		} else {
-			w.sig.Wait(w.reason, w.then)
+			w.sig.WaitFor(w.reason, w.subject, w.then)
 		}
 		return
 	}
@@ -1045,7 +1087,7 @@ func (w *grantWait) try() {
 		w.then()
 		return
 	}
-	w.onShed()
+	w.owner.shed()
 	w.kernel.After(ov.RetryAfter+ov.RetryAfter*time.Duration(w.jitter)/8, w.retry)
 }
 

@@ -9,6 +9,8 @@ package splitsim
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"menos/internal/costmodel"
@@ -69,9 +71,9 @@ const (
 
 // policyRows is Fig. 3 as data. Its four sub-figures differ in two
 // decisions only: whether the first forward keeps grad, and when the
-// activations are released. menosClient.init derives each client's two
-// server phases from its row (serverPhases); nothing else in the serving
-// loop asks which policy runs.
+// activations are released. Each profile's two server phases are
+// derived from its row (serverPhases); nothing else in the serving loop
+// asks which policy runs.
 var policyRows = [...]struct {
 	name     string
 	keepGrad bool // the first forward keeps grad
@@ -95,8 +97,8 @@ func (p MemPolicy) String() string {
 
 // serverPhase is one of a client's two server phases per iteration: the
 // grant it takes, the compute it runs under it, and whether it returns
-// the memory afterwards. menosClient.init derives both from the
-// configured row once per client.
+// the memory afterwards. newProfile derives both from the configured
+// row, once per priced workload.
 type serverPhase struct {
 	kind    sched.RequestKind
 	grant   int64        // bytes requested; 0 when the memory is held since the forward
@@ -542,14 +544,37 @@ func Run(cfg Config) (*Result, error) {
 // paper's evaluation setup where all clients share one configuration.
 func HomogeneousClients(n int, w memmodel.Workload, platform costmodel.Perf) []ClientSpec {
 	clients := make([]ClientSpec, n)
+	var ids arena
 	for i := range clients {
 		clients[i] = ClientSpec{
-			ID:       fmt.Sprintf("client-%d", i+1),
+			ID:       ids.number("client-", i+1),
 			Workload: w,
 			Platform: platform,
 		}
 	}
 	return clients
+}
+
+// arena builds strings back to back in one buffer. A strings.Builder
+// only ever appends, so each string cut from it stays valid and a run's
+// n IDs cost the buffer's few growths instead of n allocations.
+type arena struct{ b strings.Builder }
+
+// join returns prefix+s.
+func (a *arena) join(prefix, s string) string {
+	start := a.b.Len()
+	a.b.WriteString(prefix)
+	a.b.WriteString(s)
+	return a.b.String()[start:]
+}
+
+// number returns prefix followed by n in decimal.
+func (a *arena) number(prefix string, n int) string {
+	start := a.b.Len()
+	a.b.WriteString(prefix)
+	var digits [20]byte
+	a.b.Write(strconv.AppendInt(digits[:0], int64(n), 10))
+	return a.b.String()[start:]
 }
 
 // clientPhases splits the per-iteration client-side compute into the
@@ -564,8 +589,9 @@ func clientPhases(total time.Duration) (pre, mid, post time.Duration) {
 
 // clientLoop is what both modes' client schedules share: the client's
 // Breakdown and the current iteration's trace ID, and the two timed
-// operations every iteration is made of, each billed when it lands and
-// then followed by advance, the schedule's next step.
+// operations every iteration is made of. Each hands the kernel advance,
+// the schedule itself, which begins with land: the operation is billed
+// as it lands, then the schedule takes its next step.
 //
 // tid is the same obs.IterTraceID(clientID, iter) a TCP client stamps on
 // its wire requests, so simulated and real traces of one workload
@@ -584,23 +610,43 @@ type clientLoop struct {
 	transfer, rawTransfer int64 // link payload on the wire, and in fp32
 
 	tid uint64
-	// The timed operation in flight. onServer says where its work lands,
-	// which is what the tenant ledger bills: a server compute phase, or
-	// an upload (bytes the server receives).
-	op                    obs.SpanKind
-	onServer              bool
-	opStart, opDur        time.Duration
-	advance               func()
-	computed, transferred func()
+	// The timed operation in flight, and whether it is one yet to land.
+	// onServer says where its work lands, which is what the tenant ledger
+	// bills: a server compute phase, or an upload (bytes the server
+	// receives).
+	op             obs.SpanKind
+	pending        opKind
+	onServer       bool
+	opStart, opDur time.Duration
+	advance        func()
 }
 
-// initLoop binds the loop's continuations; advance is the schedule.
+// opKind is the kind of timed operation a client has in flight.
+type opKind int
+
+const (
+	opNone opKind = iota
+	opCompute
+	opTransfer
+)
+
+// initLoop binds the loop's one continuation, advance: the schedule.
 func (l *clientLoop) initLoop(k *sim.Kernel, link *simnet.Link, tracer *obs.Tracer, id string, bd *Breakdown, transfer int64, advance func()) {
 	l.kernel, l.link, l.tracer, l.id, l.bd = k, link, tracer, id, bd
 	l.transfer, l.rawTransfer = transfer, transfer
 	l.advance = advance
-	l.computed = l.computeLanded
-	l.transferred = l.transferLanded
+}
+
+// land bills the timed operation that has just landed, if one is in
+// flight. A schedule calls it first thing, every time it runs.
+func (l *clientLoop) land() {
+	switch l.pending {
+	case opCompute:
+		l.computeLanded()
+	case opTransfer:
+		l.transferLanded()
+	}
+	l.pending = opNone
 }
 
 // bill charges d, begun at start, to the Breakdown component of span's
@@ -619,8 +665,8 @@ func (l *clientLoop) compute(span obs.SpanKind, d time.Duration)      { l.spend(
 func (l *clientLoop) computeLocal(span obs.SpanKind, d time.Duration) { l.spend(span, false, d) }
 
 func (l *clientLoop) spend(span obs.SpanKind, onServer bool, d time.Duration) {
-	l.op, l.onServer, l.opStart, l.opDur = span, onServer, l.kernel.Now(), d
-	l.kernel.After(d, l.computed)
+	l.op, l.pending, l.onServer, l.opStart, l.opDur = span, opCompute, onServer, l.kernel.Now(), d
+	l.kernel.After(d, l.advance)
 }
 
 func (l *clientLoop) computeLanded() {
@@ -630,7 +676,6 @@ func (l *clientLoop) computeLanded() {
 	if l.onServer {
 		l.ledger.AddCompute(l.id, l.opDur.Seconds())
 	}
-	l.advance()
 }
 
 // upload and download move one split-boundary payload over the link,
@@ -639,8 +684,8 @@ func (l *clientLoop) upload(span obs.SpanKind)   { l.xfer(span, true) }
 func (l *clientLoop) download(span obs.SpanKind) { l.xfer(span, false) }
 
 func (l *clientLoop) xfer(span obs.SpanKind, up bool) {
-	l.op, l.onServer, l.opStart = span, up, l.kernel.Now()
-	l.opDur = l.link.Transfer(l.transfer, l.transferred)
+	l.op, l.pending, l.onServer, l.opStart = span, opTransfer, up, l.kernel.Now()
+	l.opDur = l.link.Transfer(l.transfer, l.advance)
 }
 
 func (l *clientLoop) transferLanded() {
@@ -654,5 +699,4 @@ func (l *clientLoop) transferLanded() {
 	}
 	l.wireCompressed.Add(l.transfer)
 	l.wireRaw.Add(l.rawTransfer)
-	l.advance()
 }

@@ -26,9 +26,10 @@ type vanillaTask struct {
 	allocID  gpu.AllocID // reserved at eviction time while queued
 
 	// Queued for residency: signal wakes the task once memory is
-	// reserved for it, then it swaps in and runs then.
+	// reserved for it, then it swaps in and runs then. id names the
+	// wait in a deadlock report.
 	res               *residency
-	reason            string
+	id                string
 	signal            *sim.Signal
 	then              func()
 	swapIn, swappedIn func()
@@ -72,7 +73,7 @@ func (r *residency) ensure(t *vanillaTask, then func()) {
 	}
 	t.then = then
 	r.queue = append(r.queue, t)
-	t.signal.Wait(t.reason, t.swapIn)
+	t.signal.WaitFor("vanilla residency", t.id, t.swapIn)
 }
 
 // swap pays the PCIe transfer for t's own replica once its slot was
@@ -156,6 +157,7 @@ const (
 // menosClient.step for how a case blocks.
 func (c *vanillaClient) step() {
 	k := c.kernel
+	c.land()
 	for {
 		switch c.pc {
 		case vpArrive:
@@ -253,6 +255,7 @@ func runVanilla(cfg Config) (*Result, error) {
 		swapTraffic: cfg.Metrics.Counter(obs.MetricSwapBytes, "Bytes moved over PCIe by task swap-ins (vanilla baseline)."),
 	}
 	clients := make([]vanillaClient, len(cfg.Clients))
+	signals := kernel.NewSignals(len(cfg.Clients))
 	results := make([]ClientResult, len(cfg.Clients))
 	var persistent int64
 	for i := range clients {
@@ -274,12 +277,11 @@ func runVanilla(cfg Config) (*Result, error) {
 
 		states := w.AdapterBytes() + w.GradBytes() + w.OptimizerBytes()
 		t := &c.task
-		t.owner = "replica:" + spec.ID
+		t.owner, t.id = "replica:"+spec.ID, spec.ID
 		t.residentBytes = w.ServerBaseBytes() + states + w.ActivationBytes()
 		t.swapBytes = w.ServerBaseBytes() + states
 		t.swapTime = cost.SwapTime(t.swapBytes)
-		t.reason = "vanilla residency " + spec.ID
-		t.res, t.signal = res, kernel.NewSignal()
+		t.res, t.signal = res, &signals[i]
 		t.swapIn, t.swappedIn = t.swap, t.swapped
 		persistent += t.swapBytes
 	}
