@@ -80,9 +80,8 @@ fuzz-smoke:
 # metrics registry and ring
 # tracer, the wire protocol (version interop), the scheduler (including
 # admission-control state flips), the batch-formation engine, the fleet
-# manager (concurrent scrape ingestion), the federated time-series
-# store, the alert engine, the activation wire codec (pool-parallel
-# pack/unpack), the TCP serving loop and the simulator that drives
+# controller (polls, placements and trace federation under one lock),
+# the activation wire codec (pool-parallel pack/unpack), the TCP serving loop and the simulator that drives
 # them — and the integration packages that drive those paths together:
 # core (live migration between two in-process servers, admin-plane
 # goroutines), client (the pipelined loop against a live server),
@@ -92,7 +91,7 @@ fuzz-smoke:
 # menos-fleetd (its /place and /drain handlers on their own goroutines
 # while the controller polls and rebalances).
 test-race:
-	$(GO) test -race ./internal/tensor ./internal/model ./internal/obs ./internal/split ./internal/quant ./internal/sched ./internal/batch ./internal/fleet ./internal/tsdb ./internal/alert ./internal/server ./internal/splitsim ./internal/core ./internal/client ./internal/adapter ./internal/share ./cmd/menos-fleetd
+	$(GO) test -race ./internal/tensor ./internal/model ./internal/obs ./internal/split ./internal/quant ./internal/sched ./internal/batch ./internal/fleet ./internal/server ./internal/splitsim ./internal/core ./internal/client ./internal/adapter ./internal/share ./cmd/menos-fleetd
 
 # Repeats the tests whose failures are rare interleavings or rare
 # inputs: the scheduler's claim-versus-revoke hammer and the server's
@@ -145,12 +144,13 @@ kernel-bench-smoke:
 
 # Multi-process end-to-end: builds menos-server, menos-client and
 # menos-fleetd, launches a two-server fleet plus the control plane on
-# loopback (alerting and trace federation enabled), and asserts one
-# live client migration with zero lost iterations, a bit-identical
-# final loss vs an unmigrated control run, a merged fleet trace with
-# the migrated iteration stitched across both server processes, and
-# zero alerts fired over the healthy run. Process logs, flight
-# recordings and the alertz/fleet-trace documents land in
+# loopback (trace federation enabled), and asserts one live client
+# migration with zero lost iterations, a bit-identical final loss vs
+# an unmigrated control run, a merged fleet trace with the migrated
+# iteration stitched across both server processes, and zero sheds,
+# GPU OOMs and identity mismatches on the servers' and fleetd's
+# /metrics.json over the healthy run. Process logs, server flight
+# recordings, the /metrics.json documents and the fleet trace land in
 # e2e-artifacts/ (CI uploads them on failure).
 e2e:
 	MENOS_E2E_ARTIFACTS=$(CURDIR)/e2e-artifacts $(GO) test -tags e2e -timeout 240s -v ./e2e/

@@ -12,7 +12,6 @@ import (
 	"menos/internal/fleet"
 	"menos/internal/obs"
 	"menos/internal/split"
-	"menos/internal/tsdb"
 )
 
 var placerNames = []string{"policy", "round-robin", "least-loaded", "memory-best-fit"}
@@ -66,10 +65,7 @@ func testPlane(t *testing.T, placer string, clients ...int) (*fleet.Controller, 
 	if n := ctrl.PollOnce(); n != len(clients) {
 		t.Fatalf("healthy = %d, want %d", n, len(clients))
 	}
-	return ctrl, newMux(plane{
-		ctrl: ctrl, reg: obs.NewRegistry(), store: tsdb.New(tsdb.Config{}),
-		clock: obs.NewWallClock(),
-	})
+	return ctrl, newMux(plane{ctrl: ctrl, reg: obs.NewRegistry()})
 }
 
 func post(h http.Handler, target, body string) *httptest.ResponseRecorder {

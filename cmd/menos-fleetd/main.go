@@ -11,7 +11,8 @@
 //
 //	menos-fleetd -server id=1,addr=HOST:PORT,metrics=URL,admin=URL
 //	             [-server ...] [-placer policy] [-poll 2s]
-//	             [-rebalance] [-listen :9600] [-quiet]
+//	             [-rebalance] [-listen :9600] [-federate-traces]
+//	             [-trace-buffer-mb 4] [-pprof] [-quiet]
 //
 // Each -server names one managed endpoint: the fleet identity the
 // server was started with (-server-id), the split-protocol address
@@ -21,30 +22,19 @@
 // reused port) marks the endpoint unhealthy instead of trusting a
 // stranger's "ok".
 //
-// Each poll tick additionally scrapes every healthy server's
-// /metrics.json into a bounded in-memory time-series store (labeled
-// {server=,client=}; raw samples downsample past -retention windows —
-// see internal/tsdb) and evaluates the built-in alert catalog over it:
-// SLO burn rate against each server's advertised admission target,
-// shed storms, GPU OOMs, dead or identity-mismatched servers, fleet
-// imbalance and batch-occupancy collapse, each with Pending→Firing
-// dwell hysteresis (internal/alert). With -flight-dir set, every
-// transition into Firing triggers a flight-recorder snapshot. With
-// -federate-traces, each tick also pages every server's /trace ring
-// through a resume cursor into per-server mirror tracers, so /trace on
-// the daemon serves ONE merged Chrome trace of the whole fleet — a
-// migrated client's spans stitch across server processes by iteration
-// trace ID.
+// With -federate-traces, each poll tick also pages every healthy
+// server's /trace ring through a resume cursor into per-server mirror
+// tracers, so /trace on the daemon serves ONE merged Chrome trace of
+// the whole fleet — a migrated client's spans stitch across server
+// processes by iteration trace ID. The daemon keeps no metric history
+// and evaluates no alert rules: an operator scrapes each server's
+// /metrics and this daemon's /metrics with their own monitoring stack
+// (docs/OBSERVABILITY.md writes the rules as PromQL).
 //
 // The daemon's own HTTP surface (-listen) serves:
 //
 //	/fleetz        the whole fleet as last polled (JSON; menos-top
 //	               renders it with -fleetd)
-//	/queryz        federated time-series: no params lists series
-//	               names; ?name=X[&server=N][&client=C][&window=5m]
-//	               returns the matching series' points (JSON)
-//	/alertz        the alert engine snapshot: every rule, its live
-//	               instances, and recent transitions (JSON)
 //	/trace         the merged fleet Chrome trace (with
 //	               -federate-traces)
 //	POST /place    body ClientInfo JSON -> the chosen Endpoint JSON
@@ -76,10 +66,8 @@ import (
 	"syscall"
 	"time"
 
-	"menos/internal/alert"
 	"menos/internal/fleet"
 	"menos/internal/obs"
-	"menos/internal/tsdb"
 )
 
 func main() {
@@ -104,22 +92,15 @@ func run(args []string) error {
 	poll := fs.Duration("poll", 2*time.Second, "fleet polling interval")
 	rebalance := fs.Bool("rebalance", true, "order migrations on each poll (drain evacuation and load smoothing)")
 	listen := fs.String("listen", ":9600", "control-plane HTTP listen address")
-	alerts := fs.Bool("alerts", true, "evaluate the built-in alert catalog over the federated metrics each poll tick")
-	sloP99 := fs.Duration("slo-p99", 0, "burn-rate target for servers that do not advertise one (0 skips them)")
-	retention := fs.Duration("retention", 0, "federated time-series retention, at least the 5m raw window (0 = 1h; older downsampled buckets are evicted)")
 	fedTraces := fs.Bool("federate-traces", false, "scrape every server's /trace ring each poll and serve the merged fleet trace on /trace")
 	traceBudget := fs.Int64("trace-buffer-mb", 4, "per-server mirror ring budget for trace federation in MiB (0 = default)")
-	flightDir := fs.String("flight-dir", "", "write a flight-recorder snapshot (fleetd metrics JSONL) on every alert transition into firing")
-	pprofFlag := fs.Bool("pprof", false, "mount /debug/pprof/ on the control-plane mux and capture profiles in flight snapshots")
+	pprofFlag := fs.Bool("pprof", false, "mount /debug/pprof/ on the control-plane mux")
 	quiet := fs.Bool("quiet", false, "disable orchestration logs")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *poll <= 0 {
 		return fmt.Errorf("-poll %v: want a positive interval", *poll)
-	}
-	if *retention != 0 && *retention < tsdb.RawWindow {
-		return fmt.Errorf("-retention %v: want 0 (1h) or at least the %v raw window", *retention, tsdb.RawWindow)
 	}
 	if *traceBudget < 0 || *traceBudget > math.MaxInt64>>20 {
 		return fmt.Errorf("-trace-buffer-mb %d: want 0 (the default) or a positive size up to %d MiB", *traceBudget, int64(math.MaxInt64>>20))
@@ -138,49 +119,10 @@ func run(args []string) error {
 	}
 
 	reg := obs.NewRegistry()
-	// One clock for everything time-shaped in this process: sample
-	// stamps, alert dwells and down-time accounting all read the same
-	// monotonic epoch, so /queryz timestamps and /alertz since-fields
-	// line up exactly.
-	clock := obs.NewWallClock()
-	store := tsdb.New(tsdb.Config{Retention: *retention})
-	var flight *obs.FlightRecorder
-	if *flightDir != "" {
-		flight, err = obs.NewFlightRecorder(obs.FlightConfig{
-			Dir:             *flightDir,
-			Clock:           clock,
-			CaptureProfiles: *pprofFlag,
-		}, reg, nil)
-		if err != nil {
-			return fmt.Errorf("flight recorder: %w", err)
-		}
-		defer flight.Close()
-	}
-	var engine *alert.Engine
-	if *alerts {
-		recording, rules := alert.Catalog(alert.CatalogConfig{
-			Poll:         *poll,
-			SLOTargetP99: *sloP99,
-		})
-		engine = alert.NewEngine(alert.Config{
-			Store:     store,
-			Rules:     rules,
-			Recording: recording,
-			OnFiring: func(tr alert.Transition) {
-				logf("ALERT firing: %s on %s (value %.3g)", tr.Rule, tr.Series, tr.Value)
-				if flight != nil {
-					flight.Trigger(obs.FlightReasonAlert + ":" + tr.Rule)
-				}
-			},
-		})
-		engine.Instrument(reg)
-	}
 	ctrl, err := fleet.NewController(fleet.ControllerConfig{
 		Endpoints: endpoints,
 		Placer:    placer,
 		Metrics:   reg,
-		Store:     store,
-		Clock:     clock,
 		// Wall-clock token seed: a restarted fleetd must not mint
 		// resume tokens colliding with snapshots its previous life
 		// staged at the servers.
@@ -196,10 +138,7 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
-	mux := newMux(plane{
-		ctrl: ctrl, reg: reg, store: store, engine: engine, clock: clock,
-		fedTraces: *fedTraces, pprof: *pprofFlag,
-	})
+	mux := newMux(plane{ctrl: ctrl, reg: reg, fedTraces: *fedTraces, pprof: *pprofFlag})
 	go func() {
 		if serr := http.Serve(ln, mux); serr != nil {
 			logf("control endpoint: %v", serr)
@@ -215,9 +154,6 @@ func run(args []string) error {
 		healthy := ctrl.PollOnce()
 		if healthy == 0 {
 			logf("no healthy servers")
-		}
-		if engine != nil {
-			engine.EvalTick(clock.Now())
 		}
 		if *rebalance {
 			if moved, err := ctrl.RebalanceOnce(); err != nil {
@@ -239,9 +175,6 @@ func run(args []string) error {
 type plane struct {
 	ctrl      *fleet.Controller
 	reg       *obs.Registry
-	store     *tsdb.Store
-	engine    *alert.Engine // nil with -alerts=false
-	clock     obs.Clock
 	fedTraces bool
 	pprof     bool
 }
@@ -255,21 +188,6 @@ func newMux(p plane) *http.ServeMux {
 		hopts = append(hopts, obs.WithPprof())
 	}
 	mux.Handle("/", obs.Handler(p.reg, nil, hopts...))
-	mux.HandleFunc("GET /queryz", func(w http.ResponseWriter, req *http.Request) {
-		doc, err := queryzDoc(p.store, p.clock.Now(), req.URL.Query())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, doc)
-	})
-	mux.HandleFunc("GET /alertz", func(w http.ResponseWriter, _ *http.Request) {
-		if p.engine == nil {
-			http.Error(w, "alerting disabled (-alerts=false)", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, p.engine.Snapshot(p.clock.Now()))
-	})
 	// Shadows the obs.Handler /trace (which would be empty — fleetd has
 	// no tracer of its own): the federated fleet trace instead.
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, _ *http.Request) {
@@ -339,85 +257,6 @@ func writeJSON(w http.ResponseWriter, doc any) {
 	w.Header().Set("Content-Type", "application/json")
 	data, _ := json.MarshalIndent(doc, "", "  ")
 	_, _ = w.Write(append(data, '\n'))
-}
-
-// queryzPoint is one sample in a /queryz response; t is seconds on the
-// daemon's clock epoch (process start), matching /alertz at_seconds.
-type queryzPoint struct {
-	T float64 `json:"t"`
-	V float64 `json:"v"`
-}
-
-type queryzSeries struct {
-	Name   string        `json:"name"`
-	Server int           `json:"server"`
-	Client string        `json:"client,omitempty"`
-	Points []queryzPoint `json:"points"`
-}
-
-type queryzDocT struct {
-	AtSeconds float64        `json:"at_seconds"`
-	Names     []string       `json:"names,omitempty"`
-	Series    []queryzSeries `json:"series,omitempty"`
-}
-
-// queryzDoc renders one /queryz request: without ?name= it lists the
-// store's series names; with one it returns every matching series'
-// points over the trailing ?window= (default 5m), optionally narrowed
-// by ?server= and ?client=.
-func queryzDoc(store *tsdb.Store, now time.Duration, q map[string][]string) (queryzDocT, error) {
-	get := func(k string) string {
-		if v := q[k]; len(v) > 0 {
-			return v[0]
-		}
-		return ""
-	}
-	doc := queryzDocT{AtSeconds: now.Seconds()}
-	name := get("name")
-	if name == "" {
-		doc.Names = store.Names()
-		return doc, nil
-	}
-	window := 5 * time.Minute
-	if w := get("window"); w != "" {
-		d, err := time.ParseDuration(w)
-		if err != nil || d <= 0 {
-			return doc, fmt.Errorf("bad window %q", w)
-		}
-		window = d
-	}
-	serverFilter, haveServer := 0, false
-	if s := get("server"); s != "" {
-		id, err := strconv.Atoi(s)
-		if err != nil {
-			return doc, fmt.Errorf("bad server %q", s)
-		}
-		serverFilter, haveServer = id, true
-	}
-	clientFilter, haveClient := get("client"), q["client"] != nil
-	from := now - window
-	if from < 0 {
-		from = 0
-	}
-	for _, sr := range store.Query(name, from, now) {
-		if haveServer && sr.ID.Server != serverFilter {
-			continue
-		}
-		if haveClient && sr.ID.Client != clientFilter {
-			continue
-		}
-		out := queryzSeries{
-			Name:   sr.ID.Name,
-			Server: sr.ID.Server,
-			Client: sr.ID.Client,
-			Points: make([]queryzPoint, 0, len(sr.Points)),
-		}
-		for _, p := range sr.Points {
-			out.Points = append(out.Points, queryzPoint{T: p.At.Seconds(), V: p.Value})
-		}
-		doc.Series = append(doc.Series, out)
-	}
-	return doc, nil
 }
 
 // parseEndpoint parses one -server flag value.

@@ -15,18 +15,14 @@
 // /fleetz view instead of polling servers itself: one request paints
 // every managed server, including endpoints fleetd marked unhealthy
 // or answering with the wrong fleet identity (DOWN rows carry the
-// poll error and how long the server has been dark). When the daemon
-// runs its alert engine, an alerts pane renders below the fleet table
-// — every pending/firing instance plus the recent transition history —
-// and each server row gains /queryz-backed sparklines of its recent
-// active-client count and SLO burn rate.
+// poll error and how long the server has been dark).
 //
 // -once prints a single snapshot and exits (scriptable); otherwise the
 // screen refreshes in place every -interval until interrupted. -top
 // bounds the per-tenant rows shown per server (heaviest compute
 // first). -once -json instead emits one machine-readable JSON document
-// (the raw /fleetz and /alertz payloads with -fleetd, or the polled
-// /loadz documents with -servers) for scripts that want the data, not
+// (the raw /fleetz payload with -fleetd, or the polled /loadz
+// documents with -servers) for scripts that want the data, not
 // the table.
 package main
 
@@ -36,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
 	"sort"
@@ -44,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	"menos/internal/alert"
 	"menos/internal/fleet"
 	"menos/internal/obs"
 )
@@ -178,8 +172,7 @@ func getJSON(client *http.Client, url string, v any) error {
 }
 
 // writeJSON emits the -once -json document: the raw control-plane
-// payloads (alertz absent when the daemon runs without -alerts), or
-// the per-server /loadz polls in -servers mode.
+// /fleetz payload, or the per-server /loadz polls in -servers mode.
 func writeJSON(out io.Writer, client *http.Client, base string, targets []string) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
@@ -206,126 +199,20 @@ func writeJSON(out io.Writer, client *http.Client, base string, targets []string
 	if err := getJSON(client, base+"/fleetz", &fleetz); err != nil {
 		return fmt.Errorf("fleetd %s: %w", base, err)
 	}
-	doc := map[string]any{"fleetz": fleetz}
-	var alertz json.RawMessage
-	if err := getJSON(client, base+"/alertz", &alertz); err == nil {
-		doc["alertz"] = alertz
-	}
-	return enc.Encode(doc)
-}
-
-// sparkGlyphs are the classic 8-level block sparkline alphabet.
-var sparkGlyphs = []rune("▁▂▃▄▅▆▇█")
-
-// spark renders values as a block sparkline, scaled to the series' own
-// [min, max] (a flat series renders as a flat low line).
-func spark(vals []float64) string {
-	if len(vals) == 0 {
-		return ""
-	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range vals {
-		i := 0
-		if hi > lo {
-			i = int((v - lo) / (hi - lo) * float64(len(sparkGlyphs)-1))
-		}
-		b.WriteRune(sparkGlyphs[i])
-	}
-	return b.String()
-}
-
-// queryzDoc mirrors the fleetd /queryz response shape.
-type queryzDoc struct {
-	Series []struct {
-		Server int `json:"server"`
-		Points []struct {
-			V float64 `json:"v"`
-		} `json:"points"`
-	} `json:"series"`
-}
-
-// fleetSparks fetches one federated series from /queryz and renders a
-// per-server sparkline. Any error (older daemon, store empty) yields
-// an empty map and the dashboard simply omits the sparklines.
-func fleetSparks(client *http.Client, base, name string) map[int]string {
-	var doc queryzDoc
-	if err := getJSON(client, base+"/queryz?name="+url.QueryEscape(name)+"&window=2m", &doc); err != nil {
-		return nil
-	}
-	out := make(map[int]string, len(doc.Series))
-	for _, sr := range doc.Series {
-		vals := make([]float64, 0, len(sr.Points))
-		// Bound the line to the trailing 20 points so a long window
-		// stays one table cell wide.
-		for i := max(0, len(sr.Points)-20); i < len(sr.Points); i++ {
-			vals = append(vals, sr.Points[i].V)
-		}
-		if len(vals) > 0 {
-			out[sr.Server] = spark(vals)
-		}
-	}
-	return out
-}
-
-// renderAlerts renders the /alertz pane: every live (non-inactive)
-// instance grouped under its rule, then the most recent transitions.
-// A daemon without an alert engine (404) renders nothing.
-func renderAlerts(client *http.Client, base string) string {
-	var doc alert.Doc
-	if err := getJSON(client, base+"/alertz", &doc); err != nil {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "alerts  firing=%d transitions=%d\n", doc.Firing, doc.Transitions)
-	quiet := true
-	for _, rule := range doc.Rules {
-		for _, inst := range rule.Instances {
-			if inst.State == "inactive" {
-				continue
-			}
-			quiet = false
-			fmt.Fprintf(&b, "  %-8s %-28s %-40s %8.3g  for %.0fs\n",
-				strings.ToUpper(inst.State), rule.Name, inst.Series, inst.Value, inst.SinceSeconds)
-		}
-	}
-	if quiet {
-		b.WriteString("  all quiet\n")
-	}
-	const lastN = 5
-	if n := len(doc.History); n > 0 {
-		b.WriteString("  recent:\n")
-		for _, tr := range doc.History[max(0, n-lastN):] {
-			fmt.Fprintf(&b, "    t=%7.1fs %-28s %-40s %s -> %s\n",
-				tr.AtSeconds, tr.Rule, tr.Series, tr.From, tr.To)
-		}
-	}
-	return b.String()
+	return enc.Encode(map[string]any{"fleetz": fleetz})
 }
 
 // renderFleetd renders a fleetd's aggregated /fleetz document: the
 // controller already polled every server, so one request paints the
 // whole fleet, including rows the controller flagged unhealthy or
-// answering with the wrong identity — plus the alerts pane and
-// federated sparklines when the daemon serves /alertz and /queryz.
+// answering with the wrong identity.
 func renderFleetd(client *http.Client, base string, top int) string {
 	var snap fleet.FleetSnapshot
 	err := getJSON(client, base+"/fleetz", &snap)
 	if err != nil {
 		return fmt.Sprintf("fleetd %s DOWN: %v\n", base, err)
 	}
-	activeSparks := fleetSparks(client, base, obs.MetricServerActiveClients)
-	burnSparks := fleetSparks(client, base, alert.SeriesSLOBurnRate)
 	probes := make([]probe, 0, len(snap.Servers))
-	var sparkLines []string
 	for _, srv := range snap.Servers {
 		p := probe{target: srv.Endpoint.MetricsURL}
 		switch {
@@ -343,23 +230,8 @@ func renderFleetd(client *http.Client, base string, top int) string {
 			}
 		}
 		probes = append(probes, p)
-		var parts []string
-		if s := activeSparks[srv.Endpoint.ID]; s != "" {
-			parts = append(parts, "active "+s)
-		}
-		if s := burnSparks[srv.Endpoint.ID]; s != "" {
-			parts = append(parts, "burn "+s)
-		}
-		if len(parts) > 0 {
-			sparkLines = append(sparkLines,
-				fmt.Sprintf("  server %d  %s", srv.Endpoint.ID, strings.Join(parts, "   ")))
-		}
 	}
-	out := fmt.Sprintf("fleetd %s  policy %s\n\n", base, snap.Policy) + render(probes, top)
-	if len(sparkLines) > 0 {
-		out += strings.Join(sparkLines, "\n") + "\n\n"
-	}
-	return out + renderAlerts(client, base)
+	return fmt.Sprintf("fleetd %s  policy %s\n\n", base, snap.Policy) + render(probes, top)
 }
 
 // admissionString mirrors sched.AdmissionState.String without linking

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"menos/internal/alert"
 	"menos/internal/fleet"
 	"menos/internal/obs"
 )
@@ -83,9 +82,9 @@ func TestOnceSnapshot(t *testing.T) {
 	}
 }
 
-// fleetdServer is a fake control plane serving /fleetz, /alertz and
-// /queryz the way menos-fleetd does: one healthy server, one down with
-// accumulated down-time, a firing alert, and enough points to spark.
+// fleetdServer is a fake control plane serving /fleetz the way
+// menos-fleetd does: one healthy server and one down with accumulated
+// down-time.
 func fleetdServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -106,34 +105,6 @@ func fleetdServer(t *testing.T) *httptest.Server {
 			},
 		})
 	})
-	mux.HandleFunc("/alertz", func(w http.ResponseWriter, _ *http.Request) {
-		_ = json.NewEncoder(w).Encode(alert.Doc{
-			Firing:      1,
-			Transitions: 3,
-			Rules: []alert.RuleStatus{{
-				Name: "slo_burn_rate",
-				Instances: []alert.InstanceStatus{
-					{Series: "fleet:slo_burn_rate{server=1}", State: "firing", SinceSeconds: 12, Value: 1.7},
-					{Series: "fleet:slo_burn_rate{server=2}", State: "inactive"},
-				},
-			}},
-			History: []alert.TransitionStatus{
-				{AtSeconds: 30, Rule: "slo_burn_rate", Series: "fleet:slo_burn_rate{server=1}", From: "pending", To: "firing"},
-			},
-		})
-	})
-	mux.HandleFunc("/queryz", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("name") == "" {
-			http.Error(w, "want name", http.StatusBadRequest)
-			return
-		}
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"series": []map[string]any{{
-				"server": 1,
-				"points": []map[string]float64{{"t": 1, "v": 1}, {"t": 2, "v": 4}, {"t": 3, "v": 2}},
-			}},
-		})
-	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
@@ -141,8 +112,7 @@ func fleetdServer(t *testing.T) *httptest.Server {
 
 // TestFleetdSnapshot drives -fleetd -once end to end against a fake
 // control plane: the healthy row renders, the DOWN row carries its
-// error and down-time, sparklines appear for the server with points,
-// and the alerts pane shows the firing instance plus history.
+// error and down-time.
 func TestFleetdSnapshot(t *testing.T) {
 	srv := fleetdServer(t)
 	var out strings.Builder
@@ -154,22 +124,15 @@ func TestFleetdSnapshot(t *testing.T) {
 		"policy least-loaded",
 		"server 1",
 		"DOWN: for 17s: connection refused",
-		"active ", "burn ", "▁", "█",
-		"alerts  firing=1 transitions=3",
-		"FIRING   slo_burn_rate",
-		"pending -> firing",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
-	if strings.Contains(got, "INACTIVE") {
-		t.Errorf("inactive instance rendered in alerts pane:\n%s", got)
-	}
 }
 
 // TestOnceJSON pins the machine-readable mode: -once -json emits the
-// raw fleetz and alertz payloads as one document.
+// raw fleetz payload as one document.
 func TestOnceJSON(t *testing.T) {
 	srv := fleetdServer(t)
 	var out strings.Builder
@@ -178,16 +141,12 @@ func TestOnceJSON(t *testing.T) {
 	}
 	var doc struct {
 		Fleetz *fleet.FleetSnapshot `json:"fleetz"`
-		Alertz *alert.Doc           `json:"alertz"`
 	}
 	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
 		t.Fatalf("not JSON: %v\n%s", err, out.String())
 	}
 	if doc.Fleetz == nil || len(doc.Fleetz.Servers) != 2 {
 		t.Fatalf("fleetz = %+v", doc.Fleetz)
-	}
-	if doc.Alertz == nil || doc.Alertz.Firing != 1 {
-		t.Fatalf("alertz = %+v", doc.Alertz)
 	}
 }
 
@@ -252,18 +211,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run %v: err = %v, want it to mention %q", tc.flags, err, tc.want)
 		}
-	}
-}
-
-func TestSpark(t *testing.T) {
-	if got := spark([]float64{0, 7, 3.5}); got != "▁█▄" {
-		t.Errorf("spark = %q, want ▁█▄", got)
-	}
-	if got := spark([]float64{2, 2, 2}); got != "▁▁▁" {
-		t.Errorf("flat spark = %q, want ▁▁▁", got)
-	}
-	if got := spark(nil); got != "" {
-		t.Errorf("empty spark = %q", got)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"menos/internal/alert"
 	"menos/internal/costmodel"
 	"menos/internal/fleet"
 	"menos/internal/memmodel"
@@ -15,7 +14,6 @@ import (
 	"menos/internal/sched"
 	"menos/internal/simnet"
 	"menos/internal/splitsim"
-	"menos/internal/tsdb"
 )
 
 // countsPins are the SHA-256 digests of the JSON TestCountsPin renders.
@@ -26,7 +24,6 @@ var countsPins = map[string]string{
 	"ledger":             "0ed53f2c078cef6fbb68b54f0d1268a0e005a4a9d10503af3ebbf2fb9c6c3dcb",
 	"splitsim/autoscale": "ed4642064849b5721967265fef5757cb6794219e9a661e49254fadadebe8df60",
 	"splitsim/batch":     "8b19c17e9bea1fde1c448cf1ef80bc0fb7469ce9f18264cb39e1bcf34880ef1a",
-	"alert":              "393b309305dfd601bab54258e1f841fbc0dbf091820c935e4cc5076c24e80b69",
 }
 
 // pinDigest hashes v's JSON encoding.
@@ -40,11 +37,10 @@ func pinDigest(t *testing.T, v any) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestCountsPin pins the numbers three count readers report: the
-// per-tenant ledger's rows, a simulated fleet's scheduler, admission and
-// fleet stats, and the alert engine's /alertz document. Each is produced
-// instrumented, into a registry of its own, and uninstrumented, and the
-// two must agree.
+// TestCountsPin pins the numbers two count readers report: the
+// per-tenant ledger's rows, and a simulated fleet's scheduler, admission
+// and fleet stats. Each is produced instrumented, into a registry of its
+// own, and uninstrumented, and the two must agree.
 func TestCountsPin(t *testing.T) {
 	got := map[string]string{}
 	for _, instrumented := range []bool{true, false} {
@@ -58,7 +54,6 @@ func TestCountsPin(t *testing.T) {
 			"ledger":             scriptedLedger(reg()),
 			"splitsim/autoscale": pinnedSim(t, reg(), false),
 			"splitsim/batch":     pinnedSim(t, reg(), true),
-			"alert":              scriptedAlerts(reg()),
 		} {
 			d := pinDigest(t, v)
 			if prev, ok := got[name]; ok && prev != d {
@@ -155,44 +150,4 @@ func pinnedSim(t *testing.T, reg *obs.Registry, batched bool) any {
 		Admission sched.AdmissionStats
 		Fleet     splitsim.FleetStats
 	}{r.SchedStats, r.Admission, r.Fleet}
-}
-
-// scriptedAlerts walks two rules over a scripted store: one per-server
-// threshold that pends, fires and resolves, and one that flaps.
-func scriptedAlerts(reg *obs.Registry) alert.Doc {
-	st := tsdb.New(tsdb.Config{})
-	above := func(name string, at float64) func(*tsdb.Store, time.Duration) []alert.Sample {
-		return func(st *tsdb.Store, now time.Duration) []alert.Sample {
-			var out []alert.Sample
-			for _, srv := range st.Servers(name) {
-				id := tsdb.SeriesID{Name: name, Server: srv}
-				if last, ok := st.Last(id); ok && last.Value >= at {
-					out = append(out, alert.Sample{Series: id, Value: last.Value})
-				}
-			}
-			return out
-		}
-	}
-	e := alert.NewEngine(alert.Config{
-		Store: st,
-		Rules: []alert.Rule{
-			{Name: "depth_high", Severity: "warning", For: 2 * time.Second, Resolve: 3 * time.Second, Eval: above("depth", 4)},
-			{Name: "shed", Severity: "critical", Eval: above("sheds", 1)},
-		},
-	})
-	e.Instrument(reg)
-	depth := map[int][]float64{
-		1: {0, 5, 6, 7, 8, 1, 0, 0, 0, 0, 0, 0, 0},
-		2: {5, 0, 5, 0, 5, 5, 5, 0, 0, 0, 0, 0, 0},
-	}
-	sheds := []float64{0, 0, 1, 0, 2, 0, 0, 3, 0, 0, 0, 0, 0}
-	for tick := range sheds {
-		now := time.Duration(tick) * time.Second
-		for srv, vs := range depth {
-			st.Append(tsdb.SeriesID{Name: "depth", Server: srv}, now, vs[tick])
-		}
-		st.Append(tsdb.SeriesID{Name: "sheds", Server: 1}, now, sheds[tick])
-		e.EvalTick(now)
-	}
-	return e.Snapshot(time.Duration(len(sheds)) * time.Second)
 }

@@ -61,13 +61,8 @@ func TestLiveMigrationAcrossProcesses(t *testing.T) {
 		"-server", fmt.Sprintf("id=2,addr=%s,metrics=%s,admin=%s", srvB.addr, srvB.metricsURL, srvB.metricsURL),
 		"-listen", fmt.Sprintf("127.0.0.1:%d", fleetdPort),
 		"-poll", "150ms",
-		// The telemetry plane under test: alert catalog (on by
-		// default) over the federated scrape, trace federation, and a
-		// flight recorder that snapshots on any firing transition —
-		// the artifact shows up in CI if the quiet-fleet assertion
-		// below ever fails.
+		// The telemetry plane under test: the merged fleet trace.
 		"-federate-traces",
-		"-flight-dir", filepath.Join(artifacts, "flight-fleetd"),
 	)
 	waitFor(t, "fleetd sees 2 healthy servers", 30*time.Second, func() error {
 		snap, err := fleetz(httpc, fleetdURL)
@@ -169,28 +164,37 @@ func TestLiveMigrationAcrossProcesses(t *testing.T) {
 		return stitched(fleetTrace)
 	})
 
-	// A healthy migration run must not trip the alert catalog: nothing
-	// firing now, and no transition into firing in the whole history.
-	alertzBody := getBody(t, httpc, fleetdURL+"/alertz")
-	if err := os.WriteFile(filepath.Join(artifacts, "alertz.json"), []byte(alertzBody), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var alertz struct {
-		Firing  int `json:"firing"`
-		History []struct {
-			Rule string `json:"rule"`
-			To   string `json:"to"`
-		} `json:"history"`
-	}
-	if err := json.Unmarshal([]byte(alertzBody), &alertz); err != nil {
-		t.Fatalf("alertz: %v\n%s", err, alertzBody)
-	}
-	if alertz.Firing != 0 {
-		t.Fatalf("healthy fleet has %d alert(s) firing:\n%s", alertz.Firing, alertzBody)
-	}
-	for _, tr := range alertz.History {
-		if tr.To == "firing" {
-			t.Fatalf("alert %s fired during a healthy run:\n%s", tr.Rule, alertzBody)
+	// A healthy migration run sheds nothing, has no GPU allocation
+	// refused and meets no stranger on a server's port: each of these
+	// families is present on /metrics.json and reads 0. They are what an
+	// operator's shed-storm, GPU-OOM and identity rules judge
+	// (docs/OBSERVABILITY.md). The documents are kept as artifacts.
+	for _, probe := range []struct {
+		name, base string
+		zero       []string
+	}{
+		{"server1", srvA.metricsURL, []string{"menos_sched_admission_shed_total", "menos_gpu_oom_total"}},
+		{"server2", srvB.metricsURL, []string{"menos_sched_admission_shed_total", "menos_gpu_oom_total"}},
+		{"fleetd", fleetdURL, []string{"menos_fleetd_identity_mismatches_total"}},
+	} {
+		body := getBody(t, httpc, probe.base+"/metrics.json")
+		if err := os.WriteFile(filepath.Join(artifacts, "metrics-"+probe.name+".json"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatalf("%s /metrics.json: %v\n%s", probe.name, err, body)
+		}
+		for _, name := range probe.zero {
+			v, ok := doc.Counters[name]
+			if !ok {
+				t.Fatalf("%s /metrics.json has no %s:\n%s", probe.name, name, body)
+			}
+			if v != 0 {
+				t.Fatalf("%s: %s = %d in a healthy run:\n%s", probe.name, name, v, body)
+			}
 		}
 	}
 
@@ -231,9 +235,9 @@ func startServer(t *testing.T, bin func(string) string, artifacts, name string, 
 		"-addr", addr, "-metrics-addr", metrics,
 		"-server-id", fmt.Sprint(id),
 		"-flight-dir", filepath.Join(artifacts, "flight-"+name),
-		// Advertise an admission target so fleetd's SLO burn-rate rule
-		// evaluates this server — a loopback fleet sits far under 2s,
-		// which the quiet-alerts assertion depends on.
+		// Admission control on this server's own scheduler: a loopback
+		// fleet sits far under the 2s target, so the zero-shed
+		// assertion holds, and the shed counter is registered.
 		"-slo-p99", "2s",
 	)
 	return serverProc{addr: addr, metricsURL: "http://" + metrics}

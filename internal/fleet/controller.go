@@ -1,8 +1,8 @@
 // Controller is the polling control plane behind menos-fleetd: a
 // Manager fed by polls of N real servers, which makes every placement,
 // drain and rebalance decision. The Controller adds what a Manager
-// cannot do: HTTP polls, health and identity, federation (tsdb and
-// trace mirrors) and migration orders. The servers stay the source of
+// cannot do: HTTP polls, health and identity, trace federation and
+// migration orders. The servers stay the source of
 // truth: each poll replaces a server's residents with what it reports.
 //
 // Like the rest of the package, the Controller has no goroutines and
@@ -26,7 +26,6 @@ import (
 
 	"menos/internal/obs"
 	"menos/internal/split"
-	"menos/internal/tsdb"
 )
 
 // Endpoint names one server the Controller manages.
@@ -53,16 +52,6 @@ type ControllerConfig struct {
 	// not mint tokens colliding with snapshots staged by its previous
 	// life. Zero means 1.
 	TokenSeed uint64
-	// Store, when set, turns every PollOnce into a federation tick:
-	// the Controller scrapes each healthy endpoint's /metrics.json and
-	// appends the flattened samples (plus synthetic menos_fleetd_up /
-	// menos_fleetd_identity_mismatch series) into the store, labeled by
-	// server: the full gauge history behind each /loadz row. The alert
-	// engine and /queryz read from here.
-	Store *tsdb.Store
-	// Clock stamps scraped samples and down-time accounting. Nil means
-	// wall clock; tests inject a virtual clock for determinism.
-	Clock obs.Clock
 	// FederateTraces additionally pages each healthy endpoint's
 	// /trace?since=<cursor> every poll and re-records the spans into a
 	// per-server mirror tracer, so WriteMergedTrace can render one
@@ -74,6 +63,10 @@ type ControllerConfig struct {
 	TraceBudgetBytes int64
 	// Logf receives orchestration logs (nil discards).
 	Logf func(format string, args ...any)
+
+	// clock stamps down-time accounting and the trace mirrors; nil
+	// means wall clock. Tests set a virtual one for determinism.
+	clock obs.Clock
 }
 
 // DefaultTraceBudgetBytes bounds one server's trace mirror when the
@@ -93,7 +86,7 @@ type endpointState struct {
 	clients      []obs.ClientUsage
 	sessions     []SessionInfo // client IDs ascending
 
-	// Down-time accounting (federation clock): the instant of the last
+	// Down-time accounting (the Controller's clock): the instant of the last
 	// successful poll, so /fleetz can report how long a DOWN server has
 	// been unreachable.
 	lastOK time.Duration
@@ -116,7 +109,6 @@ type Controller struct {
 	m           *Manager
 	http        *http.Client
 	logf        func(string, ...any)
-	store       *tsdb.Store
 	clock       obs.Clock
 	fedTraces   bool
 	traceBudget int64
@@ -129,11 +121,9 @@ type Controller struct {
 	mMigrations *obs.Counter
 	mIdentity   *obs.Counter
 
-	// Federation self-observability (nil-safe when unregistered).
-	mScrapes      *obs.Counter
+	// Trace federation self-observability (nil-safe when unregistered).
 	mScrapeErrors *obs.Counter
 	mFedSpans     *obs.Counter
-	gSeries       *obs.Gauge
 }
 
 // NewController builds a Controller. Endpoint IDs must be unique.
@@ -146,8 +136,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		m:           NewManager(placer),
 		http:        &http.Client{Timeout: 5 * time.Second},
 		logf:        cfg.Logf,
-		store:       cfg.Store,
-		clock:       cfg.Clock,
+		clock:       cfg.clock,
 		fedTraces:   cfg.FederateTraces,
 		traceBudget: cfg.TraceBudgetBytes,
 		eps:         make(map[int]*endpointState, len(cfg.Endpoints)),
@@ -177,12 +166,8 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if reg := cfg.Metrics; reg != nil {
 		c.mMigrations = reg.Counter(obs.MetricFleetdMigrations, "live migrations ordered successfully")
 		c.mIdentity = reg.Counter(obs.MetricFleetdIdentityMismatch, "polls answered by a server other than the configured identity")
-		if c.store != nil {
-			c.mScrapes = reg.Counter(obs.MetricFleetdScrapes, "successful /metrics.json scrapes")
-			c.mScrapeErrors = reg.Counter(obs.MetricFleetdScrapeErrors, "failed /metrics.json or /trace scrapes of otherwise-healthy servers")
-			c.gSeries = reg.Gauge(obs.MetricFleetdTSDBSeries, "live series in the federated time-series store")
-		}
 		if c.fedTraces {
+			c.mScrapeErrors = reg.Counter(obs.MetricFleetdScrapeErrors, "failed /trace scrapes")
 			c.mFedSpans = reg.Counter(obs.MetricFleetdTraceSpansFederated, "spans pulled from server /trace pages into the fleet mirror")
 		}
 	}
@@ -239,19 +224,9 @@ func (c *Controller) PollOnce() int {
 		if !ok {
 			c.logf("poll server %d (%s): %v", ep.ID, ep.MetricsURL, err)
 		}
-		// Federation: synthetic liveness series every tick, a full
-		// /metrics.json scrape and a /trace page for healthy servers.
-		mismatch := h != nil && h.Status == "ok" && (h.ServerID == nil || *h.ServerID != ep.ID)
-		if c.store != nil {
-			c.ingestPoll(ep, ok, mismatch, now)
-		}
 		if ok && c.fedTraces {
 			c.scrapeTrace(st, ep)
 		}
-	}
-	if c.store != nil {
-		n, _, _ := c.store.Stats()
-		c.gSeries.Set(int64(n)) // nil-safe
 	}
 	return healthy
 }

@@ -9,12 +9,11 @@ import (
 	"time"
 
 	"menos/internal/obs"
-	"menos/internal/tsdb"
 )
 
 // telemetryServer is a fake menos-server built from the real obs
-// stack, so the controller scrapes the exact /metrics.json and /trace
-// documents a live server emits. Its admin plane lists no sessions.
+// stack, so the controller scrapes the exact /trace documents a live
+// server emits. Its admin plane lists no sessions.
 type telemetryServer struct {
 	id     int
 	reg    *obs.Registry
@@ -43,76 +42,16 @@ func (ts *telemetryServer) endpoint() Endpoint {
 	return Endpoint{ID: ts.id, Addr: "127.0.0.1:0", MetricsURL: ts.srv.URL, AdminURL: ts.srv.URL}
 }
 
-// TestControllerFederatesMetrics pins the scrape→store pipeline:
-// counters, gauges, histogram quantiles and per-client vec series all
-// land labeled by server, plus the synthetic up series.
-func TestControllerFederatesMetrics(t *testing.T) {
-	var now time.Duration
-	clock := obs.ClockFunc(func() time.Duration { return now })
-	ts := newTelemetryServer(t, 1, clock)
-	ts.reg.Counter(obs.MetricGPUOOM).Add(3)
-	ts.reg.Gauge(obs.MetricServerActiveClients).Set(2)
-	h := ts.reg.Histogram(obs.MetricServerWaitSeconds, obs.DurationBuckets())
-	for i := 0; i < 100; i++ {
-		h.Observe(0.01)
-	}
-	ts.reg.CounterVec(obs.MetricServerShedsTotal, "client").With("c1").Add(5)
-
-	store := tsdb.New(tsdb.Config{})
-	reg := obs.NewRegistry()
-	c, err := NewController(ControllerConfig{
-		Endpoints: []Endpoint{ts.endpoint()},
-		Metrics:   reg,
-		Store:     store,
-		Clock:     clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now = 10 * time.Second
-	if n := c.PollOnce(); n != 1 {
-		t.Fatalf("healthy = %d", n)
-	}
-
-	wantLast := func(id tsdb.SeriesID, want float64) {
-		t.Helper()
-		p, ok := store.Last(id)
-		if !ok || p.Value != want {
-			t.Fatalf("%s last = %+v (ok=%v), want %g", id, p, ok, want)
-		}
-		if p.At != 10*time.Second {
-			t.Fatalf("%s stamped %v, want 10s", id, p.At)
-		}
-	}
-	wantLast(tsdb.SeriesID{Name: obs.MetricFleetdUp, Server: 1}, 1)
-	wantLast(tsdb.SeriesID{Name: obs.MetricFleetdIdentityGauge, Server: 1}, 0)
-	wantLast(tsdb.SeriesID{Name: obs.MetricGPUOOM, Server: 1}, 3)
-	wantLast(tsdb.SeriesID{Name: obs.MetricServerActiveClients, Server: 1}, 2)
-	wantLast(tsdb.SeriesID{Name: obs.MetricServerWaitSeconds + "_count", Server: 1}, 100)
-	wantLast(tsdb.SeriesID{Name: obs.MetricServerShedsTotal, Server: 1, Client: "c1"}, 5)
-	if p, ok := store.Last(tsdb.SeriesID{Name: obs.MetricServerWaitSeconds + "_p99", Server: 1}); !ok || p.Value <= 0 {
-		t.Fatalf("p99 series = %+v (ok=%v), want > 0", p, ok)
-	}
-	if got := reg.Counter(obs.MetricFleetdScrapes).Value(); got != 1 {
-		t.Fatalf("scrapes counter = %d, want 1", got)
-	}
-	if got := reg.Gauge(obs.MetricFleetdTSDBSeries).Value(); got <= 0 {
-		t.Fatalf("tsdb series gauge = %d, want > 0", got)
-	}
-}
-
-// TestControllerDownServerTelemetry pins the synthetic up=0 series and
-// the /fleetz DownForSeconds accounting for an unreachable server.
+// TestControllerDownServerTelemetry pins the /fleetz DownForSeconds
+// accounting for an unreachable server.
 func TestControllerDownServerTelemetry(t *testing.T) {
 	var now time.Duration
 	clock := obs.ClockFunc(func() time.Duration { return now })
 	ts := newTelemetryServer(t, 1, clock)
-	store := tsdb.New(tsdb.Config{})
 	c, err := NewController(ControllerConfig{
 		Endpoints: []Endpoint{ts.endpoint()},
 		Metrics:   obs.NewRegistry(),
-		Store:     store,
-		Clock:     clock,
+		clock:     clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,9 +64,6 @@ func TestControllerDownServerTelemetry(t *testing.T) {
 	now = 11 * time.Second
 	if n := c.PollOnce(); n != 0 {
 		t.Fatalf("healthy after close = %d", n)
-	}
-	if p, ok := store.Last(tsdb.SeriesID{Name: obs.MetricFleetdUp, Server: 1}); !ok || p.Value != 0 {
-		t.Fatalf("up series = %+v, want 0", p)
 	}
 	now = 21 * time.Second
 	snap := c.Snapshot()
@@ -154,13 +90,11 @@ func TestControllerTraceFederation(t *testing.T) {
 	src.tracer.RecordT("mig-client", obs.SpanForward, iterID, 0, time.Millisecond)
 	src.tracer.RecordT("mig-client", obs.SpanMigrateOut, iterID, time.Millisecond, time.Millisecond)
 
-	store := tsdb.New(tsdb.Config{})
 	reg := obs.NewRegistry()
 	c, err := NewController(ControllerConfig{
 		Endpoints:      []Endpoint{src.endpoint(), dst.endpoint()},
 		Metrics:        reg,
-		Store:          store,
-		Clock:          clock,
+		clock:          clock,
 		FederateTraces: true,
 	})
 	if err != nil {
@@ -223,10 +157,9 @@ func TestControllerTraceFederation(t *testing.T) {
 	}
 }
 
-// TestControllerScrapeErrorDoesNotUnhealth pins that a failing
-// /metrics.json scrape (here: a server whose handler serves health and
-// loadz but 404s metrics.json) leaves health intact and counts a
-// scrape error.
+// TestControllerScrapeErrorDoesNotUnhealth pins that a failing /trace
+// scrape (here: a server whose handler serves health and loadz but 404s
+// /trace) leaves health intact and counts a scrape error.
 func TestControllerScrapeErrorDoesNotUnhealth(t *testing.T) {
 	id := 1
 	mux := http.NewServeMux()
@@ -237,15 +170,16 @@ func TestControllerScrapeErrorDoesNotUnhealth(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(LoadSnapshot{Server: ServerLoad{ID: 1}})
 	})
 	mux.HandleFunc("GET /admin/sessions", noSessions)
+	mux.HandleFunc("/trace", http.NotFound)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
 	reg := obs.NewRegistry()
 	c, err := NewController(ControllerConfig{
-		Endpoints: []Endpoint{{ID: 1, Addr: "x", MetricsURL: srv.URL, AdminURL: srv.URL}},
-		Metrics:   reg,
-		Store:     tsdb.New(tsdb.Config{}),
-		Clock:     obs.ClockFunc(func() time.Duration { return 0 }),
+		Endpoints:      []Endpoint{{ID: 1, Addr: "x", MetricsURL: srv.URL, AdminURL: srv.URL}},
+		Metrics:        reg,
+		clock:          obs.ClockFunc(func() time.Duration { return 0 }),
+		FederateTraces: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -87,7 +87,8 @@ func TestFreeOwner(t *testing.T) {
 }
 
 // TestStatsCount: an instrumented device counts its successful
-// allocations, not its refusals or frees.
+// allocations, not its refusals or frees, and counts each refusal as
+// an OOM.
 func TestStatsCount(t *testing.T) {
 	reg := obs.NewRegistry()
 	d := NewDevice(Spec{Name: "t", MemoryBytes: 100})
@@ -97,11 +98,17 @@ func TestStatsCount(t *testing.T) {
 	if _, err := d.Alloc("a", 200); !errors.Is(err, ErrOOM) {
 		t.Fatalf("oversized alloc: %v", err)
 	}
+	if _, err := d.Alloc("b", 90); !errors.Is(err, ErrOOM) {
+		t.Fatalf("alloc past the free bytes: %v", err)
+	}
 	if err := d.Free(id); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(obs.MetricGPUAllocOps).Value(); got != 2 {
 		t.Fatalf("%s = %d, want 2", obs.MetricGPUAllocOps, got)
+	}
+	if got := reg.Counter(obs.MetricGPUOOM).Value(); got != 2 {
+		t.Fatalf("%s = %d, want 2", obs.MetricGPUOOM, got)
 	}
 }
 

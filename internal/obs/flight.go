@@ -17,7 +17,6 @@ const (
 	FlightReasonShed      = "shed"      // admission control shed a submission
 	FlightReasonOOM       = "oom"       // a request could never fit / was refused for memory
 	FlightReasonAdmission = "admission" // admission state transition
-	FlightReasonAlert     = "alert"     // a fleet alert rule began firing (menos-fleetd)
 )
 
 // FlightConfig configures a FlightRecorder.
@@ -28,10 +27,10 @@ type FlightConfig struct {
 	// MinInterval rate-limits snapshots per reason (a shedding storm
 	// triggers once per interval, not per request). <= 0 means 1s.
 	MinInterval time.Duration
-	// Clock supplies timestamps and the rate-limit timebase; the
-	// simulator passes its virtual clock so snapshots are
-	// deterministic. Nil means wall clock.
-	Clock Clock
+	// clock supplies timestamps and the rate-limit timebase; nil means
+	// wall clock. Tests set a virtual one so snapshots are
+	// deterministic.
+	clock Clock
 	// CaptureProfiles additionally writes a heap and a goroutine
 	// profile (pprof proto, go-tool-pprof readable) next to the JSONL
 	// on every snapshot, one file per profile kind and reason
@@ -110,8 +109,8 @@ func NewFlightRecorder(cfg FlightConfig, reg *Registry, tracer *Tracer) (*Flight
 	if cfg.MinInterval <= 0 {
 		cfg.MinInterval = time.Second
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = NewWallClock()
+	if cfg.clock == nil {
+		cfg.clock = NewWallClock()
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("obs: flight dir: %w", err)
@@ -241,7 +240,7 @@ func (r *FlightRecorder) snapshotLocked(reason string) error {
 	if r.f == nil {
 		return fmt.Errorf("obs: flight recorder closed")
 	}
-	now := r.cfg.Clock.Now()
+	now := r.cfg.clock.Now()
 	if last, ok := r.last[reason]; ok && now-last < r.cfg.MinInterval {
 		return nil
 	}

@@ -41,7 +41,7 @@ func TestFlightRecorderSnapshot(t *testing.T) {
 	tr := NewTracer(clk)
 	tr.RecordT("client-1", SpanKind{"wait:forward", "sched"}, 0xabc, 0, time.Second)
 
-	fr, err := NewFlightRecorder(FlightConfig{Dir: t.TempDir(), Clock: clk}, reg, tr)
+	fr, err := NewFlightRecorder(FlightConfig{Dir: t.TempDir(), clock: clk}, reg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFlightRateLimit(t *testing.T) {
 	clk := &manualClock{}
 	fr, err := NewFlightRecorder(FlightConfig{
 		Dir:         t.TempDir(),
-		Clock:       clk,
+		clock:       clk,
 		MinInterval: time.Second,
 	}, nil, nil)
 	if err != nil {
@@ -117,7 +117,7 @@ func TestFlightRotationBound(t *testing.T) {
 	const maxBytes = 2048
 	fr, err := NewFlightRecorder(FlightConfig{
 		Dir:         dir,
-		Clock:       clk,
+		clock:       clk,
 		MinInterval: time.Nanosecond,
 	}, nil, nil)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestFlightRotationBound(t *testing.T) {
 func TestFlightAsyncAndClose(t *testing.T) {
 	clk := &manualClock{}
 	dir := t.TempDir()
-	fr, err := NewFlightRecorder(FlightConfig{Dir: dir, Clock: clk}, nil, nil)
+	fr, err := NewFlightRecorder(FlightConfig{Dir: dir, clock: clk}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

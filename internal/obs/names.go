@@ -4,8 +4,8 @@ package obs
 // metrics under these constants, so a misspelt name is a compile error.
 // TestMetricCatalogIsDocumented ties the catalog to the operator docs in
 // both directions, and the root package's TestEveryMetricHasAReader
-// fails on a name that no alert rule, dashboard, /loadz, benchmark
-// detail or test outside this package reads.
+// fails on a name that no dashboard, /loadz, benchmark detail or test
+// outside this package reads.
 const (
 	// Scheduler plane (internal/sched).
 	MetricSchedSubmitted         = "menos_sched_submitted_total"
@@ -103,27 +103,16 @@ const (
 	MetricFleetScaleEvents = "menos_fleet_scale_events_total"
 	MetricFleetImbalance   = "menos_fleet_imbalance_ratio"
 
-	// Control-plane daemon (cmd/menos-fleetd, docs/FLEET.md). The
-	// daemon re-exports its embedded fleet.Manager's menos_fleet_*
-	// families and adds its own: live migrations it ordered, and polls
-	// answered by a server other than the configured identity.
+	// Control-plane daemon (cmd/menos-fleetd, docs/FLEET.md): live
+	// migrations it ordered, and polls answered by a server other than
+	// the configured identity.
 	MetricFleetdMigrations       = "menos_fleetd_migrations_total"
 	MetricFleetdIdentityMismatch = "menos_fleetd_identity_mismatches_total"
 
-	// Fleet telemetry plane (internal/tsdb + internal/alert, served by
-	// menos-fleetd /queryz and /alertz — docs/OBSERVABILITY.md).
-	// menos_fleetd_up / _identity_mismatch are synthetic per-server
-	// series the controller appends into the time-series store on every
-	// poll tick (1/0), the raw material for the dead-server and
-	// identity-mismatch alert rules. The alerts gauge counts instances
-	// currently Firing; transitions counts every state change
-	// (Inactive→Pending, Pending→Firing, Firing→Pending, ...).
-	MetricFleetdUp                  = "menos_fleetd_up"
-	MetricFleetdIdentityGauge       = "menos_fleetd_identity_mismatch"
-	MetricFleetdAlertsFiring        = "menos_fleetd_alerts_firing"
-	MetricFleetdAlertsTransitions   = "menos_fleetd_alerts_transitions_total"
-	MetricFleetdTSDBSeries          = "menos_fleetd_tsdb_series"
-	MetricFleetdScrapes             = "menos_fleetd_scrapes_total"
+	// Trace federation (menos-fleetd -federate-traces, served merged on
+	// its /trace — docs/OBSERVABILITY.md): /trace pages that failed on
+	// an otherwise-healthy server, and spans re-recorded into the
+	// fleet-side mirrors.
 	MetricFleetdScrapeErrors        = "menos_fleetd_scrape_errors_total"
 	MetricFleetdTraceSpansFederated = "menos_fleetd_trace_spans_federated_total"
 )

@@ -194,9 +194,9 @@ func (a *AdmissionController) instrument(reg *obs.Registry) {
 		return
 	}
 	a.mShed = reg.Counter(obs.MetricSchedAdmissionShed, "submissions shed (each client's every 2nd while throttled, all while shedding)")
-	// Advertise the configured target so scrapers (the fleet telemetry
-	// plane's burn-rate rule) compare each server's p99 against the
-	// server's own SLO rather than a control-plane-side default.
+	// Advertise the configured target so scrapers (an operator's
+	// burn-rate rule, docs/OBSERVABILITY.md) compare each server's p99
+	// against the server's own SLO rather than a fleet-wide default.
 	reg.Gauge(obs.MetricSchedAdmissionSLOTarget, "configured grant-wait p99 target, microseconds").
 		Set(a.slo.TargetP99.Microseconds())
 }

@@ -200,6 +200,8 @@ func TestThrottledShedIsPerClientFair(t *testing.T) {
 func TestSchedulerShedsUnderStall(t *testing.T) {
 	clk := &testClock{}
 	s := New(100, PolicyFCFSBackfill)
+	reg := obs.NewRegistry()
+	s.Instrument(reg, clk.clock())
 	if err := s.EnableAdmission(SLO{TargetP99: time.Second}, clk.clock()); err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +226,15 @@ func TestSchedulerShedsUnderStall(t *testing.T) {
 	}
 	if st := s.AdmissionStats(); st.Shed != 1 {
 		t.Fatalf("shed count = %d, want 1", st.Shed)
+	}
+	// The exported families an operator's shed-storm and burn-rate
+	// rules read: the shed counter is the stats count, and the target
+	// gauge advertises the 1s SLO in microseconds.
+	if got := reg.Counter(obs.MetricSchedAdmissionShed).Value(); got != s.AdmissionStats().Shed {
+		t.Fatalf("%s = %d, want %d", obs.MetricSchedAdmissionShed, got, s.AdmissionStats().Shed)
+	}
+	if got := reg.Gauge(obs.MetricSchedAdmissionSLOTarget).Value(); got != 1_000_000 {
+		t.Fatalf("%s = %d, want 1000000", obs.MetricSchedAdmissionSLOTarget, got)
 	}
 
 	// Draining the queue and letting the window go calm reopens the

@@ -57,6 +57,11 @@ func TestMetricsOverRealTCPRun(t *testing.T) {
 	if st.Iterations != steps {
 		t.Errorf("Stats().Iterations = %d, want %d", st.Iterations, steps)
 	}
+	// One grant wait per iteration: the forward's. A lone client's
+	// backward claims the forward's parked grant and waits on nothing.
+	if v := reg.Histogram(obs.MetricServerWaitSeconds, obs.DurationBuckets()).Count(); v != steps {
+		t.Errorf("%s count = %d, want %d (one per iteration)", obs.MetricServerWaitSeconds, v, steps)
+	}
 	// Every phase runs under a grant: the forward's own, and for the
 	// backward either a fresh one or the forward's, parked and claimed.
 	if v := reg.Counter(obs.MetricSchedGranted).Value() + reg.Counter(obs.MetricSchedClaimed).Value(); v < 2*steps {

@@ -169,6 +169,24 @@ func TestMenosShedTriggersFlight(t *testing.T) {
 	if r.Rejected == 0 {
 		t.Skip("config did not shed; flight path not exercised")
 	}
+	// Every shed is billed to the client it turned away: the per-client
+	// series name only the run's clients and sum to its shed count.
+	clients := map[string]bool{}
+	for _, c := range r.Clients {
+		clients[c.ID] = true
+	}
+	sheds := reg.CounterVec(obs.MetricServerShedsTotal, "client")
+	var billed int64
+	for _, id := range sheds.Labels() {
+		if !clients[id] {
+			t.Fatalf("%s{client=%q}: no such client in the run", obs.MetricServerShedsTotal, id)
+		}
+		c, _ := sheds.Get(id)
+		billed += c.Value()
+	}
+	if billed != r.Rejected {
+		t.Fatalf("%s sums to %d over clients, want the run's %d sheds", obs.MetricServerShedsTotal, billed, r.Rejected)
+	}
 	if err := fr.Err(); err != nil {
 		t.Fatal(err)
 	}

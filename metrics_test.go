@@ -17,9 +17,9 @@ import (
 )
 
 // readerDirs are the non-test code that reads telemetry on an
-// operator's or the benchmark's behalf: the alert rules, the menos-top
-// dashboard, the paper tables and the benchmark.
-var readerDirs = []string{"internal/alert", "cmd/menos-top", "internal/experiments", "perf"}
+// operator's or the benchmark's behalf: the menos-top dashboard, the
+// paper tables and the benchmark.
+var readerDirs = []string{"cmd/menos-top", "internal/experiments", "perf"}
 
 // readerFiles are single non-test files that read telemetry: the
 // /loadz documents a control plane polls.
@@ -252,7 +252,7 @@ func TestEveryMetricHasAReader(t *testing.T) {
 	}
 	sort.Strings(unread)
 	for _, s := range unread {
-		t.Errorf("%s has no reader: no alert rule, menos-top pane, /loadz, experiments table, perf detail or test outside internal/obs names it or its string. Assert it in a test, or delete it with its registration, update sites and docs row", s)
+		t.Errorf("%s has no reader: no menos-top pane, /loadz, experiments table, perf detail or test outside internal/obs names it or its string. Assert it in a test, or delete it with its registration, update sites and docs row", s)
 	}
 	var unreadSpans []string
 	for i, s := range spans {
