@@ -80,7 +80,7 @@ fuzz-smoke:
 # metrics registry and ring
 # tracer, the wire protocol (version interop), the scheduler (including
 # admission-control state flips), the batch-formation engine, the fleet
-# controller (polls, placements and trace federation under one lock),
+# controller (polls, placements and the merged-trace fetch),
 # the activation wire codec (pool-parallel pack/unpack), the TCP serving loop and the simulator that drives
 # them — and the integration packages that drive those paths together:
 # core (live migration between two in-process servers, admin-plane
@@ -88,8 +88,8 @@ fuzz-smoke:
 # adapter (multi-adapter dispatch over the shared, mutex-guarded scratch
 # arena), share (every session's handshake and teardown take the
 # store's lock; concurrent instances forward over the shared base) and
-# menos-fleetd (its /place and /drain handlers on their own goroutines
-# while the controller polls and rebalances).
+# menos-fleetd (its /place, /drain, /trace and /metrics handlers on
+# their own goroutines while the controller polls and rebalances).
 test-race:
 	$(GO) test -race ./internal/tensor ./internal/model ./internal/obs ./internal/split ./internal/quant ./internal/sched ./internal/batch ./internal/fleet ./internal/server ./internal/splitsim ./internal/core ./internal/client ./internal/adapter ./internal/share ./cmd/menos-fleetd
 
@@ -143,13 +143,13 @@ kernel-bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig3$$|BenchmarkFig7$$|BenchmarkAblationMemoryPolicy$$' -benchtime=1x .
 
 # Multi-process end-to-end: builds menos-server, menos-client and
-# menos-fleetd, launches a two-server fleet plus the control plane on
-# loopback (trace federation enabled), and asserts one live client
-# migration with zero lost iterations, a bit-identical final loss vs
-# an unmigrated control run, a merged fleet trace with the migrated
-# iteration stitched across both server processes, and zero sheds,
-# GPU OOMs and identity mismatches on the servers' and fleetd's
-# /metrics.json over the healthy run. Process logs, server flight
+# menos-fleetd, launches a two-server fleet plus the control plane
+# (default flags) on loopback, and asserts one live client migration
+# with zero lost iterations, a bit-identical final loss vs an
+# unmigrated control run, fleetd's placement and migration counters, a
+# merged fleet trace with the migrated iteration stitched across both
+# server processes, and zero sheds, GPU OOMs and identity mismatches on
+# the servers' and fleetd's /metrics.json over the healthy run. Process logs, server flight
 # recordings, the /metrics.json documents and the fleet trace land in
 # e2e-artifacts/ (CI uploads them on failure).
 e2e:

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"menos/internal/fleet"
 	"menos/internal/obs"
@@ -18,12 +19,15 @@ var placerNames = []string{"policy", "round-robin", "least-loaded", "memory-best
 
 // fakeServer stands in for one menos-server's metrics and admin
 // planes: /healthz echoes its identity, /loadz reports its resident
-// clients, and the admin plane lists that many migratable sessions and
-// accepts every order.
+// clients, /trace holds one span, and the admin plane lists that many
+// migratable sessions and accepts every order.
 func fakeServer(t *testing.T, id, clients int) fleet.Endpoint {
 	t.Helper()
 	reply := func(w http.ResponseWriter, doc any) { _ = json.NewEncoder(w).Encode(doc) }
+	tracer := obs.NewTracer(nil)
+	tracer.RecordT("c", obs.SpanForward, obs.IterTraceID("c", 1), 0, time.Millisecond)
 	mux := http.NewServeMux()
+	mux.Handle("GET /trace", obs.Handler(nil, tracer))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		reply(w, map[string]any{"status": "ok", "server_id": id})
 	})
@@ -58,19 +62,26 @@ func testPlane(t *testing.T, placer string, clients ...int) (*fleet.Controller, 
 	for i, n := range clients {
 		eps[i] = fakeServer(t, i+1, n)
 	}
-	ctrl, err := fleet.NewController(fleet.ControllerConfig{Endpoints: eps, Placer: p})
+	reg := obs.NewRegistry()
+	ctrl, err := fleet.NewController(fleet.ControllerConfig{Endpoints: eps, Placer: p, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := ctrl.PollOnce(); n != len(clients) {
 		t.Fatalf("healthy = %d, want %d", n, len(clients))
 	}
-	return ctrl, newMux(plane{ctrl: ctrl, reg: obs.NewRegistry()})
+	return ctrl, newMux(plane{ctrl: ctrl, reg: reg})
 }
 
 func post(h http.Handler, target, body string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, strings.NewReader(body)))
+	return rec
+}
+
+func get(h http.Handler, target string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
 	return rec
 }
 
@@ -185,11 +196,13 @@ func TestBadBodiesAre400(t *testing.T) {
 	}
 }
 
-// TestHandlersRaceTheTicks: /place and /drain arrive on their own
-// goroutines while the daemon's loop polls and rebalances, as under
-// http.Serve. Run under -race (make test-race). Every /place must
-// succeed, every /drain must be accepted or refused as the last server,
-// and one server must be left accepting placements.
+// TestHandlersRaceTheTicks: /place, /drain, /trace and /metrics arrive
+// on their own goroutines while the daemon's loop polls and rebalances,
+// as under http.Serve; the trace merge and the fleet gauges run on
+// those handler goroutines. Run under -race (make test-race). Every
+// /place must succeed, every /drain must be accepted or refused as the
+// last server, every /trace and /metrics must answer 200, and one
+// server must be left accepting placements.
 func TestHandlersRaceTheTicks(t *testing.T) {
 	for _, name := range placerNames {
 		t.Run(name, func(t *testing.T) {
@@ -217,6 +230,17 @@ func TestHandlersRaceTheTicks(t *testing.T) {
 					}
 				}
 			}()
+			for _, target := range []string{"/trace", "/metrics"} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 5; i++ {
+						if rec := get(h, target); rec.Code != http.StatusOK {
+							t.Errorf("GET %s: %d %s", target, rec.Code, rec.Body)
+						}
+					}
+				}()
+			}
 			for i := 0; i < 5; i++ {
 				ctrl.PollOnce()
 				if _, err := ctrl.RebalanceOnce(); err != nil {
@@ -234,5 +258,28 @@ func TestHandlersRaceTheTicks(t *testing.T) {
 				t.Fatalf("%d servers left accepting placements, want 1", active)
 			}
 		})
+	}
+}
+
+// TestPlaceCountsInFleetMetrics: fleetd's registry carries the
+// Manager's menos_fleet_* families, so two /place calls read as two
+// placements, with every polled endpoint an active server.
+func TestPlaceCountsInFleetMetrics(t *testing.T) {
+	_, h := testPlane(t, "policy", 0, 0, 0)
+	placeID(t, h, "a")
+	placeID(t, h, "b")
+	rec := get(h, "/metrics.json")
+	var doc struct {
+		Counters map[string]int64 `json:"counters"`
+		Gauges   map[string]int64 `json:"gauges"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("/metrics.json: %v\n%s", err, rec.Body)
+	}
+	if got := doc.Counters[obs.MetricFleetPlacements]; got != 2 {
+		t.Errorf("%s = %d, want 2", obs.MetricFleetPlacements, got)
+	}
+	if got, ok := doc.Gauges[obs.MetricFleetServers]; !ok || got != 3 {
+		t.Errorf("%s = %d (present %v), want 3", obs.MetricFleetServers, got, ok)
 	}
 }

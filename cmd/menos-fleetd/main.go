@@ -11,22 +11,20 @@
 //
 //	menos-fleetd -server id=1,addr=HOST:PORT,metrics=URL,admin=URL
 //	             [-server ...] [-placer policy] [-poll 2s]
-//	             [-rebalance] [-listen :9600] [-federate-traces]
-//	             [-trace-buffer-mb 4] [-pprof] [-quiet]
+//	             [-rebalance] [-listen :9600] [-pprof] [-quiet]
 //
 // Each -server names one managed endpoint: the fleet identity the
 // server was started with (-server-id), the split-protocol address
-// clients dial, and the base URLs of its metrics (/healthz, /loadz)
-// and admin (/admin/*) planes. /healthz must echo the configured
+// clients dial, and the base URLs of its metrics (/healthz, /loadz,
+// /trace) and admin (/admin/*) planes. /healthz must echo the configured
 // identity back; a mismatch (a different process answering on a
 // reused port) marks the endpoint unhealthy instead of trusting a
 // stranger's "ok".
 //
-// With -federate-traces, each poll tick also pages every healthy
-// server's /trace ring through a resume cursor into per-server mirror
-// tracers, so /trace on the daemon serves ONE merged Chrome trace of
-// the whole fleet — a migrated client's spans stitch across server
-// processes by iteration trace ID. The daemon keeps no metric history
+// /trace on the daemon serves ONE merged Chrome trace of the whole
+// fleet, read from every healthy server's own /trace when it is asked
+// for — a migrated client's spans stitch across server processes by
+// iteration trace ID. The daemon keeps no spans and no metric history
 // and evaluates no alert rules: an operator scrapes each server's
 // /metrics and this daemon's /metrics with their own monitoring stack
 // (docs/OBSERVABILITY.md writes the rules as PromQL).
@@ -35,8 +33,8 @@
 //
 //	/fleetz        the whole fleet as last polled (JSON; menos-top
 //	               renders it with -fleetd)
-//	/trace         the merged fleet Chrome trace (with
-//	               -federate-traces)
+//	/trace         the merged fleet Chrome trace, fetched from the
+//	               servers on each request
 //	POST /place    body ClientInfo JSON -> the chosen Endpoint JSON
 //	               (redirect handshake for arriving clients; a retry
 //	               for the same ID answers the same server)
@@ -44,8 +42,9 @@
 //	               away on subsequent rebalance ticks (202; 400 bad id,
 //	               404 unknown server, 409 the last server not draining)
 //	POST /migrate  {"client_id","src","dst"}: order one migration now
-//	/metrics,      the menos_fleetd_* families (Prometheus text and
-//	/metrics.json  JSON), plus /healthz liveness; -pprof mounts
+//	/metrics,      the menos_fleetd_* and menos_fleet_* families
+//	/metrics.json  (Prometheus text and JSON), plus /healthz
+//	               liveness; -pprof mounts
 //	               /debug/pprof/
 package main
 
@@ -56,7 +55,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -92,8 +90,6 @@ func run(args []string) error {
 	poll := fs.Duration("poll", 2*time.Second, "fleet polling interval")
 	rebalance := fs.Bool("rebalance", true, "order migrations on each poll (drain evacuation and load smoothing)")
 	listen := fs.String("listen", ":9600", "control-plane HTTP listen address")
-	fedTraces := fs.Bool("federate-traces", false, "scrape every server's /trace ring each poll and serve the merged fleet trace on /trace")
-	traceBudget := fs.Int64("trace-buffer-mb", 4, "per-server mirror ring budget for trace federation in MiB (0 = default)")
 	pprofFlag := fs.Bool("pprof", false, "mount /debug/pprof/ on the control-plane mux")
 	quiet := fs.Bool("quiet", false, "disable orchestration logs")
 	if err := fs.Parse(args); err != nil {
@@ -101,9 +97,6 @@ func run(args []string) error {
 	}
 	if *poll <= 0 {
 		return fmt.Errorf("-poll %v: want a positive interval", *poll)
-	}
-	if *traceBudget < 0 || *traceBudget > math.MaxInt64>>20 {
-		return fmt.Errorf("-trace-buffer-mb %d: want 0 (the default) or a positive size up to %d MiB", *traceBudget, int64(math.MaxInt64>>20))
 	}
 	if len(endpoints) == 0 {
 		return fmt.Errorf("no servers: pass at least one -server id=...,addr=...,metrics=...,admin=...")
@@ -126,10 +119,8 @@ func run(args []string) error {
 		// Wall-clock token seed: a restarted fleetd must not mint
 		// resume tokens colliding with snapshots its previous life
 		// staged at the servers.
-		TokenSeed:        uint64(time.Now().UnixNano()),
-		FederateTraces:   *fedTraces,
-		TraceBudgetBytes: *traceBudget << 20,
-		Logf:             logf,
+		TokenSeed: uint64(time.Now().UnixNano()),
+		Logf:      logf,
 	})
 	if err != nil {
 		return err
@@ -138,7 +129,7 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
-	mux := newMux(plane{ctrl: ctrl, reg: reg, fedTraces: *fedTraces, pprof: *pprofFlag})
+	mux := newMux(plane{ctrl: ctrl, reg: reg, pprof: *pprofFlag})
 	go func() {
 		if serr := http.Serve(ln, mux); serr != nil {
 			logf("control endpoint: %v", serr)
@@ -173,10 +164,9 @@ func run(args []string) error {
 
 // plane is what the control-plane HTTP surface serves.
 type plane struct {
-	ctrl      *fleet.Controller
-	reg       *obs.Registry
-	fedTraces bool
-	pprof     bool
+	ctrl  *fleet.Controller
+	reg   *obs.Registry
+	pprof bool
 }
 
 // newMux builds the daemon's -listen surface (the endpoint list in the
@@ -189,12 +179,8 @@ func newMux(p plane) *http.ServeMux {
 	}
 	mux.Handle("/", obs.Handler(p.reg, nil, hopts...))
 	// Shadows the obs.Handler /trace (which would be empty — fleetd has
-	// no tracer of its own): the federated fleet trace instead.
+	// no tracer of its own): the merged fleet trace instead.
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, _ *http.Request) {
-		if !p.fedTraces {
-			http.Error(w, "trace federation disabled (-federate-traces)", http.StatusNotFound)
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
 		if err := p.ctrl.WriteMergedTrace(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)

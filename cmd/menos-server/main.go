@@ -32,9 +32,9 @@
 // document on /loadz (the fleet.LoadSnapshot consumed by menos-top),
 // the fleet admin plane (migration orders, snapshot staging — see
 // docs/FLEET.md and menos-fleetd) under /admin/,
-// and a Chrome trace of recent request spans on /trace (pageable with
-// ?since=/?window=; spans are kept in a ring bounded by
-// -trace-buffer-mb). With -flight-dir set, a flight recorder
+// and a Chrome trace of recent request spans on /trace (trailing
+// windows with ?window=; spans are kept in a ring bounded by
+// -trace-buffer-mb; menos-fleetd reads it for its merged fleet trace). With -flight-dir set, a flight recorder
 // snapshots the trace window and metrics to size-bounded JSONL on
 // sheds, OOMs and admission state changes (see docs/OBSERVABILITY.md).
 // -pprof additionally mounts net/http/pprof under /debug/pprof/ on the

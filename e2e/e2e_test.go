@@ -61,8 +61,6 @@ func TestLiveMigrationAcrossProcesses(t *testing.T) {
 		"-server", fmt.Sprintf("id=2,addr=%s,metrics=%s,admin=%s", srvB.addr, srvB.metricsURL, srvB.metricsURL),
 		"-listen", fmt.Sprintf("127.0.0.1:%d", fleetdPort),
 		"-poll", "150ms",
-		// The telemetry plane under test: the merged fleet trace.
-		"-federate-traces",
 	)
 	waitFor(t, "fleetd sees 2 healthy servers", 30*time.Second, func() error {
 		snap, err := fleetz(httpc, fleetdURL)
@@ -132,6 +130,10 @@ func TestLiveMigrationAcrossProcesses(t *testing.T) {
 	if !promCounterAtLeast(metrics, "menos_fleetd_migrations_total", 1) {
 		t.Fatalf("menos_fleetd_migrations_total < 1 in fleetd metrics:\n%s", metrics)
 	}
+	// ...after placing the arriving client itself.
+	if !promCounterAtLeast(metrics, "menos_fleet_placements_total", 1) {
+		t.Fatalf("menos_fleet_placements_total < 1 in fleetd metrics:\n%s", metrics)
+	}
 	// ...and no iteration may be lost: the two servers' per-tenant
 	// ledgers for this client must sum to exactly the step count.
 	total := ledgerIterations(t, httpc, srvA.metricsURL, "mig") +
@@ -140,11 +142,10 @@ func TestLiveMigrationAcrossProcesses(t *testing.T) {
 		t.Fatalf("iterations across servers = %d, want %d (lost or duplicated work)", total, steps)
 	}
 
-	// Trace federation: fleetd's merged fleet trace must stitch the
-	// migration — the displaced iteration's trace ID appears under BOTH
-	// server processes (migrate:out on the source, the replayed
-	// iteration's compute on the destination). The cursor loop lags the
-	// client by up to one poll tick, so wait for it.
+	// The merged fleet trace, read from both servers' rings on request,
+	// must stitch the migration — the displaced iteration's trace ID
+	// appears under BOTH server processes (migrate:out on the source, the
+	// replayed iteration's compute on the destination).
 	var fleetTrace string
 	t.Cleanup(func() {
 		_ = os.WriteFile(filepath.Join(artifacts, "fleet-trace.json"), []byte(fleetTrace), 0o644)

@@ -293,10 +293,12 @@ func newClient(conn net.Conn, cfg Config, offerTrace bool) (*Client, error) {
 const AdapterSalt = 0x5f3759df
 
 // Dial connects to a Menos server over TCP and handshakes. When the
-// configuration offers trace context and the handshake dies on a
-// transport error — the signature of a version-1 server rejecting the
-// extended hello and hanging up — Dial redials once with the offer
-// withdrawn, so a new client still interoperates with an old server.
+// configuration offers any hello extension — trace context (a Tracer),
+// live migration (Migrate) or a compressed WireCodec — and the
+// handshake dies on a transport error, the signature of a version-1
+// server rejecting the extended hello and hanging up, Dial redials once
+// with all three offers withdrawn (no trace context, no migration,
+// fp32 wire), so a new client still interoperates with an old server.
 func Dial(addr string, cfg Config) (*Client, error) {
 	c, err := dialOnce(addr, cfg, cfg.Tracer != nil)
 	offeredExt := cfg.Tracer != nil || cfg.Migrate || cfg.WireCodec != quant.CodecFP32

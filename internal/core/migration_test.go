@@ -253,8 +253,8 @@ func testLiveMigration(t *testing.T, pipelined bool) {
 	}
 }
 
-// TestMigrationTraceStitch pins the cross-server stitch point of trace
-// federation: the source server's migrate:out span carries the trace
+// TestMigrationTraceStitch pins the cross-server stitch point of the
+// merged fleet trace: the source server's migrate:out span carries the trace
 // ID of the iteration displaced by the migration, the destination
 // replays that same iteration under the same ID, and the destination
 // records a migrate:in span on the session's track — so a merged fleet

@@ -1,9 +1,10 @@
 // Controller is the polling control plane behind menos-fleetd: a
 // Manager fed by polls of N real servers, which makes every placement,
 // drain and rebalance decision. The Controller adds what a Manager
-// cannot do: HTTP polls, health and identity, trace federation and
-// migration orders. The servers stay the source of
-// truth: each poll replaces a server's residents with what it reports.
+// cannot do: HTTP polls, health and identity, the merged fleet trace
+// and migration orders. The servers stay the source of truth: each poll
+// replaces a server's residents with what it reports, and the merged
+// trace is read from their span rings when it is asked for.
 //
 // Like the rest of the package, the Controller has no goroutines and
 // no time source: PollOnce and RebalanceOnce are explicit ticks the
@@ -46,33 +47,20 @@ type ControllerConfig struct {
 	Endpoints []Endpoint
 	// Placer decides placements; nil means NewPolicyPlacer().
 	Placer Placer
-	// Metrics receives the menos_fleetd_* families (nil-safe).
+	// Metrics receives the menos_fleetd_* families and the Manager's
+	// menos_fleet_* families (nil-safe).
 	Metrics *obs.Registry
 	// TokenSeed randomizes resume tokens so a restarted fleetd does
 	// not mint tokens colliding with snapshots staged by its previous
 	// life. Zero means 1.
 	TokenSeed uint64
-	// FederateTraces additionally pages each healthy endpoint's
-	// /trace?since=<cursor> every poll and re-records the spans into a
-	// per-server mirror tracer, so WriteMergedTrace can render one
-	// fleet-wide Chrome trace with migrated clients' iteration spans
-	// stitched across processes by trace ID.
-	FederateTraces bool
-	// TraceBudgetBytes bounds each per-server mirror ring (<= 0 means
-	// DefaultTraceBudgetBytes).
-	TraceBudgetBytes int64
 	// Logf receives orchestration logs (nil discards).
 	Logf func(format string, args ...any)
 
-	// clock stamps down-time accounting and the trace mirrors; nil
-	// means wall clock. Tests set a virtual one for determinism.
+	// clock stamps down-time accounting; nil means wall clock. Tests
+	// set a virtual one for determinism.
 	clock obs.Clock
 }
-
-// DefaultTraceBudgetBytes bounds one server's trace mirror when the
-// config does not (4 MiB — half a server's own default ring, times N
-// servers fleetd-side).
-const DefaultTraceBudgetBytes = 4 << 20
 
 // endpointState is what the Controller keeps of one server beside its
 // Manager row.
@@ -91,11 +79,6 @@ type endpointState struct {
 	// been unreachable.
 	lastOK time.Duration
 	haveOK bool
-
-	// Trace federation: the resume cursor into the server's span ring
-	// and the fleetd-side mirror its spans are re-recorded into.
-	traceCursor uint64
-	mirror      *obs.Tracer
 }
 
 // maxMovesPerTick caps the migration orders one RebalanceOnce call may
@@ -106,24 +89,20 @@ const maxMovesPerTick = 4
 // Controller polls a fixed set of server endpoints into its Manager and
 // turns the Manager's decisions into redirects and migration orders.
 type Controller struct {
-	m           *Manager
-	http        *http.Client
-	logf        func(string, ...any)
-	clock       obs.Clock
-	fedTraces   bool
-	traceBudget int64
+	m     *Manager
+	http  *http.Client
+	logf  func(string, ...any)
+	clock obs.Clock
 
 	mu        sync.Mutex
 	eps       map[int]*endpointState
 	order     []int
 	nextToken uint64
 
-	mMigrations *obs.Counter
-	mIdentity   *obs.Counter
-
-	// Trace federation self-observability (nil-safe when unregistered).
+	// Self-observability, nil-safe when unregistered.
+	mMigrations   *obs.Counter
+	mIdentity     *obs.Counter
 	mScrapeErrors *obs.Counter
-	mFedSpans     *obs.Counter
 }
 
 // NewController builds a Controller. Endpoint IDs must be unique.
@@ -133,20 +112,15 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		placer = NewPolicyPlacer()
 	}
 	c := &Controller{
-		m:           NewManager(placer),
-		http:        &http.Client{Timeout: 5 * time.Second},
-		logf:        cfg.Logf,
-		clock:       cfg.clock,
-		fedTraces:   cfg.FederateTraces,
-		traceBudget: cfg.TraceBudgetBytes,
-		eps:         make(map[int]*endpointState, len(cfg.Endpoints)),
-		nextToken:   cfg.TokenSeed,
+		m:         NewManager(placer),
+		http:      &http.Client{Timeout: 5 * time.Second},
+		logf:      cfg.Logf,
+		clock:     cfg.clock,
+		eps:       make(map[int]*endpointState, len(cfg.Endpoints)),
+		nextToken: cfg.TokenSeed,
 	}
 	if c.clock == nil {
 		c.clock = obs.NewWallClock()
-	}
-	if c.traceBudget <= 0 {
-		c.traceBudget = DefaultTraceBudgetBytes
 	}
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
@@ -164,12 +138,10 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	}
 	sort.Ints(c.order)
 	if reg := cfg.Metrics; reg != nil {
+		c.m.Instrument(reg)
 		c.mMigrations = reg.Counter(obs.MetricFleetdMigrations, "live migrations ordered successfully")
 		c.mIdentity = reg.Counter(obs.MetricFleetdIdentityMismatch, "polls answered by a server other than the configured identity")
-		if c.fedTraces {
-			c.mScrapeErrors = reg.Counter(obs.MetricFleetdScrapeErrors, "failed /trace scrapes")
-			c.mFedSpans = reg.Counter(obs.MetricFleetdTraceSpansFederated, "spans pulled from server /trace pages into the fleet mirror")
-		}
+		c.mScrapeErrors = reg.Counter(obs.MetricFleetdScrapeErrors, "server /trace fetches or parses that failed during a merged-trace request")
 	}
 	return c, nil
 }
@@ -223,9 +195,6 @@ func (c *Controller) PollOnce() int {
 		c.mu.Unlock()
 		if !ok {
 			c.logf("poll server %d (%s): %v", ep.ID, ep.MetricsURL, err)
-		}
-		if ok && c.fedTraces {
-			c.scrapeTrace(st, ep)
 		}
 	}
 	return healthy

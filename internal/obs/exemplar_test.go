@@ -112,9 +112,8 @@ func TestHealthzJSON(t *testing.T) {
 	}
 }
 
-// TestTraceEndpointPaging: /trace supports ?since= (seq cursor) and
-// ?window= (trailing duration), rejects malformed values, and reports
-// lastSeq for the next cursor.
+// TestTraceEndpointPaging: /trace serves the whole buffer, or with
+// ?window= a trailing duration of it, and rejects a malformed window.
 func TestTraceEndpointPaging(t *testing.T) {
 	clk := &manualClock{}
 	tr := NewTracer(clk)
@@ -124,7 +123,7 @@ func TestTraceEndpointPaging(t *testing.T) {
 	clk.t = 4 * time.Second
 	h := Handler(nil, tr)
 
-	count := func(path string) (n int, lastSeq uint64) {
+	count := func(path string) (n int) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		if rec.Code != 200 {
@@ -134,7 +133,6 @@ func TestTraceEndpointPaging(t *testing.T) {
 			TraceEvents []struct {
 				Ph string `json:"ph"`
 			} `json:"traceEvents"`
-			LastSeq uint64 `json:"lastSeq"`
 		}
 		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 			t.Fatalf("%s: %v", path, err)
@@ -144,22 +142,17 @@ func TestTraceEndpointPaging(t *testing.T) {
 				n++
 			}
 		}
-		return n, doc.LastSeq
+		return n
 	}
-	if n, last := count("/trace"); n != 4 || last != 4 {
-		t.Fatalf("full dump: %d events, lastSeq %d", n, last)
+	if n := count("/trace"); n != 4 {
+		t.Fatalf("full dump: %d events, want 4", n)
 	}
-	if n, _ := count("/trace?since=2"); n != 2 {
-		t.Fatalf("since=2: %d events, want 2", n)
-	}
-	if n, _ := count("/trace?window=1500ms"); n != 2 {
+	if n := count("/trace?window=1500ms"); n != 2 {
 		t.Fatalf("window=1500ms: %d events, want 2 (ends at 3s and 4s)", n)
 	}
-	for _, bad := range []string{"/trace?since=nope", "/trace?window=nope"} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", bad, nil))
-		if rec.Code != 400 {
-			t.Fatalf("%s: status %d, want 400", bad, rec.Code)
-		}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/trace?window=nope", nil))
+	if rec.Code != 400 {
+		t.Fatalf("window=nope: status %d, want 400", rec.Code)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	httppprof "net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -303,10 +302,7 @@ func buildDetails() (goVersion, module, rev, vcsTime string) {
 //	/metrics       Prometheus text exposition (scrape target)
 //	/metrics.json  expvar-style JSON with quantile estimates and exemplars
 //	/trace         Chrome trace-event JSON of the span buffer; bounded
-//	               sampling via ?window=30s (trailing window) or
-//	               ?since=<seq> (spans after a sequence number — feed
-//	               back the dump's top-level lastSeq to page without
-//	               duplicates)
+//	               sampling via ?window=30s (trailing window)
 //	/healthz       liveness as JSON: status, uptime, build info, and —
 //	               when wired via WithAdmission — admission state
 //	/loadz         structured load snapshot (only with WithLoadz): the
@@ -340,15 +336,8 @@ func Handler(reg *Registry, tracer *Tracer, opts ...HandlerOption) http.Handler 
 		q := req.URL.Query()
 		var spans []Span
 		switch {
-		// q.Has, not q.Get != "": an empty ?since= or ?window= is a
-		// malformed request and must 400, not silently dump everything.
-		case q.Has("since"):
-			seq, err := strconv.ParseUint(q.Get("since"), 10, 64)
-			if err != nil {
-				http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			spans = tracer.SpansSince(seq)
+		// q.Has, not q.Get != "": an empty ?window= is a malformed
+		// request and must 400, not silently dump everything.
 		case q.Has("window"):
 			d, err := time.ParseDuration(q.Get("window"))
 			if err != nil {

@@ -109,10 +109,8 @@ const (
 	MetricFleetdMigrations       = "menos_fleetd_migrations_total"
 	MetricFleetdIdentityMismatch = "menos_fleetd_identity_mismatches_total"
 
-	// Trace federation (menos-fleetd -federate-traces, served merged on
-	// its /trace — docs/OBSERVABILITY.md): /trace pages that failed on
-	// an otherwise-healthy server, and spans re-recorded into the
-	// fleet-side mirrors.
-	MetricFleetdScrapeErrors        = "menos_fleetd_scrape_errors_total"
-	MetricFleetdTraceSpansFederated = "menos_fleetd_trace_spans_federated_total"
+	// Merged fleet trace (menos-fleetd's /trace, docs/OBSERVABILITY.md):
+	// server /trace fetches or parses that failed during a merge, each
+	// leaving that server out of the merged document.
+	MetricFleetdScrapeErrors = "menos_fleetd_scrape_errors_total"
 )

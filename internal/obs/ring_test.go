@@ -50,25 +50,6 @@ func TestRingKeepsNewest(t *testing.T) {
 	}
 }
 
-// TestSpansSincePaging: feeding back the largest seen Seq yields each
-// span exactly once.
-func TestSpansSincePaging(t *testing.T) {
-	tr := NewTracer(&manualClock{})
-	for i := 0; i < 10; i++ {
-		tr.RecordT("c", SpanKind{"s", "x"}, 0, 0, time.Millisecond)
-	}
-	page1 := tr.SpansSince(0)
-	if len(page1) != 10 {
-		t.Fatalf("since 0: %d spans, want 10", len(page1))
-	}
-	if got := tr.SpansSince(5); len(got) != 5 || got[0].Seq != 6 {
-		t.Fatalf("since 5: %d spans starting at %d", len(got), got[0].Seq)
-	}
-	if got := tr.SpansSince(tr.LastSeq()); len(got) != 0 {
-		t.Fatalf("since last: %d spans, want 0", len(got))
-	}
-}
-
 // TestSpansWindow: the trailing window filters by span end time, on the
 // tracer clock when present and the latest span end otherwise.
 func TestSpansWindow(t *testing.T) {
@@ -94,22 +75,22 @@ func TestSpansWindow(t *testing.T) {
 	}
 }
 
-// TestRingSeqSurvivesReset: sequence numbers keep counting across Reset
-// so a poller's ?since= cursor stays valid.
+// TestRingSeqSurvivesReset: sequence numbers keep counting across
+// Reset, so a seq never names two spans of one tracer.
 func TestRingSeqSurvivesReset(t *testing.T) {
 	tr := NewTracer(&manualClock{})
 	tr.RecordT("c", SpanKind{"s", "x"}, 0, 0, time.Millisecond)
-	seq := tr.LastSeq()
+	seq := tr.Spans()[0].Seq
 	tr.Reset()
 	tr.RecordT("c", SpanKind{"s", "x"}, 0, 0, time.Millisecond)
-	if tr.LastSeq() != seq+1 {
-		t.Fatalf("seq after reset = %d, want %d", tr.LastSeq(), seq+1)
+	if got := tr.Spans()[0].Seq; got != seq+1 {
+		t.Fatalf("seq after reset = %d, want %d", got, seq+1)
 	}
 }
 
-// TestRingHammer races writers against a ?since= pager and asserts the
+// TestRingHammer races writers against a /trace reader and asserts the
 // two load-bearing invariants under contention: the byte budget is
-// never exceeded, and the pager sees every seq at most once, in order.
+// never exceeded, and every read sees each seq at most once, in order.
 // Run with -race (make test-race).
 func TestRingHammer(t *testing.T) {
 	tr := NewTracer(NewWallClock())
@@ -121,10 +102,9 @@ func TestRingHammer(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Pager: polls SpansSince like a /trace?since= client.
+	// Reader: copies the live spans like a /trace request.
 	pagerDone := make(chan error, 1)
 	go func() {
-		var cursor uint64
 		for {
 			select {
 			case <-stop:
@@ -136,13 +116,13 @@ func TestRingHammer(t *testing.T) {
 				pagerDone <- errInvariant("ring bytes over budget")
 				return
 			}
-			page := tr.SpansSince(cursor)
-			for _, s := range page {
-				if s.Seq <= cursor {
+			var last uint64
+			for _, s := range tr.Spans() {
+				if s.Seq <= last {
 					pagerDone <- errInvariant("duplicate or out-of-order seq")
 					return
 				}
-				cursor = s.Seq
+				last = s.Seq
 			}
 		}
 	}()

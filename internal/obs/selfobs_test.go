@@ -117,10 +117,7 @@ func TestTraceEndpointRejectsMalformedParams(t *testing.T) {
 	h := Handler(nil, tr)
 
 	bad := []string{
-		"/trace?since=",     // empty value is malformed, not "no filter"
-		"/trace?since=abc",  // not a number
-		"/trace?since=-1",   // ParseUint rejects the sign
-		"/trace?window=",    // empty value
+		"/trace?window=",    // empty value is malformed, not "no filter"
 		"/trace?window=abc", // not a duration
 		"/trace?window=-5s", // non-positive window
 		"/trace?window=0s",  // non-positive window
@@ -132,7 +129,7 @@ func TestTraceEndpointRejectsMalformedParams(t *testing.T) {
 			t.Fatalf("GET %s = %d, want 400", url, rec.Code)
 		}
 	}
-	good := []string{"/trace", "/trace?since=0", "/trace?window=5s"}
+	good := []string{"/trace", "/trace?window=5s"}
 	for _, url := range good {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))

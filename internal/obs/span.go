@@ -18,7 +18,7 @@ import (
 // client iteration and the server-side sched/compute/release work it
 // caused share one ID. Zero means "not part of a trace". Seq is a
 // per-tracer monotonic sequence number assigned at record time, so
-// pollers can page through a ring buffer without duplicates.
+// spans keep their record order across ring evictions and dumps.
 type Span struct {
 	Track   string        // rendering track: client ID or component name
 	Name    string        // e.g. "forward", "wait:backward"
@@ -201,24 +201,6 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// SpansSince returns the live spans with Seq > seq, oldest first —
-// the paging primitive behind /trace?since=. A poller that feeds back
-// the largest Seq it has seen never receives a span twice. Safe on
-// nil.
-func (t *Tracer) SpansSince(seq uint64) []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	live := t.spans[t.head:]
-	// Seqs are assigned in record order, so the live buffer is sorted.
-	i := sort.Search(len(live), func(i int) bool { return live[i].Seq > seq })
-	out := make([]Span, len(live)-i)
-	copy(out, live[i:])
-	return out
-}
-
 // SpansWindow returns the live spans whose end time falls within the
 // trailing window d — /trace?window=. The window is anchored at the
 // tracer's clock; with a nil clock (offline dumps) it is anchored at
@@ -256,17 +238,6 @@ func (t *Tracer) SpansWindow(d time.Duration) []Span {
 	return out
 }
 
-// LastSeq returns the sequence number of the most recently recorded
-// span (0 before any span). Safe on nil.
-func (t *Tracer) LastSeq() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.nextSeq
-}
-
 // Len returns the number of buffered spans. Safe on nil.
 func (t *Tracer) Len() int {
 	if t == nil {
@@ -289,8 +260,8 @@ func (t *Tracer) Dropped() int64 {
 }
 
 // Reset clears the buffer and drop counter. Sequence numbers keep
-// counting up so pagers spanning a Reset stay duplicate-free. Safe on
-// nil.
+// counting up, so a seq names one span for the tracer's whole life:
+// dumps taken on either side of a Reset never share one. Safe on nil.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
@@ -373,8 +344,6 @@ type chromeEvent struct {
 type chromeTrace struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
-	// LastSeq lets a /trace?since= poller resume from this dump's end.
-	LastSeq uint64 `json:"lastSeq"`
 }
 
 // traceProc is one process's contribution to a Chrome trace.
@@ -443,9 +412,6 @@ func buildChromeTrace(procs ...traceProc) chromeTrace {
 				}
 			}
 			out.TraceEvents = append(out.TraceEvents, ev)
-			if s.Seq > out.LastSeq {
-				out.LastSeq = s.Seq
-			}
 		}
 	}
 	return out
@@ -467,7 +433,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return encodeChromeTrace(w, buildChromeTrace(t.process()))
 }
 
-// writeChromeSpans emits an explicit span subset (a since/window page)
+// writeChromeSpans emits an explicit span subset (a window page)
 // under the tracer's process identity.
 func (t *Tracer) writeChromeSpans(w io.Writer, spans []Span) error {
 	p := t.process()

@@ -18,20 +18,16 @@ type ParsedTrace struct {
 	// ProcessName is the first process_name metadata record (the
 	// tracer's SetProcess name), "" when the dump carries none.
 	ProcessName string
-	// LastSeq is the dump's resume cursor: the top-level lastSeq field
-	// when present, else the maximum span seq. A /trace?since= poller
-	// feeds it back to page without duplicates.
-	LastSeq uint64
 }
 
 // ParseChromeTrace decodes a Chrome trace-event dump produced by
-// WriteChromeTrace (or a /trace page) back into spans. This is the
-// scrape side of cross-server trace federation: menos-fleetd pulls
-// each server's /trace?since= pages, parses them here, and re-records
-// the spans into per-server mirror tracers for one merged fleet trace.
+// WriteChromeTrace (or a server's /trace) back into spans. menos-fleetd
+// merges the fleet's traces through it: each server's /trace, fetched
+// when the merged trace is asked for, parses here and renders beside
+// the others through Tracer and WriteMergedChromeTrace.
 //
-// Events from all pids in the dump are returned; fleetd's per-server
-// pages carry exactly one.
+// Events from all pids in the dump are returned; a server's /trace
+// carries exactly one.
 func ParseChromeTrace(r io.Reader) (ParsedTrace, error) {
 	var doc struct {
 		TraceEvents []struct {
@@ -44,12 +40,11 @@ func ParseChromeTrace(r io.Reader) (ParsedTrace, error) {
 			TID  int             `json:"tid"`
 			Args json.RawMessage `json:"args"`
 		} `json:"traceEvents"`
-		LastSeq uint64 `json:"lastSeq"`
 	}
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return ParsedTrace{}, fmt.Errorf("obs: parse chrome trace: %w", err)
 	}
-	out := ParsedTrace{LastSeq: doc.LastSeq}
+	var out ParsedTrace
 	type thread struct{ pid, tid int }
 	tracks := make(map[thread]string)
 	for _, ev := range doc.TraceEvents {
@@ -97,10 +92,15 @@ func ParseChromeTrace(r io.Reader) (ParsedTrace, error) {
 				s.Track = "tid-" + strconv.Itoa(ev.TID)
 			}
 			out.Spans = append(out.Spans, s)
-			if s.Seq > out.LastSeq {
-				out.LastSeq = s.Seq
-			}
 		}
 	}
 	return out, nil
+}
+
+// Tracer returns the parsed spans, each keeping its seq, as one process
+// named ProcessName under pid, for WriteMergedChromeTrace to render
+// beside other processes. The tracer has no clock: it is for rendering,
+// not for recording.
+func (p ParsedTrace) Tracer(pid int) *Tracer {
+	return &Tracer{spans: p.Spans, pid: pid, pname: p.ProcessName}
 }

@@ -8,8 +8,10 @@ import (
 )
 
 // TestParseChromeTraceRoundTrip pins that a WriteChromeTrace dump
-// decodes back into the same spans — the contract trace federation
-// rests on.
+// decodes back into the same spans, and that the parsed trace renders
+// through Tracer and WriteMergedChromeTrace under the pid it is given
+// without losing a field — the contract fleetd's merged trace rests
+// on.
 func TestParseChromeTraceRoundTrip(t *testing.T) {
 	var now time.Duration
 	tr := NewTracer(ClockFunc(func() time.Duration { return now }))
@@ -29,42 +31,35 @@ func TestParseChromeTraceRoundTrip(t *testing.T) {
 	if got.ProcessName != "menos-server-3" {
 		t.Fatalf("ProcessName = %q", got.ProcessName)
 	}
-	if got.LastSeq != tr.LastSeq() {
-		t.Fatalf("LastSeq = %d, want %d", got.LastSeq, tr.LastSeq())
-	}
 	want := tr.Spans()
-	if len(got.Spans) != len(want) {
-		t.Fatalf("parsed %d spans, want %d", len(got.Spans), len(want))
-	}
-	for i, s := range got.Spans {
-		if s != want[i] {
-			t.Fatalf("span %d = %+v, want %+v", i, s, want[i])
+	same := func(what string, got []Span) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d spans, want %d", what, len(got), len(want))
+		}
+		for i, s := range got {
+			if s != want[i] {
+				t.Fatalf("%s: span %d = %+v, want %+v", what, i, s, want[i])
+			}
 		}
 	}
-}
+	same("parsed", got.Spans)
 
-// TestParseChromeTraceSincePage pins that a /trace?since= page parses
-// with the correct resume cursor even when the page is empty.
-func TestParseChromeTraceSincePage(t *testing.T) {
-	var now time.Duration
-	tr := NewTracer(ClockFunc(func() time.Duration { return now }))
-	for i := 0; i < 4; i++ {
-		tr.RecordT("t", SpanKind{"s", "c"}, 0, time.Duration(i)*time.Millisecond, time.Millisecond)
-	}
-	var buf bytes.Buffer
-	if err := tr.writeChromeSpans(&buf, tr.SpansSince(2)); err != nil {
+	buf.Reset()
+	if err := WriteMergedChromeTrace(&buf, got.Tracer(9)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseChromeTrace(&buf)
+	if !strings.Contains(buf.String(), `"pid":9`) || strings.Contains(buf.String(), `"pid":3`) {
+		t.Fatalf("re-rendered trace is not under pid 9: %s", buf.String())
+	}
+	again, err := ParseChromeTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Spans) != 2 || got.Spans[0].Seq != 3 {
-		t.Fatalf("page = %+v, want seqs 3,4", got.Spans)
+	if again.ProcessName != "menos-server-3" {
+		t.Fatalf("re-rendered ProcessName = %q", again.ProcessName)
 	}
-	if got.LastSeq != 4 {
-		t.Fatalf("LastSeq = %d, want 4", got.LastSeq)
-	}
+	same("re-rendered", again.Spans)
 }
 
 func TestParseChromeTraceMalformed(t *testing.T) {

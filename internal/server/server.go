@@ -423,8 +423,8 @@ func (s *Server) handleConn(rawConn net.Conn) {
 				// The displaced ForwardReq's trace ID is the iteration
 				// that will replay on the destination server, so tagging
 				// the source-side handoff span with it stitches both
-				// processes' spans under one IterTraceID in a merged
-				// fleet trace (fleetd trace federation).
+				// processes' spans under one IterTraceID in fleetd's
+				// merged fleet trace.
 				mig := s.cfg.Tracer.BeginT(sess.id, obs.SpanMigrateOut, m.TraceID)
 				err := s.executeMigration(conn, sess, ord)
 				mig.End()
