@@ -125,8 +125,9 @@ bench:
 # attention), BenchmarkModelNew's pool and serial perf-mid build,
 # BenchmarkClientSetup's tenant set-up against a live server, the sim
 # kernel's dispatch, the scheduler's plain and 8-member grant cycles,
-# a sim_fleet-shaped simulator run and its set-up alone, and the root
-# package's memory-policy sweeps. A smoke test, not a timing: it
+# a sim_fleet-shaped simulator run and its set-up alone, the root
+# package's memory-policy sweeps, and one real split step over loopback
+# TCP with its allocations (-benchmem). A smoke test, not a timing: it
 # catches a kernel or handler that panics or allocates wildly under
 # the -bench harness. TestTileTier logs which kernel tier (avx512, avx2
 # or portable) the machine ran.
@@ -141,6 +142,7 @@ kernel-bench-smoke:
 	$(GO) test -run '^$$' -bench=BenchmarkSchedulerCycle -benchtime=1x ./internal/sched/
 	$(GO) test -run '^$$' -bench='BenchmarkRunFleet|BenchmarkFleetSetup' -benchtime=1x ./internal/splitsim/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig3$$|BenchmarkFig7$$|BenchmarkAblationMemoryPolicy$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkSplitStepTCP$$' -benchmem -benchtime=1x .
 
 # Multi-process end-to-end: builds menos-server, menos-client and
 # menos-fleetd, launches a two-server fleet plus the control plane

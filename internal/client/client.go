@@ -151,6 +151,10 @@ type StepResult struct {
 type Client struct {
 	cfg  Config
 	conn net.Conn
+	// fr frames conn, decoding received tensors into the local model's
+	// arena. Every tensor a step sends or receives goes back there once
+	// its last reader is done.
+	fr *split.Framer
 
 	local     *model.Transformer
 	input     *model.InputSection
@@ -174,6 +178,10 @@ type Client struct {
 	// FeatureActivationCompression: outgoing payloads may be quantized
 	// with cfg.WireCodec and incoming payloads may arrive packed.
 	payload split.PayloadCodec
+	// fwdPacked and bwdPacked hold the packed x_c and g_c, reused step
+	// after step: a forward's stays intact until its reply is in, for a
+	// migration's replay.
+	fwdPacked, bwdPacked quant.Packed
 	// resumeToken rides the next handshake's Hello (nonzero only
 	// during a migration redial).
 	resumeToken uint64
@@ -265,6 +273,7 @@ func newClient(conn net.Conn, cfg Config, offerTrace bool) (*Client, error) {
 		offerTrace: offerTrace,
 		payload:    split.PayloadCodec{Codec: cfg.WireCodec},
 	}
+	c.fr = split.NewFramer(conn, c.Scratch())
 	if cfg.Metrics != nil {
 		c.m = clientMetrics{
 			iterations: cfg.Metrics.Counter(obs.MetricClientIterations, "client fine-tuning iterations"),
@@ -349,10 +358,10 @@ func (c *Client) handshake() error {
 		hello.Features |= split.FeatureActivationCompression
 	}
 	hello.ResumeToken = c.resumeToken
-	if err := split.WriteMessage(c.conn, hello); err != nil {
+	if err := c.fr.WriteMessage(hello); err != nil {
 		return fmt.Errorf("client: send hello: %w", err)
 	}
-	msg, err := split.ReadMessage(c.conn)
+	msg, err := c.fr.ReadMessage()
 	if err != nil {
 		return fmt.Errorf("client: read hello ack: %w", err)
 	}
@@ -434,7 +443,7 @@ func (c *Client) wireTrace(tid uint64) uint64 {
 // the negotiated codec and trace-stamped: the one way every forward —
 // training, evaluation, generation — goes on the wire.
 func (c *Client) forwardReq(iter, batch, seq int, tid uint64, xc *tensor.Tensor) (*split.ForwardReq, error) {
-	plain, packed, err := c.payload.Pack(xc)
+	plain, packed, err := c.payload.Pack(&c.fwdPacked, xc)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
@@ -513,6 +522,7 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 		}
 	}
 	results := make([]StepResult, 0, len(batches))
+	sc := c.Scratch()
 
 	// finish drains a microbatch whose backward is on the wire: read the
 	// response, run the input-section backward (and, for the applying
@@ -532,6 +542,7 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 		if err := c.input.Backward(p.inCache, gs); err != nil {
 			return fmt.Errorf("client: input backward: %w", err)
 		}
+		sc.Put(gs)
 		if optimize {
 			if err := c.optimizer.Step(c.params); err != nil {
 				return fmt.Errorf("client: optimizer: %w", err)
@@ -576,7 +587,7 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 			return results, err
 		}
 		t0 = time.Now()
-		if err := split.WriteMessage(c.conn, req); err != nil {
+		if err := c.fr.WriteMessage(req); err != nil {
 			return results, fmt.Errorf("client: send forward: %w", err)
 		}
 		res.CommTime += time.Since(t0)
@@ -606,6 +617,7 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 		if err != nil {
 			return results, err
 		}
+		sc.Put(xc) // its reply is in: no redirect can replay it now
 		res.CommTime += time.Since(t0)
 		sp.End()
 
@@ -616,14 +628,16 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 		if err != nil {
 			return results, fmt.Errorf("client: output forward: %w", err)
 		}
-		loss, dlogits, err := nn.CrossEntropy(logits, mb.Targets)
+		loss, dlogits, err := nn.CrossEntropyScratch(sc, logits, mb.Targets)
 		if err != nil {
 			return results, fmt.Errorf("client: loss: %w", err)
 		}
+		sc.Put(logits)
 		gc, err := c.output.Backward(outCache, dlogits)
 		if err != nil {
 			return results, fmt.Errorf("client: output backward: %w", err)
 		}
+		sc.Put(xs, dlogits)
 		res.CompTime += time.Since(t0)
 		sp.End()
 		res.Loss = loss
@@ -631,17 +645,18 @@ func (c *Client) run(batches []MicroBatch, apply bool) ([]StepResult, error) {
 
 		// Steps 3-4 (server): send g_c; g_s is collected by finish, after
 		// the next microbatch's forward has been computed and sent.
-		plain, packed, err := c.payload.Pack(gc)
+		plain, packed, err := c.payload.Pack(&c.bwdPacked, gc)
 		if err != nil {
 			return results, fmt.Errorf("client: %w", err)
 		}
 		t0 = time.Now()
-		if err := split.WriteMessage(c.conn, &split.BackwardReq{
+		if err := c.fr.WriteMessage(&split.BackwardReq{
 			Iter: iter, Apply: apply && i == len(batches)-1,
 			Gradients: plain, Packed: packed, TraceID: c.wireTrace(tid),
 		}); err != nil {
 			return results, fmt.Errorf("client: send backward: %w", err)
 		}
+		sc.Put(gc)
 		res.CommTime += time.Since(t0)
 		pending = &pendingMicro{
 			iter: iter, tid: tid, inCache: inCache, span: iterSpan,
@@ -658,34 +673,44 @@ func (c *Client) Evaluate(ids, targets []int) (float64, error) {
 	if len(ids) != c.cfg.Batch*c.cfg.Seq || len(targets) != len(ids) {
 		return 0, fmt.Errorf("client: batch is %d ids, want %d", len(ids), c.cfg.Batch*c.cfg.Seq)
 	}
-	xc, _, err := c.input.Forward(ids, c.cfg.Batch, c.cfg.Seq, false)
-	if err != nil {
-		return 0, fmt.Errorf("client: input forward: %w", err)
-	}
-	xs, err := c.forwardRoundTrip(c.cfg.Batch, c.cfg.Seq, xc)
+	xs, err := c.forwardRoundTrip(ids, c.cfg.Batch, c.cfg.Seq)
 	if err != nil {
 		return 0, err
 	}
+	sc := c.Scratch()
 	logits, _, err := c.output.Forward(xs, false)
 	if err != nil {
 		return 0, fmt.Errorf("client: output forward: %w", err)
 	}
-	loss, _, err := nn.CrossEntropy(logits, targets)
+	sc.Put(xs)
+	loss, dlogits, err := nn.CrossEntropyScratch(sc, logits, targets)
+	sc.Put(logits, dlogits)
 	return loss, err
 }
 
-// forwardRoundTrip sends x_c as the next iteration's ForwardReq and
-// waits for x_s: a no-grad forward (evaluation, generation).
-func (c *Client) forwardRoundTrip(batch, seq int, xc *tensor.Tensor) (*tensor.Tensor, error) {
+// forwardRoundTrip runs the input section over ids without gradients,
+// sends x_c as the next iteration's ForwardReq and waits for x_s: a
+// no-grad forward (evaluation, generation). x_c goes back to the arena
+// once its reply is in; x_s is the caller's.
+func (c *Client) forwardRoundTrip(ids []int, batch, seq int) (*tensor.Tensor, error) {
+	xc, _, err := c.input.Forward(ids, batch, seq, false)
+	if err != nil {
+		return nil, fmt.Errorf("client: input forward: %w", err)
+	}
 	iter, tid := c.nextIter()
 	req, err := c.forwardReq(iter, batch, seq, tid, xc)
 	if err != nil {
 		return nil, err
 	}
-	if err := split.WriteMessage(c.conn, req); err != nil {
+	if err := c.fr.WriteMessage(req); err != nil {
 		return nil, fmt.Errorf("client: send forward: %w", err)
 	}
-	return c.awaitForward(req)
+	xs, err := c.awaitForward(req)
+	if err != nil {
+		return nil, err
+	}
+	c.Scratch().Put(xc)
+	return xs, nil
 }
 
 // awaitForward reads the response to a ForwardReq already on the wire,
@@ -701,7 +726,7 @@ func (c *Client) awaitForward(req *split.ForwardReq) (*tensor.Tensor, error) {
 	if err := c.followMigration(redirect); err != nil {
 		return nil, err
 	}
-	if err := split.WriteMessage(c.conn, req); err != nil {
+	if err := c.fr.WriteMessage(req); err != nil {
 		return nil, fmt.Errorf("client: replay forward: %w", err)
 	}
 	xs, redirect, err = c.expectForwardResp(req.Iter)
@@ -720,13 +745,13 @@ func (c *Client) followMigration(m *split.MigrateMsg) error {
 	if err != nil {
 		return fmt.Errorf("client: migration redial %s: %w", m.Target, err)
 	}
-	old := c.conn
-	c.conn = conn
+	old, oldFr := c.conn, c.fr
+	c.conn, c.fr = conn, split.NewFramer(conn, c.Scratch())
 	c.resumeToken = m.Token
 	err = c.handshake()
 	c.resumeToken = 0
 	if err != nil {
-		c.conn = old
+		c.conn, c.fr = old, oldFr
 		_ = conn.Close()
 		return fmt.Errorf("client: migration to %s: %w", m.Target, err)
 	}
@@ -747,7 +772,7 @@ func (c *Client) Migrations() int { return c.migrations }
 func (c *Client) MigrateNegotiated() bool { return c.migrateOK }
 
 func (c *Client) expectForwardResp(iter int) (*tensor.Tensor, *split.MigrateMsg, error) {
-	msg, err := split.ReadMessage(c.conn)
+	msg, err := c.fr.ReadMessage()
 	if err != nil {
 		return nil, nil, fmt.Errorf("client: read forward response: %w", err)
 	}
@@ -764,7 +789,7 @@ func (c *Client) expectForwardResp(iter int) (*tensor.Tensor, *split.MigrateMsg,
 		if m.Iter != iter || (m.Activations == nil && m.Packed == nil) {
 			return nil, nil, fmt.Errorf("client: bad forward response (iter %d)", m.Iter)
 		}
-		xs, err := c.payload.Unpack(m.Activations, m.Packed)
+		xs, err := c.payload.Unpack(c.Scratch(), m.Activations, m.Packed)
 		if err != nil {
 			return nil, nil, fmt.Errorf("client: %w", err)
 		}
@@ -783,7 +808,7 @@ func (c *Client) expectForwardResp(iter int) (*tensor.Tensor, *split.MigrateMsg,
 }
 
 func (c *Client) expectBackwardResp(iter int) (*tensor.Tensor, error) {
-	msg, err := split.ReadMessage(c.conn)
+	msg, err := c.fr.ReadMessage()
 	if err != nil {
 		return nil, fmt.Errorf("client: read backward response: %w", err)
 	}
@@ -792,7 +817,7 @@ func (c *Client) expectBackwardResp(iter int) (*tensor.Tensor, error) {
 		if m.Iter != iter || (m.Gradients == nil && m.Packed == nil) {
 			return nil, fmt.Errorf("client: bad backward response (iter %d)", m.Iter)
 		}
-		gs, err := c.payload.Unpack(m.Gradients, m.Packed)
+		gs, err := c.payload.Unpack(c.Scratch(), m.Gradients, m.Packed)
 		if err != nil {
 			return nil, fmt.Errorf("client: %w", err)
 		}
@@ -828,8 +853,12 @@ func (c *Client) LoadAdapter(r io.Reader) error {
 // AdapterParams exposes the client-side trainable parameters.
 func (c *Client) AdapterParams() []nn.Param { return c.params }
 
+// Scratch is the client's buffer arena: its sections' temporaries and
+// every tensor a step sends or receives come from it and go back to it.
+func (c *Client) Scratch() *tensor.Scratch { return c.local.Scratch() }
+
 // Close sends Bye and closes the connection.
 func (c *Client) Close() error {
-	_ = split.WriteMessage(c.conn, &split.Bye{})
+	_ = c.fr.WriteMessage(&split.Bye{})
 	return c.conn.Close()
 }

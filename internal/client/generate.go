@@ -18,16 +18,13 @@ func (c *Client) Generate(rng *tensor.RNG, prompt []int, maxNew int, temperature
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	seq := append([]int(nil), prompt...)
+	sc := c.Scratch()
 	for step := 0; step < maxNew; step++ {
 		window := seq
 		if len(window) > c.cfg.Seq {
 			window = window[len(window)-c.cfg.Seq:]
 		}
-		xc, _, err := c.input.Forward(window, 1, len(window), false)
-		if err != nil {
-			return nil, fmt.Errorf("client: generate input: %w", err)
-		}
-		xs, err := c.forwardRoundTrip(1, len(window), xc)
+		xs, err := c.forwardRoundTrip(window, 1, len(window))
 		if err != nil {
 			return nil, err
 		}
@@ -35,8 +32,10 @@ func (c *Client) Generate(rng *tensor.RNG, prompt []int, maxNew int, temperature
 		if err != nil {
 			return nil, fmt.Errorf("client: generate output: %w", err)
 		}
+		sc.Put(xs)
 		last := logits.Row(logits.Dim(0) - 1)
 		seq = append(seq, model.SampleToken(rng, last, temperature))
+		sc.Put(logits)
 	}
 	return seq, nil
 }

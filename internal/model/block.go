@@ -37,6 +37,13 @@ type BlockCache struct {
 	// to the scratch arena; Bytes does not count it twice.
 	H *tensor.Tensor
 
+	// X is the block's input (the Norm1 input), aliasing the X held by
+	// Norm1C. The block never returns it — its owner is whoever passed it
+	// in — but a section whose previous block made it returns it to the
+	// scratch arena once this block's backward is done; Bytes does not
+	// count it twice.
+	X *tensor.Tensor
+
 	// N1 and N2 are the norm outputs (the attention and FFN inputs).
 	// They alias the X fields of the projection caches inside AttnC and
 	// FFNC — retained separately so Backward can return them to the
@@ -115,7 +122,7 @@ func (b *Block) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*tenso
 
 	if cache != nil {
 		cache.Norm1C, cache.AttnC, cache.Norm2C, cache.FFNC = n1c, attnC, n2c, ffnC
-		cache.H = h
+		cache.X, cache.H = x, h
 		cache.N1, cache.N2 = n1, n2
 	} else {
 		sc.Put(h)

@@ -128,6 +128,10 @@ func build(rng *tensor.RNG, cfg Config, held int) (*Transformer, error) {
 		}
 	}
 	setOpScratch(t.scratch, t.Norm, t.LMHead)
+	t.Embed.SetScratch(t.scratch)
+	if t.Pos != nil {
+		t.Pos.SetScratch(t.scratch)
+	}
 	w.fill()
 	return t, nil
 }

@@ -196,10 +196,15 @@ func (s *InputSection) Backward(cache *InputCache, dy *tensor.Tensor) error {
 	}
 	orig := dy
 	for i := len(cache.BlockCs) - 1; i >= 0; i-- {
-		dx, err := s.model.Blocks[i].Backward(cache.BlockCs[i], dy)
+		bc := cache.BlockCs[i]
+		dx, err := s.model.Blocks[i].Backward(bc, dy)
 		if err != nil {
 			return fmt.Errorf("input block %d backward: %w", i, err)
 		}
+		// Every block input is the section's own: the embedding sum or
+		// the previous block's output, dead once its block is done.
+		s.model.scratch.Put(bc.X)
+		bc.X = nil
 		if dy != orig {
 			s.model.scratch.Put(dy)
 		}
@@ -265,9 +270,16 @@ func (s *BodySection) Backward(cache *BodyCache, dy *tensor.Tensor) (*tensor.Ten
 	}
 	orig := dy
 	for i := len(s.blocks) - 1; i >= 0; i-- {
-		dx, err := s.blocks[i].Backward(cache.BlockCs[i], dy)
+		bc := cache.BlockCs[i]
+		dx, err := s.blocks[i].Backward(bc, dy)
 		if err != nil {
 			return nil, fmt.Errorf("body block %d backward: %w", i, err)
+		}
+		if i > 0 {
+			// A previous block's output, owned here and dead once this
+			// block is done; block 0's input is the caller's x_c.
+			s.scratch().Put(bc.X)
+			bc.X = nil
 		}
 		if dy != orig {
 			s.scratch().Put(dy)
@@ -325,7 +337,10 @@ func (s *OutputSection) Backward(cache *OutputCache, dlogits *tensor.Tensor) (*t
 	if err != nil {
 		return nil, fmt.Errorf("output norm backward: %w", err)
 	}
-	s.model.scratch.Put(dn)
+	// The norm's output, the head's input, was last read by the head's
+	// backward just above.
+	s.model.scratch.Put(dn, cache.HeadC.X)
+	cache.HeadC.X = nil
 	return dx, nil
 }
 

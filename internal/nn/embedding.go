@@ -11,7 +11,12 @@ import (
 type Embedding struct {
 	Table  Param
 	Frozen bool
+
+	scratch *tensor.Scratch // where Forward's output comes from; nil allocates
 }
+
+// SetScratch attaches a buffer arena to the layer.
+func (e *Embedding) SetScratch(sc *tensor.Scratch) { e.scratch = sc }
 
 // EmbeddingCache retains the looked-up ids for the backward pass.
 type EmbeddingCache struct {
@@ -37,10 +42,11 @@ func (e *Embedding) Dim() int { return e.Table.Value.Dim(1) }
 // (len(ids), dim) tensor.
 func (e *Embedding) Forward(ids []int, cache *EmbeddingCache) (*tensor.Tensor, error) {
 	dim := e.Dim()
-	out := tensor.New(len(ids), dim)
+	out := e.scratch.GetUninit(len(ids), dim)
 	table := e.Table.Value.Data()
 	for i, id := range ids {
 		if id < 0 || id >= e.Vocab() {
+			e.scratch.Put(out)
 			return nil, fmt.Errorf("embedding: id %d out of range [0,%d)", id, e.Vocab())
 		}
 		copy(out.Data()[i*dim:(i+1)*dim], table[id*dim:(id+1)*dim])

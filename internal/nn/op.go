@@ -62,6 +62,7 @@ var (
 	_ ScratchUser = (*Linear)(nil)
 	_ ScratchUser = (*LayerNorm)(nil)
 	_ ScratchUser = (*RMSNorm)(nil)
+	_ ScratchUser = (*Embedding)(nil)
 )
 
 // Apply implements Op for Linear.

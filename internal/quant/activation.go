@@ -3,6 +3,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"menos/internal/tensor"
 )
@@ -120,11 +121,23 @@ func Pack(t *tensor.Tensor, c Codec) (*Packed, error) {
 	if c == CodecFP32 {
 		return nil, nil
 	}
+	p := &Packed{}
+	if err := p.PackFrom(t, c); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// PackFrom is Pack into p, reusing the storage p holds: a sender that
+// packs one payload after another keeps one Packed per payload in
+// flight. On success p aliases nothing in t; on error its contents are
+// undefined.
+func (p *Packed) PackFrom(t *tensor.Tensor, c Codec) error {
 	if t == nil {
-		return nil, fmt.Errorf("%w: nil tensor", ErrQuant)
+		return fmt.Errorf("%w: nil tensor", ErrQuant)
 	}
 	if c != CodecFP16 && c != CodecInt8 {
-		return nil, fmt.Errorf("%w: codec %d", ErrQuant, int(c))
+		return fmt.Errorf("%w: codec %d", ErrQuant, int(c))
 	}
 	src := t.Data()
 	// Reject Inf/NaN up front, before any worker touches the data:
@@ -133,7 +146,7 @@ func Pack(t *tensor.Tensor, c Codec) (*Packed, error) {
 	// mysteriously diverged loss.
 	for i, v := range src {
 		if f := float64(v); math.IsInf(f, 0) || math.IsNaN(f) {
-			return nil, &NonFiniteError{Index: i, Value: f}
+			return &NonFiniteError{Index: i, Value: f}
 		}
 	}
 	shape := t.Shape()
@@ -142,13 +155,13 @@ func Pack(t *tensor.Tensor, c Codec) (*Packed, error) {
 		cols = shape[len(shape)-1]
 	}
 	if cols <= 0 {
-		return nil, fmt.Errorf("%w: last dim %d", ErrQuant, cols)
+		return fmt.Errorf("%w: last dim %d", ErrQuant, cols)
 	}
 	rows := len(src) / cols
-	p := &Packed{Codec: c, Shape: append([]int(nil), shape...)}
+	p.Codec, p.Shape = c, append(p.Shape[:0], shape...)
 	switch c {
 	case CodecFP16:
-		p.Data = make([]byte, 2*len(src))
+		p.Data, p.Scales = slices.Grow(p.Data[:0], 2*len(src))[:2*len(src)], p.Scales[:0]
 		tensor.ParallelFor(rows, cols, func(lo, hi int) {
 			for i := lo * cols; i < hi*cols; i++ {
 				h := Float16FromFloat32(src[i])
@@ -157,8 +170,8 @@ func Pack(t *tensor.Tensor, c Codec) (*Packed, error) {
 			}
 		})
 	case CodecInt8:
-		p.Data = make([]byte, len(src))
-		p.Scales = make([]float32, rows)
+		p.Data = slices.Grow(p.Data[:0], len(src))[:len(src)]
+		p.Scales = slices.Grow(p.Scales[:0], rows)[:rows]
 		tensor.ParallelFor(rows, cols, func(lo, hi int) {
 			for r := lo; r < hi; r++ {
 				row := src[r*cols : (r+1)*cols]
@@ -186,13 +199,17 @@ func Pack(t *tensor.Tensor, c Codec) (*Packed, error) {
 			}
 		})
 	}
-	return p, nil
+	return nil
 }
 
 // Unpack decompresses a Packed back to fp32, validating every length
 // against the declared shape — Packed structs arrive off the wire, so
 // nothing about them is trusted.
-func (p *Packed) Unpack() (*tensor.Tensor, error) {
+func (p *Packed) Unpack() (*tensor.Tensor, error) { return p.UnpackScratch(nil) }
+
+// UnpackScratch is Unpack into a tensor taken from sc (nil degrades to
+// allocation); ownership of the tensor passes to the caller.
+func (p *Packed) UnpackScratch(sc *tensor.Scratch) (*tensor.Tensor, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: nil packed tensor", ErrQuant)
 	}
@@ -220,7 +237,8 @@ func (p *Packed) Unpack() (*tensor.Tensor, error) {
 	default:
 		return nil, fmt.Errorf("%w: codec %d", ErrQuant, int(p.Codec))
 	}
-	out := make([]float32, numel)
+	t := sc.GetUninit(p.Shape...)
+	out := t.Data()
 	switch p.Codec {
 	case CodecFP16:
 		tensor.ParallelFor(rows, cols, func(lo, hi int) {
@@ -239,7 +257,7 @@ func (p *Packed) Unpack() (*tensor.Tensor, error) {
 			}
 		})
 	}
-	return tensor.FromSlice(out, p.Shape...)
+	return t, nil
 }
 
 // MaxPackedElems bounds a packed tensor's element count; anything

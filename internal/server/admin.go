@@ -160,7 +160,7 @@ func (s *Server) takeStaged(token uint64) *stagedSession {
 // session serving here — the snapshot possibly parked at the target is
 // harmless (it expires unclaimed) because the client never learns the
 // token.
-func (s *Server) executeMigration(conn io.Writer, sess *session, ord fleet.MigrateOrder) error {
+func (s *Server) executeMigration(fr *split.Framer, sess *session, ord fleet.MigrateOrder) error {
 	data, err := checkpoint.EncodeSession(sess.params, sess.optimizer)
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
@@ -177,7 +177,7 @@ func (s *Server) executeMigration(conn io.Writer, sess *session, ord fleet.Migra
 		return fmt.Errorf("stage snapshot at %s: %s: %s",
 			ord.TargetAdmin, resp.Status, strings.TrimSpace(string(body)))
 	}
-	if err := split.WriteMessage(conn, &split.MigrateMsg{Target: ord.TargetAddr, Token: ord.Token}); err != nil {
+	if err := fr.WriteMessage(&split.MigrateMsg{Target: ord.TargetAddr, Token: ord.Token}); err != nil {
 		return fmt.Errorf("redirect: %w", err)
 	}
 	s.logf("client %q: migrated to %s (%d snapshot bytes)", sess.id, ord.TargetAddr, len(data))

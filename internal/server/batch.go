@@ -145,16 +145,17 @@ func (s *Server) runBatched(key batch.Key, works []*phaseWork) error {
 		if err != nil {
 			return err
 		}
-		return sliceResults(works, rows, ys)
+		return s.splitResults(works, rows, ys)
 	}
 	// Backward: re-forward the stacked cached inputs with gradient
 	// preparation, then one stacked backward. Gradients accumulate into
 	// each member's own adapter params — the injected segments reference
 	// them directly, so there is nothing to copy back.
-	_, cache, err := body.Forward(stacked, totalBatch, key.Seq, true)
+	ys, cache, err := body.Forward(stacked, totalBatch, key.Seq, true)
 	if err != nil {
 		return err
 	}
+	s.scratch().Put(ys) // only the cache is needed
 	grads := make([]*tensor.Tensor, len(works))
 	for i, w := range works {
 		grads[i] = w.x
@@ -167,12 +168,15 @@ func (s *Server) runBatched(key batch.Key, works []*phaseWork) error {
 	if err != nil {
 		return err
 	}
-	return sliceResults(works, rows, dx)
+	return s.splitResults(works, rows, dx)
 }
 
-// sliceResults hands each member its consecutive row span of the
-// stacked result (views share storage; the protocol writer copies).
-func sliceResults(works []*phaseWork, rows []int, out *tensor.Tensor) error {
+// splitResults copies each member its consecutive row span of the
+// stacked result into a tensor of its own from the arena, as the serial
+// executors hand one over, and returns the stack to the arena.
+func (s *Server) splitResults(works []*phaseWork, rows []int, out *tensor.Tensor) error {
+	sc := s.scratch()
+	defer sc.Put(out)
 	lo := 0
 	for i, w := range works {
 		hi := lo + rows[i]
@@ -180,7 +184,8 @@ func sliceResults(works []*phaseWork, rows []int, out *tensor.Tensor) error {
 		if err != nil {
 			return fmt.Errorf("slicing member %q result: %w", w.sess.id, err)
 		}
-		w.out = part
+		w.out = sc.GetUninit(part.Shape()...)
+		copy(w.out.Data(), part.Data())
 		lo = hi
 	}
 	return nil

@@ -232,6 +232,11 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// scratch is the shared base's buffer arena: every session's body draws
+// its temporaries from it, the framers decode requests into it, and
+// every tensor a phase receives or sends goes back to it.
+func (s *Server) scratch() *tensor.Scratch { return s.store.Master().Scratch() }
+
 // Scheduler exposes the scheduler for stats inspection.
 func (s *Server) Scheduler() *sched.Scheduler { return s.scheduler }
 
@@ -356,11 +361,16 @@ type session struct {
 	// payload unpacks request payloads and packs response payloads with
 	// the server's codec, gated on the negotiated compression bit.
 	payload split.PayloadCodec
+	// packed holds a packed response payload, reused response after
+	// response.
+	packed quant.Packed
 
 	// cachedInput retains x_c between the first forward and the
 	// backward re-forward ("we just need to cache the forward
 	// activations for the re-forward computation, which is
-	// negligible").
+	// negligible"). It was decoded into the shared-base arena and goes
+	// back there after the backward, when the next forward replaces it,
+	// or at teardown.
 	cachedInput *tensor.Tensor
 	cachedIter  int
 	cachedBatch int
@@ -388,8 +398,9 @@ func (s *Server) handleConn(rawConn net.Conn) {
 	// All protocol IO goes through the counting wrapper so the ledger
 	// can attribute wire bytes (handshake included) to the client.
 	conn := &countingConn{Conn: rawConn}
+	fr := split.NewFramer(conn, s.scratch())
 
-	sess, err := s.handshake(conn)
+	sess, err := s.handshake(fr)
 	if err != nil {
 		s.logf("handshake failed: %v", err)
 		return
@@ -403,13 +414,13 @@ func (s *Server) handleConn(rawConn net.Conn) {
 
 	for {
 		s.flushWire(sess, conn)
-		msg, err := split.ReadMessage(conn)
+		msg, err := fr.ReadMessage()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("client %q: read: %v", sess.id, err)
 			}
 			if errors.Is(err, split.ErrRetired) {
-				s.sendError(conn, err)
+				s.sendError(fr, err)
 			}
 			return
 		}
@@ -426,7 +437,7 @@ func (s *Server) handleConn(rawConn net.Conn) {
 				// processes' spans under one IterTraceID in fleetd's
 				// merged fleet trace.
 				mig := s.cfg.Tracer.BeginT(sess.id, obs.SpanMigrateOut, m.TraceID)
-				err := s.executeMigration(conn, sess, ord)
+				err := s.executeMigration(fr, sess, ord)
 				mig.End()
 				if err != nil {
 					s.logf("client %q: migration to %s aborted: %v", sess.id, ord.TargetAddr, err)
@@ -435,14 +446,14 @@ func (s *Server) handleConn(rawConn net.Conn) {
 					return
 				}
 			}
-			err = s.serveForward(conn, sess, m)
+			err = s.serveForward(fr, sess, m)
 		case *split.BackwardReq:
-			err = s.serveBackward(conn, sess, m)
+			err = s.serveBackward(fr, sess, m)
 		case *split.Bye:
 			s.logf("client %q: bye", sess.id)
 			return
 		default:
-			s.sendError(conn, fmt.Errorf("unexpected message %v", msg.MsgType()))
+			s.sendError(fr, fmt.Errorf("unexpected message %v", msg.MsgType()))
 			return
 		}
 		if err == nil {
@@ -454,11 +465,11 @@ func (s *Server) handleConn(rawConn net.Conn) {
 			// client retries after the hinted backoff.
 			s.logf("client %q: %v shed (%v)", sess.id, msg.MsgType(), ov.RetryAfter)
 			s.cfg.Flight.TriggerAsync(obs.FlightReasonShed)
-			s.sendRetryable(conn, ov)
+			s.sendRetryable(fr, ov)
 			continue
 		}
 		s.logf("client %q: %v: %v", sess.id, msg.MsgType(), err)
-		s.sendError(conn, err)
+		s.sendError(fr, err)
 		return
 	}
 }
@@ -466,8 +477,8 @@ func (s *Server) handleConn(rawConn net.Conn) {
 // handshake admits a client: validates and prices the Hello, refuses a
 // backward that could never be granted, charges its persistent memory,
 // builds the instance and attaches the adapter.
-func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
-	msg, err := split.ReadMessage(conn)
+func (s *Server) handshake(fr *split.Framer) (_ *session, err error) {
+	msg, err := fr.ReadMessage()
 	if err != nil {
 		return nil, fmt.Errorf("read hello: %w", err)
 	}
@@ -496,7 +507,7 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 		}
 		admitSpan.End()
 		if refusal != nil {
-			_ = split.WriteMessage(conn, refusal)
+			_ = fr.WriteMessage(refusal)
 		}
 	}()
 	reject := func(reason string) (*session, error) {
@@ -635,7 +646,7 @@ func (s *Server) handshake(conn net.Conn) (_ *session, err error) {
 		s.logf("client %q: session resumed from snapshot (%d bytes)", sess.id, len(staged.data))
 	}
 
-	if err := split.WriteMessage(conn, &split.HelloAck{
+	if err := fr.WriteMessage(&split.HelloAck{
 		OK:            true,
 		ForwardBytes:  mf,
 		BackwardBytes: mb,
@@ -659,6 +670,8 @@ func (s *Server) teardown(sess *session) {
 	s.scheduler.Complete(sess.id) // a grant in flight or parked, if any
 	s.scheduler.Complete("persist:" + sess.id)
 	s.scheduler.Forget(sess.id) // a reconnect is a newcomer to admission
+	s.scratch().Put(sess.cachedInput)
+	sess.cachedInput = nil
 	if err := sess.inst.Release(); err != nil && !errors.Is(err, share.ErrReleased) {
 		s.logf("client %q: release: %v", sess.id, err)
 	}
@@ -785,8 +798,9 @@ func (s *Server) run(kind sched.RequestKind, w *phaseWork) error {
 
 // serveForward is Algorithm 1, lines 4-8: decode, validate, run, cache
 // x_c for the re-forward, record, encode, write.
-func (s *Server) serveForward(conn net.Conn, sess *session, req *split.ForwardReq) error {
-	x, err := sess.payload.Unpack(req.Activations, req.Packed)
+func (s *Server) serveForward(fr *split.Framer, sess *session, req *split.ForwardReq) error {
+	sc := s.scratch()
+	x, err := sess.payload.Unpack(sc, req.Activations, req.Packed)
 	if err != nil {
 		return fmt.Errorf("forward: %w", err)
 	}
@@ -807,16 +821,22 @@ func (s *Server) serveForward(conn net.Conn, sess *session, req *split.ForwardRe
 	if err := s.run(sched.KindForward, w); err != nil {
 		return err
 	}
+	// A forward no backward followed leaves its input behind: this one
+	// replaces it.
+	sc.Put(sess.cachedInput)
 	sess.cachedInput = x
 	sess.cachedIter = req.Iter
 	sess.cachedBatch = req.Batch
 	sess.cachedSeq = req.Seq
 	s.recordIterationHalf(sess, w.comp, req.TraceID)
-	plain, packed, err := sess.payload.Pack(w.out)
+	// x_s is the executor's to hand over: it goes back to the arena
+	// once its frame is written.
+	defer sc.Put(w.out)
+	plain, packed, err := sess.payload.Pack(&sess.packed, w.out)
 	if err != nil {
 		return fmt.Errorf("forward: %w", err)
 	}
-	return split.WriteMessage(conn, &split.ForwardResp{Iter: req.Iter, Activations: plain, Packed: packed, TraceID: sess.echoTrace(req.TraceID)})
+	return fr.WriteMessage(&split.ForwardResp{Iter: req.Iter, Activations: plain, Packed: packed, TraceID: sess.echoTrace(req.TraceID)})
 }
 
 // runForward is the serial forward executor: the session's own body
@@ -857,8 +877,9 @@ func (s *Server) runForward(w *phaseWork) error {
 
 // serveBackward is Algorithm 1, lines 9-14: decode, validate, run,
 // optimize φ_s, record, encode, write.
-func (s *Server) serveBackward(conn net.Conn, sess *session, req *split.BackwardReq) error {
-	g, err := sess.payload.Unpack(req.Gradients, req.Packed)
+func (s *Server) serveBackward(fr *split.Framer, sess *session, req *split.BackwardReq) error {
+	sc := s.scratch()
+	g, err := sess.payload.Unpack(sc, req.Gradients, req.Packed)
 	if err != nil {
 		return fmt.Errorf("backward: %w", err)
 	}
@@ -878,6 +899,7 @@ func (s *Server) serveBackward(conn net.Conn, sess *session, req *split.Backward
 	if err := s.run(sched.KindBackward, w); err != nil {
 		return err
 	}
+	sc.Put(g, sess.cachedInput)
 	sess.cachedInput = nil
 	// Optimize the server-side adapter φ_s (Algorithm 1, line 12), here
 	// rather than in the executor so a session's parameters are only
@@ -897,11 +919,12 @@ func (s *Server) serveBackward(conn net.Conn, sess *session, req *split.Backward
 	s.recordIterationHalf(sess, w.comp, req.TraceID)
 	s.m.iterations.Inc()
 	s.ledger.AddIteration(sess.id)
-	plain, packed, err := sess.payload.Pack(w.out)
+	defer sc.Put(w.out) // g_s, once its frame is written
+	plain, packed, err := sess.payload.Pack(&sess.packed, w.out)
 	if err != nil {
 		return fmt.Errorf("backward: %w", err)
 	}
-	return split.WriteMessage(conn, &split.BackwardResp{Iter: req.Iter, Gradients: plain, Packed: packed, TraceID: sess.echoTrace(req.TraceID)})
+	return fr.WriteMessage(&split.BackwardResp{Iter: req.Iter, Gradients: plain, Packed: packed, TraceID: sess.echoTrace(req.TraceID)})
 }
 
 // runBackward is the serial backward executor, entered holding the
@@ -915,13 +938,15 @@ func (s *Server) runBackward(w *phaseWork, cache *model.BodyCache) error {
 	compStart := time.Now()
 	if cache == nil {
 		refwd := s.cfg.Tracer.BeginT(sess.id, obs.SpanRefwd, w.traceID)
+		var xs *tensor.Tensor
 		var err error
-		_, cache, err = sess.body.Forward(sess.cachedInput, w.batch, w.seq, true)
+		xs, cache, err = sess.body.Forward(sess.cachedInput, w.batch, w.seq, true)
 		refwd.End()
 		if err != nil {
 			s.scheduler.Complete(sess.id)
 			return err
 		}
+		s.scratch().Put(xs) // only the cache is needed
 		s.m.reforwards.Inc()
 	}
 	gs, err := sess.body.Backward(cache, w.x)
@@ -953,14 +978,14 @@ func (s *Server) recordIterationHalf(sess *session, comp time.Duration, traceID 
 	s.ledger.AddCompute(sess.id, comp.Seconds())
 }
 
-func (s *Server) sendError(conn net.Conn, err error) {
-	_ = split.WriteMessage(conn, &split.ErrorMsg{Reason: err.Error()})
+func (s *Server) sendError(fr *split.Framer, err error) {
+	_ = fr.WriteMessage(&split.ErrorMsg{Reason: err.Error()})
 }
 
 // sendRetryable reports an overload shed without tearing the session
 // down: the client keeps its connection and resubmits after the hint.
-func (s *Server) sendRetryable(conn net.Conn, ov *sched.OverloadError) {
-	_ = split.WriteMessage(conn, &split.ErrorMsg{
+func (s *Server) sendRetryable(fr *split.Framer, ov *sched.OverloadError) {
+	_ = fr.WriteMessage(&split.ErrorMsg{
 		Reason:       ov.Error(),
 		Retryable:    true,
 		RetryAfterMs: ov.RetryAfter.Milliseconds(),

@@ -19,6 +19,15 @@ func mustPack(t *testing.T, x *tensor.Tensor, c quant.Codec) *quant.Packed {
 	return p
 }
 
+// Payload resolves a message's tensor payload: the compressed form
+// when present (unpacked to fp32), the plain tensor otherwise.
+func Payload(plain *tensor.Tensor, packed *quant.Packed) (*tensor.Tensor, error) {
+	if packed != nil {
+		return packed.Unpack()
+	}
+	return plain, nil
+}
+
 // TestCompressedPayloadRoundTrip: every tensor-carrying message type
 // survives a frame round trip with a packed payload, with and without
 // a trace ID riding the same ext tail, for both codecs.
@@ -104,28 +113,28 @@ func TestPayloadCodecNegotiationGate(t *testing.T) {
 	p := mustPack(t, x, quant.CodecInt8)
 
 	off := PayloadCodec{Codec: quant.CodecInt8}
-	if plain, packed, err := off.Pack(x); err != nil || plain != x || packed != nil {
+	if plain, packed, err := off.Pack(nil, x); err != nil || plain != x || packed != nil {
 		t.Fatalf("un-negotiated pack: %v, %v, %v", plain, packed, err)
 	}
-	if got, err := off.Unpack(x, nil); err != nil || got != x {
+	if got, err := off.Unpack(nil, x, nil); err != nil || got != x {
 		t.Fatalf("un-negotiated plain unpack: %v, %v", got, err)
 	}
-	if _, err := off.Unpack(nil, p); err == nil {
+	if _, err := off.Unpack(nil, nil, p); err == nil {
 		t.Fatal("packed payload accepted without negotiation")
 	}
 
 	on := PayloadCodec{Codec: quant.CodecInt8, Negotiated: true}
-	plain, packed, err := on.Pack(x)
+	plain, packed, err := on.Pack(nil, x)
 	if err != nil || plain != nil || packed == nil || packed.Codec != quant.CodecInt8 {
 		t.Fatalf("negotiated pack: %v, %v, %v", plain, packed, err)
 	}
-	if y, err := on.Unpack(nil, packed); err != nil || !y.SameShape(x) {
+	if y, err := on.Unpack(nil, nil, packed); err != nil || !y.SameShape(x) {
 		t.Fatalf("negotiated unpack: %v, %v", y, err)
 	}
 	// A peer configured fp32 sends plain even when the bit is set (the
 	// other side may still compress what it sends).
 	fp32 := PayloadCodec{Negotiated: true}
-	if plain, packed, err := fp32.Pack(x); err != nil || plain != x || packed != nil {
+	if plain, packed, err := fp32.Pack(nil, x); err != nil || plain != x || packed != nil {
 		t.Fatalf("fp32 pack on a negotiated session: %v, %v, %v", plain, packed, err)
 	}
 }

@@ -25,7 +25,11 @@ func fuzzPack(f *testing.F, rng *tensor.RNG, c quant.Codec) *quant.Packed {
 // never panics, never reads past the frame — and a decoded packed
 // payload, which the decoder passes on unchecked, unpacks through
 // Payload to either an error wrapping quant.ErrQuant or a tensor of
-// exactly its declared shape. A frame of a retired type never decodes. Run with
+// exactly its declared shape. A frame of a retired type never decodes.
+// The same bytes also go, as a stream of frames, through one Framer,
+// whose read, payload and write buffers are reused from frame to frame:
+// it decodes every frame the one-shot reader decodes, to the same bytes
+// on re-encode, and fails where that reader fails. Run with
 // `go test -fuzz FuzzReadMessage ./internal/split` to explore; the
 // seed corpus (valid frames plus mutations) runs in normal `go test`.
 func FuzzReadMessage(f *testing.F) {
@@ -93,6 +97,7 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xAA}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		streamThroughFramer(t, data)
 		msg, err := ReadMessage(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -136,4 +141,48 @@ func FuzzReadMessage(f *testing.F) {
 			t.Fatalf("unpacked shape %v, packed header says %v", x.Shape(), packed.Shape)
 		}
 	})
+}
+
+// streamThroughFramer reads data as a stream of frames twice, with the
+// one-shot ReadMessage and with one Framer, until the first error: the
+// two agree frame by frame on failing or on the message, compared as
+// the bytes it re-encodes to (the framer's through its own reused write
+// buffer). Decoded tensors go back to the framer's arena, so later
+// frames decode into recycled ones.
+func streamThroughFramer(t *testing.T, data []byte) {
+	sc := tensor.NewScratch()
+	var out bytes.Buffer
+	fr := NewFramer(streamConn{bytes.NewReader(data), &out}, sc)
+	oneShot := bytes.NewReader(data)
+	for i := 0; ; i++ {
+		want, werr := ReadMessage(oneShot)
+		got, gerr := fr.ReadMessage()
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("frame %d: one-shot error %v, framer error %v", i, werr, gerr)
+		}
+		if werr != nil {
+			return
+		}
+		var wantBuf bytes.Buffer
+		if err := WriteMessage(&wantBuf, want); err != nil {
+			t.Fatalf("frame %d: re-encode: %v", i, err)
+		}
+		out.Reset()
+		if err := fr.WriteMessage(got); err != nil {
+			t.Fatalf("frame %d: framer re-encode: %v", i, err)
+		}
+		if !bytes.Equal(out.Bytes(), wantBuf.Bytes()) {
+			t.Fatalf("frame %d: framer decoded %v to other bytes than the one-shot reader", i, got.MsgType())
+		}
+		switch m := got.(type) {
+		case *ForwardReq:
+			sc.Put(m.Activations)
+		case *ForwardResp:
+			sc.Put(m.Activations)
+		case *BackwardReq:
+			sc.Put(m.Gradients)
+		case *BackwardResp:
+			sc.Put(m.Gradients)
+		}
+	}
 }

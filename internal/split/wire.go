@@ -146,16 +146,22 @@ type extMessage interface {
 	decodeExt(d *decoder)
 }
 
-// WriteMessage frames and writes m. The header is reserved at the front
-// of the encode buffer and filled in once the payload length is known,
-// so the frame leaves in a single Write: one syscall, and one segment
-// rather than two on a TCP_NODELAY socket.
+// WriteMessage frames and writes m: a one-shot Framer write, with a
+// frame buffer of its own.
 func WriteMessage(w io.Writer, m Message) error {
 	enc := encoder{buf: make([]byte, headerSize, scalarFieldsCap)}
-	m.encode(&enc)
+	return writeFrame(w, &enc, m)
+}
+
+// writeFrame encodes m after the header bytes enc.buf starts with and
+// fills the header in once the payload length is known, so the frame
+// leaves in a single Write: one syscall, and one segment rather than
+// two on a TCP_NODELAY socket.
+func writeFrame(w io.Writer, enc *encoder, m Message) error {
+	m.encode(enc)
 	version := Version
 	if xm, ok := m.(extMessage); ok && xm.extPresent() {
-		xm.encodeExt(&enc)
+		xm.encodeExt(enc)
 		version = VersionExt
 	}
 	frame := enc.buf
@@ -173,15 +179,23 @@ func WriteMessage(w io.Writer, m Message) error {
 	return nil
 }
 
-// ReadMessage reads and decodes one frame. Versions 1 through
-// VersionExt are accepted; an extension tail on a VersionExt frame is
-// decoded when present (a VersionExt frame without one is legal and
-// equivalent to its Version-1 form).
+// ReadMessage reads and decodes one frame: a one-shot Framer read that
+// consumes exactly the frame's bytes from r and decodes tensors onto
+// the heap. Versions 1 through VersionExt are accepted; an extension
+// tail on a VersionExt frame is decoded when present (a VersionExt
+// frame without one is legal and equivalent to its Version-1 form).
 func ReadMessage(r io.Reader) (Message, error) {
-	header := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, header); err != nil {
+	in := frameReader{r: r, exact: true}
+	var dec decoder
+	return readFrame(&in, &dec)
+}
+
+// readFrame reads in's next frame and decodes it with dec.
+func readFrame(in *frameReader, dec *decoder) (Message, error) {
+	if err := in.fill(headerSize); err != nil {
 		return nil, fmt.Errorf("split: read header: %w", err)
 	}
+	header := in.next(headerSize)
 	if binary.LittleEndian.Uint16(header[0:]) != Magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadFrame)
 	}
@@ -194,19 +208,19 @@ func ReadMessage(r io.Reader) (Message, error) {
 	if length > MaxFrameBytes {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if err := in.fill(int(length)); err != nil {
 		return nil, fmt.Errorf("split: read payload: %w", err)
 	}
+	payload := in.next(int(length))
 	m, err := newMessage(msgType)
 	if err != nil {
 		return nil, err
 	}
-	dec := decoder{buf: payload}
-	m.decode(&dec)
+	dec.buf, dec.off, dec.err = payload, 0, nil
+	m.decode(dec)
 	if version >= VersionExt && dec.err == nil && dec.off < len(payload) {
 		if xm, ok := m.(extMessage); ok {
-			xm.decodeExt(&dec)
+			xm.decodeExt(dec)
 		}
 	}
 	if dec.err != nil {
@@ -286,9 +300,9 @@ func (e *encoder) floats(vs []float32) {
 	// header's 8 bytes would copy a 32 KiB payload a dozen times.
 	e.buf = slices.Grow(e.buf, 4+4*len(vs))
 	e.u32(uint32(len(vs)))
-	for _, v := range vs {
-		e.u32(math.Float32bits(v))
-	}
+	n := len(e.buf)
+	e.buf = e.buf[:n+4*len(vs)]
+	putFloats(e.buf[n:], vs)
 }
 func (e *encoder) tensor(t *tensor.Tensor) {
 	if t == nil {
@@ -321,6 +335,14 @@ type decoder struct {
 	buf []byte
 	off int
 	err error
+
+	// sc is the arena decoded tensors are taken from (nil: the heap).
+	sc *tensor.Scratch
+	// dims holds a decoded tensor's shape until the arena copies it.
+	dims []int
+	// reuse, when set, is the one Packed a framer's decoder fills frame
+	// after frame; a one-shot decode makes a fresh one.
+	reuse *quant.Packed
 }
 
 func (d *decoder) fail() {
@@ -369,78 +391,110 @@ func (d *decoder) str() string {
 	d.off += n
 	return s
 }
-func (d *decoder) ints() []int {
+
+// ints decodes a length-prefixed int list into dst's storage.
+func (d *decoder) ints(dst []int) []int {
 	n := int(d.u32())
 	if d.err != nil || n < 0 || n > len(d.buf) {
 		d.fail()
 		return nil
 	}
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = int(d.i64())
+	dst = slices.Grow(dst[:0], n)
+	for range n {
+		dst = append(dst, int(d.i64()))
 	}
-	return vs
+	return dst
 }
-func (d *decoder) floats() []float32 {
+
+// floats decodes a length-prefixed float list into dst's storage.
+func (d *decoder) floats(dst []float32) []float32 {
 	n := int(d.u32())
 	if d.err != nil || n < 0 || d.off+4*n > len(d.buf) {
 		d.fail()
 		return nil
 	}
-	vs := make([]float32, n)
-	for i := range vs {
-		vs[i] = math.Float32frombits(d.u32())
-	}
-	return vs
+	dst = slices.Grow(dst[:0], n)[:n]
+	getFloats(dst, d.buf[d.off:d.off+4*n])
+	d.off += 4 * n
+	return dst
 }
+
+// tensor decodes a tensor into one taken from the decoder's arena: the
+// payload is copied out, so the tensor outlives the frame buffer.
 func (d *decoder) tensor() *tensor.Tensor {
 	if d.u8() == 0 {
 		return nil
 	}
-	shape := d.ints()
-	data := d.floats()
-	if d.err != nil {
+	d.dims = d.ints(d.dims)
+	n := int(d.u32())
+	if d.err != nil || n < 0 || d.off+4*n > len(d.buf) {
+		d.fail()
 		return nil
 	}
-	t, err := tensor.FromSlice(data, shape...)
-	if err != nil {
-		d.err = err
+	if elems(d.dims) != n {
+		d.err = fmt.Errorf("%w: data length %d does not match shape %v", tensor.ErrShape, n, d.dims)
 		return nil
 	}
+	t := d.sc.GetUninit(d.dims...)
+	getFloats(t.Data(), d.buf[d.off:d.off+4*n])
+	d.off += 4 * n
 	return t
 }
+
+// elems is a decoded shape's element count, or -1 for a negative
+// dimension or a count past the int range.
+func elems(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		if d < 0 {
+			return -1
+		}
+		if d == 0 {
+			n = 0
+		}
+	}
+	for _, d := range shape {
+		if n == 0 {
+			break
+		}
+		if n > math.MaxInt/d {
+			return -1
+		}
+		n *= d
+	}
+	return n
+}
+
+// bytes returns the next length-prefixed byte string as a view of the
+// payload buffer, valid as long as the buffer is.
 func (d *decoder) bytes() []byte {
 	n := int(d.u32())
 	if d.err != nil || n < 0 || d.off+n > len(d.buf) {
 		d.fail()
 		return nil
 	}
-	b := append([]byte(nil), d.buf[d.off:d.off+n]...)
+	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return b
 }
 
 // packed reads a codec-compressed tensor. The struct is returned as
 // decoded — length/shape consistency is validated by
-// quant.Packed.Unpack, which treats it as untrusted input.
+// quant.Packed.Unpack, which treats it as untrusted input. Its Data is
+// a view of the payload buffer.
 func (d *decoder) packed() *quant.Packed {
-	p := &quant.Packed{Codec: quant.Codec(d.u8())}
-	p.Shape = d.ints()
-	p.Scales = d.floats()
+	p := d.reuse
+	if p == nil {
+		p = &quant.Packed{}
+	}
+	p.Codec = quant.Codec(d.u8())
+	p.Shape = d.ints(p.Shape)
+	p.Scales = d.floats(p.Scales)
 	p.Data = d.bytes()
 	if d.err != nil {
 		return nil
 	}
 	return p
-}
-
-// Payload resolves a message's tensor payload: the compressed form
-// when present (unpacked to fp32), the plain tensor otherwise.
-func Payload(plain *tensor.Tensor, packed *quant.Packed) (*tensor.Tensor, error) {
-	if packed != nil {
-		return packed.Unpack()
-	}
-	return plain, nil
 }
 
 // PayloadCodec is one peer's side of the compressed-payload transport
@@ -459,27 +513,31 @@ type PayloadCodec struct {
 }
 
 // Pack prepares an outgoing payload: quantized with the configured
-// codec when compression was negotiated, otherwise the tensor unchanged
-// so the frame stays byte-identical to a legacy peer's.
-func (pc PayloadCodec) Pack(x *tensor.Tensor) (*tensor.Tensor, *quant.Packed, error) {
+// codec into dst (a fresh Packed when nil) when compression was
+// negotiated, otherwise the tensor unchanged so the frame stays
+// byte-identical to a legacy peer's.
+func (pc PayloadCodec) Pack(dst *quant.Packed, x *tensor.Tensor) (*tensor.Tensor, *quant.Packed, error) {
 	if !pc.Negotiated || pc.Codec == quant.CodecFP32 {
 		return x, nil, nil
 	}
 	t0 := time.Now()
-	p, err := quant.Pack(x, pc.Codec)
-	if err != nil {
+	if dst == nil {
+		dst = &quant.Packed{}
+	}
+	if err := dst.PackFrom(x, pc.Codec); err != nil {
 		return nil, nil, fmt.Errorf("pack payload: %w", err)
 	}
 	pc.Seconds.Observe(time.Since(t0).Seconds())
-	pc.Compressed.Add(int64(p.WireBytes()))
+	pc.Compressed.Add(dst.WireBytes())
 	pc.Raw.Add(int64(4 * len(x.Data())))
-	return nil, p, nil
+	return nil, dst, nil
 }
 
-// Unpack resolves an incoming payload that may be plain or packed. A
-// packed payload on a session that never negotiated compression is a
-// protocol violation, not something to decode on faith.
-func (pc PayloadCodec) Unpack(plain *tensor.Tensor, packed *quant.Packed) (*tensor.Tensor, error) {
+// Unpack resolves an incoming payload that may be plain or packed,
+// unpacking a packed one into a tensor taken from sc. A packed payload
+// on a session that never negotiated compression is a protocol
+// violation, not something to decode on faith.
+func (pc PayloadCodec) Unpack(sc *tensor.Scratch, plain *tensor.Tensor, packed *quant.Packed) (*tensor.Tensor, error) {
 	if packed == nil {
 		return plain, nil
 	}
@@ -487,7 +545,7 @@ func (pc PayloadCodec) Unpack(plain *tensor.Tensor, packed *quant.Packed) (*tens
 		return nil, errors.New("compressed payload without negotiation")
 	}
 	t0 := time.Now()
-	x, err := Payload(plain, packed)
+	x, err := packed.UnpackScratch(sc)
 	if err != nil {
 		return nil, fmt.Errorf("unpack payload: %w", err)
 	}

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math"
-	"slices"
 	"sync"
 	"testing"
 )
@@ -99,6 +98,7 @@ func (s *Scratch) get(shape []int) (t *Tensor, recycled bool) {
 		t = list[len(list)-1]
 		list[len(list)-1] = nil
 		s.free[n] = list[:len(list)-1]
+		t.free = false
 		s.hits++
 		s.bytes -= int64(n) * 4
 	}
@@ -111,8 +111,9 @@ func (s *Scratch) get(shape []int) (t *Tensor, recycled bool) {
 }
 
 // Put returns tensors to the arena. Nil entries and duplicates of
-// already-retained buffers are ignored; size classes past their cap
-// fall through to the garbage collector.
+// already-retained buffers are ignored — a retained tensor carries a
+// mark, so spotting one costs no scan of its free list — and size
+// classes past their cap fall through to the garbage collector.
 func (s *Scratch) Put(ts ...*Tensor) {
 	if s == nil {
 		return
@@ -122,15 +123,16 @@ func (s *Scratch) Put(ts ...*Tensor) {
 		if t == nil || len(t.data) == 0 {
 			continue
 		}
-		n := len(t.data)
-		list := s.free[n]
-		if slices.Contains(list, t) {
+		if t.free {
 			continue
 		}
+		n := len(t.data)
 		s.out -= int64(n) * 4
+		list := s.free[n]
 		if len(list) >= scratchMaxPerClass {
 			continue
 		}
+		t.free = true
 		s.free[n] = append(list, t)
 		s.bytes += int64(n) * 4
 	}

@@ -22,6 +22,9 @@ var ErrShape = errors.New("tensor: shape mismatch")
 type Tensor struct {
 	data  []float32
 	shape []int
+	// free marks a tensor retained on a Scratch free list, so a
+	// duplicate Put is caught without scanning the list.
+	free bool
 }
 
 // New creates a zero-filled tensor with the given shape.
