@@ -98,7 +98,9 @@ test-race:
 # four-tenant contention run, one table over batching off and on (a parked
 # activation grant is either claimed by its owner or revoked for someone
 # else, never both, and nothing outlives a session), the routing of
-# batchable requests by memory pressure, menos-fleetd's /place and
+# batchable requests by memory pressure, two tenants stepping at once
+# on arenas of their own (each arena serves only its own session),
+# menos-fleetd's /place and
 # /drain handlers racing its poll and rebalance ticks (all four take
 # the controller's fleet.Manager lock), and the ledger's writers racing
 # its snapshots over more clients than it has accounts (each row is
@@ -111,7 +113,7 @@ test-race:
 test-stress:
 	$(GO) test -race -count=20 -run 'TestClaimVersusRevokeHammer' ./internal/sched
 	$(GO) test -race -count=20 -run TestLedgerConcurrentConservation ./internal/obs
-	$(GO) test -race -count=20 -run '^(TestContentionIsFig3d|TestBatchingFollowsPressure)$$' ./internal/server
+	$(GO) test -race -count=20 -run '^(TestContentionIsFig3d|TestBatchingFollowsPressure|TestSessionsStepOnTheirOwnArenas)$$' ./internal/server
 	$(GO) test -race -count=20 -run TestHandlersRaceTheTicks ./cmd/menos-fleetd
 	$(GO) test -count=500 -run 'TestLayerNormInvarianceProperty' ./internal/nn
 	$(GO) test -count=40 -run 'TestPricedDemandsBoundTheBodyProperty' ./internal/memmodel

@@ -49,7 +49,8 @@ type Attention struct {
 	rope    *ropeTable // nil for OPT-style learned positions
 
 	// scratch is the step-scoped buffer arena shared by the whole
-	// model (and its shallow clones). nil degrades to allocation.
+	// model and its shallow clones, or a CloneBlocks clone's own. nil
+	// degrades to allocation.
 	scratch *tensor.Scratch
 }
 

@@ -1,5 +1,12 @@
 package model
 
+import (
+	"fmt"
+
+	"menos/internal/nn"
+	"menos/internal/tensor"
+)
+
 // Structural cloning for base-model sharing (§3.1, Fig. 2).
 //
 // A shallow clone creates new structure objects (Block, Attention, FFN)
@@ -8,18 +15,22 @@ package model
 // each clone's structure can be independently modified — adapters
 // wrap a clone's projection slots without affecting the original or
 // any sibling clone. This is exactly the paper's "separate the model
-// parameters from the model structure".
+// parameters from the model structure". CloneBlocks goes one level
+// further down: the operators themselves are new structs over the same
+// parameter tensors, so a clone can draw its temporaries from an arena
+// of its own.
 
 // ShallowClone returns a structurally independent copy of the block
-// that shares every parameter-bearing operator with b. Any attached
-// prefix adapter is not carried over: clones start pristine.
+// that shares every parameter-bearing operator, and the buffer arena,
+// with b. Any attached prefix adapter is not carried over: clones start
+// pristine.
 func (b *Block) ShallowClone() *Block {
 	return &Block{
 		Norm1:   b.Norm1,
 		Attn:    b.Attn.ShallowClone(),
 		Norm2:   b.Norm2,
 		FFN:     b.FFN.ShallowClone(),
-		scratch: b.scratch, // arena is mutex-guarded, safe to share
+		scratch: b.scratch, // shared with b's operators, which the clone shares too
 	}
 }
 
@@ -33,8 +44,8 @@ func (a *Attention) ShallowClone() *Attention {
 		O:       a.O,
 		heads:   a.heads,
 		headDim: a.headDim,
-		rope:    a.rope,    // read-only table, safe to share
-		scratch: a.scratch, // arena is mutex-guarded, safe to share
+		rope:    a.rope, // read-only table, safe to share
+		scratch: a.scratch,
 	}
 }
 
@@ -45,7 +56,7 @@ func (f *FFN) ShallowClone() *FFN {
 		Up:      f.Up,
 		Down:    f.Down,
 		Gate:    f.Gate,
-		scratch: f.scratch, // arena is mutex-guarded, safe to share
+		scratch: f.scratch,
 	}
 }
 
@@ -56,4 +67,41 @@ func ShallowCloneBlocks(blocks []*Block) []*Block {
 		out[i] = b.ShallowClone()
 	}
 	return out
+}
+
+// CloneBlocks clones pristine blocks onto the arena sc: every norm and
+// projection of a clone is a copy of the original's struct, pointing at
+// the same parameter tensors, and the clone and its operators draw
+// their temporaries from sc and nowhere else. The blocks must hold
+// only the base operators (nn.Linear, nn.LayerNorm, nn.RMSNorm), as a
+// model's own blocks do before any adapter is injected.
+func CloneBlocks(blocks []*Block, sc *tensor.Scratch) []*Block {
+	out := ShallowCloneBlocks(blocks)
+	for _, b := range out {
+		a, f := b.Attn, b.FFN
+		b.Norm1, b.Norm2 = copyOp(b.Norm1), copyOp(b.Norm2)
+		a.Q, a.K, a.V, a.O = copyOp(a.Q), copyOp(a.K), copyOp(a.V), copyOp(a.O)
+		f.Up, f.Down, f.Gate = copyOp(f.Up), copyOp(f.Down), copyOp(f.Gate)
+		b.setScratch(sc)
+	}
+	return out
+}
+
+// copyOp returns a new struct holding op's fields: the same parameters
+// and frozen state, an arena of its own to set.
+func copyOp(op nn.Op) nn.Op {
+	switch o := op.(type) {
+	case nil:
+		return nil
+	case *nn.Linear:
+		c := *o
+		return &c
+	case *nn.LayerNorm:
+		c := *o
+		return &c
+	case *nn.RMSNorm:
+		c := *o
+		return &c
+	}
+	panic(fmt.Sprintf("model: CloneBlocks over a %T operator", op))
 }

@@ -17,8 +17,9 @@ type Transformer struct {
 	LMHead *nn.Linear
 
 	// scratch is the step-scoped buffer arena shared by every block
-	// (and every shallow clone of them), so steady-state training
-	// steps reuse activations and gradients instead of allocating.
+	// (and every shallow clone of them, though not a CloneBlocks
+	// clone), so steady-state training steps reuse activations and
+	// gradients instead of allocating.
 	scratch *tensor.Scratch
 }
 

@@ -126,9 +126,11 @@ func (s *Server) runBatched(key batch.Key, works []*phaseWork) error {
 			}
 		}
 	}
-	// The clone shares the frozen base parameters (and the mutex-guarded
-	// scratch arena) with every serial instance; only the wrapper layers
-	// holding the members' adapter segments are fresh.
+	// The clone shares the frozen base parameters with every serial
+	// instance, and the shared base's operators and arena with every
+	// batch; only the wrapper layers holding the members' adapter
+	// segments are fresh. A member's results come from this arena too,
+	// and go back to it from the member's session.
 	blocks := model.ShallowCloneBlocks(s.store.Master().Blocks[key.Cut:])
 	if _, err := adapter.InjectMultiLoRA(blocks, targets, memberLayers, rows); err != nil {
 		return fmt.Errorf("multi-adapter injection: %w", err)

@@ -232,9 +232,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// scratch is the shared base's buffer arena: every session's body draws
-// its temporaries from it, the framers decode requests into it, and
-// every tensor a phase receives or sends goes back to it.
+// scratch is the shared base's buffer arena, which only the batched
+// executor's stacked pass draws from; each session has its own
+// (session.scratch).
 func (s *Server) scratch() *tensor.Scratch { return s.store.Master().Scratch() }
 
 // Scheduler exposes the scheduler for stats inspection.
@@ -345,8 +345,14 @@ func (s *Server) logf(format string, args ...any) {
 
 // session is one client's serving state (a "serving process" S_i).
 type session struct {
-	id        string
-	inst      *share.Instance
+	id   string
+	inst *share.Instance
+	// scratch is the instance's arena: the session's body and adapter
+	// draw from it, its connection's framer decodes into it, and every
+	// tensor a phase receives or sends goes back to it (a tensor the
+	// batched executor drew from the shared base's arena goes back
+	// there). It is dropped with the instance.
+	scratch   *tensor.Scratch
 	body      *model.BodySection
 	params    []nn.Param
 	optimizer *nn.Adam
@@ -368,7 +374,7 @@ type session struct {
 	// cachedInput retains x_c between the first forward and the
 	// backward re-forward ("we just need to cache the forward
 	// activations for the re-forward computation, which is
-	// negligible"). It was decoded into the shared-base arena and goes
+	// negligible"). It was decoded into the session's arena and goes
 	// back there after the backward, when the next forward replaces it,
 	// or at teardown.
 	cachedInput *tensor.Tensor
@@ -398,13 +404,14 @@ func (s *Server) handleConn(rawConn net.Conn) {
 	// All protocol IO goes through the counting wrapper so the ledger
 	// can attribute wire bytes (handshake included) to the client.
 	conn := &countingConn{Conn: rawConn}
-	fr := split.NewFramer(conn, s.scratch())
+	fr := split.NewFramer(conn, nil) // a Hello carries no tensor
 
 	sess, err := s.handshake(fr)
 	if err != nil {
 		s.logf("handshake failed: %v", err)
 		return
 	}
+	fr.SetScratch(sess.scratch)
 	s.mu.Lock()
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
@@ -617,6 +624,7 @@ func (s *Server) handshake(fr *split.Framer) (_ *session, err error) {
 	sess := &session{
 		id:        hello.ClientID,
 		inst:      inst,
+		scratch:   inst.Scratch(),
 		body:      inst.Body(),
 		params:    inst.AdapterParams(),
 		optimizer: nn.NewAdam(lr),
@@ -670,7 +678,7 @@ func (s *Server) teardown(sess *session) {
 	s.scheduler.Complete(sess.id) // a grant in flight or parked, if any
 	s.scheduler.Complete("persist:" + sess.id)
 	s.scheduler.Forget(sess.id) // a reconnect is a newcomer to admission
-	s.scratch().Put(sess.cachedInput)
+	sess.scratch.Put(sess.cachedInput)
 	sess.cachedInput = nil
 	if err := sess.inst.Release(); err != nil && !errors.Is(err, share.ErrReleased) {
 		s.logf("client %q: release: %v", sess.id, err)
@@ -799,7 +807,7 @@ func (s *Server) run(kind sched.RequestKind, w *phaseWork) error {
 // serveForward is Algorithm 1, lines 4-8: decode, validate, run, cache
 // x_c for the re-forward, record, encode, write.
 func (s *Server) serveForward(fr *split.Framer, sess *session, req *split.ForwardReq) error {
-	sc := s.scratch()
+	sc := sess.scratch
 	x, err := sess.payload.Unpack(sc, req.Activations, req.Packed)
 	if err != nil {
 		return fmt.Errorf("forward: %w", err)
@@ -878,7 +886,7 @@ func (s *Server) runForward(w *phaseWork) error {
 // serveBackward is Algorithm 1, lines 9-14: decode, validate, run,
 // optimize φ_s, record, encode, write.
 func (s *Server) serveBackward(fr *split.Framer, sess *session, req *split.BackwardReq) error {
-	sc := s.scratch()
+	sc := sess.scratch
 	g, err := sess.payload.Unpack(sc, req.Gradients, req.Packed)
 	if err != nil {
 		return fmt.Errorf("backward: %w", err)
@@ -946,7 +954,7 @@ func (s *Server) runBackward(w *phaseWork, cache *model.BodyCache) error {
 			s.scheduler.Complete(sess.id)
 			return err
 		}
-		s.scratch().Put(xs) // only the cache is needed
+		sess.scratch.Put(xs) // only the cache is needed
 		s.m.reforwards.Inc()
 	}
 	gs, err := sess.body.Backward(cache, w.x)

@@ -88,15 +88,17 @@ func (s *Store) ActiveInstances() int {
 }
 
 // Instance is one client's structural view over the shared base: its
-// own Block objects referencing the shared parameter tensors, cropped
-// to the client's cut layer, with the client's private adapter
-// attached. The adapter is injected into those blocks only, so it is
-// dropped together with the instance.
+// own Block and operator objects referencing the shared parameter
+// tensors, cropped to the client's cut layer, with the client's private
+// adapter attached and a buffer arena of its own. The adapter and the
+// arena belong to those blocks only, so they are dropped together with
+// the instance, and no step of the instance touches another's arena.
 type Instance struct {
 	ClientID string
 	Cut      int
 
 	store    *Store
+	scratch  *tensor.Scratch
 	blocks   []*model.Block
 	body     *model.BodySection
 	adapter  adapter.Adapter
@@ -104,7 +106,8 @@ type Instance struct {
 }
 
 // NewInstance creates a per-client instance whose body covers blocks
-// [cut, Layers). The id must be unique among live instances.
+// [cut, Layers), on a fresh arena. The id must be unique among live
+// instances.
 func (s *Store) NewInstance(clientID string, cut int) (*Instance, error) {
 	if cut < 1 || cut >= s.cfg.Layers {
 		return nil, fmt.Errorf("share: cut %d out of range [1,%d): %w",
@@ -115,11 +118,13 @@ func (s *Store) NewInstance(clientID string, cut int) (*Instance, error) {
 	if _, ok := s.instances[clientID]; ok {
 		return nil, fmt.Errorf("share: client %q already has a live instance", clientID)
 	}
+	sc := tensor.NewScratch()
 	inst := &Instance{
 		ClientID: clientID,
 		Cut:      cut,
 		store:    s,
-		blocks:   model.ShallowCloneBlocks(s.master.Blocks[cut:]),
+		scratch:  sc,
+		blocks:   model.CloneBlocks(s.master.Blocks[cut:], sc),
 	}
 	inst.body = model.Body(inst.blocks)
 	s.instances[clientID] = inst
@@ -128,6 +133,10 @@ func (s *Store) NewInstance(clientID string, cut int) (*Instance, error) {
 
 // Body returns the instance's server-side section.
 func (i *Instance) Body() *model.BodySection { return i.body }
+
+// Scratch returns the instance's buffer arena: its body and adapter
+// draw every temporary from it.
+func (i *Instance) Scratch() *tensor.Scratch { return i.scratch }
 
 // Blocks returns the instance's private structural blocks.
 func (i *Instance) Blocks() []*model.Block { return i.blocks }

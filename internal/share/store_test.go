@@ -92,8 +92,8 @@ func TestInstancesShareParameters(t *testing.T) {
 	if !ok {
 		t.Fatal("instance q is not a Linear")
 	}
-	if aq != masterQ || bq != masterQ {
-		t.Fatal("instances do not share the master's parameter-bearing layers")
+	if aq.W.Value != masterQ.W.Value || bq.W.Value != masterQ.W.Value {
+		t.Fatal("instances do not share the master's parameter tensors")
 	}
 	// Yet the structural Block objects are distinct.
 	if a.Blocks()[0] == b.Blocks()[0] || a.Blocks()[0] == s.Master().Blocks[1] {
@@ -347,4 +347,112 @@ func TestInstanceForwardEqualsMaster(t *testing.T) {
 			t.Fatalf("fresh instance diverges from master at %d", i)
 		}
 	}
+}
+
+// TestInstancesCloneOperatorsOntoTheirOwnArenas: every norm and
+// projection of an instance is a struct of its own — distinct from the
+// master's and from a sibling's — over the master's very parameter
+// tensors, drawing from the instance's arena. Two instances trained
+// through those copies leave the base's checksum unchanged, and take
+// nothing from the master's arena or each other's.
+func TestInstancesCloneOperatorsOntoTheirOwnArenas(t *testing.T) {
+	for _, family := range []model.Family{model.FamilyOPT, model.FamilyLlama} {
+		t.Run(family.String(), func(t *testing.T) {
+			s := testStore(t, family)
+			cfg := s.Config()
+			a, err := s.NewInstance("a", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := s.NewInstance("b", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Scratch() == nil || a.Scratch() == b.Scratch() || a.Scratch() == s.Master().Scratch() {
+				t.Fatal("instances do not each have an arena of their own")
+			}
+			for i, mb := range s.Master().Blocks[1:] {
+				ab, bb := a.Blocks()[i], b.Blocks()[i]
+				if ab.Scratch() != a.Scratch() || bb.Scratch() != b.Scratch() {
+					t.Fatalf("block %d: clone not bound to its instance's arena", i+1)
+				}
+				mops, aops, bops := blockOps(mb), blockOps(ab), blockOps(bb)
+				for k, mop := range mops {
+					if mop == nil {
+						if aops[k] != nil || bops[k] != nil {
+							t.Fatalf("block %d op %d: clone holds an op the master lacks", i+1, k)
+						}
+						continue
+					}
+					if aops[k] == mop || bops[k] == mop || aops[k] == bops[k] {
+						t.Fatalf("block %d op %d (%T): instances share the operator struct", i+1, k, mop)
+					}
+					mts, ats, bts := opTensors(t, mop), opTensors(t, aops[k]), opTensors(t, bops[k])
+					for j := range mts {
+						if ats[j] != mts[j] || bts[j] != mts[j] {
+							t.Fatalf("block %d op %d (%T) tensor %d: not the master's", i+1, k, mop, j)
+						}
+					}
+				}
+			}
+
+			masterGets, _ := s.Master().Scratch().Stats()
+			for _, inst := range []*Instance{a, b} {
+				ad, err := inst.AttachAdapter(tensor.NewRNG(7), adapter.LoRASpec(adapter.DefaultLoRA()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := tensor.NewNormal(tensor.NewRNG(8), 0.5, 5, cfg.Dim)
+				opt := nn.NewAdam(1e-2)
+				for range 3 {
+					y, cache, err := inst.Body().Forward(x, 1, 5, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dy := tensor.New(y.Shape()...)
+					dy.Fill(0.1)
+					dx, err := inst.Body().Backward(cache, dy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					inst.Scratch().Put(y, dx)
+					if err := opt.Step(ad.Params()); err != nil {
+						t.Fatal(err)
+					}
+					nn.ZeroGrads(ad.Params())
+				}
+				if out, _ := inst.Scratch().Outstanding(); out != 0 {
+					t.Fatalf("instance %q: %d bytes still out of its arena after its steps", inst.ClientID, out)
+				}
+			}
+			if gets, _ := s.Master().Scratch().Stats(); gets != masterGets {
+				t.Fatalf("instances took %d tensors from the master's arena", gets-masterGets)
+			}
+			if err := s.VerifyIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// blockOps lists a block's norms and projections in a fixed order; an
+// absent op (an OPT block's gate) is nil.
+func blockOps(b *model.Block) []nn.Op {
+	return []nn.Op{b.Norm1, b.Norm2, b.Attn.Q, b.Attn.K, b.Attn.V, b.Attn.O, b.FFN.Up, b.FFN.Down, b.FFN.Gate}
+}
+
+// opTensors lists a base operator's parameter values and gradient
+// buffers.
+func opTensors(t *testing.T, op nn.Op) []*tensor.Tensor {
+	t.Helper()
+	switch o := op.(type) {
+	case *nn.Linear:
+		return []*tensor.Tensor{o.W.Value, o.W.Grad, o.B.Value, o.B.Grad}
+	case *nn.LayerNorm:
+		return []*tensor.Tensor{o.Gamma.Value, o.Gamma.Grad, o.Beta.Value, o.Beta.Grad}
+	case *nn.RMSNorm:
+		return []*tensor.Tensor{o.Gamma.Value, o.Gamma.Grad}
+	}
+	t.Fatalf("unexpected operator %T", op)
+	return nil
 }

@@ -41,6 +41,10 @@ func NewFramer(conn io.ReadWriter, sc *tensor.Scratch) *Framer {
 	}
 }
 
+// SetScratch makes later reads decode tensors into sc (nil: the heap),
+// for a connection whose owner has an arena only after its handshake.
+func (f *Framer) SetScratch(sc *tensor.Scratch) { f.dec.sc = sc }
+
 // WriteMessage frames and writes m in one Write.
 func (f *Framer) WriteMessage(m Message) error {
 	f.enc.buf = f.enc.buf[:headerSize]
@@ -56,6 +60,11 @@ func (f *Framer) ReadMessage() (Message, error) {
 // largest frame the connection carries.
 const frameReaderSize = 8 << 10
 
+// frameGrowStep is the most a frame's header alone makes a reader
+// allocate: past it, a buffer grows only once the frame's bytes have
+// filled it.
+const frameGrowStep = 64 << 10
+
 // frameReader hands out a stream's frames from one buffer, buf[off:end]
 // being what has been read and not yet handed out. A framer's reader
 // asks the stream for as much as the buffer holds; the one-shot
@@ -68,10 +77,9 @@ type frameReader struct {
 	off, end int
 }
 
-// fill makes at least n bytes buffered, sliding what is buffered to
-// the front of the buffer — or into a larger one — when n does not fit
-// behind it. The error is io.EOF when the stream ends with nothing
-// buffered and io.ErrUnexpectedEOF when it ends inside the n bytes.
+// fill makes at least n bytes buffered. The error is io.EOF when the
+// stream ends with nothing buffered and io.ErrUnexpectedEOF when it
+// ends inside the n bytes.
 func (fr *frameReader) fill(n int) error {
 	if fr.end-fr.off >= n {
 		return nil
@@ -81,22 +89,13 @@ func (fr *frameReader) fill(n int) error {
 		// the whole buffer is room for it.
 		fr.off, fr.end = 0, 0
 	}
-	if len(fr.buf)-fr.off < n {
-		buf := fr.buf
-		if len(buf) < n {
-			size := n
-			if !fr.exact {
-				size = max(n, frameReaderSize, 2*len(buf))
-			}
-			buf = make([]byte, size)
-		}
-		fr.end = copy(buf, fr.buf[fr.off:fr.end])
-		fr.off, fr.buf = 0, buf
-	}
 	for fr.end-fr.off < n {
+		if fr.off+n > len(fr.buf) {
+			fr.makeRoom(n)
+		}
 		limit := len(fr.buf)
 		if fr.exact {
-			limit = fr.off + n
+			limit = min(limit, fr.off+n)
 		}
 		m, err := fr.r.Read(fr.buf[fr.end:limit])
 		fr.end += m
@@ -111,6 +110,28 @@ func (fr *frameReader) fill(n int) error {
 		}
 	}
 	return nil
+}
+
+// makeRoom makes room toward n buffered bytes that do not fit behind
+// off: it slides what is buffered to the front of the buffer, first
+// moving it into a larger one when the buffer is shorter than n and
+// either full or shorter than frameGrowStep. A larger buffer doubles
+// (at least to frameGrowStep, a framer's at least to frameReaderSize)
+// up to n, so what a frame allocates follows the bytes that arrived,
+// not the length its header claims.
+func (fr *frameReader) makeRoom(n int) {
+	buf := fr.buf
+	if len(buf) < n && (fr.end == len(buf) || len(buf) < frameGrowStep) {
+		size := min(n, max(2*len(buf), frameGrowStep))
+		if !fr.exact {
+			size = max(size, frameReaderSize)
+		}
+		buf = make([]byte, size)
+	} else if fr.off == 0 {
+		return
+	}
+	fr.end = copy(buf, fr.buf[fr.off:fr.end])
+	fr.off, fr.buf = 0, buf
 }
 
 // next hands out the next n buffered bytes; they stay valid until the

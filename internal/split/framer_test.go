@@ -2,11 +2,15 @@ package split
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"slices"
 	"testing"
+	"testing/iotest"
 
 	"menos/internal/quant"
 	"menos/internal/tensor"
@@ -196,5 +200,56 @@ func TestFramerWritesTheOneShotBytes(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), framesOf(t, ms...)) {
 		t.Fatal("framer bytes differ from WriteMessage's")
+	}
+}
+
+// claimHeader is a frame header of type typ claiming a payload of n
+// bytes.
+func claimHeader(typ MsgType, n uint32) []byte {
+	h := make([]byte, headerSize)
+	binary.LittleEndian.PutUint16(h[0:], Magic)
+	h[2], h[3] = Version, byte(typ)
+	binary.LittleEndian.PutUint32(h[4:], n)
+	return h
+}
+
+// TestAHeaderAloneAllocatesLittle: eight bytes claiming a 64 MiB
+// payload, then the end of the stream, make neither reader allocate
+// anything near the claim — a buffer grows as a frame's bytes arrive,
+// not as its header announces them.
+func TestAHeaderAloneAllocatesLittle(t *testing.T) {
+	const claim, limit = 64 << 20, 1 << 20
+	for _, r := range []struct {
+		name string
+		read func(io.Reader) error
+	}{
+		{"ReadMessage", func(in io.Reader) error { _, err := ReadMessage(in); return err }},
+		{"Framer", func(in io.Reader) error {
+			_, err := NewFramer(streamConn{in, io.Discard}, nil).ReadMessage()
+			return err
+		}},
+	} {
+		in := bytes.NewReader(claimHeader(TypeForwardReq, claim))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := r.read(in)
+		runtime.ReadMemStats(&m1)
+		if err == nil {
+			t.Fatalf("%s: a header without its payload decoded", r.name)
+		}
+		if got := m1.TotalAlloc - m0.TotalAlloc; got >= limit {
+			t.Errorf("%s: %d B allocated for a %d B claim with no payload, want < %d", r.name, got, claim, limit)
+		}
+	}
+}
+
+// TestUnknownTypeIsRefusedBeforeItsPayload: a frame of no known type is
+// refused from its header, without reading (or buffering) the payload
+// it claims.
+func TestUnknownTypeIsRefusedBeforeItsPayload(t *testing.T) {
+	errPayloadRead := errors.New("payload read")
+	in := io.MultiReader(bytes.NewReader(claimHeader(200, 64<<20)), iotest.ErrReader(errPayloadRead))
+	if _, err := ReadMessage(in); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("err = %v, want ErrBadFrame before any payload read", err)
 	}
 }

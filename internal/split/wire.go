@@ -208,14 +208,17 @@ func readFrame(in *frameReader, dec *decoder) (Message, error) {
 	if length > MaxFrameBytes {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, length)
 	}
+	m, err := newMessage(msgType)
+	if err != nil {
+		if errors.Is(err, ErrRetired) && in.fill(int(length)) == nil {
+			in.next(int(length)) // consumed, so the next frame still reads
+		}
+		return nil, err
+	}
 	if err := in.fill(int(length)); err != nil {
 		return nil, fmt.Errorf("split: read payload: %w", err)
 	}
 	payload := in.next(int(length))
-	m, err := newMessage(msgType)
-	if err != nil {
-		return nil, err
-	}
 	dec.buf, dec.off, dec.err = payload, 0, nil
 	m.decode(dec)
 	if version >= VersionExt && dec.err == nil && dec.off < len(payload) {

@@ -30,6 +30,11 @@ const scratchMaxPerClass = 64
 // still references. Put is idempotent within the retention window
 // (duplicates are detected and dropped) so a defensive extra Put
 // cannot corrupt the free list.
+//
+// A tensor remembers the arena that handed it out and goes back there
+// whichever arena it is put into, so several arenas can trade tensors
+// (one per session, say, and a shared one) and each one's Outstanding
+// still counts only its own.
 type Scratch struct {
 	mu    sync.Mutex
 	free  map[int][]*Tensor
@@ -104,39 +109,64 @@ func (s *Scratch) get(shape []int) (t *Tensor, recycled bool) {
 	}
 	s.mu.Unlock()
 	if t == nil {
-		return New(shape...), false
+		t = New(shape...)
+		t.home = s
+		return t, false
 	}
 	t.shape = append(t.shape[:0], shape...)
 	return t, true
 }
 
-// Put returns tensors to the arena. Nil entries and duplicates of
-// already-retained buffers are ignored — a retained tensor carries a
-// mark, so spotting one costs no scan of its free list — and size
-// classes past their cap fall through to the garbage collector.
+// Put returns tensors to the arenas that handed them out: one from
+// another arena is passed on to it, and one that no arena has held is
+// adopted by s without counting against its Outstanding. Nil entries
+// and duplicates of already-put buffers are ignored — a put tensor
+// carries a mark, so spotting one costs no scan of its free list — and
+// size classes past their cap fall through to the garbage collector.
 func (s *Scratch) Put(ts ...*Tensor) {
 	if s == nil {
 		return
 	}
+	foreign := false
 	s.mu.Lock()
 	for _, t := range ts {
 		if t == nil || len(t.data) == 0 {
 			continue
 		}
-		if t.free {
+		if t.home != nil && t.home != s {
+			foreign = true
 			continue
 		}
-		n := len(t.data)
-		s.out -= int64(n) * 4
-		list := s.free[n]
-		if len(list) >= scratchMaxPerClass {
-			continue
-		}
-		t.free = true
-		s.free[n] = append(list, t)
-		s.bytes += int64(n) * 4
+		s.put(t)
 	}
 	s.mu.Unlock()
+	if foreign {
+		for _, t := range ts {
+			if t != nil && t.home != nil && t.home != s {
+				t.home.Put(t)
+			}
+		}
+	}
+}
+
+// put takes back t, which s handed out or adopts; s.mu is held.
+func (s *Scratch) put(t *Tensor) {
+	if t.free {
+		return
+	}
+	n := len(t.data)
+	if t.home == nil {
+		t.home = s
+	} else {
+		s.out -= int64(n) * 4
+	}
+	t.free = true // also past the cap: the mark still stops a second Put
+	list := s.free[n]
+	if len(list) >= scratchMaxPerClass {
+		return
+	}
+	s.free[n] = append(list, t)
+	s.bytes += int64(n) * 4
 }
 
 // Stats reports the total Get count and how many were served from the

@@ -178,3 +178,53 @@ func TestScratchOutstandingHighWater(t *testing.T) {
 		t.Fatalf("outstanding %d peak %d, want 0 and %d", out, peak, 16*(scratchMaxPerClass+2))
 	}
 }
+
+// TestScratchPutSendsATensorHome: a tensor put into an arena that did
+// not hand it out goes back to the one that did — alone or amid the
+// putting arena's own — and a duplicate Put through either arena takes
+// nothing back twice. A tensor no arena has held is adopted without
+// counting as handed back.
+func TestScratchPutSendsATensorHome(t *testing.T) {
+	home, away := NewScratch(), NewScratch()
+	x := home.Get(4)
+	y := away.Get(4)
+	away.Put(y, x)
+	if out, _ := home.Outstanding(); out != 0 {
+		t.Fatalf("home arena: %d bytes outstanding after its tensor came back, want 0", out)
+	}
+	if out, _ := away.Outstanding(); out != 0 {
+		t.Fatalf("other arena: %d bytes outstanding, want 0", out)
+	}
+	if got := home.RetainedBytes(); got != 16 {
+		t.Fatalf("home arena retains %d bytes, want 16", got)
+	}
+	if got := away.RetainedBytes(); got != 16 {
+		t.Fatalf("other arena retains %d bytes, want its own 16", got)
+	}
+	away.Put(x)
+	home.Put(x, y)
+	if out, _ := home.Outstanding(); out != 0 {
+		t.Fatalf("home arena: %d bytes outstanding after duplicate Puts, want 0", out)
+	}
+	if out, _ := away.Outstanding(); out != 0 {
+		t.Fatalf("other arena: %d bytes outstanding after duplicate Puts, want 0", out)
+	}
+	if home.RetainedBytes() != 16 || away.RetainedBytes() != 16 {
+		t.Fatalf("duplicate Puts changed what is retained: %d, %d", home.RetainedBytes(), away.RetainedBytes())
+	}
+	if again := home.Get(4); again != x {
+		t.Fatal("home arena did not hand its tensor out again")
+	}
+	if other := home.Get(4); other == y {
+		t.Fatal("home arena handed out the other arena's tensor")
+	}
+
+	stray := New(4)
+	away.Put(stray)
+	if out, _ := away.Outstanding(); out != 0 {
+		t.Fatalf("adopting a stray tensor moved Outstanding to %d, want 0", out)
+	}
+	if got := away.Get(4); got != stray {
+		t.Fatal("adopted tensor not on the arena's free list")
+	}
+}

@@ -22,8 +22,12 @@ var ErrShape = errors.New("tensor: shape mismatch")
 type Tensor struct {
 	data  []float32
 	shape []int
-	// free marks a tensor retained on a Scratch free list, so a
-	// duplicate Put is caught without scanning the list.
+	// home is the Scratch arena that handed the tensor out (nil for
+	// one that no arena has held), so a Put into any arena returns it
+	// there; free marks it retained on home's free list, so a duplicate
+	// Put is caught without scanning the list. Both are guarded by
+	// home's mutex.
+	home *Scratch
 	free bool
 }
 
