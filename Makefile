@@ -44,10 +44,11 @@ cross-build:
 		echo "arm64 fuses a multiply-add (docs/NUMERICS.md rule 3):"; echo "$$fused"; exit 1; \
 	fi
 
-# perf/ (the BENCHMARK.json benchmark) is a nested module, so
-# `go test ./...` from the root never compiles it. It imports
-# internal/client, internal/server and internal/splitsim directly; this
-# target is what catches a refactor there that breaks the benchmark.
+# perf/ (the BENCHMARK.json benchmark) is a nested module that imports
+# internal/client, internal/server and internal/splitsim directly. The
+# root `go test ./...` type-checks it (TestEveryExportHasAReader), so a
+# refactor there that breaks the benchmark's build fails tier-1; this
+# target runs perf's own vet and tests.
 perf-test:
 	cd perf && $(GO) vet ./... && $(GO) test ./...
 

@@ -342,7 +342,7 @@ func dumpTrace(path string, opts experiments.Options, pol *sched.BatchPolicy, wi
 	}
 	fmt.Println()
 	if n := tracer.Dropped(); n > 0 {
-		return fmt.Errorf("trace: %d spans dropped past the %d-span limit; %s is incomplete", n, obs.DefaultSpanLimit, path)
+		return fmt.Errorf("trace: %d spans dropped, evicted past the %d-byte ring; %s is incomplete", n, obs.DefaultRingBytes, path)
 	}
 	if mismatch != nil {
 		return fmt.Errorf("trace: span totals differ from the breakdown in %s", strings.Join(mismatch, ", "))

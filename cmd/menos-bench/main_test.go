@@ -64,8 +64,9 @@ func TestShowRefusesTruncatedTable(t *testing.T) {
 }
 
 // TestTraceOutEnforcesParity: -trace-out fails when its dump cannot
-// reconstruct the Breakdown. 2000 iterations overfill the tracer's span
-// limit, so spans are dropped and every category total falls short.
+// reconstruct the Breakdown. 2000 iterations overfill the tracer's
+// byte budget, so spans are dropped and every category total falls
+// short.
 func TestTraceOutEnforcesParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 2000-iteration traced run in short mode")

@@ -123,9 +123,6 @@ func run(args []string) error {
 	if *metricsAddr != "" {
 		reg = obs.NewRegistry()
 		tracer = obs.NewTracer(obs.NewWallClock())
-		// Ring capture: long runs keep the freshest spans under a byte
-		// budget instead of going quiet once the buffer fills.
-		tracer.EnableRing(obs.DefaultRingBytes)
 		tracer.SetProcess(2, "menos-client:"+*id)
 		ml, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {

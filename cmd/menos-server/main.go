@@ -132,10 +132,7 @@ func run(args []string) error {
 	if *metricsAddr != "" || *flightDir != "" {
 		reg = obs.NewRegistry()
 		tracer = obs.NewTracer(obs.NewWallClock())
-		// Ring capture: old spans are evicted under the byte budget
-		// instead of new ones being dropped, so /trace and the flight
-		// recorder always hold the most recent window.
-		tracer.EnableRing(*traceBudget << 20)
+		tracer.SetRingBytes(*traceBudget << 20)
 		// Distinct per-server process identity: fleetd's merged trace
 		// renders each server as its own process row, and the pid must
 		// differ per server for the rows not to collapse.

@@ -42,23 +42,22 @@ type Key struct {
 }
 
 // Item is one client's share of a batch. The caller fills the
-// identity, sizing, and Payload fields; the executor fills Result and
-// Err for every item it receives.
+// identity, sizing, and Payload fields; the executor writes its output
+// through Payload and fills Err for every item it receives.
 type Item struct {
 	Client  string
 	Rows    int   // stacked activation rows this client contributes
 	Bytes   int64 // scheduler bytes this client's share needs
 	Payload any
 
-	Result any
-	Err    error
+	Err error
 
 	done chan struct{}
 }
 
 // Exec runs one formed batch. Items arrive in join order (ascending
-// row position in the stack); the executor must set Result or Err on
-// every item before returning.
+// row position in the stack); the executor must deliver each item's
+// output or set its Err before returning.
 type Exec func(key Key, items []*Item)
 
 // Config configures an Engine.

@@ -23,12 +23,16 @@ func (r *recorder) exec(_ Key, items []*Item) {
 		time.Sleep(r.delay)
 	}
 	for _, it := range items {
-		it.Result = it.Client
+		*it.Payload.(*string) = it.Client
 	}
 	r.mu.Lock()
 	r.batches = append(r.batches, items)
 	r.mu.Unlock()
 }
+
+// result is what the recorder wrote through an item's payload: the
+// item's client once executed, "" before.
+func result(it *Item) string { return *it.Payload.(*string) }
 
 func (r *recorder) snapshot() [][]*Item {
 	r.mu.Lock()
@@ -48,7 +52,7 @@ func newEngine(t *testing.T, rec *recorder, pol sched.BatchPolicy, maxBytes func
 
 func join(t *testing.T, e *Engine, key Key, client string, rows int, bytes int64) *Item {
 	t.Helper()
-	it := &Item{Client: client, Rows: rows, Bytes: bytes}
+	it := &Item{Client: client, Rows: rows, Bytes: bytes, Payload: new(string)}
 	if err := e.Join(key, it); err != nil {
 		t.Errorf("join %s: %v", client, err)
 	}
@@ -68,8 +72,8 @@ func TestFullGroupDispatches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			it := join(t, e, key, c, 16, 10)
-			if it.Result != c {
-				t.Errorf("item %s: result = %v", c, it.Result)
+			if got := result(it); got != c {
+				t.Errorf("item %s: result = %q", c, got)
 			}
 		}()
 	}
@@ -131,7 +135,7 @@ func TestCloseFlushesAndRejects(t *testing.T) {
 	key := Key{Cut: 1, Seq: 8, Kind: sched.KindForward}
 	done := make(chan *Item)
 	go func() {
-		it := &Item{Client: "pending", Rows: 8, Bytes: 1}
+		it := &Item{Client: "pending", Rows: 8, Bytes: 1, Payload: new(string)}
 		e.Join(key, it)
 		done <- it
 	}()
@@ -144,7 +148,7 @@ func TestCloseFlushesAndRejects(t *testing.T) {
 	}
 	e.Close()
 	it := <-done
-	if it.Result != "pending" {
+	if result(it) != "pending" {
 		t.Error("pending item not executed on close")
 	}
 	if err := e.Join(key, &Item{Client: "late", Rows: 1, Bytes: 1}); err != ErrClosed {
@@ -176,12 +180,12 @@ func TestConcurrentFormationRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				it := &Item{Client: "c", Rows: 1 + i%3, Bytes: int64(20 + i%50)}
+				it := &Item{Client: "c", Rows: 1 + i%3, Bytes: int64(20 + i%50), Payload: new(string)}
 				if err := e.Join(keys[(g+i)%len(keys)], it); err != nil {
 					t.Errorf("join: %v", err)
 					return
 				}
-				if it.Result == nil {
+				if result(it) == "" {
 					t.Error("item returned without result")
 					return
 				}

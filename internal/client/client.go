@@ -850,9 +850,6 @@ func (c *Client) LoadAdapter(r io.Reader) error {
 	return checkpoint.Load(r, c.params)
 }
 
-// AdapterParams exposes the client-side trainable parameters.
-func (c *Client) AdapterParams() []nn.Param { return c.params }
-
 // Scratch is the client's buffer arena: its sections' temporaries and
 // every tensor a step sends or receives come from it and go back to it.
 func (c *Client) Scratch() *tensor.Scratch { return c.local.Scratch() }

@@ -11,13 +11,6 @@ import (
 // vocabulary.
 var ErrVocab = errors.New("data: vocabulary error")
 
-// Tokenizer converts text to token ids and back.
-type Tokenizer interface {
-	Encode(text string) ([]int, error)
-	Decode(ids []int) (string, error)
-	VocabSize() int
-}
-
 // CharTokenizer is a character-level tokenizer over a fixed alphabet
 // learned from a corpus, the standard choice for tiny-shakespeare
 // scale experiments.
@@ -25,8 +18,6 @@ type CharTokenizer struct {
 	runes  []rune
 	lookup map[rune]int
 }
-
-var _ Tokenizer = (*CharTokenizer)(nil)
 
 // NewCharTokenizer builds the alphabet from the corpus. maxVocab
 // bounds the alphabet (0 means unlimited); corpora exceeding it are
@@ -83,12 +74,9 @@ func (t *CharTokenizer) Decode(ids []int) (string, error) {
 // WordTokenizer is a whitespace-word-level tokenizer with an <unk>
 // fallback, in the spirit of wikitext preprocessing.
 type WordTokenizer struct {
-	words  []string
 	lookup map[string]int
 	unk    int
 }
-
-var _ Tokenizer = (*WordTokenizer)(nil)
 
 // NewWordTokenizer builds a vocabulary of the maxVocab-1 most frequent
 // words plus <unk>.
@@ -117,20 +105,13 @@ func NewWordTokenizer(corpus string, maxVocab int) (*WordTokenizer, error) {
 	if len(all) > maxVocab-1 {
 		all = all[:maxVocab-1]
 	}
-	t := &WordTokenizer{
-		words:  []string{"<unk>"},
-		lookup: make(map[string]int, len(all)+1),
-	}
+	t := &WordTokenizer{lookup: make(map[string]int, len(all)+1)}
 	t.lookup["<unk>"] = 0
-	for _, e := range all {
-		t.lookup[e.word] = len(t.words)
-		t.words = append(t.words, e.word)
+	for i, e := range all {
+		t.lookup[e.word] = i + 1
 	}
 	return t, nil
 }
-
-// VocabSize returns the vocabulary size including <unk>.
-func (t *WordTokenizer) VocabSize() int { return len(t.words) }
 
 // Encode maps words to ids, unknown words to <unk>.
 func (t *WordTokenizer) Encode(text string) ([]int, error) {
@@ -144,16 +125,4 @@ func (t *WordTokenizer) Encode(text string) ([]int, error) {
 		ids[i] = id
 	}
 	return ids, nil
-}
-
-// Decode maps ids back to a space-joined string.
-func (t *WordTokenizer) Decode(ids []int) (string, error) {
-	words := make([]string, len(ids))
-	for i, id := range ids {
-		if id < 0 || id >= len(t.words) {
-			return "", fmt.Errorf("%w: id %d out of range", ErrVocab, id)
-		}
-		words[i] = t.words[id]
-	}
-	return strings.Join(words, " "), nil
 }

@@ -84,7 +84,6 @@ func OverloadFlight(opts Options, dir string, captureProfiles bool) (*splitsim.R
 	w := memmodel.PaperLlamaWorkload()
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(nil) // spans carry explicit virtual times
-	tracer.EnableRing(obs.DefaultRingBytes)
 	// A short rate-limit interval: the whole simulated incident plays
 	// out in milliseconds of wall time, so the default 1s would keep
 	// all but the first snapshot per reason.

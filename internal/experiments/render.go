@@ -72,9 +72,6 @@ func (t *Table) AddRow(cells ...string) {
 // Err returns the first row-arity mistake recorded by AddRow, or nil.
 func (t *Table) Err() error { return t.err }
 
-// Rows returns the row data.
-func (t *Table) Rows() [][]string { return t.rows }
-
 // Render writes the aligned table.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.Headers))

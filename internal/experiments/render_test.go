@@ -7,6 +7,10 @@ import (
 	"time"
 )
 
+// Rows returns the row data. Only the tests read a table's cells; the
+// tables themselves are read as rendered text.
+func (t *Table) Rows() [][]string { return t.rows }
+
 func TestSecondsFormatting(t *testing.T) {
 	tests := []struct {
 		d    time.Duration

@@ -39,22 +39,3 @@ func (s *Sweep) Result(mode splitsim.Mode, m evalModel, clients int) (*splitsim.
 	s.results[key] = r
 	return r, nil
 }
-
-// eachCell iterates the full evaluation matrix, invoking fn with every
-// (model, mode, client-count, result).
-func (s *Sweep) eachCell(fn func(m evalModel, mode splitsim.Mode, clients int, r *splitsim.Result) error) error {
-	for _, m := range evalModels() {
-		for _, mode := range []splitsim.Mode{splitsim.ModeVanilla, splitsim.ModeMenos} {
-			for _, n := range m.clientCounts {
-				r, err := s.Result(mode, m, n)
-				if err != nil {
-					return err
-				}
-				if err := fn(m, mode, n, r); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}

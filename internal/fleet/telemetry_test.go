@@ -34,7 +34,6 @@ func newTelemetryServer(t *testing.T, id int, clock obs.Clock) *telemetryServer 
 	t.Helper()
 	ts := &telemetryServer{id: id, reg: obs.NewRegistry()}
 	ts.tracer = obs.NewTracer(clock)
-	ts.tracer.EnableRing(0)
 	ts.tracer.SetProcess(id, "menos-server-"+string(rune('0'+id)))
 	mux := http.NewServeMux()
 	mux.Handle("/", obs.Handler(ts.reg, ts.tracer,

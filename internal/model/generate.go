@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 
-	"menos/internal/nn"
 	"menos/internal/tensor"
 )
 
@@ -95,25 +94,4 @@ func SampleToken(rng *tensor.RNG, logits *tensor.Tensor, temperature float64) in
 		}
 	}
 	return vocab - 1
-}
-
-// Perplexity evaluates exp(mean cross-entropy) of the model on a token
-// stream, using non-overlapping windows of the given length.
-func (t *Transformer) Perplexity(tokens []int, window int) (float64, error) {
-	if window <= 1 || len(tokens) < window+1 {
-		return 0, fmt.Errorf("%w: %d tokens for window %d", ErrConfig, len(tokens), window)
-	}
-	var total float64
-	var count int
-	for lo := 0; lo+window+1 <= len(tokens); lo += window {
-		ids := tokens[lo : lo+window]
-		targets := tokens[lo+1 : lo+window+1]
-		loss, err := t.Loss(ids, targets, 1, window)
-		if err != nil {
-			return 0, err
-		}
-		total += loss
-		count++
-	}
-	return nn.Perplexity(total / float64(count)), nil
 }

@@ -104,27 +104,3 @@ func TestGenerateWindowsLongPrompts(t *testing.T) {
 		t.Fatalf("generated %d tokens", len(out))
 	}
 }
-
-func TestPerplexityEvaluation(t *testing.T) {
-	m := generateModel(t)
-	tokens := make([]int, 100)
-	r := tensor.NewRNG(3)
-	for i := range tokens {
-		tokens[i] = r.Intn(m.Cfg.Vocab)
-	}
-	ppl, err := m.Perplexity(tokens, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An untrained model on random tokens should be near uniform:
-	// perplexity ~ vocab size.
-	if ppl < 2 || ppl > float64(m.Cfg.Vocab)*4 {
-		t.Fatalf("perplexity %v implausible for vocab %d", ppl, m.Cfg.Vocab)
-	}
-	if _, err := m.Perplexity(tokens[:5], 10); err == nil {
-		t.Fatal("short stream accepted")
-	}
-	if _, err := m.Perplexity(tokens, 1); err == nil {
-		t.Fatal("window 1 accepted")
-	}
-}

@@ -224,19 +224,6 @@ func (s *InputSection) Backward(cache *InputCache, dy *tensor.Tensor) error {
 	return nil
 }
 
-// Params returns the input section's trainable parameters.
-func (s *InputSection) Params() []nn.Param {
-	var ps []nn.Param
-	ps = append(ps, nn.Prefixed("embed", s.model.Embed.Params())...)
-	if s.model.Pos != nil {
-		ps = append(ps, nn.Prefixed("pos", s.model.Pos.Params())...)
-	}
-	for i := 0; i < s.cut; i++ {
-		ps = append(ps, nn.Prefixed(fmt.Sprintf("block%d", i), s.model.Blocks[i].Params())...)
-	}
-	return ps
-}
-
 // Forward runs the server-side blocks over x_c, producing x_s. With
 // withGrad=false this is the paper's non-gradient first forward pass.
 func (s *BodySection) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*tensor.Tensor, *BodyCache, error) {
@@ -289,16 +276,6 @@ func (s *BodySection) Backward(cache *BodyCache, dy *tensor.Tensor) (*tensor.Ten
 	return dy, nil
 }
 
-// Params returns the body's trainable parameters (the server-side
-// adapter parameters φ_s when the base is frozen).
-func (s *BodySection) Params() []nn.Param {
-	var ps []nn.Param
-	for i, b := range s.blocks {
-		ps = append(ps, nn.Prefixed(fmt.Sprintf("block%d", i), b.Params())...)
-	}
-	return ps
-}
-
 // Blocks exposes the underlying block slice (read-only use).
 func (s *BodySection) Blocks() []*Block { return s.blocks }
 
@@ -342,12 +319,4 @@ func (s *OutputSection) Backward(cache *OutputCache, dlogits *tensor.Tensor) (*t
 	s.model.scratch.Put(dn, cache.HeadC.X)
 	cache.HeadC.X = nil
 	return dx, nil
-}
-
-// Params returns the output section's trainable parameters.
-func (s *OutputSection) Params() []nn.Param {
-	var ps []nn.Param
-	ps = append(ps, nn.Prefixed("norm", s.model.Norm.Params())...)
-	ps = append(ps, nn.Prefixed("lmhead", s.model.LMHead.Params())...)
-	return ps
 }

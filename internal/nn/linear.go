@@ -121,13 +121,3 @@ func (l *Linear) Params() []Param {
 	}
 	return ps
 }
-
-// BaseParamBytes returns the byte size of the layer's weights
-// regardless of frozen state, used by the memory model.
-func (l *Linear) BaseParamBytes() int64 {
-	b := l.W.Value.Bytes()
-	if l.B.Value != nil {
-		b += l.B.Value.Bytes()
-	}
-	return b
-}

@@ -11,7 +11,7 @@ import (
 func TestRingEviction(t *testing.T) {
 	tr := NewTracer(&manualClock{})
 	budget := int64(300) // ~4 spans of cost 64+3
-	tr.EnableRing(budget)
+	tr.SetRingBytes(budget)
 	const n = 100
 	for i := 0; i < n; i++ {
 		tr.RecordT("c", SpanKind{"s", "x"}, 0, time.Duration(i)*time.Millisecond, time.Millisecond)
@@ -41,7 +41,7 @@ func TestRingEviction(t *testing.T) {
 // most recent span, so /trace is never empty on a live server.
 func TestRingKeepsNewest(t *testing.T) {
 	tr := NewTracer(&manualClock{})
-	tr.EnableRing(1)
+	tr.SetRingBytes(1)
 	tr.RecordT("client-1", SpanKind{"forward", "compute"}, 0, 0, time.Second)
 	tr.RecordT("client-1", SpanKind{"backward", "compute"}, 0, time.Second, time.Second)
 	spans := tr.Spans()
@@ -75,19 +75,6 @@ func TestSpansWindow(t *testing.T) {
 	}
 }
 
-// TestRingSeqSurvivesReset: sequence numbers keep counting across
-// Reset, so a seq never names two spans of one tracer.
-func TestRingSeqSurvivesReset(t *testing.T) {
-	tr := NewTracer(&manualClock{})
-	tr.RecordT("c", SpanKind{"s", "x"}, 0, 0, time.Millisecond)
-	seq := tr.Spans()[0].Seq
-	tr.Reset()
-	tr.RecordT("c", SpanKind{"s", "x"}, 0, 0, time.Millisecond)
-	if got := tr.Spans()[0].Seq; got != seq+1 {
-		t.Fatalf("seq after reset = %d, want %d", got, seq+1)
-	}
-}
-
 // TestRingHammer races writers against a /trace reader and asserts the
 // two load-bearing invariants under contention: the byte budget is
 // never exceeded, and every read sees each seq at most once, in order.
@@ -95,7 +82,7 @@ func TestRingSeqSurvivesReset(t *testing.T) {
 func TestRingHammer(t *testing.T) {
 	tr := NewTracer(NewWallClock())
 	const budget = 16 << 10
-	tr.EnableRing(budget)
+	tr.SetRingBytes(budget)
 
 	const writers = 4
 	const perWriter = 2000

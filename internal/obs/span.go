@@ -44,23 +44,18 @@ func (s Span) cost() int64 {
 // Tracer collects spans through a Clock, so the same call sites record
 // wall time on the TCP runtime and virtual time in the simulator.
 //
-// Two overflow policies:
-//
-//   - default (bounded buffer): once the span limit is reached new
-//     spans are dropped and counted — cheap, deterministic, right for
-//     one-shot runs that dump the whole trace at the end;
-//   - ring (EnableRing): the OLDEST spans are evicted to keep the
-//     buffer under a byte budget, so a long-running server always
-//     holds the most recent window and /trace?window= stays bounded.
-//
-// Neither policy ever blocks the hot path.
+// The buffer is a ring under a byte budget (DefaultRingBytes unless
+// SetRingBytes says otherwise): past it the OLDEST spans are evicted,
+// so a long-running server always holds the most recent window and
+// /trace?window= stays bounded. Every eviction counts toward Dropped,
+// so a one-shot run that dumps the whole trace at the end can tell it
+// is incomplete. Recording never blocks the hot path.
 type Tracer struct {
 	clock Clock
 
 	mu       sync.Mutex
 	spans    []Span
 	head     int // index of the oldest live span in spans
-	ring     bool
 	maxBytes int64
 	curBytes int64
 	dropped  int64
@@ -70,26 +65,19 @@ type Tracer struct {
 	pname string
 }
 
-// DefaultSpanLimit bounds a tracer's buffer outside ring mode: enough
-// for ~100k spans (a few thousand iterations across tens of
-// clients) at ~64 bytes each.
-const DefaultSpanLimit = 1 << 17
-
-// DefaultRingBytes is the ring-mode byte budget when EnableRing is
-// called with a non-positive value (~8 MiB, roughly 100k spans).
+// DefaultRingBytes is a tracer's byte budget unless SetRingBytes is
+// called with a positive value (~8 MiB, roughly 100k spans).
 const DefaultRingBytes = 8 << 20
 
 // NewTracer creates a tracer reading timestamps from clock (required).
 func NewTracer(clock Clock) *Tracer {
-	return &Tracer{clock: clock, pid: 1}
+	return &Tracer{clock: clock, pid: 1, maxBytes: DefaultRingBytes}
 }
 
-// EnableRing switches the tracer to ring mode: instead of dropping the
-// newest spans at capacity, it evicts the oldest to keep the buffer's
-// byte accounting at or below maxBytes (<= 0 means DefaultRingBytes).
-// Evictions count toward Dropped, so truncation is never silent. Safe
-// on nil.
-func (t *Tracer) EnableRing(maxBytes int64) {
+// SetRingBytes sets the ring's byte budget (<= 0 means
+// DefaultRingBytes), evicting the oldest spans at once if the buffer
+// is over it. Safe on nil.
+func (t *Tracer) SetRingBytes(maxBytes int64) {
 	if t == nil {
 		return
 	}
@@ -97,13 +85,9 @@ func (t *Tracer) EnableRing(maxBytes int64) {
 		maxBytes = DefaultRingBytes
 	}
 	t.mu.Lock()
-	t.ring = true
 	t.maxBytes = maxBytes
-	t.curBytes = 0
-	for i := t.head; i < len(t.spans); i++ {
-		t.curBytes += t.spans[i].cost()
-	}
 	t.evictLocked()
+	t.compactLocked()
 	t.mu.Unlock()
 }
 
@@ -153,16 +137,10 @@ func (t *Tracer) RecordT(track string, kind SpanKind, traceID uint64, start, dur
 	t.mu.Lock()
 	t.nextSeq++
 	s := Span{Track: track, Name: kind.Name, Cat: kind.Cat, TraceID: traceID, Seq: t.nextSeq, Start: start, Dur: dur}
-	if t.ring {
-		t.spans = append(t.spans, s)
-		t.curBytes += s.cost()
-		t.evictLocked()
-		t.compactLocked()
-	} else if len(t.spans)-t.head >= DefaultSpanLimit {
-		t.dropped++
-	} else {
-		t.spans = append(t.spans, s)
-	}
+	t.spans = append(t.spans, s)
+	t.curBytes += s.cost()
+	t.evictLocked()
+	t.compactLocked()
 	t.mu.Unlock()
 }
 
@@ -248,8 +226,7 @@ func (t *Tracer) Len() int {
 	return len(t.spans) - t.head
 }
 
-// Dropped returns how many spans were discarded (buffer-full drops
-// plus ring evictions). Safe on nil.
+// Dropped returns how many spans the ring evicted. Safe on nil.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
@@ -257,21 +234,6 @@ func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// Reset clears the buffer and drop counter. Sequence numbers keep
-// counting up, so a seq names one span for the tracer's whole life:
-// dumps taken on either side of a Reset never share one. Safe on nil.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.head = 0
-	t.curBytes = 0
-	t.dropped = 0
-	t.mu.Unlock()
 }
 
 // CatTotals sums span durations by category — the span-side view of

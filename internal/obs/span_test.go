@@ -51,20 +51,24 @@ func TestTracerRecordAndTotals(t *testing.T) {
 	}
 }
 
+// TestTracerLimit: a tracer nobody sized is a ring at
+// DefaultRingBytes. It holds every span up to that budget, then evicts
+// the oldest, one per span past it, counting each.
 func TestTracerLimit(t *testing.T) {
 	tr := NewTracer(&manualClock{})
-	for i := 0; i < DefaultSpanLimit+3; i++ {
-		tr.RecordT("c", SpanKind{"s", "x"}, 0, 0, time.Second)
+	kind := SpanKind{"s", "x"}
+	fit := int(DefaultRingBytes / Span{Track: "c", Name: kind.Name, Cat: kind.Cat}.cost())
+	for i := 0; i < fit+3; i++ {
+		tr.RecordT("c", kind, 0, 0, time.Second)
 	}
-	if tr.Len() != DefaultSpanLimit {
-		t.Fatalf("len = %d, want %d", tr.Len(), DefaultSpanLimit)
+	if tr.Len() != fit {
+		t.Fatalf("len = %d, want %d", tr.Len(), fit)
 	}
 	if tr.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", tr.Dropped())
 	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Fatal("Reset did not clear the buffer")
+	if first := tr.Spans()[0].Seq; first != 4 {
+		t.Fatalf("oldest live seq = %d, want 4: the three oldest go first", first)
 	}
 }
 

@@ -29,6 +29,12 @@ const (
 	// maxStaged bounds the number of snapshots parked at this server
 	// awaiting their client's redial.
 	maxStaged = 1024
+	// stagedLifetime is how long a staged snapshot waits for its
+	// client's redial, which follows the redirect within seconds. An
+	// older one is an orphan: its redirect never reached the client, or
+	// the client never redialed. Orphans are swept when the next
+	// snapshot is staged and refused if claimed.
+	stagedLifetime = 5 * time.Minute
 )
 
 // stagedSession is a snapshot parked at the target server between
@@ -36,6 +42,7 @@ const (
 type stagedSession struct {
 	clientID string
 	data     []byte
+	at       time.Duration // server clock reading when staged
 }
 
 // AdminHandler returns the server's control-plane surface:
@@ -99,13 +106,19 @@ func (s *Server) handleAdminPrepare(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "read snapshot: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	now := s.clock.Now()
 	s.mu.Lock()
+	for tok, st := range s.staged {
+		if now-st.at >= stagedLifetime {
+			delete(s.staged, tok)
+		}
+	}
 	if len(s.staged) >= maxStaged {
 		s.mu.Unlock()
 		http.Error(w, "too many staged snapshots", http.StatusTooManyRequests)
 		return
 	}
-	s.staged[token] = &stagedSession{clientID: clientID, data: data}
+	s.staged[token] = &stagedSession{clientID: clientID, data: data, at: now}
 	s.mu.Unlock()
 	s.logf("client %q: snapshot staged (%d bytes, token %d)", clientID, len(data), token)
 	w.WriteHeader(http.StatusOK)
@@ -142,13 +155,16 @@ func (s *Server) takePendingMigration(sess *session) (fleet.MigrateOrder, bool) 
 	return ord, ok
 }
 
-// takeStaged claims a staged snapshot by resume token.
+// takeStaged claims a staged snapshot by resume token; an expired one
+// is dropped and not returned.
 func (s *Server) takeStaged(token uint64) *stagedSession {
+	now := s.clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.staged[token]
-	if st != nil {
-		delete(s.staged, token)
+	delete(s.staged, token)
+	if st == nil || now-st.at >= stagedLifetime {
+		return nil
 	}
 	return st
 }
@@ -158,8 +174,8 @@ func (s *Server) takeStaged(token uint64) *stagedSession {
 // against the target and no iteration is lost): snapshot the session,
 // stage it at the target, redirect the client. An error leaves the
 // session serving here — the snapshot possibly parked at the target is
-// harmless (it expires unclaimed) because the client never learns the
-// token.
+// harmless (it expires unclaimed after stagedLifetime) because the
+// client never learns the token.
 func (s *Server) executeMigration(fr *split.Framer, sess *session, ord fleet.MigrateOrder) error {
 	data, err := checkpoint.EncodeSession(sess.params, sess.optimizer)
 	if err != nil {

@@ -94,6 +94,10 @@ type Config struct {
 	WireCodec quant.Codec
 }
 
+// newClock builds a server's timebase: the wall clock, which a test
+// replaces to step admission control and snapshot expiry by hand.
+var newClock = obs.NewWallClock
+
 // Server is a running Menos server.
 type Server struct {
 	cfg       Config
@@ -168,7 +172,7 @@ func New(cfg Config) (*Server, error) {
 		store:      cfg.Store,
 		device:     cfg.GPU,
 		scheduler:  sched.New(cfg.GPU.Available(), sched.PolicyFCFSBackfill),
-		clock:      obs.NewWallClock(),
+		clock:      newClock(),
 		listeners:  make(map[net.Listener]struct{}),
 		conns:      make(map[net.Conn]struct{}),
 		sessions:   make(map[string]*session),
@@ -201,7 +205,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: batch policy: %w", err)
 	}
 	if cfg.SLO.Enabled() {
-		if err := s.scheduler.EnableAdmission(cfg.SLO, obs.NewWallClock()); err != nil {
+		if err := s.scheduler.EnableAdmission(cfg.SLO, s.clock); err != nil {
 			return nil, fmt.Errorf("server: admission control: %w", err)
 		}
 		if cfg.Flight != nil {

@@ -138,9 +138,6 @@ func (i *Instance) Body() *model.BodySection { return i.body }
 // draw every temporary from it.
 func (i *Instance) Scratch() *tensor.Scratch { return i.scratch }
 
-// Blocks returns the instance's private structural blocks.
-func (i *Instance) Blocks() []*model.Block { return i.blocks }
-
 // AttachAdapter injects the client's adapter into this instance's
 // structure. At most one adapter per instance.
 func (i *Instance) AttachAdapter(rng *tensor.RNG, spec adapter.Spec) (adapter.Adapter, error) {

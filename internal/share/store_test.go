@@ -34,7 +34,7 @@ func TestInstanceLifecycle(t *testing.T) {
 	if s.ActiveInstances() != 1 {
 		t.Fatalf("ActiveInstances = %d", s.ActiveInstances())
 	}
-	if got := len(inst.Blocks()); got != 3 {
+	if got := len(inst.blocks); got != 3 {
 		t.Fatalf("instance has %d blocks, want 3", got)
 	}
 	if err := inst.Release(); err != nil {
@@ -84,11 +84,11 @@ func TestInstancesShareParameters(t *testing.T) {
 	if !ok {
 		t.Fatal("master q is not a Linear")
 	}
-	aq, ok := a.Blocks()[0].Attn.Q.(*nn.Linear)
+	aq, ok := a.blocks[0].Attn.Q.(*nn.Linear)
 	if !ok {
 		t.Fatal("instance q is not a Linear")
 	}
-	bq, ok := b.Blocks()[0].Attn.Q.(*nn.Linear)
+	bq, ok := b.blocks[0].Attn.Q.(*nn.Linear)
 	if !ok {
 		t.Fatal("instance q is not a Linear")
 	}
@@ -96,7 +96,7 @@ func TestInstancesShareParameters(t *testing.T) {
 		t.Fatal("instances do not share the master's parameter tensors")
 	}
 	// Yet the structural Block objects are distinct.
-	if a.Blocks()[0] == b.Blocks()[0] || a.Blocks()[0] == s.Master().Blocks[1] {
+	if a.blocks[0] == b.blocks[0] || a.blocks[0] == s.Master().Blocks[1] {
 		t.Fatal("instances share structure objects")
 	}
 }
@@ -112,10 +112,10 @@ func TestAdapterIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := a.Blocks()[0].Attn.Q.(*adapter.LoRALinear); !ok {
+	if _, ok := a.blocks[0].Attn.Q.(*adapter.LoRALinear); !ok {
 		t.Fatal("adapter not attached to instance a")
 	}
-	if _, ok := b.Blocks()[0].Attn.Q.(*nn.Linear); !ok {
+	if _, ok := b.blocks[0].Attn.Q.(*nn.Linear); !ok {
 		t.Fatal("instance b's structure was modified by a's adapter")
 	}
 	if _, ok := s.Master().Blocks[1].Attn.Q.(*nn.Linear); !ok {
@@ -126,10 +126,10 @@ func TestAdapterIsolation(t *testing.T) {
 	if _, err := b.AttachAdapter(tensor.NewRNG(3), adapter.PrefixSpec(adapter.DefaultPrefix())); err != nil {
 		t.Fatal(err)
 	}
-	if a.Blocks()[0].Attn.Prefix != nil {
+	if a.blocks[0].Attn.Prefix != nil {
 		t.Fatal("b's prefix leaked into a")
 	}
-	if b.Blocks()[0].Attn.Prefix == nil {
+	if b.blocks[0].Attn.Prefix == nil {
 		t.Fatal("prefix not attached to b")
 	}
 
@@ -372,7 +372,7 @@ func TestInstancesCloneOperatorsOntoTheirOwnArenas(t *testing.T) {
 				t.Fatal("instances do not each have an arena of their own")
 			}
 			for i, mb := range s.Master().Blocks[1:] {
-				ab, bb := a.Blocks()[i], b.Blocks()[i]
+				ab, bb := a.blocks[i], b.blocks[i]
 				if ab.Scratch() != a.Scratch() || bb.Scratch() != b.Scratch() {
 					t.Fatalf("block %d: clone not bound to its instance's arena", i+1)
 				}

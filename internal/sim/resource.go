@@ -63,6 +63,3 @@ func (r *Resource) Release() {
 	r.inUse--
 	r.signal.Fire()
 }
-
-// Capacity returns the unit count.
-func (r *Resource) Capacity() int { return r.capacity }

@@ -39,8 +39,8 @@ func TestResourceSerializes(t *testing.T) {
 func TestResourceCapacity(t *testing.T) {
 	k := New()
 	r := k.NewResource("gpus", 2)
-	if r.Capacity() != 2 {
-		t.Fatalf("capacity = %d", r.Capacity())
+	if r.capacity != 2 {
+		t.Fatalf("capacity = %d", r.capacity)
 	}
 	for i := 0; i < 4; i++ {
 		k.After(0, func() {
@@ -126,7 +126,7 @@ func TestResourceReleaseIdlePanics(t *testing.T) {
 
 func TestResourceMinimumCapacity(t *testing.T) {
 	k := New()
-	if r := k.NewResource("r", 0); r.Capacity() != 1 {
-		t.Fatalf("zero capacity not clamped: %d", r.Capacity())
+	if r := k.NewResource("r", 0); r.capacity != 1 {
+		t.Fatalf("zero capacity not clamped: %d", r.capacity)
 	}
 }

@@ -7,7 +7,6 @@
 package simnet
 
 import (
-	"fmt"
 	"time"
 
 	"menos/internal/sim"
@@ -33,9 +32,6 @@ type Link struct {
 	rng    *tensor.RNG
 	active int
 	free   []*flow
-
-	totalBytes     int64
-	totalTransfers int64
 }
 
 // WANPreset returns the paper-calibrated Internet link.
@@ -99,8 +95,6 @@ func (l *Link) Transfer(bytes int64, then func()) time.Duration {
 	}
 	d := l.TransferDuration(bytes)
 	l.active++
-	l.totalBytes += bytes
-	l.totalTransfers++
 	if len(l.free) == 0 {
 		chunk := make([]flow, flowChunk)
 		for i := range chunk {
@@ -135,21 +129,4 @@ func (f *flow) landed() {
 	f.then = nil
 	l.free = append(l.free, f)
 	then()
-}
-
-// Stats summarizes link usage.
-type Stats struct {
-	TotalBytes     int64
-	TotalTransfers int64
-}
-
-// Stats returns cumulative usage counters.
-func (l *Link) Stats() Stats {
-	return Stats{TotalBytes: l.totalBytes, TotalTransfers: l.totalTransfers}
-}
-
-// String describes the link.
-func (l *Link) String() string {
-	return fmt.Sprintf("link(%.1f MiB/s, %v one-way)",
-		l.BytesPerSecond/(1<<20), l.OneWayLatency)
 }

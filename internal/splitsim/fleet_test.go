@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,6 +117,31 @@ func autoscaleCfg(n int) Config {
 	cfg.Placer = fleet.NewLeastLoaded()
 	cfg.Autoscale = &fleet.AutoscaleConfig{Min: 1, Max: 3}
 	return cfg
+}
+
+// TestFleetFailsAnUnplaceableClient: in an autoscaled run, a client
+// whose transient peak exceeds a whole server is refused by every
+// placement, grown fleet or not. After placementAttempts backoffs the
+// run ends with an error naming that client instead of waiting on it
+// forever, and the other clients' schedules do not hold the kernel up.
+func TestFleetFailsAnUnplaceableClient(t *testing.T) {
+	cfg := autoscaleCfg(3)
+	cfg.Clients[1].Workload.Batch *= 64
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(cfg)
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("Run did not return: the unplaceable client deadlocked the fleet")
+	}
+	want := fmt.Sprintf("client %q: no server could admit it after %d attempts", cfg.Clients[1].ID, placementAttempts)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to contain %q", err, want)
+	}
 }
 
 // TestFleetAutoscaleGrowsUnderLoad: eight Llama clients on one V100
