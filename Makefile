@@ -100,7 +100,8 @@ test-race:
 # activation grant is either claimed by its owner or revoked for someone
 # else, never both, and nothing outlives a session), the routing of
 # batchable requests by memory pressure, two tenants stepping at once
-# on arenas of their own (each arena serves only its own session),
+# on arenas of their own (each arena serves only its own session), a
+# throttled batch shedding one member while its co-member steps on,
 # menos-fleetd's /place and
 # /drain handlers racing its poll and rebalance ticks (all four take
 # the controller's fleet.Manager lock), and the ledger's writers racing
@@ -114,7 +115,7 @@ test-race:
 test-stress:
 	$(GO) test -race -count=20 -run 'TestClaimVersusRevokeHammer' ./internal/sched
 	$(GO) test -race -count=20 -run TestLedgerConcurrentConservation ./internal/obs
-	$(GO) test -race -count=20 -run '^(TestContentionIsFig3d|TestBatchingFollowsPressure|TestSessionsStepOnTheirOwnArenas)$$' ./internal/server
+	$(GO) test -race -count=20 -run '^(TestContentionIsFig3d|TestBatchingFollowsPressure|TestSessionsStepOnTheirOwnArenas|TestLiveBatchedServerShedsMembers)$$' ./internal/server
 	$(GO) test -race -count=20 -run TestHandlersRaceTheTicks ./cmd/menos-fleetd
 	$(GO) test -count=500 -run 'TestLayerNormInvarianceProperty' ./internal/nn
 	$(GO) test -count=40 -run 'TestPricedDemandsBoundTheBodyProperty' ./internal/memmodel
@@ -132,8 +133,12 @@ bench:
 # package's memory-policy sweeps, and one real split step over loopback
 # TCP with its allocations (-benchmem). A smoke test, not a timing: it
 # catches a kernel or handler that panics or allocates wildly under
-# the -bench harness. TestTileTier logs which kernel tier (avx512, avx2
-# or portable) the machine ran.
+# the -bench harness, and its numbers are no verdict on speed. In a test
+# binary Scratch.GetUninit fills every tensor it hands out with NaN
+# (poisonUninit) so that a read before a write shows, and every test
+# keeps that fill; it was 8.9 % of BenchmarkSplitStepTCP's CPU when last
+# profiled. Time the code with perf/run.sh. TestTileTier logs which
+# kernel tier (avx512, avx2 or portable) the machine ran.
 kernel-bench-smoke:
 	$(GO) test -run '^TestTileTier$$' -v ./internal/tensor/
 	$(GO) test -bench='BenchmarkMatMul|BenchmarkGELUForward|BenchmarkSoftmaxRows' -benchtime=1x ./internal/tensor/

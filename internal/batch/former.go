@@ -1,5 +1,7 @@
 package batch
 
+import "slices"
+
 // Former is the batch-formation policy with no clock and no goroutines:
 // who may share a batch (equal Keys), when a forming group closes (it
 // reached maxSize, or one more member would push it past the byte
@@ -13,8 +15,11 @@ package batch
 // its mutex, the simulation kernel is single-threaded.
 type Former[M, S any] struct {
 	maxSize int
-	open    map[Key]*Group[M, S]
-	free    []*Group[M, S] // recycled groups, reopened before any is allocated
+	// open holds the groups still forming, oldest first: at most one per
+	// key, and a server forms under a handful of keys, so Add finds a
+	// key's group by comparing keys rather than hashing one.
+	open []*Group[M, S]
+	free []*Group[M, S] // recycled groups, reopened before any is allocated
 }
 
 // Group is one batch, forming or sealed. Members are in join order.
@@ -29,7 +34,17 @@ type Group[M, S any] struct {
 
 // NewFormer returns a Former whose groups seal at maxSize members.
 func NewFormer[M, S any](maxSize int) *Former[M, S] {
-	return &Former[M, S]{maxSize: maxSize, open: make(map[Key]*Group[M, S])}
+	return &Former[M, S]{maxSize: maxSize}
+}
+
+// forming returns the group forming under key, or nil.
+func (f *Former[M, S]) forming(key Key) *Group[M, S] {
+	for _, g := range f.open {
+		if g.Key == key {
+			return g
+		}
+	}
+	return nil
 }
 
 // Add joins m (needing bytes of scheduler memory) to the group forming
@@ -42,14 +57,14 @@ func NewFormer[M, S any](maxSize int) *Former[M, S] {
 // dispatch (never two: an overflow leaves a fresh group of one, and
 // under maxSize 1 no group stays open to overflow).
 func (f *Former[M, S]) Add(key Key, m M, bytes, budget int64) (g *Group[M, S], opened bool, sealed *Group[M, S]) {
-	g = f.open[key]
+	g = f.forming(key)
 	if g != nil && g.Bytes+bytes > budget {
 		f.Seal(g)
 		sealed, g = g, nil
 	}
 	if g == nil {
 		g = f.newGroup(key)
-		f.open[key] = g
+		f.open = append(f.open, g)
 		opened = true
 	}
 	g.Members = append(g.Members, m)
@@ -96,7 +111,9 @@ func (f *Former[M, S]) Seal(g *Group[M, S]) bool {
 		return false
 	}
 	g.sealed = true
-	delete(f.open, g.Key) // an unsealed group is the one forming under its key
+	// An unsealed group is the one forming under its key.
+	i := slices.Index(f.open, g)
+	f.open = slices.Delete(f.open, i, i+1)
 	return true
 }
 
@@ -110,12 +127,12 @@ func (f *Former[M, S]) Recycle(g *Group[M, S]) {
 	f.free = append(f.free, g)
 }
 
-// Drain seals and returns every group still forming.
+// Drain seals and returns every group still forming, in the order they
+// opened.
 func (f *Former[M, S]) Drain() []*Group[M, S] {
-	groups := make([]*Group[M, S], 0, len(f.open))
-	for _, g := range f.open {
-		f.Seal(g) // deleting the current key while ranging is safe
-		groups = append(groups, g)
+	groups := slices.Clone(f.open)
+	for _, g := range groups {
+		f.Seal(g)
 	}
 	return groups
 }

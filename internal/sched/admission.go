@@ -321,9 +321,11 @@ func (a *AdmissionController) transition(state AdmissionState, now time.Duration
 	}
 }
 
-// admit decides one submission; ticks is the submitting identity's
-// throttle parity, kept on its record in the scheduler's identity table
-// (ident.ticks). Returns nil (admit) or an *OverloadError (reject).
+// admit decides one client's submission, on its own or as a batch
+// member; ticks is that identity's throttle parity, kept on its record
+// in the scheduler's identity table (ident.ticks). A batch ID has no
+// parity: each of its members is decided here on its own.
+// Returns nil (admit) or an *OverloadError (reject).
 // Caller holds the scheduler mutex and has already called evaluate for
 // this instant.
 //

@@ -339,11 +339,10 @@ func TestConcurrentSubmitCompleteUnderAdmission(t *testing.T) {
 // TestThrottledParityGoesWithTheRecord: admission keeps each identity's
 // throttle parity on its record in the identity table. A resident
 // client's record stays, so its submissions are still shed every second
-// one; a batch ID's record goes with its batch, so 10,000 throttled
-// submissions under fresh batch IDs leave the table holding the live
-// identities only — the eight resident members. (The parity of a fresh
-// ID starts over, so a batch's first throttled submission is never shed;
-// docs/ADMISSION.md.)
+// one; a batch's members are admitted on their own records, so 10,000
+// throttled batches under fresh batch IDs shed every second one of them
+// whole, and a batch ID's record goes with its batch, leaving the table
+// holding the live identities only — the eight enrolled members.
 func TestThrottledParityGoesWithTheRecord(t *testing.T) {
 	clk := &testClock{}
 	s := New(100, PolicyFCFSBackfill)
@@ -355,6 +354,7 @@ func TestThrottledParityGoesWithTheRecord(t *testing.T) {
 	s.mu.Unlock()
 	grant := func() {}
 
+	c := s.Enroll("c")
 	shed := 0
 	for i := 0; i < 10; i++ {
 		if err := s.Submit("c", KindForward, 10, grant); errors.Is(err, ErrOverloaded) {
@@ -365,18 +365,31 @@ func TestThrottledParityGoesWithTheRecord(t *testing.T) {
 	if shed != 5 {
 		t.Errorf("resident client shed %d of 10 throttled submissions, want 5", shed)
 	}
-	s.Forget("c")
+	s.Forget(c)
 
 	members := make([]BatchMember, 8)
 	for i := range members {
-		members[i] = BatchMember{ClientID: fmt.Sprintf("m%d", i), Bytes: 5}
+		members[i] = BatchMember{Client: s.Enroll(fmt.Sprintf("m%d", i)), Bytes: 5}
 	}
+	shed = 0
 	for i := 0; i < 10_000; i++ {
 		id := fmt.Sprintf("batch-%d", i)
-		if err := s.SubmitBatch(id, KindForward, members, grant); err != nil {
-			t.Fatalf("fresh batch %s: %v", id, err)
+		err := s.SubmitBatch(id, KindForward, members, grant)
+		switch {
+		case errors.Is(err, ErrOverloaded):
+			shed++
+		case err != nil:
+			t.Fatalf("batch %s: %v", id, err)
+		}
+		for _, m := range members {
+			if (m.Err != nil) != (err != nil) {
+				t.Fatalf("batch %s: member verdict %v beside batch verdict %v", id, m.Err, err)
+			}
 		}
 		s.Complete(id)
+	}
+	if shed != 5_000 {
+		t.Errorf("%d of 10,000 throttled batches shed, want every second one", shed)
 	}
 	if st := s.AdmissionState(); st != StateThrottled {
 		t.Fatalf("admission left Throttled for %v", st)
@@ -384,4 +397,190 @@ func TestThrottledParityGoesWithTheRecord(t *testing.T) {
 	if n := s.Stats().Identities; n > len(members) {
 		t.Errorf("identity table holds %d records after 10,000 throttled batches, want at most the %d live members", n, len(members))
 	}
+}
+
+// TestThrottledBatchShedsMembers: while Throttled, each member of a
+// batch is admitted on its own record's parity. Eight enrolled members,
+// half of them one submission ahead, ride n batches: each member is shed
+// n/2 ± 1 times — exactly as often as n serial submissions of its own
+// are — with the same retry hint and one ledger shed per shed, and every
+// batch goes ahead with the other half and only their bytes.
+func TestThrottledBatchShedsMembers(t *testing.T) {
+	const n, bytes = 100, 5
+	slo := SLO{TargetP99: time.Second}
+	throttled := func() (*Scheduler, *obs.Ledger) {
+		clk := &testClock{}
+		s := New(100, PolicyFCFSBackfill)
+		if err := s.EnableAdmission(slo, clk.clock()); err != nil {
+			t.Fatal(err)
+		}
+		led := obs.NewLedger(obs.LedgerConfig{Clock: clk.clock()})
+		s.SetLedger(led)
+		s.mu.Lock()
+		s.adm.transition(StateThrottled, 0) // the clock stands still, so it stays
+		s.mu.Unlock()
+		return s, led
+	}
+	ids := make([]string, 8)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("m%d", i)
+	}
+	// headStart puts the odd members one admitted submission ahead.
+	headStart := func(s *Scheduler) {
+		for i := 1; i < len(ids); i += 2 {
+			mustSubmit(t, s, ids[i], KindForward, bytes, func() {})
+			s.Complete(ids[i])
+		}
+	}
+
+	serial := map[string]int{}
+	s, _ := throttled()
+	headStart(s)
+	for _, id := range ids {
+		for i := 0; i < n; i++ {
+			if err := s.Submit(id, KindForward, bytes, func() {}); errors.Is(err, ErrOverloaded) {
+				serial[id]++
+			}
+			s.Complete(id)
+		}
+	}
+
+	s, led := throttled()
+	members := make([]BatchMember, len(ids))
+	for i, id := range ids {
+		members[i] = BatchMember{Client: s.Enroll(id), Bytes: bytes}
+	}
+	headStart(s)
+	batched := map[string]int{}
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("batch-%d", i)
+		granted := false
+		if err := s.SubmitBatch(id, KindForward, members, func() { granted = true }); err != nil {
+			t.Fatalf("batch %s refused whole: %v", id, err)
+		}
+		kept := 0
+		for j, m := range members {
+			var ov *OverloadError
+			switch {
+			case m.Err == nil:
+				kept++
+			case !errors.As(m.Err, &ov) || ov.State != StateThrottled || ov.RetryAfter != slo.TargetP99/2:
+				t.Fatalf("batch %s: member %s shed with %v, want a throttled shed retrying after %v", id, ids[j], m.Err, slo.TargetP99/2)
+			default:
+				batched[ids[j]]++
+			}
+		}
+		if !granted || kept != len(ids)/2 {
+			t.Fatalf("batch %s: granted %v with %d members, want it granted with %d", id, granted, kept, len(ids)/2)
+		}
+		if got := s.Complete(id); got != int64(kept*bytes) {
+			t.Fatalf("batch %s held %d bytes, want its %d members' %d", id, got, kept, kept*bytes)
+		}
+	}
+
+	var total int64
+	for _, id := range ids {
+		if d := batched[id] - n/2; d < -1 || d > 1 {
+			t.Errorf("member %s shed %d of %d throttled batches, want %d ± 1", id, batched[id], n, n/2)
+		}
+		if batched[id] != serial[id] {
+			t.Errorf("member %s shed %d times as a member, %d times on its own", id, batched[id], serial[id])
+		}
+		if u, _ := led.Usage(id); u.Sheds != int64(batched[id]) {
+			t.Errorf("member %s: ledger counts %d sheds, want %d", id, u.Sheds, batched[id])
+		}
+		total += int64(batched[id])
+	}
+	if st := s.AdmissionStats(); st.Shed != total {
+		t.Errorf("admission counts %d sheds, members saw %d", st.Shed, total)
+	}
+	if got := s.Stats().Submitted; got != int64(len(ids)/2+n) {
+		t.Errorf("%d submissions queued, want the %d head starts and all %d batches", got, len(ids)/2, n)
+	}
+}
+
+// TestStaleHandlesAreRefused: a batch member's handle names a current
+// enrollment in this scheduler or nothing. After Forget it is refused,
+// also once its record has been reused for another identity, and a
+// handle from another scheduler is refused; a refused batch takes
+// nothing. An enrolled record outlives a refused batch and an idle
+// period, though it is not resident.
+func TestStaleHandlesAreRefused(t *testing.T) {
+	s := New(100, PolicyFCFSBackfill)
+	grant := func() {}
+	submit := func(id string, h Handle) error {
+		return s.SubmitBatch(id, KindForward, []BatchMember{{Client: h, Bytes: 5}}, grant)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, errNotEnrolled) {
+			t.Errorf("%s: err = %v, want errNotEnrolled", what, err)
+		}
+		if s.QueueDepth() != 0 || s.Available() != 100 {
+			t.Errorf("%s: queue %d, available %d after a refusal", what, s.QueueDepth(), s.Available())
+		}
+	}
+
+	a := s.Enroll("a")
+	refused("zero handle", submit("b0", Handle{}))
+	// The enrolled record outlives a refused batch and an idle period.
+	if err := s.SubmitBatch("b1", KindForward, []BatchMember{{Client: a, Bytes: 5}, {Client: a, Bytes: 5}}, grant); !errors.Is(err, ErrOutstanding) {
+		t.Fatalf("duplicate member: err = %v", err)
+	}
+	if n := s.Stats().Identities; n != 1 {
+		t.Errorf("%d identities after a refused batch, want a's enrolled record", n)
+	}
+	for i := 0; i < 100; i++ {
+		mustSubmit(t, s, fmt.Sprintf("other-%d", i%3), KindForward, 1, grant)
+		s.Complete(fmt.Sprintf("other-%d", i%3))
+	}
+	if n := s.Stats().Identities; n != 4 {
+		t.Errorf("%d identities after an idle period, want a's enrolled record and the three resident others", n)
+	}
+	s.mu.Lock()
+	rec := a.rec
+	resident := rec.resident
+	s.mu.Unlock()
+	if resident {
+		t.Error("a is resident before its first grant")
+	}
+	if err := submit("b2", a); err != nil {
+		t.Fatalf("enrolled member after an idle period: %v", err)
+	}
+	s.Complete("b2")
+
+	s.Forget(a)
+	refused("after Forget", submit("b3", a))
+	// a's record goes back to the free list, and the next new identity
+	// takes it: the stale handle must not submit as that identity.
+	b := s.Enroll("b")
+	s.mu.Lock()
+	reused := b.rec == rec
+	s.mu.Unlock()
+	if !reused {
+		t.Fatal("b did not reuse a's record; the test needs it to")
+	}
+	refused("after the record was reused", submit("b4", a))
+	if err := submit("b5", b); err != nil {
+		t.Fatalf("b's own handle: %v", err)
+	}
+	s.Complete("b5")
+
+	// Enrolling again retires the handle before.
+	b2 := s.Enroll("b")
+	refused("a retired handle", submit("b6", b))
+	s.Forget(b) // a retired handle ends nothing
+	if err := submit("b7", b2); err != nil {
+		t.Fatalf("b's current handle after a stale Forget: %v", err)
+	}
+	s.Complete("b7")
+
+	other := New(100, PolicyFCFSBackfill)
+	foreign := other.Enroll("b")
+	refused("a handle from another scheduler", submit("b8", foreign))
+	s.Forget(foreign) // not this scheduler's: ends nothing here
+	if err := submit("b9", b2); err != nil {
+		t.Fatalf("b's handle after a foreign Forget: %v", err)
+	}
+	s.Complete("b9")
 }

@@ -3,11 +3,13 @@
 // time) coalesces several clients' compatible forward/backward requests
 // and submits them as ONE aggregate scheduling request, so the whole
 // batch is granted — and its kernel launched — atomically. SubmitBatch
-// only validates the member list: queueing, granting and billing are
-// the scheduler's one path (scheduler.go), where every request carries
+// only resolves the member list, through the members' enrollment
+// handles: admission, queueing, granting and billing are the
+// scheduler's one path (scheduler.go), where every request carries
 // members and a plain Submit is the one-member case, so every member is
-// billed its own byte share and grant wait and the labeled families
-// still sum back to the aggregate (docs/OBSERVABILITY.md).
+// admitted on its own parity, billed its own byte share and grant wait,
+// and the labeled families still sum back to the aggregate
+// (docs/OBSERVABILITY.md).
 package sched
 
 import (
@@ -56,10 +58,17 @@ func (p BatchPolicy) Validate() error {
 	return nil
 }
 
-// BatchMember is one client's share of an aggregate batch request.
+// BatchMember is one client's share of an aggregate batch request:
+// the client by its enrollment handle (Scheduler.Enroll), the bytes
+// billed to it, and what admission control dealt it.
 type BatchMember struct {
-	ClientID string
-	Bytes    int64
+	Client Handle
+	Bytes  int64
+	// Err is SubmitBatch's verdict on this member alone: the
+	// *OverloadError admission control shed it with, exactly as a
+	// submission of its own would have been shed, or nil. A shed member
+	// is not in the batch.
+	Err error
 }
 
 // SubmitBatch registers one aggregate request for Σ member bytes under
@@ -70,15 +79,31 @@ type BatchMember struct {
 // series still sum to the aggregate. Until Complete(batchID), members
 // may not hold or queue a request of their own nor ride another batch
 // ("persist:"-prefixed reservations are separate identities and fine).
-// Admission control treats the batch as one submission; a shed is
-// billed to every member.
+// A member whose handle is not enrolled in s is refused like a member
+// named twice.
+//
+// Admission control decides each member on its own record's parity, as
+// a serial submission: a member it sheds gets that shed in its Err, is
+// billed the shed alone, and leaves the batch, which goes ahead with the
+// others and their bytes. If it sheds every member, nothing is queued
+// and SubmitBatch returns the shed too.
 func (s *Scheduler) SubmitBatch(batchID string, kind RequestKind, members []BatchMember, grant func()) error {
 	if len(members) == 0 {
 		return fmt.Errorf("sched: batch %q has no members", batchID)
 	}
-	var total int64
-	for _, m := range members {
-		total += m.Bytes
+	for i := range members {
+		if members[i].Err != nil { // a caller's list reused from an earlier call
+			members[i].Err = nil
+		}
 	}
-	return s.submit(batchID, kind, total, members, grant)
+	s.mu.Lock()
+	req := s.requestLocked(kind, grant)
+	// A member named twice or not enrolled is refused before anything
+	// else, and is not counted as a rejected submission.
+	if err := s.resolveBatchLocked(req, batchID, members); err != nil {
+		s.freeRequestLocked(req)
+		s.mu.Unlock()
+		return err
+	}
+	return s.submitLocked(req, members)
 }

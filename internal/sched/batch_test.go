@@ -15,6 +15,46 @@ import (
 	"menos/internal/obs"
 )
 
+// spec is one member of a test batch: a client ID and its bytes.
+type spec struct {
+	id    string
+	bytes int64
+}
+
+// roster enrolls test clients in a scheduler, each once, and names batch
+// members by their handles.
+type roster struct {
+	s *Scheduler
+	h map[string]Handle
+}
+
+func newRoster(s *Scheduler) *roster { return &roster{s: s, h: map[string]Handle{}} }
+
+// handle returns id's handle, enrolling id on first use.
+func (r *roster) handle(id string) Handle {
+	h, ok := r.h[id]
+	if !ok {
+		h = r.s.Enroll(id)
+		r.h[id] = h
+	}
+	return h
+}
+
+// batch returns the members of specs.
+func (r *roster) batch(specs ...spec) []BatchMember {
+	members := make([]BatchMember, len(specs))
+	for i, m := range specs {
+		members[i] = BatchMember{Client: r.handle(m.id), Bytes: m.bytes}
+	}
+	return members
+}
+
+// forget ends id's enrollment.
+func (r *roster) forget(id string) {
+	r.s.Forget(r.h[id])
+	delete(r.h, id)
+}
+
 // TestSubmitBatchGrantsAndBills: an aggregate batch request is granted
 // atomically, every member is billed its own byte share and grant
 // wait, and the unlabeled wait histogram sees one observation per
@@ -30,8 +70,8 @@ func TestSubmitBatchGrantsAndBills(t *testing.T) {
 
 	var c collector
 	mustSubmit(t, s, "hog", KindBackward, 90, c.grant("hog"))
-	members := []BatchMember{{"a", 20}, {"b", 30}, {"c", 10}}
-	if err := s.SubmitBatch("batch-1", KindBackward, members, c.grant("batch-1")); err != nil {
+	specs := []spec{{"a", 20}, {"b", 30}, {"c", 10}}
+	if err := s.SubmitBatch("batch-1", KindBackward, newRoster(s).batch(specs...), c.grant("batch-1")); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.got(); len(got) != 1 {
@@ -46,16 +86,16 @@ func TestSubmitBatchGrantsAndBills(t *testing.T) {
 	if allocated(s, "batch-1") != 60 {
 		t.Fatalf("batch allocation = %d, want 60", allocated(s, "batch-1"))
 	}
-	for _, m := range members {
-		u, ok := led.Usage(m.ClientID)
+	for _, m := range specs {
+		u, ok := led.Usage(m.id)
 		if !ok {
-			t.Fatalf("no ledger account for member %q", m.ClientID)
+			t.Fatalf("no ledger account for member %q", m.id)
 		}
-		if u.TransientBytes != m.Bytes {
-			t.Errorf("%s transient bytes = %d, want %d", m.ClientID, u.TransientBytes, m.Bytes)
+		if u.TransientBytes != m.bytes {
+			t.Errorf("%s transient bytes = %d, want %d", m.id, u.TransientBytes, m.bytes)
 		}
 		if math.Abs(u.GrantWaitSeconds-4) > 1e-12 {
-			t.Errorf("%s grant wait = %v, want 4s", m.ClientID, u.GrantWaitSeconds)
+			t.Errorf("%s grant wait = %v, want 4s", m.id, u.GrantWaitSeconds)
 		}
 	}
 
@@ -88,9 +128,9 @@ func TestSubmitBatchGrantsAndBills(t *testing.T) {
 	if reclaimed := s.Complete("batch-1"); reclaimed != 60 {
 		t.Fatalf("reclaimed = %d, want 60", reclaimed)
 	}
-	for _, m := range members {
-		if u, _ := led.Usage(m.ClientID); u.TransientBytes != 0 {
-			t.Errorf("%s transient bytes after complete = %d", m.ClientID, u.TransientBytes)
+	for _, m := range specs {
+		if u, _ := led.Usage(m.id); u.TransientBytes != 0 {
+			t.Errorf("%s transient bytes after complete = %d", m.id, u.TransientBytes)
 		}
 	}
 	if s.Available() != 100 {
@@ -101,22 +141,23 @@ func TestSubmitBatchGrantsAndBills(t *testing.T) {
 // TestSubmitBatchRejections covers the batch-specific reject paths.
 func TestSubmitBatchRejections(t *testing.T) {
 	s := New(100, PolicyFCFS)
+	r := newRoster(s)
 	var c collector
 
 	if err := s.SubmitBatch("b0", KindForward, nil, c.grant("b0")); err == nil {
 		t.Error("empty batch accepted")
 	}
-	err := s.SubmitBatch("b1", KindForward, []BatchMember{{"a", 60}, {"b", 60}}, c.grant("b1"))
+	err := s.SubmitBatch("b1", KindForward, r.batch(spec{"a", 60}, spec{"b", 60}), c.grant("b1"))
 	if !errors.Is(err, ErrNeverFits) {
 		t.Errorf("oversized batch: err = %v, want ErrNeverFits", err)
 	}
-	err = s.SubmitBatch("b2", KindForward, []BatchMember{{"x", 5}, {"x", 5}}, c.grant("b2"))
+	err = s.SubmitBatch("b2", KindForward, r.batch(spec{"x", 5}, spec{"x", 5}), c.grant("b2"))
 	if !errors.Is(err, ErrOutstanding) {
 		t.Errorf("duplicate member: err = %v, want ErrOutstanding", err)
 	}
 
 	mustSubmit(t, s, "a", KindForward, 10, c.grant("a"))
-	err = s.SubmitBatch("b3", KindForward, []BatchMember{{"a", 5}}, c.grant("b3"))
+	err = s.SubmitBatch("b3", KindForward, r.batch(spec{"a", 5}), c.grant("b3"))
 	if !errors.Is(err, ErrOutstanding) {
 		t.Errorf("member with live allocation: err = %v, want ErrOutstanding", err)
 	}
@@ -125,10 +166,10 @@ func TestSubmitBatchRejections(t *testing.T) {
 	// Fill memory, queue a batch carrying x, then try to queue x again
 	// in a second batch: the member-in-queued-batch check must fire.
 	mustSubmit(t, s, "hog", KindBackward, 100, c.grant("hog"))
-	if err := s.SubmitBatch("b4", KindForward, []BatchMember{{"x", 20}}, c.grant("b4")); err != nil {
+	if err := s.SubmitBatch("b4", KindForward, r.batch(spec{"x", 20}), c.grant("b4")); err != nil {
 		t.Fatal(err)
 	}
-	err = s.SubmitBatch("b5", KindForward, []BatchMember{{"x", 5}}, c.grant("b5"))
+	err = s.SubmitBatch("b5", KindForward, r.batch(spec{"x", 5}), c.grant("b5"))
 	if !errors.Is(err, ErrOutstanding) {
 		t.Errorf("member queued in another batch: err = %v, want ErrOutstanding", err)
 	}
@@ -141,11 +182,11 @@ func TestSubmitBatchRejections(t *testing.T) {
 		if err := s.Submit("x", KindForward, 5, c.grant("x")); !errors.Is(err, ErrOutstanding) {
 			t.Errorf("Submit(x) while b4 is %s: err = %v, want ErrOutstanding", when, err)
 		}
-		err := s.SubmitBatch("b6", KindForward, []BatchMember{{"y", 5}, {"x", 5}}, c.grant("b6"))
+		err := s.SubmitBatch("b6", KindForward, r.batch(spec{"y", 5}, spec{"x", 5}), c.grant("b6"))
 		if !errors.Is(err, ErrOutstanding) {
 			t.Errorf("SubmitBatch(b6,{y,x}) while b4 is %s: err = %v, want ErrOutstanding", when, err)
 		}
-		if err := s.SubmitBatch("b4", KindForward, []BatchMember{{"z", 5}}, c.grant("b4")); !errors.Is(err, ErrOutstanding) {
+		if err := s.SubmitBatch("b4", KindForward, r.batch(spec{"z", 5}), c.grant("b4")); !errors.Is(err, ErrOutstanding) {
 			t.Errorf("second batch named b4 while b4 is %s: err = %v, want ErrOutstanding", when, err)
 		}
 	}
@@ -163,7 +204,7 @@ func TestSubmitBatchRejections(t *testing.T) {
 	s.Complete("b4")
 	mustSubmit(t, s, "x", KindForward, 5, c.grant("x"))
 	s.Complete("x")
-	if err := s.SubmitBatch("b6", KindForward, []BatchMember{{"y", 5}, {"x", 5}}, c.grant("b6")); err != nil {
+	if err := s.SubmitBatch("b6", KindForward, r.batch(spec{"y", 5}, spec{"x", 5}), c.grant("b6")); err != nil {
 		t.Errorf("x rejected after its batch and its own request completed: %v", err)
 	}
 }
@@ -201,7 +242,7 @@ func TestPlainCycleAllocs(t *testing.T) {
 func batchCycle(tb testing.TB, s *Scheduler) func() {
 	members := make([]BatchMember, 8)
 	for i := range members {
-		members[i] = BatchMember{ClientID: fmt.Sprintf("m%d", i), Bytes: 5}
+		members[i] = BatchMember{Client: s.Enroll(fmt.Sprintf("m%d", i)), Bytes: 5}
 	}
 	grant := func() {}
 	return func() {
@@ -256,10 +297,11 @@ func BenchmarkSchedulerCycle(b *testing.B) {
 
 // TestIdentityTableOnlyHoldsWhatItNeeds: a reservation leaves no record
 // behind, a batch ID's record goes at release, a granted client's stays
-// (it is resident) until Forget, and Forget on an identity still held
-// drops it at release instead.
+// (it is resident) and an enrolled one's stays until Forget, and Forget
+// on an identity still held drops it at release instead.
 func TestIdentityTableOnlyHoldsWhatItNeeds(t *testing.T) {
 	s := New(100, PolicyFCFSBackfill)
+	r := newRoster(s)
 	var c collector
 	identities := func(want int, when string) {
 		t.Helper()
@@ -279,7 +321,7 @@ func TestIdentityTableOnlyHoldsWhatItNeeds(t *testing.T) {
 	identities(0, "reservation refused")
 
 	mustSubmit(t, s, "a", KindForward, 10, c.grant("a"))
-	if err := s.SubmitBatch("b1", KindForward, []BatchMember{{"x", 5}, {"y", 5}}, c.grant("b1")); err != nil {
+	if err := s.SubmitBatch("b1", KindForward, r.batch(spec{"x", 5}, spec{"y", 5}), c.grant("b1")); err != nil {
 		t.Fatal(err)
 	}
 	identities(4, "a, b1 and its members held")
@@ -288,22 +330,24 @@ func TestIdentityTableOnlyHoldsWhatItNeeds(t *testing.T) {
 	s.Complete("a")
 	identities(3, "a completed: resident")
 
-	s.Forget("x")
+	r.forget("x")
 	identities(2, "x forgotten")
-	if err := s.SubmitBatch("b2", KindForward, []BatchMember{{"y", 5}}, c.grant("b2")); err != nil {
+	if err := s.SubmitBatch("b2", KindForward, r.batch(spec{"y", 5}), c.grant("b2")); err != nil {
 		t.Fatal(err)
 	}
-	s.Forget("y") // held by b2: kept until b2 releases it
+	r.forget("y") // held by b2: kept until b2 releases it
 	identities(3, "y forgotten while b2 holds it")
 	s.Complete("b2")
 	identities(1, "b2 completed")
-	s.Forget("a")
-	s.Forget("never-seen")
+	s.Forget(s.Enroll("a")) // a client that never batched is forgotten through a handle too
+	s.Forget(Handle{})
 	identities(0, "everyone forgotten")
 
-	if err := s.SubmitBatch("b3", KindForward, []BatchMember{{"z", 5}, {"z", 5}}, c.grant("b3")); !errors.Is(err, ErrOutstanding) {
+	if err := s.SubmitBatch("b3", KindForward, r.batch(spec{"z", 5}, spec{"z", 5}), c.grant("b3")); !errors.Is(err, ErrOutstanding) {
 		t.Fatalf("duplicate member: err = %v", err)
 	}
+	identities(1, "z enrolled, its batch refused")
+	r.forget("z")
 	s.Close()
 	if err := s.Submit("w", KindForward, 5, c.grant("w")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed: err = %v", err)
@@ -313,7 +357,8 @@ func TestIdentityTableOnlyHoldsWhatItNeeds(t *testing.T) {
 
 // TestSerialRequestIsBatchOfOne drives one seeded random interleaving of
 // submits, completes, oversized and duplicate requests twice — once
-// through Submit(id, …), once through SubmitBatch(id, {id}) — under
+// through Submit(id, …), once through SubmitBatch(id, {id}) with every
+// client enrolled in both — under
 // every policy with and without admission control, and requires the two
 // runs to be indistinguishable: verdicts, grant order, Stats, ledger
 // rows and every menos_sched_* sample.
@@ -340,6 +385,11 @@ func TestSerialRequestIsBatchOfOne(t *testing.T) {
 		if err := s.Reserve("persist:c0", 10); err != nil {
 			t.Fatal(err)
 		}
+		// Both runs enroll every client, so their identity tables match.
+		r := newRoster(s)
+		for i := 0; i < 12; i++ {
+			r.handle(fmt.Sprintf("c%d", i))
+		}
 
 		var out outcome
 		var c collector
@@ -358,7 +408,7 @@ func TestSerialRequestIsBatchOfOne(t *testing.T) {
 			bytes := int64(rng.Intn(95)) + 1 // above 90 never fits beside the reservation
 			var err error
 			if batched {
-				err = s.SubmitBatch(id, kind, []BatchMember{{id, bytes}}, c.grant(id))
+				err = s.SubmitBatch(id, kind, r.batch(spec{id, bytes}), c.grant(id))
 			} else {
 				err = s.Submit(id, kind, bytes, c.grant(id))
 			}

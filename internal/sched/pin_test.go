@@ -20,20 +20,24 @@ import (
 // ledger configuration. They were recorded on the string-keyed
 // bookkeeping (one map per question: held, resident, a per-batch seen
 // set), so any rewrite of how identities are tracked must reproduce
-// every verdict, error text, grant and count of it.
+// every verdict, error text, grant and count of it. The admission=true
+// digests were re-recorded once, when admission control began deciding
+// each batch member on its own parity instead of the batch on its batch
+// ID's: every one of those programs sheds batch members while throttled
+// (traceCoverage.throttledMembers).
 var schedTracePins = map[string]string{
 	"fcfs+backfill/admission=false/ledger=false":  "f7c6adc958878c77abad1f9f1768bcb46eee3734e650021db70988d7a4846246",
 	"fcfs+backfill/admission=false/ledger=true":   "3a4a0008730f3b033d54ae372e14a54ae0b6c0dd6835ac173a4edf368328129b",
-	"fcfs+backfill/admission=true/ledger=false":   "6cc608f1b55d5c81e5989131a7e2c551ee75bd91438b2c30c2de01097b8a6b5f",
-	"fcfs+backfill/admission=true/ledger=true":    "b3f590cd1a515bbe88be7b5ad7ce96f6135373b4922cf1fcfef373f070ddfd5e",
+	"fcfs+backfill/admission=true/ledger=false":   "30c3b2756b0683eae077d3cd305746a939a485a0517495a2ed331fe2df26f8dd",
+	"fcfs+backfill/admission=true/ledger=true":    "960f99746a4bb70b8f883cecf24e15a00a441322d30b9a463d33fb775a6070ef",
 	"fcfs/admission=false/ledger=false":           "1135da93ee09bc73c804ffaf54790122060db727dfee5dad38a6c54774b35a75",
 	"fcfs/admission=false/ledger=true":            "9eb3b8a84b1dc6282d4d949e55f220674e819e4321f6e852c73065eaf8361443",
-	"fcfs/admission=true/ledger=false":            "3e60334540058e4bfede465d6afe61cb8f07f99a69bd0116a2c8dc2bd5bf16e7",
-	"fcfs/admission=true/ledger=true":             "2f4772c2553e3334abd2ad859d9ae32d89b746eea8179064fd20e613fbe4df18",
+	"fcfs/admission=true/ledger=false":            "362670c79e55dd9c2179318944500c54d298ef22638a7b389e2c46c36f41f98d",
+	"fcfs/admission=true/ledger=true":             "442d05b6a701b4e1ecafbcd9d281b8ab1521dbfd2b97ff45ac814e08dcabfb5b",
 	"smallest-first/admission=false/ledger=false": "b5880b763c72097ebc6f03d62ceab4409073a930a57437eed2f30e90485e1945",
 	"smallest-first/admission=false/ledger=true":  "bc4c6d9b0f715d00d10f7236c549f0f6979abe6199a69880122662441a164499",
-	"smallest-first/admission=true/ledger=false":  "03659731fb64da028c8e5f66650f9a6d5e4c860a2cf94946b89c7c7823f95ea0",
-	"smallest-first/admission=true/ledger=true":   "3674b083b1e09ced55af326eca4c5996e72d0c9f4bed80b9fd6aff90399aee09",
+	"smallest-first/admission=true/ledger=false":  "f1eab93dea8be52cf7c92e736048330b5390441df26949c339af7b0ceaaa5134",
+	"smallest-first/admission=true/ledger=true":   "bc04b8078e3e845f8db146b23dbbade81ff6019adb01f885b807f6383bf3bd98",
 }
 
 // TestSchedulerTraceIsPinned runs seeded random programs of every
@@ -76,6 +80,9 @@ type traceCoverage struct {
 	oversized   int // ErrNeverFits
 	reserves    int // Reserve calls accepted
 	closedCalls int // calls refused with ErrClosed
+	// throttledMembers counts batch members shed while Throttled: where
+	// admission decides per member instead of per batch.
+	throttledMembers int
 }
 
 func (c *traceCoverage) add(o traceCoverage) {
@@ -93,6 +100,7 @@ func (c *traceCoverage) add(o traceCoverage) {
 	c.oversized += o.oversized
 	c.reserves += o.reserves
 	c.closedCalls += o.closedCalls
+	c.throttledMembers += o.throttledMembers
 }
 
 func (c *traceCoverage) check(t *testing.T, name string, policy Policy, admission bool) {
@@ -115,6 +123,9 @@ func (c *traceCoverage) check(t *testing.T, name string, policy Policy, admissio
 	}
 	if admission && (c.adm.Transitions == 0 || c.adm.Shed == 0) {
 		t.Errorf("%s: admission control never acted: %+v", name, c.adm)
+	}
+	if admission && c.throttledMembers == 0 {
+		t.Errorf("%s: no batch member was shed while throttled", name)
 	}
 	// A deferred backfill is where residency decides a grant.
 	if admission && policy == PolicyFCFSBackfill && c.adm.Deferred == 0 {
@@ -184,7 +195,8 @@ func schedTrace(t *testing.T, h hash.Hash, seed int64, policy Policy, admission,
 		}
 		return KindBackward
 	}
-	var batchIDs []string // every batch ID submitted, live or not
+	clients := newRoster(s) // a member enrolls at its first batch
+	var batchIDs []string   // every batch ID submitted, live or not
 	nextBatch, newcomers := 0, 0
 	closeAt := 420 + rng.Intn(60)
 	for op := 0; op < 500; op++ {
@@ -221,15 +233,22 @@ func schedTrace(t *testing.T, h hash.Hash, seed int64, policy Policy, admission,
 				bid = "persist:" + client()
 			}
 			batchIDs = append(batchIDs, bid)
-			members := make([]BatchMember, 1+rng.Intn(4)) // duplicates arise: 10 clients
-			for i := range members {
-				members[i] = BatchMember{ClientID: client(), Bytes: int64(rng.Intn(35)) + 1}
+			specs := make([]spec, 1+rng.Intn(4)) // duplicates arise: 10 clients
+			for i := range specs {
+				specs[i] = spec{client(), int64(rng.Intn(35)) + 1}
 			}
 			if rng.Intn(8) == 0 {
-				members[len(members)-1].ClientID = bid // a member named like its batch
+				specs[len(specs)-1].id = bid // a member named like its batch
 			}
-			err := s.SubmitBatch(bid, kind(), members, grant(bid))
-			verdict(fmt.Sprintf("batch %s %v %v", bid, members, err == nil), err)
+			batch := clients.batch(specs...)
+			err := s.SubmitBatch(bid, kind(), batch, grant(bid))
+			verdict(fmt.Sprintf("batch %s %v %v", bid, specs, err == nil), err)
+			for _, m := range batch {
+				var ov *OverloadError
+				if errors.As(m.Err, &ov) && ov.State == StateThrottled {
+					cov.throttledMembers++
+				}
+			}
 			switch {
 			case err == nil:
 				cov.batches++

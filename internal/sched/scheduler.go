@@ -11,14 +11,17 @@
 //
 // Every identity the scheduler knows — a client, a batch ID, a
 // reservation — has one record: the request that holds it, and whether
-// it has ever been granted memory. A submission looks each identity up
-// once; from then on its request carries the records, so granting and
-// releasing it mark residency and clear the holding through pointers,
-// not by hashing the IDs again. A record that holds nothing and is not
-// resident is dropped; Forget drops a departed client's. A batch ID no
-// other identity names is listed beside the table instead of entering
-// it, so a fresh batch costs the table no insert and no delete. Records
-// and requests are reused once released.
+// it has ever been granted memory. A client that batches enrolls once
+// (Enroll) and names itself in every batch by the Handle it got, so a
+// batch submission reaches its members' records without a lookup; a
+// plain submission looks its ID up once. From then on the request
+// carries the records, so granting and releasing it mark residency and
+// clear the holding through pointers, not by hashing the IDs again. A
+// record that holds nothing, is not resident and is not enrolled is
+// dropped; Forget ends a departed client's enrollment and residency. A
+// batch ID no other identity names is listed beside the table instead
+// of entering it, so a fresh batch costs the table no insert and no
+// delete. Records and requests are reused once released.
 package sched
 
 import (
@@ -102,27 +105,36 @@ func (p Policy) String() string {
 }
 
 // request is a scheduling request. It carries the member shares that
-// sum to bytes and are billed individually at grant time: SubmitBatch's
-// members under the batch ID, or — a serial request is a batch of one —
-// the submitting client's own share under its own ID.
+// sum to bytes and are billed individually at grant time: the members
+// of a SubmitBatch that admission control let through, under the batch
+// ID, or — a serial request is a batch of one — the submitting client's
+// own share under its own ID.
 type request struct {
-	clientID string
-	kind     RequestKind
-	bytes    int64
-	grant    func()
-	at       time.Duration // submit time on the telemetry clock
-	members  []BatchMember
-	// rec is the one member's record of a Submit or Reserve request;
-	// batch holds a SubmitBatch request's records instead. Both are set
-	// when the request is enqueued and cleared when it is released.
-	rec      *ident
-	batch    *batchRecs
+	kind    RequestKind
+	bytes   int64
+	grant   func()
+	at      time.Duration // submit time on the telemetry clock
+	members []share
+	// own is the record of the request's own ID: a plain request's one
+	// member, or a batch ID's — which is a member's when a member
+	// carries it. Set when the request is resolved, cleared when it is
+	// released.
+	own      *ident
+	alias    bool // own is not among members: a batch ID, held beside them
+	batch    bool // members is a SubmitBatch list from Scheduler.freeShares
 	granted  bool // bytes are allocated (grantAt or Reserve)
 	reserved bool // a Reserve holding: counts against Schedulable
 	parked   bool // the grant is revocable: listed in Scheduler.parked
 	// self backs members for a one-member request, so the plain
 	// Submit→grant→Complete cycle costs no allocation beyond the request.
-	self [1]BatchMember
+	self [1]share
+}
+
+// share is one member of a request: its identity's record and the bytes
+// billed to it.
+type share struct {
+	rec   *ident
+	bytes int64
 }
 
 // ident is one identity's record in Scheduler.held.
@@ -136,9 +148,16 @@ type ident struct {
 	// batch naming it twice is caught by comparing one number.
 	mark uint64
 	// ticks counts the submissions admission control saw from this
-	// identity while Throttled; their parity sheds every second one. It
-	// goes with the record, so a dropped record takes its parity along.
+	// identity while Throttled, on its own or as a batch member; their
+	// parity sheds every second one. It goes with the record, so a
+	// dropped record takes its parity along.
 	ticks int64
+	// gen is the enrollment that the identity's current Handle carries
+	// (Enroll), or 0 when it is not enrolled. An enrolled record is
+	// never dropped, and a handle whose generation is not its record's
+	// is refused, so a handle never reaches a record reused for
+	// another identity.
+	gen uint64
 	// resident marks an identity granted memory as a request's member at
 	// least once; admission control protects resident clients over
 	// newcomers.
@@ -148,56 +167,29 @@ type ident struct {
 	listed bool
 }
 
-// batchRecs is a SubmitBatch request's records: every identity it
-// occupies under the one-outstanding rule, once each.
-type batchRecs struct {
-	members []*ident // in member order
-	alias   *ident   // the batch ID's, when no member carries it
+// Handle is a client's enrollment in one Scheduler (Enroll): a batch
+// names its members by their handles, so a submission reaches their
+// records without looking their IDs up. The zero Handle enrolls nothing.
+type Handle struct {
+	s   *Scheduler
+	rec *ident
+	gen uint64
 }
 
-// memberRec returns the record of r's i-th member.
-func (r *request) memberRec(i int) *ident {
-	if r.batch != nil {
-		return r.batch.members[i]
-	}
-	return r.rec
-}
-
-// own returns the record of r's own ID: a plain request's, a batch ID's,
-// or the member's that carries the batch ID.
-func (r *request) own() *ident {
-	switch {
-	case r.batch == nil:
-		return r.rec
-	case r.batch.alias != nil:
-		return r.batch.alias
-	}
-	for _, rec := range r.batch.members {
-		if rec.id == r.clientID {
-			return rec
-		}
-	}
-	return nil
-}
-
-// alias returns the record of r's own ID when no member carries it (a
-// batch ID), or nil.
-func (r *request) alias() *ident {
-	if r.batch != nil {
-		return r.batch.alias
-	}
-	return nil
-}
+// errNotEnrolled refuses a batch member whose handle is not a current
+// enrollment in the scheduler: forgotten, re-enrolled, from another
+// scheduler, or zero.
+var errNotEnrolled = errors.New("sched: member handle is not enrolled in this scheduler")
 
 // hold makes h the holder of every one of r's records: r itself when it
 // is enqueued or reserved, nil when it is released. Caller holds s.mu
 // and, to hold, has checked outstanding for each record.
 func (r *request) hold(h *request) {
-	for i := range r.members {
-		r.memberRec(i).req = h
+	for _, m := range r.members {
+		m.rec.req = h
 	}
-	if a := r.alias(); a != nil {
-		a.req = h
+	if r.alias {
+		r.own.req = h
 	}
 }
 
@@ -217,10 +209,10 @@ const (
 	reqChunk = 8
 )
 
-// requestLocked takes a released request for a new one-member request
-// of Submit or Reserve; SubmitBatch then points members at its own.
-// Caller holds s.mu.
-func (s *Scheduler) requestLocked(clientID string, kind RequestKind, bytes int64, grant func()) *request {
+// requestLocked takes a released request for a new request of kind.
+// Caller holds s.mu, then resolves its records: one for Submit or
+// Reserve, resolveBatchLocked for SubmitBatch.
+func (s *Scheduler) requestLocked(kind RequestKind, grant func()) *request {
 	if len(s.freeReqs) == 0 {
 		chunk := make([]request, reqChunk)
 		for i := range chunk {
@@ -230,10 +222,16 @@ func (s *Scheduler) requestLocked(clientID string, kind RequestKind, bytes int64
 	n := len(s.freeReqs) - 1
 	r := s.freeReqs[n]
 	s.freeReqs[n], s.freeReqs = nil, s.freeReqs[:n]
-	*r = request{clientID: clientID, kind: kind, bytes: bytes, grant: grant}
-	r.self[0] = BatchMember{ClientID: clientID, Bytes: bytes}
-	r.members = r.self[:]
+	r.kind, r.grant = kind, grant
 	return r
+}
+
+// one makes r the one-member request of record rec for bytes, its
+// member share its own.
+func (r *request) one(rec *ident, bytes int64) {
+	r.own, r.bytes = rec, bytes
+	r.self[0] = share{rec, bytes}
+	r.members = r.self[:]
 }
 
 // freeRequestLocked takes back a request nothing refers to any more: a
@@ -323,22 +321,24 @@ type Scheduler struct {
 	// held maps every identity the scheduler tracks to its one record:
 	// the request holding it (a request's own ID and each member's, from
 	// Submit, SubmitBatch or Reserve until Complete: the one-outstanding
-	// rule for all three) and whether it is resident. Each submission
-	// hashes each of its identities once; a record holding nothing that
-	// is not resident is dropped at release, and Forget drops a resident
-	// one. Dropped records, released requests and released batches'
-	// record lists are reused.
+	// rule for all three), whether it is resident and whether it is
+	// enrolled. A plain submission hashes its ID once, a batch only its
+	// batch ID; a record holding nothing that is neither resident nor
+	// enrolled is dropped at release, and Forget drops an enrolled one.
+	// Dropped records, released requests and released batches' member
+	// lists are reused.
 	held map[string]*ident
 	// aliases lists the records of live batch IDs that no other identity
 	// names, which held does not carry: one for each queued or granted
 	// batch at most, searched before held.
-	aliases   []*ident
-	freeRecs  []*ident
-	freeReqs  []*request
-	freeBatch []*batchRecs
-	marks     uint64 // submissions looked up: the last ident.mark issued
-	closed    bool
-	decisions int64 // scheduling cycles run; the one count with no family
+	aliases    []*ident
+	freeRecs   []*ident
+	freeReqs   []*request
+	freeShares [][]share // released batches' member lists
+	marks      uint64    // submissions looked up: the last ident.mark issued
+	gens       uint64    // enrollments: the last ident.gen issued
+	closed     bool
+	decisions  int64 // scheduling cycles run; the one count with no family
 
 	m schedMetrics
 	// clock is the telemetry clock Instrument wired (nil until then). It
@@ -498,28 +498,18 @@ func (s *Scheduler) Expect(n int) {
 // outstanding request or live allocation, its own or as a member of a
 // batch.
 func (s *Scheduler) Submit(clientID string, kind RequestKind, bytes int64, grant func()) error {
-	return s.submit(clientID, kind, bytes, nil, grant)
+	s.mu.Lock()
+	req := s.requestLocked(kind, grant)
+	req.one(s.identLocked(clientID), bytes)
+	return s.submitLocked(req, nil)
 }
 
-// submit is the one submission path behind Submit and SubmitBatch:
-// build the request — members nil for a plain one — look up its
-// identities, admit it to the queue and run a scheduling cycle.
-func (s *Scheduler) submit(id string, kind RequestKind, bytes int64, members []BatchMember, grant func()) error {
-	s.mu.Lock()
-	req := s.requestLocked(id, kind, bytes, grant)
-	if members != nil {
-		req.members = members
-		// A member named twice is refused before anything else, and is
-		// not counted as a rejected submission.
-		if err := s.resolveBatchLocked(req); err != nil {
-			s.freeRequestLocked(req)
-			s.mu.Unlock()
-			return err
-		}
-	} else {
-		req.rec = s.identLocked(id)
-	}
-	if err := s.enqueueLocked(req); err != nil {
+// submitLocked is the one submission path behind Submit and
+// SubmitBatch: admit resolved request req — whose caller list is
+// members, nil for a plain one — to the queue and run a scheduling
+// cycle. Caller holds s.mu; submitLocked releases it.
+func (s *Scheduler) submitLocked(req *request, members []BatchMember) error {
+	if err := s.enqueueLocked(req, members); err != nil {
 		s.unresolveLocked(req)
 		s.freeRequestLocked(req)
 		s.mu.Unlock()
@@ -585,15 +575,22 @@ func (s *Scheduler) newIdentLocked(id string) *ident {
 	return rec
 }
 
-// dropIdleLocked drops rec if it holds nothing and is not resident.
-// Caller holds s.mu.
+// unlistLocked takes batch ID record rec off the aliases list. Caller
+// holds s.mu.
+func (s *Scheduler) unlistLocked(rec *ident) {
+	i := slices.Index(s.aliases, rec)
+	s.aliases = slices.Delete(s.aliases, i, i+1)
+	rec.listed = false
+}
+
+// dropIdleLocked drops rec if it holds nothing and is neither resident
+// nor enrolled. Caller holds s.mu.
 func (s *Scheduler) dropIdleLocked(rec *ident) {
-	if rec.req != nil || rec.resident {
+	if rec.req != nil || rec.resident || rec.gen != 0 {
 		return
 	}
 	if rec.listed {
-		i := slices.Index(s.aliases, rec)
-		s.aliases = slices.Delete(s.aliases, i, i+1)
+		s.unlistLocked(rec)
 	} else {
 		delete(s.held, rec.id)
 	}
@@ -601,59 +598,69 @@ func (s *Scheduler) dropIdleLocked(rec *ident) {
 	s.freeRecs = append(s.freeRecs, rec)
 }
 
-// resolveBatchLocked looks up every identity of SubmitBatch request req
-// once, into a record list of its own, and refuses a member named twice.
-// Caller holds s.mu.
-func (s *Scheduler) resolveBatchLocked(req *request) error {
-	var b *batchRecs
-	if n := len(s.freeBatch); n > 0 {
-		b, s.freeBatch = s.freeBatch[n-1], s.freeBatch[:n-1]
-	} else {
-		b = &batchRecs{members: make([]*ident, 0, len(req.members))}
+// recordLocked returns the record h enrolls, or errNotEnrolled if h is
+// not a current enrollment in s. Caller holds s.mu.
+func (s *Scheduler) recordLocked(h Handle) (*ident, error) {
+	if h.s != s || h.rec.gen != h.gen {
+		return nil, errNotEnrolled
 	}
-	req.batch = b
+	return h.rec, nil
+}
+
+// resolveBatchLocked takes every identity of a SubmitBatch request req
+// under batchID once — each member's record from its handle, the batch
+// ID's by lookup — into a member list of its own, and refuses a member
+// not enrolled or named twice. Caller holds s.mu.
+func (s *Scheduler) resolveBatchLocked(req *request, batchID string, members []BatchMember) error {
+	if n := len(s.freeShares); n > 0 {
+		req.members, s.freeShares = s.freeShares[n-1], s.freeShares[:n-1]
+	} else {
+		req.members = make([]share, 0, len(members))
+	}
+	req.batch = true
 	s.marks++
-	for _, m := range req.members {
-		rec := s.identLocked(m.ClientID)
+	for i, m := range members {
+		rec, err := s.recordLocked(m.Client)
+		if err != nil {
+			s.unresolveLocked(req)
+			return fmt.Errorf("batch %q member %d: %w", batchID, i, err)
+		}
 		if rec.mark == s.marks {
 			s.unresolveLocked(req)
-			return fmt.Errorf("%w: %q appears twice in batch %q", ErrOutstanding, m.ClientID, req.clientID)
+			return fmt.Errorf("%w: %q appears twice in batch %q", ErrOutstanding, rec.id, batchID)
 		}
 		rec.mark = s.marks
-		b.members = append(b.members, rec)
+		req.members = append(req.members, share{rec, m.Bytes})
+		req.bytes += m.Bytes
 	}
-	if rec := s.aliasLocked(req.clientID); rec.mark != s.marks {
-		b.alias = rec
-	}
+	req.own = s.aliasLocked(batchID)
+	req.alias = req.own.mark != s.marks
 	return nil
 }
 
-// unresolveLocked undoes req's lookups when it is refused or released:
-// it drops every record left idle and returns req's record list to the
-// free list. Caller holds s.mu.
+// unresolveLocked undoes req's resolution when it is refused or
+// released: it drops every record left idle and returns a batch's member
+// list to the free list. Caller holds s.mu.
 func (s *Scheduler) unresolveLocked(req *request) {
-	if b := req.batch; b != nil {
-		for i, rec := range b.members {
-			s.dropIdleLocked(rec)
-			b.members[i] = nil
-		}
-		if b.alias != nil {
-			s.dropIdleLocked(b.alias)
-		}
-		b.members, b.alias = b.members[:0], nil
-		s.freeBatch = append(s.freeBatch, b)
-		req.batch = nil
-	} else if req.rec != nil {
-		s.dropIdleLocked(req.rec)
-		req.rec = nil
+	for i, m := range req.members {
+		s.dropIdleLocked(m.rec)
+		req.members[i] = share{}
 	}
+	if req.alias {
+		s.dropIdleLocked(req.own)
+	}
+	if req.batch {
+		s.freeShares = append(s.freeShares, req.members[:0])
+	}
+	req.members, req.own, req.alias, req.batch = nil, nil, false, false
 }
 
 // enqueueLocked appends req to the wait queue unless the scheduler is
 // closed, req can never fit, one of its identities already has a
-// request or allocation outstanding, or admission control sheds it. Its
-// records are resolved; caller holds s.mu.
-func (s *Scheduler) enqueueLocked(req *request) error {
+// request or allocation outstanding, or admission control sheds every
+// one of its members. Its records are resolved, members is its caller
+// list (nil for a plain request); caller holds s.mu.
+func (s *Scheduler) enqueueLocked(req *request, members []BatchMember) error {
 	if s.closed {
 		return ErrClosed
 	}
@@ -664,25 +671,22 @@ func (s *Scheduler) enqueueLocked(req *request) error {
 	// forever, head-of-line-blocking every client behind it.
 	if reserved := s.reserved.Load(); req.bytes > s.total-reserved {
 		return fmt.Errorf("%w: need %d, schedulable %d (total %d, %d reserved) (request %q, %d members)",
-			ErrNeverFits, req.bytes, s.total-reserved, s.total, reserved, req.clientID, len(req.members))
+			ErrNeverFits, req.bytes, s.total-reserved, s.total, reserved, req.own.id, len(req.members))
 	}
-	for i := range req.members {
-		if err := outstanding(req.memberRec(i)); err != nil {
+	for _, m := range req.members {
+		if err := outstanding(m.rec); err != nil {
 			return err
 		}
 	}
-	if a := req.alias(); a != nil {
-		if err := outstanding(a); err != nil {
+	if req.alias {
+		if err := outstanding(req.own); err != nil {
 			return err
 		}
 	}
 	if s.adm != nil {
 		now, _ := s.clockNow()
 		s.adm.evaluate(now, s.headAgeLocked(now))
-		if err := s.adm.admit(&req.own().ticks); err != nil {
-			for _, m := range req.members {
-				s.ledger.Shed(m.ClientID)
-			}
+		if err := s.admitLocked(req, members); err != nil {
 			return err
 		}
 	}
@@ -696,12 +700,45 @@ func (s *Scheduler) enqueueLocked(req *request) error {
 	return nil
 }
 
+// admitLocked asks admission control about each of req's members on its
+// own record's parity, exactly as a submission of its own would be
+// asked, and takes the members it sheds out of req: each shed is billed
+// to that member alone and, for a batch, lands in its caller entry's
+// Err. It returns a shed only when no member is left. Caller holds s.mu
+// and has evaluated the controller for this instant.
+func (s *Scheduler) admitLocked(req *request, members []BatchMember) error {
+	var shed error
+	kept := req.members[:0]
+	for i, m := range req.members {
+		err := s.adm.admit(&m.rec.ticks)
+		if err == nil {
+			kept = append(kept, m)
+			continue
+		}
+		shed = err
+		s.ledger.Shed(m.rec.id)
+		req.bytes -= m.bytes
+		if members != nil {
+			members[i].Err = err
+		}
+		// The request's own ID stays held even when the member that
+		// carries it is shed.
+		req.alias = req.alias || m.rec == req.own
+	}
+	clear(req.members[len(kept):])
+	req.members = kept
+	if len(kept) == 0 {
+		return shed
+	}
+	return nil
+}
+
 // outstanding reports ErrOutstanding when rec's identity holds an
 // allocation or reservation, is queued, or rides a queued or granted
 // batch. Caller holds s.mu.
 func outstanding(rec *ident) error {
 	if r := rec.req; r != nil {
-		return fmt.Errorf("%w: %q (request %q, granted: %v)", ErrOutstanding, rec.id, r.clientID, r.granted)
+		return fmt.Errorf("%w: %q (request %q, granted: %v)", ErrOutstanding, rec.id, r.own.id, r.granted)
 	}
 	return nil
 }
@@ -710,7 +747,7 @@ func outstanding(rec *ident) error {
 // (not one it merely rides as a member), or nil. Caller holds s.mu.
 func (s *Scheduler) allocLocked(id string) *request {
 	if rec := s.lookupLocked(id); rec != nil {
-		if r := rec.req; r != nil && r.granted && r.clientID == id {
+		if r := rec.req; r != nil && r.granted && r.own == rec {
 			return r
 		}
 	}
@@ -751,7 +788,7 @@ func (s *Scheduler) releaseLocked(r *request) {
 		s.reserved.Add(-r.bytes)
 	}
 	for _, m := range r.members {
-		s.ledger.Release(m.ClientID, m.Bytes)
+		s.ledger.Release(m.rec.id, m.bytes)
 	}
 	r.hold(nil)
 	s.unresolveLocked(r)
@@ -783,7 +820,7 @@ func (s *Scheduler) Grow(clientID string, bytes int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.allocLocked(clientID)
-	if r == nil || r.reserved || r.parked || len(r.members) != 1 || r.alias() != nil {
+	if r == nil || r.reserved || r.parked || len(r.members) != 1 || r.alias {
 		return false
 	}
 	delta := max(bytes-r.bytes, 0)
@@ -792,7 +829,7 @@ func (s *Scheduler) Grow(clientID string, bytes int64) bool {
 	}
 	s.avail -= delta
 	r.bytes += delta
-	r.members[0].Bytes += delta
+	r.members[0].bytes += delta
 	s.ledger.Acquire(clientID, delta)
 	s.m.grown.Inc()
 	return true
@@ -871,9 +908,10 @@ func (s *Scheduler) unparkLocked(r *request) (revoke func()) {
 // holds s.mu.
 func (s *Scheduler) revokeLocked(r *request) {
 	revoke := s.unparkLocked(r)
+	id := r.own.id
 	s.releaseLocked(r)
 	s.m.revoked.Inc()
-	s.ledger.Revoke(r.clientID)
+	s.ledger.Revoke(id)
 	s.freeRequestLocked(r)
 	revoke()
 }
@@ -940,8 +978,8 @@ func (s *Scheduler) schedule(grants []func()) []func() {
 // isResident reports whether every member of r has been granted memory
 // before. Caller holds s.mu.
 func (s *Scheduler) isResident(r *request) bool {
-	for i := range r.members {
-		if !r.memberRec(i).resident {
+	for _, m := range r.members {
+		if !m.rec.resident {
 			return false
 		}
 	}
@@ -980,9 +1018,9 @@ func (s *Scheduler) grantAt(i int, backfilled bool) func() {
 	}
 	// Each member is billed its own byte share; Complete releases the
 	// same shares.
-	for i, m := range r.members {
-		r.memberRec(i).resident = true
-		s.ledger.Acquire(m.ClientID, m.Bytes)
+	for _, m := range r.members {
+		m.rec.resident = true
+		s.ledger.Acquire(m.rec.id, m.bytes)
 	}
 	if now, ok := s.clockNow(); ok {
 		wait := now - r.at
@@ -1001,7 +1039,7 @@ func (s *Scheduler) grantAt(i int, backfilled bool) func() {
 		// histogram's name and sees the exact same value, so the
 		// per-client series sum back to the aggregate.
 		for _, m := range r.members {
-			s.ledger.AddGrantWait(m.ClientID, wait.Seconds())
+			s.ledger.AddGrantWait(m.rec.id, wait.Seconds())
 		}
 	}
 	return r.grant
@@ -1030,23 +1068,43 @@ func (s *Scheduler) Reserve(id string, bytes int64) error {
 		return fmt.Errorf("%w: reserve %d, available %d", ErrNeverFits, bytes, s.avail+s.parkedBytes)
 	}
 	s.takeLocked(bytes)
-	r := s.requestLocked(id, 0, bytes, nil)
-	r.granted, r.reserved, r.rec = true, true, rec
+	r := s.requestLocked(0, nil)
+	r.one(rec, bytes)
+	r.granted, r.reserved = true, true
 	r.hold(r)
 	s.reserved.Add(bytes)
 	s.ledger.Acquire(id, bytes)
 	return nil
 }
 
-// Forget drops id's record once it holds nothing, so a departed client
-// neither counts as resident nor stays in the identity table: it returns
-// as a newcomer to admission control. A request still holding id keeps
-// the record until it is released.
-func (s *Scheduler) Forget(id string) {
+// Enroll gives client id a handle on its identity record for naming it
+// as a batch member (BatchMember.Client). The record stays in the
+// identity table, with its throttle parity, until Forget; enrolling does
+// not make the client resident, its first grant does. Enrolling an ID
+// again issues a new handle and retires the one before.
+func (s *Scheduler) Enroll(id string) Handle {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rec := s.lookupLocked(id); rec != nil {
-		rec.resident = false
+	rec := s.identLocked(id)
+	if rec.listed { // a live batch's ID: from now on a client's record
+		s.unlistLocked(rec)
+		s.held[id] = rec
+	}
+	s.gens++
+	rec.gen = s.gens
+	return Handle{s: s, rec: rec, gen: rec.gen}
+}
+
+// Forget ends h's enrollment and drops its record once it holds
+// nothing, so a departed client neither counts as resident nor stays in
+// the identity table: it returns as a newcomer to admission control. A
+// request still holding the identity keeps the record until it is
+// released. A handle already retired is ignored.
+func (s *Scheduler) Forget(h Handle) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rec, err := s.recordLocked(h); err == nil {
+		rec.gen, rec.resident = 0, false
 		s.dropIdleLocked(rec)
 	}
 }

@@ -49,25 +49,42 @@ func batchKey(sess *session, la *adapter.LoRAAdapter, kind sched.RequestKind, se
 // execBatch runs one formed batch: acquire the aggregate grant, build
 // a multi-adapter body over a pristine clone of the shared blocks,
 // stack the members' rows, run one invocation, slice results back out.
-// A scheduler rejection (overload shed) lands in every member's Err and
-// flows back through the serving loop's retryable path, so sessions
-// survive sheds exactly as they do on the serial path.
+// An overload shed lands in the Err of each member admission control
+// shed — every member's, when it shed them all — and flows back through
+// the serving loop's retryable path, so sessions survive sheds exactly
+// as they do on the serial path; the batch runs with the others.
 func (s *Server) execBatch(key batch.Key, items []*batch.Item) {
+	works := make([]*phaseWork, len(items))
+	members := make([]sched.BatchMember, len(items))
+	for i, it := range items {
+		w := it.Payload.(*phaseWork)
+		works[i] = w
+		members[i] = sched.BatchMember{Client: w.sess.handle, Bytes: it.Bytes}
+	}
+	batchID := fmt.Sprintf("batch-%d", s.batchSeq.Add(1))
 	fail := func(err error) {
 		for _, it := range items {
 			it.Err = err
 		}
 	}
-	works := make([]*phaseWork, len(items))
-	for i, it := range items {
-		works[i] = it.Payload.(*phaseWork)
-	}
-	batchID := fmt.Sprintf("batch-%d", s.batchSeq.Add(1))
-	if err := s.acquire(key.Kind, batchID, works...); err != nil {
+	if err := s.acquire(key.Kind, batchID, members, works...); err != nil {
 		fail(err)
 		return
 	}
 	defer s.scheduler.Complete(batchID)
+	// A member admission control shed is not in the grant: it takes its
+	// shed and the batch runs with the others. The engine closes every
+	// item it dispatched, so the rest are gathered afresh rather than
+	// compacted in place.
+	ran := make([]*batch.Item, 0, len(items))
+	works = works[:0]
+	for i, it := range items {
+		if it.Err = members[i].Err; it.Err == nil {
+			ran = append(ran, it)
+			works = append(works, it.Payload.(*phaseWork))
+		}
+	}
+	items = ran
 
 	_, span := key.Kind.Spans()
 	tStart := s.cfg.Tracer.Now()

@@ -349,8 +349,11 @@ func (s *Server) logf(format string, args ...any) {
 
 // session is one client's serving state (a "serving process" S_i).
 type session struct {
-	id   string
-	inst *share.Instance
+	id string
+	// handle is the session's enrollment in the scheduler, taken at the
+	// handshake: its batch memberships name it by this.
+	handle sched.Handle
+	inst   *share.Instance
 	// scratch is the instance's arena: the session's body and adapter
 	// draw from it, its connection's framer decodes into it, and every
 	// tensor a phase receives or sends goes back to it (a tensor the
@@ -666,6 +669,7 @@ func (s *Server) handshake(fr *split.Framer) (_ *session, err error) {
 	}); err != nil {
 		return nil, fmt.Errorf("write ack: %w", err)
 	}
+	sess.handle = s.scheduler.Enroll(sess.id)
 	s.m.admitted.Inc()
 	s.m.active.Add(1)
 	return sess, nil
@@ -681,7 +685,7 @@ func (s *Server) teardown(sess *session) {
 	s.mu.Unlock()
 	s.scheduler.Complete(sess.id) // a grant in flight or parked, if any
 	s.scheduler.Complete("persist:" + sess.id)
-	s.scheduler.Forget(sess.id) // a reconnect is a newcomer to admission
+	s.scheduler.Forget(sess.handle) // a reconnect is a newcomer to admission
 	sess.scratch.Put(sess.cachedInput)
 	sess.cachedInput = nil
 	if err := sess.inst.Release(); err != nil && !errors.Is(err, share.ErrReleased) {
@@ -692,12 +696,14 @@ func (s *Server) teardown(sess *session) {
 }
 
 // acquire blocks until the scheduler grants kind's memory to works:
-// one session's own request under its ID (batchID ""), or a formed
-// batch's members as one aggregate request under batchID. Each member
-// gets its own wait span and grant-wait exemplar, stamped with its
-// trace ID (0 = untraced) to tie a tail-latency observation back to the
-// client iteration that suffered it.
-func (s *Server) acquire(kind sched.RequestKind, batchID string, works ...*phaseWork) error {
+// one session's own request under its ID (batchID "", members nil), or
+// a formed batch's members as one aggregate request under batchID,
+// members[i] being works[i]'s share. A member admission control sheds
+// comes back with its Err set and is not in the grant. Each member gets
+// its own wait span, and each granted one its grant-wait exemplar,
+// stamped with its trace ID (0 = untraced) to tie a tail-latency
+// observation back to the client iteration that suffered it.
+func (s *Server) acquire(kind sched.RequestKind, batchID string, members []sched.BatchMember, works ...*phaseWork) error {
 	waitSpan, _ := kind.Spans()
 	spans := make([]*obs.SpanHandle, len(works))
 	for i, w := range works {
@@ -711,10 +717,6 @@ func (s *Server) acquire(kind sched.RequestKind, batchID string, works ...*phase
 		sess := works[0].sess
 		err = s.scheduler.Submit(sess.id, kind, sess.demand(kind), grant)
 	} else {
-		members := make([]sched.BatchMember, len(works))
-		for i, w := range works {
-			members[i] = sched.BatchMember{ClientID: w.sess.id, Bytes: w.sess.demand(kind)}
-		}
 		err = s.scheduler.SubmitBatch(batchID, kind, members, grant)
 	}
 	if err == nil {
@@ -725,7 +727,7 @@ func (s *Server) acquire(kind sched.RequestKind, batchID string, works ...*phase
 	wait := time.Since(start)
 	for i, w := range works {
 		spans[i].End()
-		if err == nil {
+		if err == nil && (members == nil || members[i].Err == nil) {
 			s.m.schedWait.ObserveExemplar(wait.Seconds(), w.traceID)
 		}
 	}
@@ -802,7 +804,7 @@ func (s *Server) run(kind sched.RequestKind, w *phaseWork) error {
 	if kind == sched.KindForward {
 		return s.runForward(w)
 	}
-	if err := s.acquire(sched.KindBackward, "", w); err != nil {
+	if err := s.acquire(sched.KindBackward, "", nil, w); err != nil {
 		return err
 	}
 	return s.runBackward(w, nil)
@@ -860,7 +862,7 @@ func (s *Server) serveForward(fr *split.Framer, sess *session, req *split.Forwar
 // no-grad pass that releases before the gradient wait (Fig. 3(d)).
 func (s *Server) runForward(w *phaseWork) error {
 	sess := w.sess
-	if err := s.acquire(sched.KindForward, "", w); err != nil {
+	if err := s.acquire(sched.KindForward, "", nil, w); err != nil {
 		return err
 	}
 	keep := s.scheduler.Grow(sess.id, sess.mb)

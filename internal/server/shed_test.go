@@ -2,12 +2,16 @@ package server
 
 import (
 	"errors"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"menos/internal/client"
 	"menos/internal/obs"
 	"menos/internal/sched"
+	"menos/internal/split"
 )
 
 // TestLiveServerShedsAStep drives a served session into admission
@@ -97,5 +101,150 @@ func TestLiveServerShedsAStep(t *testing.T) {
 	}
 	if n := flightReasons(t, flight)[obs.FlightReasonShed]; n != 1 {
 		t.Errorf("%d %q flight records, want 1", n, obs.FlightReasonShed)
+	}
+}
+
+// TestLiveBatchedServerShedsMembers drives a batched server into the
+// Throttled admission state on a hand-stepped server clock, with two
+// resident tenants whose throttle parities differ by one, and steps them
+// in lockstep so their forwards form one batch. Admission decides each
+// member on its own parity: it sheds the one a step of its own would
+// lose, whose session sees a RetryableError and steps again once the
+// controller has reopened, and the batch runs with the other, whose step
+// completes. The controller reopens before either backward goes out, so
+// the batch is the one place a shed can land. Only the shed member is
+// billed a shed.
+func TestLiveBatchedServerShedsMembers(t *testing.T) {
+	var now atomic.Int64
+	clock := obs.ClockFunc(func() time.Duration { return time.Duration(now.Load()) })
+	defer func(orig func() obs.Clock) { newClock = orig }(newClock)
+	newClock = func() obs.Clock { return clock }
+
+	reg := obs.NewRegistry()
+	srv, addr := startServer(t, Config{
+		// Lockstep forwards fill a batch of two long before its hold ends.
+		Batch:   sched.BatchPolicy{MaxSize: 2, MaxHold: 5 * time.Second},
+		SLO:     sched.SLO{TargetP99: time.Second},
+		Metrics: reg,
+	})
+	sch := srv.Scheduler()
+	cfgA, cfgB := clientCfg("member-a"), clientCfg("member-b")
+	idsA, targetsA := batchFor(cfgA, 21)
+	idsB, targetsB := batchFor(cfgB, 22)
+
+	// The first backward of the lockstep step goes out once the batch ran
+	// its forward: its hook lifts the memory pressure and lets the
+	// controller step down, a rung per probe submission three seconds
+	// (over the 2s dwell) after the last, so no backward is throttled.
+	var release func()
+	var reopened sync.Once
+	reopen := func() {
+		reopened.Do(func() {
+			release()
+			for i := 0; sch.AdmissionState() != sched.StateOpen; i++ {
+				if i == 20 {
+					t.Error("admission never reopened")
+					return
+				}
+				now.Add(int64(3 * time.Second))
+				ch := make(chan struct{})
+				if err := sch.Submit("probe", sched.KindForward, 1, func() { close(ch) }); err == nil {
+					<-ch
+					sch.Complete("probe")
+				} else if !errors.Is(err, sched.ErrOverloaded) {
+					t.Error(err)
+					return
+				}
+			}
+		})
+	}
+	hooks := map[split.MsgType]func(){}
+	dial := func(cfg client.Config) *client.Client {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := client.New(&frameHookConn{Conn: conn, before: hooks}, cfg)
+		if err != nil {
+			_ = conn.Close()
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		return c
+	}
+	a, b := dial(cfgA), dial(cfgB)
+
+	// A step each on an open, idle server makes both tenants resident.
+	for _, c := range []struct {
+		c            *client.Client
+		ids, targets []int
+	}{{a, idsA, targetsA}, {b, idsB, targetsB}} {
+		if _, err := c.c.Step(c.ids, c.targets); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A request waits for memory from now on, so both tenants' forwards
+	// are batched; 0.8s later its age, between 0.7 and 1 times the SLO,
+	// throttles the server at the next submission. B's record takes one
+	// throttled submission of its own first, so the batch finds A on an
+	// odd tick and B on an even one.
+	release = pressure(t, sch)
+	now.Add(int64(800 * time.Millisecond))
+	ch := make(chan struct{})
+	if err := sch.Submit(cfgB.ClientID, sched.KindForward, 1, func() { close(ch) }); err != nil {
+		t.Fatalf("B's head start: %v", err)
+	}
+	<-ch
+	sch.Complete(cfgB.ClientID)
+	if st := sch.AdmissionState(); st != sched.StateThrottled {
+		t.Fatalf("admission state %v, want throttled", st)
+	}
+	formed := reg.Counter(obs.MetricBatchFormed).Value()
+
+	hooks[split.TypeBackwardReq] = reopen
+	barrier := newStepBarrier(2)
+	var wg sync.WaitGroup
+	var errA, errB error
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		barrier.wait()
+		_, errA = a.Step(idsA, targetsA)
+	}()
+	go func() {
+		defer wg.Done()
+		barrier.wait()
+		_, errB = b.Step(idsB, targetsB)
+	}()
+	wg.Wait()
+	delete(hooks, split.TypeBackwardReq)
+
+	if got := reg.Counter(obs.MetricBatchFormed).Value() - formed; got != 1 {
+		t.Fatalf("%d batches formed by the lockstep forwards, want 1", got)
+	}
+	if errA != nil {
+		t.Errorf("A's step beside a shed co-member: %v", errA)
+	}
+	var re *client.RetryableError
+	if !errors.As(errB, &re) {
+		t.Fatalf("B's step: err = %v, want a RetryableError", errB)
+	}
+	if re.RetryAfter != 500*time.Millisecond {
+		t.Errorf("B's retry hint %v, want the throttled half of the SLO target, 500ms", re.RetryAfter)
+	}
+	if _, err := b.Step(idsB, targetsB); err != nil {
+		t.Fatalf("B's step after reopening: %v", err)
+	}
+
+	sheds := reg.CounterVec(obs.MetricServerShedsTotal, "client")
+	for id, want := range map[string]int64{cfgA.ClientID: 0, cfgB.ClientID: 1} {
+		var got int64
+		if c, ok := sheds.Get(id); ok {
+			got = c.Value()
+		}
+		if got != want {
+			t.Errorf("%s{client=%q} = %d, want %d", obs.MetricServerShedsTotal, id, got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package splitsim
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -44,6 +45,7 @@ type simBatcher struct {
 // outcome half and fires sig.
 type simMember struct {
 	id      string
+	handle  sched.Handle // the client's enrollment on its server
 	bytes   int64
 	rows    int64
 	dur     time.Duration // this member's serial kernel duration
@@ -51,8 +53,11 @@ type simMember struct {
 	sig     *sim.Signal
 	then    func() // the member's continuation once its batch ran
 
-	joined time.Duration
+	joined time.Duration // the phase's first join: a wait spans its sheds
 	err    error
+	// shed is admission control's verdict when it turned this member
+	// away from its batch: the member backs off and joins another.
+	shed *sched.OverloadError
 	// Outcome accounting, all on the virtual clock: the grant wait
 	// (including the fixed decision cost, like a serial grant), the
 	// billed compute share (Σ shares == batch duration), and the
@@ -74,9 +79,10 @@ func newSimBatcher(kernel *sim.Kernel, run *menosRun, pol sched.BatchPolicy, met
 
 // join adds m to srv's forming group for key; m.then runs once the
 // group's batch has executed, with m.err set if it never could be
-// scheduled and m's wait/compute/stall holding its share otherwise.
+// scheduled, m.shed if admission control shed it from the batch, and
+// m's wait/compute/stall holding its share otherwise.
 func (b *simBatcher) join(srv *serverSim, key batch.Key, m *simMember) {
-	m.joined, m.err = b.kernel.Now(), nil
+	m.err, m.shed = nil, nil
 	// One batch becomes one scheduler grant, so the byte budget is what
 	// the scheduler could ever grant.
 	g, opened, sealed := srv.former.Add(key, m, m.bytes, srv.scheduler.Schedulable())
@@ -101,11 +107,12 @@ func (b *simBatcher) startLeader(g *batch.Group[*simMember, *simLead]) {
 	b.kernel.After(0, g.State.advance)
 }
 
-// simLead drives one sealed group: submit the batched grant, serialize
-// on the device, run the batched kernel, release, bill each member its
-// row share, and wake everyone. A leader stays with its group through
-// the server's former, binding its continuations once; the pair is
-// recycled when both the batch and the hold timer are done.
+// simLead drives one sealed group: submit the batched grant, wake the
+// members admission control shed, serialize on the device, run the
+// batched kernel over the others, release, bill each its row share, and
+// wake them. A leader stays with its group through the server's former,
+// binding its continuations once; the pair is recycled when both the
+// batch and the hold timer are done.
 type simLead struct {
 	b       *simBatcher
 	group   *batch.Group[*simMember, *simLead]
@@ -123,8 +130,10 @@ type simLead struct {
 	hold    time.Duration
 	grantAt time.Duration
 
-	gw              grantWait
+	sig             *sim.Signal // the batch grant, when it is not immediate
+	granted         bool
 	advance, expire func()
+	onGrant         func()
 }
 
 // leadPC is a position in simLead.lead.
@@ -147,8 +156,8 @@ func (b *simBatcher) newLeader(srv *serverSim) *simLead {
 		members: make([]sched.BatchMember, 0, b.pol.MaxSize),
 		rows:    make([]batch.MemberRows, 0, b.pol.MaxSize),
 	}
-	l.advance, l.expire = l.lead, l.holdExpired
-	l.gw.init(b.kernel, "batch grant", "", 0, b.kernel.NewSignal(), l, l.advance)
+	l.advance, l.expire, l.onGrant = l.lead, l.holdExpired, l.deliver
+	l.sig = b.kernel.NewSignal()
 	return l
 }
 
@@ -157,7 +166,6 @@ func (l *simLead) open(g *batch.Group[*simMember, *simLead]) {
 	b := l.b
 	l.id = b.ids.number("batch-", b.seq)
 	l.group, l.opened, l.pc, l.holding = g, b.kernel.Now(), leadStart, true
-	l.gw.subject, l.gw.jitter = l.id, b.seq%8
 }
 
 // holdExpired is the group's hold timer: a group still forming seals
@@ -187,34 +195,35 @@ func (l *simLead) lead() {
 		switch l.pc {
 		case leadStart:
 			l.hold = k.Now() - l.opened
-			l.members, l.maxDur, l.maxRel, l.total = l.members[:0], 0, 0, 0
+			l.members = l.members[:0]
 			for _, m := range l.group.Members {
-				l.members = append(l.members, sched.BatchMember{ClientID: m.id, Bytes: m.bytes})
-				if m.dur > l.maxDur {
-					l.maxDur = m.dur
-				}
-				if m.release > l.maxRel {
-					l.maxRel = m.release
-				}
-				l.total += m.dur
+				l.members = append(l.members, sched.BatchMember{Client: m.handle, Bytes: m.bytes})
 			}
-			// Members stay parked through sheds, so their recorded wait
-			// spans all attempts. Errors other than overload can never
-			// be granted — fail the members rather than deadlocking the
-			// kernel.
+			l.granted = false
+			err := srv.scheduler.SubmitBatch(l.id, l.group.Key.Kind, l.members, l.onGrant)
+			b.run.refresh(srv)
+			l.dropShed()
 			l.pc = leadGranted
-			l.gw.await()
-			return
-
-		case leadGranted:
-			if err := l.gw.err; err != nil {
+			switch {
+			case errors.Is(err, sched.ErrOverloaded):
+				// Every member was shed and has backed off on its own.
+				l.finish()
+				return
+			case err != nil:
+				// Errors other than overload can never be granted — fail
+				// the members rather than deadlocking the kernel.
 				for _, m := range l.group.Members {
 					m.err = fmt.Errorf("batch %s: %w", l.id, err)
 					m.sig.Fire()
 				}
 				l.finish()
 				return
+			case !l.granted:
+				l.sig.WaitFor("batch grant", l.id, l.advance)
+				return
 			}
+
+		case leadGranted:
 			l.grantAt = k.Now()
 			b.run.sampleMem(l.grantAt, srv)
 			// One batched kernel invocation owns the device; the grant
@@ -278,13 +287,30 @@ func (l *simLead) bill(doneAt time.Duration) {
 	l.b.metrics.Record(l.rows, l.hold.Seconds())
 }
 
-// submit is the leader's grantWait submission: one SubmitBatch, after
-// which the server's share of the memory timeline is re-read.
-func (l *simLead) submit(grant func()) error {
-	err := l.srv.scheduler.SubmitBatch(l.id, l.group.Key.Kind, l.members, grant)
-	l.b.run.refresh(l.srv)
-	return err
+// deliver is the scheduler's grant callback.
+func (l *simLead) deliver() {
+	l.granted = true
+	l.sig.Fire()
 }
 
-// shed books an admission shed against every member of the group.
-func (l *simLead) shed() { l.b.run.shed(l.members...) }
+// dropShed wakes every member admission control shed from the submitted
+// batch, takes it out of the group and sums the batch's durations over
+// the members left.
+func (l *simLead) dropShed() {
+	g := l.group
+	kept := g.Members[:0]
+	l.maxDur, l.maxRel, l.total = 0, 0, 0
+	for i, m := range g.Members {
+		if err := l.members[i].Err; err != nil {
+			m.shed = err.(*sched.OverloadError)
+			m.sig.Fire()
+			continue
+		}
+		kept = append(kept, m)
+		l.maxDur = max(l.maxDur, m.dur)
+		l.maxRel = max(l.maxRel, m.release)
+		l.total += m.dur
+	}
+	clear(g.Members[len(kept):])
+	g.Members = kept
+}

@@ -396,6 +396,7 @@ func (r *menosRun) admitClient(srv *serverSim, c *menosClient) error {
 		srv.devices.FreeOwner(owner)
 		return fmt.Errorf("client %q persistent state: %w", ci.ID, err)
 	}
+	c.member.handle = srv.scheduler.Enroll(ci.ID)
 	if ci.TransientPeakBytes > srv.maxDemand {
 		srv.maxDemand = ci.TransientPeakBytes
 	}
@@ -468,13 +469,11 @@ func (r *menosRun) recordWait(kind sched.RequestKind, d time.Duration) {
 	}
 }
 
-// shed books one admission shed against every client it turned away:
-// the one submitting, or each member of a shed batch.
-func (r *menosRun) shed(members ...sched.BatchMember) {
-	r.rejected += int64(len(members))
-	for _, m := range members {
-		r.ledger.Retry(m.ClientID)
-	}
+// shed books one admission shed against the client it turned away: a
+// serial submission's, or a batch member's.
+func (r *menosRun) shed(id string) {
+	r.rejected++
+	r.ledger.Retry(id)
 	if r.cfg.Flight != nil {
 		r.cfg.Flight.Trigger(obs.FlightReasonShed)
 	}
@@ -596,6 +595,7 @@ const (
 	pcGrant // server phase c.ph: forward, then backward
 	pcGranted
 	pcBatched
+	pcRejoin
 	pcCompute
 	pcRelease
 	pcDownloadXS
@@ -630,7 +630,7 @@ func (c *menosClient) init(r *menosRun, i int, wait *sim.Signal) {
 	if r.batcher != nil {
 		c.member = simMember{id: spec.ID, rows: p.rows, sig: wait, then: c.advance}
 	} else {
-		c.gw.init(r.kernel, "memory grant", spec.ID, i%8, wait, c, c.advance)
+		c.gw.init(c, wait)
 	}
 	if cfg.Overlap {
 		c.side = c.overlap
@@ -808,6 +808,12 @@ func (c *menosClient) step() {
 			}
 			c.pc = afterPhase[c.ph]
 
+		case pcRejoin:
+			// Shed from its batch, and backed off: join another.
+			c.pc = pcBatched
+			c.joinBatch()
+			return
+
 		case pcCompute:
 			p := &c.prof.phases[c.ph]
 			c.pc = pcRelease
@@ -978,7 +984,7 @@ func (c *menosClient) submit(grant func()) error {
 }
 
 // shed is c.gw's shed bookkeeping.
-func (c *menosClient) shed() { c.r.shed(sched.BatchMember{ClientID: c.id}) }
+func (c *menosClient) shed() { c.r.shed(c.id) }
 
 func (c *menosClient) release() {
 	c.held = false
@@ -1004,17 +1010,33 @@ func (c *menosClient) cycleShare(p *serverPhase) time.Duration {
 func (c *menosClient) batchPhase(p *serverPhase) {
 	m := &c.member
 	m.bytes, m.dur, m.release = p.grant, p.dur, c.cycleShare(p)
-	c.kind, c.op, c.opStart = p.kind, p.span, c.kernel.Now()
-	key := batch.Key{Cut: c.prof.cut, Seq: c.prof.seq, Kind: p.kind}
-	c.r.batcher.join(c.srv, key, m)
+	c.kind, c.opStart = p.kind, c.kernel.Now()
+	m.joined = c.opStart
+	c.joinBatch()
+}
+
+// joinBatch joins the member to its server's forming group for the
+// phase in flight.
+func (c *menosClient) joinBatch() {
+	key := batch.Key{Cut: c.prof.cut, Seq: c.prof.seq, Kind: c.kind}
+	c.r.batcher.join(c.srv, key, &c.member)
 }
 
 // batchLanded bills the member's share of the batch that ran its phase,
-// or ends its schedule, reporting false, if the batch never could.
+// reporting true. It reports false when there is nothing to bill yet:
+// admission control shed the member from its batch, and it backs off
+// and joins another, exactly as a shed serial client resubmits; or the
+// batch never could run, which ends its schedule.
 func (c *menosClient) batchLanded() bool {
 	r, m := c.r, &c.member
 	if m.err != nil {
 		c.fail(fmt.Errorf("client %q: %v", c.id, m.err))
+		return false
+	}
+	if m.shed != nil {
+		r.shed(c.id)
+		c.pc = pcRejoin
+		c.kernel.After(backoff(m.shed, c.i%8), c.advance)
 		return false
 	}
 	start := c.opStart
@@ -1022,7 +1044,7 @@ func (c *menosClient) batchLanded() bool {
 	wait, _ := c.kind.Spans()
 	c.bill(wait, start, m.wait)
 	grantAt := start + m.wait - costmodel.SchedulerDecisionTime
-	c.bill(c.op, grantAt, m.compute)
+	c.bill(c.prof.phases[c.ph].span, grantAt, m.compute)
 	if m.stall > 0 {
 		c.bill(obs.SpanBatchStall, grantAt+m.compute, m.stall)
 	}
@@ -1030,37 +1052,26 @@ func (c *menosClient) batchLanded() bool {
 	return true
 }
 
-// grantee is what a grantWait submits for: a client's own request or a
-// batch leader's.
-type grantee interface {
-	submit(grant func()) error // Submit or SubmitBatch
-	shed()                     // the shed's bookkeeping
-}
-
-// grantWait is a handler's scheduling request in flight; owner submits
-// it. An admission shed runs owner.shed, backs off for the controller's
-// hint and resubmits, exactly like a real client; the backoff is
-// jittered deterministically (jitter in [0,8)) so shed clients do not
-// resubmit in a synchronized herd. A grant delivered inside submit
-// continues in place; a later one wakes the handler through sig. Either
-// way then runs once the grant is held. Any other error can never be
-// granted: then runs at once with err set. A wait is reported as
-// "reason subject" in a deadlock.
+// grantWait is a serial client's scheduling request in flight; owner
+// submits it. An admission shed runs owner.shed, backs off for the
+// controller's hint and resubmits, exactly like a real client; the
+// backoff is jittered deterministically (backoff, by the client's index
+// mod 8) so shed clients do not resubmit in a synchronized herd. A grant
+// delivered inside submit continues in place; a later one wakes the
+// client through sig. Either way its schedule continues once the grant
+// is held. Any other error can never be granted: the schedule continues
+// at once with err set. A wait is reported as "memory grant <client>"
+// in a deadlock.
 type grantWait struct {
-	kernel          *sim.Kernel
-	reason, subject string
-	jitter          int
-	owner           grantee
-	then            func()
-
+	owner          *menosClient
 	sig            *sim.Signal
 	granted        bool
 	err            error
 	onGrant, retry func()
 }
 
-func (w *grantWait) init(k *sim.Kernel, reason, subject string, jitter int, sig *sim.Signal, owner grantee, then func()) {
-	*w = grantWait{kernel: k, reason: reason, subject: subject, jitter: jitter, owner: owner, then: then, sig: sig}
+func (w *grantWait) init(owner *menosClient, sig *sim.Signal) {
+	*w = grantWait{owner: owner, sig: sig}
 	w.onGrant = w.deliver
 	w.retry = w.try
 }
@@ -1072,23 +1083,30 @@ func (w *grantWait) await() {
 }
 
 func (w *grantWait) try() {
-	err := w.owner.submit(w.onGrant)
+	c := w.owner
+	err := c.submit(w.onGrant)
 	if err == nil {
 		if w.granted {
-			w.then()
+			c.advance()
 		} else {
-			w.sig.WaitFor(w.reason, w.subject, w.then)
+			w.sig.WaitFor("memory grant", c.id, c.advance)
 		}
 		return
 	}
 	var ov *sched.OverloadError
 	if !errors.As(err, &ov) {
 		w.err = err
-		w.then()
+		c.advance()
 		return
 	}
-	w.owner.shed()
-	w.kernel.After(ov.RetryAfter+ov.RetryAfter*time.Duration(w.jitter)/8, w.retry)
+	c.shed()
+	c.kernel.After(backoff(ov, c.i%8), w.retry)
+}
+
+// backoff is how long a client shed with ov waits before it tries again:
+// the controller's hint, stretched by jitter eighths of it.
+func backoff(ov *sched.OverloadError, jitter int) time.Duration {
+	return ov.RetryAfter + ov.RetryAfter*time.Duration(jitter)/8
 }
 
 // deliver is the scheduler's grant callback.
