@@ -26,7 +26,7 @@ import (
 var countsPins = map[string]string{
 	"ledger":             "0ed53f2c078cef6fbb68b54f0d1268a0e005a4a9d10503af3ebbf2fb9c6c3dcb",
 	"splitsim/autoscale": "ed4642064849b5721967265fef5757cb6794219e9a661e49254fadadebe8df60",
-	"splitsim/batch":     "7cf1f42dd2eaeb2ec587a55f74e4a2712da69443b24fedc0ea85fd5b48a886b5",
+	"splitsim/batch":     "dd7ee4068b8af35c6f62f8030ef2f3efde60eeb35f216fad233f78518d0c9dc7",
 }
 
 // pinDigest hashes v's JSON encoding.

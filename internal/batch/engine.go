@@ -43,7 +43,8 @@ type Key struct {
 
 // Item is one client's share of a batch. The caller fills the
 // identity, sizing, and Payload fields; the executor writes its output
-// through Payload and fills Err for every item it receives.
+// through Payload and fills Err for every item it receives. An item
+// serves one Join.
 type Item struct {
 	Client  string
 	Rows    int   // stacked activation rows this client contributes
@@ -52,12 +53,24 @@ type Item struct {
 
 	Err error
 
-	done chan struct{}
+	done chan struct{} // nil once Release handed the verdict back
+}
+
+// Release hands the item's verdict, its Err, back to its Join now,
+// before the batch has run: for an item the executor drops from the
+// batch, such as a member admission control shed. The engine neither
+// wakes nor records it again. The executor calls it at most once per
+// item, and touches neither the item nor its Payload afterwards.
+func (it *Item) Release() {
+	done := it.done
+	it.done = nil
+	close(done)
 }
 
 // Exec runs one formed batch. Items arrive in join order (ascending
 // row position in the stack); the executor must deliver each item's
-// output or set its Err before returning.
+// output or set its Err before returning, and may Release an item it
+// drops from the batch before then.
 type Exec func(key Key, items []*Item)
 
 // Config configures an Engine.
@@ -120,7 +133,8 @@ func (e *Engine) Join(key Key, it *Item) error {
 	if it.Rows <= 0 {
 		return fmt.Errorf("batch: item for %q has %d rows", it.Client, it.Rows)
 	}
-	it.done = make(chan struct{})
+	done := make(chan struct{})
+	it.done = done
 
 	e.mu.Lock()
 	if e.closed {
@@ -141,7 +155,7 @@ func (e *Engine) Join(key Key, it *Item) error {
 	if sealed != nil {
 		go e.dispatch(sealed)
 	}
-	<-it.done
+	<-done
 	return it.Err
 }
 
@@ -156,19 +170,24 @@ func (e *Engine) flushExpired(g *group) {
 	}
 }
 
-// dispatch runs one sealed group through the executor and releases its
-// members. Never called with e.mu held.
+// dispatch runs one sealed group through the executor, records the
+// members that ran — an item the executor released or failed did not —
+// and releases the rest. Never called with e.mu held.
 func (e *Engine) dispatch(g *group) {
 	g.State.timer.Stop()
 	hold := time.Since(g.State.opened)
 	e.cfg.Exec(g.Key, g.Members)
-	members := make([]MemberRows, len(g.Members))
-	for i, it := range g.Members {
-		members[i] = MemberRows{Client: it.Client, Rows: int64(it.Rows)}
+	members := make([]MemberRows, 0, len(g.Members))
+	for _, it := range g.Members {
+		if it.done != nil && it.Err == nil {
+			members = append(members, MemberRows{Client: it.Client, Rows: int64(it.Rows)})
+		}
 	}
 	e.cfg.Metrics.Record(members, hold.Seconds())
 	for _, it := range g.Members {
-		close(it.done)
+		if it.done != nil {
+			close(it.done)
+		}
 	}
 }
 

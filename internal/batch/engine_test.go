@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -253,4 +254,55 @@ func TestMetricsConservation(t *testing.T) {
 	var nilM *Metrics
 	nilM.Record([]MemberRows{{Client: "x", Rows: 1}}, 0)
 	NewMetrics(nil, nil, 0).Record([]MemberRows{{Client: "x", Rows: 1}}, 0)
+}
+
+// TestReleasedItemReturnsBeforeTheBatch: an item the executor releases
+// returns from Join with its Err while the executor still holds the
+// rest of the batch, and the batch is recorded with only the members
+// that ran.
+func TestReleasedItemReturnsBeforeTheBatch(t *testing.T) {
+	errDropped := errors.New("dropped")
+	returned := make(chan struct{})
+	exec := func(_ Key, items []*Item) {
+		for _, it := range items {
+			if it.Client == "b" {
+				it.Err = errDropped
+				it.Release()
+			}
+		}
+		<-returned // the rest of the batch runs only once b is back
+		for _, it := range items {
+			if it.Client == "a" {
+				*it.Payload.(*string) = it.Client
+			}
+		}
+	}
+	reg := obs.NewRegistry()
+	e, err := New(Config{
+		Policy:  sched.BatchPolicy{MaxSize: 2, MaxHold: time.Minute},
+		Exec:    exec,
+		Metrics: NewMetrics(reg, nil, 2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	key := Key{Cut: 2, Seq: 16, Kind: sched.KindForward}
+
+	done := make(chan *Item)
+	go func() { done <- join(t, e, key, "a", 16, 10) }()
+	b := &Item{Client: "b", Rows: 8, Bytes: 10, Payload: new(string)}
+	if err := e.Join(key, b); !errors.Is(err, errDropped) {
+		t.Errorf("released item's Join = %v, want its own Err", err)
+	}
+	close(returned)
+	if a := <-done; result(a) != "a" {
+		t.Errorf("a's result %q after the batch ran", result(a))
+	}
+	if snap := reg.Histogram(obs.MetricBatchSize, SizeBuckets()).Snapshot(); snap.Count != 1 || snap.Sum != 1 {
+		t.Errorf("size histogram count %d sum %v, want one batch of 1", snap.Count, snap.Sum)
+	}
+	if v := reg.Counter(obs.MetricBatchRows).Value(); v != 16 {
+		t.Errorf("rows total = %d, want a's 16", v)
+	}
 }

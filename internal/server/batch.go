@@ -49,10 +49,12 @@ func batchKey(sess *session, la *adapter.LoRAAdapter, kind sched.RequestKind, se
 // execBatch runs one formed batch: acquire the aggregate grant, build
 // a multi-adapter body over a pristine clone of the shared blocks,
 // stack the members' rows, run one invocation, slice results back out.
-// An overload shed lands in the Err of each member admission control
-// shed — every member's, when it shed them all — and flows back through
-// the serving loop's retryable path, so sessions survive sheds exactly
-// as they do on the serial path; the batch runs with the others.
+// A member admission control sheds gets its shed in its Err and is
+// released at the submission, before the others wait for their grant;
+// when it sheds them all, every member gets the shed. Either way the
+// shed flows back through the serving loop's retryable path, so sessions
+// survive sheds exactly as they do on the serial path, and the batch
+// runs with the others.
 func (s *Server) execBatch(key batch.Key, items []*batch.Item) {
 	works := make([]*phaseWork, len(items))
 	members := make([]sched.BatchMember, len(items))
@@ -67,19 +69,22 @@ func (s *Server) execBatch(key batch.Key, items []*batch.Item) {
 			it.Err = err
 		}
 	}
-	if err := s.acquire(key.Kind, batchID, members, works...); err != nil {
+	shed := func(i int) {
+		items[i].Err = members[i].Err
+		items[i].Release()
+	}
+	if err := s.acquire(key.Kind, batchID, members, shed, works...); err != nil {
 		fail(err)
 		return
 	}
 	defer s.scheduler.Complete(batchID)
-	// A member admission control shed is not in the grant: it takes its
-	// shed and the batch runs with the others. The engine closes every
-	// item it dispatched, so the rest are gathered afresh rather than
-	// compacted in place.
+	// The members left run. The engine still reads every item it
+	// dispatched, so they are gathered afresh rather than compacted in
+	// place.
 	ran := make([]*batch.Item, 0, len(items))
 	works = works[:0]
 	for i, it := range items {
-		if it.Err = members[i].Err; it.Err == nil {
+		if members[i].Err == nil {
 			ran = append(ran, it)
 			works = append(works, it.Payload.(*phaseWork))
 		}

@@ -696,14 +696,17 @@ func (s *Server) teardown(sess *session) {
 }
 
 // acquire blocks until the scheduler grants kind's memory to works:
-// one session's own request under its ID (batchID "", members nil), or
-// a formed batch's members as one aggregate request under batchID,
-// members[i] being works[i]'s share. A member admission control sheds
-// comes back with its Err set and is not in the grant. Each member gets
-// its own wait span, and each granted one its grant-wait exemplar,
-// stamped with its trace ID (0 = untraced) to tie a tail-latency
-// observation back to the client iteration that suffered it.
-func (s *Server) acquire(kind sched.RequestKind, batchID string, members []sched.BatchMember, works ...*phaseWork) error {
+// one session's own request under its ID (batchID "", members nil,
+// shed nil), or a formed batch's members as one aggregate request under
+// batchID, members[i] being works[i]'s share. A member admission
+// control sheds comes back with its Err set and is not in the grant: it
+// is handed to shed(i) as soon as the submission returns, before the
+// wait for the grant, so it hears of its shed at once, as a serial
+// submission does. Each member gets its own wait span, and each granted
+// one its grant-wait exemplar, stamped with its trace ID (0 = untraced)
+// to tie a tail-latency observation back to the client iteration that
+// suffered it.
+func (s *Server) acquire(kind sched.RequestKind, batchID string, members []sched.BatchMember, shed func(i int), works ...*phaseWork) error {
 	waitSpan, _ := kind.Spans()
 	spans := make([]*obs.SpanHandle, len(works))
 	for i, w := range works {
@@ -720,14 +723,23 @@ func (s *Server) acquire(kind sched.RequestKind, batchID string, members []sched
 		err = s.scheduler.SubmitBatch(batchID, kind, members, grant)
 	}
 	if err == nil {
+		for i := range members {
+			if members[i].Err != nil {
+				spans[i].End()
+				shed(i)
+			}
+		}
 		<-granted
 	} else if errors.Is(err, sched.ErrNeverFits) {
 		s.cfg.Flight.TriggerAsync(obs.FlightReasonOOM)
 	}
 	wait := time.Since(start)
 	for i, w := range works {
-		spans[i].End()
-		if err == nil && (members == nil || members[i].Err == nil) {
+		switch {
+		case err != nil:
+			spans[i].End()
+		case members == nil || members[i].Err == nil:
+			spans[i].End()
 			s.m.schedWait.ObserveExemplar(wait.Seconds(), w.traceID)
 		}
 	}
@@ -804,7 +816,7 @@ func (s *Server) run(kind sched.RequestKind, w *phaseWork) error {
 	if kind == sched.KindForward {
 		return s.runForward(w)
 	}
-	if err := s.acquire(sched.KindBackward, "", nil, w); err != nil {
+	if err := s.acquire(sched.KindBackward, "", nil, nil, w); err != nil {
 		return err
 	}
 	return s.runBackward(w, nil)
@@ -862,7 +874,7 @@ func (s *Server) serveForward(fr *split.Framer, sess *session, req *split.Forwar
 // no-grad pass that releases before the gradient wait (Fig. 3(d)).
 func (s *Server) runForward(w *phaseWork) error {
 	sess := w.sess
-	if err := s.acquire(sched.KindForward, "", nil, w); err != nil {
+	if err := s.acquire(sched.KindForward, "", nil, nil, w); err != nil {
 		return err
 	}
 	keep := s.scheduler.Grow(sess.id, sess.mb)

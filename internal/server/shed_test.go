@@ -109,11 +109,12 @@ func TestLiveServerShedsAStep(t *testing.T) {
 // resident tenants whose throttle parities differ by one, and steps them
 // in lockstep so their forwards form one batch. Admission decides each
 // member on its own parity: it sheds the one a step of its own would
-// lose, whose session sees a RetryableError and steps again once the
-// controller has reopened, and the batch runs with the other, whose step
-// completes. The controller reopens before either backward goes out, so
-// the batch is the one place a shed can land. Only the shed member is
-// billed a shed.
+// lose, whose session sees a RetryableError while its co-member still
+// waits for the batch's grant, and steps again once the controller has
+// reopened; the batch runs with the other, whose step completes. The
+// controller reopens before either backward goes out, so the batch is
+// the one place a shed can land. Only the shed member is billed a shed,
+// and only the member that ran is counted in the batch.
 func TestLiveBatchedServerShedsMembers(t *testing.T) {
 	var now atomic.Int64
 	clock := obs.ClockFunc(func() time.Duration { return time.Duration(now.Load()) })
@@ -184,6 +185,15 @@ func TestLiveBatchedServerShedsMembers(t *testing.T) {
 		}
 	}
 
+	// A grant on the idle server makes the hog below resident, so that
+	// while Throttled it may still backfill past the waiting request.
+	hog := make(chan struct{})
+	if err := sch.Submit("hog", sched.KindForward, 1, func() { close(hog) }); err != nil {
+		t.Fatal(err)
+	}
+	<-hog
+	sch.Complete("hog")
+
 	// A request waits for memory from now on, so both tenants' forwards
 	// are batched; 0.8s later its age, between 0.7 and 1 times the SLO,
 	// throttles the server at the next submission. B's record takes one
@@ -200,28 +210,53 @@ func TestLiveBatchedServerShedsMembers(t *testing.T) {
 	if st := sch.AdmissionState(); st != sched.StateThrottled {
 		t.Fatalf("admission state %v, want throttled", st)
 	}
+	// The hog takes every byte left (its first throttled submission is
+	// admitted), so the batch's grant waits for the test to end the hog.
+	hog = make(chan struct{})
+	if err := sch.Submit("hog", sched.KindForward, sch.Available(), func() { close(hog) }); err != nil {
+		t.Fatalf("hog: %v", err)
+	}
+	<-hog
 	formed := reg.Counter(obs.MetricBatchFormed).Value()
+	size := reg.Histogram(obs.MetricBatchSize, nil).Snapshot()
 
 	hooks[split.TypeBackwardReq] = reopen
 	barrier := newStepBarrier(2)
-	var wg sync.WaitGroup
 	var errA, errB error
-	wg.Add(2)
+	doneA, doneB := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(doneA)
 		barrier.wait()
 		_, errA = a.Step(idsA, targetsA)
 	}()
 	go func() {
-		defer wg.Done()
+		defer close(doneB)
 		barrier.wait()
 		_, errB = b.Step(idsB, targetsB)
 	}()
-	wg.Wait()
+	// B hears of its shed while the hog still holds A's grant back.
+	select {
+	case <-doneB:
+		select {
+		case <-doneA:
+			t.Error("A's step completed while the hog held every byte")
+		default:
+		}
+	case <-doneA:
+		t.Error("A's step completed while the hog held every byte")
+	case <-time.After(10 * time.Second):
+		t.Error("B's shed was not delivered while the batch waited for its grant")
+	}
+	sch.Complete("hog")
+	<-doneA
+	<-doneB
 	delete(hooks, split.TypeBackwardReq)
 
 	if got := reg.Counter(obs.MetricBatchFormed).Value() - formed; got != 1 {
 		t.Fatalf("%d batches formed by the lockstep forwards, want 1", got)
+	}
+	if got := reg.Histogram(obs.MetricBatchSize, nil).Snapshot().Sum - size.Sum; got != 1 {
+		t.Errorf("%s grew by %v members, want 1: only A ran", obs.MetricBatchSize, got)
 	}
 	if errA != nil {
 		t.Errorf("A's step beside a shed co-member: %v", errA)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"menos/internal/batch"
 	"menos/internal/memmodel"
 	"menos/internal/obs"
 	"menos/internal/sched"
@@ -162,5 +163,66 @@ func TestBatchedAccountingConservation(t *testing.T) {
 	}
 	if mean := size.Sum / float64(size.Count); mean < 2 {
 		t.Errorf("mean batch size %.2f, want ≥ 2 for lockstep clients", mean)
+	}
+}
+
+// TestShedMemberLeavesTheKernel: a member admission control sheds from
+// a throttled batch of two does not ride the batched kernel. The batch
+// runs its one remaining member for exactly that member's serial
+// duration — a batch of one is the serial path — which bills it all as
+// compute and nothing as a stall.
+func TestShedMemberLeavesTheKernel(t *testing.T) {
+	cfg := batchedCfg(2, 2)
+	cfg.SLO = sched.SLO{TargetP99: time.Second}
+	r := setUp(t, cfg)
+	k, srv := r.kernel, r.servers[0]
+	sch := srv.scheduler
+	a, b := &r.clients[0], &r.clients[1]
+	const dur = 100 * time.Millisecond
+	member := func(c *menosClient) *simMember {
+		return &simMember{id: c.id, handle: c.member.handle, bytes: 1, rows: 1, dur: dur, sig: k.NewSignal(), then: func() {}}
+	}
+	ma, mb := member(a), member(b)
+	grant := func(id string) {
+		t.Helper()
+		if err := sch.Submit(id, sched.KindForward, 1, func() {}); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		sch.Complete(id)
+	}
+	k.After(0, func() {
+		// Both clients are made resident, then a request waits for every
+		// byte left behind a one-byte hold.
+		grant(a.id)
+		grant(b.id)
+		if err := sch.Submit("hold", sched.KindForward, 1, func() {}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sch.Submit("waiter", sched.KindBackward, sch.Available()+1, func() {}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	k.After(800*time.Millisecond, func() {
+		// The waiter, 0.8 SLO old, throttles the server. B's record takes
+		// a throttled submission of its own, so the batch sheds B.
+		grant(b.id)
+		if st := sch.AdmissionState(); st != sched.StateThrottled {
+			t.Fatalf("admission state %v, want throttled", st)
+		}
+		key := batch.Key{Kind: sched.KindForward}
+		r.batcher.join(srv, key, ma)
+		r.batcher.join(srv, key, mb)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ma.shed != nil || ma.err != nil {
+		t.Fatalf("A: shed %v, err %v; want it run", ma.shed, ma.err)
+	}
+	if mb.shed == nil {
+		t.Fatal("B was not shed from the throttled batch")
+	}
+	if ma.compute != dur || ma.stall != 0 {
+		t.Errorf("A alone in its batch: compute %v, stall %v; want its serial %v and no stall", ma.compute, ma.stall, dur)
 	}
 }

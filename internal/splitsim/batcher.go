@@ -234,7 +234,8 @@ func (l *simLead) lead() {
 
 		case leadRun:
 			l.pc = leadRan
-			k.After(costmodel.BatchedTime(l.maxDur, len(l.members)), l.advance)
+			// The invocation carries the members left after admission.
+			k.After(costmodel.BatchedTime(l.maxDur, len(l.group.Members)), l.advance)
 			return
 
 		case leadRan:
