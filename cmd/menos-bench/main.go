@@ -190,17 +190,10 @@ func run(args []string) error {
 			return err
 		}
 		out.show(schedTbl)
-		out.show(experiments.AblationBaseSharing())
 	}
 
 	if selected("extensions") {
 		ran = true
-		out.show(experiments.ExtensionQuantization())
-		ms, err := experiments.ExtensionMultiServer(opts)
-		if err != nil {
-			return err
-		}
-		out.show(ms)
 		het, err := experiments.ExtensionHeterogeneousClients(opts)
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -168,25 +169,52 @@ func TestFig10MultiGPU(t *testing.T) {
 	}
 }
 
+// TestAblations asserts what each kept ablation table shows
+// (EXPERIMENTS.md): persist-all cannot serve six OPT clients, preserve
+// schedules slower than both release policies, and of the three
+// disciplines only plain FCFS never backfills.
 func TestAblations(t *testing.T) {
 	memTbl, err := AblationMemoryPolicy(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(memTbl.Render(), "on-demand") {
-		t.Fatalf("policy table:\n%s", memTbl.Render())
+	rows := map[string][]string{}
+	for _, row := range memTbl.Rows() {
+		rows[row[0]] = row
 	}
+	if row := rows["persist-all"]; row == nil || row[1] != "infeasible" {
+		t.Errorf("persist-all row = %q, want infeasible", row)
+	}
+	sched := func(policy string) float64 {
+		row := rows[policy]
+		if row == nil {
+			t.Fatalf("no %s row:\n%s", policy, memTbl.Render())
+		}
+		v, err := strconv.ParseFloat(row[2], 64)
+		if err != nil {
+			t.Fatalf("%s sched %q: %v", policy, row[2], err)
+		}
+		return v
+	}
+	if p := sched("preserve"); p <= sched("release-on-wait") || p <= sched("on-demand") {
+		t.Errorf("preserve's sched does not exceed both release policies':\n%s", memTbl.Render())
+	}
+
 	schedTbl, err := AblationSchedulerPolicy(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := schedTbl.Render()
-	if !strings.Contains(out, "fcfs+backfill") || !strings.Contains(out, "smallest-first") {
-		t.Fatalf("sched table:\n%s", out)
+	backfills := map[string]string{}
+	for _, row := range schedTbl.Rows() {
+		backfills[row[0]] = row[3]
 	}
-	shareTbl := AblationBaseSharing()
-	if !strings.Contains(shareTbl.Render(), "%") {
-		t.Fatalf("sharing table:\n%s", shareTbl.Render())
+	if backfills["fcfs"] != "0" {
+		t.Errorf("fcfs backfilled %q times, want 0", backfills["fcfs"])
+	}
+	for _, policy := range []string{"fcfs+backfill", "smallest-first"} {
+		if n, err := strconv.Atoi(backfills[policy]); err != nil || n < 1 {
+			t.Errorf("%s backfills = %q, want at least 1", policy, backfills[policy])
+		}
 	}
 }
 

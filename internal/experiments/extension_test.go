@@ -4,38 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"menos/internal/memmodel"
-	"menos/internal/quant"
 )
-
-func TestExtensionQuantizationTable(t *testing.T) {
-	tbl := ExtensionQuantization()
-	out := tbl.Render()
-	for _, want := range []string{"fp32", "int8", "int4"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q:\n%s", want, out)
-		}
-	}
-	// int4 shared must beat int8 shared must beat fp32 shared.
-	w := memmodel.PaperLlamaWorkload()
-	w8 := w
-	w8.BaseQuant = quant.Int8
-	w4 := w
-	w4.BaseQuant = quant.Int4
-	fp32 := memmodel.MenosPersistentBytes(w, 4)
-	i8 := memmodel.MenosPersistentBytes(w8, 4)
-	i4 := memmodel.MenosPersistentBytes(w4, 4)
-	if !(i4 < i8 && i8 < fp32) {
-		t.Fatalf("quant ordering: fp32 %d, int8 %d, int4 %d", fp32, i8, i4)
-	}
-	// Combined saving beats either technique alone: Menos+int4 must be
-	// under 10% of fp32 duplication.
-	dup := memmodel.VanillaPersistentBytes(w, 4)
-	if float64(i4) > 0.10*float64(dup) {
-		t.Fatalf("combined saving too small: %d vs duplicated %d", i4, dup)
-	}
-}
 
 func TestExtensionHeterogeneous(t *testing.T) {
 	tbl, err := ExtensionHeterogeneousClients(Options{Iterations: 6})
@@ -63,27 +32,5 @@ func TestExtensionHeterogeneous(t *testing.T) {
 		if d > 15*time.Second {
 			t.Fatalf("client %s round = %v, out of Menos regime", row[0], d)
 		}
-	}
-}
-
-func TestExtensionMultiServer(t *testing.T) {
-	tbl, err := ExtensionMultiServer(Options{Iterations: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tbl.Rows()
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	parse := func(s string) float64 {
-		d, err := time.ParseDuration(s + "s")
-		if err != nil {
-			t.Fatalf("parse %q: %v", s, err)
-		}
-		return d.Seconds()
-	}
-	one, two := parse(rows[0][1]), parse(rows[1][1])
-	if two >= one {
-		t.Fatalf("2 servers (%v s) not faster than 1 (%v s)", two, one)
 	}
 }

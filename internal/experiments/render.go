@@ -23,11 +23,6 @@ func Seconds(d time.Duration) string {
 	}
 }
 
-// GiB formats bytes as binary gigabytes.
-func GiB(bytes int64) string {
-	return fmt.Sprintf("%.1f", float64(bytes)/(1<<30))
-}
-
 // Bytes formats a byte count with an adaptive binary unit.
 func Bytes(bytes int64) string {
 	switch {

@@ -29,8 +29,8 @@ func TestSecondsFormatting(t *testing.T) {
 }
 
 func TestGiBFormatting(t *testing.T) {
-	if got := GiB(24 << 30); got != "24.0" {
-		t.Fatalf("GiB = %q", got)
+	if got := Bytes(24 << 30); got != "24.0 GiB" {
+		t.Fatalf("Bytes(24 GiB) = %q", got)
 	}
 }
 

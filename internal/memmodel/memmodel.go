@@ -16,7 +16,6 @@ import (
 
 	"menos/internal/adapter"
 	"menos/internal/model"
-	"menos/internal/quant"
 	"menos/internal/split"
 )
 
@@ -32,11 +31,6 @@ type Workload struct {
 	Adapter adapter.Spec
 	Batch   int
 	Seq     int
-	// BaseQuant optionally quantizes the shared base parameters
-	// (QLoRA-style); the zero value keeps fp32. Quantization is
-	// orthogonal to Menos and stacks with base-model sharing, as the
-	// paper argues.
-	BaseQuant quant.Precision
 }
 
 // Validate checks the workload and bounds its adapter by the model, so
@@ -82,17 +76,9 @@ func (w Workload) serverBlocks() int64 {
 func (w Workload) rows() int64 { return int64(w.Batch) * int64(w.Seq) }
 
 // ServerBaseBytes returns 𝕄: the shared base parameters hosted by the
-// server — fp32 by default, or quantized storage (values plus
-// per-output-channel scales) when BaseQuant is set.
+// server, in fp32.
 func (w Workload) ServerBaseBytes() int64 {
-	params := w.serverBlocks() * w.Model.BlockParams()
-	if w.BaseQuant == 0 {
-		return params * bytesPerParam
-	}
-	values := int64(float64(params) * w.BaseQuant.BytesPerParam())
-	// One fp32 scale per output column: columns ≈ params / dim.
-	scales := params / int64(w.Model.Dim) * 4
-	return values + scales
+	return w.serverBlocks() * w.Model.BlockParams() * bytesPerParam
 }
 
 // AdapterBytes returns 𝔸: the client's server-side adapter parameters.

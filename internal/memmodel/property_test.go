@@ -6,7 +6,6 @@ import (
 
 	"menos/internal/adapter"
 	"menos/internal/model"
-	"menos/internal/quant"
 	"menos/internal/tensor"
 )
 
@@ -76,32 +75,6 @@ func TestSharingAlwaysWinsProperty(t *testing.T) {
 		savingN := 1 - float64(menos)/float64(vanilla)
 		savingNext := 1 - float64(MenosPersistentBytes(w, n+1))/float64(VanillaPersistentBytes(w, n+1))
 		return savingNext > savingN
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: quantization strictly orders base bytes fp32 > int8 > int4
-// for any valid workload, and never touches adapter/optimizer terms.
-func TestQuantOrderingProperty(t *testing.T) {
-	f := func(cutRaw uint8, llama bool) bool {
-		w := PaperOPTWorkload()
-		if llama {
-			w = PaperLlamaWorkload()
-		}
-		w.Cut = 1 + int(cutRaw%(uint8(w.Model.Layers)-1))
-		w8 := w
-		w8.BaseQuant = quant.Int8
-		w4 := w
-		w4.BaseQuant = quant.Int4
-		if !(w4.ServerBaseBytes() < w8.ServerBaseBytes() &&
-			w8.ServerBaseBytes() < w.ServerBaseBytes()) {
-			return false
-		}
-		return w8.AdapterBytes() == w.AdapterBytes() &&
-			w4.OptimizerBytes() == w.OptimizerBytes() &&
-			w8.ActivationBytes() == w.ActivationBytes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

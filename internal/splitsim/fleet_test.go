@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"menos/internal/costmodel"
 	"menos/internal/fleet"
 	"menos/internal/memmodel"
 	"menos/internal/obs"
@@ -84,6 +85,26 @@ func TestFleetStaticPlacementBalances(t *testing.T) {
 		if r.Fleet.FinalServers != 3 || r.Fleet.PeakServers != 3 {
 			t.Errorf("%s: servers final=%d peak=%d, want 3/3", placer.Name(), r.Fleet.FinalServers, r.Fleet.PeakServers)
 		}
+	}
+}
+
+// TestFleetSecondServerShortensTheRound: 12 Llama CPU clients on two
+// static servers, each with its own shared base and scheduler, finish
+// a round faster than on one, because each server's backward queue is
+// half as deep.
+func TestFleetSecondServerShortensTheRound(t *testing.T) {
+	var round [2]time.Duration
+	for i, servers := range []int{1, 2} {
+		r := run(t, Config{
+			Mode:       ModeMenos,
+			Servers:    servers,
+			Clients:    HomogeneousClients(12, memmodel.PaperLlamaWorkload(), costmodel.ClientCPUPerf()),
+			Iterations: 6,
+		})
+		round[i] = r.AvgIterationTime()
+	}
+	if round[1] >= round[0] {
+		t.Fatalf("2 servers (%v) not faster than 1 (%v)", round[1], round[0])
 	}
 }
 

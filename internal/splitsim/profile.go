@@ -38,7 +38,6 @@ type profile struct {
 type profileKey struct {
 	model           model.Config
 	cut, batch, seq int
-	baseQuant       quant.Precision
 	kind            adapter.Kind
 	rank, prefixLen int
 	alpha           float64
@@ -48,7 +47,7 @@ type profileKey struct {
 func keyOf(spec *ClientSpec) profileKey {
 	w, a := &spec.Workload, &spec.Workload.Adapter
 	return profileKey{
-		model: w.Model, cut: w.Cut, batch: w.Batch, seq: w.Seq, baseQuant: w.BaseQuant,
+		model: w.Model, cut: w.Cut, batch: w.Batch, seq: w.Seq,
 		kind: a.Kind, rank: a.Rank, prefixLen: a.PrefixLen, alpha: a.Alpha,
 		platform: spec.Platform,
 	}

@@ -83,7 +83,7 @@ func TestProfileKeyCoversWorkload(t *testing.T) {
 		typ  reflect.Type
 		want []string
 	}{
-		{reflect.TypeOf(memmodel.Workload{}), []string{"Model", "Cut", "Adapter", "Batch", "Seq", "BaseQuant"}},
+		{reflect.TypeOf(memmodel.Workload{}), []string{"Model", "Cut", "Adapter", "Batch", "Seq"}},
 		{reflect.TypeOf(adapter.Spec{}), []string{"Kind", "Rank", "Alpha", "Targets", "PrefixLen"}},
 	} {
 		var got []string

@@ -41,7 +41,6 @@ import (
 	"menos/internal/gpu"
 	"menos/internal/memmodel"
 	"menos/internal/model"
-	"menos/internal/quant"
 	"menos/internal/sched"
 	"menos/internal/splitsim"
 )
@@ -209,24 +208,7 @@ var (
 	NewSweep         = experiments.NewSweep
 
 	// Extension experiments beyond the paper's own figures.
-	ExtensionQuantization         = experiments.ExtensionQuantization
-	ExtensionMultiServer          = experiments.ExtensionMultiServer
 	ExtensionHeterogeneousClients = experiments.ExtensionHeterogeneousClients
-)
-
-// Quantization (QLoRA-style, orthogonal to Menos per §5.2): priced
-// by the memory model (Workload.BaseQuant), not served — the TCP
-// plane's base is fp32.
-type (
-	// QuantPrecision selects the int8 or int4 base-weight width the
-	// memory model prices.
-	QuantPrecision = quant.Precision
-)
-
-// Quantization precisions.
-const (
-	QuantInt8 = quant.Int8
-	QuantInt4 = quant.Int4
 )
 
 // Checkpointing: adapter parameters can be saved and restored without

@@ -107,12 +107,6 @@ func TestPublicSimulation(t *testing.T) {
 	if fp.M <= 0 || fp.I <= 0 || fp.Total() <= fp.M {
 		t.Fatalf("footprint = %+v", fp)
 	}
-	// Quantization shrinks the base.
-	wq := w
-	wq.BaseQuant = menos.QuantInt4
-	if wq.ServerBaseBytes() >= w.ServerBaseBytes()/4 {
-		t.Fatalf("int4 base %d not < fp32/4 %d", wq.ServerBaseBytes(), w.ServerBaseBytes()/4)
-	}
 }
 
 // TestPublicExperimentsRender: the façade's experiment entry points
@@ -124,9 +118,6 @@ func TestPublicExperimentsRender(t *testing.T) {
 	figs := menos.Fig5()
 	if len(figs) != 2 || !strings.Contains(figs[0].Render(), "menos") {
 		t.Fatal("fig5 render")
-	}
-	if out := menos.ExtensionQuantization().Render(); !strings.Contains(out, "int4") {
-		t.Fatalf("quant extension:\n%s", out)
 	}
 }
 
