@@ -79,8 +79,7 @@ func TestCountsPin(t *testing.T) {
 // ledger's, shows in a's row.
 func scriptedLedger(reg *obs.Registry) []obs.ClientUsage {
 	var now time.Duration
-	l := obs.NewLedger(obs.LedgerConfig{Clock: obs.ClockFunc(func() time.Duration { return now }), MaxClients: 2})
-	l.Instrument(reg)
+	l := obs.NewLedger(obs.LedgerConfig{Clock: obs.ClockFunc(func() time.Duration { return now }), MaxClients: 2, Metrics: reg})
 
 	l.Acquire("persist:a", 1000)
 	l.Acquire("b", 300)

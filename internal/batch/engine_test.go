@@ -215,8 +215,7 @@ func TestConcurrentFormationRace(t *testing.T) {
 // occupancy/size/hold families reflect the dispatched batches.
 func TestMetricsConservation(t *testing.T) {
 	reg := obs.NewRegistry()
-	led := obs.NewLedger(obs.LedgerConfig{})
-	led.Instrument(reg)
+	led := obs.NewLedger(obs.LedgerConfig{Metrics: reg})
 	m := NewMetrics(reg, led, 4)
 
 	m.Record([]MemberRows{{Client: "a", Rows: 32}, {Client: "b", Rows: 16}}, 0.001)

@@ -528,7 +528,7 @@ func TestServerOOMRejection(t *testing.T) {
 	budget := store.BaseParamBytes() + 1<<20
 	srv, err := server.New(server.Config{
 		Store: store,
-		GPU:   gpu.NewDevice(gpu.Spec{Name: "tiny", MemoryBytes: budget}),
+		GPU:   gpu.NewDevice(gpu.Spec{Name: "tiny", MemoryBytes: budget}, nil),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -109,7 +109,7 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	}
 	srv, err := server.New(server.Config{
 		Store:     store,
-		GPU:       gpu.NewDevice(cfg.GPU),
+		GPU:       gpu.NewDevice(cfg.GPU, cfg.Metrics),
 		SLO:       cfg.SLO,
 		Batch:     cfg.Batch,
 		WireCodec: cfg.WireCodec,

@@ -112,7 +112,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		placer = NewPolicyPlacer()
 	}
 	c := &Controller{
-		m:         NewManager(placer),
+		m:         NewManager(placer, cfg.Metrics),
 		http:      &http.Client{Timeout: 5 * time.Second},
 		logf:      cfg.Logf,
 		clock:     cfg.clock,
@@ -138,7 +138,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	}
 	sort.Ints(c.order)
 	if reg := cfg.Metrics; reg != nil {
-		c.m.Instrument(reg)
 		c.mMigrations = reg.Counter(obs.MetricFleetdMigrations, "live migrations ordered successfully")
 		c.mIdentity = reg.Counter(obs.MetricFleetdIdentityMismatch, "polls answered by a server other than the configured identity")
 		c.mScrapeErrors = reg.Counter(obs.MetricFleetdScrapeErrors, "server /trace fetches or parses that failed during a merged-trace request")

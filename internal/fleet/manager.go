@@ -32,8 +32,8 @@ type Manager struct {
 	migrations int64 // the one count with no family
 
 	// The placement and scale-event counters always exist, standalone
-	// until Instrument, because Stats reads them. The gauges are nil
-	// until Instrument.
+	// without a registry, because Stats reads them. The gauges exist
+	// only in a registry.
 	mPlacements  *obs.Counter
 	mServers     *obs.Gauge
 	mScaleEvents *obs.Counter
@@ -48,18 +48,26 @@ type resident struct {
 }
 
 // NewManager builds a Manager around placer (nil means RoundRobin, the
-// bit-identical-to-history default).
-func NewManager(placer Placer) *Manager {
+// bit-identical-to-history default) that publishes the menos_fleet_*
+// metrics in reg (nil: no registry).
+func NewManager(placer Placer, reg *obs.Registry) *Manager {
 	if placer == nil {
 		placer = NewRoundRobin()
 	}
-	return &Manager{
-		placer:       placer,
-		assign:       make(map[string]resident),
-		down:         make(map[int]bool),
-		mPlacements:  new(obs.Counter),
-		mScaleEvents: new(obs.Counter),
+	m := &Manager{
+		placer: placer,
+		assign: make(map[string]resident),
+		down:   make(map[int]bool),
 	}
+	if reg == nil {
+		m.mPlacements, m.mScaleEvents = new(obs.Counter), new(obs.Counter)
+		return m
+	}
+	m.mPlacements = reg.Counter(obs.MetricFleetPlacements, "client placements decided")
+	m.mServers = reg.Gauge(obs.MetricFleetServers, "active (non-draining) servers")
+	m.mScaleEvents = reg.Counter(obs.MetricFleetScaleEvents, "autoscaler scale-up/down events")
+	m.mImbalance = reg.Gauge(obs.MetricFleetImbalance, "max/mean resident clients per active server, thousandths")
+	return m
 }
 
 // Expect sizes the Manager's client table for n clients, so a control
@@ -75,22 +83,6 @@ func (m *Manager) Expect(n int) {
 
 // Placer returns the policy in use.
 func (m *Manager) Placer() Placer { return m.placer }
-
-// Instrument wires the menos_fleet_* metrics into reg (nil-safe). Call
-// during setup, before decisions are made: counts made earlier stay
-// behind.
-func (m *Manager) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.mPlacements = reg.Counter(obs.MetricFleetPlacements, "client placements decided")
-	m.mServers = reg.Gauge(obs.MetricFleetServers, "active (non-draining) servers")
-	m.mScaleEvents = reg.Counter(obs.MetricFleetScaleEvents, "autoscaler scale-up/down events")
-	m.mImbalance = reg.Gauge(obs.MetricFleetImbalance, "max/mean resident clients per active server, thousandths")
-	m.publishLocked()
-}
 
 // AddServer registers a server. Its signals read as zero until the
 // first Observe.

@@ -10,7 +10,7 @@ import (
 
 func newTestManager(t *testing.T, placer Placer, servers int) *Manager {
 	t.Helper()
-	m := NewManager(placer)
+	m := NewManager(placer, nil)
 	for i := 0; i < servers; i++ {
 		if err := m.AddServer(i, 32*gib, []string{"m"}); err != nil {
 			t.Fatal(err)
@@ -120,8 +120,7 @@ func TestManagerRemoveRefusesOccupiedServer(t *testing.T) {
 
 func TestManagerMetricsAndImbalance(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewManager(NewRoundRobin())
-	m.Instrument(reg)
+	m := NewManager(NewRoundRobin(), reg)
 	for i := 0; i < 2; i++ {
 		if err := m.AddServer(i, 32*gib, []string{"m"}); err != nil {
 			t.Fatal(err)

@@ -63,34 +63,24 @@ type Device struct {
 	m devMetrics
 }
 
-// NewDevice creates a device with the given spec.
-func NewDevice(spec Spec) *Device {
-	return &Device{
+// NewDevice creates a device with the given spec whose counters and
+// per-owner residency live in reg (nil: no telemetry). Devices made
+// with the same registry share the metric handles, so the families
+// report the aggregate across all of them (the paper's "GPU memory is
+// an abstraction of all available GPUs").
+func NewDevice(spec Spec, reg *obs.Registry) *Device {
+	d := &Device{
 		spec:   spec,
 		allocs: make(map[AllocID]allocation),
 	}
-}
-
-// Instrument wires the device's counters and per-owner residency to a
-// telemetry registry. Call it before the device is shared between
-// goroutines. Devices instrumented with the same registry share the
-// metric handles, so the families report the aggregate across all of
-// them (the paper's "GPU memory is an abstraction of all available
-// GPUs").
-func (d *Device) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
+	if reg != nil {
+		d.m = devMetrics{
+			allocOps:   reg.Counter(obs.MetricGPUAllocOps, "allocation operations"),
+			oom:        reg.Counter(obs.MetricGPUOOM, "allocations refused for lack of memory"),
+			ownerBytes: reg.GaugeVec(obs.MetricGPUOwnerBytes, "owner", "bytes currently allocated per owner tag"),
+		}
 	}
-	d.m = devMetrics{
-		allocOps:   reg.Counter(obs.MetricGPUAllocOps, "allocation operations"),
-		oom:        reg.Counter(obs.MetricGPUOOM, "allocations refused for lack of memory"),
-		ownerBytes: reg.GaugeVec(obs.MetricGPUOwnerBytes, "owner", "bytes currently allocated per owner tag"),
-	}
-	d.mu.Lock()
-	for _, a := range d.allocs {
-		d.m.ownerBytes.With(a.owner).Add(a.bytes)
-	}
-	d.mu.Unlock()
+	return d
 }
 
 // Capacity returns total device memory.

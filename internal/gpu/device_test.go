@@ -16,7 +16,7 @@ func TestSpecPresets(t *testing.T) {
 }
 
 func TestAllocFree(t *testing.T) {
-	d := NewDevice(Spec{Name: "t", MemoryBytes: 100})
+	d := NewDevice(Spec{Name: "t", MemoryBytes: 100}, nil)
 	id, err := d.Alloc("a", 60)
 	if err != nil {
 		t.Fatal(err)
@@ -42,14 +42,14 @@ func TestAllocFree(t *testing.T) {
 }
 
 func TestNegativeAllocRejected(t *testing.T) {
-	d := NewDevice(Spec{Name: "t", MemoryBytes: 100})
+	d := NewDevice(Spec{Name: "t", MemoryBytes: 100}, nil)
 	if _, err := d.Alloc("a", -1); err == nil {
 		t.Fatal("negative allocation accepted")
 	}
 }
 
 func TestZeroByteAllocAllowed(t *testing.T) {
-	d := NewDevice(Spec{Name: "t", MemoryBytes: 10})
+	d := NewDevice(Spec{Name: "t", MemoryBytes: 10}, nil)
 	id, err := d.Alloc("a", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -62,9 +62,8 @@ func TestZeroByteAllocAllowed(t *testing.T) {
 // TestFreeOwner: FreeOwner returns every byte an owner holds, and the
 // per-owner gauge (menos_gpu_owner_bytes{owner}) follows.
 func TestFreeOwner(t *testing.T) {
-	d := NewDevice(Spec{Name: "t", MemoryBytes: 100})
 	reg := obs.NewRegistry()
-	d.Instrument(reg)
+	d := NewDevice(Spec{Name: "t", MemoryBytes: 100}, reg)
 	owner := reg.GaugeVec(obs.MetricGPUOwnerBytes, "owner")
 	mustAlloc(t, d, "a", 10)
 	mustAlloc(t, d, "a", 20)
@@ -91,8 +90,7 @@ func TestFreeOwner(t *testing.T) {
 // an OOM.
 func TestStatsCount(t *testing.T) {
 	reg := obs.NewRegistry()
-	d := NewDevice(Spec{Name: "t", MemoryBytes: 100})
-	d.Instrument(reg)
+	d := NewDevice(Spec{Name: "t", MemoryBytes: 100}, reg)
 	id := mustAlloc(t, d, "a", 10)
 	mustAlloc(t, d, "a", 10)
 	if _, err := d.Alloc("a", 200); !errors.Is(err, ErrOOM) {
@@ -126,7 +124,7 @@ func mustAlloc(t *testing.T, d *Device, owner string, bytes int64) AllocID {
 func TestAllocatorInvariantProperty(t *testing.T) {
 	f := func(ops []uint16, capSeed uint8) bool {
 		capacity := int64(capSeed)*10 + 50
-		d := NewDevice(Spec{Name: "p", MemoryBytes: capacity})
+		d := NewDevice(Spec{Name: "p", MemoryBytes: capacity}, nil)
 		type live struct {
 			id    AllocID
 			bytes int64
@@ -169,7 +167,7 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 }
 
 func TestConcurrentAllocFree(t *testing.T) {
-	d := NewDevice(Spec{Name: "t", MemoryBytes: 1 << 20})
+	d := NewDevice(Spec{Name: "t", MemoryBytes: 1 << 20}, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -195,7 +193,7 @@ func TestConcurrentAllocFree(t *testing.T) {
 }
 
 func TestDeviceSetBalancing(t *testing.T) {
-	s, err := NewDeviceSet(Spec{Name: "t", MemoryBytes: 100}, 2)
+	s, err := NewDeviceSet(Spec{Name: "t", MemoryBytes: 100}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +219,7 @@ func TestDeviceSetBalancing(t *testing.T) {
 }
 
 func TestDeviceSetSharded(t *testing.T) {
-	s, err := NewDeviceSet(Spec{Name: "t", MemoryBytes: 100}, 4)
+	s, err := NewDeviceSet(Spec{Name: "t", MemoryBytes: 100}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +245,7 @@ func TestDeviceSetSharded(t *testing.T) {
 }
 
 func TestDeviceSetShardedAtomicFailure(t *testing.T) {
-	s, err := NewDeviceSet(Spec{Name: "t", MemoryBytes: 100}, 2)
+	s, err := NewDeviceSet(Spec{Name: "t", MemoryBytes: 100}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +263,7 @@ func TestDeviceSetShardedAtomicFailure(t *testing.T) {
 }
 
 func TestDeviceSetFreeOwner(t *testing.T) {
-	s, err := NewDeviceSet(Spec{Name: "t", MemoryBytes: 100}, 2)
+	s, err := NewDeviceSet(Spec{Name: "t", MemoryBytes: 100}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,10 +282,10 @@ func TestDeviceSetFreeOwner(t *testing.T) {
 }
 
 func TestDeviceSetValidation(t *testing.T) {
-	if _, err := NewDeviceSet(V100(), 0); err == nil {
+	if _, err := NewDeviceSet(V100(), 0, nil); err == nil {
 		t.Fatal("empty device set accepted")
 	}
-	s, err := NewDeviceSet(V100(), 1)
+	s, err := NewDeviceSet(V100(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,26 +28,17 @@ type placement struct {
 	id     AllocID
 }
 
-// NewDeviceSet builds a set of n identical devices.
-func NewDeviceSet(spec Spec, n int) (*DeviceSet, error) {
+// NewDeviceSet builds a set of n identical devices, each made with reg
+// (NewDevice), so the set's families report the set-wide aggregate.
+func NewDeviceSet(spec Spec, n int, reg *obs.Registry) (*DeviceSet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("gpu: device set needs at least one device, got %d", n)
 	}
 	s := &DeviceSet{placements: make(map[AllocID]placement), shards: make(map[AllocID][]placement)}
 	for i := 0; i < n; i++ {
-		s.devices = append(s.devices, NewDevice(spec))
+		s.devices = append(s.devices, NewDevice(spec, reg))
 	}
 	return s, nil
-}
-
-// Instrument wires every member device to the registry. Because
-// devices instrumented against one registry share metric handles, the
-// exported used/peak gauges and alloc/free counters report the
-// set-wide aggregate.
-func (s *DeviceSet) Instrument(reg *obs.Registry) {
-	for _, d := range s.devices {
-		d.Instrument(reg)
-	}
 }
 
 // Capacity returns aggregate memory.

@@ -40,6 +40,11 @@ type LedgerConfig struct {
 	// clients accrue into a shared VecOverflowLabel account (totals
 	// stay exact, attribution degrades). <= 0 means DefaultVecCap.
 	MaxClients int
+	// Metrics is the registry the ledger's labeled families live in, so
+	// its rows and the registry's {client} series are one store. A
+	// registry holds one ledger's families. Nil keeps them in a private
+	// registry.
+	Metrics *Registry
 }
 
 // account is what the ledger keeps for a client beyond its families:
@@ -124,7 +129,7 @@ type Ledger struct {
 
 	mu       sync.Mutex
 	accounts map[string]*account
-	// m holds every count, in a private registry until Instrument.
+	// m holds every count, in LedgerConfig.Metrics.
 	m *ledgerMetrics
 }
 
@@ -136,25 +141,15 @@ func NewLedger(cfg LedgerConfig) *Ledger {
 	if cfg.MaxClients <= 0 {
 		cfg.MaxClients = DefaultVecCap
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewRegistry()
+	}
 	return &Ledger{
 		clock:    cfg.Clock,
 		max:      cfg.MaxClients,
 		accounts: make(map[string]*account),
-		m:        newLedgerMetrics(NewRegistry(), cfg.MaxClients),
+		m:        newLedgerMetrics(cfg.Metrics, cfg.MaxClients),
 	}
-}
-
-// Instrument moves the ledger's families into reg, so its rows and
-// reg's {client} series are one store. A registry holds one ledger's
-// families. Call once, before traffic: counts made earlier stay behind.
-// Safe on nil.
-func (l *Ledger) Instrument(reg *Registry) {
-	if l == nil || reg == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.m = newLedgerMetrics(reg, l.max)
 }
 
 // SplitOwner maps a memory-owner tag to the client it bills to and the
@@ -185,12 +180,11 @@ func (l *Ledger) accountFor(client string) *account {
 	return a
 }
 
-// bill returns the account ID client's counts go to and the families
-// that hold them.
-func (l *Ledger) bill(client string) (string, *ledgerMetrics) {
+// bill returns the account ID client's counts go to.
+func (l *Ledger) bill(client string) string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.accountFor(client).id, l.m
+	return l.accountFor(client).id
 }
 
 // accrueLocked integrates held bytes over the time since the account's
@@ -252,8 +246,8 @@ func (l *Ledger) AddCompute(client string, seconds float64) {
 	if l == nil {
 		return
 	}
-	id, m := l.bill(client)
-	m.compute.With(id).Observe(seconds)
+	id := l.bill(client)
+	l.m.compute.With(id).Observe(seconds)
 }
 
 // AddGrantWait bills seconds of queue wait (submission → grant) to
@@ -262,8 +256,8 @@ func (l *Ledger) AddGrantWait(client string, seconds float64) {
 	if l == nil {
 		return
 	}
-	id, m := l.bill(client)
-	m.wait.With(id).Observe(seconds)
+	id := l.bill(client)
+	l.m.wait.With(id).Observe(seconds)
 }
 
 // AddIteration counts one completed iteration for client. Safe on nil.
@@ -271,8 +265,8 @@ func (l *Ledger) AddIteration(client string) {
 	if l == nil {
 		return
 	}
-	id, m := l.bill(client)
-	m.iters.With(id).Inc()
+	id := l.bill(client)
+	l.m.iters.With(id).Inc()
 }
 
 // AddBatchRows bills rows microbatch rows that client contributed to a
@@ -284,8 +278,8 @@ func (l *Ledger) AddBatchRows(client string, rows int64) {
 	if l == nil || rows <= 0 {
 		return
 	}
-	id, m := l.bill(client)
-	m.batchRows.With(id).Add(rows)
+	id := l.bill(client)
+	l.m.batchRows.With(id).Add(rows)
 }
 
 // AddWire bills tx/rx wire bytes (server perspective) to client. Safe
@@ -294,12 +288,12 @@ func (l *Ledger) AddWire(client string, tx, rx int64) {
 	if l == nil || (tx <= 0 && rx <= 0) {
 		return
 	}
-	id, m := l.bill(client)
+	id := l.bill(client)
 	if tx > 0 {
-		m.wireTx.With(id).Add(tx)
+		l.m.wireTx.With(id).Add(tx)
 	}
 	if rx > 0 {
-		m.wireRx.With(id).Add(rx)
+		l.m.wireRx.With(id).Add(rx)
 	}
 }
 
@@ -308,8 +302,8 @@ func (l *Ledger) Shed(client string) {
 	if l == nil {
 		return
 	}
-	id, m := l.bill(client)
-	m.sheds.With(id).Inc()
+	id := l.bill(client)
+	l.m.sheds.With(id).Inc()
 }
 
 // Retry counts one post-shed resubmission by client. Safe on nil.
@@ -330,8 +324,8 @@ func (l *Ledger) Revoke(client string) {
 	if l == nil {
 		return
 	}
-	id, m := l.bill(client)
-	m.revoked.With(id).Inc()
+	id := l.bill(client)
+	l.m.revoked.With(id).Inc()
 }
 
 // rowLocked accrues a to now and returns its row: the account's own

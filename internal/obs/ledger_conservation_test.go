@@ -22,9 +22,8 @@ func TestLedgerConcurrentConservation(t *testing.T) {
 	ids := []string{"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10", "c11"}
 	var tick atomic.Int64
 	clock := ClockFunc(func() time.Duration { return time.Duration(tick.Add(int64(time.Millisecond))) })
-	l := NewLedger(LedgerConfig{Clock: clock, MaxClients: maxClients})
 	reg := NewRegistry()
-	l.Instrument(reg)
+	l := NewLedger(LedgerConfig{Clock: clock, MaxClients: maxClients, Metrics: reg})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

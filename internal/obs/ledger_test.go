@@ -13,9 +13,8 @@ func (f *fakeTime) Now() time.Duration { return f.now }
 
 func TestLedgerByteSecondsAccrual(t *testing.T) {
 	clk := &fakeTime{}
-	l := NewLedger(LedgerConfig{Clock: clk})
 	reg := NewRegistry()
-	l.Instrument(reg)
+	l := NewLedger(LedgerConfig{Clock: clk, Metrics: reg})
 
 	// client-1 pins 100 bytes of persistent state at t=0 ...
 	l.Acquire("persist:client-1", 100)
@@ -51,9 +50,8 @@ func TestLedgerByteSecondsAccrual(t *testing.T) {
 
 func TestLedgerEventCountsAndVecs(t *testing.T) {
 	clk := &fakeTime{}
-	l := NewLedger(LedgerConfig{Clock: clk})
 	reg := NewRegistry()
-	l.Instrument(reg)
+	l := NewLedger(LedgerConfig{Clock: clk, Metrics: reg})
 
 	l.AddCompute("a", 1.5)
 	l.AddCompute("a", 0.5)
@@ -126,7 +124,6 @@ func TestLedgerSnapshotSortedAndAccrued(t *testing.T) {
 
 func TestLedgerNilSafety(t *testing.T) {
 	var l *Ledger
-	l.Instrument(NewRegistry())
 	l.Acquire("persist:a", 1)
 	l.Release("a", 1)
 	l.AddCompute("a", 1)

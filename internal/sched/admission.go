@@ -140,11 +140,10 @@ func (s *admSlice) reset() {
 
 // AdmissionController implements the state machine. It is owned by a
 // Scheduler and only ever touched under the scheduler's mutex, so it
-// needs no locking of its own; the metric handles it publishes through
-// are the usual lock-free obs types.
+// needs no locking of its own. It keeps no clock: the scheduler hands it
+// each instant on its own clock, and counts its sheds.
 type AdmissionController struct {
-	slo   SLO
-	clock obs.Clock
+	slo SLO
 
 	bounds   []float64 // histogram bounds, seconds (obs.DurationBuckets)
 	slices   [admissionWindowSlices]admSlice
@@ -152,6 +151,7 @@ type AdmissionController struct {
 	curIdx   int64 // absolute slice index of slices[curIdx%N]
 
 	state       AdmissionState
+	last        time.Duration // the instant of the last evaluation
 	since       time.Duration // when the current state was entered
 	calmSince   time.Duration // start of the current below-reopen streak
 	calm        bool
@@ -159,18 +159,15 @@ type AdmissionController struct {
 	deferred    int64
 	lastP99     time.Duration
 
-	// hook observes state transitions (Scheduler.SetAdmissionHook).
+	// hook observes state transitions (Wiring.AdmissionHook).
 	hook func(from, to AdmissionState)
-
-	// mShed counts sheds, in the scheduler's registry (instrument).
-	mShed *obs.Counter
 }
 
-// newAdmissionController builds a controller for an enabled SLO.
-func newAdmissionController(slo SLO, clock obs.Clock) *AdmissionController {
+// newAdmissionController builds a controller for an enabled SLO, opened
+// at now.
+func newAdmissionController(slo SLO, now time.Duration) *AdmissionController {
 	a := &AdmissionController{
 		slo:    slo.withDefaults(),
-		clock:  clock,
 		bounds: obs.DurationBuckets(),
 	}
 	a.sliceDur = a.slo.Window / admissionWindowSlices
@@ -180,25 +177,9 @@ func newAdmissionController(slo SLO, clock obs.Clock) *AdmissionController {
 	for i := range a.slices {
 		a.slices[i].counts = make([]int64, len(a.bounds)+1)
 	}
-	now := clock.Now()
 	a.curIdx = int64(now / a.sliceDur)
-	a.since = now
+	a.last, a.since = now, now
 	return a
-}
-
-// instrument wires the controller's metrics into reg, the scheduler's
-// (idempotent); with no registry yet the shed count is standalone.
-func (a *AdmissionController) instrument(reg *obs.Registry) {
-	if reg == nil {
-		a.mShed = new(obs.Counter)
-		return
-	}
-	a.mShed = reg.Counter(obs.MetricSchedAdmissionShed, "submissions shed (each client's every 2nd while throttled, all while shedding)")
-	// Advertise the configured target so scrapers (an operator's
-	// burn-rate rule, docs/OBSERVABILITY.md) compare each server's p99
-	// against the server's own SLO rather than a fleet-wide default.
-	reg.Gauge(obs.MetricSchedAdmissionSLOTarget, "configured grant-wait p99 target, microseconds").
-		Set(a.slo.TargetP99.Microseconds())
 }
 
 // advance rotates the slice ring so slices[curIdx] covers now,
@@ -264,6 +245,7 @@ func (a *AdmissionController) effectiveP99(snap obs.HistSnapshot, headAge time.D
 // the oldest waiting request (0 for an empty queue). Caller holds the
 // scheduler mutex.
 func (a *AdmissionController) evaluate(now, headAge time.Duration) {
+	a.last = now
 	a.advance(now)
 	snap := a.windowSnapshot()
 	p99 := a.effectiveP99(snap, headAge)
@@ -307,9 +289,35 @@ func (a *AdmissionController) evaluate(now, headAge time.Duration) {
 	}
 }
 
+// settleTicks bounds settle's replay. An empty queue reopens the
+// controller within two windows' worth of slice boundaries (the window
+// empties, then one dwell per rung), and a request still queued after
+// this many boundaries is far past the shed threshold, so the
+// evaluation at now decides alone.
+const settleTicks = 4 * admissionWindowSlices
+
+// settle evaluates at every slice boundary since the last evaluation and
+// then at now, headAge(t) being the age of the oldest waiting request at
+// t: the state a controller ticking on the scheduler's clock would hold.
+// Nothing the controller reads changed since its last evaluation but the
+// time (every submission and release evaluates), so each boundary sees
+// only the window expire and the queue head age. The replay stops early
+// once the controller is Open with nothing queued, where time alone
+// changes nothing. Caller holds the scheduler mutex.
+func (a *AdmissionController) settle(now time.Duration, headAge func(time.Duration) time.Duration) {
+	idle := headAge(now) == 0
+	for t, n := (a.last/a.sliceDur+1)*a.sliceDur, 0; t < now && n < settleTicks; t, n = t+a.sliceDur, n+1 {
+		if idle && a.state == StateOpen {
+			break
+		}
+		a.evaluate(t, headAge(t))
+	}
+	a.evaluate(now, headAge(now))
+}
+
 // transition moves to state and counts the transition. The hook,
 // if set, fires under the scheduler mutex — it must hand real work off
-// (see SetAdmissionHook).
+// (see Wiring.AdmissionHook).
 func (a *AdmissionController) transition(state AdmissionState, now time.Duration) {
 	from := a.state
 	a.state = state
@@ -325,9 +333,9 @@ func (a *AdmissionController) transition(state AdmissionState, now time.Duration
 // member; ticks is that identity's throttle parity, kept on its record
 // in the scheduler's identity table (ident.ticks). A batch ID has no
 // parity: each of its members is decided here on its own.
-// Returns nil (admit) or an *OverloadError (reject).
-// Caller holds the scheduler mutex and has already called evaluate for
-// this instant.
+// Returns nil (admit) or an *OverloadError (reject), which the caller
+// counts as a shed. Caller holds the scheduler mutex and has already
+// called evaluate for this instant.
 //
 // Open admits everything. Throttled sheds each client's every second
 // submission — deterministic rate-halving, with half the usual retry
@@ -350,7 +358,6 @@ func (a *AdmissionController) admit(ticks *int64) error {
 	default:
 		return nil
 	}
-	a.mShed.Inc()
 	return &OverloadError{
 		State:      a.state,
 		P99:        a.lastP99,

@@ -84,7 +84,7 @@ func rep(n int, d time.Duration) []time.Duration {
 // the shed threshold.
 func TestAdmissionHysteresis(t *testing.T) {
 	clk := &testClock{}
-	a := newAdmissionController(SLO{TargetP99: time.Second}, clk.clock())
+	a := newAdmissionController(SLO{TargetP99: time.Second}, clk.Now())
 
 	steps := []struct {
 		name    string
@@ -122,7 +122,7 @@ func TestAdmissionHysteresis(t *testing.T) {
 // halved hint, Shedding rejects everything with the full hint.
 func TestAdmitPerState(t *testing.T) {
 	clk := &testClock{}
-	a := newAdmissionController(SLO{TargetP99: time.Second}, clk.clock())
+	a := newAdmissionController(SLO{TargetP99: time.Second}, clk.Now())
 	var c int64 // the submitting client's throttle parity (ident.ticks)
 
 	if err := a.admit(&c); err != nil {
@@ -169,7 +169,7 @@ func TestAdmitPerState(t *testing.T) {
 // must shed both clients at the same rate regardless of interleaving.
 func TestThrottledShedIsPerClientFair(t *testing.T) {
 	clk := &testClock{}
-	a := newAdmissionController(SLO{TargetP99: time.Second}, clk.clock())
+	a := newAdmissionController(SLO{TargetP99: time.Second}, clk.Now())
 	a.transition(StateThrottled, 0)
 
 	ticks := map[string]*int64{"a": new(int64), "b": new(int64)} // each client's record's parity
@@ -201,10 +201,7 @@ func TestSchedulerShedsUnderStall(t *testing.T) {
 	clk := &testClock{}
 	s := New(100, PolicyFCFSBackfill)
 	reg := obs.NewRegistry()
-	s.Instrument(reg, clk.clock())
-	if err := s.EnableAdmission(SLO{TargetP99: time.Second}, clk.clock()); err != nil {
-		t.Fatal(err)
-	}
+	mustWire(t, s, Wiring{Metrics: reg, Clock: clk.clock(), SLO: SLO{TargetP99: time.Second}})
 	var c collector
 	mustSubmit(t, s, "a", KindBackward, 100, c.grant("a")) // holds everything
 	mustSubmit(t, s, "b", KindBackward, 100, c.grant("b")) // queues behind a
@@ -251,7 +248,7 @@ func TestSchedulerShedsUnderStall(t *testing.T) {
 	}
 }
 
-// TestAdmissionDisabledIsInert: without EnableAdmission the scheduler
+// TestAdmissionDisabledIsInert: without an SLO the scheduler
 // must behave exactly as before — this pins the admission-off fast
 // path used by the byte-identical-experiments guarantee.
 func TestAdmissionDisabledIsInert(t *testing.T) {
@@ -262,11 +259,14 @@ func TestAdmissionDisabledIsInert(t *testing.T) {
 	if st := s.AdmissionStats(); st != (AdmissionStats{}) {
 		t.Fatalf("stats = %+v, want zero", st)
 	}
-	if err := s.EnableAdmission(SLO{}, nil); err != nil {
-		t.Fatalf("disabled SLO must be a no-op, got %v", err)
+	if err := s.Wire(Wiring{}); err != nil {
+		t.Fatalf("wiring nothing must be a no-op, got %v", err)
 	}
-	if err := s.EnableAdmission(SLO{TargetP99: time.Second}, nil); err == nil {
+	if err := s.Wire(Wiring{SLO: SLO{TargetP99: time.Second}}); err == nil {
 		t.Fatal("enabled SLO with nil clock must error")
+	}
+	if err := s.Wire(Wiring{Metrics: obs.NewRegistry()}); err == nil {
+		t.Fatal("registry with nil clock must error")
 	}
 }
 
@@ -278,9 +278,7 @@ func TestAdmissionDisabledIsInert(t *testing.T) {
 func TestConcurrentSubmitCompleteUnderAdmission(t *testing.T) {
 	clk := &testClock{}
 	s := New(1000, PolicyFCFSBackfill)
-	if err := s.EnableAdmission(SLO{TargetP99: time.Millisecond, Window: 8 * time.Millisecond}, clk.clock()); err != nil {
-		t.Fatal(err)
-	}
+	mustWire(t, s, Wiring{Clock: clk.clock(), SLO: SLO{TargetP99: time.Millisecond, Window: 8 * time.Millisecond}})
 
 	stop := make(chan struct{})
 	var ticker sync.WaitGroup
@@ -346,9 +344,7 @@ func TestConcurrentSubmitCompleteUnderAdmission(t *testing.T) {
 func TestThrottledParityGoesWithTheRecord(t *testing.T) {
 	clk := &testClock{}
 	s := New(100, PolicyFCFSBackfill)
-	if err := s.EnableAdmission(SLO{TargetP99: time.Second}, clk.clock()); err != nil {
-		t.Fatal(err)
-	}
+	mustWire(t, s, Wiring{Clock: clk.clock(), SLO: SLO{TargetP99: time.Second}})
 	s.mu.Lock()
 	s.adm.transition(StateThrottled, 0) // the clock stands still, so it stays
 	s.mu.Unlock()
@@ -411,11 +407,8 @@ func TestThrottledBatchShedsMembers(t *testing.T) {
 	throttled := func() (*Scheduler, *obs.Ledger) {
 		clk := &testClock{}
 		s := New(100, PolicyFCFSBackfill)
-		if err := s.EnableAdmission(slo, clk.clock()); err != nil {
-			t.Fatal(err)
-		}
 		led := obs.NewLedger(obs.LedgerConfig{Clock: clk.clock()})
-		s.SetLedger(led)
+		mustWire(t, s, Wiring{Clock: clk.clock(), Ledger: led, SLO: slo})
 		s.mu.Lock()
 		s.adm.transition(StateThrottled, 0) // the clock stands still, so it stays
 		s.mu.Unlock()

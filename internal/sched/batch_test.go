@@ -63,10 +63,8 @@ func TestSubmitBatchGrantsAndBills(t *testing.T) {
 	reg := obs.NewRegistry()
 	clk := &fakeClock{}
 	s := New(100, PolicyFCFSBackfill)
-	s.Instrument(reg, clk)
-	led := obs.NewLedger(obs.LedgerConfig{Clock: clk})
-	led.Instrument(reg)
-	s.SetLedger(led)
+	led := obs.NewLedger(obs.LedgerConfig{Clock: clk, Metrics: reg})
+	mustWire(t, s, Wiring{Metrics: reg, Clock: clk, Ledger: led})
 
 	var c collector
 	mustSubmit(t, s, "hog", KindBackward, 90, c.grant("hog"))
@@ -375,13 +373,8 @@ func TestSerialRequestIsBatchOfOne(t *testing.T) {
 		reg := obs.NewRegistry()
 		clk := &fakeClock{}
 		s := New(100, policy)
-		s.Instrument(reg, clk)
-		if err := s.EnableAdmission(slo, clk); err != nil {
-			t.Fatal(err)
-		}
-		led := obs.NewLedger(obs.LedgerConfig{Clock: clk})
-		led.Instrument(reg)
-		s.SetLedger(led)
+		led := obs.NewLedger(obs.LedgerConfig{Clock: clk, Metrics: reg})
+		mustWire(t, s, Wiring{Metrics: reg, Clock: clk, Ledger: led, SLO: slo})
 		if err := s.Reserve("persist:c0", 10); err != nil {
 			t.Fatal(err)
 		}

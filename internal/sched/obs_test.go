@@ -12,6 +12,14 @@ type fakeClock struct{ now time.Duration }
 
 func (c *fakeClock) Now() time.Duration { return c.now }
 
+// mustWire wires s with w or fails the test.
+func mustWire(t testing.TB, s *Scheduler, w Wiring) {
+	t.Helper()
+	if err := s.Wire(w); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestInstrumentedCountersMatchStats checks the registry view against
 // the scheduler's own Stats accounting, with waits measured on the
 // injected (virtual) clock.
@@ -19,7 +27,7 @@ func TestInstrumentedCountersMatchStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	clk := &fakeClock{}
 	s := New(100, PolicyFCFSBackfill)
-	s.Instrument(reg, clk)
+	mustWire(t, s, Wiring{Metrics: reg, Clock: clk})
 	col := &collector{}
 
 	// a fits now; b must wait for a to complete; c backfills past b.
@@ -71,7 +79,7 @@ func TestInstrumentedCountersMatchStats(t *testing.T) {
 func TestInstrumentedRejections(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(100, PolicyFCFSBackfill)
-	s.Instrument(reg, &fakeClock{})
+	mustWire(t, s, Wiring{Metrics: reg, Clock: &fakeClock{}})
 	col := &collector{}
 
 	if err := s.Submit("big", KindForward, 200, col.grant("big")); err == nil {

@@ -140,18 +140,16 @@ func schedTrace(t *testing.T, h hash.Hash, seed int64, policy Policy, admission,
 	reg := obs.NewRegistry()
 	clk := &fakeClock{}
 	s := New(100, policy)
-	s.Instrument(reg, clk)
+	w := Wiring{Metrics: reg, Clock: clk}
 	if admission {
-		if err := s.EnableAdmission(SLO{TargetP99: 2 * time.Second, Window: 10 * time.Second}, clk); err != nil {
-			t.Fatal(err)
-		}
+		w.SLO = SLO{TargetP99: 2 * time.Second, Window: 10 * time.Second}
 	}
 	var led *obs.Ledger
 	if ledger {
-		led = obs.NewLedger(obs.LedgerConfig{Clock: clk})
-		led.Instrument(reg)
-		s.SetLedger(led)
+		led = obs.NewLedger(obs.LedgerConfig{Clock: clk, Metrics: reg})
+		w.Ledger = led
 	}
+	mustWire(t, s, w)
 
 	var cov traceCoverage
 	verdict := func(call string, err error) {

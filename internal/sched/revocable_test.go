@@ -151,10 +151,8 @@ func TestParkedGrantConservation(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock := &fakeClock{}
 	s := New(100, PolicyFCFSBackfill)
-	s.Instrument(reg, clock)
-	ledger := obs.NewLedger(obs.LedgerConfig{Clock: clock})
-	ledger.Instrument(reg)
-	s.SetLedger(ledger)
+	ledger := obs.NewLedger(obs.LedgerConfig{Clock: clock, Metrics: reg})
+	mustWire(t, s, Wiring{Metrics: reg, Clock: clock, Ledger: ledger})
 
 	var byOwner, byNeed, byClose atomic.Int64
 	parkedGrant(t, s, "owner", 10, 30, &byOwner)
@@ -234,7 +232,7 @@ func TestClaimVersusRevokeHammer(t *testing.T) {
 func claimVersusRevokeRound(t *testing.T, parkers, submitters, rounds int, total, fwd, bwd int64) (int64, int64) {
 	s := New(total, PolicyFCFSBackfill)
 	ledger := obs.NewLedger(obs.LedgerConfig{})
-	s.SetLedger(ledger)
+	mustWire(t, s, Wiring{Ledger: ledger})
 
 	stop := make(chan struct{})
 	var checker sync.WaitGroup

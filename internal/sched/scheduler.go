@@ -243,11 +243,10 @@ func (s *Scheduler) freeRequestLocked(r *request) {
 }
 
 // schedMetrics holds the scheduler's telemetry handles. The counters and
-// gauges always exist, standalone until Instrument, because Stats reads
-// its counts from them; the histograms, only observed on an instrument
-// clock, and the registry are nil until then.
+// gauges always exist, standalone unless Wire gave a registry, because
+// Stats and AdmissionStats read their counts from them; the histograms
+// exist only in a registry.
 type schedMetrics struct {
-	reg        *obs.Registry
 	submitted  *obs.Counter
 	granted    *obs.Counter
 	backfilled *obs.Counter
@@ -260,36 +259,52 @@ type schedMetrics struct {
 	claimed    *obs.Counter
 	revoked    *obs.Counter
 	parked     *obs.Gauge
+	shed       *obs.Counter // admission sheds
 }
 
-// standaloneSchedMetrics makes the handles of a scheduler not yet
-// instrumented, in two allocations.
+// standaloneSchedMetrics makes the handles of a scheduler without a
+// registry, in two allocations.
 func standaloneSchedMetrics() schedMetrics {
-	c, g := new([8]obs.Counter), new([2]obs.Gauge)
+	c, g := new([9]obs.Counter), new([2]obs.Gauge)
 	return schedMetrics{
 		submitted: &c[0], granted: &c[1], backfilled: &c[2], completed: &c[3],
-		rejected: &c[4], grown: &c[5], claimed: &c[6], revoked: &c[7],
+		rejected: &c[4], grown: &c[5], claimed: &c[6], revoked: &c[7], shed: &c[8],
 		depthMax: &g[0], parked: &g[1],
 	}
 }
 
-// newSchedMetrics registers the scheduler's handles in reg.
-func newSchedMetrics(reg *obs.Registry) schedMetrics {
-	return schedMetrics{
-		reg:        reg,
+// newSchedMetrics registers the scheduler's handles in reg, the
+// admission families only when slo is enabled. With a ledger wired, its
+// labeled families document the names they share with the scheduler's
+// (the grant wait and the revocations), whichever registers first.
+func newSchedMetrics(reg *obs.Registry, slo SLO, ledger bool) schedMetrics {
+	waitHelp, revokedHelp := "submit-to-grant wait time", "parked grants revoked because another request needed the memory"
+	if ledger {
+		waitHelp, revokedHelp = "", ""
+	}
+	m := schedMetrics{
 		submitted:  reg.Counter(obs.MetricSchedSubmitted, "scheduling requests submitted"),
 		granted:    reg.Counter(obs.MetricSchedGranted, "scheduling requests granted"),
 		backfilled: reg.Counter(obs.MetricSchedBackfilled, "grants made out of FCFS order"),
 		completed:  reg.Counter(obs.MetricSchedCompleted, "allocations reclaimed"),
 		rejected:   reg.Counter(obs.MetricSchedRejected, "submissions rejected (never-fits, duplicate, closed)"),
 		depthMax:   reg.Gauge(obs.MetricSchedQueueDepthMax, "high-water mark of the wait queue"),
-		wait:       reg.Histogram(obs.MetricSchedWaitSeconds, obs.DurationBuckets(), "submit-to-grant wait time"),
+		wait:       reg.Histogram(obs.MetricSchedWaitSeconds, obs.DurationBuckets(), waitHelp),
 		holBlocked: reg.Histogram(obs.MetricSchedHOLBlockedSeconds, obs.DurationBuckets(), "contiguous intervals the queue head was too large to grant"),
 		grown:      reg.Counter(obs.MetricSchedGrown, "forward grants grown to the backward demand (activations kept)"),
 		claimed:    reg.Counter(obs.MetricSchedClaimed, "parked grants claimed back by their owner (backward without re-forward)"),
-		revoked:    reg.Counter(obs.MetricSchedRevocations, "parked grants revoked because another request needed the memory"),
+		revoked:    reg.Counter(obs.MetricSchedRevocations, revokedHelp),
 		parked:     reg.Gauge(obs.MetricSchedParkedBytes, "bytes held by parked (revocable) grants"),
 	}
+	if slo.Enabled() {
+		m.shed = reg.Counter(obs.MetricSchedAdmissionShed, "submissions shed (each client's every 2nd while throttled, all while shedding)")
+		// Advertise the configured target so scrapers (an operator's
+		// burn-rate rule, docs/OBSERVABILITY.md) compare each server's p99
+		// against the server's own SLO rather than a fleet-wide default.
+		reg.Gauge(obs.MetricSchedAdmissionSLOTarget, "configured grant-wait p99 target, microseconds").
+			Set(slo.TargetP99.Microseconds())
+	}
+	return m
 }
 
 // Stats aggregates scheduler activity.
@@ -341,9 +356,10 @@ type Scheduler struct {
 	decisions  int64 // scheduling cycles run; the one count with no family
 
 	m schedMetrics
-	// clock is the telemetry clock Instrument wired (nil until then). It
-	// gates the wait and head-of-line histograms, the observations that
-	// need a time.
+	// clock is the scheduler's one timebase (Wire): request timestamps,
+	// grant waits, head-of-line intervals and admission control all read
+	// it. Nil without a registry and an SLO: then no time is read and
+	// request timestamps stay zero.
 	clock obs.Clock
 	// holSince marks when the queue head last became blocked (the
 	// head-of-line interval the backfill policy exists to fill).
@@ -365,7 +381,7 @@ type Scheduler struct {
 	parked      []revocable
 	parkedBytes int64
 
-	// ledger, when non-nil, receives per-tenant accounting events:
+	// ledger, when non-nil (Wire), receives per-tenant accounting events:
 	// grants and reservations as byte holdings (persistent vs transient
 	// via the owner-tag prefix), grant waits, and admission sheds. Pure
 	// bookkeeping — it never feeds back into scheduling decisions.
@@ -384,89 +400,57 @@ func New(totalMem int64, policy Policy) *Scheduler {
 	}
 }
 
-// Instrument moves the scheduler's handles into a telemetry registry
-// and wires the clock its waits are timed on. It must be called before
-// the scheduler is shared between goroutines (typically right after
-// New): counts made earlier stay behind. Schedulers instrumented into
-// one registry share its counters, so each one's Stats counts them all.
-// The clock decides whether wait and head-of-line times are wall time
-// (obs.NewWallClock) or virtual time (obs.ClockFunc(kernel.Now)); both
-// registry and clock are required.
-func (s *Scheduler) Instrument(reg *obs.Registry, clock obs.Clock) {
-	if reg == nil || clock == nil {
-		return
-	}
-	s.m, s.clock = newSchedMetrics(reg), clock
-	if s.adm != nil {
-		s.adm.instrument(reg)
-	}
+// Wiring is what a scheduler reports to and decides with beyond its
+// budget and policy: its telemetry, its accounting and its admission
+// control. The zero value wires nothing.
+type Wiring struct {
+	// Metrics, when set, registers the scheduler's families (and, with
+	// an SLO, the admission ones) in the registry. Schedulers wired into
+	// one registry share its counters, so each one's Stats counts them
+	// all. Nil keeps standalone counters.
+	Metrics *obs.Registry
+	// Clock is the one timebase of the scheduler's waits, head-of-line
+	// intervals and admission control: obs.NewWallClock() for the real
+	// server, obs.ClockFunc(kernel.Now) for the simulator. Required with
+	// a registry or an SLO, and read only with one of them.
+	Clock obs.Clock
+	// Ledger, when set, receives per-tenant accounting events. The
+	// scheduler is the single source of GPU byte-second accrual: every
+	// grant and reservation opens a holding, every Complete closes it, so
+	// persistent ("persist:"-tagged reservations) and transient (plain
+	// client grants) residency are attributed without double counting.
+	// Grant waits are billed only when a clock is read.
+	Ledger *obs.Ledger
+	// SLO, when enabled, activates admission control (docs/ADMISSION.md).
+	SLO SLO
+	// AdmissionHook, when set with an SLO, runs on every admission state
+	// change (e.g. to trigger a flight-recorder snapshot). It fires under
+	// the scheduler mutex, so it must not call back into the scheduler —
+	// queue the work instead (obs.FlightRecorder.TriggerAsync is safe).
+	AdmissionHook func(from, to AdmissionState)
 }
 
-// EnableAdmission activates SLO-aware admission control (see
-// docs/ADMISSION.md). Like Instrument it must be called during setup,
-// before the scheduler is shared between goroutines. The clock should
-// match the plane the scheduler runs on: obs.NewWallClock() for the
-// real server, obs.ClockFunc(kernel.Now) for the simulator. A
-// disabled SLO (zero TargetP99) is a no-op; a nil clock is an error.
-func (s *Scheduler) EnableAdmission(slo SLO, clock obs.Clock) error {
-	if !slo.Enabled() {
+// Wire gives the scheduler its telemetry, ledger and admission control.
+// Call it once, right after New and before the scheduler is shared
+// between goroutines. A registry or an SLO without a clock is an error.
+// With neither, no clock is read and the counters stay standalone.
+func (s *Scheduler) Wire(w Wiring) error {
+	if (w.Metrics != nil || w.SLO.Enabled()) && w.Clock == nil {
+		return errors.New("sched: a registry or an SLO needs a clock")
+	}
+	s.ledger = w.Ledger
+	if w.Metrics == nil && !w.SLO.Enabled() {
 		return nil
 	}
-	if clock == nil {
-		return errors.New("sched: admission control needs a clock")
+	s.clock = w.Clock
+	if w.Metrics != nil {
+		s.m = newSchedMetrics(w.Metrics, w.SLO, w.Ledger != nil)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// One time source for everything: if the scheduler is already
-	// instrumented, request timestamps come from the instrument clock,
-	// so the controller must read the same epoch.
-	if s.clock != nil {
-		clock = s.clock
+	if w.SLO.Enabled() {
+		s.adm = newAdmissionController(w.SLO, s.clock.Now())
+		s.adm.hook = w.AdmissionHook
 	}
-	s.adm = newAdmissionController(slo, clock)
-	s.adm.instrument(s.m.reg)
 	return nil
-}
-
-// SetLedger attaches a per-tenant accounting ledger. Setup-time only,
-// before the scheduler is shared between goroutines. The scheduler is
-// the single source of GPU byte-second accrual: every grant and
-// reservation opens a holding, every Complete closes it, so persistent
-// ("persist:"-tagged reservations) and transient (plain client grants)
-// residency are attributed without double counting.
-func (s *Scheduler) SetLedger(l *obs.Ledger) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ledger = l
-}
-
-// SetAdmissionHook registers f to run on every admission state change
-// (e.g. to trigger a flight-recorder snapshot). Setup-time only, after
-// EnableAdmission; a hook set while admission control is disabled is
-// dropped. The hook fires under the scheduler mutex, so it must not
-// call back into the scheduler — queue the work instead
-// (obs.FlightRecorder.TriggerAsync is safe).
-func (s *Scheduler) SetAdmissionHook(f func(from, to AdmissionState)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.adm != nil {
-		s.adm.hook = f
-	}
-}
-
-// clockNow returns the telemetry clock reading, preferring the
-// instrumented clock, falling back to the admission clock; ok is false
-// when neither is wired (then request timestamps stay zero, exactly as
-// before instrumentation existed).
-func (s *Scheduler) clockNow() (time.Duration, bool) {
-	switch {
-	case s.clock != nil:
-		return s.clock.Now(), true
-	case s.adm != nil:
-		return s.adm.clock.Now(), true
-	default:
-		return 0, false
-	}
 }
 
 // headAgeLocked returns the age of the oldest waiting request at now.
@@ -683,15 +667,14 @@ func (s *Scheduler) enqueueLocked(req *request, members []BatchMember) error {
 			return err
 		}
 	}
+	if s.clock != nil {
+		req.at = s.clock.Now()
+	}
 	if s.adm != nil {
-		now, _ := s.clockNow()
-		s.adm.evaluate(now, s.headAgeLocked(now))
+		s.adm.evaluate(req.at, s.headAgeLocked(req.at))
 		if err := s.admitLocked(req, members); err != nil {
 			return err
 		}
-	}
-	if now, ok := s.clockNow(); ok {
-		req.at = now
 	}
 	s.m.submitted.Inc()
 	req.hold(req)
@@ -716,6 +699,7 @@ func (s *Scheduler) admitLocked(req *request, members []BatchMember) error {
 			continue
 		}
 		shed = err
+		s.m.shed.Inc()
 		s.ledger.Shed(m.rec.id)
 		req.bytes -= m.bytes
 		if members != nil {
@@ -968,7 +952,7 @@ func (s *Scheduler) schedule(grants []func()) []func() {
 		}
 	}
 	if s.adm != nil {
-		now, _ := s.clockNow()
+		now := s.clock.Now()
 		s.adm.evaluate(now, s.headAgeLocked(now))
 	}
 	s.observeHeadOfLine()
@@ -990,7 +974,7 @@ func (s *Scheduler) isResident(r *request) bool {
 // head does not fit in free memory — the blocked time backfilling
 // works around. Caller holds s.mu.
 func (s *Scheduler) observeHeadOfLine() {
-	if s.clock == nil {
+	if s.m.holBlocked == nil {
 		return
 	}
 	blocked := len(s.waiting) > 0 && !s.fitLocked(s.waiting[0].bytes)
@@ -1022,9 +1006,10 @@ func (s *Scheduler) grantAt(i int, backfilled bool) func() {
 		m.rec.resident = true
 		s.ledger.Acquire(m.rec.id, m.bytes)
 	}
-	if now, ok := s.clockNow(); ok {
+	if s.clock != nil {
+		now := s.clock.Now()
 		wait := now - r.at
-		if s.clock != nil {
+		if s.m.wait != nil {
 			// One wait observation per member, so the unlabeled
 			// histogram matches the per-member observations the ledger
 			// records below.
@@ -1116,14 +1101,19 @@ func (s *Scheduler) Schedulable() int64 {
 	return s.total - s.reserved.Load()
 }
 
-// AdmissionState returns the current admission-control state
-// (StateOpen when admission control is disabled).
+// AdmissionState brings admission control up to the scheduler's clock
+// and returns its state (StateOpen when admission control is disabled).
+// The controller is evaluated as if it had ticked through the time since
+// its last evaluation, so one that went quiet reads as having stepped
+// down once its window emptied and a dwell passed per rung, whether or
+// not anyone still submits.
 func (s *Scheduler) AdmissionState() AdmissionState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.adm == nil {
 		return StateOpen
 	}
+	s.adm.settle(s.clock.Now(), s.headAgeLocked)
 	return s.adm.state
 }
 
@@ -1139,7 +1129,7 @@ func (s *Scheduler) AdmissionStats() AdmissionStats {
 		State:       s.adm.state,
 		P99:         s.adm.lastP99,
 		Transitions: s.adm.transitions,
-		Shed:        s.adm.mShed.Value(),
+		Shed:        s.m.shed.Value(),
 		Deferred:    s.adm.deferred,
 	}
 }

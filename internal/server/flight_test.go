@@ -69,7 +69,7 @@ func TestNeverFitsHandshakeRecordsOOM(t *testing.T) {
 	fr := newFlight(t)
 	_, addr := startServer(t, Config{
 		Store:  store,
-		GPU:    gpu.NewDevice(gpu.Spec{Name: "small", MemoryBytes: store.BaseParamBytes() + persist + mb - 1}),
+		GPU:    gpu.NewDevice(gpu.Spec{Name: "small", MemoryBytes: store.BaseParamBytes() + persist + mb - 1}, nil),
 		Flight: fr,
 	})
 	if c, err := client.Dial(addr, clientCfg("too-big")); err == nil {

@@ -206,7 +206,7 @@ func contendedServer(t testing.TB, tenants int, batch sched.BatchPolicy) (*Serve
 	reg := obs.NewRegistry()
 	srv, addr := startServer(t, Config{
 		Store:   store,
-		GPU:     gpu.NewDevice(gpu.Spec{Name: "tight", MemoryBytes: store.BaseParamBytes() + budget}),
+		GPU:     gpu.NewDevice(gpu.Spec{Name: "tight", MemoryBytes: store.BaseParamBytes() + budget}, reg),
 		Batch:   batch,
 		Metrics: reg,
 	})

@@ -159,11 +159,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("server: nil store")
 	}
 	if cfg.GPU == nil {
-		cfg.GPU = gpu.NewDevice(gpu.V100())
+		cfg.GPU = gpu.NewDevice(gpu.V100(), cfg.Metrics)
 	}
-	// Instrument before the preload so the base-model charge shows up
-	// in the alloc counter and the per-owner residency.
-	cfg.GPU.Instrument(cfg.Metrics)
 	if _, err := cfg.GPU.Alloc("base-model", cfg.Store.BaseParamBytes()); err != nil {
 		return nil, fmt.Errorf("server: loading base model: %w", err)
 	}
@@ -181,14 +178,22 @@ func New(cfg Config) (*Server, error) {
 		payload:    split.PayloadCodec{Codec: cfg.WireCodec},
 	}
 	if cfg.Metrics != nil {
-		s.scheduler.Instrument(cfg.Metrics, s.clock)
-		// Per-tenant accounting rides the same clock; the scheduler is
-		// the single source of byte-second holdings (grants and
+		// Per-tenant accounting rides the server's clock; the scheduler
+		// is the single source of byte-second holdings (grants and
 		// persistent reservations), the serving loop adds compute,
 		// iterations and wire bytes.
-		s.ledger = obs.NewLedger(obs.LedgerConfig{Clock: s.clock, MaxClients: cfg.TenantCap})
-		s.ledger.Instrument(cfg.Metrics)
-		s.scheduler.SetLedger(s.ledger)
+		s.ledger = obs.NewLedger(obs.LedgerConfig{Clock: s.clock, MaxClients: cfg.TenantCap, Metrics: cfg.Metrics})
+	}
+	w := sched.Wiring{Metrics: cfg.Metrics, Clock: s.clock, Ledger: s.ledger, SLO: cfg.SLO}
+	if cfg.Flight != nil {
+		// Snapshot on every admission-state change. TriggerAsync queues
+		// off the scheduler mutex the hook runs under.
+		w.AdmissionHook = func(from, to sched.AdmissionState) {
+			cfg.Flight.TriggerAsync(obs.FlightReasonAdmission)
+		}
+	}
+	if err := s.scheduler.Wire(w); err != nil {
+		return nil, fmt.Errorf("server: scheduler: %w", err)
 	}
 	if cfg.Batch.Enabled() {
 		engine, err := batch.New(batch.Config{
@@ -203,18 +208,6 @@ func New(cfg Config) (*Server, error) {
 		s.engine = engine
 	} else if err := cfg.Batch.Validate(); err != nil {
 		return nil, fmt.Errorf("server: batch policy: %w", err)
-	}
-	if cfg.SLO.Enabled() {
-		if err := s.scheduler.EnableAdmission(cfg.SLO, s.clock); err != nil {
-			return nil, fmt.Errorf("server: admission control: %w", err)
-		}
-		if cfg.Flight != nil {
-			// Snapshot on every admission-state change. TriggerAsync
-			// queues off the scheduler mutex the hook runs under.
-			s.scheduler.SetAdmissionHook(func(from, to sched.AdmissionState) {
-				cfg.Flight.TriggerAsync(obs.FlightReasonAdmission)
-			})
-		}
 	}
 	reg := cfg.Metrics
 	if reg == nil {

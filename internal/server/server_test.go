@@ -385,7 +385,7 @@ func TestHandshakeRefusalsReleaseEverything(t *testing.T) {
 	// backward of twice its batch.
 	srv, addr := startServer(t, Config{
 		Store: store,
-		GPU:   gpu.NewDevice(gpu.Spec{Name: "small", MemoryBytes: store.BaseParamBytes() + persist + mb}),
+		GPU:   gpu.NewDevice(gpu.Spec{Name: "small", MemoryBytes: store.BaseParamBytes() + persist + mb}, nil),
 	})
 	for _, tc := range []struct {
 		name   string

@@ -226,9 +226,8 @@ func newMenosRun(cfg Config) (*menosRun, error) {
 	if r.placer == nil {
 		r.placer = fleet.NewRoundRobin()
 	}
-	r.mgr = fleet.NewManager(r.placer)
+	r.mgr = fleet.NewManager(r.placer, cfg.Metrics)
 	r.mgr.Expect(len(cfg.Clients))
-	r.mgr.Instrument(cfg.Metrics)
 
 	// Per-tenant accounting on the virtual clock. One ledger spans the
 	// whole fleet (rows are per client, wherever placed); every method
@@ -236,8 +235,7 @@ func newMenosRun(cfg Config) (*menosRun, error) {
 	// ledger only observes — it never advances virtual time — so
 	// enabling it cannot perturb the simulation's schedule.
 	if cfg.Metrics != nil {
-		r.ledger = obs.NewLedger(obs.LedgerConfig{Clock: obs.ClockFunc(kernel.Now)})
-		r.ledger.Instrument(cfg.Metrics)
+		r.ledger = obs.NewLedger(obs.LedgerConfig{Clock: obs.ClockFunc(kernel.Now), Metrics: cfg.Metrics})
 	}
 
 	// One server instance per cfg.Servers (plus any the autoscaler
@@ -331,11 +329,10 @@ func (r *menosRun) newServer() (*serverSim, error) {
 	cfg, kernel := &r.cfg, r.kernel
 	w0 := cfg.Clients[0].Workload
 	id := len(r.servers)
-	devices, err := gpu.NewDeviceSet(cfg.GPUSpec, cfg.GPUs)
+	devices, err := gpu.NewDeviceSet(cfg.GPUSpec, cfg.GPUs, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
-	devices.Instrument(cfg.Metrics)
 	if _, err := devices.AllocSharded("base-model", w0.ServerBaseBytes()); err != nil {
 		return nil, fmt.Errorf("server %d: loading shared base model: %w", id, err)
 	}
@@ -349,23 +346,20 @@ func (r *menosRun) newServer() (*serverSim, error) {
 	srv.scheduler = sched.New(devices.Available(), cfg.SchedPol)
 	// Each client is two identities here: itself and its reservation.
 	srv.scheduler.Expect(2 * r.perServer)
-	srv.scheduler.Instrument(cfg.Metrics, obs.ClockFunc(kernel.Now))
-	srv.scheduler.SetLedger(r.ledger)
-	if cfg.Batch != nil && cfg.Batch.Enabled() {
-		srv.former = batch.NewFormer[*simMember, *simLead](cfg.Batch.MaxSize)
-		srv.gpu = kernel.NewResource(fmt.Sprintf("gpu:%d", id), 1)
-	}
-	if cfg.SLO.Enabled() {
-		if err := srv.scheduler.EnableAdmission(cfg.SLO, obs.ClockFunc(kernel.Now)); err != nil {
-			return nil, fmt.Errorf("admission control: %w", err)
-		}
-	}
+	w := sched.Wiring{Metrics: cfg.Metrics, Clock: obs.ClockFunc(kernel.Now), Ledger: r.ledger, SLO: cfg.SLO}
 	if cfg.Flight != nil {
 		// The kernel is single-threaded, so the synchronous Trigger
 		// keeps flight snapshots deterministic across runs.
-		srv.scheduler.SetAdmissionHook(func(from, to sched.AdmissionState) {
+		w.AdmissionHook = func(from, to sched.AdmissionState) {
 			cfg.Flight.Trigger(obs.FlightReasonAdmission)
-		})
+		}
+	}
+	if err := srv.scheduler.Wire(w); err != nil {
+		return nil, fmt.Errorf("server %d: %w", id, err)
+	}
+	if cfg.Batch != nil && cfg.Batch.Enabled() {
+		srv.former = batch.NewFormer[*simMember, *simLead](cfg.Batch.MaxSize)
+		srv.gpu = kernel.NewResource(fmt.Sprintf("gpu:%d", id), 1)
 	}
 	r.servers = append(r.servers, srv)
 	if err := r.mgr.AddServer(id, devices.Capacity(), []string{w0.Model.Name}); err != nil {

@@ -241,13 +241,12 @@ func (c *vanillaClient) step() {
 // runVanilla simulates the vanilla split-learning baseline.
 func runVanilla(cfg Config) (*Result, error) {
 	kernel := sim.New()
-	devices, err := gpu.NewDeviceSet(cfg.GPUSpec, cfg.GPUs)
+	devices, err := gpu.NewDeviceSet(cfg.GPUSpec, cfg.GPUs, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
 	link := cfg.LinkPreset(kernel)
 
-	devices.Instrument(cfg.Metrics)
 	res := &residency{
 		kernel:      kernel,
 		devices:     devices,

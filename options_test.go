@@ -19,6 +19,7 @@ import (
 var optionStructs = map[string]bool{
 	"internal/sched.SLO":             true,
 	"internal/sched.BatchPolicy":     true,
+	"internal/sched.Wiring":          true,
 	"internal/experiments.Options":   true,
 	"internal/splitsim.ClientSpec":   true,
 	"internal/split.OptimizerConfig": false, // a frame payload, not an option
