@@ -577,3 +577,43 @@ func TestStaleHandlesAreRefused(t *testing.T) {
 	}
 	s.Complete("b9")
 }
+
+// TestAdmissionStateTicksThroughIdleTime: reading the state of a
+// shedding scheduler left idle lands where a twin evaluated at every
+// slice boundary of the same stretch lands, through the same
+// transitions: open, once the window has emptied and a dwell has passed
+// per rung, though nobody submitted.
+func TestAdmissionStateTicksThroughIdleTime(t *testing.T) {
+	shedding := func() (*Scheduler, *testClock) {
+		clk := &testClock{}
+		s := New(100, PolicyFCFSBackfill)
+		mustWire(t, s, Wiring{Clock: clk.clock(), SLO: SLO{TargetP99: time.Second}})
+		var c collector
+		mustSubmit(t, s, "a", KindBackward, 100, c.grant("a"))
+		mustSubmit(t, s, "b", KindBackward, 100, c.grant("b"))
+		clk.advance(5 * time.Second)
+		if err := s.Submit("c", KindBackward, 10, c.grant("c")); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("submission behind a 5s head: %v, want a shed", err)
+		}
+		s.Complete("a")
+		s.Complete("b")
+		return s, clk
+	}
+	read, readClk := shedding()
+	ticked, tickedClk := shedding()
+	slice := read.adm.sliceDur
+	for i := 0; i < 20; i++ {
+		tickedClk.advance(slice)
+		ticked.Complete("tick") // a release evaluates, nothing else
+	}
+	if st := read.AdmissionState(); st != StateShedding {
+		t.Fatalf("state before the idle stretch %v, want shedding", st)
+	}
+	readClk.advance(20 * slice)
+	if got, want := read.AdmissionState(), ticked.AdmissionState(); got != StateOpen || want != StateOpen {
+		t.Fatalf("after 20 idle slices: read %v, ticked %v, want open", got, want)
+	}
+	if got, want := read.AdmissionStats(), ticked.AdmissionStats(); got != want {
+		t.Fatalf("read %+v, ticked %+v", got, want)
+	}
+}

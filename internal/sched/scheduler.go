@@ -764,6 +764,33 @@ func (s *Scheduler) Complete(clientID string) int64 {
 	return reclaimed
 }
 
+// Withdraw takes id's queued request — a client's own, or a batch's
+// under its batch ID — out of the wait queue ungranted, so its grant
+// never fires, and runs a scheduling cycle for the requests it held up.
+// It reports whether the request was still queued: false means it was
+// granted already, and its owner holds the grant as usual, or that id
+// names no queued request.
+func (s *Scheduler) Withdraw(id string) bool {
+	s.mu.Lock()
+	rec := s.lookupLocked(id)
+	if rec == nil || rec.req == nil || rec.req.granted || rec.req.own != rec {
+		s.mu.Unlock()
+		return false
+	}
+	r := rec.req
+	s.waiting = slices.DeleteFunc(s.waiting, func(w *request) bool { return w == r })
+	r.hold(nil)
+	s.unresolveLocked(r)
+	s.freeRequestLocked(r)
+	var buf grantBuf
+	grants := s.schedule(buf[:0])
+	s.mu.Unlock()
+	for _, g := range grants {
+		g()
+	}
+	return true
+}
+
 // releaseLocked returns r's bytes to free memory and clears every
 // identity it held. Caller holds s.mu.
 func (s *Scheduler) releaseLocked(r *request) {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -312,4 +313,48 @@ func allocated(s *Scheduler, clientID string) int64 {
 		return r.bytes
 	}
 	return 0
+}
+
+// TestWithdrawLeavesTheQueueUngranted: a withdrawn request, plain or a
+// batch under its batch ID, leaves the queue and its grant never fires,
+// and the requests it held up are scheduled at once. A granted request,
+// a batch member's own ID and an unknown ID withdraw nothing.
+func TestWithdrawLeavesTheQueueUngranted(t *testing.T) {
+	s := New(100, PolicyFCFS)
+	var c collector
+	mustSubmit(t, s, "hog", KindBackward, 60, c.grant("hog"))
+	mustSubmit(t, s, "big", KindBackward, 50, c.grant("big"))
+	r := newRoster(s)
+	if err := s.SubmitBatch("b1", KindForward, r.batch(spec{"m1", 10}, spec{"m2", 10}), c.grant("b1")); err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit(t, s, "small", KindForward, 10, c.grant("small"))
+	for _, id := range []string{"hog", "m1", "nobody"} {
+		if s.Withdraw(id) {
+			t.Errorf("Withdraw(%q) = true, want false", id)
+		}
+	}
+	// The FCFS head goes: the batch and the small request behind it fit.
+	if !s.Withdraw("big") {
+		t.Fatal("Withdraw(big) = false for a queued request")
+	}
+	if got := c.got(); !slices.Equal(got, []string{"hog", "b1", "small"}) {
+		t.Fatalf("grants %v, want [hog b1 small]", got)
+	}
+	mustSubmit(t, s, "b2", KindForward, 30, c.grant("b2"))
+	if err := s.SubmitBatch("b3", KindForward, r.batch(spec{"m3", 5}), c.grant("b3")); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Withdraw("b3") || s.Withdraw("b3") {
+		t.Fatal("a queued batch is withdrawn once, under its batch ID")
+	}
+	s.Complete("hog")
+	if got := c.got(); !slices.Equal(got, []string{"hog", "b1", "small", "b2"}) {
+		t.Fatalf("grants %v after the hog completed, want b2 alone added", got)
+	}
+	if s.QueueDepth() != 0 || allocated(s, "big") != 0 {
+		t.Fatalf("queue depth %d, big holds %d: the withdrawn requests stayed", s.QueueDepth(), allocated(s, "big"))
+	}
+	// A withdrawn client submits again as usual.
+	mustSubmit(t, s, "big", KindBackward, 50, c.grant("big"))
 }

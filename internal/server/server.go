@@ -134,7 +134,10 @@ type Server struct {
 	// client redials.
 	staged map[uint64]*stagedSession
 	closed bool
-	wg     sync.WaitGroup
+	// done is closed by Close: a request still waiting for memory then
+	// leaves the scheduler's queue and fails.
+	done chan struct{}
+	wg   sync.WaitGroup
 
 	m serverMetrics
 }
@@ -175,6 +178,7 @@ func New(cfg Config) (*Server, error) {
 		sessions:   make(map[string]*session),
 		pendingMig: make(map[string]fleet.MigrateOrder),
 		staged:     make(map[uint64]*stagedSession),
+		done:       make(chan struct{}),
 		payload:    split.PayloadCodec{Codec: cfg.WireCodec},
 	}
 	if cfg.Metrics != nil {
@@ -316,6 +320,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.done)
 	for l := range s.listeners {
 		_ = l.Close()
 	}
@@ -709,9 +714,11 @@ func (s *Server) acquire(kind sched.RequestKind, batchID string, members []sched
 	grant := func() { granted <- struct{}{} }
 	start := time.Now()
 	var err error
+	id := batchID
 	if batchID == "" {
 		sess := works[0].sess
-		err = s.scheduler.Submit(sess.id, kind, sess.demand(kind), grant)
+		id = sess.id
+		err = s.scheduler.Submit(id, kind, sess.demand(kind), grant)
 	} else {
 		err = s.scheduler.SubmitBatch(batchID, kind, members, grant)
 	}
@@ -722,7 +729,17 @@ func (s *Server) acquire(kind sched.RequestKind, batchID string, members []sched
 				shed(i)
 			}
 		}
-		<-granted
+		select {
+		case <-granted:
+		case <-s.done:
+			// The server closed while the request waited. A request
+			// granted in the meantime is served and released as usual.
+			if s.scheduler.Withdraw(id) {
+				err = ErrServerClosed
+			} else {
+				<-granted
+			}
+		}
 	} else if errors.Is(err, sched.ErrNeverFits) {
 		s.cfg.Flight.TriggerAsync(obs.FlightReasonOOM)
 	}

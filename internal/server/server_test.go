@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -768,5 +769,95 @@ func TestSchedulerForgetsDepartedClients(t *testing.T) {
 				srv.Scheduler().Stats().Identities, before)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitFor polls cond until it holds or 5s pass, then fails with what.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCloseReturnsWhileARequestWaits: a hog holds every schedulable
+// byte, so a client's forward waits for memory that nobody frees, served
+// serially or as a batch (a filler request too large for what the
+// client's teardown gives back waits ahead of it, so it joins one).
+// Close still returns: the waiting request ends with an error, the
+// client's step fails, the request leaves the scheduler's queue and is
+// never granted, and every goroutine the server and client started
+// ends. Close runs in a goroutine, so a Close that hangs fails the test
+// instead of hanging it.
+func TestCloseReturnsWhileARequestWaits(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch sched.BatchPolicy
+	}{
+		{"serial", sched.BatchPolicy{}},
+		{"batched", sched.BatchPolicy{MaxSize: 2, MaxHold: 10 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tensor.Parallelism() // the shared compute pool outlives any server: start it first
+			before := runtime.NumGoroutine()
+			srv, addr := startServer(t, Config{Batch: tc.batch})
+			cfg := clientCfg("waits")
+			c, err := client.Dial(addr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sch := srv.Scheduler()
+			hog, persist := sch.Schedulable(), sch.Total()-sch.Schedulable()
+			if err := sch.Submit("hog", sched.KindBackward, hog, func() {}); err != nil {
+				t.Fatal(err)
+			}
+			filler := 0
+			if tc.batch.Enabled() {
+				filler = 1
+				if err := sch.Submit("filler", sched.KindForward, persist+1, func() {}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ids, targets := batchFor(cfg, 1)
+			stepped := make(chan error, 1)
+			go func() {
+				_, err := c.Step(ids, targets)
+				stepped <- err
+			}()
+			waitFor(t, "the client's forward to queue", func() bool { return sch.QueueDepth() == filler+1 })
+
+			closed := make(chan error, 1)
+			go func() { closed <- srv.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close did not return while a request waited for memory")
+			}
+			select {
+			case err := <-stepped:
+				if err == nil {
+					t.Fatal("the waiting step succeeded on a closed server")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the waiting step never returned")
+			}
+			// Close returned, so the session's teardown gave its reservation
+			// back: a request still queued could have been granted then.
+			if got := sch.QueueDepth(); got != filler {
+				t.Errorf("queue depth %d after Close, want %d: the waiting request stayed queued", got, filler)
+			}
+			if got, want := sch.Available(), sch.Total()-hog; got != want {
+				t.Errorf("%d bytes available after Close, want %d: something but the hog holds memory", got, want)
+			}
+			_ = c.Close()
+			waitFor(t, "the goroutine count to come back", func() bool { return runtime.NumGoroutine() <= before })
+		})
 	}
 }

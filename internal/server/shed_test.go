@@ -104,6 +104,63 @@ func TestLiveServerShedsAStep(t *testing.T) {
 	}
 }
 
+// TestSheddingServerReopensWhenTrafficStops drives a served session
+// into admission shedding on a hand-stepped server clock, as
+// TestLiveServerShedsAStep does, then stops all traffic: the memory is
+// released and the only client leaves, so nothing submits again. Two
+// SLO windows later on the clock (the window empties, then a dwell per
+// rung), a new client's Hello is admitted: reading the admission state
+// at the handshake brings the controller up to the clock.
+func TestSheddingServerReopensWhenTrafficStops(t *testing.T) {
+	var now atomic.Int64
+	clock := obs.ClockFunc(func() time.Duration { return time.Duration(now.Load()) })
+	defer func(orig func() obs.Clock) { newClock = orig }(newClock)
+	newClock = func() obs.Clock { return clock }
+
+	slo := sched.SLO{TargetP99: time.Second}
+	srv, addr := startServer(t, Config{SLO: slo})
+	sch := srv.Scheduler()
+	cfg := clientCfg("shed")
+	c, err := client.Dial(addr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sch.Submit("hog", sched.KindBackward, sch.Schedulable(), func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sch.Submit("queued", sched.KindBackward, 1, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	now.Store(int64(2 * time.Second))
+	ids, targets := batchFor(cfg, 1)
+	var re *client.RetryableError
+	if _, err := c.Step(ids, targets); !errors.As(err, &re) {
+		t.Fatalf("step under shedding: err = %v, want a RetryableError", err)
+	}
+	if st := sch.AdmissionState(); st != sched.StateShedding {
+		t.Fatalf("admission state %v, want shedding", st)
+	}
+
+	// Traffic stops: the hog and the request behind it are done, and the
+	// client leaves; its teardown gives back its reservation.
+	sch.Complete("hog")
+	sch.Complete("queued")
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the session's teardown", func() bool { return sch.Schedulable() == sch.Total() })
+
+	now.Add(int64(2 * 8 * slo.TargetP99)) // twice the default window, 8×TargetP99
+	fresh, err := client.Dial(addr, clientCfg("fresh"))
+	if err != nil {
+		t.Fatalf("hello after traffic stopped: %v", err)
+	}
+	defer fresh.Close()
+	if st := sch.AdmissionState(); st == sched.StateShedding {
+		t.Errorf("admission state %v after the window emptied", st)
+	}
+}
+
 // TestLiveBatchedServerShedsMembers drives a batched server into the
 // Throttled admission state on a hand-stepped server clock, with two
 // resident tenants whose throttle parities differ by one, and steps them
