@@ -101,8 +101,11 @@ test-race:
 # else, never both, and nothing outlives a session), the routing of
 # batchable requests by memory pressure, two tenants stepping at once
 # on arenas of their own (each arena serves only its own session), a
-# throttled batch shedding one member while its co-member steps on,
-# menos-fleetd's /place and
+# throttled batch shedding one member while its co-member steps on, a
+# server closing while a serial or batched request waits for memory (the
+# request leaves the queue ungranted and Close returns), a shedding
+# server whose traffic stopped admitting a new client, menos-fleetd's
+# /place and
 # /drain handlers racing its poll and rebalance ticks (all four take
 # the controller's fleet.Manager lock), and the ledger's writers racing
 # its snapshots over more clients than it has accounts (each row is
@@ -115,7 +118,7 @@ test-race:
 test-stress:
 	$(GO) test -race -count=20 -run 'TestClaimVersusRevokeHammer' ./internal/sched
 	$(GO) test -race -count=20 -run TestLedgerConcurrentConservation ./internal/obs
-	$(GO) test -race -count=20 -run '^(TestContentionIsFig3d|TestBatchingFollowsPressure|TestSessionsStepOnTheirOwnArenas|TestLiveBatchedServerShedsMembers)$$' ./internal/server
+	$(GO) test -race -count=20 -run '^(TestContentionIsFig3d|TestBatchingFollowsPressure|TestSessionsStepOnTheirOwnArenas|TestLiveBatchedServerShedsMembers|TestCloseReturnsWhileARequestWaits|TestSheddingServerReopensWhenTrafficStops)$$' ./internal/server
 	$(GO) test -race -count=20 -run TestHandlersRaceTheTicks ./cmd/menos-fleetd
 	$(GO) test -count=500 -run 'TestLayerNormInvarianceProperty' ./internal/nn
 	$(GO) test -count=40 -run 'TestPricedDemandsBoundTheBodyProperty' ./internal/memmodel

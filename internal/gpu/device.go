@@ -2,6 +2,9 @@
 // capacity-checked allocation, per-owner accounting, peak tracking, and
 // multi-GPU device sets. It deliberately models only what Menos'
 // scheduler observes and reacts to — bytes, owners, OOM — not kernels.
+// A device reports to the registry it is built with (NewDevice,
+// NewDeviceSet), so every allocation, the first included, is counted in
+// the families a scrape reads.
 package gpu
 
 import (

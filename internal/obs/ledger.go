@@ -40,10 +40,8 @@ type LedgerConfig struct {
 	// clients accrue into a shared VecOverflowLabel account (totals
 	// stay exact, attribution degrades). <= 0 means DefaultVecCap.
 	MaxClients int
-	// Metrics is the registry the ledger's labeled families live in, so
-	// its rows and the registry's {client} series are one store. A
-	// registry holds one ledger's families. Nil keeps them in a private
-	// registry.
+	// Metrics holds the ledger's labeled families, so its rows and the
+	// registry's {client} series are one store; nil means a private one.
 	Metrics *Registry
 }
 
@@ -246,8 +244,7 @@ func (l *Ledger) AddCompute(client string, seconds float64) {
 	if l == nil {
 		return
 	}
-	id := l.bill(client)
-	l.m.compute.With(id).Observe(seconds)
+	l.m.compute.With(l.bill(client)).Observe(seconds)
 }
 
 // AddGrantWait bills seconds of queue wait (submission → grant) to
@@ -256,8 +253,7 @@ func (l *Ledger) AddGrantWait(client string, seconds float64) {
 	if l == nil {
 		return
 	}
-	id := l.bill(client)
-	l.m.wait.With(id).Observe(seconds)
+	l.m.wait.With(l.bill(client)).Observe(seconds)
 }
 
 // AddIteration counts one completed iteration for client. Safe on nil.
@@ -265,8 +261,7 @@ func (l *Ledger) AddIteration(client string) {
 	if l == nil {
 		return
 	}
-	id := l.bill(client)
-	l.m.iters.With(id).Inc()
+	l.m.iters.With(l.bill(client)).Inc()
 }
 
 // AddBatchRows bills rows microbatch rows that client contributed to a
@@ -278,8 +273,7 @@ func (l *Ledger) AddBatchRows(client string, rows int64) {
 	if l == nil || rows <= 0 {
 		return
 	}
-	id := l.bill(client)
-	l.m.batchRows.With(id).Add(rows)
+	l.m.batchRows.With(l.bill(client)).Add(rows)
 }
 
 // AddWire bills tx/rx wire bytes (server perspective) to client. Safe
@@ -302,8 +296,7 @@ func (l *Ledger) Shed(client string) {
 	if l == nil {
 		return
 	}
-	id := l.bill(client)
-	l.m.sheds.With(id).Inc()
+	l.m.sheds.With(l.bill(client)).Inc()
 }
 
 // Retry counts one post-shed resubmission by client. Safe on nil.
@@ -324,8 +317,7 @@ func (l *Ledger) Revoke(client string) {
 	if l == nil {
 		return
 	}
-	id := l.bill(client)
-	l.m.revoked.With(id).Inc()
+	l.m.revoked.With(l.bill(client)).Inc()
 }
 
 // rowLocked accrues a to now and returns its row: the account's own

@@ -152,7 +152,6 @@ type AdmissionController struct {
 
 	state       AdmissionState
 	last        time.Duration // the instant of the last evaluation
-	since       time.Duration // when the current state was entered
 	calmSince   time.Duration // start of the current below-reopen streak
 	calm        bool
 	transitions int64
@@ -178,7 +177,7 @@ func newAdmissionController(slo SLO, now time.Duration) *AdmissionController {
 		a.slices[i].counts = make([]int64, len(a.bounds)+1)
 	}
 	a.curIdx = int64(now / a.sliceDur)
-	a.last, a.since = now, now
+	a.last = now
 	return a
 }
 
@@ -260,11 +259,11 @@ func (a *AdmissionController) evaluate(now, headAge time.Duration) {
 	evidence := snap.Count >= minSamples || headAge >= throttleAt
 	if evidence {
 		if p99 >= shedAt && a.state != StateShedding {
-			a.transition(StateShedding, now)
+			a.transition(StateShedding)
 			return
 		}
 		if p99 >= throttleAt && a.state == StateOpen {
-			a.transition(StateThrottled, now)
+			a.transition(StateThrottled)
 			return
 		}
 	}
@@ -285,24 +284,21 @@ func (a *AdmissionController) evaluate(now, headAge time.Duration) {
 		return
 	}
 	if now-a.calmSince >= a.slo.Window/4 {
-		a.transition(a.state-1, now)
+		a.transition(a.state - 1)
 	}
 }
 
-// settleTicks bounds settle's replay. An empty queue reopens the
-// controller within two windows' worth of slice boundaries (the window
-// empties, then one dwell per rung), and a request still queued after
-// this many boundaries is far past the shed threshold, so the
-// evaluation at now decides alone.
+// settleTicks bounds settle's replay: an empty queue reopens the
+// controller within two windows of slice boundaries (the window empties,
+// then a dwell per rung), and a head queued through more is far past the
+// shed threshold, so the evaluation at now decides alone.
 const settleTicks = 4 * admissionWindowSlices
 
-// settle evaluates at every slice boundary since the last evaluation and
-// then at now, headAge(t) being the age of the oldest waiting request at
-// t: the state a controller ticking on the scheduler's clock would hold.
-// Nothing the controller reads changed since its last evaluation but the
-// time (every submission and release evaluates), so each boundary sees
-// only the window expire and the queue head age. The replay stops early
-// once the controller is Open with nothing queued, where time alone
+// settle evaluates at every slice boundary since the last evaluation,
+// then at now, headAge(t) being the queue head's age at t: the state a
+// controller ticking on the scheduler's clock would hold. Every
+// submission and release evaluates, so in between only the window
+// expires and the head ages. Open with nothing queued, time alone
 // changes nothing. Caller holds the scheduler mutex.
 func (a *AdmissionController) settle(now time.Duration, headAge func(time.Duration) time.Duration) {
 	idle := headAge(now) == 0
@@ -318,10 +314,9 @@ func (a *AdmissionController) settle(now time.Duration, headAge func(time.Durati
 // transition moves to state and counts the transition. The hook,
 // if set, fires under the scheduler mutex — it must hand real work off
 // (see Wiring.AdmissionHook).
-func (a *AdmissionController) transition(state AdmissionState, now time.Duration) {
+func (a *AdmissionController) transition(state AdmissionState) {
 	from := a.state
 	a.state = state
-	a.since = now
 	a.calm = false
 	a.transitions++
 	if a.hook != nil && from != state {

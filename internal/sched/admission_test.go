@@ -129,7 +129,7 @@ func TestAdmitPerState(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 
-	a.transition(StateThrottled, 0)
+	a.transition(StateThrottled)
 	admitted, shed := 0, 0
 	for i := 0; i < 10; i++ {
 		if err := a.admit(&c); err != nil {
@@ -149,7 +149,7 @@ func TestAdmitPerState(t *testing.T) {
 		t.Fatalf("throttled admitted %d / shed %d, want 5/5", admitted, shed)
 	}
 
-	a.transition(StateShedding, 0)
+	a.transition(StateShedding)
 	for i := 0; i < 3; i++ {
 		err := a.admit(&c)
 		var ov *OverloadError
@@ -170,7 +170,7 @@ func TestAdmitPerState(t *testing.T) {
 func TestThrottledShedIsPerClientFair(t *testing.T) {
 	clk := &testClock{}
 	a := newAdmissionController(SLO{TargetP99: time.Second}, clk.Now())
-	a.transition(StateThrottled, 0)
+	a.transition(StateThrottled)
 
 	ticks := map[string]*int64{"a": new(int64), "b": new(int64)} // each client's record's parity
 	shedBy := map[string]int{}
@@ -346,7 +346,7 @@ func TestThrottledParityGoesWithTheRecord(t *testing.T) {
 	s := New(100, PolicyFCFSBackfill)
 	mustWire(t, s, Wiring{Clock: clk.clock(), SLO: SLO{TargetP99: time.Second}})
 	s.mu.Lock()
-	s.adm.transition(StateThrottled, 0) // the clock stands still, so it stays
+	s.adm.transition(StateThrottled) // the clock stands still, so it stays
 	s.mu.Unlock()
 	grant := func() {}
 
@@ -410,7 +410,7 @@ func TestThrottledBatchShedsMembers(t *testing.T) {
 		led := obs.NewLedger(obs.LedgerConfig{Clock: clk.clock()})
 		mustWire(t, s, Wiring{Clock: clk.clock(), Ledger: led, SLO: slo})
 		s.mu.Lock()
-		s.adm.transition(StateThrottled, 0) // the clock stands still, so it stays
+		s.adm.transition(StateThrottled) // the clock stands still, so it stays
 		s.mu.Unlock()
 		return s, led
 	}

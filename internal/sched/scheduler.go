@@ -7,7 +7,8 @@
 // arrived from a client) and Complete (a computation released its
 // memory) events and grants execution through a callback, so the same
 // code drives both the discrete-event simulation and the real TCP
-// runtime.
+// runtime. Its registry, its one clock, its ledger and its admission
+// control are given once, by Wire.
 //
 // Every identity the scheduler knows — a client, a batch ID, a
 // reservation — has one record: the request that holds it, and whether
@@ -400,32 +401,23 @@ func New(totalMem int64, policy Policy) *Scheduler {
 	}
 }
 
-// Wiring is what a scheduler reports to and decides with beyond its
-// budget and policy: its telemetry, its accounting and its admission
-// control. The zero value wires nothing.
+// Wiring is a scheduler's telemetry, accounting and admission control.
+// The zero value wires nothing.
 type Wiring struct {
-	// Metrics, when set, registers the scheduler's families (and, with
-	// an SLO, the admission ones) in the registry. Schedulers wired into
-	// one registry share its counters, so each one's Stats counts them
-	// all. Nil keeps standalone counters.
+	// Metrics registers the scheduler's families; schedulers wired into
+	// one registry share its counters. Nil keeps standalone counters.
 	Metrics *obs.Registry
-	// Clock is the one timebase of the scheduler's waits, head-of-line
-	// intervals and admission control: obs.NewWallClock() for the real
-	// server, obs.ClockFunc(kernel.Now) for the simulator. Required with
-	// a registry or an SLO, and read only with one of them.
+	// Clock times every wait, head-of-line interval and admission
+	// evaluation: obs.NewWallClock() on the server, obs.ClockFunc(kernel.Now)
+	// in the simulator. Required with a registry or an SLO, read only then.
 	Clock obs.Clock
-	// Ledger, when set, receives per-tenant accounting events. The
-	// scheduler is the single source of GPU byte-second accrual: every
-	// grant and reservation opens a holding, every Complete closes it, so
-	// persistent ("persist:"-tagged reservations) and transient (plain
-	// client grants) residency are attributed without double counting.
-	// Grant waits are billed only when a clock is read.
+	// Ledger receives every grant and reservation as a byte holding, and
+	// the grant waits and sheds, per client.
 	Ledger *obs.Ledger
 	// SLO, when enabled, activates admission control (docs/ADMISSION.md).
 	SLO SLO
-	// AdmissionHook, when set with an SLO, runs on every admission state
-	// change (e.g. to trigger a flight-recorder snapshot). It fires under
-	// the scheduler mutex, so it must not call back into the scheduler —
+	// AdmissionHook runs on every admission state change under the
+	// scheduler mutex, so it must not call back into the scheduler —
 	// queue the work instead (obs.FlightRecorder.TriggerAsync is safe).
 	AdmissionHook func(from, to AdmissionState)
 }
