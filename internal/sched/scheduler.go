@@ -1230,8 +1230,8 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // Close rejects future submissions and revokes every parked grant.
-// Pending requests stay queued (the owner is expected to drain or
-// abandon them).
+// Pending requests stay queued: their owners take them back with
+// Withdraw, as the server does when it closes.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -726,6 +726,7 @@ func (s *Server) acquire(kind sched.RequestKind, batchID string, members []sched
 		for i := range members {
 			if members[i].Err != nil {
 				spans[i].End()
+				spans[i] = nil // ended: a close below must not end it again
 				shed(i)
 			}
 		}

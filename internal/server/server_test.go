@@ -16,6 +16,7 @@ import (
 	"menos/internal/gpu"
 	"menos/internal/model"
 	"menos/internal/nn"
+	"menos/internal/obs"
 	"menos/internal/sched"
 	"menos/internal/share"
 	"menos/internal/split"
@@ -788,10 +789,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // byte, so a client's forward waits for memory that nobody frees, served
 // serially or as a batch (a filler request too large for what the
 // client's teardown gives back waits ahead of it, so it joins one).
-// Close still returns: the waiting request ends with an error, the
-// client's step fails, the request leaves the scheduler's queue and is
-// never granted, and every goroutine the server and client started
-// ends. Close runs in a goroutine, so a Close that hangs fails the test
+// Close still returns: the waiting request ends with an error and its
+// one wait span, the client's step fails, the request leaves the
+// scheduler's queue and is never granted, and every goroutine the
+// server and client started ends. Close runs in a goroutine, so a Close that hangs fails the test
 // instead of hanging it.
 func TestCloseReturnsWhileARequestWaits(t *testing.T) {
 	for _, tc := range []struct {
@@ -804,7 +805,8 @@ func TestCloseReturnsWhileARequestWaits(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tensor.Parallelism() // the shared compute pool outlives any server: start it first
 			before := runtime.NumGoroutine()
-			srv, addr := startServer(t, Config{Batch: tc.batch})
+			tracer := obs.NewTracer(obs.NewWallClock())
+			srv, addr := startServer(t, Config{Batch: tc.batch, Tracer: tracer})
 			cfg := clientCfg("waits")
 			c, err := client.Dial(addr, cfg)
 			if err != nil {
@@ -855,6 +857,15 @@ func TestCloseReturnsWhileARequestWaits(t *testing.T) {
 			}
 			if got, want := sch.Available(), sch.Total()-hog; got != want {
 				t.Errorf("%d bytes available after Close, want %d: something but the hog holds memory", got, want)
+			}
+			waits := 0
+			for _, sp := range tracer.Spans() {
+				if sp.Track == cfg.ClientID && sp.Name == obs.SpanWaitForward.Name {
+					waits++
+				}
+			}
+			if waits != 1 {
+				t.Errorf("%d %s spans for the waiting forward, want 1", waits, obs.SpanWaitForward.Name)
 			}
 			_ = c.Close()
 			waitFor(t, "the goroutine count to come back", func() bool { return runtime.NumGoroutine() <= before })
