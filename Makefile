@@ -9,9 +9,11 @@ test:
 	$(GO) test ./...
 
 # The kernels come in three tiers: on amd64 the matmul tile has an
-# 8-row AVX-512 form and a 4-row AVX2 form and the exp-based kernels
-# (GELU, SiLU, softmax) an AVX2 form, the best the CPU runs picked at
-# start-up; everything else runs the portable Go twins. The purego tag
+# 8-row AVX-512 form and a 4-row AVX2 form, the exp-based kernels
+# (GELU, SiLU, softmax) a 16-lane AVX-512 and an 8-lane AVX2 form, and
+# Adam's update (internal/tensor, called by internal/nn) an AVX2 form,
+# the best the CPU runs picked at start-up; everything else runs the
+# portable Go twins. The purego tag
 # forces the twins, so an amd64 machine tests the code every other
 # GOARCH runs (the tier-parity tests compare all three in one amd64
 # process); cross-build keeps the non-amd64 build from rotting.
@@ -128,8 +130,8 @@ bench:
 
 # One iteration of each kernel benchmark (every matmul shape's pool,
 # serial and avx2 sub-benchmarks, again under -tags purego for the
-# portable tile; GELU, softmax, LayerNorm, the linear layer and
-# attention), BenchmarkModelNew's pool and serial perf-mid build,
+# portable tile; GELU, softmax, Adam's update, LayerNorm, the linear
+# layer and attention), BenchmarkModelNew's pool and serial perf-mid build,
 # BenchmarkClientSetup's tenant set-up against a live server, the sim
 # kernel's dispatch, the scheduler's plain and 8-member grant cycles,
 # a sim_fleet-shaped simulator run and its set-up alone, the root
@@ -144,7 +146,7 @@ bench:
 # kernel tier (avx512, avx2 or portable) the machine ran.
 kernel-bench-smoke:
 	$(GO) test -run '^TestTileTier$$' -v ./internal/tensor/
-	$(GO) test -bench='BenchmarkMatMul|BenchmarkGELUForward|BenchmarkSoftmaxRows' -benchtime=1x ./internal/tensor/
+	$(GO) test -bench='BenchmarkMatMul|BenchmarkGELUForward|BenchmarkSoftmaxRows|BenchmarkAdamUpdate' -benchtime=1x ./internal/tensor/
 	$(GO) test -tags purego -run '^$$' -bench=BenchmarkMatMul -benchtime=1x ./internal/tensor/
 	$(GO) test -run '^$$' -bench='BenchmarkLayerNorm|BenchmarkLinearForward' -benchtime=1x ./internal/nn/
 	$(GO) test -run '^$$' -bench='BenchmarkAttention|BenchmarkModelNew' -benchtime=1x ./internal/model/

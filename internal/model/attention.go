@@ -151,10 +151,11 @@ func (a *Attention) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*t
 
 	pLen := a.prefixLen()
 	sc := a.scratch
-	ctx := sc.Get(batch*seq, dim)
+	// attend writes every element of ctx and probs.
+	ctx := sc.GetUninit(batch*seq, dim)
 	var probs *tensor.Tensor
 	if withGrad {
-		probs = sc.Get(batch*a.heads*seq, pLen+seq)
+		probs = sc.GetUninit(batch*a.heads*seq, pLen+seq)
 	}
 	if err := a.attend(ctx, probs, q, k, v, batch, seq); err != nil {
 		sc.Put(ctx, probs)
@@ -180,11 +181,21 @@ func (a *Attention) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*t
 // attend is the attention of every (batch, head): scores = q·kᵀ/√hd
 // over the prefix slots and the seq key positions, the causal mask, the
 // row softmax and ctx = scores·v. Batch b's queries, keys and values
-// are rows [b*seq, (b+1)*seq) of q, k and v. When probs is non-nil it
-// receives each (batch, head)'s (seq, P+seq) probabilities.
+// are rows [b*seq, (b+1)*seq) of q, k and v, and head h is columns
+// [h*hd, (h+1)*hd) of each; the head loop reads them, and writes ctx,
+// in place through tensor views. When probs is non-nil the scores of
+// (batch, head) u are rows [u*seq, (u+1)*seq) of probs, which keeps
+// them for the backward; otherwise they live in a per-worker buffer.
+//
+// With a prefix, the prefix columns and the sequence columns of the
+// scores come from two products, and ctx's reduction over the P+seq
+// key rows runs as a zero-mode product over the prefix rows, then an
+// accumulating one over the sequence rows: the same fused multiply-add
+// chain per element, its partial sum passing through ctx as a float32
+// (docs/NUMERICS.md, "Attention heads in place").
 //
 // The per-(batch, head) bodies are independent — each one reads shared
-// projections and writes a disjoint slice of ctx/probs — so they may
+// projections and writes a disjoint window of ctx/probs — so they may
 // fan out over the tensor worker pool, at 2·seq·(P+seq)·headDim
 // multiply-adds each (the score and context products). Every float is
 // still produced by exactly the same instruction sequence as the
@@ -192,60 +203,64 @@ func (a *Attention) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*t
 func (a *Attention) attend(ctx, probs, q, k, v *tensor.Tensor, batch, seq int) error {
 	pLen := a.prefixLen()
 	ext := pLen + seq
+	hd := a.headDim
 	sc := a.scratch
-	scale := float32(1.0 / math.Sqrt(float64(a.headDim)))
+	scale := float32(1.0 / math.Sqrt(float64(hd)))
 
 	var ec errCollector
-	tensor.ParallelFor(batch*a.heads, 2*seq*ext*a.headDim, func(lo, hi int) {
-		qh := sc.Get(seq, a.headDim)
-		khExt := sc.Get(ext, a.headDim)
-		vhExt := sc.Get(ext, a.headDim)
-		scores := sc.Get(seq, ext)
-		outh := sc.Get(seq, a.headDim)
-		defer sc.Put(qh, khExt, vhExt, scores, outh)
+	tensor.ParallelFor(batch*a.heads, 2*seq*ext*hd, func(lo, hi int) {
+		var scores *tensor.Tensor
+		if probs == nil {
+			scores = sc.GetUninit(seq, ext)
+			defer sc.Put(scores)
+		}
 		for u := lo; u < hi; u++ {
 			b, h := u/a.heads, u%a.heads
-			a.gatherHead(q, b*seq, h, seq, qh.Data())
-			if pLen > 0 {
-				a.gatherHead(a.Prefix.K.Value, 0, h, pLen, khExt.Data()[:pLen*a.headDim])
-				a.gatherHead(a.Prefix.V.Value, 0, h, pLen, vhExt.Data()[:pLen*a.headDim])
+			var s tensor.View
+			if probs != nil {
+				s = probs.Window(u*seq, 0, seq, ext)
+			} else {
+				s = scores.Window(0, 0, seq, ext)
 			}
-			a.gatherHead(k, b*seq, h, seq, khExt.Data()[pLen*a.headDim:])
-			a.gatherHead(v, b*seq, h, seq, vhExt.Data()[pLen*a.headDim:])
-			if err := tensor.MatMulT(scores, qh, khExt); err != nil {
+			qh, ch := q.Window(b*seq, h*hd, seq, hd), ctx.Window(b*seq, h*hd, seq, hd)
+			if pLen > 0 {
+				pk := a.Prefix.K.Value.Window(0, h*hd, pLen, hd)
+				if err := tensor.MatMulTView(s.Window(0, 0, seq, pLen), qh, pk); err != nil {
+					ec.set(fmt.Errorf("attention prefix scores: %w", err))
+					return
+				}
+			}
+			if err := tensor.MatMulTView(s.Window(0, pLen, seq, seq), qh, k.Window(b*seq, h*hd, seq, hd)); err != nil {
 				ec.set(fmt.Errorf("attention scores: %w", err))
 				return
 			}
-			scores.Scale(scale)
-			maskCausal(scores)
-			if err := tensor.SoftmaxRows(scores, scores); err != nil {
-				ec.set(fmt.Errorf("attention softmax: %w", err))
-				return
+			tensor.SoftmaxCausal(s, scale, causalMask)
+			if pLen > 0 {
+				pv := a.Prefix.V.Value.Window(0, h*hd, pLen, hd)
+				if err := tensor.MatMulView(ch, s.Window(0, 0, seq, pLen), pv, false); err != nil {
+					ec.set(fmt.Errorf("attention prefix context: %w", err))
+					return
+				}
 			}
-			if probs != nil {
-				off := (b*a.heads + h) * seq * ext
-				copy(probs.Data()[off:off+seq*ext], scores.Data())
-			}
-			if err := tensor.MatMul(outh, scores, vhExt); err != nil {
+			if err := tensor.MatMulView(ch, s.Window(0, pLen, seq, seq), v.Window(b*seq, h*hd, seq, hd), pLen > 0); err != nil {
 				ec.set(fmt.Errorf("attention context: %w", err))
 				return
 			}
-			a.scatterHeadCopy(ctx, b*seq, h, seq, outh.Data())
 		}
 	})
 	return ec.err
 }
 
-// attnBwdBufs is the per-worker buffer set of the backward head loop.
-type attnBwdBufs struct {
-	qh, khExt, vhExt   *tensor.Tensor
-	douth, dqh, dkhExt *tensor.Tensor
-	dvhExt, dp, p      *tensor.Tensor
-}
-
 // Backward propagates dy of shape (B*T, dim) through the attention.
 // The cache is consumed: its retained activations are returned to the
 // scratch arena, so Backward can only run once per Forward.
+//
+// Like attend, the head loop reads q, k, v, the probabilities and dctx
+// in place and writes each head's dq, dk and dv rows straight into
+// their columns. Products over the P+seq key rows are split at the
+// prefix as in attend. The prefix rows of dK and dV go to a per-worker
+// buffer and are added into the prefix gradients from there, as ever:
+// accumulating straight into Prefix.K.Grad would change their rounding.
 func (a *Attention) Backward(cache *AttnCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if cache == nil || cache.Probs == nil {
 		return nil, fmt.Errorf("attention backward: no cached activations")
@@ -256,7 +271,8 @@ func (a *Attention) Backward(cache *AttnCache, dy *tensor.Tensor) (*tensor.Tenso
 	}
 	batch, seq, pLen := cache.B, cache.T, cache.P
 	ext := pLen + seq
-	dim := a.heads * a.headDim
+	hd := a.headDim
+	dim := a.heads * hd
 	sc := a.scratch
 
 	dctx, err := a.O.Grad(cache.OC, dy)
@@ -266,49 +282,64 @@ func (a *Attention) Backward(cache *AttnCache, dy *tensor.Tensor) (*tensor.Tenso
 	sc.Put(cache.Ctx)
 	cache.Ctx = nil
 
-	dq := sc.Get(batch*seq, dim)
-	dk := sc.Get(batch*seq, dim)
-	dv := sc.Get(batch*seq, dim)
-	scale := float32(1.0 / math.Sqrt(float64(a.headDim)))
+	// Every (batch, head) writes its whole window of dq, dk and dv.
+	dq := sc.GetUninit(batch*seq, dim)
+	dk := sc.GetUninit(batch*seq, dim)
+	dv := sc.GetUninit(batch*seq, dim)
+	scale := float32(1.0 / math.Sqrt(float64(hd)))
 
-	headBackward := func(b, h int, bufs *attnBwdBufs) error {
-		a.gatherHead(cache.QT, b*seq, h, seq, bufs.qh.Data())
+	// headBackward runs (batch b, head h) with the worker's dS buffer
+	// dp (seq, P+seq) and prefix-gradient buffers dkp, dvp (P, hd).
+	headBackward := func(b, h int, dp, dkp, dvp *tensor.Tensor) error {
+		rows := b * seq
+		p := cache.Probs.Window((b*a.heads+h)*seq, 0, seq, ext)
+		ds := dp.Window(0, 0, seq, ext)
+		qh, kh, vh := cache.QT.Window(rows, h*hd, seq, hd), cache.KT.Window(rows, h*hd, seq, hd), cache.VT.Window(rows, h*hd, seq, hd)
+		douth := dctx.Window(rows, h*hd, seq, hd)
+		dqh, dkh, dvh := dq.Window(rows, h*hd, seq, hd), dk.Window(rows, h*hd, seq, hd), dv.Window(rows, h*hd, seq, hd)
+		var pk, pv tensor.View
 		if pLen > 0 {
-			a.gatherHead(a.Prefix.K.Value, 0, h, pLen, bufs.khExt.Data()[:pLen*a.headDim])
-			a.gatherHead(a.Prefix.V.Value, 0, h, pLen, bufs.vhExt.Data()[:pLen*a.headDim])
+			pk, pv = a.Prefix.K.Value.Window(0, h*hd, pLen, hd), a.Prefix.V.Value.Window(0, h*hd, pLen, hd)
 		}
-		a.gatherHead(cache.KT, b*seq, h, seq, bufs.khExt.Data()[pLen*a.headDim:])
-		a.gatherHead(cache.VT, b*seq, h, seq, bufs.vhExt.Data()[pLen*a.headDim:])
-		a.gatherHead(dctx, b*seq, h, seq, bufs.douth.Data())
-		off := (b*a.heads + h) * seq * ext
-		copy(bufs.p.Data(), cache.Probs.Data()[off:off+seq*ext])
 
 		// dP = dOut @ Vᵀ ; dV = Pᵀ @ dOut
-		if err := tensor.MatMulT(bufs.dp, bufs.douth, bufs.vhExt); err != nil {
+		if pLen > 0 {
+			if err := tensor.MatMulTView(ds.Window(0, 0, seq, pLen), douth, pv); err != nil {
+				return fmt.Errorf("attention prefix dP: %w", err)
+			}
+			if err := tensor.MatMulTAccumView(dvp.Window(0, 0, pLen, hd), p.Window(0, 0, seq, pLen), douth, false); err != nil {
+				return fmt.Errorf("attention prefix dV: %w", err)
+			}
+		}
+		if err := tensor.MatMulTView(ds.Window(0, pLen, seq, seq), douth, vh); err != nil {
 			return fmt.Errorf("attention dP: %w", err)
 		}
-		bufs.dvhExt.Zero()
-		if err := tensor.MatMulTAccum(bufs.dvhExt, bufs.p, bufs.douth); err != nil {
+		if err := tensor.MatMulTAccumView(dvh, p.Window(0, pLen, seq, seq), douth, false); err != nil {
 			return fmt.Errorf("attention dV: %w", err)
 		}
-		// dS = P ∘ (dP - rowsum(dP∘P)); scale by 1/√hd.
-		softmaxBackwardInPlace(bufs.dp, bufs.p)
-		bufs.dp.Scale(scale)
+		// dS = P ∘ (dP - rowsum(dP∘P)), scaled by 1/√hd.
+		if err := tensor.SoftmaxBackward(ds, p, scale); err != nil {
+			return fmt.Errorf("attention dS: %w", err)
+		}
 		// dQ = dS @ K ; dK = dSᵀ @ Q
-		if err := tensor.MatMul(bufs.dqh, bufs.dp, bufs.khExt); err != nil {
+		if pLen > 0 {
+			if err := tensor.MatMulView(dqh, ds.Window(0, 0, seq, pLen), pk, false); err != nil {
+				return fmt.Errorf("attention prefix dQ: %w", err)
+			}
+			if err := tensor.MatMulTAccumView(dkp.Window(0, 0, pLen, hd), ds.Window(0, 0, seq, pLen), qh, false); err != nil {
+				return fmt.Errorf("attention prefix dK: %w", err)
+			}
+		}
+		if err := tensor.MatMulView(dqh, ds.Window(0, pLen, seq, seq), kh, pLen > 0); err != nil {
 			return fmt.Errorf("attention dQ: %w", err)
 		}
-		bufs.dkhExt.Zero()
-		if err := tensor.MatMulTAccum(bufs.dkhExt, bufs.dp, bufs.qh); err != nil {
+		if err := tensor.MatMulTAccumView(dkh, ds.Window(0, pLen, seq, seq), qh, false); err != nil {
 			return fmt.Errorf("attention dK: %w", err)
 		}
 		if pLen > 0 {
-			a.scatterHeadAdd(a.Prefix.K.Grad, 0, h, pLen, bufs.dkhExt.Data()[:pLen*a.headDim])
-			a.scatterHeadAdd(a.Prefix.V.Grad, 0, h, pLen, bufs.dvhExt.Data()[:pLen*a.headDim])
+			a.scatterHeadAdd(a.Prefix.K.Grad, h, pLen, dkp.Data())
+			a.scatterHeadAdd(a.Prefix.V.Grad, h, pLen, dvp.Data())
 		}
-		a.scatterHeadCopy(dq, b*seq, h, seq, bufs.dqh.Data())
-		a.scatterHeadCopy(dk, b*seq, h, seq, bufs.dkhExt.Data()[pLen*a.headDim:])
-		a.scatterHeadCopy(dv, b*seq, h, seq, bufs.dvhExt.Data()[pLen*a.headDim:])
 		return nil
 	}
 
@@ -318,35 +349,29 @@ func (a *Attention) Backward(cache *AttnCache, dy *tensor.Tensor) (*tensor.Tenso
 	// parallelism becomes the head and batches run in ascending order
 	// inside it — the exact accumulation order of the serial loop. A
 	// (batch, head) body is four seq·(P+seq)·headDim products.
-	units, work := batch*a.heads, 4*seq*ext*a.headDim
+	units, work := batch*a.heads, 4*seq*ext*hd
 	perHead := pLen > 0
 	if perHead {
 		units, work = a.heads, batch*work
 	}
 	var ec errCollector
 	tensor.ParallelFor(units, work, func(lo, hi int) {
-		bufs := &attnBwdBufs{
-			qh:     sc.Get(seq, a.headDim),
-			khExt:  sc.Get(ext, a.headDim),
-			vhExt:  sc.Get(ext, a.headDim),
-			douth:  sc.Get(seq, a.headDim),
-			dqh:    sc.Get(seq, a.headDim),
-			dkhExt: sc.Get(ext, a.headDim),
-			dvhExt: sc.Get(ext, a.headDim),
-			dp:     sc.Get(seq, ext),
-			p:      sc.Get(seq, ext),
+		dp := sc.GetUninit(seq, ext)
+		defer sc.Put(dp)
+		var dkp, dvp *tensor.Tensor
+		if perHead {
+			dkp, dvp = sc.GetUninit(pLen, hd), sc.GetUninit(pLen, hd)
+			defer sc.Put(dkp, dvp)
 		}
-		defer sc.Put(bufs.qh, bufs.khExt, bufs.vhExt, bufs.douth,
-			bufs.dqh, bufs.dkhExt, bufs.dvhExt, bufs.dp, bufs.p)
 		for u := lo; u < hi; u++ {
 			if perHead {
 				for b := 0; b < batch; b++ {
-					if err := headBackward(b, u, bufs); err != nil {
+					if err := headBackward(b, u, dp, dkp, dvp); err != nil {
 						ec.set(err)
 						return
 					}
 				}
-			} else if err := headBackward(u/a.heads, u%a.heads, bufs); err != nil {
+			} else if err := headBackward(u/a.heads, u%a.heads, dp, dkp, dvp); err != nil {
 				ec.set(err)
 				return
 			}
@@ -410,32 +435,12 @@ func (a *Attention) SetFrozen(frozen bool) {
 	a.O.SetFrozen(frozen)
 }
 
-// gatherHead copies rows [rowOff, rowOff+rows) of head h from a
-// (*, dim) tensor into dst (rows*headDim floats).
-func (a *Attention) gatherHead(src *tensor.Tensor, rowOff, h, rows int, dst []float32) {
+// scatterHeadAdd accumulates src (rows*headDim floats) into head h of
+// rows [0, rows) of dst.
+func (a *Attention) scatterHeadAdd(dst *tensor.Tensor, h, rows int, src []float32) {
 	dim := a.heads * a.headDim
 	for t := 0; t < rows; t++ {
-		row := src.Data()[(rowOff+t)*dim+h*a.headDim:]
-		copy(dst[t*a.headDim:(t+1)*a.headDim], row[:a.headDim])
-	}
-}
-
-// scatterHeadCopy writes src (rows*headDim floats) into head h at rows
-// [rowOff, rowOff+rows) of dst.
-func (a *Attention) scatterHeadCopy(dst *tensor.Tensor, rowOff, h, rows int, src []float32) {
-	dim := a.heads * a.headDim
-	for t := 0; t < rows; t++ {
-		out := dst.Data()[(rowOff+t)*dim+h*a.headDim:][:a.headDim]
-		copy(out, src[t*a.headDim:(t+1)*a.headDim])
-	}
-}
-
-// scatterHeadAdd accumulates src into head h at rows [rowOff,
-// rowOff+rows) of dst.
-func (a *Attention) scatterHeadAdd(dst *tensor.Tensor, rowOff, h, rows int, src []float32) {
-	dim := a.heads * a.headDim
-	for t := 0; t < rows; t++ {
-		out := dst.Data()[(rowOff+t)*dim+h*a.headDim:][:a.headDim]
+		out := dst.Data()[t*dim+h*a.headDim:][:a.headDim]
 		in := src[t*a.headDim : (t+1)*a.headDim]
 		for i, v := range in {
 			out[i] += v
@@ -457,37 +462,4 @@ func (a *Attention) applyRope(t *tensor.Tensor, batch, seq int, inverse bool) {
 			}
 		}
 	})
-}
-
-// maskCausal adds a large negative value to the entries of a (T, P+K)
-// score matrix where a query would attend to a later key position. The
-// T queries are the last T of the K key positions, so query i sits at
-// key column P+K-T+i; the prefix columns [0, P) are always visible.
-func maskCausal(scores *tensor.Tensor) {
-	seq := scores.Dim(0)
-	ext := scores.Dim(1)
-	for i := 0; i < seq; i++ {
-		row := scores.Data()[i*ext : (i+1)*ext]
-		for j := ext - seq + i + 1; j < ext; j++ {
-			row[j] += causalMask
-		}
-	}
-}
-
-// softmaxBackwardInPlace converts dp (gradient w.r.t. probabilities)
-// into the gradient w.r.t. logits, given probabilities p:
-// ds = p ∘ (dp - Σ_j dp_j p_j) rowwise.
-func softmaxBackwardInPlace(dp, p *tensor.Tensor) {
-	rows, cols := p.Dim(0), p.Dim(1)
-	for r := 0; r < rows; r++ {
-		pr := p.Data()[r*cols : (r+1)*cols]
-		dpr := dp.Data()[r*cols : (r+1)*cols]
-		var dot float64
-		for c := 0; c < cols; c++ {
-			dot += float64(float64(dpr[c]) * float64(pr[c]))
-		}
-		for c := 0; c < cols; c++ {
-			dpr[c] = pr[c] * (dpr[c] - float32(dot))
-		}
-	}
 }

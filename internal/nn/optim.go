@@ -16,7 +16,7 @@ type Optimizer interface {
 }
 
 // Adam's hyperparameters, PyTorch's defaults. They are float64
-// constants: Step rounds the betas to float32 through float64.
+// constants: tensor.AdamStep rounds the betas to float32.
 const (
 	beta1 float64 = 0.9
 	beta2 float64 = 0.999
@@ -56,25 +56,21 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step applies one Adam update.
+// Step applies one Adam update, tensor.AdamStep's per-element rule.
 func (o *Adam) Step(params []Param) error {
 	o.step++
-	bc1 := 1 - math.Pow(beta1, float64(o.step))
-	bc2 := 1 - math.Pow(beta2, float64(o.step))
+	step := tensor.AdamStep{
+		Beta1: beta1, Beta2: beta2, Eps: eps, LR: o.lr,
+		BC1: 1 - math.Pow(beta1, float64(o.step)),
+		BC2: 1 - math.Pow(beta2, float64(o.step)),
+	}
 	for _, p := range params {
 		if p.Value == nil || p.Grad == nil {
 			return fmt.Errorf("adam: parameter %q has nil value or grad", p.Name)
 		}
 		m, v := o.moments(p)
-		md, vd, gd, pd := m.Data(), v.Data(), p.Grad.Data(), p.Value.Data()
-		b1, b2 := float32(beta1), float32(beta2)
-		for i := range md {
-			g := gd[i]
-			md[i] = float32(b1*md[i]) + float32((1-b1)*g)
-			vd[i] = float32(b2*vd[i]) + float32((1-b2)*g*g)
-			mHat := float64(md[i]) / bc1
-			vHat := float64(vd[i]) / bc2
-			pd[i] -= float32(o.lr * mHat / (math.Sqrt(vHat) + eps))
+		if err := step.Update(p.Value, p.Grad, m, v); err != nil {
+			return fmt.Errorf("adam: parameter %q: %w", p.Name, err)
 		}
 	}
 	return nil

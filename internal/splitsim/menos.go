@@ -750,12 +750,12 @@ func (c *menosClient) step() {
 				continue
 			}
 			// Client computes the input section and uploads x_c.
-			c.computeLocal(obs.SpanClientPre, c.prof.pre)
+			c.computeLocal(spanClientPre, c.prof.pre)
 			return
 
 		case pcUploadXC:
 			c.pc, c.ph = pcGrant, 0
-			c.upload(obs.SpanUploadXC)
+			c.upload(spanUploadXC)
 			return
 
 		// ---- Server: phase c.ph, grant → compute → release ----
@@ -822,7 +822,7 @@ func (c *menosClient) step() {
 				// overhead, paid after the grant is returned.
 				c.release()
 				if p.cycleDiv > 0 {
-					c.compute(obs.SpanReleaseCycle, c.cycleShare(p))
+					c.compute(spanReleaseCycle, c.cycleShare(p))
 					return
 				}
 			}
@@ -831,37 +831,37 @@ func (c *menosClient) step() {
 		// the loss, and uploads g_c.
 		case pcDownloadXS:
 			c.pc = pcClientMid
-			c.download(obs.SpanDownloadXS)
+			c.download(spanDownloadXS)
 			return
 
 		case pcClientMid:
 			c.pc = pcUploadGC
 			if !cfg.Overlap {
-				c.computeLocal(obs.SpanClientMid, c.prof.mid)
+				c.computeLocal(spanClientMid, c.prof.mid)
 				return
 			}
 
 		case pcUploadGC:
 			c.pc, c.ph = pcGrant, 1
-			c.upload(obs.SpanUploadGC)
+			c.upload(spanUploadGC)
 			return
 
 		case pcOptimizer:
 			c.pc = pcDownloadGS
-			c.compute(obs.SpanOptimizer, costmodel.OptimizerStepTime)
+			c.compute(spanOptimizer, costmodel.OptimizerStepTime)
 			return
 
 		// Server returns g_s; client finishes its backward and optimizer
 		// step.
 		case pcDownloadGS:
 			c.pc = pcClientPost
-			c.download(obs.SpanDownloadGS)
+			c.download(spanDownloadGS)
 			return
 
 		case pcClientPost:
 			c.pc = pcJoin
 			if !cfg.Overlap {
-				c.computeLocal(obs.SpanClientPost, c.prof.post)
+				c.computeLocal(spanClientPost, c.prof.post)
 				return
 			}
 
@@ -1038,7 +1038,7 @@ func (c *menosClient) batchLanded() bool {
 	wait, _ := c.kind.Spans()
 	c.bill(wait, start, m.wait)
 	grantAt := start + m.wait - costmodel.SchedulerDecisionTime
-	c.bill(c.prof.phases[c.ph].span, grantAt, m.compute)
+	c.bill(loopSpans[c.prof.phases[c.ph].span], grantAt, m.compute)
 	if m.stall > 0 {
 		c.bill(obs.SpanBatchStall, grantAt+m.compute, m.stall)
 	}

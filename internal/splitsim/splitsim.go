@@ -101,8 +101,8 @@ func (p MemPolicy) String() string {
 // row, once per priced workload.
 type serverPhase struct {
 	kind    sched.RequestKind
-	grant   int64        // bytes requested; 0 when the memory is held since the forward
-	span    obs.SpanKind // the compute span
+	grant   int64    // bytes requested; 0 when the memory is held since the forward
+	span    loopSpan // the compute span
 	dur     time.Duration
 	release bool
 	// cycleDiv is the phase's share of Table 2's release/re-collect
@@ -115,21 +115,19 @@ type serverPhase struct {
 func (c *Config) serverPhases(w memmodel.Workload, cost *costmodel.Model) [2]serverPhase {
 	row := policyRows[c.Policy]
 	fwdT, bwdT := cost.ForwardTime(w), cost.BackwardTime(w)
-	fwd := serverPhase{kind: sched.KindForward, grant: w.NoGradForwardBytes(),
+	fwd := serverPhase{kind: sched.KindForward, grant: w.NoGradForwardBytes(), span: spanForward,
 		dur: cost.NoGradForwardTime(w), release: row.release == releaseOnWait}
-	_, fwd.span = fwd.kind.Spans()
 	if row.keepGrad {
 		fwd.grant, fwd.dur = w.ActivationBytes(), fwdT
 	}
-	bwd := serverPhase{kind: sched.KindBackward, dur: bwdT,
+	bwd := serverPhase{kind: sched.KindBackward, span: spanBackward, dur: bwdT,
 		release: row.release != releaseAtSessionEnd}
-	_, bwd.span = bwd.kind.Spans()
 	if row.release == releaseOnWait {
 		// Nothing survived the wait: a new grant, and the forward again.
 		bwd.grant, bwd.dur = w.BackwardPeakBytes(), fwdT+bwdT
 	}
 	if !row.keepGrad {
-		bwd.span = obs.SpanReforwardBackward
+		bwd.span = spanReforwardBackward
 	}
 	// The cycle is paid once per iteration, split evenly over the
 	// releases that free grad-enabled activations.
@@ -614,11 +612,47 @@ type clientLoop struct {
 	// onServer says where its work lands, which is what the tenant ledger
 	// bills: a server compute phase, or an upload (bytes the server
 	// receives).
-	op             obs.SpanKind
+	op             loopSpan
 	pending        opKind
 	onServer       bool
 	opStart, opDur time.Duration
 	advance        func()
+}
+
+// loopSpan is the span of a client's timed operation, as its index in
+// loopSpans: the operation in flight then holds a byte, not an
+// obs.SpanKind's two strings, so that spend and xfer store no pointer
+// into the client's record.
+type loopSpan uint8
+
+const (
+	spanClientPre loopSpan = iota
+	spanClientMid
+	spanClientPost
+	spanUploadXC
+	spanDownloadXS
+	spanUploadGC
+	spanDownloadGS
+	spanForward
+	spanBackward
+	spanReforwardBackward
+	spanReleaseCycle
+	spanOptimizer
+)
+
+var loopSpans = [...]obs.SpanKind{
+	spanClientPre:         obs.SpanClientPre,
+	spanClientMid:         obs.SpanClientMid,
+	spanClientPost:        obs.SpanClientPost,
+	spanUploadXC:          obs.SpanUploadXC,
+	spanDownloadXS:        obs.SpanDownloadXS,
+	spanUploadGC:          obs.SpanUploadGC,
+	spanDownloadGS:        obs.SpanDownloadGS,
+	spanForward:           obs.SpanForward,
+	spanBackward:          obs.SpanBackward,
+	spanReforwardBackward: obs.SpanReforwardBackward,
+	spanReleaseCycle:      obs.SpanReleaseCycle,
+	spanOptimizer:         obs.SpanOptimizer,
 }
 
 // opKind is the kind of timed operation a client has in flight.
@@ -661,16 +695,16 @@ func (l *clientLoop) bill(span obs.SpanKind, start, d time.Duration) {
 
 // compute spends d of virtual time in a server phase, and computeLocal
 // on the client's own hardware, then continue.
-func (l *clientLoop) compute(span obs.SpanKind, d time.Duration)      { l.spend(span, true, d) }
-func (l *clientLoop) computeLocal(span obs.SpanKind, d time.Duration) { l.spend(span, false, d) }
+func (l *clientLoop) compute(span loopSpan, d time.Duration)      { l.spend(span, true, d) }
+func (l *clientLoop) computeLocal(span loopSpan, d time.Duration) { l.spend(span, false, d) }
 
-func (l *clientLoop) spend(span obs.SpanKind, onServer bool, d time.Duration) {
+func (l *clientLoop) spend(span loopSpan, onServer bool, d time.Duration) {
 	l.op, l.pending, l.onServer, l.opStart, l.opDur = span, opCompute, onServer, l.kernel.Now(), d
 	l.kernel.After(d, l.advance)
 }
 
 func (l *clientLoop) computeLanded() {
-	l.bill(l.op, l.opStart, l.opDur)
+	l.bill(loopSpans[l.op], l.opStart, l.opDur)
 	// Server phases bill the tenant's compute-seconds; the client-local
 	// sections are not shared-server time.
 	if l.onServer {
@@ -680,16 +714,16 @@ func (l *clientLoop) computeLanded() {
 
 // upload and download move one split-boundary payload over the link,
 // then continue.
-func (l *clientLoop) upload(span obs.SpanKind)   { l.xfer(span, true) }
-func (l *clientLoop) download(span obs.SpanKind) { l.xfer(span, false) }
+func (l *clientLoop) upload(span loopSpan)   { l.xfer(span, true) }
+func (l *clientLoop) download(span loopSpan) { l.xfer(span, false) }
 
-func (l *clientLoop) xfer(span obs.SpanKind, up bool) {
+func (l *clientLoop) xfer(span loopSpan, up bool) {
 	l.op, l.pending, l.onServer, l.opStart = span, opTransfer, up, l.kernel.Now()
 	l.opDur = l.link.Transfer(l.transfer, l.advance)
 }
 
 func (l *clientLoop) transferLanded() {
-	l.bill(l.op, l.opStart, l.opDur)
+	l.bill(loopSpans[l.op], l.opStart, l.opDur)
 	// Wire accounting from the server's viewpoint: an upload is bytes
 	// the server received, a download bytes it sent.
 	if l.onServer {

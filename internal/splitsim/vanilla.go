@@ -173,12 +173,12 @@ func (c *vanillaClient) step() {
 			}
 			c.tid = obs.IterTraceID(c.id, c.iter)
 			c.pc = vpUploadXC
-			c.computeLocal(obs.SpanClientPre, c.pre)
+			c.computeLocal(spanClientPre, c.pre)
 			return
 
 		case vpUploadXC:
 			c.pc = vpResident
-			c.upload(obs.SpanUploadXC)
+			c.upload(spanUploadXC)
 			return
 
 		case vpResident:
@@ -191,42 +191,42 @@ func (c *vanillaClient) step() {
 		case vpForward:
 			c.bill(obs.SpanResidencyWait, c.resStart, k.Now()-c.resStart)
 			c.pc = vpDownloadXS
-			c.compute(obs.SpanForward, c.fwd)
+			c.compute(spanForward, c.fwd)
 			return
 
 		case vpDownloadXS:
 			c.pc = vpClientMid
-			c.download(obs.SpanDownloadXS)
+			c.download(spanDownloadXS)
 			return
 
 		case vpClientMid:
 			c.pc = vpUploadGC
-			c.computeLocal(obs.SpanClientMid, c.mid)
+			c.computeLocal(spanClientMid, c.mid)
 			return
 
 		case vpUploadGC:
 			c.pc = vpBackward
-			c.upload(obs.SpanUploadGC)
+			c.upload(spanUploadGC)
 			return
 
 		case vpBackward:
 			c.pc = vpOptimizer
-			c.compute(obs.SpanBackward, c.bwd)
+			c.compute(spanBackward, c.bwd)
 			return
 
 		case vpOptimizer:
 			c.pc = vpDownloadGS
-			c.compute(obs.SpanOptimizer, costmodel.OptimizerStepTime)
+			c.compute(spanOptimizer, costmodel.OptimizerStepTime)
 			return
 
 		case vpDownloadGS:
 			c.pc = vpClientPost
-			c.download(obs.SpanDownloadGS)
+			c.download(spanDownloadGS)
 			return
 
 		case vpClientPost:
 			c.pc = vpIterDone
-			c.computeLocal(obs.SpanClientPost, c.post)
+			c.computeLocal(spanClientPost, c.post)
 			return
 
 		case vpIterDone:

@@ -76,9 +76,10 @@ func BenchmarkMatMulTAccum(b *testing.B) { benchMatMul(b, MatMulTAccum, true, fa
 
 // The elementwise kernels at the shapes a large_plain step runs them
 // at: the 64x512 FFN hidden activation for GELU, one 32x32 attention
-// head for softmax, and the 16-column panels of a 512x128 weight for
-// MatMulT's pack. Each reports ns per element next to ns/op;
-// docs/PERFORMANCE.md ("Vector kernels") has the table.
+// head for softmax (and small_plain's causal 16x16 one), and the
+// 16-column panels of a 512x128 weight for MatMulT's pack. Each reports
+// ns per element next to ns/op; docs/PERFORMANCE.md ("Vector kernels")
+// has the table.
 
 func benchPerElement(b *testing.B, elems int, op func()) {
 	b.ResetTimer()
@@ -107,6 +108,20 @@ func BenchmarkGELUBackward(b *testing.B) {
 	})
 }
 
+// BenchmarkAdamUpdate is one Adam step over a 64 x 512 parameter, the
+// optimizer's whole per-element work.
+func BenchmarkAdamUpdate(b *testing.B) {
+	rng := NewRNG(2)
+	p, g := NewNormal(rng, 1, 64, 512), NewNormal(rng, 1e-2, 64, 512)
+	m, v := New(64, 512), New(64, 512)
+	s := AdamStep{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, LR: 1e-4, BC1: 0.1, BC2: 0.001}
+	benchPerElement(b, p.Len(), func() {
+		if err := s.Update(p, g, m, v); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
 func BenchmarkSoftmaxRows(b *testing.B) {
 	for _, s := range []struct{ rows, cols int }{{32, 32}, {benchDim, benchDim}} {
 		x, dst := NewNormal(NewRNG(2), 1, s.rows, s.cols), New(s.rows, s.cols)
@@ -118,6 +133,16 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 			})
 		})
 	}
+	// small_plain's attention head: 16 queries over 16 keys, scaled
+	// and causally masked as the attention forward runs it, on a fresh
+	// copy of the scores each time.
+	x, s := NewNormal(NewRNG(2), 1, 16, 16), New(16, 16)
+	b.Run("16x16causal", func(b *testing.B) {
+		benchPerElement(b, x.Len(), func() {
+			copy(s.data, x.data)
+			SoftmaxCausal(s.Window(0, 0, 16, 16), 0.25, -1e9)
+		})
+	})
 }
 
 func BenchmarkPackT(b *testing.B) {

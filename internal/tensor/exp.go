@@ -8,8 +8,8 @@ import (
 // One float32 exp sits under GELU, SiLU and softmax (docs/NUMERICS.md
 // has the contract). This file is its portable form: scalar functions
 // in which every operation is one IEEE float32 operation, in the order
-// the AVX2 kernels in exp_amd64.s perform it on each lane. The eight
-// lanes of a vector are eight different elements, so an element's bits
+// the AVX2 and AVX-512 kernels in exp_amd64.s perform it on each lane.
+// The lanes of a vector are different elements, so an element's bits
 // never depend on which implementation computed it, on where a
 // ParallelFor chunk or a batched row segment ends, or on how long the
 // slice is.
@@ -145,7 +145,13 @@ func siluGradGo(x, dy float32) float32 {
 // src. dst may be src.
 func expShift(dst, src []float32, shift float32) {
 	dst = dst[:len(src)]
-	if haveAVX2 && len(src) > 0 {
+	switch {
+	case len(src) == 0:
+		return
+	case haveAVX512:
+		expShiftAVX512(&dst[0], &src[0], len(src), shift)
+		return
+	case haveAVX2:
 		expShiftAVX2(&dst[0], &src[0], len(src), shift)
 		return
 	}
@@ -156,7 +162,13 @@ func expShift(dst, src []float32, shift float32) {
 
 func geluRange(dst, x []float32) {
 	dst = dst[:len(x)]
-	if haveAVX2 && len(x) > 0 {
+	switch {
+	case len(x) == 0:
+		return
+	case haveAVX512:
+		geluAVX512(&dst[0], &x[0], len(x))
+		return
+	case haveAVX2:
 		geluAVX2(&dst[0], &x[0], len(x))
 		return
 	}
@@ -167,7 +179,13 @@ func geluRange(dst, x []float32) {
 
 func geluGradRange(dx, x, dy []float32) {
 	dx, dy = dx[:len(x)], dy[:len(x)]
-	if haveAVX2 && len(x) > 0 {
+	switch {
+	case len(x) == 0:
+		return
+	case haveAVX512:
+		geluGradAVX512(&dx[0], &x[0], &dy[0], len(x))
+		return
+	case haveAVX2:
 		geluGradAVX2(&dx[0], &x[0], &dy[0], len(x))
 		return
 	}
@@ -178,7 +196,13 @@ func geluGradRange(dx, x, dy []float32) {
 
 func siluRange(dst, x []float32) {
 	dst = dst[:len(x)]
-	if haveAVX2 && len(x) > 0 {
+	switch {
+	case len(x) == 0:
+		return
+	case haveAVX512:
+		siluAVX512(&dst[0], &x[0], len(x))
+		return
+	case haveAVX2:
 		siluAVX2(&dst[0], &x[0], len(x))
 		return
 	}
@@ -189,7 +213,13 @@ func siluRange(dst, x []float32) {
 
 func siluGradRange(dx, x, dy []float32) {
 	dx, dy = dx[:len(x)], dy[:len(x)]
-	if haveAVX2 && len(x) > 0 {
+	switch {
+	case len(x) == 0:
+		return
+	case haveAVX512:
+		siluGradAVX512(&dx[0], &x[0], &dy[0], len(x))
+		return
+	case haveAVX2:
 		siluGradAVX2(&dx[0], &x[0], &dy[0], len(x))
 		return
 	}

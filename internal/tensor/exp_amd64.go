@@ -6,7 +6,8 @@ import "math"
 
 // expK is the constant table of the kernels in exp_amd64.s: every
 // constant of exp.go broadcast to the eight lanes of a YMM register, so
-// that an instruction can take it as a memory operand. Building it from
+// that an AVX2 instruction can take it as a memory operand (the AVX-512
+// forms broadcast a row's first float with .BCST). Building it from
 // the Go constants means the assembly and the portable functions cannot
 // disagree about a value. The row order is the K_* offsets in the .s
 // file.
@@ -25,9 +26,10 @@ var expK = func() (k [21][8]float32) {
 }()
 
 // The kernels below compute, on each of n >= 1 elements, exactly what
-// the function of the same name in exp.go computes on one; a final
-// partial vector runs under a lane mask, so they neither read nor write
-// past element n-1. dst may be src (or dy).
+// the function of the same name in exp.go computes on one, eight lanes
+// at a time (AVX2) or sixteen (AVX512); a final partial vector runs
+// under a lane mask, so they neither read nor write past element n-1.
+// dst may be src (or dy).
 
 //go:noescape
 func expShiftAVX2(dst, src *float32, n int, shift float32)
@@ -43,3 +45,18 @@ func siluAVX2(dst, x *float32, n int)
 
 //go:noescape
 func siluGradAVX2(dx, x, dy *float32, n int)
+
+//go:noescape
+func expShiftAVX512(dst, src *float32, n int, shift float32)
+
+//go:noescape
+func geluAVX512(dst, x *float32, n int)
+
+//go:noescape
+func geluGradAVX512(dx, x, dy *float32, n int)
+
+//go:noescape
+func siluAVX512(dst, x *float32, n int)
+
+//go:noescape
+func siluGradAVX512(dx, x, dy *float32, n int)

@@ -3,10 +3,11 @@
 #include "textflag.h"
 
 // The float32 exp and the kernels built on it (docs/NUMERICS.md). Each
-// of the eight lanes of a YMM register is one element; every
+// of the eight lanes of a YMM register (sixteen of a ZMM register, in
+// the AVX-512 forms at the end of the file) is one element; every
 // instruction below is one IEEE float32 operation per lane (or an
-// integer or bitwise one), in the order exp.go performs it on a scalar,
-// so the two produce the same bits. That rules out a fused multiply-add
+// integer, bitwise or mask one), in the order exp.go performs it on a
+// scalar, so the two produce the same bits. That rules out a fused multiply-add
 // (one rounding where exp.go has two) and the approximate VRCPPS /
 // VRSQRTPS; the division is VDIVPS. TestAsmTileNeverFusesOrReassociates
 // greps for them.
@@ -278,6 +279,252 @@ tail:
 	VMASKMOVPS (DX), Y15, Y8
 	SILUGRAD
 	VMASKMOVPS Y1, Y15, (DI)
+done:
+	VZEROUPPER
+	RET
+
+// The AVX-512 forms: the same kernels sixteen lanes at a time, each
+// lane the same sequence of IEEE float32 operations as the AVX2 forms
+// above and exp.go. Only AVX512F instructions appear. The constants are
+// read with .BCST, one float of each ·expK row broadcast to every lane.
+// A compare writes an opmask: the exponent add runs zero-masked where
+// the input was below lo (the AVX2 form's VANDNPS), and VBLENDMPS puts
+// x+Inf where it was above hi or NaN (its VBLENDVPS). A remainder of
+// 1..15 elements runs under opmask K1: masked-off lanes load as zero,
+// compute something harmless and are not stored.
+
+// EXP16: Z1 = exp(Z0), EXP's steps. Clobbers Z2-Z4, K2, K3; keeps Z0.
+// Compare predicate 5 is "not less than" (true for NaN), 6 "not less
+// or equal" (greater than, or NaN).
+#define EXP16 \
+	VMAXPS.BCST    K_LO, Z0, Z1      \
+	VMINPS.BCST    K_HI, Z1, Z1      \
+	VMULPS.BCST    K_LOG2E, Z1, Z2   \
+	VADDPS.BCST    K_MAGIC, Z2, Z2   \
+	VSUBPS.BCST    K_MAGIC, Z2, Z3   \
+	VPSLLD         $23, Z2, Z2       \
+	VMULPS.BCST    K_LN2HI, Z3, Z4   \
+	VSUBPS         Z4, Z1, Z1        \
+	VMULPS.BCST    K_LN2LO, Z3, Z4   \
+	VSUBPS         Z4, Z1, Z1        \
+	VMULPS.BCST    K_P0, Z1, Z3      \
+	VADDPS.BCST    K_P1, Z3, Z3      \
+	VMULPS         Z1, Z3, Z3        \
+	VADDPS.BCST    K_P2, Z3, Z3      \
+	VMULPS         Z1, Z3, Z3        \
+	VADDPS.BCST    K_P3, Z3, Z3      \
+	VMULPS         Z1, Z3, Z3        \
+	VADDPS.BCST    K_P4, Z3, Z3      \
+	VMULPS         Z1, Z3, Z3        \
+	VADDPS.BCST    K_P5, Z3, Z3      \
+	VMULPS         Z1, Z1, Z4        \
+	VMULPS         Z4, Z3, Z3        \
+	VADDPS         Z1, Z3, Z3        \
+	VADDPS.BCST    K_ONE, Z3, Z3     \
+	VCMPPS.BCST    $5, K_LO, Z0, K2  \
+	VPADDD.Z       Z2, Z3, K2, Z3    \
+	VCMPPS.BCST    $6, K_HI, Z0, K3  \
+	VADDPS.BCST    K_INF, Z0, Z2     \
+	VBLENDMPS      Z2, Z3, K3, Z1
+
+// SIGMOID16: Z1 = 1/(1 + exp(Z0)).
+#define SIGMOID16 \
+	EXP16                         \
+	VADDPS.BCST  K_ONE, Z1, Z1    \
+	VBROADCASTSS K_ONE, Z2        \
+	VDIVPS       Z1, Z2, Z1
+
+// GELUSIGMA16: x in Z5; leaves s in Z1 and xc*xc in Z7.
+#define GELUSIGMA16 \
+	VMAXPS.BCST K_NCLAMP, Z5, Z6 \
+	VMINPS.BCST K_CLAMP, Z6, Z6  \
+	VMULPS      Z6, Z6, Z7       \
+	VMULPS.BCST K_GZ1, Z7, Z0    \
+	VADDPS.BCST K_GZ0, Z0, Z0    \
+	VMULPS      Z6, Z0, Z0       \
+	SIGMOID16
+
+// GELUGRAD16: x in Z5, dy in Z8; leaves geluGradGo in Z1.
+#define GELUGRAD16 \
+	GELUSIGMA16                \
+	VBROADCASTSS K_ONE, Z2     \
+	VSUBPS       Z1, Z2, Z2    \
+	VMULPS       Z1, Z2, Z2    \
+	VMULPS.BCST  K_GW1, Z7, Z3 \
+	VADDPS.BCST  K_GW0, Z3, Z3 \
+	VMULPS       Z3, Z2, Z2    \
+	VMULPS       Z5, Z2, Z2    \
+	VADDPS       Z1, Z2, Z2    \
+	VMULPS       Z8, Z2, Z1
+
+// SILUSIGMA16: x in Z5; leaves s = 1/(1 + exp(-x)) in Z1.
+#define SILUSIGMA16 \
+	VPXORD.BCST K_SIGN, Z5, Z0 \
+	SIGMOID16
+
+// SILUGRAD16: x in Z5, dy in Z8; leaves siluGradGo in Z1.
+#define SILUGRAD16 \
+	SILUSIGMA16                \
+	VBROADCASTSS K_ONE, Z2     \
+	VSUBPS       Z1, Z2, Z2    \
+	VMULPS       Z5, Z2, Z2    \
+	VADDPS.BCST  K_ONE, Z2, Z2 \
+	VMULPS       Z1, Z2, Z2    \
+	VMULPS       Z8, Z2, Z1
+
+// TAILMASK16: K1 = the first CX lanes, 1 <= CX <= 15.
+#define TAILMASK16 \
+	MOVL  $1, AX  \
+	SHLL  CX, AX  \
+	DECL  AX      \
+	KMOVW AX, K1
+
+// func expShiftAVX512(dst, src *float32, n int, shift float32)
+TEXT ·expShiftAVX512(SB), NOSPLIT, $0-28
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS shift+24(FP), Z9
+	LEAQ         ·expK(SB), R8
+	SUBQ         $16, CX
+	JLT          tail
+loop:
+	VMOVUPS (SI), Z5
+	VSUBPS  Z9, Z5, Z0
+	EXP16
+	VMOVUPS Z1, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $16, CX
+	JGE     loop
+tail:
+	ADDQ $16, CX
+	JZ   done
+	TAILMASK16
+	VMOVUPS.Z (SI), K1, Z5
+	VSUBPS    Z9, Z5, Z0
+	EXP16
+	VMOVUPS   Z1, K1, (DI)
+done:
+	VZEROUPPER
+	RET
+
+// func geluAVX512(dst, x *float32, n int)
+TEXT ·geluAVX512(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	LEAQ ·expK(SB), R8
+	SUBQ $16, CX
+	JLT  tail
+loop:
+	VMOVUPS (SI), Z5
+	GELUSIGMA16
+	VMULPS  Z5, Z1, Z1
+	VMOVUPS Z1, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $16, CX
+	JGE     loop
+tail:
+	ADDQ $16, CX
+	JZ   done
+	TAILMASK16
+	VMOVUPS.Z (SI), K1, Z5
+	GELUSIGMA16
+	VMULPS    Z5, Z1, Z1
+	VMOVUPS   Z1, K1, (DI)
+done:
+	VZEROUPPER
+	RET
+
+// func geluGradAVX512(dx, x, dy *float32, n int)
+TEXT ·geluGradAVX512(SB), NOSPLIT, $0-32
+	MOVQ dx+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ dy+16(FP), DX
+	MOVQ n+24(FP), CX
+	LEAQ ·expK(SB), R8
+	SUBQ $16, CX
+	JLT  tail
+loop:
+	VMOVUPS (SI), Z5
+	VMOVUPS (DX), Z8
+	GELUGRAD16
+	VMOVUPS Z1, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DX
+	ADDQ    $64, DI
+	SUBQ    $16, CX
+	JGE     loop
+tail:
+	ADDQ $16, CX
+	JZ   done
+	TAILMASK16
+	VMOVUPS.Z (SI), K1, Z5
+	VMOVUPS.Z (DX), K1, Z8
+	GELUGRAD16
+	VMOVUPS   Z1, K1, (DI)
+done:
+	VZEROUPPER
+	RET
+
+// func siluAVX512(dst, x *float32, n int)
+TEXT ·siluAVX512(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	LEAQ ·expK(SB), R8
+	SUBQ $16, CX
+	JLT  tail
+loop:
+	VMOVUPS (SI), Z5
+	SILUSIGMA16
+	VMULPS  Z5, Z1, Z1
+	VMOVUPS Z1, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $16, CX
+	JGE     loop
+tail:
+	ADDQ $16, CX
+	JZ   done
+	TAILMASK16
+	VMOVUPS.Z (SI), K1, Z5
+	SILUSIGMA16
+	VMULPS    Z5, Z1, Z1
+	VMOVUPS   Z1, K1, (DI)
+done:
+	VZEROUPPER
+	RET
+
+// func siluGradAVX512(dx, x, dy *float32, n int)
+TEXT ·siluGradAVX512(SB), NOSPLIT, $0-32
+	MOVQ dx+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ dy+16(FP), DX
+	MOVQ n+24(FP), CX
+	LEAQ ·expK(SB), R8
+	SUBQ $16, CX
+	JLT  tail
+loop:
+	VMOVUPS (SI), Z5
+	VMOVUPS (DX), Z8
+	SILUGRAD16
+	VMOVUPS Z1, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DX
+	ADDQ    $64, DI
+	SUBQ    $16, CX
+	JGE     loop
+tail:
+	ADDQ $16, CX
+	JZ   done
+	TAILMASK16
+	VMOVUPS.Z (SI), K1, Z5
+	VMOVUPS.Z (DX), K1, Z8
+	SILUGRAD16
+	VMOVUPS   Z1, K1, (DI)
 done:
 	VZEROUPPER
 	RET

@@ -19,12 +19,10 @@ import (
 // Each element must come out bit-identical (NaN for NaN: which payload
 // survives a product of two NaNs is the operand order's business), and
 // the canaries around the destination must survive, so a store past
-// the tail mask fails too. The same calls on the portable tier — the
-// dispatch a purego build or another GOARCH takes — must agree as well.
+// the tail mask fails too. Every tier this CPU runs makes the same
+// calls — AVX-512, AVX2 and the portable tier a purego build or another
+// GOARCH takes — and each must agree.
 func TestVectorKernelsMatchPortable(t *testing.T) {
-	if !haveAVX2 {
-		t.Skip("no AVX2 on this CPU")
-	}
 	const maxLen, maxOff = 67, 8
 	const shift = float32(0.75)
 	salt := []float32{
@@ -75,19 +73,18 @@ func TestVectorKernelsMatchPortable(t *testing.T) {
 					k.vector(dst[off:off+n], x, dy)
 					return dst
 				}
-				asm := run()
-				var portable []float32
-				WithTier(TierPortable, func() { portable = run() })
-				label := fmt.Sprintf("%s n=%d off=%d", k.name, n, off)
-				for i, got := range asm {
-					want, in := canary, canary // outside the slice: untouched
-					if i >= off && i < off+n {
-						in = x[i-off]
-						want = k.scalar(in, dy[i-off])
-					}
-					for impl, g := range map[string]float32{"assembly": got, "portable tier": portable[i]} {
+				for _, tier := range Tiers() {
+					var got []float32
+					WithTier(tier, func() { got = run() })
+					label := fmt.Sprintf("%s n=%d off=%d tier %s", k.name, n, off, tier)
+					for i, g := range got {
+						want, in := canary, canary // outside the slice: untouched
+						if i >= off && i < off+n {
+							in = x[i-off]
+							want = k.scalar(in, dy[i-off])
+						}
 						if math.Float32bits(g) != math.Float32bits(want) && !(g != g && want != want) {
-							t.Fatalf("%s: %s element %d (x = %g) is %g (%#x), want %g (%#x)", label, impl, i-off,
+							t.Fatalf("%s: element %d (x = %g) is %g (%#x), want %g (%#x)", label, i-off,
 								in, g, math.Float32bits(g), want, math.Float32bits(want))
 						}
 					}
@@ -131,12 +128,10 @@ func TestPackTMatchesScalarLoop(t *testing.T) {
 // does the elementwise ones: every row length 0..67 and start offset
 // 0..8, inputs salted with signed zeros, subnormals, huge values,
 // infinities and NaN, every output element bit-identical (NaN for NaN),
-// the canaries around every output untouched. The forward runs with its
-// own xhat and with xhat aliasing out, as a no-grad forward calls it.
+// the canaries around every output untouched, at every tier this CPU
+// runs. The forward runs with its own xhat and with xhat aliasing out,
+// as a no-grad forward calls it.
 func TestLayerNormKernelsMatchPortable(t *testing.T) {
-	if !haveAVX2 {
-		t.Skip("no AVX2 on this CPU")
-	}
 	const maxLen, maxOff = 67, 8
 	salt := []float32{
 		0, float32(math.Copysign(0, -1)), 1e-40, -1e-40, 1e30, -1e30,
@@ -188,18 +183,21 @@ func TestLayerNormKernelsMatchPortable(t *testing.T) {
 	for name, run := range kernels {
 		for n := 0; n <= maxLen; n++ {
 			for off := 0; off <= maxOff; off++ {
-				asm := run(n, off)
 				var portable [][]float32
 				WithTier(TierPortable, func() { portable = run(n, off) })
-				for o := range asm {
-					for i, g := range asm[o] {
-						w := portable[o][i]
-						if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
-							t.Fatalf("%s n=%d off=%d: output %d element %d is %g (%#x), portable %g (%#x)",
-								name, n, off, o, i-off, g, math.Float32bits(g), w, math.Float32bits(w))
-						}
-						if (i < off || i >= off+n) && math.Float32bits(g) != math.Float32bits(canary) {
-							t.Fatalf("%s n=%d off=%d: output %d element %d outside the row was written", name, n, off, o, i-off)
+				for _, tier := range Tiers() {
+					var got [][]float32
+					WithTier(tier, func() { got = run(n, off) })
+					for o := range got {
+						for i, g := range got[o] {
+							w := portable[o][i]
+							if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+								t.Fatalf("%s n=%d off=%d tier %s: output %d element %d is %g (%#x), portable %g (%#x)",
+									name, n, off, tier, o, i-off, g, math.Float32bits(g), w, math.Float32bits(w))
+							}
+							if (i < off || i >= off+n) && math.Float32bits(g) != math.Float32bits(canary) {
+								t.Fatalf("%s n=%d off=%d tier %s: output %d element %d outside the row was written", name, n, off, tier, o, i-off)
+							}
 						}
 					}
 				}

@@ -236,16 +236,16 @@ func TestRowRangesBitIdenticalAtAnySplit(t *testing.T) {
 	bias := NewNormal(rng, 1, n)
 	ranges := map[string]func(dst *Tensor, lo, hi int){
 		"matmul": func(dst *Tensor, lo, hi int) {
-			matmulRange(dst.data, a.data, b2.data, nil, lo, hi, k, n, k, 1, false, false)
+			matmulRange(dst.data, a.data, b2.data, nil, lo, hi, k, n, n, k, 1, n, false, false)
 		},
 		"matmulBias": func(dst *Tensor, lo, hi int) {
-			matmulRange(dst.data, a.data, b2.data, bias.data, lo, hi, k, n, k, 1, false, true)
+			matmulRange(dst.data, a.data, b2.data, bias.data, lo, hi, k, n, n, k, 1, n, false, true)
 		},
 		"matmulTAccum": func(dst *Tensor, lo, hi int) {
-			matmulRange(dst.data, at.data, b2.data, nil, lo, hi, k, n, 1, m, false, false)
+			matmulRange(dst.data, at.data, b2.data, nil, lo, hi, k, n, n, 1, m, n, false, false)
 		},
 		"matmulT": func(dst *Tensor, lo, hi int) {
-			matmulRange(dst.data, a.data, bt.data, nil, lo, hi, k, n, k, 1, true, true)
+			matmulRange(dst.data, a.data, bt.data, nil, lo, hi, k, n, n, k, 1, k, true, true)
 		},
 	}
 	for name, run := range ranges {
@@ -284,11 +284,11 @@ func TestRowRangesBitIdenticalAtAnySplit(t *testing.T) {
 		}
 	}
 	whole := New(m, n)
-	softmaxRowRange(whole.data, seed.data, n, 0, m)
+	softmaxRowRange(whole.data, seed.data, n, n, 0, m)
 	for cut := 1; cut < m; cut++ {
 		split := New(m, n)
-		softmaxRowRange(split.data, seed.data, n, cut, m)
-		softmaxRowRange(split.data, seed.data, n, 0, cut)
+		softmaxRowRange(split.data, seed.data, n, n, cut, m)
+		softmaxRowRange(split.data, seed.data, n, n, 0, cut)
 		expectBitIdentical(t, split, whole, "softmax")
 	}
 }
@@ -380,10 +380,12 @@ func TestSerialKernelsDoNotAllocate(t *testing.T) {
 }
 
 // TestAsmTileNeverFusesOrReassociates reads every assembly file of the
-// package — the tiles, the exp kernels and the residual and LayerNorm
-// lane kernels. The bit-identity argument needs each product rounded by
-// VMULPS (VMULPD in LayerNorm's float64 lanes) before an add or subtract
-// uses it, one accumulator per lane, and exactly rounded quotients: a
+// package — the tiles, the exp kernels, the residual and LayerNorm lane
+// kernels and Adam's — and fails if one it expects is missing. The
+// bit-identity argument needs each product rounded by VMULPS (VMULPD in
+// LayerNorm's and Adam's float64 lanes) before an add or subtract uses
+// it, one accumulator per lane, and exactly rounded quotients and square
+// roots (VDIVPS, VDIVPD, VSQRTPD): a
 // fused multiply-add, a dot product or a horizontal add anywhere breaks
 // the first two, the approximate reciprocal instructions the third.
 // The one exception is the matmul tile's reduction step, which is one
@@ -399,7 +401,7 @@ func TestAsmTileNeverFusesOrReassociates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"matmul_amd64.s", "exp_amd64.s", "lanes_amd64.s"} {
+	for _, want := range []string{"matmul_amd64.s", "exp_amd64.s", "lanes_amd64.s", "adam_amd64.s"} {
 		if !slices.Contains(files, want) {
 			t.Fatalf("%s not found among %v", want, files)
 		}

@@ -4,8 +4,8 @@ package tensor
 
 // laneMask is eight all-ones words then eight zero words: the eight
 // words starting at word 8-n are the mask of the first n lanes of a YMM
-// register. The kernels in exp_amd64.s and lanes_amd64.s load their
-// tail masks from it.
+// register. The kernels in exp_amd64.s, lanes_amd64.s and adam_amd64.s
+// load their tail masks from it.
 var laneMask = [16]uint32{
 	^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0),
 	^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0),
@@ -32,3 +32,6 @@ func layerNormGradRowAVX2(dx, dy, xhat, gamma *float32, n int, k, nf, s, t float
 
 //go:noescape
 func layerNormParamGradAVX2(dg, db, dy, xhat *float32, n int)
+
+//go:noescape
+func adamAVX2(p, gr, m, v *float32, n int, k *adamK)

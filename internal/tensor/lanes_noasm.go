@@ -3,7 +3,7 @@
 package tensor
 
 // No assembly kernels on this GOARCH (or under the purego tag):
-// haveAVX2 is the constant false, so ops.go and norm.go never call
+// haveAVX2 is the constant false, so ops.go, norm.go and adam.go never call
 // these.
 
 func addAVX2(d, a, b *float32, n int) { panic("tensor: addAVX2 without AVX2") }
@@ -23,3 +23,5 @@ func layerNormGradRowAVX2(dx, dy, xhat, gamma *float32, n int, k, nf, s, t float
 func layerNormParamGradAVX2(dg, db, dy, xhat *float32, n int) {
 	panic("tensor: layerNormParamGradAVX2 without AVX2")
 }
+
+func adamAVX2(p, gr, m, v *float32, n int, k *adamK) { panic("tensor: adamAVX2 without AVX2") }

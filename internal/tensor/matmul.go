@@ -37,7 +37,7 @@ func MatMul(dst, a, b *Tensor) error {
 	if err != nil {
 		return err
 	}
-	matmul(dst.data, a.data, b.data, nil, m, k, n, k, 1, false, true)
+	matmul(dst.data, a.data, b.data, nil, m, k, n, n, k, 1, n, false, true)
 	return nil
 }
 
@@ -62,7 +62,7 @@ func MatMulBias(dst, a, b, bias *Tensor) error {
 		}
 		bd = bias.data
 	}
-	matmul(dst.data, a.data, b.data, bd, m, k, n, k, 1, false, true)
+	matmul(dst.data, a.data, b.data, bd, m, k, n, n, k, 1, n, false, true)
 	return nil
 }
 
@@ -75,7 +75,7 @@ func MatMulTAccum(dst, a, b *Tensor) error {
 	if err != nil {
 		return err
 	}
-	matmul(dst.data, a.data, b.data, nil, m, k, n, 1, m, false, false)
+	matmul(dst.data, a.data, b.data, nil, m, k, n, n, 1, m, n, false, false)
 	return nil
 }
 
@@ -87,7 +87,7 @@ func MatMulT(dst, a, b *Tensor) error {
 	if err != nil {
 		return err
 	}
-	matmul(dst.data, a.data, b.data, nil, m, k, n, k, 1, true, true)
+	matmul(dst.data, a.data, b.data, nil, m, k, n, n, k, 1, k, true, true)
 	return nil
 }
 
@@ -125,36 +125,46 @@ func overlaps(x, y []float32) bool {
 }
 
 // matmul fans matmulRange out over the output rows, each k·n
-// multiply-adds of work. bias, when non-nil, is added to every row of
-// the result; only the zero-mode a @ b passes one.
-func matmul(dst, a, b, bias []float32, m, k, n, ars, aps int, bT, zero bool) {
+// multiply-adds of work. Row i of dst starts at dst[i*ldd]; ars, aps
+// and ldb are a's and b's strides (matmulRange). bias, when non-nil,
+// is added to every row of the result; only the zero-mode a @ b passes
+// one.
+func matmul(dst, a, b, bias []float32, m, k, n, ldd, ars, aps, ldb int, bT, zero bool) {
+	if m == 0 || n == 0 {
+		return
+	}
 	if k == 0 {
-		if zero {
-			clear(dst)
-		}
-		for r := 0; bias != nil && r < m; r++ {
-			addRange(dst[r*n:][:n], dst[r*n:][:n], bias)
+		for r := 0; r < m; r++ {
+			row := dst[r*ldd:][:n]
+			if zero {
+				clear(row)
+			}
+			if bias != nil {
+				addRange(row, row, bias)
+			}
 		}
 		return
 	}
 	if serialFor(m, k*n) {
-		matmulRange(dst, a, b, bias, 0, m, k, n, ars, aps, bT, zero)
+		matmulRange(dst, a, b, bias, 0, m, k, n, ldd, ars, aps, ldb, bT, zero)
 		return
 	}
 	ParallelFor(m, k*n, func(lo, hi int) {
-		matmulRange(dst, a, b, bias, lo, hi, k, n, ars, aps, bT, zero)
+		matmulRange(dst, a, b, bias, lo, hi, k, n, ldd, ars, aps, ldb, bT, zero)
 	})
 }
 
 // matmulRange computes output rows [rowLo, rowHi) of dst (+)= A @ B
-// with A[i][p] = a[i*ars+p*aps]: strides (k,1) read a row-major,
-// (1,m) read it transposed. B is b, or bᵀ when bT is set. Column panels
-// are the outer loop so the sixteen-wide strip of b a panel reads stays
-// cached across its row tiles. matmulRange does not cut k, so every
-// tile it runs holds finished sums and can add the bias to them.
-func matmulRange(dst, a, b, bias []float32, rowLo, rowHi, k, n, ars, aps int, bT, zero bool) {
+// with A[i][p] = a[i*ars+p*aps]: strides (lda,1) read a row-major,
+// (1,lda) read it transposed. B[p][j] is b[p*ldb+j], or b[j*ldb+p]
+// when bT is set (which reads a row-major: aps is 1), and dst's rows
+// are ldd apart. Column panels are the
+// outer loop so the sixteen-wide strip of b a panel reads stays cached
+// across its row tiles. matmulRange does not cut k, so every tile it
+// runs holds finished sums and can add the bias to them.
+func matmulRange(dst, a, b, bias []float32, rowLo, rowHi, k, n, ldd, ars, aps, ldb int, bT, zero bool) {
 	if bT {
-		matmulTRange(dst, a, b, rowLo, rowHi, k, n)
+		matmulTRange(dst, a, b, rowLo, rowHi, k, n, ldd, ars, ldb, zero)
 		return
 	}
 	rb := blockRows()
@@ -165,7 +175,7 @@ func matmulRange(dst, a, b, bias []float32, rowLo, rowHi, k, n, ars, aps int, bT
 			bj = bias[j:]
 		}
 		for i := rowLo; i < rowHi; i += rb {
-			tile(dst[i*n+j:], n, a[i*ars:], ars, aps, b[j:], n, k, min(rb, rowHi-i), cols, zero, bj)
+			tile(dst[i*ldd+j:], ldd, a[i*ars:], ars, aps, b[j:], ldb, k, min(rb, rowHi-i), cols, zero, bj)
 		}
 	}
 }
@@ -179,23 +189,24 @@ func blockRows() int {
 	return tileRows
 }
 
-// matmulTRange computes output rows [rowLo, rowHi) of dst = a @ bᵀ.
-// The vector lanes of a tile are sixteen consecutive j, which in b are
-// k floats apart, so each column panel of bᵀ is first packed into a
-// contiguous packK x tileCols buffer and every row tile then runs
-// against the packed copy. k is cut into packK blocks; between blocks
-// the partial sums round-trip through dst, and a float32 store/load is
-// lossless, so each element is still one accumulator in ascending p.
-func matmulTRange(dst, a, b []float32, rowLo, rowHi, k, n int) {
+// matmulTRange computes output rows [rowLo, rowHi) of dst (+)= a @ bᵀ,
+// a's rows lda apart, b's ldb and dst's ldd. The vector lanes of a
+// tile are sixteen consecutive j, which in b are ldb floats apart, so
+// each column panel of bᵀ is first packed into a contiguous packK x
+// tileCols buffer and every row tile then runs against the packed
+// copy. k is cut into packK blocks; between blocks the partial sums
+// round-trip through dst, and a float32 store/load is lossless, so each
+// element is still one accumulator in ascending p.
+func matmulTRange(dst, a, b []float32, rowLo, rowHi, k, n, ldd, lda, ldb int, zero bool) {
 	var panel [packK * tileCols]float32
 	rb := blockRows()
 	for j := 0; j < n; j += tileCols {
 		cols := min(tileCols, n-j)
 		for p := 0; p < k; p += packK {
 			kb := min(packK, k-p)
-			packT(&panel, b[j*k+p:], k, kb, cols)
+			packT(&panel, b[j*ldb+p:], ldb, kb, cols)
 			for i := rowLo; i < rowHi; i += rb {
-				tile(dst[i*n+j:], n, a[i*k+p:], k, 1, panel[:], tileCols, kb, min(rb, rowHi-i), cols, p == 0, nil)
+				tile(dst[i*ldd+j:], ldd, a[i*lda+p:], lda, 1, panel[:], tileCols, kb, min(rb, rowHi-i), cols, zero && p == 0, nil)
 			}
 		}
 	}

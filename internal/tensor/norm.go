@@ -26,8 +26,10 @@ import (
 // interleaved, which leaves each row's add sequence exactly as it is
 // alone. The per-element passes are lane kernels.
 
-// normGroup is how many rows' reduction chains run interleaved.
-const normGroup = 4
+// rowGroup is how many rows' reduction chains (and, in softmax, max
+// scans) run interleaved. Each row still sees its own operations in its
+// own order, so the bits are those of one row at a time.
+const rowGroup = 4
 
 // LayerNorm normalises each row of x (rows, cols) and applies gamma
 // and beta (cols), writing out (rows, cols). xhat (rows, cols) and
@@ -44,10 +46,10 @@ func LayerNorm(out, xhat, invStd, x, gamma, beta *Tensor, eps float64) error {
 	}
 	xd, od := x.data, out.data
 	g, b := gamma.data, beta.data
-	for r := 0; r < rows; r += normGroup {
-		var mean, sq [normGroup]float64
-		group := min(normGroup, rows-r)
-		if group == normGroup {
+	for r := 0; r < rows; r += rowGroup {
+		var mean, sq [rowGroup]float64
+		group := min(rowGroup, rows-r)
+		if group == rowGroup {
 			mean, sq = rowMoments4(xd[r*cols:], cols)
 		} else {
 			for i := range group {
@@ -84,10 +86,10 @@ func LayerNormBackward(dx, dgamma, dbeta, dy, xhat, invStd, gamma *Tensor) error
 	}
 	dyd, xhd, dxd, g := dy.data, xhat.data, dx.data, gamma.data
 	n := float64(cols)
-	for r := 0; r < rows; r += normGroup {
-		var s, t [normGroup]float64
-		group := min(normGroup, rows-r)
-		if group == normGroup {
+	for r := 0; r < rows; r += rowGroup {
+		var s, t [rowGroup]float64
+		group := min(rowGroup, rows-r)
+		if group == rowGroup {
 			s, t = gradSums4(dyd[r*cols:], xhd[r*cols:], g)
 		} else {
 			for i := range group {
@@ -123,7 +125,7 @@ func rowMoments(x []float32) (mean, sq float64) {
 
 // rowMoments4 is rowMoments on the four rows of x (row stride cols),
 // their chains interleaved.
-func rowMoments4(x []float32, cols int) (mean, sq [normGroup]float64) {
+func rowMoments4(x []float32, cols int) (mean, sq [rowGroup]float64) {
 	x0 := x[:cols]
 	x1, x2, x3 := x[cols:][:len(x0)], x[2*cols:][:len(x0)], x[3*cols:][:len(x0)]
 	var m0, m1, m2, m3 float64
@@ -146,7 +148,7 @@ func rowMoments4(x []float32, cols int) (mean, sq [normGroup]float64) {
 		q2 += float64(d2 * d2)
 		q3 += float64(d3 * d3)
 	}
-	return [normGroup]float64{m0, m1, m2, m3}, [normGroup]float64{q0, q1, q2, q3}
+	return [rowGroup]float64{m0, m1, m2, m3}, [rowGroup]float64{q0, q1, q2, q3}
 }
 
 // gradSums returns s = Σ dy·gamma and t = Σ dy·gamma·xhat over one row.
@@ -162,7 +164,7 @@ func gradSums(dy, xhat, gamma []float32) (s, t float64) {
 
 // gradSums4 is gradSums on the four rows of dy and xhat (row stride
 // len(gamma)), their chains interleaved.
-func gradSums4(dy, xhat, gamma []float32) (s, t [normGroup]float64) {
+func gradSums4(dy, xhat, gamma []float32) (s, t [rowGroup]float64) {
 	cols := len(gamma)
 	y0, y1, y2, y3 := dy[:cols], dy[cols:][:cols], dy[2*cols:][:cols], dy[3*cols:][:cols]
 	h0, h1, h2, h3 := xhat[:cols], xhat[cols:][:cols], xhat[2*cols:][:cols], xhat[3*cols:][:cols]
@@ -182,7 +184,7 @@ func gradSums4(dy, xhat, gamma []float32) (s, t [normGroup]float64) {
 		t2 += float64(d2 * float64(h2[c]))
 		t3 += float64(d3 * float64(h3[c]))
 	}
-	return [normGroup]float64{s0, s1, s2, s3}, [normGroup]float64{t0, t1, t2, t3}
+	return [rowGroup]float64{s0, s1, s2, s3}, [rowGroup]float64{t0, t1, t2, t3}
 }
 
 // layerNormRow is the forward's per-element pass over one row. xhat

@@ -309,7 +309,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 		t.Fatal("the matmul handed nothing to the pool")
 	}
 	want := New(m, n)
-	matmulRange(want.Data(), a.Data(), b.Data(), nil, 0, m, k, n, k, 1, false, true)
+	matmulRange(want.Data(), a.Data(), b.Data(), nil, 0, m, k, n, n, k, 1, n, false, true)
 	assertClose(t, got, want, 1e-5)
 }
 

@@ -8,8 +8,8 @@ package menos_test
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,6 +31,11 @@ var optionStructs = map[string]bool{
 var optionExemptions = map[string]string{
 	"internal/splitsim.Config.GPUSpec":    "ROADMAP item 6(c)'s measured device profile sets it",
 	"internal/splitsim.Config.ServerPerf": "ROADMAP item 6(c)'s measured device profile sets it",
+	// A client chooses these in the adapter.Spec (menos.AdapterSpec) of
+	// its Hello; split decodes the Spec and adapter converts it.
+	"internal/adapter.LoRAConfig.Alpha":       "set from the adapter.Spec a client's Hello carries",
+	"internal/adapter.LoRAConfig.Targets":     "set from the adapter.Spec a client's Hello carries",
+	"internal/adapter.PrefixConfig.PrefixLen": "set from the adapter.Spec a client's Hello carries",
 }
 
 // isOptionStruct reports whether the exported struct type <dir>.<name>
@@ -44,46 +49,42 @@ func isOptionStruct(dir, name string) bool {
 
 // optionField is one exported field of an option struct.
 type optionField struct {
-	dir, typ, name string
-	pos            token.Position
+	dir, typ string
+	field    *types.Var
 }
 
-func (f optionField) key() string { return f.dir + "." + f.typ + "." + f.name }
+func (f optionField) key() string { return f.dir + "." + f.typ + "." + f.field.Name() }
 
+// TestEveryOptionHasASetter resolves every write to a field through
+// go/types, on the program TestEveryExportHasAReader type-checks: a key
+// in a composite literal, an assignment, an increment or an address-of
+// sets exactly the field it denotes (a promoted field included), not
+// every field of that name. A field counts as set when a non-test file
+// outside its own package's directory (and outside examples/) writes
+// it.
 func TestEveryOptionHasASetter(t *testing.T) {
-	fset := token.NewFileSet()
-	files := parseTree(t, fset)
+	prog := loadProgram(t)
 
 	var fields []optionField
-	aliases := map[string]string{} // "<dir>.<Alias>" -> "<dir>.<Type>"
-	for _, f := range files {
-		if f.test {
+	for _, path := range sortedKeys(prog.pkgs) {
+		sp := prog.pkgs[path]
+		if !strings.HasPrefix(sp.dir, "internal/") {
 			continue
 		}
-		imports := moduleImports(f)
-		for _, decl := range f.ast.Decls {
-			gen, ok := decl.(*ast.GenDecl)
-			if !ok || gen.Tok != token.TYPE {
+		scope := sp.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() || !isOptionStruct(sp.dir, name) ||
+				strings.HasSuffix(prog.fset.Position(tn.Pos()).Filename, "_test.go") {
 				continue
 			}
-			for _, spec := range gen.Specs {
-				ts := spec.(*ast.TypeSpec)
-				if ts.Assign.IsValid() {
-					if target := typeKey(ts.Type, f.dir, imports); target != "" {
-						aliases[f.dir+"."+ts.Name.Name] = target
-					}
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok || !strings.HasPrefix(f.dir, "internal/") || !ts.Name.IsExported() || !isOptionStruct(f.dir, ts.Name.Name) {
-					continue
-				}
-				for _, fld := range st.Fields.List {
-					for _, id := range fld.Names {
-						if id.IsExported() {
-							fields = append(fields, optionField{f.dir, ts.Name.Name, id.Name, fset.Position(id.Pos())})
-						}
-					}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					fields = append(fields, optionField{sp.dir, name, f})
 				}
 			}
 		}
@@ -92,41 +93,26 @@ func TestEveryOptionHasASetter(t *testing.T) {
 		t.Fatal("no option structs found under internal/")
 	}
 
-	// Who sets what: literal keys by "<dir>.<Type>.<Field>", assignments
-	// by field name alone. Each set records the directory it comes from.
-	// A package that declares an option field F and assigns x.F is
-	// defaulting its own field, so that assignment sets no other
-	// package's F.
-	declares := map[string]bool{} // "<dir>.<Field>"
-	for _, fld := range fields {
-		declares[fld.dir+"."+fld.name] = true
-	}
-	keyed := map[string][]string{}
-	assigned := map[string][]string{}
-	for _, f := range files {
-		if f.test || f.dir == "examples" || strings.HasPrefix(f.dir, "examples/") {
+	setBy := map[types.Object][]string{} // field -> directories that write it
+	for _, path := range sortedKeys(prog.pkgs) {
+		sp := prog.pkgs[path]
+		if sp.dir == "examples" || strings.HasPrefix(sp.dir, "examples/") {
 			continue
 		}
-		imports := moduleImports(f)
-		resolve := func(typ ast.Expr) string {
-			key := typeKey(typ, f.dir, imports)
-			if target, ok := aliases[key]; ok {
-				return target
+		for _, f := range sp.files {
+			if strings.HasSuffix(prog.fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
 			}
-			return key
+			collectSets(f, func(id *ast.Ident) {
+				if obj := prog.info.Uses[id]; obj != nil {
+					setBy[origin(obj)] = append(setBy[origin(obj)], sp.dir)
+				}
+			})
 		}
-		collectSets(f.ast, resolve,
-			func(typ, field string) { keyed[typ+"."+field] = append(keyed[typ+"."+field], f.dir) },
-			func(field string) { assigned[field] = append(assigned[field], f.dir) })
 	}
 	isSet := func(fld optionField) bool {
-		for _, dir := range keyed[fld.key()] {
+		for _, dir := range setBy[fld.field] {
 			if dir != fld.dir {
-				return true
-			}
-		}
-		for _, dir := range assigned[fld.name] {
-			if dir != fld.dir && !declares[dir+"."+fld.name] {
 				return true
 			}
 		}
@@ -145,7 +131,7 @@ func TestEveryOptionHasASetter(t *testing.T) {
 			continue
 		}
 		if !ok {
-			unset = append(unset, fld.pos.String()+": "+fld.key())
+			unset = append(unset, prog.fset.Position(fld.field.Pos()).String()+": "+fld.key())
 		}
 	}
 	for key := range optionExemptions {
@@ -159,100 +145,34 @@ func TestEveryOptionHasASetter(t *testing.T) {
 	}
 }
 
-// moduleImports maps f's local import names to module directories.
-func moduleImports(f surfaceFile) map[string]string {
-	imports := map[string]string{}
-	for _, spec := range f.ast.Imports {
-		path, _ := strconv.Unquote(spec.Path.Value)
-		dir, ok := strings.CutPrefix(path, modulePath+"/")
-		if !ok {
-			if path != modulePath {
-				continue
-			}
-			dir = "."
-		}
-		name := dir[strings.LastIndex(dir, "/")+1:]
-		if dir == "." {
-			name = modulePath
-		}
-		if spec.Name != nil {
-			name = spec.Name.Name
-		}
-		imports[name] = dir
-	}
-	return imports
-}
-
-// typeKey is "<dir>.<Type>" for a named type in this module, through
-// any pointer, and "" for anything else.
-func typeKey(typ ast.Expr, dir string, imports map[string]string) string {
-	if star, ok := typ.(*ast.StarExpr); ok {
-		typ = star.X
-	}
-	switch x := typ.(type) {
-	case *ast.Ident:
-		return dir + "." + x.Name
-	case *ast.SelectorExpr:
-		if pkg, ok := x.X.(*ast.Ident); ok {
-			if d, ok := imports[pkg.Name]; ok {
-				return d + "." + x.Sel.Name
-			}
-		}
-	}
-	return ""
-}
-
-// collectSets reports every field node writes: keyed(type, field) for
-// a key in a composite literal of a named type (an element literal
-// whose type is elided takes its container's element type), and
-// assigned(field) for an assignment, increment or address-of x.F.
-func collectSets(node ast.Node, resolve func(ast.Expr) string, keyed func(typ, field string), assigned func(field string)) {
-	elided := map[*ast.CompositeLit]ast.Expr{}
+// collectSets reports the field identifier of every write in node: a
+// key in a composite literal, and the selector of an assignment,
+// increment or address-of x.F. Which object an identifier denotes is
+// the type checker's business.
+func collectSets(node ast.Node, set func(field *ast.Ident)) {
 	ast.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:
-			typ := n.Type
-			if typ == nil {
-				typ = elided[n]
-			}
-			var elem ast.Expr
-			switch t := typ.(type) {
-			case *ast.ArrayType:
-				elem = t.Elt
-			case *ast.MapType:
-				elem = t.Value
-			}
-			key := ""
-			if typ != nil {
-				key = resolve(typ)
-			}
 			for _, e := range n.Elts {
 				if kv, ok := e.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok && key != "" && elem == nil {
-						keyed(key, id.Name)
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						set(id)
 					}
-					e = kv.Value
-				}
-				if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-					e = u.X
-				}
-				if lit, ok := e.(*ast.CompositeLit); ok && lit.Type == nil && elem != nil {
-					elided[lit] = elem
 				}
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				if sel, ok := lhs.(*ast.SelectorExpr); ok {
-					assigned(sel.Sel.Name)
+					set(sel.Sel)
 				}
 			}
 		case *ast.IncDecStmt:
 			if sel, ok := n.X.(*ast.SelectorExpr); ok {
-				assigned(sel.Sel.Name)
+				set(sel.Sel)
 			}
 		case *ast.UnaryExpr:
 			if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
-				assigned(sel.Sel.Name)
+				set(sel.Sel)
 			}
 		}
 		return true
