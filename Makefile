@@ -130,8 +130,8 @@ bench:
 
 # One iteration of each kernel benchmark (every matmul shape's pool,
 # serial and avx2 sub-benchmarks, again under -tags purego for the
-# portable tile; GELU, softmax, Adam's update, LayerNorm, the linear
-# layer and attention), BenchmarkModelNew's pool and serial perf-mid build,
+# portable tile; MatMulT's pack at both panel widths, GELU, softmax,
+# Adam's update, LayerNorm, the linear layer and attention), BenchmarkModelNew's pool and serial perf-mid build,
 # BenchmarkClientSetup's tenant set-up against a live server, the sim
 # kernel's dispatch, the scheduler's plain and 8-member grant cycles,
 # a sim_fleet-shaped simulator run and its set-up alone, the root
@@ -146,7 +146,7 @@ bench:
 # kernel tier (avx512, avx2 or portable) the machine ran.
 kernel-bench-smoke:
 	$(GO) test -run '^TestTileTier$$' -v ./internal/tensor/
-	$(GO) test -bench='BenchmarkMatMul|BenchmarkGELUForward|BenchmarkSoftmaxRows|BenchmarkAdamUpdate' -benchtime=1x ./internal/tensor/
+	$(GO) test -bench='BenchmarkMatMul|BenchmarkPackT|BenchmarkGELUForward|BenchmarkSoftmaxRows|BenchmarkAdamUpdate' -benchtime=1x ./internal/tensor/
 	$(GO) test -tags purego -run '^$$' -bench=BenchmarkMatMul -benchtime=1x ./internal/tensor/
 	$(GO) test -run '^$$' -bench='BenchmarkLayerNorm|BenchmarkLinearForward' -benchtime=1x ./internal/nn/
 	$(GO) test -run '^$$' -bench='BenchmarkAttention|BenchmarkModelNew' -benchtime=1x ./internal/model/

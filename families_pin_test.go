@@ -60,6 +60,8 @@ func TestExposedFamiliesArePinned(t *testing.T) {
 			"menos_sched_wait_seconds histogram -",
 			"menos_sched_wait_seconds histogram client",
 			"menos_server_active_clients gauge -",
+			"menos_server_arena_outstanding_bytes gauge client",
+			"menos_server_arena_retained_bytes gauge client",
 			"menos_server_clients_admitted_total counter -",
 			"menos_server_compute_seconds histogram -",
 			"menos_server_compute_seconds histogram client",

@@ -72,6 +72,12 @@ const (
 	// Serial backwards that had to re-forward (parked cache revoked, or
 	// never kept).
 	MetricServerReforwards = "menos_server_reforwards_total"
+	// Each session's buffer arena (tensor.Scratch), labeled
+	// {client=...}: the bytes its free lists retain and the bytes it has
+	// handed out and not had back, as of the end of the session's last
+	// served phase — the heap beside the scheduler's books.
+	MetricServerArenaRetainedBytes    = "menos_server_arena_retained_bytes"
+	MetricServerArenaOutstandingBytes = "menos_server_arena_outstanding_bytes"
 
 	// Client plane (internal/client).
 	MetricClientIterations  = "menos_client_iterations_total"

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math"
 	"net"
 	"testing"
@@ -153,5 +154,75 @@ func waitForTeardown(t *testing.T, reg *obs.Registry) {
 			t.Fatalf("active clients gauge stuck at %d", reg.Gauge(obs.MetricServerActiveClients).Value())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestArenaGaugesShowIdleSessions idles four OPT-tiny tenants after
+// three steps each. Each tenant's arena series read its own arena's
+// retained and outstanding bytes, and drop to 0 when it disconnects.
+// The test logs what the idle arenas hold beside what the scheduler's
+// books hold (granted and parked bytes): memory an idle session keeps
+// that the books count as free. The gap is recorded here, not bounded.
+func TestArenaGaugesShowIdleSessions(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, addr := startServer(t, Config{Metrics: reg})
+	retained := reg.GaugeVec(obs.MetricServerArenaRetainedBytes, "client")
+	outstanding := reg.GaugeVec(obs.MetricServerArenaOutstandingBytes, "client")
+	series := func(v *obs.GaugeVec, id string) int64 {
+		g, ok := v.Get(id)
+		if !ok {
+			return -1
+		}
+		return g.Value()
+	}
+
+	const tenants = 4
+	var clients []*client.Client
+	var ids []string
+	for i := range tenants {
+		cfg := clientCfg(fmt.Sprintf("idle-%d", i))
+		c, err := client.Dial(addr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		in, targets := batchFor(cfg, uint64(11+i))
+		for range 3 {
+			if _, err := c.Step(in, targets); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clients, ids = append(clients, c), append(ids, cfg.ClientID)
+	}
+
+	var heldRetained, heldOut int64
+	for _, id := range ids {
+		sc := liveSession(t, srv, id).scratch
+		// The session reports once it has sent its last response and
+		// taken its tensors back, which can be after the client hears it.
+		waitFor(t, id+"'s arena series to read its arena", func() bool {
+			out, _ := sc.Outstanding()
+			return series(retained, id) == sc.RetainedBytes() && series(outstanding, id) == out
+		})
+		if series(retained, id) <= 0 {
+			t.Errorf("%s: an arena that served three steps retains %d bytes", id, series(retained, id))
+		}
+		heldRetained += series(retained, id)
+		heldOut += series(outstanding, id)
+	}
+	load := srv.Scheduler().Load()
+	granted := load.Schedulable - load.Available
+	parked := reg.Gauge(obs.MetricSchedParkedBytes).Value()
+	t.Logf("%d idle sessions: arenas retain %d B and hold out %d B; the scheduler has %d B granted and %d B parked; %d B held beyond the books",
+		tenants, heldRetained, heldOut, granted, parked, heldRetained+heldOut-granted-parked)
+
+	for _, c := range clients {
+		c.Close()
+	}
+	waitForTeardown(t, reg)
+	for _, id := range ids {
+		if r, o := series(retained, id), series(outstanding, id); r != 0 || o != 0 {
+			t.Errorf("%s after teardown: retained %d, outstanding %d, want 0 and 0", id, r, o)
+		}
 	}
 }

@@ -152,6 +152,9 @@ type serverMetrics struct {
 	schedWait  *obs.Histogram
 	active     *obs.Gauge
 	reforwards *obs.Counter
+	// arenaRetained and arenaOutstanding mirror each session's arena
+	// (session.arena).
+	arenaRetained, arenaOutstanding *obs.GaugeVec
 }
 
 // New creates a server over the shared store. The store's base
@@ -224,6 +227,10 @@ func New(cfg Config) (*Server, error) {
 		schedWait:  reg.Histogram(obs.MetricServerWaitSeconds, obs.DurationBuckets(), "scheduler grant wait per request"),
 		active:     reg.Gauge(obs.MetricServerActiveClients, "clients currently connected and admitted"),
 		reforwards: reg.Counter(obs.MetricServerReforwards, "serial backwards that recomputed the forward (no parked cache to claim)"),
+		arenaRetained: reg.GaugeVec(obs.MetricServerArenaRetainedBytes, "client",
+			"bytes the session's buffer arena retains on its free lists, as of its last served phase"),
+		arenaOutstanding: reg.GaugeVec(obs.MetricServerArenaOutstandingBytes, "client",
+			"bytes the session's buffer arena has handed out and not had back, as of its last served phase"),
 	}
 	if cfg.Metrics != nil {
 		s.payload.Compressed = cfg.Metrics.Counter(obs.MetricWireCompressedBytes, "on-wire bytes of compressed activation/gradient payloads sent")
@@ -357,7 +364,9 @@ type session struct {
 	// tensor a phase receives or sends goes back to it (a tensor the
 	// batched executor drew from the shared base's arena goes back
 	// there). It is dropped with the instance.
-	scratch   *tensor.Scratch
+	scratch *tensor.Scratch
+	// arena shows scratch on /metrics.
+	arena     arenaGauges
 	body      *model.BodySection
 	params    []nn.Param
 	optimizer *nn.Adam
@@ -426,6 +435,7 @@ func (s *Server) handleConn(rawConn net.Conn) {
 
 	for {
 		s.flushWire(sess, conn)
+		sess.arena.publish(sess.scratch)
 		msg, err := fr.ReadMessage()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
@@ -668,6 +678,10 @@ func (s *Server) handshake(fr *split.Framer) (_ *session, err error) {
 		return nil, fmt.Errorf("write ack: %w", err)
 	}
 	sess.handle = s.scheduler.Enroll(sess.id)
+	sess.arena = arenaGauges{
+		retained:    s.m.arenaRetained.With(sess.id),
+		outstanding: s.m.arenaOutstanding.With(sess.id),
+	}
 	s.m.admitted.Inc()
 	s.m.active.Add(1)
 	return sess, nil
@@ -689,8 +703,30 @@ func (s *Server) teardown(sess *session) {
 	if err := sess.inst.Release(); err != nil && !errors.Is(err, share.ErrReleased) {
 		s.logf("client %q: release: %v", sess.id, err)
 	}
+	sess.arena.set(0, 0) // the arena goes with the instance
 	// Last, so that a client no longer counted has nothing left held.
 	s.m.active.Add(-1)
+}
+
+// arenaGauges are one session's series of the arena families. The
+// session's goroutine moves them by the change since its last report,
+// so a series that several sessions share past the family's
+// cardinality cap (obs.VecOverflowLabel) holds their sum.
+type arenaGauges struct {
+	retained, outstanding         *obs.Gauge
+	lastRetained, lastOutstanding int64
+}
+
+// publish reports the arena's retained and outstanding bytes now.
+func (g *arenaGauges) publish(sc *tensor.Scratch) {
+	out, _ := sc.Outstanding()
+	g.set(sc.RetainedBytes(), out)
+}
+
+func (g *arenaGauges) set(retained, outstanding int64) {
+	g.retained.Add(retained - g.lastRetained)
+	g.outstanding.Add(outstanding - g.lastOutstanding)
+	g.lastRetained, g.lastOutstanding = retained, outstanding
 }
 
 // acquire blocks until the scheduler grants kind's memory to works:

@@ -8,11 +8,12 @@ import (
 // Kernel benchmarks at the shapes docs/PERFORMANCE.md reports: the
 // 512-cube of the compute-plane acceptance numbers, and the products a
 // perf-mid split fine-tuning step is made of (linear layers at 64 rows,
-// per-head attention, rank-8 LoRA). Each shape is measured at the
+// per-head attention, rank-8 LoRA), and the projections of an opt-tiny
+// step at 16 rows (small_plain's). Each shape is measured at the
 // pool's configured parallelism ("pool"), pinned to one worker
 // ("serial"), and pinned to one worker on the AVX2 tier ("avx2"), so
 // the parallel speedup and, on an AVX-512 machine, the gain of the
-// 8-row tile over the 4-row one are visible in one -bench run.
+// 8 x 32 tile over the 4 x 16 one are visible in one -bench run.
 
 const benchDim = 512
 
@@ -25,6 +26,9 @@ var benchShapes = []struct{ m, k, n int }{
 	{32, 32, 32},
 	{64, 128, 8},
 	{64, 8, 128},
+	{16, 64, 64},
+	{16, 64, 256},
+	{16, 256, 64},
 }
 
 // benchMatMul runs op(dst, a, b) at every benchShape; aT / bT say
@@ -77,7 +81,8 @@ func BenchmarkMatMulTAccum(b *testing.B) { benchMatMul(b, MatMulTAccum, true, fa
 // The elementwise kernels at the shapes a large_plain step runs them
 // at: the 64x512 FFN hidden activation for GELU, one 32x32 attention
 // head for softmax (and small_plain's causal 16x16 one), and the
-// 16-column panels of a 512x128 weight for MatMulT's pack. Each reports
+// 16- and 32-column panels of a 512x128 weight for MatMulT's pack (the
+// AVX2 and the AVX-512 tier's panel). Each reports
 // ns per element next to ns/op; docs/PERFORMANCE.md ("Vector kernels")
 // has the table.
 
@@ -148,14 +153,18 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 func BenchmarkPackT(b *testing.B) {
 	const k, n = 512, 128
 	w := NewNormal(NewRNG(2), 1, n, k)
-	var panel [packK * tileCols]float32
-	benchPerElement(b, k*n, func() {
-		for j := 0; j < n; j += tileCols {
-			for p := 0; p < k; p += packK {
-				packT(&panel, w.data[j*k+p:], k, packK, tileCols)
-			}
-		}
-	})
+	panel := make([]float32, packK*wideTileCols)
+	for _, cols := range []int{tileCols, wideTileCols} {
+		b.Run(fmt.Sprintf("cols=%d", cols), func(b *testing.B) {
+			benchPerElement(b, k*n, func() {
+				for j := 0; j < n; j += cols {
+					for p := 0; p < k; p += packK {
+						packT(panel, cols, w.data[j*k+p:], k, packK, cols)
+					}
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkWeightResidency asks what a smaller base weight could buy:

@@ -5,6 +5,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -96,28 +97,31 @@ func TestVectorKernelsMatchPortable(t *testing.T) {
 
 // TestPackTMatchesScalarLoop: the shuffle transpose is a copy, so it
 // has to reproduce the scalar loop exactly, whatever mix of whole 8x8
-// blocks and edges kb and cols give it, and leave the rest of the panel
-// alone.
+// blocks and edges kb and cols give it, in the AVX2 tier's 16-wide
+// panel and the AVX-512 tier's 32-wide one, and leave the rest of the
+// panel alone.
 func TestPackTMatchesScalarLoop(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("no AVX2 on this CPU")
 	}
 	rng := NewRNG(8)
-	for _, kb := range []int{1, 7, 8, 9, 16, 31, packK - 1, packK} {
-		for cols := 1; cols <= tileCols; cols++ {
-			k := kb + rng.Intn(5)
-			b := NewNormal(rng, 1, cols, k).data
-			var got, want [packK * tileCols]float32
-			for i := range got {
-				got[i], want[i] = -1, -1
-			}
-			packT(&got, b, k, kb, cols)
-			WithTier(TierPortable, func() { packT(&want, b, k, kb, cols) })
-			if got != want {
-				t.Fatalf("kb=%d cols=%d k=%d: packed panels differ", kb, cols, k)
-			}
-			if got[0] != b[0] || got[(kb-1)*tileCols+cols-1] != b[(cols-1)*k+kb-1] {
-				t.Fatalf("kb=%d cols=%d k=%d: panel corners are not b's", kb, cols, k)
+	for _, ldp := range []int{tileCols, wideTileCols} {
+		for _, kb := range []int{1, 7, 8, 9, 16, 31, packK - 1, packK} {
+			for cols := 1; cols <= ldp; cols++ {
+				k := kb + rng.Intn(5)
+				b := NewNormal(rng, 1, cols, k).data
+				got, want := make([]float32, packK*ldp), make([]float32, packK*ldp)
+				for i := range got {
+					got[i], want[i] = -1, -1
+				}
+				packT(got, ldp, b, k, kb, cols)
+				WithTier(TierPortable, func() { packT(want, ldp, b, k, kb, cols) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("ldp=%d kb=%d cols=%d k=%d: packed panels differ", ldp, kb, cols, k)
+				}
+				if got[0] != b[0] || got[(kb-1)*ldp+cols-1] != b[(cols-1)*k+kb-1] {
+					t.Fatalf("ldp=%d kb=%d cols=%d k=%d: panel corners are not b's", ldp, kb, cols, k)
+				}
 			}
 		}
 	}

@@ -71,22 +71,22 @@ func expectBitIdentical(t *testing.T, got, want *Tensor, label string) {
 	}
 }
 
-// boundaryShapes straddle every edge of the 8- and 4-row x 16-column
-// tiles at once (the 8-row block and the AVX2/Go remainders it leaves,
-// the 8- and 16-lane vector edges, the packK block of MatMulT's
-// reduction, an empty reduction), then add the products a perf-mid
-// training step is made of and one product big enough to clear
+// boundaryShapes straddle every edge of the 8 x 32 and 4 x 16 tiles at
+// once (the 8-row block and the AVX2/Go remainders it leaves, the 8-
+// and 16-lane vector edges and the 32-column panel, the packK block of
+// MatMulT's reduction, an empty reduction), then add the products a
+// perf-mid training step is made of and one product big enough to clear
 // fanOutWork, whose two row chunks each end in a partial tile.
 var boundaryShapes = func() []struct{ m, k, n int } {
 	shapes := []struct{ m, k, n int }{
 		{2, 3, 5}, {63, 31, 17}, {64, 33, 19}, {65, 29, 21}, {66, 5, 1}, {7, 64, 65},
-		{6, 2*packK + 3, 18},
+		{6, 2*packK + 3, 18}, {9, 2*packK + 1, 33},
 		{64, 128, 512}, {64, 512, 128}, {32, 32, 32}, {64, 128, 8}, {64, 8, 128},
 		{131, 257, 130},
 	}
-	for _, m := range []int{1, 3, 4, 5, 7, 8, 9, 16, 17} {
+	for _, m := range []int{1, 3, 4, 5, 7, 8, 9, 16, 17, 24} {
 		for _, k := range []int{0, 1, 2, packK - 1, packK, packK + 1} {
-			for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 31, 33} {
+			for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 63, 64, 65, 96} {
 				shapes = append(shapes, struct{ m, k, n int }{m, k, n})
 			}
 		}
@@ -196,7 +196,7 @@ func TestMatMulVariantsOnSpecialValues(t *testing.T) {
 	}
 	nonFinite := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
 	for name, palette := range map[string][]float32{"finite": finite, "nonfinite": append(nonFinite, finite...)} {
-		for _, s := range []struct{ m, k, n int }{{8, 3, 16}, {9, 5, 33}, {5, packK + 2, 17}} {
+		for _, s := range []struct{ m, k, n int }{{8, 3, 16}, {9, 5, 33}, {9, 5, 65}, {5, packK + 2, 17}} {
 			rng := NewRNG(uint64(len(palette)*1000 + s.n))
 			fill := func(x *Tensor) {
 				x.FillNormal(rng, 1)

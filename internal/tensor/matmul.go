@@ -13,19 +13,21 @@ import (
 var ErrAlias = errors.New("tensor: dst aliases an operand")
 
 // All the matmul variants are thin drivers over one micro-kernel,
-// tile, which updates a block of up to blockRows() x tileCols elements
-// of dst with one accumulator per output element fed in ascending p,
-// one fused multiply-add (a·b + acc, rounded once) per step — the
+// tile, which updates a block of up to blockRows() x blockCols()
+// elements of dst with one accumulator per output element fed in
+// ascending p, one fused multiply-add (a·b + acc, rounded once) per
+// step — the
 // sequence of the naive loop over an exact fma, so the bits match it
 // exactly.
 // Work is partitioned by output row, so any parallel split is
 // bit-identical to the serial kernel too.
 const (
-	tileRows     = 4 // the AVX2 and portable tiles
-	wideTileRows = 8 // the AVX-512 tile
-	tileCols     = 16
+	tileRows     = 4  // the AVX2 and portable tiles
+	tileCols     = 16 // the AVX2 tile; the portable one takes any width
+	wideTileRows = 8  // the AVX-512 tile
+	wideTileCols = 32
 	// packK is how many reduction steps of bᵀ MatMulT packs at a time:
-	// a packK x tileCols panel is 8 KiB of stack and stays in L1.
+	// a packK x wideTileCols panel is 16 KiB of stack and stays in L1.
 	packK = 128
 )
 
@@ -158,18 +160,18 @@ func matmul(dst, a, b, bias []float32, m, k, n, ldd, ars, aps, ldb int, bT, zero
 // with A[i][p] = a[i*ars+p*aps]: strides (lda,1) read a row-major,
 // (1,lda) read it transposed. B[p][j] is b[p*ldb+j], or b[j*ldb+p]
 // when bT is set (which reads a row-major: aps is 1), and dst's rows
-// are ldd apart. Column panels are the
-// outer loop so the sixteen-wide strip of b a panel reads stays cached
-// across its row tiles. matmulRange does not cut k, so every tile it
-// runs holds finished sums and can add the bias to them.
+// are ldd apart. Column panels blockCols() wide are the outer loop so
+// the strip of b a panel reads stays cached across its row tiles.
+// matmulRange does not cut k, so every tile it runs holds finished sums
+// and can add the bias to them.
 func matmulRange(dst, a, b, bias []float32, rowLo, rowHi, k, n, ldd, ars, aps, ldb int, bT, zero bool) {
 	if bT {
 		matmulTRange(dst, a, b, rowLo, rowHi, k, n, ldd, ars, ldb, zero)
 		return
 	}
-	rb := blockRows()
-	for j := 0; j < n; j += tileCols {
-		cols := min(tileCols, n-j)
+	rb, cb := blockRows(), blockCols()
+	for j := 0; j < n; j += cb {
+		cols := min(cb, n-j)
 		var bj []float32
 		if bias != nil {
 			bj = bias[j:]
@@ -180,8 +182,8 @@ func matmulRange(dst, a, b, bias []float32, rowLo, rowHi, k, n, ldd, ars, aps, l
 	}
 }
 
-// blockRows is how many rows the drivers hand tile at a time: the
-// height of the widest tile the CPU runs.
+// blockRows and blockCols are the block the drivers hand tile at a
+// time: the shape of the widest tile the CPU runs.
 func blockRows() int {
 	if haveAVX512 {
 		return wideTileRows
@@ -189,46 +191,91 @@ func blockRows() int {
 	return tileRows
 }
 
+func blockCols() int {
+	if haveAVX512 {
+		return wideTileCols
+	}
+	return tileCols
+}
+
 // matmulTRange computes output rows [rowLo, rowHi) of dst (+)= a @ bᵀ,
 // a's rows lda apart, b's ldb and dst's ldd. The vector lanes of a
-// tile are sixteen consecutive j, which in b are ldb floats apart, so
-// each column panel of bᵀ is first packed into a contiguous packK x
-// tileCols buffer and every row tile then runs against the packed
+// tile are consecutive j, which in b are ldb floats apart, so each
+// column panel of bᵀ is first packed into a contiguous packK x
+// blockCols() buffer and every row tile then runs against the packed
 // copy. k is cut into packK blocks; between blocks the partial sums
 // round-trip through dst, and a float32 store/load is lossless, so each
 // element is still one accumulator in ascending p.
 func matmulTRange(dst, a, b []float32, rowLo, rowHi, k, n, ldd, lda, ldb int, zero bool) {
-	var panel [packK * tileCols]float32
-	rb := blockRows()
-	for j := 0; j < n; j += tileCols {
-		cols := min(tileCols, n-j)
+	if haveAVX512 {
+		matmulTRange32(dst, a, b, rowLo, rowHi, k, n, ldd, lda, ldb, zero)
+	} else {
+		matmulTRange16(dst, a, b, rowLo, rowHi, k, n, ldd, lda, ldb, zero)
+	}
+}
+
+// matmulTRange32 and matmulTRange16 hold the panel, as wide as the
+// CPU's widest tile, on the stack of the goroutine that fills it. It
+// starts at a 64-byte boundary, so each vector load of a panel row reads
+// one cache line; Go moves a goroutine's stack only by multiples of its
+// power-of-two size, which keeps that alignment. Each has a function of
+// its own because Go zeroes the buffer on every call and the frame's
+// size costs too: an AVX2 run with the 32-wide buffer in its frame ran
+// 32×32×32 MatMulT a fifth slower.
+//
+//go:noinline
+func matmulTRange32(dst, a, b []float32, rowLo, rowHi, k, n, ldd, lda, ldb int, zero bool) {
+	var buf [packK*wideTileCols + 15]float32
+	matmulTPanels(dst, a, b, aligned(buf[:]), rowLo, rowHi, k, n, ldd, lda, ldb, zero)
+}
+
+//go:noinline
+func matmulTRange16(dst, a, b []float32, rowLo, rowHi, k, n, ldd, lda, ldb int, zero bool) {
+	var buf [packK*tileCols + 15]float32
+	matmulTPanels(dst, a, b, aligned(buf[:]), rowLo, rowHi, k, n, ldd, lda, ldb, zero)
+}
+
+// matmulTPanels is matmulTRange's loop over the column panels, packing
+// each into panel.
+func matmulTPanels(dst, a, b, panel []float32, rowLo, rowHi, k, n, ldd, lda, ldb int, zero bool) {
+	rb, cb := blockRows(), blockCols()
+	for j := 0; j < n; j += cb {
+		cols := min(cb, n-j)
 		for p := 0; p < k; p += packK {
 			kb := min(packK, k-p)
-			packT(&panel, b[j*ldb+p:], ldb, kb, cols)
+			packT(panel, cb, b[j*ldb+p:], ldb, kb, cols)
 			for i := rowLo; i < rowHi; i += rb {
-				tile(dst[i*ldd+j:], ldd, a[i*lda+p:], lda, 1, panel[:], tileCols, kb, min(rb, rowHi-i), cols, zero && p == 0, nil)
+				tile(dst[i*ldd+j:], ldd, a[i*lda+p:], lda, 1, panel, cb, kb, min(rb, rowHi-i), cols, zero && p == 0, nil)
 			}
 		}
 	}
 }
 
-// packT fills the first kb rows of panel with the transpose of a
-// cols x kb block of b (row stride k): panel[p][c] = b[c*k+p]. Whole
-// 8x8 blocks go through the AVX2 shuffle transpose when the CPU has it
-// and the edges through the scalar loop; it is a copy either way.
-func packT(panel *[packK * tileCols]float32, b []float32, k, kb, cols int) {
+// aligned returns buf from its first 64-byte boundary on.
+func aligned(buf []float32) []float32 {
+	return buf[(-uintptr(unsafe.Pointer(&buf[0]))&63)/4:]
+}
+
+// packT fills the first kb rows of panel, ldp floats apart, with the
+// transpose of a cols x kb block of b (row stride k):
+// panel[p*ldp+c] = b[c*k+p]. Whole 8x8 blocks go through the AVX2
+// shuffle transpose when the CPU has it and the edges through the
+// scalar loop; it is a copy either way.
+func packT(panel []float32, ldp int, b []float32, k, kb, cols int) {
 	vecP, vecC := 0, 0 // the assembly fills panel[:vecP][:vecC]
 	if haveAVX2 && kb >= 8 && cols >= 8 {
 		vecP, vecC = kb&^7, cols&^7
-		_ = b[(vecC-1)*k+vecP-1] // the bounds check the assembly cannot make
+		// The bounds checks the assembly cannot make.
+		_ = panel[(vecP-1)*ldp+vecC-1]
+		_ = b[(vecC-1)*k+vecP-1]
 		for c := 0; c < vecC; c += 8 {
-			packT8AVX2(&panel[c], &b[c*k], k, vecP/8)
+			packT8AVX2(&panel[c], &b[c*k], k, ldp, vecP/8)
 		}
 	}
 	if vecC < cols { // the columns right of the blocks
-		packTRows(panel, b, k, 0, vecP, vecC, cols)
+		packTRows(panel, ldp, b, k, 0, vecP, vecC, cols)
 	}
-	packTRows(panel, b, k, vecP, kb, 0, cols) // the rows below them
+	packTRows(panel, ldp, b, k, vecP, kb, 0, cols) // the rows below them
 }
 
 // packTRows is packT's scalar loop over panel rows [pLo, pHi), columns
@@ -236,10 +283,10 @@ func packT(panel *[packK * tileCols]float32, b []float32, k, kb, cols int) {
 // itself.
 //
 //go:noinline
-func packTRows(panel *[packK * tileCols]float32, b []float32, k, pLo, pHi, cLo, cols int) {
+func packTRows(panel []float32, ldp int, b []float32, k, pLo, pHi, cLo, cols int) {
 	b = b[cLo*k:]
 	for p := pLo; p < pHi; p++ {
-		row := panel[p*tileCols:][cLo:cols]
+		row := panel[p*ldp:][cLo:cols]
 		for c := range row {
 			row[c] = b[c*k+p]
 		}
@@ -251,10 +298,11 @@ func packTRows(panel *[packK * tileCols]float32, b []float32, k, pLo, pHi, cLo, 
 //	d[r][c] (+)= sum over p in [0,k) of a[r*ars+p*aps] * b[p*ldb+c]  (+ bias[c])
 //
 // zero starts each sum at +0 instead of d's previous value; a non-nil
-// bias is added to each finished sum before it is stored. An 8-row
-// block goes to the AVX-512 tile when the CPU has it; otherwise the
-// first four rows go to the AVX2 tile when the CPU has that, and the
-// rest to tileGo. All three produce the same bits. k must be >= 1.
+// bias is added to each finished sum before it is stored. cols is at
+// most blockCols(). An 8-row block goes to the AVX-512 tile when the
+// CPU has it; otherwise the first four rows go to the AVX2 tile, sixteen
+// columns at a time, when the CPU has that, and the rest to tileGo.
+// All three produce the same bits. k must be >= 1.
 func tile(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k, rows, cols int, zero bool, bias []float32) {
 	// The bounds checks on b and bias the assembly cannot make.
 	_ = b[(k-1)*ldb+cols-1]
@@ -271,7 +319,14 @@ func tile(d []float32, ldd int, a []float32, ars, aps int, b []float32, ldb, k, 
 	if haveAVX2 && rows >= tileRows {
 		_ = d[(tileRows-1)*ldd+cols-1]
 		_ = a[(tileRows-1)*ars+(k-1)*aps]
-		tileAVX2(&d[0], ldd, &a[0], ars, aps, &b[0], ldb, k, cols, zero, bp)
+		c := min(cols, tileCols)
+		tileAVX2(&d[0], ldd, &a[0], ars, aps, &b[0], ldb, k, c, zero, bp)
+		if c < cols { // the right half of a 32-wide block
+			if bias != nil {
+				bp = &bias[c]
+			}
+			tileAVX2(&d[c], ldd, &a[0], ars, aps, &b[c], ldb, k, cols-c, zero, bp)
+		}
 		if rows == tileRows {
 			return
 		}

@@ -6,7 +6,7 @@ package tensor
 // the YMM state) the portable tile in matmul.go runs instead.
 var haveAVX2 = cpuHasAVX2()
 
-// haveAVX512 selects the 8-row AVX-512 tile on top of the AVX2 one,
+// haveAVX512 selects the 8 x 32 AVX-512 tile on top of the AVX2 one,
 // which still takes the row remainders.
 var haveAVX512 = haveAVX2 && cpuHasAVX512()
 
@@ -21,4 +21,4 @@ func tileAVX2(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k,
 func tileAVX512(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, k, cols int, zero bool, bias *float32)
 
 //go:noescape
-func packT8AVX2(panel, b *float32, k, blocks int)
+func packT8AVX2(panel, b *float32, k, ldp, blocks int)

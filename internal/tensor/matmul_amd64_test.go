@@ -12,13 +12,14 @@ import (
 // has, against tileGo on random sub-tiles of larger buffers — every
 // row count 1..8 (the whole AVX-512 tile, the AVX2 tile, and every
 // remainder they leave to the next tier down) with every column count
-// 1..16 (the full vector and each masked edge), random leading
-// dimensions, reduction lengths and column counts, both layouts of a,
-// accumulating and overwriting, with and without a bias — whose values
-// include −0, ±Inf and NaN, so a bias added anywhere but after the
-// finished sum shows. Every element of the destination
-// buffer outside the tile is a canary, and the whole buffer must come
-// out with equal bits, so a store outside the tile fails too.
+// 1..32 (the AVX-512 tile's one- and two-vector loops, the AVX2 tile's
+// two 16-column calls, each full vector and each masked edge), random
+// leading dimensions, reduction lengths and column counts, both layouts
+// of a, accumulating and overwriting, with and without a bias — whose
+// values include −0, ±Inf and NaN, so a bias added anywhere but after
+// the finished sum shows. Every element of the destination buffer
+// outside the tile is a canary, and the whole buffer must come out with
+// equal bits, so a store outside the tile fails too.
 func TestAsmTileMatchesGoTile(t *testing.T) {
 	tiers := Tiers()
 	if len(tiers) < 2 {
@@ -31,12 +32,12 @@ func TestAsmTileMatchesGoTile(t *testing.T) {
 	}
 	for _, tier := range tiers[:len(tiers)-1] {
 		rng := NewRNG(2024)
-		for iter := 0; iter < 2000; iter++ {
-			// Each (rows, cols) pair comes up once per 128 iterations,
+		for iter := 0; iter < 4000; iter++ {
+			// Each (rows, cols) pair comes up once per 256 iterations,
 			// every other time with a bias.
 			rows := 1 + iter%wideTileRows
-			cols := 1 + iter/wideTileRows%tileCols
-			withBias := iter/(wideTileRows*tileCols)%2 == 0
+			cols := 1 + iter/wideTileRows%wideTileCols
+			withBias := iter/(wideTileRows*wideTileCols)%2 == 0
 			k := 1 + rng.Intn(70)
 			ldd := cols + rng.Intn(40)
 			ldb := cols + rng.Intn(40)

@@ -17,4 +17,4 @@ func tileAVX512(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, 
 	panic("tensor: tileAVX512 without AVX-512")
 }
 
-func packT8AVX2(panel, b *float32, k, blocks int) { panic("tensor: packT8AVX2 without AVX2") }
+func packT8AVX2(panel, b *float32, k, ldp, blocks int) { panic("tensor: packT8AVX2 without AVX2") }
