@@ -106,7 +106,11 @@ test-race:
 # throttled batch shedding one member while its co-member steps on, a
 # server closing while a serial or batched request waits for memory (the
 # request leaves the queue ungranted and Close returns), a shedding
-# server whose traffic stopped admitting a new client, menos-fleetd's
+# server whose traffic stopped admitting a new client, an abandoned
+# session's teardown giving back everything its one scheduler record
+# held (the table, free, schedulable and parked bytes back where they
+# were, arena series at 0, goroutines gone), a duplicate Hello refused
+# while the live session steps on unchanged, menos-fleetd's
 # /place and
 # /drain handlers racing its poll and rebalance ticks (all four take
 # the controller's fleet.Manager lock), and the ledger's writers racing
@@ -120,7 +124,7 @@ test-race:
 test-stress:
 	$(GO) test -race -count=20 -run 'TestClaimVersusRevokeHammer' ./internal/sched
 	$(GO) test -race -count=20 -run TestLedgerConcurrentConservation ./internal/obs
-	$(GO) test -race -count=20 -run '^(TestContentionIsFig3d|TestBatchingFollowsPressure|TestSessionsStepOnTheirOwnArenas|TestLiveBatchedServerShedsMembers|TestCloseReturnsWhileARequestWaits|TestSheddingServerReopensWhenTrafficStops)$$' ./internal/server
+	$(GO) test -race -count=20 -run '^(TestContentionIsFig3d|TestBatchingFollowsPressure|TestSessionsStepOnTheirOwnArenas|TestLiveBatchedServerShedsMembers|TestCloseReturnsWhileARequestWaits|TestSheddingServerReopensWhenTrafficStops|TestAbruptDisconnectReleasesInstance|TestDuplicateHelloIsRefused)$$' ./internal/server
 	$(GO) test -race -count=20 -run TestHandlersRaceTheTicks ./cmd/menos-fleetd
 	$(GO) test -count=500 -run 'TestLayerNormInvarianceProperty' ./internal/nn
 	$(GO) test -count=40 -run 'TestPricedDemandsBoundTheBodyProperty' ./internal/memmodel

@@ -180,7 +180,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
-		admission := func() string { return dep.Server.Scheduler().AdmissionState().String() }
+		admission := func() string { return dep.Server.Scheduler().Load().Admission.String() }
 		opts := []obs.HandlerOption{
 			obs.WithAdmission(admission),
 			obs.WithLoadz(func() any { return dep.Server.LoadSnapshot() }),

@@ -81,10 +81,10 @@ func scriptedLedger(reg *obs.Registry) []obs.ClientUsage {
 	var now time.Duration
 	l := obs.NewLedger(obs.LedgerConfig{Clock: obs.ClockFunc(func() time.Duration { return now }), MaxClients: 2, Metrics: reg})
 
-	l.Acquire("persist:a", 1000)
-	l.Acquire("b", 300)
+	l.Hold("a", true, 1000)
+	l.Hold("b", false, 300)
 	now = 1500 * time.Millisecond
-	l.Acquire("persist:c", 70)
+	l.Hold("c", true, 70)
 	l.AddCompute("c", 0.1)
 	l.AddGrantWait("d", 0.2)
 	l.AddIteration("d")
@@ -95,7 +95,7 @@ func scriptedLedger(reg *obs.Registry) []obs.ClientUsage {
 	l.AddCompute("a", 0.2)
 	l.AddGrantWait("a", 1e-6)
 	l.AddIteration("a")
-	l.Acquire("a", 400)
+	l.Hold("a", false, 400)
 	now = 2 * time.Second
 	l.AddWire("a", 1234, 567)
 	l.AddWire("c", 0, 99)
@@ -109,9 +109,9 @@ func scriptedLedger(reg *obs.Registry) []obs.ClientUsage {
 	l.Revoke("a")
 	l.Revoke("d")
 	now = 3250 * time.Millisecond
-	l.Release("a", 400)
-	l.Release("b", 300)
-	l.Release("persist:c", 70)
+	l.Hold("a", false, -400)
+	l.Hold("b", false, -300)
+	l.Hold("c", true, -70)
 	l.AddCompute("a", 0.3)
 	l.AddIteration("a")
 	now = 4100 * time.Millisecond

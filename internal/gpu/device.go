@@ -48,8 +48,8 @@ type devMetrics struct {
 	allocOps *obs.Counter
 	oom      *obs.Counter
 	// ownerBytes attributes residency per allocation owner tag
-	// ("persist:<client>", "base-model", ...), the device-plane half of
-	// the per-tenant accounting story.
+	// ("persist:<client>", "base-model", ...), a label of this plane
+	// alone: the ledger learns persistence from the scheduler.
 	ownerBytes *obs.GaugeVec
 }
 

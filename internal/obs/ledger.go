@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -150,18 +149,6 @@ func NewLedger(cfg LedgerConfig) *Ledger {
 	}
 }
 
-// SplitOwner maps a memory-owner tag to the client it bills to and the
-// lifetime class of the bytes. The scheduler and device planes tag
-// persistent state (adapter weights, optimizer state) with the
-// "persist:" prefix; everything else is a transient per-iteration grant
-// billed to the owner verbatim.
-func SplitOwner(owner string) (client string, persistent bool) {
-	if c, ok := strings.CutPrefix(owner, "persist:"); ok {
-		return c, true
-	}
-	return owner, false
-}
-
 // accountFor returns the account billed for client, creating it on
 // first use and overflowing into the shared account past the cap.
 // Caller holds l.mu.
@@ -206,10 +193,13 @@ func (l *Ledger) accrueLocked(a *account, now time.Duration) {
 	}
 }
 
-// hold changes owner's held bytes by delta (floored at zero), accruing
-// the byte-seconds held up to now first.
-func (l *Ledger) hold(owner string, delta int64) {
-	client, persistent := SplitOwner(owner)
+// Hold changes the bytes client holds by delta (negative gives them
+// back, floored at zero), persistent (its reserved adapter and optimizer
+// state) or transient (a grant), accruing byte-seconds first. Safe on nil.
+func (l *Ledger) Hold(client string, persistent bool, delta int64) {
+	if l == nil || delta == 0 {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	a := l.accountFor(client)
@@ -219,22 +209,6 @@ func (l *Ledger) hold(owner string, delta int64) {
 		held = &a.persistentBytes
 	}
 	*held = max(*held+delta, 0)
-}
-
-// Acquire records that owner now holds bytes more GPU memory. Safe on
-// nil.
-func (l *Ledger) Acquire(owner string, bytes int64) {
-	if l != nil && bytes > 0 {
-		l.hold(owner, bytes)
-	}
-}
-
-// Release records that owner gave back bytes of GPU memory, accruing
-// the byte-seconds held up to now. Safe on nil.
-func (l *Ledger) Release(owner string, bytes int64) {
-	if l != nil && bytes > 0 {
-		l.hold(owner, -bytes)
-	}
 }
 
 // AddCompute bills seconds of server compute to client, observing the

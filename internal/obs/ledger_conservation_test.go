@@ -51,8 +51,8 @@ func TestLedgerConcurrentConservation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				c := ids[(w*7+i)%len(ids)]
-				l.Acquire("persist:"+c, 10)
-				l.Acquire(c, 7)
+				l.Hold(c, true, 10)
+				l.Hold(c, false, 7)
 				l.AddCompute(c, 0.25)
 				l.AddGrantWait(c, 0.5)
 				l.AddIteration(c)
@@ -61,8 +61,8 @@ func TestLedgerConcurrentConservation(t *testing.T) {
 				l.Shed(c)
 				l.Retry(c)
 				l.Revoke(c)
-				l.Release(c, 7)
-				l.Release("persist:"+c, 10)
+				l.Hold(c, false, -7)
+				l.Hold(c, true, -10)
 			}
 		}()
 	}

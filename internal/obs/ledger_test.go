@@ -17,14 +17,14 @@ func TestLedgerByteSecondsAccrual(t *testing.T) {
 	l := NewLedger(LedgerConfig{Clock: clk, Metrics: reg})
 
 	// client-1 pins 100 bytes of persistent state at t=0 ...
-	l.Acquire("persist:client-1", 100)
+	l.Hold("client-1", true, 100)
 	// ... and holds a 50-byte transient grant from t=2s to t=5s.
 	clk.now = 2 * time.Second
-	l.Acquire("client-1", 50)
+	l.Hold("client-1", false, 50)
 	clk.now = 5 * time.Second
-	l.Release("client-1", 50)
+	l.Hold("client-1", false, -50)
 	clk.now = 10 * time.Second
-	l.Release("persist:client-1", 100)
+	l.Hold("client-1", true, -100)
 
 	u, ok := l.Usage("client-1")
 	if !ok {
@@ -106,8 +106,8 @@ func TestLedgerOverflowAccount(t *testing.T) {
 func TestLedgerSnapshotSortedAndAccrued(t *testing.T) {
 	clk := &fakeTime{}
 	l := NewLedger(LedgerConfig{Clock: clk})
-	l.Acquire("persist:b", 10)
-	l.Acquire("persist:a", 10)
+	l.Hold("b", true, 10)
+	l.Hold("a", true, 10)
 	clk.now = 4 * time.Second
 	snap := l.Snapshot()
 	if len(snap) != 2 || snap[0].ID != "a" || snap[1].ID != "b" {
@@ -124,8 +124,10 @@ func TestLedgerSnapshotSortedAndAccrued(t *testing.T) {
 
 func TestLedgerNilSafety(t *testing.T) {
 	var l *Ledger
-	l.Acquire("persist:a", 1)
-	l.Release("a", 1)
+	l.Hold("a", false, 1)
+	l.Hold("a", false, -1)
+	l.Hold("a", true, 1)
+	l.Hold("a", true, -1)
 	l.AddCompute("a", 1)
 	l.AddGrantWait("a", 1)
 	l.AddIteration("a")
@@ -137,24 +139,5 @@ func TestLedgerNilSafety(t *testing.T) {
 	}
 	if _, ok := l.Usage("a"); ok {
 		t.Fatal("nil ledger must report no usage")
-	}
-}
-
-func TestSplitOwner(t *testing.T) {
-	cases := []struct {
-		owner      string
-		client     string
-		persistent bool
-	}{
-		{"persist:client-1", "client-1", true},
-		{"client-3", "client-3", false},
-		{"base-model", "base-model", false},
-	}
-	for _, c := range cases {
-		client, persistent := SplitOwner(c.owner)
-		if client != c.client || persistent != c.persistent {
-			t.Fatalf("SplitOwner(%q) = %q/%v, want %q/%v",
-				c.owner, client, persistent, c.client, c.persistent)
-		}
 	}
 }

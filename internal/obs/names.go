@@ -38,13 +38,13 @@ const (
 	MetricGPUAllocOps = "menos_gpu_alloc_ops_total"
 	MetricGPUOOM      = "menos_gpu_oom_total"
 	// Per-owner residency: a GaugeVec labeled {owner=...} where owner
-	// is the allocation tag ("persist:<client>", "base-model", ...).
+	// is the device's allocation tag ("persist:<client>", "base-model").
 	MetricGPUOwnerBytes = "menos_gpu_owner_bytes"
 
 	// Per-tenant accounting ledger (obs.Ledger), labeled {client=...}.
 	// Byte-second counters are integer-truncated accruals of
-	// bytes-held × seconds-held; persistent is adapter state pinned by
-	// Reserve, transient is per-iteration grant traffic.
+	// bytes-held × seconds-held; persistent is adapter state a client's
+	// reservation pins, transient is per-iteration grant traffic.
 	MetricGPUPersistentByteSeconds = "menos_gpu_persistent_byte_seconds_total"
 	MetricGPUTransientByteSeconds  = "menos_gpu_transient_byte_seconds_total"
 	MetricServerWireTxBytes        = "menos_server_wire_tx_bytes_total"

@@ -295,8 +295,9 @@ func (a *AdmissionController) evaluate(now, headAge time.Duration) {
 const settleTicks = 4 * admissionWindowSlices
 
 // settle evaluates at every slice boundary since the last evaluation,
-// then at now, headAge(t) being the queue head's age at t: the state a
-// controller ticking on the scheduler's clock would hold. Every
+// then at now if that is later (a second evaluation at one instant would
+// restart a calm dwell), headAge(t) being the queue head's age at t: the
+// state a controller ticking on the scheduler's clock would hold. Every
 // submission and release evaluates, so in between only the window
 // expires and the head ages. Open with nothing queued, time alone
 // changes nothing. Caller holds the scheduler mutex.
@@ -308,7 +309,9 @@ func (a *AdmissionController) settle(now time.Duration, headAge func(time.Durati
 		}
 		a.evaluate(t, headAge(t))
 	}
-	a.evaluate(now, headAge(now))
+	if now > a.last {
+		a.evaluate(now, headAge(now))
+	}
 }
 
 // transition moves to state and counts the transition. The hook,

@@ -37,7 +37,8 @@ func TestOversizeSubmitFailsFast(t *testing.T) {
 	})
 	t.Run("exceeds reserved floor", func(t *testing.T) {
 		s := New(100, PolicyFCFSBackfill)
-		if err := s.Reserve("kv", 60); err != nil {
+		kv := mustEnroll(t, s, "kv")
+		if err := kv.Reserve(60); err != nil {
 			t.Fatal(err)
 		}
 		if s.Schedulable() != 40 {
@@ -52,8 +53,9 @@ func TestOversizeSubmitFailsFast(t *testing.T) {
 		if s.QueueDepth() != 0 {
 			t.Fatalf("never-fits request was queued (depth %d)", s.QueueDepth())
 		}
-		// Releasing the reservation restores the full budget.
-		s.Complete("kv")
+		// Forgetting its client releases the reservation and restores
+		// the full budget.
+		kv.Forget()
 		granted := false
 		if err := s.Submit("a", KindBackward, 41, func() { granted = true }); err != nil {
 			t.Fatal(err)
@@ -215,8 +217,8 @@ func TestSchedulerShedsUnderStall(t *testing.T) {
 	if ov.RetryAfter <= 0 {
 		t.Fatalf("retry hint = %v, want > 0", ov.RetryAfter)
 	}
-	if s.AdmissionState() != StateShedding {
-		t.Fatalf("state = %v, want shedding", s.AdmissionState())
+	if s.Load().Admission != StateShedding {
+		t.Fatalf("state = %v, want shedding", s.Load().Admission)
 	}
 	if s.QueueDepth() != 1 {
 		t.Fatalf("shed request was queued (depth %d)", s.QueueDepth())
@@ -239,7 +241,7 @@ func TestSchedulerShedsUnderStall(t *testing.T) {
 	s.Complete("a")
 	s.Complete("b")
 	clk.advance(time.Minute)
-	for s.AdmissionState() != StateOpen {
+	for s.Load().Admission != StateOpen {
 		s.Complete("drain-tick") // no-op; schedule() re-evaluates
 		clk.advance(5 * time.Second)
 	}
@@ -253,8 +255,8 @@ func TestSchedulerShedsUnderStall(t *testing.T) {
 // path used by the byte-identical-experiments guarantee.
 func TestAdmissionDisabledIsInert(t *testing.T) {
 	s := New(100, PolicyFCFSBackfill)
-	if s.AdmissionState() != StateOpen {
-		t.Fatalf("state = %v, want open", s.AdmissionState())
+	if s.Load().Admission != StateOpen {
+		t.Fatalf("state = %v, want open", s.Load().Admission)
 	}
 	if st := s.AdmissionStats(); st != (AdmissionStats{}) {
 		t.Fatalf("stats = %+v, want zero", st)
@@ -350,22 +352,22 @@ func TestThrottledParityGoesWithTheRecord(t *testing.T) {
 	s.mu.Unlock()
 	grant := func() {}
 
-	c := s.Enroll("c")
+	c := mustEnroll(t, s, "c")
 	shed := 0
 	for i := 0; i < 10; i++ {
-		if err := s.Submit("c", KindForward, 10, grant); errors.Is(err, ErrOverloaded) {
+		if err := c.Submit(KindForward, 10, grant); errors.Is(err, ErrOverloaded) {
 			shed++
 		}
-		s.Complete("c")
+		c.Complete()
 	}
 	if shed != 5 {
 		t.Errorf("resident client shed %d of 10 throttled submissions, want 5", shed)
 	}
-	s.Forget(c)
+	c.Forget()
 
 	members := make([]BatchMember, 8)
 	for i := range members {
-		members[i] = BatchMember{Client: s.Enroll(fmt.Sprintf("m%d", i)), Bytes: 5}
+		members[i] = BatchMember{Client: mustEnroll(t, s, fmt.Sprintf("m%d", i)), Bytes: 5}
 	}
 	shed = 0
 	for i := 0; i < 10_000; i++ {
@@ -387,7 +389,7 @@ func TestThrottledParityGoesWithTheRecord(t *testing.T) {
 	if shed != 5_000 {
 		t.Errorf("%d of 10,000 throttled batches shed, want every second one", shed)
 	}
-	if st := s.AdmissionState(); st != StateThrottled {
+	if st := s.Load().Admission; st != StateThrottled {
 		t.Fatalf("admission left Throttled for %v", st)
 	}
 	if n := s.Stats().Identities; n > len(members) {
@@ -441,7 +443,7 @@ func TestThrottledBatchShedsMembers(t *testing.T) {
 	s, led := throttled()
 	members := make([]BatchMember, len(ids))
 	for i, id := range ids {
-		members[i] = BatchMember{Client: s.Enroll(id), Bytes: bytes}
+		members[i] = BatchMember{Client: mustEnroll(t, s, id), Bytes: bytes}
 	}
 	headStart(s)
 	batched := map[string]int{}
@@ -492,12 +494,14 @@ func TestThrottledBatchShedsMembers(t *testing.T) {
 	}
 }
 
-// TestStaleHandlesAreRefused: a batch member's handle names a current
-// enrollment in this scheduler or nothing. After Forget it is refused,
-// also once its record has been reused for another identity, and a
-// handle from another scheduler is refused; a refused batch takes
-// nothing. An enrolled record outlives a refused batch and an idle
-// period, though it is not resident.
+// TestStaleHandlesAreRefused: a handle names a current enrollment in
+// its scheduler or nothing. After Forget it is refused, as a batch
+// member and in its own calls, also once its record has been reused for
+// another identity, whose enrollment a stale Forget does not end; a
+// handle from another scheduler is refused as a member; a refused batch
+// takes nothing. An enrolled ID cannot be enrolled again while its
+// handle is live. An enrolled record outlives a refused batch and an
+// idle period, though it is not resident.
 func TestStaleHandlesAreRefused(t *testing.T) {
 	s := New(100, PolicyFCFSBackfill)
 	grant := func() {}
@@ -514,7 +518,7 @@ func TestStaleHandlesAreRefused(t *testing.T) {
 		}
 	}
 
-	a := s.Enroll("a")
+	a := mustEnroll(t, s, "a")
 	refused("zero handle", submit("b0", Handle{}))
 	// The enrolled record outlives a refused batch and an idle period.
 	if err := s.SubmitBatch("b1", KindForward, []BatchMember{{Client: a, Bytes: 5}, {Client: a, Bytes: 5}}, grant); !errors.Is(err, ErrOutstanding) {
@@ -542,11 +546,12 @@ func TestStaleHandlesAreRefused(t *testing.T) {
 	}
 	s.Complete("b2")
 
-	s.Forget(a)
+	a.Forget()
 	refused("after Forget", submit("b3", a))
+	refused("a forgotten handle's own submission", a.Submit(KindForward, 5, grant))
 	// a's record goes back to the free list, and the next new identity
 	// takes it: the stale handle must not submit as that identity.
-	b := s.Enroll("b")
+	b := mustEnroll(t, s, "b")
 	s.mu.Lock()
 	reused := b.rec == rec
 	s.mu.Unlock()
@@ -554,26 +559,28 @@ func TestStaleHandlesAreRefused(t *testing.T) {
 		t.Fatal("b did not reuse a's record; the test needs it to")
 	}
 	refused("after the record was reused", submit("b4", a))
+	refused("a stale handle's own submission on a reused record", a.Submit(KindForward, 5, grant))
+	a.Forget() // stale: must not end b's enrollment on the reused record
 	if err := submit("b5", b); err != nil {
-		t.Fatalf("b's own handle: %v", err)
+		t.Fatalf("b's own handle after a stale Forget: %v", err)
 	}
 	s.Complete("b5")
 
-	// Enrolling again retires the handle before.
-	b2 := s.Enroll("b")
-	refused("a retired handle", submit("b6", b))
-	s.Forget(b) // a retired handle ends nothing
-	if err := submit("b7", b2); err != nil {
-		t.Fatalf("b's current handle after a stale Forget: %v", err)
+	// Enrolling an enrolled ID is refused, and the live handle keeps
+	// working.
+	if _, err := s.Enroll("b"); !errors.Is(err, ErrOutstanding) {
+		t.Fatalf("second enrollment of b: err = %v, want ErrOutstanding", err)
+	}
+	if err := submit("b7", b); err != nil {
+		t.Fatalf("b's handle after a refused enrollment: %v", err)
 	}
 	s.Complete("b7")
 
 	other := New(100, PolicyFCFSBackfill)
-	foreign := other.Enroll("b")
+	foreign := mustEnroll(t, other, "b")
 	refused("a handle from another scheduler", submit("b8", foreign))
-	s.Forget(foreign) // not this scheduler's: ends nothing here
-	if err := submit("b9", b2); err != nil {
-		t.Fatalf("b's handle after a foreign Forget: %v", err)
+	if err := submit("b9", b); err != nil {
+		t.Fatalf("b's handle beside a foreign one: %v", err)
 	}
 	s.Complete("b9")
 }
@@ -606,11 +613,11 @@ func TestAdmissionStateTicksThroughIdleTime(t *testing.T) {
 		tickedClk.advance(slice)
 		ticked.Complete("tick") // a release evaluates, nothing else
 	}
-	if st := read.AdmissionState(); st != StateShedding {
+	if st := read.Load().Admission; st != StateShedding {
 		t.Fatalf("state before the idle stretch %v, want shedding", st)
 	}
 	readClk.advance(20 * slice)
-	if got, want := read.AdmissionState(), ticked.AdmissionState(); got != StateOpen || want != StateOpen {
+	if got, want := read.Load().Admission, ticked.Load().Admission; got != StateOpen || want != StateOpen {
 		t.Fatalf("after 20 idle slices: read %v, ticked %v, want open", got, want)
 	}
 	if got, want := read.AdmissionStats(), ticked.AdmissionStats(); got != want {

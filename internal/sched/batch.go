@@ -78,9 +78,8 @@ type BatchMember struct {
 // as one observation in the unlabeled wait histogram, so per-client
 // series still sum to the aggregate. Until Complete(batchID), members
 // may not hold or queue a request of their own nor ride another batch
-// ("persist:"-prefixed reservations are separate identities and fine).
-// A member whose handle is not enrolled in s is refused like a member
-// named twice.
+// (a reservation is no request). A member whose handle is not enrolled
+// in s is refused like a member named twice.
 //
 // Admission control decides each member on its own record's parity, as
 // a serial submission: a member it sheds gets that shed in its Err, is

@@ -34,7 +34,10 @@ func newRoster(s *Scheduler) *roster { return &roster{s: s, h: map[string]Handle
 func (r *roster) handle(id string) Handle {
 	h, ok := r.h[id]
 	if !ok {
-		h = r.s.Enroll(id)
+		var err error
+		if h, err = r.s.Enroll(id); err != nil {
+			panic(err) // the roster enrolls each ID once
+		}
 		r.h[id] = h
 	}
 	return h
@@ -49,9 +52,9 @@ func (r *roster) batch(specs ...spec) []BatchMember {
 	return members
 }
 
-// forget ends id's enrollment.
+// forget releases what id's record holds and ends its enrollment.
 func (r *roster) forget(id string) {
-	r.s.Forget(r.h[id])
+	r.h[id].Forget()
 	delete(r.h, id)
 }
 
@@ -208,24 +211,34 @@ func TestSubmitBatchRejections(t *testing.T) {
 }
 
 // TestPlainCycleAllocs pins the heap cost of the uncontended serial
-// Submit→grant→Complete cycle at nothing: the request comes back from
-// the scheduler's free list and the grant list lives on the stack, so
-// carrying a member share on every request stays free. sim_fleet runs
-// hundreds of thousands of these per window.
+// Submit→grant→Complete cycle at nothing, by handle and by ID: the
+// request comes back from the scheduler's free list and the grant list
+// lives on the stack, so carrying a member share on every request stays
+// free. sim_fleet runs hundreds of thousands of these per window.
 func TestPlainCycleAllocs(t *testing.T) {
 	s := New(100, PolicyFCFSBackfill)
-	if err := s.Reserve("persist:a", 10); err != nil {
+	a := mustEnroll(t, s, "a")
+	if err := a.Reserve(10); err != nil {
 		t.Fatal(err)
 	}
 	grant := func() {}
-	got := testing.AllocsPerRun(1000, func() {
-		if err := s.Submit("a", KindForward, 40, grant); err != nil {
-			t.Fatal(err)
+	for name, cycle := range map[string]func(){
+		"by handle": func() {
+			if err := a.Submit(KindForward, 40, grant); err != nil {
+				t.Fatal(err)
+			}
+			a.Complete()
+		},
+		"by ID": func() {
+			if err := s.Submit("b", KindForward, 40, grant); err != nil {
+				t.Fatal(err)
+			}
+			s.Complete("b")
+		},
+	} {
+		if got := testing.AllocsPerRun(1000, cycle); got > 0 {
+			t.Errorf("plain Submit→Complete cycle %s allocates %v objects, want 0", name, got)
 		}
-		s.Complete("a")
-	})
-	if got > 0 {
-		t.Errorf("plain Submit→Complete cycle allocates %v objects, want 0", got)
 	}
 	// 128 bytes is the request's size class: a field more moves every
 	// request of every plane, and the free list, to the 144-byte class.
@@ -240,7 +253,7 @@ func TestPlainCycleAllocs(t *testing.T) {
 func batchCycle(tb testing.TB, s *Scheduler) func() {
 	members := make([]BatchMember, 8)
 	for i := range members {
-		members[i] = BatchMember{Client: s.Enroll(fmt.Sprintf("m%d", i)), Bytes: 5}
+		members[i] = BatchMember{Client: mustEnroll(tb, s, fmt.Sprintf("m%d", i)), Bytes: 5}
 	}
 	grant := func() {}
 	return func() {
@@ -293,10 +306,11 @@ func BenchmarkSchedulerCycle(b *testing.B) {
 	})
 }
 
-// TestIdentityTableOnlyHoldsWhatItNeeds: a reservation leaves no record
-// behind, a batch ID's record goes at release, a granted client's stays
-// (it is resident) and an enrolled one's stays until Forget, and Forget
-// on an identity still held drops it at release instead.
+// TestIdentityTableOnlyHoldsWhatItNeeds: a reservation is a field of its
+// client's record, not a record of its own, and Forget releases it with
+// the record; a batch ID's record goes at release, a granted client's
+// stays (it is resident) and an enrolled one's stays until Forget, and
+// Forget on an identity still held drops it at release instead.
 func TestIdentityTableOnlyHoldsWhatItNeeds(t *testing.T) {
 	s := New(100, PolicyFCFSBackfill)
 	r := newRoster(s)
@@ -307,16 +321,24 @@ func TestIdentityTableOnlyHoldsWhatItNeeds(t *testing.T) {
 			t.Errorf("%s: %d identities, want %d", when, got, want)
 		}
 	}
-	if err := s.Reserve("persist:a", 10); err != nil {
+	if err := r.handle("a").Reserve(10); err != nil {
 		t.Fatal(err)
 	}
-	identities(1, "reserved")
-	s.Complete("persist:a")
-	identities(0, "reservation completed")
-	if err := s.Reserve("persist:a", 1000); !errors.Is(err, ErrNeverFits) {
+	identities(1, "a reserved")
+	if err := r.handle("a").Reserve(10); !errors.Is(err, ErrOutstanding) {
+		t.Fatalf("second reservation: err = %v", err)
+	}
+	r.forget("a")
+	identities(0, "a forgotten with its reservation")
+	if s.Schedulable() != 100 || s.Available() != 100 {
+		t.Fatalf("schedulable %d, available %d after Forget, want 100", s.Schedulable(), s.Available())
+	}
+	if err := r.handle("a").Reserve(1000); !errors.Is(err, ErrNeverFits) {
 		t.Fatalf("oversized reservation: err = %v", err)
 	}
-	identities(0, "reservation refused")
+	identities(1, "a's reservation refused: a stays enrolled")
+	r.forget("a")
+	identities(0, "a forgotten")
 
 	mustSubmit(t, s, "a", KindForward, 10, c.grant("a"))
 	if err := s.SubmitBatch("b1", KindForward, r.batch(spec{"x", 5}, spec{"y", 5}), c.grant("b1")); err != nil {
@@ -337,8 +359,8 @@ func TestIdentityTableOnlyHoldsWhatItNeeds(t *testing.T) {
 	identities(3, "y forgotten while b2 holds it")
 	s.Complete("b2")
 	identities(1, "b2 completed")
-	s.Forget(s.Enroll("a")) // a client that never batched is forgotten through a handle too
-	s.Forget(Handle{})
+	mustEnroll(t, s, "a").Forget() // a client that never batched is forgotten through a handle too
+	Handle{}.Forget()
 	identities(0, "everyone forgotten")
 
 	if err := s.SubmitBatch("b3", KindForward, r.batch(spec{"z", 5}, spec{"z", 5}), c.grant("b3")); !errors.Is(err, ErrOutstanding) {
@@ -355,8 +377,8 @@ func TestIdentityTableOnlyHoldsWhatItNeeds(t *testing.T) {
 
 // TestSerialRequestIsBatchOfOne drives one seeded random interleaving of
 // submits, completes, oversized and duplicate requests twice — once
-// through Submit(id, …), once through SubmitBatch(id, {id}) with every
-// client enrolled in both — under
+// through the client's Handle.Submit, once through SubmitBatch(id, {id})
+// with every client enrolled in both — under
 // every policy with and without admission control, and requires the two
 // runs to be indistinguishable: verdicts, grant order, Stats, ledger
 // rows and every menos_sched_* sample.
@@ -375,13 +397,13 @@ func TestSerialRequestIsBatchOfOne(t *testing.T) {
 		s := New(100, policy)
 		led := obs.NewLedger(obs.LedgerConfig{Clock: clk, Metrics: reg})
 		mustWire(t, s, Wiring{Metrics: reg, Clock: clk, Ledger: led, SLO: slo})
-		if err := s.Reserve("persist:c0", 10); err != nil {
-			t.Fatal(err)
-		}
 		// Both runs enroll every client, so their identity tables match.
 		r := newRoster(s)
 		for i := 0; i < 12; i++ {
 			r.handle(fmt.Sprintf("c%d", i))
+		}
+		if err := r.handle("c0").Reserve(10); err != nil {
+			t.Fatal(err)
 		}
 
 		var out outcome
@@ -403,7 +425,7 @@ func TestSerialRequestIsBatchOfOne(t *testing.T) {
 			if batched {
 				err = s.SubmitBatch(id, kind, r.batch(spec{id, bytes}), c.grant(id))
 			} else {
-				err = s.Submit(id, kind, bytes, c.grant(id))
+				err = r.handle(id).Submit(kind, bytes, c.grant(id))
 			}
 			out.verdicts = append(out.verdicts, fmt.Sprintf("submit %s %v %d: %v", id, kind, bytes, err))
 		}

@@ -24,30 +24,40 @@ import (
 // digests were re-recorded once, when admission control began deciding
 // each batch member on its own parity instead of the batch on its batch
 // ID's: every one of those programs sheds batch members while throttled
-// (traceCoverage.throttledMembers).
+// (traceCoverage.throttledMembers). All twelve were re-recorded once
+// more when a client's calls moved onto its enrollment handle and its
+// reservation onto its record: the programs name clients by handle,
+// release a reservation with Forget instead of a Complete on a second
+// identity, no longer collide a batch ID with a reservation, no longer
+// grow, park or claim a batch by its batch ID, and run eight seeds
+// instead of four. The same programs, each handle call spelled as the
+// string call it replaces, reproduce these digests on the string-keyed
+// scheduler.
 var schedTracePins = map[string]string{
-	"fcfs+backfill/admission=false/ledger=false":  "f7c6adc958878c77abad1f9f1768bcb46eee3734e650021db70988d7a4846246",
-	"fcfs+backfill/admission=false/ledger=true":   "3a4a0008730f3b033d54ae372e14a54ae0b6c0dd6835ac173a4edf368328129b",
-	"fcfs+backfill/admission=true/ledger=false":   "30c3b2756b0683eae077d3cd305746a939a485a0517495a2ed331fe2df26f8dd",
-	"fcfs+backfill/admission=true/ledger=true":    "960f99746a4bb70b8f883cecf24e15a00a441322d30b9a463d33fb775a6070ef",
-	"fcfs/admission=false/ledger=false":           "1135da93ee09bc73c804ffaf54790122060db727dfee5dad38a6c54774b35a75",
-	"fcfs/admission=false/ledger=true":            "9eb3b8a84b1dc6282d4d949e55f220674e819e4321f6e852c73065eaf8361443",
-	"fcfs/admission=true/ledger=false":            "362670c79e55dd9c2179318944500c54d298ef22638a7b389e2c46c36f41f98d",
-	"fcfs/admission=true/ledger=true":             "442d05b6a701b4e1ecafbcd9d281b8ab1521dbfd2b97ff45ac814e08dcabfb5b",
-	"smallest-first/admission=false/ledger=false": "b5880b763c72097ebc6f03d62ceab4409073a930a57437eed2f30e90485e1945",
-	"smallest-first/admission=false/ledger=true":  "bc4c6d9b0f715d00d10f7236c549f0f6979abe6199a69880122662441a164499",
-	"smallest-first/admission=true/ledger=false":  "f1eab93dea8be52cf7c92e736048330b5390441df26949c339af7b0ceaaa5134",
-	"smallest-first/admission=true/ledger=true":   "bc04b8078e3e845f8db146b23dbbade81ff6019adb01f885b807f6383bf3bd98",
+	"fcfs+backfill/admission=false/ledger=false":  "87f752e3faf2109e56c11bedc893067d428c7e14e0d9ee1acc4b9b82e6a23345",
+	"fcfs+backfill/admission=false/ledger=true":   "f67dae32b3f2521117a2515be3497f92a2a78f669cd7d433711cded471ed39e7",
+	"fcfs+backfill/admission=true/ledger=false":   "b5eb16cb8228631434514d80640121cfd2ddb0726217041e196cdfc1150e8ceb",
+	"fcfs+backfill/admission=true/ledger=true":    "ef2973e38db74708ff0a9318d364580ee870bddc3e9adc0255cb1ed77dcbda0e",
+	"fcfs/admission=false/ledger=false":           "37e7d74ce0b4f057d9036a2f270f0ac0c5f3341dc535794f6945688d49a90512",
+	"fcfs/admission=false/ledger=true":            "a45545ea497d4e8e2ba40333210480d2b28cc5f56f8fed869251e91c885c39cf",
+	"fcfs/admission=true/ledger=false":            "e069b3f727b1ac27ed97474ec85e28904473d2af1dccaa01a959fcae313c0b69",
+	"fcfs/admission=true/ledger=true":             "9cd25f97bf3e6dd5987e256c47806ec108fe2c80cc8b2f44a02fbd403ee36f80",
+	"smallest-first/admission=false/ledger=false": "61b5ac67855d3b2aaab5755ea099c8aeddc36a3032656e10e9228eb641f50007",
+	"smallest-first/admission=false/ledger=true":  "4e85cf154ac4d0117f9527ef394b33305492d9b4e87f19bf550ce3647609fb14",
+	"smallest-first/admission=true/ledger=false":  "56e92ff8ee1dfd7a2395d43a3f295d334003f46424a5f8d120084c6d83be61ad",
+	"smallest-first/admission=true/ledger=true":   "1cb78efcc9ed154fad5a9bbd7c047222aff63777a9dbf84990a1c7ca4ba98c1b",
 }
 
 // TestSchedulerTraceIsPinned runs seeded random programs of every
-// scheduler entry point — Submit, SubmitBatch (duplicate members, batch
-// IDs that collide with live identities), Reserve, Grow, Park, Claim,
-// revocation, Complete and Close, with oversized requests among them —
-// and hashes what each call shows: its error (sentinel and text), every
-// grant and revocation in the order they fire, Stats, Available,
-// Parked, QueueDepth and Schedulable after it, and at the end the
-// admission stats, the ledger rows and every menos_sched_* sample.
+// scheduler entry point — a client's Submit, Reserve, Grow, Park, Claim,
+// Complete and Forget through its handle (each client enrolls at its
+// first call), SubmitBatch (duplicate members, batch IDs that collide
+// with live identities), a batch's Complete by its ID, revocation and
+// Close, with oversized requests among them — and hashes what each call
+// shows: its error (sentinel and text), every grant and revocation in
+// the order they fire, Stats, Available, Parked, QueueDepth and
+// Schedulable after it, and at the end the admission stats, the ledger
+// rows and every menos_sched_* sample.
 func TestSchedulerTraceIsPinned(t *testing.T) {
 	for _, policy := range []Policy{PolicyFCFSBackfill, PolicyFCFS, PolicySmallestFirst} {
 		for _, admission := range []bool{false, true} {
@@ -55,7 +65,7 @@ func TestSchedulerTraceIsPinned(t *testing.T) {
 				name := fmt.Sprintf("%v/admission=%v/ledger=%v", policy, admission, ledger)
 				h := sha256.New()
 				var seen traceCoverage
-				for seed := int64(1); seed <= 4; seed++ {
+				for seed := int64(1); seed <= 8; seed++ {
 					seen.add(schedTrace(t, h, seed, policy, admission, ledger))
 				}
 				seen.check(t, name, policy, admission)
@@ -79,6 +89,7 @@ type traceCoverage struct {
 	collisions  int // batch IDs refused as an outstanding identity
 	oversized   int // ErrNeverFits
 	reserves    int // Reserve calls accepted
+	released    int // Forget calls that released a reservation
 	closedCalls int // calls refused with ErrClosed
 	// throttledMembers counts batch members shed while Throttled: where
 	// admission decides per member instead of per batch.
@@ -99,6 +110,7 @@ func (c *traceCoverage) add(o traceCoverage) {
 	c.collisions += o.collisions
 	c.oversized += o.oversized
 	c.reserves += o.reserves
+	c.released += o.released
 	c.closedCalls += o.closedCalls
 	c.throttledMembers += o.throttledMembers
 }
@@ -115,6 +127,7 @@ func (c *traceCoverage) check(t *testing.T, name string, policy Policy, admissio
 		"batch ID collision": int64(c.collisions),
 		"oversized requests": int64(c.oversized),
 		"reservations":       int64(c.reserves),
+		"reservations freed": int64(c.released),
 		"calls after Close":  int64(c.closedCalls),
 	} {
 		if n == 0 {
@@ -168,13 +181,21 @@ func schedTrace(t *testing.T, h hash.Hash, seed int64, policy Policy, admission,
 		}
 	}
 	// Grow, Park, Claim and Complete name the latest grant or park half
-	// the time:
-	// a random client rarely holds one.
-	var lastGrant, lastPark string
+	// the time: a random client rarely holds one. Grow, Park and Claim
+	// name a client, whose grant is plain; Complete names a batch by its
+	// batch ID, which no handle names.
+	var lastGrant, lastPlain, lastPark string
+	lastIsBatch := false
 	grant := func(id string) func() {
 		return func() {
 			put("grant %s\n", id)
-			lastGrant = id
+			lastGrant, lastPlain, lastIsBatch = id, id, false
+		}
+	}
+	batchGrant := func(id string) func() {
+		return func() {
+			put("grant %s\n", id)
+			lastGrant, lastIsBatch = id, true
 		}
 	}
 	revoke := func(id string) func() { return func() { put("revoke %s\n", id) } }
@@ -193,7 +214,7 @@ func schedTrace(t *testing.T, h hash.Hash, seed int64, policy Policy, admission,
 		}
 		return KindBackward
 	}
-	clients := newRoster(s) // a member enrolls at its first batch
+	clients := newRoster(s) // a client enrolls at its first call or batch
 	var batchIDs []string   // every batch ID submitted, live or not
 	nextBatch, newcomers := 0, 0
 	closeAt := 420 + rng.Intn(60)
@@ -213,11 +234,10 @@ func schedTrace(t *testing.T, h hash.Hash, seed int64, policy Policy, admission,
 			if rng.Intn(8) == 0 {
 				b = int64(rng.Intn(30)) + 81 // above 100 never fits
 			}
-			verdict(fmt.Sprintf("submit %s %v %d", id, k, b), s.Submit(id, k, b, grant(id)))
+			verdict(fmt.Sprintf("submit %s %v %d", id, k, b), clients.handle(id).Submit(k, b, grant(id)))
 		case r < 32:
 			// A fresh batch ID, or one that may collide: a batch ID
-			// already used (live or completed), a client's own ID, or a
-			// reservation's.
+			// already used (live or completed) or a client's own ID.
 			var bid string
 			switch c := rng.Intn(10); {
 			case c < 6 || len(batchIDs) == 0:
@@ -225,10 +245,8 @@ func schedTrace(t *testing.T, h hash.Hash, seed int64, policy Policy, admission,
 				nextBatch++
 			case c < 8:
 				bid = batchIDs[rng.Intn(len(batchIDs))]
-			case c < 9:
-				bid = client()
 			default:
-				bid = "persist:" + client()
+				bid = client()
 			}
 			batchIDs = append(batchIDs, bid)
 			specs := make([]spec, 1+rng.Intn(4)) // duplicates arise: 10 clients
@@ -239,7 +257,7 @@ func schedTrace(t *testing.T, h hash.Hash, seed int64, policy Policy, admission,
 				specs[len(specs)-1].id = bid // a member named like its batch
 			}
 			batch := clients.batch(specs...)
-			err := s.SubmitBatch(bid, kind(), batch, grant(bid))
+			err := s.SubmitBatch(bid, kind(), batch, batchGrant(bid))
 			verdict(fmt.Sprintf("batch %s %v %v", bid, specs, err == nil), err)
 			for _, m := range batch {
 				var ov *OverloadError
@@ -256,37 +274,50 @@ func schedTrace(t *testing.T, h hash.Hash, seed int64, policy Policy, admission,
 				cov.collisions++
 			}
 		case r < 38:
-			id, b := "persist:"+client(), int64(rng.Intn(30))+1
-			err := s.Reserve(id, b)
+			id, b := client(), int64(rng.Intn(30))+1
+			err := clients.handle(id).Reserve(b)
 			if err == nil {
 				cov.reserves++
 			}
 			verdict(fmt.Sprintf("reserve %s %d", id, b), err)
 		case r < 46:
-			id, b := recent(lastGrant), int64(rng.Intn(60))+1
-			put("grow %s %d: %v\n", id, b, s.Grow(id, b))
+			id, b := recent(lastPlain), int64(rng.Intn(60))+1
+			put("grow %s %d: %v\n", id, b, clients.handle(id).Grow(b))
 		case r < 54:
-			id := recent(lastGrant)
+			id := recent(lastPlain)
 			lastPark = id
 			put("park %s\n", id)
-			s.Park(id, revoke(id))
+			h := clients.handle(id)
+			h.Park(revoke(id))
 			if rng.Intn(3) == 0 { // the backward arrives before anyone needs the bytes
-				put("claim %s: %v\n", id, s.Claim(id))
+				put("claim %s: %v\n", id, h.Claim())
 			}
 		case r < 60:
 			id := recent(lastPark)
-			put("claim %s: %v\n", id, s.Claim(id))
+			put("claim %s: %v\n", id, clients.handle(id).Claim())
 		default:
-			var id string
 			switch c := rng.Intn(10); {
 			case c < 6:
-				id = recent(lastGrant)
+				id := recent(lastGrant)
+				if lastIsBatch && id == lastGrant {
+					put("complete %s: %d\n", id, s.Complete(id))
+				} else {
+					put("complete %s: %d\n", id, clients.handle(id).Complete())
+				}
 			case c < 8 && len(batchIDs) > 0:
-				id = batchIDs[rng.Intn(len(batchIDs))]
+				id := batchIDs[rng.Intn(len(batchIDs))]
+				put("complete %s: %d\n", id, s.Complete(id))
 			default:
-				id = "persist:" + client()
+				// The client leaves: its grant and reservation go back, and
+				// it enrolls anew at its next call.
+				id := client()
+				schedulable := s.Schedulable()
+				put("forget %s\n", id)
+				clients.forget(id)
+				if s.Schedulable() > schedulable {
+					cov.released++
+				}
 			}
-			put("complete %s: %d\n", id, s.Complete(id))
 		}
 		st := s.Stats()
 		put("avail %d parked %d depth %d schedulable %d | %d %d %d %d %d %d %d %d %d\n",
@@ -297,7 +328,7 @@ func schedTrace(t *testing.T, h hash.Hash, seed int64, policy Policy, admission,
 
 	cov.stats, cov.adm = s.Stats(), s.AdmissionStats()
 	a := cov.adm
-	put("admission %v %d %d %d %d %v\n", a.State, a.P99, a.Transitions, a.Shed, a.Deferred, s.AdmissionState())
+	put("admission %v %d %d %d %d %v\n", a.State, a.P99, a.Transitions, a.Shed, a.Deferred, s.Load().Admission)
 	for _, u := range led.Snapshot() {
 		put("ledger %+v\n", u)
 	}

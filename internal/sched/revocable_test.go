@@ -10,15 +10,19 @@ import (
 	"menos/internal/obs"
 )
 
-// parkedGrant submits a forward grant of fwd bytes for id, grows it to
-// bwd and parks it; revoked counts the hook's firings.
-func parkedGrant(t *testing.T, s *Scheduler, id string, fwd, bwd int64, revoked *atomic.Int64) {
+// parkedGrant enrolls id, submits a forward grant of fwd bytes for it,
+// grows it to bwd and parks it; revoked counts the hook's firings.
+func parkedGrant(t *testing.T, s *Scheduler, id string, fwd, bwd int64, revoked *atomic.Int64) Handle {
 	t.Helper()
-	mustSubmit(t, s, id, KindForward, fwd, func() {})
-	if !s.Grow(id, bwd) {
+	h := mustEnroll(t, s, id)
+	if err := h.Submit(KindForward, fwd, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if !h.Grow(bwd) {
 		t.Fatalf("%s: grow to %d refused with %d free", id, bwd, s.Available())
 	}
-	s.Park(id, func() { revoked.Add(1) })
+	h.Park(func() { revoked.Add(1) })
+	return h
 }
 
 // TestGrowNeverQueuesNorRevokes: grow takes strictly free bytes only —
@@ -28,46 +32,65 @@ func TestGrowNeverQueuesNorRevokes(t *testing.T) {
 	var revoked atomic.Int64
 	parkedGrant(t, s, "parked", 10, 50, &revoked) // 50 parked, 50 free
 
-	mustSubmit(t, s, "a", KindForward, 10, func() {})
-	if s.Grow("a", 60) { // needs 50 more, 40 strictly free
+	a := mustEnroll(t, s, "a")
+	if err := a.Submit(KindForward, 10, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if a.Grow(60) { // needs 50 more, 40 strictly free
 		t.Fatal("grow took parked bytes")
 	}
 	if allocated(s, "a") != 10 || revoked.Load() != 0 || s.Parked() != 50 {
 		t.Fatalf("refused grow moved state: a=%d revoked=%d parked=%d", allocated(s, "a"), revoked.Load(), s.Parked())
 	}
-	if !s.Grow("a", 50) { // exactly the 40 free bytes
+	if !a.Grow(50) { // exactly the 40 free bytes
 		t.Fatal("grow into strictly free bytes refused")
 	}
 	if allocated(s, "a") != 50 || s.Available() != 50 {
 		t.Fatalf("after grow: a=%d available=%d, want 50 and 50 (the parked bytes)", allocated(s, "a"), s.Available())
 	}
-	if s.Complete("a") != 50 {
+	if a.Complete() != 50 {
 		t.Fatal("complete did not return the grown grant")
 	}
 
 	// A waiting request vetoes every grow, however much is free.
 	s = New(100, PolicyFCFS)
 	mustSubmit(t, s, "holder", KindBackward, 80, func() {})
-	mustSubmit(t, s, "b", KindForward, 5, func() {})
-	mustSubmit(t, s, "waiter", KindBackward, 90, func() {})
-	if s.QueueDepth() != 1 || s.Grow("b", 10) {
+	b, waiter := mustEnroll(t, s, "b"), mustEnroll(t, s, "waiter")
+	if err := b.Submit(KindForward, 5, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := waiter.Submit(KindBackward, 90, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if s.QueueDepth() != 1 || b.Grow(10) {
 		t.Fatalf("grow granted with %d request(s) waiting", s.QueueDepth())
 	}
-	// Not a live plain grant: unknown, queued, reserved, parked.
-	if s.Grow("nobody", 1) || s.Grow("waiter", 95) {
+	// Not a live plain grant: nothing held, queued, reserved, parked.
+	nobody := mustEnroll(t, s, "nobody")
+	if nobody.Grow(1) || waiter.Grow(95) {
 		t.Fatal("grow of a request that holds no grant")
+	}
+	reserved := mustEnroll(t, s, "reserved")
+	if err := reserved.Reserve(5); err != nil || reserved.Grow(10) {
+		t.Fatalf("a reservation grew (reserve: %v)", err)
+	}
+	s = New(100, PolicyFCFS)
+	p := parkedGrant(t, s, "parked", 10, 20, &revoked)
+	if p.Grow(30) {
+		t.Fatal("a parked grant grew")
 	}
 }
 
 // TestRevocationIsSynchronousOldestFirstAndMinimal: a Submit or Reserve
 // that fits only by revoking is granted inside the call, takes the
-// oldest parked grants first and no more of them than it needs.
+// oldest parked grants first and no more of them than it needs; Forget
+// gives a reservation back as one completion.
 func TestRevocationIsSynchronousOldestFirstAndMinimal(t *testing.T) {
 	s := New(100, PolicyFCFSBackfill)
 	var r1, r2, r3 atomic.Int64
-	parkedGrant(t, s, "p1", 5, 30, &r1)
+	p1 := parkedGrant(t, s, "p1", 5, 30, &r1)
 	parkedGrant(t, s, "p2", 5, 30, &r2)
-	parkedGrant(t, s, "p3", 5, 30, &r3) // 90 parked, 10 free
+	p3 := parkedGrant(t, s, "p3", 5, 30, &r3) // 90 parked, 10 free
 	if s.Available() != 100 || s.Parked() != 90 {
 		t.Fatalf("available %d parked %d, want 100 and 90", s.Available(), s.Parked())
 	}
@@ -88,7 +111,7 @@ func TestRevocationIsSynchronousOldestFirstAndMinimal(t *testing.T) {
 	if r1.Load() != 1 || r2.Load() != 0 || r3.Load() != 0 {
 		t.Fatalf("revoked p1=%d p2=%d p3=%d, want the oldest only", r1.Load(), r2.Load(), r3.Load())
 	}
-	if s.Claim("p1") {
+	if p1.Claim() {
 		t.Fatal("claim after revoke succeeded")
 	}
 	if allocated(s, "p1") != 0 {
@@ -96,22 +119,23 @@ func TestRevocationIsSynchronousOldestFirstAndMinimal(t *testing.T) {
 	}
 
 	// Reserve takes the same path: 5 free, needs p2 as well.
-	if err := s.Reserve("persist:y", 30); err != nil {
+	y := mustEnroll(t, s, "y")
+	if err := y.Reserve(30); err != nil {
 		t.Fatalf("reserve that fits by revoking: %v", err)
 	}
 	if r2.Load() != 1 || r3.Load() != 0 {
 		t.Fatalf("reserve revoked p2=%d p3=%d, want p2 only", r2.Load(), r3.Load())
 	}
 	// p3 survived both and is claimed intact; its hook can never fire now.
-	if !s.Claim("p3") || s.Parked() != 0 {
+	if !p3.Claim() || s.Parked() != 0 {
 		t.Fatal("surviving parked grant not claimable")
 	}
-	if err := s.Reserve("persist:z", 10); err == nil {
+	if err := mustEnroll(t, s, "z").Reserve(10); err == nil {
 		t.Fatal("reserve took a claimed grant's bytes")
 	}
-	s.Complete("p3")
+	p3.Complete()
 	s.Complete("x")
-	s.Complete("persist:y")
+	y.Forget()
 	if s.Available() != 100 || s.Schedulable() != 100 || r3.Load() != 0 {
 		t.Fatalf("available %d schedulable %d p3 revoked %d", s.Available(), s.Schedulable(), r3.Load())
 	}
@@ -127,8 +151,11 @@ func TestRevocationIsSynchronousOldestFirstAndMinimal(t *testing.T) {
 // the grant parks.
 func TestParkSchedulesWaiters(t *testing.T) {
 	s := New(100, PolicyFCFSBackfill)
-	mustSubmit(t, s, "a", KindForward, 10, func() {})
-	if !s.Grow("a", 70) {
+	a := mustEnroll(t, s, "a")
+	if err := a.Submit(KindForward, 10, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if !a.Grow(70) {
 		t.Fatal("grow refused")
 	}
 	granted := false
@@ -137,16 +164,16 @@ func TestParkSchedulesWaiters(t *testing.T) {
 		t.Fatal("b granted beside a live 70-byte grant")
 	}
 	var revoked atomic.Int64
-	s.Park("a", func() { revoked.Add(1) })
+	a.Park(func() { revoked.Add(1) })
 	if !granted || revoked.Load() != 1 || s.Parked() != 0 {
 		t.Fatalf("after park: b granted=%v, a revoked %d, parked %d", granted, revoked.Load(), s.Parked())
 	}
 }
 
-// TestParkedGrantConservation: however a parked grant ends — Complete by
-// its owner, revocation, the scheduler closing — the bytes come back
-// once, the ledger releases what it acquired, and the hook fires only on
-// the scheduler's initiative.
+// TestParkedGrantConservation: however a parked grant ends — Complete or
+// Forget by its owner, revocation, the scheduler closing — the bytes
+// come back once, the ledger releases what it acquired, and the hook
+// fires only on the scheduler's initiative.
 func TestParkedGrantConservation(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock := &fakeClock{}
@@ -154,8 +181,8 @@ func TestParkedGrantConservation(t *testing.T) {
 	ledger := obs.NewLedger(obs.LedgerConfig{Clock: clock, Metrics: reg})
 	mustWire(t, s, Wiring{Metrics: reg, Clock: clock, Ledger: ledger})
 
-	var byOwner, byNeed, byClose atomic.Int64
-	parkedGrant(t, s, "owner", 10, 30, &byOwner)
+	var byOwner, byNeed, byForget, byClose atomic.Int64
+	owner := parkedGrant(t, s, "owner", 10, 30, &byOwner)
 	parkedGrant(t, s, "need", 10, 30, &byNeed)
 	if v := reg.Gauge(obs.MetricSchedParkedBytes).Value(); v != 60 {
 		t.Fatalf("parked gauge %d, want 60", v)
@@ -166,7 +193,7 @@ func TestParkedGrantConservation(t *testing.T) {
 	if u, _ := ledger.Usage("need"); u.TransientBytes != 30 {
 		t.Fatalf("a grown grant is billed %d bytes, want 30", u.TransientBytes)
 	}
-	if got := s.Complete("owner"); got != 30 || byOwner.Load() != 0 {
+	if got := owner.Complete(); got != 30 || byOwner.Load() != 0 {
 		t.Fatalf("owner's complete reclaimed %d, hook fired %d", got, byOwner.Load())
 	}
 	mustSubmit(t, s, "big", KindBackward, 100, func() {})
@@ -174,14 +201,18 @@ func TestParkedGrantConservation(t *testing.T) {
 		t.Fatal("revocation hook did not fire")
 	}
 	s.Complete("big")
-	parkedGrant(t, s, "late", 10, 30, &byClose)
+	parkedGrant(t, s, "gone", 10, 30, &byForget).Forget()
+	if byForget.Load() != 0 || s.Parked() != 0 || s.Available() != 100 {
+		t.Fatalf("Forget of a parked grant: hook %d parked %d available %d", byForget.Load(), s.Parked(), s.Available())
+	}
+	late := parkedGrant(t, s, "late", 10, 30, &byClose)
 	s.Close()
-	if byClose.Load() != 1 || s.Parked() != 0 || s.Available() != 100 || s.Claim("late") {
+	if byClose.Load() != 1 || s.Parked() != 0 || s.Available() != 100 || late.Claim() {
 		t.Fatalf("close left a parked grant: hook %d parked %d available %d", byClose.Load(), s.Parked(), s.Available())
 	}
 	// Parking on a closed scheduler revokes on the spot.
 	var after atomic.Int64
-	s.Park("nobody", func() { after.Add(1) })
+	mustEnroll(t, s, "nobody").Park(func() { after.Add(1) })
 	if after.Load() != 1 {
 		t.Fatal("park of a grant that does not exist kept the owner's reference")
 	}
@@ -258,9 +289,9 @@ func claimVersusRevokeRound(t *testing.T, parkers, submitters, rounds int, total
 
 	var wg sync.WaitGroup
 	var hits, misses atomic.Int64
-	wait := func(id string, kind RequestKind, bytes int64) {
+	wait := func(h Handle, id string, kind RequestKind, bytes int64) {
 		done := make(chan struct{})
-		if err := s.Submit(id, kind, bytes, func() { close(done) }); err != nil {
+		if err := h.Submit(kind, bytes, func() { close(done) }); err != nil {
 			t.Errorf("%s: %v", id, err)
 			return
 		}
@@ -270,18 +301,23 @@ func claimVersusRevokeRound(t *testing.T, parkers, submitters, rounds int, total
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
+			h, err := s.Enroll(id)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			for i := 0; i < rounds; i++ {
-				wait(id, KindForward, fwd)
-				if !s.Grow(id, bwd) {
-					s.Complete(id)
-					wait(id, KindBackward, bwd)
-					s.Complete(id)
+				wait(h, id, KindForward, fwd)
+				if !h.Grow(bwd) {
+					h.Complete()
+					wait(h, id, KindBackward, bwd)
+					h.Complete()
 					continue
 				}
 				var revoked atomic.Int64
-				s.Park(id, func() { revoked.Add(1) })
+				h.Park(func() { revoked.Add(1) })
 				runtime.Gosched() // the gradient wait: let a submitter in
-				if s.Claim(id) {
+				if h.Claim() {
 					hits.Add(1)
 					if revoked.Load() != 0 {
 						t.Errorf("%s: claimed a grant whose revoke hook fired", id)
@@ -291,9 +327,9 @@ func claimVersusRevokeRound(t *testing.T, parkers, submitters, rounds int, total
 					if revoked.Load() != 1 {
 						t.Errorf("%s: claim refused but the hook fired %d times", id, revoked.Load())
 					}
-					wait(id, KindBackward, bwd)
+					wait(h, id, KindBackward, bwd)
 				}
-				s.Complete(id)
+				h.Complete()
 				if revoked.Load() > 1 {
 					t.Errorf("%s: hook fired %d times", id, revoked.Load())
 				}
@@ -308,14 +344,19 @@ func claimVersusRevokeRound(t *testing.T, parkers, submitters, rounds int, total
 		needy.Add(1)
 		go func(id string) {
 			defer needy.Done()
+			h, err := s.Enroll(id)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				wait(id, KindBackward, 120)
-				s.Complete(id)
+				wait(h, id, KindBackward, 120)
+				h.Complete()
 				runtime.Gosched()
 			}
 		}(fmt.Sprintf("submitter-%d", q))

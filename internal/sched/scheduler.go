@@ -10,19 +10,18 @@
 // runtime. Its registry, its one clock, its ledger and its admission
 // control are given once, by Wire.
 //
-// Every identity the scheduler knows — a client, a batch ID, a
-// reservation — has one record: the request that holds it, and whether
-// it has ever been granted memory. A client that batches enrolls once
-// (Enroll) and names itself in every batch by the Handle it got, so a
-// batch submission reaches its members' records without a lookup; a
-// plain submission looks its ID up once. From then on the request
-// carries the records, so granting and releasing it mark residency and
-// clear the holding through pointers, not by hashing the IDs again. A
-// record that holds nothing, is not resident and is not enrolled is
-// dropped; Forget ends a departed client's enrollment and residency. A
-// batch ID no other identity names is listed beside the table instead
-// of entering it, so a fresh batch costs the table no insert and no
-// delete. Records and requests are reused once released.
+// Every identity the scheduler knows — a client or a batch ID — has one
+// record: the request that holds it, whether it has ever been granted
+// memory and, for a client, its persistent reservation. A client enrolls
+// once (Enroll) and makes every call through the Handle it got, so each
+// reaches its record without a lookup; a batch ID is looked up once.
+// The request carries the records, so granting and releasing it mark
+// residency and clear the holding through pointers. A record that holds
+// nothing, is not resident and is not enrolled is dropped; Forget
+// releases a departed client's holdings and enrollment. A batch ID no
+// other identity names is listed beside the table, so a fresh batch
+// costs the table no insert and no delete. Records and requests are
+// reused once released.
 package sched
 
 import (
@@ -120,12 +119,11 @@ type request struct {
 	// member, or a batch ID's — which is a member's when a member
 	// carries it. Set when the request is resolved, cleared when it is
 	// released.
-	own      *ident
-	alias    bool // own is not among members: a batch ID, held beside them
-	batch    bool // members is a SubmitBatch list from Scheduler.freeShares
-	granted  bool // bytes are allocated (grantAt or Reserve)
-	reserved bool // a Reserve holding: counts against Schedulable
-	parked   bool // the grant is revocable: listed in Scheduler.parked
+	own     *ident
+	alias   bool // own is not among members: a batch ID, held beside them
+	batch   bool // members is a SubmitBatch list from Scheduler.freeShares
+	granted bool // bytes are allocated (grantAt)
+	parked  bool // the grant is revocable: listed in Scheduler.parked
 	// self backs members for a one-member request, so the plain
 	// Submit→grant→Complete cycle costs no allocation beyond the request.
 	self [1]share
@@ -142,9 +140,10 @@ type share struct {
 type ident struct {
 	id string
 	// req is the request or allocation holding this identity — as its
-	// own ID or as a member — from Submit, SubmitBatch or Reserve until
-	// Complete: the one-outstanding rule.
-	req *request
+	// own ID or as a member — from Submit or SubmitBatch until Complete:
+	// the one-outstanding rule.
+	req      *request
+	reserved int64 // the client's reservation (Handle.Reserve), held until Forget
 	// mark is the submission that last looked the identity up, so a
 	// batch naming it twice is caught by comparing one number.
 	mark uint64
@@ -153,11 +152,10 @@ type ident struct {
 	// parity sheds every second one. It goes with the record, so a
 	// dropped record takes its parity along.
 	ticks int64
-	// gen is the enrollment that the identity's current Handle carries
-	// (Enroll), or 0 when it is not enrolled. An enrolled record is
-	// never dropped, and a handle whose generation is not its record's
-	// is refused, so a handle never reaches a record reused for
-	// another identity.
+	// gen is the enrollment that the identity's Handle carries (Enroll),
+	// or 0 when it is not enrolled. An enrolled record is never dropped,
+	// and a handle whose generation is not its record's is refused, so a
+	// handle never reaches a record reused for another identity.
 	gen uint64
 	// resident marks an identity granted memory as a request's member at
 	// least once; admission control protects resident clients over
@@ -168,22 +166,21 @@ type ident struct {
 	listed bool
 }
 
-// Handle is a client's enrollment in one Scheduler (Enroll): a batch
-// names its members by their handles, so a submission reaches their
-// records without looking their IDs up. The zero Handle enrolls nothing.
+// Handle is a client's enrollment in one Scheduler (Enroll): every
+// per-client call is a method on it, and a batch names its members by
+// it. A forgotten handle holds nothing; the zero Handle takes only Forget.
 type Handle struct {
 	s   *Scheduler
 	rec *ident
 	gen uint64
 }
 
-// errNotEnrolled refuses a batch member whose handle is not a current
-// enrollment in the scheduler: forgotten, re-enrolled, from another
-// scheduler, or zero.
-var errNotEnrolled = errors.New("sched: member handle is not enrolled in this scheduler")
+// errNotEnrolled refuses a handle that is not a current enrollment in
+// the scheduler: forgotten, from another scheduler, or zero.
+var errNotEnrolled = errors.New("sched: handle is not enrolled in this scheduler")
 
 // hold makes h the holder of every one of r's records: r itself when it
-// is enqueued or reserved, nil when it is released. Caller holds s.mu
+// is enqueued, nil when it is released. Caller holds s.mu
 // and, to hold, has checked outstanding for each record.
 func (r *request) hold(h *request) {
 	for _, m := range r.members {
@@ -211,8 +208,8 @@ const (
 )
 
 // requestLocked takes a released request for a new request of kind.
-// Caller holds s.mu, then resolves its records: one for Submit or
-// Reserve, resolveBatchLocked for SubmitBatch.
+// Caller holds s.mu, then resolves its records: one for Submit,
+// resolveBatchLocked for SubmitBatch.
 func (s *Scheduler) requestLocked(kind RequestKind, grant func()) *request {
 	if len(s.freeReqs) == 0 {
 		chunk := make([]request, reqChunk)
@@ -320,9 +317,9 @@ type Stats struct {
 	Decisions     int64
 	MaxQueueDepth int
 	// Identities is the size of the scheduler's identity table: every
-	// identity with something outstanding, and every resident client
-	// not yet forgotten. A level, not a count: splitsim's fleet-wide
-	// Stats leave it zero.
+	// identity with something outstanding, and every enrolled or
+	// resident client not yet forgotten, one per live session. A level,
+	// not a count: splitsim's fleet-wide Stats leave it zero.
 	Identities int `json:",omitempty"`
 }
 
@@ -336,11 +333,11 @@ type Scheduler struct {
 	waiting []*request
 	// held maps every identity the scheduler tracks to its one record:
 	// the request holding it (a request's own ID and each member's, from
-	// Submit, SubmitBatch or Reserve until Complete: the one-outstanding
-	// rule for all three), whether it is resident and whether it is
-	// enrolled. A plain submission hashes its ID once, a batch only its
-	// batch ID; a record holding nothing that is neither resident nor
-	// enrolled is dropped at release, and Forget drops an enrolled one.
+	// Submit or SubmitBatch until Complete: the one-outstanding rule for
+	// both), whether it is resident and whether it is enrolled. A plain
+	// Submit by ID hashes it once, a batch only its batch ID; a record
+	// holding nothing that is neither resident nor enrolled is dropped at
+	// release, and Forget drops an enrolled one.
 	// Dropped records, released requests and released batches' member
 	// lists are reused.
 	held map[string]*ident
@@ -371,8 +368,8 @@ type Scheduler struct {
 	// loop (docs/ADMISSION.md). With adm == nil every code path below
 	// is bit-identical to the plain Algorithm-2 scheduler.
 	adm *AdmissionController
-	// reserved sums the bytes held by Reserve (long-lived holdings):
-	// the floor below total that queued requests can never use. It is
+	// reserved sums the clients' reservations (Handle.Reserve): the
+	// floor below total that queued requests can never use. It is
 	// written under mu and read without it by Schedulable, which the
 	// simulator's batch former asks on every join.
 	reserved atomic.Int64
@@ -383,9 +380,9 @@ type Scheduler struct {
 	parkedBytes int64
 
 	// ledger, when non-nil (Wire), receives per-tenant accounting events:
-	// grants and reservations as byte holdings (persistent vs transient
-	// via the owner-tag prefix), grant waits, and admission sheds. Pure
-	// bookkeeping — it never feeds back into scheduling decisions.
+	// grants as transient and reservations as persistent byte holdings,
+	// grant waits, and admission sheds. Pure bookkeeping — it never feeds
+	// back into scheduling decisions.
 	ledger *obs.Ledger
 }
 
@@ -468,15 +465,28 @@ func (s *Scheduler) Expect(n int) {
 	}
 }
 
-// Submit registers a request for bytes of GPU memory on behalf of
-// clientID; grant is invoked (possibly synchronously, under no lock)
-// when the request is scheduled. A client may have at most one
-// outstanding request or live allocation, its own or as a member of a
-// batch.
-func (s *Scheduler) Submit(clientID string, kind RequestKind, bytes int64, grant func()) error {
+// Submit registers a request for bytes of GPU memory on behalf of the
+// client; grant is invoked (possibly synchronously, under no lock) when
+// the request is scheduled. A client may have at most one outstanding
+// request or live allocation, its own or as a member of a batch.
+func (h Handle) Submit(kind RequestKind, bytes int64, grant func()) error {
+	s := h.s
+	s.mu.Lock()
+	rec := s.recordLocked(h)
+	if rec == nil {
+		s.mu.Unlock()
+		return errNotEnrolled
+	}
+	req := s.requestLocked(kind, grant)
+	req.one(rec, bytes)
+	return s.submitLocked(req, nil)
+}
+
+// Submit is Handle.Submit for an identity named by its ID.
+func (s *Scheduler) Submit(id string, kind RequestKind, bytes int64, grant func()) error {
 	s.mu.Lock()
 	req := s.requestLocked(kind, grant)
-	req.one(s.identLocked(clientID), bytes)
+	req.one(s.identLocked(id), bytes)
 	return s.submitLocked(req, nil)
 }
 
@@ -493,12 +503,16 @@ func (s *Scheduler) submitLocked(req *request, members []BatchMember) error {
 		return err
 	}
 	var buf grantBuf
-	grants := s.schedule(buf[:0])
+	s.unlockAndGrant(s.schedule(buf[:0]))
+	return nil
+}
+
+// unlockAndGrant releases s.mu and runs a cycle's grants.
+func (s *Scheduler) unlockAndGrant(grants []func()) {
 	s.mu.Unlock()
 	for _, g := range grants {
 		g()
 	}
-	return nil
 }
 
 // lookupLocked returns id's record, or nil if id has none. Caller holds
@@ -574,13 +588,13 @@ func (s *Scheduler) dropIdleLocked(rec *ident) {
 	s.freeRecs = append(s.freeRecs, rec)
 }
 
-// recordLocked returns the record h enrolls, or errNotEnrolled if h is
-// not a current enrollment in s. Caller holds s.mu.
-func (s *Scheduler) recordLocked(h Handle) (*ident, error) {
+// recordLocked returns the record h enrolls in s, or nil. Caller holds
+// s.mu.
+func (s *Scheduler) recordLocked(h Handle) *ident {
 	if h.s != s || h.rec.gen != h.gen {
-		return nil, errNotEnrolled
+		return nil
 	}
-	return h.rec, nil
+	return h.rec
 }
 
 // resolveBatchLocked takes every identity of a SubmitBatch request req
@@ -596,10 +610,10 @@ func (s *Scheduler) resolveBatchLocked(req *request, batchID string, members []B
 	req.batch = true
 	s.marks++
 	for i, m := range members {
-		rec, err := s.recordLocked(m.Client)
-		if err != nil {
+		rec := s.recordLocked(m.Client)
+		if rec == nil {
 			s.unresolveLocked(req)
-			return fmt.Errorf("batch %q member %d: %w", batchID, i, err)
+			return fmt.Errorf("batch %q member %d: %w", batchID, i, errNotEnrolled)
 		}
 		if rec.mark == s.marks {
 			s.unresolveLocked(req)
@@ -641,8 +655,8 @@ func (s *Scheduler) enqueueLocked(req *request, members []BatchMember) error {
 		return ErrClosed
 	}
 	// Fail fast on requests that could never be granted: larger than
-	// the total budget, or larger than what Reserve's long-lived
-	// holdings (persistent client state) leave schedulable.
+	// the total budget, or larger than what the clients' reservations
+	// (persistent client state) leave schedulable.
 	// Without this check such a request would sit at the queue head
 	// forever, head-of-line-blocking every client behind it.
 	if reserved := s.reserved.Load(); req.bytes > s.total-reserved {
@@ -710,8 +724,8 @@ func (s *Scheduler) admitLocked(req *request, members []BatchMember) error {
 }
 
 // outstanding reports ErrOutstanding when rec's identity holds an
-// allocation or reservation, is queued, or rides a queued or granted
-// batch. Caller holds s.mu.
+// allocation, is queued, or rides a queued or granted batch. Caller
+// holds s.mu.
 func outstanding(rec *ident) error {
 	if r := rec.req; r != nil {
 		return fmt.Errorf("%w: %q (request %q, granted: %v)", ErrOutstanding, rec.id, r.own.id, r.granted)
@@ -719,10 +733,10 @@ func outstanding(rec *ident) error {
 	return nil
 }
 
-// allocLocked returns the granted request or reservation that id names
-// (not one it merely rides as a member), or nil. Caller holds s.mu.
-func (s *Scheduler) allocLocked(id string) *request {
-	if rec := s.lookupLocked(id); rec != nil {
+// alloc returns the granted request that rec names as its own ID (not
+// one it merely rides as a member), or nil; rec may be nil.
+func alloc(rec *ident) *request {
+	if rec != nil {
 		if r := rec.req; r != nil && r.granted && r.own == rec {
 			return r
 		}
@@ -730,41 +744,61 @@ func (s *Scheduler) allocLocked(id string) *request {
 	return nil
 }
 
-// Complete reclaims the memory allocated to clientID (Algorithm 2,
+// Complete reclaims the memory allocated to the client (Algorithm 2,
 // lines 10-13) and runs a scheduling cycle. It returns the reclaimed
 // byte count (0 if the client held nothing).
-func (s *Scheduler) Complete(clientID string) int64 {
+func (h Handle) Complete() int64 {
+	h.s.mu.Lock()
+	return h.s.complete(h.s.recordLocked(h))
+}
+
+// Complete is Handle.Complete for a batch ID or a plain Submit's ID.
+func (s *Scheduler) Complete(id string) int64 {
 	s.mu.Lock()
-	var reclaimed int64
-	if r := s.allocLocked(clientID); r != nil {
-		reclaimed = r.bytes
+	return s.complete(s.lookupLocked(id))
+}
+
+// complete is completeLocked, then s.mu released and the grants run.
+func (s *Scheduler) complete(rec *ident) int64 {
+	var buf grantBuf
+	n, grants := s.completeLocked(rec, buf[:0])
+	s.unlockAndGrant(grants)
+	return n
+}
+
+// completeLocked releases the allocation rec names, if any (a parked
+// one without firing its hook), counts the completion, and appends a
+// scheduling cycle's grants. Caller holds s.mu.
+func (s *Scheduler) completeLocked(rec *ident, grants []func()) (n int64, _ []func()) {
+	if r := alloc(rec); r != nil {
+		n = r.bytes
 		if r.parked {
-			// The owner gives a parked grant back itself (a forward no
-			// backward followed, a teardown): its hook does not fire.
 			s.unparkLocked(r)
 		}
 		s.releaseLocked(r)
 		s.freeRequestLocked(r)
 		s.m.completed.Inc()
 	}
-	var buf grantBuf
-	grants := s.schedule(buf[:0])
-	s.mu.Unlock()
-	for _, g := range grants {
-		g()
-	}
-	return reclaimed
+	return n, s.schedule(grants)
 }
 
-// Withdraw takes id's queued request — a client's own, or a batch's
-// under its batch ID — out of the wait queue ungranted, so its grant
-// never fires, and runs a scheduling cycle for the requests it held up.
-// It reports whether the request was still queued: false means it was
-// granted already, and its owner holds the grant as usual, or that id
-// names no queued request.
+// Withdraw takes the client's queued request out of the wait queue
+// ungranted, so its grant never fires, and runs a scheduling cycle for
+// the requests it held up. False means nothing was queued: the request
+// was granted already, and its owner holds the grant as usual.
+func (h Handle) Withdraw() bool {
+	h.s.mu.Lock()
+	return h.s.withdraw(h.s.recordLocked(h))
+}
+
+// Withdraw is Handle.Withdraw for a batch ID or a plain Submit's ID.
 func (s *Scheduler) Withdraw(id string) bool {
 	s.mu.Lock()
-	rec := s.lookupLocked(id)
+	return s.withdraw(s.lookupLocked(id))
+}
+
+// withdraw withdraws the queued request rec names and releases s.mu.
+func (s *Scheduler) withdraw(rec *ident) bool {
 	if rec == nil || rec.req == nil || rec.req.granted || rec.req.own != rec {
 		s.mu.Unlock()
 		return false
@@ -775,11 +809,7 @@ func (s *Scheduler) Withdraw(id string) bool {
 	s.unresolveLocked(r)
 	s.freeRequestLocked(r)
 	var buf grantBuf
-	grants := s.schedule(buf[:0])
-	s.mu.Unlock()
-	for _, g := range grants {
-		g()
-	}
+	s.unlockAndGrant(s.schedule(buf[:0]))
 	return true
 }
 
@@ -787,11 +817,8 @@ func (s *Scheduler) Withdraw(id string) bool {
 // identity it held. Caller holds s.mu.
 func (s *Scheduler) releaseLocked(r *request) {
 	s.avail += r.bytes
-	if r.reserved {
-		s.reserved.Add(-r.bytes)
-	}
 	for _, m := range r.members {
-		s.ledger.Release(m.rec.id, m.bytes)
+		s.ledger.Hold(m.rec.id, false, -m.bytes)
 	}
 	r.hold(nil)
 	s.unresolveLocked(r)
@@ -814,16 +841,17 @@ func (s *Scheduler) takeLocked(bytes int64) {
 	s.avail -= bytes
 }
 
-// Grow enlarges clientID's live plain grant to bytes so the forward it
-// covers may keep its activations for the backward (M_f → M_b). It never
-// queues and never takes from anyone: it is refused while any request
-// waits or when strictly free memory — parked bytes do not count — does
-// not cover the difference.
-func (s *Scheduler) Grow(clientID string, bytes int64) bool {
+// Grow enlarges the client's live plain grant to bytes so the forward
+// it covers may keep its activations for the backward (M_f → M_b). It
+// never queues and never takes from anyone: it is refused while any
+// request waits or when strictly free memory — parked bytes do not
+// count — does not cover the difference.
+func (h Handle) Grow(bytes int64) bool {
+	s := h.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.allocLocked(clientID)
-	if r == nil || r.reserved || r.parked || len(r.members) != 1 || r.alias {
+	r := alloc(s.recordLocked(h))
+	if r == nil || r.parked || len(r.members) != 1 || r.alias {
 		return false
 	}
 	delta := max(bytes-r.bytes, 0)
@@ -833,24 +861,25 @@ func (s *Scheduler) Grow(clientID string, bytes int64) bool {
 	s.avail -= delta
 	r.bytes += delta
 	r.members[0].bytes += delta
-	s.ledger.Acquire(clientID, delta)
+	s.ledger.Hold(h.rec.id, false, delta)
 	s.m.grown.Inc()
 	return true
 }
 
-// Park turns clientID's live grant into a revocable one instead of
+// Park turns the client's live grant into a revocable one instead of
 // completing it: the owner keeps what the bytes hold (a forward's
 // activation cache), every fit test counts them as free, and the first
 // request that would not otherwise fit takes them back — revoke then
 // runs under the scheduler mutex, so it must only drop the owner's
 // reference (an atomic store) and never call back in. Exactly one of
-// three things ends a parked grant: Claim returning true, Complete, or
-// revoke firing. Parking is a release: requests that queued while the
-// grant was live get a scheduling cycle.
-func (s *Scheduler) Park(clientID string, revoke func()) {
+// three things ends a parked grant: Claim returning true, Complete or
+// Forget, or revoke firing. Parking is a release: requests that queued
+// while the grant was live get a scheduling cycle.
+func (h Handle) Park(revoke func()) {
+	s := h.s
 	s.mu.Lock()
-	r := s.allocLocked(clientID)
-	if r == nil || r.reserved || r.parked {
+	r := alloc(s.recordLocked(h))
+	if r == nil || r.parked {
 		s.mu.Unlock()
 		revoke() // nothing to park: the owner must not keep what no grant covers
 		return
@@ -867,21 +896,19 @@ func (s *Scheduler) Park(clientID string, revoke func()) {
 	case len(s.waiting) > 0:
 		grants = s.schedule(grants)
 	}
-	s.mu.Unlock()
-	for _, g := range grants {
-		g()
-	}
+	s.unlockAndGrant(grants)
 }
 
-// Claim takes clientID's parked grant back for the backward it was kept
-// for. True means the grant is live again — revoke will never fire for
-// it, and the owner releases it with Complete as usual; false means it
-// was revoked (or never parked) and the owner holds nothing. Claim and
-// revocation exclude each other under the scheduler mutex.
-func (s *Scheduler) Claim(clientID string) bool {
+// Claim takes the client's parked grant back for the backward it was
+// kept for. True means the grant is live again — revoke will never fire
+// for it, and the owner releases it with Complete as usual; false means
+// it was revoked (or never parked) and the owner holds nothing. Claim
+// and revocation exclude each other under the scheduler mutex.
+func (h Handle) Claim() bool {
+	s := h.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.allocLocked(clientID)
+	r := alloc(s.recordLocked(h))
 	if r == nil || !r.parked {
 		return false
 	}
@@ -1023,7 +1050,7 @@ func (s *Scheduler) grantAt(i int, backfilled bool) func() {
 	// same shares.
 	for _, m := range r.members {
 		m.rec.resident = true
-		s.ledger.Acquire(m.rec.id, m.bytes)
+		s.ledger.Hold(m.rec.id, false, m.bytes)
 	}
 	if s.clock != nil {
 		now := s.clock.Now()
@@ -1049,91 +1076,91 @@ func (s *Scheduler) grantAt(i int, backfilled bool) func() {
 	return r.grant
 }
 
-// Reserve immediately claims bytes for a long-lived holding (e.g. a
-// client's persistent adapter/optimizer state) outside the request
-// queue. Unlike Submit it never queues: if the memory is not free right
-// now, it fails. Release the reservation with Complete(id). A
-// reservation does not make id resident: no request names it.
-func (s *Scheduler) Reserve(id string, bytes int64) error {
+// Reserve claims bytes for the client's persistent state outside the
+// request queue, at once or not at all, billed as persistent until
+// Forget releases them; it does not make the client resident.
+func (h Handle) Reserve(bytes int64) error {
+	s := h.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	rec := s.recordLocked(h)
+	switch {
+	case rec == nil:
+		return errNotEnrolled
+	case s.closed:
 		s.m.rejected.Inc()
 		return ErrClosed
-	}
-	rec := s.identLocked(id)
-	if err := outstanding(rec); err != nil {
+	case rec.reserved > 0:
 		s.m.rejected.Inc()
-		return err
-	}
-	if !s.fitLocked(bytes) {
-		s.dropIdleLocked(rec)
+		return fmt.Errorf("%w: %q already holds a reservation", ErrOutstanding, rec.id)
+	case !s.fitLocked(bytes):
 		s.m.rejected.Inc()
 		return fmt.Errorf("%w: reserve %d, available %d", ErrNeverFits, bytes, s.avail+s.parkedBytes)
 	}
 	s.takeLocked(bytes)
-	r := s.requestLocked(0, nil)
-	r.one(rec, bytes)
-	r.granted, r.reserved = true, true
-	r.hold(r)
+	rec.reserved = bytes
 	s.reserved.Add(bytes)
-	s.ledger.Acquire(id, bytes)
+	s.ledger.Hold(rec.id, true, bytes)
 	return nil
 }
 
-// Enroll gives client id a handle on its identity record for naming it
-// as a batch member (BatchMember.Client). The record stays in the
-// identity table, with its throttle parity, until Forget; enrolling does
-// not make the client resident, its first grant does. Enrolling an ID
-// again issues a new handle and retires the one before.
-func (s *Scheduler) Enroll(id string) Handle {
+// Enroll gives client id the handle on its record, which keeps its
+// throttle parity until Forget; its first grant, not enrolling, makes it
+// resident. An ID already enrolled is refused (ErrOutstanding, counted
+// as a rejection).
+func (s *Scheduler) Enroll(id string) (Handle, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec := s.identLocked(id)
+	if rec.gen != 0 {
+		s.m.rejected.Inc()
+		return Handle{}, fmt.Errorf("%w: %q is enrolled", ErrOutstanding, id)
+	}
 	if rec.listed { // a live batch's ID: from now on a client's record
 		s.unlistLocked(rec)
 		s.held[id] = rec
 	}
 	s.gens++
 	rec.gen = s.gens
-	return Handle{s: s, rec: rec, gen: rec.gen}
+	return Handle{s: s, rec: rec, gen: rec.gen}, nil
 }
 
-// Forget ends h's enrollment and drops its record once it holds
-// nothing, so a departed client neither counts as resident nor stays in
-// the identity table: it returns as a newcomer to admission control. A
-// request still holding the identity keeps the record until it is
-// released. A handle already retired is ignored.
-func (s *Scheduler) Forget(h Handle) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rec, err := s.recordLocked(h); err == nil {
-		rec.gen, rec.resident = 0, false
-		s.dropIdleLocked(rec)
+// Forget releases the client's grant, live or parked (its hook does not
+// fire), then its reservation, each a completion with a scheduling cycle
+// as Complete is, and ends the enrollment: the client returns as a
+// newcomer. A request still holding it (queued, or a batch it rides)
+// keeps the record until it is released.
+func (h Handle) Forget() {
+	s := h.s
+	if s == nil {
+		return
 	}
+	s.mu.Lock()
+	rec := s.recordLocked(h)
+	if rec == nil {
+		s.mu.Unlock()
+		return
+	}
+	var buf grantBuf
+	_, grants := s.completeLocked(rec, buf[:0])
+	if b := rec.reserved; b > 0 {
+		rec.reserved = 0
+		s.avail += b
+		s.reserved.Add(-b)
+		s.ledger.Hold(rec.id, true, -b)
+		s.m.completed.Inc()
+	}
+	grants = s.schedule(grants)
+	rec.gen, rec.resident = 0, false
+	s.dropIdleLocked(rec)
+	s.unlockAndGrant(grants)
 }
 
 // Schedulable returns the memory a queued request can ever hope to be
-// granted: the total budget minus long-lived reservations. Submissions
+// granted: the total budget minus the clients' reservations. Submissions
 // above it fail fast with ErrNeverFits.
 func (s *Scheduler) Schedulable() int64 {
 	return s.total - s.reserved.Load()
-}
-
-// AdmissionState brings admission control up to the scheduler's clock
-// and returns its state (StateOpen when admission control is disabled).
-// The controller is evaluated as if it had ticked through the time since
-// its last evaluation, so one that went quiet reads as having stepped
-// down once its window emptied and a dwell passed per rung, whether or
-// not anyone still submits.
-func (s *Scheduler) AdmissionState() AdmissionState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.adm == nil {
-		return StateOpen
-	}
-	s.adm.settle(s.clock.Now(), s.headAgeLocked)
-	return s.adm.state
 }
 
 // AdmissionStats snapshots admission-controller activity (zero when
@@ -1193,8 +1220,9 @@ type Load struct {
 	Admission   AdmissionState // StateOpen when admission control is disabled
 }
 
-// Load reads what Total, Schedulable, Available, QueueDepth and
-// AdmissionState report under one lock.
+// Load reads what Total, Schedulable, Available and QueueDepth report
+// under one lock, and admission control's state as if it had ticked
+// through the time since its last evaluation: a quiet one steps down.
 func (s *Scheduler) Load() Load {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1205,6 +1233,7 @@ func (s *Scheduler) Load() Load {
 		QueueDepth:  len(s.waiting),
 	}
 	if s.adm != nil {
+		s.adm.settle(s.clock.Now(), s.headAgeLocked)
 		l.Admission = s.adm.state
 	}
 	return l

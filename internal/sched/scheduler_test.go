@@ -305,11 +305,20 @@ func mustSubmit(t *testing.T, s *Scheduler, id string, kind RequestKind, bytes i
 	}
 }
 
+func mustEnroll(t testing.TB, s *Scheduler, id string) Handle {
+	t.Helper()
+	h, err := s.Enroll(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // allocated returns the bytes currently granted to clientID.
 func allocated(s *Scheduler, clientID string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if r := s.allocLocked(clientID); r != nil {
+	if r := alloc(s.lookupLocked(clientID)); r != nil {
 		return r.bytes
 	}
 	return 0

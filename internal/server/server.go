@@ -355,8 +355,8 @@ func (s *Server) logf(format string, args ...any) {
 // session is one client's serving state (a "serving process" S_i).
 type session struct {
 	id string
-	// handle is the session's enrollment in the scheduler, taken at the
-	// handshake: its batch memberships name it by this.
+	// handle is the session's one record in the scheduler, enrolled at
+	// the handshake: every scheduler call of the session goes through it.
 	handle sched.Handle
 	inst   *share.Instance
 	// scratch is the instance's arena: the session's body and adapter
@@ -497,8 +497,8 @@ func (s *Server) handleConn(rawConn net.Conn) {
 }
 
 // handshake admits a client: validates and prices the Hello, refuses a
-// backward that could never be granted, charges its persistent memory,
-// builds the instance and attaches the adapter.
+// backward that could never be granted, enrolls the client and charges
+// its persistent memory, builds the instance and attaches the adapter.
 func (s *Server) handshake(fr *split.Framer) (_ *session, err error) {
 	msg, err := fr.ReadMessage()
 	if err != nil {
@@ -510,19 +510,17 @@ func (s *Server) handshake(fr *split.Framer) (_ *session, err error) {
 	}
 	admitSpan := s.cfg.Tracer.Begin(hello.ClientID, obs.SpanAdmit)
 	// One unwind for every way the handshake can fail from here on: the
-	// persistent reservation and the instance, once taken, go back
-	// before the admission span ends and the refusal (if any) reaches
-	// the client.
+	// enrollment with its persistent reservation and the instance, once
+	// taken, go back before the admission span ends and the refusal (if
+	// any) reaches the client.
 	var (
-		inst     *share.Instance
-		reserved bool
-		refusal  *split.HelloAck
+		handle  sched.Handle
+		inst    *share.Instance
+		refusal *split.HelloAck
 	)
 	defer func() {
 		if err != nil {
-			if reserved {
-				s.scheduler.Complete("persist:" + hello.ClientID)
-			}
+			handle.Forget() // the zero handle, until enrolled, forgets nothing
 			if inst != nil {
 				_ = inst.Release()
 			}
@@ -563,7 +561,7 @@ func (s *Server) handshake(fr *split.Framer) (_ *session, err error) {
 	// Under sustained overload the controller sheds new clients before
 	// they are charged — a retryable rejection, unlike the hard
 	// configuration rejections above.
-	if s.scheduler.AdmissionState() == sched.StateShedding {
+	if s.scheduler.Load().Admission == sched.StateShedding {
 		s.ledger.Shed(hello.ClientID)
 		s.cfg.Flight.TriggerAsync(obs.FlightReasonShed)
 		retry := s.cfg.SLO.TargetP99
@@ -591,18 +589,15 @@ func (s *Server) handshake(fr *split.Framer) (_ *session, err error) {
 		return reject(fmt.Sprintf("backward demand %d exceeds schedulable memory %d", mb, schedulable))
 	}
 
-	// Reserve the client's persistent footprint (adapter params,
-	// grads, Adam moments, process context) outside the request
-	// queue, before the instance and its adapter are allocated. The
-	// reservation shrinks the schedulable pool for the client's
-	// lifetime. A live session's ID already holds its reservation.
-	if err := s.scheduler.Reserve("persist:"+hello.ClientID, persist); err != nil {
-		if errors.Is(err, sched.ErrOutstanding) {
-			return reject(fmt.Sprintf("client %q already has a live session", hello.ClientID))
-		}
+	// Enroll the client (a live session's ID is enrolled already) and
+	// reserve its persistent footprint (adapter params, grads, Adam
+	// moments, process context) for its lifetime, before it is built.
+	if handle, err = s.scheduler.Enroll(hello.ClientID); err != nil {
+		return reject(fmt.Sprintf("client %q already has a live session", hello.ClientID))
+	}
+	if err := handle.Reserve(persist); err != nil {
 		return reject(fmt.Sprintf("insufficient GPU memory for client state: %v", err))
 	}
-	reserved = true
 	if inst, err = s.store.NewInstance(hello.ClientID, hello.Cut); err != nil {
 		return reject(err.Error())
 	}
@@ -638,6 +633,7 @@ func (s *Server) handshake(fr *split.Framer) (_ *session, err error) {
 	}
 	sess := &session{
 		id:        hello.ClientID,
+		handle:    handle,
 		inst:      inst,
 		scratch:   inst.Scratch(),
 		body:      inst.Body(),
@@ -677,7 +673,6 @@ func (s *Server) handshake(fr *split.Framer) (_ *session, err error) {
 	}); err != nil {
 		return nil, fmt.Errorf("write ack: %w", err)
 	}
-	sess.handle = s.scheduler.Enroll(sess.id)
 	sess.arena = arenaGauges{
 		retained:    s.m.arenaRetained.With(sess.id),
 		outstanding: s.m.arenaOutstanding.With(sess.id),
@@ -695,9 +690,7 @@ func (s *Server) teardown(sess *session) {
 		delete(s.pendingMig, sess.id)
 	}
 	s.mu.Unlock()
-	s.scheduler.Complete(sess.id) // a grant in flight or parked, if any
-	s.scheduler.Complete("persist:" + sess.id)
-	s.scheduler.Forget(sess.handle) // a reconnect is a newcomer to admission
+	sess.handle.Forget() // grant and reservation; a reconnect is a newcomer
 	sess.scratch.Put(sess.cachedInput)
 	sess.cachedInput = nil
 	if err := sess.inst.Release(); err != nil && !errors.Is(err, share.ErrReleased) {
@@ -750,11 +743,9 @@ func (s *Server) acquire(kind sched.RequestKind, batchID string, members []sched
 	grant := func() { granted <- struct{}{} }
 	start := time.Now()
 	var err error
-	id := batchID
+	sess := works[0].sess
 	if batchID == "" {
-		sess := works[0].sess
-		id = sess.id
-		err = s.scheduler.Submit(id, kind, sess.demand(kind), grant)
+		err = sess.handle.Submit(kind, sess.demand(kind), grant)
 	} else {
 		err = s.scheduler.SubmitBatch(batchID, kind, members, grant)
 	}
@@ -771,7 +762,7 @@ func (s *Server) acquire(kind sched.RequestKind, batchID string, members []sched
 		case <-s.done:
 			// The server closed while the request waited. A request
 			// granted in the meantime is served and released as usual.
-			if s.scheduler.Withdraw(id) {
+			if (batchID == "" && sess.handle.Withdraw()) || (batchID != "" && s.scheduler.Withdraw(batchID)) {
 				err = ErrServerClosed
 			} else {
 				<-granted
@@ -847,14 +838,14 @@ func (s *Server) checkShape(what string, t *tensor.Tensor, rows int) error {
 func (s *Server) run(kind sched.RequestKind, w *phaseWork) error {
 	sess := w.sess
 	if kind == sched.KindBackward {
-		if s.scheduler.Claim(sess.id) {
+		if sess.handle.Claim() {
 			return s.runBackward(w, sess.parked.Swap(nil))
 		}
 	} else if sess.parked.Swap(nil) != nil {
 		// A forward that no backward followed (client.Evaluate, an
 		// abandoned iteration) left its cache parked: give the grant back,
 		// or this phase's submission fails ErrOutstanding.
-		s.scheduler.Complete(sess.id)
+		sess.handle.Complete()
 	}
 	if la, ok := s.batchable(sess); ok && s.scheduler.QueueDepth() > 0 {
 		it := &batch.Item{Client: sess.id, Rows: w.batch * w.seq, Bytes: sess.demand(kind), Payload: w}
@@ -924,12 +915,12 @@ func (s *Server) runForward(w *phaseWork) error {
 	if err := s.acquire(sched.KindForward, "", nil, nil, w); err != nil {
 		return err
 	}
-	keep := s.scheduler.Grow(sess.id, sess.mb)
+	keep := sess.handle.Grow(sess.mb)
 	compSpan := s.cfg.Tracer.BeginT(sess.id, obs.SpanForward, w.traceID)
 	compStart := time.Now()
 	xs, cache, err := sess.body.Forward(w.x, w.batch, w.seq, keep)
 	if err != nil {
-		s.scheduler.Complete(sess.id)
+		sess.handle.Complete()
 		return err
 	}
 	w.out, w.comp = xs, time.Since(compStart)
@@ -937,13 +928,13 @@ func (s *Server) runForward(w *phaseWork) error {
 	if !keep {
 		// Release GPU memory before waiting for gradients.
 		rel := s.cfg.Tracer.BeginT(sess.id, obs.SpanRelease, w.traceID)
-		s.scheduler.Complete(sess.id)
+		sess.handle.Complete()
 		rel.End()
 		return nil
 	}
 	park := s.cfg.Tracer.BeginT(sess.id, obs.SpanPark, w.traceID)
 	sess.parked.Store(cache) // before Park: the hook may fire inside it
-	s.scheduler.Park(sess.id, sess.dropParked)
+	sess.handle.Park(sess.dropParked)
 	park.End()
 	return nil
 }
@@ -1016,7 +1007,7 @@ func (s *Server) runBackward(w *phaseWork, cache *model.BodyCache) error {
 		xs, cache, err = sess.body.Forward(sess.cachedInput, w.batch, w.seq, true)
 		refwd.End()
 		if err != nil {
-			s.scheduler.Complete(sess.id)
+			sess.handle.Complete()
 			return err
 		}
 		sess.scratch.Put(xs) // only the cache is needed
@@ -1024,13 +1015,13 @@ func (s *Server) runBackward(w *phaseWork, cache *model.BodyCache) error {
 	}
 	gs, err := sess.body.Backward(cache, w.x)
 	if err != nil {
-		s.scheduler.Complete(sess.id)
+		sess.handle.Complete()
 		return err
 	}
 	w.out, w.comp = gs, time.Since(compStart)
 	compSpan.End()
 	rel := s.cfg.Tracer.BeginT(sess.id, obs.SpanRelease, w.traceID)
-	s.scheduler.Complete(sess.id)
+	sess.handle.Complete()
 	rel.End()
 	return nil
 }

@@ -170,7 +170,7 @@ func TestSplitFineTuningEqualsLocal(t *testing.T) {
 // client's backward frames: after the handshake a plain Step writes
 // ForwardReq, BackwardReq, ForwardReq, ... (one Write per frame), and
 // the server has parked the forward's cache before its ForwardResp let
-// the client get this far. The need is a real Reserve of everything
+// the client get this far. The need is a real reservation of everything
 // Available() reports — the path a joining tenant's reservation takes.
 type revokingConn struct {
 	net.Conn
@@ -181,10 +181,15 @@ type revokingConn struct {
 func (c *revokingConn) Write(p []byte) (int, error) {
 	c.writes++
 	if c.writes >= 3 && c.writes%2 == 1 {
-		if err := c.sched.Reserve("probe", c.sched.Available()); err != nil {
+		h, err := c.sched.Enroll("probe")
+		if err != nil {
 			return 0, err
 		}
-		c.sched.Complete("probe")
+		err = h.Reserve(c.sched.Available())
+		h.Forget()
+		if err != nil {
+			return 0, err
+		}
 	}
 	return c.Conn.Write(p)
 }
@@ -471,13 +476,29 @@ func TestHandshakeRefusalsReleaseEverything(t *testing.T) {
 
 // TestAbruptDisconnectReleasesInstance: a client vanishing mid-session
 // — here with a forward's cache still parked — must not leak its
-// instance, its parked grant or its memory reservation.
+// instance, its parked grant or its memory reservation. Once its
+// teardown has run, the scheduler holds what it held before the client
+// dialed (its identity table, free, schedulable and parked bytes), the
+// session's arena series read 0 and its goroutines are gone; the same
+// client ID is then admitted again.
 func TestAbruptDisconnectReleasesInstance(t *testing.T) {
-	srv, addr := newTestServer(t)
+	tensor.Parallelism() // the shared compute pool outlives any server: start it first
+	reg := obs.NewRegistry()
+	srv, addr := startServer(t, Config{Metrics: reg})
 	cfg := clientCfg("flaky")
 	ids, targets := batchFor(cfg, 9)
 	sch := srv.Scheduler()
-	budget := sch.Available()
+	type books struct {
+		identities                     int
+		available, schedulable, parked int64
+	}
+	read := func() books {
+		return books{sch.Stats().Identities, sch.Available(), sch.Schedulable(), sch.Parked()}
+	}
+	before, goroutines := read(), runtime.NumGoroutine()
+	// The teardown drops the active count last, once everything the
+	// session held is back.
+	active := reg.Gauge(obs.MetricServerActiveClients)
 
 	c, err := client.Dial(addr, cfg)
 	if err != nil {
@@ -494,16 +515,20 @@ func TestAbruptDisconnectReleasesInstance(t *testing.T) {
 	}
 	// Abrupt close without Bye.
 	_ = c.Close()
-
-	// The same client id must eventually be admitted again (the old
-	// instance released). Retry a few times while teardown races.
-	var again *client.Client
-	for i := 0; i < 100; i++ {
-		again, err = client.Dial(addr, cfg)
-		if err == nil {
-			break
+	waitFor(t, "the abandoned session's teardown", func() bool { return active.Value() == 0 })
+	if got := read(); got != before {
+		t.Errorf("after the teardown the scheduler holds %+v, before the dial %+v", got, before)
+	}
+	for _, family := range []string{obs.MetricServerArenaRetainedBytes, obs.MetricServerArenaOutstandingBytes} {
+		if g, ok := reg.GaugeVec(family, "client").Get(cfg.ClientID); !ok || g.Value() != 0 {
+			t.Errorf("%s{client=%q} after the teardown: %v (series present: %v), want 0", family, cfg.ClientID, g.Value(), ok)
 		}
 	}
+	waitFor(t, "the goroutine count to come back", func() bool { return runtime.NumGoroutine() <= goroutines })
+
+	// The same client id is admitted again: the old instance and
+	// enrollment are released.
+	again, err := client.Dial(addr, cfg)
 	if err != nil {
 		t.Fatalf("re-admission failed: %v", err)
 	}
@@ -511,16 +536,9 @@ func TestAbruptDisconnectReleasesInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = again.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for sch.Available() != budget || sch.Schedulable() != budget {
-		if time.Now().After(deadline) {
-			t.Fatalf("leak: available %d, schedulable %d, parked %d of budget %d",
-				sch.Available(), sch.Schedulable(), sch.Parked(), budget)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if p := sch.Parked(); p != 0 {
-		t.Fatalf("%d parked bytes outlived their session", p)
+	waitFor(t, "the second session's teardown", func() bool { return active.Value() == 0 })
+	if got := read(); got != before {
+		t.Errorf("after the second teardown the scheduler holds %+v, before the first dial %+v", got, before)
 	}
 }
 
@@ -740,6 +758,60 @@ func TestSchedulerBudgetRestoredAfterClients(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("budget leaked: %d != %d", srv.Scheduler().Available(), before)
+}
+
+// TestDuplicateHelloIsRefused: a second Hello with a live session's
+// client ID is refused with "already has a live session" and takes
+// nothing: the scheduler's identity table and schedulable bytes stay as
+// they were. The live session keeps its enrollment and steps on, with
+// the losses of a server that never saw the duplicate.
+func TestDuplicateHelloIsRefused(t *testing.T) {
+	cfg := clientCfg("twice")
+	ids, targets := batchFor(cfg, 4)
+	const steps, duplicateAt = 4, 2
+	losses := func(duplicate bool) []float64 {
+		srv, addr := newTestServer(t)
+		sch := srv.Scheduler()
+		c, err := client.Dial(addr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var out []float64
+		for step := 0; step < steps; step++ {
+			if duplicate && step == duplicateAt {
+				sess := liveSession(t, srv, cfg.ClientID)
+				handle, identities, schedulable := sess.handle, sch.Stats().Identities, sch.Schedulable()
+				if dup, err := client.Dial(addr, cfg); err == nil {
+					dup.Close()
+					t.Fatal("a second Hello with a live session's ID was admitted")
+				} else if !strings.Contains(err.Error(), "already has a live session") {
+					t.Fatalf("second Hello: %v, want a refusal naming the live session", err)
+				}
+				if liveSession(t, srv, cfg.ClientID) != sess || sess.handle != handle {
+					t.Error("the refused Hello replaced the live session or its enrollment")
+				}
+				if got := sch.Stats().Identities; got != identities {
+					t.Errorf("%d identities after the refusal, %d before", got, identities)
+				}
+				if got := sch.Schedulable(); got != schedulable {
+					t.Errorf("%d bytes schedulable after the refusal, %d before", got, schedulable)
+				}
+			}
+			res, err := c.Step(ids, targets)
+			if err != nil {
+				t.Fatalf("step %d (duplicate Hello: %v): %v", step, duplicate, err)
+			}
+			out = append(out, res.Loss)
+		}
+		return out
+	}
+	want, got := losses(false), losses(true)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("step %d: loss %v beside a refused duplicate, %v without one", i, got[i], want[i])
+		}
+	}
 }
 
 // TestSchedulerForgetsDepartedClients: the scheduler's identity table

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"menos/internal/client"
+	"menos/internal/fleet"
 	"menos/internal/obs"
 	"menos/internal/sched"
 	"menos/internal/split"
@@ -66,7 +68,7 @@ func TestLiveServerShedsAStep(t *testing.T) {
 	if re.RetryAfter != time.Second {
 		t.Errorf("retry hint %v, want the SLO target 1s", re.RetryAfter)
 	}
-	if st := srv.scheduler.AdmissionState(); st != sched.StateShedding {
+	if st := srv.scheduler.Load().Admission; st != sched.StateShedding {
 		t.Fatalf("admission state %v, want shedding", st)
 	}
 
@@ -75,7 +77,7 @@ func TestLiveServerShedsAStep(t *testing.T) {
 	// evaluation, three seconds (over the 2s dwell) after the last.
 	srv.scheduler.Complete("hog")
 	srv.scheduler.Complete("queued")
-	for i := 0; srv.scheduler.AdmissionState() != sched.StateOpen; i++ {
+	for i := 0; srv.scheduler.Load().Admission != sched.StateOpen; i++ {
 		if i == 20 {
 			t.Fatal("admission never reopened")
 		}
@@ -104,17 +106,17 @@ func TestLiveServerShedsAStep(t *testing.T) {
 	}
 }
 
-// TestSheddingServerReopensWhenTrafficStops drives a served session
-// into admission shedding on a hand-stepped server clock, as
-// TestLiveServerShedsAStep does, then stops all traffic: the memory is
-// released and the only client leaves, so nothing submits again. Two
-// SLO windows later on the clock (the window empties, then a dwell per
-// rung), a new client's Hello is admitted: reading the admission state
-// at the handshake brings the controller up to the clock.
-func TestSheddingServerReopensWhenTrafficStops(t *testing.T) {
-	var now atomic.Int64
+// quietAfterShedding drives a served session into admission shedding
+// on a hand-stepped server clock, as TestLiveServerShedsAStep does, then
+// stops all traffic: the memory is released and the only client leaves,
+// so nothing submits again. It returns the server, its address, the
+// clock (nanoseconds) and the SLO; two SLO windows on from there (the
+// window empties, then a dwell per rung) the controller has reopened.
+func quietAfterShedding(t *testing.T) (*Server, string, *atomic.Int64, sched.SLO) {
+	now := new(atomic.Int64)
 	clock := obs.ClockFunc(func() time.Duration { return time.Duration(now.Load()) })
-	defer func(orig func() obs.Clock) { newClock = orig }(newClock)
+	orig := newClock
+	t.Cleanup(func() { newClock = orig })
 	newClock = func() obs.Clock { return clock }
 
 	slo := sched.SLO{TargetP99: time.Second}
@@ -137,7 +139,7 @@ func TestSheddingServerReopensWhenTrafficStops(t *testing.T) {
 	if _, err := c.Step(ids, targets); !errors.As(err, &re) {
 		t.Fatalf("step under shedding: err = %v, want a RetryableError", err)
 	}
-	if st := sch.AdmissionState(); st != sched.StateShedding {
+	if st := sch.Load().Admission; st != sched.StateShedding {
 		t.Fatalf("admission state %v, want shedding", st)
 	}
 
@@ -149,15 +151,51 @@ func TestSheddingServerReopensWhenTrafficStops(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "the session's teardown", func() bool { return sch.Schedulable() == sch.Total() })
+	return srv, addr, now, slo
+}
 
+// TestSheddingServerReopensWhenTrafficStops: two SLO windows after the
+// traffic of a shedding server stopped, a new client's Hello is
+// admitted: reading the admission state at the handshake brings the
+// controller up to the clock.
+func TestSheddingServerReopensWhenTrafficStops(t *testing.T) {
+	srv, addr, now, slo := quietAfterShedding(t)
+	sch := srv.Scheduler()
 	now.Add(int64(2 * 8 * slo.TargetP99)) // twice the default window, 8×TargetP99
 	fresh, err := client.Dial(addr, clientCfg("fresh"))
 	if err != nil {
 		t.Fatalf("hello after traffic stopped: %v", err)
 	}
 	defer fresh.Close()
-	if st := sch.AdmissionState(); st == sched.StateShedding {
+	if st := sch.Load().Admission; st == sched.StateShedding {
 		t.Errorf("admission state %v after the window emptied", st)
+	}
+}
+
+// TestLoadzAgreesWithTheHandshake: on a server whose traffic stopped
+// while it shed, /loadz's admission state and a Hello's verdict agree,
+// both before the clock moves (shedding: the Hello is refused as
+// retryable) and two SLO windows later (reopened: the Hello is
+// admitted). Both read the controller brought up to the clock.
+func TestLoadzAgreesWithTheHandshake(t *testing.T) {
+	srv, addr, now, slo := quietAfterShedding(t)
+	for i, tc := range []struct {
+		advance  time.Duration
+		shedding bool
+	}{{0, true}, {2 * 8 * slo.TargetP99, false}} {
+		now.Add(int64(tc.advance))
+		loadz := srv.LoadSnapshot().Server.Admission
+		if got := loadz == fleet.AdmissionState(sched.StateShedding); got != tc.shedding {
+			t.Errorf("+%v: /loadz reads %v, want shedding %v", tc.advance, loadz, tc.shedding)
+		}
+		c, err := client.Dial(addr, clientCfg(fmt.Sprintf("hello-%d", i)))
+		if err == nil {
+			_ = c.Close()
+		}
+		var re *client.RetryableError
+		if refused := errors.As(err, &re); refused != (loadz == fleet.AdmissionState(sched.StateShedding)) {
+			t.Errorf("+%v: /loadz reads %v, the Hello's verdict: %v", tc.advance, loadz, err)
+		}
 	}
 }
 
@@ -199,7 +237,7 @@ func TestLiveBatchedServerShedsMembers(t *testing.T) {
 	reopen := func() {
 		reopened.Do(func() {
 			release()
-			for i := 0; sch.AdmissionState() != sched.StateOpen; i++ {
+			for i := 0; sch.Load().Admission != sched.StateOpen; i++ {
 				if i == 20 {
 					t.Error("admission never reopened")
 					return
@@ -264,7 +302,7 @@ func TestLiveBatchedServerShedsMembers(t *testing.T) {
 	}
 	<-ch
 	sch.Complete(cfgB.ClientID)
-	if st := sch.AdmissionState(); st != sched.StateThrottled {
+	if st := sch.Load().Admission; st != sched.StateThrottled {
 		t.Fatalf("admission state %v, want throttled", st)
 	}
 	// The hog takes every byte left (its first throttled submission is

@@ -206,7 +206,7 @@ func TestShedMemberLeavesTheKernel(t *testing.T) {
 		// The waiter, 0.8 SLO old, throttles the server. B's record takes
 		// a throttled submission of its own, so the batch sheds B.
 		grant(b.id)
-		if st := sch.AdmissionState(); st != sched.StateThrottled {
+		if st := sch.Load().Admission; st != sched.StateThrottled {
 			t.Fatalf("admission state %v, want throttled", st)
 		}
 		key := batch.Key{Kind: sched.KindForward}

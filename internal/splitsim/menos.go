@@ -344,8 +344,8 @@ func (r *menosRun) newServer() (*serverSim, error) {
 	// kernel time, so the telemetry of a simulated run reads exactly
 	// like a real one (only ~10^6× faster to produce).
 	srv.scheduler = sched.New(devices.Available(), cfg.SchedPol)
-	// Each client is two identities here: itself and its reservation.
-	srv.scheduler.Expect(2 * r.perServer)
+	// One record per client, its reservation included.
+	srv.scheduler.Expect(r.perServer)
 	w := sched.Wiring{Metrics: cfg.Metrics, Clock: obs.ClockFunc(kernel.Now), Ledger: r.ledger, SLO: cfg.SLO}
 	if cfg.Flight != nil {
 		// The kernel is single-threaded, so the synchronous Trigger
@@ -379,18 +379,23 @@ func (r *menosRun) density(id int) int {
 }
 
 // admitClient physically lands c's persistent state on srv: device
-// memory plus a scheduler reservation, so the schedulable budget shrinks
-// exactly as the historical post-persist budget did.
+// memory plus its enrollment's reservation, so the schedulable budget
+// shrinks exactly as the historical post-persist budget did.
 func (r *menosRun) admitClient(srv *serverSim, c *menosClient) error {
 	ci, owner := &c.ci, c.persistOwner
 	if _, err := srv.devices.Alloc(owner, ci.PersistentBytes); err != nil {
 		return fmt.Errorf("client %q persistent state: %w", ci.ID, err)
 	}
-	if err := srv.scheduler.Reserve(owner, ci.PersistentBytes); err != nil {
+	h, err := srv.scheduler.Enroll(ci.ID)
+	if err == nil {
+		err = h.Reserve(ci.PersistentBytes)
+	}
+	if err != nil {
+		h.Forget()
 		srv.devices.FreeOwner(owner)
 		return fmt.Errorf("client %q persistent state: %w", ci.ID, err)
 	}
-	c.member.handle = srv.scheduler.Enroll(ci.ID)
+	c.member.handle = h
 	if ci.TransientPeakBytes > srv.maxDemand {
 		srv.maxDemand = ci.TransientPeakBytes
 	}
@@ -537,7 +542,7 @@ type menosClient struct {
 	// running the same one; ci is the fleet's view of it.
 	prof         *profile
 	ci           fleet.ClientInfo
-	persistOwner string // device owner and reservation ID of its persistent state
+	persistOwner string // device owner tag of its persistent state
 
 	srv           *serverSim
 	staticRelease time.Duration
@@ -887,8 +892,7 @@ func (c *menosClient) step() {
 			// draining server finish emptying. Static runs keep the
 			// historical semantics — state held until the run ends.
 			if cfg.Autoscale != nil {
-				c.srv.scheduler.Complete(c.id)
-				c.srv.scheduler.Complete(c.persistOwner)
+				c.member.handle.Forget()
 				c.srv.devices.FreeOwner(c.persistOwner)
 				r.used(c.srv)
 				r.mgr.Depart(c.id)
@@ -934,8 +938,7 @@ func (c *menosClient) beginMigration(dst *serverSim) {
 	old := c.srv
 	c.opStart = c.kernel.Now()
 	c.from, c.to, c.attempt, c.held = old, dst, 0, false
-	old.scheduler.Complete(c.id)
-	old.scheduler.Complete(c.persistOwner)
+	c.member.handle.Forget()
 	old.devices.FreeOwner(c.persistOwner)
 	c.r.used(old)
 	c.r.refresh(old)
@@ -972,7 +975,7 @@ func (c *menosClient) grant(kind sched.RequestKind, bytes int64) {
 // share of the memory timeline is re-read (the cycle it ran may have
 // granted others).
 func (c *menosClient) submit(grant func()) error {
-	err := c.srv.scheduler.Submit(c.id, c.kind, c.bytes, grant)
+	err := c.member.handle.Submit(c.kind, c.bytes, grant)
 	c.r.refresh(c.srv)
 	return err
 }
@@ -982,7 +985,7 @@ func (c *menosClient) shed() { c.r.shed(c.id) }
 
 func (c *menosClient) release() {
 	c.held = false
-	c.srv.scheduler.Complete(c.id)
+	c.member.handle.Complete()
 	c.r.sampleMem(c.kernel.Now(), c.srv)
 }
 
