@@ -150,7 +150,7 @@ bench:
 # kernel tier (avx512, avx2 or portable) the machine ran.
 kernel-bench-smoke:
 	$(GO) test -run '^TestTileTier$$' -v ./internal/tensor/
-	$(GO) test -bench='BenchmarkMatMul|BenchmarkPackT|BenchmarkGELUForward|BenchmarkSoftmaxRows|BenchmarkAdamUpdate' -benchtime=1x ./internal/tensor/
+	$(GO) test -bench='BenchmarkMatMul|BenchmarkPackT|BenchmarkGELUForward|BenchmarkActivationWithDerivative|BenchmarkActivationBackward|BenchmarkLayerNormSums|BenchmarkSoftmaxRows|BenchmarkAdamUpdate' -benchtime=1x ./internal/tensor/
 	$(GO) test -tags purego -run '^$$' -bench=BenchmarkMatMul -benchtime=1x ./internal/tensor/
 	$(GO) test -run '^$$' -bench='BenchmarkLayerNorm|BenchmarkLinearForward' -benchtime=1x ./internal/nn/
 	$(GO) test -run '^$$' -bench='BenchmarkAttention|BenchmarkModelNew' -benchtime=1x ./internal/model/

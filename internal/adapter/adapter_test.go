@@ -2,6 +2,7 @@ package adapter
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"menos/internal/model"
@@ -145,7 +146,7 @@ func TestLoRAGradCheck(t *testing.T) {
 	}
 	dy := tensor.New(y.Shape()...)
 	dy.Fill(1)
-	dx, err := l.Grad(cache, dy)
+	dx, err := l.Grad(cache, dy, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +413,7 @@ func TestLoRATemporariesRoundTripTheArena(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dx, err = l.Grad(cache, dy); err != nil {
+		if dx, err = l.Grad(cache, dy, true); err != nil {
 			t.Fatal(err)
 		}
 		return y, dx, cache
@@ -448,14 +449,77 @@ func TestLoRATemporariesRoundTripTheArena(t *testing.T) {
 		t.Fatal("arena-backed LoRA differs from the arena-less layer")
 	}
 
-	if _, err := pooled.Grad(cache, dy); err == nil {
+	if _, err := pooled.Grad(cache, dy, true); err == nil {
 		t.Fatal("second Grad over a consumed cache succeeded; its xa is back on the arena")
 	}
-	again, err := plain.Grad(plainCache, dy)
+	again, err := plain.Grad(plainCache, dy, true)
 	if err != nil {
 		t.Fatalf("second Grad without an arena: %v", err)
 	}
 	if !bitEqual(again, wantDx) {
 		t.Fatal("second Grad without an arena returned a different dx")
+	}
+}
+
+// TestLowestBlockWithoutInputGradient: with the embeddings and
+// positions frozen, the input section asks its lowest block for no
+// input gradient, so that block skips Norm1's backward, the Q/K/V input
+// products of every projection that does not train, the LoRA dx
+// products and the last residual add. The adapter gradients and Adam's
+// updates must be the bits of the same model with trainable embeddings,
+// which computes that gradient, and both must hand every arena tensor
+// back.
+func TestLowestBlockWithoutInputGradient(t *testing.T) {
+	specs := []struct {
+		name string
+		spec Spec
+	}{
+		{"lora-qv", LoRASpec(DefaultLoRA())},
+		{"lora-qkvo", LoRASpec(LoRAConfig{Rank: 4, Alpha: 8, Targets: []Target{TargetQ, TargetK, TargetV, TargetO}})},
+		{"prefix", PrefixSpec(PrefixConfig{PrefixLen: 3})},
+	}
+	for _, family := range []model.Family{model.FamilyOPT, model.FamilyLlama} {
+		for _, s := range specs {
+			run := func(embedTrains bool) [][]float32 {
+				m := tinyModel(t, family)
+				m.SetFrozenBase(true)
+				m.Embed.Frozen = !embedTrains
+				ad, err := s.spec.Inject(tensor.NewRNG(31), m.Blocks, m.Cfg.Dim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				params, opt := ad.Params(), nn.NewAdam(1e-2)
+				var bits [][]float32
+				for step := range 3 {
+					ids, targets := randBatch(m.Cfg.Vocab, 12, uint64(40+step))
+					if _, err := m.LossAndGrad(ids, targets, 2, 6); err != nil {
+						t.Fatal(err)
+					}
+					if out, _ := m.Scratch().Outstanding(); out != 0 {
+						t.Fatalf("%s/%s embeddings training=%v: %d arena bytes outstanding after a step", family, s.name, embedTrains, out)
+					}
+					for _, p := range params {
+						bits = append(bits, slices.Clone(p.Grad.Data()))
+					}
+					if err := opt.Step(params); err != nil {
+						t.Fatal(err)
+					}
+					for _, p := range params {
+						bits = append(bits, slices.Clone(p.Value.Data()))
+					}
+					nn.ZeroGrads(params)
+				}
+				return bits
+			}
+			without, with := run(false), run(true)
+			for i := range with {
+				for j, w := range with[i] {
+					if g := without[i][j]; math.Float32bits(g) != math.Float32bits(w) {
+						t.Fatalf("%s/%s: tensor %d element %d is %g without block 0's input gradient, %g with it",
+							family, s.name, i, j, g, w)
+					}
+				}
+			}
+		}
 	}
 }

@@ -195,13 +195,14 @@ func (l *LoRALinear) residual(x, y *tensor.Tensor, keep bool) (*tensor.Tensor, e
 // Grad implements nn.Op. With an arena attached it consumes the cache:
 // the retained xa goes back to the arena, so Grad can run once per
 // Apply. Without one the cache keeps its seed semantics (a second Grad
-// over the same cache still works), as LayerNorm's does.
-func (l *LoRALinear) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, error) {
+// over the same cache still works), as LayerNorm's does. With needDX
+// false it accumulates A's and B's gradients alone.
+func (l *LoRALinear) Grad(cache any, dy *tensor.Tensor, needDX bool) (*tensor.Tensor, error) {
 	c, ok := cache.(*loraCache)
 	if !ok {
 		return nil, fmt.Errorf("lora: unexpected cache type %T", cache)
 	}
-	dx, err := l.Base.Grad(c.baseC, dy)
+	dx, err := l.Base.Grad(c.baseC, dy, needDX)
 	if err != nil {
 		return nil, fmt.Errorf("lora base backward: %w", err)
 	}
@@ -216,10 +217,11 @@ func (l *LoRALinear) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, error) 
 
 // residualGrad is residual's backward over the same rows: xa is what
 // residual returned, dy the output gradient, dx the base's input
-// gradient. It accumulates into this layer's own A and B gradients and
-// adds the low-rank path's input gradient to dx in place. xa goes back
-// to the arena: a caller whose layer has one must drop its reference,
-// and a nil xa is a cache some earlier Grad already consumed.
+// gradient. It accumulates into this layer's own A and B gradients and,
+// unless dx is nil (no input gradient is wanted), adds the low-rank
+// path's input gradient to dx in place. xa goes back to the arena: a
+// caller whose layer has one must drop its reference, and a nil xa is
+// a cache some earlier Grad already consumed.
 func (l *LoRALinear) residualGrad(x, xa, dy, dx *tensor.Tensor) error {
 	if xa == nil {
 		return fmt.Errorf("lora backward: cache already consumed")
@@ -242,6 +244,10 @@ func (l *LoRALinear) residualGrad(x, xa, dy, dx *tensor.Tensor) error {
 	if err := tensor.MatMulTAccum(l.A.Grad, x, dxa); err != nil {
 		return fmt.Errorf("lora dA: %w", err)
 	}
+	if dx == nil {
+		sc.Put(xa, scaled, dxa)
+		return nil
+	}
 	// dx += dXA Aᵀ
 	dxLora := sc.GetUninit(rows, l.in)
 	if err := tensor.MatMulT(dxLora, dxa, l.A.Value); err != nil {
@@ -253,6 +259,9 @@ func (l *LoRALinear) residualGrad(x, xa, dy, dx *tensor.Tensor) error {
 	sc.Put(xa, scaled, dxa, dxLora)
 	return nil
 }
+
+// Trains implements nn.Op: A and B always train.
+func (l *LoRALinear) Trains() bool { return true }
 
 // Params returns the adapter parameters A and B (the base's trainable
 // params, if any, are included so optimizers see everything reachable).

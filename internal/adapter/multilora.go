@@ -138,12 +138,12 @@ func (l *MultiLoRALinear) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor
 // accumulating into that client's private A/B gradient buffers. Like
 // LoRALinear.Grad it consumes the cache of every segment whose layer
 // has an arena.
-func (l *MultiLoRALinear) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, error) {
+func (l *MultiLoRALinear) Grad(cache any, dy *tensor.Tensor, needDX bool) (*tensor.Tensor, error) {
 	c, ok := cache.(*multiCache)
 	if !ok {
 		return nil, fmt.Errorf("multi-lora: unexpected cache type %T", cache)
 	}
-	dx, err := l.Base.Grad(c.baseC, dy)
+	dx, err := l.Base.Grad(c.baseC, dy, needDX)
 	if err != nil {
 		return nil, fmt.Errorf("multi-lora base backward: %w", err)
 	}
@@ -158,9 +158,11 @@ func (l *MultiLoRALinear) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, er
 		if err != nil {
 			return nil, fmt.Errorf("multi-lora segment %d x: %w", i, err)
 		}
-		dxs, err := dx.Slice2D(lo, hi)
-		if err != nil {
-			return nil, fmt.Errorf("multi-lora segment %d dx: %w", i, err)
+		var dxs *tensor.Tensor
+		if dx != nil {
+			if dxs, err = dx.Slice2D(lo, hi); err != nil {
+				return nil, fmt.Errorf("multi-lora segment %d dx: %w", i, err)
+			}
 		}
 		if err := s.Layer.residualGrad(xs, c.xas[i], dys, dxs); err != nil {
 			return nil, fmt.Errorf("multi-lora segment %d: %w", i, err)
@@ -183,6 +185,9 @@ func (l *MultiLoRALinear) Params() []nn.Param {
 	}
 	return append(ps, l.Base.Params()...)
 }
+
+// Trains implements nn.Op: every segment's A and B train.
+func (l *MultiLoRALinear) Trains() bool { return true }
 
 // SetFrozen forwards to the base projection.
 func (l *MultiLoRALinear) SetFrozen(frozen bool) { l.Base.SetFrozen(frozen) }

@@ -246,7 +246,7 @@ func TestMultiLoRASingleSegmentMatchesLoRALinear(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dx, err := serial.Grad(cache, dy)
+				dx, err := serial.Grad(cache, dy, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -266,7 +266,7 @@ func TestMultiLoRASingleSegmentMatchesLoRALinear(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dxBatch, err := ml.Grad(cBatch, stackRows(t, dys))
+			dxBatch, err := ml.Grad(cBatch, stackRows(t, dys), true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -261,7 +261,12 @@ func (a *Attention) attend(ctx, probs, q, k, v *tensor.Tensor, batch, seq int) e
 // prefix as in attend. The prefix rows of dK and dV go to a per-worker
 // buffer and are added into the prefix gradients from there, as ever:
 // accumulating straight into Prefix.K.Grad would change their rounding.
-func (a *Attention) Backward(cache *AttnCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
+//
+// With needDX false nothing below the attention trains: it returns a
+// nil dx, and a projection that does not train gets no gradient, so
+// its dq, dk or dv is not computed either. The prefix and the
+// projections that train get the same bits as with needDX.
+func (a *Attention) Backward(cache *AttnCache, dy *tensor.Tensor, needDX bool) (*tensor.Tensor, error) {
 	if cache == nil || cache.Probs == nil {
 		return nil, fmt.Errorf("attention backward: no cached activations")
 	}
@@ -275,17 +280,25 @@ func (a *Attention) Backward(cache *AttnCache, dy *tensor.Tensor) (*tensor.Tenso
 	dim := a.heads * hd
 	sc := a.scratch
 
-	dctx, err := a.O.Grad(cache.OC, dy)
+	dctx, err := a.O.Grad(cache.OC, dy, true)
 	if err != nil {
 		return nil, fmt.Errorf("attention o backward: %w", err)
 	}
 	sc.Put(cache.Ctx)
 	cache.Ctx = nil
 
-	// Every (batch, head) writes its whole window of dq, dk and dv.
-	dq := sc.GetUninit(batch*seq, dim)
-	dk := sc.GetUninit(batch*seq, dim)
-	dv := sc.GetUninit(batch*seq, dim)
+	// Every (batch, head) writes its whole window of each of dq, dk and
+	// dv that is needed; the others stay nil.
+	var dq, dk, dv *tensor.Tensor
+	if needDX || a.Q.Trains() {
+		dq = sc.GetUninit(batch*seq, dim)
+	}
+	if needDX || a.K.Trains() {
+		dk = sc.GetUninit(batch*seq, dim)
+	}
+	if needDX || a.V.Trains() {
+		dv = sc.GetUninit(batch*seq, dim)
+	}
 	scale := float32(1.0 / math.Sqrt(float64(hd)))
 
 	// headBackward runs (batch b, head h) with the worker's dS buffer
@@ -296,7 +309,7 @@ func (a *Attention) Backward(cache *AttnCache, dy *tensor.Tensor) (*tensor.Tenso
 		ds := dp.Window(0, 0, seq, ext)
 		qh, kh, vh := cache.QT.Window(rows, h*hd, seq, hd), cache.KT.Window(rows, h*hd, seq, hd), cache.VT.Window(rows, h*hd, seq, hd)
 		douth := dctx.Window(rows, h*hd, seq, hd)
-		dqh, dkh, dvh := dq.Window(rows, h*hd, seq, hd), dk.Window(rows, h*hd, seq, hd), dv.Window(rows, h*hd, seq, hd)
+		needS := dq != nil || dk != nil || pLen > 0 // dS feeds dQ, dK and the prefix's dK
 		var pk, pv tensor.View
 		if pLen > 0 {
 			pk, pv = a.Prefix.K.Value.Window(0, h*hd, pLen, hd), a.Prefix.V.Value.Window(0, h*hd, pLen, hd)
@@ -311,11 +324,18 @@ func (a *Attention) Backward(cache *AttnCache, dy *tensor.Tensor) (*tensor.Tenso
 				return fmt.Errorf("attention prefix dV: %w", err)
 			}
 		}
-		if err := tensor.MatMulTView(ds.Window(0, pLen, seq, seq), douth, vh); err != nil {
-			return fmt.Errorf("attention dP: %w", err)
+		if needS {
+			if err := tensor.MatMulTView(ds.Window(0, pLen, seq, seq), douth, vh); err != nil {
+				return fmt.Errorf("attention dP: %w", err)
+			}
 		}
-		if err := tensor.MatMulTAccumView(dvh, p.Window(0, pLen, seq, seq), douth, false); err != nil {
-			return fmt.Errorf("attention dV: %w", err)
+		if dv != nil {
+			if err := tensor.MatMulTAccumView(dv.Window(rows, h*hd, seq, hd), p.Window(0, pLen, seq, seq), douth, false); err != nil {
+				return fmt.Errorf("attention dV: %w", err)
+			}
+		}
+		if !needS {
+			return nil
 		}
 		// dS = P ∘ (dP - rowsum(dP∘P)), scaled by 1/√hd.
 		if err := tensor.SoftmaxBackward(ds, p, scale); err != nil {
@@ -323,18 +343,24 @@ func (a *Attention) Backward(cache *AttnCache, dy *tensor.Tensor) (*tensor.Tenso
 		}
 		// dQ = dS @ K ; dK = dSᵀ @ Q
 		if pLen > 0 {
-			if err := tensor.MatMulView(dqh, ds.Window(0, 0, seq, pLen), pk, false); err != nil {
-				return fmt.Errorf("attention prefix dQ: %w", err)
+			if dq != nil {
+				if err := tensor.MatMulView(dq.Window(rows, h*hd, seq, hd), ds.Window(0, 0, seq, pLen), pk, false); err != nil {
+					return fmt.Errorf("attention prefix dQ: %w", err)
+				}
 			}
 			if err := tensor.MatMulTAccumView(dkp.Window(0, 0, pLen, hd), ds.Window(0, 0, seq, pLen), qh, false); err != nil {
 				return fmt.Errorf("attention prefix dK: %w", err)
 			}
 		}
-		if err := tensor.MatMulView(dqh, ds.Window(0, pLen, seq, seq), kh, pLen > 0); err != nil {
-			return fmt.Errorf("attention dQ: %w", err)
+		if dq != nil {
+			if err := tensor.MatMulView(dq.Window(rows, h*hd, seq, hd), ds.Window(0, pLen, seq, seq), kh, pLen > 0); err != nil {
+				return fmt.Errorf("attention dQ: %w", err)
+			}
 		}
-		if err := tensor.MatMulTAccumView(dkh, ds.Window(0, pLen, seq, seq), qh, false); err != nil {
-			return fmt.Errorf("attention dK: %w", err)
+		if dk != nil {
+			if err := tensor.MatMulTAccumView(dk.Window(rows, h*hd, seq, hd), ds.Window(0, pLen, seq, seq), qh, false); err != nil {
+				return fmt.Errorf("attention dK: %w", err)
+			}
 		}
 		if pLen > 0 {
 			a.scatterHeadAdd(a.Prefix.K.Grad, h, pLen, dkp.Data())
@@ -385,23 +411,30 @@ func (a *Attention) Backward(cache *AttnCache, dy *tensor.Tensor) (*tensor.Tenso
 	}
 
 	if a.rope != nil {
-		a.applyRope(dq, batch, seq, true)
-		a.applyRope(dk, batch, seq, true)
+		if dq != nil {
+			a.applyRope(dq, batch, seq, true)
+		}
+		if dk != nil {
+			a.applyRope(dk, batch, seq, true)
+		}
 	}
 
-	dxq, err := a.Q.Grad(cache.QC, dq)
+	dxq, err := a.Q.Grad(cache.QC, dq, needDX)
 	if err != nil {
 		return nil, fmt.Errorf("attention q backward: %w", err)
 	}
-	dxk, err := a.K.Grad(cache.KC, dk)
+	dxk, err := a.K.Grad(cache.KC, dk, needDX)
 	if err != nil {
 		return nil, fmt.Errorf("attention k backward: %w", err)
 	}
-	dxv, err := a.V.Grad(cache.VC, dv)
+	dxv, err := a.V.Grad(cache.VC, dv, needDX)
 	if err != nil {
 		return nil, fmt.Errorf("attention v backward: %w", err)
 	}
 	sc.Put(dq, dk, dv)
+	if !needDX {
+		return nil, nil
+	}
 	if err := tensor.Add(dxq, dxq, dxk); err != nil {
 		return nil, fmt.Errorf("attention dx sum: %w", err)
 	}

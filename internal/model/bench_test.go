@@ -33,7 +33,7 @@ func BenchmarkAttention(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dx, err := attn.Backward(cache, dy)
+		dx, err := attn.Backward(cache, dy, true)
 		if err != nil {
 			b.Fatal(err)
 		}

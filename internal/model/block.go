@@ -130,8 +130,11 @@ func (b *Block) Forward(x *tensor.Tensor, batch, seq int, withGrad bool) (*tenso
 	return y, cache, nil
 }
 
-// Backward propagates dy through the block.
-func (b *Block) Backward(cache *BlockCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
+// Backward propagates dy through the block. With needDX false nothing
+// below the block trains: it accumulates the block's own parameter
+// gradients alone and returns a nil dx, so Norm1's backward, the
+// attention's input products and the last residual add are not run.
+func (b *Block) Backward(cache *BlockCache, dy *tensor.Tensor, needDX bool) (*tensor.Tensor, error) {
 	if cache == nil {
 		return nil, fmt.Errorf("block backward: no cached activations")
 	}
@@ -141,7 +144,7 @@ func (b *Block) Backward(cache *BlockCache, dy *tensor.Tensor) (*tensor.Tensor, 
 	if err != nil {
 		return nil, fmt.Errorf("block ffn backward: %w", err)
 	}
-	dn2, err := b.Norm2.Grad(cache.Norm2C, dffn)
+	dn2, err := b.Norm2.Grad(cache.Norm2C, dffn, true)
 	if err != nil {
 		return nil, fmt.Errorf("block norm2 backward: %w", err)
 	}
@@ -156,11 +159,11 @@ func (b *Block) Backward(cache *BlockCache, dy *tensor.Tensor) (*tensor.Tensor, 
 	sc.Put(dn2)
 
 	// h = x + Attn(Norm1(x)): dx = dh + Norm1ᵀ(Attnᵀ(dh))
-	dattn, err := b.Attn.Backward(cache.AttnC, dh)
+	dattn, err := b.Attn.Backward(cache.AttnC, dh, needDX || b.Norm1.Trains())
 	if err != nil {
 		return nil, fmt.Errorf("block attn backward: %w", err)
 	}
-	dn1, err := b.Norm1.Grad(cache.Norm1C, dattn)
+	dn1, err := b.Norm1.Grad(cache.Norm1C, dattn, needDX)
 	if err != nil {
 		return nil, fmt.Errorf("block norm1 backward: %w", err)
 	}
@@ -168,6 +171,10 @@ func (b *Block) Backward(cache *BlockCache, dy *tensor.Tensor) (*tensor.Tensor, 
 	// backwards inside Attn.Backward.
 	sc.Put(dattn, cache.N1)
 	cache.N1 = nil
+	if !needDX {
+		sc.Put(dh)
+		return nil, nil
+	}
 	dx := sc.GetUninit(dy.Shape()...)
 	if err := tensor.Add(dx, dh, dn1); err != nil {
 		return nil, fmt.Errorf("block residual 1 backward: %w", err)

@@ -23,7 +23,7 @@ type FFN struct {
 // FFNCache retains FFN intermediates for the backward pass.
 type FFNCache struct {
 	UpC, DownC, GateC any
-	Act               *nn.ActCache   // GELU input (OPT) or SiLU input (Llama)
+	Act               *nn.ActCache   // gelu' (OPT) or silu' (Llama) at the pre-activation, written over it
 	UpOut             *tensor.Tensor // Llama: up-projection output (for the gating product)
 	SiluOut           *tensor.Tensor // Llama: SiLU(gate) output
 
@@ -148,19 +148,19 @@ func (f *FFN) Backward(cache *FFNCache, dy *tensor.Tensor) (*tensor.Tensor, erro
 	sc := f.scratch
 	switch f.family {
 	case FamilyOPT:
-		dg, err := f.Down.Grad(cache.DownC, dy)
+		dg, err := f.Down.Grad(cache.DownC, dy, true)
 		if err != nil {
 			return nil, fmt.Errorf("ffn down backward: %w", err)
 		}
 		sc.Put(cache.Hidden)
 		cache.Hidden = nil
-		dh, err := nn.GELUBackwardScratch(sc, cache.Act, dg)
+		dh, err := nn.ActBackwardScratch(sc, cache.Act, dg)
 		if err != nil {
 			return nil, fmt.Errorf("ffn gelu backward: %w", err)
 		}
-		sc.Put(dg, cache.Act.X)
+		sc.Put(dg, cache.Act.D)
 		cache.Act = nil
-		dx, err := f.Up.Grad(cache.UpC, dh)
+		dx, err := f.Up.Grad(cache.UpC, dh, true)
 		if err != nil {
 			return nil, fmt.Errorf("ffn up backward: %w", err)
 		}
@@ -168,7 +168,7 @@ func (f *FFN) Backward(cache *FFNCache, dy *tensor.Tensor) (*tensor.Tensor, erro
 		return dx, nil
 
 	case FamilyLlama:
-		dh, err := f.Down.Grad(cache.DownC, dy)
+		dh, err := f.Down.Grad(cache.DownC, dy, true)
 		if err != nil {
 			return nil, fmt.Errorf("ffn down backward: %w", err)
 		}
@@ -185,18 +185,18 @@ func (f *FFN) Backward(cache *FFNCache, dy *tensor.Tensor) (*tensor.Tensor, erro
 		}
 		sc.Put(dh, cache.UpOut, cache.SiluOut)
 		cache.UpOut, cache.SiluOut = nil, nil
-		dg, err := nn.SiLUBackwardScratch(sc, cache.Act, ds)
+		dg, err := nn.ActBackwardScratch(sc, cache.Act, ds)
 		if err != nil {
 			return nil, fmt.Errorf("ffn silu backward: %w", err)
 		}
-		sc.Put(ds, cache.Act.X)
+		sc.Put(ds, cache.Act.D)
 		cache.Act = nil
-		dxGate, err := f.Gate.Grad(cache.GateC, dg)
+		dxGate, err := f.Gate.Grad(cache.GateC, dg, true)
 		if err != nil {
 			return nil, fmt.Errorf("ffn gate backward: %w", err)
 		}
 		sc.Put(dg)
-		dxUp, err := f.Up.Grad(cache.UpC, du)
+		dxUp, err := f.Up.Grad(cache.UpC, du, true)
 		if err != nil {
 			return nil, fmt.Errorf("ffn up backward: %w", err)
 		}

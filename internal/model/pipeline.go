@@ -50,12 +50,12 @@ func (t *Transformer) LossAndGrad(ids, targets []int, batch, seq int) (StepResul
 	if err != nil {
 		return StepResult{}, err
 	}
-	t.scratch.Put(dlogits)
+	t.scratch.Put(dlogits, xs)
 	gs, err := body.Backward(bodyCache, gc)
 	if err != nil {
 		return StepResult{}, err
 	}
-	t.scratch.Put(gc)
+	t.scratch.Put(gc, xc)
 	if err := input.Backward(inCache, gs); err != nil {
 		return StepResult{}, err
 	}

@@ -194,10 +194,13 @@ func (s *InputSection) Backward(cache *InputCache, dy *tensor.Tensor) error {
 	if cache == nil {
 		return fmt.Errorf("input section backward: no cached activations")
 	}
+	// The lowest block is asked for no input gradient when nothing
+	// below it trains: the embeddings and positions are frozen.
+	below := !s.model.Embed.Frozen || s.model.Pos != nil && !s.model.Pos.Frozen
 	orig := dy
 	for i := len(cache.BlockCs) - 1; i >= 0; i-- {
 		bc := cache.BlockCs[i]
-		dx, err := s.model.Blocks[i].Backward(bc, dy)
+		dx, err := s.model.Blocks[i].Backward(bc, dy, i > 0 || below)
 		if err != nil {
 			return fmt.Errorf("input block %d backward: %w", i, err)
 		}
@@ -258,7 +261,7 @@ func (s *BodySection) Backward(cache *BodyCache, dy *tensor.Tensor) (*tensor.Ten
 	orig := dy
 	for i := len(s.blocks) - 1; i >= 0; i-- {
 		bc := cache.BlockCs[i]
-		dx, err := s.blocks[i].Backward(bc, dy)
+		dx, err := s.blocks[i].Backward(bc, dy, true)
 		if err != nil {
 			return nil, fmt.Errorf("body block %d backward: %w", i, err)
 		}
@@ -306,11 +309,11 @@ func (s *OutputSection) Backward(cache *OutputCache, dlogits *tensor.Tensor) (*t
 	if cache == nil {
 		return nil, fmt.Errorf("output section backward: no cached activations")
 	}
-	dn, err := s.model.LMHead.Backward(cache.HeadC, dlogits)
+	dn, err := s.model.LMHead.Backward(cache.HeadC, dlogits, true)
 	if err != nil {
 		return nil, fmt.Errorf("output head backward: %w", err)
 	}
-	dx, err := s.model.Norm.Grad(cache.NormC, dn)
+	dx, err := s.model.Norm.Grad(cache.NormC, dn, true)
 	if err != nil {
 		return nil, fmt.Errorf("output norm backward: %w", err)
 	}

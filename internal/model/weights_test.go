@@ -128,6 +128,9 @@ func TestBaseParamsRejectsWrappedModel(t *testing.T) {
 type wrapperOp struct{ inner nn.Op }
 
 func (w wrapperOp) Apply(x *tensor.Tensor, g bool) (*tensor.Tensor, any, error) { return x, nil, nil }
-func (w wrapperOp) Grad(c any, dy *tensor.Tensor) (*tensor.Tensor, error)       { return dy, nil }
-func (w wrapperOp) Params() []nn.Param                                          { return nil }
-func (w wrapperOp) SetFrozen(bool)                                              {}
+func (w wrapperOp) Grad(c any, dy *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
+	return dy, nil
+}
+func (w wrapperOp) Trains() bool       { return false }
+func (w wrapperOp) Params() []nn.Param { return nil }
+func (w wrapperOp) SetFrozen(bool)     {}

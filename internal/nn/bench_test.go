@@ -32,7 +32,7 @@ func BenchmarkLayerNorm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dx, err := l.Backward(&c, dy)
+		dx, err := l.Backward(&c, dy, true)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func TestLinearGradCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dx, err := l.Backward(cache, ones(y.Shape()...))
+	dx, err := l.Backward(cache, ones(y.Shape()...), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestLinearGradCheckTileBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dx, err := l.Backward(cache, ones(y.Shape()...))
+		dx, err := l.Backward(cache, ones(y.Shape()...), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestLinearFrozenSkipsWeightGrads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dx, err := l.Backward(cache, ones(y.Shape()...))
+	dx, err := l.Backward(cache, ones(y.Shape()...), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +185,10 @@ func TestLinearFrozenSkipsWeightGrads(t *testing.T) {
 func TestLinearBackwardWithoutCache(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	l := NewLinear(rng, 2, 2, false)
-	if _, err := l.Backward(nil, ones(1, 2)); err == nil {
+	if _, err := l.Backward(nil, ones(1, 2), true); err == nil {
 		t.Fatal("Backward with nil cache succeeded")
 	}
-	if _, err := l.Backward(&LinearCache{}, ones(1, 2)); err == nil {
+	if _, err := l.Backward(&LinearCache{}, ones(1, 2), true); err == nil {
 		t.Fatal("Backward with empty cache succeeded")
 	}
 }
@@ -278,7 +278,7 @@ func TestLayerNormGradCheck(t *testing.T) {
 	if _, err := l.Forward(x, cache); err != nil {
 		t.Fatal(err)
 	}
-	dx, err := l.Backward(cache, dy)
+	dx, err := l.Backward(cache, dy, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestRMSNormGradCheck(t *testing.T) {
 	if _, err := l.Forward(x, cache); err != nil {
 		t.Fatal(err)
 	}
-	dx, err := l.Backward(cache, dy)
+	dx, err := l.Backward(cache, dy, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +354,8 @@ func TestGELUGradCheck(t *testing.T) {
 		return sumLoss(GELUScratch(nil, x, nil))
 	}
 	cache := &ActCache{}
-	y := GELUScratch(nil, x, cache)
-	dx, err := GELUBackwardScratch(nil, cache, ones(y.Shape()...))
+	y := GELUScratch(nil, x.Clone(), cache) // the grad forward overwrites its input
+	dx, err := ActBackwardScratch(nil, cache, ones(y.Shape()...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +369,8 @@ func TestSiLUGradCheck(t *testing.T) {
 		return sumLoss(SiLUScratch(nil, x, nil))
 	}
 	cache := &ActCache{}
-	y := SiLUScratch(nil, x, cache)
-	dx, err := SiLUBackwardScratch(nil, cache, ones(y.Shape()...))
+	y := SiLUScratch(nil, x.Clone(), cache) // the grad forward overwrites its input
+	dx, err := ActBackwardScratch(nil, cache, ones(y.Shape()...))
 	if err != nil {
 		t.Fatal(err)
 	}

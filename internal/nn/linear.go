@@ -81,10 +81,15 @@ func (l *Linear) Forward(x *tensor.Tensor, cache *LinearCache) (*tensor.Tensor, 
 }
 
 // Backward propagates dy to dx and, unless the layer is frozen,
-// accumulates weight and bias gradients.
-func (l *Linear) Backward(cache *LinearCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
+// accumulates weight and bias gradients. With needDX false it computes
+// no dx and returns nil; a frozen layer then does nothing and does not
+// read dy, which may be nil.
+func (l *Linear) Backward(cache *LinearCache, dy *tensor.Tensor, needDX bool) (*tensor.Tensor, error) {
 	if cache == nil || cache.X == nil {
 		return nil, fmt.Errorf("linear backward: no cached activations (was Forward called with a cache?)")
+	}
+	if !needDX && l.Frozen {
+		return nil, nil
 	}
 	x := cache.X
 	if dy.Rank() != 2 || dy.Dim(0) != x.Dim(0) || dy.Dim(1) != l.Out() {
@@ -101,6 +106,9 @@ func (l *Linear) Backward(cache *LinearCache, dy *tensor.Tensor) (*tensor.Tensor
 				return nil, fmt.Errorf("linear dB: %w", err)
 			}
 		}
+	}
+	if !needDX {
+		return nil, nil
 	}
 	// dx = dy @ Wᵀ
 	dx := l.scratch.GetUninit(x.Dim(0), l.In())

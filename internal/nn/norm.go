@@ -81,22 +81,31 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, cache *LayerNormCache) (*tensor.Te
 }
 
 // Backward computes dx and accumulates dgamma/dbeta unless frozen.
-func (l *LayerNorm) Backward(cache *LayerNormCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
+// With needDX false it computes no dx and returns nil; a frozen layer
+// then only gives back its cache and does not read dy, which may be
+// nil.
+func (l *LayerNorm) Backward(cache *LayerNormCache, dy *tensor.Tensor, needDX bool) (*tensor.Tensor, error) {
 	if cache == nil || cache.XHat == nil {
 		return nil, fmt.Errorf("layernorm backward: no cached activations")
 	}
-	rows, cols := cache.XHat.Dim(0), cache.XHat.Dim(1)
-	if dy.Rank() != 2 || dy.Dim(0) != rows || dy.Dim(1) != cols {
-		return nil, fmt.Errorf("layernorm backward: dy %v for cached %v: %w",
-			dy.Shape(), cache.XHat.Shape(), tensor.ErrShape)
-	}
-	var dg, db *tensor.Tensor
-	if !l.Frozen {
-		dg, db = l.Gamma.Grad, l.Beta.Grad
-	}
-	dx := l.scratch.GetUninit(rows, cols)
-	if err := tensor.LayerNormBackward(dx, dg, db, dy, cache.XHat, cache.InvStd, l.Gamma.Value); err != nil {
-		return nil, fmt.Errorf("layernorm backward: %w", err)
+	var dx *tensor.Tensor
+	if needDX || !l.Frozen {
+		rows, cols := cache.XHat.Dim(0), cache.XHat.Dim(1)
+		if dy.Rank() != 2 || dy.Dim(0) != rows || dy.Dim(1) != cols {
+			return nil, fmt.Errorf("layernorm backward: dy %v for cached %v: %w",
+				dy.Shape(), cache.XHat.Shape(), tensor.ErrShape)
+		}
+		var dg, db *tensor.Tensor
+		if !l.Frozen {
+			dg, db = l.Gamma.Grad, l.Beta.Grad
+		}
+		if needDX {
+			dx = l.scratch.GetUninit(rows, cols)
+		}
+		if err := tensor.LayerNormBackward(dx, dg, db, dy, cache.XHat, cache.InvStd, l.Gamma.Value); err != nil {
+			l.scratch.Put(dx)
+			return nil, fmt.Errorf("layernorm backward: %w", err)
+		}
 	}
 	if l.scratch != nil {
 		// The layer owns xhat and the statistics; with the backward
@@ -189,10 +198,15 @@ func (l *RMSNorm) Forward(x *tensor.Tensor, cache *RMSNormCache) (*tensor.Tensor
 	return out, nil
 }
 
-// Backward computes dx and accumulates dgamma unless frozen.
-func (l *RMSNorm) Backward(cache *RMSNormCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
+// Backward computes dx and accumulates dgamma unless frozen. With
+// needDX false it computes no dx and returns nil; a frozen layer then
+// does nothing and does not read dy, which may be nil.
+func (l *RMSNorm) Backward(cache *RMSNormCache, dy *tensor.Tensor, needDX bool) (*tensor.Tensor, error) {
 	if cache == nil || cache.X == nil {
 		return nil, fmt.Errorf("rmsnorm backward: no cached activations")
+	}
+	if !needDX && l.Frozen {
+		return nil, nil
 	}
 	rows, cols := cache.X.Dim(0), cache.X.Dim(1)
 	if dy.Rank() != 2 || dy.Dim(0) != rows || dy.Dim(1) != cols {
@@ -200,21 +214,24 @@ func (l *RMSNorm) Backward(cache *RMSNormCache, dy *tensor.Tensor) (*tensor.Tens
 			dy.Shape(), cache.X.Shape(), tensor.ErrShape)
 	}
 	gamma := l.Gamma.Value.Data()
-	dx := l.scratch.GetUninit(rows, cols)
-	for r := 0; r < rows; r++ {
-		xr := cache.X.Data()[r*cols : (r+1)*cols]
-		dyr := dy.Data()[r*cols : (r+1)*cols]
-		inv := float64(cache.InvRMS[r])
-		// y_c = x_c * inv * g_c with inv = (mean(x²)+eps)^-1/2
-		// dx_c = inv * g_c * dy_c - x_c * inv³/n * Σ_j dy_j g_j x_j
-		var dot float64
-		for c := 0; c < cols; c++ {
-			dot += float64(float64(dyr[c]) * float64(gamma[c]) * float64(xr[c]))
-		}
-		coef := inv * inv * inv / float64(cols) * dot
-		dxr := dx.Data()[r*cols : (r+1)*cols]
-		for c := 0; c < cols; c++ {
-			dxr[c] = float32(float64(inv*float64(gamma[c])*float64(dyr[c])) - float64(float64(xr[c])*coef))
+	var dx *tensor.Tensor
+	if needDX {
+		dx = l.scratch.GetUninit(rows, cols)
+		for r := 0; r < rows; r++ {
+			xr := cache.X.Data()[r*cols : (r+1)*cols]
+			dyr := dy.Data()[r*cols : (r+1)*cols]
+			inv := float64(cache.InvRMS[r])
+			// y_c = x_c * inv * g_c with inv = (mean(x²)+eps)^-1/2
+			// dx_c = inv * g_c * dy_c - x_c * inv³/n * Σ_j dy_j g_j x_j
+			var dot float64
+			for c := 0; c < cols; c++ {
+				dot += float64(float64(dyr[c]) * float64(gamma[c]) * float64(xr[c]))
+			}
+			coef := inv * inv * inv / float64(cols) * dot
+			dxr := dx.Data()[r*cols : (r+1)*cols]
+			for c := 0; c < cols; c++ {
+				dxr[c] = float32(float64(inv*float64(gamma[c])*float64(dyr[c])) - float64(float64(xr[c])*coef))
+			}
 		}
 	}
 	if !l.Frozen {

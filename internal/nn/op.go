@@ -18,8 +18,15 @@ type Op interface {
 	// Apply runs the forward computation. When withGrad is true the
 	// returned cache holds the activations Grad needs.
 	Apply(x *tensor.Tensor, withGrad bool) (y *tensor.Tensor, cache any, err error)
-	// Grad back-propagates dy using a cache produced by Apply.
-	Grad(cache any, dy *tensor.Tensor) (dx *tensor.Tensor, err error)
+	// Grad back-propagates dy using a cache produced by Apply. With
+	// needDX false nothing below the operator trains: Grad accumulates
+	// the parameter gradients alone (the same bits) and returns a nil
+	// dx. An operator that does not train then only gives back what
+	// its cache holds, and does not read dy, which may be nil.
+	Grad(cache any, dy *tensor.Tensor, needDX bool) (dx *tensor.Tensor, err error)
+	// Trains reports whether Grad accumulates into any parameter, so
+	// whether it reads dy for anything but dx.
+	Trains() bool
 	// Params returns the operator's trainable parameters.
 	Params() []Param
 	// SetFrozen toggles base-parameter training.
@@ -80,13 +87,16 @@ func (l *Linear) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor, any, er
 }
 
 // Grad implements Op for Linear.
-func (l *Linear) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, error) {
+func (l *Linear) Grad(cache any, dy *tensor.Tensor, needDX bool) (*tensor.Tensor, error) {
 	c, ok := cache.(*LinearCache)
 	if !ok {
 		return nil, fmt.Errorf("linear: unexpected cache type %T", cache)
 	}
-	return l.Backward(c, dy)
+	return l.Backward(c, dy, needDX)
 }
+
+// Trains implements Op for Linear.
+func (l *Linear) Trains() bool { return !l.Frozen }
 
 // SetFrozen implements Op for Linear.
 func (l *Linear) SetFrozen(frozen bool) { l.Frozen = frozen }
@@ -106,13 +116,16 @@ func (l *LayerNorm) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor, any,
 }
 
 // Grad implements Op for LayerNorm.
-func (l *LayerNorm) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, error) {
+func (l *LayerNorm) Grad(cache any, dy *tensor.Tensor, needDX bool) (*tensor.Tensor, error) {
 	c, ok := cache.(*LayerNormCache)
 	if !ok {
 		return nil, fmt.Errorf("layernorm: unexpected cache type %T", cache)
 	}
-	return l.Backward(c, dy)
+	return l.Backward(c, dy, needDX)
 }
+
+// Trains implements Op for LayerNorm.
+func (l *LayerNorm) Trains() bool { return !l.Frozen }
 
 // SetFrozen implements Op for LayerNorm.
 func (l *LayerNorm) SetFrozen(frozen bool) { l.Frozen = frozen }
@@ -132,13 +145,16 @@ func (l *RMSNorm) Apply(x *tensor.Tensor, withGrad bool) (*tensor.Tensor, any, e
 }
 
 // Grad implements Op for RMSNorm.
-func (l *RMSNorm) Grad(cache any, dy *tensor.Tensor) (*tensor.Tensor, error) {
+func (l *RMSNorm) Grad(cache any, dy *tensor.Tensor, needDX bool) (*tensor.Tensor, error) {
 	c, ok := cache.(*RMSNormCache)
 	if !ok {
 		return nil, fmt.Errorf("rmsnorm: unexpected cache type %T", cache)
 	}
-	return l.Backward(c, dy)
+	return l.Backward(c, dy, needDX)
 }
+
+// Trains implements Op for RMSNorm.
+func (l *RMSNorm) Trains() bool { return !l.Frozen }
 
 // SetFrozen implements Op for RMSNorm.
 func (l *RMSNorm) SetFrozen(frozen bool) { l.Frozen = frozen }

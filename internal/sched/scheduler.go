@@ -1164,7 +1164,14 @@ func (s *Scheduler) Schedulable() int64 {
 }
 
 // AdmissionStats snapshots admission-controller activity (zero when
-// admission control is disabled).
+// admission control is disabled). Unlike Load it does not settle the
+// controller: State is as the last evaluation left it, which on a quiet
+// server may still read Shedding after the calm dwell has passed. It
+// stays a pure read because settling is a write: it can count a
+// transition, and the simulator reads these stats at the end of a run
+// into TestCountsPin's digests (autoscale and batch move), while
+// TestSchedulerTraceIsPinned reads them mid-program. Read Load().Admission
+// for the settled state.
 func (s *Scheduler) AdmissionStats() AdmissionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -479,21 +479,30 @@ func TestHandshakeRefusalsReleaseEverything(t *testing.T) {
 // instance, its parked grant or its memory reservation. Once its
 // teardown has run, the scheduler holds what it held before the client
 // dialed (its identity table, free, schedulable and parked bytes), the
-// session's arena series read 0 and its goroutines are gone; the same
-// client ID is then admitted again.
+// device holds the bytes it held and the shared store the instances it
+// had, the session's arena series read 0 and its goroutines are gone;
+// the same client ID is then admitted again, and its teardown gives
+// the same books back.
 func TestAbruptDisconnectReleasesInstance(t *testing.T) {
 	tensor.Parallelism() // the shared compute pool outlives any server: start it first
 	reg := obs.NewRegistry()
-	srv, addr := startServer(t, Config{Metrics: reg})
+	store, err := share.NewStore(tensor.NewRNG(weightSeed), testModelCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, Config{Metrics: reg, Store: store})
 	cfg := clientCfg("flaky")
 	ids, targets := batchFor(cfg, 9)
 	sch := srv.Scheduler()
 	type books struct {
 		identities                     int
 		available, schedulable, parked int64
+		deviceUsed                     int64
+		instances                      int
 	}
 	read := func() books {
-		return books{sch.Stats().Identities, sch.Available(), sch.Schedulable(), sch.Parked()}
+		return books{sch.Stats().Identities, sch.Available(), sch.Schedulable(), sch.Parked(),
+			srv.Device().Used(), store.ActiveInstances()}
 	}
 	before, goroutines := read(), runtime.NumGoroutine()
 	// The teardown drops the active count last, once everything the
@@ -512,6 +521,9 @@ func TestAbruptDisconnectReleasesInstance(t *testing.T) {
 	}
 	if sch.Parked() == 0 {
 		t.Fatal("the abandoned forward left nothing parked")
+	}
+	if live := read(); live.instances != before.instances+1 {
+		t.Fatalf("the live session leaves the store with %d instances, %d before the dial", live.instances, before.instances)
 	}
 	// Abrupt close without Bye.
 	_ = c.Close()

@@ -113,6 +113,83 @@ func BenchmarkGELUBackward(b *testing.B) {
 	})
 }
 
+// eachTier runs f as a sub-benchmark at every tier this CPU runs, so a
+// kernel benchmark also shows a tier that fails to build or dispatch.
+func eachTier(b *testing.B, f func(b *testing.B)) {
+	for _, tier := range Tiers() {
+		b.Run(tier, func(b *testing.B) { WithTier(tier, func() { f(b) }) })
+	}
+}
+
+// BenchmarkActivationWithDerivative is a grad forward's activation at
+// the GELU shape: the activation and, from the same σ, its derivative
+// written over the input. The input is the previous iteration's
+// derivative, finite like any other.
+func BenchmarkActivationWithDerivative(b *testing.B) {
+	for _, act := range []struct {
+		name string
+		op   func(dst, x *Tensor) error
+	}{{"gelu", GELUWithDerivative}, {"silu", SiLUWithDerivative}} {
+		b.Run(act.name, func(b *testing.B) {
+			eachTier(b, func(b *testing.B) {
+				x, dst := NewNormal(NewRNG(2), 1, 64, 512), New(64, 512)
+				benchPerElement(b, x.Len(), func() {
+					if err := act.op(dst, x); err != nil {
+						b.Fatal(err)
+					}
+				})
+			})
+		})
+	}
+}
+
+// BenchmarkActivationBackward is the backward of an activation whose
+// forward kept its derivative: one multiply.
+func BenchmarkActivationBackward(b *testing.B) {
+	eachTier(b, func(b *testing.B) {
+		rng := NewRNG(2)
+		d, dy, dx := NewNormal(rng, 1, 64, 512), NewNormal(rng, 1, 64, 512), New(64, 512)
+		benchPerElement(b, d.Len(), func() {
+			if err := Mul(dx, dy, d); err != nil {
+				b.Fatal(err)
+			}
+		})
+	})
+}
+
+// BenchmarkLayerNormSums times LayerNorm's forward (two float64 row
+// sums per row, then the per-element pass) and backward (two more, the
+// dx pass and the parameter gradients) at small_plain's 16 x 64 and
+// large_plain's 64 x 128, at every tier: eight rows in float64 lanes
+// with AVX2, four interleaved in scalar code without.
+func BenchmarkLayerNormSums(b *testing.B) {
+	for _, s := range []struct{ rows, cols int }{{16, 64}, {64, 128}} {
+		rng := NewRNG(4)
+		x, dy := NewNormal(rng, 1, s.rows, s.cols), NewNormal(rng, 1, s.rows, s.cols)
+		gamma, beta := NewNormal(rng, 1, s.cols), NewNormal(rng, 1, s.cols)
+		out, xhat, inv := New(s.rows, s.cols), New(s.rows, s.cols), New(s.rows)
+		dx, dg, db := New(s.rows, s.cols), New(s.cols), New(s.cols)
+		b.Run(fmt.Sprintf("%dx%d", s.rows, s.cols), func(b *testing.B) {
+			eachTier(b, func(b *testing.B) {
+				b.Run("forward", func(b *testing.B) {
+					benchPerElement(b, x.Len(), func() {
+						if err := LayerNorm(out, xhat, inv, x, gamma, beta, 1e-5); err != nil {
+							b.Fatal(err)
+						}
+					})
+				})
+				b.Run("backward", func(b *testing.B) {
+					benchPerElement(b, x.Len(), func() {
+						if err := LayerNormBackward(dx, dg, db, dy, xhat, inv, gamma); err != nil {
+							b.Fatal(err)
+						}
+					})
+				})
+			})
+		})
+	}
+}
+
 // BenchmarkAdamUpdate is one Adam step over a 64 x 512 parameter, the
 // optimizer's whole per-element work.
 func BenchmarkAdamUpdate(b *testing.B) {
@@ -165,6 +242,24 @@ func BenchmarkPackT(b *testing.B) {
 			})
 		})
 	}
+	// At the 16x16 blocks' edges, at every tier: a 500 x 120 weight
+	// packs 32-wide panels and a 24-wide last one, 128-deep blocks and
+	// a 116-deep last one, so the AVX-512 tier runs 16x16 blocks, 8x8
+	// blocks beside and below them, and the scalar edge loop.
+	const ke, ne = 500, 120
+	we := NewNormal(NewRNG(3), 1, ne, ke)
+	b.Run("edges", func(b *testing.B) {
+		eachTier(b, func(b *testing.B) {
+			benchPerElement(b, ke*ne, func() {
+				for j := 0; j < ne; j += wideTileCols {
+					cols := min(wideTileCols, ne-j)
+					for p := 0; p < ke; p += packK {
+						packT(panel, wideTileCols, we.data[j*ke+p:], ke, min(packK, ke-p), cols)
+					}
+				}
+			})
+		})
+	})
 }
 
 // BenchmarkWeightResidency asks what a smaller base weight could buy:

@@ -122,23 +122,36 @@ func geluGo(x float32) float32 {
 	return x * s
 }
 
-func geluGradGo(x, dy float32) float32 {
+// geluDerivGo returns gelu(x) and gelu'(x) from one σ: the
+// derivative is the factor geluGradGo multiplies dy by.
+func geluDerivGo(x float32) (y, d float32) {
 	s, x2 := geluSigma(x)
 	t := float32(s * (1 - s))
 	w := float32(geluW1*x2) + geluW0
 	t = float32(t * w)
 	t = float32(t * x)
-	return dy * (s + t)
+	return x * s, s + t
+}
+
+func geluGradGo(x, dy float32) float32 {
+	_, d := geluDerivGo(x)
+	return dy * d
 }
 
 func siluGo(x float32) float32 {
 	return x * sigmoidOfNeg(-x)
 }
 
-func siluGradGo(x, dy float32) float32 {
+// siluDerivGo returns silu(x) and silu'(x) from one σ.
+func siluDerivGo(x float32) (y, d float32) {
 	s := sigmoidOfNeg(-x)
 	t := float32(x*(1-s)) + 1
-	return dy * float32(s*t)
+	return x * s, float32(s * t)
+}
+
+func siluGradGo(x, dy float32) float32 {
+	_, d := siluDerivGo(x)
+	return dy * d
 }
 
 // expShift writes dst[i] = exp(src[i] - shift) for every element of
@@ -194,6 +207,25 @@ func geluGradRange(dx, x, dy []float32) {
 	}
 }
 
+// geluDerivRange writes gelu(x[i]) to dst[i] and gelu'(x[i]) over
+// x[i]. dst must not alias x.
+func geluDerivRange(dst, x []float32) {
+	dst = dst[:len(x)]
+	switch {
+	case len(x) == 0:
+		return
+	case haveAVX512:
+		geluDerivAVX512(&dst[0], &x[0], len(x))
+		return
+	case haveAVX2:
+		geluDerivAVX2(&dst[0], &x[0], len(x))
+		return
+	}
+	for i, v := range x {
+		dst[i], x[i] = geluDerivGo(v)
+	}
+}
+
 func siluRange(dst, x []float32) {
 	dst = dst[:len(x)]
 	switch {
@@ -228,6 +260,24 @@ func siluGradRange(dx, x, dy []float32) {
 	}
 }
 
+// siluDerivRange is geluDerivRange for SiLU.
+func siluDerivRange(dst, x []float32) {
+	dst = dst[:len(x)]
+	switch {
+	case len(x) == 0:
+		return
+	case haveAVX512:
+		siluDerivAVX512(&dst[0], &x[0], len(x))
+		return
+	case haveAVX2:
+		siluDerivAVX2(&dst[0], &x[0], len(x))
+		return
+	}
+	for i, v := range x {
+		dst[i], x[i] = siluDerivGo(v)
+	}
+}
+
 // GELU computes dst = gelu(a) elementwise, the tanh-form Gaussian Error
 // Linear Unit of OPT/GPT-style models. dst may be a.
 func GELU(dst, a *Tensor) error {
@@ -239,6 +289,15 @@ func GELUBackward(dx, x, dy *Tensor) error {
 	return activationGrad("gelu backward", dx, x, dy, geluGradRange)
 }
 
+// GELUWithDerivative computes dst = gelu(x) elementwise, as GELU does,
+// and overwrites x with gelu'(x) from the same σ: the forward of a layer
+// that trains keeps the derivative, and its backward is the one multiply
+// Mul(dx, dy, x), which is GELUBackward's float for float. dst must not
+// alias x (ErrAlias).
+func GELUWithDerivative(dst, x *Tensor) error {
+	return activationDeriv("gelu with derivative", dst, x, geluDerivRange)
+}
+
 // SiLU computes dst = a·σ(a) elementwise, the activation of Llama's
 // SwiGLU feed-forward network. dst may be a.
 func SiLU(dst, a *Tensor) error {
@@ -248,6 +307,12 @@ func SiLU(dst, a *Tensor) error {
 // SiLUBackward computes dx = dy · silu'(x) elementwise. dx may be dy.
 func SiLUBackward(dx, x, dy *Tensor) error {
 	return activationGrad("silu backward", dx, x, dy, siluGradRange)
+}
+
+// SiLUWithDerivative is GELUWithDerivative for SiLU: dst = silu(x), x
+// = silu'(x), and Mul(dx, dy, x) is SiLUBackward's float for float.
+func SiLUWithDerivative(dst, x *Tensor) error {
+	return activationDeriv("silu with derivative", dst, x, siluDerivRange)
 }
 
 func activation(op string, dst, a *Tensor, kernel func(dst, x []float32)) error {
@@ -263,5 +328,16 @@ func activationGrad(op string, dx, x, dy *Tensor, kernel func(dx, x, dy []float3
 		return fmt.Errorf("%w: %s of x %v, dy %v into %v", ErrShape, op, x.shape, dy.shape, dx.shape)
 	}
 	binary(dx.data, x.data, dy.data, kernel)
+	return nil
+}
+
+func activationDeriv(op string, dst, x *Tensor, kernel func(dst, x []float32)) error {
+	if len(dst.data) != len(x.data) {
+		return fmt.Errorf("%w: %s of %v into %v", ErrShape, op, x.shape, dst.shape)
+	}
+	if overlaps(dst.data, x.data) {
+		return fmt.Errorf("%w: %s", ErrAlias, op)
+	}
+	unary(dst.data, x.data, kernel)
 	return nil
 }

@@ -29,7 +29,8 @@ var expK = func() (k [21][8]float32) {
 // the function of the same name in exp.go computes on one, eight lanes
 // at a time (AVX2) or sixteen (AVX512); a final partial vector runs
 // under a lane mask, so they neither read nor write past element n-1.
-// dst may be src (or dy).
+// dst may be src (or dy), except in the Deriv kernels, which write the
+// activation to dst and its derivative over x.
 
 //go:noescape
 func expShiftAVX2(dst, src *float32, n int, shift float32)
@@ -41,10 +42,16 @@ func geluAVX2(dst, x *float32, n int)
 func geluGradAVX2(dx, x, dy *float32, n int)
 
 //go:noescape
+func geluDerivAVX2(dst, x *float32, n int)
+
+//go:noescape
 func siluAVX2(dst, x *float32, n int)
 
 //go:noescape
 func siluGradAVX2(dx, x, dy *float32, n int)
+
+//go:noescape
+func siluDerivAVX2(dst, x *float32, n int)
 
 //go:noescape
 func expShiftAVX512(dst, src *float32, n int, shift float32)
@@ -56,7 +63,13 @@ func geluAVX512(dst, x *float32, n int)
 func geluGradAVX512(dx, x, dy *float32, n int)
 
 //go:noescape
+func geluDerivAVX512(dst, x *float32, n int)
+
+//go:noescape
 func siluAVX512(dst, x *float32, n int)
 
 //go:noescape
 func siluGradAVX512(dx, x, dy *float32, n int)
+
+//go:noescape
+func siluDerivAVX512(dst, x *float32, n int)

@@ -93,8 +93,9 @@
 	VMULPS Y6, Y0, Y0       \
 	SIGMOID
 
-// GELUGRAD: x in Y5, dy in Y8; leaves geluGradGo in Y1.
-#define GELUGRAD \
+// GELUDERIV: x in Y5; leaves geluDerivGo's derivative in Y2 and s in
+// Y1.
+#define GELUDERIV \
 	GELUSIGMA              \
 	VMOVUPS K_ONE, Y2      \
 	VSUBPS  Y1, Y2, Y2     \
@@ -103,7 +104,11 @@
 	VADDPS  K_GW0, Y3, Y3  \
 	VMULPS  Y3, Y2, Y2     \
 	VMULPS  Y5, Y2, Y2     \
-	VADDPS  Y1, Y2, Y2     \
+	VADDPS  Y1, Y2, Y2
+
+// GELUGRAD: x in Y5, dy in Y8; leaves geluGradGo in Y1.
+#define GELUGRAD \
+	GELUDERIV          \
 	VMULPS  Y8, Y2, Y1
 
 // SILUSIGMA: x in Y5; leaves s = 1/(1 + exp(-x)) in Y1.
@@ -111,14 +116,19 @@
 	VXORPS K_SIGN, Y5, Y0 \
 	SIGMOID
 
-// SILUGRAD: x in Y5, dy in Y8; leaves siluGradGo in Y1.
-#define SILUGRAD \
+// SILUDERIV: x in Y5; leaves siluDerivGo's derivative in Y2 and s in
+// Y1.
+#define SILUDERIV \
 	SILUSIGMA              \
 	VMOVUPS K_ONE, Y2      \
 	VSUBPS  Y1, Y2, Y2     \
 	VMULPS  Y5, Y2, Y2     \
 	VADDPS  K_ONE, Y2, Y2  \
-	VMULPS  Y1, Y2, Y2     \
+	VMULPS  Y1, Y2, Y2
+
+// SILUGRAD: x in Y5, dy in Y8; leaves siluGradGo in Y1.
+#define SILUGRAD \
+	SILUDERIV          \
 	VMULPS  Y8, Y2, Y1
 
 // TAILMASK: Y15 = the mask of the first CX lanes, 1 <= CX <= 7.
@@ -128,10 +138,12 @@
 	SUBQ    CX, AX                \
 	VMOVDQU (AX), Y15
 
-// All five kernels walk their slices eight elements at a time with
+// All seven kernels walk their slices eight elements at a time with
 // plain loads and stores and finish a remainder of 1..7 under a lane
 // mask: masked-off lanes load as zero, compute something harmless and
-// are not stored. SI, DX and DI advance together; CX counts down.
+// are not stored. SI, DX and DI advance together; CX counts down. The
+// two Deriv kernels store the activation at DI and the derivative back
+// over x at SI.
 
 // func expShiftAVX2(dst, src *float32, n int, shift float32)
 TEXT ·expShiftAVX2(SB), NOSPLIT, $0-28
@@ -223,6 +235,37 @@ done:
 	VZEROUPPER
 	RET
 
+// func geluDerivAVX2(dst, x *float32, n int)
+TEXT ·geluDerivAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	LEAQ ·expK(SB), R8
+	SUBQ $8, CX
+	JLT  tail
+loop:
+	VMOVUPS (SI), Y5
+	GELUDERIV
+	VMULPS  Y5, Y1, Y1
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, (SI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JGE     loop
+tail:
+	ADDQ $8, CX
+	JZ   done
+	TAILMASK
+	VMASKMOVPS (SI), Y15, Y5
+	GELUDERIV
+	VMULPS     Y5, Y1, Y1
+	VMASKMOVPS Y1, Y15, (DI)
+	VMASKMOVPS Y2, Y15, (SI)
+done:
+	VZEROUPPER
+	RET
+
 // func siluAVX2(dst, x *float32, n int)
 TEXT ·siluAVX2(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
@@ -279,6 +322,37 @@ tail:
 	VMASKMOVPS (DX), Y15, Y8
 	SILUGRAD
 	VMASKMOVPS Y1, Y15, (DI)
+done:
+	VZEROUPPER
+	RET
+
+// func siluDerivAVX2(dst, x *float32, n int)
+TEXT ·siluDerivAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	LEAQ ·expK(SB), R8
+	SUBQ $8, CX
+	JLT  tail
+loop:
+	VMOVUPS (SI), Y5
+	SILUDERIV
+	VMULPS  Y5, Y1, Y1
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, (SI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JGE     loop
+tail:
+	ADDQ $8, CX
+	JZ   done
+	TAILMASK
+	VMASKMOVPS (SI), Y15, Y5
+	SILUDERIV
+	VMULPS     Y5, Y1, Y1
+	VMASKMOVPS Y1, Y15, (DI)
+	VMASKMOVPS Y2, Y15, (SI)
 done:
 	VZEROUPPER
 	RET
@@ -344,8 +418,8 @@ done:
 	VMULPS      Z6, Z0, Z0       \
 	SIGMOID16
 
-// GELUGRAD16: x in Z5, dy in Z8; leaves geluGradGo in Z1.
-#define GELUGRAD16 \
+// GELUDERIV16: x in Z5; leaves the derivative in Z2 and s in Z1.
+#define GELUDERIV16 \
 	GELUSIGMA16                \
 	VBROADCASTSS K_ONE, Z2     \
 	VSUBPS       Z1, Z2, Z2    \
@@ -354,23 +428,31 @@ done:
 	VADDPS.BCST  K_GW0, Z3, Z3 \
 	VMULPS       Z3, Z2, Z2    \
 	VMULPS       Z5, Z2, Z2    \
-	VADDPS       Z1, Z2, Z2    \
-	VMULPS       Z8, Z2, Z1
+	VADDPS       Z1, Z2, Z2
+
+// GELUGRAD16: x in Z5, dy in Z8; leaves geluGradGo in Z1.
+#define GELUGRAD16 \
+	GELUDERIV16            \
+	VMULPS      Z8, Z2, Z1
 
 // SILUSIGMA16: x in Z5; leaves s = 1/(1 + exp(-x)) in Z1.
 #define SILUSIGMA16 \
 	VPXORD.BCST K_SIGN, Z5, Z0 \
 	SIGMOID16
 
-// SILUGRAD16: x in Z5, dy in Z8; leaves siluGradGo in Z1.
-#define SILUGRAD16 \
+// SILUDERIV16: x in Z5; leaves the derivative in Z2 and s in Z1.
+#define SILUDERIV16 \
 	SILUSIGMA16                \
 	VBROADCASTSS K_ONE, Z2     \
 	VSUBPS       Z1, Z2, Z2    \
 	VMULPS       Z5, Z2, Z2    \
 	VADDPS.BCST  K_ONE, Z2, Z2 \
-	VMULPS       Z1, Z2, Z2    \
-	VMULPS       Z8, Z2, Z1
+	VMULPS       Z1, Z2, Z2
+
+// SILUGRAD16: x in Z5, dy in Z8; leaves siluGradGo in Z1.
+#define SILUGRAD16 \
+	SILUDERIV16            \
+	VMULPS      Z8, Z2, Z1
 
 // TAILMASK16: K1 = the first CX lanes, 1 <= CX <= 15.
 #define TAILMASK16 \
@@ -469,6 +551,37 @@ done:
 	VZEROUPPER
 	RET
 
+// func geluDerivAVX512(dst, x *float32, n int)
+TEXT ·geluDerivAVX512(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	LEAQ ·expK(SB), R8
+	SUBQ $16, CX
+	JLT  tail
+loop:
+	VMOVUPS (SI), Z5
+	GELUDERIV16
+	VMULPS  Z5, Z1, Z1
+	VMOVUPS Z1, (DI)
+	VMOVUPS Z2, (SI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $16, CX
+	JGE     loop
+tail:
+	ADDQ $16, CX
+	JZ   done
+	TAILMASK16
+	VMOVUPS.Z (SI), K1, Z5
+	GELUDERIV16
+	VMULPS    Z5, Z1, Z1
+	VMOVUPS   Z1, K1, (DI)
+	VMOVUPS   Z2, K1, (SI)
+done:
+	VZEROUPPER
+	RET
+
 // func siluAVX512(dst, x *float32, n int)
 TEXT ·siluAVX512(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
@@ -525,6 +638,37 @@ tail:
 	VMOVUPS.Z (DX), K1, Z8
 	SILUGRAD16
 	VMOVUPS   Z1, K1, (DI)
+done:
+	VZEROUPPER
+	RET
+
+// func siluDerivAVX512(dst, x *float32, n int)
+TEXT ·siluDerivAVX512(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	LEAQ ·expK(SB), R8
+	SUBQ $16, CX
+	JLT  tail
+loop:
+	VMOVUPS (SI), Z5
+	SILUDERIV16
+	VMULPS  Z5, Z1, Z1
+	VMOVUPS Z1, (DI)
+	VMOVUPS Z2, (SI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $16, CX
+	JGE     loop
+tail:
+	ADDQ $16, CX
+	JZ   done
+	TAILMASK16
+	VMOVUPS.Z (SI), K1, Z5
+	SILUDERIV16
+	VMULPS    Z5, Z1, Z1
+	VMOVUPS   Z1, K1, (DI)
+	VMOVUPS   Z2, K1, (SI)
 done:
 	VZEROUPPER
 	RET

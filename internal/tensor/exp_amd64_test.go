@@ -5,13 +5,16 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"os"
+	"regexp"
 	"slices"
+	"strconv"
 	"testing"
 )
 
 // TestVectorKernelsMatchPortable drives the elementwise assembly
-// kernels — the five exp-based ones and the residual Add, AXPY and
-// Scale — against their scalar definitions at every length 0..67 (no
+// kernels — the five exp-based ones, the derivatives the grad forward
+// keeps, and the residual Add, Mul, AXPY and Scale — against their scalar definitions at every length 0..67 (no
 // vector, whole vectors, every tail) and every start offset 0..8 (every
 // alignment of the first element within a vector), on inputs salted
 // with the values where a lane-wise and a scalar implementation could
@@ -56,6 +59,11 @@ func TestVectorKernelsMatchPortable(t *testing.T) {
 		{"silu", func(dst, x, _ []float32) { siluRange(dst, x) }, func(x, _ float32) float32 { return siluGo(x) }},
 		{"siluGrad", siluGradRange, siluGradGo},
 		{"add", addRange, func(x, dy float32) float32 { return x + dy }},
+		{"mul", mulRange, func(x, dy float32) float32 { return x * dy }},
+		{"geluDeriv", func(dst, x, _ []float32) { d := slices.Clone(x); geluDerivRange(dst, d); copy(dst, d) },
+			func(x, _ float32) float32 { _, d := geluDerivGo(x); return d }},
+		{"siluDeriv", func(dst, x, _ []float32) { d := slices.Clone(x); siluDerivRange(dst, d); copy(dst, d) },
+			func(x, _ float32) float32 { _, d := siluDerivGo(x); return d }},
 		{"axpy", func(dst, x, dy []float32) { copy(dst, dy); axpyRange(shift, x, dst) },
 			func(x, dy float32) float32 { return dy + float32(shift*x) }},
 		{"scale", func(dst, x, _ []float32) { copy(dst, x); scaleRange(shift, dst) },
@@ -95,35 +103,76 @@ func TestVectorKernelsMatchPortable(t *testing.T) {
 	}
 }
 
-// TestPackTMatchesScalarLoop: the shuffle transpose is a copy, so it
-// has to reproduce the scalar loop exactly, whatever mix of whole 8x8
-// blocks and edges kb and cols give it, in the AVX2 tier's 16-wide
-// panel and the AVX-512 tier's 32-wide one, and leave the rest of the
-// panel alone.
+// TestPackTMatchesScalarLoop: the shuffle transposes are a copy, so
+// they have to reproduce the scalar loop exactly, whatever mix of whole
+// 16x16 blocks, 8x8 blocks and edges kb and cols give them, in the AVX2
+// tier's 16-wide panel and the AVX-512 tier's 32-wide one, at every
+// tier this CPU runs (AVX-512 packs 16x16 blocks and then 8x8 ones,
+// AVX2 only 8x8 ones), and leave the rest of the panel alone. The
+// (kb, cols) pairs are the listed edges and every panel block
+// boundaryShapes' products pack.
 func TestPackTMatchesScalarLoop(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("no AVX2 on this CPU")
 	}
-	rng := NewRNG(8)
+	type block struct{ kb, cols int }
+	var blocks []block
 	for _, ldp := range []int{tileCols, wideTileCols} {
-		for _, kb := range []int{1, 7, 8, 9, 16, 31, packK - 1, packK} {
+		for _, kb := range []int{1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 48, packK - 1, packK} {
 			for cols := 1; cols <= ldp; cols++ {
-				k := kb + rng.Intn(5)
-				b := NewNormal(rng, 1, cols, k).data
-				got, want := make([]float32, packK*ldp), make([]float32, packK*ldp)
-				for i := range got {
-					got[i], want[i] = -1, -1
-				}
-				packT(got, ldp, b, k, kb, cols)
-				WithTier(TierPortable, func() { packT(want, ldp, b, k, kb, cols) })
-				if !slices.Equal(got, want) {
-					t.Fatalf("ldp=%d kb=%d cols=%d k=%d: packed panels differ", ldp, kb, cols, k)
-				}
-				if got[0] != b[0] || got[(kb-1)*ldp+cols-1] != b[(cols-1)*k+kb-1] {
-					t.Fatalf("ldp=%d kb=%d cols=%d k=%d: panel corners are not b's", ldp, kb, cols, k)
-				}
+				blocks = append(blocks, block{kb, cols})
 			}
 		}
+	}
+	for _, s := range boundaryShapes {
+		for p := 0; p < s.k; p += packK {
+			for j := 0; j < s.n; j += wideTileCols {
+				blocks = append(blocks, block{min(packK, s.k-p), min(wideTileCols, s.n-j)})
+			}
+		}
+	}
+	rng := NewRNG(8)
+	for _, ldp := range []int{tileCols, wideTileCols} {
+		for _, bl := range blocks {
+			kb, cols := bl.kb, bl.cols
+			if cols > ldp {
+				continue
+			}
+			k := kb + rng.Intn(5)
+			b := NewNormal(rng, 1, cols, k).data
+			want := make([]float32, packK*ldp)
+			for i := range want {
+				want[i] = -1
+			}
+			got := slices.Clone(want)
+			WithTier(TierPortable, func() { packT(want, ldp, b, k, kb, cols) })
+			for _, tier := range Tiers() {
+				WithTier(tier, func() { packT(got, ldp, b, k, kb, cols) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("tier %s ldp=%d kb=%d cols=%d k=%d: packed panels differ", tier, ldp, kb, cols, k)
+				}
+			}
+			if want[0] != b[0] || want[(kb-1)*ldp+cols-1] != b[(cols-1)*k+kb-1] {
+				t.Fatalf("ldp=%d kb=%d cols=%d k=%d: panel corners are not b's", ldp, kb, cols, k)
+			}
+		}
+	}
+}
+
+// TestPanelFrameHoldsThePanel: withPanel's frame is written as a
+// number in the assembly; it has to hold runPanelJob's 32 bytes of
+// arguments and the panel of panelFloats floats above them.
+func TestPanelFrameHoldsThePanel(t *testing.T) {
+	src, err := os.ReadFile("matmul_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`TEXT ·withPanel\(SB\), 0, \$(\d+)-8`).FindSubmatch(src)
+	if m == nil {
+		t.Fatal("no withPanel frame in matmul_amd64.s")
+	}
+	if frame, _ := strconv.Atoi(string(m[1])); frame != 32+4*panelFloats {
+		t.Fatalf("withPanel's frame is %d bytes, want 32 + 4·panelFloats = %d", frame, 32+4*panelFloats)
 	}
 }
 
@@ -202,6 +251,70 @@ func TestLayerNormKernelsMatchPortable(t *testing.T) {
 							if (i < off || i >= off+n) && math.Float32bits(g) != math.Float32bits(canary) {
 								t.Fatalf("%s n=%d off=%d tier %s: output %d element %d outside the row was written", name, n, off, tier, o, i-off)
 							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// The row sums: eight rows in float64 lanes against each row on its
+	// own, at every row length (the vector part and every tail), then
+	// whole LayerNorm passes over 1..19 rows (groups of eight in lanes,
+	// of four interleaved, the rest one at a time) at every tier.
+	wide := func(n int) []float32 {
+		buf := NewNormal(rng, 2, n).data
+		for i := range buf {
+			if rng.Intn(8) == 0 {
+				buf[i] = salt[rng.Intn(len(salt))]
+			}
+		}
+		return buf
+	}
+	same64 := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b }
+	xs, dys, xhs, gs := wide(laneRows*maxLen), wide(laneRows*maxLen), wide(laneRows*maxLen), wide(maxLen)
+	for cols := 1; cols <= maxLen; cols++ {
+		x8, dy8, xh8, g := xs[:laneRows*cols], dys[:laneRows*cols], xhs[:laneRows*cols], gs[:cols]
+		for _, tier := range Tiers()[:len(Tiers())-1] { // the tiers with AVX2
+			var mean, sq, sums, tsums [laneRows]float64
+			WithTier(tier, func() {
+				mean, sq = rowMoments8(x8, cols)
+				sums, tsums = gradSums8(dy8, xh8, g)
+			})
+			for i := range laneRows {
+				m, q := rowMoments(x8[i*cols:][:cols])
+				si, ti := gradSums(dy8[i*cols:][:cols], xh8[i*cols:][:cols], g)
+				if !same64(mean[i], m) || !same64(sq[i], q) || !same64(sums[i], si) || !same64(tsums[i], ti) {
+					t.Fatalf("cols=%d tier %s row %d: lane sums (%g, %g, %g, %g), one row alone (%g, %g, %g, %g)",
+						cols, tier, i, mean[i], sq[i], sums[i], tsums[i], m, q, si, ti)
+				}
+			}
+		}
+	}
+	for rows := 1; rows <= 19; rows++ {
+		for _, cols := range []int{1, 3, 4, 5, 8, 17, 64, 67} {
+			x, dyT := &Tensor{shape: []int{rows, cols}, data: wide(rows * cols)}, &Tensor{shape: []int{rows, cols}, data: wide(rows * cols)}
+			gamma, beta := &Tensor{shape: []int{cols}, data: wide(cols)}, &Tensor{shape: []int{cols}, data: wide(cols)}
+			pass := func() []*Tensor {
+				out, xh, inv := New(rows, cols), New(rows, cols), New(rows)
+				dx, dg, db := New(rows, cols), New(cols), New(cols)
+				if err := LayerNorm(out, xh, inv, x, gamma, beta, 1e-5); err != nil {
+					t.Fatal(err)
+				}
+				if err := LayerNormBackward(dx, dg, db, dyT, xh, inv, gamma); err != nil {
+					t.Fatal(err)
+				}
+				return []*Tensor{out, xh, inv, dx, dg, db}
+			}
+			var portable []*Tensor
+			WithTier(TierPortable, func() { portable = pass() })
+			for _, tier := range Tiers() {
+				var got []*Tensor
+				WithTier(tier, func() { got = pass() })
+				for o := range got {
+					for i, g := range got[o].data {
+						if w := portable[o].data[i]; math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+							t.Fatalf("LayerNorm %dx%d tier %s: output %d element %d is %g, portable %g", rows, cols, tier, o, i, g, w)
 						}
 					}
 				}

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -197,6 +199,92 @@ func TestActivationsSaturateWithoutNaN(t *testing.T) {
 			if got := out.data[i]; got != want {
 				t.Errorf("%s at %g = %g, want %g", name, v, got, want)
 			}
+		}
+	}
+}
+
+// TestDerivativeFromTheForwardIsTheBackward: a grad forward writes the
+// activation's derivative over its input, and the backward is dy times
+// it (Mul). That product must be GELUBackward's / SiLUBackward's float
+// at every tier, and the activation it writes GELU's / SiLU's, at every
+// length 0..67 and on inputs salted with ±0, subnormals, the clamp
+// edges of exp and GELU and their neighbours, huge magnitudes, ±Inf and
+// NaN (NaN for NaN: which payload a product of two NaNs keeps is the
+// operand order's business). The elements past n must be untouched.
+func TestDerivativeFromTheForwardIsTheBackward(t *testing.T) {
+	const maxLen = 67
+	salt := []float32{
+		0, float32(math.Copysign(0, -1)), 1e-40, -1e-40, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		expLo, expHi, -expLo, -expHi, math.Nextafter32(expLo, -inf32), math.Nextafter32(expHi, inf32),
+		geluClamp, -geluClamp, math.Nextafter32(geluClamp, 0), math.Nextafter32(-geluClamp, 0),
+		10.2, -10.2, 12, -12, 1e20, -1e20, math.MaxFloat32, -math.MaxFloat32,
+		inf32, -inf32, float32(math.NaN()),
+	}
+	rng := NewRNG(78)
+	fill := func(scale float64) []float32 {
+		buf := NewNormal(rng, scale, maxLen+1).data
+		for i := range buf {
+			if rng.Intn(3) == 0 {
+				buf[i] = salt[rng.Intn(len(salt))]
+			}
+		}
+		return buf
+	}
+	same := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b }
+	const canary = float32(-12345.678)
+	acts := []struct {
+		name            string
+		fwd, fwdDeriv   func(dst, x *Tensor) error
+		backward        func(dx, x, dy *Tensor) error
+		scalar, scalarD func(x, dy float32) float32
+	}{
+		{"gelu", GELU, GELUWithDerivative, GELUBackward,
+			func(x, _ float32) float32 { return geluGo(x) }, geluGradGo},
+		{"silu", SiLU, SiLUWithDerivative, SiLUBackward,
+			func(x, _ float32) float32 { return siluGo(x) }, siluGradGo},
+	}
+	for _, a := range acts {
+		for n := 0; n <= maxLen; n++ {
+			xs, dys := fill(4), fill(1)
+			for _, tier := range Tiers() {
+				label := fmt.Sprintf("%s n=%d tier %s", a.name, n, tier)
+				x := New(n + 1)
+				copy(x.data, xs)
+				x.data[n] = canary
+				in := &Tensor{shape: []int{n}, data: x.data[:n]}
+				dy := &Tensor{shape: []int{n}, data: dys[:n]}
+				y, dx, want := New(n+1), New(n+1), New(n)
+				y.data[n], dx.data[n] = canary, canary
+				WithTier(tier, func() {
+					if err := a.backward(want, &Tensor{shape: []int{n}, data: xs[:n]}, dy); err != nil {
+						t.Fatal(err)
+					}
+					if err := a.fwdDeriv(&Tensor{shape: []int{n}, data: y.data[:n]}, in); err != nil {
+						t.Fatal(err)
+					}
+					if err := Mul(&Tensor{shape: []int{n}, data: dx.data[:n]}, dy, in); err != nil {
+						t.Fatal(err)
+					}
+				})
+				for i := range n {
+					if !same(dx.data[i], want.data[i]) || !same(dx.data[i], a.scalarD(xs[i], dys[i])) {
+						t.Fatalf("%s: dy·f'(%g) = %g (%#x), the backward gives %g (%#x)", label, xs[i],
+							dx.data[i], math.Float32bits(dx.data[i]), want.data[i], math.Float32bits(want.data[i]))
+					}
+					if !same(y.data[i], a.scalar(xs[i], 0)) {
+						t.Fatalf("%s: f(%g) = %g with its derivative, %g without", label, xs[i], y.data[i], a.scalar(xs[i], 0))
+					}
+				}
+				if x.data[n] != canary || y.data[n] != canary || dx.data[n] != canary {
+					t.Fatalf("%s: an element past n was written", label)
+				}
+			}
+		}
+		if err := a.fwdDeriv(New(4), New(3)); !errors.Is(err, ErrShape) {
+			t.Errorf("%s with its derivative into a short dst: %v, want ErrShape", a.name, err)
+		}
+		if x := New(4); !errors.Is(a.fwdDeriv(x, x), ErrAlias) {
+			t.Errorf("%s with its derivative in place: want ErrAlias", a.name)
 		}
 	}
 }

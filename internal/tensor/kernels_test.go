@@ -272,6 +272,15 @@ func TestRowRangesBitIdenticalAtAnySplit(t *testing.T) {
 		"silu":     func(dst *Tensor, lo, hi int) { siluRange(dst.data[lo:hi], x.data[lo:hi]) },
 		"siluGrad": func(dst *Tensor, lo, hi int) { siluGradRange(dst.data[lo:hi], x.data[lo:hi], dy.data[lo:hi]) },
 		"expShift": func(dst *Tensor, lo, hi int) { expShift(dst.data[lo:hi], x.data[lo:hi], 0.5) },
+		"geluDeriv": func(dst *Tensor, lo, hi int) {
+			copy(dst.data[lo:hi], x.data[lo:hi])
+			geluDerivRange(make([]float32, hi-lo), dst.data[lo:hi])
+		},
+		"siluDeriv": func(dst *Tensor, lo, hi int) {
+			copy(dst.data[lo:hi], x.data[lo:hi])
+			siluDerivRange(make([]float32, hi-lo), dst.data[lo:hi])
+		},
+		"mul": func(dst *Tensor, lo, hi int) { mulRange(dst.data[lo:hi], x.data[lo:hi], dy.data[lo:hi]) },
 	}
 	for name, run := range elementwise {
 		whole := New(elems)

@@ -19,6 +19,9 @@ var laneMask = [16]uint32{
 func addAVX2(d, a, b *float32, n int)
 
 //go:noescape
+func mulAVX2(d, a, b *float32, n int)
+
+//go:noescape
 func axpyAVX2(d, x *float32, n int, alpha float32)
 
 //go:noescape
@@ -32,6 +35,15 @@ func layerNormGradRowAVX2(dx, dy, xhat, gamma *float32, n int, k, nf, s, t float
 
 //go:noescape
 func layerNormParamGradAVX2(dg, db, dy, xhat *float32, n int)
+
+//go:noescape
+func rowSums8AVX2(x *float32, ld, n int, sum *[laneRows]float64)
+
+//go:noescape
+func rowSqDev8AVX2(x *float32, ld, n int, mean, sq *[laneRows]float64)
+
+//go:noescape
+func gradSums8AVX2(dy, xhat *float32, ld int, gamma *float32, n int, st *[2 * laneRows]float64)
 
 //go:noescape
 func adamAVX2(p, gr, m, v *float32, n int, k *adamK)

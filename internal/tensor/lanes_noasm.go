@@ -8,6 +8,8 @@ package tensor
 
 func addAVX2(d, a, b *float32, n int) { panic("tensor: addAVX2 without AVX2") }
 
+func mulAVX2(d, a, b *float32, n int) { panic("tensor: mulAVX2 without AVX2") }
+
 func axpyAVX2(d, x *float32, n int, alpha float32) { panic("tensor: axpyAVX2 without AVX2") }
 
 func scaleAVX2(d *float32, n int, alpha float32) { panic("tensor: scaleAVX2 without AVX2") }
@@ -22,6 +24,18 @@ func layerNormGradRowAVX2(dx, dy, xhat, gamma *float32, n int, k, nf, s, t float
 
 func layerNormParamGradAVX2(dg, db, dy, xhat *float32, n int) {
 	panic("tensor: layerNormParamGradAVX2 without AVX2")
+}
+
+func rowSums8AVX2(x *float32, ld, n int, sum *[laneRows]float64) {
+	panic("tensor: rowSums8AVX2 without AVX2")
+}
+
+func rowSqDev8AVX2(x *float32, ld, n int, mean, sq *[laneRows]float64) {
+	panic("tensor: rowSqDev8AVX2 without AVX2")
+}
+
+func gradSums8AVX2(dy, xhat *float32, ld int, gamma *float32, n int, st *[2 * laneRows]float64) {
+	panic("tensor: gradSums8AVX2 without AVX2")
 }
 
 func adamAVX2(p, gr, m, v *float32, n int, k *adamK) { panic("tensor: adamAVX2 without AVX2") }

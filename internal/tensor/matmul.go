@@ -206,33 +206,48 @@ func blockCols() int {
 // copy. k is cut into packK blocks; between blocks the partial sums
 // round-trip through dst, and a float32 store/load is lossless, so each
 // element is still one accumulator in ascending p.
+//
+// The panel lives on the stack of the goroutine that fills it and
+// starts at a 64-byte boundary, so each vector load of a panel row
+// reads one cache line; Go moves a goroutine's stack only by multiples
+// of its power-of-two size, which keeps that alignment. With the
+// assembly tiles it is withPanel's frame, which nobody clears: packT
+// writes every float a tile reads, so the 16 KiB memset Go gives a
+// local array on every call would be pure cost. The portable tier
+// keeps a Go array as wide as its tile.
 func matmulTRange(dst, a, b []float32, rowLo, rowHi, k, n, ldd, lda, ldb int, zero bool) {
-	if haveAVX512 {
-		matmulTRange32(dst, a, b, rowLo, rowHi, k, n, ldd, lda, ldb, zero)
+	j := panelJob{dst, a, b, rowLo, rowHi, k, n, ldd, lda, ldb, zero}
+	if haveAVX2 {
+		withPanel(&j)
 	} else {
-		matmulTRange16(dst, a, b, rowLo, rowHi, k, n, ldd, lda, ldb, zero)
+		panelOnStack(&j)
 	}
 }
 
-// matmulTRange32 and matmulTRange16 hold the panel, as wide as the
-// CPU's widest tile, on the stack of the goroutine that fills it. It
-// starts at a 64-byte boundary, so each vector load of a panel row reads
-// one cache line; Go moves a goroutine's stack only by multiples of its
-// power-of-two size, which keeps that alignment. Each has a function of
-// its own because Go zeroes the buffer on every call and the frame's
-// size costs too: an AVX2 run with the 32-wide buffer in its frame ran
-// 32×32×32 MatMulT a fifth slower.
-//
-//go:noinline
-func matmulTRange32(dst, a, b []float32, rowLo, rowHi, k, n, ldd, lda, ldb int, zero bool) {
-	var buf [packK*wideTileCols + 15]float32
-	matmulTPanels(dst, a, b, aligned(buf[:]), rowLo, rowHi, k, n, ldd, lda, ldb, zero)
+// panelJob is one matmulTRange call, handed to runPanelJob through the
+// frame that holds its panel.
+type panelJob struct {
+	dst, a, b                         []float32
+	rowLo, rowHi, k, n, ldd, lda, ldb int
+	zero                              bool
 }
 
+// panelFloats is withPanel's panel: packK rows as wide as the widest
+// tile, and the room to start at a 64-byte boundary.
+const panelFloats = packK*wideTileCols + 16
+
+// runPanelJob is matmulTRange's body on a given panel.
+func runPanelJob(j *panelJob, panel []float32) {
+	matmulTPanels(j.dst, j.a, j.b, aligned(panel), j.rowLo, j.rowHi, j.k, j.n, j.ldd, j.lda, j.ldb, j.zero)
+}
+
+// panelOnStack is withPanel for the portable tier, whose tile is
+// tileCols wide.
+//
 //go:noinline
-func matmulTRange16(dst, a, b []float32, rowLo, rowHi, k, n, ldd, lda, ldb int, zero bool) {
-	var buf [packK*tileCols + 15]float32
-	matmulTPanels(dst, a, b, aligned(buf[:]), rowLo, rowHi, k, n, ldd, lda, ldb, zero)
+func panelOnStack(j *panelJob) {
+	var buf [packK*tileCols + 16]float32
+	runPanelJob(j, buf[:])
 }
 
 // matmulTPanels is matmulTRange's loop over the column panels, packing
@@ -258,24 +273,45 @@ func aligned(buf []float32) []float32 {
 
 // packT fills the first kb rows of panel, ldp floats apart, with the
 // transpose of a cols x kb block of b (row stride k):
-// panel[p*ldp+c] = b[c*k+p]. Whole 8x8 blocks go through the AVX2
-// shuffle transpose when the CPU has it and the edges through the
-// scalar loop; it is a copy either way.
+// panel[p*ldp+c] = b[c*k+p]. Whole 16x16 blocks go through the AVX-512
+// transpose when the CPU has it, whole 8x8 blocks of what is left
+// through the AVX2 one, and the edges through the scalar loop; it is a
+// copy either way.
 func packT(panel []float32, ldp int, b []float32, k, kb, cols int) {
-	vecP, vecC := 0, 0 // the assembly fills panel[:vecP][:vecC]
-	if haveAVX2 && kb >= 8 && cols >= 8 {
-		vecP, vecC = kb&^7, cols&^7
+	p, c := 0, 0 // the 16x16 blocks fill panel[:p][:c]
+	if haveAVX512 && kb >= 16 && cols >= 16 {
+		p, c = kb&^15, cols&^15
 		// The bounds checks the assembly cannot make.
-		_ = panel[(vecP-1)*ldp+vecC-1]
-		_ = b[(vecC-1)*k+vecP-1]
-		for c := 0; c < vecC; c += 8 {
-			packT8AVX2(&panel[c], &b[c*k], k, ldp, vecP/8)
+		_ = panel[(p-1)*ldp+c-1]
+		_ = b[(c-1)*k+p-1]
+		for j := 0; j < c; j += 16 {
+			packT16AVX512(&panel[j], &b[j*k], k, ldp, p/16)
 		}
 	}
-	if vecC < cols { // the columns right of the blocks
-		packTRows(panel, ldp, b, k, 0, vecP, vecC, cols)
+	packTRect(panel, ldp, b, k, 0, p, c, cols)  // the columns right of them
+	packTRect(panel, ldp, b, k, p, kb, 0, cols) // the rows below them
+}
+
+// packTRect is packT on panel rows [pLo, pHi), columns [cLo, cHi):
+// whole 8x8 blocks through the AVX2 transpose when the CPU has it, the
+// rest through the scalar loop.
+func packTRect(panel []float32, ldp int, b []float32, k, pLo, pHi, cLo, cHi int) {
+	if pLo >= pHi || cLo >= cHi {
+		return
 	}
-	packTRows(panel, ldp, b, k, vecP, kb, 0, cols) // the rows below them
+	vecP, vecC := pLo, cLo // the assembly fills rows [pLo, vecP), columns [cLo, vecC)
+	if haveAVX2 && pHi-pLo >= 8 && cHi-cLo >= 8 {
+		vecP, vecC = pLo+(pHi-pLo)&^7, cLo+(cHi-cLo)&^7
+		_ = panel[(vecP-1)*ldp+vecC-1]
+		_ = b[(vecC-1)*k+vecP-1]
+		for c := cLo; c < vecC; c += 8 {
+			packT8AVX2(&panel[pLo*ldp+c], &b[c*k+pLo], k, ldp, (vecP-pLo)/8)
+		}
+	}
+	if vecC < cHi { // the columns right of the blocks
+		packTRows(panel, ldp, b, k, pLo, vecP, vecC, cHi)
+	}
+	packTRows(panel, ldp, b, k, vecP, pHi, cLo, cHi) // the rows below them
 }
 
 // packTRows is packT's scalar loop over panel rows [pLo, pHi), columns

@@ -22,14 +22,21 @@ import (
 //
 // every product that feeds an add rounded on its own (rule 3). The
 // sums are float64 chains, one add after another, so they are
-// latency-bound: the rows are taken four at a time and their chains
+// latency-bound: the rows are taken several at a time and their chains
 // interleaved, which leaves each row's add sequence exactly as it is
-// alone. The per-element passes are lane kernels.
+// alone. With AVX2 eight rows go through the lane kernels at once, one
+// row per float64 lane (rowMoments8, gradSums8); otherwise, and for the
+// rows left over, four in scalar code. The per-element passes are lane
+// kernels.
 
 // rowGroup is how many rows' reduction chains (and, in softmax, max
 // scans) run interleaved. Each row still sees its own operations in its
 // own order, so the bits are those of one row at a time.
 const rowGroup = 4
+
+// laneRows is how many rows LayerNorm's AVX2 row sums carry: one per
+// float64 lane of two YMM registers.
+const laneRows = 8
 
 // LayerNorm normalises each row of x (rows, cols) and applies gamma
 // and beta (cols), writing out (rows, cols). xhat (rows, cols) and
@@ -46,12 +53,18 @@ func LayerNorm(out, xhat, invStd, x, gamma, beta *Tensor, eps float64) error {
 	}
 	xd, od := x.data, out.data
 	g, b := gamma.data, beta.data
-	for r := 0; r < rows; r += rowGroup {
-		var mean, sq [rowGroup]float64
+	for r := 0; r < rows; {
+		var mean, sq [laneRows]float64
 		group := min(rowGroup, rows-r)
-		if group == rowGroup {
-			mean, sq = rowMoments4(xd[r*cols:], cols)
-		} else {
+		switch {
+		case haveAVX2 && rows-r >= laneRows:
+			group = laneRows
+			mean, sq = rowMoments8(xd[r*cols:], cols)
+		case group == rowGroup:
+			m, q := rowMoments4(xd[r*cols:], cols)
+			copy(mean[:], m[:])
+			copy(sq[:], q[:])
+		default:
 			for i := range group {
 				mean[i], sq[i] = rowMoments(xd[(r+i)*cols:][:cols])
 			}
@@ -66,6 +79,7 @@ func LayerNorm(out, xhat, invStd, x, gamma, beta *Tensor, eps float64) error {
 			}
 			layerNormRow(od[row:][:cols], h, xd[row:][:cols], g, b, float32(mean[i]), inv)
 		}
+		r += group
 	}
 	return nil
 }
@@ -73,9 +87,10 @@ func LayerNorm(out, xhat, invStd, x, gamma, beta *Tensor, eps float64) error {
 // LayerNormBackward computes dx (rows, cols) from dy and what the
 // forward kept — xhat and invStd — and gamma, and, when dgamma and
 // dbeta (cols) are non-nil, adds this batch's parameter gradients to
-// them. dx must not alias dy or xhat.
+// them. dx must not alias dy or xhat. A nil dx asks for the parameter
+// gradients alone, which are then added in the same order.
 func LayerNormBackward(dx, dgamma, dbeta, dy, xhat, invStd, gamma *Tensor) error {
-	if len(xhat.shape) != 2 || !dy.SameShape(xhat) || !dx.SameShape(xhat) ||
+	if len(xhat.shape) != 2 || !dy.SameShape(xhat) || dx != nil && !dx.SameShape(xhat) ||
 		len(invStd.data) != xhat.shape[0] || len(gamma.data) != xhat.shape[1] ||
 		(dgamma == nil) != (dbeta == nil) || dgamma != nil && (len(dgamma.data) != len(gamma.data) || len(dbeta.data) != len(gamma.data)) {
 		return fmt.Errorf("%w: layernorm backward of dy %v for xhat %v into %v", ErrShape, dy.shape, xhat.shape, dx.shape)
@@ -84,14 +99,28 @@ func LayerNormBackward(dx, dgamma, dbeta, dy, xhat, invStd, gamma *Tensor) error
 	if cols == 0 {
 		return nil
 	}
+	if dx == nil {
+		if dgamma != nil {
+			for row := 0; row < rows*cols; row += cols {
+				layerNormParamGradRow(dgamma.data, dbeta.data, dy.data[row:][:cols], xhat.data[row:][:cols])
+			}
+		}
+		return nil
+	}
 	dyd, xhd, dxd, g := dy.data, xhat.data, dx.data, gamma.data
 	n := float64(cols)
-	for r := 0; r < rows; r += rowGroup {
-		var s, t [rowGroup]float64
+	for r := 0; r < rows; {
+		var s, t [laneRows]float64
 		group := min(rowGroup, rows-r)
-		if group == rowGroup {
-			s, t = gradSums4(dyd[r*cols:], xhd[r*cols:], g)
-		} else {
+		switch {
+		case haveAVX2 && rows-r >= laneRows:
+			group = laneRows
+			s, t = gradSums8(dyd[r*cols:], xhd[r*cols:], g)
+		case group == rowGroup:
+			s4, t4 := gradSums4(dyd[r*cols:], xhd[r*cols:], g)
+			copy(s[:], s4[:])
+			copy(t[:], t4[:])
+		default:
 			for i := range group {
 				row := (r + i) * cols
 				s[i], t[i] = gradSums(dyd[row:][:cols], xhd[row:][:cols], g)
@@ -105,6 +134,7 @@ func LayerNormBackward(dx, dgamma, dbeta, dy, xhat, invStd, gamma *Tensor) error
 				layerNormParamGradRow(dgamma.data, dbeta.data, dyr, xhr)
 			}
 		}
+		r += group
 	}
 	return nil
 }
@@ -151,6 +181,34 @@ func rowMoments4(x []float32, cols int) (mean, sq [rowGroup]float64) {
 	return [rowGroup]float64{m0, m1, m2, m3}, [rowGroup]float64{q0, q1, q2, q3}
 }
 
+// rowMoments8 is rowMoments on the eight rows of x (row stride cols),
+// one per float64 lane: the assembly takes the columns up to the last
+// multiple of four, and the loops here continue each row's chain over
+// the rest.
+func rowMoments8(x []float32, cols int) (mean, sq [laneRows]float64) {
+	_ = x[laneRows*cols-1]
+	vec := cols &^ 3
+	if vec > 0 {
+		rowSums8AVX2(&x[0], cols, vec, &mean)
+	}
+	for i := range mean {
+		for _, v := range x[i*cols+vec : (i+1)*cols] {
+			mean[i] += float64(v)
+		}
+		mean[i] /= float64(cols)
+	}
+	if vec > 0 {
+		rowSqDev8AVX2(&x[0], cols, vec, &mean, &sq)
+	}
+	for i := range sq {
+		for _, v := range x[i*cols+vec : (i+1)*cols] {
+			d := float64(v) - mean[i]
+			sq[i] += float64(d * d)
+		}
+	}
+	return mean, sq
+}
+
 // gradSums returns s = Σ dy·gamma and t = Σ dy·gamma·xhat over one row.
 func gradSums(dy, xhat, gamma []float32) (s, t float64) {
 	dy, xhat = dy[:len(gamma)], xhat[:len(gamma)]
@@ -185,6 +243,29 @@ func gradSums4(dy, xhat, gamma []float32) (s, t [rowGroup]float64) {
 		t3 += float64(d3 * float64(h3[c]))
 	}
 	return [rowGroup]float64{s0, s1, s2, s3}, [rowGroup]float64{t0, t1, t2, t3}
+}
+
+// gradSums8 is gradSums on the eight rows of dy and xhat (row stride
+// len(gamma)), one per float64 lane, as rowMoments8 takes them.
+func gradSums8(dy, xhat, gamma []float32) (s, t [laneRows]float64) {
+	cols := len(gamma)
+	_, _ = dy[laneRows*cols-1], xhat[laneRows*cols-1]
+	vec := cols &^ 3
+	if vec > 0 {
+		var st [2 * laneRows]float64
+		gradSums8AVX2(&dy[0], &xhat[0], cols, &gamma[0], vec, &st)
+		copy(s[:], st[:laneRows])
+		copy(t[:], st[laneRows:])
+	}
+	for i := range s {
+		row := i * cols
+		for c := vec; c < cols; c++ {
+			d := float64(float64(dy[row+c]) * float64(gamma[c]))
+			s[i] += d
+			t[i] += float64(d * float64(xhat[row+c]))
+		}
+	}
+	return s, t
 }
 
 // layerNormRow is the forward's per-element pass over one row. xhat

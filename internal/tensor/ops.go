@@ -64,6 +64,10 @@ func Mul(dst, a, b *Tensor) error {
 
 func mulRange(d, a, b []float32) {
 	d, b = d[:len(a)], b[:len(a)]
+	if haveAVX2 && len(a) > 0 {
+		mulAVX2(&d[0], &a[0], &b[0], len(a))
+		return
+	}
 	for i, av := range a {
 		d[i] = av * b[i]
 	}
