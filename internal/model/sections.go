@@ -195,7 +195,8 @@ func (s *InputSection) Backward(cache *InputCache, dy *tensor.Tensor) error {
 		return fmt.Errorf("input section backward: no cached activations")
 	}
 	// The lowest block is asked for no input gradient when nothing
-	// below it trains: the embeddings and positions are frozen.
+	// below it trains: the embeddings and positions are frozen. dy is
+	// then nil after the loop, and their backwards, frozen, read none.
 	below := !s.model.Embed.Frozen || s.model.Pos != nil && !s.model.Pos.Frozen
 	orig := dy
 	for i := len(cache.BlockCs) - 1; i >= 0; i-- {
