@@ -103,16 +103,6 @@ func BenchmarkGELUForward(b *testing.B) {
 	})
 }
 
-func BenchmarkGELUBackward(b *testing.B) {
-	rng := NewRNG(2)
-	x, dy, dx := NewNormal(rng, 1, 64, 512), NewNormal(rng, 1, 64, 512), New(64, 512)
-	benchPerElement(b, x.Len(), func() {
-		if err := GELUBackward(dx, x, dy); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
 // eachTier runs f as a sub-benchmark at every tier this CPU runs, so a
 // kernel benchmark also shows a tier that fails to build or dispatch.
 func eachTier(b *testing.B, f func(b *testing.B)) {
@@ -242,24 +232,6 @@ func BenchmarkPackT(b *testing.B) {
 			})
 		})
 	}
-	// At the 16x16 blocks' edges, at every tier: a 500 x 120 weight
-	// packs 32-wide panels and a 24-wide last one, 128-deep blocks and
-	// a 116-deep last one, so the AVX-512 tier runs 16x16 blocks, 8x8
-	// blocks beside and below them, and the scalar edge loop.
-	const ke, ne = 500, 120
-	we := NewNormal(NewRNG(3), 1, ne, ke)
-	b.Run("edges", func(b *testing.B) {
-		eachTier(b, func(b *testing.B) {
-			benchPerElement(b, ke*ne, func() {
-				for j := 0; j < ne; j += wideTileCols {
-					cols := min(wideTileCols, ne-j)
-					for p := 0; p < ke; p += packK {
-						packT(panel, wideTileCols, we.data[j*ke+p:], ke, min(packK, ke-p), cols)
-					}
-				}
-			})
-		})
-	})
 }
 
 // BenchmarkWeightResidency asks what a smaller base weight could buy:

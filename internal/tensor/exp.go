@@ -190,18 +190,10 @@ func geluRange(dst, x []float32) {
 	}
 }
 
+// geluGradRange is GELUBackward's loop. It has no lane kernel: the
+// step multiplies by the derivative its forward kept.
 func geluGradRange(dx, x, dy []float32) {
 	dx, dy = dx[:len(x)], dy[:len(x)]
-	switch {
-	case len(x) == 0:
-		return
-	case haveAVX512:
-		geluGradAVX512(&dx[0], &x[0], &dy[0], len(x))
-		return
-	case haveAVX2:
-		geluGradAVX2(&dx[0], &x[0], &dy[0], len(x))
-		return
-	}
 	for i, v := range x {
 		dx[i] = geluGradGo(v, dy[i])
 	}
@@ -245,16 +237,6 @@ func siluRange(dst, x []float32) {
 
 func siluGradRange(dx, x, dy []float32) {
 	dx, dy = dx[:len(x)], dy[:len(x)]
-	switch {
-	case len(x) == 0:
-		return
-	case haveAVX512:
-		siluGradAVX512(&dx[0], &x[0], &dy[0], len(x))
-		return
-	case haveAVX2:
-		siluGradAVX2(&dx[0], &x[0], &dy[0], len(x))
-		return
-	}
 	for i, v := range x {
 		dx[i] = siluGradGo(v, dy[i])
 	}
@@ -284,7 +266,10 @@ func GELU(dst, a *Tensor) error {
 	return activation("gelu", dst, a, geluRange)
 }
 
-// GELUBackward computes dx = dy · gelu'(x) elementwise. dx may be dy.
+// GELUBackward computes dx = dy · gelu'(x) elementwise, recomputing σ
+// from x in portable Go at every tier. dx may be dy. A layer that
+// trains keeps gelu'(x) from its forward (GELUWithDerivative) instead;
+// this is the definition that product is checked against.
 func GELUBackward(dx, x, dy *Tensor) error {
 	return activationGrad("gelu backward", dx, x, dy, geluGradRange)
 }
@@ -304,7 +289,8 @@ func SiLU(dst, a *Tensor) error {
 	return activation("silu", dst, a, siluRange)
 }
 
-// SiLUBackward computes dx = dy · silu'(x) elementwise. dx may be dy.
+// SiLUBackward is GELUBackward for SiLU: dx = dy · silu'(x), portable
+// at every tier. dx may be dy.
 func SiLUBackward(dx, x, dy *Tensor) error {
 	return activationGrad("silu backward", dx, x, dy, siluGradRange)
 }

@@ -39,16 +39,10 @@ func expShiftAVX2(dst, src *float32, n int, shift float32)
 func geluAVX2(dst, x *float32, n int)
 
 //go:noescape
-func geluGradAVX2(dx, x, dy *float32, n int)
-
-//go:noescape
 func geluDerivAVX2(dst, x *float32, n int)
 
 //go:noescape
 func siluAVX2(dst, x *float32, n int)
-
-//go:noescape
-func siluGradAVX2(dx, x, dy *float32, n int)
 
 //go:noescape
 func siluDerivAVX2(dst, x *float32, n int)
@@ -60,16 +54,10 @@ func expShiftAVX512(dst, src *float32, n int, shift float32)
 func geluAVX512(dst, x *float32, n int)
 
 //go:noescape
-func geluGradAVX512(dx, x, dy *float32, n int)
-
-//go:noescape
 func geluDerivAVX512(dst, x *float32, n int)
 
 //go:noescape
 func siluAVX512(dst, x *float32, n int)
-
-//go:noescape
-func siluGradAVX512(dx, x, dy *float32, n int)
 
 //go:noescape
 func siluDerivAVX512(dst, x *float32, n int)

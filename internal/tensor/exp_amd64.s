@@ -106,11 +106,6 @@
 	VMULPS  Y5, Y2, Y2     \
 	VADDPS  Y1, Y2, Y2
 
-// GELUGRAD: x in Y5, dy in Y8; leaves geluGradGo in Y1.
-#define GELUGRAD \
-	GELUDERIV          \
-	VMULPS  Y8, Y2, Y1
-
 // SILUSIGMA: x in Y5; leaves s = 1/(1 + exp(-x)) in Y1.
 #define SILUSIGMA \
 	VXORPS K_SIGN, Y5, Y0 \
@@ -125,11 +120,6 @@
 	VMULPS  Y5, Y2, Y2     \
 	VADDPS  K_ONE, Y2, Y2  \
 	VMULPS  Y1, Y2, Y2
-
-// SILUGRAD: x in Y5, dy in Y8; leaves siluGradGo in Y1.
-#define SILUGRAD \
-	SILUDERIV          \
-	VMULPS  Y8, Y2, Y1
 
 // TAILMASK: Y15 = the mask of the first CX lanes, 1 <= CX <= 7.
 #define TAILMASK \
@@ -204,37 +194,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func geluGradAVX2(dx, x, dy *float32, n int)
-TEXT ·geluGradAVX2(SB), NOSPLIT, $0-32
-	MOVQ dx+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ dy+16(FP), DX
-	MOVQ n+24(FP), CX
-	LEAQ ·expK(SB), R8
-	SUBQ $8, CX
-	JLT  tail
-loop:
-	VMOVUPS (SI), Y5
-	VMOVUPS (DX), Y8
-	GELUGRAD
-	VMOVUPS Y1, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JGE     loop
-tail:
-	ADDQ $8, CX
-	JZ   done
-	TAILMASK
-	VMASKMOVPS (SI), Y15, Y5
-	VMASKMOVPS (DX), Y15, Y8
-	GELUGRAD
-	VMASKMOVPS Y1, Y15, (DI)
-done:
-	VZEROUPPER
-	RET
-
 // func geluDerivAVX2(dst, x *float32, n int)
 TEXT ·geluDerivAVX2(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
@@ -290,37 +249,6 @@ tail:
 	VMASKMOVPS (SI), Y15, Y5
 	SILUSIGMA
 	VMULPS     Y5, Y1, Y1
-	VMASKMOVPS Y1, Y15, (DI)
-done:
-	VZEROUPPER
-	RET
-
-// func siluGradAVX2(dx, x, dy *float32, n int)
-TEXT ·siluGradAVX2(SB), NOSPLIT, $0-32
-	MOVQ dx+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ dy+16(FP), DX
-	MOVQ n+24(FP), CX
-	LEAQ ·expK(SB), R8
-	SUBQ $8, CX
-	JLT  tail
-loop:
-	VMOVUPS (SI), Y5
-	VMOVUPS (DX), Y8
-	SILUGRAD
-	VMOVUPS Y1, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JGE     loop
-tail:
-	ADDQ $8, CX
-	JZ   done
-	TAILMASK
-	VMASKMOVPS (SI), Y15, Y5
-	VMASKMOVPS (DX), Y15, Y8
-	SILUGRAD
 	VMASKMOVPS Y1, Y15, (DI)
 done:
 	VZEROUPPER
@@ -430,11 +358,6 @@ done:
 	VMULPS       Z5, Z2, Z2    \
 	VADDPS       Z1, Z2, Z2
 
-// GELUGRAD16: x in Z5, dy in Z8; leaves geluGradGo in Z1.
-#define GELUGRAD16 \
-	GELUDERIV16            \
-	VMULPS      Z8, Z2, Z1
-
 // SILUSIGMA16: x in Z5; leaves s = 1/(1 + exp(-x)) in Z1.
 #define SILUSIGMA16 \
 	VPXORD.BCST K_SIGN, Z5, Z0 \
@@ -448,11 +371,6 @@ done:
 	VMULPS       Z5, Z2, Z2    \
 	VADDPS.BCST  K_ONE, Z2, Z2 \
 	VMULPS       Z1, Z2, Z2
-
-// SILUGRAD16: x in Z5, dy in Z8; leaves siluGradGo in Z1.
-#define SILUGRAD16 \
-	SILUDERIV16            \
-	VMULPS      Z8, Z2, Z1
 
 // TAILMASK16: K1 = the first CX lanes, 1 <= CX <= 15.
 #define TAILMASK16 \
@@ -520,37 +438,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func geluGradAVX512(dx, x, dy *float32, n int)
-TEXT ·geluGradAVX512(SB), NOSPLIT, $0-32
-	MOVQ dx+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ dy+16(FP), DX
-	MOVQ n+24(FP), CX
-	LEAQ ·expK(SB), R8
-	SUBQ $16, CX
-	JLT  tail
-loop:
-	VMOVUPS (SI), Z5
-	VMOVUPS (DX), Z8
-	GELUGRAD16
-	VMOVUPS Z1, (DI)
-	ADDQ    $64, SI
-	ADDQ    $64, DX
-	ADDQ    $64, DI
-	SUBQ    $16, CX
-	JGE     loop
-tail:
-	ADDQ $16, CX
-	JZ   done
-	TAILMASK16
-	VMOVUPS.Z (SI), K1, Z5
-	VMOVUPS.Z (DX), K1, Z8
-	GELUGRAD16
-	VMOVUPS   Z1, K1, (DI)
-done:
-	VZEROUPPER
-	RET
-
 // func geluDerivAVX512(dst, x *float32, n int)
 TEXT ·geluDerivAVX512(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
@@ -606,37 +493,6 @@ tail:
 	VMOVUPS.Z (SI), K1, Z5
 	SILUSIGMA16
 	VMULPS    Z5, Z1, Z1
-	VMOVUPS   Z1, K1, (DI)
-done:
-	VZEROUPPER
-	RET
-
-// func siluGradAVX512(dx, x, dy *float32, n int)
-TEXT ·siluGradAVX512(SB), NOSPLIT, $0-32
-	MOVQ dx+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ dy+16(FP), DX
-	MOVQ n+24(FP), CX
-	LEAQ ·expK(SB), R8
-	SUBQ $16, CX
-	JLT  tail
-loop:
-	VMOVUPS (SI), Z5
-	VMOVUPS (DX), Z8
-	SILUGRAD16
-	VMOVUPS Z1, (DI)
-	ADDQ    $64, SI
-	ADDQ    $64, DX
-	ADDQ    $64, DI
-	SUBQ    $16, CX
-	JGE     loop
-tail:
-	ADDQ $16, CX
-	JZ   done
-	TAILMASK16
-	VMOVUPS.Z (SI), K1, Z5
-	VMOVUPS.Z (DX), K1, Z8
-	SILUGRAD16
 	VMOVUPS   Z1, K1, (DI)
 done:
 	VZEROUPPER

@@ -12,13 +12,9 @@ func expShiftAVX2(dst, src *float32, n int, shift float32) {
 
 func geluAVX2(dst, x *float32, n int) { panic("tensor: geluAVX2 without AVX2") }
 
-func geluGradAVX2(dx, x, dy *float32, n int) { panic("tensor: geluGradAVX2 without AVX2") }
-
 func geluDerivAVX2(dst, x *float32, n int) { panic("tensor: geluDerivAVX2 without AVX2") }
 
 func siluAVX2(dst, x *float32, n int) { panic("tensor: siluAVX2 without AVX2") }
-
-func siluGradAVX2(dx, x, dy *float32, n int) { panic("tensor: siluGradAVX2 without AVX2") }
 
 func siluDerivAVX2(dst, x *float32, n int) { panic("tensor: siluDerivAVX2 without AVX2") }
 
@@ -28,12 +24,8 @@ func expShiftAVX512(dst, src *float32, n int, shift float32) {
 
 func geluAVX512(dst, x *float32, n int) { panic("tensor: geluAVX512 without AVX-512") }
 
-func geluGradAVX512(dx, x, dy *float32, n int) { panic("tensor: geluGradAVX512 without AVX-512") }
-
 func geluDerivAVX512(dst, x *float32, n int) { panic("tensor: geluDerivAVX512 without AVX-512") }
 
 func siluAVX512(dst, x *float32, n int) { panic("tensor: siluAVX512 without AVX-512") }
-
-func siluGradAVX512(dx, x, dy *float32, n int) { panic("tensor: siluGradAVX512 without AVX-512") }
 
 func siluDerivAVX512(dst, x *float32, n int) { panic("tensor: siluDerivAVX512 without AVX-512") }

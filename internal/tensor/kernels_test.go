@@ -268,9 +268,7 @@ func TestRowRangesBitIdenticalAtAnySplit(t *testing.T) {
 	x, dy := NewNormal(rng, 2, elems), NewNormal(rng, 1, elems)
 	elementwise := map[string]func(dst *Tensor, lo, hi int){
 		"gelu":     func(dst *Tensor, lo, hi int) { geluRange(dst.data[lo:hi], x.data[lo:hi]) },
-		"geluGrad": func(dst *Tensor, lo, hi int) { geluGradRange(dst.data[lo:hi], x.data[lo:hi], dy.data[lo:hi]) },
 		"silu":     func(dst *Tensor, lo, hi int) { siluRange(dst.data[lo:hi], x.data[lo:hi]) },
-		"siluGrad": func(dst *Tensor, lo, hi int) { siluGradRange(dst.data[lo:hi], x.data[lo:hi], dy.data[lo:hi]) },
 		"expShift": func(dst *Tensor, lo, hi int) { expShift(dst.data[lo:hi], x.data[lo:hi], 0.5) },
 		"geluDeriv": func(dst *Tensor, lo, hi int) {
 			copy(dst.data[lo:hi], x.data[lo:hi])

@@ -273,45 +273,24 @@ func aligned(buf []float32) []float32 {
 
 // packT fills the first kb rows of panel, ldp floats apart, with the
 // transpose of a cols x kb block of b (row stride k):
-// panel[p*ldp+c] = b[c*k+p]. Whole 16x16 blocks go through the AVX-512
-// transpose when the CPU has it, whole 8x8 blocks of what is left
-// through the AVX2 one, and the edges through the scalar loop; it is a
-// copy either way.
+// panel[p*ldp+c] = b[c*k+p]. Whole 8x8 blocks go through the AVX2
+// shuffle transpose when the CPU has it and the edges through the
+// scalar loop; it is a copy either way.
 func packT(panel []float32, ldp int, b []float32, k, kb, cols int) {
-	p, c := 0, 0 // the 16x16 blocks fill panel[:p][:c]
-	if haveAVX512 && kb >= 16 && cols >= 16 {
-		p, c = kb&^15, cols&^15
+	vecP, vecC := 0, 0 // the assembly fills panel[:vecP][:vecC]
+	if haveAVX2 && kb >= 8 && cols >= 8 {
+		vecP, vecC = kb&^7, cols&^7
 		// The bounds checks the assembly cannot make.
-		_ = panel[(p-1)*ldp+c-1]
-		_ = b[(c-1)*k+p-1]
-		for j := 0; j < c; j += 16 {
-			packT16AVX512(&panel[j], &b[j*k], k, ldp, p/16)
-		}
-	}
-	packTRect(panel, ldp, b, k, 0, p, c, cols)  // the columns right of them
-	packTRect(panel, ldp, b, k, p, kb, 0, cols) // the rows below them
-}
-
-// packTRect is packT on panel rows [pLo, pHi), columns [cLo, cHi):
-// whole 8x8 blocks through the AVX2 transpose when the CPU has it, the
-// rest through the scalar loop.
-func packTRect(panel []float32, ldp int, b []float32, k, pLo, pHi, cLo, cHi int) {
-	if pLo >= pHi || cLo >= cHi {
-		return
-	}
-	vecP, vecC := pLo, cLo // the assembly fills rows [pLo, vecP), columns [cLo, vecC)
-	if haveAVX2 && pHi-pLo >= 8 && cHi-cLo >= 8 {
-		vecP, vecC = pLo+(pHi-pLo)&^7, cLo+(cHi-cLo)&^7
 		_ = panel[(vecP-1)*ldp+vecC-1]
 		_ = b[(vecC-1)*k+vecP-1]
-		for c := cLo; c < vecC; c += 8 {
-			packT8AVX2(&panel[pLo*ldp+c], &b[c*k+pLo], k, ldp, (vecP-pLo)/8)
+		for c := 0; c < vecC; c += 8 {
+			packT8AVX2(&panel[c], &b[c*k], k, ldp, vecP/8)
 		}
 	}
-	if vecC < cHi { // the columns right of the blocks
-		packTRows(panel, ldp, b, k, pLo, vecP, vecC, cHi)
+	if vecC < cols { // the columns right of the blocks
+		packTRows(panel, ldp, b, k, 0, vecP, vecC, cols)
 	}
-	packTRows(panel, ldp, b, k, vecP, pHi, cLo, cHi) // the rows below them
+	packTRows(panel, ldp, b, k, vecP, kb, 0, cols) // the rows below them
 }
 
 // packTRows is packT's scalar loop over panel rows [pLo, pHi), columns

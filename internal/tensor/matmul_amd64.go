@@ -23,9 +23,6 @@ func tileAVX512(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, 
 //go:noescape
 func packT8AVX2(panel, b *float32, k, ldp, blocks int)
 
-//go:noescape
-func packT16AVX512(panel, b *float32, k, ldp, blocks int)
-
 // withPanel runs runPanelJob(j, panel) with a panel of panelFloats
 // floats in its own frame, which the runtime does not clear.
 //

@@ -471,144 +471,6 @@ block:
 	VZEROUPPER
 	RET
 
-// func packT16AVX512(panel, b *float32, k, ldp, blocks int)
-//
-// packT8AVX2's contract for sixteen columns of a panel: for q in
-// [0, blocks) and i, c in [0, 16)
-//
-//	panel[(16q+i)*ldp + c] = b[c*k + 16q+i]
-//
-// Each 16x16 block of b is transposed in the ZMM registers with four
-// rounds of sixteen shuffles: unpack pairs of rows and shuffle pairs of
-// pairs within each 128-bit lane, as packT8AVX2 does, which leaves
-// Z(4g+j) holding column 4L+j of rows 4g..4g+3 in lane L; then two
-// rounds of VSHUFF32X4 transpose that 4x4 matrix of lanes. That is 64
-// shuffles per 256 floats where two 8x8 passes take 96, and each panel
-// row is one 64-byte store. Loads, shuffles and stores only; no value
-// is computed. R14 addresses rows 8-15, of b while loading and of the
-// panel while storing.
-TEXT ·packT16AVX512(SB), NOSPLIT, $0-40
-	MOVQ panel+0(FP), DI
-	MOVQ b+8(FP), SI
-	MOVQ k+16(FP), R9
-	MOVQ ldp+24(FP), R8
-	MOVQ blocks+32(FP), CX
-	SHLQ $2, R9                // row stride of b in bytes
-	LEAQ (R9)(R9*2), R10       // 3 rows
-	LEAQ (R9)(R9*4), R11       // 5 rows
-	LEAQ (R10)(R9*4), R12      // 7 rows
-	SHLQ $2, R8                // row stride of the panel in bytes
-	LEAQ (R8)(R8*2), AX        // 3 panel rows
-	LEAQ (R8)(R8*4), BX        // 5 panel rows
-	LEAQ (AX)(R8*4), DX        // 7 panel rows
-	MOVQ R8, R13
-	SHLQ $4, R13               // 16 panel rows
-block16:
-	LEAQ (SI)(R9*8), R14
-	VMOVUPS (SI), Z0
-	VMOVUPS (SI)(R9*1), Z1
-	VMOVUPS (SI)(R9*2), Z2
-	VMOVUPS (SI)(R10*1), Z3
-	VMOVUPS (SI)(R9*4), Z4
-	VMOVUPS (SI)(R11*1), Z5
-	VMOVUPS (SI)(R10*2), Z6
-	VMOVUPS (SI)(R12*1), Z7
-	VMOVUPS (R14), Z8
-	VMOVUPS (R14)(R9*1), Z9
-	VMOVUPS (R14)(R9*2), Z10
-	VMOVUPS (R14)(R10*1), Z11
-	VMOVUPS (R14)(R9*4), Z12
-	VMOVUPS (R14)(R11*1), Z13
-	VMOVUPS (R14)(R10*2), Z14
-	VMOVUPS (R14)(R12*1), Z15
-	VUNPCKLPS Z1, Z0, Z16
-	VUNPCKHPS Z1, Z0, Z17
-	VUNPCKLPS Z3, Z2, Z18
-	VUNPCKHPS Z3, Z2, Z19
-	VUNPCKLPS Z5, Z4, Z20
-	VUNPCKHPS Z5, Z4, Z21
-	VUNPCKLPS Z7, Z6, Z22
-	VUNPCKHPS Z7, Z6, Z23
-	VUNPCKLPS Z9, Z8, Z24
-	VUNPCKHPS Z9, Z8, Z25
-	VUNPCKLPS Z11, Z10, Z26
-	VUNPCKHPS Z11, Z10, Z27
-	VUNPCKLPS Z13, Z12, Z28
-	VUNPCKHPS Z13, Z12, Z29
-	VUNPCKLPS Z15, Z14, Z30
-	VUNPCKHPS Z15, Z14, Z31
-	VSHUFPS $0x44, Z18, Z16, Z0    // column 4L+j of rows 0-3 in lane L of Zj
-	VSHUFPS $0xEE, Z18, Z16, Z1
-	VSHUFPS $0x44, Z19, Z17, Z2
-	VSHUFPS $0xEE, Z19, Z17, Z3
-	VSHUFPS $0x44, Z22, Z20, Z4
-	VSHUFPS $0xEE, Z22, Z20, Z5
-	VSHUFPS $0x44, Z23, Z21, Z6
-	VSHUFPS $0xEE, Z23, Z21, Z7
-	VSHUFPS $0x44, Z26, Z24, Z8
-	VSHUFPS $0xEE, Z26, Z24, Z9
-	VSHUFPS $0x44, Z27, Z25, Z10
-	VSHUFPS $0xEE, Z27, Z25, Z11
-	VSHUFPS $0x44, Z30, Z28, Z12
-	VSHUFPS $0xEE, Z30, Z28, Z13
-	VSHUFPS $0x44, Z31, Z29, Z14
-	VSHUFPS $0xEE, Z31, Z29, Z15
-	LEAQ (DI)(R8*8), R14
-	VSHUFF32X4 $0x44, Z4, Z0, Z16    // lanes 0-1 of rows 0-3 and 4-7
-	VSHUFF32X4 $0xEE, Z4, Z0, Z17
-	VSHUFF32X4 $0x44, Z12, Z8, Z18
-	VSHUFF32X4 $0xEE, Z12, Z8, Z19
-	VSHUFF32X4 $0x88, Z18, Z16, Z20    // column j, rows 0-15
-	VSHUFF32X4 $0xDD, Z18, Z16, Z21
-	VSHUFF32X4 $0x88, Z19, Z17, Z22
-	VSHUFF32X4 $0xDD, Z19, Z17, Z23
-	VMOVUPS Z20, (DI)
-	VMOVUPS Z21, (DI)(R8*4)
-	VMOVUPS Z22, (R14)
-	VMOVUPS Z23, (R14)(R8*4)
-	VSHUFF32X4 $0x44, Z5, Z1, Z16
-	VSHUFF32X4 $0xEE, Z5, Z1, Z17
-	VSHUFF32X4 $0x44, Z13, Z9, Z18
-	VSHUFF32X4 $0xEE, Z13, Z9, Z19
-	VSHUFF32X4 $0x88, Z18, Z16, Z20
-	VSHUFF32X4 $0xDD, Z18, Z16, Z21
-	VSHUFF32X4 $0x88, Z19, Z17, Z22
-	VSHUFF32X4 $0xDD, Z19, Z17, Z23
-	VMOVUPS Z20, (DI)(R8*1)
-	VMOVUPS Z21, (DI)(BX*1)
-	VMOVUPS Z22, (R14)(R8*1)
-	VMOVUPS Z23, (R14)(BX*1)
-	VSHUFF32X4 $0x44, Z6, Z2, Z16
-	VSHUFF32X4 $0xEE, Z6, Z2, Z17
-	VSHUFF32X4 $0x44, Z14, Z10, Z18
-	VSHUFF32X4 $0xEE, Z14, Z10, Z19
-	VSHUFF32X4 $0x88, Z18, Z16, Z20
-	VSHUFF32X4 $0xDD, Z18, Z16, Z21
-	VSHUFF32X4 $0x88, Z19, Z17, Z22
-	VSHUFF32X4 $0xDD, Z19, Z17, Z23
-	VMOVUPS Z20, (DI)(R8*2)
-	VMOVUPS Z21, (DI)(AX*2)
-	VMOVUPS Z22, (R14)(R8*2)
-	VMOVUPS Z23, (R14)(AX*2)
-	VSHUFF32X4 $0x44, Z7, Z3, Z16
-	VSHUFF32X4 $0xEE, Z7, Z3, Z17
-	VSHUFF32X4 $0x44, Z15, Z11, Z18
-	VSHUFF32X4 $0xEE, Z15, Z11, Z19
-	VSHUFF32X4 $0x88, Z18, Z16, Z20
-	VSHUFF32X4 $0xDD, Z18, Z16, Z21
-	VSHUFF32X4 $0x88, Z19, Z17, Z22
-	VSHUFF32X4 $0xDD, Z19, Z17, Z23
-	VMOVUPS Z20, (DI)(AX*1)
-	VMOVUPS Z21, (DI)(DX*1)
-	VMOVUPS Z22, (R14)(AX*1)
-	VMOVUPS Z23, (R14)(DX*1)
-	ADDQ $64, SI
-	ADDQ R13, DI
-	DECQ CX
-	JNZ  block16
-	VZEROUPPER
-	RET
-
 // func withPanel(j *panelJob)
 //
 // Runs runPanelJob(j, panel) with panel the top 4·panelFloats bytes of

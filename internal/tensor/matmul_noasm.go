@@ -19,8 +19,4 @@ func tileAVX512(d *float32, ldd int, a *float32, ars, aps int, b *float32, ldb, 
 
 func packT8AVX2(panel, b *float32, k, ldp, blocks int) { panic("tensor: packT8AVX2 without AVX2") }
 
-func packT16AVX512(panel, b *float32, k, ldp, blocks int) {
-	panic("tensor: packT16AVX512 without AVX-512")
-}
-
 func withPanel(j *panelJob) { panic("tensor: withPanel without AVX2") }

@@ -93,7 +93,11 @@ func LayerNormBackward(dx, dgamma, dbeta, dy, xhat, invStd, gamma *Tensor) error
 	if len(xhat.shape) != 2 || !dy.SameShape(xhat) || dx != nil && !dx.SameShape(xhat) ||
 		len(invStd.data) != xhat.shape[0] || len(gamma.data) != xhat.shape[1] ||
 		(dgamma == nil) != (dbeta == nil) || dgamma != nil && (len(dgamma.data) != len(gamma.data) || len(dbeta.data) != len(gamma.data)) {
-		return fmt.Errorf("%w: layernorm backward of dy %v for xhat %v into %v", ErrShape, dy.shape, xhat.shape, dx.shape)
+		var into []int // a nil dx has no shape
+		if dx != nil {
+			into = dx.shape
+		}
+		return fmt.Errorf("%w: layernorm backward of dy %v for xhat %v into %v", ErrShape, dy.shape, xhat.shape, into)
 	}
 	rows, cols := xhat.shape[0], xhat.shape[1]
 	if cols == 0 {

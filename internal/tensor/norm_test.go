@@ -108,12 +108,14 @@ func TestLayerNormMatchesReference(t *testing.T) {
 func TestLayerNormRejectsBadShapes(t *testing.T) {
 	x, g := New(3, 4), New(4)
 	for name, err := range map[string]error{
-		"out shape":        LayerNorm(New(4, 3), nil, nil, x, g, g, 1e-5),
-		"gamma length":     LayerNorm(New(3, 4), nil, nil, x, New(3), g, 1e-5),
-		"xhat without inv": LayerNorm(New(3, 4), New(3, 4), nil, x, g, g, 1e-5),
-		"inv length":       LayerNorm(New(3, 4), New(3, 4), New(4), x, g, g, 1e-5),
-		"dy shape":         LayerNormBackward(New(3, 4), nil, nil, New(4, 3), x, New(3), g),
-		"dgamma alone":     LayerNormBackward(New(3, 4), New(4), nil, x, x, New(3), g),
+		"out shape":         LayerNorm(New(4, 3), nil, nil, x, g, g, 1e-5),
+		"gamma length":      LayerNorm(New(3, 4), nil, nil, x, New(3), g, 1e-5),
+		"xhat without inv":  LayerNorm(New(3, 4), New(3, 4), nil, x, g, g, 1e-5),
+		"inv length":        LayerNorm(New(3, 4), New(3, 4), New(4), x, g, g, 1e-5),
+		"dy shape":          LayerNormBackward(New(3, 4), nil, nil, New(4, 3), x, New(3), g),
+		"dgamma alone":      LayerNormBackward(New(3, 4), New(4), nil, x, x, New(3), g),
+		"nil dx, short dy":  LayerNormBackward(nil, New(4), New(4), New(2, 4), x, New(3), g),
+		"nil dx, short inv": LayerNormBackward(nil, nil, nil, x, x, New(2), g),
 	} {
 		if !errors.Is(err, ErrShape) {
 			t.Errorf("%s: %v, want ErrShape", name, err)
